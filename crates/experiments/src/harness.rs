@@ -5,7 +5,7 @@
 //! fan-out over `std::thread::scope` — per the hpc-parallel guidance, the
 //! simplest structure that saturates the cores without unsafe code or
 //! shared mutable state: an atomic cursor hands out indices, results flow
-//! back over a crossbeam channel and are reassembled in order.
+//! back over an mpsc channel and are reassembled in order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -78,7 +78,7 @@ where
         return items.iter().map(&f).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, R)>();
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();

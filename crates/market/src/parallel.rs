@@ -65,6 +65,7 @@ use crate::economy::{
     SiteId,
 };
 use mbts_core::{AdmissionDecision, Job};
+use mbts_sim::latency::elapsed_ns;
 use mbts_sim::profiler::{self, Section};
 use mbts_sim::{EventQueue, Model, Time};
 use mbts_site::{CompletionToken, JobOutcome, SiteOutcome, SiteSnapshot, SiteState};
@@ -291,10 +292,7 @@ impl ShardCore {
             } => {
                 let t0 = Instant::now();
                 let result = self.exec_window(events, barrier, base_key);
-                if profiler::is_enabled() {
-                    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    profiler::record_ns(Section::ShardWindow, ns);
-                }
+                profiler::record_since(Section::ShardWindow, t0);
                 Reply::Window(result)
             }
             Op::Quiescent => Reply::Flag(self.sites.iter().all(|s| s.is_quiescent())),
@@ -307,7 +305,7 @@ impl ShardCore {
             Op::Finish => Reply::Outcomes(self.sites.drain(..).map(|s| s.into_outcome()).collect()),
             Op::Resend => unreachable!("Resend is intercepted by the worker loop"),
         };
-        self.busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.busy_ns += elapsed_ns(start);
         reply
     }
 
@@ -617,11 +615,9 @@ impl ShardCluster {
                     })
                     .collect();
                 if let Some(t) = first {
-                    let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    let ns = elapsed_ns(t);
                     self.stall_ns += ns;
-                    if profiler::is_enabled() {
-                        profiler::record_ns(Section::BarrierStall, ns);
-                    }
+                    profiler::record_ns(Section::BarrierStall, ns);
                 }
                 replies
             }
@@ -681,11 +677,9 @@ impl ShardCluster {
                     .collect();
                 if results.len() > 1 {
                     if let Some(t) = first {
-                        let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                        let ns = elapsed_ns(t);
                         self.stall_ns += ns;
-                        if profiler::is_enabled() {
-                            profiler::record_ns(Section::BarrierStall, ns);
-                        }
+                        profiler::record_ns(Section::BarrierStall, ns);
                     }
                 }
                 results
@@ -1116,7 +1110,7 @@ impl ShardedEconomyRun {
 
     /// Per-shard utilization and barrier-stall counters.
     pub fn shard_stats(&mut self) -> ShardStats {
-        let wall_ns = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let wall_ns = elapsed_ns(self.started);
         let windows = self.windows;
         let cluster = self.model.cluster_mut();
         let shards = cluster.stats();

@@ -3,7 +3,7 @@
 //!
 //! Each connection thread drives its share of submissions in pipelined
 //! batches (one write, N responses), records batch round-trip latency
-//! into a log2-bucket histogram, and obeys the daemon's backpressure:
+//! into the shared latency histogram, and obeys the daemon's backpressure:
 //! a 429 reply consumes one unit of the request's bounded retry budget
 //! and is retried after the server's `Retry-After` hint (capped, jittered
 //! by a seeded xorshift so floods are reproducible). Connection drops —
@@ -21,10 +21,9 @@ use std::time::{Duration as StdDuration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use crate::http;
+use mbts_sim::latency::{elapsed_ns, LatencyHistogram};
 
-/// Log2-bucketed latency histogram (mirrors the self-profiler's shape).
-const LAT_BUCKETS: usize = 40;
+use crate::http;
 
 /// Configuration for one flood run.
 #[derive(Debug, Clone)]
@@ -102,7 +101,8 @@ pub struct FloodReport {
     pub wall_s: f64,
     /// Completed responses per second.
     pub rps: f64,
-    /// Median batch round-trip, microseconds (bucket upper bound).
+    /// Median batch round-trip, microseconds (bucket upper edge, within
+    /// 1/16 above the exact sample and never above `max_us`).
     pub p50_us: f64,
     /// 95th-percentile batch round-trip, microseconds. Default keeps
     /// BENCH files written before this field deserializable.
@@ -130,56 +130,6 @@ pub struct FloodReport {
 /// run — single-CPU containers record honest numbers instead.
 pub const GATE_MIN_PARALLELISM: usize = 4;
 
-#[derive(Debug, Clone)]
-struct Histogram {
-    buckets: [u64; LAT_BUCKETS],
-    count: u64,
-    max_ns: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; LAT_BUCKETS],
-            count: 0,
-            max_ns: 0,
-        }
-    }
-}
-
-impl Histogram {
-    fn record(&mut self, ns: u64) {
-        let b = (63 - ns.max(1).leading_zeros() as usize).min(LAT_BUCKETS - 1);
-        self.buckets[b] += 1;
-        self.count += 1;
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
-    /// Approximate quantile: upper bound of the bucket holding it.
-    fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q).ceil() as u64;
-        let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        self.max_ns
-    }
-}
-
 #[derive(Debug, Default)]
 struct ThreadTally {
     completed: u64,
@@ -193,7 +143,7 @@ struct ThreadTally {
     exhausted: u64,
     errors: u64,
     malformed: u64,
-    hist: Histogram,
+    hist: LatencyHistogram,
 }
 
 /// Seeded xorshift64* — reproducible jitter without external crates.
@@ -475,9 +425,7 @@ fn flood_thread(cfg: &FloodConfig, index: usize, share: u64) -> io::Result<Threa
                     let item = &batch[idx];
                     idx += 1;
                     tally.completed += 1;
-                    tally
-                        .hist
-                        .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                    tally.hist.record(elapsed_ns(t0));
                     match resp.status {
                         200 => {
                             // Tally by what was sent, not what was
@@ -552,17 +500,6 @@ fn flood_thread(cfg: &FloodConfig, index: usize, share: u64) -> io::Result<Threa
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_quantiles_are_monotone() {
-        let mut h = Histogram::default();
-        for ns in [100, 200, 400, 800, 1_000_000] {
-            h.record(ns);
-        }
-        assert!(h.quantile_ns(0.5) <= h.quantile_ns(0.99));
-        assert!(h.quantile_ns(0.99) <= h.max_ns.next_power_of_two().max(h.max_ns));
-        assert_eq!(h.count, 5);
-    }
 
     #[test]
     fn thread_share_partitions_exactly() {

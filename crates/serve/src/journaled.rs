@@ -19,7 +19,6 @@ use std::path::Path;
 use mbts_durable::{recover_bytes, Journal, RecoverError};
 use mbts_sim::profiler::{self, Section};
 use mbts_sim::Time;
-use mbts_trace::telemetry as tel;
 use mbts_workload::TaskId;
 
 use crate::machine::{
@@ -191,14 +190,13 @@ impl ServiceRun {
         };
         let payload = serde_json::to_vec(&cmd).expect("service commands always serialize");
         // The durability half and the compute half of the apply path are
-        // timed separately (fsync stalls vs fold cost); both recorders
+        // timed separately (fsync stalls vs fold cost), each into one
+        // series that the profile and `/metrics` both read; the timers
         // only observe wall time, never feed into `at` or the payload.
-        tel::time(tel::Hist::JournalAppend, || {
-            profiler::time(Section::ServeJournalAppend, || {
-                self.journal.append_event(&payload)
-            })
+        profiler::time(Section::ServeJournalAppend, || {
+            self.journal.append_event(&payload)
         })?;
-        let outcome = tel::time(tel::Hist::Apply, || self.machine.apply(&cmd));
+        let outcome = profiler::time(Section::ServeMachineApply, || self.machine.apply(&cmd));
         self.since_snapshot += 1;
         if self.snapshot_every > 0 && self.since_snapshot >= self.snapshot_every {
             self.snapshot_now()?;

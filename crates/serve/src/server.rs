@@ -36,6 +36,7 @@ use std::time::{Duration as StdDuration, Instant};
 use mbts_chaos::{ChaosRegistry, FailAction, Firing};
 use mbts_core::Job;
 use mbts_durable::Journal;
+use mbts_sim::latency::elapsed_ns;
 use mbts_sim::profiler::{self, Section};
 use mbts_sim::Time;
 use mbts_site::SiteConfig;
@@ -606,10 +607,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         };
         let reply = route(&req, &shared);
         tel::count_request(route_of(&req), outcome_of(&reply));
-        tel::record_ns(
-            tel::Hist::Request,
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
+        tel::record_ns(tel::Hist::Request, elapsed_ns(t0));
         if let Some(firing) = shared.chaos_hit(POINT_CONN_WRITE) {
             match firing.action {
                 FailAction::DropConn => return,
@@ -685,7 +683,7 @@ fn route(req: &http::Request, shared: &Arc<Shared>) -> Reply {
         // Rendered entirely from the atomic registry in this worker
         // thread: a scrape never touches the queue, the core thread, or
         // the journal, so it cannot block or perturb admission.
-        return Reply::text(200, tel::snapshot().render_prometheus().into_bytes());
+        return Reply::text(200, tel::scrape_text().into_bytes());
     }
     shared.requests.fetch_add(1, Ordering::Relaxed);
     if shared.stopping() {
@@ -850,7 +848,7 @@ fn core_loop(
             cancelled: counters.cancelled,
             completed: counters.finished,
             timeouts: shared.timeouts.load(Ordering::Relaxed),
-            wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            wall_ns: elapsed_ns(started),
         },
         applied: machine.applied(),
         violations: machine.violations(),
@@ -1023,22 +1021,17 @@ struct CancelView {
 }
 
 fn handle_one(run: &mut ServiceRun, shared: &Arc<Shared>, pending: Pending) -> io::Result<()> {
-    if profiler::is_enabled() || tel::is_enabled() {
-        let waited = u64::try_from(pending.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if profiler::is_enabled() {
-            profiler::record_ns(Section::ServeQueueWait, waited);
-        }
-        tel::record_ns(tel::Hist::QueueWait, waited);
-    }
+    profiler::record_since(Section::ServeQueueWait, pending.enqueued);
     let now = shared.clock.now();
     let reply = match &pending.work {
         Work::Submit(body) => {
             let spec = body.to_spec(pending.arrival);
+            // One clock pair feeds the Retry-After EMA and the section.
             let t0 = Instant::now();
-            let (_, outcome) = profiler::time(Section::ServeApply, || {
-                run.apply(now, CommandKind::Submit { spec })
-            })?;
-            shared.note_apply_ns(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            let (_, outcome) = run.apply(now, CommandKind::Submit { spec })?;
+            let apply_ns = elapsed_ns(t0);
+            shared.note_apply_ns(apply_ns);
+            profiler::record_ns(Section::ServeApply, apply_ns);
             let ApplyOutcome::Submitted { task, accepted } = outcome else {
                 unreachable!("submit commands produce submit outcomes");
             };

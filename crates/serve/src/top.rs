@@ -21,6 +21,8 @@ use std::io::{self, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use mbts_sim::latency::LatencyHistogram;
+
 use crate::http;
 
 /// One parsed sample: metric name, sorted labels, value.
@@ -145,32 +147,36 @@ fn split_label_pairs(body: &str) -> Vec<&str> {
     out
 }
 
-/// Quantile from a cumulative Prometheus histogram's `_bucket` samples
-/// (upper edge of the bucket containing the q-th observation), in the
-/// unit of the `le` label. `None` with no observations.
-pub fn histogram_quantile(scrape: &Scrape, hist: &str, q: f64) -> Option<f64> {
+/// Rebuilds the latency histogram behind a cumulative `_bucket` series
+/// whose `le` edges are in seconds. Each finite edge lands in the shared
+/// geometry's bucket for that value, so a scrape of our own exposition
+/// reproduces the daemon's buckets exactly; `max_ns`, which the
+/// exposition does not carry, becomes the highest occupied edge. `None`
+/// with no observations or an unparseable edge.
+pub fn scraped_histogram(scrape: &Scrape, hist: &str) -> Option<LatencyHistogram> {
     let bucket_name = format!("{hist}_bucket");
-    let mut edges: Vec<(f64, f64)> = Vec::new(); // (le, cumulative)
-    let mut total = 0.0f64;
+    let mut edges: Vec<(u64, u64)> = Vec::new(); // (le in ns, cumulative)
     for s in scrape.series(&bucket_name) {
         let le = s.label("le")?;
-        if le == "+Inf" {
-            total = total.max(s.value);
-        } else {
-            edges.push((le.parse().ok()?, s.value));
+        if le != "+Inf" {
+            let le_ns = (le.parse::<f64>().ok()? * 1e9).round() as u64;
+            edges.push((le_ns, s.value as u64));
         }
     }
-    if total <= 0.0 {
-        return None;
-    }
-    edges.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let target = (q.clamp(0.0, 1.0) * total).ceil().max(1.0);
-    for (le, cum) in &edges {
-        if *cum >= target {
-            return Some(*le);
+    edges.sort_unstable();
+    let mut out = LatencyHistogram::named(hist);
+    for (le_ns, cumulative) in edges {
+        if cumulative > out.count {
+            out.record_n(le_ns, cumulative - out.count);
         }
     }
-    edges.last().map(|(le, _)| *le)
+    (out.count > 0).then_some(out)
+}
+
+/// Quantile of a scraped histogram in seconds, by the same estimator the
+/// daemon uses ([`LatencyHistogram::quantile_ns`]).
+pub fn histogram_quantile(scrape: &Scrape, hist: &str, q: f64) -> Option<f64> {
+    scraped_histogram(scrape, hist).map(|h| h.quantile_ns(q) as f64 * 1e-9)
 }
 
 /// Rate-converted counter deltas between two scrapes.
@@ -257,18 +263,16 @@ pub fn render_frame(
         ("journal", "serve_journal_append_duration_seconds"),
         ("apply", "serve_apply_duration_seconds"),
     ] {
-        let p50 = histogram_quantile(cur, hist, 0.50);
-        let p95 = histogram_quantile(cur, hist, 0.95);
-        let p99 = histogram_quantile(cur, hist, 0.99);
-        if let (Some(p50), Some(p95), Some(p99)) = (p50, p95, p99) {
+        if let Some(h) = scraped_histogram(cur, hist) {
             if !first {
                 out.push_str("\n          ");
             }
+            let at = |q| fmt_secs(h.quantile_ns(q) as f64 * 1e-9);
             out.push_str(&format!(
                 "{label:<8} p50 ≤{:>9} p95 ≤{:>9} p99 ≤{:>9}",
-                fmt_secs(p50),
-                fmt_secs(p95),
-                fmt_secs(p99)
+                at(0.50),
+                at(0.95),
+                at(0.99)
             ));
             first = false;
         }
@@ -397,9 +401,9 @@ serve_requests_total{route=\"submit\",outcome=\"ack\"} 1000
 serve_requests_total{route=\"submit\",outcome=\"shed\"} 50
 serve_requests_total{route=\"stats\",outcome=\"ack\"} 7
 # TYPE serve_request_duration_seconds histogram
-serve_request_duration_seconds_bucket{le=\"1.024e-6\"} 600
-serve_request_duration_seconds_bucket{le=\"2.048e-6\"} 950
-serve_request_duration_seconds_bucket{le=\"1.6777216e-2\"} 1000
+serve_request_duration_seconds_bucket{le=\"1.087e-6\"} 600
+serve_request_duration_seconds_bucket{le=\"2.175e-6\"} 950
+serve_request_duration_seconds_bucket{le=\"1.7825791e-2\"} 1000
 serve_request_duration_seconds_bucket{le=\"+Inf\"} 1000
 serve_request_duration_seconds_sum 2.5e-3
 serve_request_duration_seconds_count 1000
@@ -432,11 +436,11 @@ serve_uptime_seconds 42
     fn quantiles_read_cumulative_buckets() {
         let scrape = parse_exposition(CANNED);
         let p50 = histogram_quantile(&scrape, "serve_request_duration_seconds", 0.50).unwrap();
-        assert_eq!(p50, 1.024e-6); // 500th of 1000 is in the first bucket
+        assert_eq!(p50, 1087.0 * 1e-9); // 500th of 1000 is in the first bucket
         let p95 = histogram_quantile(&scrape, "serve_request_duration_seconds", 0.95).unwrap();
-        assert_eq!(p95, 2.048e-6);
+        assert_eq!(p95, 2175.0 * 1e-9);
         let p99 = histogram_quantile(&scrape, "serve_request_duration_seconds", 0.99).unwrap();
-        assert_eq!(p99, 1.6777216e-2);
+        assert_eq!(p99, 17825791.0 * 1e-9);
         assert!(histogram_quantile(&scrape, "no_such_histogram", 0.5).is_none());
     }
 

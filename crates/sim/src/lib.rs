@@ -13,7 +13,10 @@
 //! * [`fault`] — seeded MTTF/MTTR crash-and-repair timelines for
 //!   fault-injection experiments,
 //! * [`stats`] — online summary statistics, histograms, and confidence
-//!   intervals for multi-seed replication.
+//!   intervals for multi-seed replication,
+//! * [`latency`] / [`profiler`] — the one wall-clock latency histogram
+//!   and the process-global registry of series every crate above records
+//!   into.
 //!
 //! Everything is seeded and replayable: two runs with the same seed produce
 //! bit-identical event orderings.
@@ -43,6 +46,7 @@ pub mod dist;
 pub mod engine;
 pub mod event;
 pub mod fault;
+pub mod latency;
 pub mod profiler;
 pub mod rng;
 pub mod stats;

@@ -1,30 +1,35 @@
-//! Process-global hot-path self-profiler: HDR-style log-bucketed latency
-//! histograms over the scheduler's critical sections.
+//! The process-global registry of latency series: a fixed set of
+//! [`Section`]s, each backed by one [`AtomicLatency`], and the enable
+//! mask of the two planes that record into them.
 //!
-//! This module is the *instrumentation* half of the profiler: a fixed set
-//! of [`Section`]s, a global enable flag, and lock-free atomic counters.
-//! It lives at the bottom of the crate stack so `mbts-core`'s pending
-//! pool and `mbts-durable`'s snapshot writer can both wrap their hot
-//! paths without new dependency edges; the *reporting* half (JSON
-//! capture, text and Prometheus rendering) lives in `mbts-trace`.
+//! * The **profiler** plane is off by default; `--profile` turns it on
+//!   with [`enable`]. Its sections wrap the scheduler's critical paths.
+//! * The **telemetry** plane (`mbts_trace::telemetry`) is on by default;
+//!   its latency histograms are sections too, so where both planes time
+//!   the same span (queue wait, journal append) one clock pair feeds one
+//!   series and both reports read it.
 //!
-//! Disabled cost is one relaxed atomic load per instrumented call — no
-//! clock read, no allocation — so always-compiled-in instrumentation
-//! stays within noise of uninstrumented code (the `bench_dispatch` gate
-//! enforces this). Enabled cost is two `Instant` reads plus three relaxed
-//! atomic RMWs. The profiler observes wall-clock latencies only; it never
-//! feeds back into simulation time or scheduling decisions, so enabling
-//! it cannot perturb a replay.
+//! The registry lives at the bottom of the crate stack so `mbts-core`'s
+//! pending pool and `mbts-durable`'s snapshot writer can wrap their hot
+//! paths without new dependency edges; reports and Prometheus rendering
+//! live in `mbts-trace`.
+//!
+//! A section none of whose planes is on costs one relaxed atomic load per
+//! instrumented call — no clock read, no allocation. An enabled one costs
+//! two `Instant` reads plus four relaxed atomic RMWs. Sections observe
+//! wall-clock latencies only; they never feed back into simulation time
+//! or scheduling decisions, so enabling them cannot perturb a replay.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::latency::{elapsed_ns, AtomicLatency, LatencyHistogram};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Instant;
 
-/// Number of log2 latency buckets: bucket `i` counts samples in
-/// `[2^i, 2^(i+1))` nanoseconds, with the last bucket absorbing the tail
-/// (`2^39`ns ≈ 9 minutes — far beyond any real section).
-pub const PROFILER_BUCKETS: usize = 40;
+/// Plane bit: the opt-in self-profiler.
+pub const PROFILER: u8 = 1;
+/// Plane bit: the always-on live telemetry.
+pub const TELEMETRY: u8 = 2;
 
-/// The instrumented scheduler hot paths.
+/// The instrumented spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Section {
     /// `PendingPool::push` — admission into the persistent pending pool.
@@ -46,19 +51,26 @@ pub enum Section {
     /// Live service: parsing one HTTP request off the wire.
     ServeParse = 6,
     /// Live service: a request's wait in the bounded admission queue,
-    /// from enqueue to the core thread picking it up.
+    /// from enqueue to the core thread picking it up. Both planes.
     ServeQueueWait = 7,
     /// Live service: journal append + state-machine apply of one
     /// accepted command.
     ServeApply = 8,
     /// Live service: journal append (+ cadence fsync) of one accepted
     /// command — the durability half of [`Section::ServeApply`], split
-    /// out so fsync stalls are visible separately from the fold.
+    /// out so fsync stalls are visible separately from the fold. Both
+    /// planes.
     ServeJournalAppend = 9,
+    /// Live service: one request end to end in a connection worker,
+    /// first byte parsed to reply rendered. Telemetry plane.
+    ServeRequest = 10,
+    /// Live service: the state-machine fold of one command — the compute
+    /// half of [`Section::ServeApply`]. Telemetry plane.
+    ServeMachineApply = 11,
 }
 
 /// Every section, in wire order. Indexes match `Section as usize`.
-pub const SECTIONS: [Section; 10] = [
+pub const SECTIONS: [Section; 12] = [
     Section::PoolInsert,
     Section::CostModelUpdate,
     Section::MergeSweep,
@@ -69,6 +81,8 @@ pub const SECTIONS: [Section; 10] = [
     Section::ServeQueueWait,
     Section::ServeApply,
     Section::ServeJournalAppend,
+    Section::ServeRequest,
+    Section::ServeMachineApply,
 ];
 
 impl Section {
@@ -85,175 +99,136 @@ impl Section {
             Section::ServeQueueWait => "serve_queue_wait",
             Section::ServeApply => "serve_apply",
             Section::ServeJournalAppend => "serve_journal_append",
+            Section::ServeRequest => "serve_request",
+            Section::ServeMachineApply => "serve_machine_apply",
+        }
+    }
+
+    /// The planes whose being on makes this section record.
+    fn planes(self) -> u8 {
+        match self {
+            Section::ServeQueueWait | Section::ServeJournalAppend => PROFILER | TELEMETRY,
+            Section::ServeRequest | Section::ServeMachineApply => TELEMETRY,
+            _ => PROFILER,
         }
     }
 }
 
-const NSECTIONS: usize = SECTIONS.len();
+static PLANES: AtomicU8 = AtomicU8::new(TELEMETRY);
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+static SERIES: [AtomicLatency; SECTIONS.len()] = [const { AtomicLatency::new() }; SECTIONS.len()];
 
-struct SectionCounters {
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    max_ns: AtomicU64,
-    buckets: [AtomicU64; PROFILER_BUCKETS],
-}
-
-impl SectionCounters {
-    const fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        SectionCounters {
-            count: ZERO,
-            sum_ns: ZERO,
-            max_ns: ZERO,
-            buckets: [ZERO; PROFILER_BUCKETS],
-        }
+/// Turns a plane on or off.
+pub fn set_plane(plane: u8, on: bool) {
+    if on {
+        PLANES.fetch_or(plane, Ordering::Relaxed);
+    } else {
+        PLANES.fetch_and(!plane, Ordering::Relaxed);
     }
 }
 
-static COUNTERS: [SectionCounters; NSECTIONS] = [
-    SectionCounters::new(),
-    SectionCounters::new(),
-    SectionCounters::new(),
-    SectionCounters::new(),
-    SectionCounters::new(),
-    SectionCounters::new(),
-    SectionCounters::new(),
-    SectionCounters::new(),
-    SectionCounters::new(),
-    SectionCounters::new(),
-];
+/// Whether any of `planes` is on.
+#[inline]
+pub fn plane_enabled(planes: u8) -> bool {
+    PLANES.load(Ordering::Relaxed) & planes != 0
+}
 
-/// Turns sampling on. Instrumented sections start taking timestamps.
+/// Turns profiler sampling on.
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+    set_plane(PROFILER, true);
 }
 
-/// Turns sampling off (counters are retained until [`reset`]).
+/// Turns profiler sampling off (counters are retained until [`reset`]).
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    set_plane(PROFILER, false);
 }
 
-/// Whether sampling is currently on.
+/// Whether profiler sampling is currently on.
 #[inline]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    plane_enabled(PROFILER)
 }
 
-/// Zeroes every counter (sampling state is left unchanged).
+/// Zeroes every series (plane state is left unchanged).
 pub fn reset() {
-    for c in &COUNTERS {
-        c.count.store(0, Ordering::Relaxed);
-        c.sum_ns.store(0, Ordering::Relaxed);
-        c.max_ns.store(0, Ordering::Relaxed);
-        for b in &c.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
+    for series in &SERIES {
+        series.reset();
     }
 }
 
-/// Folds one latency sample into a section's histogram.
+/// Folds one latency sample into a section, if one of its planes is on.
+#[inline]
 pub fn record_ns(section: Section, ns: u64) {
-    let c = &COUNTERS[section as usize];
-    c.count.fetch_add(1, Ordering::Relaxed);
-    c.sum_ns.fetch_add(ns, Ordering::Relaxed);
-    c.max_ns.fetch_max(ns, Ordering::Relaxed);
-    let bucket = (63 - ns.max(1).leading_zeros() as usize).min(PROFILER_BUCKETS - 1);
-    c.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+    if plane_enabled(section.planes()) {
+        SERIES[section as usize].record(ns);
+    }
 }
 
-/// Runs `f`, timing it into `section` when the profiler is enabled. The
+/// Folds the time since `start` into a section; the clock is read only
+/// if the section records.
+#[inline]
+pub fn record_since(section: Section, start: Instant) {
+    if plane_enabled(section.planes()) {
+        SERIES[section as usize].record(elapsed_ns(start));
+    }
+}
+
+/// Runs `f`, timing it into `section` when one of its planes is on. The
 /// disabled path is a single relaxed load and a direct call.
 #[inline]
 pub fn time<R>(section: Section, f: impl FnOnce() -> R) -> R {
-    if !is_enabled() {
+    if !plane_enabled(section.planes()) {
         return f();
     }
     let start = Instant::now();
     let out = f();
-    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    record_ns(section, ns);
+    record_since(section, start);
     out
 }
 
-/// A point-in-time copy of one section's counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SectionSample {
-    /// Which section this samples.
-    pub section: Section,
-    /// Samples recorded.
-    pub count: u64,
-    /// Total nanoseconds across all samples.
-    pub sum_ns: u64,
-    /// Largest single sample, in nanoseconds.
-    pub max_ns: u64,
-    /// Log2 bucket counts: `buckets[i]` counts samples in
-    /// `[2^i, 2^(i+1))` ns.
-    pub buckets: Vec<u64>,
+/// A point-in-time copy of one section, named by [`Section::name`].
+pub fn sample_of(section: Section) -> LatencyHistogram {
+    SERIES[section as usize].snapshot(section.name())
 }
 
-/// Reads a consistent-enough copy of every section's counters. Individual
-/// loads are relaxed; concurrent recording can skew a bucket by a sample,
-/// which is irrelevant at reporting granularity.
-pub fn sample() -> Vec<SectionSample> {
-    COUNTERS
-        .iter()
-        .zip(SECTIONS)
-        .map(|(c, section)| SectionSample {
-            section,
-            count: c.count.load(Ordering::Relaxed),
-            sum_ns: c.sum_ns.load(Ordering::Relaxed),
-            max_ns: c.max_ns.load(Ordering::Relaxed),
-            buckets: c
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-        })
-        .collect()
+/// A point-in-time copy of every section, wire order.
+pub fn sample() -> Vec<LatencyHistogram> {
+    SECTIONS.into_iter().map(sample_of).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The profiler is process-global, so tests in this module serialize
+    // The registry is process-global, so tests in this module serialize
     // on a lock to avoid cross-test interference; tests elsewhere only
     // assert on deltas of their own sections.
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
-    fn disabled_profiler_records_nothing() {
+    fn a_section_records_only_while_one_of_its_planes_is_on() {
         let _g = LOCK.lock().unwrap();
         disable();
         reset();
-        let out = time(Section::PoolInsert, || 7);
-        assert_eq!(out, 7);
-        assert_eq!(sample()[Section::PoolInsert as usize].count, 0);
-    }
-
-    #[test]
-    fn enabled_profiler_buckets_samples_logarithmically() {
-        let _g = LOCK.lock().unwrap();
+        assert_eq!(time(Section::PoolInsert, || 7), 7);
+        record_ns(Section::PoolInsert, 5);
+        assert_eq!(sample_of(Section::PoolInsert).count, 0);
+        // Telemetry is on by default and shares the queue-wait series.
+        record_ns(Section::ServeQueueWait, 5);
+        assert_eq!(sample_of(Section::ServeQueueWait).count, 1);
+        set_plane(TELEMETRY, false);
+        record_ns(Section::ServeQueueWait, 5);
+        record_ns(Section::ServeRequest, 5);
+        assert_eq!(sample_of(Section::ServeQueueWait).count, 1);
+        assert_eq!(sample_of(Section::ServeRequest).count, 0);
+        enable();
+        record_ns(Section::ServeQueueWait, 5);
+        record_ns(Section::ServeRequest, 5);
+        assert_eq!(sample_of(Section::ServeQueueWait).count, 2);
+        assert_eq!(sample_of(Section::ServeRequest).count, 0);
         disable();
+        set_plane(TELEMETRY, true);
         reset();
-        // Synthetic samples: bucket index is floor(log2(ns)).
-        record_ns(Section::MergeSweep, 1); // bucket 0
-        record_ns(Section::MergeSweep, 2); // bucket 1
-        record_ns(Section::MergeSweep, 3); // bucket 1
-        record_ns(Section::MergeSweep, 1024); // bucket 10
-        record_ns(Section::MergeSweep, 0); // clamps to bucket 0
-        let s = &sample()[Section::MergeSweep as usize];
-        assert_eq!(s.count, 5);
-        assert_eq!(s.sum_ns, 1030);
-        assert_eq!(s.max_ns, 1024);
-        assert_eq!(s.buckets[0], 2);
-        assert_eq!(s.buckets[1], 2);
-        assert_eq!(s.buckets[10], 1);
-        reset();
-        assert_eq!(sample()[Section::MergeSweep as usize].count, 0);
     }
 
     #[test]
@@ -267,19 +242,10 @@ mod tests {
         disable();
         assert_eq!(out, 499_500);
         let s = &sample()[Section::SnapshotWrite as usize];
+        assert_eq!(s.section, "snapshot_write");
         assert_eq!(s.count, 1);
         assert!(s.sum_ns > 0, "a timed closure takes nonzero time");
         reset();
-    }
-
-    #[test]
-    fn huge_samples_land_in_the_tail_bucket() {
-        let _g = LOCK.lock().unwrap();
-        disable();
-        reset();
-        record_ns(Section::CostModelUpdate, u64::MAX);
-        let s = &sample()[Section::CostModelUpdate as usize];
-        assert_eq!(s.buckets[PROFILER_BUCKETS - 1], 1);
-        reset();
+        assert_eq!(sample_of(Section::SnapshotWrite).count, 0);
     }
 }

@@ -25,14 +25,17 @@
 //! - [`analyze`] — post-hoc trace analytics (yield attribution,
 //!   preemption-chain trees, admission regret, utilization timelines),
 //!   the engine behind `mbts analyze`;
-//! - [`profiler`] — the reporting half of the hot-path self-profiler
-//!   (instrumentation lives in `mbts_sim::profiler`), rendering HDR-style
-//!   log-bucketed latency histograms as text or Prometheus exposition.
+//! - [`profiler`] — reports over the latency registry in
+//!   `mbts_sim::profiler` (the one log-linear histogram), as text or
+//!   Prometheus exposition.
 //!
-//! The *live* counterpart is [`telemetry`]: a process-global sharded
-//! atomic registry (request counters, gauges, latency histograms) the
-//! serve daemon records into on its hot path and snapshots for
-//! `GET /metrics` — always-on, observation-only, scrape-anytime.
+//! The *live* counterpart is [`telemetry`]: process-global sharded
+//! request counters and gauges, plus the serve latency series of that
+//! same registry, which the serve daemon records into on its hot path and
+//! snapshots for `GET /metrics` — always-on, observation-only,
+//! scrape-anytime. [`exposition`] is the one Prometheus text writer all
+//! three reports ([`MetricsRegistry`], [`ProfileReport`],
+//! [`TelemetrySnapshot`]) render through.
 //!
 //! Provenance: wrapping any tracer with [`Tracer::with_provenance`] makes
 //! decision points additionally emit [`TraceKind::DecisionRecord`] events
@@ -43,6 +46,7 @@
 
 pub mod analyze;
 pub mod event;
+pub mod exposition;
 pub mod metrics;
 pub mod profiler;
 pub mod sink;
@@ -53,9 +57,8 @@ pub use event::{
     from_jsonl, to_jsonl, DecisionCandidate, DecisionKind, TraceEvent, TraceKind,
     MAX_DECISION_CANDIDATES,
 };
+pub use mbts_sim::latency::LatencyHistogram;
 pub use metrics::{MetricsRegistry, PolicyMetrics};
-pub use profiler::{
-    ProfileReport, SectionProfile, ServeSummary, ShardProfile, ShardSummary, PROFILE_MARKER,
-};
+pub use profiler::{ProfileReport, ServeSummary, ShardProfile, ShardSummary, PROFILE_MARKER};
 pub use sink::{BufferSink, JsonlSink, RingSink, TraceSink, Tracer, TracerSnapshot};
-pub use telemetry::{TelemetrySnapshot, TELEMETRY_BUCKETS};
+pub use telemetry::TelemetrySnapshot;

@@ -6,6 +6,7 @@
 //! the `metrics` experiments subcommand prints.
 
 use crate::event::{TraceEvent, TraceKind};
+use crate::exposition;
 use mbts_sim::{Histogram, OnlineStats, Time};
 use serde::{get_field, Deserialize, Error, Serialize, Value};
 use std::collections::BTreeMap;
@@ -573,20 +574,10 @@ impl MetricsRegistry {
     /// Prometheus text-format export of the counter surface — the shape
     /// `mbts metrics --prom FILE` writes next to the profiler histograms.
     pub fn prometheus(&self) -> String {
-        fn counter(out: &mut String, name: &str, help: &str, rows: &[(String, u64)]) {
-            if rows.is_empty() {
-                return;
-            }
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for (labels, v) in rows {
-                out.push_str(&format!("{name}{{{labels}}} {v}\n"));
-            }
-        }
-        let mut out = String::new();
-        let mut tasks: Vec<(String, u64)> = Vec::new();
-        let mut decisions: Vec<(String, u64)> = Vec::new();
-        let mut yields: Vec<String> = Vec::new();
-        let mut utils: Vec<String> = Vec::new();
+        let mut tasks = Vec::new();
+        let mut decisions = Vec::new();
+        let mut yields = Vec::new();
+        let mut utils = Vec::new();
         for (label, pm) in &self.policies {
             for (outcome, v) in [
                 ("arrived", pm.arrived),
@@ -600,46 +591,44 @@ impl MetricsRegistry {
                 ("cancelled", pm.cancelled),
                 ("orphaned", pm.orphaned),
             ] {
-                tasks.push((format!("policy=\"{label}\",outcome=\"{outcome}\""), v));
+                tasks.push((
+                    format!("policy=\"{label}\",outcome=\"{outcome}\""),
+                    v as f64,
+                ));
             }
-            decisions.push((format!("policy=\"{label}\""), pm.decisions));
-            yields.push(format!(
-                "mbts_yield_total{{policy=\"{label}\"}} {}\n",
-                pm.yield_stats.mean() * pm.yield_stats.count() as f64
+            let policy = format!("policy=\"{label}\"");
+            decisions.push((policy.clone(), pm.decisions as f64));
+            yields.push((
+                policy.clone(),
+                pm.yield_stats.mean() * pm.yield_stats.count() as f64,
             ));
-            utils.push(format!(
-                "mbts_utilization{{policy=\"{label}\"}} {}\n",
-                pm.utilization()
-            ));
+            utils.push((policy, pm.utilization()));
         }
-        counter(
+        let mut out = String::new();
+        exposition::counter(
             &mut out,
             "mbts_tasks_total",
             "Task lifecycle counters per policy",
             &tasks,
         );
-        counter(
+        exposition::counter(
             &mut out,
             "mbts_decision_records_total",
             "Provenance decision records per policy",
             &decisions,
         );
-        if !yields.is_empty() {
-            out.push_str(
-                "# HELP mbts_yield_total Total realized yield per policy\n\
-                 # TYPE mbts_yield_total gauge\n",
-            );
-            for g in yields {
-                out.push_str(&g);
-            }
-            out.push_str(
-                "# HELP mbts_utilization Busy processor-time over capacity\n\
-                 # TYPE mbts_utilization gauge\n",
-            );
-            for g in utils {
-                out.push_str(&g);
-            }
-        }
+        exposition::gauge(
+            &mut out,
+            "mbts_yield_total",
+            "Total realized yield per policy",
+            &yields,
+        );
+        exposition::gauge(
+            &mut out,
+            "mbts_utilization",
+            "Busy processor-time over capacity",
+            &utils,
+        );
         out
     }
 }

@@ -1,68 +1,18 @@
-//! Reporting half of the hot-path self-profiler.
+//! Reports over the latency registry.
 //!
 //! `mbts_sim::profiler` owns the always-compiled-in instrumentation
-//! (sections, enable flag, atomic log2-bucketed counters); this module
-//! turns a sample of those counters into a serializable
-//! [`ProfileReport`] and renders it as text or Prometheus exposition
-//! format. Reports carry a `"mbts_profile"` marker field so `mbts
-//! analyze` can tell a saved profile apart from a trace JSONL by content.
+//! (sections, plane mask, sharded atomic histograms); this module turns a
+//! sample of it into a serializable [`ProfileReport`] and renders it as
+//! text or, through [`crate::exposition`], Prometheus text. Reports carry
+//! a `"mbts_profile"` marker field so `mbts analyze` can tell a saved
+//! profile apart from a trace JSONL by content.
 
-use mbts_sim::profiler::{sample, PROFILER_BUCKETS};
+use crate::exposition;
+use mbts_sim::latency::LatencyHistogram;
 use serde::{Deserialize, Serialize};
 
 /// Marker value stored in [`ProfileReport::kind`].
 pub const PROFILE_MARKER: &str = "mbts_profile";
-
-/// One section's captured histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SectionProfile {
-    /// Stable section name (`pool_insert`, `cost_model_update`,
-    /// `merge_sweep`, `snapshot_write`, `shard_window`, `barrier_stall`,
-    /// `serve_parse`, `serve_queue_wait`, `serve_apply`,
-    /// `serve_journal_append`).
-    pub section: String,
-    /// Samples recorded.
-    pub count: u64,
-    /// Total nanoseconds across all samples.
-    pub sum_ns: u64,
-    /// Largest single sample, in nanoseconds.
-    pub max_ns: u64,
-    /// Log2 bucket counts; `buckets[i]` counts samples in
-    /// `[2^i, 2^(i+1))` ns.
-    pub buckets: Vec<u64>,
-}
-
-impl SectionProfile {
-    /// Mean sample latency in nanoseconds (0 with no samples).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.sum_ns as f64 / self.count as f64
-    }
-
-    /// Approximate quantile from the log2 buckets: the upper edge of the
-    /// bucket containing the q-th sample. Coarse (within 2x) by
-    /// construction, which is the HDR trade this profiler makes.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return upper_edge_ns(i);
-            }
-        }
-        self.max_ns
-    }
-}
-
-fn upper_edge_ns(bucket: usize) -> u64 {
-    1u64 << (bucket as u32 + 1).min(63)
-}
 
 /// One shard's execution summary from a sharded market run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -132,8 +82,9 @@ pub struct ProfileReport {
     pub kind: String,
     /// Whether sampling was enabled at capture time.
     pub enabled: bool,
-    /// Per-section histograms, wire order.
-    pub sections: Vec<SectionProfile>,
+    /// Per-section histograms (`section`, `count`, `sum_ns`, `max_ns`,
+    /// `buckets`), wire order.
+    pub sections: Vec<LatencyHistogram>,
     /// Shard-cluster summary, present only for sharded market runs.
     /// Defaults keep reports written before this field deserializable.
     #[serde(default)]
@@ -144,21 +95,12 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Captures the current global profiler counters.
+    /// Captures every section of the global registry.
     pub fn capture() -> Self {
         ProfileReport {
             kind: PROFILE_MARKER.to_string(),
             enabled: mbts_sim::profiler::is_enabled(),
-            sections: sample()
-                .into_iter()
-                .map(|s| SectionProfile {
-                    section: s.section.name().to_string(),
-                    count: s.count,
-                    sum_ns: s.sum_ns,
-                    max_ns: s.max_ns,
-                    buckets: s.buckets,
-                })
-                .collect(),
+            sections: mbts_sim::profiler::sample(),
             shards: None,
             serve: None,
         }
@@ -172,17 +114,17 @@ impl ProfileReport {
     /// Plain-text report: one line per section with count, mean, p50,
     /// p99 (bucket-resolution), and max.
     pub fn render_text(&self) -> String {
-        let mut out = String::from("hot-path profile (log2-bucketed ns)\n");
+        let mut out = String::from("hot-path profile (log-linear ns buckets)\n");
         if self.is_empty() {
             out.push_str("  (no samples: profiler disabled or nothing instrumented ran)\n");
         } else {
             for s in &self.sections {
                 if s.count == 0 {
-                    out.push_str(&format!("  {:<18} no samples\n", s.section));
+                    out.push_str(&format!("  {:<20} no samples\n", s.section));
                     continue;
                 }
                 out.push_str(&format!(
-                    "  {:<18} n={:<9} mean {:>10.0}ns  p50 ≤{:>10}ns  p99 ≤{:>10}ns  max {:>10}ns\n",
+                    "  {:<20} n={:<9} mean {:>10.0}ns  p50 ≤{:>10}ns  p99 ≤{:>10}ns  max {:>10}ns\n",
                     s.section,
                     s.count,
                     s.mean_ns(),
@@ -237,104 +179,82 @@ impl ProfileReport {
         out
     }
 
-    /// Prometheus text exposition: a cumulative histogram per section in
-    /// seconds, plus `_sum` and `_count` series.
+    /// Prometheus text exposition: one cumulative histogram family in
+    /// seconds labelled by section, plus the shard and serve summaries.
     pub fn render_prometheus(&self) -> String {
-        let name = "mbts_profiler_latency_seconds";
-        let mut out = format!(
-            "# HELP {name} Scheduler hot-path latency (log2-bucketed)\n# TYPE {name} histogram\n"
+        let one = |v: f64| [(String::new(), v)];
+        let mut out = String::new();
+        let rows: Vec<_> = self
+            .sections
+            .iter()
+            .map(|s| (format!("section=\"{}\"", s.section), s))
+            .collect();
+        exposition::histogram(
+            &mut out,
+            "mbts_profiler_latency_seconds",
+            "Latency of the instrumented spans (log-linear buckets)",
+            &rows,
         );
-        for s in &self.sections {
-            let mut cumulative = 0u64;
-            for (i, b) in s.buckets.iter().enumerate().take(PROFILER_BUCKETS) {
-                cumulative += b;
-                if *b == 0 && i + 1 != PROFILER_BUCKETS {
-                    continue; // keep the exposition compact: emit occupied edges + +Inf
-                }
-                out.push_str(&format!(
-                    "{name}_bucket{{section=\"{}\",le=\"{:e}\"}} {cumulative}\n",
-                    s.section,
-                    upper_edge_ns(i) as f64 * 1e-9
-                ));
-            }
-            out.push_str(&format!(
-                "{name}_bucket{{section=\"{}\",le=\"+Inf\"}} {}\n",
-                s.section, s.count
-            ));
-            out.push_str(&format!(
-                "{name}_sum{{section=\"{}\"}} {:e}\n",
-                s.section,
-                s.sum_ns as f64 * 1e-9
-            ));
-            out.push_str(&format!(
-                "{name}_count{{section=\"{}\"}} {}\n",
-                s.section, s.count
-            ));
-        }
         if let Some(sh) = &self.shards {
-            out.push_str(
-                "# HELP mbts_shard_busy_seconds Time each market shard spent executing\n\
-                 # TYPE mbts_shard_busy_seconds gauge\n",
+            let per_shard = |f: fn(&ShardProfile) -> f64| -> Vec<_> {
+                sh.shards
+                    .iter()
+                    .map(|p| (format!("shard=\"{}\"", p.shard), f(p)))
+                    .collect()
+            };
+            exposition::gauge(
+                &mut out,
+                "mbts_shard_busy_seconds",
+                "Time each market shard spent executing",
+                &per_shard(|p| p.busy_ns as f64 * 1e-9),
             );
-            for p in &sh.shards {
-                out.push_str(&format!(
-                    "mbts_shard_busy_seconds{{shard=\"{}\"}} {:e}\n",
-                    p.shard,
-                    p.busy_ns as f64 * 1e-9
-                ));
-            }
-            out.push_str(
-                "# HELP mbts_shard_utilization Shard busy time over run wall-clock time\n\
-                 # TYPE mbts_shard_utilization gauge\n",
+            exposition::gauge(
+                &mut out,
+                "mbts_shard_utilization",
+                "Shard busy time over run wall-clock time",
+                &per_shard(|p| p.utilization),
             );
-            for p in &sh.shards {
-                out.push_str(&format!(
-                    "mbts_shard_utilization{{shard=\"{}\"}} {}\n",
-                    p.shard, p.utilization
-                ));
-            }
-            out.push_str(&format!(
-                "# HELP mbts_shard_barrier_stall_seconds Coordinator wait between first and last shard reply\n\
-                 # TYPE mbts_shard_barrier_stall_seconds counter\n\
-                 mbts_shard_barrier_stall_seconds {:e}\n",
-                sh.barrier_stall_ns as f64 * 1e-9
-            ));
-            out.push_str(&format!(
-                "# HELP mbts_shard_windows_total Completion windows merged by the coordinator\n\
-                 # TYPE mbts_shard_windows_total counter\n\
-                 mbts_shard_windows_total {}\n",
-                sh.windows
-            ));
+            exposition::counter(
+                &mut out,
+                "mbts_shard_barrier_stall_seconds",
+                "Coordinator wait between first and last shard reply",
+                &one(sh.barrier_stall_ns as f64 * 1e-9),
+            );
+            exposition::counter(
+                &mut out,
+                "mbts_shard_windows_total",
+                "Completion windows merged by the coordinator",
+                &one(sh.windows as f64),
+            );
         }
         if let Some(sv) = &self.serve {
-            out.push_str(
-                "# HELP mbts_serve_requests_total Service requests by outcome\n\
-                 # TYPE mbts_serve_requests_total counter\n",
-            );
-            for (outcome, n) in [
+            let by_outcome = [
                 ("accepted", sv.accepted),
                 ("rejected", sv.rejected),
                 ("shed", sv.shed),
                 ("backpressured", sv.backpressured),
                 ("cancelled", sv.cancelled),
                 ("timeout", sv.timeouts),
-            ] {
-                out.push_str(&format!(
-                    "mbts_serve_requests_total{{outcome=\"{outcome}\"}} {n}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "# HELP mbts_serve_completed_total Tasks completed by the sim core\n\
-                 # TYPE mbts_serve_completed_total counter\n\
-                 mbts_serve_completed_total {}\n",
-                sv.completed
-            ));
-            out.push_str(&format!(
-                "# HELP mbts_serve_uptime_seconds Service wall-clock uptime\n\
-                 # TYPE mbts_serve_uptime_seconds gauge\n\
-                 mbts_serve_uptime_seconds {:e}\n",
-                sv.wall_ns as f64 * 1e-9
-            ));
+            ]
+            .map(|(outcome, n)| (format!("outcome=\"{outcome}\""), n as f64));
+            exposition::counter(
+                &mut out,
+                "mbts_serve_requests_total",
+                "Service requests by outcome",
+                &by_outcome,
+            );
+            exposition::counter(
+                &mut out,
+                "mbts_serve_completed_total",
+                "Tasks completed by the sim core",
+                &one(sv.completed as f64),
+            );
+            exposition::gauge(
+                &mut out,
+                "mbts_serve_uptime_seconds",
+                "Service wall-clock uptime",
+                &one(sv.wall_ns as f64 * 1e-9),
+            );
         }
         out
     }
@@ -348,45 +268,24 @@ mod tests {
     fn capture_serializes_and_round_trips() {
         let report = ProfileReport::capture();
         assert_eq!(report.kind, PROFILE_MARKER);
-        assert_eq!(report.sections.len(), 10);
+        assert_eq!(report.sections.len(), 12);
         assert_eq!(report.sections[0].section, "pool_insert");
         assert_eq!(report.sections[6].section, "serve_parse");
         assert_eq!(report.sections[8].section, "serve_apply");
         assert_eq!(report.sections[9].section, "serve_journal_append");
+        assert_eq!(report.sections[11].section, "serve_machine_apply");
         let json = serde_json::to_string(&report).unwrap();
         let back: ProfileReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
     }
 
     #[test]
-    fn quantiles_come_from_bucket_edges() {
-        let s = SectionProfile {
-            section: "merge_sweep".into(),
-            count: 4,
-            sum_ns: 1 + 2 + 1024 + 2048,
-            max_ns: 2048,
-            buckets: {
-                let mut b = vec![0u64; PROFILER_BUCKETS];
-                b[0] = 1; // 1ns
-                b[1] = 1; // 2ns
-                b[10] = 1; // 1024ns
-                b[11] = 1; // 2048ns
-                b
-            },
-        };
-        assert_eq!(s.quantile_ns(0.0), 2); // first sample's bucket edge
-        assert_eq!(s.quantile_ns(0.5), 4); // 2nd of 4 → bucket 1 → edge 4
-        assert_eq!(s.quantile_ns(1.0), 4096); // bucket 11 → edge 4096
-        assert_eq!(s.mean_ns(), (1.0 + 2.0 + 1024.0 + 2048.0) / 4.0);
-    }
-
-    #[test]
     fn prometheus_exposition_is_cumulative_and_labelled() {
         let mut report = ProfileReport::capture();
-        report.sections[0].count = 3;
-        report.sections[0].sum_ns = 7;
-        report.sections[0].buckets[0] = 2;
-        report.sections[0].buckets[2] = 1;
+        report.sections[0] = LatencyHistogram::named("pool_insert");
+        for ns in [2, 2, 3] {
+            report.sections[0].record(ns);
+        }
         let prom = report.render_prometheus();
         assert!(prom.contains("# TYPE mbts_profiler_latency_seconds histogram"));
         assert!(prom.contains(
@@ -441,10 +340,10 @@ mod tests {
         assert!(text.contains("shard 0"));
         assert!(text.contains("utilization   50.0%"));
         let prom = report.render_prometheus();
-        assert!(prom.contains("mbts_shard_busy_seconds{shard=\"0\"} 2e-3"));
+        assert!(prom.contains("mbts_shard_busy_seconds{shard=\"0\"} 0.002"));
         assert!(prom.contains("mbts_shard_utilization{shard=\"1\"} 0.25"));
         assert!(prom.contains("mbts_shard_windows_total 17"));
-        assert!(prom.contains("mbts_shard_barrier_stall_seconds 3.0000000000000003e-4"));
+        assert!(prom.contains("mbts_shard_barrier_stall_seconds 0.00030000000000000003"));
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Live telemetry plane: a process-global, sharded, lock-free-on-the-
-//! write-side metrics registry for the serve hot path.
+//! Live telemetry plane: process-global request counters and gauges for
+//! the serve hot path, plus the four serve latency series of the shared
+//! registry in `mbts_sim::profiler`.
 //!
-//! The existing observability layers are post-mortem: the self-profiler
-//! and [`crate::metrics::MetricsRegistry`] render after a run ends. This
-//! module is the *live* half — counters, gauges, and log2-bucketed
-//! latency histograms cheap enough to stay always-on in the request path
-//! and the apply thread of a flooding daemon, snapshotted at any instant
-//! by `GET /metrics` without stopping the world.
+//! The other observability layers are post-mortem:
+//! [`crate::metrics::MetricsRegistry`] renders after a run ends and the
+//! self-profiler is opt-in. This module is the *live* half — cheap
+//! enough to stay always-on in the request path and the apply thread of a
+//! flooding daemon, snapshotted at any instant by `GET /metrics` without
+//! stopping the world.
 //!
 //! Design:
 //!
@@ -14,11 +15,11 @@
 //!   [`Outcome`], [`Hist`], [`Gauge`]) resolved to an array index at
 //!   compile time — no hashing, no interning, no allocation on the
 //!   write side.
-//! * **Sharded writers.** Counter and histogram cells are replicated
-//!   across [`NSHARDS`] cache-line-aligned shards; each thread picks a
-//!   shard once (a thread-local round-robin ticket) and then increments
-//!   with relaxed `fetch_add`s only. Writers never contend with readers
-//!   and rarely with each other.
+//! * **Sharded writers.** Counter cells are replicated across
+//!   cache-line-aligned shards, like the latency histograms; each thread
+//!   picks a shard once (`mbts_sim::latency::thread_shard`) and then
+//!   increments with relaxed `fetch_add`s only. Writers never contend
+//!   with readers and rarely with each other.
 //! * **Read-side sums.** [`snapshot`] sums the shards with relaxed
 //!   loads. A scrape concurrent with recording can be skewed by a
 //!   sample per cell — irrelevant at reporting granularity — but every
@@ -28,23 +29,14 @@
 //!   and traces are byte-identical. [`disable`] exists so tests can
 //!   prove that equivalence, not because the cost requires it.
 //!
-//! Histogram buckets mirror the profiler's 40-bucket log2 shape
-//! ([`TELEMETRY_BUCKETS`] = `PROFILER_BUCKETS`), so quantiles read the
-//! same way in both planes.
+//! A [`Hist`] is a name for one [`Section`] of the registry; queue wait
+//! and journal append are the same series the profiler reports.
 
+use crate::exposition;
+use mbts_sim::latency::{thread_shard, LatencyHistogram, NSHARDS};
+use mbts_sim::profiler::{self, Section, TELEMETRY};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-
-use mbts_sim::profiler::PROFILER_BUCKETS;
-
-/// Log2 latency buckets per histogram; bucket `i` counts samples in
-/// `[2^i, 2^(i+1))` ns. Identical to the self-profiler's shape.
-pub const TELEMETRY_BUCKETS: usize = PROFILER_BUCKETS;
-
-/// Writer shards. Each is cache-line aligned; a thread sticks to the
-/// shard its round-robin ticket picked, so two busy connection workers
-/// usually write to different lines.
-pub const NSHARDS: usize = 8;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Request routes the daemon serves (label `route`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,6 +173,16 @@ impl Hist {
             Hist::Apply => "apply",
         }
     }
+
+    /// The registry series this histogram records into.
+    pub fn section(self) -> Section {
+        match self {
+            Hist::Request => Section::ServeRequest,
+            Hist::QueueWait => Section::ServeQueueWait,
+            Hist::JournalAppend => Section::ServeJournalAppend,
+            Hist::Apply => Section::ServeMachineApply,
+        }
+    }
 }
 
 /// Point-in-time gauges published by the daemon (single atomics; gauges
@@ -298,24 +300,7 @@ impl Gauge {
 
 const NROUTES: usize = ROUTES.len();
 const NOUTCOMES: usize = OUTCOMES.len();
-const NHISTS: usize = HISTS.len();
 const NGAUGES: usize = GAUGES.len();
-
-/// Telemetry defaults ON — the whole point is that it is cheap enough
-/// to always run. [`disable`] exists for the byte-identity tests.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Round-robin ticket source for thread→shard assignment.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % NSHARDS;
-}
-
-#[inline]
-fn my_shard() -> usize {
-    MY_SHARD.with(|s| *s)
-}
 
 /// One shard's request-counter matrix, cache-line aligned so shards
 /// never false-share.
@@ -324,69 +309,45 @@ struct CounterShard {
     cells: [AtomicU64; NROUTES * NOUTCOMES],
 }
 
-#[repr(align(64))]
-struct HistShard {
-    count: [AtomicU64; NHISTS],
-    sum_ns: [AtomicU64; NHISTS],
-    max_ns: [AtomicU64; NHISTS],
-    buckets: [[AtomicU64; TELEMETRY_BUCKETS]; NHISTS],
-}
-
 static REQUESTS: [CounterShard; NSHARDS] = [const {
     CounterShard {
         cells: [const { AtomicU64::new(0) }; NROUTES * NOUTCOMES],
     }
 }; NSHARDS];
 
-static LATENCIES: [HistShard; NSHARDS] = [const {
-    HistShard {
-        count: [const { AtomicU64::new(0) }; NHISTS],
-        sum_ns: [const { AtomicU64::new(0) }; NHISTS],
-        max_ns: [const { AtomicU64::new(0) }; NHISTS],
-        buckets: [const { [const { AtomicU64::new(0) }; TELEMETRY_BUCKETS] }; NHISTS],
-    }
-}; NSHARDS];
-
 static GAUGE_CELLS: [AtomicU64; NGAUGES] = [const { AtomicU64::new(0) }; NGAUGES];
 
-/// Turns recording on (the default state).
+/// Turns recording on (the default state — the whole point is that it
+/// is cheap enough to always run).
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+    profiler::set_plane(TELEMETRY, true);
 }
 
-/// Turns recording off. Only the byte-identity tests need this; the
-/// serve path leaves telemetry on.
+/// Turns recording off. Only the byte-identity tests and `serve
+/// --no-telemetry` need this.
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    profiler::set_plane(TELEMETRY, false);
 }
 
 /// Whether recording is on.
 #[inline]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    profiler::plane_enabled(TELEMETRY)
 }
 
-/// Zeroes every cell (recording state is left unchanged). Tests only —
-/// a live daemon's counters are monotone for its whole life.
+/// Zeroes every counter, gauge and latency series (recording state is
+/// left unchanged). Tests only — a live daemon's counters are monotone
+/// for its whole life.
 pub fn reset() {
     for shard in &REQUESTS {
         for c in &shard.cells {
             c.store(0, Ordering::Relaxed);
         }
     }
-    for shard in &LATENCIES {
-        for i in 0..NHISTS {
-            shard.count[i].store(0, Ordering::Relaxed);
-            shard.sum_ns[i].store(0, Ordering::Relaxed);
-            shard.max_ns[i].store(0, Ordering::Relaxed);
-            for b in &shard.buckets[i] {
-                b.store(0, Ordering::Relaxed);
-            }
-        }
-    }
     for g in &GAUGE_CELLS {
         g.store(0, Ordering::Relaxed);
     }
+    profiler::reset();
 }
 
 /// Counts one finished request: one relaxed `fetch_add` on this
@@ -397,38 +358,21 @@ pub fn count_request(route: Route, outcome: Outcome) {
         return;
     }
     let cell = route as usize * NOUTCOMES + outcome as usize;
-    REQUESTS[my_shard()].cells[cell].fetch_add(1, Ordering::Relaxed);
+    REQUESTS[thread_shard()].cells[cell].fetch_add(1, Ordering::Relaxed);
 }
 
-/// Folds one latency sample into a histogram: four relaxed RMWs on this
-/// thread's shard.
+/// Folds one latency sample into a histogram's series.
 #[inline]
 pub fn record_ns(hist: Hist, ns: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let shard = &LATENCIES[my_shard()];
-    let h = hist as usize;
-    shard.count[h].fetch_add(1, Ordering::Relaxed);
-    shard.sum_ns[h].fetch_add(ns, Ordering::Relaxed);
-    shard.max_ns[h].fetch_max(ns, Ordering::Relaxed);
-    let bucket = (63 - ns.max(1).leading_zeros() as usize).min(TELEMETRY_BUCKETS - 1);
-    shard.buckets[h][bucket].fetch_add(1, Ordering::Relaxed);
+    profiler::record_ns(hist.section(), ns);
 }
 
-/// Runs `f`, timing it into `hist` when telemetry is enabled. The
+/// Runs `f`, timing it into `hist`'s series when that records. The
 /// disabled path is a single relaxed load and a direct call — no clock
 /// reads.
 #[inline]
 pub fn time<R>(hist: Hist, f: impl FnOnce() -> R) -> R {
-    if !is_enabled() {
-        return f();
-    }
-    let start = std::time::Instant::now();
-    let out = f();
-    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    record_ns(hist, ns);
-    out
+    profiler::time(hist.section(), f)
 }
 
 /// Publishes an integer gauge (last write wins).
@@ -487,45 +431,6 @@ pub struct RequestCell {
     pub count: u64,
 }
 
-/// One histogram in a snapshot (same shape as a `SectionProfile`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistSnapshot {
-    /// Histogram name (`request`, `queue_wait`, `journal_append`,
-    /// `apply`).
-    pub name: String,
-    /// Samples recorded.
-    pub count: u64,
-    /// Total nanoseconds.
-    pub sum_ns: u64,
-    /// Largest sample.
-    pub max_ns: u64,
-    /// Log2 bucket counts.
-    pub buckets: Vec<u64>,
-}
-
-impl HistSnapshot {
-    /// Approximate quantile: the upper edge of the bucket holding the
-    /// q-th sample (within 2× by construction).
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return upper_edge_ns(i);
-            }
-        }
-        self.max_ns
-    }
-}
-
-fn upper_edge_ns(bucket: usize) -> u64 {
-    1u64 << (bucket as u32 + 1).min(63)
-}
-
 /// One gauge value in a snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GaugeCell {
@@ -543,9 +448,9 @@ pub struct TelemetrySnapshot {
     pub enabled: bool,
     /// Nonzero `serve_requests_total` cells, route-major order.
     pub requests: Vec<RequestCell>,
-    /// Every histogram (present even when empty, so scrapes always
-    /// expose the series).
-    pub hists: Vec<HistSnapshot>,
+    /// Every histogram, named by [`Hist::name`] (present even when
+    /// empty, so scrapes always expose the series).
+    pub hists: Vec<LatencyHistogram>,
     /// Every gauge.
     pub gauges: Vec<GaugeCell>,
 }
@@ -574,52 +479,43 @@ impl TelemetrySnapshot {
     }
 
     /// Looks up a histogram by short name.
-    pub fn hist(&self, name: &str) -> Option<&HistSnapshot> {
-        self.hists.iter().find(|h| h.name == name)
+    pub fn hist(&self, name: &str) -> Option<&LatencyHistogram> {
+        self.hists.iter().find(|h| h.section == name)
     }
 
     /// Renders Prometheus text exposition format (0.0.4): counters,
     /// cumulative histograms in seconds, and gauges.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str(
-            "# HELP serve_requests_total Requests served, by route and terminal outcome\n\
-             # TYPE serve_requests_total counter\n",
+        let requests: Vec<_> = self
+            .requests
+            .iter()
+            .map(|c| {
+                let labels = format!("route=\"{}\",outcome=\"{}\"", c.route, c.outcome);
+                (labels, c.count as f64)
+            })
+            .collect();
+        exposition::counter(
+            &mut out,
+            "serve_requests_total",
+            "Requests served, by route and terminal outcome",
+            &requests,
         );
-        for c in &self.requests {
-            out.push_str(&format!(
-                "serve_requests_total{{route=\"{}\",outcome=\"{}\"}} {}\n",
-                c.route, c.outcome, c.count
-            ));
-        }
         for h in &self.hists {
-            let name = format!("serve_{}_duration_seconds", h.name);
-            out.push_str(&format!(
-                "# HELP {name} Serve-path latency ({}), log2-bucketed\n# TYPE {name} histogram\n",
-                h.name
-            ));
-            let mut cumulative = 0u64;
-            for (i, b) in h.buckets.iter().enumerate().take(TELEMETRY_BUCKETS) {
-                cumulative += b;
-                if *b == 0 && i + 1 != TELEMETRY_BUCKETS {
-                    continue; // compact: occupied edges + the last + +Inf
-                }
-                out.push_str(&format!(
-                    "{name}_bucket{{le=\"{:e}\"}} {cumulative}\n",
-                    upper_edge_ns(i) as f64 * 1e-9
-                ));
-            }
-            out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{name}_sum {:e}\n", h.sum_ns as f64 * 1e-9));
-            out.push_str(&format!("{name}_count {}\n", h.count));
+            exposition::histogram(
+                &mut out,
+                &format!("serve_{}_duration_seconds", h.section),
+                &format!("Serve-path latency ({})", h.section),
+                &[(String::new(), h)],
+            );
         }
         for g in &self.gauges {
-            let kind = if g.name.ends_with("_total") {
-                "counter"
+            let row = [(String::new(), g.value)];
+            if g.name.ends_with("_total") {
+                exposition::counter(&mut out, &g.name, "", &row);
             } else {
-                "gauge"
-            };
-            out.push_str(&format!("# TYPE {} {kind}\n{} {}\n", g.name, g.name, g.value));
+                exposition::gauge(&mut out, &g.name, "", &row);
+            }
         }
         out
     }
@@ -648,27 +544,9 @@ pub fn snapshot() -> TelemetrySnapshot {
     }
     let hists = HISTS
         .iter()
-        .map(|&h| {
-            let i = h as usize;
-            let mut buckets = vec![0u64; TELEMETRY_BUCKETS];
-            let mut count = 0u64;
-            let mut sum_ns = 0u64;
-            let mut max_ns = 0u64;
-            for shard in &LATENCIES {
-                count += shard.count[i].load(Ordering::Relaxed);
-                sum_ns += shard.sum_ns[i].load(Ordering::Relaxed);
-                max_ns = max_ns.max(shard.max_ns[i].load(Ordering::Relaxed));
-                for (acc, b) in buckets.iter_mut().zip(&shard.buckets[i]) {
-                    *acc += b.load(Ordering::Relaxed);
-                }
-            }
-            HistSnapshot {
-                name: h.name().to_string(),
-                count,
-                sum_ns,
-                max_ns,
-                buckets,
-            }
+        .map(|&h| LatencyHistogram {
+            section: h.name().to_string(),
+            ..profiler::sample_of(h.section())
         })
         .collect();
     let gauges = GAUGES
@@ -691,6 +569,15 @@ pub fn snapshot() -> TelemetrySnapshot {
         hists,
         gauges,
     }
+}
+
+/// The body of `GET /metrics`: the live snapshot, then every registry
+/// section as `mbts_profiler_latency_seconds{section=…}`. Built from
+/// atomics only.
+pub fn scrape_text() -> String {
+    let mut text = snapshot().render_prometheus();
+    text.push_str(&crate::ProfileReport::capture().render_prometheus());
+    text
 }
 
 #[cfg(test)]
@@ -751,25 +638,20 @@ mod tests {
     }
 
     #[test]
-    fn histograms_bucket_logarithmically_and_quantile_from_edges() {
+    fn a_hist_is_a_named_view_of_its_registry_section() {
         let _g = LOCK.lock().unwrap();
         reset();
         enable();
-        record_ns(Hist::Apply, 1); // bucket 0
-        record_ns(Hist::Apply, 3); // bucket 1
-        record_ns(Hist::Apply, 1024); // bucket 10
-        record_ns(Hist::Apply, 0); // clamps to bucket 0
+        record_ns(Hist::QueueWait, 1024);
+        time(Hist::Apply, || ());
         let snap = snapshot();
-        let h = snap.hist("apply").unwrap();
-        assert_eq!(h.count, 4);
-        assert_eq!(h.sum_ns, 1028);
-        assert_eq!(h.max_ns, 1024);
-        assert_eq!(h.buckets[0], 2);
-        assert_eq!(h.buckets[1], 1);
-        assert_eq!(h.buckets[10], 1);
-        assert_eq!(h.quantile_ns(0.5), 2); // 2nd of 4 → bucket 0 edge
-        assert_eq!(h.quantile_ns(1.0), 2048); // bucket 10 edge
-        assert!(h.quantile_ns(0.5) <= h.quantile_ns(0.99));
+        let h = snap.hist("queue_wait").unwrap();
+        assert_eq!((h.count, h.sum_ns, h.max_ns), (1, 1024, 1024));
+        assert_eq!(snap.hist("apply").unwrap().count, 1);
+        // The profiler report reads the same series under its own name.
+        let section = profiler::sample_of(Section::ServeQueueWait);
+        assert_eq!(section.section, "serve_queue_wait");
+        assert_eq!(section.buckets, h.buckets);
         reset();
     }
 

@@ -1013,6 +1013,7 @@ fn write_profile_out(
     armed: bool,
     path: Option<&std::path::Path>,
     shards: Option<mbts_trace::ShardSummary>,
+    serve: Option<mbts_trace::ServeSummary>,
     out: &mut dyn std::io::Write,
 ) -> Result<(), String> {
     if !armed {
@@ -1020,6 +1021,7 @@ fn write_profile_out(
     }
     let mut report = mbts_trace::ProfileReport::capture();
     report.shards = shards;
+    report.serve = serve;
     mbts_sim::profiler::disable();
     let Some(path) = path else { return Ok(()) };
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
@@ -1269,7 +1271,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 }
             };
             write_trace_out(trace_out.as_deref(), tracer, out)?;
-            write_profile_out(profiling, profile.as_deref(), None, out)?;
+            write_profile_out(profiling, profile.as_deref(), None, None, out)?;
             let m = &outcome.metrics;
             writeln!(
                 out,
@@ -1392,7 +1394,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 let (outcome, tracer) = run.finish();
                 shard_banner(&summary, out)?;
                 write_trace_out(trace_out.as_deref(), tracer, out)?;
-                write_profile_out(profiling, profile.as_deref(), Some(summary), out)?;
+                write_profile_out(profiling, profile.as_deref(), Some(summary), None, out)?;
                 return market_summary(&outcome, out);
             }
             let (outcome, tracer) = match journal {
@@ -1422,7 +1424,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 None => Economy::new(economy).run_trace_traced(&trace, tracer),
             };
             write_trace_out(trace_out.as_deref(), tracer, out)?;
-            write_profile_out(profiling, profile.as_deref(), None, out)?;
+            write_profile_out(profiling, profile.as_deref(), None, None, out)?;
             market_summary(&outcome, out)
         }
         Command::Analyze {
@@ -1651,18 +1653,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             }
             out.flush().map_err(|e| e.to_string())?;
             let report = server.join().map_err(|e| format!("daemon failed: {e}"))?;
-            if profiling {
-                let mut profile_report = mbts_trace::ProfileReport::capture();
-                profile_report.serve = Some(report.summary.clone());
-                mbts_sim::profiler::disable();
-                if let Some(path) = profile {
-                    let json =
-                        serde_json::to_string_pretty(&profile_report).map_err(|e| e.to_string())?;
-                    std::fs::write(&path, json)
-                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                    writeln!(out, "profile -> {}", path.display()).map_err(|e| e.to_string())?;
-                }
-            }
+            let summary = Some(report.summary.clone());
+            write_profile_out(profiling, profile.as_deref(), None, summary, out)?;
             let s = &report.summary;
             writeln!(
                 out,

@@ -291,3 +291,133 @@ fn top_dashboard_renders_frames_from_a_live_daemon() {
     server.request_stop();
     server.join().expect("drain");
 }
+
+/// Checks one exposition text the way a scraper would: every sample's
+/// family has its `# TYPE` line first, and per histogram label set the
+/// cumulative buckets never decrease and `+Inf` equals `_count`.
+fn assert_well_formed(text: &str) {
+    use std::collections::{BTreeMap, BTreeSet};
+    let mut typed: BTreeSet<&str> = BTreeSet::new();
+    let mut histograms: BTreeSet<&str> = BTreeSet::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("TYPE name kind");
+            assert!(typed.insert(name), "second # TYPE for {name}");
+            if kind == "histogram" {
+                histograms.insert(name);
+            }
+        } else if !line.starts_with('#') {
+            let name = line.split(['{', ' ']).next().unwrap();
+            let family = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| name.strip_suffix(suffix).filter(|f| histograms.contains(f)))
+                .unwrap_or(name);
+            assert!(typed.contains(family), "sample before its # TYPE: {line}");
+        }
+    }
+    let scrape = top::parse_exposition(text);
+    assert_eq!(
+        scrape.samples.len(),
+        text.lines().filter(|l| !l.starts_with('#')).count(),
+        "every sample line parses"
+    );
+    for family in histograms {
+        // (labels without `le`) -> (last cumulative, +Inf)
+        let mut rows: BTreeMap<Vec<(String, String)>, (f64, f64)> = BTreeMap::new();
+        for s in scrape.series(&format!("{family}_bucket")) {
+            let mut labels = s.labels.clone();
+            labels.retain(|(k, _)| k != "le");
+            let row = rows.entry(labels).or_default();
+            if s.label("le") == Some("+Inf") {
+                row.1 = s.value;
+            } else {
+                assert!(s.value >= row.0, "{family}: cumulative buckets decreased");
+                row.0 = s.value;
+            }
+        }
+        for s in scrape.series(&format!("{family}_count")) {
+            let (last, inf) = rows[&s.labels];
+            assert_eq!(inf, s.value, "{family}: +Inf vs _count");
+            assert!(last <= inf);
+        }
+    }
+}
+
+/// All three reports render through the one exposition module, and a
+/// scrape of it rebuilds the recorder's buckets exactly — the dashboard
+/// reads a percentile off the same histogram the daemon holds.
+#[test]
+fn every_report_round_trips_through_the_exposition_parser() {
+    use mbts::sim::latency::LatencyHistogram;
+    use mbts::sim::Time;
+    use mbts::trace::{
+        MetricsRegistry, ProfileReport, ServeSummary, ShardProfile, ShardSummary, TraceEvent,
+        TraceKind,
+    };
+    let _guard = TELEMETRY.lock().unwrap();
+    telemetry::reset();
+
+    let samples = [0, 3, 31, 32, 1_000, 45_678, 9_999_999, 1 << 33, u64::MAX];
+    for ns in samples {
+        telemetry::record_ns(telemetry::Hist::QueueWait, ns);
+        telemetry::record_ns(telemetry::Hist::Request, ns / 2);
+    }
+    telemetry::count_request(telemetry::Route::Submit, telemetry::Outcome::Ack);
+    telemetry::gauge_set(telemetry::Gauge::QueueDepth, 3);
+    let snap = telemetry::snapshot();
+    let live = snap.render_prometheus();
+    assert_well_formed(&live);
+
+    let mut profile = ProfileReport::capture();
+    profile.shards = Some(ShardSummary {
+        shards: vec![ShardProfile {
+            shard: 0,
+            sites: 2,
+            busy_ns: 5_000,
+            ops: 9,
+            utilization: 0.5,
+        }],
+        windows: 4,
+        barrier_stall_ns: 700,
+        wall_ns: 10_000,
+        threaded: false,
+    });
+    profile.serve = Some(ServeSummary {
+        requests: 1,
+        accepted: 1,
+        ..ServeSummary::default()
+    });
+    let sections = profile.render_prometheus();
+    assert_well_formed(&sections);
+
+    let mut registry = MetricsRegistry::new("fcfs", 2);
+    registry.record(&TraceEvent {
+        at: Time::new(0.0),
+        task: None,
+        site: None,
+        kind: TraceKind::TaskArrived { accepted: true },
+    });
+    registry.finish_run();
+    assert_well_formed(&registry.prometheus());
+
+    // What `GET /metrics` answers is the first two, concatenated.
+    let text = telemetry::scrape_text();
+    assert_well_formed(&text);
+    let scrape = top::parse_exposition(&text);
+    let mut expected = LatencyHistogram::named("serve_queue_wait_duration_seconds");
+    for ns in samples {
+        expected.record(ns);
+    }
+    let rebuilt = top::scraped_histogram(&scrape, "serve_queue_wait_duration_seconds")
+        .expect("queue-wait histogram");
+    assert_eq!(rebuilt.buckets, expected.buckets);
+    assert_eq!(rebuilt.count, expected.count);
+    assert_eq!(snap.hist("queue_wait").unwrap().buckets, expected.buckets);
+    // The shared series shows under the profiler's name too.
+    let shared = scrape
+        .series("mbts_profiler_latency_seconds_count")
+        .find(|s| s.label("section") == Some("serve_queue_wait"))
+        .expect("queue-wait section");
+    assert_eq!(shared.value, samples.len() as f64);
+    telemetry::reset();
+}
