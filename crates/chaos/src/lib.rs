@@ -11,17 +11,17 @@
 //! crash".
 //!
 //! The registry is data-only: injection sites in `mbts-durable` (journal
-//! sink writes/fsyncs), `mbts-serve` (accept/read/write socket paths) and
-//! `mbts_market::parallel` (shard reply delivery) call
-//! [`ChaosRegistry::hit`] with their site name and interpret the returned
-//! [`FailAction`], keeping this crate free of any engine dependency.
+//! sink writes/fsyncs) and `mbts-serve` (accept/read/write socket paths)
+//! call [`ChaosRegistry::hit`] with their site name and interpret the
+//! returned [`FailAction`], keeping this crate free of any engine
+//! dependency.
 //!
 //! Failpoint names form a dotted hierarchy (`layer.component.operation`,
-//! e.g. `durable.sink.write`, `serve.conn.read`, `market.shard.reply`).
-//! A schedule entry matches a hit when its `point` equals the hit name or
-//! is a dot-boundary prefix of it — so one `market.shard.reply` entry
-//! covers every per-shard instance `market.shard.reply.N`, while each
-//! instance still draws from its own independent stream.
+//! e.g. `durable.sink.write`, `serve.conn.read`). A schedule entry
+//! matches a hit when its `point` equals the hit name or is a
+//! dot-boundary prefix of it — so one `serve.conn` entry covers both
+//! `serve.conn.read` and `serve.conn.write`, while each instance still
+//! draws from its own independent stream.
 
 pub mod registry;
 pub mod scenario;

@@ -47,15 +47,6 @@ pub enum FailAction {
         /// Cap on response bytes delivered before the cut.
         max_bytes: usize,
     },
-    /// Shard fabric: the worker's reply is delivered `delay_ms` late,
-    /// stalling the coordinator's barrier.
-    DelayReply {
-        /// Delivery delay in milliseconds.
-        delay_ms: u64,
-    },
-    /// Shard fabric: the worker's reply is lost; the coordinator must
-    /// detect the stall and request a resend.
-    DropReply,
 }
 
 impl FailAction {
@@ -71,8 +62,6 @@ impl FailAction {
             FailAction::SlowRead { .. } => "slow_read",
             FailAction::DropConn => "drop_conn",
             FailAction::PartialWrite { .. } => "partial_write",
-            FailAction::DelayReply { .. } => "delay_reply",
-            FailAction::DropReply => "drop_reply",
         }
     }
 }
@@ -84,7 +73,7 @@ fn default_prob() -> f64 {
 /// One schedule entry: which failpoint(s) it arms, what fires, and when.
 ///
 /// `point` matches a hit name exactly or as a dot-boundary prefix
-/// (`market.shard.reply` arms every `market.shard.reply.N` instance).
+/// (`serve.conn` arms `serve.conn.read` and `serve.conn.write`).
 /// Gating composes as: skip the first `after` hits, then fire every
 /// `every`-th hit (when `every > 0`) or with probability `prob` per hit
 /// (when `every == 0`), stopping for good after `max_fires` fires
@@ -145,7 +134,7 @@ pub struct Firing {
 /// One fault that fired, as recorded in the registry's log.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FiredFault {
-    /// The hit name (full instance, e.g. `market.shard.reply.3`).
+    /// The hit name (full instance, e.g. `serve.conn.read`).
     pub point: String,
     /// 1-based hit index at that instance when the fault fired.
     pub hit: u64,
@@ -207,8 +196,7 @@ struct Inner {
 /// named instance owns an independent stream seeded from
 /// `(registry seed, instance name)`, so the fault sequence at one site
 /// depends only on that site's own hit order — never on scheduling
-/// between sites — which is what makes single-threaded replays (and the
-/// per-shard streams of the parallel market) bit-reproducible.
+/// between sites — which is what makes replays bit-reproducible.
 pub struct ChaosRegistry {
     seed: u64,
     specs: Vec<FailpointSpec>,
@@ -371,8 +359,8 @@ mod tests {
     #[test]
     fn instances_draw_from_independent_streams() {
         let specs = vec![FailpointSpec {
-            point: "market.shard.reply".to_string(),
-            action: FailAction::DropReply,
+            point: "serve.conn".to_string(),
+            action: FailAction::DropConn,
             prob: 0.5,
             after: 0,
             every: 0,
@@ -380,10 +368,10 @@ mod tests {
         }];
         let reg = ChaosRegistry::new(9, specs.clone());
         let s0: Vec<bool> = (0..64)
-            .map(|_| reg.hit("market.shard.reply.0").is_some())
+            .map(|_| reg.hit("serve.conn.read").is_some())
             .collect();
         let s1: Vec<bool> = (0..64)
-            .map(|_| reg.hit("market.shard.reply.1").is_some())
+            .map(|_| reg.hit("serve.conn.write").is_some())
             .collect();
         assert_ne!(s0, s1, "per-instance streams must be independent");
 
@@ -392,8 +380,8 @@ mod tests {
         let mut t0 = Vec::new();
         let mut t1 = Vec::new();
         for _ in 0..64 {
-            t0.push(reg2.hit("market.shard.reply.0").is_some());
-            t1.push(reg2.hit("market.shard.reply.1").is_some());
+            t0.push(reg2.hit("serve.conn.read").is_some());
+            t1.push(reg2.hit("serve.conn.write").is_some());
         }
         assert_eq!(s0, t0);
         assert_eq!(s1, t1);

@@ -27,9 +27,6 @@ fn default_policy() -> String {
 fn default_sites() -> usize {
     4
 }
-fn default_shards() -> usize {
-    2
-}
 fn default_snapshot_every() -> u64 {
     64
 }
@@ -62,10 +59,8 @@ pub enum ScenarioTarget {
         #[serde(default = "default_snapshot_every")]
         snapshot_every: u64,
     },
-    /// A journaled serial economy run (`DurableRun<EconomyRun>`), or —
-    /// when `shards > 1` — an unjournaled sharded run whose outcome is
-    /// compared bit-for-bit against the serial engine while shard-fabric
-    /// faults delay or drop worker replies.
+    /// A journaled economy run (`DurableRun<EconomyRun>`): disk-layer
+    /// faults hit the write-ahead journal under the run.
     Market {
         /// Synthetic trace size.
         #[serde(default = "default_tasks")]
@@ -82,10 +77,7 @@ pub enum ScenarioTarget {
         /// Scheduling policy spec.
         #[serde(default = "default_policy")]
         policy: String,
-        /// Shard count (1 = serial journaled run under disk faults).
-        #[serde(default = "default_shards")]
-        shards: usize,
-        /// Snapshot cadence in events (serial runs only).
+        /// Snapshot cadence in events.
         #[serde(default = "default_snapshot_every")]
         snapshot_every: u64,
     },

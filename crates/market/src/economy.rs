@@ -19,13 +19,13 @@ use crate::bidding::{RebidBackoff, RebidBackoffState};
 use crate::budget::{Account, BudgetConfig};
 use crate::contract::{Contract, ContractTerms};
 use crate::pricing::PricingStrategy;
-use mbts_core::{AdmissionDecision, Job, WorkflowProgress, WorkflowReport, WorkflowRuntime};
+use mbts_core::{AdmissionDecision, WorkflowProgress, WorkflowReport, WorkflowRuntime};
 use mbts_sim::{
     rng::splitmix64, Engine, EventQueue, FaultConfig, FaultInjector, FaultInjectorState, FaultUnit,
     Model, RngFactory, Time,
 };
 use mbts_site::{
-    AuditViolation, CompletionToken, JobOutcome, SiteConfig, SiteOutcome, SiteSnapshot, SiteState,
+    AuditViolation, CompletionToken, SiteConfig, SiteOutcome, SiteSnapshot, SiteState,
 };
 use mbts_trace::{
     DecisionCandidate, DecisionKind, TraceEvent, TraceKind, Tracer, TracerSnapshot,
@@ -320,31 +320,6 @@ impl EconomyRun {
     /// Sets up the economy over `trace` with all arrivals (and, with
     /// faults configured, each unit's pre-drawn first crash) scheduled.
     pub fn new(config: EconomyConfig, trace: &Trace, tracer: Tracer) -> Self {
-        let sites: Vec<SiteState> = config
-            .sites
-            .iter()
-            .map(|c| SiteState::new(c.clone()))
-            .collect();
-        let (model, initial) = Self::build_parts(config, trace, tracer, sites);
-        let mut engine = Engine::new(model);
-        for (at, ev) in initial {
-            engine.schedule(at, ev);
-        }
-        EconomyRun { engine }
-    }
-    /// The shared construction body behind [`new`](Self::new) and the
-    /// sharded runner: builds the model around a pre-built cluster and
-    /// returns the initial events (all arrivals, then each fault unit's
-    /// pre-drawn first crash) in the exact order the serial engine
-    /// schedules them — sequence numbers, and therefore tie-breaks, are
-    /// part of the replay contract.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn build_parts<C: SiteCluster>(
-        config: EconomyConfig,
-        trace: &Trace,
-        tracer: Tracer,
-        sites: C,
-    ) -> (EcoModel<C>, Vec<(Time, EcoEvent)>) {
         assert!(!config.sites.is_empty(), "economy needs at least one site");
         let accounts = config
             .budgets
@@ -375,8 +350,11 @@ impl EconomyRun {
             WorkflowRuntime::new(set.clone())
         });
         let wf_facets = config.workflows.as_ref().map(|set| set.facets());
-        // Workflow mode: only roots arrive on their own; successors enter
-        // via EcoEvent::Release when their last predecessor completes.
+        // All arrivals first, then each fault unit's pre-drawn first
+        // crash: sequence numbers, and therefore tie-breaks, are part of
+        // the replay contract. In workflow mode only roots arrive on
+        // their own; successors enter via EcoEvent::Release when their
+        // last predecessor completes.
         let mut initial: Vec<(Time, EcoEvent)> = match workflows.as_ref() {
             Some(rt) => rt
                 .roots()
@@ -402,7 +380,11 @@ impl EconomyRun {
             }
         }
         let model = EcoModel {
-            sites,
+            sites: config
+                .sites
+                .iter()
+                .map(|c| SiteState::new(c.clone()))
+                .collect(),
             trace: trace.tasks.clone(),
             selection: config.selection,
             pricing: config.pricing,
@@ -444,7 +426,11 @@ impl EconomyRun {
             stranded: 0,
             tracer,
         };
-        (model, initial)
+        let mut engine = Engine::new(model);
+        for (at, ev) in initial {
+            engine.schedule(at, ev);
+        }
+        EconomyRun { engine }
     }
 
     /// Applies the next event; `false` once the queue has run dry.
@@ -485,28 +471,6 @@ impl EconomyRun {
     /// Captures the complete replay state at the current event boundary.
     pub fn snapshot(&self) -> EconomySnapshot {
         let m = self.engine.model();
-        Self::snapshot_parts(
-            m,
-            m.sites.iter().map(|s| s.snapshot()).collect(),
-            self.engine.queue().snapshot_entries(),
-            self.engine.queue().next_seq(),
-            self.engine.now(),
-            self.engine.events_handled(),
-        )
-    }
-
-    /// Flattens a model plus clock/queue state into an
-    /// [`EconomySnapshot`]. Shared with the sharded runner — site
-    /// snapshots are taken by the caller because only it knows how to
-    /// reach its cluster's sites.
-    pub(crate) fn snapshot_parts<C: SiteCluster>(
-        m: &EcoModel<C>,
-        sites: Vec<SiteSnapshot>,
-        queue: Vec<(Time, u64, EcoEvent)>,
-        next_seq: u64,
-        now: Time,
-        handled: u64,
-    ) -> EconomySnapshot {
         let sorted = |map: &HashMap<u64, u32>| {
             let mut v: Vec<(u64, u32)> = map.iter().map(|(&k, &n)| (k, n)).collect();
             v.sort_unstable();
@@ -516,7 +480,7 @@ impl EconomyRun {
             m.contract_of.iter().map(|(&k, &v)| (k, v)).collect();
         contract_of.sort_unstable();
         EconomySnapshot {
-            sites,
+            sites: m.sites.iter().map(|s| s.snapshot()).collect(),
             trace: m.trace.clone(),
             selection: m.selection,
             pricing: m.pricing,
@@ -556,38 +520,22 @@ impl EconomyRun {
             workflows: m.workflows.clone(),
             stranded: m.stranded,
             tracer: m.tracer.snapshot(),
-            queue,
-            next_seq,
-            now,
-            handled,
+            queue: self.engine.queue().snapshot_entries(),
+            next_seq: self.engine.queue().next_seq(),
+            now: self.engine.now(),
+            handled: self.engine.events_handled(),
         }
     }
 
     /// Reconstructs a run from a [`snapshot`](Self::snapshot); the resumed
     /// run replays bit-identically to the one that was captured.
-    pub fn from_snapshot(mut snap: EconomySnapshot) -> Self {
-        let sites: Vec<SiteState> = std::mem::take(&mut snap.sites)
-            .into_iter()
-            .map(SiteState::from_snapshot)
-            .collect();
-        let (model, entries, next_seq, now, handled) = Self::restore_parts(snap, sites);
-        let queue = EventQueue::restore(entries, next_seq);
-        EconomyRun {
-            engine: Engine::from_parts(model, queue, now, handled),
-        }
-    }
-
-    /// The model-rebuild half of [`from_snapshot`](Self::from_snapshot),
-    /// shared with the sharded runner: `snap.sites` has already been
-    /// consumed into `sites` by the caller. Returns the model plus the
-    /// queue entries and clock state needed to resume.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn restore_parts<C: SiteCluster>(
-        snap: EconomySnapshot,
-        sites: C,
-    ) -> (EcoModel<C>, Vec<(Time, u64, EcoEvent)>, u64, Time, u64) {
+    pub fn from_snapshot(snap: EconomySnapshot) -> Self {
         let model = EcoModel {
-            sites,
+            sites: snap
+                .sites
+                .into_iter()
+                .map(SiteState::from_snapshot)
+                .collect(),
             trace: snap.trace,
             selection: snap.selection,
             pricing: snap.pricing,
@@ -629,7 +577,10 @@ impl EconomyRun {
             stranded: snap.stranded,
             tracer: Tracer::from_snapshot(snap.tracer),
         };
-        (model, snap.queue, snap.next_seq, snap.now, snap.handled)
+        let queue = EventQueue::restore(snap.queue, snap.next_seq);
+        EconomyRun {
+            engine: Engine::from_parts(model, queue, snap.now, snap.handled),
+        }
     }
 
     /// Consumes the (finished) run, yielding the outcome and the tracer.
@@ -639,24 +590,12 @@ impl EconomyRun {
             "finish() on a run with pending events"
         );
         let mut model = self.engine.into_model();
-        let sites = std::mem::take(&mut model.sites);
-        let per_site = sites.into_iter().map(|s| s.into_outcome()).collect();
-        Self::outcome_parts(model, per_site)
-    }
-
-    /// The outcome-assembly half of [`finish`](Self::finish), shared with
-    /// the sharded runner: `per_site` outcomes come from the caller's
-    /// cluster; everything else from the model.
-    pub(crate) fn outcome_parts<C: SiteCluster>(
-        mut model: EcoModel<C>,
-        per_site: Vec<SiteOutcome>,
-    ) -> (EconomyOutcome, Tracer) {
         let tracer = std::mem::take(&mut model.tracer);
         let outcome = EconomyOutcome {
             stranded: model.stranded,
             workflows: model.workflows.as_ref().map(|w| w.report()),
             client_spend: model.accounts.iter().map(|a| a.spent).collect(),
-            per_site,
+            per_site: model.sites.into_iter().map(|s| s.into_outcome()).collect(),
             contracts: model.contracts,
             offered: model.offered,
             placed: model.placed,
@@ -834,92 +773,8 @@ pub enum EcoEvent {
     },
 }
 
-/// The site-facing operations the §6 negotiation performs, abstracted so
-/// the same [`EcoModel`] drives either the serial in-process site vector
-/// or a sharded worker pool ([`crate::parallel::ShardCluster`]).
-///
-/// Implementors MUST apply each op to the named site exactly as a
-/// [`SiteState`] method call would — the serial/sharded bit-identity
-/// contract rests on this trait being a pure routing layer with no
-/// policy of its own.
-pub(crate) trait SiteCluster {
-    /// Broadcasts `spec` to every site and collects the per-site
-    /// admission verdicts, in site order (read-only on sites).
-    fn evaluate_all(&mut self, now: Time, spec: TaskSpec) -> Vec<(usize, AdmissionDecision)>;
-    /// Awards a contract to `site`: `note_offer` then `accept`, returning
-    /// the accepted job's predicted completion tokens.
-    fn award(&mut self, site: SiteId, now: Time, spec: TaskSpec) -> Vec<CompletionToken>;
-    /// Withdraws a still-queued task from `site` (deadline enforcement).
-    fn cancel_pending(&mut self, site: SiteId, now: Time, task: TaskId) -> bool;
-    /// Kills `n` processors at `site`; returns how many actually died.
-    fn crash_processors(&mut self, site: SiteId, n: usize, now: Time) -> usize;
-    /// Whole-site outage: kills all capacity, then orphans the pending
-    /// queue. Returns `(processors killed, orphaned jobs)`.
-    fn crash_site(&mut self, site: SiteId, now: Time) -> (usize, Vec<Job>);
-    /// Restores `n` processors at `site`; returns fresh completion tokens.
-    fn repair(&mut self, site: SiteId, n: usize, now: Time) -> Vec<CompletionToken>;
-    /// Delivers a completion token to `site`.
-    fn on_completion(
-        &mut self,
-        site: SiteId,
-        now: Time,
-        token: CompletionToken,
-    ) -> (Option<JobOutcome>, Vec<CompletionToken>);
-    /// `true` when no site holds pending or running work.
-    fn all_quiescent(&mut self) -> bool;
-}
-
-/// The serial cluster: sites live in-process and every op is a direct
-/// method call. This is the reference implementation the sharded runner
-/// must match bit-for-bit.
-impl SiteCluster for Vec<SiteState> {
-    fn evaluate_all(&mut self, now: Time, spec: TaskSpec) -> Vec<(usize, AdmissionDecision)> {
-        self.iter()
-            .enumerate()
-            .map(|(s, site)| (s, site.evaluate(now, spec)))
-            .collect()
-    }
-
-    fn award(&mut self, site: SiteId, now: Time, spec: TaskSpec) -> Vec<CompletionToken> {
-        self[site].note_offer(now);
-        self[site].accept(now, spec)
-    }
-
-    fn cancel_pending(&mut self, site: SiteId, now: Time, task: TaskId) -> bool {
-        self[site].cancel_pending(now, task)
-    }
-
-    fn crash_processors(&mut self, site: SiteId, n: usize, now: Time) -> usize {
-        self[site].crash(n, now)
-    }
-
-    fn crash_site(&mut self, site: SiteId, now: Time) -> (usize, Vec<Job>) {
-        let cap = self[site].capacity();
-        let killed = self[site].crash(cap, now);
-        let orphans = self[site].orphan_pending(now);
-        (killed, orphans)
-    }
-
-    fn repair(&mut self, site: SiteId, n: usize, now: Time) -> Vec<CompletionToken> {
-        self[site].repair(n, now)
-    }
-
-    fn on_completion(
-        &mut self,
-        site: SiteId,
-        now: Time,
-        token: CompletionToken,
-    ) -> (Option<JobOutcome>, Vec<CompletionToken>) {
-        self[site].on_completion_detailed(now, token)
-    }
-
-    fn all_quiescent(&mut self) -> bool {
-        self.iter().all(|s| s.is_quiescent())
-    }
-}
-
-pub(crate) struct EcoModel<C: SiteCluster = Vec<SiteState>> {
-    sites: C,
+struct EcoModel {
+    sites: Vec<SiteState>,
     trace: Vec<TaskSpec>,
     selection: ClientSelection,
     pricing: PricingStrategy,
@@ -979,17 +834,13 @@ pub(crate) struct EcoModel<C: SiteCluster = Vec<SiteState>> {
     tracer: Tracer,
 }
 
-impl<C: SiteCluster> EcoModel<C> {
-    /// Direct access to the site cluster (the sharded driver dispatches
-    /// completion windows through it).
-    pub(crate) fn cluster_mut(&mut self) -> &mut C {
-        &mut self.sites
-    }
-
+impl EcoModel {
     /// `true` once the workload is over and nothing is in flight — fault
     /// scheduling stops here so the run can terminate.
-    pub(crate) fn drained(&mut self) -> bool {
-        self.arrivals_left == 0 && self.pending_rebids == 0 && self.sites.all_quiescent()
+    fn drained(&self) -> bool {
+        self.arrivals_left == 0
+            && self.pending_rebids == 0
+            && self.sites.iter().all(|s| s.is_quiescent())
     }
 
     /// Records a market-level conservation failure: panic in debug
@@ -1107,19 +958,8 @@ impl<C: SiteCluster> EcoModel<C> {
         }
     }
 
-    /// `true` while the workflow overlay still has unreleased members —
-    /// the sharded runner must process completions one at a time inside
-    /// this window, because any completion may release successors whose
-    /// negotiation order is part of the replay contract.
-    pub(crate) fn workflow_barrier(&self) -> bool {
-        self.workflows
-            .as_ref()
-            .map(|w| !w.all_released())
-            .unwrap_or(false)
-    }
-
     /// The workflow ledger's current report (workflow mode only).
-    pub(crate) fn workflow_report(&self) -> Option<WorkflowReport> {
+    fn workflow_report(&self) -> Option<WorkflowReport> {
         self.workflows.as_ref().map(|w| w.report())
     }
 
@@ -1147,12 +987,7 @@ impl<C: SiteCluster> EcoModel<C> {
     /// successors whose last predecessor this was are released into
     /// negotiation (journaled as [`EcoEvent::Release`]), and a finished
     /// workflow settles its end-to-end decayed value.
-    pub(crate) fn workflow_complete(
-        &mut self,
-        now: Time,
-        task: TaskId,
-        queue: &mut EventQueue<EcoEvent>,
-    ) {
+    fn workflow_complete(&mut self, now: Time, task: TaskId, queue: &mut EventQueue<EcoEvent>) {
         let Some(wf) = self.workflows.as_mut() else {
             return;
         };
@@ -1240,12 +1075,13 @@ impl<C: SiteCluster> EcoModel<C> {
         self.crashes += 1;
         let site = unit.site();
         let killed = match unit {
-            FaultUnit::Processor { .. } => self.sites.crash_processors(site, 1, now),
+            FaultUnit::Processor { .. } => self.sites[site].crash(1, now),
             FaultUnit::Site { .. } => {
                 // Whole site down: kill all capacity, then orphan the
                 // queue back to its clients.
-                let (killed, orphans) = self.sites.crash_site(site, now);
-                for job in orphans {
+                let cap = self.sites[site].capacity();
+                let killed = self.sites[site].crash(cap, now);
+                for job in self.sites[site].orphan_pending(now) {
                     self.orphaned += 1;
                     self.settle_orphan_breach(now, site, job.id().0);
                     let spec = job.spec;
@@ -1286,7 +1122,7 @@ impl<C: SiteCluster> EcoModel<C> {
     ) {
         self.repairs += 1;
         let site = unit.site();
-        for token in self.sites.repair(site, n, now) {
+        for token in self.sites[site].repair(n, now) {
             queue.schedule(token.at, EcoEvent::Completion { site, token });
         }
         // Schedule the unit's next failure unless the run is winding down
@@ -1411,7 +1247,12 @@ impl<C: SiteCluster> EcoModel<C> {
 
         // Broadcast the bid; every site's verdict is collected (evaluate
         // is read-only) and willing sites become server bids.
-        let decisions: Vec<(usize, AdmissionDecision)> = self.sites.evaluate_all(now, spec);
+        let decisions: Vec<(usize, AdmissionDecision)> = self
+            .sites
+            .iter()
+            .enumerate()
+            .map(|(s, site)| (s, site.evaluate(now, spec)))
+            .collect();
         let bids: Vec<ServerBid> = decisions
             .iter()
             .filter(|(_, d)| d.accept)
@@ -1451,7 +1292,8 @@ impl<C: SiteCluster> EcoModel<C> {
         self.second_quote.push(second);
         self.contract_of.insert(spec.id.0, contract_idx);
 
-        for token in self.sites.award(winner.site, now, spec) {
+        self.sites[winner.site].note_offer(now);
+        for token in self.sites[winner.site].accept(now, spec) {
             queue.schedule(
                 token.at,
                 EcoEvent::Completion {
@@ -1490,7 +1332,7 @@ impl<C: SiteCluster> EcoModel<C> {
         };
         // Only still-queued tasks can be withdrawn; a running task is
         // about to finish, so leave it be.
-        if !self.sites.cancel_pending(site, now, task_id) {
+        if !self.sites[site].cancel_pending(now, task_id) {
             return;
         }
         self.cancelled += 1;
@@ -1521,10 +1363,7 @@ impl<C: SiteCluster> EcoModel<C> {
 
     /// Settles the contract of a finished task: value-function settlement,
     /// pricing filter, ledger postings, trace event, conservation audit.
-    /// Split out of [`handle_completion`](Self::handle_completion) so the
-    /// sharded runner can replay settlements in exact serial event order
-    /// at window-merge time (the f64 ledger sums are order-sensitive).
-    pub(crate) fn settle_completion(&mut self, now: Time, site: SiteId, task: TaskId) {
+    fn settle_completion(&mut self, now: Time, site: SiteId, task: TaskId) {
         if let Some(&ci) = self.contract_of.get(&task.0) {
             let settled = self.contracts[ci].settle(now);
             self.total_settled += settled;
@@ -1547,11 +1386,10 @@ impl<C: SiteCluster> EcoModel<C> {
         token: CompletionToken,
         queue: &mut EventQueue<EcoEvent>,
     ) {
-        let (finished, tokens) = self.sites.on_completion(site, now, token);
+        let (finished, tokens) = self.sites[site].on_completion_detailed(now, token);
         if let Some(outcome) = finished {
             self.settle_completion(now, site, outcome.id);
-            // Settle → releases → spawned tokens: the sharded runner's
-            // merge replay reproduces this exact scheduling order.
+            // Scheduling order is settle → releases → spawned tokens.
             self.workflow_complete(now, outcome.id, queue);
         }
         for t in tokens {
@@ -1560,7 +1398,7 @@ impl<C: SiteCluster> EcoModel<C> {
     }
 }
 
-impl<C: SiteCluster> Model for EcoModel<C> {
+impl Model for EcoModel {
     type Event = EcoEvent;
 
     fn handle(&mut self, now: Time, event: EcoEvent, queue: &mut EventQueue<EcoEvent>) {

@@ -20,10 +20,8 @@
 //!   pay-bid by default, with a second-price hook).
 //! * [`budget`] — per-client replenishing budgets (§2's premise that
 //!   buyers hold budgeted currency).
-//! * [`economy`] — a multi-site discrete-event economy tying it together.
-//! * [`parallel`] — the sharded conservative-PDES runner: per-site-group
-//!   worker shards behind a lookahead barrier, bit-identical to the
-//!   serial economy at every event boundary.
+//! * [`economy`] — a multi-site discrete-event economy tying it together:
+//!   one serial event loop, the only engine (DESIGN.md §12).
 //! * [`resource`] — the §7 reseller model: sites renting elastic capacity
 //!   from a shared resource pool, provisioning on queue pressure or
 //!   marginal gain, accounting profit = yield − rent.
@@ -55,7 +53,6 @@ pub mod bidding;
 pub mod budget;
 pub mod contract;
 pub mod economy;
-pub mod parallel;
 pub mod pricing;
 pub mod resource;
 
@@ -69,6 +66,5 @@ pub use economy::{
     EcoEvent, Economy, EconomyConfig, EconomyOutcome, EconomyRun, EconomySnapshot,
     MarketFaultConfig, MigrationConfig, RetryConfig, SiteId,
 };
-pub use parallel::{ShardExecMode, ShardStat, ShardStats, ShardedEconomyRun, POINT_SHARD_REPLY};
 pub use pricing::PricingStrategy;
 pub use resource::{run_elastic, ElasticConfig, ElasticOutcome, ProvisioningPolicy, ResourcePool};

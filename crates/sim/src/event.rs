@@ -82,39 +82,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.at, e.event))
     }
 
-    /// Like [`pop`](Self::pop) but also returns the entry's sequence
-    /// number. The sharded market runner uses the `(time, seq)` key to
-    /// replay the exact serial pop order when merging per-shard results.
-    pub fn pop_entry(&mut self) -> Option<(Time, u64, E)> {
-        self.heap.pop().map(|e| (e.at, e.seq, e.event))
-    }
-
-    /// `(time, seq)` key of the next event without removing it — the
-    /// lookahead barrier for conservative windowed execution: every event
-    /// strictly before this key is already in the queue and safe to run.
-    pub fn peek_key(&self) -> Option<(Time, u64)> {
-        self.heap.peek().map(|e| (e.at, e.seq))
-    }
-
-    /// Schedules `event` with an explicit, caller-assigned sequence
-    /// number instead of the auto-incrementing counter. The counter is
-    /// bumped past `seq` so later [`schedule`](Self::schedule) calls can
-    /// never collide. Used by the deterministic window merge to give
-    /// events spawned inside a shard the same `(time, seq)` keys the
-    /// serial engine would have assigned.
-    pub fn schedule_with_seq(&mut self, at: Time, seq: u64, event: E) {
-        self.next_seq = self.next_seq.max(seq + 1);
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    /// Advances the sequence counter to at least `next`. A window merge
-    /// that *consumed* spawned events (rather than re-queueing them) still
-    /// has to account for the sequence numbers the serial engine would
-    /// have burned on them.
-    pub fn advance_seq_to(&mut self, next: u64) {
-        self.next_seq = self.next_seq.max(next);
-    }
-
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|e| e.at)
@@ -222,34 +189,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Time::from(7.0)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn explicit_seq_interleaves_with_auto_seq() {
-        let mut q = EventQueue::new();
-        q.schedule(Time::from(1.0), "auto-0");
-        q.schedule(Time::from(1.0), "auto-1");
-        // A merge re-queues a leftover event with the seq the serial
-        // engine would have assigned.
-        q.schedule_with_seq(Time::from(1.0), 5, "explicit-5");
-        assert_eq!(q.next_seq(), 6);
-        q.schedule(Time::from(1.0), "auto-6");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["auto-0", "auto-1", "explicit-5", "auto-6"]);
-    }
-
-    #[test]
-    fn pop_entry_and_peek_key_expose_sequence_numbers() {
-        let mut q = EventQueue::new();
-        q.schedule(Time::from(2.0), "b");
-        q.schedule(Time::from(1.0), "a");
-        assert_eq!(q.peek_key(), Some((Time::from(1.0), 1)));
-        assert_eq!(q.pop_entry(), Some((Time::from(1.0), 1, "a")));
-        assert_eq!(q.pop_entry(), Some((Time::from(2.0), 0, "b")));
-        assert_eq!(q.peek_key(), None);
-        q.advance_seq_to(10);
-        q.schedule(Time::ZERO, "c");
-        assert_eq!(q.peek_key(), Some((Time::ZERO, 10)));
     }
 
     #[test]

@@ -42,41 +42,33 @@ pub enum Section {
     MergeSweep = 2,
     /// Durable snapshot frame serialization + journal write.
     SnapshotWrite = 3,
-    /// Sharded market: one shard executing its slice of a completion
-    /// window (site-local stepping between barriers).
-    ShardWindow = 4,
-    /// Sharded market: the coordinator blocked at a lookahead barrier
-    /// waiting for the slowest shard's reply.
-    BarrierStall = 5,
     /// Live service: parsing one HTTP request off the wire.
-    ServeParse = 6,
+    ServeParse = 4,
     /// Live service: a request's wait in the bounded admission queue,
     /// from enqueue to the core thread picking it up. Both planes.
-    ServeQueueWait = 7,
+    ServeQueueWait = 5,
     /// Live service: journal append + state-machine apply of one
     /// accepted command.
-    ServeApply = 8,
+    ServeApply = 6,
     /// Live service: journal append (+ cadence fsync) of one accepted
     /// command — the durability half of [`Section::ServeApply`], split
     /// out so fsync stalls are visible separately from the fold. Both
     /// planes.
-    ServeJournalAppend = 9,
+    ServeJournalAppend = 7,
     /// Live service: one request end to end in a connection worker,
     /// first byte parsed to reply rendered. Telemetry plane.
-    ServeRequest = 10,
+    ServeRequest = 8,
     /// Live service: the state-machine fold of one command — the compute
     /// half of [`Section::ServeApply`]. Telemetry plane.
-    ServeMachineApply = 11,
+    ServeMachineApply = 9,
 }
 
 /// Every section, in wire order. Indexes match `Section as usize`.
-pub const SECTIONS: [Section; 12] = [
+pub const SECTIONS: [Section; 10] = [
     Section::PoolInsert,
     Section::CostModelUpdate,
     Section::MergeSweep,
     Section::SnapshotWrite,
-    Section::ShardWindow,
-    Section::BarrierStall,
     Section::ServeParse,
     Section::ServeQueueWait,
     Section::ServeApply,
@@ -93,8 +85,6 @@ impl Section {
             Section::CostModelUpdate => "cost_model_update",
             Section::MergeSweep => "merge_sweep",
             Section::SnapshotWrite => "snapshot_write",
-            Section::ShardWindow => "shard_window",
-            Section::BarrierStall => "barrier_stall",
             Section::ServeParse => "serve_parse",
             Section::ServeQueueWait => "serve_queue_wait",
             Section::ServeApply => "serve_apply",

@@ -381,8 +381,8 @@ impl Model for TraceModel {
             }
         };
         // Workflow releases are scheduled before this event's spawned
-        // completion tokens — the same seq convention the sharded
-        // market's merge-replay follows.
+        // completion tokens — the same seq convention the market's
+        // completion handler follows.
         self.advance_workflows(now, queue);
         for tok in tokens {
             queue.schedule(tok.at, SimEvent::Completion(tok));

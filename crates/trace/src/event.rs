@@ -140,10 +140,10 @@ pub enum TraceKind {
     /// or abandoned), stranding this still-waiting descendant; the
     /// workflow settles with zero earned.
     WorkflowStranded { workflow: u64 },
-    /// Chaos: a scheduled fault fired at a named failpoint (disk,
-    /// socket, or shard fabric). `point` is the full instance name
-    /// (e.g. `durable.sink.write`, `market.shard.reply.3`), `action`
-    /// the short fault label (`short_write`, `enospc`, `drop_reply`, …).
+    /// Chaos: a scheduled fault fired at a named failpoint (disk or
+    /// socket). `point` is the full instance name (e.g.
+    /// `durable.sink.write`, `serve.conn.read`), `action` the short
+    /// fault label (`short_write`, `enospc`, `drop_conn`, …).
     /// Emitted by the `mbts chaos` orchestrator — engine-produced traces
     /// never contain it, so golden fixtures are unaffected.
     ChaosInjected {
@@ -153,9 +153,8 @@ pub enum TraceKind {
         action: String,
     },
     /// Chaos: the run recovered from the most recent fault at `point` —
-    /// a crash-recovery replay completed, a stalled shard reply was
-    /// re-delivered, or a degraded-mode response was served. `detail`
-    /// says how (`replayed=123`, `resend`, …).
+    /// a crash-recovery replay completed or a degraded-mode response
+    /// was served. `detail` says how (`replayed=123`, …).
     ChaosRecovered {
         /// Failpoint instance recovered from.
         point: String,

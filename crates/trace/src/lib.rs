@@ -59,6 +59,6 @@ pub use event::{
 };
 pub use mbts_sim::latency::LatencyHistogram;
 pub use metrics::{MetricsRegistry, PolicyMetrics};
-pub use profiler::{ProfileReport, ServeSummary, ShardProfile, ShardSummary, PROFILE_MARKER};
+pub use profiler::{ProfileReport, ServeSummary, PROFILE_MARKER};
 pub use sink::{BufferSink, JsonlSink, RingSink, TraceSink, Tracer, TracerSnapshot};
 pub use telemetry::TelemetrySnapshot;

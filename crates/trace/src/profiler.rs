@@ -14,39 +14,6 @@ use serde::{Deserialize, Serialize};
 /// Marker value stored in [`ProfileReport::kind`].
 pub const PROFILE_MARKER: &str = "mbts_profile";
 
-/// One shard's execution summary from a sharded market run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardProfile {
-    /// Shard index (contiguous site ranges, ascending).
-    pub shard: usize,
-    /// Sites hosted by this shard.
-    pub sites: usize,
-    /// Nanoseconds the shard spent executing operations.
-    pub busy_ns: u64,
-    /// Operations (evaluations, awards, completion windows, …) executed.
-    pub ops: u64,
-    /// `busy_ns` over the run's wall-clock time, in `[0, 1]`-ish
-    /// (threaded shards overlap, so the sum can exceed 1).
-    pub utilization: f64,
-}
-
-/// Cluster-level summary of a sharded market run, folded into the
-/// profile report by the CLI when `--shards` and `--profile` combine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardSummary {
-    /// Per-shard rows, ascending by shard index.
-    pub shards: Vec<ShardProfile>,
-    /// Completion windows merged by the coordinator.
-    pub windows: u64,
-    /// Nanoseconds the coordinator spent waiting between the first and
-    /// last shard reply across all barriers.
-    pub barrier_stall_ns: u64,
-    /// Wall-clock nanoseconds of the whole run.
-    pub wall_ns: u64,
-    /// Whether shards ran on worker threads (vs. inline).
-    pub threaded: bool,
-}
-
 /// Request-outcome counters of one `mbts serve` session, folded into
 /// the profile report on shutdown so `mbts metrics --prom` can export
 /// accept/shed/timeout rates next to the latency histograms.
@@ -85,10 +52,6 @@ pub struct ProfileReport {
     /// Per-section histograms (`section`, `count`, `sum_ns`, `max_ns`,
     /// `buckets`), wire order.
     pub sections: Vec<LatencyHistogram>,
-    /// Shard-cluster summary, present only for sharded market runs.
-    /// Defaults keep reports written before this field deserializable.
-    #[serde(default)]
-    pub shards: Option<ShardSummary>,
     /// Service request counters, present only for `mbts serve` runs.
     #[serde(default)]
     pub serve: Option<ServeSummary>,
@@ -101,7 +64,6 @@ impl ProfileReport {
             kind: PROFILE_MARKER.to_string(),
             enabled: mbts_sim::profiler::is_enabled(),
             sections: mbts_sim::profiler::sample(),
-            shards: None,
             serve: None,
         }
     }
@@ -134,25 +96,6 @@ impl ProfileReport {
                 ));
             }
         }
-        if let Some(sh) = &self.shards {
-            out.push_str(&format!(
-                "shard cluster ({} shards, {}, {} windows, barrier stall {:.3}ms)\n",
-                sh.shards.len(),
-                if sh.threaded { "threaded" } else { "inline" },
-                sh.windows,
-                sh.barrier_stall_ns as f64 * 1e-6
-            ));
-            for p in &sh.shards {
-                out.push_str(&format!(
-                    "  shard {:<3} sites={:<5} ops={:<9} busy {:>10.3}ms  utilization {:>6.1}%\n",
-                    p.shard,
-                    p.sites,
-                    p.ops,
-                    p.busy_ns as f64 * 1e-6,
-                    p.utilization * 100.0
-                ));
-            }
-        }
         if let Some(sv) = &self.serve {
             let wall_s = sv.wall_ns as f64 * 1e-9;
             let rps = if wall_s > 0.0 {
@@ -180,7 +123,7 @@ impl ProfileReport {
     }
 
     /// Prometheus text exposition: one cumulative histogram family in
-    /// seconds labelled by section, plus the shard and serve summaries.
+    /// seconds labelled by section, plus the serve summary.
     pub fn render_prometheus(&self) -> String {
         let one = |v: f64| [(String::new(), v)];
         let mut out = String::new();
@@ -195,38 +138,6 @@ impl ProfileReport {
             "Latency of the instrumented spans (log-linear buckets)",
             &rows,
         );
-        if let Some(sh) = &self.shards {
-            let per_shard = |f: fn(&ShardProfile) -> f64| -> Vec<_> {
-                sh.shards
-                    .iter()
-                    .map(|p| (format!("shard=\"{}\"", p.shard), f(p)))
-                    .collect()
-            };
-            exposition::gauge(
-                &mut out,
-                "mbts_shard_busy_seconds",
-                "Time each market shard spent executing",
-                &per_shard(|p| p.busy_ns as f64 * 1e-9),
-            );
-            exposition::gauge(
-                &mut out,
-                "mbts_shard_utilization",
-                "Shard busy time over run wall-clock time",
-                &per_shard(|p| p.utilization),
-            );
-            exposition::counter(
-                &mut out,
-                "mbts_shard_barrier_stall_seconds",
-                "Coordinator wait between first and last shard reply",
-                &one(sh.barrier_stall_ns as f64 * 1e-9),
-            );
-            exposition::counter(
-                &mut out,
-                "mbts_shard_windows_total",
-                "Completion windows merged by the coordinator",
-                &one(sh.windows as f64),
-            );
-        }
         if let Some(sv) = &self.serve {
             let by_outcome = [
                 ("accepted", sv.accepted),
@@ -268,12 +179,12 @@ mod tests {
     fn capture_serializes_and_round_trips() {
         let report = ProfileReport::capture();
         assert_eq!(report.kind, PROFILE_MARKER);
-        assert_eq!(report.sections.len(), 12);
+        assert_eq!(report.sections.len(), 10);
         assert_eq!(report.sections[0].section, "pool_insert");
-        assert_eq!(report.sections[6].section, "serve_parse");
-        assert_eq!(report.sections[8].section, "serve_apply");
-        assert_eq!(report.sections[9].section, "serve_journal_append");
-        assert_eq!(report.sections[11].section, "serve_machine_apply");
+        assert_eq!(report.sections[4].section, "serve_parse");
+        assert_eq!(report.sections[6].section, "serve_apply");
+        assert_eq!(report.sections[7].section, "serve_journal_append");
+        assert_eq!(report.sections[9].section, "serve_machine_apply");
         let json = serde_json::to_string(&report).unwrap();
         let back: ProfileReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
@@ -303,57 +214,9 @@ mod tests {
             kind: PROFILE_MARKER.into(),
             enabled: false,
             sections: vec![],
-            shards: None,
             serve: None,
         };
         assert!(report.is_empty());
         assert!(report.render_text().contains("no samples"));
-    }
-
-    #[test]
-    fn shard_summary_renders_in_text_and_prometheus() {
-        let mut report = ProfileReport::capture();
-        report.shards = Some(ShardSummary {
-            shards: vec![
-                ShardProfile {
-                    shard: 0,
-                    sites: 4,
-                    busy_ns: 2_000_000,
-                    ops: 120,
-                    utilization: 0.5,
-                },
-                ShardProfile {
-                    shard: 1,
-                    sites: 4,
-                    busy_ns: 1_000_000,
-                    ops: 80,
-                    utilization: 0.25,
-                },
-            ],
-            windows: 17,
-            barrier_stall_ns: 300_000,
-            wall_ns: 4_000_000,
-            threaded: true,
-        });
-        let text = report.render_text();
-        assert!(text.contains("shard cluster (2 shards, threaded, 17 windows"));
-        assert!(text.contains("shard 0"));
-        assert!(text.contains("utilization   50.0%"));
-        let prom = report.render_prometheus();
-        assert!(prom.contains("mbts_shard_busy_seconds{shard=\"0\"} 0.002"));
-        assert!(prom.contains("mbts_shard_utilization{shard=\"1\"} 0.25"));
-        assert!(prom.contains("mbts_shard_windows_total 17"));
-        assert!(prom.contains("mbts_shard_barrier_stall_seconds 0.00030000000000000003"));
-    }
-
-    #[test]
-    fn reports_without_a_shard_field_still_deserialize() {
-        // Files written before the shard summary existed omit the key.
-        let legacy = r#"{"kind":"mbts_profile","enabled":false,"sections":[]}"#;
-        let report: ProfileReport = serde_json::from_str(legacy).unwrap();
-        assert!(report.shards.is_none());
-        let json = serde_json::to_string(&report).unwrap();
-        let back: ProfileReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, report);
     }
 }

@@ -1,10 +1,10 @@
 //! The `mbts chaos` scenario orchestrator.
 //!
 //! Runs JSON fault-injection scenarios (the `tests/chaos/` corpus)
-//! against journaled site runs, serial and sharded economy runs, and
-//! scripted service runs, crashing and recovering the workload every
-//! time an injected disk fault surfaces — and asserting, after every
-//! fault, the invariants the rest of the test suite promises:
+//! against journaled site runs, journaled economy runs, and scripted
+//! service runs, crashing and recovering the workload every time an
+//! injected disk fault surfaces — and asserting, after every fault, the
+//! invariants the rest of the test suite promises:
 //!
 //! * **Recovery bit-identity** — the faulted run's final state is
 //!   byte-for-byte the uninjected reference's (determinism re-derives
@@ -15,8 +15,8 @@
 //!   ack limbo, and recovery must resolve it exactly once.
 //! * **Conservation auditors clean** — no invariant-auditor violation
 //!   anywhere in the faulted run.
-//! * **No panics, no hangs** — every fault degrades to a typed error,
-//!   a crash-recovery cycle, or (shard fabric) a resent reply.
+//! * **No panics, no hangs** — every fault degrades to a typed error or
+//!   a crash-recovery cycle.
 //!
 //! Determinism contract: a scenario's outcome — report, fault log, and
 //! chaos trace events — is a pure function of `(seed, schedule)`. The
@@ -28,14 +28,12 @@
 //! in-memory disk image holds (optionally flipping one seeded bit via
 //! the `durable.read` failpoint), recovers, and re-journals onto a
 //! fresh disk generation — the in-process equivalent of log rotation at
-//! restart. Shard-fabric faults never crash anything: the lost-reply
-//! protocol absorbs them, and the orchestrator checks bit-identity
-//! against the serial engine instead.
+//! restart.
 
 use mbts_chaos::{ChaosRegistry, Scenario, ScenarioTarget};
 use mbts_durable::framing::{write_header, HEADER_LEN};
 use mbts_durable::{corrupt_image, ChaosSink, DurableRun, Journal, Recoverable, SharedImage};
-use mbts_market::{EconomyConfig, EconomyOutcome, EconomyRun, ShardExecMode, ShardedEconomyRun};
+use mbts_market::{EconomyConfig, EconomyOutcome, EconomyRun};
 use mbts_serve::{
     ApplyOutcome, Command as ServeCommand, CommandKind, MachineConfig, ServiceMachine, ServiceRun,
     ShedReason,
@@ -425,7 +423,6 @@ fn run_market_scenario(
     processors: usize,
     load: f64,
     policy: &str,
-    shards: usize,
     snapshot_every: u64,
     registry: &Arc<ChaosRegistry>,
     events: &mut Vec<TraceEvent>,
@@ -440,66 +437,6 @@ fn run_market_scenario(
     let mut reference = EconomyRun::new(config.clone(), &trace, Tracer::Off);
     reference.run_to_completion();
     let reference_state = reference.state_json();
-
-    if shards > 1 {
-        // Shard-fabric faults: delayed / dropped worker replies stall the
-        // coordinator's barrier and exercise resend; the run must still be
-        // bit-identical to the serial engine. Worker threads hit their
-        // failpoints concurrently, so the fired log's *order* is timing
-        // noise — sort by (instance, hit), which is deterministic, and
-        // stamp everything at the (deterministic) final sim time.
-        let mut sharded = ShardedEconomyRun::new_with_chaos(
-            config,
-            &trace,
-            Tracer::Off,
-            shards,
-            ShardExecMode::Threads,
-            Some(Arc::clone(registry)),
-        );
-        sharded.run_to_completion();
-        let end = sharded.now();
-        let mut fired = registry.drain_fired();
-        fired.sort_by(|a, b| a.point.cmp(&b.point).then(a.hit.cmp(&b.hit)));
-        for fault in fired {
-            events.push(TraceEvent {
-                at: end,
-                task: None,
-                site: None,
-                kind: TraceKind::ChaosInjected {
-                    point: fault.point,
-                    action: fault.action.label().to_string(),
-                },
-            });
-        }
-        push_recovered(
-            events,
-            end,
-            "market.shard.reply",
-            format!("all replies accounted for across {shards} shards"),
-        );
-        bit_identity_check(
-            name,
-            "final-economy-state",
-            &reference_state,
-            &sharded.state_json_mut(),
-        )?;
-        let (outcome, _) = sharded.finish();
-        let audit = economy_audit_violations(&outcome);
-        if audit > 0 {
-            return Err(format!(
-                "scenario '{name}': {audit} conservation-auditor violations in the sharded run"
-            ));
-        }
-        return Ok((
-            0,
-            0,
-            vec![
-                "sharded-bit-identical-to-serial".to_string(),
-                "auditors-clean".to_string(),
-                "no-reply-lost".to_string(),
-            ],
-        ));
-    }
 
     let mk = || EconomyRun::new(config.clone(), &trace, Tracer::Off);
     let (run, crashes, replayed) =
@@ -521,18 +458,6 @@ fn run_market_scenario(
             "recovery-replay-verified".to_string(),
         ],
     ))
-}
-
-/// `ShardedEconomyRun::snapshot` needs `&mut self`; adapter so the
-/// sharded path can reuse the same comparison helper.
-trait StateJsonMut {
-    fn state_json_mut(&mut self) -> String;
-}
-
-impl StateJsonMut for ShardedEconomyRun {
-    fn state_json_mut(&mut self) -> String {
-        serde_json::to_string(&self.snapshot()).expect("economy snapshots serialize")
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -978,7 +903,6 @@ pub fn run_scenario(
             processors,
             load,
             policy,
-            shards,
             snapshot_every,
         } => run_market_scenario(
             name,
@@ -988,7 +912,6 @@ pub fn run_scenario(
             *processors,
             *load,
             policy,
-            *shards,
             *snapshot_every,
             &registry,
             &mut events,

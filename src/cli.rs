@@ -13,7 +13,7 @@
 //! mbts market --trace trace.json [--sites N] [--procs-per-site P]
 //!             [--policy SPEC] [--admission SPEC]
 //!             [--selection earliest|slack|random|first] [--second-price]
-//!             [--journal FILE] [--shards N]
+//!             [--journal FILE]
 //! mbts serve  [--addr HOST:PORT] [--journal FILE] [--processors P]
 //!             [--policy SPEC] [--admission SPEC] [--queue-cap N]
 //!             [--shed-threshold N] [--time-scale X] [--provenance]
@@ -35,14 +35,8 @@
 //! into yield-attribution, preemption-chain, admission-regret and
 //! utilization reports.
 //!
-//! `--shards N` runs the economy as N parallel site groups under the
-//! conservative parallel-discrete-event engine; the result is
-//! bit-identical to the serial run, and the summary (plus the profile
-//! report, when `--profile` is also given) gains per-shard utilization
-//! and barrier-stall figures. `--shards` is incompatible with
-//! `--journal`: the durable journal serializes one global event order,
-//! which only the serial engine produces — passing both is a parse
-//! error, not a silent fallback.
+//! `mbts market` has one engine, the serial event loop, and every run
+//! of it is journalable (DESIGN.md §12).
 //!
 //! `mbts serve` fronts the same deterministic core as a live HTTP+JSON
 //! daemon: every accepted command is journal-appended *before* it is
@@ -140,10 +134,6 @@ pub enum Command {
         /// Enable the hot-path self-profiler and write its report
         /// (JSON) to this path.
         profile: Option<PathBuf>,
-        /// Run the economy sharded across this many parallel site
-        /// groups (1 = the serial engine). Results are bit-identical
-        /// whatever the count.
-        shards: usize,
     },
     /// Post-process trace / journal / profiler files into reports.
     Analyze {
@@ -439,10 +429,8 @@ pub fn usage() -> &'static str {
      \x20           [--audit FILE] [--journal FILE] [--trace-out FILE [--provenance]]\n\
      \x20           [--profile FILE]\n\
      mbts market <--trace FILE | --workflow FILE> [--sites N] [--procs-per-site P] [--policy SPEC]\n\
-     \x20           [--admission SPEC] [--selection KIND] [--second-price] [--shards N]\n\
+     \x20           [--admission SPEC] [--selection KIND] [--second-price] [--seed S]\n\
      \x20           [--journal FILE] [--trace-out FILE [--provenance]] [--profile FILE]\n\
-     \x20           (--shards N is incompatible with --journal FILE: the durable\n\
-     \x20            journal requires the serial engine's global event order)\n\
      mbts serve  [--addr HOST:PORT] [--journal FILE] [--processors P] [--policy SPEC]\n\
      \x20           [--admission SPEC] [--queue-cap N] [--shed-threshold N]\n\
      \x20           [--time-scale X] [--snapshot-every N] [--fsync-every N]\n\
@@ -471,29 +459,153 @@ pub fn usage() -> &'static str {
      shape specs: fork-join:<width> pipeline:<depth> layered:<layers>:<width>:<edge_prob>"
 }
 
+/// One subcommand's accepted flags. [`parse`] checks every argument
+/// against its subcommand's entry once, before any flag is looked up.
+struct FlagTable {
+    sub: &'static str,
+    /// Flags that take the next token as their value.
+    values: &'static [&'static str],
+    /// Flags that stand alone.
+    switches: &'static [&'static str],
+    /// Whether bare tokens are positional inputs.
+    positional: bool,
+}
+
+#[rustfmt::skip]
+const FLAG_TABLES: &[FlagTable] = &[
+    FlagTable { sub: "gen", positional: false, switches: &[], values: &[
+        "--out", "--swf", "--tasks", "--processors", "--load", "--seed", "--value-skew",
+        "--decay-skew", "--mean-decay", "--bound", "--widths", "--workflow", "--workflows"] },
+    FlagTable { sub: "run", positional: false,
+        switches: &["--preemption", "--drop-expired", "--gantt", "--classes", "--provenance"],
+        values: &["--trace", "--workflow", "--policy", "--admission", "--processors", "--audit",
+                  "--journal", "--trace-out", "--profile"] },
+    FlagTable { sub: "market", positional: false,
+        switches: &["--second-price", "--provenance"],
+        values: &["--trace", "--workflow", "--sites", "--procs-per-site", "--policy", "--admission",
+                  "--selection", "--seed", "--journal", "--trace-out", "--profile"] },
+    FlagTable { sub: "serve", positional: false,
+        switches: &["--provenance", "--no-telemetry"],
+        values: &["--addr", "--journal", "--processors", "--policy", "--admission", "--queue-cap",
+                  "--shed-threshold", "--time-scale", "--snapshot-every", "--fsync-every",
+                  "--status-cap", "--throttle-us", "--profile", "--chaos", "--chaos-seed"] },
+    FlagTable { sub: "flood", positional: false, switches: &[], values: &[
+        "--addr", "--requests", "--connections", "--pipeline", "--seed", "--retries",
+        "--cancel-every", "--malformed-every", "--gate-rps", "--out"] },
+    FlagTable { sub: "top", positional: false, switches: &["--once"],
+        values: &["--addr", "--interval", "--count"] },
+    FlagTable { sub: "chaos", positional: true, switches: &[],
+        values: &["--seed", "--format", "--out", "--trace-out"] },
+    FlagTable { sub: "analyze", positional: true, switches: &[],
+        values: &["--format", "--buckets", "--out"] },
+    FlagTable { sub: "metrics", positional: false, switches: &[],
+        values: &["--trace", "--label", "--processors", "--profile", "--prom"] },
+    FlagTable { sub: "resume", positional: false, switches: &[], values: &["--journal"] },
+    FlagTable { sub: "compare", positional: false, switches: &[], values: &[
+        "--a", "--b", "--tasks", "--load", "--seeds", "--processors", "--admission",
+        "--mean-decay"] },
+    FlagTable { sub: "validate", positional: false, switches: &[], values: &["--trace"] },
+    FlagTable { sub: "policies", positional: false, switches: &[], values: &[] },
+];
+
+/// A subcommand's arguments after the table check: every flag is known
+/// to the subcommand and given once, and every value-taking flag is
+/// paired with a token that is not itself a flag.
+struct Flags<'a> {
+    table: &'static FlagTable,
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+    positional: Vec<&'a str>,
+}
+
+impl<'a> Flags<'a> {
+    fn check(table: &'static FlagTable, rest: &[&'a str]) -> Result<Self, String> {
+        let sub = table.sub;
+        let mut flags = Flags {
+            table,
+            values: Vec::new(),
+            switches: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut it = rest.iter().copied();
+        while let Some(tok) = it.next() {
+            if !tok.starts_with("--") {
+                if !table.positional {
+                    return Err(format!("unexpected argument '{tok}' for 'mbts {sub}'"));
+                }
+                flags.positional.push(tok);
+            } else if flags.switches.contains(&tok) || flags.values.iter().any(|(f, _)| *f == tok) {
+                return Err(format!(
+                    "flag '{tok}' given more than once for 'mbts {sub}'"
+                ));
+            } else if table.switches.contains(&tok) {
+                flags.switches.push(tok);
+            } else if table.values.contains(&tok) {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => flags.values.push((tok, v)),
+                    Some(v) => {
+                        return Err(format!(
+                            "flag '{tok}' for 'mbts {sub}' needs a value, found flag '{v}'"
+                        ))
+                    }
+                    None => return Err(format!("flag '{tok}' for 'mbts {sub}' needs a value")),
+                }
+            } else {
+                let hint = match (sub, tok) {
+                    ("market", "--shards") => {
+                        ": the market engine is serial-only since the sharded \
+                         engine was removed (DESIGN.md §12)"
+                    }
+                    _ => "",
+                };
+                return Err(format!("unknown flag '{tok}' for 'mbts {sub}'{hint}"));
+            }
+        }
+        Ok(flags)
+    }
+
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        debug_assert!(self.table.values.contains(&flag), "{flag} not in table");
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| *v)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        debug_assert!(self.table.switches.contains(&flag), "{flag} not in table");
+        self.switches.contains(&flag)
+    }
+
+    fn num(&self, flag: &str, default: f64) -> Result<f64, String> {
+        match self.get(flag) {
+            Some(v) => v.parse().map_err(|_| format!("{flag} needs a number")),
+            None => Ok(default),
+        }
+    }
+
+    fn int(&self, flag: &str, default: usize) -> Result<usize, String> {
+        match self.get(flag) {
+            Some(v) => v.parse().map_err(|_| format!("{flag} needs an integer")),
+            None => Ok(default),
+        }
+    }
+}
+
 /// Parses a full argument vector (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter().map(String::as_str);
     let sub = it.next().ok_or_else(|| usage().to_string())?;
     let rest: Vec<&str> = it.collect();
-    let get = |flag: &str| -> Option<&str> {
-        rest.iter()
-            .position(|a| *a == flag)
-            .and_then(|i| rest.get(i + 1).copied())
-    };
-    let has = |flag: &str| rest.contains(&flag);
-    let num = |flag: &str, default: f64| -> Result<f64, String> {
-        match get(flag) {
-            Some(v) => v.parse().map_err(|_| format!("{flag} needs a number")),
-            None => Ok(default),
-        }
-    };
-    let int = |flag: &str, default: usize| -> Result<usize, String> {
-        match get(flag) {
-            Some(v) => v.parse().map_err(|_| format!("{flag} needs an integer")),
-            None => Ok(default),
-        }
-    };
+    let table = FLAG_TABLES
+        .iter()
+        .find(|t| t.sub == sub)
+        .ok_or_else(|| format!("unknown subcommand '{sub}'\n{}", usage()))?;
+    let flags = Flags::check(table, &rest)?;
+    let get = |flag: &str| flags.get(flag);
+    let has = |flag: &str| flags.has(flag);
+    let num = |flag: &str, default: f64| flags.num(flag, default);
+    let int = |flag: &str, default: usize| flags.int(flag, default);
 
     match sub {
         "gen" => {
@@ -614,23 +726,14 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             if provenance && trace_out.is_none() {
                 return Err("--provenance requires --trace-out FILE".into());
             }
-            let journal = get("--journal").map(PathBuf::from);
-            let shards = int("--shards", 1)?;
-            if shards == 0 {
-                return Err("--shards must be at least 1".into());
-            }
-            if shards > 1 && journal.is_some() {
-                return Err("--shards requires the serial engine; drop --journal".into());
-            }
             Ok(Command::Market {
                 trace,
                 workflow,
                 economy,
-                journal,
+                journal: get("--journal").map(PathBuf::from),
                 trace_out,
                 provenance,
                 profile: get("--profile").map(PathBuf::from),
-                shards,
             })
         }
         "analyze" => {
@@ -643,21 +746,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             if buckets == 0 {
                 return Err("--buckets must be at least 1".into());
             }
-            // Positional inputs: everything that is neither a flag nor
-            // the value of a value-taking flag.
-            let mut inputs = Vec::new();
-            let mut skip = false;
-            for a in &rest {
-                if skip {
-                    skip = false;
-                    continue;
-                }
-                match *a {
-                    "--format" | "--buckets" | "--out" => skip = true,
-                    f if f.starts_with("--") => return Err(format!("unknown flag '{f}'")),
-                    file => inputs.push(PathBuf::from(file)),
-                }
-            }
+            let inputs: Vec<PathBuf> = flags.positional.iter().map(PathBuf::from).collect();
             if inputs.is_empty() {
                 return Err("analyze requires at least one input file".into());
             }
@@ -784,21 +873,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 ),
                 None => None,
             };
-            // Positional inputs: everything that is neither a flag nor
-            // the value of a value-taking flag.
-            let mut inputs = Vec::new();
-            let mut skip = false;
-            for a in &rest {
-                if skip {
-                    skip = false;
-                    continue;
-                }
-                match *a {
-                    "--format" | "--seed" | "--out" | "--trace-out" => skip = true,
-                    f if f.starts_with("--") => return Err(format!("unknown flag '{f}'")),
-                    file => inputs.push(PathBuf::from(file)),
-                }
-            }
+            let inputs: Vec<PathBuf> = flags.positional.iter().map(PathBuf::from).collect();
             if inputs.is_empty() {
                 return Err("chaos requires at least one scenario file or directory".into());
             }
@@ -838,7 +913,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Validate { trace })
         }
         "policies" => Ok(Command::Policies),
-        other => Err(format!("unknown subcommand '{other}'\n{}", usage())),
+        other => unreachable!("FLAG_TABLES lists '{other}' but parse has no arm for it"),
     }
 }
 
@@ -953,66 +1028,10 @@ fn write_trace_out(
     writeln!(out, "trace: {} events -> {}", events.len(), path.display()).map_err(|e| e.to_string())
 }
 
-/// Converts a market-layer shard report into the trace-layer summary
-/// that rides along in the profile report.
-fn shard_summary(stats: &mbts_market::ShardStats) -> mbts_trace::ShardSummary {
-    mbts_trace::ShardSummary {
-        shards: stats
-            .shards
-            .iter()
-            .map(|s| mbts_trace::ShardProfile {
-                shard: s.shard,
-                sites: s.sites,
-                busy_ns: s.busy_ns,
-                ops: s.ops,
-                utilization: s.utilization(stats.wall_ns),
-            })
-            .collect(),
-        windows: stats.windows,
-        barrier_stall_ns: stats.barrier_stall_ns,
-        wall_ns: stats.wall_ns,
-        threaded: stats.threaded,
-    }
-}
-
-/// Prints the per-shard utilization table after a sharded market run.
-fn shard_banner(
-    summary: &mbts_trace::ShardSummary,
-    out: &mut dyn std::io::Write,
-) -> Result<(), String> {
-    writeln!(
-        out,
-        "shards: {} ({}), {} windows, barrier stall {:.3}ms",
-        summary.shards.len(),
-        if summary.threaded {
-            "threaded"
-        } else {
-            "inline"
-        },
-        summary.windows,
-        summary.barrier_stall_ns as f64 * 1e-6
-    )
-    .map_err(|e| e.to_string())?;
-    for p in &summary.shards {
-        writeln!(
-            out,
-            "  shard {}: {} sites, {} ops, busy {:.3}ms, utilization {:.1}%",
-            p.shard,
-            p.sites,
-            p.ops,
-            p.busy_ns as f64 * 1e-6,
-            p.utilization * 100.0
-        )
-        .map_err(|e| e.to_string())?;
-    }
-    Ok(())
-}
-
 /// Disarms the self-profiler and saves its report, if it was armed.
 fn write_profile_out(
     armed: bool,
     path: Option<&std::path::Path>,
-    shards: Option<mbts_trace::ShardSummary>,
     serve: Option<mbts_trace::ServeSummary>,
     out: &mut dyn std::io::Write,
 ) -> Result<(), String> {
@@ -1020,7 +1039,6 @@ fn write_profile_out(
         return Ok(());
     }
     let mut report = mbts_trace::ProfileReport::capture();
-    report.shards = shards;
     report.serve = serve;
     mbts_sim::profiler::disable();
     let Some(path) = path else { return Ok(()) };
@@ -1271,7 +1289,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 }
             };
             write_trace_out(trace_out.as_deref(), tracer, out)?;
-            write_profile_out(profiling, profile.as_deref(), None, None, out)?;
+            write_profile_out(profiling, profile.as_deref(), None, out)?;
             let m = &outcome.metrics;
             writeln!(
                 out,
@@ -1359,7 +1377,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             trace_out,
             provenance,
             profile,
-            shards,
         } => {
             let wfset = load_workflow_set(workflow.as_deref())?;
             let trace = match (&wfset, trace) {
@@ -1381,22 +1398,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             }
             let tracer = make_tracer(trace_out.is_some(), provenance);
             let profiling = start_profiling(profile.is_some());
-            if shards > 1 {
-                let mut run = mbts_market::ShardedEconomyRun::new(
-                    economy,
-                    &trace,
-                    tracer,
-                    shards,
-                    mbts_market::ShardExecMode::Auto,
-                );
-                run.run_to_completion();
-                let summary = shard_summary(&run.shard_stats());
-                let (outcome, tracer) = run.finish();
-                shard_banner(&summary, out)?;
-                write_trace_out(trace_out.as_deref(), tracer, out)?;
-                write_profile_out(profiling, profile.as_deref(), Some(summary), None, out)?;
-                return market_summary(&outcome, out);
-            }
             let (outcome, tracer) = match journal {
                 Some(path) => {
                     let j = mbts_durable::Journal::create(&path)
@@ -1424,7 +1425,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 None => Economy::new(economy).run_trace_traced(&trace, tracer),
             };
             write_trace_out(trace_out.as_deref(), tracer, out)?;
-            write_profile_out(profiling, profile.as_deref(), None, None, out)?;
+            write_profile_out(profiling, profile.as_deref(), None, out)?;
             market_summary(&outcome, out)
         }
         Command::Analyze {
@@ -1654,7 +1655,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             out.flush().map_err(|e| e.to_string())?;
             let report = server.join().map_err(|e| format!("daemon failed: {e}"))?;
             let summary = Some(report.summary.clone());
-            write_profile_out(profiling, profile.as_deref(), None, summary, out)?;
+            write_profile_out(profiling, profile.as_deref(), summary, out)?;
             let s = &report.summary;
             writeln!(
                 out,
@@ -2049,14 +2050,11 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Market {
-                economy, shards, ..
-            } => {
+            Command::Market { economy, .. } => {
                 assert_eq!(economy.sites.len(), 2);
                 assert_eq!(economy.sites[0].processors, 6);
                 assert_eq!(economy.selection, ClientSelection::Random);
                 assert_eq!(economy.pricing, PricingStrategy::second_price());
-                assert_eq!(shards, 1, "serial engine by default");
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -2064,16 +2062,21 @@ mod tests {
 
     #[test]
     fn parse_market_shards_flag() {
-        match parse(&args("market --trace t.json --sites 8 --shards 4")).unwrap() {
-            Command::Market { shards, .. } => assert_eq!(shards, 4),
-            other => panic!("wrong command: {other:?}"),
+        // The sharded engine is gone; a stale `--shards` must not be
+        // accepted and ignored.
+        for stale in [
+            "market --trace t.json --sites 8 --shards 4",
+            "market --trace t.json --shards 1 --journal j.bin",
+            "market --workflow w.json --shards 2",
+        ] {
+            let err = parse(&args(stale)).unwrap_err();
+            assert!(
+                err.contains("unknown flag '--shards' for 'mbts market'"),
+                "{err}"
+            );
+            assert!(err.contains("serial-only"), "{err}");
         }
-        assert!(parse(&args("market --trace t.json --shards 0")).is_err());
-        // The durable journal wraps the serial engine only.
-        assert!(parse(&args("market --trace t.json --shards 2 --journal j.bin")).is_err());
-        assert!(parse(&args("market --trace t.json --shards 1 --journal j.bin")).is_ok());
-        // The incompatibility is documented, not just enforced.
-        assert!(usage().contains("--shards N is incompatible with --journal FILE"));
+        assert!(!usage().contains("--shards"));
     }
 
     #[test]
@@ -2140,16 +2143,12 @@ mod tests {
             }
             other => panic!("wrong command: {other:?}"),
         }
-        match parse(&args("market --workflow w.json --sites 2 --shards 4")).unwrap() {
+        match parse(&args("market --workflow w.json --sites 2")).unwrap() {
             Command::Market {
-                trace,
-                workflow,
-                shards,
-                ..
+                trace, workflow, ..
             } => {
                 assert!(trace.is_none());
                 assert_eq!(workflow, Some(PathBuf::from("w.json")));
-                assert_eq!(shards, 4);
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -2158,9 +2157,8 @@ mod tests {
         assert!(parse(&args("run --trace t.json --workflow w.json")).is_err());
         assert!(parse(&args("market")).is_err());
         assert!(parse(&args("market --trace t.json --workflow w.json")).is_err());
-        // Workflow market runs journal and shard like plain ones.
+        // Workflow market runs journal like plain ones.
         assert!(parse(&args("market --workflow w.json --journal j.bin")).is_ok());
-        assert!(parse(&args("market --workflow w.json --shards 2 --journal j.bin")).is_err());
     }
 
     #[test]
@@ -2394,6 +2392,65 @@ mod tests {
         assert!(parse(&args("metrics")).is_err());
     }
 
+    /// Every subcommand rejects — naming the flag and the subcommand — a
+    /// flag it does not know, a value flag followed by another flag or by
+    /// nothing, and a flag given twice. Nothing reaches `execute`, so no
+    /// file named after a swallowed flag can appear.
+    #[test]
+    fn every_subcommand_checks_its_flags_against_its_table() {
+        for t in FLAG_TABLES {
+            let sub = t.sub;
+            let rejected = |line: String, flag: &str, why: &str| {
+                let err = parse(&args(&line)).expect_err(&line);
+                assert!(
+                    err.contains(&format!("'{flag}'"))
+                        && err.contains(&format!("'mbts {sub}'"))
+                        && err.contains(why),
+                    "`mbts {line}`: {err}"
+                );
+            };
+            rejected(
+                format!("{sub} --no-such-flag"),
+                "--no-such-flag",
+                "unknown flag",
+            );
+            for flag in t.values {
+                rejected(
+                    format!("{sub} {flag} --classes"),
+                    flag,
+                    "found flag '--classes'",
+                );
+                rejected(format!("{sub} {flag}"), flag, "needs a value");
+                rejected(format!("{sub} {flag} 1 {flag} 2"), flag, "more than once");
+            }
+            for flag in t.switches {
+                rejected(format!("{sub} {flag} {flag}"), flag, "more than once");
+            }
+            if !t.positional {
+                rejected(format!("{sub} stray"), "stray", "unexpected argument");
+            }
+        }
+        assert!(!std::path::Path::new("--classes").exists());
+
+        // The two silent misparses this table replaced.
+        let err = parse(&args("run --trace t.json --polcy fcfs --bogus")).unwrap_err();
+        assert!(
+            err.contains("unknown flag '--polcy' for 'mbts run'"),
+            "{err}"
+        );
+        let err = parse(&args("run --trace t.json --journal --classes")).unwrap_err();
+        assert!(
+            err.contains("flag '--journal' for 'mbts run' needs a value"),
+            "{err}"
+        );
+
+        assert!(parse(&args("market --trace t.json --shards 2")).is_err());
+        assert!(parse(&args("market --workflow w.json --journal j.bin")).is_ok());
+        // A single dash is a value, not a flag: this fails on its range.
+        let err = parse(&args("top --interval -1")).unwrap_err();
+        assert!(err.contains("--interval must be positive"), "{err}");
+    }
+
     #[test]
     fn parse_analyze_and_metrics_commands() {
         match parse(&args(
@@ -2546,6 +2603,31 @@ mod tests {
     }
 
     #[test]
+    fn analyze_loads_a_profile_that_still_carries_a_shards_key() {
+        // Builds that had a sharded market engine wrote a `shards`
+        // summary into `--profile` reports; the key is ignored.
+        let dir = std::env::temp_dir().join("mbts-cli-legacy-profile");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("profile.json");
+        std::fs::write(
+            &path,
+            r#"{"kind":"mbts_profile","enabled":true,"sections":[],
+                "shards":{"shards":[{"shard":0,"sites":4,"ops":2}],"windows":3,"threaded":true}}"#,
+        )
+        .unwrap();
+        let mut buf = Vec::new();
+        execute(
+            parse(&args(&format!("analyze {}", path.display()))).unwrap(),
+            &mut buf,
+        )
+        .unwrap();
+        let text = String::from_utf8_lossy(&buf).to_string();
+        assert!(text.contains("hot-path profile"), "{text}");
+        assert!(!text.contains("shard"), "{text}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn end_to_end_gen_run_market() {
         let dir = std::env::temp_dir().join("mbts-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -2595,67 +2677,6 @@ mod tests {
         assert!(String::from_utf8_lossy(&buf).contains("first-reward"));
 
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sharded_market_cli_matches_serial_and_reports_shards() {
-        let dir = std::env::temp_dir().join("mbts-cli-shards");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.json");
-        let path_s = path.to_str().unwrap();
-        let profile = dir.join("profile.json");
-
-        let mut buf = Vec::new();
-        execute(
-            parse(&args(&format!(
-                "gen --out {path_s} --tasks 150 --processors 8 --load 1.4 --seed 9"
-            )))
-            .unwrap(),
-            &mut buf,
-        )
-        .unwrap();
-
-        let market =
-            format!("market --trace {path_s} --sites 4 --procs-per-site 2 --admission slack:0");
-        let mut serial = Vec::new();
-        execute(parse(&args(&market)).unwrap(), &mut serial).unwrap();
-        let serial = String::from_utf8_lossy(&serial).to_string();
-
-        let mut sharded = Vec::new();
-        execute(
-            parse(&args(&format!(
-                "{market} --shards 4 --profile {}",
-                profile.display()
-            )))
-            .unwrap(),
-            &mut sharded,
-        )
-        .unwrap();
-        let sharded = String::from_utf8_lossy(&sharded).to_string();
-
-        // The sharded run prepends its utilization banner; the economy
-        // summary that follows must be identical to the serial run's.
-        assert!(sharded.contains("shards: 4"), "{sharded}");
-        assert!(sharded.contains("shard 0:"), "{sharded}");
-        assert!(sharded.contains("utilization"), "{sharded}");
-        let summary = sharded
-            .lines()
-            .skip_while(|l| !l.contains("sites | offered"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(serial.trim_end().ends_with(summary.trim_end()), "{sharded}");
-
-        // The profile report carries the shard summary for `analyze`
-        // and `metrics --prom`.
-        let report = read_profile_report(&profile).unwrap();
-        let shards = report.shards.clone().expect("shard summary present");
-        assert_eq!(shards.shards.len(), 4);
-        assert!(report
-            .render_prometheus()
-            .contains("mbts_shard_utilization"));
-
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&profile).ok();
     }
 
     #[test]

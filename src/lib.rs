@@ -27,7 +27,7 @@
 //! * [`experiments`] — the harness that regenerates every figure of the
 //!   paper's evaluation (Figures 3–7) plus ablations.
 //! * [`chaos`] — the `mbts chaos` scenario orchestrator: deterministic
-//!   fault-injection schedules (disk, network, shard fabric) replayed
+//!   fault-injection schedules (disk, network) replayed
 //!   against journaled runs, with recovery bit-identity, acked-prefix
 //!   durability, and clean-auditor invariants checked after every fault.
 //!

@@ -1,7 +1,7 @@
 //! Chaos-tier integration tests: the `tests/chaos/` scenario corpus run
 //! through the orchestrator in-process — every fault class (disk,
-//! network-adjacent serve journal, shard fabric) injected, every
-//! invariant checked, and the `(seed, schedule)` determinism contract
+//! network-adjacent serve journal) injected, every invariant checked,
+//! and the `(seed, schedule)` determinism contract
 //! enforced by the paired-run comparison inside `run_corpus`.
 
 use mbts::chaos::{run_corpus, run_scenario};
@@ -14,9 +14,9 @@ fn corpus() -> Vec<Scenario> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/chaos");
     let loaded = Scenario::load_dir(&dir).expect("corpus dir loads");
     assert!(
-        loaded.len() >= 8,
-        "corpus shrank to {} scenarios — keep at least 8 spanning disk, \
-         network, and shard classes",
+        loaded.len() >= 7,
+        "corpus shrank to {} scenarios — keep at least 7 spanning the disk \
+         and serve classes",
         loaded.len()
     );
     loaded.into_iter().map(|(_, s)| s).collect()
@@ -108,22 +108,22 @@ fn armed_but_never_hit_schedule_fails_loudly() {
     );
 }
 
-/// Shard-fabric chaos never touches a journal: the sharded scenario runs
-/// crash-free, absorbs every dropped reply through the resend protocol,
-/// and still reports the faults it injected.
+/// A schedule written for the removed sharded market engine still
+/// loads (the `shards` key is ignored) but its `market.shard.reply` point
+/// no longer exists, so it fails as armed-but-never-hit, not silently.
 #[test]
-fn shard_scenarios_absorb_faults_without_crashing() {
-    let scenario = corpus()
-        .into_iter()
-        .find(|s| s.name == "market-shard-drop")
-        .expect("corpus names are stable");
-    let (report, events) = run_scenario(&scenario, None).expect("shard scenario passes");
-    assert_eq!(report.crashes, 0, "reply faults must not crash anything");
-    assert!(report.injected > 0);
+fn stale_shard_reply_schedule_fails_as_never_hit() {
+    let scenario = Scenario::from_json(
+        r#"{
+            "name": "stale-shard-schedule", "seed": 71,
+            "target": {"Market": {"tasks": 40, "sites": 2, "shards": 3}},
+            "failpoints": [{"point": "market.shard.reply", "action": "DropConn", "every": 11}]
+        }"#,
+    )
+    .expect("the stale shards key is ignored");
+    let err = run_scenario(&scenario, None).expect_err("a dead point must not pass silently");
     assert!(
-        report.by_point.keys().all(|k| k.starts_with("market.shard.reply.")),
-        "only shard-fabric points may fire: {:?}",
-        report.by_point
+        err.contains("no failpoint ever fired"),
+        "unexpected error: {err}"
     );
-    assert!(!events.is_empty());
 }

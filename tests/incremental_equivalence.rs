@@ -8,10 +8,7 @@
 use mbts::core::{
     build_candidate, AdmissionPolicy, CostModel, Job, Policy, ScheduleEntry, ScheduleMode, ScoreCtx,
 };
-use mbts::market::{
-    Economy, EconomyConfig, EconomyRun, MarketFaultConfig, MigrationConfig, ShardExecMode,
-    ShardedEconomyRun,
-};
+use mbts::market::{Economy, EconomyConfig, EconomyRun, MarketFaultConfig, MigrationConfig};
 use mbts::sim::{FaultConfig, Time, UpDown};
 use mbts::site::{FaultPlan, Site, SiteConfig};
 use mbts::trace::Tracer;
@@ -404,10 +401,9 @@ fn dynamic_candidate_matches_from_scratch_rescore_bit_for_bit() {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-market equivalence: the conservative-PDES runner is an
-// optimization, not a behavior change. Whatever the shard count, the
-// execution mode, or where a run pauses for a snapshot, the final
-// `EconomySnapshot` must be byte-identical to the serial engine's.
+// Market pause/resume equivalence: wherever an economy run pauses for a
+// snapshot, restoring it and finishing must end in an `EconomySnapshot`
+// byte-identical to the uninterrupted run's.
 // ---------------------------------------------------------------------------
 
 fn market_trace(tasks: usize, seed: u64) -> Trace {
@@ -447,71 +443,15 @@ fn market_cfg(sites: usize, policy: Policy) -> EconomyConfig {
     c
 }
 
-fn serial_snapshot_json(cfg: &EconomyConfig, trace: &Trace) -> String {
-    let mut run = EconomyRun::new(cfg.clone(), trace, Tracer::Off);
-    while run.step() {}
-    serde_json::to_string(&run.snapshot()).expect("serialize serial snapshot")
-}
-
-fn sharded_snapshot_json(
-    cfg: &EconomyConfig,
-    trace: &Trace,
-    shards: usize,
-    mode: ShardExecMode,
-) -> String {
-    let mut run = ShardedEconomyRun::new(cfg.clone(), trace, Tracer::Off, shards, mode);
-    while run.step() {}
-    serde_json::to_string(&run.snapshot()).expect("serialize sharded snapshot")
-}
-
-#[test]
-fn sharded_market_snapshots_match_serial_for_every_policy() {
-    for (label, policy) in all_policies() {
-        for seed in [71, 72, 73] {
-            let trace = market_trace(160, seed);
-            let cfg = market_cfg(8, policy);
-            let serial = serial_snapshot_json(&cfg, &trace);
-            for shards in [1, 2, 4, 8] {
-                let sharded = sharded_snapshot_json(&cfg, &trace, shards, ShardExecMode::Inline);
-                assert_eq!(
-                    serial, sharded,
-                    "final snapshot diverged: {label} seed {seed} shards {shards}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn threaded_sharded_market_matches_serial_outcome_and_snapshot() {
-    for (label, policy) in all_policies() {
-        let trace = market_trace(200, 74);
-        let cfg = market_cfg(8, policy);
-        let eco = Economy::new(cfg.clone());
-        let serial_outcome = eco.run_trace(&trace);
-        let serial_snap = serial_snapshot_json(&cfg, &trace);
-        for shards in [2, 8] {
-            let (outcome, _) =
-                eco.run_trace_sharded(&trace, Tracer::Off, shards, ShardExecMode::Threads);
-            assert_eq!(
-                serial_outcome, outcome,
-                "outcome diverged: {label} x{shards}"
-            );
-            assert!(
-                outcome.audit_violations.is_empty(),
-                "auditors flagged the sharded run: {label} x{shards}"
-            );
-            let snap = sharded_snapshot_json(&cfg, &trace, shards, ShardExecMode::Threads);
-            assert_eq!(serial_snap, snap, "snapshot diverged: {label} x{shards}");
-        }
-    }
+fn snapshot_json(run: &EconomyRun) -> String {
+    serde_json::to_string(&run.snapshot()).expect("serialize economy snapshot")
 }
 
 // ---------------------------------------------------------------------------
 // Workflow equivalence: DAG workloads run through the market must be an
-// overlay, not a fork of the engine. Whatever the shard count, the fault
-// plan, or the provenance level, the final snapshot — workflow ledger
-// included — must match the serial engine byte for byte.
+// overlay, not a fork of the engine. Whatever the fault plan, the
+// provenance level, or where the run pauses, the final state — workflow
+// ledger included — must not change.
 // ---------------------------------------------------------------------------
 
 fn equivalence_wf_set(seed: u64) -> WorkflowSet {
@@ -561,31 +501,6 @@ fn wf_market_cfg(sites: usize, policy: Policy, faulted: bool, set: &WorkflowSet)
 }
 
 #[test]
-fn workflow_sharded_market_matches_serial_for_every_policy() {
-    for (label, policy) in all_policies() {
-        for faulted in [false, true] {
-            let set = equivalence_wf_set(81);
-            let trace = set.trace();
-            let cfg = wf_market_cfg(8, policy, faulted, &set);
-            let serial = serial_snapshot_json(&cfg, &trace);
-            for shards in [1, 2, 4, 8] {
-                let sharded = sharded_snapshot_json(&cfg, &trace, shards, ShardExecMode::Inline);
-                assert_eq!(
-                    serial, sharded,
-                    "workflow snapshot diverged: {label} faulted={faulted} shards {shards}"
-                );
-            }
-            // The threaded executor takes the same path once windows open.
-            let threaded = sharded_snapshot_json(&cfg, &trace, 4, ShardExecMode::Threads);
-            assert_eq!(
-                serial, threaded,
-                "workflow snapshot diverged threaded: {label} faulted={faulted}"
-            );
-        }
-    }
-}
-
-#[test]
 fn workflow_provenance_off_streams_are_byte_identical_to_default_streams() {
     // Same additivity contract as the flat-task version, but over a DAG
     // market: provenance must not perturb release order, settlement, or
@@ -622,51 +537,43 @@ fn workflow_provenance_off_streams_are_byte_identical_to_default_streams() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any barrier-respecting interleaving converges to the serial
-    /// state: pause a sharded run at an arbitrary event boundary, then
-    /// finish it (a) in place, (b) resumed under a *different* shard
-    /// count, and (c) resumed in the serial engine. All three final
-    /// snapshots must be byte-identical to an uninterrupted serial run.
+    /// Pause an economy run at an arbitrary event boundary, carry its
+    /// snapshot through JSON into a fresh run, and finish both: each must
+    /// end byte-identical to a run that never paused. Covers the hostile
+    /// flat economy and the workflow overlay, unfaulted and faulted.
     #[test]
-    fn barrier_respecting_interleavings_yield_byte_identical_snapshots(
+    fn paused_market_resumes_to_the_uninterrupted_snapshot(
         seed in 1u64..500,
         policy_idx in 0usize..7,
-        shards_a in 1usize..=8,
-        shards_b in 1usize..=8,
-        threaded in any::<bool>(),
-        pause_after in 1u64..400,
+        overlay in 0usize..3,
+        pause_permille in 0u64..1000,
     ) {
         let (_, policy) = all_policies()[policy_idx];
-        let trace = market_trace(120, seed);
-        let cfg = market_cfg(6, policy);
-        let serial = serial_snapshot_json(&cfg, &trace);
+        let (cfg, trace) = match overlay {
+            0 => (market_cfg(6, policy), market_trace(120, seed)),
+            _ => {
+                let set = equivalence_wf_set(seed);
+                (wf_market_cfg(6, policy, overlay == 2, &set), set.trace())
+            }
+        };
+        let mut uninterrupted = EconomyRun::new(cfg.clone(), &trace, Tracer::Off);
+        uninterrupted.run_to_completion();
+        let expected = snapshot_json(&uninterrupted);
+        let pause_after = uninterrupted.events_handled() * pause_permille / 1000;
 
-        let mode = if threaded { ShardExecMode::Threads } else { ShardExecMode::Inline };
-        let mut a = ShardedEconomyRun::new(cfg.clone(), &trace, Tracer::Off, shards_a, mode);
-        while !a.is_done() && a.events_handled() < pause_after {
-            a.step();
+        let mut paused = EconomyRun::new(cfg, &trace, Tracer::Off);
+        while paused.events_handled() < pause_after {
+            prop_assert!(paused.step(), "ran dry before the pause point");
         }
-        let mid = serde_json::to_string(&a.snapshot()).expect("serialize mid-run snapshot");
-        while a.step() {}
-        let done_a = serde_json::to_string(&a.snapshot()).expect("serialize final snapshot");
-        prop_assert_eq!(&done_a, &serial, "in-place continuation diverged");
-
-        let mut b = ShardedEconomyRun::from_snapshot(
-            serde_json::from_str(&mid).expect("mid-run snapshot round-trips"),
-            shards_b,
-            ShardExecMode::Inline,
-        );
-        while b.step() {}
-        let done_b = serde_json::to_string(&b.snapshot()).expect("serialize resumed snapshot");
-        prop_assert_eq!(&done_b, &serial, "re-sharded continuation diverged");
-
-        let mut s = EconomyRun::from_snapshot(
+        let mid = snapshot_json(&paused);
+        let mut resumed = EconomyRun::from_snapshot(
             serde_json::from_str(&mid).expect("mid-run snapshot round-trips"),
         );
-        while s.step() {}
-        let done_s = serde_json::to_string(&s.snapshot()).expect("serialize serial resume");
-        prop_assert_eq!(&done_s, &serial, "serial continuation diverged");
+        paused.run_to_completion();
+        resumed.run_to_completion();
+        prop_assert_eq!(&snapshot_json(&paused), &expected, "in-place continuation diverged");
+        prop_assert_eq!(&snapshot_json(&resumed), &expected, "resumed continuation diverged");
     }
 }

@@ -350,10 +350,7 @@ fn assert_well_formed(text: &str) {
 fn every_report_round_trips_through_the_exposition_parser() {
     use mbts::sim::latency::LatencyHistogram;
     use mbts::sim::Time;
-    use mbts::trace::{
-        MetricsRegistry, ProfileReport, ServeSummary, ShardProfile, ShardSummary, TraceEvent,
-        TraceKind,
-    };
+    use mbts::trace::{MetricsRegistry, ProfileReport, ServeSummary, TraceEvent, TraceKind};
     let _guard = TELEMETRY.lock().unwrap();
     telemetry::reset();
 
@@ -369,19 +366,6 @@ fn every_report_round_trips_through_the_exposition_parser() {
     assert_well_formed(&live);
 
     let mut profile = ProfileReport::capture();
-    profile.shards = Some(ShardSummary {
-        shards: vec![ShardProfile {
-            shard: 0,
-            sites: 2,
-            busy_ns: 5_000,
-            ops: 9,
-            utilization: 0.5,
-        }],
-        windows: 4,
-        barrier_stall_ns: 700,
-        wall_ns: 10_000,
-        threaded: false,
-    });
     profile.serve = Some(ServeSummary {
         requests: 1,
         accepted: 1,
