@@ -1,6 +1,13 @@
-//! The journal: an append-only record stream, optionally mirrored to a
-//! file, plus the recovery scan that turns raw bytes back into "latest
-//! snapshot + event suffix".
+//! The journal: an append-only record stream, in a file or in memory,
+//! plus the recovery scan that turns raw bytes back into "latest snapshot
+//! + event suffix".
+//!
+//! A journal's bytes live in one place. One with a path
+//! ([`Journal::create`], [`Journal::reopen`]) *is* its file: each record is
+//! framed in a scratch buffer, written through, and forgotten, so the
+//! process holds a byte count and not the stream, however long it runs.
+//! One without ([`Journal::in_memory`], [`Journal::with_sink`]) keeps the
+//! whole stream, which is what kill-point and corruption harnesses slice.
 //!
 //! Appends are write-ahead: the caller journals an event *before*
 //! applying it, and file-backed journals flush every record, so after a
@@ -14,6 +21,7 @@
 //! a failed sync is a lost-durability signal, never swallowed.
 
 use crate::framing::{self, FramingError, RecordTag, ScanOutcome};
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -92,14 +100,19 @@ fn write_full(sink: &mut dyn JournalSink, buf: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// An append-only snapshot + event journal.
-///
-/// Always buffers the full byte stream in memory (tests and kill-point
-/// harnesses slice it directly); [`Journal::create`] additionally
-/// mirrors every record to a file, flushed per append, so the on-disk
-/// journal is as durable as the host's write pipeline allows.
+/// A scratch buffer larger than this is released once its record is
+/// written: command records reuse one allocation, and a snapshot-sized
+/// buffer does not stay resident between snapshots.
+const SCRATCH_KEEP: usize = 64 * 1024;
+
+/// An append-only snapshot + event journal. See the module docs for where
+/// its bytes live.
 pub struct Journal {
-    bytes: Vec<u8>,
+    /// The whole stream when there is no `path`; with one, scratch space
+    /// for the record being written.
+    buf: Vec<u8>,
+    /// Bytes appended so far, header included.
+    len: usize,
     sink: Option<Box<dyn JournalSink>>,
     path: Option<PathBuf>,
     /// Sync the sink every this many appends (0 = never, the default:
@@ -111,7 +124,7 @@ pub struct Journal {
 impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Journal")
-            .field("len", &self.bytes.len())
+            .field("len", &self.len)
             .field("file_backed", &self.sink.is_some())
             .field("path", &self.path)
             .field("fsync_every_n", &self.fsync_every_n)
@@ -122,12 +135,26 @@ impl std::fmt::Debug for Journal {
 impl Journal {
     /// A journal that lives only in memory.
     pub fn in_memory() -> Self {
-        let mut bytes = Vec::new();
-        framing::write_header(&mut bytes);
+        let mut buf = Vec::new();
+        framing::write_header(&mut buf);
         Journal {
-            bytes,
+            len: buf.len(),
+            buf,
             sink: None,
             path: None,
+            fsync_every_n: 0,
+            appends_since_sync: 0,
+        }
+    }
+
+    /// A journal that is the open file at `path`, `len` bytes long with
+    /// the write cursor at its end.
+    fn on_file(file: File, path: PathBuf, len: usize) -> Self {
+        Journal {
+            buf: Vec::new(),
+            len,
+            sink: Some(Box::new(file)),
+            path: Some(path),
             fsync_every_n: 0,
             appends_since_sync: 0,
         }
@@ -137,49 +164,33 @@ impl Journal {
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = File::create(&path)?;
-        let mut bytes = Vec::new();
-        framing::write_header(&mut bytes);
-        file.write_all(&bytes)?;
+        let mut header = Vec::new();
+        framing::write_header(&mut header);
+        file.write_all(&header)?;
         file.flush()?;
-        Ok(Journal {
-            bytes,
-            sink: Some(Box::new(file)),
-            path: Some(path),
-            fsync_every_n: 0,
-            appends_since_sync: 0,
-        })
+        Ok(Journal::on_file(file, path, header.len()))
     }
 
-    /// Reopens an existing journal file for appending: scans it, keeps
-    /// the valid record prefix, truncates any torn tail off the file,
-    /// and positions the write cursor at the end of the prefix. Returns
-    /// the journal plus the number of torn bytes discarded.
+    /// Reopens an existing journal file for appending: scans it, truncates
+    /// any torn tail off the file, and positions the write cursor at the
+    /// end of the valid record prefix. Returns the journal plus the number
+    /// of torn bytes discarded. The image read for the scan is dropped.
     ///
     /// This is how a restarted service picks its write-ahead log back
     /// up after `kill -9`: recover state from [`Journal::bytes`], then
     /// keep appending to the same file.
     pub fn reopen(path: impl AsRef<Path>) -> io::Result<(Self, usize)> {
         let path = path.as_ref().to_path_buf();
-        let bytes = std::fs::read(&path)?;
-        let dropped_bytes = framing::scan(&bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-            .dropped_bytes;
-        let valid_len = bytes.len() - dropped_bytes;
+        let (valid_len, dropped_bytes) = {
+            let image = load(&path)?;
+            let scan = framing::scan(&image)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+            (scan.valid_len, scan.dropped_bytes)
+        };
         let mut file = OpenOptions::new().write(true).open(&path)?;
         file.set_len(valid_len as u64)?;
         file.seek(SeekFrom::End(0))?;
-        let mut prefix = bytes;
-        prefix.truncate(valid_len);
-        Ok((
-            Journal {
-                bytes: prefix,
-                sink: Some(Box::new(file)),
-                path: Some(path),
-                fsync_every_n: 0,
-                appends_since_sync: 0,
-            },
-            dropped_bytes,
-        ))
+        Ok((Journal::on_file(file, path, valid_len), dropped_bytes))
     }
 
     /// A journal writing through an arbitrary sink (tests: failing
@@ -200,11 +211,16 @@ impl Journal {
         self
     }
 
-    fn append(&mut self, tag: RecordTag, payload: &[u8]) -> io::Result<()> {
-        let start = self.bytes.len();
-        framing::append_record(&mut self.bytes, tag, payload);
+    fn append(&mut self, tag: RecordTag, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        let is_scratch = self.path.is_some();
+        if is_scratch {
+            self.buf.clear();
+        }
+        let start = self.buf.len();
+        framing::append_record_with(&mut self.buf, tag, fill);
+        self.len += self.buf.len() - start;
         if let Some(sink) = self.sink.as_mut() {
-            write_full(sink.as_mut(), &self.bytes[start..])?;
+            write_full(sink.as_mut(), &self.buf[start..])?;
             sink.flush()?;
             if self.fsync_every_n > 0 {
                 self.appends_since_sync += 1;
@@ -214,17 +230,27 @@ impl Journal {
                 }
             }
         }
+        if is_scratch && self.buf.capacity() > SCRATCH_KEEP {
+            self.buf = Vec::new();
+        }
         Ok(())
     }
 
     /// Appends a snapshot record (serialized replay state).
     pub fn append_snapshot(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.append(RecordTag::Snapshot, payload)
+        self.append_snapshot_with(|buf| buf.extend_from_slice(payload))
+    }
+
+    /// Appends a snapshot record whose payload is whatever `fill` appends
+    /// to the buffer it is given: the state is serialized straight into
+    /// the record, and is never held in a buffer of its own beside it.
+    pub fn append_snapshot_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        self.append(RecordTag::Snapshot, fill)
     }
 
     /// Appends an event record (one sim event, pre-apply).
     pub fn append_event(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.append(RecordTag::Event, payload)
+        self.append(RecordTag::Event, |buf| buf.extend_from_slice(payload))
     }
 
     /// Forces the sink to stable storage now, regardless of the
@@ -237,19 +263,31 @@ impl Journal {
         Ok(())
     }
 
-    /// The full byte stream written so far (header included).
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The full byte stream written so far (header included), for
+    /// harnesses. Borrowed from an in-memory journal; a file-backed one
+    /// reads its whole file back, so this costs the journal's length in
+    /// I/O and memory for as long as the result is held.
+    ///
+    /// # Panics
+    ///
+    /// If the file behind a file-backed journal cannot be read back.
+    pub fn bytes(&self) -> Cow<'_, [u8]> {
+        match &self.path {
+            None => Cow::Borrowed(&self.buf),
+            Some(path) => Cow::Owned(load(path).unwrap_or_else(|e| {
+                panic!("journal file {} cannot be read back: {e}", path.display())
+            })),
+        }
     }
 
-    /// Bytes written so far — a kill point, for harnesses that truncate.
+    /// Bytes appended so far — a kill point, for harnesses that truncate.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.len
     }
 
     /// `true` when only the header has been written.
     pub fn is_empty(&self) -> bool {
-        self.bytes.len() == framing::HEADER_LEN
+        self.len == framing::HEADER_LEN
     }
 
     /// The backing file's path, if file-backed.
@@ -361,7 +399,8 @@ mod tests {
         j.append_event(b"e1").unwrap();
         j.append_snapshot(b"s1").unwrap();
         j.append_event(b"e2").unwrap();
-        let r = recover_bytes(j.bytes()).unwrap();
+        let bytes = j.bytes();
+        let r = recover_bytes(&bytes).unwrap();
         assert_eq!(r.snapshot, b"s1");
         assert_eq!(r.events, vec![b"e2".as_slice()]);
         assert_eq!(r.events_superseded, 2);
@@ -377,7 +416,8 @@ mod tests {
         j.append_snapshot(b"s1").unwrap();
         // Cut mid-way through the s1 record: recovery must land on s0.
         let cut = keep + 3;
-        let r = recover_bytes(&j.bytes()[..cut]).unwrap();
+        let bytes = j.bytes();
+        let r = recover_bytes(&bytes[..cut]).unwrap();
         assert_eq!(r.snapshot, b"s0");
         assert_eq!(r.events, vec![b"e0".as_slice()]);
         assert_eq!(r.dropped_bytes, cut - keep);
@@ -387,26 +427,68 @@ mod tests {
     fn no_snapshot_is_an_error_not_a_panic() {
         let mut j = Journal::in_memory();
         assert_eq!(
-            recover_bytes(j.bytes()).unwrap_err(),
+            recover_bytes(&j.bytes()).unwrap_err(),
             RecoverError::NoSnapshot
         );
         j.append_event(b"orphan event").unwrap();
         assert_eq!(
-            recover_bytes(j.bytes()).unwrap_err(),
+            recover_bytes(&j.bytes()).unwrap_err(),
             RecoverError::NoSnapshot
         );
     }
 
-    #[test]
-    fn file_backed_journals_mirror_the_memory_stream() {
+    fn test_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("mbts-journal-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("mirror-{}.mbtsj", std::process::id()));
+        dir.join(format!("{name}-{}.mbtsj", std::process::id()))
+    }
+
+    #[test]
+    fn file_backed_journals_mirror_the_memory_stream() {
+        // The file of a path-backed journal is byte for byte the stream an
+        // in-memory journal holds after the same appends.
+        let path = test_path("mirror");
+        let mut on_file = Journal::create(&path).unwrap();
+        let mut in_memory = Journal::in_memory();
+        let big = vec![b'x'; 2 * SCRATCH_KEEP];
+        for j in [&mut on_file, &mut in_memory] {
+            j.append_snapshot(b"state").unwrap();
+            j.append_event(b"ev").unwrap();
+            j.append_snapshot(&big).unwrap();
+            j.append_event(b"after the scratch was released").unwrap();
+        }
+        assert_eq!(load(&path).unwrap(), *in_memory.bytes());
+        assert_eq!(on_file.len(), in_memory.len());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_file_backed_journal_counts_its_bytes_and_reads_them_back() {
+        let path = test_path("counted");
+        let file_len = || std::fs::metadata(&path).unwrap().len() as usize;
         let mut j = Journal::create(&path).unwrap();
-        j.append_snapshot(b"state").unwrap();
-        j.append_event(b"ev").unwrap();
-        let on_disk = load(&path).unwrap();
-        assert_eq!(on_disk, j.bytes());
+        assert!(j.is_empty(), "a header-only journal is empty");
+        assert_eq!(j.len(), file_len());
+        for payload in [&b"s0"[..], b"", &vec![7u8; SCRATCH_KEEP + 1], b"e2"] {
+            j.append_event(payload).unwrap();
+            assert_eq!(j.len(), file_len());
+            assert!(!j.is_empty());
+        }
+        assert_eq!(*j.bytes(), load(&path).unwrap());
+        drop(j);
+
+        // A torn tail: `reopen` counts the valid prefix, not the file it found.
+        let intact = file_len();
+        let mut torn = load(&path).unwrap();
+        torn.extend_from_slice(&[2, 9, 0, 0]);
+        std::fs::write(&path, &torn).unwrap();
+        let (mut j, dropped) = Journal::reopen(&path).unwrap();
+        assert_eq!(dropped, 4);
+        assert_eq!(j.len(), intact);
+        assert_eq!(j.len(), file_len());
+        j.append_event(b"e3").unwrap();
+        assert_eq!(j.len(), file_len());
+        assert_eq!(*j.bytes(), load(&path).unwrap());
         std::fs::remove_file(&path).ok();
     }
 
@@ -652,6 +734,6 @@ mod tests {
         // The in-memory stream got the record before the sink refused;
         // a scan of it still recovers cleanly (write-ahead order means
         // the caller treats the append as failed and halts anyway).
-        assert!(recover_bytes(j.bytes()).is_ok());
+        assert!(recover_bytes(&j.bytes()).is_ok());
     }
 }

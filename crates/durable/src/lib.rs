@@ -11,8 +11,8 @@
 //! * [`framing`] — CRC-framed records (magic + version header; each
 //!   record is `tag | len | crc32 | payload`). A scan stops at the first
 //!   damaged record, so any torn tail degrades to a clean valid prefix.
-//! * [`journal`] — the append-only record stream (in-memory, optionally
-//!   mirrored to a flushed file) and the byte-level recovery scan.
+//! * [`journal`] — the append-only record stream (a flushed file, or
+//!   in memory for harnesses) and the byte-level recovery scan.
 //! * [`run`] — the [`Recoverable`] trait (implemented by
 //!   [`SiteRun`](mbts_site::SiteRun) and
 //!   [`EconomyRun`](mbts_market::EconomyRun)) and [`DurableRun`], which
@@ -46,7 +46,7 @@
 //! let (_, journal) = durable.into_parts();
 //!
 //! // Recover and run to completion: same outcome as never crashing.
-//! let (mut recovered, report) = DurableRun::<SiteRun>::recover(journal.bytes()).unwrap();
+//! let (mut recovered, report) = DurableRun::<SiteRun>::recover(&journal.bytes()).unwrap();
 //! assert_eq!(recovered.events_handled(), 30);
 //! assert_eq!(report.dropped_bytes, 0);
 //! recovered.run_to_completion();

@@ -136,9 +136,10 @@ impl<R: Recoverable> DurableRun<R> {
     /// Serializes the current state into a snapshot record immediately.
     pub fn snapshot_now(&mut self) -> io::Result<()> {
         mbts_sim::profiler::time(mbts_sim::profiler::Section::SnapshotWrite, || {
-            let json = serde_json::to_string(&self.run.snapshot())
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            self.journal.append_snapshot(json.as_bytes())?;
+            let snapshot = self.run.snapshot();
+            self.journal.append_snapshot_with(|record| {
+                serde_json::to_writer(record, &snapshot).expect("snapshots always serialize")
+            })?;
             self.since_snapshot = 0;
             Ok(())
         })

@@ -291,10 +291,25 @@ fn connect(addr: &str, timeout: StdDuration) -> io::Result<TcpStream> {
     }
 }
 
+/// A body nested 20,000 arrays deep: far past the JSON reader's depth
+/// limit, and enough to overflow a connection thread's stack in a parser
+/// that recursed per level without one.
+static DEEP_NESTING: [u8; DEEP_NESTING_HEAD.len() + 20_000] = {
+    let mut wire = [b'['; DEEP_NESTING_HEAD.len() + 20_000];
+    let mut i = 0;
+    while i < DEEP_NESTING_HEAD.len() {
+        wire[i] = DEEP_NESTING_HEAD[i];
+        i += 1;
+    }
+    wire
+};
+const DEEP_NESTING_HEAD: &[u8] = b"POST /submit HTTP/1.1\r\ncontent-length: 20000\r\n\r\n";
+
 /// Protocol-garbage corpus for the malformed-request generator. Every
 /// entry must draw a `400` (or an immediate close) from the daemon —
 /// never a 2xx, never a hang, never a crash. Entries cover each parser
-/// layer: request line, version, headers, framing, body encoding.
+/// layer: request line, version, headers, framing, body encoding, body
+/// nesting.
 const MALFORMED_CORPUS: &[&[u8]] = &[
     // Request line with no target or version.
     b"GARBAGE\r\n\r\n",
@@ -311,6 +326,8 @@ const MALFORMED_CORPUS: &[&[u8]] = &[
     // Body shorter than declared: the server's read must time out into
     // a 400, not wedge the connection worker.
     b"POST /submit HTTP/1.1\r\ncontent-length: 64\r\n\r\n{}",
+    // Valid framing and UTF-8, nesting no reader should follow.
+    &DEEP_NESTING,
 ];
 
 /// Fires one seeded corpus entry on a throwaway connection and checks

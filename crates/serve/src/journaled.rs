@@ -163,7 +163,9 @@ impl ServiceRun {
                 },
             ));
         }
-        let (machine, mut recovery) = Self::recover(journal.bytes())
+        // The image is read back for this one replay and dropped with it:
+        // from here on the file is the only copy of the journal.
+        let (machine, mut recovery) = Self::recover(&journal.bytes())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         recovery.dropped_bytes += truncated;
         Ok((
@@ -229,10 +231,13 @@ impl ServiceRun {
 
     /// Folds a snapshot into the journal now and resets the cadence.
     pub fn snapshot_now(&mut self) -> io::Result<()> {
-        let payload =
-            serde_json::to_vec(&self.machine.snapshot()).expect("snapshots always serialize");
+        // Above the machine this holds the typed snapshot and one buffer,
+        // the record itself: the text is written where it is framed.
         profiler::time(Section::SnapshotWrite, || {
-            self.journal.append_snapshot(&payload)
+            let snapshot = self.machine.snapshot();
+            self.journal.append_snapshot_with(|record| {
+                serde_json::to_writer(record, &snapshot).expect("snapshots always serialize")
+            })
         })?;
         self.since_snapshot = 0;
         Ok(())
@@ -248,7 +253,8 @@ impl ServiceRun {
         &self.machine
     }
 
-    /// The journal (read-only; its `bytes()` are the full log).
+    /// The journal (read-only; its `bytes()` are the full log, read back
+    /// from the file when it has one).
     pub fn journal(&self) -> &Journal {
         &self.journal
     }
@@ -311,7 +317,7 @@ mod tests {
         let mut run = ServiceRun::new(config(), Journal::in_memory(), 0).unwrap();
         drive(&mut run);
         let (machine, journal) = run.into_parts();
-        let (recovered, rec) = ServiceRun::recover(journal.bytes()).unwrap();
+        let (recovered, rec) = ServiceRun::recover(&journal.bytes()).unwrap();
         assert_eq!(rec.replayed, 4);
         assert_eq!(rec.dropped_bytes, 0);
         assert_eq!(recovered.snapshot_json(), machine.snapshot_json());
@@ -322,7 +328,7 @@ mod tests {
         let mut run = ServiceRun::new(config(), Journal::in_memory(), 2).unwrap();
         drive(&mut run);
         let (machine, journal) = run.into_parts();
-        let (recovered, rec) = ServiceRun::recover(journal.bytes()).unwrap();
+        let (recovered, rec) = ServiceRun::recover(&journal.bytes()).unwrap();
         // Snapshots at 2 and 4 applied commands: nothing left to replay.
         assert_eq!(rec.replayed, 0);
         assert_eq!(recovered.snapshot_json(), machine.snapshot_json());
@@ -363,7 +369,7 @@ mod tests {
         j.append_snapshot(b"{\"not\":\"a service snapshot\"}")
             .unwrap();
         assert!(matches!(
-            ServiceRun::recover(j.bytes()),
+            ServiceRun::recover(&j.bytes()),
             Err(ServiceRecoverError::BadSnapshot(_))
         ));
     }

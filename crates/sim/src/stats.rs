@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 /// Welford single-pass mean/variance accumulator.
 ///
-/// Serde impls are hand-written: the empty accumulator's min/max
+/// Serde impls go through [`bits`]: the empty accumulator's min/max
 /// sentinels are ±∞, which the vendored `serde_json` renders as `null`
 /// (unrecoverable), so every float field is encoded via its IEEE-754 bit
 /// pattern. That also makes snapshots of the accumulator bit-exact, which
@@ -25,36 +25,41 @@ pub struct OnlineStats {
     max: f64,
 }
 
+/// The serialized form of [`OnlineStats`](super::OnlineStats), under the
+/// same name so that its errors name the public type.
+mod bits {
+    #[derive(serde::Serialize, serde::Deserialize)]
+    pub(super) struct OnlineStats {
+        pub n: u64,
+        pub mean_bits: u64,
+        pub m2_bits: u64,
+        pub min_bits: u64,
+        pub max_bits: u64,
+    }
+}
+
 impl Serialize for OnlineStats {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("n".into(), serde::Value::Int(self.n as i128)),
-            ("mean_bits".into(), self.mean.to_bits().to_value()),
-            ("m2_bits".into(), self.m2.to_bits().to_value()),
-            ("min_bits".into(), self.min.to_bits().to_value()),
-            ("max_bits".into(), self.max.to_bits().to_value()),
-        ])
+    fn serialize(&self, out: &mut serde::Writer) {
+        bits::OnlineStats {
+            n: self.n,
+            mean_bits: self.mean.to_bits(),
+            m2_bits: self.m2.to_bits(),
+            min_bits: self.min.to_bits(),
+            max_bits: self.max.to_bits(),
+        }
+        .serialize(out);
     }
 }
 
 impl Deserialize for OnlineStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("OnlineStats: expected object"))?;
-        let field = |name: &str| -> Result<&serde::Value, serde::Error> {
-            serde::get_field(entries, name)
-                .ok_or_else(|| serde::Error::missing_field(name, "OnlineStats"))
-        };
-        let bits = |name: &str| -> Result<f64, serde::Error> {
-            Ok(f64::from_bits(u64::from_value(field(name)?)?))
-        };
+    fn deserialize(input: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let bits = bits::OnlineStats::deserialize(input)?;
         Ok(OnlineStats {
-            n: u64::from_value(field("n")?)?,
-            mean: bits("mean_bits")?,
-            m2: bits("m2_bits")?,
-            min: bits("min_bits")?,
-            max: bits("max_bits")?,
+            n: bits.n,
+            mean: f64::from_bits(bits.mean_bits),
+            m2: f64::from_bits(bits.m2_bits),
+            min: f64::from_bits(bits.min_bits),
+            max: f64::from_bits(bits.max_bits),
         })
     }
 }

@@ -8,7 +8,7 @@
 use crate::event::{TraceEvent, TraceKind};
 use crate::exposition;
 use mbts_sim::{Histogram, OnlineStats, Time};
-use serde::{get_field, Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -20,7 +20,7 @@ const YIELD_RANGE: (f64, f64, usize) = (-250.0, 250.0, 50);
 const PREEMPT_RANGE: (f64, f64, usize) = (0.0, 16.0, 16);
 
 /// Aggregates for one policy label.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PolicyMetrics {
     /// Tasks that reached admission.
     pub arrived: u64,
@@ -51,8 +51,12 @@ pub struct PolicyMetrics {
     /// Net settled amount across all contracts.
     pub settled_total: f64,
     /// Provenance decision records seen (provenance-level tracers only).
+    /// Defaulted so that registries snapshotted before the provenance
+    /// layer existed still deserialize.
+    #[serde(default)]
     pub decisions: u64,
     /// Candidates carried across all decision records.
+    #[serde(default)]
     pub decision_candidates: u64,
     /// Delay past the no-wait finish, per completed task.
     pub delay: Histogram,
@@ -74,7 +78,7 @@ pub struct PolicyMetrics {
     run_start: Option<Time>,
     busy_time: f64,
     span: f64,
-    open_crashes: BTreeMap<Option<usize>, VecDeque<Time>>,
+    open_crashes: OpenCrashes,
 }
 
 impl PolicyMetrics {
@@ -109,7 +113,7 @@ impl PolicyMetrics {
             run_start: None,
             busy_time: 0.0,
             span: 0.0,
-            open_crashes: BTreeMap::new(),
+            open_crashes: OpenCrashes::default(),
         }
     }
 
@@ -182,13 +186,14 @@ impl PolicyMetrics {
             &TraceKind::Crashed { procs } => {
                 self.crashed_procs += procs as u64;
                 self.open_crashes
+                    .0
                     .entry(ev.site)
                     .or_default()
                     .push_back(ev.at);
             }
             &TraceKind::Repaired { procs } => {
                 self.repaired_procs += procs as u64;
-                if let Some(open) = self.open_crashes.get_mut(&ev.site) {
+                if let Some(open) = self.open_crashes.0.get_mut(&ev.site) {
                     if let Some(crashed_at) = open.pop_front() {
                         self.recovery.push((ev.at - crashed_at).as_f64());
                     }
@@ -224,7 +229,7 @@ impl PolicyMetrics {
         self.cursor = None;
         self.run_start = None;
         self.busy = 0;
-        self.open_crashes.clear();
+        self.open_crashes.0.clear();
     }
 
     /// Busy processor-time over configured capacity across all finished
@@ -284,154 +289,42 @@ impl PolicyMetrics {
     }
 }
 
-// Serde impls are hand-written because the vendored serde shim has no
-// impls for `VecDeque` or non-string-keyed maps: `open_crashes` is
-// flattened to `Vec<(Option<usize>, Vec<Time>)>`. Mid-run serialization
-// must be lossless — the durable-recovery layer snapshots a live
-// registry (the "tracer cursor") and resumes folding events into it.
-impl Serialize for PolicyMetrics {
-    fn to_value(&self) -> Value {
+/// Crashes awaiting their repair, per site. The vendored serde shim has no
+/// impls for `VecDeque` or non-string-keyed maps, so this serializes as
+/// `Vec<(Option<usize>, Vec<Time>)>`. Mid-run serialization must be
+/// lossless: the durable-recovery layer snapshots a live registry (the
+/// "tracer cursor") and resumes folding events into it.
+#[derive(Debug, Clone, Default)]
+struct OpenCrashes(BTreeMap<Option<usize>, VecDeque<Time>>);
+
+impl Serialize for OpenCrashes {
+    fn serialize(&self, out: &mut serde::Writer) {
         let open: Vec<(Option<usize>, Vec<Time>)> = self
-            .open_crashes
+            .0
             .iter()
             .map(|(k, v)| (*k, v.iter().copied().collect()))
             .collect();
-        Value::Object(vec![
-            ("arrived".into(), self.arrived.to_value()),
-            ("accepted".into(), self.accepted.to_value()),
-            ("scheduled".into(), self.scheduled.to_value()),
-            ("backfills".into(), self.backfills.to_value()),
-            ("preempted".into(), self.preempted.to_value()),
-            ("requeued".into(), self.requeued.to_value()),
-            ("completed".into(), self.completed.to_value()),
-            ("dropped".into(), self.dropped.to_value()),
-            ("cancelled".into(), self.cancelled.to_value()),
-            ("orphaned".into(), self.orphaned.to_value()),
-            ("crashed_procs".into(), self.crashed_procs.to_value()),
-            ("repaired_procs".into(), self.repaired_procs.to_value()),
-            ("settlements".into(), self.settlements.to_value()),
-            ("settled_total".into(), self.settled_total.to_value()),
-            ("decisions".into(), self.decisions.to_value()),
-            (
-                "decision_candidates".into(),
-                self.decision_candidates.to_value(),
-            ),
-            ("delay".into(), self.delay.to_value()),
-            ("delay_stats".into(), self.delay_stats.to_value()),
-            ("yields".into(), self.yields.to_value()),
-            ("yield_stats".into(), self.yield_stats.to_value()),
-            ("preemptions".into(), self.preemptions.to_value()),
-            ("slack_stats".into(), self.slack_stats.to_value()),
-            ("recovery".into(), self.recovery.to_value()),
-            ("processors".into(), self.processors.to_value()),
-            ("busy".into(), self.busy.to_value()),
-            ("cursor".into(), self.cursor.to_value()),
-            ("run_start".into(), self.run_start.to_value()),
-            ("busy_time".into(), self.busy_time.to_value()),
-            ("span".into(), self.span.to_value()),
-            ("open_crashes".into(), open.to_value()),
-        ])
+        open.serialize(out);
     }
 }
 
-impl Deserialize for PolicyMetrics {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| Error::custom("PolicyMetrics: expected object"))?;
-        macro_rules! field {
-            ($name:literal) => {
-                Deserialize::from_value(
-                    get_field(entries, $name)
-                        .ok_or_else(|| Error::missing_field($name, "PolicyMetrics"))?,
-                )?
-            };
-        }
-        // Optional with a zero default so registries snapshotted before
-        // the provenance layer existed still deserialize.
-        macro_rules! counter_or_zero {
-            ($name:literal) => {
-                match get_field(entries, $name) {
-                    Some(v) => Deserialize::from_value(v)?,
-                    None => 0,
-                }
-            };
-        }
-        let open: Vec<(Option<usize>, Vec<Time>)> = field!("open_crashes");
-        Ok(PolicyMetrics {
-            arrived: field!("arrived"),
-            accepted: field!("accepted"),
-            scheduled: field!("scheduled"),
-            backfills: field!("backfills"),
-            preempted: field!("preempted"),
-            requeued: field!("requeued"),
-            completed: field!("completed"),
-            dropped: field!("dropped"),
-            cancelled: field!("cancelled"),
-            orphaned: field!("orphaned"),
-            crashed_procs: field!("crashed_procs"),
-            repaired_procs: field!("repaired_procs"),
-            settlements: field!("settlements"),
-            settled_total: field!("settled_total"),
-            decisions: counter_or_zero!("decisions"),
-            decision_candidates: counter_or_zero!("decision_candidates"),
-            delay: field!("delay"),
-            delay_stats: field!("delay_stats"),
-            yields: field!("yields"),
-            yield_stats: field!("yield_stats"),
-            preemptions: field!("preemptions"),
-            slack_stats: field!("slack_stats"),
-            recovery: field!("recovery"),
-            processors: field!("processors"),
-            busy: field!("busy"),
-            cursor: field!("cursor"),
-            run_start: field!("run_start"),
-            busy_time: field!("busy_time"),
-            span: field!("span"),
-            open_crashes: open.into_iter().map(|(k, v)| (k, v.into())).collect(),
-        })
+impl Deserialize for OpenCrashes {
+    fn deserialize(input: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let open: Vec<(Option<usize>, Vec<Time>)> = Deserialize::deserialize(input)?;
+        Ok(OpenCrashes(
+            open.into_iter().map(|(k, v)| (k, v.into())).collect(),
+        ))
     }
 }
 
 /// Per-policy metrics keyed by policy label. Used either live (as a
 /// [`Tracer`](crate::Tracer) sink, recording under its active label) or
 /// offline by replaying a captured buffer through [`record_all`](Self::record_all).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MetricsRegistry {
     active: String,
     processors: usize,
     policies: BTreeMap<String, PolicyMetrics>,
-}
-
-impl Serialize for MetricsRegistry {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("active".into(), self.active.to_value()),
-            ("processors".into(), self.processors.to_value()),
-            ("policies".into(), self.policies.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for MetricsRegistry {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| Error::custom("MetricsRegistry: expected object"))?;
-        macro_rules! field {
-            ($name:literal) => {
-                Deserialize::from_value(
-                    get_field(entries, $name)
-                        .ok_or_else(|| Error::missing_field($name, "MetricsRegistry"))?,
-                )?
-            };
-        }
-        Ok(MetricsRegistry {
-            active: field!("active"),
-            processors: field!("processors"),
-            policies: field!("policies"),
-        })
-    }
 }
 
 impl MetricsRegistry {

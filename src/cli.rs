@@ -1093,7 +1093,7 @@ fn flood_report_json(
     report: &mbts_serve::FloodReport,
     path: &std::path::Path,
 ) -> Result<String, String> {
-    use serde::{Serialize, Value};
+    use serde::Value;
     let mut history = std::fs::read_to_string(path)
         .ok()
         .and_then(|old| serde_json::from_str::<Value>(&old).ok())
@@ -1110,7 +1110,8 @@ fn flood_report_json(
         ("p95_us".into(), Value::Float(report.p95_us)),
         ("p99_us".into(), Value::Float(report.p99_us)),
     ]));
-    let mut doc = report.to_value();
+    let text = serde_json::to_string(report).map_err(|e| e.to_string())?;
+    let mut doc: Value = serde_json::from_str(&text).map_err(|e| e.to_string())?;
     if let Value::Object(entries) = &mut doc {
         entries.push(("history".into(), Value::Array(history)));
     }

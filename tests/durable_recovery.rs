@@ -409,7 +409,8 @@ fn crash_during_repair_kill_points_recover_under_checkpoint() {
     let want_events = want_tracer.into_events().unwrap();
 
     // Find every Crash event's index from the journaled payloads.
-    let scan = framing::scan(journal.bytes()).unwrap();
+    let bytes = journal.bytes();
+    let scan = framing::scan(&bytes).unwrap();
     let crash_indices: Vec<usize> = scan
         .records
         .iter()
@@ -430,7 +431,7 @@ fn crash_during_repair_kill_points_recover_under_checkpoint() {
     // pending in the journaled queue snapshot.
     for &i in &crash_indices {
         let k = i + 1;
-        let (mut rec, _) = DurableRun::<SiteRun>::recover(&journal.bytes()[..offsets[k]])
+        let (mut rec, _) = DurableRun::<SiteRun>::recover(&bytes[..offsets[k]])
             .unwrap_or_else(|e| panic!("recovery failed mid-repair at event {k}: {e}"));
         assert_eq!(rec.events_handled(), k as u64);
         rec.run_to_completion();
@@ -612,7 +613,7 @@ fn service_journal_is_byte_identical_with_telemetry_on_and_off() {
         let mut offsets = Vec::new();
         for (at, kind) in &kinds {
             run.apply(Time::new(*at), kind.clone()).unwrap();
-            offsets.push(run.journal().bytes().len());
+            offsets.push(run.journal().len());
         }
         (run.journal().bytes().to_vec(), offsets)
     };
@@ -707,7 +708,7 @@ fn kill_every_command_service_journal_smoke() {
     for (at, kind) in &kinds {
         let (cmd, _) = reference.apply(Time::new(*at), kind.clone()).unwrap();
         commands.push(cmd);
-        offsets.push(reference.journal().bytes().len());
+        offsets.push(reference.journal().len());
     }
     let reference_final = reference.machine().snapshot_json();
     let bytes = reference.journal().bytes().to_vec();

@@ -1,0 +1,591 @@
+//! The streaming serde against the value-tree serde it replaced: the same
+//! bytes out, the same leniency in.
+//!
+//! Every file under `tests/golden/serde/` was written by the value-tree
+//! serde of commit 6d404e4, the last one before the streaming rewrite.
+//! The documents are rebuilt here from deterministic runs and checked
+//! three ways against those bytes: typed value → text, fixture → typed
+//! value → text, and fixture → `serde::Value` → text. A journal or
+//! snapshot written by either implementation therefore reads, and
+//! re-serialises identically, under the other.
+//!
+//! To regenerate after an intentional *format* change (never to paper
+//! over a writer difference):
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --test serde_compat
+//! ```
+//!
+//! The last test is the reader's leniency, one row per rule.
+
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+
+use mbts::core::{AdmissionPolicy, Policy};
+use mbts::durable::Journal;
+use mbts::market::{
+    BudgetConfig, EconomyConfig, EconomyRun, EconomySnapshot, MarketFaultConfig, MigrationConfig,
+    RetryConfig,
+};
+use mbts::serve::{
+    Command, CommandKind, MachineConfig, ServiceMachine, ServiceRun, ServiceSnapshot, ShedReason,
+};
+use mbts::sim::{FaultConfig, Time, UpDown};
+use mbts::site::{
+    FaultPlan, LostWorkPolicy, Site, SiteConfig, SiteRun, SiteRunSnapshot, SiteSnapshot,
+};
+use mbts::trace::analyze::analyze;
+use mbts::trace::{AnalyzeOptions, TraceReport, Tracer};
+use mbts::workload::{
+    fig67_mix, generate_trace, generate_workflows, PenaltyBound, TaskId, TaskSpec, WorkflowConfig,
+    WorkflowShape,
+};
+use serde::{Deserialize, Serialize, Value};
+
+fn fixture_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("serde")
+}
+
+fn render<T: Serialize>(value: &T, pretty: bool) -> String {
+    if pretty {
+        serde_json::to_string_pretty(value)
+    } else {
+        serde_json::to_string(value)
+    }
+    .expect("serialises")
+}
+
+/// Checks one document against its fixture; a name ending `.pretty.json`
+/// uses the 2-space pretty writer.
+fn check<T: Serialize + Deserialize>(name: &str, built: &T) {
+    let pretty = name.ends_with(".pretty.json");
+    let path = fixture_dir().join(name);
+    let actual = render(built, pretty);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(fixture_dir()).expect("create fixture dir");
+        std::fs::write(&path, &actual).expect("write fixture");
+        return;
+    }
+    let fixture = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+    assert!(actual == fixture, "{name}: typed value → text diverged");
+    let typed: T = serde_json::from_str(&fixture).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(
+        render(&typed, pretty) == fixture,
+        "{name}: text → typed → text diverged"
+    );
+    let dynamic: Value = serde_json::from_str(&fixture).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(
+        render(&dynamic, pretty) == fixture,
+        "{name}: text → Value → text diverged"
+    );
+}
+
+fn spec(id: u64, at: f64, runtime: f64, value: f64) -> TaskSpec {
+    TaskSpec::new(id, at, runtime, value, 0.2, PenaltyBound::ZERO)
+}
+
+/// One command of each kind, densely sequenced so a machine applies them.
+fn commands() -> Vec<(&'static str, Command)> {
+    let kinds = vec![
+        (
+            "command_submit.json",
+            0.0,
+            CommandKind::Submit {
+                spec: spec(0, 0.0, 6.0, 8.0),
+            },
+        ),
+        (
+            "command_submit_queued.json",
+            0.5,
+            CommandKind::Submit {
+                spec: TaskSpec::new(
+                    1,
+                    0.5,
+                    3.0,
+                    5.5,
+                    0.125,
+                    PenaltyBound::Bounded { max_penalty: 2.5 },
+                ),
+            },
+        ),
+        (
+            "command_shed.json",
+            0.75,
+            CommandKind::Shed {
+                spec: spec(2, 0.75, 1.0, 0.25),
+                queue_depth: 5,
+                reason: ShedReason::LowestValue,
+            },
+        ),
+        (
+            "command_cancel.json",
+            1.0,
+            CommandKind::Cancel { task: TaskId(1) },
+        ),
+        ("command_drain.json", 1e21, CommandKind::Drain),
+    ];
+    kinds
+        .into_iter()
+        .enumerate()
+        .map(|(seq, (name, at, kind))| {
+            (
+                name,
+                Command {
+                    seq: seq as u64,
+                    at: Time::new(at),
+                    kind,
+                },
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn commands_and_service_snapshot() {
+    let mut machine = ServiceMachine::new(MachineConfig {
+        site: SiteConfig::new(1),
+        provenance: true,
+        status_capacity: 3,
+    });
+    for (name, cmd) in commands() {
+        check(name, &cmd);
+        if cmd.kind == CommandKind::Drain {
+            // Snapshot with work still queued, then once more drained.
+            let live: ServiceSnapshot = machine.snapshot();
+            check("service_snapshot.json", &live);
+        }
+        machine.apply(&cmd);
+    }
+    check("service_snapshot_drained.json", &machine.snapshot());
+}
+
+/// A whole service journal (header, framing, CRCs, genesis and cadence
+/// snapshots, every command kind) is the same bytes under both serdes, so
+/// each recovers what the other wrote.
+#[test]
+fn service_journal_bytes() {
+    let config = MachineConfig {
+        site: SiteConfig::new(1),
+        provenance: true,
+        status_capacity: 3,
+    };
+    let mut run = ServiceRun::new(config, Journal::in_memory(), 2).expect("in-memory journal");
+    for (_, cmd) in commands() {
+        run.apply(cmd.at, cmd.kind).expect("in-memory append");
+    }
+    let live = run.machine().snapshot_json();
+    let actual = run.journal().bytes().to_vec();
+    let path = fixture_dir().join("service_journal.mbtsj");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(fixture_dir()).expect("create fixture dir");
+        std::fs::write(&path, &actual).expect("write fixture");
+        return;
+    }
+    let fixture =
+        std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+    assert!(actual == fixture, "journal bytes diverged");
+    let (recovered, recovery) = ServiceRun::recover(&fixture).expect("fixture recovers");
+    assert_eq!(recovery.replayed, 1);
+    assert_eq!(recovered.snapshot_json(), live);
+}
+
+fn smoke_faults() -> FaultConfig {
+    FaultConfig {
+        processor: Some(UpDown::exponential(600.0, 80.0)),
+        site: None,
+    }
+}
+
+fn step_n(mut step: impl FnMut() -> bool, n: usize) {
+    for _ in 0..n {
+        assert!(step(), "the run ended before its snapshot point");
+    }
+}
+
+#[test]
+fn site_snapshots() {
+    let trace = generate_trace(&fig67_mix(1.6).with_tasks(24).with_processors(4), 17);
+    let config = SiteConfig::new(4)
+        .with_policy(Policy::first_reward(0.3, 0.01))
+        .with_preemption(true)
+        .with_admission(AdmissionPolicy::SlackThreshold { threshold: 180.0 })
+        .with_lost_work(LostWorkPolicy::Checkpoint {
+            interval: 25.0,
+            restart_penalty: 2.0,
+        });
+    let plan = FaultPlan::new(smoke_faults(), 5);
+
+    // A faulted, preempting site mid-run with the provenance stream in
+    // its tracer cursor.
+    let mut run = SiteRun::with_faults(
+        config.clone(),
+        &trace,
+        &plan,
+        Tracer::buffer().with_provenance(),
+    );
+    step_n(|| run.step(), 40);
+    let site: SiteSnapshot = run.snapshot().site;
+    check("site_snapshot.json", &site);
+
+    // The same run folding into a metrics registry: the hand-written
+    // `PolicyMetrics` / `OnlineStats` forms, open crashes included.
+    let mut run = SiteRun::with_faults(config, &trace, &plan, Tracer::metrics("first_reward", 4));
+    step_n(|| run.step(), 40);
+    let snap: SiteRunSnapshot = run.snapshot();
+    check("site_run_snapshot_metrics.json", &snap);
+
+    // A workflow replay: the overlay rides in the snapshot behind
+    // `skip_serializing_if`, and its facets are a `BTreeMap<u64, _>`.
+    let set = generate_workflows(
+        &WorkflowConfig::default_set()
+            .with_workflows(4)
+            .with_shape(WorkflowShape::RandomLayered {
+                layers: 3,
+                width: 2,
+                edge_prob: 0.5,
+            })
+            .with_processors(2)
+            .with_load_factor(2.0),
+        19,
+    );
+    let config = SiteConfig::new(2)
+        .with_policy(Policy::first_reward(0.3, 0.01))
+        .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 })
+        .with_workflow_facets(set.facets());
+    let mut run = SiteRun::with_workflows(config, &set, Tracer::buffer());
+    step_n(|| run.step(), 20);
+    check("site_run_snapshot_workflows.json", &run.snapshot());
+}
+
+#[test]
+fn economy_snapshot() {
+    let trace = generate_trace(&fig67_mix(1.5).with_tasks(24).with_processors(8), 31);
+    let mut config = EconomyConfig::uniform(
+        2,
+        SiteConfig::new(4)
+            .with_policy(Policy::FirstPrice)
+            .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 }),
+    );
+    config.budgets = Some(BudgetConfig {
+        num_clients: 3,
+        initial: 200.0,
+        replenish_rate: 0.05,
+        cap: 600.0,
+    });
+    config.migration = Some(MigrationConfig {
+        grace: 100.0,
+        max_attempts: 2,
+    });
+    config.retry = Some(RetryConfig {
+        backoff: 40.0,
+        max_retries: 1,
+    });
+    config.faults = Some(
+        MarketFaultConfig::new(
+            FaultConfig {
+                processor: Some(UpDown::exponential(900.0, 90.0)),
+                site: Some(UpDown::exponential(2_500.0, 300.0)),
+            },
+            13,
+        )
+        .with_backoff_cap(240.0)
+        .with_jitter(0.5),
+    );
+    let mut run = EconomyRun::new(config, &trace, Tracer::buffer().with_provenance());
+    step_n(|| run.step(), 40);
+    let snap: EconomySnapshot = run.snapshot();
+    check("economy_snapshot.json", &snap);
+}
+
+#[test]
+fn pretty_printed_report() {
+    let trace = generate_trace(&fig67_mix(1.6).with_tasks(24).with_processors(4), 17);
+    let site = Site::new(
+        SiteConfig::new(4)
+            .with_policy(Policy::first_reward(0.3, 0.01))
+            .with_preemption(true)
+            .with_admission(AdmissionPolicy::SlackThreshold { threshold: 180.0 }),
+    );
+    let (_, tracer) = site.run_trace_traced(&trace, Tracer::buffer().with_provenance());
+    let events = tracer.into_events().expect("buffer tracer keeps events");
+    let report: TraceReport = analyze("golden", &events, &AnalyzeOptions::default());
+    check("trace_report.pretty.json", &report);
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Marker;
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Pair(u8, String);
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[serde(transparent)]
+struct Wrapped {
+    inner: i64,
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+enum Shape {
+    Dot,
+    Circle(f64),
+    Rect(f32, f32),
+    Label {
+        text: String,
+        at: Option<(i32, i32)>,
+    },
+}
+
+fn forty_two() -> u32 {
+    42
+}
+
+/// Every scalar and shape whose text form has a rule of its own.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct EdgeValues {
+    neg_zero: f64,
+    big: f64,
+    tiny: f64,
+    integral: f64,
+    single: f32,
+    max: u64,
+    min: i64,
+    nan: Option<f64>,
+    infinite: Option<f64>,
+    text: String,
+    ch: char,
+    by_id: BTreeMap<u64, Vec<(u32, bool)>>,
+    by_name: BTreeMap<String, Option<Marker>>,
+    marker: Marker,
+    pair: Pair,
+    wrapped: Wrapped,
+    boxed: Box<Shape>,
+    shapes: Vec<Shape>,
+    empties: (Vec<u8>, BTreeMap<String, u8>),
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    absent: Option<u32>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    present: Option<u32>,
+    #[serde(default = "forty_two")]
+    defaulted: u32,
+}
+
+fn edge_values() -> EdgeValues {
+    EdgeValues {
+        neg_zero: -0.0,
+        big: 1e21,
+        tiny: 5e-324,
+        integral: 3.0,
+        single: 0.1,
+        max: u64::MAX,
+        min: i64::MIN,
+        nan: Some(f64::NAN),
+        infinite: Some(f64::NEG_INFINITY),
+        text: "quote\" slash\\ / nl\n cr\r tab\t bell\u{7} nul\u{0} esc\u{1b} del\u{7f} é 😀"
+            .to_string(),
+        ch: '\u{1f}',
+        by_id: BTreeMap::from([
+            (0, vec![]),
+            (7, vec![(1, true), (2, false)]),
+            (u64::MAX, vec![(3, true)]),
+        ]),
+        by_name: BTreeMap::from([
+            ("a\"b".to_string(), Some(Marker)),
+            ("none".to_string(), None),
+        ]),
+        marker: Marker,
+        pair: Pair(255, "p".to_string()),
+        wrapped: Wrapped { inner: -9 },
+        boxed: Box::new(Shape::Circle(0.5)),
+        shapes: vec![
+            Shape::Dot,
+            Shape::Circle(2.0),
+            Shape::Rect(1.5, -2.25),
+            Shape::Label {
+                text: String::new(),
+                at: Some((-1, 1)),
+            },
+            Shape::Label {
+                text: "x".to_string(),
+                at: None,
+            },
+        ],
+        empties: (Vec::new(), BTreeMap::new()),
+        absent: None,
+        present: Some(1),
+        defaulted: 7,
+    }
+}
+
+#[test]
+fn edge_values_compact_and_pretty() {
+    check("edge_values.json", &edge_values());
+    check("edge_values.pretty.json", &edge_values());
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Probe {
+    id: u8,
+    rate: f64,
+    #[serde(default)]
+    note: Option<String>,
+    #[serde(default = "forty_two")]
+    limit: u32,
+    shape: Shape,
+}
+
+/// What the value-tree reader accepted and refused, the streaming reader
+/// accepts and refuses, with the same words.
+#[test]
+fn reader_leniency_rule_by_rule() {
+    let probe = |id, rate, note: Option<&str>, limit, shape| {
+        Ok(Probe {
+            id,
+            rate,
+            note: note.map(str::to_string),
+            limit,
+            shape,
+        })
+    };
+    let rows: Vec<(&str, &str, Result<Probe, &str>)> = vec![
+        (
+            "the writer's own text",
+            r#"{"id":1,"rate":0.5,"note":"n","limit":9,"shape":"Dot"}"#,
+            probe(1, 0.5, Some("n"), 9, Shape::Dot),
+        ),
+        (
+            "keys in any order, whitespace anywhere",
+            " {\n\t\"shape\" : \"Dot\" , \"limit\":9,\r\n \"rate\":0.5,\"id\":1 } ",
+            probe(1, 0.5, None, 9, Shape::Dot),
+        ),
+        (
+            "unknown keys are skipped, whatever they hold",
+            r#"{"x":{"deep":[1,{"y":null}],"s":"\u0041\n"},"id":1,"rate":0.5,"shape":"Dot","z":[]}"#,
+            probe(1, 0.5, None, 42, Shape::Dot),
+        ),
+        (
+            "the first of a repeated key wins; the rest are not type-checked",
+            r#"{"id":1,"id":"two","rate":0.5,"rate":9.5,"shape":"Dot","shape":7}"#,
+            probe(1, 0.5, None, 42, Shape::Dot),
+        ),
+        (
+            "an integer where a float belongs",
+            r#"{"id":1,"rate":3,"shape":{"Circle":-2}}"#,
+            probe(1, 3.0, None, 42, Shape::Circle(-2.0)),
+        ),
+        (
+            "an integral float where an integer belongs",
+            r#"{"id":1.0,"rate":0.5,"limit":2e2,"shape":{"Label":{"text":"","at":[1.0,-0.0]}}}"#,
+            probe(
+                1,
+                0.5,
+                None,
+                200,
+                Shape::Label {
+                    text: String::new(),
+                    at: Some((1, 0)),
+                },
+            ),
+        ),
+        (
+            "null for an optional field; defaults for absent ones",
+            r#"{"id":1,"rate":0.5,"note":null,"shape":{"Rect":[1,2]}}"#,
+            probe(1, 0.5, None, 42, Shape::Rect(1.0, 2.0)),
+        ),
+        (
+            "a tuple variant ignores elements past its arity",
+            r#"{"id":1,"rate":0.5,"shape":{"Rect":[1,2,"extra",[3]]}}"#,
+            probe(1, 0.5, None, 42, Shape::Rect(1.0, 2.0)),
+        ),
+        (
+            "a missing field",
+            r#"{"id":1,"shape":"Dot"}"#,
+            Err("missing field `rate` while deserializing Probe"),
+        ),
+        (
+            "a missing field of a struct variant",
+            r#"{"id":1,"rate":0.5,"shape":{"Label":{"text":"t"}}}"#,
+            Err("missing field `at` while deserializing Shape::Label"),
+        ),
+        (
+            "an integer out of range",
+            r#"{"id":256,"rate":0.5,"shape":"Dot"}"#,
+            Err("integer 256 out of range for u8"),
+        ),
+        (
+            "a negative integer for an unsigned field",
+            r#"{"id":-1,"rate":0.5,"shape":"Dot"}"#,
+            Err("integer -1 out of range for u8"),
+        ),
+        (
+            "a fractional float where an integer belongs",
+            r#"{"id":1.5,"rate":0.5,"shape":"Dot"}"#,
+            Err("expected integer, found float"),
+        ),
+        (
+            "an unknown unit variant",
+            r#"{"id":1,"rate":0.5,"shape":"Blob"}"#,
+            Err("unknown Shape variant `Blob`"),
+        ),
+        (
+            "an unknown tagged variant",
+            r#"{"id":1,"rate":0.5,"shape":{"Blob":1}}"#,
+            Err("unknown Shape variant `Blob`"),
+        ),
+        (
+            "a payload variant named by a bare string",
+            r#"{"id":1,"rate":0.5,"shape":"Circle"}"#,
+            Err("unknown Shape variant `Circle`"),
+        ),
+        (
+            "a variant object with two tags",
+            r#"{"id":1,"rate":0.5,"shape":{"Circle":1,"Dot":null}}"#,
+            Err("expected Shape variant, found object"),
+        ),
+        (
+            "a variant of the wrong JSON type",
+            r#"{"id":1,"rate":0.5,"shape":[1]}"#,
+            Err("expected Shape variant, found array"),
+        ),
+        (
+            "a struct of the wrong JSON type",
+            r#"[1,0.5,"Dot"]"#,
+            Err("expected object for Probe, found array"),
+        ),
+        (
+            "a tuple variant shorter than its arity",
+            r#"{"id":1,"rate":0.5,"shape":{"Rect":[1]}}"#,
+            Err("array too short for Shape::Rect"),
+        ),
+        (
+            "a number where a string belongs",
+            r#"{"id":1,"rate":0.5,"note":7,"shape":"Dot"}"#,
+            Err("expected string, found integer"),
+        ),
+        (
+            "trailing text",
+            r#"{"id":1,"rate":0.5,"shape":"Dot"} x"#,
+            Err("trailing characters at byte 34"),
+        ),
+    ];
+    for (rule, input, want) in rows {
+        let got = serde_json::from_str::<Probe>(input).map_err(|e| e.to_string());
+        assert_eq!(got, want.map_err(str::to_string), "{rule}: {input}");
+    }
+    // Unit and newtype structs.
+    assert_eq!(
+        serde_json::from_str::<Marker>("{\"any\":[1]}").unwrap(),
+        Marker
+    );
+    assert_eq!(
+        serde_json::from_str::<Pair>("[7,\"s\",null]").unwrap(),
+        Pair(7, "s".to_string())
+    );
+    assert_eq!(
+        serde_json::from_str::<Wrapped>("-4.0").unwrap(),
+        Wrapped { inner: -4 }
+    );
+}

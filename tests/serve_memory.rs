@@ -1,0 +1,185 @@
+//! The daemon's heap, measured: resident memory is the typed state plus
+//! one record being written, and tracks neither the bytes journalled so
+//! far nor the size of the JSON read or written.
+//!
+//! This is a test binary of its own because it installs a counting global
+//! allocator, and it holds one test so that nothing else allocates while
+//! it counts. Every bound is on exact allocator byte counts (requested
+//! sizes, so capacity a buffer reserved and never touched counts too),
+//! not on RSS: the same run gives the same numbers on any host.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use mbts::durable::{framing, RecordTag};
+use mbts::serve::{CommandKind, MachineConfig, ServiceRun};
+use mbts::sim::Time;
+use mbts::site::SiteConfig;
+use mbts::workload::{PenaltyBound, TaskSpec};
+
+/// Bytes currently allocated, and the most that ever were.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+fn grew(by: usize) {
+    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters beside it never touch the
+// memory handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` is passed through as given.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        // SAFETY: `p` came from `System` through `alloc`/`realloc` above
+        // with this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(p, layout) };
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    // A block that grows counts its growth, not a second copy: `System`
+    // extends a large block in place or remaps it.
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `p`, `layout` and `new_size` are the caller's, unchanged.
+        let q = unsafe { System.realloc(p, layout, new_size) };
+        if !q.is_null() {
+            if new_size >= layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+            }
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn live() -> usize {
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// Runs `f` and returns its result with the most the heap stood above its
+/// level at entry while `f` ran.
+fn peak_above_entry<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let entry = live();
+    PEAK.store(entry, Ordering::Relaxed);
+    let out = f();
+    (out, PEAK.load(Ordering::Relaxed) - entry)
+}
+
+const SUBMITS: u64 = 30_000;
+const SNAPSHOT_EVERY: u64 = 8192;
+
+fn config() -> MachineConfig {
+    MachineConfig {
+        site: SiteConfig::new(64),
+        ..MachineConfig::default()
+    }
+}
+
+/// A lightly loaded site, as `serve-flood` keeps it: every task finishes
+/// and leaves its outcome, segment and registry entry behind.
+fn submit(run: &mut ServiceRun, i: u64) {
+    let at = i as f64 * 2.0;
+    let spec = TaskSpec::new(
+        0,
+        at,
+        40.0 + (i % 17) as f64,
+        10.0 + (i % 7) as f64,
+        0.01,
+        PenaltyBound::ZERO,
+    );
+    run.apply(Time::new(at), CommandKind::Submit { spec })
+        .expect("append to a file in the temp dir");
+}
+
+/// Payload length of the last snapshot record in a journal image.
+fn last_snapshot_len(image: &[u8]) -> usize {
+    let scan = framing::scan(image).expect("a journal");
+    let (_, payload) = scan
+        .records
+        .iter()
+        .rev()
+        .find(|(tag, _)| *tag == RecordTag::Snapshot)
+        .expect("a snapshot record");
+    payload.len()
+}
+
+#[test]
+fn resident_memory_does_not_track_journal_bytes_or_json_size() {
+    let dir = std::env::temp_dir().join(format!("mbts-serve-memory-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("service.journal");
+    let _ = std::fs::remove_file(&path);
+    let file_len = || std::fs::metadata(&path).expect("journal file").len() as usize;
+
+    // ---- a daemon life: the heap it leaves is its state, not its log ----
+    let before = live();
+    let (mut run, _) =
+        ServiceRun::resume_file(&path, config(), SNAPSHOT_EVERY, 0).expect("fresh journal");
+    for i in 0..SUBMITS {
+        submit(&mut run, i);
+    }
+    let held = live() - before;
+    assert!(
+        held <= file_len() / 4,
+        "after {SUBMITS} submits the run holds {held} B of heap for a {} B journal",
+        file_len()
+    );
+
+    // ---- one snapshot: the typed copy and the record, no tree -----------
+    let journal_before = file_len();
+    let ((), peak) = peak_above_entry(|| run.snapshot_now().expect("snapshot"));
+    let payload = file_len() - journal_before - framing::RECORD_OVERHEAD;
+    assert!(
+        payload > 1_000_000,
+        "a {payload} B snapshot measures nothing"
+    );
+    assert!(
+        peak * 2 <= payload * 5,
+        "snapshot_now peaked {peak} B above entry for a {payload} B payload"
+    );
+    drop(run);
+
+    // ---- recovery from an image: the typed state, not a parse tree ------
+    let image = mbts::durable::load(&path).expect("journal file");
+    assert_eq!(last_snapshot_len(&image), payload);
+    let ((machine, recovery), peak) =
+        peak_above_entry(|| ServiceRun::recover(&image).expect("the journal recovers"));
+    assert_eq!(recovery.replayed, 0);
+    assert_eq!(machine.applied(), SUBMITS);
+    assert!(
+        peak <= payload * 2,
+        "recover peaked {peak} B above the image for a {payload} B snapshot"
+    );
+    drop(machine);
+    drop(image);
+
+    // ---- a restart: the image it recovers from is not kept ---------------
+    let before = live();
+    let (resumed, recovery) =
+        ServiceRun::resume_file(&path, config(), SNAPSHOT_EVERY, 0).expect("resume");
+    assert_eq!(recovery.replayed, 0);
+    assert_eq!(resumed.machine().applied(), SUBMITS);
+    let held = live() - before;
+    assert!(
+        held < file_len(),
+        "a resumed run holds {held} B of heap for a {} B journal",
+        file_len()
+    );
+    drop(resumed);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -353,6 +353,60 @@ fn sigkill_recovers_acknowledged_prefix_and_sigterm_drains() {
     std::fs::remove_file(&journal).ok();
 }
 
+/// One request body nested far deeper than any document the service
+/// reads must draw a 400 from the JSON reader's depth limit, whether the
+/// nesting sits where the typed body belongs or under a key the reader
+/// skips, and the daemon must answer the next connection. (A reader that
+/// recursed per level with no limit overflowed the connection thread's
+/// stack on 20 KB of `[` and took the process down.)
+#[test]
+fn deeply_nested_bodies_draw_400_and_the_daemon_keeps_serving() {
+    let server = Server::start(ServeConfig {
+        site: SiteConfig::new(2),
+        queue_capacity: 16,
+        ..ServeConfig::default()
+    })
+    .expect("server start");
+    let addr = server.addr.to_string();
+
+    let deep = 20_000;
+    let bodies = [
+        ("arrays", "[".repeat(deep)),
+        ("objects", "{\"a\":".repeat(deep)),
+        (
+            "arrays under an unknown key",
+            format!(
+                "{{\"runtime\":1.0,\"value\":5.0,\"decay\":0.01,\"extra\":{}{}}}",
+                "[".repeat(deep),
+                "]".repeat(deep)
+            ),
+        ),
+    ];
+    for (label, body) in &bodies {
+        for target in ["/submit", "/cancel"] {
+            let resp = post(&addr, target, body);
+            assert_eq!(
+                resp.status,
+                400,
+                "{label} at {target}: {}",
+                String::from_utf8_lossy(&resp.body)
+            );
+            assert_eq!(get(&addr, "/healthz").status, 200, "{label}: daemon died");
+        }
+    }
+    let skipped = String::from_utf8_lossy(&post(&addr, "/submit", &bodies[2].1).body).into_owned();
+    assert!(skipped.contains("recursion limit"), "{skipped}");
+
+    let resp = post(
+        &addr,
+        "/submit",
+        "{\"runtime\":1.0,\"value\":5.0,\"decay\":0.01}",
+    );
+    assert_eq!(resp.status, 200, "well-formed submit after the deep ones");
+    server.request_stop();
+    server.join().expect("clean stop");
+}
+
 /// Protocol garbage over a real socket must never crash, hang, or earn a
 /// 2xx: each layer of parser damage — mangled request line, bad version,
 /// unparseable or oversized content-length, colon-less header, invalid
