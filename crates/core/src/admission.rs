@@ -23,7 +23,7 @@
 
 use crate::heuristics::Policy;
 use crate::job::Job;
-use crate::schedule::{build_candidate, CandidateSchedule, ScheduleMode};
+use crate::schedule::{with_candidate_schedule, CandidateSchedule, ScheduleMode};
 use mbts_sim::Time;
 use mbts_workload::workflow::SuccessorContext;
 use serde::{Deserialize, Serialize};
@@ -78,8 +78,17 @@ pub fn evaluate_admission(
     queue_with_candidate: &[Job],
     candidate: &Job,
 ) -> AdmissionDecision {
-    let schedule = build_candidate(policy, mode, now, processor_free, queue_with_candidate);
-    decision_from_schedule(admission, discount_rate, &schedule, candidate)
+    evaluate_admission_with_successors(
+        admission,
+        policy,
+        mode,
+        discount_rate,
+        now,
+        processor_free,
+        queue_with_candidate,
+        candidate,
+        None,
+    )
 }
 
 /// Successor-aware variant of [`evaluate_admission`] (Eq. 7′/8′, see
@@ -100,29 +109,28 @@ pub fn evaluate_admission_with_successors(
     candidate: &Job,
     successors: Option<&SuccessorContext>,
 ) -> AdmissionDecision {
-    let schedule = build_candidate(policy, mode, now, processor_free, queue_with_candidate);
-    decision_from_schedule_with_successors(
-        admission,
-        discount_rate,
-        &schedule,
-        candidate,
-        successors,
+    let free = |buf: &mut Vec<Time>| buf.extend_from_slice(processor_free);
+    with_candidate_schedule(
+        policy,
+        mode,
+        now,
+        free,
+        queue_with_candidate,
+        None,
+        |schedule| {
+            decision_from_schedule_with_successors(
+                admission,
+                discount_rate,
+                schedule,
+                candidate,
+                successors,
+            )
+        },
     )
 }
 
-/// Computes the decision given an already-built candidate schedule
-/// containing the candidate (lets the site reuse one schedule for both
-/// the server bid and the decision).
-pub fn decision_from_schedule(
-    admission: &AdmissionPolicy,
-    discount_rate: f64,
-    schedule: &CandidateSchedule,
-    candidate: &Job,
-) -> AdmissionDecision {
-    decision_from_schedule_with_successors(admission, discount_rate, schedule, candidate, None)
-}
-
-/// Successor-aware decision (Eq. 7′/8′). The candidate's expected yield
+/// The decision read off an already-built candidate schedule containing
+/// the candidate, successor-aware (Eq. 7′/8′). The candidate's expected yield
 /// — the server bid's *price* — stays task-level, but its present value
 /// gains the estimated decayed value of its workflow descendants at
 /// their earliest possible completion (`C_i + D_i`, the candidate's
@@ -146,9 +154,13 @@ pub fn decision_from_schedule_with_successors(
     candidate: &Job,
     successors: Option<&SuccessorContext>,
 ) -> AdmissionDecision {
-    let entry = schedule
-        .entry(candidate.id())
+    let position = schedule
+        .position(candidate.id())
         .expect("candidate must be present in its own candidate schedule");
+    let (entry, behind) = (
+        &schedule.entries[position],
+        &schedule.entries[position + 1..],
+    );
     let expected_yield = entry.expected_yield;
     let succ = successors.filter(|s| !s.is_empty());
     let present_value = match succ {
@@ -164,11 +176,7 @@ pub fn decision_from_schedule_with_successors(
     // Eq. 8: each task behind the candidate is pushed back by the
     // candidate's runtime.
     let runtime_i = candidate.spec.runtime.as_f64();
-    let behind_decay: f64 = schedule
-        .behind(candidate.id())
-        .iter()
-        .map(|e| e.decay)
-        .sum();
+    let behind_decay: f64 = behind.iter().map(|e| e.decay).sum();
     let cost = behind_decay * runtime_i;
 
     let effective_decay = candidate.spec.decay + succ.map(|s| s.sum_decay).unwrap_or(0.0);

@@ -118,8 +118,15 @@ impl CostModel {
     /// candidate itself; [`cost`](Self::cost) subtracts its own
     /// contribution, so one model serves every candidate at this point.
     pub fn build<'a>(now: Time, jobs: impl IntoIterator<Item = &'a Job>) -> Self {
-        let mut infinite_decay = 0.0;
-        let mut finite: Vec<(f64, f64)> = Vec::new();
+        let mut model = Self::empty();
+        model.refill(now, jobs);
+        model
+    }
+
+    /// [`build`](Self::build) into this model's existing allocations.
+    pub fn refill<'a>(&mut self, now: Time, jobs: impl IntoIterator<Item = &'a Job>) {
+        self.infinite_decay = 0.0;
+        self.finite.clear();
         for job in jobs {
             let d = job.spec.decay;
             if d == 0.0 {
@@ -127,27 +134,13 @@ impl CostModel {
             }
             let w = job.decay_window(now);
             if w == Duration::INFINITY {
-                infinite_decay += d;
+                self.infinite_decay += d;
             } else if w > Duration::ZERO {
-                finite.push((w.as_f64(), d));
+                self.finite.push((w.as_f64(), d));
             }
             // w == 0 (expired): deferring is free; contributes nothing.
         }
-        finite.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut prefix_dw = Vec::with_capacity(finite.len() + 1);
-        let mut prefix_d = Vec::with_capacity(finite.len() + 1);
-        prefix_dw.push(0.0);
-        prefix_d.push(0.0);
-        for &(w, d) in &finite {
-            prefix_dw.push(prefix_dw.last().unwrap() + d * w);
-            prefix_d.push(prefix_d.last().unwrap() + d);
-        }
-        CostModel {
-            infinite_decay,
-            finite,
-            prefix_dw,
-            prefix_d,
-        }
+        self.index_finite();
     }
 
     /// A model for an all-unbounded queue with aggregate decay `total`
@@ -181,6 +174,11 @@ impl CostModel {
         self.infinite_decay = infinite_decay;
         self.finite.clear();
         self.finite.extend(entries);
+        self.index_finite();
+    }
+
+    /// Sorts the finite-window entries and rebuilds both prefix sums.
+    fn index_finite(&mut self) {
         self.finite.sort_by(|a, b| a.0.total_cmp(&b.0));
         self.prefix_dw.clear();
         self.prefix_d.clear();

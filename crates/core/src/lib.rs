@@ -65,5 +65,7 @@ pub use pool::{IncrementalCostModel, PendingPool, PoolCheckpoint};
 pub use readyset::{
     ReadySet, WorkflowProgress, WorkflowReport, WorkflowRuntime, WorkflowSettlement,
 };
-pub use schedule::{build_candidate, CandidateSchedule, ScheduleEntry, ScheduleMode};
+pub use schedule::{
+    build_candidate, with_candidate_schedule, CandidateSchedule, ScheduleEntry, ScheduleMode,
+};
 pub use value::{LinearDecay, PiecewiseLinear, ValueFunction};

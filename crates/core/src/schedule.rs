@@ -23,6 +23,7 @@ use crate::pool::PendingPool;
 use mbts_sim::Time;
 use mbts_workload::TaskId;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// How candidate schedules are constructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -103,47 +104,160 @@ pub fn build_candidate(
     processor_free: &[Time],
     jobs: &[Job],
 ) -> CandidateSchedule {
-    assert!(!processor_free.is_empty(), "need at least one processor");
-    let mut free: Vec<Time> = processor_free.iter().map(|&t| t.max(now)).collect();
-    match mode {
-        ScheduleMode::Static => build_static(policy, now, &mut free, jobs),
-        ScheduleMode::Dynamic => build_dynamic(policy, &mut free, jobs),
-    }
+    let free = |buf: &mut Vec<Time>| buf.extend_from_slice(processor_free);
+    with_candidate_schedule(
+        policy,
+        mode,
+        now,
+        free,
+        jobs,
+        None,
+        CandidateSchedule::clone,
+    )
 }
 
-fn build_static(policy: &Policy, now: Time, free: &mut [Time], jobs: &[Job]) -> CandidateSchedule {
-    for job in jobs {
-        assert!(
-            job.spec.width <= free.len(),
-            "{} requests {} processors but the site has {}",
-            job.id(),
-            job.spec.width,
-            free.len()
+/// The buffers one layout fills. Each thread keeps a set, so that laying
+/// out a queue (one admission quote) allocates nothing once they have
+/// grown to the deepest queue seen.
+struct Layout {
+    /// Processor free times, clamped to `now`, advanced as jobs are placed.
+    free: Vec<Time>,
+    /// `(job index, score)` in dispatch order (static mode).
+    order: Vec<(usize, f64)>,
+    /// Processor indices a gang wider than one selects among.
+    gang: Vec<usize>,
+    /// Opportunity-cost model of the queue, for policies that need one.
+    cost: Option<CostModel>,
+    schedule: CandidateSchedule,
+}
+
+thread_local! {
+    static LAYOUT: RefCell<Layout> = const { RefCell::new(Layout::new()) };
+}
+
+/// Lays out `jobs` plus, optionally, one `extra` job (the bid being
+/// quoted, ranked as if it were pushed last onto `jobs`) exactly as
+/// [`build_candidate`] does, and hands the schedule to `read` instead of
+/// returning it. The schedule lives in this thread's reused buffers, and
+/// `processor_free` pushes the free times onto the emptied one it is
+/// given, so a caller that only reads an
+/// [`AdmissionDecision`](crate::AdmissionDecision) off the schedule
+/// allocates nothing in steady state.
+pub fn with_candidate_schedule<R>(
+    policy: &Policy,
+    mode: ScheduleMode,
+    now: Time,
+    processor_free: impl FnOnce(&mut Vec<Time>),
+    jobs: &[Job],
+    extra: Option<&Job>,
+    read: impl FnOnce(&CandidateSchedule) -> R,
+) -> R {
+    LAYOUT.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut layout) => read(layout.fill(policy, mode, now, processor_free, jobs, extra)),
+        // `processor_free` or an outer `read` is itself laying out a
+        // schedule on this thread: use fresh buffers.
+        Err(_) => read(Layout::new().fill(policy, mode, now, processor_free, jobs, extra)),
+    })
+}
+
+impl Layout {
+    const fn new() -> Self {
+        Layout {
+            free: Vec::new(),
+            order: Vec::new(),
+            gang: Vec::new(),
+            cost: None,
+            schedule: CandidateSchedule {
+                entries: Vec::new(),
+            },
+        }
+    }
+
+    fn fill(
+        &mut self,
+        policy: &Policy,
+        mode: ScheduleMode,
+        now: Time,
+        processor_free: impl FnOnce(&mut Vec<Time>),
+        jobs: &[Job],
+        extra: Option<&Job>,
+    ) -> &CandidateSchedule {
+        self.free.clear();
+        processor_free(&mut self.free);
+        for t in &mut self.free {
+            *t = (*t).max(now);
+        }
+        assert!(!self.free.is_empty(), "need at least one processor");
+        for job in jobs.iter().chain(extra) {
+            assert!(
+                job.spec.width <= self.free.len(),
+                "{} requests {} processors but the site has {}",
+                job.id(),
+                job.spec.width,
+                self.free.len()
+            );
+        }
+        self.schedule.entries.clear();
+        match mode {
+            ScheduleMode::Static => self.fill_static(policy, now, jobs, extra),
+            ScheduleMode::Dynamic => self.fill_dynamic(policy, jobs, extra),
+        }
+        &self.schedule
+    }
+
+    fn fill_static(&mut self, policy: &Policy, now: Time, jobs: &[Job], extra: Option<&Job>) {
+        let Layout {
+            free,
+            order,
+            gang,
+            cost,
+            schedule,
+        } = self;
+        let ctx = if policy.needs_cost_model() {
+            let model = cost.get_or_insert_with(CostModel::empty);
+            model.refill(now, jobs.iter().chain(extra));
+            ScoreCtx::with_cost(now, model)
+        } else {
+            ScoreCtx::simple(now)
+        };
+        order.clear();
+        order.extend(
+            jobs.iter()
+                .chain(extra)
+                .enumerate()
+                .map(|(i, j)| (i, policy.score(j, &ctx))),
         );
+        // Index `jobs.len()` is the extra job.
+        let job_at = |i: usize| jobs.get(i).or(extra).expect("index from the enumeration");
+        // Descending score; ties to lower task id for determinism.
+        order.sort_by(|a, b| {
+            b.1.total_cmp(&a.1)
+                .then_with(|| job_at(a.0).id().cmp(&job_at(b.0).id()))
+        });
+        for &(idx, _) in order.iter() {
+            schedule.entries.push(place(free, gang, job_at(idx)));
+        }
     }
-    let model = policy
-        .needs_cost_model()
-        .then(|| CostModel::build(now, jobs));
-    let ctx = match &model {
-        Some(m) => ScoreCtx::with_cost(now, m),
-        None => ScoreCtx::simple(now),
-    };
-    let mut order: Vec<(usize, f64)> = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, j)| (i, policy.score(j, &ctx)))
-        .collect();
-    // Descending score; ties to lower task id for determinism.
-    order.sort_by(|a, b| {
-        b.1.total_cmp(&a.1)
-            .then_with(|| jobs[a.0].id().cmp(&jobs[b.0].id()))
-    });
-    let mut entries = Vec::with_capacity(jobs.len());
-    for (idx, _) in order {
-        let job = &jobs[idx];
-        entries.push(place(free, job));
+
+    fn fill_dynamic(&mut self, policy: &Policy, jobs: &[Job], extra: Option<&Job>) {
+        // One persistent pool across the whole layout instead of rebuilding
+        // scores (and the cost model) from scratch at every dispatch instant:
+        // selection is a heap peek for time-invariant policies and an O(n)
+        // re-rank over incrementally maintained state otherwise.
+        let mut pool = PendingPool::new(*policy);
+        for job in jobs.iter().chain(extra) {
+            pool.push(job.clone());
+        }
+        while !pool.is_empty() {
+            // Score at the next dispatch instant: the earliest processor-free
+            // time (a wider pick launches later; its own entry records that).
+            let t = (self.free.iter().copied().min()).expect("non-empty free list");
+            let pick = pool.select_best(t).expect("non-empty pool");
+            let job = pool.swap_remove(pick);
+            let entry = place(&mut self.free, &mut self.gang, &job);
+            self.schedule.entries.push(entry);
+        }
     }
-    CandidateSchedule { entries }
 }
 
 /// Gang-places `job` on its `width` earliest-free processors: the start is
@@ -155,8 +269,9 @@ fn build_static(policy: &Policy, now: Time, free: &mut [Time], jobs: &[Job]) -> 
 /// order the previous repeated-min scan produced, pinned here so recorded
 /// schedules replay identically. Selection runs in `O(p)` expected
 /// (`select_nth_unstable_by`) instead of the old `O(width · p)` repeated
-/// min with an `O(width)` membership scan per probe.
-fn place(free: &mut [Time], job: &Job) -> ScheduleEntry {
+/// min with an `O(width)` membership scan per probe. `gang` is scratch
+/// for the processor indices a wide job selects among.
+fn place(free: &mut [Time], gang: &mut Vec<usize>, job: &Job) -> ScheduleEntry {
     let width = job.spec.width;
     debug_assert!(width >= 1, "gangs have at least one member");
     debug_assert!(width <= free.len(), "width <= processor count");
@@ -172,9 +287,10 @@ fn place(free: &mut [Time], job: &Job) -> ScheduleEntry {
         free[best] = s + job.rpt;
         s
     } else {
-        let mut idx: Vec<usize> = (0..free.len()).collect();
+        gang.clear();
+        gang.extend(0..free.len());
         let (earlier, nth, _) =
-            idx.select_nth_unstable_by(width - 1, |&a, &b| free[a].cmp(&free[b]).then(a.cmp(&b)));
+            gang.select_nth_unstable_by(width - 1, |&a, &b| free[a].cmp(&free[b]).then(a.cmp(&b)));
         // The partition pivot is the gang's latest-free member, i.e. the
         // gang's start time; everything left of it joins the gang.
         let s = free[*nth];
@@ -193,34 +309,6 @@ fn place(free: &mut [Time], job: &Job) -> ScheduleEntry {
         expected_yield: job.spec.yield_at(completion),
         decay: job.spec.decay,
     }
-}
-
-fn build_dynamic(policy: &Policy, free: &mut [Time], jobs: &[Job]) -> CandidateSchedule {
-    // One persistent pool across the whole layout instead of rebuilding
-    // scores (and the cost model) from scratch at every dispatch instant:
-    // selection is a heap peek for time-invariant policies and an O(n)
-    // re-rank over incrementally maintained state otherwise.
-    let mut pool = PendingPool::new(*policy);
-    for job in jobs {
-        assert!(
-            job.spec.width <= free.len(),
-            "{} requests {} processors but the site has {}",
-            job.id(),
-            job.spec.width,
-            free.len()
-        );
-        pool.push(job.clone());
-    }
-    let mut entries = Vec::with_capacity(jobs.len());
-    while !pool.is_empty() {
-        // Score at the next dispatch instant: the earliest processor-free
-        // time (a wider pick launches later; its own entry records that).
-        let t = free.iter().copied().min().expect("non-empty free list");
-        let pick = pool.select_best(t).expect("non-empty pool");
-        let job = pool.swap_remove(pick);
-        entries.push(place(free, &job));
-    }
-    CandidateSchedule { entries }
 }
 
 #[cfg(test)]

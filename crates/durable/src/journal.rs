@@ -105,6 +105,17 @@ fn write_full(sink: &mut dyn JournalSink, buf: &[u8]) -> io::Result<()> {
 /// buffer does not stay resident between snapshots.
 const SCRATCH_KEEP: usize = 64 * 1024;
 
+/// What a scratch buffer starts at, and restarts at after a release. A
+/// buffer left to start empty takes the length of the first record framed
+/// in it as its capacity, and a snapshot-sized record then doubles up from
+/// that: which command a daemon happened to journal first after a snapshot
+/// decided whether the next snapshot's buffer came out a few KB above or
+/// below the last one's, and so whether the allocator mapped it or grew
+/// the heap for it, and a life's resident memory fell in one of two modes
+/// several MB apart. From a fixed start every buffer doubles through the
+/// same sizes in every run.
+const SCRATCH_START: usize = 4 * 1024;
+
 /// An append-only snapshot + event journal. See the module docs for where
 /// its bytes live.
 pub struct Journal {
@@ -151,7 +162,7 @@ impl Journal {
     /// the write cursor at its end.
     fn on_file(file: File, path: PathBuf, len: usize) -> Self {
         Journal {
-            buf: Vec::new(),
+            buf: Vec::with_capacity(SCRATCH_START),
             len,
             sink: Some(Box::new(file)),
             path: Some(path),
@@ -231,7 +242,7 @@ impl Journal {
             }
         }
         if is_scratch && self.buf.capacity() > SCRATCH_KEEP {
-            self.buf = Vec::new();
+            self.buf = Vec::with_capacity(SCRATCH_START);
         }
         Ok(())
     }
@@ -460,6 +471,33 @@ mod tests {
         assert_eq!(load(&path).unwrap(), *in_memory.bytes());
         assert_eq!(on_file.len(), in_memory.len());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn scratch_capacity_does_not_follow_the_first_record() {
+        // Two journals whose first command after a released snapshot
+        // buffer differs in length grow the next snapshot's buffer
+        // through the same capacities.
+        let grown = |first: &[u8]| {
+            let path = test_path(&format!("scratch-{}", first.len()));
+            let mut j = Journal::create(&path).unwrap();
+            j.append_snapshot_with(|buf| buf.resize(buf.len() + 2 * SCRATCH_KEEP, b's'))
+                .unwrap();
+            assert_eq!(j.buf.capacity(), SCRATCH_START);
+            j.append_event(first).unwrap();
+            assert_eq!(j.buf.capacity(), SCRATCH_START);
+            let mut grown = 0;
+            j.append_snapshot_with(|buf| {
+                for _ in 0..3 * SCRATCH_KEEP {
+                    buf.push(b's');
+                }
+                grown = buf.capacity();
+            })
+            .unwrap();
+            std::fs::remove_file(&path).ok();
+            grown
+        };
+        assert_eq!(grown(&[b'c'; 265]), grown(&[b'c'; 278]));
     }
 
     #[test]

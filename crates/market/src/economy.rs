@@ -33,7 +33,6 @@ use mbts_trace::{
 };
 use mbts_workload::{TaskId, TaskSpec, Trace, WorkflowFacets, WorkflowSet};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Index of a site within an economy.
 pub type SiteId = usize;
@@ -321,6 +320,15 @@ impl EconomyRun {
     /// faults configured, each unit's pre-drawn first crash) scheduled.
     pub fn new(config: EconomyConfig, trace: &Trace, tracer: Tracer) -> Self {
         assert!(!config.sites.is_empty(), "economy needs at least one site");
+        assert!(
+            trace
+                .tasks
+                .iter()
+                .enumerate()
+                .all(|(i, t)| t.id.index() == i),
+            "task ids must equal trace positions (`validate_trace` reports which do not): \
+             the per-task ledgers are indexed by id"
+        );
         let accounts = config
             .budgets
             .as_ref()
@@ -355,19 +363,8 @@ impl EconomyRun {
         // the replay contract. In workflow mode only roots arrive on
         // their own; successors enter via EcoEvent::Release when their
         // last predecessor completes.
-        let mut initial: Vec<(Time, EcoEvent)> = match workflows.as_ref() {
-            Some(rt) => rt
-                .roots()
-                .into_iter()
-                .map(|i| (trace.tasks[i].arrival, EcoEvent::Arrival(i)))
-                .collect(),
-            None => trace
-                .tasks
-                .iter()
-                .enumerate()
-                .map(|(i, spec)| (spec.arrival, EcoEvent::Arrival(i)))
-                .collect(),
-        };
+        let roots = workflows.as_ref().map(|rt| rt.roots());
+        let mut crashes = Vec::new();
         if let Some(inj) = injector.as_mut() {
             for unit in inj.units() {
                 if crash_budget == 0 {
@@ -375,10 +372,11 @@ impl EconomyRun {
                 }
                 if let Some(up) = inj.uptime(unit) {
                     crash_budget -= 1;
-                    initial.push((Time::ZERO + up, EcoEvent::Crash(unit)));
+                    crashes.push((Time::ZERO + up, unit));
                 }
             }
         }
+        let tasks = trace.tasks.len();
         let model = EcoModel {
             sites: config
                 .sites
@@ -394,8 +392,10 @@ impl EconomyRun {
             retry: config.retry,
             accounts,
             contracts: Vec::new(),
-            contract_of: HashMap::new(),
+            contract_of: DenseLedger::new(tasks),
             second_quote: Vec::new(),
+            decisions: Vec::new(),
+            bids: Vec::new(),
             offered: 0,
             placed: 0,
             unplaced: 0,
@@ -405,8 +405,8 @@ impl EconomyRun {
             cancelled: 0,
             migrations: 0,
             abandoned: 0,
-            attempts: HashMap::new(),
-            retries: HashMap::new(),
+            attempts: DenseLedger::new(tasks),
+            retries: DenseLedger::new(tasks),
             coin_state: config.seed ^ 0x8E51_2CAF_3B5E_71A9,
             site_accounts: vec![0.0; config.sites.len()],
             injector,
@@ -427,8 +427,13 @@ impl EconomyRun {
             tracer,
         };
         let mut engine = Engine::new(model);
-        for (at, ev) in initial {
-            engine.schedule(at, ev);
+        let arrival = |i: usize| (trace.tasks[i].arrival, i);
+        match roots {
+            Some(roots) => engine.feed(roots.into_iter().map(arrival), EcoEvent::Arrival),
+            None => engine.feed((0..tasks).map(arrival), EcoEvent::Arrival),
+        }
+        for (at, unit) in crashes {
+            engine.schedule(at, EcoEvent::Crash(unit));
         }
         EconomyRun { engine }
     }
@@ -471,14 +476,6 @@ impl EconomyRun {
     /// Captures the complete replay state at the current event boundary.
     pub fn snapshot(&self) -> EconomySnapshot {
         let m = self.engine.model();
-        let sorted = |map: &HashMap<u64, u32>| {
-            let mut v: Vec<(u64, u32)> = map.iter().map(|(&k, &n)| (k, n)).collect();
-            v.sort_unstable();
-            v
-        };
-        let mut contract_of: Vec<(u64, usize)> =
-            m.contract_of.iter().map(|(&k, &v)| (k, v)).collect();
-        contract_of.sort_unstable();
         EconomySnapshot {
             sites: m.sites.iter().map(|s| s.snapshot()).collect(),
             trace: m.trace.clone(),
@@ -487,7 +484,11 @@ impl EconomyRun {
             budgets: m.budgets,
             accounts: m.accounts.clone(),
             contracts: m.contracts.clone(),
-            contract_of,
+            contract_of: m
+                .contract_of
+                .entries()
+                .map(|(id, ci)| (id, ci as usize))
+                .collect(),
             second_quote: m.second_quote.clone(),
             migration: m.migration,
             terms: m.terms,
@@ -501,8 +502,8 @@ impl EconomyRun {
             cancelled: m.cancelled,
             migrations: m.migrations,
             abandoned: m.abandoned,
-            attempts: sorted(&m.attempts),
-            retries: sorted(&m.retries),
+            attempts: m.attempts.entries().collect(),
+            retries: m.retries.entries().collect(),
             coin_state: m.coin_state,
             site_accounts: m.site_accounts.clone(),
             injector: m.injector.as_ref().map(|i| i.state()),
@@ -530,6 +531,12 @@ impl EconomyRun {
     /// Reconstructs a run from a [`snapshot`](Self::snapshot); the resumed
     /// run replays bit-identically to the one that was captured.
     pub fn from_snapshot(snap: EconomySnapshot) -> Self {
+        let tasks = snap.trace.len();
+        let ledger = |entries: Vec<(u64, u32)>| DenseLedger::from_entries(tasks, entries);
+        let contract_of = snap.contract_of.into_iter().map(|(id, ci)| {
+            let ci = u32::try_from(ci).expect("snapshot contract index exceeds u32::MAX");
+            (id, ci)
+        });
         let model = EcoModel {
             sites: snap
                 .sites
@@ -542,8 +549,10 @@ impl EconomyRun {
             budgets: snap.budgets,
             accounts: snap.accounts,
             contracts: snap.contracts,
-            contract_of: snap.contract_of.into_iter().collect(),
+            contract_of: DenseLedger::from_entries(tasks, contract_of),
             second_quote: snap.second_quote,
+            decisions: Vec::new(),
+            bids: Vec::new(),
             migration: snap.migration,
             terms: snap.terms,
             retry: snap.retry,
@@ -556,8 +565,8 @@ impl EconomyRun {
             cancelled: snap.cancelled,
             migrations: snap.migrations,
             abandoned: snap.abandoned,
-            attempts: snap.attempts.into_iter().collect(),
-            retries: snap.retries.into_iter().collect(),
+            attempts: ledger(snap.attempts),
+            retries: ledger(snap.retries),
             coin_state: snap.coin_state,
             site_accounts: snap.site_accounts,
             injector: snap.injector.map(FaultInjector::from_state),
@@ -620,8 +629,8 @@ impl EconomyRun {
 
 /// Complete replay state of an [`EconomyRun`] at an event boundary:
 /// restoring it and running to completion is bit-identical to never
-/// having stopped. Hash-keyed ledgers are flattened to sorted vectors so
-/// serialized snapshots are deterministic byte-for-byte.
+/// having stopped. The per-task ledgers are written as `(id, n)` lists
+/// sorted by id, holding only the tasks that have an entry.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EconomySnapshot {
     /// Per-site replay state.
@@ -773,6 +782,41 @@ pub enum EcoEvent {
     },
 }
 
+/// A per-task `u32` ledger indexed by the task's dense id: one
+/// zero-initialised slot per task of the trace, `0` for "no entry" and
+/// `n + 1` for an entry of `n` (an entry of zero is distinct from none).
+struct DenseLedger(Vec<u32>);
+
+impl DenseLedger {
+    fn new(tasks: usize) -> Self {
+        DenseLedger(vec![0; tasks])
+    }
+
+    fn from_entries(tasks: usize, entries: impl IntoIterator<Item = (u64, u32)>) -> Self {
+        let mut ledger = Self::new(tasks);
+        for (id, n) in entries {
+            ledger.set(TaskId(id), n);
+        }
+        ledger
+    }
+
+    fn get(&self, id: TaskId) -> Option<u32> {
+        self.0[id.index()].checked_sub(1)
+    }
+
+    fn set(&mut self, id: TaskId, n: u32) {
+        self.0[id.index()] = n.checked_add(1).expect("ledger entry exceeds u32::MAX - 1");
+    }
+
+    /// `(id, n)` for every task with an entry, ascending by id.
+    fn entries(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.0
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| Some((i as u64, slot.checked_sub(1)?)))
+    }
+}
+
 struct EcoModel {
     sites: Vec<SiteState>,
     trace: Vec<TaskSpec>,
@@ -781,10 +825,15 @@ struct EcoModel {
     budgets: Option<BudgetConfig>,
     accounts: Vec<Account>,
     contracts: Vec<Contract>,
-    /// task id → index into `contracts`.
-    contract_of: HashMap<u64, usize>,
+    /// task id → index into `contracts` (the latest, if re-placed).
+    contract_of: DenseLedger,
     /// Runner-up quoted price per contract (for second pricing).
     second_quote: Vec<Option<f64>>,
+    /// Every site's verdict on the latest bid, and the willing sites'
+    /// server bids: buffers [`place`](Self::place) refills per bid,
+    /// never read across bids and so not part of replay state.
+    decisions: Vec<(usize, AdmissionDecision)>,
+    bids: Vec<ServerBid>,
     migration: Option<MigrationConfig>,
     terms: ContractTerms,
     retry: Option<RetryConfig>,
@@ -798,9 +847,9 @@ struct EcoModel {
     migrations: usize,
     abandoned: usize,
     /// Negotiation attempts consumed per task id (for migration limits).
-    attempts: HashMap<u64, u32>,
+    attempts: DenseLedger,
     /// Re-bids consumed per task id (for retry limits).
-    retries: HashMap<u64, u32>,
+    retries: DenseLedger,
     coin_state: u64,
     /// Per-site revenue after pricing — the market-side half of the
     /// money-conservation audit (Σ over sites must equal `total_paid`).
@@ -1049,10 +1098,11 @@ impl EcoModel {
     /// Settles the breach of a still-open contract for an orphaned task:
     /// the site pays the accrued penalty (charged against its revenue)
     /// and the client is made whole on its ledger.
-    fn settle_orphan_breach(&mut self, now: Time, site: SiteId, task_id: u64) {
-        let Some(&ci) = self.contract_of.get(&task_id) else {
+    fn settle_orphan_breach(&mut self, now: Time, site: SiteId, task: TaskId) {
+        let Some(ci) = self.contract_of.get(task) else {
             return;
         };
+        let ci = ci as usize;
         if self.contracts[ci].is_settled() {
             return;
         }
@@ -1065,7 +1115,7 @@ impl EcoModel {
             let client = self.contracts[ci].client;
             self.accounts[client].debit(paid);
         }
-        self.trace_settlement(now, site, TaskId(task_id), paid);
+        self.trace_settlement(now, site, task, paid);
     }
 
     fn handle_crash(&mut self, now: Time, unit: FaultUnit, queue: &mut EventQueue<EcoEvent>) {
@@ -1083,7 +1133,7 @@ impl EcoModel {
                 let killed = self.sites[site].crash(cap, now);
                 for job in self.sites[site].orphan_pending(now) {
                     self.orphaned += 1;
-                    self.settle_orphan_breach(now, site, job.id().0);
+                    self.settle_orphan_breach(now, site, job.id());
                     let spec = job.spec;
                     let client = self.client_of(&spec);
                     self.pending_rebids += 1;
@@ -1220,9 +1270,12 @@ impl EcoModel {
         queue: &mut EventQueue<EcoEvent>,
     ) {
         if let Some(r) = self.retry {
-            let used = self.retries.entry(spec.id.0).or_insert(0);
-            if *used < r.max_retries {
-                *used += 1;
+            // The entry exists from the first failure on, even at a
+            // budget of zero: snapshots list it.
+            let used = self.retries.get(spec.id).unwrap_or(0);
+            let retry = used < r.max_retries;
+            self.retries.set(spec.id, used + u32::from(retry));
+            if retry {
                 queue.schedule(
                     now + mbts_sim::Duration::new(r.backoff),
                     EcoEvent::Retry { spec, client },
@@ -1243,26 +1296,25 @@ impl EcoModel {
         client: usize,
         queue: &mut EventQueue<EcoEvent>,
     ) -> bool {
-        *self.attempts.entry(spec.id.0).or_insert(0) += 1;
+        let attempts = self.attempts.get(spec.id).unwrap_or(0);
+        self.attempts.set(spec.id, attempts + 1);
 
         // Broadcast the bid; every site's verdict is collected (evaluate
         // is read-only) and willing sites become server bids.
-        let decisions: Vec<(usize, AdmissionDecision)> = self
-            .sites
-            .iter()
-            .enumerate()
-            .map(|(s, site)| (s, site.evaluate(now, spec)))
-            .collect();
-        let bids: Vec<ServerBid> = decisions
-            .iter()
-            .filter(|(_, d)| d.accept)
-            .map(|(s, d)| ServerBid::from_decision(*s, d))
-            .collect();
+        self.decisions.clear();
+        self.bids.clear();
+        for (s, site) in self.sites.iter().enumerate() {
+            let d = site.evaluate(now, spec);
+            if d.accept {
+                self.bids.push(ServerBid::from_decision(s, &d));
+            }
+            self.decisions.push((s, d));
+        }
 
         let coin = splitmix64(&mut self.coin_state);
-        let winner = self.selection.choose(&bids, coin);
+        let winner = self.selection.choose(&self.bids, coin);
         if self.tracer.is_provenance() {
-            let ev = self.bid_selection_event(now, spec, &decisions, winner.map(|w| w.site));
+            let ev = self.bid_selection_event(now, spec, &self.decisions, winner.map(|w| w.site));
             self.tracer.emit(ev);
         }
         let Some(winner) = winner else {
@@ -1271,7 +1323,8 @@ impl EcoModel {
         self.placed += 1;
 
         // Runner-up quote for second pricing.
-        let second = bids
+        let second = self
+            .bids
             .iter()
             .filter(|b| b.site != winner.site)
             .map(|b| b.price)
@@ -1290,7 +1343,8 @@ impl EcoModel {
             .with_terms(self.terms),
         );
         self.second_quote.push(second);
-        self.contract_of.insert(spec.id.0, contract_idx);
+        let ledger_idx = u32::try_from(contract_idx).expect("more than u32::MAX contracts");
+        self.contract_of.set(spec.id, ledger_idx);
 
         self.sites[winner.site].note_offer(now);
         for token in self.sites[winner.site].accept(now, spec) {
@@ -1348,7 +1402,7 @@ impl EcoModel {
         self.audit_money(now);
         // Re-bid with the original value function (the user's value keeps
         // decaying from the original timeline).
-        if self.attempts.get(&task_id.0).copied().unwrap_or(0) < m.max_attempts {
+        if self.attempts.get(task_id).unwrap_or(0) < m.max_attempts {
             if self.place(now, spec, client, queue) {
                 self.migrations += 1;
             } else {
@@ -1364,7 +1418,8 @@ impl EcoModel {
     /// Settles the contract of a finished task: value-function settlement,
     /// pricing filter, ledger postings, trace event, conservation audit.
     fn settle_completion(&mut self, now: Time, site: SiteId, task: TaskId) {
-        if let Some(&ci) = self.contract_of.get(&task.0) {
+        if let Some(ci) = self.contract_of.get(task) {
+            let ci = ci as usize;
             let settled = self.contracts[ci].settle(now);
             self.total_settled += settled;
             let paid = self.pricing.settle(settled, self.second_quote[ci]);
@@ -1635,6 +1690,63 @@ mod tests {
         assert_eq!(sites_a, sites_b);
     }
 
+    /// FNV-1a over the outcome's JSON: equal hashes, equal outcomes.
+    fn outcome_hash(out: &EconomyOutcome) -> u64 {
+        serde_json::to_string(out)
+            .unwrap()
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn unsorted_arrivals_replay_in_time_then_position_order() {
+        // Valid ids, arrival times shuffled (and a run of ties): the feed
+        // must order them as scheduling each in turn did. The hash is the
+        // outcome of the engine that pushed every arrival into the heap.
+        let mut trace = small_trace(300, 1.2, 11);
+        let mut arrivals: Vec<Time> = trace.tasks.iter().map(|t| t.arrival).collect();
+        for i in 10..20 {
+            arrivals[i] = arrivals[10];
+        }
+        let mut state = 0x5EED;
+        for i in (1..arrivals.len()).rev() {
+            arrivals.swap(i, (splitmix64(&mut state) % (i as u64 + 1)) as usize);
+        }
+        for (task, at) in trace.tasks.iter_mut().zip(arrivals) {
+            task.arrival = at;
+        }
+        let out = Economy::new(EconomyConfig::uniform(2, site(4))).run_trace(&trace);
+        assert_eq!(out.offered, 300);
+        assert_eq!(
+            outcome_hash(&out),
+            6_243_709_735_072_956_946,
+            "outcome moved"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "task ids must equal trace positions")]
+    fn sparse_task_ids_are_rejected_before_any_ledger_is_sized() {
+        let mut trace = small_trace(10, 1.0, 1);
+        trace.tasks[9].id = TaskId(1_000_000_000_000);
+        let _ = EconomyRun::new(EconomyConfig::uniform(1, site(4)), &trace, Tracer::Off);
+    }
+
+    #[test]
+    fn ledger_lists_a_zero_entry_but_not_an_absent_one() {
+        let mut ledger = DenseLedger::new(4);
+        ledger.set(TaskId(2), 0);
+        ledger.set(TaskId(1), 7);
+        assert_eq!(ledger.get(TaskId(0)), None);
+        assert_eq!(ledger.get(TaskId(2)), Some(0));
+        let entries: Vec<(u64, u32)> = ledger.entries().collect();
+        assert_eq!(entries, vec![(1, 7), (2, 0)]);
+        let back = DenseLedger::from_entries(4, entries.clone());
+        assert_eq!(back.entries().collect::<Vec<_>>(), entries);
+    }
+
     #[test]
     #[should_panic(expected = "at least one site")]
     fn empty_economy_rejected() {
@@ -1885,6 +1997,7 @@ mod migration_tests {
     use super::*;
     use mbts_core::{AdmissionPolicy, Policy};
     use mbts_workload::{generate_trace, MixConfig};
+    use std::collections::HashMap;
 
     fn overload_trace(seed: u64) -> Trace {
         generate_trace(
@@ -2189,6 +2302,7 @@ mod workflow_market_tests {
     use super::*;
     use mbts_core::{AdmissionPolicy, Policy};
     use mbts_workload::{generate_workflows, WorkflowConfig, WorkflowShape};
+    use std::collections::HashMap;
 
     fn wf_site(procs: usize) -> SiteConfig {
         SiteConfig::new(procs)

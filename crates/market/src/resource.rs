@@ -264,9 +264,10 @@ pub fn run_elastic(config: &ElasticConfig, trace: &Trace) -> ElasticOutcome {
         horizon: Time::ZERO,
     };
     let mut engine = Engine::new(model);
-    for (i, spec) in trace.tasks.iter().enumerate() {
-        engine.schedule(spec.arrival, Ev::Arrival(i));
-    }
+    engine.feed(
+        trace.tasks.iter().enumerate().map(|(i, t)| (t.arrival, i)),
+        Ev::Arrival,
+    );
     engine.schedule(Time::from(config.review_interval), Ev::Review);
     engine.run_to_completion();
     let model = engine.into_model();

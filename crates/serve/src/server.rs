@@ -967,7 +967,7 @@ fn shed_one(
     // Walked-away value: the victim's Eq. 3 present value at shed time.
     // Accumulated in telemetry only — never in machine state, so shed
     // accounting cannot change snapshot bytes.
-    let pv = Job::new(spec.clone()).present_value(now, discount_rate);
+    let pv = Job::new(spec).present_value(now, discount_rate);
     tel::gauge_add_f64(tel::Gauge::ShedPvLost, pv.max(0.0));
     let (_, outcome) = run.apply(
         now,

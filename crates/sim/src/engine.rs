@@ -95,6 +95,24 @@ impl<M: Model> Engine<M> {
         self.queue.schedule(at, event);
     }
 
+    /// Installs the run's initial events (a trace's arrivals) as a
+    /// [feed](EventQueue::feed): the same order and sequence numbers as
+    /// scheduling each `(at, index)` in turn, without a heap entry each.
+    pub fn feed(
+        &mut self,
+        run: impl IntoIterator<Item = (Time, usize)>,
+        make: fn(usize) -> M::Event,
+    ) {
+        self.queue.feed(run, make);
+        if let Some(first) = self.queue.peek_time() {
+            assert!(
+                first >= self.now,
+                "cannot schedule into the past: {first:?} < {:?}",
+                self.now
+            );
+        }
+    }
+
     /// Handles a single event; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {

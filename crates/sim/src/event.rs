@@ -41,10 +41,52 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+impl<E> Entry<E> {
+    /// `true` if `self` pops before `other`.
+    fn before(&self, other: &Self) -> bool {
+        (self.at, self.seq) < (other.at, other.seq)
+    }
+}
+
+/// One not-yet-materialised item of a [feed](EventQueue::feed).
+#[derive(Clone, Copy)]
+struct FeedItem {
+    at: Time,
+    seq: u32,
+    index: u32,
+}
+
+/// The unpopped remainder of a presorted run of initial events: 16 bytes
+/// per item still to come instead of a heap entry each. The head is kept
+/// materialised because [`EventQueue::peek`] hands out `&E`.
+struct Feed<E> {
+    head: Entry<E>,
+    /// Items after the head, ascending by `(at, seq)`.
+    rest: std::vec::IntoIter<FeedItem>,
+    make: fn(usize) -> E,
+}
+
+impl<E> Feed<E> {
+    fn entry(make: fn(usize) -> E, item: FeedItem) -> Entry<E> {
+        Entry {
+            at: item.at,
+            seq: u64::from(item.seq),
+            event: make(item.index as usize),
+        }
+    }
+
+    fn len(&self) -> usize {
+        1 + self.rest.len()
+    }
+}
+
 /// A time-ordered, FIFO-stable pending-event set.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
+    /// Remainder of the initial run, if one was [fed](Self::feed) and is
+    /// not yet exhausted.
+    feed: Option<Feed<E>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -56,10 +98,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue with room for `cap` events.
@@ -67,7 +106,43 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
+            feed: None,
         }
+    }
+
+    /// Installs a run of initial events on an unused queue, exactly as if
+    /// each `(at, index)` had been [`schedule`](Self::schedule)d in turn
+    /// with the event `make(index)`: item `k` owns sequence number `k`
+    /// and later events number on from the run's length. The run costs 16
+    /// bytes per item rather than a heap entry, and events are built only
+    /// as they reach the head. A run already ascending in time (a valid
+    /// trace) is taken as is; any other is stably sorted by time, which
+    /// is the `(time, seq)` order.
+    pub fn feed(&mut self, run: impl IntoIterator<Item = (Time, usize)>, make: fn(usize) -> E) {
+        assert!(
+            self.next_seq == 0 && self.feed.is_none(),
+            "a feed goes on an unused queue"
+        );
+        let narrow = |n: usize| u32::try_from(n).expect("feed run or index exceeds u32::MAX");
+        let mut items: Vec<FeedItem> = run
+            .into_iter()
+            .enumerate()
+            .map(|(k, (at, index))| FeedItem {
+                at,
+                seq: narrow(k),
+                index: narrow(index),
+            })
+            .collect();
+        if !items.windows(2).all(|w| w[0].at <= w[1].at) {
+            items.sort_by_key(|item| item.at);
+        }
+        self.next_seq = items.len() as u64;
+        let mut rest = items.into_iter();
+        self.feed = rest.next().map(|first| Feed {
+            head: Feed::entry(make, first),
+            rest,
+            make,
+        });
     }
 
     /// Schedules `event` to fire at absolute time `at`.
@@ -79,34 +154,54 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, FIFO among ties.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.heap.pop().map(|e| (e.at, e.event))
+        let entry = match self.feed.as_mut() {
+            None => self.heap.pop(),
+            Some(feed) if self.heap.peek().is_some_and(|top| top.before(&feed.head)) => {
+                self.heap.pop()
+            }
+            Some(feed) => Some(match feed.rest.next() {
+                Some(item) => std::mem::replace(&mut feed.head, Feed::entry(feed.make, item)),
+                None => self.feed.take().expect("matched Some above").head,
+            }),
+        };
+        entry.map(|e| (e.at, e.event))
+    }
+
+    /// The entry a [`pop`](Self::pop) would remove.
+    fn front(&self) -> Option<&Entry<E>> {
+        match (&self.feed, self.heap.peek()) {
+            (Some(feed), Some(top)) if top.before(&feed.head) => Some(top),
+            (Some(feed), _) => Some(&feed.head),
+            (None, top) => top,
+        }
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.at)
+        self.front().map(|e| e.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.feed.as_ref().map_or(0, Feed::len)
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.feed.is_none()
     }
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.feed = None;
     }
 
     /// The next event's `(time, payload)` without removing it — the event
     /// a [`pop`](Self::pop) would return. Used by the durable journal to
     /// frame an event record *before* the engine applies it.
     pub fn peek(&self) -> Option<(Time, &E)> {
-        self.heap.peek().map(|e| (e.at, &e.event))
+        self.front().map(|e| (e.at, &e.event))
     }
 
     /// Sequence number the next [`schedule`](Self::schedule) will assign.
@@ -118,15 +213,24 @@ impl<E> EventQueue<E> {
 
     /// All pending entries as `(time, seq, payload)` triples, sorted by
     /// `(time, seq)` — a canonical, heap-layout-independent view for
-    /// snapshots.
+    /// snapshots. A feed's remainder appears as the entries it stands for.
     pub fn snapshot_entries(&self) -> Vec<(Time, u64, E)>
     where
         E: Clone,
     {
+        let fed = self.feed.iter().flat_map(|feed| {
+            let head = (feed.head.at, feed.head.seq, feed.head.event.clone());
+            let rest = feed.rest.as_slice().iter().map(|&item| {
+                let entry = Feed::entry(feed.make, item);
+                (entry.at, entry.seq, entry.event)
+            });
+            std::iter::once(head).chain(rest)
+        });
         let mut entries: Vec<(Time, u64, E)> = self
             .heap
             .iter()
             .map(|e| (e.at, e.seq, e.event.clone()))
+            .chain(fed)
             .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         entries
@@ -134,14 +238,16 @@ impl<E> EventQueue<E> {
 
     /// Rebuilds a queue from [`snapshot_entries`](Self::snapshot_entries)
     /// output plus the saved sequence counter. Existing sequence numbers
-    /// are preserved verbatim so tie-breaking replays identically.
+    /// are preserved verbatim so tie-breaking replays identically. Every
+    /// entry goes into the heap, a snapshotted feed remainder included.
     pub fn restore(entries: Vec<(Time, u64, E)>, next_seq: u64) -> Self {
-        let mut heap = BinaryHeap::with_capacity(entries.len());
+        let mut queue = Self::with_capacity(entries.len());
         for (at, seq, event) in entries {
             debug_assert!(seq < next_seq, "restored seq {seq} >= next_seq {next_seq}");
-            heap.push(Entry { at, seq, event });
+            queue.heap.push(Entry { at, seq, event });
         }
-        EventQueue { heap, next_seq }
+        queue.next_seq = next_seq;
+        queue
     }
 }
 
@@ -204,6 +310,41 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 3);
         assert_eq!(q.pop().unwrap().1, 4);
     }
+
+    #[test]
+    fn feed_item_wins_a_tie_with_a_later_scheduled_event() {
+        let mut q = EventQueue::new();
+        q.feed([(Time::from(1.0), 7), (Time::from(5.0), 8)], |i| i);
+        assert_eq!(q.next_seq(), 2);
+        q.schedule(Time::from(5.0), 100);
+        q.schedule(Time::from(1.0), 101);
+        assert_eq!(q.len(), 4);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![7, 101, 8, 100]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn unsorted_feed_pops_in_time_then_run_order() {
+        let mut q = EventQueue::new();
+        let run = [3.0, 1.0, 3.0, 0.5, 1.0];
+        q.feed(
+            run.iter().enumerate().map(|(i, &t)| (Time::from(t), i)),
+            |i| i,
+        );
+        let seqs: Vec<u64> = q.snapshot_entries().iter().map(|e| e.1).collect();
+        assert_eq!(seqs, vec![3, 1, 4, 0, 2], "seq is the position in the run");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![3, 1, 4, 0, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unused queue")]
+    fn feed_on_a_used_queue_is_rejected() {
+        let mut q = EventQueue::new();
+        q.schedule(Time::ZERO, 0usize);
+        q.feed([(Time::ZERO, 1)], |i| i);
+    }
 }
 
 #[cfg(test)]
@@ -229,6 +370,64 @@ mod proptests {
                     }
                 }
                 last = Some((at, idx));
+            }
+        }
+
+        /// A queue fed a run is indistinguishable from one that scheduled
+        /// the run item by item: same pops, `len`, `peek`, `next_seq` and
+        /// `snapshot_entries` at every step of an arbitrary interleaving
+        /// of `schedule` and `pop`, and a queue restored from the fed
+        /// queue's snapshot at any step continues the same way.
+        #[test]
+        fn fed_queue_equals_scheduled_queue(
+            mut run in proptest::collection::vec(0u32..30, 0..60),
+            sorted in any::<bool>(),
+            ops in proptest::collection::vec((any::<bool>(), 0u32..40), 0..120),
+            cut in 0usize..120,
+        ) {
+            if sorted {
+                run.sort_unstable();
+            }
+            let at = |t: u32| Time::from(t as f64);
+            let mut fed: EventQueue<usize> = EventQueue::new();
+            fed.feed(run.iter().enumerate().map(|(i, &t)| (at(t), i)), |i| i);
+            let mut reference = EventQueue::new();
+            for (i, &t) in run.iter().enumerate() {
+                reference.schedule(at(t), i);
+            }
+            let mut restored: Option<EventQueue<usize>> = None;
+            for (step, &(push, t)) in ops.iter().enumerate() {
+                prop_assert_eq!(fed.len(), reference.len());
+                prop_assert_eq!(fed.is_empty(), reference.is_empty());
+                prop_assert_eq!(fed.next_seq(), reference.next_seq());
+                prop_assert_eq!(fed.peek_time(), reference.peek_time());
+                prop_assert_eq!(
+                    fed.peek().map(|(t, e)| (t, *e)),
+                    reference.peek().map(|(t, e)| (t, *e))
+                );
+                prop_assert_eq!(fed.snapshot_entries(), reference.snapshot_entries());
+                if step == cut {
+                    restored = Some(EventQueue::restore(fed.snapshot_entries(), fed.next_seq()));
+                }
+                if push {
+                    for q in [&mut fed, &mut reference].into_iter().chain(restored.as_mut()) {
+                        q.schedule(at(t), 1000 + step);
+                    }
+                } else {
+                    let want = reference.pop();
+                    prop_assert_eq!(fed.pop(), want);
+                    if let Some(q) = restored.as_mut() {
+                        prop_assert_eq!(q.pop(), want);
+                    }
+                }
+            }
+            let drain = |q: &mut EventQueue<usize>| -> Vec<(Time, usize)> {
+                std::iter::from_fn(|| q.pop()).collect()
+            };
+            let want = drain(&mut reference);
+            prop_assert_eq!(drain(&mut fed), want.clone());
+            if let Some(q) = restored.as_mut() {
+                prop_assert_eq!(drain(q), want);
             }
         }
 

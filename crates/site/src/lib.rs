@@ -404,29 +404,13 @@ pub struct SiteRun {
 
 impl SiteRun {
     /// A fault-free replay of `trace`, ready to step. All arrivals are
-    /// pre-scheduled; the first [`step`](Self::step) handles the
-    /// earliest one.
+    /// queued; the first [`step`](Self::step) handles the earliest one.
     pub fn new(config: SiteConfig, trace: &Trace, tracer: Tracer) -> Self {
-        let mut state = SiteState::new(config);
-        state.set_tracer(tracer);
-        let model = TraceModel {
-            state,
-            trace: trace.tasks.clone(),
-            arrivals_left: trace.tasks.len(),
-            injector: None,
-            crash_budget: 0,
-            workflows: None,
-            outcome_cursor: 0,
-        };
-        let mut engine = Engine::new(model);
-        for (i, spec) in trace.tasks.iter().enumerate() {
-            engine.schedule(spec.arrival, SimEvent::Arrival(i));
-        }
-        SiteRun { engine }
+        Self::start(config, trace.tasks.clone(), None, None, tracer)
     }
 
-    /// A workflow replay: only root tasks are pre-scheduled as arrivals;
-    /// every other member enters the admission path via a
+    /// A workflow replay: only root tasks are queued as arrivals; every
+    /// other member enters the admission path via a
     /// [`SimEvent::Release`] once its last predecessor completes. The
     /// workflow-level settlement overlay (release/settle/strand trace
     /// events, [`WorkflowReport`]) rides on top of the ordinary per-task
@@ -444,48 +428,8 @@ impl SiteRun {
         plan: Option<&FaultPlan>,
         tracer: Tracer,
     ) -> Self {
-        let trace = set.trace();
         let runtime = WorkflowRuntime::new(set.clone());
-        let roots = runtime.roots();
-        let mut injector = None;
-        let mut crash_budget = 0;
-        let mut initial = Vec::new();
-        if let Some(plan) = plan {
-            if !plan.faults.is_none() {
-                let mut inj =
-                    FaultInjector::new(plan.faults.clone(), plan.seed, &[config.processors]);
-                crash_budget = plan.max_crashes;
-                for unit in inj.units() {
-                    if crash_budget == 0 {
-                        break;
-                    }
-                    if let Some(up) = inj.uptime(unit) {
-                        crash_budget -= 1;
-                        initial.push((Time::ZERO + up, unit));
-                    }
-                }
-                injector = Some(inj);
-            }
-        }
-        let mut state = SiteState::new(config);
-        state.set_tracer(tracer);
-        let model = TraceModel {
-            state,
-            trace: trace.tasks.clone(),
-            arrivals_left: trace.tasks.len(),
-            injector,
-            crash_budget,
-            workflows: Some(runtime),
-            outcome_cursor: 0,
-        };
-        let mut engine = Engine::new(model);
-        for i in roots {
-            engine.schedule(trace.tasks[i].arrival, SimEvent::Arrival(i));
-        }
-        for (at, unit) in initial {
-            engine.schedule(at, SimEvent::Crash(unit));
-        }
-        SiteRun { engine }
+        Self::start(config, set.trace().tasks, Some(runtime), plan, tracer)
     }
 
     /// A fault-injected replay (see [`Site::run_trace_with_faults`]).
@@ -497,39 +441,61 @@ impl SiteRun {
         plan: &FaultPlan,
         tracer: Tracer,
     ) -> Self {
-        if plan.faults.is_none() {
-            return SiteRun::new(config, trace, tracer);
-        }
-        let mut injector = FaultInjector::new(plan.faults.clone(), plan.seed, &[config.processors]);
-        let mut crash_budget = plan.max_crashes;
-        // First crash per unit: drawn up front so the timeline of each
-        // unit is independent of event interleaving.
-        let mut initial = Vec::new();
-        for unit in injector.units() {
-            if crash_budget == 0 {
-                break;
+        Self::start(config, trace.tasks.clone(), None, Some(plan), tracer)
+    }
+
+    /// The one constructor: arrivals go in as a feed (roots only in
+    /// workflow mode), then each fault unit's first crash, drawn up front
+    /// so a unit's timeline is independent of event interleaving.
+    fn start(
+        config: SiteConfig,
+        tasks: Vec<TaskSpec>,
+        workflows: Option<WorkflowRuntime>,
+        plan: Option<&FaultPlan>,
+        tracer: Tracer,
+    ) -> Self {
+        let mut injector = None;
+        let mut crash_budget = 0;
+        let mut crashes = Vec::new();
+        if let Some(plan) = plan.filter(|p| !p.faults.is_none()) {
+            let mut inj = FaultInjector::new(plan.faults.clone(), plan.seed, &[config.processors]);
+            crash_budget = plan.max_crashes;
+            for unit in inj.units() {
+                if crash_budget == 0 {
+                    break;
+                }
+                if let Some(up) = inj.uptime(unit) {
+                    crash_budget -= 1;
+                    crashes.push((Time::ZERO + up, unit));
+                }
             }
-            if let Some(up) = injector.uptime(unit) {
-                crash_budget -= 1;
-                initial.push((Time::ZERO + up, unit));
-            }
+            injector = Some(inj);
         }
+        let arrivals: Vec<(Time, usize)> = match &workflows {
+            Some(runtime) => runtime
+                .roots()
+                .into_iter()
+                .map(|i| (tasks[i].arrival, i))
+                .collect(),
+            None => tasks
+                .iter()
+                .enumerate()
+                .map(|(i, spec)| (spec.arrival, i))
+                .collect(),
+        };
         let mut state = SiteState::new(config);
         state.set_tracer(tracer);
-        let model = TraceModel {
+        let mut engine = Engine::new(TraceModel {
             state,
-            trace: trace.tasks.clone(),
-            arrivals_left: trace.tasks.len(),
-            injector: Some(injector),
+            arrivals_left: tasks.len(),
+            trace: tasks,
+            injector,
             crash_budget,
-            workflows: None,
+            workflows,
             outcome_cursor: 0,
-        };
-        let mut engine = Engine::new(model);
-        for (i, spec) in trace.tasks.iter().enumerate() {
-            engine.schedule(spec.arrival, SimEvent::Arrival(i));
-        }
-        for (at, unit) in initial {
+        });
+        engine.feed(arrivals, SimEvent::Arrival);
+        for (at, unit) in crashes {
             engine.schedule(at, SimEvent::Crash(unit));
         }
         SiteRun { engine }

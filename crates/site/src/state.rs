@@ -21,8 +21,8 @@ use crate::gantt::Segment;
 use crate::metrics::{Disposition, JobOutcome, SiteMetrics};
 use crate::SiteOutcome;
 use mbts_core::{
-    decompose, evaluate_admission_with_successors, explain_decision, AdmissionDecision,
-    AdmissionPolicy, CostModel, Job, PendingPool, PoolCheckpoint, ScoreCtx,
+    decision_from_schedule_with_successors, decompose, explain_decision, with_candidate_schedule,
+    AdmissionDecision, AdmissionPolicy, CostModel, Job, PendingPool, PoolCheckpoint, ScoreCtx,
 };
 use mbts_sim::{Duration, Time};
 use mbts_trace::{
@@ -439,13 +439,19 @@ impl SiteState {
     /// per idle processor, then `width` copies of each running gang's
     /// expected completion.
     pub fn free_times(&self, now: Time) -> Vec<Time> {
-        let mut free = vec![now; self.free_procs];
+        let mut free = Vec::with_capacity(self.capacity);
+        self.push_free_times(now, &mut free);
+        free
+    }
+
+    /// Fills the empty `free` with [`free_times`](Self::free_times).
+    fn push_free_times(&self, now: Time, free: &mut Vec<Time>) {
+        free.extend(std::iter::repeat_n(now, self.free_procs));
         for r in &self.running {
             let at = now + r.remaining_estimate(now);
             free.extend(std::iter::repeat_n(at, r.job.spec.width));
         }
         debug_assert_eq!(free.len(), self.capacity);
-        free
     }
 
     /// Evaluates a proposed task against the current mix without mutating
@@ -462,19 +468,25 @@ impl SiteState {
                 slack: f64::NEG_INFINITY,
             };
         }
+        // The queue is borrowed and the candidate ranked as its last
+        // member, in the core's per-thread layout buffers.
         let candidate = Job::new(spec);
-        let mut queue = self.pending.jobs().to_vec();
-        queue.push(candidate.clone());
-        evaluate_admission_with_successors(
-            &self.config.admission,
+        with_candidate_schedule(
             &self.config.policy,
             self.config.schedule_mode,
-            self.config.admission_discount_rate,
             now,
-            &self.free_times(now),
-            &queue,
-            &candidate,
-            self.facet_of(spec.id.0).map(|f| &f.succ),
+            |free| self.push_free_times(now, free),
+            self.pending.jobs(),
+            Some(&candidate),
+            |schedule| {
+                decision_from_schedule_with_successors(
+                    &self.config.admission,
+                    self.config.admission_discount_rate,
+                    schedule,
+                    &candidate,
+                    self.facet_of(spec.id.0).map(|f| &f.succ),
+                )
+            },
         )
     }
 
@@ -842,13 +854,12 @@ impl SiteState {
         } else {
             f64::NEG_INFINITY
         };
-        let mut competing: Vec<Job> = self.pending.jobs().to_vec();
-        competing.push(job.clone());
+        let competing = self.pending.jobs().iter().chain(Some(job));
         let model = self
             .config
             .policy
             .needs_cost_model()
-            .then(|| CostModel::build(now, &competing));
+            .then(|| CostModel::build(now, competing));
         let ctx = match &model {
             Some(m) => ScoreCtx::with_cost(now, m),
             None => ScoreCtx::simple(now),
@@ -2192,5 +2203,161 @@ mod preemption_mode_tests {
         let ckpt = victim_completion(PreemptionMode::CheckpointRestore { overhead: 3.0 });
         let restart = victim_completion(PreemptionMode::Restart);
         assert!(resume < ckpt && ckpt < restart);
+    }
+}
+
+#[cfg(test)]
+mod quote_equivalence_tests {
+    use super::*;
+    use mbts_core::{build_candidate, Policy, ScheduleMode};
+    use mbts_workload::{PenaltyBound, SuccessorContext, WorkflowFacets};
+    use proptest::prelude::*;
+
+    /// What `evaluate` did before it borrowed the queue: copy it, push
+    /// the candidate, lay the copy out, read the decision off.
+    fn reference(site: &SiteState, now: Time, spec: TaskSpec) -> Option<AdmissionDecision> {
+        if spec.width > site.capacity {
+            return None;
+        }
+        let candidate = Job::new(spec);
+        let mut queue = site.pending.jobs().to_vec();
+        queue.push(candidate.clone());
+        let schedule = build_candidate(
+            &site.config.policy,
+            site.config.schedule_mode,
+            now,
+            &site.free_times(now),
+            &queue,
+        );
+        Some(decision_from_schedule_with_successors(
+            &site.config.admission,
+            site.config.admission_discount_rate,
+            &schedule,
+            &candidate,
+            site.facet_of(spec.id.0).map(|f| &f.succ),
+        ))
+    }
+
+    fn bits(d: &AdmissionDecision) -> (bool, [u64; 5]) {
+        let fields = [
+            d.expected_completion.as_f64(),
+            d.expected_yield,
+            d.present_value,
+            d.cost,
+            d.slack,
+        ];
+        (d.accept, fields.map(f64::to_bits))
+    }
+
+    fn assert_quote_matches(site: &SiteState, now: Time, spec: TaskSpec) {
+        let got = site.evaluate(now, spec);
+        match reference(site, now, spec) {
+            Some(want) => assert_eq!(bits(&got), bits(&want), "{got:?} vs {want:?}"),
+            None => assert!(!got.accept && got.slack == f64::NEG_INFINITY),
+        }
+    }
+
+    type JobSeed = (f64, f64, f64, usize, bool);
+
+    fn spec_from(
+        id: u64,
+        arrival: f64,
+        (runtime, value, decay, width, bounded): JobSeed,
+    ) -> TaskSpec {
+        let bound = if bounded {
+            PenaltyBound::Bounded {
+                max_penalty: value / 2.0,
+            }
+        } else {
+            PenaltyBound::Unbounded
+        };
+        TaskSpec::new(id, arrival, runtime, value, decay, bound).with_width(width)
+    }
+
+    fn job_seed() -> impl Strategy<Value = JobSeed> {
+        (
+            0.5f64..40.0,
+            0.0f64..300.0,
+            0.0f64..4.0,
+            1usize..=3,
+            any::<bool>(),
+        )
+    }
+
+    /// A site of `procs` busy processors with `pool` queued behind them.
+    fn busy_site(config: SiteConfig, pool: &[JobSeed]) -> SiteState {
+        let procs = config.processors;
+        let mut site = SiteState::new(config);
+        for p in 0..procs {
+            let filler = (60.0 + p as f64, 10.0, 0.1, 1, false);
+            site.note_offer(Time::ZERO);
+            site.accept(Time::ZERO, spec_from(1000 + p as u64, 0.0, filler));
+        }
+        for (i, &(runtime, value, decay, width, bounded)) in pool.iter().enumerate() {
+            let seed = (runtime, value, decay, width.min(procs), bounded);
+            site.note_offer(Time::ZERO);
+            site.accept(Time::ZERO, spec_from(i as u64, 0.0, seed));
+        }
+        assert_eq!(site.pending_len(), pool.len());
+        site
+    }
+
+    proptest! {
+        /// `evaluate` equals the copy-and-push reference field for field,
+        /// bit for bit: twice in a row, after a quote on a differently
+        /// shaped site, and after an intervening `submit`, so that a
+        /// stale per-thread buffer would show.
+        #[test]
+        fn evaluate_matches_the_copying_reference(
+            pool in proptest::collection::vec(job_seed(), 0..=12),
+            procs in 1usize..=4,
+            policy in 0usize..7,
+            dynamic in any::<bool>(),
+            successors in any::<bool>(),
+            first in job_seed(),
+            second in job_seed(),
+            now in 0.0f64..50.0,
+        ) {
+            let policy = [
+                Policy::Fcfs,
+                Policy::Srpt,
+                Policy::Swpt,
+                Policy::EarliestDeadline,
+                Policy::FirstPrice,
+                Policy::pv(0.01),
+                Policy::first_reward(0.3, 0.01),
+            ][policy];
+            let mode = if dynamic { ScheduleMode::Dynamic } else { ScheduleMode::Static };
+            let mut config = SiteConfig::new(procs)
+                .with_policy(policy)
+                .with_schedule_mode(mode)
+                .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 });
+            if successors {
+                let succ = SuccessorContext {
+                    downstream_runtime: 20.0,
+                    sum_value: 200.0,
+                    sum_decay: 1.0,
+                    sum_decay_runtime: 20.0,
+                    sum_floor: f64::NEG_INFINITY,
+                    workflow_arrival: 0.0,
+                };
+                let facet = TaskFacet { workflow: 0, critical: true, succ };
+                config = config.with_workflow_facets(WorkflowFacets::from([(500, facet), (501, facet)]));
+            }
+            let mut site = busy_site(config, &pool);
+            let other = busy_site(SiteConfig::new(procs + 2).with_policy(Policy::FirstPrice), &pool);
+            let now = Time::from(now);
+            // Wider than the site on purpose now and then: width is 1..=3.
+            let first = spec_from(500, now.as_f64(), first);
+            let second = spec_from(501, now.as_f64(), second);
+
+            assert_quote_matches(&site, now, first);
+            assert_quote_matches(&site, now, first);
+            assert_quote_matches(&other, now, second);
+            assert_quote_matches(&site, now, second);
+            site.submit(now, first);
+            assert_quote_matches(&site, now, second);
+            assert_quote_matches(&site, now + Duration::from(5.0), second);
+        }
     }
 }

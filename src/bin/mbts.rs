@@ -13,6 +13,6 @@ fn main() {
     let mut stdout = std::io::stdout().lock();
     if let Err(e) = mbts::cli::execute(cmd, &mut stdout) {
         eprintln!("error: {e}");
-        std::process::exit(1);
+        std::process::exit(e.exit_code());
     }
 }

@@ -584,6 +584,17 @@ impl<'a> Flags<'a> {
         }
     }
 
+    /// `--load`, checked where it is parsed: `MixConfig` and
+    /// `WorkflowConfig` assert a positive load factor.
+    fn load(&self) -> Result<f64, String> {
+        let load = self.num("--load", 1.0)?;
+        if load > 0.0 {
+            Ok(load)
+        } else {
+            Err("--load must be positive".into())
+        }
+    }
+
     fn int(&self, flag: &str, default: usize) -> Result<usize, String> {
         match self.get(flag) {
             Some(v) => v.parse().map_err(|_| format!("{flag} needs an integer")),
@@ -606,6 +617,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let has = |flag: &str| flags.has(flag);
     let num = |flag: &str, default: f64| flags.num(flag, default);
     let int = |flag: &str, default: usize| flags.int(flag, default);
+    let load = || flags.load();
 
     match sub {
         "gen" => {
@@ -613,7 +625,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut mix = MixConfig::millennium_default()
                 .with_tasks(int("--tasks", 5000)?)
                 .with_processors(int("--processors", 16)?)
-                .with_load_factor(num("--load", 1.0)?)
+                .with_load_factor(load()?)
                 .with_value_skew(num("--value-skew", 3.0)?)
                 .with_decay_skew(num("--decay-skew", 5.0)?)
                 .with_mean_decay(num("--mean-decay", 0.05)?);
@@ -638,7 +650,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         .with_workflows(n)
                         .with_shape(parse_shape(spec)?)
                         .with_processors(int("--processors", 16)?)
-                        .with_load_factor(num("--load", 1.0)?);
+                        .with_load_factor(load()?);
                     if let Some(b) = get("--bound") {
                         wf = wf.with_bound(parse_bound(b)?);
                     }
@@ -840,7 +852,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         "top" => {
             let interval = num("--interval", 1.0)?;
-            if !(interval > 0.0) {
+            if interval.is_nan() || interval <= 0.0 {
                 return Err("--interval must be positive".into());
             }
             let count = if has("--once") {
@@ -899,7 +911,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mix = MixConfig::millennium_default()
                 .with_tasks(int("--tasks", 2000)?)
                 .with_processors(procs)
-                .with_load_factor(num("--load", 1.0)?)
+                .with_load_factor(load()?)
                 .with_mean_decay(num("--mean-decay", 0.05)?);
             Ok(Command::Compare {
                 a,
@@ -1170,8 +1182,65 @@ fn load_analyze_input(path: &std::path::Path) -> Result<AnalyzeInput, String> {
 }
 
 /// Executes a parsed command, writing human-readable output to `out`.
-pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String> {
-    match cmd {
+/// Why a command failed, which decides the process's exit status.
+#[derive(Debug)]
+pub enum ExecError {
+    /// The command's input is not usable (exit 2, as for a bad flag).
+    BadInput(String),
+    /// Anything else: a missing file, a failed write (exit 1).
+    Failed(String),
+}
+
+impl ExecError {
+    /// The status `mbts` exits with.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            ExecError::BadInput(_) => 2,
+            ExecError::Failed(_) => 1,
+        }
+    }
+}
+
+impl std::fmt::Display for ExecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (ExecError::BadInput(msg) | ExecError::Failed(msg)) = self;
+        f.write_str(msg)
+    }
+}
+
+impl From<String> for ExecError {
+    fn from(msg: String) -> Self {
+        ExecError::Failed(msg)
+    }
+}
+
+/// Loads a trace file and validates it at the edge: the engines assume
+/// what `validate_trace` checks (ids equal to positions, positive
+/// runtimes and widths, sorted arrivals) and panic or misaccount
+/// otherwise. Warnings do not block.
+fn load_trace(path: &std::path::Path) -> Result<Trace, ExecError> {
+    const SHOWN: usize = 5;
+    let trace = Trace::load(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let errors = mbts_workload::validate_trace(&trace).errors;
+    if errors.is_empty() {
+        return Ok(trace);
+    }
+    let mut msg = format!(
+        "{} is not a valid trace ({} error(s); `mbts validate` lists all):",
+        path.display(),
+        errors.len()
+    );
+    for e in errors.iter().take(SHOWN) {
+        msg.push_str("\n  ");
+        msg.push_str(e);
+    }
+    Err(ExecError::BadInput(msg))
+}
+
+pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecError> {
+    // Arms fail with a message (exit 1); only a rejected input file is
+    // `BadInput`, raised by `?` where the file is loaded.
+    let done: Result<(), String> = match cmd {
         Command::Gen {
             out: path,
             mix,
@@ -1183,7 +1252,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 let set = generate_workflows(&wf, seed);
                 set.save(&path)
                     .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                return writeln!(
+                writeln!(
                     out,
                     "wrote {} workflows ({} tasks, {} roots, {} edges) to {}",
                     set.workflows.len(),
@@ -1192,7 +1261,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                     set.edge_ids().len(),
                     path.display()
                 )
-                .map_err(|e| e.to_string());
+                .map_err(|e| e.to_string())?;
+                return Ok(());
             }
             let trace = match swf {
                 Some(swf_path) => {
@@ -1230,8 +1300,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             let wfset = load_workflow_set(workflow.as_deref())?;
             let trace = match (&wfset, trace) {
                 (Some(set), _) => set.trace(),
-                (None, Some(path)) => Trace::load(&path)
-                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?,
+                (None, Some(path)) => load_trace(&path)?,
                 (None, None) => unreachable!("parse requires --trace or --workflow"),
             };
             // Workflow replays see DAG structure at admission time:
@@ -1382,8 +1451,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             let wfset = load_workflow_set(workflow.as_deref())?;
             let trace = match (&wfset, trace) {
                 (Some(set), _) => set.trace(),
-                (None, Some(path)) => Trace::load(&path)
-                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?,
+                (None, Some(path)) => load_trace(&path)?,
                 (None, None) => unreachable!("parse requires --trace or --workflow"),
             };
             if let Some(set) = wfset {
@@ -1707,10 +1775,9 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 .map_err(|e| e.to_string())?;
             }
             if report.violations > 0 {
-                return Err(format!(
-                    "{} invariant violation(s) recorded",
-                    report.violations
-                ));
+                return Err(
+                    format!("{} invariant violation(s) recorded", report.violations).into(),
+                );
             }
             Ok(())
         }
@@ -1790,7 +1857,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                         return Err(format!(
                             "throughput gate missed: {:.0} req/s < {floor:.0} req/s floor",
                             report.rps
-                        ));
+                        )
+                        .into());
                     }
                     writeln!(out, "gate met: {:.0} req/s >= {floor:.0} req/s", report.rps)
                         .map_err(|e| e.to_string())?;
@@ -1847,7 +1915,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                     let loaded = mbts_chaos::Scenario::load_dir(input)
                         .map_err(|e| format!("cannot read {}: {e}", input.display()))?;
                     if loaded.is_empty() {
-                        return Err(format!("no *.json scenarios in {}", input.display()));
+                        return Err(format!("no *.json scenarios in {}", input.display()).into());
                     }
                     scenarios.extend(loaded.into_iter().map(|(_, s)| s));
                 } else {
@@ -1924,7 +1992,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                  first-reward:<a>:<rate>    (a·PV − (1−a)·cost)/RPT — the paper's §5.3 heuristic"
         )
         .map_err(|e| e.to_string()),
-    }
+    };
+    Ok(done?)
 }
 
 #[cfg(test)]
@@ -2829,6 +2898,9 @@ mod tests {
         let cmd = parse(&args("run --trace /nonexistent/x.json")).unwrap();
         let mut buf = Vec::new();
         let err = execute(cmd, &mut buf).unwrap_err();
-        assert!(err.contains("cannot read"), "{err}");
+        assert!(
+            matches!(&err, ExecError::Failed(msg) if msg.contains("cannot read")),
+            "{err}"
+        );
     }
 }

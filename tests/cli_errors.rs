@@ -1,0 +1,115 @@
+//! Bad input at the command line is an error message and exit status 2,
+//! never a panic: trace files are validated when `mbts run` and
+//! `mbts market` load them, and `--load` where it is parsed.
+//!
+//! Each case runs the real binary (`CARGO_BIN_EXE_mbts`): the exit status
+//! and the absence of a panic message are what a shell user sees.
+
+use mbts::workload::{generate_trace, MixConfig};
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn mbts(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mbts"))
+        .args(args)
+        .output()
+        .expect("spawn mbts")
+}
+
+/// Asserts exit 2, no panic, and `needle` in the message.
+fn assert_rejected(out: &Output, needle: &str, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    assert!(stderr.contains(needle), "{what}: {stderr}");
+}
+
+/// Writes a 6-task generated trace with `field` of task `id` set to
+/// `value` (any JSON number), and returns the file's path.
+fn trace_with(name: &str, id: u64, field: &str, value: &str) -> PathBuf {
+    let mix = MixConfig::millennium_default()
+        .with_tasks(6)
+        .with_processors(4);
+    let json = generate_trace(&mix, 3).to_json();
+    let task = json.find(&format!("\"id\":{id},")).expect("task in trace");
+    let key = format!("\"{field}\":");
+    let from = task + json[task..].find(&key).expect("field in task") + key.len();
+    let to = from + json[from..].find(',').expect("a field follows");
+    let dir = std::env::temp_dir().join(format!("mbts_cli_errors_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(name);
+    std::fs::write(&path, format!("{}{value}{}", &json[..from], &json[to..])).expect("write trace");
+    path
+}
+
+/// Both commands that take `--trace` reject the file, naming `needle`.
+fn run_and_market_reject(path: &PathBuf, needle: &str) {
+    let path_s = path.to_str().expect("utf-8 temp path");
+    assert_rejected(
+        &mbts(&["run", "--trace", path_s, "--processors", "4"]),
+        needle,
+        "run",
+    );
+    assert_rejected(
+        &mbts(&["market", "--trace", path_s, "--sites", "2"]),
+        needle,
+        "market",
+    );
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn a_valid_trace_file_still_runs() {
+    let path = trace_with("good.json", 3, "width", "1");
+    let path_s = path.to_str().unwrap();
+    for args in [
+        ["run", "--trace", path_s, "--processors", "4"],
+        ["market", "--trace", path_s, "--sites", "2"],
+    ] {
+        let out = mbts(&args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn negative_runtime_is_rejected() {
+    let path = trace_with("negative.json", 3, "runtime", "-5.0");
+    run_and_market_reject(&path, "non-positive runtime");
+}
+
+#[test]
+fn zero_width_is_rejected() {
+    let path = trace_with("zero_width.json", 3, "width", "0");
+    run_and_market_reject(&path, "zero width");
+}
+
+#[test]
+fn duplicated_id_is_rejected() {
+    let path = trace_with("duplicate.json", 3, "id", "2");
+    run_and_market_reject(&path, "id out of order");
+}
+
+#[test]
+fn sparse_id_is_rejected() {
+    let path = trace_with("sparse.json", 5, "id", "1000000000000");
+    run_and_market_reject(&path, "id out of order");
+}
+
+#[test]
+fn unsorted_arrivals_are_rejected() {
+    let path = trace_with("unsorted.json", 3, "arrival", "1.0");
+    run_and_market_reject(&path, "arrivals not sorted");
+}
+
+#[test]
+fn non_positive_load_is_rejected_where_it_is_parsed() {
+    let workflow = ["gen", "--out", "/dev/null", "--workflow", "layered:3:2:0.5"];
+    for args in [
+        &["compare", "--a", "fcfs", "--b", "srpt", "--load", "-1"][..],
+        &["gen", "--out", "/dev/null", "--load", "0"][..],
+        &[&workflow[..], &["--load", "-2.5"]].concat(),
+    ] {
+        assert_rejected(&mbts(args), "--load must be positive", &format!("{args:?}"));
+    }
+}
