@@ -146,8 +146,12 @@ impl Scenario {
     /// Loads one scenario file.
     pub fn load(path: &Path) -> io::Result<Self> {
         let text = fs::read_to_string(path)?;
-        Self::from_json(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display())))
+        Self::from_json(&text).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: {e}", path.display()),
+            )
+        })
     }
 
     /// Loads every `*.json` scenario in a corpus directory, sorted by

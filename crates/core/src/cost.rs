@@ -240,8 +240,8 @@ impl CostModel {
     }
 }
 
-/// Reference `O(n)` implementation of Eq. 4, used by tests and by the
-/// `cost_modes` ablation bench to validate [`CostModel`].
+/// Reference `O(n)` implementation of Eq. 4, used by tests to validate
+/// [`CostModel`].
 pub fn cost_naive(now: Time, candidate: &Job, competitors: &[Job]) -> f64 {
     let rpt = candidate.rpt.as_f64();
     competitors

@@ -984,6 +984,71 @@ mod tests {
         }
         assert!(inc.is_empty());
     }
+
+    /// A drain of a deep backlog: at every dispatch, `select_best` and
+    /// the flat rescan name the same task. This replaces the checksum
+    /// assert of the deleted `bench_dispatch` binary, which was the only
+    /// check of the bound heap and the merge sweep at this depth in a
+    /// release build, where the `debug_assert_eq!` in `select_best_impl`
+    /// is compiled out (the proptest below stops at 25 jobs).
+    #[test]
+    fn deep_drain_matches_flat_rescan() {
+        use mbts_workload::{generate_trace, BoundPolicy, MixConfig};
+        const DEPTH: usize = 10_000;
+        const DISPATCHES: usize = 200;
+        const DT: f64 = 0.05;
+        let mix = MixConfig::millennium_default()
+            .with_tasks(DEPTH)
+            .with_processors(8)
+            .with_load_factor(4.0)
+            .with_bound(BoundPolicy::ProportionalPenalty { fraction: 0.5 });
+        let jobs: Vec<Job> = generate_trace(&mix, 97)
+            .tasks
+            .into_iter()
+            .map(Job::new)
+            .collect();
+        for policy in [
+            Policy::FirstPrice,
+            Policy::pv(0.01),
+            Policy::first_reward(0.3, 0.01),
+        ] {
+            let mut pool = PendingPool::new(policy);
+            for job in &jobs {
+                pool.push(job.clone());
+            }
+            let mut now = Time::ZERO;
+            for step in 0..DISPATCHES {
+                let got = pool
+                    .select_best(now)
+                    .expect("pool is deeper than the drain");
+                let want = pool.select_rescan(now).expect("same pool");
+                assert_eq!(
+                    pool.jobs()[got].id(),
+                    pool.jobs()[want].id(),
+                    "{} at dispatch {step}",
+                    policy.name()
+                );
+                if policy.needs_cost_model() {
+                    // The argmax alone forgives a sweep that is one
+                    // window entry out; the scores do not.
+                    let swept = pool.scores(now);
+                    let model = pool.cost_model(now).clone();
+                    let ctx = ScoreCtx::with_cost(now, &model);
+                    for (slot, job) in pool.jobs().iter().enumerate() {
+                        assert_eq!(
+                            swept[slot].to_bits(),
+                            policy.score(job, &ctx).to_bits(),
+                            "{} score of {:?} at dispatch {step}",
+                            policy.name(),
+                            job.id()
+                        );
+                    }
+                }
+                pool.swap_remove(got);
+                now = Time::new(now.as_f64() + DT);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@
 //!   default used on the admission path.
 //! * [`ScheduleMode::Dynamic`] — re-evaluate scores at each successive
 //!   dispatch instant, exactly mirroring what the site's dispatcher will
-//!   do (`O(n² log n)`). More faithful for strongly time-varying scores;
-//!   measurably slower (see the `schedule_modes` bench).
+//!   do (`O(n² log n)`). More faithful for strongly time-varying scores,
+//!   and slower by that factor of `n`.
 
 use crate::cost::CostModel;
 use crate::heuristics::{Policy, ScoreCtx};

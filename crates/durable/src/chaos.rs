@@ -232,7 +232,9 @@ mod tests {
         j.append_snapshot(b"s0").expect("clean");
         j.append_event(b"e0").expect("clean");
         let before = image.len();
-        let err = j.append_event(b"torn").expect_err("short write then ENOSPC");
+        let err = j
+            .append_event(b"torn")
+            .expect_err("short write then ENOSPC");
         assert!(err.to_string().contains("ENOSPC"), "{err}");
         let torn = image.len() - before;
         assert!((1..=3).contains(&torn), "1..=3 bytes leaked: {torn}");
@@ -251,8 +253,7 @@ mod tests {
             POINT_SINK_SYNC,
             FailAction::SyncErr,
         )]);
-        let mut j =
-            Journal::with_sink(Box::new(ChaosSink::new(image, reg))).with_fsync_every_n(1);
+        let mut j = Journal::with_sink(Box::new(ChaosSink::new(image, reg))).with_fsync_every_n(1);
         let err = j.append_event(b"e0").expect_err("fsync injected to fail");
         assert!(err.to_string().contains("fsync"), "{err}");
     }
@@ -265,7 +266,10 @@ mod tests {
         j.append_event(b"e1").expect("in-memory append");
         let clean = j.bytes().to_vec();
 
-        let reg = registry(vec![FailpointSpec::always(POINT_READ, FailAction::CorruptBit)]);
+        let reg = registry(vec![FailpointSpec::always(
+            POINT_READ,
+            FailAction::CorruptBit,
+        )]);
         let mut image = clean.clone();
         let offset = corrupt_image(&mut image, &reg).expect("always fires");
         assert!(offset >= crate::framing::HEADER_LEN);
@@ -278,7 +282,10 @@ mod tests {
         }
 
         // Same seed + schedule → the same bit flips.
-        let reg2 = registry(vec![FailpointSpec::always(POINT_READ, FailAction::CorruptBit)]);
+        let reg2 = registry(vec![FailpointSpec::always(
+            POINT_READ,
+            FailAction::CorruptBit,
+        )]);
         let mut image2 = clean.clone();
         assert_eq!(corrupt_image(&mut image2, &reg2), Some(offset));
         assert_eq!(image, image2);

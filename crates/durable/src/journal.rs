@@ -8,6 +8,8 @@
 //! process holds a byte count and not the stream, however long it runs.
 //! One without ([`Journal::in_memory`], [`Journal::with_sink`]) keeps the
 //! whole stream, which is what kill-point and corruption harnesses slice.
+//! [`Journal::discarding`] is for a run that asked for no durability: it
+//! frames and counts each record like the others and keeps none of them.
 //!
 //! Appends are write-ahead: the caller journals an event *before*
 //! applying it, and file-backed journals flush every record, so after a
@@ -119,9 +121,12 @@ const SCRATCH_START: usize = 4 * 1024;
 /// An append-only snapshot + event journal. See the module docs for where
 /// its bytes live.
 pub struct Journal {
-    /// The whole stream when there is no `path`; with one, scratch space
-    /// for the record being written.
+    /// The whole stream when `keep`; otherwise scratch space for the
+    /// record being written.
     buf: Vec<u8>,
+    /// Whether `buf` accumulates every record (no `path`, not
+    /// discarding) or is reused from one record to the next.
+    keep: bool,
     /// Bytes appended so far, header included.
     len: usize,
     sink: Option<Box<dyn JournalSink>>,
@@ -151,6 +156,24 @@ impl Journal {
         Journal {
             len: buf.len(),
             buf,
+            keep: true,
+            sink: None,
+            path: None,
+            fsync_every_n: 0,
+            appends_since_sync: 0,
+        }
+    }
+
+    /// A journal that keeps nothing: each record is framed in the scratch
+    /// buffer, counted in [`len`](Self::len) and forgotten. For a run that
+    /// asked for no durability, so that it does not hold a stream nothing
+    /// will read; [`bytes`](Self::bytes) is empty and there is nothing to
+    /// recover from.
+    pub fn discarding() -> Self {
+        Journal {
+            buf: Vec::with_capacity(SCRATCH_START),
+            keep: false,
+            len: framing::HEADER_LEN,
             sink: None,
             path: None,
             fsync_every_n: 0,
@@ -163,6 +186,7 @@ impl Journal {
     fn on_file(file: File, path: PathBuf, len: usize) -> Self {
         Journal {
             buf: Vec::with_capacity(SCRATCH_START),
+            keep: false,
             len,
             sink: Some(Box::new(file)),
             path: Some(path),
@@ -223,8 +247,7 @@ impl Journal {
     }
 
     fn append(&mut self, tag: RecordTag, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
-        let is_scratch = self.path.is_some();
-        if is_scratch {
+        if !self.keep {
             self.buf.clear();
         }
         let start = self.buf.len();
@@ -241,7 +264,7 @@ impl Journal {
                 }
             }
         }
-        if is_scratch && self.buf.capacity() > SCRATCH_KEEP {
+        if !self.keep && self.buf.capacity() > SCRATCH_KEEP {
             self.buf = Vec::with_capacity(SCRATCH_START);
         }
         Ok(())
@@ -277,17 +300,19 @@ impl Journal {
     /// The full byte stream written so far (header included), for
     /// harnesses. Borrowed from an in-memory journal; a file-backed one
     /// reads its whole file back, so this costs the journal's length in
-    /// I/O and memory for as long as the result is held.
+    /// I/O and memory for as long as the result is held. Empty for a
+    /// [`discarding`](Self::discarding) journal, which kept none of it.
     ///
     /// # Panics
     ///
     /// If the file behind a file-backed journal cannot be read back.
     pub fn bytes(&self) -> Cow<'_, [u8]> {
         match &self.path {
-            None => Cow::Borrowed(&self.buf),
             Some(path) => Cow::Owned(load(path).unwrap_or_else(|e| {
                 panic!("journal file {} cannot be read back: {e}", path.display())
             })),
+            None if self.keep => Cow::Borrowed(&self.buf),
+            None => Cow::Borrowed(&[]),
         }
     }
 
@@ -471,6 +496,27 @@ mod tests {
         assert_eq!(load(&path).unwrap(), *in_memory.bytes());
         assert_eq!(on_file.len(), in_memory.len());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_discarding_journal_counts_its_records_and_keeps_none() {
+        let mut kept = Journal::in_memory();
+        let mut gone = Journal::discarding();
+        assert!(gone.is_empty());
+        let big = vec![b'x'; 2 * SCRATCH_KEEP];
+        for j in [&mut kept, &mut gone] {
+            j.append_snapshot(b"state").unwrap();
+            j.append_snapshot(&big).unwrap();
+            j.append_event(b"after the scratch was released").unwrap();
+        }
+        assert_eq!(gone.len(), kept.len());
+        assert!(gone.bytes().is_empty());
+        assert_eq!(gone.buf.capacity(), SCRATCH_START);
+        assert_eq!(
+            recover_bytes(&gone.bytes()).unwrap_err(),
+            RecoverError::Framing(FramingError::NotAJournal),
+            "nothing to recover from is a typed error"
+        );
     }
 
     #[test]

@@ -9,10 +9,6 @@
 //! by a seeded xorshift so floods are reproducible). Connection drops —
 //! expected while a chaos harness SIGKILLs the daemon — are retried with
 //! a bounded reconnect loop and counted, never silently absorbed.
-//!
-//! The report never gates on throughput by itself: the caller decides
-//! whether the machine is allowed to enforce `gate_rps` (multi-core
-//! runners only), and single-CPU numbers are recorded honestly.
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -50,8 +46,6 @@ pub struct FloodConfig {
     /// content-lengths, invalid UTF-8 bodies. The run fails if the
     /// daemon ever answers garbage with a 2xx.
     pub malformed_every: u64,
-    /// Throughput floor; enforcement is the caller's call (multi-core).
-    pub gate_rps: Option<f64>,
 }
 
 impl Default for FloodConfig {
@@ -66,13 +60,12 @@ impl Default for FloodConfig {
             retries: 3,
             cancel_every: 0,
             malformed_every: 0,
-            gate_rps: None,
         }
     }
 }
 
-/// What one flood run observed — serialized as `BENCH_serve.json`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// What one flood run observed — what `mbts flood --out` writes.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FloodReport {
     /// Responses received (any status).
     pub completed: u64,
@@ -104,9 +97,7 @@ pub struct FloodReport {
     /// Median batch round-trip, microseconds (bucket upper edge, within
     /// 1/16 above the exact sample and never above `max_us`).
     pub p50_us: f64,
-    /// 95th-percentile batch round-trip, microseconds. Default keeps
-    /// BENCH files written before this field deserializable.
-    #[serde(default)]
+    /// 95th-percentile batch round-trip, microseconds.
     pub p95_us: f64,
     /// 99th-percentile batch round-trip, microseconds.
     pub p99_us: f64,
@@ -118,17 +109,7 @@ pub struct FloodReport {
     pub pipeline: usize,
     /// `available_parallelism()` of the machine that ran the flood.
     pub parallelism: usize,
-    /// The configured throughput floor, if any.
-    pub gate_rps: Option<f64>,
-    /// Whether the floor was actually enforced (multi-core runners only).
-    pub gate_enforced: bool,
-    /// Whether the run met the floor (always reported, even unenforced).
-    pub gate_met: Option<bool>,
 }
-
-/// Minimum logical cores before a throughput gate is allowed to fail the
-/// run — single-CPU containers record honest numbers instead.
-pub const GATE_MIN_PARALLELISM: usize = 4;
 
 #[derive(Debug, Default)]
 struct ThreadTally {
@@ -234,8 +215,6 @@ pub fn flood(cfg: &FloodConfig) -> io::Result<FloodReport> {
     let parallelism = thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let gate_enforced = cfg.gate_rps.is_some() && parallelism >= GATE_MIN_PARALLELISM;
-    let gate_met = cfg.gate_rps.map(|g| rps >= g);
     Ok(FloodReport {
         completed: tally.completed,
         accepted: tally.accepted,
@@ -257,9 +236,6 @@ pub fn flood(cfg: &FloodConfig) -> io::Result<FloodReport> {
         connections,
         pipeline: cfg.pipeline.max(1),
         parallelism,
-        gate_rps: cfg.gate_rps,
-        gate_enforced,
-        gate_met,
     })
 }
 
@@ -421,7 +397,11 @@ fn flood_thread(cfg: &FloodConfig, index: usize, share: u64) -> io::Result<Threa
         let wrote = (|| -> io::Result<()> {
             let mut w = BufWriter::new(stream.try_clone()?);
             for item in &batch {
-                let target = if item.sent_cancel { "/cancel" } else { "/submit" };
+                let target = if item.sent_cancel {
+                    "/cancel"
+                } else {
+                    "/submit"
+                };
                 http::write_post(&mut w, target, &item.body)?;
             }
             w.flush()
@@ -537,13 +517,5 @@ mod tests {
         }
         let v = Rng::new(9).uniform(1.0, 2.0);
         assert!((1.0..2.0).contains(&v));
-    }
-
-    #[test]
-    fn gate_is_never_enforced_below_min_parallelism() {
-        // Pure logic check: enforcement requires both a gate and cores.
-        let parallelism = 1;
-        let gate_enforced = Some(100_000.0).is_some() && parallelism >= GATE_MIN_PARALLELISM;
-        assert!(!gate_enforced);
     }
 }

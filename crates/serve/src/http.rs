@@ -300,7 +300,10 @@ mod tests {
         let mut r = BufReader::new(Cursor::new(wire));
         let resp = read_response(&mut r).unwrap().unwrap();
         assert_eq!(resp.status, 200);
-        assert_eq!(resp.header("content-type"), Some("text/plain; version=0.0.4"));
+        assert_eq!(
+            resp.header("content-type"),
+            Some("text/plain; version=0.0.4")
+        );
         assert_eq!(resp.body, b"serve_queue_depth 0\n");
     }
 

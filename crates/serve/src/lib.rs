@@ -28,7 +28,7 @@ pub mod machine;
 pub mod server;
 pub mod top;
 
-pub use flood::{flood, FloodConfig, FloodReport, GATE_MIN_PARALLELISM};
+pub use flood::{flood, FloodConfig, FloodReport};
 pub use journaled::{ServiceRecoverError, ServiceRecovery, ServiceRun};
 pub use machine::{
     ApplyOutcome, Command, CommandKind, MachineConfig, ServeCounters, ServiceMachine,

@@ -92,8 +92,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// The fronted site.
     pub site: SiteConfig,
-    /// Journal file; `None` runs on an in-memory journal (no durability —
-    /// tests and throwaway demos).
+    /// Journal file; `None` journals nothing (no durability, and so no
+    /// cadence snapshots — tests and throwaway demos).
     pub journal: Option<std::path::PathBuf>,
     /// Bounded admission-queue capacity; a full queue answers 429.
     pub queue_capacity: usize,
@@ -441,7 +441,10 @@ impl Server {
                 ServiceRun::resume_file(path, machine_cfg, cfg.snapshot_every, cfg.fsync_every_n)?
             }
             None => {
-                let run = ServiceRun::new(machine_cfg, Journal::in_memory(), cfg.snapshot_every)?;
+                // Nothing can be recovered from a journal that keeps no
+                // bytes, so cadence snapshots would be serialised only
+                // to be dropped: snapshot cadence 0.
+                let run = ServiceRun::new(machine_cfg, Journal::discarding(), 0)?;
                 (
                     run,
                     ServiceRecovery {

@@ -235,12 +235,7 @@ pub fn sparkline(history: &[f64]) -> String {
 
 /// Renders one dashboard frame from the current scrape, the previous
 /// one, and the queue-depth history (oldest first).
-pub fn render_frame(
-    prev: &Scrape,
-    cur: &Scrape,
-    interval_s: f64,
-    depth_history: &[f64],
-) -> String {
+pub fn render_frame(prev: &Scrape, cur: &Scrape, interval_s: f64, depth_history: &[f64]) -> String {
     let mut out = String::with_capacity(1024);
     let uptime = cur.value("serve_uptime_seconds").unwrap_or(0.0);
     let draining = cur.value("serve_draining").unwrap_or(0.0) > 0.0;
@@ -297,7 +292,9 @@ pub fn render_frame(
         cur.value("serve_penalty_total").unwrap_or(0.0),
         cur.value("serve_shed_pv_lost_total").unwrap_or(0.0),
     ));
-    let chaos = cur.value("serve_chaos_faults_injected_total").unwrap_or(0.0);
+    let chaos = cur
+        .value("serve_chaos_faults_injected_total")
+        .unwrap_or(0.0);
     let violations = cur.value("serve_violations").unwrap_or(0.0);
     if chaos > 0.0 || violations > 0.0 {
         out.push_str(&format!(
@@ -416,7 +413,10 @@ serve_uptime_seconds 42
     fn parses_names_labels_and_values() {
         let scrape = parse_exposition(CANNED);
         assert_eq!(scrape.sum("serve_requests_total"), 1057.0);
-        assert_eq!(scrape.sum_where("serve_requests_total", "outcome", "ack"), 1007.0);
+        assert_eq!(
+            scrape.sum_where("serve_requests_total", "outcome", "ack"),
+            1007.0
+        );
         assert_eq!(scrape.value("serve_queue_depth"), Some(12.0));
         let s = scrape
             .series("serve_requests_total")

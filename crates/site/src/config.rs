@@ -96,8 +96,8 @@ pub struct SiteConfig {
     /// pending pool (persistent score heap + incrementally maintained
     /// cost model, `O(log n)` per queue event). If `false`, every
     /// dispatch decision rescoring the whole queue from scratch — the
-    /// baseline the `scheduler_hotpath` bench and the equivalence tests
-    /// compare against. Both paths pick the same task; see
+    /// baseline the equivalence tests compare against. Both paths pick
+    /// the same task; see
     /// `mbts_core::pool`.
     #[serde(default = "default_true")]
     pub incremental: bool,

@@ -697,7 +697,7 @@ impl SiteState {
     /// Rebuild-from-scratch scoring of every pending job at `now`;
     /// returns `(scores, best index)`. This is the pre-incremental
     /// baseline path, kept behind `config.incremental == false` for the
-    /// `scheduler_hotpath` bench and the equivalence tests.
+    /// equivalence tests.
     fn score_pending(&self, now: Time) -> Option<(Vec<f64>, usize)> {
         if self.pending.is_empty() {
             return None;

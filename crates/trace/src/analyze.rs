@@ -1029,8 +1029,7 @@ pub fn render_text(r: &TraceReport) -> String {
             let root = chain
                 .root_failure
                 .map_or("?".to_string(), |t| format!("task {t}"));
-            let mut cone: Vec<String> =
-                chain.stranded.iter().take(8).map(u64::to_string).collect();
+            let mut cone: Vec<String> = chain.stranded.iter().take(8).map(u64::to_string).collect();
             if chain.stranded.len() > 8 {
                 cone.push(format!("+{} more", chain.stranded.len() - 8));
             }
@@ -1288,7 +1287,11 @@ mod tests {
         assert_eq!(chain.root_failure, Some(20));
         assert_eq!(chain.failure, "dropped");
         assert_eq!(chain.stranded, vec![21, 22]);
-        assert!((chain.pv_destroyed - 9.0).abs() < 1e-9, "{}", chain.pv_destroyed);
+        assert!(
+            (chain.pv_destroyed - 9.0).abs() < 1e-9,
+            "{}",
+            chain.pv_destroyed
+        );
         // Regret table: wf 1 clean, wf 2 failed with sunk + destroyed.
         assert_eq!(r.workflow_ledgers.len(), 2);
         let w1 = &r.workflow_ledgers[0];

@@ -161,7 +161,12 @@ pub enum Hist {
 }
 
 /// Every histogram, in wire order; indexes match `Hist as usize`.
-pub const HISTS: [Hist; 4] = [Hist::Request, Hist::QueueWait, Hist::JournalAppend, Hist::Apply];
+pub const HISTS: [Hist; 4] = [
+    Hist::Request,
+    Hist::QueueWait,
+    Hist::JournalAppend,
+    Hist::Apply,
+];
 
 impl Hist {
     /// Stable metric name (Prometheus: `serve_<name>_duration_seconds`).
@@ -323,8 +328,8 @@ pub fn enable() {
     profiler::set_plane(TELEMETRY, true);
 }
 
-/// Turns recording off. Only the byte-identity tests and `serve
-/// --no-telemetry` need this.
+/// Turns recording off. Only the telemetry on ≡ off byte-identity
+/// tests need this.
 pub fn disable() {
     profiler::set_plane(TELEMETRY, false);
 }
@@ -472,10 +477,7 @@ impl TelemetrySnapshot {
 
     /// Looks up a gauge by series name.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|g| g.name == name)
-            .map(|g| g.value)
+        self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
     }
 
     /// Looks up a histogram by short name.

@@ -38,8 +38,8 @@ use mbts_serve::{
     ApplyOutcome, Command as ServeCommand, CommandKind, MachineConfig, ServiceMachine, ServiceRun,
     ShedReason,
 };
-use mbts_site::{SiteConfig, SiteRun};
 use mbts_sim::Time;
+use mbts_site::{SiteConfig, SiteRun};
 use mbts_trace::{to_jsonl, TraceEvent, TraceKind, Tracer};
 use mbts_workload::{generate_trace, MixConfig, PenaltyBound, TaskId, TaskSpec, Trace};
 use serde::Serialize;
@@ -132,8 +132,11 @@ fn push_recovered(events: &mut Vec<TraceEvent>, at: Time, point: &str, detail: S
 /// one hit per record.
 fn chaos_journal(registry: &Arc<ChaosRegistry>) -> (SharedImage, Journal) {
     let image = SharedImage::new();
-    let journal = Journal::with_sink(Box::new(ChaosSink::new(image.clone(), Arc::clone(registry))))
-        .with_fsync_every_n(1);
+    let journal = Journal::with_sink(Box::new(ChaosSink::new(
+        image.clone(),
+        Arc::clone(registry),
+    )))
+    .with_fsync_every_n(1);
     (image, journal)
 }
 
@@ -276,7 +279,8 @@ fn run_durable_chaos<R: ChaosTarget>(
 ) -> Result<(R, u64, u64), String> {
     let mut crashes = 0u64;
     let mut replayed = 0u64;
-    let (mut image, mut durable) = genesis(mk, registry, snapshot_every, &mut crashes, events, name)?;
+    let (mut image, mut durable) =
+        genesis(mk, registry, snapshot_every, &mut crashes, events, name)?;
     loop {
         match durable.step() {
             Ok(true) => drain_injected(registry, durable.run().sim_now(), events),
@@ -383,7 +387,12 @@ fn run_site_scenario(
     let (run, crashes, replayed) =
         run_durable_chaos::<SiteRun>(&mk, registry, snapshot_every, events, name)?;
 
-    bit_identity_check(name, "final-site-state", &reference_state, &run.state_json())?;
+    bit_identity_check(
+        name,
+        "final-site-state",
+        &reference_state,
+        &run.state_json(),
+    )?;
     let violations = run.state().violations().len();
     if violations > 0 {
         return Err(format!(
@@ -441,7 +450,12 @@ fn run_market_scenario(
     let mk = || EconomyRun::new(config.clone(), &trace, Tracer::Off);
     let (run, crashes, replayed) =
         run_durable_chaos::<EconomyRun>(&mk, registry, snapshot_every, events, name)?;
-    bit_identity_check(name, "final-economy-state", &reference_state, &run.state_json())?;
+    bit_identity_check(
+        name,
+        "final-economy-state",
+        &reference_state,
+        &run.state_json(),
+    )?;
     let (outcome, _) = run.finish();
     let audit = economy_audit_violations(&outcome);
     if audit > 0 {
@@ -578,7 +592,10 @@ fn materialize(
                 return None;
             }
             let task = submitted[(*pick as usize) % submitted.len()];
-            Some((Time::new(*clock), CommandKind::Cancel { task: TaskId(task) }))
+            Some((
+                Time::new(*clock),
+                CommandKind::Cancel { task: TaskId(task) },
+            ))
         }
         ScriptStep::Shed {
             gap,
@@ -844,7 +861,12 @@ fn run_serve_scenario(
         }
     }
 
-    bit_identity_check(name, "final-service-state", &reference_state, &machine.snapshot_json())?;
+    bit_identity_check(
+        name,
+        "final-service-state",
+        &reference_state,
+        &machine.snapshot_json(),
+    )?;
     if machine.violations() > 0 {
         return Err(format!(
             "scenario '{name}': {} auditor violations in the faulted service run",

@@ -18,7 +18,7 @@
 //!             [--policy SPEC] [--admission SPEC] [--queue-cap N]
 //!             [--shed-threshold N] [--time-scale X] [--provenance]
 //! mbts flood  --addr HOST:PORT [--requests N] [--connections N]
-//!             [--pipeline N] [--gate-rps R] [--out FILE]
+//!             [--pipeline N] [--out FILE]
 //! mbts top    [--addr HOST:PORT] [--interval S] [--count N | --once]
 //! mbts analyze FILE... [--format text|json] [--buckets N] [--out FILE]
 //! mbts metrics --trace FILE [--label NAME] [--prom FILE]
@@ -47,7 +47,7 @@
 //! when full, and a deadline-aware shed pass drops expired-then-lowest-
 //! present-value work (provenance-traced, so `mbts analyze` can report
 //! the regret of shedding). `mbts flood` is the matching load/chaos
-//! client and writes the `BENCH_serve.json` throughput artifact. The
+//! client; `--out FILE` saves its report as JSON. The
 //! daemon exposes a live telemetry plane — `GET /metrics` (Prometheus
 //! text), `GET /healthz`, `GET /readyz` — and `mbts top` is the
 //! matching terminal dashboard: it polls `/metrics` and renders request
@@ -175,7 +175,7 @@ pub enum Command {
         /// The fronted site.
         site: SiteConfig,
         /// Journal file — the source of truth for recovery. `None`
-        /// journals in memory only (no durability).
+        /// journals nothing (no durability).
         journal: Option<PathBuf>,
         /// Bounded admission-queue capacity; a full queue answers 429.
         queue_capacity: usize,
@@ -201,10 +201,6 @@ pub enum Command {
         chaos: Option<PathBuf>,
         /// Seed for the armed failpoint streams.
         chaos_seed: u64,
-        /// Disable the live telemetry registry (`/metrics` serves an
-        /// empty exposition). Exists for honest overhead A/B runs —
-        /// the registry is designed to stay on in production.
-        no_telemetry: bool,
     },
     /// Load-test (and chaos-test) a live `mbts serve` daemon.
     Flood {
@@ -227,10 +223,7 @@ pub enum Command {
         /// submissions (0 = never); each must earn a 400/413 while the
         /// daemon keeps serving.
         malformed_every: u64,
-        /// Throughput floor in req/s; enforced only on multi-core
-        /// runners, always reported.
-        gate_rps: Option<f64>,
-        /// Write the flood report (`BENCH_serve.json` shape) here.
+        /// Write the flood report (a `FloodReport` as JSON) here.
         out: Option<PathBuf>,
     },
     /// Live text dashboard over a daemon's `GET /metrics` endpoint.
@@ -436,10 +429,9 @@ pub fn usage() -> &'static str {
      \x20           [--time-scale X] [--snapshot-every N] [--fsync-every N]\n\
      \x20           [--provenance] [--status-cap N] [--throttle-us U] [--profile FILE]\n\
      \x20           [--chaos SCHEDULE.json [--chaos-seed S]]  (arm socket failpoints)\n\
-     \x20           [--no-telemetry]  (overhead A/B only; /metrics goes empty)\n\
      mbts flood  --addr HOST:PORT [--requests N] [--connections N] [--pipeline N]\n\
      \x20           [--seed S] [--retries N] [--cancel-every N] [--malformed-every N]\n\
-     \x20           [--gate-rps R] [--out FILE]\n\
+     \x20           [--out FILE]\n\
      mbts top    [--addr HOST:PORT] [--interval S] [--count N | --once]\n\
      \x20           (poll GET /metrics; rates, latency quantiles, queue sparkline)\n\
      mbts chaos  FILE|DIR... [--seed S] [--format text|json] [--out FILE]\n\
@@ -485,13 +477,13 @@ const FLAG_TABLES: &[FlagTable] = &[
         values: &["--trace", "--workflow", "--sites", "--procs-per-site", "--policy", "--admission",
                   "--selection", "--seed", "--journal", "--trace-out", "--profile"] },
     FlagTable { sub: "serve", positional: false,
-        switches: &["--provenance", "--no-telemetry"],
+        switches: &["--provenance"],
         values: &["--addr", "--journal", "--processors", "--policy", "--admission", "--queue-cap",
                   "--shed-threshold", "--time-scale", "--snapshot-every", "--fsync-every",
                   "--status-cap", "--throttle-us", "--profile", "--chaos", "--chaos-seed"] },
     FlagTable { sub: "flood", positional: false, switches: &[], values: &[
         "--addr", "--requests", "--connections", "--pipeline", "--seed", "--retries",
-        "--cancel-every", "--malformed-every", "--gate-rps", "--out"] },
+        "--cancel-every", "--malformed-every", "--out"] },
     FlagTable { sub: "top", positional: false, switches: &["--once"],
         values: &["--addr", "--interval", "--count"] },
     FlagTable { sub: "chaos", positional: true, switches: &[],
@@ -815,7 +807,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 profile: get("--profile").map(PathBuf::from),
                 chaos: get("--chaos").map(PathBuf::from),
                 chaos_seed: int("--chaos-seed", 42)? as u64,
-                no_telemetry: has("--no-telemetry"),
             })
         }
         "flood" => {
@@ -830,13 +821,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             if pipeline == 0 {
                 return Err("--pipeline must be at least 1".into());
             }
-            let gate_rps = match get("--gate-rps") {
-                Some(v) => Some(
-                    v.parse::<f64>()
-                        .map_err(|_| "--gate-rps needs a number".to_string())?,
-                ),
-                None => None,
-            };
             Ok(Command::Flood {
                 addr,
                 requests: int("--requests", 10_000)? as u64,
@@ -846,7 +830,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 retries: int("--retries", 3)? as u32,
                 cancel_every: int("--cancel-every", 0)? as u64,
                 malformed_every: int("--malformed-every", 0)? as u64,
-                gate_rps,
                 out: get("--out").map(PathBuf::from),
             })
         }
@@ -1097,37 +1080,13 @@ fn read_profile_report(path: &std::path::Path) -> Result<mbts_trace::ProfileRepo
     Ok(report)
 }
 
-/// Serializes a flood report for `--out`, appending this run's
-/// throughput and latency quantiles to the `history` array carried
-/// forward from any previous report at the same path (the
-/// `BENCH_dispatch.json` pattern: run-numbered entries, newest last).
-fn flood_report_json(
+/// Writes a flood report for `--out`, replacing whatever is at `path`.
+fn write_flood_report(
     report: &mbts_serve::FloodReport,
     path: &std::path::Path,
-) -> Result<String, String> {
-    use serde::Value;
-    let mut history = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|old| serde_json::from_str::<Value>(&old).ok())
-        .and_then(|old| match old.get("history") {
-            Some(Value::Array(entries)) => Some(entries.clone()),
-            _ => None,
-        })
-        .unwrap_or_default();
-    let run = history.len() as i128 + 1;
-    history.push(Value::Object(vec![
-        ("run".into(), Value::Int(run)),
-        ("rps".into(), Value::Float(report.rps)),
-        ("p50_us".into(), Value::Float(report.p50_us)),
-        ("p95_us".into(), Value::Float(report.p95_us)),
-        ("p99_us".into(), Value::Float(report.p99_us)),
-    ]));
-    let text = serde_json::to_string(report).map_err(|e| e.to_string())?;
-    let mut doc: Value = serde_json::from_str(&text).map_err(|e| e.to_string())?;
-    if let Value::Object(entries) = &mut doc {
-        entries.push(("history".into(), Value::Array(history)));
-    }
-    serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())
+) -> Result<(), String> {
+    let json = serde_json::to_string_pretty(report).map_err(|e| e.to_string())?;
+    std::fs::write(path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Detects what kind of file an `analyze` input is and loads it:
@@ -1672,12 +1631,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             profile,
             chaos,
             chaos_seed,
-            no_telemetry,
         } => {
             let profiling = start_profiling(profile.is_some());
-            if no_telemetry {
-                mbts_trace::telemetry::disable();
-            }
             mbts_serve::install_signal_handlers();
             let registry = match &chaos {
                 Some(path) => {
@@ -1790,7 +1745,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             retries,
             cancel_every,
             malformed_every,
-            gate_rps,
             out: out_path,
         } => {
             let cfg = mbts_serve::FloodConfig {
@@ -1802,7 +1756,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
                 retries,
                 cancel_every,
                 malformed_every,
-                gate_rps,
                 ..mbts_serve::FloodConfig::default()
             };
             let report = mbts_serve::flood(&cfg).map_err(|e| format!("flood failed: {e}"))?;
@@ -1845,35 +1798,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             )
             .map_err(|e| e.to_string())?;
             if let Some(path) = out_path {
-                let json = flood_report_json(&report, &path)?;
-                std::fs::write(&path, json)
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                write_flood_report(&report, &path)?;
                 writeln!(out, "flood report -> {}", path.display()).map_err(|e| e.to_string())?;
-            }
-            if let Some(floor) = report.gate_rps {
-                let met = report.gate_met == Some(true);
-                if report.gate_enforced {
-                    if !met {
-                        return Err(format!(
-                            "throughput gate missed: {:.0} req/s < {floor:.0} req/s floor",
-                            report.rps
-                        )
-                        .into());
-                    }
-                    writeln!(out, "gate met: {:.0} req/s >= {floor:.0} req/s", report.rps)
-                        .map_err(|e| e.to_string())?;
-                } else {
-                    // Single-CPU runners record honest numbers instead of
-                    // failing a gate they cannot physically meet.
-                    writeln!(
-                        out,
-                        "gate not enforced ({}-way parallelism < {}): floor {floor:.0} req/s, \
-                         met: {met}",
-                        report.parallelism,
-                        mbts_serve::GATE_MIN_PARALLELISM
-                    )
-                    .map_err(|e| e.to_string())?;
-                }
             }
             Ok(())
         }
@@ -1927,8 +1853,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             }
             let (report, events) = crate::chaos::run_corpus(&scenarios, seed)?;
             if json {
-                let rendered =
-                    serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
+                let rendered = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
                 match &out_path {
                     Some(path) => std::fs::write(path, rendered)
                         .map_err(|e| format!("cannot write {}: {e}", path.display()))?,
@@ -1965,8 +1890,13 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             if let Some(path) = &trace_out {
                 std::fs::write(path, mbts_trace::to_jsonl(&events))
                     .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                writeln!(out, "chaos trace: {} events -> {}", events.len(), path.display())
-                    .map_err(|e| e.to_string())?;
+                writeln!(
+                    out,
+                    "chaos trace: {} events -> {}",
+                    events.len(),
+                    path.display()
+                )
+                .map_err(|e| e.to_string())?;
             }
             Ok(())
         }
@@ -2256,7 +2186,7 @@ mod tests {
             "serve --addr 0.0.0.0:9000 --journal svc.mbtsj --processors 8 --policy pv:0.01 \
              --queue-cap 64 --shed-threshold 8 --time-scale 60 --snapshot-every 100 \
              --fsync-every 1 --provenance --status-cap 512 --throttle-us 250 --profile p.json \
-             --chaos sched.json --chaos-seed 7 --no-telemetry",
+             --chaos sched.json --chaos-seed 7",
         ))
         .unwrap()
         {
@@ -2275,7 +2205,6 @@ mod tests {
                 profile,
                 chaos,
                 chaos_seed,
-                no_telemetry,
             } => {
                 assert_eq!(addr, "0.0.0.0:9000");
                 assert_eq!(site.processors, 8);
@@ -2291,12 +2220,7 @@ mod tests {
                 assert_eq!(profile, Some(PathBuf::from("p.json")));
                 assert_eq!(chaos, Some(PathBuf::from("sched.json")));
                 assert_eq!(chaos_seed, 7);
-                assert!(no_telemetry);
             }
-            other => panic!("wrong command: {other:?}"),
-        }
-        match parse(&args("serve")).unwrap() {
-            Command::Serve { no_telemetry, .. } => assert!(!no_telemetry, "telemetry defaults on"),
             other => panic!("wrong command: {other:?}"),
         }
         assert!(parse(&args("serve --queue-cap 0")).is_err());
@@ -2309,8 +2233,7 @@ mod tests {
         assert!(parse(&args("flood")).is_err());
         match parse(&args(
             "flood --addr 127.0.0.1:7741 --requests 500 --connections 2 --pipeline 8 \
-             --seed 7 --retries 1 --cancel-every 10 --malformed-every 25 --gate-rps 100000 \
-             --out BENCH_serve.json",
+             --seed 7 --retries 1 --cancel-every 10 --malformed-every 25 --out report.json",
         ))
         .unwrap()
         {
@@ -2323,7 +2246,6 @@ mod tests {
                 retries,
                 cancel_every,
                 malformed_every,
-                gate_rps,
                 out,
             } => {
                 assert_eq!(addr, "127.0.0.1:7741");
@@ -2334,47 +2256,53 @@ mod tests {
                 assert_eq!(retries, 1);
                 assert_eq!(cancel_every, 10);
                 assert_eq!(malformed_every, 25);
-                assert_eq!(gate_rps, Some(100_000.0));
-                assert_eq!(out, Some(PathBuf::from("BENCH_serve.json")));
+                assert_eq!(out, Some(PathBuf::from("report.json")));
             }
             other => panic!("wrong command: {other:?}"),
         }
         assert!(parse(&args("flood --addr a:1 --connections 0")).is_err());
         assert!(parse(&args("flood --addr a:1 --pipeline 0")).is_err());
-        assert!(parse(&args("flood --addr a:1 --gate-rps fast")).is_err());
     }
 
     #[test]
-    fn flood_report_out_accumulates_history() {
-        let dir = std::env::temp_dir().join("mbts-cli-flood-history");
+    fn flood_report_out_replaces_the_file_and_round_trips() {
+        let dir = std::env::temp_dir().join("mbts-cli-flood-out");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_serve.json");
-        let _ = std::fs::remove_file(&path);
+        let path = dir.join("flood-report.json");
+        // Every field distinct and non-default, so a key that went
+        // missing or landed in the wrong field cannot compare equal.
         let mut report = mbts_serve::FloodReport {
+            completed: 101,
+            accepted: 102,
+            rejected: 103,
+            shed: 104,
+            backpressured: 105,
+            unavailable: 106,
+            cancelled: 107,
+            retries: 108,
+            exhausted: 109,
+            errors: 110,
+            malformed: 111,
+            wall_s: 1.5,
             rps: 1000.0,
             p50_us: 10.0,
             p95_us: 20.0,
             p99_us: 30.0,
-            ..Default::default()
+            max_us: 40.0,
+            connections: 2,
+            pipeline: 16,
+            parallelism: 3,
         };
-        // First write: no prior file, history starts at run 1.
-        std::fs::write(&path, flood_report_json(&report, &path).unwrap()).unwrap();
-        // Second write: run 2 appends, run 1's numbers survive.
+        write_flood_report(&report, &path).unwrap();
         report.rps = 2000.0;
         report.p95_us = 25.0;
-        let text = flood_report_json(&report, &path).unwrap();
-        use serde::Value;
-        let doc: Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(doc.get("p95_us"), Some(&Value::Float(25.0)));
-        match doc.get("history") {
-            Some(Value::Array(entries)) => {
-                assert_eq!(entries.len(), 2);
-                assert_eq!(entries[0].get("run"), Some(&Value::Int(1)));
-                assert_eq!(entries[0].get("rps"), Some(&Value::Float(1000.0)));
-                assert_eq!(entries[1].get("run"), Some(&Value::Int(2)));
-                assert_eq!(entries[1].get("p95_us"), Some(&Value::Float(25.0)));
-            }
-            other => panic!("missing history: {other:?}"),
+        write_flood_report(&report, &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let back: mbts_serve::FloodReport = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, report, "the second write replaced the first");
+        // No merged run history and none of the throughput-gate keys.
+        for gone in ["history", "gate"] {
+            assert!(!text.contains(gone), "stale key '{gone}' in {text}");
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -2515,6 +2443,17 @@ mod tests {
         );
 
         assert!(parse(&args("market --trace t.json --shards 2")).is_err());
+        // Flags that fed the retired BENCH files get the ordinary error.
+        let err = parse(&args("flood --addr a:1 --gate-rps 1")).unwrap_err();
+        assert!(
+            err.contains("unknown flag '--gate-rps' for 'mbts flood'"),
+            "{err}"
+        );
+        let err = parse(&args("serve --no-telemetry")).unwrap_err();
+        assert!(
+            err.contains("unknown flag '--no-telemetry' for 'mbts serve'"),
+            "{err}"
+        );
         assert!(parse(&args("market --workflow w.json --journal j.bin")).is_ok());
         // A single dash is a value, not a flag: this fails on its range.
         let err = parse(&args("top --interval -1")).unwrap_err();

@@ -45,7 +45,11 @@ fn shipped_corpus_is_green_and_deterministic() {
     );
     for s in &report.scenarios {
         assert!(s.injected > 0, "scenario '{}' injected nothing", s.name);
-        assert!(!s.checks.is_empty(), "scenario '{}' checked nothing", s.name);
+        assert!(
+            !s.checks.is_empty(),
+            "scenario '{}' checked nothing",
+            s.name
+        );
     }
 
     // The trace stream carries both marker kinds so `mbts analyze` can

@@ -592,7 +592,12 @@ fn service_journal_is_byte_identical_with_telemetry_on_and_off() {
         );
         kinds.push((at, CommandKind::Submit { spec }));
         if i % 9 == 4 {
-            kinds.push((at, CommandKind::Cancel { task: TaskId(i / 3) }));
+            kinds.push((
+                at,
+                CommandKind::Cancel {
+                    task: TaskId(i / 3),
+                },
+            ));
         }
         if i % 13 == 6 {
             let spec = TaskSpec::new(0, at, 2.0, 0.5, 0.4, PenaltyBound::ZERO);

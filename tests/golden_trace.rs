@@ -252,10 +252,18 @@ fn golden_streams_are_byte_identical_with_telemetry_on_and_off() {
     use mbts::trace::telemetry;
     telemetry::enable();
     let task_on = actual_stream(Policy::first_reward(0.3, 0.01), SEEDS[0]);
-    let wf_on = wf_stream(Policy::FirstPrice, WorkflowShape::Pipeline { depth: 4 }, 101);
+    let wf_on = wf_stream(
+        Policy::FirstPrice,
+        WorkflowShape::Pipeline { depth: 4 },
+        101,
+    );
     telemetry::disable();
     let task_off = actual_stream(Policy::first_reward(0.3, 0.01), SEEDS[0]);
-    let wf_off = wf_stream(Policy::FirstPrice, WorkflowShape::Pipeline { depth: 4 }, 101);
+    let wf_off = wf_stream(
+        Policy::FirstPrice,
+        WorkflowShape::Pipeline { depth: 4 },
+        101,
+    );
     telemetry::enable();
     assert_eq!(task_on, task_off, "telemetry perturbed a task stream");
     assert_eq!(wf_on, wf_off, "telemetry perturbed a workflow stream");

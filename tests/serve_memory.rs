@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mbts::durable::{framing, RecordTag};
+use mbts::durable::{framing, Journal, RecordTag};
 use mbts::serve::{CommandKind, MachineConfig, ServiceRun};
 use mbts::sim::Time;
 use mbts::site::SiteConfig;
@@ -139,6 +139,27 @@ fn resident_memory_does_not_track_journal_bytes_or_json_size() {
         "after {SUBMITS} submits the run holds {held} B of heap for a {} B journal",
         file_len()
     );
+
+    // ---- a journal-less daemon life: the same state and no stream --------
+    // What `Server::start` runs on when `ServeConfig::journal` is `None`.
+    let before = live();
+    let mut unjournaled =
+        ServiceRun::new(config(), Journal::discarding(), 0).expect("a journal with no sink");
+    for i in 0..SUBMITS {
+        submit(&mut unjournaled, i);
+    }
+    let held_unjournaled = live() - before;
+    assert!(
+        unjournaled.journal().len() > SUBMITS as usize * 200,
+        "{} B framed measures nothing",
+        unjournaled.journal().len()
+    );
+    assert!(
+        held_unjournaled.abs_diff(held) <= 64 * 1024,
+        "a journal-less run holds {held_unjournaled} B after {SUBMITS} submits, \
+         a file-backed one {held} B"
+    );
+    drop(unjournaled);
 
     // ---- one snapshot: the typed copy and the record, no tree -----------
     let journal_before = file_len();

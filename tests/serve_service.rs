@@ -426,7 +426,10 @@ fn malformed_requests_draw_4xx_and_daemon_keeps_serving() {
     let garbage: &[(&str, &[u8])] = &[
         ("truncated request line", b"POST\r\n\r\n"),
         ("not http at all", b"\x00\x01\x02\x03\x04garbage\r\n\r\n"),
-        ("bad version", b"POST /submit HTTP/9.9\r\nhost: mbts\r\n\r\n"),
+        (
+            "bad version",
+            b"POST /submit HTTP/9.9\r\nhost: mbts\r\n\r\n",
+        ),
         (
             "unparseable content-length",
             b"POST /submit HTTP/1.1\r\ncontent-length: nope\r\n\r\n",
@@ -452,9 +455,7 @@ fn malformed_requests_draw_4xx_and_daemon_keeps_serving() {
     for (label, wire) in garbage {
         let stream = TcpStream::connect(&addr).expect("connect");
         stream.set_nodelay(true).ok();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .ok();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
         let mut w = stream.try_clone().expect("clone");
         // The daemon may slam the door mid-write; that is acceptable
         // garbage handling, not a test failure.
@@ -479,9 +480,14 @@ fn malformed_requests_draw_4xx_and_daemon_keeps_serving() {
     }
 
     // And real work still lands: a well-formed submit is accepted.
-    let resp = post(&addr, "/submit", "{\"runtime\":1.0,\"value\":5.0,\"decay\":0.01}");
+    let resp = post(
+        &addr,
+        "/submit",
+        "{\"runtime\":1.0,\"value\":5.0,\"decay\":0.01}",
+    );
     assert_eq!(
-        resp.status, 200,
+        resp.status,
+        200,
         "well-formed submit after garbage: {}",
         String::from_utf8_lossy(&resp.body)
     );

@@ -77,7 +77,11 @@ fn metrics_is_valid_exposition_and_readyz_reflects_drain() {
     assert_eq!(get(&addr, "/healthz").status, 200);
     assert_eq!(get(&addr, "/readyz").status, 200);
 
-    let ok = post(&addr, "/submit", "{\"runtime\":1.0,\"value\":5.0,\"decay\":0.01}");
+    let ok = post(
+        &addr,
+        "/submit",
+        "{\"runtime\":1.0,\"value\":5.0,\"decay\":0.01}",
+    );
     assert_eq!(ok.status, 200);
 
     let resp = get(&addr, "/metrics");
@@ -182,9 +186,7 @@ fn concurrent_scrapes_under_flood_stay_monotonic_and_consistent() {
                 for b in 0..BATCHES {
                     for i in 0..PIPELINE {
                         let value = 1.0 + ((c + b + i) % 7) as f64;
-                        let body = format!(
-                            "{{\"runtime\":1.0,\"value\":{value},\"decay\":0.01}}"
-                        );
+                        let body = format!("{{\"runtime\":1.0,\"value\":{value},\"decay\":0.01}}");
                         serve::http::write_post(&mut writer, "/submit", body.as_bytes())
                             .expect("write");
                         submitted += 1;
@@ -228,7 +230,9 @@ fn concurrent_scrapes_under_flood_stay_monotonic_and_consistent() {
     // Internal consistency: every counted request recorded one latency
     // sample (no malformed traffic in this flood), and the cumulative
     // histogram is sane.
-    let hist_count = scrape.value("serve_request_duration_seconds_count").unwrap_or(0.0);
+    let hist_count = scrape
+        .value("serve_request_duration_seconds_count")
+        .unwrap_or(0.0);
     let counted = scrape.sum("serve_requests_total");
     assert_eq!(
         hist_count, counted,
@@ -240,15 +244,15 @@ fn concurrent_scrapes_under_flood_stay_monotonic_and_consistent() {
             assert_eq!(s.value, hist_count, "+Inf bucket must equal _count");
             continue;
         }
-        assert!(
-            s.value >= last,
-            "cumulative buckets must be non-decreasing"
-        );
+        assert!(s.value >= last, "cumulative buckets must be non-decreasing");
         last = s.value;
     }
     let depth = scrape.value("serve_queue_depth").unwrap_or(f64::NAN);
     let cap = scrape.value("serve_queue_capacity").unwrap_or(f64::NAN);
-    assert!(depth >= 0.0 && depth <= cap, "queue depth {depth} vs capacity {cap}");
+    assert!(
+        depth >= 0.0 && depth <= cap,
+        "queue depth {depth} vs capacity {cap}"
+    );
 
     assert_eq!(post(&addr, "/drain", "{}").status, 200);
     let report = server.join().expect("drain");
@@ -284,10 +288,19 @@ fn top_dashboard_renders_frames_from_a_live_daemon() {
     .expect("top frames");
     assert_eq!(frames, 2);
     let text = String::from_utf8(out).expect("utf-8 frames");
-    assert!(text.contains("mbts top — uptime"), "frame lacks header:\n{text}");
+    assert!(
+        text.contains("mbts top — uptime"),
+        "frame lacks header:\n{text}"
+    );
     assert!(text.contains("/s total"), "frame lacks rates:\n{text}");
-    assert!(text.contains("queue     depth"), "frame lacks queue line:\n{text}");
-    assert!(text.contains("economy   pending"), "frame lacks economy line:\n{text}");
+    assert!(
+        text.contains("queue     depth"),
+        "frame lacks queue line:\n{text}"
+    );
+    assert!(
+        text.contains("economy   pending"),
+        "frame lacks economy line:\n{text}"
+    );
     server.request_stop();
     server.join().expect("drain");
 }
