@@ -24,7 +24,9 @@
 //! draws from its own independent stream.
 
 pub mod registry;
+pub mod rng;
 pub mod scenario;
 
 pub use registry::{ChaosRegistry, FailAction, FailpointSpec, FiredFault, Firing};
+pub use rng::Xorshift64Star;
 pub use scenario::{Scenario, ScenarioTarget};

@@ -2,6 +2,7 @@
 //! streams, and the fired-fault log the orchestrator turns into
 //! `ChaosInjected` trace events.
 
+use crate::rng::Xorshift64Star;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -146,42 +147,24 @@ pub struct FiredFault {
 /// counter, and a fire counter per schedule entry (several entries may
 /// arm the same point — e.g. short writes followed by a hard ENOSPC).
 struct PointState {
-    state: u64,
+    rng: Xorshift64Star,
     hits: u64,
     fires: Vec<u64>,
 }
 
 impl PointState {
     fn seeded(seed: u64, name: &str) -> Self {
-        // FNV-1a over the instance name, mixed with the scenario seed,
-        // then a splitmix64 scramble so adjacent seeds diverge.
+        // FNV-1a over the instance name, mixed with the scenario seed.
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in name.bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
-        let mut z = seed.wrapping_add(h).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         PointState {
-            state: (z ^ (z >> 31)) | 1,
+            rng: Xorshift64Star::from_seed(seed.wrapping_add(h)),
             hits: 0,
             fires: Vec::new(),
         }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // xorshift64* — the same generator `mbts flood` uses.
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 
@@ -260,7 +243,7 @@ impl ChaosRegistry {
             let fire = if spec.every > 0 {
                 (hit - spec.after - 1).is_multiple_of(spec.every)
             } else {
-                state.next_f64() < spec.prob
+                state.rng.next_f64() < spec.prob
             };
             if fire {
                 winner = Some(idx);
@@ -269,7 +252,7 @@ impl ChaosRegistry {
         }
         let idx = winner?;
         state.fires[idx] += 1;
-        let entropy = state.next_u64();
+        let entropy = state.rng.next_u64();
         let action = self.specs[idx].action.clone();
         inner.fired.push(FiredFault {
             point: point.to_string(),

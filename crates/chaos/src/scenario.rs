@@ -82,8 +82,8 @@ pub enum ScenarioTarget {
         snapshot_every: u64,
     },
     /// A scripted service run: a seeded submit/cancel command schedule
-    /// folded through the journaled `ServiceRun` while disk faults hit
-    /// the journal underneath. Fully deterministic — no sockets; the
+    /// folded through a journaled `DurableRun<ServiceMachine>` while disk
+    /// faults hit the journal underneath. Fully deterministic — no sockets; the
     /// live socket path is exercised by `tests/serve_service.rs` and the
     /// CI chaos-soak flood.
     Serve {

@@ -33,7 +33,8 @@ pub const RECORD_OVERHEAD: usize = 9;
 pub enum RecordTag {
     /// A complete serialized replay state.
     Snapshot,
-    /// One sim event, journaled before it was applied.
+    /// One input (sim event or service command), journaled before it
+    /// was applied.
     Event,
 }
 

@@ -339,10 +339,18 @@ pub enum RecoverError {
     Framing(FramingError),
     /// The valid prefix contains no intact snapshot record.
     NoSnapshot,
-    /// The latest intact snapshot failed to deserialize.
+    /// The latest intact snapshot failed to deserialize, or is not a
+    /// state the run can be restored from.
     BadSnapshot(String),
-    /// A journaled event did not match the event the restored state was
-    /// about to apply — the journal belongs to a different run.
+    /// An event payload after the snapshot is not an input of the run.
+    BadEvent {
+        /// Index of the offending event record after the snapshot.
+        index: usize,
+        /// Parse error detail.
+        detail: String,
+    },
+    /// A journaled input cannot follow the state replay had reached — the
+    /// journal belongs to a different run, or records were cut out of it.
     Divergence {
         /// Index of the offending event record after the snapshot.
         index: usize,
@@ -356,7 +364,13 @@ impl std::fmt::Display for RecoverError {
         match self {
             RecoverError::Framing(e) => write!(f, "{e}"),
             RecoverError::NoSnapshot => write!(f, "journal holds no intact snapshot"),
-            RecoverError::BadSnapshot(e) => write!(f, "snapshot failed to deserialize: {e}"),
+            RecoverError::BadSnapshot(e) => write!(f, "latest snapshot cannot be restored: {e}"),
+            RecoverError::BadEvent { index, detail } => {
+                write!(
+                    f,
+                    "journal event {index} is not an input of this run: {detail}"
+                )
+            }
             RecoverError::Divergence { index, detail } => {
                 write!(f, "journal event {index} diverges from replay: {detail}")
             }

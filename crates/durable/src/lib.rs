@@ -1,10 +1,12 @@
-//! # mbts-durable — crash-consistent simulation runs
+//! # mbts-durable — crash-consistent runs
 //!
-//! A snapshot + write-ahead-journal layer that makes [`mbts_site`] and
-//! [`mbts_market`] runs recoverable at **any event boundary**: kill the
-//! process after any event — or mid-write, tearing the journal's tail —
-//! and recovery reproduces the uninterrupted run bit for bit (schedule,
-//! yields, account balances and trace stream included).
+//! A snapshot + write-ahead-journal layer that makes every stepwise state
+//! in the workspace — an [`mbts_site`] run, an [`mbts_market`] economy,
+//! the `mbts-serve` service machine — recoverable at **any input
+//! boundary**: kill the process after any event or command — or
+//! mid-write, tearing the journal's tail — and recovery reproduces the
+//! uninterrupted run bit for bit (schedule, yields, account balances and
+//! trace stream included).
 //!
 //! Three layers:
 //!
@@ -13,20 +15,21 @@
 //!   damaged record, so any torn tail degrades to a clean valid prefix.
 //! * [`journal`] — the append-only record stream (a flushed file, or
 //!   in memory for harnesses) and the byte-level recovery scan.
-//! * [`run`] — the [`Recoverable`] trait (implemented by
-//!   [`SiteRun`](mbts_site::SiteRun) and
-//!   [`EconomyRun`](mbts_market::EconomyRun)) and [`DurableRun`], which
-//!   journals every event ahead of applying it, snapshots on a cadence,
-//!   and recovers by snapshot-restore + verified event replay.
+//! * [`run`] — the [`Recoverable`] fold (`due`, `apply`, `snapshot`,
+//!   `restore`; implemented here by [`SiteRun`](mbts_site::SiteRun) and
+//!   [`EconomyRun`](mbts_market::EconomyRun), and by `ServiceMachine` in
+//!   `mbts-serve`) and [`DurableRun`], the one driver that journals every
+//!   input ahead of applying it, snapshots on a cadence, and recovers by
+//!   snapshot-restore + checked input replay.
 //!
 //! Determinism does the heavy lifting: because the simulations derive
 //! every draw from owned RNG streams and the event queue breaks ties by
-//! sequence number, a snapshot of *state* (not history) plus the event
+//! sequence number, a snapshot of *state* (not history) plus the input
 //! suffix is enough to reproduce the exact future.
 //!
 //! ```
 //! use mbts_core::Policy;
-//! use mbts_durable::{DurableRun, Journal};
+//! use mbts_durable::{DurableRun, Journal, RecoverError};
 //! use mbts_site::{SiteConfig, SiteRun};
 //! use mbts_trace::Tracer;
 //! use mbts_workload::{generate_trace, MixConfig};
@@ -48,12 +51,19 @@
 //! // Recover and run to completion: same outcome as never crashing.
 //! let (mut recovered, report) = DurableRun::<SiteRun>::recover(&journal.bytes()).unwrap();
 //! assert_eq!(recovered.events_handled(), 30);
+//! assert_eq!(report.replayed, 30 - 16);
 //! assert_eq!(report.dropped_bytes, 0);
 //! recovered.run_to_completion();
 //!
 //! let mut uninterrupted = SiteRun::new(config, &trace, Tracer::Off);
 //! uninterrupted.run_to_completion();
 //! assert_eq!(recovered.finish().0, uninterrupted.finish().0);
+//!
+//! // Bytes that are not a journal are a typed error, never a panic.
+//! assert!(matches!(
+//!     DurableRun::<SiteRun>::recover(b"not a journal"),
+//!     Err(RecoverError::Framing(_))
+//! ));
 //! ```
 
 pub mod chaos;
@@ -64,7 +74,4 @@ pub mod run;
 pub use chaos::{corrupt_image, ChaosSink, SharedImage};
 pub use framing::{FramingError, RecordTag, ScanOutcome};
 pub use journal::{load, recover_bytes, Journal, JournalSink, RecoverError, Recovered, ShortWrite};
-pub use run::{
-    durable_economy_run, durable_site_run, durable_site_workflow_run, DurableRun, Recoverable,
-    RecoveryReport,
-};
+pub use run::{DurableRun, Recoverable, RecoveryReport};

@@ -1,103 +1,129 @@
-//! Durable execution: wraps a stepwise simulation run so every applied
-//! event is journaled ahead of application and the full replay state is
-//! snapshotted at a configurable cadence.
+//! Durable execution: the one journal-first driver. [`DurableRun`] wraps
+//! any [`Recoverable`] fold — a site run, an economy run, the service
+//! machine — so every input is journaled ahead of being applied and the
+//! full replay state is snapshotted at a configurable cadence.
 //!
 //! Recovery loads the latest intact snapshot, then replays the journaled
-//! event suffix — verifying record by record that the restored state is
-//! about to apply exactly the event the journal says was applied, which
-//! catches a journal paired with the wrong run before any state drifts.
+//! input suffix through the same [`Recoverable::apply`] the live run used.
+//! That call refuses an input that cannot follow the restored state (a
+//! simulation checks it against the event it has due, the service its
+//! dense sequence number and task id), so a journal paired with the wrong
+//! run, or one with whole records cut out, is a typed
+//! [`RecoverError::Divergence`] before any state drifts.
 
 use crate::journal::{self, Journal, RecoverError};
-use mbts_market::{EconomyConfig, EconomyRun, EconomySnapshot};
-use mbts_site::{SiteConfig, SiteRun, SiteRunSnapshot};
-use mbts_trace::Tracer;
-use mbts_workload::Trace;
+use mbts_market::{EcoEvent, EconomyRun, EconomySnapshot};
+use mbts_sim::profiler::{self, Section};
+use mbts_sim::Time;
+use mbts_site::{SimEvent, SiteRun, SiteRunSnapshot};
 use serde::{Deserialize, Serialize};
+use std::fmt::Debug;
 use std::io;
 
-/// A stepwise simulation whose complete replay state can be captured and
-/// restored at any event boundary.
+/// A deterministic fold over journaled inputs whose complete replay state
+/// can be captured and restored between any two inputs.
 ///
 /// The contract [`DurableRun`] relies on: `restore(snapshot())` followed
-/// by `step()`s is bit-identical to stepping the original, and
-/// [`next_event_json`](Recoverable::next_event_json) is deterministic
-/// (same state ⇒ same bytes).
+/// by the same `apply`s is bit-identical to applying them to the
+/// original, and `apply` refuses — leaving the state untouched — any
+/// input that could not have been the next one.
 pub trait Recoverable: Sized {
+    /// One journaled input: an event record's payload.
+    type Input: Serialize + Deserialize;
     /// Serialized form of the complete replay state.
     type Snapshot: Serialize + Deserialize;
+    /// What applying one input reports to the caller.
+    type Outcome;
 
-    /// Captures the state at the current event boundary.
+    /// Profiler sections the live path times its journal append and its
+    /// fold in; `None` leaves them untimed.
+    const SECTIONS: Option<(Section, Section)> = None;
+
+    /// The input a self-driven run applies next — `None` once it is
+    /// quiescent, and always for a run whose inputs come from outside.
+    fn due(&self) -> Option<Self::Input>;
+
+    /// Folds one input, or says why it cannot follow the current state.
+    fn apply(&mut self, input: &Self::Input) -> Result<Self::Outcome, String>;
+
+    /// Captures the state between inputs.
     fn snapshot(&self) -> Self::Snapshot;
 
-    /// Rebuilds a run from a captured state.
-    fn restore(snapshot: Self::Snapshot) -> Self;
+    /// Rebuilds a run from a captured state, or says why it cannot.
+    fn restore(snapshot: Self::Snapshot) -> Result<Self, String>;
+}
 
-    /// The next event due, serialized as `(time, event)` JSON — `None`
-    /// once the run is quiescent.
-    fn next_event_json(&self) -> Option<String>;
-
-    /// Applies the next event; `false` once the run is quiescent.
-    fn step(&mut self) -> bool;
-
-    /// Events applied so far.
-    fn events_handled(&self) -> u64;
+/// The replay check of a simulation: `(at, event)` must be exactly the
+/// event the run has due next.
+fn is_due<E: PartialEq + Debug>(
+    due: Option<(Time, &E)>,
+    at: Time,
+    event: &E,
+) -> Result<(), String> {
+    match due {
+        Some((t, e)) if t == at && e == event => Ok(()),
+        Some((t, e)) => Err(format!(
+            "journal says {:?}, replay is due {:?}",
+            (at, event),
+            (t, e)
+        )),
+        None => Err("journal holds events past quiescence".to_string()),
+    }
 }
 
 impl Recoverable for SiteRun {
+    type Input = (Time, SimEvent);
     type Snapshot = SiteRunSnapshot;
+    type Outcome = ();
+
+    fn due(&self) -> Option<(Time, SimEvent)> {
+        self.next_event().map(|(at, e)| (at, *e))
+    }
+
+    fn apply(&mut self, (at, event): &(Time, SimEvent)) -> Result<(), String> {
+        is_due(self.next_event(), *at, event)?;
+        self.step();
+        Ok(())
+    }
 
     fn snapshot(&self) -> SiteRunSnapshot {
         SiteRun::snapshot(self)
     }
 
-    fn restore(snapshot: SiteRunSnapshot) -> Self {
-        SiteRun::from_snapshot(snapshot)
-    }
-
-    fn next_event_json(&self) -> Option<String> {
-        self.next_event()
-            .map(|(at, e)| serde_json::to_string(&(at, *e)).expect("sim events serialize"))
-    }
-
-    fn step(&mut self) -> bool {
-        SiteRun::step(self)
-    }
-
-    fn events_handled(&self) -> u64 {
-        SiteRun::events_handled(self)
+    fn restore(snapshot: SiteRunSnapshot) -> Result<Self, String> {
+        Ok(SiteRun::from_snapshot(snapshot))
     }
 }
 
 impl Recoverable for EconomyRun {
+    type Input = (Time, EcoEvent);
     type Snapshot = EconomySnapshot;
+    type Outcome = ();
+
+    fn due(&self) -> Option<(Time, EcoEvent)> {
+        self.next_event().map(|(at, e)| (at, *e))
+    }
+
+    fn apply(&mut self, (at, event): &(Time, EcoEvent)) -> Result<(), String> {
+        is_due(self.next_event(), *at, event)?;
+        self.step();
+        Ok(())
+    }
 
     fn snapshot(&self) -> EconomySnapshot {
         EconomyRun::snapshot(self)
     }
 
-    fn restore(snapshot: EconomySnapshot) -> Self {
-        EconomyRun::from_snapshot(snapshot)
-    }
-
-    fn next_event_json(&self) -> Option<String> {
-        self.next_event()
-            .map(|(at, e)| serde_json::to_string(&(at, *e)).expect("eco events serialize"))
-    }
-
-    fn step(&mut self) -> bool {
-        EconomyRun::step(self)
-    }
-
-    fn events_handled(&self) -> u64 {
-        EconomyRun::events_handled(self)
+    fn restore(snapshot: EconomySnapshot) -> Result<Self, String> {
+        Ok(EconomyRun::from_snapshot(snapshot))
     }
 }
 
 /// What a successful recovery did.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Events replayed from the journal suffix.
-    pub replayed_events: u64,
+    /// Inputs replayed from the journal suffix.
+    pub replayed: u64,
     /// Event records superseded by the snapshot recovery started from.
     pub events_superseded: usize,
     /// Torn/corrupt trailing bytes discarded by the scan.
@@ -106,23 +132,24 @@ pub struct RecoveryReport {
 
 /// A [`Recoverable`] run coupled to a write-ahead [`Journal`].
 ///
-/// Construction writes a genesis snapshot; each [`step`](Self::step)
-/// journals the due event before applying it; every `snapshot_every`
-/// events a fresh snapshot record bounds how much suffix recovery must
-/// replay. Killing the process at *any* byte boundary leaves a journal
+/// Construction writes a genesis snapshot; each [`apply`](Self::apply)
+/// journals the input before folding it; every `snapshot_every` inputs a
+/// fresh snapshot record bounds how much suffix recovery must replay.
+/// Killing the process at *any* byte boundary leaves a journal
 /// [`recover`](Self::recover) restores bit-identically.
-pub struct DurableRun<R: Recoverable> {
-    run: R,
+#[derive(Debug)]
+pub struct DurableRun<M: Recoverable> {
+    run: M,
     journal: Journal,
     snapshot_every: u64,
     since_snapshot: u64,
 }
 
-impl<R: Recoverable> DurableRun<R> {
+impl<M: Recoverable> DurableRun<M> {
     /// Wraps `run`, writing its genesis snapshot into `journal`.
     /// `snapshot_every` = 0 means genesis-only (journal grows as pure
-    /// event log).
-    pub fn new(run: R, journal: Journal, snapshot_every: u64) -> io::Result<Self> {
+    /// input log).
+    pub fn new(run: M, journal: Journal, snapshot_every: u64) -> io::Result<Self> {
         let mut durable = DurableRun {
             run,
             journal,
@@ -133,32 +160,72 @@ impl<R: Recoverable> DurableRun<R> {
         Ok(durable)
     }
 
+    /// Recovers the run `journal` holds and keeps appending to it: no
+    /// genesis snapshot, and the cadence counts on from the replayed
+    /// suffix, as if the process had never stopped.
+    pub fn resume(
+        journal: Journal,
+        snapshot_every: u64,
+    ) -> Result<(Self, RecoveryReport), RecoverError> {
+        // The image is read back for this one replay and dropped with it:
+        // from here on a file-backed journal is the only copy.
+        let (run, report) = Self::recover(&journal.bytes())?;
+        let durable = DurableRun {
+            run,
+            journal,
+            snapshot_every,
+            since_snapshot: report.replayed,
+        };
+        Ok((durable, report))
+    }
+
     /// Serializes the current state into a snapshot record immediately.
     pub fn snapshot_now(&mut self) -> io::Result<()> {
-        mbts_sim::profiler::time(mbts_sim::profiler::Section::SnapshotWrite, || {
+        // Above the run this holds the typed snapshot and one buffer, the
+        // record itself: the text is written where it is framed.
+        profiler::time(Section::SnapshotWrite, || {
             let snapshot = self.run.snapshot();
             self.journal.append_snapshot_with(|record| {
                 serde_json::to_writer(record, &snapshot).expect("snapshots always serialize")
-            })?;
-            self.since_snapshot = 0;
-            Ok(())
-        })
+            })
+        })?;
+        self.since_snapshot = 0;
+        Ok(())
     }
 
-    /// Journals the next due event, applies it, and snapshots if the
-    /// cadence says so; `Ok(false)` once the run is quiescent.
-    pub fn step(&mut self) -> io::Result<bool> {
-        let Some(event_json) = self.run.next_event_json() else {
-            return Ok(false);
-        };
-        self.journal.append_event(event_json.as_bytes())?;
-        let stepped = self.run.step();
-        debug_assert!(stepped, "a due event must be steppable");
+    /// Journals `input`, folds it, and snapshots if the cadence says so.
+    /// The state moves only once the input's record is written: an error
+    /// from the append leaves the run where it was, one from the cadence
+    /// snapshot leaves it past the input. An input the run refuses is an
+    /// `InvalidInput` error after its record was written, which recovery
+    /// will refuse too; callers feed the due input or stamp theirs
+    /// against the run, and never see it.
+    pub fn apply(&mut self, input: &M::Input) -> io::Result<M::Outcome> {
+        let payload = serde_json::to_vec(input).expect("journal inputs always serialize");
+        timed(M::SECTIONS.map(|s| s.0), || {
+            self.journal.append_event(&payload)
+        })?;
+        let outcome =
+            timed(M::SECTIONS.map(|s| s.1), || self.run.apply(input)).map_err(|detail| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("journaled input does not follow the run: {detail}"),
+                )
+            })?;
         self.since_snapshot += 1;
         if self.snapshot_every > 0 && self.since_snapshot >= self.snapshot_every {
             self.snapshot_now()?;
         }
-        Ok(true)
+        Ok(outcome)
+    }
+
+    /// Applies the input the run has due; `Ok(false)` once it is
+    /// quiescent.
+    pub fn step(&mut self) -> io::Result<bool> {
+        match self.run.due() {
+            Some(input) => self.apply(&input).map(|_| true),
+            None => Ok(false),
+        }
     }
 
     /// Steps until quiescent.
@@ -167,8 +234,13 @@ impl<R: Recoverable> DurableRun<R> {
         Ok(())
     }
 
+    /// Forces buffered journal bytes to stable storage.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.journal.sync()
+    }
+
     /// The wrapped run.
-    pub fn run(&self) -> &R {
+    pub fn run(&self) -> &M {
         &self.run
     }
 
@@ -184,45 +256,31 @@ impl<R: Recoverable> DurableRun<R> {
     }
 
     /// Unwraps into the run and its journal.
-    pub fn into_parts(self) -> (R, Journal) {
+    pub fn into_parts(self) -> (M, Journal) {
         (self.run, self.journal)
     }
 
     /// Recovers a run from journal bytes: latest intact snapshot plus
-    /// verified replay of the event suffix. Any torn or corrupt tail is
+    /// checked replay of the input suffix. Any torn or corrupt tail is
     /// discarded, never panicked on; the report says how much.
-    pub fn recover(bytes: &[u8]) -> Result<(R, RecoveryReport), RecoverError> {
+    pub fn recover(bytes: &[u8]) -> Result<(M, RecoveryReport), RecoverError> {
         let recovered = journal::recover_bytes(bytes)?;
-        let snap_str = std::str::from_utf8(recovered.snapshot)
+        let snapshot: M::Snapshot = serde_json::from_slice(recovered.snapshot)
             .map_err(|e| RecoverError::BadSnapshot(e.to_string()))?;
-        let snap: R::Snapshot =
-            serde_json::from_str(snap_str).map_err(|e| RecoverError::BadSnapshot(e.to_string()))?;
-        let mut run = R::restore(snap);
-        let mut replayed = 0u64;
-        for (index, journaled) in recovered.events.iter().enumerate() {
-            let due = run
-                .next_event_json()
-                .ok_or_else(|| RecoverError::Divergence {
+        let mut run = M::restore(snapshot).map_err(RecoverError::BadSnapshot)?;
+        for (index, payload) in recovered.events.iter().enumerate() {
+            let input: M::Input =
+                serde_json::from_slice(payload).map_err(|e| RecoverError::BadEvent {
                     index,
-                    detail: "journal holds events past quiescence".to_string(),
+                    detail: e.to_string(),
                 })?;
-            if due.as_bytes() != *journaled {
-                return Err(RecoverError::Divergence {
-                    index,
-                    detail: format!(
-                        "journal says {:?}, replay is due {:?}",
-                        String::from_utf8_lossy(journaled),
-                        due
-                    ),
-                });
-            }
-            run.step();
-            replayed += 1;
+            run.apply(&input)
+                .map_err(|detail| RecoverError::Divergence { index, detail })?;
         }
         Ok((
             run,
             RecoveryReport {
-                replayed_events: replayed,
+                replayed: recovered.events.len() as u64,
                 events_superseded: recovered.events_superseded,
                 dropped_bytes: recovered.dropped_bytes,
             },
@@ -230,49 +288,9 @@ impl<R: Recoverable> DurableRun<R> {
     }
 }
 
-/// A journaled single-site run: genesis snapshot written, periodic
-/// snapshots every `snapshot_every` events.
-pub fn durable_site_run(
-    config: SiteConfig,
-    trace: &Trace,
-    tracer: Tracer,
-    journal: Journal,
-    snapshot_every: u64,
-) -> io::Result<DurableRun<SiteRun>> {
-    DurableRun::new(SiteRun::new(config, trace, tracer), journal, snapshot_every)
-}
-
-/// A journaled workflow replay on one site: only roots are
-/// pre-scheduled, successors release as predecessors complete, and the
-/// workflow overlay's state rides inside every snapshot — a crash
-/// between a completion and the release it triggers recovers
-/// bit-identically.
-pub fn durable_site_workflow_run(
-    config: SiteConfig,
-    set: &mbts_workload::WorkflowSet,
-    tracer: Tracer,
-    journal: Journal,
-    snapshot_every: u64,
-) -> io::Result<DurableRun<SiteRun>> {
-    DurableRun::new(
-        SiteRun::with_workflows(config, set, tracer),
-        journal,
-        snapshot_every,
-    )
-}
-
-/// A journaled economy run: genesis snapshot written, periodic snapshots
-/// every `snapshot_every` events.
-pub fn durable_economy_run(
-    config: EconomyConfig,
-    trace: &Trace,
-    tracer: Tracer,
-    journal: Journal,
-    snapshot_every: u64,
-) -> io::Result<DurableRun<EconomyRun>> {
-    DurableRun::new(
-        EconomyRun::new(config, trace, tracer),
-        journal,
-        snapshot_every,
-    )
+fn timed<R>(section: Option<Section>, f: impl FnOnce() -> R) -> R {
+    match section {
+        Some(section) => profiler::time(section, f),
+        None => f(),
+    }
 }

@@ -17,6 +17,7 @@ use std::time::{Duration as StdDuration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use mbts_chaos::Xorshift64Star;
 use mbts_sim::latency::{elapsed_ns, LatencyHistogram};
 
 use crate::http;
@@ -127,27 +128,13 @@ struct ThreadTally {
     hist: LatencyHistogram,
 }
 
-/// Seeded xorshift64* — reproducible jitter without external crates.
-struct Rng(u64);
+/// The flood's seeded xorshift64* stream — reproducible bodies and jitter.
+fn seeded_rng(seed: u64) -> Xorshift64Star {
+    Xorshift64Star::new(seed.wrapping_mul(0x9e3779b97f4a7c15).max(1))
+}
 
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9e3779b97f4a7c15).max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545f4914f6cdd1d)
-    }
-
-    fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        let u = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
-        lo + u * (hi - lo)
-    }
+fn uniform(rng: &mut Xorshift64Star, lo: f64, hi: f64) -> f64 {
+    lo + rng.next_f64() * (hi - lo)
 }
 
 #[derive(Debug, Deserialize)]
@@ -311,10 +298,10 @@ const MALFORMED_CORPUS: &[&[u8]] = &[
 fn send_malformed(
     addr: &str,
     timeout: StdDuration,
-    rng: &mut Rng,
+    rng: &mut Xorshift64Star,
     tally: &mut ThreadTally,
 ) -> io::Result<()> {
-    let wire = MALFORMED_CORPUS[(rng.next() % MALFORMED_CORPUS.len() as u64) as usize];
+    let wire = MALFORMED_CORPUS[(rng.next_u64() % MALFORMED_CORPUS.len() as u64) as usize];
     let stream = connect(addr, timeout)?;
     tally.malformed += 1;
     let mut w = stream.try_clone()?;
@@ -333,10 +320,10 @@ fn send_malformed(
     Ok(())
 }
 
-fn submit_body(rng: &mut Rng) -> Vec<u8> {
-    let runtime = rng.uniform(0.5, 4.0);
-    let value = rng.uniform(1.0, 10.0);
-    let decay = rng.uniform(0.0, 0.5);
+fn submit_body(rng: &mut Xorshift64Star) -> Vec<u8> {
+    let runtime = uniform(rng, 0.5, 4.0);
+    let value = uniform(rng, 1.0, 10.0);
+    let decay = uniform(rng, 0.0, 0.5);
     format!("{{\"runtime\":{runtime:.4},\"value\":{value:.4},\"decay\":{decay:.4}}}").into_bytes()
 }
 
@@ -345,7 +332,7 @@ fn flood_thread(cfg: &FloodConfig, index: usize, share: u64) -> io::Result<Threa
     if share == 0 {
         return Ok(tally);
     }
-    let mut rng = Rng::new(cfg.seed ^ ((index as u64 + 1) * 0x517c_c1b7_2722_0a95));
+    let mut rng = seeded_rng(cfg.seed ^ ((index as u64 + 1) * 0x517c_c1b7_2722_0a95));
     let pipeline = cfg.pipeline.max(1);
 
     let mut backlog: std::collections::VecDeque<Item> = (0..share)
@@ -487,7 +474,7 @@ fn flood_thread(cfg: &FloodConfig, index: usize, share: u64) -> io::Result<Threa
         }
         if retry_after_ms > 0 {
             // Seeded jitter: 50–150% of the (capped) server hint.
-            let jittered = (retry_after_ms as f64 * rng.uniform(0.5, 1.5)) as u64;
+            let jittered = (retry_after_ms as f64 * uniform(&mut rng, 0.5, 1.5)) as u64;
             thread::sleep(StdDuration::from_millis(jittered.max(1)));
         }
     }
@@ -510,12 +497,12 @@ mod tests {
 
     #[test]
     fn rng_is_deterministic_per_seed() {
-        let mut a = Rng::new(9);
-        let mut b = Rng::new(9);
+        let mut a = seeded_rng(9);
+        let mut b = seeded_rng(9);
         for _ in 0..10 {
-            assert_eq!(a.next(), b.next());
+            assert_eq!(a.next_u64(), b.next_u64());
         }
-        let v = Rng::new(9).uniform(1.0, 2.0);
+        let v = uniform(&mut seeded_rng(9), 1.0, 2.0);
         assert!((1.0..2.0).contains(&v));
     }
 }

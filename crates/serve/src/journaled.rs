@@ -1,132 +1,106 @@
 //! Journal-first command application: the durability contract of the live
 //! service.
 //!
-//! A [`ServiceRun`] owns a [`ServiceMachine`] and an `mbts-durable`
-//! [`Journal`]. Every command is **appended to the journal before it is
-//! applied** — the journal is the single source of truth, and the machine
-//! is a deterministic fold over it. `kill -9` between append and apply
-//! loses nothing: recovery replays the appended command. `kill -9` mid-
-//! append leaves a torn tail that the CRC framing truncates, so the
+//! [`ServiceMachine`] is a [`Recoverable`] fold over [`Command`]s, and a
+//! [`ServiceRun`] drives it through the workspace's one journaled driver,
+//! [`DurableRun`]: every command is **appended to the journal before it
+//! is applied** — the journal is the single source of truth, and the
+//! machine is a deterministic fold over it. `kill -9` between append and
+//! apply loses nothing: recovery replays the appended command. `kill -9`
+//! mid-append leaves a torn tail that the CRC framing truncates, so the
 //! command was simply never accepted (and the client never saw a reply).
 //!
-//! Snapshots are folded into the same journal on a command-count cadence,
-//! bounding replay work without a second file.
+//! What `ServiceRun` adds is the stamping: the daemon hands it a request's
+//! arrival time and kind, and it assigns the sequence number, clamped
+//! logical time and dense task id that make the command the machine's
+//! next one. Snapshots are folded into the same journal on a
+//! command-count cadence, bounding replay work without a second file.
 
-use std::fmt;
 use std::io;
 use std::path::Path;
 
-use mbts_durable::{recover_bytes, Journal, RecoverError};
-use mbts_sim::profiler::{self, Section};
+use mbts_durable::{DurableRun, Journal, RecoverError, Recoverable, RecoveryReport};
+use mbts_sim::profiler::Section;
 use mbts_sim::Time;
-use mbts_workload::TaskId;
 
 use crate::machine::{
     ApplyOutcome, Command, CommandKind, MachineConfig, ServiceMachine, ServiceSnapshot,
     SERVICE_SNAPSHOT_FORMAT,
 };
 
-/// Why a service journal could not be recovered.
-#[derive(Debug)]
-pub enum ServiceRecoverError {
-    /// The journal itself was unrecoverable (no intact snapshot).
-    Journal(RecoverError),
-    /// The latest snapshot payload was not a service snapshot.
-    BadSnapshot(String),
-    /// An event payload after the snapshot was not a valid command.
-    BadCommand {
-        /// Index of the offending event within the replayed suffix.
-        index: usize,
-        /// Parse error detail.
-        detail: String,
-    },
-}
+/// Replay's check is the one the live path's stamping guarantees: a
+/// command follows when it carries the next sequence number and, for a
+/// `Submit`/`Shed`, the next task id. Anything else was cut out of, or
+/// spliced into, the log.
+impl Recoverable for ServiceMachine {
+    type Input = Command;
+    type Snapshot = ServiceSnapshot;
+    type Outcome = ApplyOutcome;
 
-impl fmt::Display for ServiceRecoverError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServiceRecoverError::Journal(e) => write!(f, "journal unrecoverable: {e}"),
-            ServiceRecoverError::BadSnapshot(d) => {
-                write!(f, "latest snapshot is not a service snapshot: {d}")
-            }
-            ServiceRecoverError::BadCommand { index, detail } => {
-                write!(
-                    f,
-                    "journal event {index} is not a service command: {detail}"
-                )
+    // The durability half and the compute half of the apply path are
+    // timed separately (fsync stalls vs fold cost), each into one series
+    // that the profile and `/metrics` both read; the timers only observe
+    // wall time, never feed into `at` or the payload.
+    const SECTIONS: Option<(Section, Section)> =
+        Some((Section::ServeJournalAppend, Section::ServeMachineApply));
+
+    fn due(&self) -> Option<Command> {
+        None
+    }
+
+    fn apply(&mut self, cmd: &Command) -> Result<ApplyOutcome, String> {
+        let (seq, id) = (self.applied(), self.next_task_id());
+        if cmd.seq != seq {
+            return Err(format!(
+                "command log must be dense: expected seq {seq}, got {}",
+                cmd.seq
+            ));
+        }
+        if let CommandKind::Submit { spec } | CommandKind::Shed { spec, .. } = &cmd.kind {
+            if spec.id.0 != id {
+                let got = spec.id.0;
+                return Err(format!(
+                    "journaled task ids must be dense: expected {id}, got {got}"
+                ));
             }
         }
+        Ok(ServiceMachine::apply(self, cmd))
+    }
+
+    fn snapshot(&self) -> ServiceSnapshot {
+        ServiceMachine::snapshot(self)
+    }
+
+    fn restore(snapshot: ServiceSnapshot) -> Result<Self, String> {
+        if snapshot.format != SERVICE_SNAPSHOT_FORMAT {
+            return Err(format!(
+                "unsupported service snapshot format {}",
+                snapshot.format
+            ));
+        }
+        Ok(ServiceMachine::from_snapshot(snapshot))
     }
 }
 
-impl std::error::Error for ServiceRecoverError {}
-
-impl From<RecoverError> for ServiceRecoverError {
-    fn from(e: RecoverError) -> Self {
-        ServiceRecoverError::Journal(e)
-    }
-}
-
-/// What recovery found and replayed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceRecovery {
-    /// Commands replayed from the suffix after the latest snapshot.
-    pub replayed: u64,
-    /// Torn/corrupt trailing bytes discarded by the framing scan.
-    pub dropped_bytes: usize,
-}
-
-/// A machine bound to its journal — see the module docs.
+/// The daemon's stamping front over a journaled [`ServiceMachine`] — see
+/// the module docs.
 #[derive(Debug)]
 pub struct ServiceRun {
-    machine: ServiceMachine,
-    journal: Journal,
-    snapshot_every: u64,
-    since_snapshot: u64,
+    durable: DurableRun<ServiceMachine>,
 }
 
 impl ServiceRun {
     /// Starts a fresh run: writes the genesis snapshot so the journal is
     /// recoverable from its very first byte.
     pub fn new(config: MachineConfig, journal: Journal, snapshot_every: u64) -> io::Result<Self> {
-        let mut run = ServiceRun {
-            machine: ServiceMachine::new(config),
-            journal,
-            snapshot_every,
-            since_snapshot: 0,
-        };
-        run.snapshot_now()?;
-        Ok(run)
+        let durable = DurableRun::new(ServiceMachine::new(config), journal, snapshot_every)?;
+        Ok(ServiceRun { durable })
     }
 
     /// Replays a journal byte image into a fresh machine. Pure — no file
-    /// handles involved; pair with [`Journal::reopen`] to resume on disk.
-    pub fn recover(bytes: &[u8]) -> Result<(ServiceMachine, ServiceRecovery), ServiceRecoverError> {
-        let rec = recover_bytes(bytes)?;
-        let snap: ServiceSnapshot = serde_json::from_slice(rec.snapshot)
-            .map_err(|e| ServiceRecoverError::BadSnapshot(e.to_string()))?;
-        if snap.format != SERVICE_SNAPSHOT_FORMAT {
-            return Err(ServiceRecoverError::BadSnapshot(format!(
-                "unsupported service snapshot format {}",
-                snap.format
-            )));
-        }
-        let mut machine = ServiceMachine::from_snapshot(snap);
-        for (index, payload) in rec.events.iter().enumerate() {
-            let cmd: Command =
-                serde_json::from_slice(payload).map_err(|e| ServiceRecoverError::BadCommand {
-                    index,
-                    detail: e.to_string(),
-                })?;
-            machine.apply(&cmd);
-        }
-        Ok((
-            machine,
-            ServiceRecovery {
-                replayed: rec.events.len() as u64,
-                dropped_bytes: rec.dropped_bytes,
-            },
-        ))
+    /// handles involved; [`resume_file`](Self::resume_file) resumes on disk.
+    pub fn recover(bytes: &[u8]) -> Result<(ServiceMachine, RecoveryReport), RecoverError> {
+        DurableRun::recover(bytes)
     }
 
     /// Resumes (or starts) a run on a journal file: truncates any torn
@@ -137,131 +111,60 @@ impl ServiceRun {
         config: MachineConfig,
         snapshot_every: u64,
         fsync_every_n: u64,
-    ) -> io::Result<(Self, ServiceRecovery)> {
+    ) -> io::Result<(Self, RecoveryReport)> {
         let path = path.as_ref();
-        if !path.exists() || std::fs::metadata(path)?.len() == 0 {
-            let journal = Journal::create(path)?.with_fsync_every_n(fsync_every_n);
-            let run = ServiceRun::new(config, journal, snapshot_every)?;
-            return Ok((
-                run,
-                ServiceRecovery {
-                    replayed: 0,
-                    dropped_bytes: 0,
-                },
-            ));
-        }
-        let (journal, truncated) = Journal::reopen(path)?;
+        let (journal, truncated) = if path.exists() && std::fs::metadata(path)?.len() > 0 {
+            Journal::reopen(path)?
+        } else {
+            (Journal::create(path)?, 0)
+        };
         let journal = journal.with_fsync_every_n(fsync_every_n);
-        if journal.is_empty() {
-            // Every record was torn — indistinguishable from a fresh file.
-            let run = ServiceRun::new(config, journal, snapshot_every)?;
-            return Ok((
-                run,
-                ServiceRecovery {
-                    replayed: 0,
-                    dropped_bytes: truncated,
-                },
-            ));
-        }
-        // The image is read back for this one replay and dropped with it:
-        // from here on the file is the only copy of the journal.
-        let (machine, mut recovery) = Self::recover(&journal.bytes())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        recovery.dropped_bytes += truncated;
-        Ok((
-            ServiceRun {
-                machine,
-                journal,
-                snapshot_every,
-                since_snapshot: recovery.replayed,
-            },
-            recovery,
-        ))
+        let (durable, mut report) = if journal.is_empty() {
+            // A new file, or every record was torn: nothing to recover.
+            let durable = DurableRun::new(ServiceMachine::new(config), journal, snapshot_every)?;
+            (durable, RecoveryReport::default())
+        } else {
+            DurableRun::resume(journal, snapshot_every)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
+        };
+        report.dropped_bytes += truncated;
+        Ok((ServiceRun { durable }, report))
     }
 
-    /// Journal-first apply: assigns the dense task id (for `Submit`/`Shed`),
-    /// stamps and sequences the command, appends it, then folds it into
-    /// the machine. Returns the journaled command alongside the outcome so
+    /// Journal-first apply: stamps `kind` as the machine's next command
+    /// ([`ServiceMachine::command`]), appends it, then folds it into the
+    /// machine. Returns the journaled command alongside the outcome so
     /// callers can mirror the exact log (tests, audits).
     pub fn apply(&mut self, at: Time, kind: CommandKind) -> io::Result<(Command, ApplyOutcome)> {
-        let kind = self.assign_id(kind);
-        let cmd = Command {
-            seq: self.machine.applied(),
-            at: at.max(self.machine.now()),
-            kind,
-        };
-        let payload = serde_json::to_vec(&cmd).expect("service commands always serialize");
-        // The durability half and the compute half of the apply path are
-        // timed separately (fsync stalls vs fold cost), each into one
-        // series that the profile and `/metrics` both read; the timers
-        // only observe wall time, never feed into `at` or the payload.
-        profiler::time(Section::ServeJournalAppend, || {
-            self.journal.append_event(&payload)
-        })?;
-        let outcome = profiler::time(Section::ServeMachineApply, || self.machine.apply(&cmd));
-        self.since_snapshot += 1;
-        if self.snapshot_every > 0 && self.since_snapshot >= self.snapshot_every {
-            self.snapshot_now()?;
-        }
+        let cmd = self.machine().command(at, kind);
+        let outcome = self.durable.apply(&cmd)?;
         Ok((cmd, outcome))
-    }
-
-    fn assign_id(&self, kind: CommandKind) -> CommandKind {
-        let id = TaskId(self.machine.next_task_id());
-        match kind {
-            CommandKind::Submit { mut spec } => {
-                spec.id = id;
-                CommandKind::Submit { spec }
-            }
-            CommandKind::Shed {
-                mut spec,
-                queue_depth,
-                reason,
-            } => {
-                spec.id = id;
-                CommandKind::Shed {
-                    spec,
-                    queue_depth,
-                    reason,
-                }
-            }
-            other => other,
-        }
     }
 
     /// Folds a snapshot into the journal now and resets the cadence.
     pub fn snapshot_now(&mut self) -> io::Result<()> {
-        // Above the machine this holds the typed snapshot and one buffer,
-        // the record itself: the text is written where it is framed.
-        profiler::time(Section::SnapshotWrite, || {
-            let snapshot = self.machine.snapshot();
-            self.journal.append_snapshot_with(|record| {
-                serde_json::to_writer(record, &snapshot).expect("snapshots always serialize")
-            })
-        })?;
-        self.since_snapshot = 0;
-        Ok(())
+        self.durable.snapshot_now()
     }
 
     /// Forces buffered journal bytes to stable storage.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.journal.sync()
+        self.durable.sync()
     }
 
     /// The machine (read-only).
     pub fn machine(&self) -> &ServiceMachine {
-        &self.machine
+        self.durable.run()
     }
 
     /// The journal (read-only; its `bytes()` are the full log, read back
     /// from the file when it has one).
     pub fn journal(&self) -> &Journal {
-        &self.journal
+        self.durable.journal()
     }
 
     /// Consumes the run, returning its parts.
     pub fn into_parts(self) -> (ServiceMachine, Journal) {
-        (self.machine, self.journal)
+        self.durable.into_parts()
     }
 }
 
@@ -269,8 +172,9 @@ impl ServiceRun {
 mod tests {
     use super::*;
     use crate::machine::ShedReason;
+    use mbts_durable::framing;
     use mbts_site::SiteConfig;
-    use mbts_workload::{PenaltyBound, TaskSpec};
+    use mbts_workload::{PenaltyBound, TaskId, TaskSpec};
 
     fn config() -> MachineConfig {
         MachineConfig {
@@ -346,7 +250,7 @@ mod tests {
                     recoverable_from.get_or_insert(cut);
                     assert!(m.applied() <= 4, "cut at {cut}");
                 }
-                Err(ServiceRecoverError::Journal(_)) => {
+                Err(RecoverError::Framing(_) | RecoverError::NoSnapshot) => {
                     // Only legal before the genesis snapshot is intact.
                     assert!(
                         recoverable_from.is_none(),
@@ -370,8 +274,31 @@ mod tests {
             .unwrap();
         assert!(matches!(
             ServiceRun::recover(&j.bytes()),
-            Err(ServiceRecoverError::BadSnapshot(_))
+            Err(RecoverError::BadSnapshot(_))
         ));
+    }
+
+    #[test]
+    fn recover_refuses_a_log_with_a_command_cut_out() {
+        // Genesis-only journal: records are [snapshot, cmd 0, cmd 1, …].
+        let mut run = ServiceRun::new(config(), Journal::in_memory(), 0).unwrap();
+        drive(&mut run);
+        let bytes = run.journal().bytes().to_vec();
+        let mut spliced = Vec::new();
+        framing::write_header(&mut spliced);
+        let scan = framing::scan(&bytes).unwrap();
+        for (i, (tag, payload)) in scan.records.iter().enumerate() {
+            // Record 2 is cmd 1, a Submit: both its seq and its id go missing.
+            if i != 2 {
+                framing::append_record(&mut spliced, *tag, payload);
+            }
+        }
+        let err = ServiceRun::recover(&spliced).unwrap_err();
+        assert!(
+            matches!(err, RecoverError::Divergence { index: 1, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("expected seq 1, got 2"), "{err}");
     }
 
     #[test]

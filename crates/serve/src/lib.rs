@@ -29,7 +29,7 @@ pub mod server;
 pub mod top;
 
 pub use flood::{flood, FloodConfig, FloodReport};
-pub use journaled::{ServiceRecoverError, ServiceRecovery, ServiceRun};
+pub use journaled::ServiceRun;
 pub use machine::{
     ApplyOutcome, Command, CommandKind, MachineConfig, ServeCounters, ServiceMachine,
     ServiceSnapshot, ShedReason, TaskStatus, SERVICE_SNAPSHOT_FORMAT,

@@ -305,9 +305,25 @@ impl ServiceMachine {
         self.site.take_tracer().into_events()
     }
 
+    /// Stamps `kind` as the next command this machine accepts: the dense
+    /// sequence number, `at` clamped to the logical clock, and — for
+    /// `Submit`/`Shed` — the dense task id.
+    pub fn command(&self, at: Time, mut kind: CommandKind) -> Command {
+        if let CommandKind::Submit { spec } | CommandKind::Shed { spec, .. } = &mut kind {
+            spec.id = TaskId(self.next_task_id);
+        }
+        Command {
+            seq: self.applied,
+            at: at.max(self.now),
+            kind,
+        }
+    }
+
     /// Applies one command. `cmd.seq` must equal [`applied`](Self::applied)
-    /// — the journal's CRC framing plus dense sequencing make any other
-    /// value a logic error, not an input error.
+    /// and a `Submit`/`Shed` id [`next_task_id`](Self::next_task_id), as
+    /// [`command`](Self::command) stamps them: any other value is a logic
+    /// error here. Journal replay goes through the `Recoverable` impl,
+    /// which checks both first and refuses a command that does not follow.
     pub fn apply(&mut self, cmd: &Command) -> ApplyOutcome {
         assert_eq!(
             cmd.seq, self.applied,

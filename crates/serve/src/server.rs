@@ -35,7 +35,7 @@ use std::time::{Duration as StdDuration, Instant};
 
 use mbts_chaos::{ChaosRegistry, FailAction, Firing};
 use mbts_core::Job;
-use mbts_durable::Journal;
+use mbts_durable::{Journal, RecoveryReport};
 use mbts_sim::latency::elapsed_ns;
 use mbts_sim::profiler::{self, Section};
 use mbts_sim::Time;
@@ -46,7 +46,7 @@ use mbts_workload::{PenaltyBound, TaskId, TaskSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::http;
-use crate::journaled::{ServiceRecovery, ServiceRun};
+use crate::journaled::ServiceRun;
 use crate::machine::{ApplyOutcome, CommandKind, MachineConfig, ShedReason, TaskStatus};
 
 /// How many queue entries the core drains per lock acquisition.
@@ -424,7 +424,7 @@ pub struct Server {
     accept: thread::JoinHandle<()>,
     core: thread::JoinHandle<io::Result<ServeReport>>,
     /// Startup recovery facts (0/0 for a fresh journal).
-    pub recovery: ServiceRecovery,
+    pub recovery: RecoveryReport,
 }
 
 impl Server {
@@ -445,13 +445,7 @@ impl Server {
                 // bytes, so cadence snapshots would be serialised only
                 // to be dropped: snapshot cadence 0.
                 let run = ServiceRun::new(machine_cfg, Journal::discarding(), 0)?;
-                (
-                    run,
-                    ServiceRecovery {
-                        replayed: 0,
-                        dropped_bytes: 0,
-                    },
-                )
+                (run, RecoveryReport::default())
             }
         };
         // Startup facts for the first scrape, before any traffic.
@@ -765,7 +759,7 @@ fn core_loop(
     shared: Arc<Shared>,
     throttle: StdDuration,
     discount_rate: f64,
-    recovery: ServiceRecovery,
+    recovery: RecoveryReport,
 ) -> io::Result<ServeReport> {
     let started = Instant::now();
     let mut fatal: Option<io::Error> = None;

@@ -30,20 +30,20 @@
 //! fresh disk generation — the in-process equivalent of log rotation at
 //! restart.
 
-use mbts_chaos::{ChaosRegistry, Scenario, ScenarioTarget};
+use mbts_chaos::{ChaosRegistry, Scenario, ScenarioTarget, Xorshift64Star};
 use mbts_durable::framing::{write_header, HEADER_LEN};
-use mbts_durable::{corrupt_image, ChaosSink, DurableRun, Journal, Recoverable, SharedImage};
-use mbts_market::{EconomyConfig, EconomyOutcome, EconomyRun};
-use mbts_serve::{
-    ApplyOutcome, Command as ServeCommand, CommandKind, MachineConfig, ServiceMachine, ServiceRun,
-    ShedReason,
+use mbts_durable::{
+    corrupt_image, ChaosSink, DurableRun, Journal, Recoverable, RecoveryReport, SharedImage,
 };
+use mbts_market::{EconomyConfig, EconomyOutcome, EconomyRun};
+use mbts_serve::{Command as ServeCommand, CommandKind, MachineConfig, ServiceMachine, ShedReason};
 use mbts_sim::Time;
 use mbts_site::{SiteConfig, SiteRun};
 use mbts_trace::{to_jsonl, TraceEvent, TraceKind, Tracer};
 use mbts_workload::{generate_trace, MixConfig, PenaltyBound, TaskId, TaskSpec, Trace};
 use serde::Serialize;
 use std::collections::BTreeMap;
+use std::io;
 use std::sync::Arc;
 
 /// Where divergence dumps land when an invariant or the determinism
@@ -161,21 +161,15 @@ fn dump(name: &str, label: &str, payload: &str) -> String {
     }
 }
 
-/// The per-target hooks the generic crash-recovery driver needs beyond
-/// [`Recoverable`].
-trait ChaosTarget: Recoverable + Sized {
-    /// Current simulation time (stamps chaos trace events).
+/// What the crash-recovery loop needs of a run beyond [`Recoverable`]:
+/// the current simulation time, which stamps chaos trace events.
+trait ChaosTarget: Recoverable {
     fn sim_now(&self) -> Time;
-    /// Serialized full replay state, for bit-identity comparison.
-    fn state_json(&self) -> String;
 }
 
 impl ChaosTarget for SiteRun {
     fn sim_now(&self) -> Time {
         self.now()
-    }
-    fn state_json(&self) -> String {
-        serde_json::to_string(&self.snapshot()).expect("site snapshots serialize")
     }
 }
 
@@ -183,157 +177,197 @@ impl ChaosTarget for EconomyRun {
     fn sim_now(&self) -> Time {
         self.now()
     }
-    fn state_json(&self) -> String {
-        serde_json::to_string(&self.snapshot()).expect("economy snapshots serialize")
+}
+
+impl ChaosTarget for ServiceMachine {
+    fn sim_now(&self) -> Time {
+        self.now()
     }
 }
 
-/// Starts (or restarts) a journaled run on a fresh disk generation,
-/// absorbing genesis-snapshot faults as reformat-and-retry crashes.
-fn genesis<R: ChaosTarget>(
-    mk: &dyn Fn() -> R,
-    registry: &Arc<ChaosRegistry>,
+/// Serialized full replay state, for bit-identity comparison.
+fn state_json<M: Recoverable>(run: &M) -> String {
+    serde_json::to_string(&run.snapshot()).expect("snapshots always serialize")
+}
+
+/// Where a chaos run's inputs come from, and what a recovery must keep.
+/// The defaults are a simulation's: it feeds itself the event it has
+/// due, stamps markers with its own clock, and accepts any recovery,
+/// since determinism re-derives whatever the disk lost.
+trait Feed<M: ChaosTarget> {
+    /// The input to apply next; `None` once the run is done.
+    fn next(&mut self, run: &M) -> Option<M::Input> {
+        run.due()
+    }
+
+    /// The time chaos markers are stamped at.
+    fn clock(&self, run: &M) -> Time {
+        run.sim_now()
+    }
+
+    /// `input` is durable and applied.
+    fn acked(&mut self, _input: &M::Input) {}
+
+    /// Checks a run recovered after `crashed` failed on `input` (its
+    /// append, or the cadence snapshot after it) and returns the detail
+    /// of the recovery marker.
+    fn recovered(
+        &mut self,
+        _crashed: &M,
+        _recovered: &M,
+        _input: &M::Input,
+        report: &RecoveryReport,
+        err: &io::Error,
+    ) -> Result<String, String> {
+        Ok(format!("crash on '{err}': replayed={}", report.replayed))
+    }
+}
+
+/// A simulation's feed: see the [`Feed`] defaults.
+struct Due;
+
+impl<M: ChaosTarget> Feed<M> for Due {}
+
+/// One scenario's crash-recovery loop and its books: the registry whose
+/// faults it absorbs, the chaos markers it emits, and what its
+/// recoveries cost.
+struct Harness<'a> {
+    name: &'a str,
+    registry: &'a Arc<ChaosRegistry>,
+    events: &'a mut Vec<TraceEvent>,
     snapshot_every: u64,
-    crashes: &mut u64,
-    events: &mut Vec<TraceEvent>,
-    name: &str,
-) -> Result<(SharedImage, DurableRun<R>), String> {
-    loop {
-        let (image, journal) = chaos_journal(registry);
-        let run = mk();
-        let at = run.sim_now();
-        match DurableRun::new(run, journal, snapshot_every) {
-            Ok(durable) => return Ok((image, durable)),
-            Err(err) => {
-                *crashes += 1;
-                budget(*crashes, name)?;
-                drain_injected(registry, at, events);
-                push_recovered(
-                    events,
-                    at,
-                    "durable.sink",
-                    format!("genesis snapshot failed ({err}); reformatted"),
-                );
-            }
+    crashes: u64,
+    replayed: u64,
+}
+
+impl<'a> Harness<'a> {
+    fn new(
+        name: &'a str,
+        registry: &'a Arc<ChaosRegistry>,
+        events: &'a mut Vec<TraceEvent>,
+        snapshot_every: u64,
+    ) -> Self {
+        Harness {
+            name,
+            registry,
+            events,
+            snapshot_every,
+            crashes: 0,
+            replayed: 0,
         }
     }
-}
 
-/// Recovers from `disk` and re-journals the run onto a fresh disk
-/// generation. `Ok(None)` means the image held no intact snapshot (the
-/// caller restarts from scratch — determinism makes that equivalent).
-#[allow(clippy::type_complexity)]
-fn recover_and_rejournal<R: ChaosTarget>(
-    disk: &[u8],
-    registry: &Arc<ChaosRegistry>,
-    snapshot_every: u64,
-    crashes: &mut u64,
-    events: &mut Vec<TraceEvent>,
-    at: Time,
-    name: &str,
-) -> Result<Option<(SharedImage, DurableRun<R>, u64)>, String> {
-    let (first, report) = match DurableRun::<R>::recover(disk) {
-        Ok(pair) => pair,
-        Err(_) => return Ok(None),
-    };
-    let mut run = Some(first);
-    loop {
-        let (image, journal) = chaos_journal(registry);
-        // `DurableRun::new` consumes the run even when the genesis
-        // append fails; re-recovering from the same bytes rebuilds it
-        // bit-identically.
-        let r = match run.take() {
-            Some(r) => r,
-            None => {
-                DurableRun::<R>::recover(disk)
-                    .map_err(|e| format!("scenario '{name}': re-recovery failed: {e:?}"))?
-                    .0
-            }
-        };
-        match DurableRun::new(r, journal, snapshot_every) {
-            Ok(durable) => return Ok(Some((image, durable, report.replayed_events))),
-            Err(err) => {
-                *crashes += 1;
-                budget(*crashes, name)?;
-                drain_injected(registry, at, events);
-                push_recovered(
-                    events,
-                    at,
-                    "durable.sink",
-                    format!("re-genesis failed ({err}); reformatted"),
-                );
-            }
-        }
+    /// Counts one crash against the budget and logs the faults fired
+    /// since the last drain at `at`.
+    fn crash(&mut self, at: Time) -> Result<(), String> {
+        self.crashes += 1;
+        budget(self.crashes, self.name)?;
+        drain_injected(self.registry, at, self.events);
+        Ok(())
     }
-}
 
-/// Drives a journaled run to completion under disk faults, crashing and
-/// recovering on every surfaced append error. Returns the finished run
-/// plus (crashes, events replayed across recoveries).
-fn run_durable_chaos<R: ChaosTarget>(
-    mk: &dyn Fn() -> R,
-    registry: &Arc<ChaosRegistry>,
-    snapshot_every: u64,
-    events: &mut Vec<TraceEvent>,
-    name: &str,
-) -> Result<(R, u64, u64), String> {
-    let mut crashes = 0u64;
-    let mut replayed = 0u64;
-    let (mut image, mut durable) =
-        genesis(mk, registry, snapshot_every, &mut crashes, events, name)?;
-    loop {
-        match durable.step() {
-            Ok(true) => drain_injected(registry, durable.run().sim_now(), events),
-            Ok(false) => break,
-            Err(err) => {
-                crashes += 1;
-                budget(crashes, name)?;
-                let at = durable.run().sim_now();
-                drain_injected(registry, at, events);
-                let disk = disk_image_bytes(&image, registry);
-                match recover_and_rejournal::<R>(
-                    &disk,
-                    registry,
-                    snapshot_every,
-                    &mut crashes,
-                    events,
-                    at,
-                    name,
-                )? {
-                    Some((ni, nd, rep)) => {
-                        replayed += rep;
-                        push_recovered(
-                            events,
-                            nd.run().sim_now(),
-                            "durable.sink",
-                            format!("crash on '{err}': replayed={rep}"),
-                        );
-                        image = ni;
-                        durable = nd;
-                    }
-                    None => {
-                        // Bit rot (or a fault during genesis) destroyed
-                        // every intact snapshot. A real operator starts
-                        // the run over; determinism guarantees the same
-                        // final state either way.
-                        push_recovered(
-                            events,
-                            at,
-                            "durable.read",
-                            format!("image unrecoverable after '{err}'; restarted from genesis"),
-                        );
-                        let (ni, nd) =
-                            genesis(mk, registry, snapshot_every, &mut crashes, events, name)?;
-                        image = ni;
-                        durable = nd;
-                    }
+    /// Journals `run` onto a fresh disk generation, reformatting and
+    /// retrying while its genesis snapshot fails (each failure a crash);
+    /// `remake` rebuilds the run a failed genesis consumed.
+    fn generation<M: Recoverable>(
+        &mut self,
+        mut run: M,
+        remake: impl Fn() -> Result<M, String>,
+        at: Time,
+        what: &str,
+    ) -> Result<(SharedImage, DurableRun<M>), String> {
+        loop {
+            let (image, journal) = chaos_journal(self.registry);
+            match DurableRun::new(run, journal, self.snapshot_every) {
+                Ok(durable) => return Ok((image, durable)),
+                Err(err) => {
+                    self.crash(at)?;
+                    push_recovered(
+                        self.events,
+                        at,
+                        "durable.sink",
+                        format!("{what} failed ({err}); reformatted"),
+                    );
+                    run = remake()?;
                 }
             }
         }
     }
-    drain_injected(registry, durable.run().sim_now(), events);
-    let (run, _journal) = durable.into_parts();
-    Ok((run, crashes, replayed))
+
+    /// Drives `feed` through a journaled run to its end under disk
+    /// faults. Every surfaced error is a crash: the process state is
+    /// abandoned, the run recovered from what the disk holds and
+    /// re-journaled onto a fresh generation, or — when no intact
+    /// snapshot survived — restarted from genesis.
+    fn drive<M: ChaosTarget>(
+        &mut self,
+        mk: &dyn Fn() -> M,
+        feed: &mut impl Feed<M>,
+    ) -> Result<M, String> {
+        let name = self.name;
+        let fresh = mk();
+        let at = feed.clock(&fresh);
+        let (mut image, mut durable) =
+            self.generation(fresh, || Ok(mk()), at, "genesis snapshot")?;
+        while let Some(input) = feed.next(durable.run()) {
+            let err = match durable.apply(&input) {
+                Ok(_) => {
+                    feed.acked(&input);
+                    drain_injected(self.registry, feed.clock(durable.run()), self.events);
+                    continue;
+                }
+                Err(err) => err,
+            };
+            let at = feed.clock(durable.run());
+            self.crash(at)?;
+            let disk = disk_image_bytes(&image, self.registry);
+            let (next_image, next) = match DurableRun::<M>::recover(&disk) {
+                Ok((run, report)) => {
+                    let remake = || {
+                        DurableRun::<M>::recover(&disk)
+                            .map(|(run, _)| run)
+                            .map_err(|e| format!("scenario '{name}': re-recovery failed: {e:?}"))
+                    };
+                    let (next_image, next) = self.generation(run, remake, at, "re-genesis")?;
+                    let detail = feed
+                        .recovered(durable.run(), next.run(), &input, &report, &err)
+                        .map_err(|e| format!("scenario '{name}': {e}"))?;
+                    self.replayed += report.replayed;
+                    push_recovered(self.events, feed.clock(next.run()), "durable.sink", detail);
+                    (next_image, next)
+                }
+                Err(_) => {
+                    // Bit rot (or a fault during genesis) destroyed every
+                    // intact snapshot. A real operator starts the run
+                    // over; determinism guarantees the same final state
+                    // either way, unless the feed had acked inputs.
+                    push_recovered(
+                        self.events,
+                        at,
+                        "durable.read",
+                        format!("image unrecoverable after '{err}'; restarted from genesis"),
+                    );
+                    let fresh = mk();
+                    let at = feed.clock(&fresh);
+                    let (next_image, next) =
+                        self.generation(fresh, || Ok(mk()), at, "genesis snapshot")?;
+                    feed.recovered(
+                        durable.run(),
+                        next.run(),
+                        &input,
+                        &RecoveryReport::default(),
+                        &err,
+                    )
+                    .map_err(|e| format!("scenario '{name}': {e}"))?;
+                    (next_image, next)
+                }
+            };
+            image = next_image;
+            durable = next;
+        }
+        drain_injected(self.registry, feed.clock(durable.run()), self.events);
+        Ok(durable.into_parts().0)
+    }
 }
 
 fn bit_identity_check(
@@ -381,17 +415,19 @@ fn run_site_scenario(
 
     let mut reference = SiteRun::new(config.clone(), &trace, Tracer::Off);
     reference.run_to_completion();
-    let reference_state = reference.state_json();
+    let reference_state = state_json(&reference);
 
-    let mk = || SiteRun::new(config.clone(), &trace, Tracer::Off);
-    let (run, crashes, replayed) =
-        run_durable_chaos::<SiteRun>(&mk, registry, snapshot_every, events, name)?;
+    let mut harness = Harness::new(name, registry, events, snapshot_every);
+    let run = harness.drive(
+        &|| SiteRun::new(config.clone(), &trace, Tracer::Off),
+        &mut Due,
+    )?;
 
     bit_identity_check(
         name,
         "final-site-state",
         &reference_state,
-        &run.state_json(),
+        &state_json(&run),
     )?;
     let violations = run.state().violations().len();
     if violations > 0 {
@@ -400,8 +436,8 @@ fn run_site_scenario(
         ));
     }
     Ok((
-        crashes,
-        replayed,
+        harness.crashes,
+        harness.replayed,
         vec![
             "bit-identical-to-reference".to_string(),
             "auditors-clean".to_string(),
@@ -445,16 +481,18 @@ fn run_market_scenario(
 
     let mut reference = EconomyRun::new(config.clone(), &trace, Tracer::Off);
     reference.run_to_completion();
-    let reference_state = reference.state_json();
+    let reference_state = state_json(&reference);
 
-    let mk = || EconomyRun::new(config.clone(), &trace, Tracer::Off);
-    let (run, crashes, replayed) =
-        run_durable_chaos::<EconomyRun>(&mk, registry, snapshot_every, events, name)?;
+    let mut harness = Harness::new(name, registry, events, snapshot_every);
+    let run = harness.drive(
+        &|| EconomyRun::new(config.clone(), &trace, Tracer::Off),
+        &mut Due,
+    )?;
     bit_identity_check(
         name,
         "final-economy-state",
         &reference_state,
-        &run.state_json(),
+        &state_json(&run),
     )?;
     let (outcome, _) = run.finish();
     let audit = economy_audit_violations(&outcome);
@@ -464,8 +502,8 @@ fn run_market_scenario(
         ));
     }
     Ok((
-        crashes,
-        replayed,
+        harness.crashes,
+        harness.replayed,
         vec![
             "bit-identical-to-reference".to_string(),
             "auditors-clean".to_string(),
@@ -477,32 +515,6 @@ fn run_market_scenario(
 // ---------------------------------------------------------------------------
 // Scripted service scenarios
 // ---------------------------------------------------------------------------
-
-/// xorshift64* — same generator the failpoint streams and `mbts flood`
-/// use; seeds the scripted command schedule.
-struct ScriptRng(u64);
-
-impl ScriptRng {
-    fn new(seed: u64) -> Self {
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ScriptRng((z ^ (z >> 31)) | 1)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
 
 /// One step of the scripted client, independent of machine state so the
 /// reference and chaos runs fold the identical schedule.
@@ -527,7 +539,7 @@ enum ScriptStep {
 }
 
 fn build_script(seed: u64, commands: u64, queue_capacity: usize) -> Vec<ScriptStep> {
-    let mut rng = ScriptRng::new(seed ^ 0xC0FF_EE00);
+    let mut rng = Xorshift64Star::from_seed(seed ^ 0xC0FF_EE00);
     let mut steps = Vec::with_capacity(commands.max(2) as usize);
     for i in 0..commands.max(2) - 1 {
         let gap = 0.05 + rng.next_f64() * 0.4;
@@ -559,16 +571,25 @@ fn build_script(seed: u64, commands: u64, queue_capacity: usize) -> Vec<ScriptSt
     steps
 }
 
-/// Turns a script step into a concrete command at the machine's current
-/// task-id frontier; `None` when the step has nothing to act on (a
-/// cancel before anything was submitted) — identically skipped by the
-/// reference and chaos runs.
+/// Turns a script step into a command kind at the script's clock; `None`
+/// when the step has nothing to act on (a cancel before anything was
+/// submitted) — identically skipped by the reference and chaos runs. The
+/// machine stamps the task id.
 fn materialize(
     step: &ScriptStep,
-    machine: &ServiceMachine,
     submitted: &[u64],
     clock: &mut f64,
 ) -> Option<(Time, CommandKind)> {
+    let bid = |clock: f64, runtime: f64, value: f64, decay: f64| {
+        TaskSpec::new(
+            0,
+            clock,
+            runtime,
+            value,
+            decay,
+            PenaltyBound::Bounded { max_penalty: 0.0 },
+        )
+    };
     match step {
         ScriptStep::Submit {
             gap,
@@ -577,14 +598,7 @@ fn materialize(
             decay,
         } => {
             *clock += gap;
-            let spec = TaskSpec::new(
-                machine.next_task_id(),
-                *clock,
-                *runtime,
-                *value,
-                *decay,
-                PenaltyBound::Bounded { max_penalty: 0.0 },
-            );
+            let spec = bid(*clock, *runtime, *value, *decay);
             Some((Time::new(*clock), CommandKind::Submit { spec }))
         }
         ScriptStep::Cancel { pick } => {
@@ -605,14 +619,7 @@ fn materialize(
             depth,
         } => {
             *clock += gap;
-            let spec = TaskSpec::new(
-                machine.next_task_id(),
-                *clock,
-                *runtime,
-                *value,
-                *decay,
-                PenaltyBound::Bounded { max_penalty: 0.0 },
-            );
+            let spec = bid(*clock, *runtime, *value, *decay);
             Some((
                 Time::new(*clock),
                 CommandKind::Shed {
@@ -626,54 +633,105 @@ fn materialize(
     }
 }
 
-/// The uninjected reference fold: same script, infallible journal.
-fn drive_reference_serve(mc: &MachineConfig, script: &[ScriptStep]) -> String {
-    let mut machine = ServiceMachine::new(mc.clone());
-    let mut submitted = Vec::new();
-    let mut clock = 0.0f64;
-    for step in script {
-        let Some((at, kind)) = materialize(step, &machine, &submitted, &mut clock) else {
-            continue;
-        };
-        let cmd = ServeCommand {
-            seq: machine.applied(),
-            at,
-            kind,
-        };
-        if let ApplyOutcome::Submitted { task, .. } = machine.apply(&cmd) {
-            submitted.push(task.0);
-        }
-    }
-    machine.snapshot_json()
+/// The scripted client of a serve scenario. It holds each step's command
+/// until the command is acked — one whose record never became durable is
+/// re-stamped and retried against the recovered machine — and remembers
+/// every task it was acked for, which recovery must never lose.
+struct Script<'s> {
+    steps: std::slice::Iter<'s, ScriptStep>,
+    clock: f64,
+    pending: Option<(Time, CommandKind)>,
+    submitted: Vec<u64>,
+    acked: Vec<u64>,
 }
 
-/// Opens a fresh journal generation for the service machine, absorbing
-/// genesis-snapshot faults.
-fn serve_generation(
-    machine: &ServiceMachine,
-    registry: &Arc<ChaosRegistry>,
-    crashes: &mut u64,
-    events: &mut Vec<TraceEvent>,
-    at: Time,
-    name: &str,
-) -> Result<(SharedImage, Journal), String> {
-    loop {
-        let (image, mut journal) = chaos_journal(registry);
-        match journal.append_snapshot(machine.snapshot_json().as_bytes()) {
-            Ok(()) => return Ok((image, journal)),
-            Err(err) => {
-                *crashes += 1;
-                budget(*crashes, name)?;
-                drain_injected(registry, at, events);
-                push_recovered(
-                    events,
-                    at,
-                    "durable.sink",
-                    format!("genesis snapshot failed ({err}); reformatted"),
-                );
-            }
+impl<'s> Script<'s> {
+    fn new(steps: &'s [ScriptStep]) -> Self {
+        Script {
+            steps: steps.iter(),
+            clock: 0.0,
+            pending: None,
+            submitted: Vec::new(),
+            acked: Vec::new(),
         }
     }
+}
+
+impl Feed<ServiceMachine> for Script<'_> {
+    fn next(&mut self, machine: &ServiceMachine) -> Option<ServeCommand> {
+        while self.pending.is_none() {
+            let step = self.steps.next()?;
+            self.pending = materialize(step, &self.submitted, &mut self.clock);
+        }
+        let (at, kind) = self.pending.clone()?;
+        Some(machine.command(at, kind))
+    }
+
+    fn clock(&self, _: &ServiceMachine) -> Time {
+        Time::new(self.clock)
+    }
+
+    fn acked(&mut self, cmd: &ServeCommand) {
+        self.pending = None;
+        match &cmd.kind {
+            CommandKind::Submit { spec } => {
+                self.submitted.push(spec.id.0);
+                self.acked.push(spec.id.0);
+            }
+            CommandKind::Shed { spec, .. } => self.acked.push(spec.id.0),
+            _ => {}
+        }
+    }
+
+    fn recovered(
+        &mut self,
+        crashed: &ServiceMachine,
+        recovered: &ServiceMachine,
+        cmd: &ServeCommand,
+        report: &RecoveryReport,
+        err: &io::Error,
+    ) -> Result<String, String> {
+        // The in-flight command is done when it applied before a cadence
+        // snapshot failed, or when its record reached the disk before the
+        // failure surfaced (a failed fsync after the bytes landed) and
+        // recovery replayed it — the ack-limbo case, resolved exactly once
+        // and never retried.
+        let landed = crashed.applied() > cmd.seq;
+        let absorbed = !landed && recovered.applied() == cmd.seq + 1;
+        if recovered.applied() != crashed.applied() && !absorbed {
+            return Err(format!(
+                "acked-prefix durability violated — {} commands acked, {} recovered",
+                crashed.applied(),
+                recovered.applied()
+            ));
+        }
+        if landed || absorbed {
+            self.acked(cmd);
+        }
+        if let Some(task) = self.acked.iter().find(|&&t| recovered.status(t).is_none()) {
+            return Err(format!(
+                "acked task {task} lost its /status entry across recovery"
+            ));
+        }
+        Ok(format!(
+            "crash on '{err}': applied={} replayed={} dropped_bytes={}{}",
+            recovered.applied(),
+            report.replayed,
+            report.dropped_bytes,
+            if absorbed { " absorbed-in-flight" } else { "" }
+        ))
+    }
+}
+
+/// The uninjected reference fold: same script, no journal.
+fn drive_reference_serve(mc: &MachineConfig, script: &[ScriptStep]) -> String {
+    let mut machine = ServiceMachine::new(mc.clone());
+    let mut feed = Script::new(script);
+    while let Some(cmd) = feed.next(&machine) {
+        machine.apply(&cmd);
+        feed.acked(&cmd);
+    }
+    state_json(&machine)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -699,173 +757,17 @@ fn run_serve_scenario(
     let script = build_script(seed, commands, queue_capacity);
     let reference_state = drive_reference_serve(&mc, &script);
 
-    let mut crashes = 0u64;
-    let mut replayed = 0u64;
-    let mut machine = ServiceMachine::new(mc.clone());
-    let (mut image, mut journal) =
-        serve_generation(&machine, registry, &mut crashes, events, Time::ZERO, name)?;
-    let mut submitted: Vec<u64> = Vec::new();
-    let mut acked_tasks: Vec<u64> = Vec::new();
-    let mut since_snapshot = 0u64;
-    let mut clock = 0.0f64;
-
-    // Crash + recover; returns true when the in-flight command turned
-    // out to be durable after all (a failed fsync *after* the bytes
-    // landed) and recovery already applied it — the ack-limbo case the
-    // client must not retry.
-    #[allow(clippy::too_many_arguments)]
-    fn crash_recover(
-        name: &str,
-        err: &std::io::Error,
-        at: Time,
-        allow_absorbed: bool,
-        machine: &mut ServiceMachine,
-        image: &mut SharedImage,
-        journal: &mut Journal,
-        registry: &Arc<ChaosRegistry>,
-        crashes: &mut u64,
-        replayed: &mut u64,
-        acked_tasks: &[u64],
-        events: &mut Vec<TraceEvent>,
-    ) -> Result<bool, String> {
-        *crashes += 1;
-        budget(*crashes, name)?;
-        drain_injected(registry, at, events);
-        let disk = disk_image_bytes(image, registry);
-        let (recovered, rec) = ServiceRun::recover(&disk).map_err(|e| {
-            format!("scenario '{name}': acked service state unrecoverable after '{err}': {e:?}")
-        })?;
-        let absorbed = recovered.applied() == machine.applied() + 1;
-        if recovered.applied() != machine.applied() && !(allow_absorbed && absorbed) {
-            return Err(format!(
-                "scenario '{name}': acked-prefix durability violated — {} commands acked, \
-                 {} recovered",
-                machine.applied(),
-                recovered.applied()
-            ));
-        }
-        for &task in acked_tasks {
-            if recovered.status(task).is_none() {
-                return Err(format!(
-                    "scenario '{name}': acked task {task} lost its /status entry across recovery"
-                ));
-            }
-        }
-        *replayed += rec.replayed;
-        push_recovered(
-            events,
-            at,
-            "durable.sink",
-            format!(
-                "crash on '{err}': applied={} replayed={} dropped_bytes={}{}",
-                recovered.applied(),
-                rec.replayed,
-                rec.dropped_bytes,
-                if absorbed { " absorbed-in-flight" } else { "" }
-            ),
-        );
-        *machine = recovered;
-        let (ni, nj) = serve_generation(machine, registry, crashes, events, at, name)?;
-        *image = ni;
-        *journal = nj;
-        Ok(absorbed)
-    }
-
-    for step in &script {
-        let Some((at, kind)) = materialize(step, &machine, &submitted, &mut clock) else {
-            continue;
-        };
-        loop {
-            let cmd = ServeCommand {
-                seq: machine.applied(),
-                at,
-                kind: kind.clone(),
-            };
-            let payload = serde_json::to_string(&cmd)
-                .map_err(|e| format!("scenario '{name}': command serialization failed: {e}"))?;
-            match journal.append_event(payload.as_bytes()) {
-                Ok(()) => {
-                    let outcome = machine.apply(&cmd);
-                    match outcome {
-                        ApplyOutcome::Submitted { task, .. } => {
-                            submitted.push(task.0);
-                            acked_tasks.push(task.0);
-                        }
-                        ApplyOutcome::Shed { task, .. } => acked_tasks.push(task.0),
-                        _ => {}
-                    }
-                    drain_injected(registry, at, events);
-                    since_snapshot += 1;
-                    if snapshot_every > 0 && since_snapshot >= snapshot_every {
-                        match journal.append_snapshot(machine.snapshot_json().as_bytes()) {
-                            Ok(()) => since_snapshot = 0,
-                            Err(err) => {
-                                // A snapshot is never in ack limbo: commands
-                                // on disk are unaffected whether or not the
-                                // snapshot record survived.
-                                crash_recover(
-                                    name,
-                                    &err,
-                                    at,
-                                    false,
-                                    &mut machine,
-                                    &mut image,
-                                    &mut journal,
-                                    registry,
-                                    &mut crashes,
-                                    &mut replayed,
-                                    &acked_tasks,
-                                    events,
-                                )?;
-                                since_snapshot = 0;
-                            }
-                        }
-                    }
-                    break;
-                }
-                Err(err) => {
-                    let absorbed = crash_recover(
-                        name,
-                        &err,
-                        at,
-                        true,
-                        &mut machine,
-                        &mut image,
-                        &mut journal,
-                        registry,
-                        &mut crashes,
-                        &mut replayed,
-                        &acked_tasks,
-                        events,
-                    )?;
-                    if absorbed {
-                        // Recovery applied the in-flight command; account
-                        // for its (deterministic, pre-assigned) task id
-                        // and move on without retrying.
-                        match &kind {
-                            CommandKind::Submit { spec } | CommandKind::Shed { spec, .. } => {
-                                if matches!(kind, CommandKind::Submit { .. }) {
-                                    submitted.push(spec.id.0);
-                                }
-                                acked_tasks.push(spec.id.0);
-                            }
-                            _ => {}
-                        }
-                        since_snapshot += 1;
-                        break;
-                    }
-                    // Not absorbed: the command never became durable —
-                    // retry it against the recovered machine.
-                }
-            }
-        }
-    }
+    let mut harness = Harness::new(name, registry, events, snapshot_every);
+    let machine = harness.drive(
+        &|| ServiceMachine::new(mc.clone()),
+        &mut Script::new(&script),
+    )?;
 
     bit_identity_check(
         name,
         "final-service-state",
         &reference_state,
-        &machine.snapshot_json(),
+        &state_json(&machine),
     )?;
     if machine.violations() > 0 {
         return Err(format!(
@@ -879,8 +781,8 @@ fn run_serve_scenario(
         ));
     }
     Ok((
-        crashes,
-        replayed,
+        harness.crashes,
+        harness.replayed,
         vec![
             "bit-identical-to-reference".to_string(),
             "acked-prefix-durable".to_string(),

@@ -65,8 +65,10 @@
 //! `slack:<threshold>`.
 
 use mbts_core::{AdmissionPolicy, Policy};
-use mbts_market::{ClientSelection, Economy, EconomyConfig, PricingStrategy};
-use mbts_site::{class_breakdown, render_gantt, Site, SiteConfig};
+use mbts_durable::{DurableRun, Recoverable, RecoveryReport};
+use mbts_market::{ClientSelection, Economy, EconomyConfig, EconomyRun, PricingStrategy};
+use mbts_serve::ServiceMachine;
+use mbts_site::{class_breakdown, render_gantt, Site, SiteConfig, SiteRun};
 use mbts_workload::{
     generate_trace, generate_workflows, BoundPolicy, MixConfig, Trace, WidthPolicy, WorkflowConfig,
     WorkflowSet, WorkflowShape,
@@ -917,6 +919,30 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 /// dominated by the (small) event records.
 const JOURNAL_SNAPSHOT_EVERY: u64 = 4096;
 
+/// Runs `run` to completion journaled to a new file at `path`, and
+/// reports the journal's size.
+fn run_journaled<M: Recoverable>(
+    run: M,
+    path: &std::path::Path,
+    out: &mut dyn std::io::Write,
+) -> Result<M, String> {
+    let journal = mbts_durable::Journal::create(path)
+        .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
+    let mut durable = DurableRun::new(run, journal, JOURNAL_SNAPSHOT_EVERY)
+        .map_err(|e| format!("cannot journal to {}: {e}", path.display()))?;
+    durable
+        .run_to_completion()
+        .map_err(|e| format!("journal write failed: {e}"))?;
+    writeln!(
+        out,
+        "journal: {} bytes -> {}",
+        durable.offset(),
+        path.display()
+    )
+    .map_err(|e| e.to_string())?;
+    Ok(durable.into_parts().0)
+}
+
 fn market_summary(
     outcome: &mbts_market::EconomyOutcome,
     out: &mut dyn std::io::Write,
@@ -964,16 +990,45 @@ fn market_summary(
 fn resume_banner(
     kind: &str,
     events_handled: u64,
-    report: &mbts_durable::RecoveryReport,
+    report: &RecoveryReport,
     out: &mut dyn std::io::Write,
 ) -> Result<(), String> {
     writeln!(
         out,
         "recovered {kind} run at event {events_handled} \
          (replayed {} journaled events, dropped {} torn bytes)",
-        report.replayed_events, report.dropped_bytes
+        report.replayed, report.dropped_bytes
     )
     .map_err(|e| e.to_string())
+}
+
+/// A journal recovered as whichever run wrote it.
+enum RecoveredJournal {
+    Site(SiteRun, RecoveryReport),
+    Economy(EconomyRun, RecoveryReport),
+    Service(ServiceMachine, RecoveryReport),
+}
+
+/// Recovers a journal as a site run, an economy run or a service machine
+/// — the snapshot schema tells them apart. A journal none of the three
+/// recovers is a rejected input file.
+fn recover_journal(bytes: &[u8], path: &std::path::Path) -> Result<RecoveredJournal, ExecError> {
+    let site = match DurableRun::<SiteRun>::recover(bytes) {
+        Ok((run, report)) => return Ok(RecoveredJournal::Site(run, report)),
+        Err(e) => e,
+    };
+    let economy = match DurableRun::<EconomyRun>::recover(bytes) {
+        Ok((run, report)) => return Ok(RecoveredJournal::Economy(run, report)),
+        Err(e) => e,
+    };
+    match DurableRun::<ServiceMachine>::recover(bytes) {
+        Ok((machine, report)) => Ok(RecoveredJournal::Service(machine, report)),
+        Err(service) => Err(ExecError::BadInput(format!(
+            "cannot recover journal {}: as site run: {site}; as economy run: {economy}; \
+             as service journal: {service}",
+            path.display()
+        ))),
+    }
 }
 
 /// Loads and validates a workflow set when `--workflow` was given.
@@ -1094,39 +1149,21 @@ fn write_flood_report(
 /// replayed to completion and its captured tracer events extracted),
 /// profiler reports by their JSON marker, and anything else is parsed
 /// as a trace-event JSONL stream.
-fn load_analyze_input(path: &std::path::Path) -> Result<AnalyzeInput, String> {
+fn load_analyze_input(path: &std::path::Path) -> Result<AnalyzeInput, ExecError> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     if bytes.starts_with(&mbts_durable::framing::MAGIC) {
-        return match mbts_durable::DurableRun::<mbts_site::SiteRun>::recover(&bytes) {
-            Ok((mut run, _)) => {
+        let events = match recover_journal(&bytes, path)? {
+            RecoveredJournal::Site(mut run, _) => {
                 run.run_to_completion();
-                let (_, tracer) = run.finish();
-                Ok(AnalyzeInput::Events(
-                    tracer.into_events().unwrap_or_default(),
-                ))
+                run.finish().1.into_events()
             }
-            Err(site_err) => {
-                match mbts_durable::DurableRun::<mbts_market::EconomyRun>::recover(&bytes) {
-                    Ok((mut run, _)) => {
-                        run.run_to_completion();
-                        let (_, tracer) = run.finish();
-                        Ok(AnalyzeInput::Events(
-                            tracer.into_events().unwrap_or_default(),
-                        ))
-                    }
-                    Err(eco_err) => match mbts_serve::ServiceRun::recover(&bytes) {
-                        Ok((machine, _)) => Ok(AnalyzeInput::Events(
-                            machine.into_trace_events().unwrap_or_default(),
-                        )),
-                        Err(serve_err) => Err(format!(
-                            "cannot replay journal {}: as site run: {site_err}; \
-                             as economy run: {eco_err}; as service journal: {serve_err}",
-                            path.display()
-                        )),
-                    },
-                }
+            RecoveredJournal::Economy(mut run, _) => {
+                run.run_to_completion();
+                run.finish().1.into_events()
             }
+            RecoveredJournal::Service(machine, _) => machine.into_trace_events(),
         };
+        return Ok(AnalyzeInput::Events(events.unwrap_or_default()));
     }
     let text =
         String::from_utf8(bytes).map_err(|e| format!("{} is not UTF-8: {e}", path.display()))?;
@@ -1137,7 +1174,7 @@ fn load_analyze_input(path: &std::path::Path) -> Result<AnalyzeInput, String> {
     }
     mbts_trace::from_jsonl(&text)
         .map(AnalyzeInput::Events)
-        .map_err(|e| format!("cannot parse {} as a trace: {e}", path.display()))
+        .map_err(|e| format!("cannot parse {} as a trace: {e}", path.display()).into())
 }
 
 /// Executes a parsed command, writing human-readable output to `out`.
@@ -1272,36 +1309,11 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             let profiling = start_profiling(profile.is_some());
             let (outcome, wf_report, tracer) = match (journal, &wfset) {
                 (Some(path), _) => {
-                    let j = mbts_durable::Journal::create(&path)
-                        .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-                    let mut durable = match &wfset {
-                        Some(set) => mbts_durable::durable_site_workflow_run(
-                            site.clone(),
-                            set,
-                            tracer,
-                            j,
-                            JOURNAL_SNAPSHOT_EVERY,
-                        ),
-                        None => mbts_durable::durable_site_run(
-                            site.clone(),
-                            &trace,
-                            tracer,
-                            j,
-                            JOURNAL_SNAPSHOT_EVERY,
-                        ),
-                    }
-                    .map_err(|e| format!("cannot journal to {}: {e}", path.display()))?;
-                    durable
-                        .run_to_completion()
-                        .map_err(|e| format!("journal write failed: {e}"))?;
-                    writeln!(
-                        out,
-                        "journal: {} bytes -> {}",
-                        durable.offset(),
-                        path.display()
-                    )
-                    .map_err(|e| e.to_string())?;
-                    let run = durable.into_parts().0;
+                    let run = match &wfset {
+                        Some(set) => SiteRun::with_workflows(site.clone(), set, tracer),
+                        None => SiteRun::new(site.clone(), &trace, tracer),
+                    };
+                    let run = run_journaled(run, &path, out)?;
                     let report = run.workflow_report();
                     let (outcome, tracer) = run.finish();
                     (outcome, report, tracer)
@@ -1428,27 +1440,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             let profiling = start_profiling(profile.is_some());
             let (outcome, tracer) = match journal {
                 Some(path) => {
-                    let j = mbts_durable::Journal::create(&path)
-                        .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-                    let mut durable = mbts_durable::durable_economy_run(
-                        economy,
-                        &trace,
-                        tracer,
-                        j,
-                        JOURNAL_SNAPSHOT_EVERY,
-                    )
-                    .map_err(|e| format!("cannot journal to {}: {e}", path.display()))?;
-                    durable
-                        .run_to_completion()
-                        .map_err(|e| format!("journal write failed: {e}"))?;
-                    writeln!(
-                        out,
-                        "journal: {} bytes -> {}",
-                        durable.offset(),
-                        path.display()
-                    )
-                    .map_err(|e| e.to_string())?;
-                    durable.into_parts().0.finish()
+                    let run = EconomyRun::new(economy, &trace, tracer);
+                    run_journaled(run, &path, out)?.finish()
                 }
                 None => Economy::new(economy).run_trace_traced(&trace, tracer),
             };
@@ -1549,11 +1542,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
         Command::Resume { journal } => {
             let bytes = mbts_durable::load(&journal)
                 .map_err(|e| format!("cannot read {}: {e}", journal.display()))?;
-            // A journal is either a site run or an economy run; the
-            // snapshot schema disambiguates, so try site first and fall
-            // back to economy.
-            match mbts_durable::DurableRun::<mbts_site::SiteRun>::recover(&bytes) {
-                Ok((mut run, report)) => {
+            match recover_journal(&bytes, &journal)? {
+                RecoveredJournal::Site(mut run, report) => {
                     resume_banner("site", run.events_handled(), &report, out)?;
                     run.run_to_completion();
                     let (outcome, _) = run.finish();
@@ -1565,54 +1555,38 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
                     )
                     .map_err(|e| e.to_string())
                 }
-                Err(site_err) => {
-                    match mbts_durable::DurableRun::<mbts_market::EconomyRun>::recover(&bytes) {
-                        Ok((mut run, report)) => {
-                            resume_banner("economy", run.events_handled(), &report, out)?;
-                            run.run_to_completion();
-                            let (outcome, _) = run.finish();
-                            market_summary(&outcome, out)
-                        }
-                        Err(eco_err) => match mbts_serve::ServiceRun::recover(&bytes) {
-                            Ok((machine, recovery)) => {
-                                writeln!(
-                                    out,
-                                    "recovered service run at command {} \
-                                     (replayed {} journaled commands, dropped {} torn bytes)",
-                                    machine.applied(),
-                                    recovery.replayed,
-                                    recovery.dropped_bytes
-                                )
-                                .map_err(|e| e.to_string())?;
-                                let c = machine.counters();
-                                writeln!(
-                                    out,
-                                    "accepted {}  rejected {}  shed {}  cancelled {}  \
-                                     finished {}  drains {}",
-                                    c.accepted,
-                                    c.rejected,
-                                    c.shed,
-                                    c.cancelled,
-                                    c.finished,
-                                    c.drains
-                                )
-                                .map_err(|e| e.to_string())?;
-                                writeln!(
-                                    out,
-                                    "now {}  yield {:.1}  violations {}",
-                                    machine.now(),
-                                    machine.metrics().total_yield,
-                                    machine.violations()
-                                )
-                                .map_err(|e| e.to_string())
-                            }
-                            Err(serve_err) => Err(format!(
-                                "cannot resume {}: as site run: {site_err}; \
-                                 as economy run: {eco_err}; as service journal: {serve_err}",
-                                journal.display()
-                            )),
-                        },
-                    }
+                RecoveredJournal::Economy(mut run, report) => {
+                    resume_banner("economy", run.events_handled(), &report, out)?;
+                    run.run_to_completion();
+                    let (outcome, _) = run.finish();
+                    market_summary(&outcome, out)
+                }
+                RecoveredJournal::Service(machine, report) => {
+                    writeln!(
+                        out,
+                        "recovered service run at command {} \
+                         (replayed {} journaled commands, dropped {} torn bytes)",
+                        machine.applied(),
+                        report.replayed,
+                        report.dropped_bytes
+                    )
+                    .map_err(|e| e.to_string())?;
+                    let c = machine.counters();
+                    writeln!(
+                        out,
+                        "accepted {}  rejected {}  shed {}  cancelled {}  \
+                         finished {}  drains {}",
+                        c.accepted, c.rejected, c.shed, c.cancelled, c.finished, c.drains
+                    )
+                    .map_err(|e| e.to_string())?;
+                    writeln!(
+                        out,
+                        "now {}  yield {:.1}  violations {}",
+                        machine.now(),
+                        machine.metrics().total_yield,
+                        machine.violations()
+                    )
+                    .map_err(|e| e.to_string())
                 }
             }
         }

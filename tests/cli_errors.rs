@@ -113,3 +113,37 @@ fn non_positive_load_is_rejected_where_it_is_parsed() {
         assert_rejected(&mbts(args), "--load must be positive", &format!("{args:?}"));
     }
 }
+
+/// A service journal with whole records cut out keeps every CRC valid, so
+/// only replay sees the hole: `resume` and `analyze` reject it (exit 2)
+/// instead of aborting on the machine's dense-sequence assert.
+#[test]
+fn a_service_journal_missing_whole_records_is_rejected() {
+    use mbts::durable::framing;
+    let fixture = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/serde/service_journal.mbtsj"
+    ))
+    .expect("service journal fixture");
+    // Records are [snap, ev, ev, snap, ev, ev, snap, ev]: drop the first
+    // event after the second snapshot and the last snapshot, and frame
+    // every other record exactly as the fixture does.
+    let scan = framing::scan(&fixture).expect("the fixture is a journal");
+    assert_eq!(scan.records.len(), 8);
+    let mut spliced = Vec::new();
+    framing::write_header(&mut spliced);
+    for (i, (tag, payload)) in scan.records.iter().enumerate() {
+        if i != 4 && i != 6 {
+            framing::append_record(&mut spliced, *tag, payload);
+        }
+    }
+    let dir = std::env::temp_dir().join(format!("mbts_cli_errors_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("spliced_service.mbtsj");
+    std::fs::write(&path, &spliced).expect("write spliced journal");
+    let path_s = path.to_str().expect("utf-8 temp path");
+    for args in [&["resume", "--journal", path_s][..], &["analyze", path_s]] {
+        assert_rejected(&mbts(args), "expected seq 2, got 3", &format!("{args:?}"));
+    }
+    std::fs::remove_file(&path).ok();
+}

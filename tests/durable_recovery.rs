@@ -19,16 +19,16 @@
 //! are dumped there so CI can upload them as artifacts.
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::durable::{framing, DurableRun, Journal, RecordTag};
+use mbts::durable::{framing, DurableRun, Journal, RecordTag, Recoverable};
 use mbts::market::{
-    BudgetConfig, EconomyConfig, EconomyRun, MarketFaultConfig, MigrationConfig, RetryConfig,
+    BudgetConfig, EconomyConfig, EconomyOutcome, EconomyRun, MarketFaultConfig, MigrationConfig,
+    RetryConfig,
 };
 use mbts::sim::{FaultConfig, UpDown};
-use mbts::site::{FaultPlan, LostWorkPolicy, SiteConfig, SiteRun};
+use mbts::site::{FaultPlan, LostWorkPolicy, SiteConfig, SiteOutcome, SiteRun};
 use mbts::trace::Tracer;
 use mbts::workload::{
-    fig67_mix, generate_trace, generate_workflows, Trace, WorkflowConfig, WorkflowSet,
-    WorkflowShape,
+    fig67_mix, generate_trace, generate_workflows, WorkflowConfig, WorkflowSet, WorkflowShape,
 };
 
 /// On mismatch, dump expected/actual to `MBTS_DUMP_DIR` (if set) and
@@ -64,72 +64,41 @@ macro_rules! assert_identical {
     };
 }
 
-/// Journals a full site run (recording the journal offset at every event
+/// What a kill sweep reads off a run beyond the [`Recoverable`] fold:
+/// its event count and its finished outcome plus trace stream.
+trait Swept: Recoverable {
+    type Final: PartialEq + std::fmt::Debug;
+    fn events_handled(&self) -> u64;
+    fn finish(self) -> (Self::Final, Tracer);
+}
+
+impl Swept for SiteRun {
+    type Final = SiteOutcome;
+    fn events_handled(&self) -> u64 {
+        SiteRun::events_handled(self)
+    }
+    fn finish(self) -> (SiteOutcome, Tracer) {
+        SiteRun::finish(self)
+    }
+}
+
+impl Swept for EconomyRun {
+    type Final = EconomyOutcome;
+    fn events_handled(&self) -> u64 {
+        EconomyRun::events_handled(self)
+    }
+    fn finish(self) -> (EconomyOutcome, Tracer) {
+        EconomyRun::finish(self)
+    }
+}
+
+/// Journals a full run (recording the journal offset at every event
 /// boundary), then for each `k` truncates to that offset, recovers, and
 /// finishes — asserting outcome and trace-stream identity. Returns the
-/// total event count.
-fn kill_sweep_site(name: &str, mk: impl Fn(Tracer) -> SiteRun, snapshot_every: u64) -> u64 {
-    kill_sweep_site_traced(name, mk, snapshot_every, Tracer::buffer())
-}
-
-/// [`kill_sweep_site`] with a caller-chosen tracer, so the sweep can
-/// also cover the provenance verbosity level: the tracer state is part
-/// of every snapshot, and recovery must resume the decision-record
+/// total event count. The run's tracer decides what the trace leg
+/// covers: with provenance on, recovery must resume the decision-record
 /// stream without losing or duplicating records.
-fn kill_sweep_site_traced(
-    name: &str,
-    mk: impl Fn(Tracer) -> SiteRun,
-    snapshot_every: u64,
-    tracer: Tracer,
-) -> u64 {
-    let mut durable = DurableRun::new(mk(tracer), Journal::in_memory(), snapshot_every).unwrap();
-    let mut offsets = vec![durable.offset()];
-    while durable.step().unwrap() {
-        offsets.push(durable.offset());
-    }
-    let (run, journal) = durable.into_parts();
-    let total = run.events_handled();
-    let (want, want_tracer) = run.finish();
-    let want_events = want_tracer.into_events().unwrap();
-    let bytes = journal.bytes();
-
-    for (k, &cut) in offsets.iter().enumerate() {
-        let (mut rec, _report) = DurableRun::<SiteRun>::recover(&bytes[..cut])
-            .unwrap_or_else(|e| panic!("recovery failed at kill point {k} [{name}]: {e}"));
-        assert_eq!(
-            rec.events_handled(),
-            k as u64,
-            "recovered run resumed at the wrong event [{name}]"
-        );
-        rec.run_to_completion();
-        assert_eq!(rec.events_handled(), total);
-        let (got, got_tracer) = rec.finish();
-        assert_identical!(want, got, name, "outcome", k);
-        let got_events = got_tracer.into_events().unwrap();
-        assert_identical!(want_events, got_events, name, "trace", k);
-    }
-    total
-}
-
-/// The economy-layer twin of [`kill_sweep_site`].
-fn kill_sweep_economy(
-    name: &str,
-    config: &EconomyConfig,
-    trace: &Trace,
-    snapshot_every: u64,
-) -> u64 {
-    kill_sweep_economy_traced(name, config, trace, snapshot_every, Tracer::buffer())
-}
-
-/// The tracer-parameterized twin of [`kill_sweep_economy`].
-fn kill_sweep_economy_traced(
-    name: &str,
-    config: &EconomyConfig,
-    trace: &Trace,
-    snapshot_every: u64,
-    tracer: Tracer,
-) -> u64 {
-    let run = EconomyRun::new(config.clone(), trace, tracer);
+fn kill_sweep<R: Swept>(name: &str, run: R, snapshot_every: u64) -> u64 {
     let mut durable = DurableRun::new(run, Journal::in_memory(), snapshot_every).unwrap();
     let mut offsets = vec![durable.offset()];
     while durable.step().unwrap() {
@@ -142,10 +111,16 @@ fn kill_sweep_economy_traced(
     let bytes = journal.bytes();
 
     for (k, &cut) in offsets.iter().enumerate() {
-        let (mut rec, _report) = DurableRun::<EconomyRun>::recover(&bytes[..cut])
+        let (mut rec, _report) = DurableRun::<R>::recover(&bytes[..cut])
             .unwrap_or_else(|e| panic!("recovery failed at kill point {k} [{name}]: {e}"));
-        assert_eq!(rec.events_handled(), k as u64);
-        rec.run_to_completion();
+        assert_eq!(
+            rec.events_handled(),
+            k as u64,
+            "recovered run resumed at the wrong event [{name}]"
+        );
+        while let Some(input) = rec.due() {
+            rec.apply(&input).unwrap();
+        }
         assert_eq!(rec.events_handled(), total);
         let (got, got_tracer) = rec.finish();
         assert_identical!(want, got, name, "outcome", k);
@@ -175,9 +150,9 @@ fn kill_every_event_site_smoke() {
             restart_penalty: 2.0,
         });
     let plan = FaultPlan::new(smoke_faults(), 5);
-    let total = kill_sweep_site(
+    let total = kill_sweep(
         "site-smoke",
-        |tracer| SiteRun::with_faults(config.clone(), &trace, &plan, tracer),
+        SiteRun::with_faults(config, &trace, &plan, Tracer::buffer()),
         32,
     );
     assert!(total > 48, "smoke sweep saw only {total} events");
@@ -189,9 +164,9 @@ fn kill_every_event_site_smoke_unfaulted() {
     let config = SiteConfig::new(4)
         .with_policy(Policy::FirstPrice)
         .with_admission(AdmissionPolicy::SlackThreshold { threshold: 180.0 });
-    let total = kill_sweep_site(
+    let total = kill_sweep(
         "site-smoke-unfaulted",
-        |tracer| SiteRun::new(config.clone(), &trace, tracer),
+        SiteRun::new(config, &trace, Tracer::buffer()),
         16,
     );
     assert!(total >= 25);
@@ -231,7 +206,11 @@ fn kill_every_event_economy_smoke() {
         .with_backoff_cap(240.0)
         .with_jitter(0.5),
     );
-    let total = kill_sweep_economy("economy-smoke", &config, &trace, 32);
+    let total = kill_sweep(
+        "economy-smoke",
+        EconomyRun::new(config, &trace, Tracer::buffer()),
+        32,
+    );
     assert!(total > 48, "economy sweep saw only {total} events");
 }
 
@@ -252,11 +231,10 @@ fn kill_every_event_site_smoke_with_provenance() {
             restart_penalty: 2.0,
         });
     let plan = FaultPlan::new(smoke_faults(), 5);
-    let total = kill_sweep_site_traced(
+    let total = kill_sweep(
         "site-smoke-provenance",
-        |tracer| SiteRun::with_faults(config.clone(), &trace, &plan, tracer),
+        SiteRun::with_faults(config, &trace, &plan, Tracer::buffer().with_provenance()),
         32,
-        Tracer::buffer().with_provenance(),
     );
     assert!(total > 48, "provenance sweep saw only {total} events");
 }
@@ -270,12 +248,10 @@ fn kill_every_event_economy_smoke_with_provenance() {
             .with_policy(Policy::FirstPrice)
             .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 }),
     );
-    let total = kill_sweep_economy_traced(
+    let total = kill_sweep(
         "economy-smoke-provenance",
-        &config,
-        &trace,
+        EconomyRun::new(config, &trace, Tracer::buffer().with_provenance()),
         16,
-        Tracer::buffer().with_provenance(),
     );
     assert!(
         total > 20,
@@ -309,9 +285,9 @@ fn kill_every_event_site_workflow_smoke() {
         .with_policy(Policy::first_reward(0.3, 0.01))
         .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 })
         .with_workflow_facets(set.facets());
-    let total = kill_sweep_site(
+    let total = kill_sweep(
         "site-workflow-smoke",
-        |tracer| SiteRun::with_workflows(config.clone(), &set, tracer),
+        SiteRun::with_workflows(config, &set, Tracer::buffer()),
         16,
     );
     // Arrivals + completions + deadline checks + releases: well past the
@@ -348,7 +324,11 @@ fn kill_every_event_economy_workflow_smoke() {
         )
         .with_backoff_cap(240.0),
     );
-    let total = kill_sweep_economy("economy-workflow-smoke", &config, &trace, 32);
+    let total = kill_sweep(
+        "economy-workflow-smoke",
+        EconomyRun::new(config, &trace, Tracer::buffer()),
+        32,
+    );
     assert!(
         total > set.tasks.len() as u64,
         "workflow economy sweep saw only {total} events"
@@ -367,12 +347,10 @@ fn kill_every_event_economy_workflow_smoke_with_provenance() {
             .with_workflow_facets(set.facets()),
     );
     config.workflows = Some(set);
-    let total = kill_sweep_economy_traced(
+    let total = kill_sweep(
         "economy-workflow-provenance",
-        &config,
-        &trace,
+        EconomyRun::new(config, &trace, Tracer::buffer().with_provenance()),
         16,
-        Tracer::buffer().with_provenance(),
     );
     assert!(
         total > 20,
@@ -487,9 +465,9 @@ fn kill_every_event_all_policies_heavy() {
         let trace = generate_trace(&mix, seed);
         for (label, base) in soak_policies(8) {
             // Unfaulted variant.
-            total += kill_sweep_site(
+            total += kill_sweep(
                 &format!("{label}-s{seed}-plain"),
-                |tracer| SiteRun::new(base.clone(), &trace, tracer),
+                SiteRun::new(base.clone(), &trace, Tracer::buffer()),
                 64,
             );
             // Faulted, under both lost-work policies.
@@ -509,9 +487,9 @@ fn kill_every_event_all_policies_heavy() {
                     site: None,
                 };
                 let plan = FaultPlan::new(faults, seed.wrapping_mul(0x9E37_79B9) ^ 0x50A4);
-                total += kill_sweep_site(
+                total += kill_sweep(
                     &format!("{label}-s{seed}-{wlabel}"),
-                    |tracer| SiteRun::with_faults(config.clone(), &trace, &plan, tracer),
+                    SiteRun::with_faults(config, &trace, &plan, Tracer::buffer()),
                     64,
                 );
             }
@@ -555,7 +533,11 @@ fn kill_every_event_economy_heavy() {
             .with_backoff_cap(240.0)
             .with_jitter(0.5),
         );
-        total += kill_sweep_economy(&format!("economy-s{seed}"), &config, &trace, 64);
+        total += kill_sweep(
+            &format!("economy-s{seed}"),
+            EconomyRun::new(config, &trace, Tracer::buffer()),
+            64,
+        );
     }
     // Tight budgets leave many tasks unfunded (arrival-only), so the
     // floor is well below 2 events/task.

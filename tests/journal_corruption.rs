@@ -7,10 +7,12 @@
 use mbts::core::Policy;
 use mbts::durable::{framing, recover_bytes, DurableRun, Journal, RecoverError};
 use mbts::market::{EconomyConfig, EconomyRun, MarketFaultConfig};
+use mbts::serve::{CommandKind, MachineConfig, ServiceRun, ShedReason};
+use mbts::sim::Time;
 use mbts::sim::{FaultConfig, UpDown};
 use mbts::site::{FaultPlan, LostWorkPolicy, SiteConfig, SiteOutcome, SiteRun};
 use mbts::trace::Tracer;
-use mbts::workload::{fig67_mix, generate_trace};
+use mbts::workload::{fig67_mix, generate_trace, PenaltyBound, TaskId, TaskSpec};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -68,8 +70,12 @@ fn check_damaged(bytes: &[u8]) -> Result<(), String> {
             prop_assert!(report.dropped_bytes <= bytes.len());
         }
         // Nothing intact to recover is a clean, typed refusal.
-        Err(RecoverError::Framing(_) | RecoverError::NoSnapshot | RecoverError::BadSnapshot(_)) => {
-        }
+        Err(
+            RecoverError::Framing(_)
+            | RecoverError::NoSnapshot
+            | RecoverError::BadSnapshot(_)
+            | RecoverError::BadEvent { .. },
+        ) => {}
         Err(RecoverError::Divergence { index, detail }) => {
             return Err(format!(
                 "suffix damage must not masquerade as divergence (event {index}: {detail})"
@@ -79,8 +85,93 @@ fn check_damaged(bytes: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
+/// An economy and a service reference journal, built once, for the
+/// record-splicing property: snapshots every 8 inputs, so a cut lands
+/// before, between and after snapshot records.
+fn economy_reference() -> &'static [u8] {
+    static REF: OnceLock<Vec<u8>> = OnceLock::new();
+    REF.get_or_init(|| {
+        let trace = generate_trace(&fig67_mix(1.5).with_tasks(16).with_processors(8), 9);
+        let config = EconomyConfig::uniform(2, SiteConfig::new(4).with_policy(Policy::FirstPrice));
+        let run = EconomyRun::new(config, &trace, Tracer::Off);
+        let mut durable = DurableRun::new(run, Journal::in_memory(), 8).unwrap();
+        durable.run_to_completion().unwrap();
+        durable.journal().bytes().to_vec()
+    })
+}
+
+fn service_reference() -> &'static [u8] {
+    static REF: OnceLock<Vec<u8>> = OnceLock::new();
+    REF.get_or_init(|| {
+        let mut run = ServiceRun::new(MachineConfig::default(), Journal::in_memory(), 8).unwrap();
+        for i in 0..30u64 {
+            let at = Time::new(i as f64 * 0.5);
+            let spec = TaskSpec::new(0, i as f64 * 0.5, 2.0, 6.0, 0.05, PenaltyBound::ZERO);
+            let kind = match i % 5 {
+                3 => CommandKind::Cancel {
+                    task: TaskId(i / 2),
+                },
+                4 => CommandKind::Shed {
+                    spec,
+                    queue_depth: 4,
+                    reason: ShedReason::LowestValue,
+                },
+                _ => CommandKind::Submit { spec },
+            };
+            run.apply(at, kind).unwrap();
+        }
+        run.apply(Time::new(20.0), CommandKind::Drain).unwrap();
+        run.journal().bytes().to_vec()
+    })
+}
+
+/// `bytes` with the records at the `cut` positions left out and every
+/// other record framed exactly as before: a CRC-valid journal.
+fn without_records(bytes: &[u8], cut: &[usize]) -> Vec<u8> {
+    let scan = framing::scan(bytes).unwrap();
+    let mut out = Vec::new();
+    framing::write_header(&mut out);
+    for (i, (tag, payload)) in scan.records.iter().enumerate() {
+        if !cut.contains(&i) {
+            framing::append_record(&mut out, *tag, payload);
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Cutting one or two whole records out of a site, an economy or a
+    /// service journal leaves every CRC valid, so only replay can notice.
+    /// Recovery returns a run or a typed error — here `Divergence` is the
+    /// expected one — and never panics.
+    #[test]
+    fn splicing_out_whole_records_never_panics_recovery(
+        kind in 0usize..3,
+        first in 0.0f64..1.0,
+        second in 0.0f64..1.0,
+        two in any::<bool>(),
+    ) {
+        let bytes: &[u8] = match kind {
+            0 => &reference().0,
+            1 => economy_reference(),
+            _ => service_reference(),
+        };
+        let records = framing::scan(bytes).unwrap().records.len();
+        let pick = |f: f64| ((records as f64) * f) as usize;
+        let cut = if two { vec![pick(first), pick(second)] } else { vec![pick(first)] };
+        let spliced = without_records(bytes, &cut);
+        let outcome = match kind {
+            0 => DurableRun::<SiteRun>::recover(&spliced).map(|_| ()),
+            1 => DurableRun::<EconomyRun>::recover(&spliced).map(|_| ()),
+            _ => ServiceRun::recover(&spliced).map(|_| ()),
+        };
+        if let Err(e) = outcome {
+            // Every refusal is typed and says why.
+            prop_assert!(!e.to_string().is_empty());
+        }
+    }
 
     /// Truncating the journal at any byte boundary recovers the valid
     /// prefix and replays to the reference outcome.
@@ -151,6 +242,7 @@ proptest! {
         let _ = recover_bytes(&bytes);
         let _ = DurableRun::<SiteRun>::recover(&bytes);
         let _ = DurableRun::<EconomyRun>::recover(&bytes);
+        let _ = ServiceRun::recover(&bytes);
     }
 }
 
@@ -200,9 +292,6 @@ fn economy_journal_suffix_corruption_keeps_the_books_closed() {
 /// the finished journal at every byte of its tail must do the same.
 #[test]
 fn concurrent_writer_torn_tail_recovers_a_clean_prefix() {
-    use mbts::serve::{CommandKind, MachineConfig, ServiceRun};
-    use mbts::sim::Time;
-    use mbts::workload::{PenaltyBound, TaskSpec};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
