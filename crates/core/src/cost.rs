@@ -18,8 +18,11 @@
 //! cost_i / RPT_i = Σ_{j ≠ i} d_j  =  D − d_i
 //! ```
 //!
-//! which is the classic SWPT ordering. The paper notes the naive bounded
-//! computation is `O(n)` per candidate (`O(n²)` per scheduling step).
+//! so FirstReward's cost-only limit (α = 0) scores `d_i − D` and ranks by
+//! the decay rate `d_i` alone. That is the classic SWPT order
+//! (`d_i / RPT_i`) only when every RPT is equal. The paper notes the
+//! naive bounded computation is `O(n)` per candidate (`O(n²)` per
+//! scheduling step).
 //! [`CostModel`] improves that: one `O(n log n)` build per scheduling
 //! point, then `O(log n)` per candidate via binary search over
 //! window-sorted prefix sums. [`DecaySum`] is the incrementally-maintained

@@ -13,9 +13,11 @@
 //! | `PresentValue` | `PV_i / RPT_i`, `PV_i = yield_i/(1 + rate·RPT_i)` | §5.1, Eq. 3 |
 //! | `FirstReward` | `(α·PV_i − (1−α)·cost_i) / RPT_i` | §5.3, Eq. 6 |
 //!
-//! `FirstReward` reduces to `PresentValue` at `α = 1` and to a variant of
-//! SWPT at `α = 0` (cost-only), exactly as the paper observes; tests below
-//! pin both reductions.
+//! `FirstReward` reduces to `PresentValue` at `α = 1`. At `α = 0`
+//! (cost-only) with unbounded penalties it ranks by decay rate `d_i`
+//! alone (Eq. 5: `cost_i / RPT_i = D − d_i`) — the paper's "variant of
+//! SWPT", which orders like SWPT's `d_i / RPT_i` only when every RPT is
+//! equal. Tests below pin both reductions.
 
 use crate::cost::CostModel;
 use crate::job::Job;
@@ -289,25 +291,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn first_reward_alpha_zero_orders_like_swpt_when_unbounded() {
-        // With unbounded penalties, cost_i/RPT_i = D − d_i, so
-        // −cost/rpt = d_i − D: same ordering as SWPT's d_i/rpt? Not in
-        // general — the paper's α=0 limit is a *variant* of SWPT: it
-        // minimizes per-unit cost. Eq. 5 shows cost_i/RPT_i = D − d_i,
-        // whose argmin is argmax d_i. For equal RPTs the orderings agree.
-        let jobs: Vec<Job> = (0..4)
-            .map(|i| job(i, 0.0, 5.0, 50.0, 1.0 + i as f64))
-            .collect();
-        let model = CostModel::build(Time::ZERO, &jobs);
-        let ctx = ScoreCtx::with_cost(Time::ZERO, &model);
-        let fr = Policy::first_reward(0.0, 0.01);
-        let best_fr = fr.select(&jobs, &ctx).unwrap();
-        let best_swpt = Policy::Swpt
-            .select(&jobs, &ScoreCtx::simple(Time::ZERO))
-            .unwrap();
-        assert_eq!(best_fr, best_swpt);
-        assert_eq!(best_fr, 3); // the most urgent task
+    proptest::proptest! {
+        /// With unbounded penalties Eq. 5 gives `cost_i / RPT_i = D − d_i`,
+        /// so at α = 0 FirstReward ranks by `d_i` alone (lowest id on
+        /// ties), whatever the RPTs. SWPT ranks by `d_i / RPT_i`, so the
+        /// two picks agree whenever every RPT is equal. Decays lie on a
+        /// 1/4 grid so that ties occur; unequal RPTs are powers of two so
+        /// that `cost_i / RPT_i` is computed exactly.
+        #[test]
+        fn first_reward_alpha_zero_orders_like_swpt_when_unbounded(
+            queue in proptest::collection::vec((0u32..24, -2i32..6, 0.0f64..300.0), 1..20),
+            equal_rpts in proptest::prelude::any::<bool>(),
+            common_rpt in 0.1f64..50.0,
+            now in 0.0f64..100.0,
+        ) {
+            // Ids run opposite to slots, so the id tie-break is not the
+            // slot order.
+            let n = queue.len() as u64;
+            let jobs: Vec<Job> = queue
+                .iter()
+                .enumerate()
+                .map(|(i, &(d, k, value))| {
+                    let rpt = if equal_rpts { common_rpt } else { 2f64.powi(k) };
+                    job(n - 1 - i as u64, 0.0, rpt, value, f64::from(d) / 4.0)
+                })
+                .collect();
+            let now = Time::from(now);
+            let model = CostModel::build(now, &jobs);
+            let ctx = ScoreCtx::with_cost(now, &model);
+            let pick = Policy::first_reward(0.0, 0.01).select(&jobs, &ctx);
+            let by_decay = (0..jobs.len()).max_by(|&a, &b| {
+                let (a, b) = (&jobs[a], &jobs[b]);
+                a.spec.decay.total_cmp(&b.spec.decay).then(b.id().cmp(&a.id()))
+            });
+            proptest::prop_assert_eq!(pick, by_decay);
+            if equal_rpts {
+                let swpt = Policy::Swpt.select(&jobs, &ScoreCtx::simple(now));
+                proptest::prop_assert_eq!(swpt, pick);
+            }
+        }
     }
 
     #[test]

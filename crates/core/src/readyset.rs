@@ -198,12 +198,6 @@ impl WorkflowRuntime {
         self.ready.waiting()
     }
 
-    /// `true` when every task has been released or stranded — i.e. no
-    /// future completion can trigger a release.
-    pub fn all_released(&self) -> bool {
-        self.ready.waiting() == 0
-    }
-
     /// Records the completion of `task` at `at`: releases ready
     /// successors and settles the workflow if this was its last task.
     pub fn on_complete(&mut self, task: u64, at: Time) -> WorkflowProgress {
@@ -345,7 +339,7 @@ mod tests {
         assert_eq!(s.settled_at, Time::from(30.0));
         let attributed: f64 = s.attribution.iter().map(|(_, v)| v).sum();
         assert_eq!(attributed.to_bits(), s.earned.to_bits());
-        assert!(rt.all_released());
+        assert_eq!(rt.waiting(), 0);
     }
 
     #[test]
@@ -381,7 +375,7 @@ mod tests {
         assert!(s.failed);
         assert_eq!(s.earned, 0.0);
         assert!(s.attribution.is_empty());
-        assert!(rt.all_released());
+        assert_eq!(rt.waiting(), 0);
         let report = rt.report();
         assert_eq!(report.settled, 1);
         assert_eq!(report.failed, 1);

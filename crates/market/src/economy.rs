@@ -1721,7 +1721,7 @@ mod tests {
         assert_eq!(out.offered, 300);
         assert_eq!(
             outcome_hash(&out),
-            6_243_709_735_072_956_946,
+            6_309_571_657_495_223_354,
             "outcome moved"
         );
     }

@@ -22,9 +22,6 @@
 //!   buyers hold budgeted currency).
 //! * [`economy`] — a multi-site discrete-event economy tying it together:
 //!   one serial event loop, the only engine (DESIGN.md §12).
-//! * [`resource`] — the §7 reseller model: sites renting elastic capacity
-//!   from a shared resource pool, provisioning on queue pressure or
-//!   marginal gain, accounting profit = yield − rent.
 //!
 //! ```
 //! use mbts_core::{AdmissionPolicy, Policy};
@@ -54,7 +51,6 @@ pub mod budget;
 pub mod contract;
 pub mod economy;
 pub mod pricing;
-pub mod resource;
 
 pub use bid::{ClientSelection, ServerBid, TaskBid};
 pub use bidding::{
@@ -67,4 +63,3 @@ pub use economy::{
     MarketFaultConfig, MigrationConfig, RetryConfig, SiteId,
 };
 pub use pricing::PricingStrategy;
-pub use resource::{run_elastic, ElasticConfig, ElasticOutcome, ProvisioningPolicy, ResourcePool};

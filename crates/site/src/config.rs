@@ -78,15 +78,6 @@ pub struct SiteConfig {
     /// widths` comparison).
     #[serde(default = "default_true")]
     pub backfilling: bool,
-    /// If `true`, the site records a structured [`crate::audit`] event
-    /// log. Off by default.
-    #[serde(default)]
-    pub audit: bool,
-    /// If `true`, the site records per-task execution segments for Gantt
-    /// rendering (see [`crate::gantt`]). Off by default: experiment runs
-    /// don't pay the allocation.
-    #[serde(default)]
-    pub record_segments: bool,
     /// If `true`, expired bounded-penalty tasks are discarded from the
     /// queue instead of eventually being run for their floored yield
     /// (Millennium §3: "the system incurs no cost even if it discards an
@@ -124,8 +115,6 @@ impl SiteConfig {
             schedule_mode: ScheduleMode::Static,
             admission_discount_rate: 0.01,
             backfilling: true,
-            audit: false,
-            record_segments: false,
             drop_expired: false,
             incremental: true,
             workflow_facets: None,
@@ -175,21 +164,9 @@ impl SiteConfig {
         self
     }
 
-    /// Enables or disables audit-event recording.
-    pub fn with_audit(mut self, on: bool) -> Self {
-        self.audit = on;
-        self
-    }
-
     /// Enables or disables EASY backfilling for gang workloads.
     pub fn with_backfilling(mut self, on: bool) -> Self {
         self.backfilling = on;
-        self
-    }
-
-    /// Enables or disables execution-segment recording.
-    pub fn with_record_segments(mut self, on: bool) -> Self {
-        self.record_segments = on;
         self
     }
 

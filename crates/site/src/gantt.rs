@@ -1,20 +1,21 @@
-//! Execution-segment recording and ASCII Gantt rendering.
+//! ASCII Gantt rendering, drawn from the trace stream.
 //!
-//! With [`SiteConfig::with_record_segments`](crate::SiteConfig::with_record_segments)
-//! enabled, the site records one [`Segment`] per contiguous run of each
-//! task (preemption splits a task into several segments). The renderer
-//! lays segments out into lanes (a greedy interval coloring — processors
-//! are interchangeable, so lanes are equivalent to processors up to
-//! relabeling) and draws a fixed-width ASCII chart, which the `gantt`
-//! example uses to make preemption and backfilling visible.
+//! [`segments`] reads one [`Segment`] per contiguous run of each task off
+//! a site's [`TraceEvent`]s (preemption and crash eviction split a task
+//! into several segments). The renderer lays segments out into lanes (a
+//! greedy interval coloring — processors are interchangeable, so lanes
+//! are equivalent to processors up to relabeling) and draws a
+//! fixed-width ASCII chart, which `mbts run --gantt` and the `gantt`
+//! example use to make preemption and backfilling visible.
 
 use mbts_sim::Time;
+use mbts_trace::{TraceEvent, TraceKind};
 use mbts_workload::TaskId;
-use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// One contiguous execution interval of a task on one gang of processors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// The task.
     pub id: TaskId,
@@ -23,10 +24,43 @@ pub struct Segment {
     pub width: usize,
     /// Segment start.
     pub start: Time,
-    /// Segment end (completion or preemption instant).
+    /// Segment end (completion, preemption or eviction instant).
     pub end: Time,
-    /// `true` if the segment ended in preemption rather than completion.
+    /// `true` if the segment ended in preemption or crash eviction rather
+    /// than completion.
     pub preempted: bool,
+}
+
+/// The execution segments of one site's trace stream, sorted by
+/// (start, task id): a `Scheduled` event opens a segment, and the task's
+/// next `Preempted`, `Requeued` or `Completed` event closes it. Other
+/// events, decision records included, are skipped.
+pub fn segments(events: &[TraceEvent]) -> Vec<Segment> {
+    let mut open: HashMap<TaskId, (Time, usize)> = HashMap::new();
+    let mut out = Vec::new();
+    for e in events {
+        let Some(id) = e.task else { continue };
+        let preempted = match e.kind {
+            TraceKind::Scheduled { width, .. } => {
+                open.insert(id, (e.at, width));
+                continue;
+            }
+            TraceKind::Preempted { .. } | TraceKind::Requeued { .. } => true,
+            TraceKind::Completed { .. } => false,
+            _ => continue,
+        };
+        if let Some((start, width)) = open.remove(&id) {
+            out.push(Segment {
+                id,
+                width,
+                start,
+                end: e.at,
+                preempted,
+            });
+        }
+    }
+    out.sort_by(|a, b| a.start.cmp(&b.start).then(a.id.cmp(&b.id)));
+    out
 }
 
 /// Renders segments as an ASCII Gantt chart, `cols` characters wide.
@@ -119,6 +153,56 @@ mod tests {
             end: Time::from(end),
             preempted,
         }
+    }
+
+    fn event(at: f64, id: u64, kind: TraceKind) -> TraceEvent {
+        TraceEvent {
+            at: Time::from(at),
+            task: Some(TaskId(id)),
+            site: None,
+            kind,
+        }
+    }
+
+    fn scheduled(at: f64, id: u64, width: usize) -> TraceEvent {
+        let kind = TraceKind::Scheduled {
+            rank: 1,
+            pv: 0.0,
+            cost: 0.0,
+            slack: 0.0,
+            width,
+            backfill: false,
+        };
+        event(at, id, kind)
+    }
+
+    #[test]
+    fn segments_open_on_start_and_close_on_preempt_evict_or_complete() {
+        let completed = TraceKind::Completed {
+            earned: 1.0,
+            delay: 0.0,
+            width: 2,
+            preemptions: 2,
+        };
+        let events = vec![
+            event(0.0, 0, TraceKind::TaskArrived { accepted: true }),
+            scheduled(0.0, 0, 2),
+            scheduled(1.0, 1, 1),
+            event(2.0, 0, TraceKind::Preempted { width: 2 }),
+            scheduled(3.0, 0, 2),
+            event(4.0, 0, TraceKind::Requeued { width: 2 }),
+            scheduled(5.0, 0, 2),
+            event(9.0, 0, completed),
+        ];
+        assert_eq!(
+            segments(&events),
+            vec![
+                seg(0, 2, 0.0, 2.0, true),
+                seg(0, 2, 3.0, 4.0, true),
+                seg(0, 2, 5.0, 9.0, false),
+            ],
+            "task 1 never closes, so it draws nothing"
+        );
     }
 
     #[test]

@@ -41,18 +41,16 @@
 //! ```
 
 pub mod analysis;
-pub mod audit;
 pub mod config;
 pub mod gantt;
 pub mod metrics;
 pub mod state;
 
 pub use analysis::{class_breakdown, ClassReport};
-pub use audit::{AuditEvent, AuditKind, AuditViolation};
 pub use config::{LostWorkPolicy, PreemptionMode, SiteConfig};
-pub use gantt::{render_gantt, Segment};
+pub use gantt::{render_gantt, segments, Segment};
 pub use metrics::{Disposition, JobOutcome, SiteMetrics};
-pub use state::{CompletionToken, SiteSnapshot, SiteState};
+pub use state::{AuditViolation, CompletionToken, SiteSnapshot, SiteState};
 
 use mbts_core::{WorkflowReport, WorkflowRuntime};
 use mbts_sim::{
@@ -74,12 +72,6 @@ pub struct SiteOutcome {
     pub metrics: SiteMetrics,
     /// Per-job outcomes, sorted by task id.
     pub outcomes: Vec<JobOutcome>,
-    /// Execution segments (empty unless
-    /// [`SiteConfig::with_record_segments`] was enabled), sorted by start.
-    pub segments: Vec<Segment>,
-    /// Structured audit trail (empty unless [`SiteConfig::with_audit`]
-    /// was enabled), in event order.
-    pub audit: Vec<AuditEvent>,
     /// Conservation-audit failures recorded by the always-on auditor
     /// (release builds record; debug builds panic at the first failure,
     /// so this is always empty there). An honest run has none.
@@ -671,8 +663,6 @@ mod tests {
         let outcome = SiteOutcome {
             metrics: SiteMetrics::default(),
             outcomes: vec![],
-            segments: vec![],
-            audit: vec![],
             violations: vec![],
         };
         assert!(outcome.delay_percentile(0.5).is_nan());
@@ -714,6 +704,55 @@ mod tests {
         );
         // Events arrive in nondecreasing time order.
         assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
+    }
+
+    /// The site's trail is its trace: every arrival is a submission,
+    /// every start either completes or is preempted, and the earned
+    /// amounts sum to the total yield.
+    #[test]
+    fn site_records_a_consistent_audit_trail() {
+        use mbts_trace::TraceKind;
+        let mix = MixConfig::millennium_default()
+            .with_tasks(120)
+            .with_processors(4)
+            .with_load_factor(2.0);
+        let trace = generate_trace(&mix, 31);
+        let site = Site::new(
+            SiteConfig::new(4)
+                .with_policy(Policy::FirstPrice)
+                .with_preemption(true),
+        );
+        let (outcome, tracer) = site.run_trace_traced(&trace, Tracer::buffer());
+        let trail = tracer.into_events().unwrap();
+        assert!(trail.windows(2).all(|w| w[0].at <= w[1].at));
+        let count =
+            |pred: &dyn Fn(&TraceKind) -> bool| trail.iter().filter(|e| pred(&e.kind)).count();
+        let m = &outcome.metrics;
+        assert_eq!(
+            count(&|k| matches!(k, TraceKind::TaskArrived { .. })),
+            m.submitted
+        );
+        assert_eq!(
+            count(&|k| matches!(k, TraceKind::Completed { .. })),
+            m.completed
+        );
+        assert!(m.preemptions > 0, "the run exercises preemption");
+        assert_eq!(
+            count(&|k| matches!(k, TraceKind::Preempted { .. })) as u64,
+            m.preemptions
+        );
+        assert_eq!(
+            count(&|k| matches!(k, TraceKind::Scheduled { .. })) as u64,
+            m.completed as u64 + m.preemptions
+        );
+        let earned: f64 = trail
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::Completed { earned, .. } => Some(earned),
+                _ => None,
+            })
+            .sum();
+        assert!((earned - m.total_yield).abs() < 1e-6);
     }
 
     #[test]

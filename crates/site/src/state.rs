@@ -15,9 +15,7 @@
 //! they fit the free processors *and* their expected completion does not
 //! push past the reservation.
 
-use crate::audit::{AuditEvent, AuditKind, AuditViolation};
 use crate::config::{LostWorkPolicy, PreemptionMode, SiteConfig};
-use crate::gantt::Segment;
 use crate::metrics::{Disposition, JobOutcome, SiteMetrics};
 use crate::SiteOutcome;
 use mbts_core::{
@@ -64,23 +62,36 @@ impl Running {
     }
 }
 
+/// One failed conservation check from the always-on auditor.
+///
+/// The auditor re-verifies the site's books after every state
+/// transition: task conservation (accepted = queued + running +
+/// completed + dropped + cancelled + orphaned), submission accounting
+/// (submitted = accepted + rejected), processor conservation
+/// (Σ running widths + free = capacity), and yield consistency (the
+/// per-job outcome records sum to the metrics' total yield). A failure
+/// panics in debug builds; in release it is recorded here and surfaced
+/// through [`SiteOutcome::violations`](crate::SiteOutcome::violations).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AuditViolation {
+    /// When the check failed.
+    pub at: Time,
+    /// Which conservation rule failed.
+    pub rule: String,
+    /// Human-readable account of the imbalance.
+    pub detail: String,
+}
+
 /// A task-service site: pending queue + processor pool + accounting.
 ///
-/// Capacity is elastic (§7's reseller model): [`grow`](Self::grow) adds
-/// processors immediately; [`shrink`](Self::shrink) retires idle
-/// processors now and registers a debt against busy ones, collected as
-/// gangs complete.
+/// The site keeps no history of its own beyond the per-job outcomes:
+/// every transition is a [`TraceEvent`] on its tracer.
 #[derive(Debug, Clone)]
 pub struct SiteState {
     config: SiteConfig,
-    /// Current capacity (starts at `config.processors`; changed by
-    /// grow/shrink).
+    /// Current capacity (starts at `config.processors`; crashes and
+    /// repairs change it).
     capacity: usize,
-    /// Processors promised back to the resource pool but still occupied.
-    shrink_debt: usize,
-    /// Debt settled (processors actually retired) since the last
-    /// [`take_settled_shrink`](Self::take_settled_shrink) call.
-    settled_shrink: usize,
     /// The queue, as an incrementally maintained pool. Its slot order
     /// follows `Vec::swap_remove` semantics, so indices behave exactly
     /// like the plain `Vec<Job>` it replaced; with
@@ -92,8 +103,6 @@ pub struct SiteState {
     epoch_counter: u64,
     metrics: SiteMetrics,
     outcomes: Vec<JobOutcome>,
-    segments: Vec<Segment>,
-    audit: Vec<AuditEvent>,
     /// Yield as re-derived from the per-job outcome records, accumulated
     /// in push order — the conservation auditor cross-checks it against
     /// `metrics.total_yield` after every event.
@@ -114,8 +123,6 @@ impl SiteState {
         let pending = PendingPool::new(config.policy);
         SiteState {
             capacity: config.processors,
-            shrink_debt: 0,
-            settled_shrink: 0,
             config,
             pending,
             running: Vec::new(),
@@ -123,8 +130,6 @@ impl SiteState {
             epoch_counter: 0,
             metrics: SiteMetrics::default(),
             outcomes: Vec::new(),
-            segments: Vec::new(),
-            audit: Vec::new(),
             earned_recorded: 0.0,
             violations: Vec::new(),
             tracer: Tracer::Off,
@@ -174,13 +179,6 @@ impl SiteState {
                 site,
                 kind,
             });
-        }
-    }
-
-    #[inline]
-    fn note_audit(&mut self, at: Time, task: Option<mbts_workload::TaskId>, kind: AuditKind) {
-        if self.config.audit {
-            self.audit.push(AuditEvent { at, task, kind });
         }
     }
 
@@ -304,81 +302,10 @@ impl SiteState {
         self.capacity - self.free_procs
     }
 
-    /// Current capacity (config size ± grow/shrink).
+    /// Current capacity: the configured processors less those a crash
+    /// took and no repair has restored yet.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Processors owed back to the resource pool but still busy.
-    pub fn shrink_debt(&self) -> usize {
-        self.shrink_debt
-    }
-
-    /// Adds `extra` processors immediately (§7 reseller model: capacity
-    /// rented from a shared pool). Newly idle processors dispatch queued
-    /// work at once; the returned tokens are the new run segments.
-    pub fn grow(&mut self, extra: usize, now: Time) -> Vec<CompletionToken> {
-        self.capacity += extra;
-        self.free_procs += extra;
-        if extra > 0 {
-            self.note_audit(now, None, AuditKind::Grew { n: extra });
-        }
-        let tokens = self.dispatch(now);
-        self.audit_check(now);
-        tokens
-    }
-
-    /// Retires up to `by` processors: idle ones leave immediately, the
-    /// rest are marked as debt and leave as running gangs complete.
-    /// Capacity never drops below 1. Returns how many were retired
-    /// immediately.
-    /// See [`grow`](Self::grow); the immediate retirements are audited.
-    pub fn shrink_audited(&mut self, by: usize, now: Time) -> usize {
-        let immediate = self.shrink(by);
-        if immediate > 0 {
-            self.note_audit(now, None, AuditKind::Shrank { n: immediate });
-        }
-        immediate
-    }
-
-    pub fn shrink(&mut self, by: usize) -> usize {
-        // Outstanding debt already commits capacity; never promise below
-        // one processor in total.
-        let by = by.min(
-            self.capacity
-                .saturating_sub(1)
-                .saturating_sub(self.shrink_debt),
-        );
-        let immediate = by.min(self.free_procs);
-        self.free_procs -= immediate;
-        self.capacity -= immediate;
-        self.shrink_debt += by - immediate;
-        immediate
-    }
-
-    /// Pays down shrink debt from newly freed processors.
-    fn settle_shrink_debt(&mut self) {
-        let pay = self.shrink_debt.min(self.free_procs);
-        self.free_procs -= pay;
-        self.capacity -= pay;
-        self.shrink_debt -= pay;
-        self.settled_shrink += pay;
-    }
-
-    /// Returns (and resets) the number of debt processors actually
-    /// retired since the last call — the owner releases these back to
-    /// its resource pool.
-    pub fn take_settled_shrink(&mut self) -> usize {
-        std::mem::take(&mut self.settled_shrink)
-    }
-
-    /// Cancels up to `n` outstanding shrink-debt processors (keeping
-    /// capacity that was scheduled to leave). Returns how many were kept;
-    /// these need no new lease — they were never returned to the pool.
-    pub fn cancel_shrink(&mut self, n: usize) -> usize {
-        let kept = n.min(self.shrink_debt);
-        self.shrink_debt -= kept;
-        kept
     }
 
     /// Number of running gangs (tasks in execution).
@@ -394,44 +321,6 @@ impl SiteState {
     /// `true` when nothing is queued or running.
     pub fn is_quiescent(&self) -> bool {
         self.pending.is_empty() && self.running.is_empty()
-    }
-
-    /// Total queued work (Σ width · RPT estimates, processor-time units)
-    /// — the backlog a provisioning policy reasons over.
-    pub fn pending_work(&self) -> f64 {
-        self.pending
-            .jobs()
-            .iter()
-            .map(|j| j.spec.width as f64 * j.rpt.as_f64())
-            .sum()
-    }
-
-    /// Aggregate decay rate of the still-decaying queued tasks — the
-    /// value bleeding away per unit time while the backlog waits. Divided
-    /// by capacity this estimates the marginal value of one more
-    /// processor for penalty-avoidance (§7 reseller signal).
-    pub fn pending_decay_rate(&self, now: Time) -> f64 {
-        self.pending
-            .jobs()
-            .iter()
-            .map(|j| j.effective_decay(now))
-            .sum()
-    }
-
-    /// Mean expected unit gain (yield per processor-time) of the queue if
-    /// everything started at `now`; 0 for an empty queue. A reseller
-    /// compares this against the rental price of extra capacity (§7).
-    pub fn pending_unit_gain(&self, now: Time) -> f64 {
-        if self.pending.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = self
-            .pending
-            .jobs()
-            .iter()
-            .map(|j| j.yield_if_started(now) / (j.spec.width as f64 * j.rpt.as_f64().max(1e-12)))
-            .sum();
-        total / self.pending.len() as f64
     }
 
     /// Per-processor expected-free times at `now` per the runtime
@@ -526,11 +415,6 @@ impl SiteState {
             let ev = self.admission_decision_event(now, spec, decision.as_ref(), accept);
             self.tracer.emit(ev);
         }
-        self.note_audit(
-            now,
-            Some(spec.id),
-            AuditKind::Submitted { accepted: accept },
-        );
         self.trace(
             now,
             Some(spec.id),
@@ -594,7 +478,6 @@ impl SiteState {
         };
         let job = self.pending.swap_remove(idx);
         self.metrics.cancelled += 1;
-        self.note_audit(now, Some(job.id()), AuditKind::Cancelled);
         self.trace(now, Some(job.id()), TraceKind::Cancelled);
         self.outcomes.push(JobOutcome {
             id: job.id(),
@@ -632,16 +515,6 @@ impl SiteState {
             mut job, started, ..
         } = self.running.swap_remove(idx);
         self.free_procs += job.spec.width;
-        self.settle_shrink_debt();
-        if self.config.record_segments {
-            self.segments.push(Segment {
-                id: job.id(),
-                width: job.spec.width,
-                start: started,
-                end: now,
-                preempted: false,
-            });
-        }
         job.advance(now - started);
         debug_assert!(
             job.true_rpt.as_f64() < 1e-6,
@@ -653,7 +526,6 @@ impl SiteState {
         self.metrics.completed += 1;
         self.metrics.note_finish(now, earned);
         self.metrics.delay.push(delay.as_f64());
-        self.note_audit(now, Some(job.id()), AuditKind::Completed { earned });
         self.trace(
             now,
             Some(job.id()),
@@ -683,13 +555,9 @@ impl SiteState {
     /// sorted by task id).
     pub fn into_outcome(mut self) -> SiteOutcome {
         self.outcomes.sort_by_key(|o| o.id);
-        let mut segments = self.segments;
-        segments.sort_by(|a, b| a.start.cmp(&b.start).then(a.id.cmp(&b.id)));
         SiteOutcome {
             metrics: self.metrics,
             outcomes: self.outcomes,
-            segments,
-            audit: self.audit,
             violations: self.violations,
         }
     }
@@ -1070,7 +938,6 @@ impl SiteState {
         self.epoch_counter += 1;
         let epoch = self.epoch_counter;
         let at = now + job.true_rpt;
-        self.note_audit(now, Some(job.id()), AuditKind::Started { width });
         self.running.push(Running {
             job,
             started: now,
@@ -1090,7 +957,6 @@ impl SiteState {
             if expired {
                 let job = self.pending.swap_remove(i);
                 let floor = job.spec.bound.floor();
-                self.note_audit(now, Some(job.id()), AuditKind::Dropped);
                 self.trace(now, Some(job.id()), TraceKind::Dropped { earned: floor });
                 self.metrics.dropped += 1;
                 self.metrics.note_finish(now, floor);
@@ -1183,15 +1049,6 @@ impl SiteState {
                     mut job, started, ..
                 } = self.running.swap_remove(ri);
                 self.free_procs += job.spec.width;
-                if self.config.record_segments {
-                    self.segments.push(Segment {
-                        id: job.id(),
-                        width: job.spec.width,
-                        start: started,
-                        end: now,
-                        preempted: true,
-                    });
-                }
                 match self.config.preemption_mode {
                     PreemptionMode::Resume => job.advance(now - started),
                     PreemptionMode::Restart => {
@@ -1209,7 +1066,6 @@ impl SiteState {
                 }
                 job.preemptions += 1;
                 self.metrics.preemptions += 1;
-                self.note_audit(now, Some(job.id()), AuditKind::Preempted);
                 let (id, width) = (job.id(), job.spec.width);
                 self.trace(now, Some(id), TraceKind::Preempted { width });
                 self.pending.push(job);
@@ -1236,7 +1092,6 @@ impl SiteState {
         if dead == 0 {
             return 0;
         }
-        self.note_audit(now, None, AuditKind::Crashed { n: dead });
         self.trace(now, None, TraceKind::Crashed { procs: dead });
         self.metrics.crashed_procs += dead as u64;
         let idle = dead.min(self.free_procs);
@@ -1255,15 +1110,6 @@ impl SiteState {
                 mut job, started, ..
             } = self.running.swap_remove(victim);
             let width = job.spec.width;
-            if self.config.record_segments {
-                self.segments.push(Segment {
-                    id: job.id(),
-                    width,
-                    start: started,
-                    end: now,
-                    preempted: true,
-                });
-            }
             match self.config.lost_work {
                 LostWorkPolicy::Restart => {
                     job.rpt = job.spec.runtime;
@@ -1289,7 +1135,6 @@ impl SiteState {
             job.preemptions += 1;
             self.metrics.preemptions += 1;
             self.metrics.evictions += 1;
-            self.note_audit(now, Some(job.id()), AuditKind::Evicted);
             let id = job.id();
             self.trace(now, Some(id), TraceKind::Requeued { width });
             self.pending.push(job);
@@ -1310,7 +1155,6 @@ impl SiteState {
         if n == 0 {
             return Vec::new();
         }
-        self.note_audit(now, None, AuditKind::Repaired { n });
         self.trace(now, None, TraceKind::Repaired { procs: n });
         self.metrics.repaired_procs += n as u64;
         self.capacity += n;
@@ -1329,7 +1173,6 @@ impl SiteState {
         let jobs = self.pending.drain_all();
         for job in &jobs {
             self.metrics.orphaned += 1;
-            self.note_audit(now, Some(job.id()), AuditKind::Orphaned);
             self.trace(now, Some(job.id()), TraceKind::Orphaned);
             self.outcomes.push(JobOutcome {
                 id: job.id(),
@@ -1358,8 +1201,6 @@ impl SiteState {
         SiteSnapshot {
             config: self.config.clone(),
             capacity: self.capacity,
-            shrink_debt: self.shrink_debt,
-            settled_shrink: self.settled_shrink,
             pending: self.pending.checkpoint(),
             running: self
                 .running
@@ -1370,8 +1211,6 @@ impl SiteState {
             epoch_counter: self.epoch_counter,
             metrics: self.metrics.clone(),
             outcomes: self.outcomes.clone(),
-            segments: self.segments.clone(),
-            audit: self.audit.clone(),
             earned_recorded: self.earned_recorded,
             violations: self.violations.clone(),
             tracer: self.tracer.snapshot(),
@@ -1387,8 +1226,6 @@ impl SiteState {
         SiteState {
             config: snap.config,
             capacity: snap.capacity,
-            shrink_debt: snap.shrink_debt,
-            settled_shrink: snap.settled_shrink,
             pending: PendingPool::from_checkpoint(snap.pending),
             running: snap
                 .running
@@ -1403,8 +1240,6 @@ impl SiteState {
             epoch_counter: snap.epoch_counter,
             metrics: snap.metrics,
             outcomes: snap.outcomes,
-            segments: snap.segments,
-            audit: snap.audit,
             earned_recorded: snap.earned_recorded,
             violations: snap.violations,
             tracer: Tracer::from_snapshot(snap.tracer),
@@ -1419,12 +1254,8 @@ impl SiteState {
 pub struct SiteSnapshot {
     /// The site configuration (policies, modes, toggles).
     pub config: SiteConfig,
-    /// Current elastic capacity.
+    /// Current capacity.
     pub capacity: usize,
-    /// Processors promised back to the pool but still busy.
-    pub shrink_debt: usize,
-    /// Debt settled since the last `take_settled_shrink`.
-    pub settled_shrink: usize,
     /// The queue, including the cost model's exact accumulator state.
     pub pending: PoolCheckpoint,
     /// Running gangs as `(job, started, epoch)` in slot order.
@@ -1437,10 +1268,6 @@ pub struct SiteSnapshot {
     pub metrics: SiteMetrics,
     /// Per-job outcome records so far.
     pub outcomes: Vec<JobOutcome>,
-    /// Execution segments recorded so far.
-    pub segments: Vec<Segment>,
-    /// Audit events recorded so far.
-    pub audit: Vec<AuditEvent>,
     /// Yield re-derived from outcome records (conservation cross-check).
     pub earned_recorded: f64,
     /// Conservation-audit failures recorded so far.
@@ -1862,101 +1689,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod elastic_tests {
-    use super::*;
-    use mbts_core::Policy;
-    use mbts_workload::PenaltyBound;
-
-    fn spec(id: u64, arrival: f64, runtime: f64, value: f64) -> TaskSpec {
-        TaskSpec::new(id, arrival, runtime, value, 0.1, PenaltyBound::Unbounded)
-    }
-
-    #[test]
-    fn grow_dispatches_queued_work_immediately() {
-        let mut site = SiteState::new(SiteConfig::new(1).with_policy(Policy::Fcfs));
-        let (_, t1) = site.submit(Time::ZERO, spec(0, 0.0, 10.0, 100.0));
-        let (_, t2) = site.submit(Time::ZERO, spec(1, 0.0, 10.0, 100.0));
-        assert!(t2.is_empty());
-        assert_eq!(site.pending_len(), 1);
-        let t3 = site.grow(1, Time::from(2.0));
-        assert_eq!(t3.len(), 1, "new processor picks up the queue");
-        assert_eq!(site.capacity(), 2);
-        assert_eq!(site.free_processors(), 0);
-        let mut all = t1;
-        all.extend(t2);
-        all.extend(t3);
-        // Drain everything.
-        all.sort_by_key(|t| std::cmp::Reverse(t.at));
-        while let Some(tok) = all.pop() {
-            all.extend(site.on_completion(tok.at, tok));
-            all.sort_by_key(|t| std::cmp::Reverse(t.at));
-        }
-        assert_eq!(site.metrics().completed, 2);
-    }
-
-    #[test]
-    fn shrink_retires_idle_processors_immediately() {
-        let mut site = SiteState::new(SiteConfig::new(4));
-        let retired = site.shrink(2);
-        assert_eq!(retired, 2);
-        assert_eq!(site.capacity(), 2);
-        assert_eq!(site.free_processors(), 2);
-        assert_eq!(site.shrink_debt(), 0);
-    }
-
-    #[test]
-    fn shrink_of_busy_processors_is_debt_collected_on_completion() {
-        let mut site = SiteState::new(SiteConfig::new(2));
-        let (_, t1) = site.submit(Time::ZERO, spec(0, 0.0, 10.0, 100.0));
-        let (_, t2) = site.submit(Time::ZERO, spec(1, 0.0, 20.0, 100.0));
-        // Both busy; shrink by 1 must wait for a completion.
-        assert_eq!(site.shrink(1), 0);
-        assert_eq!(site.shrink_debt(), 1);
-        assert_eq!(site.capacity(), 2);
-        // First completion pays the debt instead of dispatching.
-        let more = site.on_completion(t1[0].at, t1[0]);
-        assert!(more.is_empty());
-        assert_eq!(site.capacity(), 1);
-        assert_eq!(site.shrink_debt(), 0);
-        assert_eq!(site.free_processors(), 0);
-        site.on_completion(t2[0].at, t2[0]);
-        assert_eq!(site.capacity(), 1);
-        assert_eq!(site.free_processors(), 1);
-        assert!(site.is_quiescent());
-    }
-
-    #[test]
-    fn shrink_never_drops_below_one_processor() {
-        let mut site = SiteState::new(SiteConfig::new(3));
-        site.shrink(100);
-        assert_eq!(site.capacity(), 1);
-        // Still functional.
-        let (ok, t) = site.submit(Time::ZERO, spec(0, 0.0, 5.0, 10.0));
-        assert!(ok);
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn grow_then_shrink_roundtrips() {
-        let mut site = SiteState::new(SiteConfig::new(2));
-        site.grow(3, Time::ZERO);
-        assert_eq!(site.capacity(), 5);
-        assert_eq!(site.shrink(3), 3);
-        assert_eq!(site.capacity(), 2);
-        assert_eq!(site.free_processors(), 2);
-    }
-
-    #[test]
-    fn free_times_track_elastic_capacity() {
-        let mut site = SiteState::new(SiteConfig::new(1));
-        site.grow(2, Time::ZERO);
-        assert_eq!(site.free_times(Time::from(5.0)).len(), 3);
-        site.shrink(1);
-        assert_eq!(site.free_times(Time::from(5.0)).len(), 2);
-    }
-}
-
-#[cfg(test)]
 mod backfill_toggle_tests {
     use super::*;
     use mbts_core::Policy;
@@ -2118,18 +1850,16 @@ mod fault_tests {
 
     #[test]
     fn audit_trail_counts_crash_events() {
-        let mut site = SiteState::new(SiteConfig::new(2).with_audit(true));
+        let mut site = SiteState::new(SiteConfig::new(2));
+        site.set_tracer(Tracer::buffer());
         let (_, t) = site.submit(Time::ZERO, spec(0, 0.0, 10.0, 100.0));
         site.crash(2, Time::from(1.0));
         site.repair(2, Time::from(2.0));
-        let audit = site.clone().into_outcome().audit;
-        assert!(audit
-            .iter()
-            .any(|e| matches!(e.kind, AuditKind::Crashed { n: 2 })));
-        assert!(audit
-            .iter()
-            .any(|e| matches!(e.kind, AuditKind::Repaired { n: 2 })));
-        assert!(audit.iter().any(|e| matches!(e.kind, AuditKind::Evicted)));
+        let trail = site.take_tracer().into_events().unwrap();
+        let kinds: Vec<&TraceKind> = trail.iter().map(|e| &e.kind).collect();
+        assert!(kinds.contains(&&TraceKind::Crashed { procs: 2 }));
+        assert!(kinds.contains(&&TraceKind::Repaired { procs: 2 }));
+        assert!(kinds.contains(&&TraceKind::Requeued { width: 1 }));
         drop(t);
     }
 }

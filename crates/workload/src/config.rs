@@ -35,7 +35,7 @@ pub enum ArrivalProcess {
     /// Diurnal Poisson arrivals: the rate oscillates sinusoidally around
     /// the load-factor-calibrated mean — `rate(t) = λ·(1 + amplitude·
     /// sin(2πt/period))` — sampled by thinning. Models day/night load
-    /// cycles; the elastic-provisioning experiments ride these waves.
+    /// cycles.
     Diurnal {
         /// Cycle length in time units.
         period: f64,

@@ -2,15 +2,17 @@
 //! an ASCII Gantt chart.
 //!
 //! Runs a small mixed-width workload twice — FCFS without preemption and
-//! FirstPrice with preemption — with segment recording on, and renders
-//! both schedules so the structural differences are visible.
+//! FirstPrice with preemption — with a buffer tracer, and renders both
+//! schedules from their trace streams so the structural differences are
+//! visible.
 //!
 //! ```sh
 //! cargo run --release --example gantt
 //! ```
 
 use mbts::core::Policy;
-use mbts::site::{render_gantt, Site, SiteConfig};
+use mbts::site::{render_gantt, segments, Site, SiteConfig};
+use mbts::trace::Tracer;
 use mbts::workload::{generate_trace, MixConfig, WidthPolicy};
 
 fn main() {
@@ -36,7 +38,10 @@ fn main() {
                 .with_preemption(true),
         ),
     ] {
-        let outcome = Site::new(config.with_record_segments(true)).run_trace(&trace);
+        let (outcome, tracer) = Site::new(config).run_trace_traced(&trace, Tracer::buffer());
+        let events = tracer
+            .into_events()
+            .expect("a buffer tracer keeps its events");
         println!("=== {label} ===");
         println!(
             "yield {:.0}, completed {}, preemptions {}, backfills {}",
@@ -45,6 +50,6 @@ fn main() {
             outcome.metrics.preemptions,
             outcome.metrics.backfills,
         );
-        println!("{}", render_gantt(&outcome.segments, 100));
+        println!("{}", render_gantt(&segments(&events), 100));
     }
 }

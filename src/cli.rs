@@ -27,13 +27,14 @@
 //! ```
 //!
 //! `run`/`market` accept `--trace-out FILE` to capture the structured
-//! event stream as JSON Lines, `--provenance` to additionally record a
-//! ranked, score-decomposed candidate set at every dispatch, preemption,
-//! admission and bid-selection decision, and `--profile FILE` to enable
-//! the hot-path self-profiler and save its latency histograms. `mbts
-//! analyze` post-processes any of those outputs (plus durable journals)
-//! into yield-attribution, preemption-chain, admission-regret and
-//! utilization reports.
+//! event stream as JSON Lines (a site's only history: `run --gantt`
+//! draws its chart from the same stream), `--provenance` to additionally
+//! record a ranked, score-decomposed candidate set at every dispatch,
+//! preemption, admission and bid-selection decision, and `--profile FILE`
+//! to enable the hot-path self-profiler and save its latency histograms.
+//! `mbts analyze` post-processes any of those outputs (plus durable
+//! journals) into yield-attribution, preemption-chain, admission-regret
+//! and utilization reports.
 //!
 //! `mbts market` has one engine, the serial event loop, and every run
 //! of it is journalable (DESIGN.md §12).
@@ -68,7 +69,7 @@ use mbts_core::{AdmissionPolicy, Policy};
 use mbts_durable::{DurableRun, Recoverable, RecoveryReport};
 use mbts_market::{ClientSelection, Economy, EconomyConfig, EconomyRun, PricingStrategy};
 use mbts_serve::ServiceMachine;
-use mbts_site::{class_breakdown, render_gantt, Site, SiteConfig, SiteRun};
+use mbts_site::{class_breakdown, render_gantt, segments, Site, SiteConfig, SiteRun};
 use mbts_workload::{
     generate_trace, generate_workflows, BoundPolicy, MixConfig, Trace, WidthPolicy, WorkflowConfig,
     WorkflowSet, WorkflowShape,
@@ -102,12 +103,11 @@ pub enum Command {
         workflow: Option<PathBuf>,
         /// Site configuration.
         site: SiteConfig,
-        /// Render an ASCII Gantt chart of the schedule.
+        /// Render an ASCII Gantt chart of the schedule (drawn from the
+        /// trace stream).
         gantt: bool,
         /// Print the per-value-class breakdown.
         classes: bool,
-        /// Write the structured audit log (JSON Lines) to this path.
-        audit: Option<PathBuf>,
         /// Journal snapshots + events to this path (crash-recoverable).
         journal: Option<PathBuf>,
         /// Write the trace-event stream (JSON Lines) to this path.
@@ -421,8 +421,7 @@ pub fn usage() -> &'static str {
      \x20           [--workflow SHAPE [--workflows N]]  (writes a DAG workflow set)\n\
      mbts run    <--trace FILE | --workflow FILE> [--policy SPEC] [--admission SPEC]\n\
      \x20           [--processors P] [--preemption] [--drop-expired] [--gantt] [--classes]\n\
-     \x20           [--audit FILE] [--journal FILE] [--trace-out FILE [--provenance]]\n\
-     \x20           [--profile FILE]\n\
+     \x20           [--journal FILE] [--trace-out FILE [--provenance]] [--profile FILE]\n\
      mbts market <--trace FILE | --workflow FILE> [--sites N] [--procs-per-site P] [--policy SPEC]\n\
      \x20           [--admission SPEC] [--selection KIND] [--second-price] [--seed S]\n\
      \x20           [--journal FILE] [--trace-out FILE [--provenance]] [--profile FILE]\n\
@@ -472,7 +471,7 @@ const FLAG_TABLES: &[FlagTable] = &[
         "--decay-skew", "--mean-decay", "--bound", "--widths", "--workflow", "--workflows"] },
     FlagTable { sub: "run", positional: false,
         switches: &["--preemption", "--drop-expired", "--gantt", "--classes", "--provenance"],
-        values: &["--trace", "--workflow", "--policy", "--admission", "--processors", "--audit",
+        values: &["--trace", "--workflow", "--policy", "--admission", "--processors",
                   "--journal", "--trace-out", "--profile"] },
     FlagTable { sub: "market", positional: false,
         switches: &["--second-price", "--provenance"],
@@ -670,12 +669,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
                 _ => {}
             }
-            let audit = get("--audit").map(PathBuf::from);
             let mut site = SiteConfig::new(int("--processors", 16)?)
                 .with_preemption(has("--preemption"))
-                .with_drop_expired(has("--drop-expired"))
-                .with_audit(audit.is_some())
-                .with_record_segments(has("--gantt"));
+                .with_drop_expired(has("--drop-expired"));
             if let Some(p) = get("--policy") {
                 site = site.with_policy(parse_policy(p)?);
             }
@@ -693,7 +689,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 site,
                 gantt: has("--gantt"),
                 classes: has("--classes"),
-                audit,
                 journal: get("--journal").map(PathBuf::from),
                 trace_out,
                 provenance,
@@ -1068,12 +1063,11 @@ fn start_profiling(wanted: bool) -> bool {
 /// Writes the captured event stream as JSON Lines, if requested.
 fn write_trace_out(
     path: Option<&std::path::Path>,
-    tracer: mbts_trace::Tracer,
+    events: &[mbts_trace::TraceEvent],
     out: &mut dyn std::io::Write,
 ) -> Result<(), String> {
     let Some(path) = path else { return Ok(()) };
-    let events = tracer.into_events().unwrap_or_default();
-    std::fs::write(path, mbts_trace::to_jsonl(&events))
+    std::fs::write(path, mbts_trace::to_jsonl(events))
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     writeln!(out, "trace: {} events -> {}", events.len(), path.display()).map_err(|e| e.to_string())
 }
@@ -1287,7 +1281,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             site,
             gantt,
             classes,
-            audit,
             journal,
             trace_out,
             provenance,
@@ -1305,7 +1298,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
                 Some(set) => site.with_workflow_facets(set.facets()),
                 None => site,
             };
-            let tracer = make_tracer(trace_out.is_some(), provenance);
+            // The Gantt chart is drawn from the trace, so it captures one.
+            let tracer = make_tracer(trace_out.is_some() || gantt, provenance);
             let profiling = start_profiling(profile.is_some());
             let (outcome, wf_report, tracer) = match (journal, &wfset) {
                 (Some(path), _) => {
@@ -1329,7 +1323,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
                     (outcome, None, tracer)
                 }
             };
-            write_trace_out(trace_out.as_deref(), tracer, out)?;
+            let events = tracer.into_events().unwrap_or_default();
+            write_trace_out(trace_out.as_deref(), &events, out)?;
             write_profile_out(profiling, profile.as_deref(), None, out)?;
             let m = &outcome.metrics;
             writeln!(
@@ -1394,19 +1389,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
                 }
             }
             if gantt {
-                writeln!(out, "{}", render_gantt(&outcome.segments, 100))
+                writeln!(out, "{}", render_gantt(&segments(&events), 100))
                     .map_err(|e| e.to_string())?;
-            }
-            if let Some(path) = audit {
-                std::fs::write(&path, mbts_site::audit::to_jsonl(&outcome.audit))
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                writeln!(
-                    out,
-                    "audit log: {} events -> {}",
-                    outcome.audit.len(),
-                    path.display()
-                )
-                .map_err(|e| e.to_string())?;
             }
             Ok(())
         }
@@ -1445,7 +1429,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
                 }
                 None => Economy::new(economy).run_trace_traced(&trace, tracer),
             };
-            write_trace_out(trace_out.as_deref(), tracer, out)?;
+            let events = tracer.into_events().unwrap_or_default();
+            write_trace_out(trace_out.as_deref(), &events, out)?;
             write_profile_out(profiling, profile.as_deref(), None, out)?;
             market_summary(&outcome, out)
         }
@@ -2426,6 +2411,12 @@ mod tests {
         let err = parse(&args("serve --no-telemetry")).unwrap_err();
         assert!(
             err.contains("unknown flag '--no-telemetry' for 'mbts serve'"),
+            "{err}"
+        );
+        // The audit log is the trace stream: `--trace-out` writes it.
+        let err = parse(&args("run --trace t.json --audit a.jsonl")).unwrap_err();
+        assert!(
+            err.contains("unknown flag '--audit' for 'mbts run'"),
             "{err}"
         );
         assert!(parse(&args("market --workflow w.json --journal j.bin")).is_ok());

@@ -122,7 +122,7 @@ fn a_service_journal_missing_whole_records_is_rejected() {
     use mbts::durable::framing;
     let fixture = std::fs::read(concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/serde/service_journal.mbtsj"
+        "/tests/golden/serde/pre26/service_journal.mbtsj"
     ))
     .expect("service journal fixture");
     // Records are [snap, ev, ev, snap, ev, ev, snap, ev]: drop the first

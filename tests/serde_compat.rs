@@ -16,12 +16,18 @@
 //! UPDATE_GOLDEN=1 cargo test --test serde_compat
 //! ```
 //!
-//! The last test is the reader's leniency, one row per rule.
+//! The site's snapshot format changed once since, by dropping keys only
+//! (its audit log, recorded segments and elastic-capacity fields), which
+//! rewrote the seven snapshot and journal fixtures that carry a site. The
+//! value-tree bytes of those seven are kept under
+//! `tests/golden/serde/pre26/`, and two tests read them back. The last
+//! test is the reader's leniency, one row per rule.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use mbts::core::{AdmissionPolicy, Policy};
+use mbts::durable::framing::{self, RecordTag};
 use mbts::durable::Journal;
 use mbts::market::{
     BudgetConfig, EconomyConfig, EconomyRun, EconomySnapshot, MarketFaultConfig, MigrationConfig,
@@ -314,6 +320,62 @@ fn pretty_printed_report() {
     let events = tracer.into_events().expect("buffer tracer keeps events");
     let report: TraceReport = analyze("golden", &events, &AnalyzeOptions::default());
     check("trace_report.pretty.json", &report);
+}
+
+/// Fixtures written before the site dropped its second history (the
+/// audit log and recorded segments) and its elastic-capacity fields. They
+/// differ from today's only by those keys, plus the two site-config
+/// switches that turned the recorders on.
+fn pre_history_fixture(name: &str) -> Vec<u8> {
+    let path = fixture_dir().join("pre26").join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()))
+}
+
+/// An old snapshot restores (the reader skips the dropped keys) and
+/// re-serialises to exactly today's fixture.
+fn reread<T: Serialize + Deserialize>(name: &str) {
+    let old = String::from_utf8(pre_history_fixture(name)).expect("utf-8 fixture");
+    let typed: T = serde_json::from_str(&old).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let new = std::fs::read_to_string(fixture_dir().join(name)).expect("current fixture");
+    assert!(
+        render(&typed, false) == new,
+        "{name}: old text → typed → text is not today's fixture"
+    );
+}
+
+#[test]
+fn snapshots_with_the_dropped_history_keys_still_restore() {
+    reread::<SiteSnapshot>("site_snapshot.json");
+    reread::<SiteRunSnapshot>("site_run_snapshot_metrics.json");
+    reread::<SiteRunSnapshot>("site_run_snapshot_workflows.json");
+    reread::<EconomySnapshot>("economy_snapshot.json");
+    reread::<ServiceSnapshot>("service_snapshot.json");
+    reread::<ServiceSnapshot>("service_snapshot_drained.json");
+}
+
+/// An old service journal recovers to the same machine as today's, and
+/// differs from it record for record only in its snapshot payloads, each
+/// of which re-serialises to today's.
+#[test]
+fn a_journal_with_the_dropped_history_keys_still_recovers() {
+    let old = pre_history_fixture("service_journal.mbtsj");
+    let new = std::fs::read(fixture_dir().join("service_journal.mbtsj")).expect("fixture");
+    let (old_machine, old_report) = ServiceRun::recover(&old).expect("old journal recovers");
+    let (new_machine, new_report) = ServiceRun::recover(&new).expect("new journal recovers");
+    assert_eq!(old_report.replayed, new_report.replayed);
+    assert_eq!(old_machine.snapshot_json(), new_machine.snapshot_json());
+    let (old, new) = (framing::scan(&old).unwrap(), framing::scan(&new).unwrap());
+    assert_eq!(old.records.len(), new.records.len());
+    for ((old_tag, old_payload), (new_tag, new_payload)) in old.records.iter().zip(&new.records) {
+        assert_eq!(old_tag, new_tag);
+        if *old_tag == RecordTag::Snapshot {
+            let text = std::str::from_utf8(old_payload).expect("utf-8 snapshot");
+            let snap: ServiceSnapshot = serde_json::from_str(text).expect("old snapshot parses");
+            assert!(render(&snap, false).as_bytes() == *new_payload);
+        } else {
+            assert!(old_payload == new_payload, "event records are unchanged");
+        }
+    }
 }
 
 #[derive(Debug, PartialEq, Serialize, Deserialize)]

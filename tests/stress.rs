@@ -8,10 +8,11 @@
 
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::market::{
-    BudgetConfig, ClientSelection, ContractTerms, Economy, EconomyConfig, MigrationConfig,
-    PricingStrategy, RetryConfig,
+    BudgetConfig, ClientSelection, ContractTerms, Economy, EconomyConfig, EconomyOutcome,
+    EconomyRun, MigrationConfig, PricingStrategy, RetryConfig,
 };
 use mbts::site::{PreemptionMode, SiteConfig};
+use mbts::trace::{TraceEvent, TraceKind, Tracer, TracerSnapshot};
 use mbts::workload::{generate_trace, MixConfig, Trace, WidthPolicy};
 
 fn everything_trace() -> Trace {
@@ -40,8 +41,7 @@ fn everything_economy() -> EconomyConfig {
             .with_policy(Policy::first_reward(0.25, 0.01))
             .with_admission(AdmissionPolicy::SlackThreshold { threshold: 50.0 })
             .with_preemption(true)
-            .with_preemption_mode(PreemptionMode::CheckpointRestore { overhead: 2.0 })
-            .with_audit(true),
+            .with_preemption_mode(PreemptionMode::CheckpointRestore { overhead: 2.0 }),
     );
     cfg.sites.push(
         SiteConfig::new(4)
@@ -70,6 +70,21 @@ fn everything_economy() -> EconomyConfig {
         max_retries: 2,
     });
     cfg
+}
+
+/// The kitchen-sink run with site 0's trace stream captured. An economy
+/// traces its market layer only, so a buffer tracer is installed on site
+/// 0 through the run's first snapshot and read back from its last.
+fn traced_site_zero(trace: &Trace) -> (EconomyOutcome, Vec<TraceEvent>) {
+    let mut snap = EconomyRun::new(everything_economy(), trace, Tracer::Off).snapshot();
+    snap.sites[0].tracer = TracerSnapshot::Buffer { events: Vec::new() };
+    snap.sites[0].trace_site = Some(0);
+    let mut run = EconomyRun::from_snapshot(snap);
+    run.run_to_completion();
+    let TracerSnapshot::Buffer { events } = run.snapshot().sites[0].tracer.clone() else {
+        panic!("site 0 keeps a buffer tracer");
+    };
+    (run.finish().0, events)
 }
 
 #[test]
@@ -112,10 +127,19 @@ fn kitchen_sink_economy_stays_consistent() {
     let spent: f64 = out.client_spend.iter().sum();
     assert!((spent - out.total_paid).abs() < 1e-6 * (1.0 + out.total_paid.abs()));
 
-    // The audited site's trail is time-ordered and complete.
-    let audit = &out.per_site[0].audit;
-    assert!(!audit.is_empty());
-    assert!(audit.windows(2).all(|w| w[0].at <= w[1].at));
+    // Site 0's trail is its trace stream: time-ordered, stamped with its
+    // index, one completion per completed task, and observational only.
+    let (traced, trail) = traced_site_zero(&trace);
+    assert!(!trail.is_empty());
+    assert!(trail.windows(2).all(|w| w[0].at <= w[1].at));
+    assert!(trail.iter().all(|e| e.site == Some(0)));
+    let completions = trail
+        .iter()
+        .filter(|e| matches!(e.kind, TraceKind::Completed { .. }))
+        .count();
+    assert_eq!(completions, out.per_site[0].metrics.completed);
+    assert_eq!(traced.per_site, out.per_site);
+    assert_eq!(out.total_paid.to_bits(), traced.total_paid.to_bits());
 
     // Determinism: the whole kitchen sink replays identically.
     let again = Economy::new(everything_economy()).run_trace(&trace);
