@@ -163,7 +163,7 @@ pub fn corrupt_image(image: &mut [u8], registry: &ChaosRegistry) -> Option<usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{recover_bytes, Journal, ShortWrite};
+    use crate::journal::{Journal, JournalSource, ShortWrite};
     use mbts_chaos::FailpointSpec;
 
     fn registry(specs: Vec<FailpointSpec>) -> Arc<ChaosRegistry> {
@@ -200,9 +200,9 @@ mod tests {
         let mut bytes = vec![];
         crate::framing::write_header(&mut bytes);
         bytes.extend_from_slice(&image.snapshot());
-        let r = recover_bytes(&bytes).expect("disk prefix recovers");
+        let r = bytes.recovered().expect("disk prefix recovers");
         assert_eq!(r.snapshot, b"s0");
-        assert_eq!(r.events, vec![b"e0".as_slice()]);
+        assert_eq!(r.events().collect::<Vec<_>>(), vec![b"e0".as_slice()]);
     }
 
     #[test]
@@ -241,8 +241,8 @@ mod tests {
         let mut bytes = vec![];
         crate::framing::write_header(&mut bytes);
         bytes.extend_from_slice(&image.snapshot());
-        let r = recover_bytes(&bytes).expect("torn tail truncates");
-        assert_eq!(r.events, vec![b"e0".as_slice()]);
+        let r = bytes.recovered().expect("torn tail truncates");
+        assert_eq!(r.events().collect::<Vec<_>>(), vec![b"e0".as_slice()]);
         assert_eq!(r.dropped_bytes, torn);
     }
 
@@ -276,9 +276,9 @@ mod tests {
         assert_ne!(image, clean);
         // The CRC scan truncates at (or before) the flipped record —
         // never a panic, and whatever survives is an intact prefix.
-        let r = recover_bytes(&image);
+        let r = image.recovered();
         if let Ok(r) = r {
-            assert!(r.events.len() <= 2);
+            assert!(r.events().len() <= 2);
         }
 
         // Same seed + schedule → the same bit flips.

@@ -10,10 +10,15 @@
 //! `tag` distinguishes snapshots (full replay state) from events (one
 //! applied sim event); `crc` is CRC-32 (IEEE) over `tag`, `len` and the
 //! payload, so corruption anywhere in a record — including a bit flip in
-//! the length field itself — fails the check. [`scan`] walks the record
-//! stream and stops at the first record that does not check out, which
-//! turns any torn or corrupted tail into a clean *valid prefix* instead
-//! of a panic: exactly the property recovery needs after a crash mid-write.
+//! the length field itself — fails the check. [`scan`] walks a byte slice
+//! and `RecordReader` a reader, one record at a time; both stop at the
+//! first record that does not check out, which turns any torn or
+//! corrupted tail into a clean *valid prefix* instead of a panic: exactly
+//! the property recovery needs after a crash mid-write. What "checks out"
+//! means is written once, in `check_record`, and both call it.
+
+use std::convert::Infallible;
+use std::io::{self, Read};
 
 /// Journal file magic: identifies the format before any parsing.
 pub const MAGIC: [u8; 8] = *b"MBTSJRNL";
@@ -174,6 +179,57 @@ impl std::fmt::Display for FramingError {
 
 impl std::error::Error for FramingError {}
 
+impl From<FramingError> for io::Error {
+    fn from(e: FramingError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
+
+impl FramingError {
+    /// Extracts the typed framing error from an [`io::Error`], if that is
+    /// what it carries.
+    pub(crate) fn from_io(err: &io::Error) -> Option<&FramingError> {
+        err.get_ref().and_then(|e| e.downcast_ref::<FramingError>())
+    }
+}
+
+/// Checks the journal header: the magic, then the version.
+fn check_header(header: &[u8]) -> Result<(), FramingError> {
+    if header.len() < HEADER_LEN || header[..8] != MAGIC {
+        return Err(FramingError::NotAJournal);
+    }
+    let version = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
+    if version != VERSION {
+        return Err(FramingError::UnsupportedVersion(version));
+    }
+    Ok(())
+}
+
+/// The one rule for whether a record is intact: its tag is known, its
+/// length fits in the `remaining` bytes after its header, and its CRC
+/// over tag, length and payload matches. `payload` is asked for the
+/// record's bytes only once their length is known to fit, so a damaged
+/// length field never reads, or allocates, past the end of the journal.
+/// `Ok(None)` is a record that does not check out; an error is one from
+/// `payload` itself.
+fn check_record<'p, E>(
+    header: &[u8; RECORD_OVERHEAD],
+    remaining: usize,
+    payload: impl FnOnce(usize) -> Result<&'p [u8], E>,
+) -> Result<Option<(RecordTag, &'p [u8])>, E> {
+    let Some(tag) = RecordTag::from_byte(header[0]) else {
+        return Ok(None);
+    };
+    let len_bytes = [header[1], header[2], header[3], header[4]];
+    let crc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
+    let len = u32::from_le_bytes(len_bytes) as usize;
+    if len > remaining {
+        return Ok(None);
+    }
+    let payload = payload(len)?;
+    Ok((record_crc(header[0], len_bytes, payload) == crc).then_some((tag, payload)))
+}
+
 /// The valid prefix of a journal byte stream.
 #[derive(Debug)]
 pub struct ScanOutcome<'a> {
@@ -189,54 +245,99 @@ pub struct ScanOutcome<'a> {
 /// truncated, has an unknown tag, or fails its CRC. Never panics on any
 /// input; the only hard errors are a missing/foreign header.
 pub fn scan(bytes: &[u8]) -> Result<ScanOutcome<'_>, FramingError> {
-    if bytes.len() < HEADER_LEN || bytes[..8] != MAGIC {
-        return Err(FramingError::NotAJournal);
-    }
-    let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if version != VERSION {
-        return Err(FramingError::UnsupportedVersion(version));
-    }
+    check_header(bytes)?;
     let mut pos = HEADER_LEN;
     let mut records = Vec::new();
-    while let Some(header_end) = pos.checked_add(RECORD_OVERHEAD) {
-        if header_end > bytes.len() {
-            break;
-        }
-        let tag_byte = bytes[pos];
-        let Some(tag) = RecordTag::from_byte(tag_byte) else {
+    while let Some((header, rest)) = bytes[pos..].split_first_chunk::<RECORD_OVERHEAD>() {
+        let record = check_record(header, rest.len(), |len| Ok::<_, Infallible>(&rest[..len]));
+        let Ok(Some((tag, payload))) = record else {
             break;
         };
-        let len_bytes = [
-            bytes[pos + 1],
-            bytes[pos + 2],
-            bytes[pos + 3],
-            bytes[pos + 4],
-        ];
-        let crc = u32::from_le_bytes([
-            bytes[pos + 5],
-            bytes[pos + 6],
-            bytes[pos + 7],
-            bytes[pos + 8],
-        ]);
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        let Some(end) = header_end.checked_add(len) else {
-            break;
-        };
-        if end > bytes.len() {
-            break;
-        }
-        let payload = &bytes[header_end..end];
-        if record_crc(tag_byte, len_bytes, payload) != crc {
-            break;
-        }
         records.push((tag, payload));
-        pos = end;
+        pos += RECORD_OVERHEAD + payload.len();
     }
     Ok(ScanOutcome {
         records,
         valid_len: pos,
         dropped_bytes: bytes.len() - pos,
     })
+}
+
+/// Reads a journal one record at a time through any reader, checking each
+/// record by the same rule as [`scan`]. It holds no record itself: each
+/// payload is read into a buffer the caller lends, so what a pass over a
+/// journal keeps is the caller's choice, not the journal's length.
+pub(crate) struct RecordReader<R> {
+    reader: R,
+    /// Bytes the journal holds, as the caller stated them.
+    len: usize,
+    /// Header plus the records that checked out so far.
+    valid_len: usize,
+}
+
+impl<R: Read> RecordReader<R> {
+    /// Reads and checks the header of a journal `len` bytes long. A
+    /// missing or foreign header is an [`io::ErrorKind::InvalidData`]
+    /// error carrying the [`FramingError`] (see [`FramingError::from_io`]).
+    pub(crate) fn new(mut reader: R, len: usize) -> io::Result<Self> {
+        let mut header = [0; HEADER_LEN];
+        if len < HEADER_LEN {
+            return Err(FramingError::NotAJournal.into());
+        }
+        reader.read_exact(&mut header)?;
+        check_header(&header)?;
+        Ok(RecordReader {
+            reader,
+            len,
+            valid_len: HEADER_LEN,
+        })
+    }
+
+    /// Reads the next record into `buf`, replacing what it held, and
+    /// returns its tag; `None` (with `buf` emptied) where the valid prefix
+    /// ends, which ends the pass. The length field is checked against the
+    /// bytes left before `buf` grows, so a damaged length costs no memory.
+    /// An error is the reader's own.
+    pub(crate) fn next_into(&mut self, buf: &mut Vec<u8>) -> io::Result<Option<RecordTag>> {
+        buf.clear();
+        let remaining = self.len - self.valid_len;
+        if remaining < RECORD_OVERHEAD {
+            return Ok(None);
+        }
+        let mut header = [0; RECORD_OVERHEAD];
+        self.reader.read_exact(&mut header)?;
+        let reader = &mut self.reader;
+        let record = check_record(&header, remaining - RECORD_OVERHEAD, |len| {
+            // Exactly: grown by doubling, a snapshot-sized buffer could
+            // hold nearly twice its snapshot.
+            buf.reserve_exact(len);
+            buf.resize(len, 0);
+            reader.read_exact(buf)?;
+            Ok::<_, io::Error>(&buf[..])
+        })?;
+        match record {
+            Some((tag, payload)) => {
+                self.valid_len += RECORD_OVERHEAD + payload.len();
+                Ok(Some(tag))
+            }
+            None => {
+                buf.clear();
+                Ok(None)
+            }
+        }
+    }
+
+    /// Byte length of the valid prefix read so far (header + intact
+    /// records).
+    pub(crate) fn valid_len(&self) -> usize {
+        self.valid_len
+    }
+
+    /// Bytes after the valid prefix: the torn or corrupt tail, once
+    /// [`next_into`](Self::next_into) has returned `None`.
+    pub(crate) fn dropped_bytes(&self) -> usize {
+        self.len - self.valid_len
+    }
 }
 
 #[cfg(test)]
@@ -397,5 +498,55 @@ mod tests {
         let scan = scan(&buf).unwrap();
         assert!(scan.records.is_empty());
         assert_eq!(scan.valid_len, HEADER_LEN);
+
+        // The reader refuses the length before its buffer grows for it.
+        let mut reader = RecordReader::new(&buf[..], buf.len()).unwrap();
+        let mut record = Vec::new();
+        assert_eq!(reader.next_into(&mut record).unwrap(), None);
+        assert_eq!(record.capacity(), 0);
+        assert_eq!(reader.valid_len(), HEADER_LEN);
+        assert_eq!(reader.dropped_bytes(), buf.len() - HEADER_LEN);
+    }
+
+    /// Records, valid length and dropped bytes.
+    type Outcome = (Vec<(RecordTag, Vec<u8>)>, usize, usize);
+
+    /// Everything `RecordReader` makes of `bytes`, in `scan`'s terms.
+    fn read_all(bytes: &[u8]) -> Result<Outcome, FramingError> {
+        let mut reader = match RecordReader::new(bytes, bytes.len()) {
+            Ok(reader) => reader,
+            Err(e) => return Err(FramingError::from_io(&e).expect("a framing error").clone()),
+        };
+        let mut records = Vec::new();
+        let mut record = Vec::new();
+        while let Some(tag) = reader.next_into(&mut record).unwrap() {
+            records.push((tag, record.clone()));
+        }
+        Ok((records, reader.valid_len(), reader.dropped_bytes()))
+    }
+
+    #[test]
+    fn the_reader_and_the_scan_agree_on_every_cut_and_bit_flip() {
+        let buf = journal_of(&[
+            (RecordTag::Snapshot, b"state"),
+            (RecordTag::Event, b"ev"),
+            (RecordTag::Event, b""),
+            (RecordTag::Snapshot, b"state 2"),
+        ]);
+        let agree = |bytes: &[u8]| {
+            let by_scan = scan(bytes).map(|s| {
+                let records = s.records.iter().map(|(t, p)| (*t, p.to_vec())).collect();
+                (records, s.valid_len, s.dropped_bytes)
+            });
+            assert_eq!(read_all(bytes), by_scan);
+        };
+        for cut in 0..=buf.len() {
+            agree(&buf[..cut]);
+        }
+        for bit in 0..buf.len() * 8 {
+            let mut bad = buf.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            agree(&bad);
+        }
     }
 }

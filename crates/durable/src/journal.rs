@@ -1,6 +1,6 @@
 //! The journal: an append-only record stream, in a file or in memory,
-//! plus the recovery scan that turns raw bytes back into "latest snapshot
-//! + event suffix".
+//! plus the recovery pass that turns it back into "latest snapshot +
+//! event suffix".
 //!
 //! A journal's bytes live in one place. One with a path
 //! ([`Journal::create`], [`Journal::reopen`]) *is* its file: each record is
@@ -11,10 +11,16 @@
 //! [`Journal::discarding`] is for a run that asked for no durability: it
 //! frames and counts each record like the others and keeps none of them.
 //!
+//! Reading is the same rule: recovery streams a file one record at a time
+//! through a fixed-size buffer and keeps only the newest intact snapshot
+//! and the events after it ([`JournalSource`]), never the file. [`load`]
+//! returns a handle on the file, not its bytes; [`Journal::reopen`] and
+//! [`DurableRun::resume`](crate::DurableRun::resume) stream it too.
+//!
 //! Appends are write-ahead: the caller journals an event *before*
 //! applying it, and file-backed journals flush every record, so after a
 //! crash the journal is never behind the in-memory state — at worst it
-//! is one torn record ahead, which [`recover_bytes`] discards.
+//! is one torn record ahead, which recovery discards.
 //!
 //! Flushing hands records to the OS; it does not force them to stable
 //! storage. Callers that need a bounded fsync lag opt in with
@@ -22,10 +28,12 @@
 //! every `n` appends and surfaces the error if the device refuses —
 //! a failed sync is a lost-durability signal, never swallowed.
 
-use crate::framing::{self, FramingError, RecordTag, ScanOutcome};
+use crate::framing::{self, FramingError, RecordReader, RecordTag};
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 
 /// Destination of the file-backed half of a [`Journal`]: a writer that
@@ -118,6 +126,9 @@ const SCRATCH_KEEP: usize = 64 * 1024;
 /// same sizes in every run.
 const SCRATCH_START: usize = 4 * 1024;
 
+/// The buffer a file is streamed through when it is read back.
+const READ_BUF: usize = 64 * 1024;
+
 /// An append-only snapshot + event journal. See the module docs for where
 /// its bytes live.
 pub struct Journal {
@@ -206,23 +217,25 @@ impl Journal {
         Ok(Journal::on_file(file, path, header.len()))
     }
 
-    /// Reopens an existing journal file for appending: scans it, truncates
-    /// any torn tail off the file, and positions the write cursor at the
-    /// end of the valid record prefix. Returns the journal plus the number
-    /// of torn bytes discarded. The image read for the scan is dropped.
+    /// Reopens an existing journal file for appending: streams it to find
+    /// where the intact records end, truncates any torn tail off the file,
+    /// and positions the write cursor there. Returns the journal plus the
+    /// number of torn bytes discarded. The pass holds one record at a
+    /// time, never the file.
     ///
     /// This is how a restarted service picks its write-ahead log back
-    /// up after `kill -9`: recover state from [`Journal::bytes`], then
-    /// keep appending to the same file.
+    /// up after `kill -9`: [`DurableRun::resume`](crate::DurableRun::resume)
+    /// recovers the state, then keeps appending to the same file.
     pub fn reopen(path: impl AsRef<Path>) -> io::Result<(Self, usize)> {
         let path = path.as_ref().to_path_buf();
+        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         let (valid_len, dropped_bytes) = {
-            let image = load(&path)?;
-            let scan = framing::scan(&image)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            (scan.valid_len, scan.dropped_bytes)
+            let len = file_len(&file)?;
+            let mut records = RecordReader::new(BufReader::with_capacity(READ_BUF, &file), len)?;
+            let mut record = Vec::new();
+            while records.next_into(&mut record)?.is_some() {}
+            (records.valid_len(), records.dropped_bytes())
         };
-        let mut file = OpenOptions::new().write(true).open(&path)?;
         file.set_len(valid_len as u64)?;
         file.seek(SeekFrom::End(0))?;
         Ok((Journal::on_file(file, path, valid_len), dropped_bytes))
@@ -308,7 +321,7 @@ impl Journal {
     /// If the file behind a file-backed journal cannot be read back.
     pub fn bytes(&self) -> Cow<'_, [u8]> {
         match &self.path {
-            Some(path) => Cow::Owned(load(path).unwrap_or_else(|e| {
+            Some(path) => Cow::Owned(std::fs::read(path).unwrap_or_else(|e| {
                 panic!("journal file {} cannot be read back: {e}", path.display())
             })),
             None if self.keep => Cow::Borrowed(&self.buf),
@@ -357,6 +370,13 @@ pub enum RecoverError {
         /// Human-readable mismatch description.
         detail: String,
     },
+    /// The journal file could not be read.
+    Io {
+        /// What the operating system reported.
+        kind: io::ErrorKind,
+        /// The error's message.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for RecoverError {
@@ -374,6 +394,7 @@ impl std::fmt::Display for RecoverError {
             RecoverError::Divergence { index, detail } => {
                 write!(f, "journal event {index} diverges from replay: {detail}")
             }
+            RecoverError::Io { detail, .. } => write!(f, "cannot read the journal: {detail}"),
         }
     }
 }
@@ -386,53 +407,199 @@ impl From<FramingError> for RecoverError {
     }
 }
 
-/// The recoverable content of a journal byte stream: the latest intact
-/// snapshot and every intact event journaled after it.
-#[derive(Debug)]
-pub struct Recovered<'a> {
+/// A bad header read through a reader stays the typed [`Framing`]
+/// error it is; anything else is the reader's [`Io`] error.
+///
+/// [`Framing`]: RecoverError::Framing
+/// [`Io`]: RecoverError::Io
+impl From<io::Error> for RecoverError {
+    fn from(e: io::Error) -> Self {
+        match FramingError::from_io(&e) {
+            Some(framing) => RecoverError::Framing(framing.clone()),
+            None => RecoverError::Io {
+                kind: e.kind(),
+                detail: e.to_string(),
+            },
+        }
+    }
+}
+
+/// The recoverable content of a journal: the latest intact snapshot and
+/// every intact event journaled after it, copied out of the stream.
+#[derive(Debug, Default)]
+pub struct Recovered {
     /// Payload of the latest intact snapshot record.
-    pub snapshot: &'a [u8],
-    /// Event payloads following that snapshot, in journal order.
-    pub events: Vec<&'a [u8]>,
+    pub snapshot: Vec<u8>,
+    /// The event payloads after it, end to end.
+    events: Vec<u8>,
+    /// Where each event payload ends in `events`.
+    event_ends: Vec<usize>,
     /// Event records before the chosen snapshot (already folded into it).
     pub events_superseded: usize,
     /// Torn/corrupt trailing bytes that were discarded.
     pub dropped_bytes: usize,
 }
 
-/// Scans `bytes` and resolves the latest intact snapshot plus its event
-/// suffix. Corruption in the tail only shrinks the suffix; corruption
-/// *before* the latest snapshot is irrelevant by construction (the scan
-/// stops there, so such a snapshot is never chosen).
-pub fn recover_bytes(bytes: &[u8]) -> Result<Recovered<'_>, RecoverError> {
-    let ScanOutcome {
-        records,
-        dropped_bytes,
-        ..
-    } = framing::scan(bytes)?;
-    let last_snap = records
-        .iter()
-        .rposition(|(tag, _)| *tag == RecordTag::Snapshot)
-        .ok_or(RecoverError::NoSnapshot)?;
-    let events: Vec<&[u8]> = records[last_snap + 1..]
-        .iter()
-        .map(|(_, payload)| *payload)
-        .collect();
-    let events_superseded = records[..last_snap]
-        .iter()
-        .filter(|(tag, _)| *tag == RecordTag::Event)
-        .count();
-    Ok(Recovered {
-        snapshot: records[last_snap].1,
-        events,
-        events_superseded,
-        dropped_bytes,
-    })
+impl Recovered {
+    /// Event payloads following the snapshot, in journal order.
+    pub fn events(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        (0..self.event_ends.len()).map(|i| {
+            let start = if i == 0 { 0 } else { self.event_ends[i - 1] };
+            &self.events[start..self.event_ends[i]]
+        })
+    }
 }
 
-/// Reads a journal file fully into memory.
-pub fn load(path: impl AsRef<Path>) -> io::Result<Vec<u8>> {
-    std::fs::read(path)
+/// Reads the `len`-byte journal `reader` yields one record at a time and
+/// keeps the latest intact snapshot plus its event suffix: besides those
+/// it holds the record being read, and nothing of the records before.
+/// Corruption in the tail only shrinks the suffix; corruption *before*
+/// the latest snapshot is irrelevant by construction (the pass stops
+/// there, so such a snapshot is never chosen).
+fn recover_stream(reader: impl Read, len: usize) -> Result<Recovered, RecoverError> {
+    let mut records = RecordReader::new(reader, len)?;
+    let mut recovered = Recovered::default();
+    let mut found = false;
+    // The record being read. A snapshot is read here while the last intact
+    // one is still held, since the new one may not check out.
+    let mut record = Vec::new();
+    while let Some(tag) = records.next_into(&mut record)? {
+        match tag {
+            RecordTag::Event => {
+                recovered.events.extend_from_slice(&record);
+                recovered.event_ends.push(recovered.events.len());
+            }
+            RecordTag::Snapshot => {
+                std::mem::swap(&mut recovered.snapshot, &mut record);
+                recovered.events_superseded += recovered.event_ends.len();
+                recovered.events.clear();
+                recovered.event_ends.clear();
+                found = true;
+            }
+        }
+    }
+    if !found {
+        return Err(RecoverError::NoSnapshot);
+    }
+    // What the suffix before the last snapshot grew to is not kept.
+    recovered.events.shrink_to_fit();
+    recovered.event_ends.shrink_to_fit();
+    recovered.dropped_bytes = records.dropped_bytes();
+    Ok(recovered)
+}
+
+/// A journal recovery can read: bytes in memory — anything
+/// `AsRef<[u8]>`, such as a `Vec`, a slice of one or [`Journal::bytes`] —
+/// or a file opened with [`load`], which is streamed and never read into
+/// memory whole.
+pub trait JournalSource {
+    /// Reads the journal one record at a time and keeps the latest intact
+    /// snapshot and the events after it.
+    fn recovered(&self) -> Result<Recovered, RecoverError>;
+}
+
+impl<T: AsRef<[u8]> + ?Sized> JournalSource for T {
+    fn recovered(&self) -> Result<Recovered, RecoverError> {
+        let bytes = self.as_ref();
+        recover_stream(bytes, bytes.len())
+    }
+}
+
+impl JournalSource for JournalImage {
+    fn recovered(&self) -> Result<Recovered, RecoverError> {
+        let mut file = &self.file;
+        file.seek(SeekFrom::Start(0))?;
+        recover_stream(BufReader::with_capacity(READ_BUF, file), self.len)
+    }
+}
+
+/// A journal file opened for reading by [`load`], which takes its length
+/// and reads nothing. Recovering from it ([`JournalSource`]) streams the
+/// file through a fixed-size buffer. Dereferencing it as `[u8]` reads the
+/// file's first [`len`](Self::len) bytes into memory on first use and
+/// keeps them: that view is for harnesses that slice the image, and costs
+/// the journal's length in memory for as long as the handle lives.
+///
+/// # Panics
+///
+/// Dereferencing panics if the file cannot be read back.
+pub struct JournalImage {
+    file: File,
+    path: PathBuf,
+    len: usize,
+    bytes: OnceCell<Vec<u8>>,
+}
+
+impl JournalImage {
+    /// The file's length when it was opened; reads nothing.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` for an empty file; reads nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn read_all(&self) -> io::Result<Vec<u8>> {
+        let mut file = &self.file;
+        file.seek(SeekFrom::Start(0))?;
+        let mut bytes = vec![0; self.len];
+        file.read_exact(&mut bytes)?;
+        Ok(bytes)
+    }
+}
+
+impl Deref for JournalImage {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.bytes.get_or_init(|| {
+            self.read_all().unwrap_or_else(|e| {
+                panic!(
+                    "journal file {} cannot be read back: {e}",
+                    self.path.display()
+                )
+            })
+        })
+    }
+}
+
+impl std::fmt::Debug for JournalImage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JournalImage")
+            .field("path", &self.path)
+            .field("len", &self.len)
+            .field("read", &self.bytes.get().is_some())
+            .finish()
+    }
+}
+
+/// A journal file's length, which must fit in memory addresses like every
+/// other length in this crate.
+fn file_len(file: &File) -> io::Result<usize> {
+    usize::try_from(file.metadata()?.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "journal file exceeds usize"))
+}
+
+/// Opens the journal file at `path` and takes its length, reading none of
+/// it: recovery streams the returned handle one record at a time
+/// ([`JournalSource`]).
+///
+/// # Panics
+///
+/// Never here; dereferencing the returned [`JournalImage`] (the whole-image
+/// view harnesses slice) panics if the file cannot be read back.
+pub fn load(path: impl AsRef<Path>) -> io::Result<JournalImage> {
+    let path = path.as_ref().to_path_buf();
+    let file = File::open(&path)?;
+    let len = file_len(&file)?;
+    Ok(JournalImage {
+        file,
+        path,
+        len,
+        bytes: OnceCell::new(),
+    })
 }
 
 #[cfg(test)]
@@ -450,9 +617,9 @@ mod tests {
         j.append_snapshot(b"s1").unwrap();
         j.append_event(b"e2").unwrap();
         let bytes = j.bytes();
-        let r = recover_bytes(&bytes).unwrap();
+        let r = bytes.recovered().unwrap();
         assert_eq!(r.snapshot, b"s1");
-        assert_eq!(r.events, vec![b"e2".as_slice()]);
+        assert_eq!(r.events().collect::<Vec<_>>(), vec![b"e2".as_slice()]);
         assert_eq!(r.events_superseded, 2);
         assert_eq!(r.dropped_bytes, 0);
     }
@@ -467,24 +634,18 @@ mod tests {
         // Cut mid-way through the s1 record: recovery must land on s0.
         let cut = keep + 3;
         let bytes = j.bytes();
-        let r = recover_bytes(&bytes[..cut]).unwrap();
+        let r = bytes[..cut].recovered().unwrap();
         assert_eq!(r.snapshot, b"s0");
-        assert_eq!(r.events, vec![b"e0".as_slice()]);
+        assert_eq!(r.events().collect::<Vec<_>>(), vec![b"e0".as_slice()]);
         assert_eq!(r.dropped_bytes, cut - keep);
     }
 
     #[test]
     fn no_snapshot_is_an_error_not_a_panic() {
         let mut j = Journal::in_memory();
-        assert_eq!(
-            recover_bytes(&j.bytes()).unwrap_err(),
-            RecoverError::NoSnapshot
-        );
+        assert_eq!(j.bytes().recovered().unwrap_err(), RecoverError::NoSnapshot);
         j.append_event(b"orphan event").unwrap();
-        assert_eq!(
-            recover_bytes(&j.bytes()).unwrap_err(),
-            RecoverError::NoSnapshot
-        );
+        assert_eq!(j.bytes().recovered().unwrap_err(), RecoverError::NoSnapshot);
     }
 
     fn test_path(name: &str) -> PathBuf {
@@ -507,7 +668,7 @@ mod tests {
             j.append_snapshot(&big).unwrap();
             j.append_event(b"after the scratch was released").unwrap();
         }
-        assert_eq!(load(&path).unwrap(), *in_memory.bytes());
+        assert_eq!(*load(&path).unwrap(), *in_memory.bytes());
         assert_eq!(on_file.len(), in_memory.len());
         std::fs::remove_file(&path).ok();
     }
@@ -527,7 +688,7 @@ mod tests {
         assert!(gone.bytes().is_empty());
         assert_eq!(gone.buf.capacity(), SCRATCH_START);
         assert_eq!(
-            recover_bytes(&gone.bytes()).unwrap_err(),
+            gone.bytes().recovered().unwrap_err(),
             RecoverError::Framing(FramingError::NotAJournal),
             "nothing to recover from is a typed error"
         );
@@ -572,12 +733,12 @@ mod tests {
             assert_eq!(j.len(), file_len());
             assert!(!j.is_empty());
         }
-        assert_eq!(*j.bytes(), load(&path).unwrap());
+        assert_eq!(*j.bytes(), *load(&path).unwrap());
         drop(j);
 
         // A torn tail: `reopen` counts the valid prefix, not the file it found.
         let intact = file_len();
-        let mut torn = load(&path).unwrap();
+        let mut torn = load(&path).unwrap().to_vec();
         torn.extend_from_slice(&[2, 9, 0, 0]);
         std::fs::write(&path, &torn).unwrap();
         let (mut j, dropped) = Journal::reopen(&path).unwrap();
@@ -586,7 +747,7 @@ mod tests {
         assert_eq!(j.len(), file_len());
         j.append_event(b"e3").unwrap();
         assert_eq!(j.len(), file_len());
-        assert_eq!(*j.bytes(), load(&path).unwrap());
+        assert_eq!(*j.bytes(), *load(&path).unwrap());
         std::fs::remove_file(&path).ok();
     }
 
@@ -609,10 +770,12 @@ mod tests {
         assert_eq!(dropped, 5);
         assert_eq!(j.len(), intact);
         j.append_event(b"e1").unwrap();
-        let on_disk = load(&path).unwrap();
-        let r = recover_bytes(&on_disk).unwrap();
+        let r = load(&path).unwrap().recovered().unwrap();
         assert_eq!(r.snapshot, b"s0");
-        assert_eq!(r.events, vec![b"e0".as_slice(), b"e1".as_slice()]);
+        assert_eq!(
+            r.events().collect::<Vec<_>>(),
+            vec![b"e0".as_slice(), b"e1".as_slice()]
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -805,7 +968,7 @@ mod tests {
             let mut replay = TrickleSink::new(chunks, Some(budget));
             let _ = write_full(&mut replay, &memory_stream[framing::HEADER_LEN..]);
             disk.extend_from_slice(&replay.accepted);
-            match recover_bytes(&disk) {
+            match disk.recovered() {
                 Ok(r) => {
                     // The valid prefix is a true prefix of the memory
                     // stream: dropped bytes are exactly the torn tail.
@@ -832,6 +995,6 @@ mod tests {
         // The in-memory stream got the record before the sink refused;
         // a scan of it still recovers cleanly (write-ahead order means
         // the caller treats the append as failed and halts anyway).
-        assert!(recover_bytes(&j.bytes()).is_ok());
+        assert!(j.bytes().recovered().is_ok());
     }
 }

@@ -14,7 +14,9 @@
 //!   record is `tag | len | crc32 | payload`). A scan stops at the first
 //!   damaged record, so any torn tail degrades to a clean valid prefix.
 //! * [`journal`] — the append-only record stream (a flushed file, or
-//!   in memory for harnesses) and the byte-level recovery scan.
+//!   in memory for harnesses) and the recovery pass, which streams a
+//!   file one record at a time and keeps only the latest snapshot and
+//!   the events after it.
 //! * [`run`] — the [`Recoverable`] fold (`due`, `apply`, `snapshot`,
 //!   `restore`; implemented here by [`SiteRun`](mbts_site::SiteRun) and
 //!   [`EconomyRun`](mbts_market::EconomyRun), and by `ServiceMachine` in
@@ -73,5 +75,7 @@ pub mod run;
 
 pub use chaos::{corrupt_image, ChaosSink, SharedImage};
 pub use framing::{FramingError, RecordTag, ScanOutcome};
-pub use journal::{load, recover_bytes, Journal, JournalSink, RecoverError, Recovered, ShortWrite};
+pub use journal::{
+    load, Journal, JournalImage, JournalSink, JournalSource, RecoverError, Recovered, ShortWrite,
+};
 pub use run::{DurableRun, Recoverable, RecoveryReport};

@@ -11,7 +11,7 @@
 //! run, or one with whole records cut out, is a typed
 //! [`RecoverError::Divergence`] before any state drifts.
 
-use crate::journal::{self, Journal, RecoverError};
+use crate::journal::{self, Journal, JournalSource, RecoverError, Recovered};
 use mbts_market::{EcoEvent, EconomyRun, EconomySnapshot};
 use mbts_sim::profiler::{self, Section};
 use mbts_sim::Time;
@@ -162,14 +162,17 @@ impl<M: Recoverable> DurableRun<M> {
 
     /// Recovers the run `journal` holds and keeps appending to it: no
     /// genesis snapshot, and the cadence counts on from the replayed
-    /// suffix, as if the process had never stopped.
+    /// suffix, as if the process had never stopped. A file-backed journal
+    /// whose file can no longer be read is [`RecoverError::Io`].
     pub fn resume(
         journal: Journal,
         snapshot_every: u64,
     ) -> Result<(Self, RecoveryReport), RecoverError> {
-        // The image is read back for this one replay and dropped with it:
-        // from here on a file-backed journal is the only copy.
-        let (run, report) = Self::recover(&journal.bytes())?;
+        // A file-backed journal's file is its only copy.
+        let (run, report) = match journal.path() {
+            Some(path) => Self::recover(&journal::load(path)?)?,
+            None => Self::recover(&journal.bytes())?,
+        };
         let durable = DurableRun {
             run,
             journal,
@@ -260,15 +263,25 @@ impl<M: Recoverable> DurableRun<M> {
         (self.run, self.journal)
     }
 
-    /// Recovers a run from journal bytes: latest intact snapshot plus
-    /// checked replay of the input suffix. Any torn or corrupt tail is
-    /// discarded, never panicked on; the report says how much.
-    pub fn recover(bytes: &[u8]) -> Result<(M, RecoveryReport), RecoverError> {
-        let recovered = journal::recover_bytes(bytes)?;
-        let snapshot: M::Snapshot = serde_json::from_slice(recovered.snapshot)
+    /// Recovers a run from a journal — bytes in memory, or a file opened
+    /// with [`load`](crate::load), which is streamed: latest intact
+    /// snapshot plus checked replay of the input suffix. Any torn or
+    /// corrupt tail is discarded, never panicked on; the report says how
+    /// much.
+    pub fn recover(
+        source: &(impl JournalSource + ?Sized),
+    ) -> Result<(M, RecoveryReport), RecoverError> {
+        Self::recover_from(&source.recovered()?)
+    }
+
+    /// Restores the run from what one pass over its journal kept: the
+    /// snapshot, then checked replay of the suffix. A caller that does not
+    /// know which kind of run wrote a journal reads it once and tries each.
+    pub fn recover_from(recovered: &Recovered) -> Result<(M, RecoveryReport), RecoverError> {
+        let snapshot: M::Snapshot = serde_json::from_slice(&recovered.snapshot)
             .map_err(|e| RecoverError::BadSnapshot(e.to_string()))?;
         let mut run = M::restore(snapshot).map_err(RecoverError::BadSnapshot)?;
-        for (index, payload) in recovered.events.iter().enumerate() {
+        for (index, payload) in recovered.events().enumerate() {
             let input: M::Input =
                 serde_json::from_slice(payload).map_err(|e| RecoverError::BadEvent {
                     index,
@@ -280,7 +293,7 @@ impl<M: Recoverable> DurableRun<M> {
         Ok((
             run,
             RecoveryReport {
-                replayed: recovered.events.len() as u64,
+                replayed: recovered.events().len() as u64,
                 events_superseded: recovered.events_superseded,
                 dropped_bytes: recovered.dropped_bytes,
             },

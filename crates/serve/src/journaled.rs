@@ -19,7 +19,7 @@
 use std::io;
 use std::path::Path;
 
-use mbts_durable::{DurableRun, Journal, RecoverError, Recoverable, RecoveryReport};
+use mbts_durable::{DurableRun, Journal, JournalSource, RecoverError, Recoverable, RecoveryReport};
 use mbts_sim::profiler::Section;
 use mbts_sim::Time;
 
@@ -97,15 +97,21 @@ impl ServiceRun {
         Ok(ServiceRun { durable })
     }
 
-    /// Replays a journal byte image into a fresh machine. Pure — no file
-    /// handles involved; [`resume_file`](Self::resume_file) resumes on disk.
-    pub fn recover(bytes: &[u8]) -> Result<(ServiceMachine, RecoveryReport), RecoverError> {
-        DurableRun::recover(bytes)
+    /// Replays a journal — bytes in memory, or a file opened with
+    /// [`mbts_durable::load`], which is streamed — into a fresh machine.
+    /// Nothing is written; [`resume_file`](Self::resume_file) resumes on
+    /// disk.
+    pub fn recover(
+        source: &(impl JournalSource + ?Sized),
+    ) -> Result<(ServiceMachine, RecoveryReport), RecoverError> {
+        DurableRun::recover(source)
     }
 
     /// Resumes (or starts) a run on a journal file: truncates any torn
     /// tail, replays the surviving prefix, and keeps appending to the same
-    /// file. An empty or missing file starts a fresh run.
+    /// file. An empty or missing file starts a fresh run. The file is
+    /// streamed, never read whole: what recovery holds is the latest
+    /// snapshot and the commands after it.
     pub fn resume_file(
         path: impl AsRef<Path>,
         config: MachineConfig,
@@ -326,6 +332,32 @@ mod tests {
         let (after, rec) = ServiceRun::resume_file(&path, config(), 0, 0).unwrap();
         assert_eq!(rec.replayed, 5);
         assert!(after.machine().draining());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resuming_a_journal_whose_file_is_gone_is_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("mbts-serve-gone-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("service.journal");
+        let mut run = ServiceRun::new(config(), Journal::create(&path).unwrap(), 0).unwrap();
+        drive(&mut run);
+        drop(run);
+
+        let (journal, dropped) = Journal::reopen(&path).unwrap();
+        assert_eq!(dropped, 0);
+        std::fs::remove_file(&path).unwrap();
+        let err = DurableRun::<ServiceMachine>::resume(journal, 0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RecoverError::Io {
+                    kind: io::ErrorKind::NotFound,
+                    ..
+                }
+            ),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -66,7 +66,7 @@
 //! `slack:<threshold>`.
 
 use mbts_core::{AdmissionPolicy, Policy};
-use mbts_durable::{DurableRun, Recoverable, RecoveryReport};
+use mbts_durable::{DurableRun, JournalSource, RecoverError, Recoverable, RecoveryReport};
 use mbts_market::{ClientSelection, Economy, EconomyConfig, EconomyRun, PricingStrategy};
 use mbts_serve::ServiceMachine;
 use mbts_site::{class_breakdown, render_gantt, segments, Site, SiteConfig, SiteRun};
@@ -1005,18 +1005,26 @@ enum RecoveredJournal {
 }
 
 /// Recovers a journal as a site run, an economy run or a service machine
-/// — the snapshot schema tells them apart. A journal none of the three
-/// recovers is a rejected input file.
-fn recover_journal(bytes: &[u8], path: &std::path::Path) -> Result<RecoveredJournal, ExecError> {
-    let site = match DurableRun::<SiteRun>::recover(bytes) {
+/// — the snapshot schema tells them apart. The journal is read once, and
+/// each schema is tried on the one snapshot and suffix that pass kept. A
+/// journal none of the three recovers is a rejected input file.
+fn recover_journal(
+    source: &(impl JournalSource + ?Sized),
+    path: &std::path::Path,
+) -> Result<RecoveredJournal, ExecError> {
+    let recovered = source.recovered().map_err(|e| match e {
+        RecoverError::Io { .. } => ExecError::Failed(format!("{}: {e}", path.display())),
+        e => ExecError::BadInput(format!("cannot recover journal {}: {e}", path.display())),
+    })?;
+    let site = match DurableRun::<SiteRun>::recover_from(&recovered) {
         Ok((run, report)) => return Ok(RecoveredJournal::Site(run, report)),
         Err(e) => e,
     };
-    let economy = match DurableRun::<EconomyRun>::recover(bytes) {
+    let economy = match DurableRun::<EconomyRun>::recover_from(&recovered) {
         Ok((run, report)) => return Ok(RecoveredJournal::Economy(run, report)),
         Err(e) => e,
     };
-    match DurableRun::<ServiceMachine>::recover(bytes) {
+    match DurableRun::<ServiceMachine>::recover_from(&recovered) {
         Ok((machine, report)) => Ok(RecoveredJournal::Service(machine, report)),
         Err(service) => Err(ExecError::BadInput(format!(
             "cannot recover journal {}: as site run: {site}; as economy run: {economy}; \
@@ -1525,9 +1533,9 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             Ok(())
         }
         Command::Resume { journal } => {
-            let bytes = mbts_durable::load(&journal)
+            let image = mbts_durable::load(&journal)
                 .map_err(|e| format!("cannot read {}: {e}", journal.display()))?;
-            match recover_journal(&bytes, &journal)? {
+            match recover_journal(&image, &journal)? {
                 RecoveredJournal::Site(mut run, report) => {
                     resume_banner("site", run.events_handled(), &report, out)?;
                     run.run_to_completion();

@@ -5,9 +5,12 @@
 //! bit-identical to the uninterrupted run — conservation auditors clean.
 
 use mbts::core::Policy;
-use mbts::durable::{framing, recover_bytes, DurableRun, Journal, RecoverError};
+use mbts::durable::{
+    framing, load, DurableRun, Journal, JournalSource, RecordTag, RecoverError, Recoverable,
+    RecoveryReport,
+};
 use mbts::market::{EconomyConfig, EconomyRun, MarketFaultConfig};
-use mbts::serve::{CommandKind, MachineConfig, ServiceRun, ShedReason};
+use mbts::serve::{CommandKind, MachineConfig, ServiceMachine, ServiceRun, ShedReason};
 use mbts::sim::Time;
 use mbts::sim::{FaultConfig, UpDown};
 use mbts::site::{FaultPlan, LostWorkPolicy, SiteConfig, SiteOutcome, SiteRun};
@@ -52,7 +55,7 @@ fn reference() -> &'static (Vec<u8>, SiteOutcome, u64) {
 fn check_damaged(bytes: &[u8]) -> Result<(), String> {
     // The framing scan itself must never panic on any input.
     let _ = framing::scan(bytes);
-    let _ = recover_bytes(bytes);
+    let _ = bytes.recovered();
     match DurableRun::<SiteRun>::recover(bytes) {
         Ok((mut run, report)) => {
             let (_, want, total) = reference();
@@ -80,6 +83,9 @@ fn check_damaged(bytes: &[u8]) -> Result<(), String> {
             return Err(format!(
                 "suffix damage must not masquerade as divergence (event {index}: {detail})"
             ));
+        }
+        Err(e @ RecoverError::Io { .. }) => {
+            return Err(format!("bytes in memory cannot fail to read: {e}"));
         }
     }
     Ok(())
@@ -239,7 +245,7 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
         let _ = framing::scan(&bytes);
-        let _ = recover_bytes(&bytes);
+        let _ = bytes.recovered();
         let _ = DurableRun::<SiteRun>::recover(&bytes);
         let _ = DurableRun::<EconomyRun>::recover(&bytes);
         let _ = ServiceRun::recover(&bytes);
@@ -370,4 +376,119 @@ fn concurrent_writer_torn_tail_recovers_a_clean_prefix() {
     }
     assert!(prev <= COMMANDS + 1);
     std::fs::remove_file(&path).ok();
+}
+
+/// A small site journal and a small service journal, three or more
+/// snapshots each, for the exhaustive streamed-against-in-memory sweeps.
+fn small_site_journal() -> Vec<u8> {
+    let trace = generate_trace(&fig67_mix(1.6).with_tasks(2).with_processors(2), 5);
+    let config = SiteConfig::new(2).with_policy(Policy::first_reward(0.3, 0.01));
+    let run = SiteRun::new(config, &trace, Tracer::Off);
+    let mut durable = DurableRun::new(run, Journal::in_memory(), 2).unwrap();
+    durable.run_to_completion().unwrap();
+    durable.journal().bytes().to_vec()
+}
+
+fn small_service_journal() -> Vec<u8> {
+    let config = MachineConfig {
+        site: SiteConfig::new(2),
+        provenance: false,
+        status_capacity: 4,
+    };
+    let mut run = ServiceRun::new(config, Journal::in_memory(), 2).unwrap();
+    for i in 0..4u64 {
+        let at = i as f64;
+        let spec = TaskSpec::new(0, at, 2.0, 6.0, 0.05, PenaltyBound::ZERO);
+        run.apply(Time::new(at), CommandKind::Submit { spec })
+            .unwrap();
+    }
+    run.journal().bytes().to_vec()
+}
+
+/// What a recovery came to, in the terms the two paths must agree on: the
+/// recovered state's snapshot JSON and the report, or which error.
+type Verdict = Result<(String, RecoveryReport), std::mem::Discriminant<RecoverError>>;
+
+fn verdict<M: Recoverable>(recovery: Result<(M, RecoveryReport), RecoverError>) -> Verdict {
+    recovery
+        .map(|(run, report)| (serde_json::to_string(&run.snapshot()).unwrap(), report))
+        .map_err(|e| std::mem::discriminant(&e))
+}
+
+/// Every byte cut and every single-bit flip of `bytes`, made to a file:
+/// recovering the file through [`load`] streams it, and must come to what
+/// recovering the same bytes in memory does.
+fn streamed_recovery_matches_in_memory<M: Recoverable>(name: &str, bytes: &[u8]) {
+    use std::io::{Seek, SeekFrom, Write};
+    let snapshots = framing::scan(bytes)
+        .unwrap()
+        .records
+        .iter()
+        .filter(|(tag, _)| *tag == RecordTag::Snapshot)
+        .count();
+    assert!(snapshots >= 3, "{name}: {snapshots} snapshots");
+    let dir = std::env::temp_dir().join(format!("mbts-streamed-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("journal.mbtsj");
+    let mut file = std::fs::File::create(&path).unwrap();
+    let check = |image: &[u8], what: &str, at: usize| {
+        let streamed = verdict(DurableRun::<M>::recover(&load(&path).unwrap()));
+        let in_memory = verdict(DurableRun::<M>::recover(image));
+        assert_eq!(streamed, in_memory, "{name}: {what} {at}");
+    };
+    // The file is edited in place, the same way as the bytes beside it.
+    file.write_all(bytes).unwrap();
+    for cut in (0..=bytes.len()).rev() {
+        file.set_len(cut as u64).unwrap();
+        check(&bytes[..cut], "cut at", cut);
+    }
+    file.rewind().unwrap();
+    file.write_all(bytes).unwrap();
+    let mut flipped = bytes.to_vec();
+    let mut put = |flipped: &[u8], at: usize| {
+        file.seek(SeekFrom::Start(at as u64)).unwrap();
+        file.write_all(&flipped[at..at + 1]).unwrap();
+    };
+    for bit in 0..bytes.len() * 8 {
+        let at = bit / 8;
+        flipped[at] ^= 1 << (bit % 8);
+        put(&flipped, at);
+        check(&flipped, "bit flipped", bit);
+        flipped[at] ^= 1 << (bit % 8);
+        put(&flipped, at);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_streamed_site_journal_recovers_as_its_bytes_do() {
+    streamed_recovery_matches_in_memory::<SiteRun>("site", &small_site_journal());
+}
+
+#[test]
+fn a_streamed_service_journal_recovers_as_its_bytes_do() {
+    streamed_recovery_matches_in_memory::<ServiceMachine>("service", &small_service_journal());
+}
+
+/// A length field of `u32::MAX` in a 100-byte file is a torn record, read
+/// as one on both paths, and never a 4 GiB buffer.
+#[test]
+fn an_oversized_length_in_a_small_file_is_a_torn_record() {
+    let mut bytes = Vec::new();
+    framing::write_header(&mut bytes);
+    bytes.push(1); // Snapshot tag
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+    bytes.resize(100, 0);
+    let dir = std::env::temp_dir().join(format!("mbts-oversized-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("oversized.mbtsj");
+    std::fs::write(&path, &bytes).unwrap();
+    let image = load(&path).unwrap();
+    assert_eq!(image.recovered().unwrap_err(), RecoverError::NoSnapshot);
+    assert_eq!(bytes.recovered().unwrap_err(), RecoverError::NoSnapshot);
+    assert_eq!(
+        verdict(ServiceRun::recover(&image)),
+        verdict(ServiceRun::recover(&bytes))
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

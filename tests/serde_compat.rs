@@ -364,6 +364,24 @@ fn a_journal_with_the_dropped_history_keys_still_recovers() {
     let (new_machine, new_report) = ServiceRun::recover(&new).expect("new journal recovers");
     assert_eq!(old_report.replayed, new_report.replayed);
     assert_eq!(old_machine.snapshot_json(), new_machine.snapshot_json());
+    // Streamed from their files, both recover as their bytes do.
+    for (file, machine, report) in [
+        (
+            fixture_dir().join("pre26/service_journal.mbtsj"),
+            &old_machine,
+            old_report,
+        ),
+        (
+            fixture_dir().join("service_journal.mbtsj"),
+            &new_machine,
+            new_report,
+        ),
+    ] {
+        let image = mbts::durable::load(&file).expect("fixture");
+        let (streamed, streamed_report) = ServiceRun::recover(&image).expect("fixture streams");
+        assert_eq!(streamed_report, report, "{}", file.display());
+        assert_eq!(streamed.snapshot_json(), machine.snapshot_json());
+    }
     let (old, new) = (framing::scan(&old).unwrap(), framing::scan(&new).unwrap());
     assert_eq!(old.records.len(), new.records.len());
     for ((old_tag, old_payload), (new_tag, new_payload)) in old.records.iter().zip(&new.records) {

@@ -1,6 +1,7 @@
 //! The daemon's heap, measured: resident memory is the typed state plus
 //! one record being written, and tracks neither the bytes journalled so
-//! far nor the size of the JSON read or written.
+//! far nor the size of the JSON read or written; recovery streams the
+//! journal and holds its newest snapshot, not the file.
 //!
 //! This is a test binary of its own because it installs a counting global
 //! allocator, and it holds one test so that nothing else allocates while
@@ -118,6 +119,16 @@ fn last_snapshot_len(image: &[u8]) -> usize {
     payload.len()
 }
 
+/// A recovery's peak heap is the newest snapshot's text and the typed
+/// state parsed from it — at most three times the snapshot — and well
+/// under the journal it reads.
+fn assert_recovery_is_bounded(what: &str, peak: usize, payload: usize, file_len: usize) {
+    assert!(
+        peak <= payload * 3 && peak * 3 <= file_len * 2,
+        "{what} peaked {peak} B for a {payload} B snapshot in a {file_len} B journal"
+    );
+}
+
 #[test]
 fn resident_memory_does_not_track_journal_bytes_or_json_size() {
     let dir = std::env::temp_dir().join(format!("mbts-serve-memory-{}", std::process::id()));
@@ -175,26 +186,40 @@ fn resident_memory_does_not_track_journal_bytes_or_json_size() {
     );
     drop(run);
 
-    // ---- recovery from an image: the typed state, not a parse tree ------
-    let image = mbts::durable::load(&path).expect("journal file");
-    assert_eq!(last_snapshot_len(&image), payload);
+    // ---- recovery streams the file: the newest snapshot, not the log ----
+    // Three periodic snapshots and the final one: a pass holds the newest
+    // intact snapshot, the one it is reading and the commands between.
+    let (image, loaded) = peak_above_entry(|| mbts::durable::load(&path).expect("journal file"));
+    assert!(loaded < 4096, "load allocated {loaded} B");
+    assert_eq!(image.len(), file_len());
     let ((machine, recovery), peak) =
         peak_above_entry(|| ServiceRun::recover(&image).expect("the journal recovers"));
     assert_eq!(recovery.replayed, 0);
     assert_eq!(machine.applied(), SUBMITS);
-    assert!(
-        peak <= payload * 2,
-        "recover peaked {peak} B above the image for a {payload} B snapshot"
-    );
+    assert_recovery_is_bounded("recover", peak, payload, file_len());
     drop(machine);
+    // The whole-image view, read only now, holds the same newest snapshot.
+    assert_eq!(last_snapshot_len(&image), payload);
+    let snapshots = framing::scan(&image)
+        .expect("a journal")
+        .records
+        .iter()
+        .filter(|(tag, _)| *tag == RecordTag::Snapshot)
+        .count();
+    assert_eq!(
+        snapshots, 5,
+        "genesis, three periodic and the final snapshot"
+    );
     drop(image);
 
     // ---- a restart: the image it recovers from is not kept ---------------
     let before = live();
-    let (resumed, recovery) =
-        ServiceRun::resume_file(&path, config(), SNAPSHOT_EVERY, 0).expect("resume");
+    let ((resumed, recovery), peak) = peak_above_entry(|| {
+        ServiceRun::resume_file(&path, config(), SNAPSHOT_EVERY, 0).expect("resume")
+    });
     assert_eq!(recovery.replayed, 0);
     assert_eq!(resumed.machine().applied(), SUBMITS);
+    assert_recovery_is_bounded("resume_file", peak, payload, file_len());
     let held = live() - before;
     assert!(
         held < file_len(),

@@ -190,10 +190,11 @@ fn request_stop_drains_like_sigterm() {
     server.request_stop();
     let report = server.join().expect("drain");
     assert!(report.clean_drain);
+    assert_eq!(report.summary.requests, 1);
     assert_eq!(report.summary.accepted + report.summary.rejected, 1);
-
-    // Post-drain, new connections are refused (listener is gone).
-    assert!(TcpStream::connect(&addr).is_err());
+    // The submit and the drain marker, and nothing after the drain.
+    assert_eq!(report.applied, 2);
+    assert_eq!(report.violations, 0);
 }
 
 /// Spawns the real `mbts` binary and returns (child, parsed address).
