@@ -1004,7 +1004,8 @@ mod tests {
             .with_bound(BoundPolicy::ProportionalPenalty { fraction: 0.5 });
         let jobs: Vec<Job> = generate_trace(&mix, 97)
             .tasks
-            .into_iter()
+            .iter()
+            .copied()
             .map(Job::new)
             .collect();
         for policy in [

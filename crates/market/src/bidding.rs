@@ -22,6 +22,7 @@ use mbts_workload::Trace;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Capped exponential backoff with seeded jitter for tasks re-entering
 /// negotiation (orphan re-bids after a site outage).
@@ -198,7 +199,7 @@ pub fn run_shading_experiment(
 
     // Build the declared trace: shaders scale their value functions.
     let mut declared = trace.clone();
-    for spec in &mut declared.tasks {
+    for spec in Arc::make_mut(&mut declared.tasks).iter_mut() {
         if spec.id.0 % shade_modulus == 0 {
             spec.value *= factor;
             spec.decay *= factor;
@@ -210,7 +211,7 @@ pub fn run_shading_experiment(
     let mut truthful = Accounts::default();
     let mut shaders = Accounts::default();
     // Walk the original trace; match contracts by task id.
-    for spec in &trace.tasks {
+    for spec in trace.tasks.iter() {
         let acc = if spec.id.0 % shade_modulus == 0 {
             &mut shaders
         } else {

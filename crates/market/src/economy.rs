@@ -33,6 +33,7 @@ use mbts_trace::{
 };
 use mbts_workload::{TaskId, TaskSpec, Trace, WorkflowFacets, WorkflowSet};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Index of a site within an economy.
 pub type SiteId = usize;
@@ -383,7 +384,7 @@ impl EconomyRun {
                 .iter()
                 .map(|c| SiteState::new(c.clone()))
                 .collect(),
-            trace: trace.tasks.clone(),
+            trace: Arc::clone(&trace.tasks),
             selection: config.selection,
             pricing: config.pricing,
             budgets: config.budgets,
@@ -478,7 +479,7 @@ impl EconomyRun {
         let m = self.engine.model();
         EconomySnapshot {
             sites: m.sites.iter().map(|s| s.snapshot()).collect(),
-            trace: m.trace.clone(),
+            trace: Arc::clone(&m.trace),
             selection: m.selection,
             pricing: m.pricing,
             budgets: m.budgets,
@@ -635,8 +636,9 @@ impl EconomyRun {
 pub struct EconomySnapshot {
     /// Per-site replay state.
     pub sites: Vec<SiteSnapshot>,
-    /// The full submission stream (arrivals index into it).
-    pub trace: Vec<TaskSpec>,
+    /// The full submission stream (arrivals index into it): the run's
+    /// shared tasks, not a copy.
+    pub trace: Arc<[TaskSpec]>,
     /// Client selection rule.
     pub selection: ClientSelection,
     /// Settlement pricing strategy.
@@ -819,7 +821,8 @@ impl DenseLedger {
 
 struct EcoModel {
     sites: Vec<SiteState>,
-    trace: Vec<TaskSpec>,
+    /// The caller's tasks, shared, not copied.
+    trace: Arc<[TaskSpec]>,
     selection: ClientSelection,
     pricing: PricingStrategy,
     budgets: Option<BudgetConfig>,
@@ -1714,7 +1717,7 @@ mod tests {
         for i in (1..arrivals.len()).rev() {
             arrivals.swap(i, (splitmix64(&mut state) % (i as u64 + 1)) as usize);
         }
-        for (task, at) in trace.tasks.iter_mut().zip(arrivals) {
+        for (task, at) in Arc::make_mut(&mut trace.tasks).iter_mut().zip(arrivals) {
             task.arrival = at;
         }
         let out = Economy::new(EconomyConfig::uniform(2, site(4))).run_trace(&trace);
@@ -1730,7 +1733,7 @@ mod tests {
     #[should_panic(expected = "task ids must equal trace positions")]
     fn sparse_task_ids_are_rejected_before_any_ledger_is_sized() {
         let mut trace = small_trace(10, 1.0, 1);
-        trace.tasks[9].id = TaskId(1_000_000_000_000);
+        Arc::make_mut(&mut trace.tasks)[9].id = TaskId(1_000_000_000_000);
         let _ = EconomyRun::new(EconomyConfig::uniform(1, site(4)), &trace, Tracer::Off);
     }
 

@@ -59,6 +59,7 @@ use mbts_sim::{
 use mbts_trace::{TraceKind, Tracer};
 use mbts_workload::{TaskId, TaskSpec, Trace, WorkflowSet};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A single-site simulator: replays a trace and reports metrics.
 pub struct Site {
@@ -247,7 +248,8 @@ pub enum SimEvent {
 
 struct TraceModel {
     state: SiteState,
-    trace: Vec<mbts_workload::TaskSpec>,
+    /// The caller's tasks, shared, not copied.
+    trace: Arc<[TaskSpec]>,
     /// Arrivals not yet delivered — lets fault handling detect the end
     /// of the workload and stop scheduling crashes once the site is
     /// quiescent (otherwise an injector would tick forever). In workflow
@@ -398,7 +400,7 @@ impl SiteRun {
     /// A fault-free replay of `trace`, ready to step. All arrivals are
     /// queued; the first [`step`](Self::step) handles the earliest one.
     pub fn new(config: SiteConfig, trace: &Trace, tracer: Tracer) -> Self {
-        Self::start(config, trace.tasks.clone(), None, None, tracer)
+        Self::start(config, Arc::clone(&trace.tasks), None, None, tracer)
     }
 
     /// A workflow replay: only root tasks are queued as arrivals; every
@@ -421,7 +423,7 @@ impl SiteRun {
         tracer: Tracer,
     ) -> Self {
         let runtime = WorkflowRuntime::new(set.clone());
-        Self::start(config, set.trace().tasks, Some(runtime), plan, tracer)
+        Self::start(config, Arc::clone(&set.tasks), Some(runtime), plan, tracer)
     }
 
     /// A fault-injected replay (see [`Site::run_trace_with_faults`]).
@@ -433,7 +435,7 @@ impl SiteRun {
         plan: &FaultPlan,
         tracer: Tracer,
     ) -> Self {
-        Self::start(config, trace.tasks.clone(), None, Some(plan), tracer)
+        Self::start(config, Arc::clone(&trace.tasks), None, Some(plan), tracer)
     }
 
     /// The one constructor: arrivals go in as a feed (roots only in
@@ -441,7 +443,7 @@ impl SiteRun {
     /// so a unit's timeline is independent of event interleaving.
     fn start(
         config: SiteConfig,
-        tasks: Vec<TaskSpec>,
+        tasks: Arc<[TaskSpec]>,
         workflows: Option<WorkflowRuntime>,
         plan: Option<&FaultPlan>,
         tracer: Tracer,
@@ -539,7 +541,7 @@ impl SiteRun {
         let model = self.engine.model();
         SiteRunSnapshot {
             site: model.state.snapshot(),
-            trace: model.trace.clone(),
+            trace: Arc::clone(&model.trace),
             arrivals_left: model.arrivals_left,
             injector: model.injector.as_ref().map(|i| i.state()),
             crash_budget: model.crash_budget,
@@ -590,8 +592,9 @@ impl SiteRun {
 pub struct SiteRunSnapshot {
     /// The site.
     pub site: SiteSnapshot,
-    /// The workload (arrival events index into it).
-    pub trace: Vec<TaskSpec>,
+    /// The workload (arrival events index into it): the run's shared
+    /// tasks, not a copy.
+    pub trace: Arc<[TaskSpec]>,
     /// Arrivals not yet delivered.
     pub arrivals_left: usize,
     /// Fault-injector RNG streams, if faults are active.

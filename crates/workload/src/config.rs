@@ -192,6 +192,9 @@ impl MixConfig {
 
     /// Sets the arrival process.
     pub fn with_arrival(mut self, a: ArrivalProcess) -> Self {
+        if let ArrivalProcess::NormalBatch { batch_size, .. } = a {
+            assert!(batch_size > 0, "batch size must be positive");
+        }
         self.arrival = a;
         self
     }
@@ -382,6 +385,15 @@ mod tests {
     #[should_panic(expected = "skew ratio must be >= 1")]
     fn sub_unit_skew_rejected() {
         let _ = MixConfig::millennium_default().with_value_skew(0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch size must be positive")]
+    fn empty_batches_rejected() {
+        let _ = MixConfig::millennium_default().with_arrival(ArrivalProcess::NormalBatch {
+            batch_size: 0,
+            cv: 0.0,
+        });
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::config::{ArrivalProcess, BoundPolicy, MixConfig, WidthPolicy};
 use crate::task::{PenaltyBound, TaskSpec};
 use crate::trace::Trace;
 use mbts_sim::{Dist, Duration, RngFactory, Time};
+use std::sync::Arc;
 
 /// Generates a trace from `config`, deterministically in `seed`.
 pub fn generate_trace(config: &MixConfig, seed: u64) -> Trace {
@@ -27,20 +28,34 @@ pub fn generate_trace(config: &MixConfig, seed: u64) -> Trace {
     let gap_dist = arrival_gap_dist(config);
     let error_dist = Dist::normal_min(0.0, config.runtime_error, -0.9);
 
-    let mut tasks = Vec::with_capacity(config.num_tasks);
-    let mut clock = Time::ZERO;
     let batch_size = match config.arrival {
         ArrivalProcess::Exponential | ArrivalProcess::Diurnal { .. } => 1,
         ArrivalProcess::NormalBatch { batch_size, .. } => batch_size,
     };
+    assert!(
+        batch_size > 0,
+        "NormalBatch batch_size must be positive: a zero-task arrival event never releases a task"
+    );
 
-    while tasks.len() < config.num_tasks {
-        // One arrival event releases `batch_size` tasks at `clock`.
-        for _ in 0..batch_size {
-            if tasks.len() == config.num_tasks {
-                break;
+    // Collecting an exact-size range writes the shared slice in place, with
+    // no `Vec` to copy from.
+    let mut clock = Time::ZERO;
+    let tasks = (0..config.num_tasks)
+        .map(|i| {
+            // One arrival event releases `batch_size` tasks at `clock`; the
+            // next event's gap is drawn when its first task is.
+            if i > 0 && i % batch_size == 0 {
+                clock += match config.arrival {
+                    ArrivalProcess::Diurnal { period, amplitude } => diurnal_gap(
+                        clock,
+                        config.arrival_rate(),
+                        period,
+                        amplitude,
+                        &mut arrivals_rng,
+                    ),
+                    _ => Duration::new(gap_dist.sample(&mut arrivals_rng).max(0.0)),
+                };
             }
-            let id = tasks.len() as u64;
             let runtime = config.runtime.sample(&mut runtime_rng).max(1e-6);
             let unit_value = unit_value_dist.sample(&mut value_rng).max(0.0);
             let value = unit_value * runtime;
@@ -53,25 +68,15 @@ pub fn generate_trace(config: &MixConfig, seed: u64) -> Trace {
                 },
             };
             let width = sample_width(&config.width, config.processors, &mut width_rng);
-            let mut spec =
-                TaskSpec::new(id, clock.as_f64(), runtime, value, decay, bound).with_width(width);
+            let mut spec = TaskSpec::new(i as u64, clock.as_f64(), runtime, value, decay, bound)
+                .with_width(width);
             if config.runtime_error > 0.0 {
                 let eps = error_dist.sample(&mut error_rng);
                 spec.true_runtime = Duration::new((runtime * (1.0 + eps)).max(1e-6));
             }
-            tasks.push(spec);
-        }
-        clock += match config.arrival {
-            ArrivalProcess::Diurnal { period, amplitude } => diurnal_gap(
-                clock,
-                config.arrival_rate(),
-                period,
-                amplitude,
-                &mut arrivals_rng,
-            ),
-            _ => Duration::new(gap_dist.sample(&mut arrivals_rng).max(0.0)),
-        };
-    }
+            spec
+        })
+        .collect::<Arc<[TaskSpec]>>();
 
     Trace::new(config.clone(), seed, tasks)
 }
@@ -198,7 +203,7 @@ mod tests {
     fn value_skew_changes_values_but_not_arrivals_or_runtimes() {
         let a = generate_trace(&small().with_value_skew(1.0), 5);
         let b = generate_trace(&small().with_value_skew(9.0), 5);
-        for (x, y) in a.tasks.iter().zip(&b.tasks) {
+        for (x, y) in a.tasks.iter().zip(b.tasks.iter()) {
             assert_eq!(x.arrival, y.arrival);
             assert_eq!(x.runtime, y.runtime);
             assert_eq!(x.decay, y.decay);
@@ -206,7 +211,7 @@ mod tests {
         assert!(a
             .tasks
             .iter()
-            .zip(&b.tasks)
+            .zip(b.tasks.iter())
             .any(|(x, y)| x.value != y.value));
     }
 
@@ -214,7 +219,7 @@ mod tests {
     fn load_factor_changes_arrivals_only() {
         let a = generate_trace(&small().with_load_factor(0.5), 5);
         let b = generate_trace(&small().with_load_factor(2.0), 5);
-        for (x, y) in a.tasks.iter().zip(&b.tasks) {
+        for (x, y) in a.tasks.iter().zip(b.tasks.iter()) {
             assert_eq!(x.runtime, y.runtime);
             assert_eq!(x.value, y.value);
             assert_eq!(x.decay, y.decay);
@@ -241,6 +246,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "NormalBatch batch_size must be positive")]
+    fn empty_batches_are_refused_not_looped_on() {
+        // A config read from a file skips the builder's check; generating
+        // from it must stop at once instead of spinning on empty batches.
+        let cfg = MixConfig {
+            arrival: ArrivalProcess::NormalBatch {
+                batch_size: 0,
+                cv: 0.2,
+            },
+            ..small()
+        };
+        let _ = generate_trace(&cfg, 2);
+    }
+
+    #[test]
     fn bound_policies_apply() {
         let zero = generate_trace(&small().with_bound(BoundPolicy::ZeroFloor), 1);
         assert!(zero.tasks.iter().all(|s| s.bound == PenaltyBound::ZERO));
@@ -250,7 +270,7 @@ mod tests {
             &small().with_bound(BoundPolicy::ProportionalPenalty { fraction: 0.5 }),
             1,
         );
-        for s in &prop.tasks {
+        for s in prop.tasks.iter() {
             match s.bound {
                 PenaltyBound::Bounded { max_penalty } => {
                     assert!((max_penalty - 0.5 * s.value).abs() < 1e-9)
@@ -278,7 +298,7 @@ mod tests {
         assert!(t.tasks.iter().all(|s| s.true_runtime.as_f64() > 0.0));
         // Estimates are unchanged relative to the accurate trace.
         let base = generate_trace(&small(), 1);
-        for (a, b) in base.tasks.iter().zip(&t.tasks) {
+        for (a, b) in base.tasks.iter().zip(t.tasks.iter()) {
             assert_eq!(a.runtime, b.runtime);
         }
     }
@@ -312,7 +332,7 @@ mod proptests {
             for w in t.tasks.windows(2) {
                 prop_assert!(w[0].arrival <= w[1].arrival);
             }
-            for s in &t.tasks {
+            for s in t.tasks.iter() {
                 prop_assert!(s.runtime.as_f64() > 0.0);
                 prop_assert!(s.value >= 0.0);
                 prop_assert!(s.decay >= 0.0);
@@ -357,7 +377,7 @@ mod diurnal_tests {
         let t = generate_trace(&diurnal_mix(0.9), 6);
         let period = 2000.0;
         let mut counts = std::collections::BTreeMap::new();
-        for task in &t.tasks {
+        for task in t.tasks.iter() {
             let phase = (task.arrival.as_f64() % period) / period;
             // First half (rising sine, high rate) vs second half.
             *counts.entry(phase < 0.5).or_insert(0usize) += 1;

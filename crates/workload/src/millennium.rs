@@ -108,7 +108,7 @@ mod tests {
         let u = generate_trace(&fig45_mix(5.0, false).with_tasks(50), 1);
         assert!(u.tasks.iter().all(|s| s.bound.is_unbounded()));
         // Same trace modulo bounds: common random numbers across the switch.
-        for (x, y) in b.tasks.iter().zip(&u.tasks) {
+        for (x, y) in b.tasks.iter().zip(u.tasks.iter()) {
             assert_eq!(x.value, y.value);
             assert_eq!(x.decay, y.decay);
             assert_eq!(x.arrival, y.arrival);
@@ -129,7 +129,7 @@ mod tests {
     fn fig67_load_sweep_shares_tasks() {
         let lo = generate_trace(&fig67_mix(0.5).with_tasks(100), 9);
         let hi = generate_trace(&fig67_mix(2.0).with_tasks(100), 9);
-        for (x, y) in lo.tasks.iter().zip(&hi.tasks) {
+        for (x, y) in lo.tasks.iter().zip(hi.tasks.iter()) {
             assert_eq!(x.value, y.value);
             assert_eq!(x.runtime, y.runtime);
         }

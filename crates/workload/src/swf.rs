@@ -29,6 +29,7 @@ use crate::config::MixConfig;
 use crate::task::{PenaltyBound, TaskSpec};
 use crate::trace::Trace;
 use mbts_sim::{Duration, RngFactory};
+use std::sync::Arc;
 
 /// Options controlling the import.
 #[derive(Debug, Clone)]
@@ -186,28 +187,33 @@ pub fn parse_swf_counting(text: &str, options: &SwfOptions) -> Result<(Trace, us
     // SWF logs are submit-ordered in principle; enforce it for safety.
     rows.sort_by(|a, b| a.0.total_cmp(&b.0));
 
-    let mut tasks = Vec::with_capacity(rows.len());
-    for (i, (submit, estimate, run_time, width)) in rows.into_iter().enumerate() {
-        let width = if options.clamp_widths {
-            width.clamp(1, options.mix.processors)
-        } else {
-            width
-        };
-        let unit_value = unit_value_dist.sample(&mut value_rng).max(0.0);
-        let value = unit_value * estimate;
-        let decay = decay_dist.sample(&mut decay_rng).max(0.0);
-        let bound = match options.mix.bound {
-            crate::config::BoundPolicy::Unbounded => PenaltyBound::Unbounded,
-            crate::config::BoundPolicy::ZeroFloor => PenaltyBound::ZERO,
-            crate::config::BoundPolicy::ProportionalPenalty { fraction } => PenaltyBound::Bounded {
-                max_penalty: fraction * value,
-            },
-        };
-        let mut spec =
-            TaskSpec::new(i as u64, submit, estimate, value, decay, bound).with_width(width);
-        spec.true_runtime = Duration::new(run_time.max(1e-6));
-        tasks.push(spec);
-    }
+    let tasks: Arc<[TaskSpec]> = rows
+        .into_iter()
+        .enumerate()
+        .map(|(i, (submit, estimate, run_time, width))| {
+            let width = if options.clamp_widths {
+                width.clamp(1, options.mix.processors)
+            } else {
+                width
+            };
+            let unit_value = unit_value_dist.sample(&mut value_rng).max(0.0);
+            let value = unit_value * estimate;
+            let decay = decay_dist.sample(&mut decay_rng).max(0.0);
+            let bound = match options.mix.bound {
+                crate::config::BoundPolicy::Unbounded => PenaltyBound::Unbounded,
+                crate::config::BoundPolicy::ZeroFloor => PenaltyBound::ZERO,
+                crate::config::BoundPolicy::ProportionalPenalty { fraction } => {
+                    PenaltyBound::Bounded {
+                        max_penalty: fraction * value,
+                    }
+                }
+            };
+            let mut spec =
+                TaskSpec::new(i as u64, submit, estimate, value, decay, bound).with_width(width);
+            spec.true_runtime = Duration::new(run_time.max(1e-6));
+            spec
+        })
+        .collect();
     Ok((
         Trace::new(options.mix.clone(), options.seed, tasks),
         skipped,
@@ -283,7 +289,7 @@ mod tests {
         assert!(a
             .tasks
             .iter()
-            .zip(&c.tasks)
+            .zip(c.tasks.iter())
             .any(|(x, y)| x.value != y.value));
     }
 
@@ -404,7 +410,7 @@ mod tests {
         use mbts_sim::Time;
         let trace = parse_swf(SAMPLE, &options()).unwrap();
         // Quick structural sanity: the tasks are schedulable.
-        for t in &trace.tasks {
+        for t in trace.tasks.iter() {
             assert!(t.runtime.as_f64() > 0.0);
             assert!(t.yield_at(Time::from(t.arrival.as_f64())) <= t.value);
         }

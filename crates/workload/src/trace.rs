@@ -2,15 +2,22 @@
 //! replay and inspection.
 
 use crate::config::MixConfig;
-use crate::task::TaskSpec;
-use mbts_sim::OnlineStats;
+use crate::task::{TaskId, TaskSpec};
+use mbts_sim::{OnlineStats, Time};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// A concrete workload: tasks sorted by arrival, plus the config and seed
 /// that produced them.
+///
+/// The tasks are one immutable shared slice: cloning a trace, starting a
+/// site or market run over it, and snapshotting that run all share the
+/// same allocation. To edit tasks, clone the trace and call
+/// [`Arc::make_mut`] on its `tasks`, which copies them once if anyone
+/// else still holds them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     /// The mix this trace was drawn from.
@@ -18,7 +25,7 @@ pub struct Trace {
     /// Root seed of the generator's RNG streams.
     pub seed: u64,
     /// Tasks in arrival order with dense ids.
-    pub tasks: Vec<TaskSpec>,
+    pub tasks: Arc<[TaskSpec]>,
 }
 
 /// Aggregate descriptive statistics of a trace.
@@ -44,7 +51,8 @@ pub struct TraceStats {
 
 impl Trace {
     /// Wraps generated tasks; validates ordering and id density.
-    pub fn new(config: MixConfig, seed: u64, tasks: Vec<TaskSpec>) -> Self {
+    pub fn new(config: MixConfig, seed: u64, tasks: impl Into<Arc<[TaskSpec]>>) -> Self {
+        let tasks = tasks.into();
         debug_assert!(tasks.windows(2).all(|w| w[0].arrival <= w[1].arrival));
         debug_assert!(tasks.iter().enumerate().all(|(i, t)| t.id.index() == i));
         Trace {
@@ -71,7 +79,7 @@ impl Trace {
         let mut decay = OnlineStats::new();
         let mut total_work = 0.0;
         let mut total_value = 0.0;
-        for t in &self.tasks {
+        for t in self.tasks.iter() {
             runtime.push(t.runtime.as_f64());
             unit_value.push(t.unit_value());
             decay.push(t.decay);
@@ -107,24 +115,39 @@ impl Trace {
     pub fn concatenate(phases: &[Trace], gap: f64) -> Trace {
         assert!(!phases.is_empty(), "need at least one phase");
         assert!(gap >= 0.0, "gap must be non-negative");
-        let mut tasks = Vec::new();
+        // A phase's arrival `a` moves to `a − base + offset`: `base` is its
+        // first arrival, `offset` is `gap` after the previous phase's last
+        // moved arrival.
+        let moved = |a: Time, base: f64, offset: f64| Time::new(a.as_f64() - base + offset);
         let mut offset = 0.0;
-        for phase in phases {
-            let base = phase
-                .tasks
-                .first()
-                .map(|t| t.arrival.as_f64())
-                .unwrap_or(0.0);
-            let mut last = offset;
-            for t in &phase.tasks {
-                let mut t = *t;
-                t.id = crate::task::TaskId(tasks.len() as u64);
-                t.arrival = mbts_sim::Time::new(t.arrival.as_f64() - base + offset);
-                last = t.arrival.as_f64();
-                tasks.push(t);
-            }
-            offset = last + gap;
-        }
+        let shifts: Vec<(f64, f64)> = phases
+            .iter()
+            .map(|phase| {
+                let base = phase.tasks.first().map_or(0.0, |t| t.arrival.as_f64());
+                let shift = (base, offset);
+                let last = phase
+                    .tasks
+                    .last()
+                    .map_or(offset, |t| moved(t.arrival, base, offset).as_f64());
+                offset = last + gap;
+                shift
+            })
+            .collect();
+        let mut source = phases
+            .iter()
+            .zip(shifts)
+            .flat_map(|(phase, (base, offset))| {
+                phase.tasks.iter().map(move |t| (*t, base, offset))
+            });
+        // Collecting an exact-size range writes the slice in place.
+        let tasks: Arc<[TaskSpec]> = (0..phases.iter().map(Trace::len).sum())
+            .map(|i| {
+                let (mut t, base, offset) = source.next().expect("phase lengths were summed");
+                t.id = TaskId(i as u64);
+                t.arrival = moved(t.arrival, base, offset);
+                t
+            })
+            .collect();
         Trace::new(phases[0].config.clone(), phases[0].seed, tasks)
     }
 
@@ -224,5 +247,35 @@ mod tests {
         assert_eq!(s.arrival_span, 0.0);
         assert!(s.offered_load.is_infinite());
         assert_eq!(s.mean_unit_value, 5.0);
+    }
+
+    #[test]
+    fn concatenated_phases_follow_each_other_by_the_gap() {
+        let first = tiny();
+        let empty = Trace::new(MixConfig::millennium_default(), 0, vec![]);
+        let last = generate_trace(
+            &MixConfig::millennium_default()
+                .with_tasks(50)
+                .with_processors(4),
+            18,
+        );
+        let joined = Trace::concatenate(&[first.clone(), empty, last.clone()], 7.0);
+        assert_eq!(joined.len(), 350);
+        assert!(joined
+            .tasks
+            .iter()
+            .enumerate()
+            .all(|(i, t)| t.id.index() == i));
+        // Each phase keeps its own spacing; an empty phase adds one gap.
+        let base = first.tasks[0].arrival.as_f64();
+        for (t, orig) in joined.tasks.iter().zip(first.tasks.iter()) {
+            assert_eq!(t.arrival.as_f64(), orig.arrival.as_f64() - base);
+            assert_eq!((t.runtime, t.value), (orig.runtime, orig.value));
+        }
+        let offset = joined.tasks[299].arrival.as_f64() + 7.0 + 7.0;
+        let base = last.tasks[0].arrival.as_f64();
+        for (t, orig) in joined.tasks[300..].iter().zip(last.tasks.iter()) {
+            assert_eq!(t.arrival.as_f64(), orig.arrival.as_f64() - base + offset);
+        }
     }
 }

@@ -146,7 +146,7 @@ mod tests {
         let trace = Trace {
             config: cfg,
             seed: 0,
-            tasks: vec![a, b],
+            tasks: vec![a, b].into(),
         };
         let report = validate_trace(&trace);
         assert!(!report.is_valid());
@@ -172,7 +172,7 @@ mod tests {
         let trace = Trace {
             config: cfg,
             seed: 0,
-            tasks,
+            tasks: tasks.into(),
         };
         let report = validate_trace(&trace);
         assert!(report.is_valid());
@@ -191,7 +191,7 @@ mod tests {
         let trace = Trace {
             config: cfg,
             seed: 0,
-            tasks: vec![t],
+            tasks: vec![t].into(),
         };
         let report = validate_trace(&trace);
         assert!(report.is_valid());
@@ -206,7 +206,7 @@ mod tests {
         let trace = Trace {
             config: MixConfig::millennium_default(),
             seed: 0,
-            tasks: vec![],
+            tasks: vec![].into(),
         };
         assert!(validate_trace(&trace).is_valid());
     }

@@ -27,6 +27,7 @@ use crate::trace::Trace;
 use mbts_sim::{Dist, RngFactory, Time};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// DAG shape of every workflow in a set.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -204,8 +205,9 @@ pub struct WorkflowSet {
     /// Root seed of the generator's RNG streams.
     pub seed: u64,
     /// All tasks, dense ids in arrival order (per-task value/decay are
-    /// work-share slices of their workflow's).
-    pub tasks: Vec<TaskSpec>,
+    /// work-share slices of their workflow's). Shared, like
+    /// [`Trace::tasks`], with the trace [`trace`](Self::trace) returns.
+    pub tasks: Arc<[TaskSpec]>,
     /// Per-workflow structure, arrival order.
     pub workflows: Vec<WorkflowSpec>,
 }
@@ -434,7 +436,7 @@ impl WorkflowSet {
             .with_tasks(self.tasks.len().max(1))
             .with_processors(self.config.processors)
             .with_load_factor(self.config.load_factor);
-        Trace::new(mix, self.seed, self.tasks.clone())
+        Trace::new(mix, self.seed, Arc::clone(&self.tasks))
     }
 
     /// Global indices of tasks with no predecessors (released at their
@@ -797,7 +799,7 @@ pub fn generate_workflows(config: &WorkflowConfig, seed: u64) -> WorkflowSet {
     let set = WorkflowSet {
         config: config.clone(),
         seed,
-        tasks,
+        tasks: tasks.into(),
         workflows,
     };
     debug_assert!(set.validate().is_ok());

@@ -37,12 +37,12 @@ fn main() {
     let same_arrivals = a
         .tasks
         .iter()
-        .zip(&b.tasks)
+        .zip(b.tasks.iter())
         .all(|(x, y)| x.arrival == y.arrival && x.runtime == y.runtime && x.value == y.value);
     let decay_changed = a
         .tasks
         .iter()
-        .zip(&b.tasks)
+        .zip(b.tasks.iter())
         .any(|(x, y)| x.decay != y.decay);
     println!(
         "decay skew 3 → 9: arrivals/runtimes/values identical: {same_arrivals}; decays changed: {decay_changed}"

@@ -1,8 +1,11 @@
-//! What a market run and a site run hold, measured: after construction
-//! about one copy of the trace (the arrivals are a 16-byte-per-task feed,
-//! the per-task ledgers plain vectors), at quiescence only what the run
-//! produced, and per bid a handful of allocations rather than one set of
-//! buffers per site quoted.
+//! What a market run and a site run hold, measured. The trace is generated
+//! in one allocation, and a run and its snapshots share it instead of
+//! copying it, so after construction a run holds only its own bookkeeping
+//! (the arrivals are a 16-byte-per-task feed, the per-task ledgers plain
+//! vectors), a fresh run's snapshot costs its event queue and sites but no
+//! tasks, at quiescence a run holds only what it produced, and per bid it
+//! makes a handful of allocations rather than one set of buffers per site
+//! quoted.
 //!
 //! A test binary of its own because it installs a counting global
 //! allocator, and one test so that nothing else allocates while it counts.
@@ -20,8 +23,10 @@ use mbts::site::{JobOutcome, SiteConfig, SiteRun};
 use mbts::trace::Tracer;
 use mbts::workload::{generate_trace, MixConfig, TaskSpec, Trace};
 
-/// Bytes currently allocated, and allocator calls that handed out memory.
+/// Bytes currently allocated, bytes ever requested, and allocator calls
+/// that handed out memory.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static REQUESTED: AtomicUsize = AtomicUsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
@@ -35,6 +40,7 @@ unsafe impl GlobalAlloc for Counting {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
             CALLS.fetch_add(1, Ordering::Relaxed);
         }
         p
@@ -53,6 +59,7 @@ unsafe impl GlobalAlloc for Counting {
         if !q.is_null() {
             LIVE.fetch_add(new_size, Ordering::Relaxed);
             LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            REQUESTED.fetch_add(new_size, Ordering::Relaxed);
             CALLS.fetch_add(1, Ordering::Relaxed);
         }
         q
@@ -68,6 +75,19 @@ fn live() -> usize {
 
 fn calls() -> usize {
     CALLS.load(Ordering::Relaxed)
+}
+
+fn requested() -> usize {
+    REQUESTED.load(Ordering::Relaxed)
+}
+
+/// `f`'s result, the bytes it still holds, and the bytes it requested in
+/// total (freed again or not).
+fn measured<T>(f: impl FnOnce() -> T) -> (T, f64, f64) {
+    let (live_before, requested_before) = (live(), requested());
+    let value = f();
+    let held = live() as f64 - live_before as f64;
+    (value, held, (requested() - requested_before) as f64)
 }
 
 const TASKS: usize = 20_000;
@@ -93,23 +113,42 @@ fn market_config() -> EconomyConfig {
 
 #[test]
 fn runs_hold_what_is_live_and_quote_without_allocating() {
-    let trace = market_trace();
+    let (trace, _, generated) = measured(market_trace);
     let trace_bytes = (trace.tasks.len() * std::mem::size_of::<TaskSpec>()) as f64;
-
-    // ---- a market run -------------------------------------------------
-    let entry = live();
-    let mut run = EconomyRun::new(market_config(), &trace, Tracer::Off);
-    let after_new = live() - entry;
-    // Its own copy of the tasks, 16 B of feed and 12 B of ledgers a task,
-    // 64 idle sites. (One heap entry per arrival made this 3.6.)
-    let ratio = after_new as f64 / trace_bytes;
+    // The tasks are written in place into the shared slice: one allocation
+    // of the trace's size plus the generator's small change. (Filling a
+    // `Vec` and converting it to the shared slice would make this 2.0.)
+    let ratio = generated / trace_bytes;
     assert!(
-        ratio <= 1.5,
-        "EconomyRun::new holds {after_new} B, {ratio:.2}x the trace"
+        ratio <= 1.05,
+        "generate_trace requests {generated} B, {ratio:.3}x the trace"
     );
 
+    // ---- a market run -------------------------------------------------
+    let (mut run, after_new, _) =
+        measured(|| EconomyRun::new(market_config(), &trace, Tracer::Off));
+    // 16 B of feed and 12 B of ledgers a task and 64 idle sites; the tasks
+    // are the caller's. (A copy of the tasks made this 1.44, and one heap
+    // entry per arrival before that 3.6.)
+    let ratio = after_new / trace_bytes;
+    assert!(
+        ratio <= 0.5,
+        "EconomyRun::new holds {after_new} B, {ratio:.3}x the trace"
+    );
+    // A fresh run's snapshot is its queue entries and 64 empty sites; it
+    // shares the tasks. An entry is 112 B a pending arrival (an `EcoEvent`
+    // is 96 B: `Retry` and `OrphanRebid` carry a `TaskSpec` inline), which
+    // alone is 1.56x the 72 B tasks. (Cloning the tasks made this 2.58.)
+    let (snapshot, held, _) = measured(|| run.snapshot());
+    let ratio = held / trace_bytes;
+    assert!(
+        ratio <= 1.6,
+        "EconomyRun::snapshot holds {held} B, {ratio:.3}x the trace"
+    );
+    drop(snapshot);
+
     let calls_before = calls();
-    run.run_to_completion();
+    let ((), grown, _) = measured(|| run.run_to_completion());
     let per_task = (calls() - calls_before) as f64 / TASKS as f64;
     // A contract, an outcome, a few completion-token vectors and the
     // occasional doubling. (Copying 64 queues per bid made this 386.)
@@ -118,7 +157,6 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
         "{per_task:.2} allocations per offered task over the stepped part"
     );
 
-    let grown = live() as f64 - entry as f64 - after_new as f64;
     let (outcome, _) = run.finish();
     assert_eq!(outcome.offered, TASKS);
     let outcomes: usize = outcome.per_site.iter().map(|s| s.outcomes.len()).sum();
@@ -136,13 +174,23 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
     drop(outcome);
 
     // ---- a site run ---------------------------------------------------
-    let entry = live();
-    let run = SiteRun::new(SiteConfig::new(SITES * PROCS_PER_SITE), &trace, Tracer::Off);
-    let after_new = live() - entry;
-    let ratio = after_new as f64 / trace_bytes;
+    let (run, after_new, _) =
+        measured(|| SiteRun::new(SiteConfig::new(SITES * PROCS_PER_SITE), &trace, Tracer::Off));
+    // The 16 B feed a task and an idle site. (A copy of the tasks made
+    // this 1.22.)
+    let ratio = after_new / trace_bytes;
     assert!(
-        ratio <= 1.5,
-        "SiteRun::new holds {after_new} B, {ratio:.2}x the trace"
+        ratio <= 0.3,
+        "SiteRun::new holds {after_new} B, {ratio:.3}x the trace"
     );
+    // 48 B of queue entry a pending arrival and an idle site. (Cloning the
+    // tasks made this 1.67.)
+    let (snapshot, held, _) = measured(|| run.snapshot());
+    let ratio = held / trace_bytes;
+    assert!(
+        ratio <= 0.75,
+        "SiteRun::snapshot holds {held} B, {ratio:.3}x the trace"
+    );
+    drop(snapshot);
     drop(run);
 }

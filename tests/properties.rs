@@ -89,7 +89,7 @@ proptest! {
             prop_assert_eq!(m.total_penalty, 0.0);
         }
         // Per-job earnings respect each task's floor and ceiling.
-        for (o, spec) in out.outcomes.iter().zip(&trace.tasks) {
+        for (o, spec) in out.outcomes.iter().zip(trace.tasks.iter()) {
             prop_assert_eq!(o.id, spec.id);
             prop_assert!(o.earned <= spec.value + 1e-9);
             prop_assert!(o.earned >= spec.bound.floor() - 1e-9);

@@ -20,11 +20,14 @@
 //! (its audit log, recorded segments and elastic-capacity fields), which
 //! rewrote the seven snapshot and journal fixtures that carry a site. The
 //! value-tree bytes of those seven are kept under
-//! `tests/golden/serde/pre26/`, and two tests read them back. The last
-//! test is the reader's leniency, one row per rule.
+//! `tests/golden/serde/pre26/`, and two tests read them back. Tasks then
+//! became one shared slice instead of a `Vec` per holder, with no byte
+//! changed; one test checks that against a trace file and the snapshot
+//! fixtures. The last test is the reader's leniency, one row per rule.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::durable::framing::{self, RecordTag};
@@ -43,8 +46,8 @@ use mbts::site::{
 use mbts::trace::analyze::analyze;
 use mbts::trace::{AnalyzeOptions, TraceReport, Tracer};
 use mbts::workload::{
-    fig67_mix, generate_trace, generate_workflows, PenaltyBound, TaskId, TaskSpec, WorkflowConfig,
-    WorkflowShape,
+    fig67_mix, generate_trace, generate_workflows, PenaltyBound, TaskId, TaskSpec, Trace,
+    WorkflowConfig, WorkflowShape,
 };
 use serde::{Deserialize, Serialize, Value};
 
@@ -394,6 +397,66 @@ fn a_journal_with_the_dropped_history_keys_still_recovers() {
             assert!(old_payload == new_payload, "event records are unchanged");
         }
     }
+}
+
+/// Reads the task array at `path` in `doc` as the `Vec<TaskSpec>` it was
+/// before tasks became a shared slice, and checks that `shared` writes the
+/// same text.
+fn same_text_as_a_vec(name: &str, shared: &Arc<[TaskSpec]>, doc: &Value, path: &[&str]) {
+    let array = path.iter().fold(doc, |v, key| {
+        v.get(key)
+            .unwrap_or_else(|| panic!("{name}: no `{key}` in {path:?}"))
+    });
+    let tasks: Vec<TaskSpec> =
+        serde_json::from_str(&render(array, false)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(!tasks.is_empty(), "{name}: {path:?} holds no tasks");
+    assert!(
+        render(shared, false) == render(&tasks, false),
+        "{name}: {path:?} as a shared slice is not the text of its `Vec`"
+    );
+}
+
+/// Reads a fixture as `T` and checks that it writes the fixture back.
+fn round_trip<T: Serialize + Deserialize>(name: &str) -> (T, Value) {
+    let fixture = std::fs::read_to_string(fixture_dir().join(name)).expect("fixture");
+    let typed: T = serde_json::from_str(&fixture).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(
+        render(&typed, false) == fixture,
+        "{name}: text → typed → text diverged"
+    );
+    (typed, serde_json::from_str(&fixture).expect("a document"))
+}
+
+/// A trace's tasks, and the tasks a run snapshot or a workflow set
+/// carries, are one shared slice, no longer a `Vec` each: a trace file and
+/// every snapshot fixture that carries tasks still round-trip byte for
+/// byte, and each task array is exactly the text its `Vec` wrote.
+#[test]
+fn shared_task_slices_write_what_their_vecs_wrote() {
+    let trace = generate_trace(&fig67_mix(1.6).with_tasks(24).with_processors(4), 17);
+    let file = trace.to_json();
+    let back = Trace::from_json(&file).expect("the trace file reads");
+    assert!(back.to_json() == file, "trace file → Trace → text diverged");
+    let doc: Value = serde_json::from_str(&file).expect("a document");
+    same_text_as_a_vec("trace file", &back.tasks, &doc, &["tasks"]);
+
+    for name in [
+        "site_run_snapshot_metrics.json",
+        "site_run_snapshot_workflows.json",
+    ] {
+        let (snap, doc) = round_trip::<SiteRunSnapshot>(name);
+        same_text_as_a_vec(name, &snap.trace, &doc, &["trace"]);
+        if let Some(workflows) = &snap.workflows {
+            same_text_as_a_vec(
+                name,
+                &workflows.set().tasks,
+                &doc,
+                &["workflows", "set", "tasks"],
+            );
+        }
+    }
+    let (snap, doc) = round_trip::<EconomySnapshot>("economy_snapshot.json");
+    same_text_as_a_vec("economy_snapshot.json", &snap.trace, &doc, &["trace"]);
 }
 
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
