@@ -115,7 +115,7 @@ impl Recoverable for EconomyRun {
     }
 
     fn restore(snapshot: EconomySnapshot) -> Result<Self, String> {
-        Ok(EconomyRun::from_snapshot(snapshot))
+        EconomyRun::from_snapshot(snapshot)
     }
 }
 

@@ -210,16 +210,21 @@ pub fn run_shading_experiment(
 
     let mut truthful = Accounts::default();
     let mut shaders = Accounts::default();
+    // Each task's first contract, if it was placed (the run's ids are its
+    // trace positions).
+    let mut first = vec![None; trace.tasks.len()];
+    for (i, c) in outcome.contracts.iter().enumerate() {
+        first[c.spec.id.index()].get_or_insert(i);
+    }
     // Walk the original trace; match contracts by task id.
-    for spec in trace.tasks.iter() {
+    for (spec, first) in trace.tasks.iter().zip(first) {
         let acc = if spec.id.0 % shade_modulus == 0 {
             &mut shaders
         } else {
             &mut truthful
         };
         acc.count += 1;
-        // Find this task's contract, if it was placed.
-        let contract = outcome.contracts.iter().find(|c| c.spec.id == spec.id);
+        let contract = first.and_then(|i| outcome.contracts.get(i));
         match contract {
             Some(c) if c.is_settled() => {
                 acc.placed += 1;

@@ -10,7 +10,8 @@
 use mbts_core::{PiecewiseLinear, ValueFunction};
 use mbts_sim::{Duration, Time};
 use mbts_workload::TaskSpec;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Reader, Serialize, Writer};
+use std::sync::Arc;
 
 /// How late completions are priced (an extension past the paper's pure
 /// value-function settlement, exercising the §3 "variable rates"
@@ -50,6 +51,11 @@ pub enum ContractStatus {
 }
 
 /// A formed contract between a client and a site.
+///
+/// A market run does not keep these: its [`ContractLedger`] keeps one
+/// compact row per contract over the run's shared tasks and builds a
+/// `Contract` by value whenever one is read. Settlement is priced here,
+/// in [`settle`](Self::settle) and [`cancel`](Self::cancel), for both.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Contract {
     /// The contracted task (carries the value function).
@@ -177,6 +183,388 @@ impl Contract {
             ContractStatus::Settled { settled_price, .. } => Some(settled_price),
             ContractStatus::Open => None,
         }
+    }
+}
+
+/// Where a ledger row stands; the settlement itself sits in the row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum RowStatus {
+    Open,
+    OnTime,
+    Violated,
+}
+
+/// One contract as the ledger keeps it: what the negotiation produced,
+/// with the task named by its index into the ledger's tasks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Row {
+    formed_at: Time,
+    negotiated_completion: Time,
+    negotiated_price: f64,
+    /// Meaningful once the status is not `Open`.
+    completed_at: Time,
+    settled_price: f64,
+    task: u32,
+    site: u32,
+    client: u32,
+    status: RowStatus,
+}
+
+impl Row {
+    /// The row of contract `c`, its task at `task`.
+    fn new(task: u32, site: u32, client: u32, c: &Contract) -> Self {
+        let mut row = Row {
+            formed_at: c.formed_at,
+            negotiated_completion: c.negotiated_completion,
+            negotiated_price: c.negotiated_price,
+            completed_at: Time::ZERO,
+            settled_price: 0.0,
+            task,
+            site,
+            client,
+            status: RowStatus::Open,
+        };
+        row.set_status(c.status);
+        row
+    }
+
+    fn status(&self) -> ContractStatus {
+        match self.status {
+            RowStatus::Open => ContractStatus::Open,
+            RowStatus::OnTime | RowStatus::Violated => ContractStatus::Settled {
+                completed_at: self.completed_at,
+                settled_price: self.settled_price,
+                violated: self.status == RowStatus::Violated,
+            },
+        }
+    }
+
+    fn set_status(&mut self, status: ContractStatus) {
+        let ContractStatus::Settled {
+            completed_at,
+            settled_price,
+            violated,
+        } = status
+        else {
+            self.status = RowStatus::Open;
+            return;
+        };
+        self.completed_at = completed_at;
+        self.settled_price = settled_price;
+        self.status = if violated {
+            RowStatus::Violated
+        } else {
+            RowStatus::OnTime
+        };
+    }
+}
+
+/// Why a ledger cannot be bound to a run's tasks and terms.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RebindError {
+    /// A contract names a task the trace does not hold.
+    UnknownTask {
+        /// The contract's index in the ledger.
+        contract: usize,
+        /// The task id it names.
+        task: u64,
+    },
+    /// A contract's task is not the trace's task of that id (a
+    /// budget-capped value, lower than the trace's, is the one allowed
+    /// difference).
+    SpecMismatch {
+        /// The contract's index in the ledger.
+        contract: usize,
+        /// The task id it names.
+        task: u64,
+    },
+    /// The contracts were formed under other terms than the run's.
+    TermsMismatch,
+}
+
+impl std::fmt::Display for RebindError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RebindError::UnknownTask { contract, task } => {
+                write!(
+                    f,
+                    "contract {contract} names task {task}, which the trace lacks"
+                )
+            }
+            RebindError::SpecMismatch { contract, task } => {
+                write!(
+                    f,
+                    "contract {contract} holds a task {task} unlike the trace's"
+                )
+            }
+            RebindError::TermsMismatch => write!(f, "contracts were formed under other terms"),
+        }
+    }
+}
+
+impl std::error::Error for RebindError {}
+
+/// The contract ledger of a market run: every contract formed, in
+/// formation order, as one row of at most 56 B over the run's shared
+/// tasks, with the economy's one [`ContractTerms`] held once.
+///
+/// Reading it ([`get`](Self::get), [`iter`](Self::iter), `&ledger` as an
+/// iterator) builds each [`Contract`] by value. It serializes as exactly
+/// the JSON array of those contracts. A ledger read back owns the tasks it
+/// read, one per contract, until [`rebind`](Self::rebind) points it at
+/// the run's tasks again.
+#[derive(Clone)]
+pub struct ContractLedger {
+    tasks: Arc<[TaskSpec]>,
+    terms: ContractTerms,
+    rows: Vec<Row>,
+    /// `(contract, value)` for each contract whose client's budget capped
+    /// the task's value below the task's own, ascending by contract.
+    capped: Vec<(u32, f64)>,
+}
+
+impl ContractLedger {
+    /// An empty ledger over `tasks`, forming contracts under `terms`.
+    pub fn new(tasks: Arc<[TaskSpec]>, terms: ContractTerms) -> Self {
+        ContractLedger {
+            tasks,
+            terms,
+            rows: Vec::new(),
+            capped: Vec::new(),
+        }
+    }
+
+    /// The terms every contract is formed under.
+    pub fn terms(&self) -> ContractTerms {
+        self.terms
+    }
+
+    /// Number of contracts formed.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// `true` before the first contract.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Appends `contract` — over one of the ledger's tasks, its value
+    /// possibly capped by a budget, and under the ledger's terms — and
+    /// returns its index.
+    pub fn push(&mut self, contract: Contract) -> usize {
+        let spec = contract.spec;
+        debug_assert!(
+            names_task(&spec, &self.tasks) && contract.terms == self.terms,
+            "{contract:?} is not a contract over the ledger's tasks and terms"
+        );
+        let index = self.rows.len();
+        let narrow = |n: u64, what: &str| {
+            u32::try_from(n).unwrap_or_else(|_| panic!("{what} {n} exceeds u32::MAX"))
+        };
+        if spec.value != self.tasks[spec.id.index()].value {
+            self.capped
+                .push((narrow(index as u64, "contract"), spec.value));
+        }
+        self.rows.push(Row::new(
+            narrow(spec.id.0, "task id"),
+            narrow(contract.site as u64, "site"),
+            narrow(contract.client as u64, "client"),
+            &contract,
+        ));
+        index
+    }
+
+    /// Contract `i`, if formed.
+    pub fn get(&self, i: usize) -> Option<Contract> {
+        let row = self.rows.get(i)?;
+        let mut spec = self.tasks[row.task as usize];
+        if let Ok(at) = self.capped.binary_search_by_key(&(i as u32), |&(c, _)| c) {
+            spec.value = self.capped[at].1;
+        }
+        Some(Contract {
+            spec,
+            site: row.site as usize,
+            client: row.client as usize,
+            formed_at: row.formed_at,
+            negotiated_completion: row.negotiated_completion,
+            negotiated_price: row.negotiated_price,
+            terms: self.terms,
+            status: row.status(),
+        })
+    }
+
+    /// Every contract, in formation order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            ledger: self,
+            next: 0..self.rows.len(),
+        }
+    }
+
+    /// Settles open contract `i` at the actual completion time through
+    /// [`Contract::settle`]; returns the settled price. Panics, as an
+    /// index would, if there is no contract `i`.
+    pub fn settle(&mut self, i: usize, completed_at: Time) -> f64 {
+        self.update(i, |c| c.settle(completed_at))
+    }
+
+    /// Cancels open contract `i` through [`Contract::cancel`]; returns the
+    /// (≤ 0) breach settlement. Panics if there is no contract `i`.
+    pub fn cancel(&mut self, i: usize, at: Time) -> f64 {
+        self.update(i, |c| c.cancel(at))
+    }
+
+    fn update(&mut self, i: usize, f: impl FnOnce(&mut Contract) -> f64) -> f64 {
+        let mut contract = self.get(i).expect("no such contract");
+        let price = f(&mut contract);
+        self.rows[i].set_status(contract.status);
+        price
+    }
+
+    /// Points the ledger at a run's `tasks` and `terms`, checking that
+    /// every contract's task is the one `tasks` holds under its id and
+    /// (when there are contracts) that they were formed under `terms`.
+    /// A ledger read back is rebound before it forms or settles anything;
+    /// on an error it is left as it was.
+    pub fn rebind(
+        &mut self,
+        tasks: &Arc<[TaskSpec]>,
+        terms: ContractTerms,
+    ) -> Result<(), RebindError> {
+        if !self.rows.is_empty() && self.terms != terms {
+            return Err(RebindError::TermsMismatch);
+        }
+        let mut rows = Vec::with_capacity(self.rows.len());
+        let mut capped = Vec::new();
+        for (contract, c) in self.iter().enumerate() {
+            let task = c.spec.id.0;
+            let (Some(known), Ok(index)) = (tasks.get(c.spec.id.index()), u32::try_from(task))
+            else {
+                return Err(RebindError::UnknownTask { contract, task });
+            };
+            if !names_task(&c.spec, tasks) {
+                return Err(RebindError::SpecMismatch { contract, task });
+            }
+            if c.spec.value != known.value {
+                capped.push((contract as u32, c.spec.value));
+            }
+            rows.push(Row {
+                task: index,
+                ..self.rows[contract]
+            });
+        }
+        *self = ContractLedger {
+            tasks: Arc::clone(tasks),
+            terms,
+            rows,
+            capped,
+        };
+        Ok(())
+    }
+}
+
+/// `true` when `spec` is the task `tasks` holds under its id, or that
+/// task with its value capped lower by a client's budget — the only two
+/// forms a market run hands to negotiation.
+pub(crate) fn names_task(spec: &TaskSpec, tasks: &[TaskSpec]) -> bool {
+    let Some(known) = tasks.get(spec.id.index()) else {
+        return false;
+    };
+    let at_most_its_value = spec.value <= known.value;
+    at_most_its_value
+        && TaskSpec {
+            value: known.value,
+            ..*spec
+        } == *known
+}
+
+/// The contracts of a [`ContractLedger`], built by value in formation
+/// order.
+pub struct Iter<'a> {
+    ledger: &'a ContractLedger,
+    next: std::ops::Range<usize>,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = Contract;
+
+    fn next(&mut self) -> Option<Contract> {
+        self.ledger.get(self.next.next()?)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.next.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+impl<'a> IntoIterator for &'a ContractLedger {
+    type Item = Contract;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// Two ledgers are equal when they hold equal contracts, whichever tasks
+/// they are bound to.
+impl PartialEq for ContractLedger {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for ContractLedger {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for ContractLedger {
+    fn serialize(&self, out: &mut Writer) {
+        out.begin_array();
+        for contract in self {
+            out.element();
+            contract.serialize(out);
+        }
+        out.end_array();
+    }
+}
+
+/// Reads the array a ledger writes. Each contract's task is kept as read,
+/// so the ledger owns one task per contract until it is rebound; the
+/// contracts must share their terms.
+impl Deserialize for ContractLedger {
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut tasks = Vec::new();
+        let mut rows = Vec::new();
+        let mut terms = None;
+        input.begin_array("array")?;
+        let index = |n: usize, what: &str| {
+            u32::try_from(n).map_err(|_| Error::custom(format!("{what} {n} exceeds u32::MAX")))
+        };
+        while input.next_element()? {
+            let c = Contract::deserialize(input)?;
+            if *terms.get_or_insert(c.terms) != c.terms {
+                return Err(Error::custom("contracts disagree on their terms"));
+            }
+            rows.push(Row::new(
+                index(rows.len(), "contract count")?,
+                index(c.site, "site")?,
+                index(c.client, "client")?,
+                &c,
+            ));
+            tasks.push(c.spec);
+        }
+        Ok(ContractLedger {
+            tasks: tasks.into(),
+            terms: terms.unwrap_or_default(),
+            rows,
+            capped: Vec::new(),
+        })
     }
 }
 
@@ -317,5 +705,179 @@ mod terms_tests {
         // Inside the grace window a cancellation costs the site nothing
         // (the curve is still positive → min(0, ·) = 0).
         assert_eq!(c.cancel(Time::from(30.0)), 0.0);
+    }
+}
+
+#[cfg(test)]
+mod ledger_tests {
+    use super::*;
+    use mbts_workload::PenaltyBound;
+
+    fn tasks() -> Arc<[TaskSpec]> {
+        (0..4)
+            .map(|i| TaskSpec::new(i, i as f64, 10.0, 100.0, 2.0, PenaltyBound::Unbounded))
+            .collect()
+    }
+
+    const SLA: ContractTerms = ContractTerms::GracePeriod {
+        grace: 5.0,
+        rate_multiplier: 2.0,
+    };
+
+    fn form(
+        ledger: &mut ContractLedger,
+        spec: TaskSpec,
+        site: usize,
+        client: usize,
+        formed_at: Time,
+        completion: Time,
+        price: f64,
+    ) {
+        let c = Contract::new(spec, site, client, formed_at, completion, price);
+        ledger.push(c.with_terms(ledger.terms()));
+    }
+
+    /// Four contracts: one on time, one late, one cancelled and re-placed
+    /// with a budget-capped value, one still open.
+    fn ledger(tasks: &Arc<[TaskSpec]>) -> ContractLedger {
+        let mut ledger = ContractLedger::new(Arc::clone(tasks), SLA);
+        let at = Time::from;
+        form(&mut ledger, tasks[2], 1, 0, at(2.0), at(20.0), 80.0);
+        form(&mut ledger, tasks[0], 0, 1, at(3.0), at(15.0), 90.0);
+        let capped = TaskSpec {
+            value: 60.0,
+            ..tasks[1]
+        };
+        form(&mut ledger, capped, 0, 2, at(4.0), at(30.0), 50.0);
+        ledger.settle(0, at(18.0));
+        ledger.settle(1, at(40.0));
+        ledger.cancel(2, at(50.0));
+        form(&mut ledger, capped, 1, 2, at(50.0), at(70.0), 20.0);
+        ledger
+    }
+
+    #[test]
+    fn a_row_is_at_most_56_bytes() {
+        assert!(std::mem::size_of::<Row>() <= 56);
+    }
+
+    #[test]
+    fn contracts_read_back_as_formed_and_settled_through_contract() {
+        let tasks = tasks();
+        let ledger = ledger(&tasks);
+        assert_eq!(ledger.len(), 4);
+        let mut expected =
+            Contract::new(tasks[0], 0, 1, Time::from(3.0), Time::from(15.0), 90.0).with_terms(SLA);
+        let price = expected.settle(Time::from(40.0));
+        assert_eq!(ledger.get(1), Some(expected));
+        assert_eq!(ledger.get(1).unwrap().settled_price(), Some(price));
+        let cancelled = ledger.get(2).unwrap();
+        assert_eq!(cancelled.spec.value, 60.0);
+        assert!(cancelled.was_violated());
+        assert!(!ledger.get(3).unwrap().is_settled());
+        assert_eq!(ledger.get(3).unwrap().spec.value, 60.0);
+        assert_eq!(ledger.get(4), None);
+        let sites: Vec<usize> = (&ledger).into_iter().map(|c| c.site).collect();
+        assert_eq!(sites, [1, 0, 0, 1]);
+    }
+
+    #[test]
+    fn serializes_as_the_vec_of_its_contracts() {
+        let ledger = ledger(&tasks());
+        let contracts: Vec<Contract> = ledger.iter().collect();
+        assert_eq!(
+            serde_json::to_string(&ledger).unwrap(),
+            serde_json::to_string(&contracts).unwrap()
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&ledger).unwrap(),
+            serde_json::to_string_pretty(&contracts).unwrap()
+        );
+        let empty = ContractLedger::new(tasks(), SLA);
+        assert_eq!(serde_json::to_string(&empty).unwrap(), "[]");
+    }
+
+    #[test]
+    fn read_back_then_rebound_is_the_same_ledger_over_the_same_tasks() {
+        let tasks = tasks();
+        let ledger = ledger(&tasks);
+        let json = serde_json::to_string(&ledger).unwrap();
+        let mut back: ContractLedger = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, ledger);
+        back.rebind(&tasks, SLA).unwrap();
+        assert_eq!(back, ledger);
+        assert!(Arc::ptr_eq(&back.tasks, &tasks));
+        assert_eq!(back.rows, ledger.rows);
+        assert_eq!(back.capped, ledger.capped);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        // A rebound ledger forms and settles like the original.
+        let (mut a, mut b) = (ledger, back);
+        for l in [&mut a, &mut b] {
+            l.settle(3, Time::from(75.0));
+            form(l, tasks[3], 0, 0, Time::from(80.0), Time::from(95.0), 70.0);
+        }
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn rebinding_to_other_tasks_or_terms_is_a_typed_error() {
+        let tasks = tasks();
+        let json = serde_json::to_string(&ledger(&tasks)).unwrap();
+        let back: ContractLedger = serde_json::from_str(&json).unwrap();
+        let rebind = |tasks: &Arc<[TaskSpec]>, terms| {
+            let mut l = back.clone();
+            let before = serde_json::to_string(&l).unwrap();
+            let result = l.rebind(tasks, terms);
+            if result.is_err() {
+                assert_eq!(serde_json::to_string(&l).unwrap(), before, "left as it was");
+            }
+            result
+        };
+        assert_eq!(
+            rebind(&tasks, ContractTerms::ValueFunction),
+            Err(RebindError::TermsMismatch)
+        );
+        let mut other = tasks.to_vec();
+        other[0].runtime = mbts_sim::Duration::new(11.0);
+        assert_eq!(
+            rebind(&other.into(), SLA),
+            Err(RebindError::SpecMismatch {
+                contract: 1,
+                task: 0
+            })
+        );
+        // A budget only lowers a value: a contract worth more than its
+        // task is not that task.
+        let mut other = tasks.to_vec();
+        other[1].value = 55.0;
+        assert_eq!(
+            rebind(&other.into(), SLA),
+            Err(RebindError::SpecMismatch {
+                contract: 2,
+                task: 1
+            })
+        );
+        assert_eq!(
+            rebind(&tasks[..2].into(), SLA),
+            Err(RebindError::UnknownTask {
+                contract: 0,
+                task: 2
+            })
+        );
+        assert!(rebind(&tasks, SLA).is_ok());
+        // No contract, no terms to disagree with.
+        let mut empty: ContractLedger = serde_json::from_str("[]").unwrap();
+        assert_eq!(empty.rebind(&tasks, SLA), Ok(()));
+        assert_eq!(empty.terms(), SLA);
+    }
+
+    #[test]
+    fn contracts_under_mixed_terms_do_not_read_as_one_ledger() {
+        let tasks = tasks();
+        let mut contracts: Vec<Contract> = ledger(&tasks).iter().collect();
+        contracts[3].terms = ContractTerms::ValueFunction;
+        let json = serde_json::to_string(&contracts).unwrap();
+        let err = serde_json::from_str::<ContractLedger>(&json).unwrap_err();
+        assert!(err.to_string().contains("disagree on their terms"), "{err}");
     }
 }

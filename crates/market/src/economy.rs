@@ -17,7 +17,7 @@
 use crate::bid::{ClientSelection, ServerBid, TaskBid};
 use crate::bidding::{RebidBackoff, RebidBackoffState};
 use crate::budget::{Account, BudgetConfig};
-use crate::contract::{Contract, ContractTerms};
+use crate::contract::{Contract, ContractLedger, ContractTerms};
 use crate::pricing::PricingStrategy;
 use mbts_core::{AdmissionDecision, WorkflowProgress, WorkflowReport, WorkflowRuntime};
 use mbts_sim::{
@@ -204,8 +204,10 @@ impl EconomyConfig {
 pub struct EconomyOutcome {
     /// Per-site outcomes (metrics + per-job records).
     pub per_site: Vec<SiteOutcome>,
-    /// All contracts formed, in formation order.
-    pub contracts: Vec<Contract>,
+    /// All contracts formed, in formation order: one compact row per
+    /// contract over the run's tasks, read as [`Contract`] values (`get`,
+    /// `iter`, `for c in &outcome.contracts`).
+    pub contracts: ContractLedger,
     /// Tasks offered to the market.
     pub offered: usize,
     /// Tasks placed at some site.
@@ -389,10 +391,9 @@ impl EconomyRun {
             pricing: config.pricing,
             budgets: config.budgets,
             migration: config.migration,
-            terms: config.terms,
             retry: config.retry,
             accounts,
-            contracts: Vec::new(),
+            contracts: ContractLedger::new(Arc::clone(&trace.tasks), config.terms),
             contract_of: DenseLedger::new(tasks),
             second_quote: Vec::new(),
             decisions: Vec::new(),
@@ -492,7 +493,7 @@ impl EconomyRun {
                 .collect(),
             second_quote: m.second_quote.clone(),
             migration: m.migration,
-            terms: m.terms,
+            terms: m.contracts.terms(),
             retry: m.retry,
             offered: m.offered,
             placed: m.placed,
@@ -530,14 +531,19 @@ impl EconomyRun {
     }
 
     /// Reconstructs a run from a [`snapshot`](Self::snapshot); the resumed
-    /// run replays bit-identically to the one that was captured.
-    pub fn from_snapshot(snap: EconomySnapshot) -> Self {
+    /// run replays bit-identically to the one that was captured. A
+    /// snapshot whose parts do not fit together — an id outside its
+    /// trace, an index past its contracts or sites, a contract whose task
+    /// or terms are not the run's — is refused with the first such fault.
+    pub fn from_snapshot(mut snap: EconomySnapshot) -> Result<Self, String> {
+        check_snapshot(&snap)?;
+        snap.contracts
+            .rebind(&snap.trace, snap.terms)
+            .map_err(|e| e.to_string())?;
         let tasks = snap.trace.len();
         let ledger = |entries: Vec<(u64, u32)>| DenseLedger::from_entries(tasks, entries);
-        let contract_of = snap.contract_of.into_iter().map(|(id, ci)| {
-            let ci = u32::try_from(ci).expect("snapshot contract index exceeds u32::MAX");
-            (id, ci)
-        });
+        // Checked below the ledger's length, which fits `u32`.
+        let contract_of = snap.contract_of.into_iter().map(|(id, ci)| (id, ci as u32));
         let model = EcoModel {
             sites: snap
                 .sites
@@ -555,7 +561,6 @@ impl EconomyRun {
             decisions: Vec::new(),
             bids: Vec::new(),
             migration: snap.migration,
-            terms: snap.terms,
             retry: snap.retry,
             offered: snap.offered,
             placed: snap.placed,
@@ -588,9 +593,9 @@ impl EconomyRun {
             tracer: Tracer::from_snapshot(snap.tracer),
         };
         let queue = EventQueue::restore(snap.queue, snap.next_seq);
-        EconomyRun {
+        Ok(EconomyRun {
             engine: Engine::from_parts(model, queue, snap.now, snap.handled),
-        }
+        })
     }
 
     /// Consumes the (finished) run, yielding the outcome and the tracer.
@@ -628,6 +633,94 @@ impl EconomyRun {
     }
 }
 
+/// The checks [`EconomyRun::from_snapshot`] makes before it builds
+/// anything: every index the snapshot holds points inside what it holds,
+/// and every task it holds is its trace's.
+fn check_snapshot(snap: &EconomySnapshot) -> Result<(), String> {
+    let (tasks, contracts, sites) = (snap.trace.len(), snap.contracts.len(), snap.sites.len());
+    let clients = snap.budgets.map_or(0, |b| b.num_clients);
+    let task = |what: &str, id: u64| match usize::try_from(id) {
+        Ok(i) if i < tasks => Ok(()),
+        _ => Err(format!(
+            "{what} names task {id}, outside the {tasks}-task trace"
+        )),
+    };
+    let below = |what: &str, i: usize, n: usize, of: &str| {
+        if i < n {
+            Ok(())
+        } else {
+            Err(format!("{what} {i} is past the snapshot's {n} {of}"))
+        }
+    };
+    // Only a client's budget changes a task on its way to negotiation,
+    // and only by capping its value.
+    let spec = |what: &str, spec: &TaskSpec| {
+        let agrees = if clients > 0 {
+            crate::contract::names_task(spec, &snap.trace)
+        } else {
+            snap.trace.get(spec.id.index()) == Some(spec)
+        };
+        if agrees {
+            Ok(())
+        } else {
+            Err(format!(
+                "{what} holds a task {} unlike the trace's",
+                spec.id.0
+            ))
+        }
+    };
+    for (what, entries) in [("attempts", &snap.attempts), ("retries", &snap.retries)] {
+        for &(id, n) in entries {
+            task(what, id)?;
+            if n == u32::MAX {
+                return Err(format!("{what} of task {id} is out of range"));
+            }
+        }
+    }
+    for &(id, ci) in &snap.contract_of {
+        task("contract_of", id)?;
+        below("contract_of index", ci, contracts, "contracts")?;
+    }
+    if snap.second_quote.len() != contracts {
+        return Err(format!(
+            "{} runner-up quotes for {contracts} contracts",
+            snap.second_quote.len()
+        ));
+    }
+    if snap.site_accounts.len() != sites || snap.accounts.len() != clients {
+        return Err("revenue or client accounts do not match the sites and budgets".to_string());
+    }
+    for (i, c) in snap.contracts.iter().enumerate() {
+        spec(&format!("contract {i}"), &c.spec)?;
+        below("contract site", c.site, sites, "sites")?;
+        if clients > 0 {
+            below("contract client", c.client, clients, "clients")?;
+        }
+    }
+    for (_, _, event) in &snap.queue {
+        match *event {
+            EcoEvent::Arrival(i) | EcoEvent::Release(i) => task("queued arrival", i as u64)?,
+            EcoEvent::Completion { site, .. } => {
+                below("queued completion site", site, sites, "sites")?
+            }
+            EcoEvent::DeadlineCheck { contract } => {
+                below("queued deadline check", contract, contracts, "contracts")?
+            }
+            EcoEvent::Retry { spec: s, .. } => spec("a queued retry", &s)?,
+            EcoEvent::OrphanRebid {
+                spec: s, origin, ..
+            } => {
+                spec("a queued re-bid", &s)?;
+                below("queued re-bid origin", origin, sites, "sites")?;
+            }
+            EcoEvent::Crash(unit) | EcoEvent::Repair { unit, .. } => {
+                below("queued fault site", unit.site(), sites, "sites")?
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Complete replay state of an [`EconomyRun`] at an event boundary:
 /// restoring it and running to completion is bit-identical to never
 /// having stopped. The per-task ledgers are written as `(id, n)` lists
@@ -647,8 +740,9 @@ pub struct EconomySnapshot {
     pub budgets: Option<BudgetConfig>,
     /// Client account ledgers.
     pub accounts: Vec<Account>,
-    /// The contract ledger.
-    pub contracts: Vec<Contract>,
+    /// The contract ledger: written as the array of its contracts, read
+    /// back owning their tasks until the run is restored over `trace`.
+    pub contracts: ContractLedger,
     /// task id → contract index, sorted by task id.
     pub contract_of: Vec<(u64, usize)>,
     /// Runner-up quote per contract (second pricing).
@@ -827,7 +921,7 @@ struct EcoModel {
     pricing: PricingStrategy,
     budgets: Option<BudgetConfig>,
     accounts: Vec<Account>,
-    contracts: Vec<Contract>,
+    contracts: ContractLedger,
     /// task id → index into `contracts` (the latest, if re-placed).
     contract_of: DenseLedger,
     /// Runner-up quoted price per contract (for second pricing).
@@ -838,7 +932,6 @@ struct EcoModel {
     decisions: Vec<(usize, AdmissionDecision)>,
     bids: Vec<ServerBid>,
     migration: Option<MigrationConfig>,
-    terms: ContractTerms,
     retry: Option<RetryConfig>,
     offered: usize,
     placed: usize,
@@ -1106,17 +1199,16 @@ impl EcoModel {
             return;
         };
         let ci = ci as usize;
-        if self.contracts[ci].is_settled() {
+        let Some(contract) = self.contracts.get(ci).filter(|c| !c.is_settled()) else {
             return;
-        }
-        let breach = self.contracts[ci].cancel(now);
+        };
+        let breach = self.contracts.cancel(ci, now);
         self.total_settled += breach;
         let paid = self.pricing.settle(breach, self.second_quote[ci]);
         self.total_paid += paid;
         self.site_accounts[site] += paid;
         if !self.accounts.is_empty() {
-            let client = self.contracts[ci].client;
-            self.accounts[client].debit(paid);
+            self.accounts[contract.client].debit(paid);
         }
         self.trace_settlement(now, site, task, paid);
     }
@@ -1333,8 +1425,7 @@ impl EcoModel {
             .map(|b| b.price)
             .max_by(|a, b| a.total_cmp(b));
 
-        let contract_idx = self.contracts.len();
-        self.contracts.push(
+        let contract_idx = self.contracts.push(
             Contract::new(
                 spec,
                 winner.site,
@@ -1343,11 +1434,11 @@ impl EcoModel {
                 winner.expected_completion,
                 winner.price,
             )
-            .with_terms(self.terms),
+            .with_terms(self.contracts.terms()),
         );
         self.second_quote.push(second);
-        let ledger_idx = u32::try_from(contract_idx).expect("more than u32::MAX contracts");
-        self.contract_of.set(spec.id, ledger_idx);
+        // The ledger numbers its contracts in `u32`.
+        self.contract_of.set(spec.id, contract_idx as u32);
 
         self.sites[winner.site].note_offer(now);
         for token in self.sites[winner.site].accept(now, spec) {
@@ -1380,20 +1471,25 @@ impl EcoModel {
         queue: &mut EventQueue<EcoEvent>,
     ) {
         let Some(m) = self.migration else { return };
-        if self.contracts[contract_idx].is_settled() {
+        let Some(contract) = self.contracts.get(contract_idx) else {
+            return;
+        };
+        if contract.is_settled() {
             return; // completed in time (or already cancelled)
         }
-        let (site, task_id, client, spec) = {
-            let c = &self.contracts[contract_idx];
-            (c.site, c.spec.id, c.client, c.spec)
-        };
+        let (site, task_id, client, spec) = (
+            contract.site,
+            contract.spec.id,
+            contract.client,
+            contract.spec,
+        );
         // Only still-queued tasks can be withdrawn; a running task is
         // about to finish, so leave it be.
         if !self.sites[site].cancel_pending(now, task_id) {
             return;
         }
         self.cancelled += 1;
-        let breach = self.contracts[contract_idx].cancel(now);
+        let breach = self.contracts.cancel(contract_idx, now);
         self.total_settled += breach;
         let paid = self.pricing.settle(breach, self.second_quote[contract_idx]);
         self.total_paid += paid;
@@ -1421,20 +1517,23 @@ impl EcoModel {
     /// Settles the contract of a finished task: value-function settlement,
     /// pricing filter, ledger postings, trace event, conservation audit.
     fn settle_completion(&mut self, now: Time, site: SiteId, task: TaskId) {
-        if let Some(ci) = self.contract_of.get(task) {
-            let ci = ci as usize;
-            let settled = self.contracts[ci].settle(now);
-            self.total_settled += settled;
-            let paid = self.pricing.settle(settled, self.second_quote[ci]);
-            self.total_paid += paid;
-            self.site_accounts[site] += paid;
-            let client = self.contracts[ci].client;
-            if !self.accounts.is_empty() {
-                self.accounts[client].debit(paid);
-            }
-            self.trace_settlement(now, site, task, paid);
-            self.audit_money(now);
+        let Some(ci) = self.contract_of.get(task) else {
+            return;
+        };
+        let ci = ci as usize;
+        let Some(contract) = self.contracts.get(ci) else {
+            return;
+        };
+        let settled = self.contracts.settle(ci, now);
+        self.total_settled += settled;
+        let paid = self.pricing.settle(settled, self.second_quote[ci]);
+        self.total_paid += paid;
+        self.site_accounts[site] += paid;
+        if !self.accounts.is_empty() {
+            self.accounts[contract.client].debit(paid);
         }
+        self.trace_settlement(now, site, task, paid);
+        self.audit_money(now);
     }
 
     fn handle_completion(
@@ -1958,7 +2057,7 @@ mod fault_tests {
             // Round-trip through JSON: what a journal would persist.
             let json = serde_json::to_string(&run.snapshot()).unwrap();
             let snap: EconomySnapshot = serde_json::from_str(&json).unwrap();
-            let mut resumed = EconomyRun::from_snapshot(snap);
+            let mut resumed = EconomyRun::from_snapshot(snap).expect("snapshot restores");
             assert_eq!(resumed.events_handled(), k);
             resumed.run_to_completion();
             assert_eq!(resumed.events_handled(), total);
@@ -2257,8 +2356,9 @@ mod deadline_edge_tests {
         let out = Economy::new(cfg).run_trace(&trace);
         assert_eq!(out.cancelled, 0);
         assert_eq!(out.placed, 1);
-        assert!(out.contracts[0].is_settled());
-        assert!(!out.contracts[0].was_violated());
+        let first = out.contracts.get(0).expect("a contract");
+        assert!(first.is_settled());
+        assert!(!first.was_violated());
     }
 
     /// A queued task promised an optimistic completion behind a badly
@@ -2435,7 +2535,7 @@ mod workflow_market_tests {
             }
             let json = serde_json::to_string(&run.snapshot()).unwrap();
             let snap: EconomySnapshot = serde_json::from_str(&json).unwrap();
-            let mut resumed = EconomyRun::from_snapshot(snap);
+            let mut resumed = EconomyRun::from_snapshot(snap).expect("snapshot restores");
             resumed.run_to_completion();
             let (out, _) = resumed.finish();
             assert_eq!(ref_out, out, "divergence after kill at {kill}");

@@ -57,7 +57,7 @@ pub use bidding::{
     run_shading_experiment, PopulationReport, RebidBackoff, RebidBackoffState, ShadingReport,
 };
 pub use budget::{Account, BudgetConfig};
-pub use contract::{Contract, ContractStatus, ContractTerms};
+pub use contract::{Contract, ContractLedger, ContractStatus, ContractTerms, RebindError};
 pub use economy::{
     EcoEvent, Economy, EconomyConfig, EconomyOutcome, EconomyRun, EconomySnapshot,
     MarketFaultConfig, MigrationConfig, RetryConfig, SiteId,

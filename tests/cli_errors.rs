@@ -147,3 +147,77 @@ fn a_service_journal_missing_whole_records_is_rejected() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// An economy journal whose newest snapshot holds an index that points
+/// outside what it holds keeps every CRC valid, so only the restore sees
+/// it: `resume` and `analyze` reject it (exit 2, naming the fault) instead
+/// of panicking on the out-of-range index.
+#[test]
+fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
+    use mbts::durable::framing::{self, RecordTag};
+    use mbts::market::EconomySnapshot;
+    use std::sync::Arc;
+    let fixture = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/serde/economy_journal.mbtsj"
+    ))
+    .expect("economy journal fixture");
+    let scan = framing::scan(&fixture).expect("the fixture is a journal");
+    let last = scan
+        .records
+        .iter()
+        .rposition(|(tag, _)| *tag == RecordTag::Snapshot)
+        .expect("a snapshot record");
+    // (what is spoiled, how, what the refusal names)
+    type Spoil = (&'static str, fn(&mut EconomySnapshot), &'static str);
+    let spoil: [Spoil; 3] = [
+        (
+            "attempts",
+            |s| s.attempts.push((1_000_000, 0)),
+            "attempts names task 1000000",
+        ),
+        (
+            "contract_of",
+            |s| s.contract_of[0].1 = s.contracts.len(),
+            "contract_of index",
+        ),
+        (
+            "trace",
+            |s| {
+                let id = s.contracts.get(0).expect("a contract").spec.id;
+                Arc::make_mut(&mut s.trace)[id.index()].value += 1.0;
+                // The same edit to the queued re-bids of that task, so the
+                // contract is the first thing that disagrees.
+                s.queue.retain(|(_, _, e)| {
+                    !matches!(e, mbts::market::EcoEvent::Retry { spec, .. }
+                        | mbts::market::EcoEvent::OrphanRebid { spec, .. } if spec.id == id)
+                });
+            },
+            "unlike the trace's",
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("mbts_cli_errors_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (name, edit, needle) in spoil {
+        let mut spoiled = Vec::new();
+        framing::write_header(&mut spoiled);
+        for (i, (tag, payload)) in scan.records.iter().enumerate() {
+            if i == last {
+                let mut snap: EconomySnapshot =
+                    serde_json::from_slice(payload).expect("the snapshot reads");
+                edit(&mut snap);
+                let payload = serde_json::to_vec(&snap).expect("serialises");
+                framing::append_record(&mut spoiled, *tag, &payload);
+            } else {
+                framing::append_record(&mut spoiled, *tag, payload);
+            }
+        }
+        let path = dir.join(format!("spoiled_{name}.mbtsj"));
+        std::fs::write(&path, &spoiled).expect("write spoiled journal");
+        let path_s = path.to_str().expect("utf-8 temp path");
+        for args in [&["resume", "--journal", path_s][..], &["analyze", path_s]] {
+            assert_rejected(&mbts(args), needle, &format!("{name}: {args:?}"));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}

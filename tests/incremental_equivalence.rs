@@ -570,7 +570,8 @@ proptest! {
         let mid = snapshot_json(&paused);
         let mut resumed = EconomyRun::from_snapshot(
             serde_json::from_str(&mid).expect("mid-run snapshot round-trips"),
-        );
+        )
+        .expect("mid-run snapshot restores");
         paused.run_to_completion();
         resumed.run_to_completion();
         prop_assert_eq!(&snapshot_json(&paused), &expected, "in-place continuation diverged");

@@ -5,7 +5,10 @@
 //! vectors), a fresh run's snapshot costs its event queue and sites but no
 //! tasks, at quiescence a run holds only what it produced, and per bid it
 //! makes a handful of allocations rather than one set of buffers per site
-//! quoted.
+//! quoted. A contract is a row over the shared tasks: it names its task
+//! by index, and the economy's terms are held once, so what a run
+//! produces per contract is that row, its runner-up quote and the site's
+//! record of the job.
 //!
 //! A test binary of its own because it installs a counting global
 //! allocator, and one test so that nothing else allocates while it counts.
@@ -18,8 +21,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::market::{Contract, EconomyConfig, EconomyRun};
-use mbts::site::{JobOutcome, SiteConfig, SiteRun};
+use mbts::market::{EconomyConfig, EconomyRun};
+use mbts::site::{SiteConfig, SiteRun};
 use mbts::trace::Tracer;
 use mbts::workload::{generate_trace, MixConfig, TaskSpec, Trace};
 
@@ -159,17 +162,16 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
 
     let (outcome, _) = run.finish();
     assert_eq!(outcome.offered, TASKS);
-    let outcomes: usize = outcome.per_site.iter().map(|s| s.outcomes.len()).sum();
-    let per_contract = std::mem::size_of::<Contract>() + std::mem::size_of::<Option<f64>>();
-    let results = (outcome.contracts.len() * per_contract
-        + outcomes * std::mem::size_of::<JobOutcome>()) as f64;
+    let per_contract = grown / outcome.contracts.len() as f64;
     // At quiescence nothing is in flight and the feed is gone: what the
-    // run added since `new` is its results, in vectors grown by doubling
-    // (so up to twice their length in requested capacity) and nothing
-    // that scales with the bids handled.
+    // run added since `new` is its results — per contract a 56 B ledger
+    // row, a 16 B runner-up quote and a 48 B `JobOutcome` at its site — in
+    // vectors grown by doubling, and nothing that scales with the bids
+    // handled. (A contract that copied its task and terms, 160 B, made
+    // this 403.)
     assert!(
-        grown <= 2.0 * results,
-        "heap grew {grown} B over the run for {results} B of contracts and outcomes"
+        per_contract <= 240.0,
+        "heap grew {grown} B over the run, {per_contract:.1} B per contract"
     );
     drop(outcome);
 

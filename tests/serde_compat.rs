@@ -23,7 +23,12 @@
 //! `tests/golden/serde/pre26/`, and two tests read them back. Tasks then
 //! became one shared slice instead of a `Vec` per holder, with no byte
 //! changed; one test checks that against a trace file and the snapshot
-//! fixtures. The last test is the reader's leniency, one row per rule.
+//! fixtures. Contracts then became compact rows over a run's shared tasks,
+//! again with no byte changed: `economy_journal.mbtsj` was written by the
+//! build before that change, from a journaled economy whose contracts are
+//! settled, cancelled, breached by an outage and re-placed, and today's
+//! build writes and recovers it byte for byte. The last test is the
+//! reader's leniency, one row per rule.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -31,10 +36,10 @@ use std::sync::Arc;
 
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::durable::framing::{self, RecordTag};
-use mbts::durable::Journal;
+use mbts::durable::{DurableRun, Journal};
 use mbts::market::{
     BudgetConfig, EconomyConfig, EconomyRun, EconomySnapshot, MarketFaultConfig, MigrationConfig,
-    RetryConfig,
+    PricingStrategy, RetryConfig,
 };
 use mbts::serve::{
     Command, CommandKind, MachineConfig, ServiceMachine, ServiceRun, ServiceSnapshot, ShedReason,
@@ -308,6 +313,93 @@ fn economy_snapshot() {
     step_n(|| run.step(), 40);
     let snap: EconomySnapshot = run.snapshot();
     check("economy_snapshot.json", &snap);
+}
+
+/// A whole journaled economy run in which contracts are cancelled past
+/// their grace, breached by a site outage, and re-placed, priced second:
+/// every snapshot record carries contracts in each state.
+fn economy_journal() -> DurableRun<EconomyRun> {
+    let trace = generate_trace(&fig67_mix(2.5).with_tasks(40).with_processors(4), 23);
+    let mut config = EconomyConfig::uniform(
+        2,
+        SiteConfig::new(2)
+            .with_policy(Policy::FirstPrice)
+            .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 }),
+    );
+    config.pricing = PricingStrategy::second_price();
+    config.migration = Some(MigrationConfig {
+        grace: 20.0,
+        max_attempts: 3,
+    });
+    config.retry = Some(RetryConfig {
+        backoff: 30.0,
+        max_retries: 2,
+    });
+    config.faults = Some(MarketFaultConfig::new(
+        FaultConfig {
+            processor: None,
+            site: Some(UpDown::exponential(1_500.0, 200.0)),
+        },
+        7,
+    ));
+    let run = EconomyRun::new(config, &trace, Tracer::Off);
+    let mut durable = DurableRun::new(run, Journal::in_memory(), 60).expect("in-memory journal");
+    durable.run_to_completion().expect("in-memory append");
+    durable
+}
+
+/// The journal of [`economy_journal`] is the same bytes as the fixture,
+/// and the fixture recovers to the run that wrote it, from bytes and
+/// streamed from its file.
+#[test]
+fn economy_journal_bytes() {
+    let durable = economy_journal();
+    let live = serde_json::to_string(&durable.run().snapshot()).expect("serialises");
+    let actual = durable.journal().bytes().to_vec();
+    let (run, _) = durable.into_parts();
+    let (outcome, _) = run.finish();
+    assert!(outcome.cancelled > 0, "no contract was cancelled");
+    assert!(
+        outcome.orphaned > 0,
+        "no contract was breached by an outage"
+    );
+    assert!(outcome.migrations + outcome.orphans_replaced > 0);
+    let path = fixture_dir().join("economy_journal.mbtsj");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(fixture_dir()).expect("create fixture dir");
+        std::fs::write(&path, &actual).expect("write fixture");
+        return;
+    }
+    let fixture =
+        std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+    assert!(actual == fixture, "journal bytes diverged");
+    let image = mbts::durable::load(&path).expect("fixture");
+    for (recovered, _) in [
+        DurableRun::<EconomyRun>::recover(&fixture).expect("fixture recovers"),
+        DurableRun::<EconomyRun>::recover(&image).expect("fixture streams"),
+    ] {
+        let text = serde_json::to_string(&recovered.snapshot()).expect("serialises");
+        assert!(text == live, "the recovered run is not the one that wrote");
+    }
+}
+
+/// A run keeps its contracts as rows over its trace, and a snapshot read
+/// back owns the tasks its contracts carry until the run is restored: the
+/// restored run, whose contracts include budget-capped ones, writes the
+/// fixture back byte for byte.
+#[test]
+fn a_restored_economy_writes_its_snapshot_back() {
+    let fixture =
+        std::fs::read_to_string(fixture_dir().join("economy_snapshot.json")).expect("fixture");
+    let snap: EconomySnapshot = serde_json::from_str(&fixture).expect("the fixture reads");
+    let capped = snap
+        .contracts
+        .iter()
+        .filter(|c| c.spec != snap.trace[c.spec.id.index()])
+        .count();
+    assert!(capped > 0, "no contract's value was capped by a budget");
+    let run = EconomyRun::from_snapshot(snap).expect("the fixture restores");
+    assert!(render(&run.snapshot(), false) == fixture);
 }
 
 #[test]

@@ -79,7 +79,7 @@ fn traced_site_zero(trace: &Trace) -> (EconomyOutcome, Vec<TraceEvent>) {
     let mut snap = EconomyRun::new(everything_economy(), trace, Tracer::Off).snapshot();
     snap.sites[0].tracer = TracerSnapshot::Buffer { events: Vec::new() };
     snap.sites[0].trace_site = Some(0);
-    let mut run = EconomyRun::from_snapshot(snap);
+    let mut run = EconomyRun::from_snapshot(snap).expect("snapshot restores");
     run.run_to_completion();
     let TracerSnapshot::Buffer { events } = run.snapshot().sites[0].tracer.clone() else {
         panic!("site 0 keeps a buffer tracer");
