@@ -115,7 +115,7 @@ fn main() {
     let started = std::time::Instant::now();
     if cli.target == "metrics" {
         let report = metrics::run_metrics(&cli.params);
-        println!("{}", report.registry.render());
+        println!("{}", report.render());
         if let Some(path) = &cli.trace {
             std::fs::write(path, report.trace_jsonl()).expect("write trace JSONL");
             eprintln!("wrote {}", path.display());

@@ -1,17 +1,17 @@
 //! The `metrics` subcommand: replay common seeded workloads under each
-//! of the six headline policies with the structured-event tracer on,
-//! fold every run into a per-policy [`MetricsRegistry`], and render it.
+//! of the six headline policies with the structured-event tracer on, and
+//! fold each (policy, seed) run's stream into its own [`TraceReport`].
 //!
-//! Each (policy, seed) run captures its full event stream through a
-//! [`BufferSink`](mbts_trace::BufferSink); the streams are then replayed
-//! into the registry (events are plain data, so any sink can consume a
-//! captured buffer after the fact). With `--trace out.jsonl` the
-//! concatenated streams are also written as JSONL, one event per line.
+//! Each run captures its full event stream through a
+//! [`BufferSink`](mbts_trace::BufferSink) and hands it to the one trace
+//! fold behind `mbts analyze`. With `--trace out.jsonl` the concatenated
+//! streams are also written as JSONL, one event per line.
 
 use crate::harness::{parallel_map, ExpParams};
 use mbts_core::Policy;
 use mbts_site::{Site, SiteConfig};
-use mbts_trace::{MetricsRegistry, TraceEvent, Tracer};
+use mbts_trace::analyze::{analyze, render_text};
+use mbts_trace::{to_jsonl, AnalyzeOptions, TraceEvent, TraceReport, Tracer};
 use mbts_workload::{generate_trace, MixConfig};
 
 /// Discount rate for PV/FirstReward (1 %, as in the paper).
@@ -29,28 +29,31 @@ pub fn policy_roster() -> Vec<(&'static str, Policy)> {
     ]
 }
 
-/// Everything the subcommand produces: the merged registry plus the raw
-/// event streams (per policy label, in seed order) for `--trace`.
+/// Everything the subcommand produces: one report per (policy, seed) run
+/// plus the raw event streams for `--trace`, both in roster then seed
+/// order.
 pub struct MetricsReport {
-    /// Per-policy aggregates over all seeds.
-    pub registry: MetricsRegistry,
+    /// Per-run reports, labelled `<policy> seed <seed>`.
+    pub reports: Vec<TraceReport>,
     /// Captured event streams, one per (policy, seed) run.
-    pub runs: Vec<(String, Vec<TraceEvent>)>,
+    pub runs: Vec<Vec<TraceEvent>>,
 }
 
 impl MetricsReport {
+    /// One `mbts analyze` text block per run.
+    pub fn render(&self) -> String {
+        let blocks: Vec<String> = self.reports.iter().map(render_text).collect();
+        blocks.join("\n")
+    }
+
     /// All captured events concatenated as JSONL, in run order.
     pub fn trace_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (_, events) in &self.runs {
-            out.push_str(&mbts_trace::to_jsonl(events));
-        }
-        out
+        self.runs.iter().map(|events| to_jsonl(events)).collect()
     }
 }
 
 /// Runs the roster over `params.seeds` common seeded workloads and
-/// returns the folded registry.
+/// reports each run.
 pub fn run_metrics(params: &ExpParams) -> MetricsReport {
     let mix = MixConfig::millennium_default()
         .with_tasks(params.tasks)
@@ -64,7 +67,7 @@ pub fn run_metrics(params: &ExpParams) -> MetricsReport {
                 .map(move |seed| (label, policy, seed))
         })
         .collect();
-    let results = parallel_map(&jobs, |(label, policy, seed)| {
+    let (reports, runs) = parallel_map(&jobs, |(label, policy, seed)| {
         let trace = generate_trace(&mix, *seed);
         let site = Site::new(
             SiteConfig::new(params.processors)
@@ -73,21 +76,12 @@ pub fn run_metrics(params: &ExpParams) -> MetricsReport {
         );
         let (_, tracer) = site.run_trace_traced(&trace, Tracer::buffer());
         let events = tracer.into_events().expect("buffer tracer keeps events");
-        (label.to_string(), events)
-    });
-    let mut registry: Option<MetricsRegistry> = None;
-    for (label, events) in &results {
-        let mut reg = MetricsRegistry::new(label, params.processors);
-        reg.record_all(events);
-        match registry.as_mut() {
-            Some(r) => r.absorb(reg),
-            None => registry = Some(reg),
-        }
-    }
-    MetricsReport {
-        registry: registry.unwrap_or_else(|| MetricsRegistry::new("none", params.processors)),
-        runs: results,
-    }
+        let label = format!("{label} seed {seed}");
+        (analyze(&label, &events, &AnalyzeOptions::default()), events)
+    })
+    .into_iter()
+    .unzip();
+    MetricsReport { reports, runs }
 }
 
 #[cfg(test)]
@@ -104,21 +98,27 @@ mod tests {
             processors: 4,
         };
         let report = run_metrics(&params);
-        for (label, _) in policy_roster() {
-            let pm = report
-                .registry
-                .policy(label)
-                .unwrap_or_else(|| panic!("registry is missing {label}"));
-            // Both seeds' submissions were folded in.
-            assert_eq!(pm.arrived, 2 * params.tasks as u64);
-            assert!(pm.utilization() > 0.0 && pm.utilization() <= 1.0);
-        }
+        assert_eq!(report.reports.len(), 12);
         assert_eq!(report.runs.len(), 12);
-        let rendered = report.registry.render();
-        assert!(rendered.contains("policy FirstReward"));
+        for ((label, _), r) in policy_roster()
+            .into_iter()
+            .flat_map(|p| [p, p])
+            .zip(&report.reports)
+        {
+            assert!(
+                r.label.starts_with(&format!("{label} seed ")),
+                "{}",
+                r.label
+            );
+            // Every submission of the run was folded in.
+            assert_eq!(r.yields.arrived, params.tasks as u64);
+            let busy = r.utilization[0].mean_busy;
+            assert!(busy > 0.0 && busy <= params.processors as f64, "{busy}");
+        }
+        assert!(report.render().contains("== FirstReward seed 8 =="));
         // The JSONL side parses back to exactly the captured events.
         let parsed = from_jsonl(&report.trace_jsonl()).unwrap();
-        let total: usize = report.runs.iter().map(|(_, e)| e.len()).sum();
+        let total: usize = report.runs.iter().map(Vec::len).sum();
         assert_eq!(parsed.len(), total);
     }
 }

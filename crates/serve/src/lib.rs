@@ -12,7 +12,7 @@
 //!
 //! Layering: `mbts-serve` sits above `mbts-site` (the state machine's
 //! substrate), `mbts-durable` (the journal), `mbts-trace` (provenance +
-//! the serve summary surfaced by `mbts metrics`), and `mbts-sim` (time,
+//! the serve summary surfaced by `mbts analyze`), and `mbts-sim` (time,
 //! event queue, self-profiler sections).
 //!
 //! Network paths never panic: every parse, validation, or serialization

@@ -144,7 +144,7 @@ impl Default for ServeConfig {
 /// Final accounting returned when the daemon drains.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServeReport {
-    /// Request counters + wall time, in the shape `mbts metrics` renders.
+    /// Request counters + wall time, in the shape `mbts analyze` renders.
     pub summary: ServeSummary,
     /// Commands applied over the daemon's lifetime (replayed + live).
     pub applied: u64,

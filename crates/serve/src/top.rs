@@ -124,13 +124,16 @@ fn parse_sample(line: &str) -> Option<Sample> {
     })
 }
 
-/// Splits `k1="v1",k2="v2"` on commas outside quotes.
+/// Splits `k1="v1",k2="v2"` on commas outside quotes (inside them a
+/// backslash escapes the next character).
 fn split_label_pairs(body: &str) -> Vec<&str> {
     let mut out = Vec::new();
     let mut start = 0;
-    let mut in_quotes = false;
+    let (mut in_quotes, mut escaped) = (false, false);
     for (i, c) in body.char_indices() {
         match c {
+            _ if escaped => escaped = false,
+            '\\' if in_quotes => escaped = true,
             '"' => in_quotes = !in_quotes,
             ',' if !in_quotes => {
                 if start < i {

@@ -13,8 +13,9 @@
 //! width is at most 1/16 of its lower edge. The last bucket absorbs
 //! everything from 2^40 ns (≈ 18 minutes) up.
 //!
-//! This is wall-clock latency. [`crate::stats::Histogram`] (linear bins
-//! over simulated time, carried in snapshots) is a different thing.
+//! This is the workspace's one histogram. It measures wall-clock latency;
+//! distributions over simulated time (delays, yields) are reported as
+//! exact sums and means by the trace fold in `mbts-trace`.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

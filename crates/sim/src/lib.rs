@@ -12,7 +12,7 @@
 //!   (exponential, truncated normal, bimodal class mixtures, …),
 //! * [`fault`] — seeded MTTF/MTTR crash-and-repair timelines for
 //!   fault-injection experiments,
-//! * [`stats`] — online summary statistics, histograms, and confidence
+//! * [`stats`] — online summary statistics and confidence
 //!   intervals for multi-seed replication,
 //! * [`latency`] / [`profiler`] — the one wall-clock latency histogram
 //!   and the process-global registry of series every crate above records
@@ -57,5 +57,5 @@ pub use engine::{Engine, Model};
 pub use event::EventQueue;
 pub use fault::{FaultConfig, FaultInjector, FaultInjectorState, FaultUnit, UpDown};
 pub use rng::{RngFactory, SimRng};
-pub use stats::{Histogram, OnlineStats, PairedComparison, Summary};
+pub use stats::{OnlineStats, PairedComparison, Summary};
 pub use time::{Duration, Time};

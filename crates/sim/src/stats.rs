@@ -3,9 +3,8 @@
 //! Experiments replicate every configuration across several seeds and
 //! report mean ± confidence interval; the per-run simulators also track
 //! distributions of delays and yields. [`OnlineStats`] is Welford's
-//! single-pass algorithm (numerically stable for long runs); [`Histogram`]
-//! is a fixed-bin histogram with out-of-range tails; [`Summary`] is the
-//! serializable mean/CI bundle reports are built from.
+//! single-pass algorithm (numerically stable for long runs); [`Summary`]
+//! is the serializable mean/CI bundle reports are built from.
 
 use serde::{Deserialize, Serialize};
 
@@ -198,114 +197,6 @@ pub struct Summary {
     pub max: f64,
 }
 
-/// Fixed-bin histogram over `[lo, hi)` with explicit underflow/overflow
-/// tails; used for delay and yield distributions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// A histogram with `bins` equal-width bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo, "histogram range must be non-empty");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            // Guard against FP edge cases at the upper boundary.
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Count in bin `i`.
-    pub fn bin(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Folds another histogram with the same range and bin count into
-    /// this one (bin-wise sum, tails included).
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.lo == other.lo && self.hi == other.hi && self.bins.len() == other.bins.len(),
-            "cannot merge histograms with different ranges or bin counts"
-        );
-        for (b, o) in self.bins.iter_mut().zip(&other.bins) {
-            *b += o;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-    }
-
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// `[lo, hi)` bounds of bin `i`.
-    pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + i as f64 * width, self.lo + (i + 1) as f64 * width)
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded, including tails.
-    pub fn total(&self) -> u64 {
-        self.underflow + self.overflow + self.bins.iter().sum::<u64>()
-    }
-
-    /// Approximate `q`-quantile (0 ≤ q ≤ 1) by linear scan over bins,
-    /// counting the tails at the range boundaries.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q));
-        let total = self.total();
-        if total == 0 {
-            return f64::NAN;
-        }
-        let target = (q * total as f64).ceil().max(1.0) as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return self.lo;
-        }
-        for (i, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return self.bin_bounds(i).1;
-            }
-        }
-        self.hi
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,40 +264,6 @@ mod tests {
         let many: OnlineStats = (0..1000).map(|i| (i % 10) as f64).collect();
         assert!(many.ci95_half_width() < few.ci95_half_width());
     }
-
-    #[test]
-    fn histogram_bins_and_tails() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 42.0] {
-            h.record(x);
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bin(0), 2); // 0.0 and 0.5
-        assert_eq!(h.bin(5), 1);
-        assert_eq!(h.bin(9), 1);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.bin_bounds(3), (3.0, 4.0));
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 + 0.5);
-        }
-        let median = h.quantile(0.5);
-        assert!((median - 50.0).abs() <= 1.0, "median {median}");
-        let p90 = h.quantile(0.9);
-        assert!((p90 - 90.0).abs() <= 1.0, "p90 {p90}");
-        assert_eq!(h.quantile(1.0), 100.0);
-    }
-
-    #[test]
-    fn empty_histogram_quantile_is_nan() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert!(h.quantile(0.5).is_nan());
-    }
 }
 
 #[cfg(test)]
@@ -439,13 +296,6 @@ mod proptests {
             prop_assert!((left.variance() - all.variance()).abs() < 1e-5);
         }
 
-        /// Histogram conserves its observation count.
-        #[test]
-        fn histogram_conserves(xs in proptest::collection::vec(-10f64..110.0, 0..300)) {
-            let mut h = Histogram::new(0.0, 100.0, 13);
-            for &x in &xs { h.record(x); }
-            prop_assert_eq!(h.total(), xs.len() as u64);
-        }
     }
 }
 

@@ -1,19 +1,23 @@
 //! Post-hoc trace analytics: the engine behind `mbts analyze`.
 //!
-//! Consumes a captured [`TraceEvent`] stream (a `--trace-out` JSONL file,
-//! a replayed journal, or an in-memory buffer) and produces a
-//! [`TraceReport`]: yield attribution, preemption-chain trees with
-//! destroyed-yield totals, admission regret (both counterfactual
-//! directions), per-site utilization timelines, and a summary of any
-//! provenance [`DecisionRecord`](TraceKind::DecisionRecord)s present.
-//! Everything here is read-only over the event stream; reports serialize
-//! to JSON (`--format json`) and render as text (`--format text`).
+//! [`TraceFold`] consumes a [`TraceEvent`] stream (a `--trace-out` JSONL
+//! file read line by line, a replayed journal, or an in-memory buffer) in
+//! one pass and produces a [`TraceReport`]: yield attribution,
+//! preemption-chain trees with destroyed-yield totals, admission regret
+//! (both counterfactual directions), per-site utilization timelines,
+//! workflow and chaos accounting, and a summary of any provenance
+//! [`DecisionRecord`](TraceKind::DecisionRecord)s present. Everything here
+//! is read-only over the event stream; reports serialize to JSON
+//! (`--format json`), render as text (`--format text`) and as Prometheus
+//! exposition (`--format prom`).
 
 use crate::event::{DecisionKind, TraceEvent, TraceKind};
+use crate::exposition;
+use crate::sink::TraceSink;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Tunables for [`analyze`].
+/// Tunables for [`TraceFold::finish`].
 #[derive(Debug, Clone)]
 pub struct AnalyzeOptions {
     /// Buckets in each per-site utilization timeline.
@@ -29,7 +33,7 @@ impl Default for AnalyzeOptions {
 }
 
 /// Where each unit of yield went.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct YieldAttribution {
     /// Tasks that reached admission.
     pub arrived: u64,
@@ -72,8 +76,11 @@ pub struct ChainVictim {
     pub task: u64,
     /// Its gang width.
     pub width: usize,
-    /// Eq. 3 present value the victim carried at its last start before
-    /// the eviction (0 when it was never observed starting).
+    /// Eq. 3 present value of the victim's last `Scheduled` event in the
+    /// whole trace (0 when it was never observed starting). It is read
+    /// once the trace has ended, so a victim that restarted after this
+    /// eviction reports the PV of its final start, not of the start this
+    /// eviction cut short.
     pub pv_at_start: f64,
     /// Realized yield the victim eventually earned (0 when the trace
     /// ends before its terminal event).
@@ -111,7 +118,7 @@ pub struct PreemptionReport {
 }
 
 /// Admission regret in both counterfactual directions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct AdmissionReport {
     /// Tasks admitted.
     pub accepted: u64,
@@ -317,161 +324,197 @@ pub struct TraceReport {
     pub chaos: ChaosSummary,
 }
 
+/// What the fold keeps per task, read back in [`TraceFold::finish`].
 #[derive(Default)]
 struct TaskLedger {
     accepted: bool,
+    /// PV of the task's latest `Scheduled` event so far.
     last_pv: f64,
-    ever_started: bool,
     final_earned: Option<f64>,
-    /// Terminal failure kind, when the task ended badly.
-    failed: Option<&'static str>,
+    /// Whether the task ended badly (rejected, dropped, cancelled,
+    /// orphaned).
+    failed: bool,
 }
 
-/// Analyzes one event stream into a [`TraceReport`].
-pub fn analyze(label: &str, events: &[TraceEvent], opts: &AnalyzeOptions) -> TraceReport {
-    let t0 = events.first().map_or(0.0, |e| e.at.as_f64());
-    let t1 = events.last().map_or(0.0, |e| e.at.as_f64());
+impl TaskLedger {
+    /// The PV of its last start that the task did not realize.
+    fn destroyed_pv(&self) -> f64 {
+        (self.last_pv - self.final_earned.unwrap_or(0.0)).max(0.0)
+    }
+}
 
-    // Pass 1: per-task ledger (acceptance, last scheduled PV, terminal
-    // earned yield) and the flat counters.
-    let mut ledger: BTreeMap<u64, TaskLedger> = BTreeMap::new();
-    let mut y = YieldAttribution {
-        arrived: 0,
-        accepted: 0,
-        scheduled: 0,
-        backfills: 0,
-        completed: 0,
-        earned_completed: 0.0,
-        dropped: 0,
-        earned_dropped: 0.0,
-        cancelled: 0,
-        orphaned: 0,
-        preemptions: 0,
-        requeues: 0,
-        settlements: 0,
-        settled_total: 0.0,
-        total_earned: 0.0,
-        mean_delay: 0.0,
-    };
-    let mut delay_sum = 0.0;
-    let mut decisions = DecisionSummary::default();
-    let mut considered_sum = 0u64;
-    let mut rejected_positive = 0u64;
-    let mut rejected_positive_expected = 0.0;
-    let mut shed = 0u64;
-    let mut shed_pv_lost = 0.0;
-    let mut has_provenance = false;
-    let mut wf = WorkflowSummary::default();
-    let mut attributed: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut chaos = ChaosSummary::default();
-    // Open fault windows: per-point stack of injected action labels
-    // (recovery pops its point's most recent injection) plus a per-class
-    // open count for drop attribution.
-    let mut chaos_open_stack: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    let mut chaos_open_by_action: BTreeMap<String, u64> = BTreeMap::new();
+/// Where the preemption scan stands. In the emission order a preemption
+/// is a run of `Preempted` events at one instant followed by the winner's
+/// `Scheduled`; a provenance trace additionally leads with a
+/// `DecisionRecord(Preempt)` naming the winner outright.
+#[derive(Clone, Copy, Default)]
+enum ChainScan {
+    /// Not inside a chain.
+    #[default]
+    Between,
+    /// A preempt record named `winner`: the next event opens its chain if
+    /// it is a `Preempted`, and is skipped otherwise.
+    Named(u64),
+    /// Collecting the victims of the last chain, all evicted at `at`.
+    Victims { at: f64, named: Option<u64> },
+}
 
-    for ev in events {
-        let task = ev.task.map(|t| t.0);
-        match &ev.kind {
-            TraceKind::TaskArrived { accepted } => {
-                y.arrived += 1;
-                if *accepted {
-                    y.accepted += 1;
-                }
-                if let Some(t) = task {
-                    let l = ledger.entry(t).or_default();
-                    l.accepted = *accepted;
-                    if !accepted {
-                        l.failed = Some("rejected");
-                    }
-                }
+/// One site's busy-processor step function, kept as the instants at which
+/// the busy count can change the integral, so that
+/// [`TraceFold::finish`] buckets it over `[t0, t1]` once `t1` is known.
+#[derive(Default)]
+struct BusySteps {
+    /// `(instant, busy processors from then on)`; an event that finds the
+    /// site idle and leaves it idle adds nothing, and events at one
+    /// instant share a step.
+    steps: Vec<(f64, usize)>,
+    busy: usize,
+    peak: usize,
+}
+
+/// The one fold from a trace-event stream to a [`TraceReport`].
+///
+/// Feed it events in stream order through [`TraceSink::record`], then
+/// call [`finish`](Self::finish). It holds no event: its state is one
+/// ledger row per task, the open preemption chain, per-site busy steps,
+/// and the workflow, stranding and chaos rows. Everything that depends on
+/// how a task ended (a chain victim's destroyed yield, a stranding root's
+/// destroyed PV, a workflow member's outcome) is resolved in `finish`
+/// from the final ledger.
+#[derive(Default)]
+pub struct TraceFold {
+    events: usize,
+    t0: Option<f64>,
+    t1: f64,
+    ledger: BTreeMap<u64, TaskLedger>,
+    yields: YieldAttribution,
+    delay_sum: f64,
+    decisions: DecisionSummary,
+    considered_sum: u64,
+    /// The regret counters; the accepted side is filled in `finish`.
+    admission: AdmissionReport,
+    workflows: WorkflowSummary,
+    attributed: BTreeMap<u64, f64>,
+    chaos: ChaosSummary,
+    /// Open fault windows: per-point stack of injected action labels
+    /// (recovery pops its point's most recent injection) plus a per-class
+    /// open count for drop attribution.
+    chaos_open_stack: BTreeMap<String, Vec<String>>,
+    chaos_open_by_action: BTreeMap<String, u64>,
+    /// Chains as the stream shows them: `parent` and the victims' values
+    /// are filled in `finish`.
+    chains: Vec<PreemptionChain>,
+    scan: ChainScan,
+    /// Chains whose victims are all in, still looking for their winner
+    /// among the events at `searching_at`.
+    searching: Vec<usize>,
+    searching_at: f64,
+    sites: BTreeMap<Option<usize>, BusySteps>,
+    /// Task → workflow, from the events that name both (last one wins).
+    member_wf: BTreeMap<u64, u64>,
+    /// Stranding root → the workflow of its first cone; fills
+    /// `member_wf` only where no event named the root's workflow.
+    root_wf: BTreeMap<u64, u64>,
+    strandings: Vec<StrandingChain>,
+    last_failure: Option<(u64, &'static str)>,
+    wledgers: BTreeMap<u64, WorkflowLedger>,
+}
+
+impl TraceSink for TraceFold {
+    fn record(&mut self, ev: &TraceEvent) {
+        let now = ev.at.as_f64();
+        self.events += 1;
+        self.t0.get_or_insert(now);
+        self.t1 = now;
+        self.note_task(ev);
+        self.count(ev);
+        self.scan_preemption(ev, now);
+        self.step_busy(ev, now);
+        self.track_workflows(ev, now);
+    }
+}
+
+impl TraceFold {
+    /// The task's ledger row, and the latest terminal failure.
+    fn note_task(&mut self, ev: &TraceEvent) {
+        let Some(t) = ev.task.map(|t| t.0) else {
+            return;
+        };
+        let failure = match ev.kind {
+            TraceKind::Dropped { .. } => Some("dropped"),
+            TraceKind::Cancelled => Some("cancelled"),
+            TraceKind::Orphaned => Some("orphaned"),
+            TraceKind::TaskArrived { accepted: false } => Some("rejected"),
+            TraceKind::TaskArrived { .. }
+            | TraceKind::Scheduled { .. }
+            | TraceKind::Completed { .. } => None,
+            _ => return,
+        };
+        let l = self.ledger.entry(t).or_default();
+        match ev.kind {
+            TraceKind::TaskArrived { accepted } => l.accepted = accepted,
+            TraceKind::Scheduled { pv, .. } => l.last_pv = pv,
+            TraceKind::Completed { earned, .. } | TraceKind::Dropped { earned } => {
+                l.final_earned = Some(earned)
             }
-            &TraceKind::Scheduled { pv, backfill, .. } => {
+            _ => {}
+        }
+        if let Some(kind) = failure {
+            l.failed = true;
+            self.last_failure = Some((t, kind));
+        }
+    }
+
+    /// The flat counters.
+    fn count(&mut self, ev: &TraceEvent) {
+        let y = &mut self.yields;
+        match &ev.kind {
+            &TraceKind::TaskArrived { accepted } => {
+                y.arrived += 1;
+                y.accepted += accepted as u64;
+            }
+            &TraceKind::Scheduled { backfill, .. } => {
                 y.scheduled += 1;
-                if backfill {
-                    y.backfills += 1;
-                }
-                if let Some(t) = task {
-                    let l = ledger.entry(t).or_default();
-                    l.last_pv = pv;
-                    l.ever_started = true;
-                }
+                y.backfills += backfill as u64;
             }
             TraceKind::Preempted { .. } => y.preemptions += 1,
             TraceKind::Requeued { .. } => y.requeues += 1,
             &TraceKind::Completed { earned, delay, .. } => {
                 y.completed += 1;
                 y.earned_completed += earned;
-                delay_sum += delay;
-                if let Some(t) = task {
-                    ledger.entry(t).or_default().final_earned = Some(earned);
-                }
+                self.delay_sum += delay;
             }
             &TraceKind::Dropped { earned } => {
                 y.dropped += 1;
                 y.earned_dropped += earned;
-                if let Some(t) = task {
-                    let l = ledger.entry(t).or_default();
-                    l.final_earned = Some(earned);
-                    l.failed = Some("dropped");
-                }
                 // Attribute the loss to every fault class currently open
                 // — a drop during overlapping faults charges each.
-                for (action, open) in &chaos_open_by_action {
-                    if *open > 0 {
-                        let rep = chaos.by_action.entry(action.clone()).or_default();
-                        rep.dropped_during += 1;
-                        rep.yield_lost_during += (-earned).max(0.0);
-                    }
+                for (action, _) in self.chaos_open_by_action.iter().filter(|(_, n)| **n > 0) {
+                    let rep = self.chaos.by_action.entry(action.clone()).or_default();
+                    rep.dropped_during += 1;
+                    rep.yield_lost_during += (-earned).max(0.0);
                 }
             }
-            TraceKind::Cancelled => {
-                y.cancelled += 1;
-                if let Some(t) = task {
-                    ledger.entry(t).or_default().failed = Some("cancelled");
-                }
-            }
-            TraceKind::Orphaned => {
-                y.orphaned += 1;
-                if let Some(t) = task {
-                    ledger.entry(t).or_default().failed = Some("orphaned");
-                }
-            }
+            TraceKind::Cancelled => y.cancelled += 1,
+            TraceKind::Orphaned => y.orphaned += 1,
             &TraceKind::ContractSettled { amount } => {
                 y.settlements += 1;
                 y.settled_total += amount;
             }
-            TraceKind::Crashed { .. } | TraceKind::Repaired { .. } => {}
-            TraceKind::WorkflowReleased { .. } => wf.releases += 1,
-            TraceKind::WorkflowSettled {
-                earned,
-                attribution,
-                ..
-            } => {
-                wf.settled += 1;
-                wf.total_earned += earned;
-                if attribution.is_empty() {
-                    wf.failed += 1;
-                }
-                for &(t, share) in attribution {
-                    *attributed.entry(t).or_insert(0.0) += share;
-                }
-            }
-            TraceKind::WorkflowStranded { .. } => wf.stranded_tasks += 1,
             TraceKind::ChaosInjected { point, action } => {
-                chaos.injected += 1;
-                chaos.by_action.entry(action.clone()).or_default().injected += 1;
-                *chaos_open_by_action.entry(action.clone()).or_insert(0) += 1;
-                chaos_open_stack
-                    .entry(point.clone())
-                    .or_default()
-                    .push(action.clone());
+                self.chaos.injected += 1;
+                let rep = self.chaos.by_action.entry(action.clone()).or_default();
+                rep.injected += 1;
+                *self.chaos_open_by_action.entry(action.clone()).or_insert(0) += 1;
+                let stack = self.chaos_open_stack.entry(point.clone()).or_default();
+                stack.push(action.clone());
             }
             TraceKind::ChaosRecovered { point, .. } => {
-                chaos.recovered += 1;
-                if let Some(action) = chaos_open_stack.get_mut(point).and_then(|s| s.pop()) {
-                    chaos.by_action.entry(action.clone()).or_default().recovered += 1;
-                    if let Some(open) = chaos_open_by_action.get_mut(&action) {
+                self.chaos.recovered += 1;
+                if let Some(action) = self.chaos_open_stack.get_mut(point).and_then(|s| s.pop()) {
+                    let rep = self.chaos.by_action.entry(action.clone()).or_default();
+                    rep.recovered += 1;
+                    if let Some(open) = self.chaos_open_by_action.get_mut(&action) {
                         *open = open.saturating_sub(1);
                     }
                 }
@@ -481,156 +524,134 @@ pub fn analyze(label: &str, events: &[TraceEvent], opts: &AnalyzeOptions) -> Tra
                 considered,
                 candidates,
             } => {
-                decisions.records += 1;
-                considered_sum += *considered as u64;
+                let d = &mut self.decisions;
+                d.records += 1;
+                self.considered_sum += *considered as u64;
+                let a = &mut self.admission;
                 match decision {
-                    DecisionKind::Dispatch => decisions.dispatch += 1,
-                    DecisionKind::Backfill => decisions.backfill += 1,
-                    DecisionKind::Preempt => decisions.preempt += 1,
-                    DecisionKind::Admission => decisions.admission += 1,
-                    DecisionKind::BidSelection => decisions.bid_selection += 1,
-                    DecisionKind::Shed => decisions.shed += 1,
-                }
-                match decision {
+                    DecisionKind::Dispatch => d.dispatch += 1,
+                    DecisionKind::Backfill => d.backfill += 1,
+                    DecisionKind::Preempt => d.preempt += 1,
                     DecisionKind::Admission | DecisionKind::BidSelection => {
-                        has_provenance = true;
+                        if *decision == DecisionKind::Admission {
+                            d.admission += 1;
+                        } else {
+                            d.bid_selection += 1;
+                        }
+                        a.has_provenance = true;
                         // "Should have accepted" regret: a rejected task
                         // whose best expected yield was positive.
-                        let any_chosen = candidates.iter().any(|c| c.chosen);
-                        if !any_chosen {
-                            let best = candidates
-                                .iter()
-                                .map(|c| c.score)
-                                .fold(f64::NEG_INFINITY, f64::max);
-                            if best > 0.0 {
-                                rejected_positive += 1;
-                                rejected_positive_expected += best;
-                            }
+                        let best = candidates
+                            .iter()
+                            .map(|c| c.score)
+                            .fold(f64::NEG_INFINITY, f64::max);
+                        if !candidates.iter().any(|c| c.chosen) && best > 0.0 {
+                            a.rejected_positive += 1;
+                            a.rejected_positive_expected += best;
                         }
                     }
                     DecisionKind::Shed => {
-                        has_provenance = true;
+                        d.shed += 1;
+                        a.has_provenance = true;
                         // Regret of shedding: the PV the service walked
                         // away from (expired victims contribute 0).
                         for c in candidates.iter().filter(|c| c.chosen) {
-                            shed += 1;
-                            shed_pv_lost += c.pv.max(0.0);
+                            a.shed += 1;
+                            a.shed_pv_lost += c.pv.max(0.0);
                         }
                     }
-                    _ => {}
                 }
             }
+            _ => {}
         }
     }
-    y.total_earned = y.earned_completed + y.earned_dropped;
-    y.mean_delay = if y.completed > 0 {
-        delay_sum / y.completed as f64
-    } else {
-        0.0
-    };
-    decisions.mean_considered = if decisions.records > 0 {
-        considered_sum as f64 / decisions.records as f64
-    } else {
-        0.0
-    };
 
-    // Pass 2: preemption chains. In the emission order a preemption is a
-    // run of `Preempted` events at one instant followed by the winner's
-    // `Scheduled`; a provenance trace additionally leads with a
-    // `DecisionRecord(Preempt)` naming the winner outright.
-    let mut chains: Vec<PreemptionChain> = Vec::new();
-    let mut victim_of: BTreeMap<u64, usize> = BTreeMap::new(); // task → chain idx
-    let mut i = 0usize;
-    while i < events.len() {
-        let pending_preemptor = match &events[i].kind {
-            TraceKind::DecisionRecord {
-                decision: DecisionKind::Preempt,
-                ..
-            } => events[i].task.map(|t| t.0),
+    /// Preemption chains. A chain's winner is the preempt record's task
+    /// when one named it, else the first non-backfill start at the
+    /// eviction instant after its victims; events keep being scanned for
+    /// new chains while earlier ones still look for their winner.
+    fn scan_preemption(&mut self, ev: &TraceEvent, at: f64) {
+        let evicts = matches!(ev.kind, TraceKind::Preempted { .. });
+        let victim = match ev.kind {
+            TraceKind::Preempted { width } => ev.task.map(|t| ChainVictim {
+                task: t.0,
+                width,
+                pv_at_start: 0.0,
+                final_earned: 0.0,
+                destroyed_yield: 0.0,
+            }),
             _ => None,
         };
-        if pending_preemptor.is_some() {
-            i += 1; // the victims follow immediately
-        }
-        if i >= events.len() || !matches!(events[i].kind, TraceKind::Preempted { .. }) {
-            i += 1;
-            continue;
-        }
-        let at = events[i].at;
-        let mut victims = Vec::new();
-        while i < events.len() && events[i].at == at {
-            if let &TraceKind::Preempted { width } = &events[i].kind {
-                if let Some(t) = events[i].task.map(|t| t.0) {
-                    let l = ledger.get(&t);
-                    let pv = l.map_or(0.0, |l| l.last_pv);
-                    let earned = l.and_then(|l| l.final_earned).unwrap_or(0.0);
-                    victims.push(ChainVictim {
-                        task: t,
-                        width,
-                        pv_at_start: pv,
-                        final_earned: earned,
-                        destroyed_yield: (pv - earned).max(0.0),
-                    });
-                }
-                i += 1;
-            } else {
-                break;
+        if let ChainScan::Victims { at: open, named } = self.scan {
+            let chain = self.chains.len() - 1;
+            if evicts && at == open {
+                self.chains[chain].victims.extend(victim);
+                self.resolve_winner(ev, at);
+                return;
             }
+            // The run of victims ended: the chain takes its named winner
+            // or looks for one from this event on.
+            match named {
+                Some(winner) => self.chains[chain].preemptor = Some(winner),
+                None => {
+                    self.searching.push(chain);
+                    self.searching_at = open;
+                }
+            }
+            self.scan = ChainScan::Between;
         }
-        // Attribute the preemptor: the provenance record if present,
-        // otherwise the next non-backfill start at the same instant.
-        let preemptor = pending_preemptor.or_else(|| {
-            events[i..]
-                .iter()
-                .take_while(|e| e.at == at)
-                .find_map(|e| match e.kind {
-                    TraceKind::Scheduled {
-                        backfill: false, ..
-                    } => e.task.map(|t| t.0),
+        self.resolve_winner(ev, at);
+        // The scan is now between chains or just past a preempt record,
+        // whose next event is skipped unless it opens the named chain.
+        self.scan = match (self.scan, &ev.kind, ev.task) {
+            (scan, TraceKind::Preempted { .. }, _) => {
+                self.chains.push(PreemptionChain {
+                    at,
+                    preemptor: None,
+                    parent: None,
+                    victims: victim.into_iter().collect(),
+                });
+                let named = match scan {
+                    ChainScan::Named(winner) => Some(winner),
                     _ => None,
-                })
-        });
-        let parent = preemptor.and_then(|p| victim_of.get(&p).copied());
-        let idx = chains.len();
-        for v in &victims {
-            victim_of.insert(v.task, idx);
-        }
-        chains.push(PreemptionChain {
-            at: at.as_f64(),
-            preemptor,
-            parent,
-            victims,
-        });
-    }
-    let destroyed_yield = chains
-        .iter()
-        .flat_map(|c| &c.victims)
-        .map(|v| v.destroyed_yield)
-        .sum();
-
-    // Admission regret, realized direction: admitted tasks that ended
-    // with negative yield.
-    let mut accepted_negative = 0u64;
-    let mut accepted_negative_yield = 0.0;
-    for l in ledger.values() {
-        if l.accepted {
-            if let Some(earned) = l.final_earned {
-                if earned < 0.0 {
-                    accepted_negative += 1;
-                    accepted_negative_yield += earned;
-                }
+                };
+                ChainScan::Victims { at, named }
             }
+            (
+                ChainScan::Between,
+                TraceKind::DecisionRecord {
+                    decision: DecisionKind::Preempt,
+                    ..
+                },
+                Some(t),
+            ) => ChainScan::Named(t.0),
+            _ => ChainScan::Between,
+        };
+    }
+
+    /// Settles the chains looking for their winner: the first
+    /// non-backfill start at their instant, or none once time moves on.
+    fn resolve_winner(&mut self, ev: &TraceEvent, at: f64) {
+        if self.searching.is_empty() {
+            return;
+        }
+        let winner = match (&ev.kind, ev.task) {
+            _ if at != self.searching_at => None,
+            (
+                TraceKind::Scheduled {
+                    backfill: false, ..
+                },
+                Some(t),
+            ) => Some(t.0),
+            _ => return,
+        };
+        for idx in self.searching.drain(..) {
+            self.chains[idx].preemptor = winner;
         }
     }
 
-    // Pass 3: per-site busy-processor timelines (stepwise integral of
-    // gang widths, bucketed over [t0, t1]).
-    let buckets = opts.timeline_buckets.max(1);
-    let span = (t1 - t0).max(0.0);
-    // Accumulator per site: (bucket integrals, cursor, busy, peak, busy integral).
-    type SiteAccum = (Vec<f64>, f64, usize, usize, f64);
-    let mut sites: BTreeMap<Option<usize>, SiteAccum> = BTreeMap::new();
-    for ev in events {
+    /// Per-site busy-processor steps (gang widths in and out).
+    fn step_busy(&mut self, ev: &TraceEvent, now: f64) {
         let width_delta: i64 = match ev.kind {
             TraceKind::Scheduled { width, .. } => width as i64,
             TraceKind::Preempted { width }
@@ -638,154 +659,49 @@ pub fn analyze(label: &str, events: &[TraceEvent], opts: &AnalyzeOptions) -> Tra
             | TraceKind::Completed { width, .. } => -(width as i64),
             _ => 0,
         };
-        let entry = sites
-            .entry(ev.site)
-            .or_insert_with(|| (vec![0.0; buckets], t0, 0, 0, 0.0));
-        let (integrals, cursor, busy, peak, total) = (
-            &mut entry.0,
-            &mut entry.1,
-            &mut entry.2,
-            &mut entry.3,
-            &mut entry.4,
-        );
-        let now = ev.at.as_f64();
-        if *busy > 0 && now > *cursor && span > 0.0 {
-            let b = *busy as f64;
-            *total += b * (now - *cursor);
-            // Spread the interval across the buckets it overlaps.
-            let scale = buckets as f64 / span;
-            let (mut lo, hi) = ((*cursor - t0) * scale, (now - t0) * scale);
-            while lo < hi {
-                let idx = (lo.floor() as usize).min(buckets - 1);
-                let edge = (idx as f64 + 1.0).min(hi);
-                integrals[idx] += b * (edge - lo) / scale;
-                lo = edge;
-            }
+        let site = self.sites.entry(ev.site).or_default();
+        let before = site.busy;
+        site.busy = (before as i64 + width_delta).max(0) as usize;
+        site.peak = site.peak.max(site.busy);
+        if before == 0 && site.busy == 0 {
+            return;
         }
-        *cursor = now;
-        *busy = (*busy as i64 + width_delta).max(0) as usize;
-        *peak = (*peak).max(*busy);
+        match site.steps.last_mut() {
+            Some(last) if last.0 == now => last.1 = site.busy,
+            _ => site.steps.push((now, site.busy)),
+        }
     }
-    let utilization: Vec<SiteTimeline> = sites
-        .into_iter()
-        .filter(|(_, (_, _, _, peak, _))| *peak > 0)
-        .map(|(site, (integrals, _, _, peak, total))| {
-            let bucket_span = span / buckets as f64;
-            SiteTimeline {
-                site,
-                busy: if bucket_span > 0.0 {
-                    integrals.iter().map(|v| v / bucket_span).collect()
-                } else {
-                    vec![0.0; buckets]
-                },
-                mean_busy: if span > 0.0 { total / span } else { 0.0 },
-                peak_busy: peak,
-            }
-        })
-        .collect();
 
-    let mut top: Vec<(u64, f64)> = attributed.into_iter().collect();
-    top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    top.truncate(10);
-    wf.top_attributed = top;
-
-    // Pass 4: workflow explainers — the per-workflow regret table and
-    // the stranding chains. Membership comes from the events that name
-    // both a task and its workflow; a stranding cone additionally maps
-    // the failure that opened it (so a failed root, which never got a
-    // release event, still lands in the right workflow).
-    let mut member_wf: BTreeMap<u64, u64> = BTreeMap::new();
-    for ev in events {
+    /// Workflow counters, membership, the per-workflow rows and the
+    /// stranding chains.
+    fn track_workflows(&mut self, ev: &TraceEvent, at: f64) {
         let task = ev.task.map(|t| t.0);
         match &ev.kind {
-            TraceKind::WorkflowReleased { workflow } | TraceKind::WorkflowStranded { workflow } => {
-                if let Some(t) = task {
-                    member_wf.insert(t, *workflow);
-                }
+            &TraceKind::WorkflowReleased { workflow } => {
+                self.workflows.releases += 1;
+                self.member_wf.extend(task.map(|t| (t, workflow)));
+                workflow_row(&mut self.wledgers, workflow).released += 1;
             }
-            TraceKind::WorkflowSettled {
-                workflow,
-                attribution,
-                ..
-            } => {
-                for &(t, _) in attribution {
-                    member_wf.insert(t, *workflow);
-                }
-            }
-            _ => {}
-        }
-    }
-    // Stranding chains: the engine emits a cone as a contiguous run of
-    // `WorkflowStranded` events right after the triggering member's
-    // terminal failure, so the nearest preceding failure in stream
-    // order is the root.
-    let mut strandings: Vec<StrandingChain> = Vec::new();
-    let mut last_failure: Option<(u64, &'static str)> = None;
-    for ev in events {
-        let task = ev.task.map(|t| t.0);
-        let failure_kind = match &ev.kind {
-            TraceKind::Dropped { .. } => Some("dropped"),
-            TraceKind::Cancelled => Some("cancelled"),
-            TraceKind::Orphaned => Some("orphaned"),
-            TraceKind::TaskArrived { accepted: false } => Some("rejected"),
-            _ => None,
-        };
-        if let (Some(kind), Some(t)) = (failure_kind, task) {
-            last_failure = Some((t, kind));
-        }
-        if let TraceKind::WorkflowStranded { workflow } = ev.kind {
-            let at = ev.at.as_f64();
-            let root = last_failure.map(|(t, _)| t);
-            if let Some(rt) = root {
-                member_wf.entry(rt).or_insert(workflow);
-            }
-            let extends = strandings
-                .last()
-                .is_some_and(|c| c.workflow == workflow && c.at == at && c.root_failure == root);
-            match (extends, task) {
-                (true, Some(t)) => {
-                    if let Some(chain) = strandings.last_mut() {
-                        chain.stranded.push(t);
-                    }
-                }
-                _ => strandings.push(StrandingChain {
-                    at,
-                    workflow,
-                    root_failure: root,
-                    failure: last_failure
-                        .map_or_else(|| "unknown".to_string(), |(_, k)| k.to_string()),
-                    stranded: task.into_iter().collect(),
-                    pv_destroyed: 0.0,
-                }),
-            }
-        }
-    }
-    for chain in &mut strandings {
-        if let Some(l) = chain.root_failure.and_then(|t| ledger.get(&t)) {
-            chain.pv_destroyed = (l.last_pv - l.final_earned.unwrap_or(0.0)).max(0.0);
-        }
-    }
-    // The regret table: workflow events first, then the mapped members'
-    // per-task outcomes folded in.
-    let mut wledgers: BTreeMap<u64, WorkflowLedger> = BTreeMap::new();
-    fn row(m: &mut BTreeMap<u64, WorkflowLedger>, w: u64) -> &mut WorkflowLedger {
-        m.entry(w).or_insert_with(|| WorkflowLedger {
-            workflow: w,
-            ..WorkflowLedger::default()
-        })
-    }
-    for ev in events {
-        match &ev.kind {
-            TraceKind::WorkflowReleased { workflow } => row(&mut wledgers, *workflow).released += 1,
-            TraceKind::WorkflowStranded { workflow } => {
-                row(&mut wledgers, *workflow).stranded_members += 1
+            &TraceKind::WorkflowStranded { workflow } => {
+                self.workflows.stranded_tasks += 1;
+                self.member_wf.extend(task.map(|t| (t, workflow)));
+                workflow_row(&mut self.wledgers, workflow).stranded_members += 1;
+                self.strand(workflow, task, at);
             }
             TraceKind::WorkflowSettled {
                 workflow,
                 earned,
                 attribution,
             } => {
-                let wl = row(&mut wledgers, *workflow);
+                let wf = &mut self.workflows;
+                wf.settled += 1;
+                wf.total_earned += earned;
+                wf.failed += attribution.is_empty() as u64;
+                for &(t, share) in attribution {
+                    *self.attributed.entry(t).or_insert(0.0) += share;
+                    self.member_wf.insert(t, *workflow);
+                }
+                let wl = workflow_row(&mut self.wledgers, *workflow);
                 wl.settled = true;
                 wl.earned = *earned;
                 wl.failed = attribution.is_empty();
@@ -793,63 +709,220 @@ pub fn analyze(label: &str, events: &[TraceEvent], opts: &AnalyzeOptions) -> Tra
             _ => {}
         }
     }
-    let mut completed_earned: BTreeMap<u64, f64> = BTreeMap::new();
-    for (&t, &w) in &member_wf {
-        let Some(l) = ledger.get(&t) else { continue };
-        let wl = row(&mut wledgers, w);
-        if l.failed.is_some() {
-            wl.failed_members += 1;
-            // Never-scheduled failures carry no observed PV (last_pv 0);
-            // scheduled ones destroyed what they last promised.
-            wl.destroyed_pv += (l.last_pv - l.final_earned.unwrap_or(0.0)).max(0.0);
-        } else if let Some(earned) = l.final_earned {
-            wl.completed_members += 1;
-            *completed_earned.entry(w).or_insert(0.0) += earned.max(0.0);
-        }
-    }
-    for wl in wledgers.values_mut() {
-        // A trace that ends mid-failure (strandings but no settle) still
-        // reads as a failed workflow.
-        if !wl.settled && (wl.stranded_members > 0 || wl.failed_members > 0) {
-            wl.failed = true;
-        }
-        if wl.failed {
-            wl.sunk_earned = completed_earned.get(&wl.workflow).copied().unwrap_or(0.0);
-            wl.regret = wl.sunk_earned + wl.destroyed_pv;
-        }
-    }
-    let workflow_ledgers: Vec<WorkflowLedger> = wledgers.into_values().collect();
 
-    let admission = AdmissionReport {
-        accepted: y.accepted,
-        rejected: y.arrived - y.accepted,
-        accepted_negative,
-        accepted_negative_yield,
-        rejected_positive,
-        rejected_positive_expected,
-        shed,
-        shed_pv_lost,
-        has_provenance,
-    };
-    TraceReport {
-        label: label.to_string(),
-        events: events.len(),
-        t0,
-        t1,
-        yields: y,
-        preemption: PreemptionReport {
-            total_preemptions: chains.iter().map(|c| c.victims.len() as u64).sum(),
-            destroyed_yield,
-            chains,
-        },
-        admission,
-        utilization,
-        decisions,
-        workflows: wf,
-        workflow_ledgers,
-        strandings,
-        chaos,
+    /// One stranded member. The engine emits a cone as a contiguous run
+    /// of `WorkflowStranded` events right after the triggering member's
+    /// terminal failure, so the nearest preceding failure in stream order
+    /// is the root.
+    fn strand(&mut self, workflow: u64, task: Option<u64>, at: f64) {
+        let root = self.last_failure.map(|(t, _)| t);
+        if let Some(rt) = root {
+            self.root_wf.entry(rt).or_insert(workflow);
+        }
+        let open = self
+            .strandings
+            .last_mut()
+            .filter(|c| c.workflow == workflow && c.at == at && c.root_failure == root);
+        if let (Some(chain), Some(t)) = (open, task) {
+            chain.stranded.push(t);
+            return;
+        }
+        self.strandings.push(StrandingChain {
+            at,
+            workflow,
+            root_failure: root,
+            failure: self.last_failure.map_or("unknown", |(_, k)| k).to_string(),
+            stranded: task.into_iter().collect(),
+            pv_destroyed: 0.0,
+        });
     }
+
+    /// Closes the fold into the report for `label`.
+    pub fn finish(mut self, label: &str, opts: &AnalyzeOptions) -> TraceReport {
+        let t0 = self.t0.unwrap_or(0.0);
+        let t1 = self.t1;
+        let ledger = &self.ledger;
+        let mut y = self.yields;
+        y.total_earned = y.earned_completed + y.earned_dropped;
+        y.mean_delay = if y.completed > 0 {
+            self.delay_sum / y.completed as f64
+        } else {
+            0.0
+        };
+        let mut decisions = self.decisions;
+        decisions.mean_considered = if decisions.records > 0 {
+            self.considered_sum as f64 / decisions.records as f64
+        } else {
+            0.0
+        };
+
+        // Preemption chains: a chain nests under the chain its winner was
+        // a victim of, and each victim's PV and final yield come from the
+        // final ledger.
+        if let ChainScan::Victims { named, .. } = self.scan {
+            self.chains.last_mut().expect("a chain is open").preemptor = named;
+        }
+        let mut victim_of: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut chains = self.chains;
+        for (idx, chain) in chains.iter_mut().enumerate() {
+            chain.parent = chain.preemptor.and_then(|p| victim_of.get(&p).copied());
+            for v in &mut chain.victims {
+                victim_of.insert(v.task, idx);
+                if let Some(l) = ledger.get(&v.task) {
+                    v.pv_at_start = l.last_pv;
+                    v.final_earned = l.final_earned.unwrap_or(0.0);
+                    v.destroyed_yield = l.destroyed_pv();
+                }
+            }
+        }
+        let destroyed_yield = chains
+            .iter()
+            .flat_map(|c| &c.victims)
+            .map(|v| v.destroyed_yield)
+            .sum();
+
+        // Admission regret, realized direction: admitted tasks that ended
+        // with negative yield.
+        let mut admission = self.admission;
+        admission.accepted = y.accepted;
+        admission.rejected = y.arrived - y.accepted;
+        for l in ledger.values().filter(|l| l.accepted) {
+            if let Some(earned) = l.final_earned.filter(|e| *e < 0.0) {
+                admission.accepted_negative += 1;
+                admission.accepted_negative_yield += earned;
+            }
+        }
+
+        // Per-site busy-processor timelines: the stepwise integral of
+        // gang widths, bucketed over [t0, t1].
+        let buckets = opts.timeline_buckets.max(1);
+        let span = (t1 - t0).max(0.0);
+        let utilization: Vec<SiteTimeline> = self
+            .sites
+            .into_iter()
+            .filter(|(_, s)| s.peak > 0)
+            .map(|(site, s)| {
+                let mut integrals = vec![0.0; buckets];
+                let (mut cursor, mut busy, mut total) = (t0, 0usize, 0.0);
+                for (now, after) in s.steps {
+                    if busy > 0 && now > cursor && span > 0.0 {
+                        let b = busy as f64;
+                        total += b * (now - cursor);
+                        // Spread the interval across the buckets it overlaps.
+                        // The last bucket runs to `hi`, which rounding can
+                        // put a hair past `buckets`.
+                        let scale = buckets as f64 / span;
+                        let (mut lo, hi) = ((cursor - t0) * scale, (now - t0) * scale);
+                        while lo < hi {
+                            let idx = (lo.floor() as usize).min(buckets - 1);
+                            let edge = if idx + 1 == buckets {
+                                hi
+                            } else {
+                                (idx as f64 + 1.0).min(hi)
+                            };
+                            integrals[idx] += b * (edge - lo) / scale;
+                            lo = edge;
+                        }
+                    }
+                    cursor = now;
+                    busy = after;
+                }
+                let bucket_span = span / buckets as f64;
+                SiteTimeline {
+                    site,
+                    busy: if bucket_span > 0.0 {
+                        integrals.iter().map(|v| v / bucket_span).collect()
+                    } else {
+                        vec![0.0; buckets]
+                    },
+                    mean_busy: if span > 0.0 { total / span } else { 0.0 },
+                    peak_busy: s.peak,
+                }
+            })
+            .collect();
+
+        let mut wf = self.workflows;
+        let mut top: Vec<(u64, f64)> = self.attributed.into_iter().collect();
+        top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        top.truncate(10);
+        wf.top_attributed = top;
+
+        // Workflow explainers. A stranding root that no event tied to a
+        // workflow (a failed root never gets a release event) joins the
+        // workflow of its first cone.
+        let mut strandings = self.strandings;
+        for chain in &mut strandings {
+            if let Some(l) = chain.root_failure.and_then(|t| ledger.get(&t)) {
+                chain.pv_destroyed = l.destroyed_pv();
+            }
+        }
+        let mut member_wf = self.member_wf;
+        for (rt, w) in self.root_wf {
+            member_wf.entry(rt).or_insert(w);
+        }
+        // The regret table: the workflow rows, then the mapped members'
+        // per-task outcomes folded in.
+        let mut wledgers = self.wledgers;
+        let mut completed_earned: BTreeMap<u64, f64> = BTreeMap::new();
+        for (&t, &w) in &member_wf {
+            let Some(l) = ledger.get(&t) else { continue };
+            let wl = workflow_row(&mut wledgers, w);
+            if l.failed {
+                wl.failed_members += 1;
+                // Never-scheduled failures carry no observed PV (last_pv 0);
+                // scheduled ones destroyed what they last promised.
+                wl.destroyed_pv += l.destroyed_pv();
+            } else if let Some(earned) = l.final_earned {
+                wl.completed_members += 1;
+                *completed_earned.entry(w).or_insert(0.0) += earned.max(0.0);
+            }
+        }
+        for wl in wledgers.values_mut() {
+            // A trace that ends mid-failure (strandings but no settle) still
+            // reads as a failed workflow.
+            if !wl.settled && (wl.stranded_members > 0 || wl.failed_members > 0) {
+                wl.failed = true;
+            }
+            if wl.failed {
+                wl.sunk_earned = completed_earned.get(&wl.workflow).copied().unwrap_or(0.0);
+                wl.regret = wl.sunk_earned + wl.destroyed_pv;
+            }
+        }
+
+        TraceReport {
+            label: label.to_string(),
+            events: self.events,
+            t0,
+            t1,
+            preemption: PreemptionReport {
+                total_preemptions: chains.iter().map(|c| c.victims.len() as u64).sum(),
+                destroyed_yield,
+                chains,
+            },
+            admission,
+            yields: y,
+            utilization,
+            decisions,
+            workflows: wf,
+            workflow_ledgers: wledgers.into_values().collect(),
+            strandings,
+            chaos: self.chaos,
+        }
+    }
+}
+
+fn workflow_row(rows: &mut BTreeMap<u64, WorkflowLedger>, w: u64) -> &mut WorkflowLedger {
+    rows.entry(w).or_insert_with(|| WorkflowLedger {
+        workflow: w,
+        ..WorkflowLedger::default()
+    })
+}
+
+/// Analyzes one event stream held in memory into a [`TraceReport`].
+pub fn analyze(label: &str, events: &[TraceEvent], opts: &AnalyzeOptions) -> TraceReport {
+    let mut fold = TraceFold::default();
+    events.iter().for_each(|ev| fold.record(ev));
+    fold.finish(label, opts)
 }
 
 /// Renders one report as the `--format text` block.
@@ -1075,6 +1148,55 @@ pub fn render_text(r: &TraceReport) -> String {
     out
 }
 
+/// Renders reports as Prometheus text exposition (`--format prom`): per
+/// trace, its task lifecycle counters, provenance decision records, total
+/// realized yield, and each site's time-weighted mean busy processors.
+pub fn render_prometheus<'a>(reports: impl IntoIterator<Item = &'a TraceReport>) -> String {
+    let (mut tasks, mut decisions, mut yields, mut busy) = (vec![], vec![], vec![], vec![]);
+    for r in reports {
+        let trace = format!("trace=\"{}\"", exposition::label_value(&r.label));
+        let y = &r.yields;
+        for (outcome, v) in [
+            ("arrived", y.arrived),
+            ("accepted", y.accepted),
+            ("scheduled", y.scheduled),
+            ("backfilled", y.backfills),
+            ("preempted", y.preemptions),
+            ("requeued", y.requeues),
+            ("completed", y.completed),
+            ("dropped", y.dropped),
+            ("cancelled", y.cancelled),
+            ("orphaned", y.orphaned),
+        ] {
+            tasks.push((format!("{trace},outcome=\"{outcome}\""), v as f64));
+        }
+        decisions.push((trace.clone(), r.decisions.records as f64));
+        yields.push((trace.clone(), y.total_earned));
+        for tl in &r.utilization {
+            let site = tl.site.map_or("-".to_string(), |s| s.to_string());
+            busy.push((format!("{trace},site=\"{site}\""), tl.mean_busy));
+        }
+    }
+    let mut out = String::new();
+    for (name, help, rows) in [
+        ("mbts_tasks_total", "Task outcomes per trace", &tasks),
+        (
+            "mbts_decision_records_total",
+            "Decision records",
+            &decisions,
+        ),
+    ] {
+        exposition::counter(&mut out, name, help, rows);
+    }
+    for (name, help, rows) in [
+        ("mbts_yield_total", "Realized yield per trace", &yields),
+        ("mbts_busy_processors_mean", "Mean busy processors", &busy),
+    ] {
+        exposition::gauge(&mut out, name, help, rows);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1179,6 +1301,151 @@ mod tests {
         let text = render_text(&r);
         assert!(text.contains("preemption chains"));
         assert!(text.contains("task 2 evicted [1]"));
+    }
+
+    #[test]
+    fn a_victims_pv_at_start_is_its_final_start_in_the_trace() {
+        // Task 1 starts promising 10, is evicted by task 2, restarts
+        // promising 4 and completes earning 3. The chain reports the PV
+        // of the final start (4), not of the start the eviction cut
+        // short (10): 1 destroyed, not 7.
+        let events = vec![
+            sched(0.0, 1, 10.0, 1),
+            ev(1.0, Some(1), TraceKind::Preempted { width: 1 }),
+            sched(1.0, 2, 20.0, 1),
+            ev(
+                2.0,
+                Some(2),
+                TraceKind::Completed {
+                    earned: 20.0,
+                    delay: 0.0,
+                    width: 1,
+                    preemptions: 0,
+                },
+            ),
+            sched(2.0, 1, 4.0, 1),
+            ev(
+                3.0,
+                Some(1),
+                TraceKind::Completed {
+                    earned: 3.0,
+                    delay: 2.0,
+                    width: 1,
+                    preemptions: 1,
+                },
+            ),
+        ];
+        let r = analyze("t", &events, &AnalyzeOptions::default());
+        let victim = &r.preemption.chains[0].victims[0];
+        assert_eq!((victim.task, victim.pv_at_start), (1, 4.0));
+        assert_eq!(victim.final_earned, 3.0);
+        assert_eq!(victim.destroyed_yield, 1.0);
+    }
+
+    #[test]
+    fn chains_find_their_winner_as_the_stream_goes_by() {
+        use crate::event::DecisionCandidate;
+        let backfill = |at: f64, task: u64| {
+            let mut e = sched(at, task, 1.0, 1);
+            if let TraceKind::Scheduled { backfill, .. } = &mut e.kind {
+                *backfill = true;
+            }
+            e
+        };
+        let record = |at: f64, winner: u64| {
+            ev(
+                at,
+                Some(winner),
+                TraceKind::DecisionRecord {
+                    decision: DecisionKind::Preempt,
+                    considered: 1,
+                    candidates: vec![DecisionCandidate {
+                        rank: 1,
+                        task: Some(TaskId(9)),
+                        site: None,
+                        score: 1.0,
+                        pv: 1.0,
+                        cost: 0.0,
+                        slack: 0.0,
+                        workflow: None,
+                        critical: None,
+                        chosen: true,
+                    }],
+                },
+            )
+        };
+        let events = vec![
+            // Two runs of victims at t=1 split by a backfill start: both
+            // chains go to the first non-backfill start after them (5).
+            ev(1.0, Some(1), TraceKind::Preempted { width: 1 }),
+            backfill(1.0, 4),
+            ev(1.0, Some(2), TraceKind::Preempted { width: 1 }),
+            sched(1.0, 5, 1.0, 1),
+            // A chain whose instant ends before any start has no winner.
+            ev(2.0, Some(5), TraceKind::Preempted { width: 1 }),
+            // A preempt record names its winner (7) outright, even when
+            // another task starts first at that instant.
+            record(3.0, 7),
+            ev(3.0, Some(9), TraceKind::Preempted { width: 1 }),
+            sched(3.0, 8, 1.0, 1),
+            record(4.0, 6),
+            ev(4.0, Some(8), TraceKind::Preempted { width: 1 }),
+            // The event after a record that opens no chain is skipped, a
+            // second record included, so these victims have no winner.
+            record(5.0, 3),
+            record(5.0, 4),
+            ev(5.0, Some(2), TraceKind::Preempted { width: 1 }),
+        ];
+        let r = analyze("t", &events, &AnalyzeOptions::default());
+        let winners: Vec<(f64, Option<u64>, Vec<u64>)> = r
+            .preemption
+            .chains
+            .iter()
+            .map(|c| {
+                (
+                    c.at,
+                    c.preemptor,
+                    c.victims.iter().map(|v| v.task).collect(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            winners,
+            vec![
+                (1.0, Some(5), vec![1]),
+                (1.0, Some(5), vec![2]),
+                (2.0, None, vec![5]),
+                (3.0, Some(7), vec![9]),
+                (4.0, Some(6), vec![8]),
+                (5.0, None, vec![2]),
+            ]
+        );
+        // Task 5 won the first two chains and is the third's victim.
+        assert_eq!(r.preemption.chains[2].parent, None);
+        assert_eq!(r.preemption.total_preemptions, 6);
+    }
+
+    #[test]
+    fn a_span_that_rounds_past_the_last_bucket_still_terminates() {
+        // 1171.6916099137463 × (20 / 1171.6916099137463) rounds to
+        // 20.000000000000004: the last bucket absorbs the excess.
+        let t1 = 1171.6916099137463;
+        let events = vec![
+            sched(0.0, 1, 10.0, 2),
+            ev(
+                t1,
+                Some(1),
+                TraceKind::Completed {
+                    earned: 8.0,
+                    delay: 0.0,
+                    width: 2,
+                    preemptions: 0,
+                },
+            ),
+        ];
+        let r = analyze("t", &events, &AnalyzeOptions::default());
+        let tl = &r.utilization[0];
+        assert!(tl.busy.iter().all(|b| (b - 2.0).abs() < 1e-9), "{tl:?}");
     }
 
     #[test]

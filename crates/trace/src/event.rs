@@ -5,9 +5,11 @@
 //! All payload floats are kept finite (`±f64::MAX` stands in for ±∞ slack)
 //! so every event round-trips through JSONL.
 
+use crate::sink::{BufferSink, TraceSink};
 use mbts_sim::Time;
 use mbts_workload::TaskId;
 use serde::{Deserialize, Serialize};
+use std::io::BufRead;
 
 /// Cap on the number of candidates carried by one [`TraceKind::DecisionRecord`].
 /// Explainers keep the top-ranked candidates plus every chosen one; the
@@ -211,12 +213,60 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
     out
 }
 
+/// Why a JSONL event stream could not be read.
+#[derive(Debug)]
+pub enum JsonlError {
+    /// Reading the stream failed (including bytes that are not UTF-8).
+    Io(std::io::Error),
+    /// A line that is not a trace event.
+    Parse {
+        /// The line's 1-based number in the stream, blank lines counted.
+        line: usize,
+        /// What the parser objected to.
+        error: serde_json::Error,
+    },
+}
+
+impl std::fmt::Display for JsonlError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonlError::Io(e) => write!(f, "{e}"),
+            JsonlError::Parse { line, error } => write!(f, "line {line}: {error}"),
+        }
+    }
+}
+
+impl std::error::Error for JsonlError {}
+
+/// Reads the JSONL form one line at a time, handing each event to `sink`
+/// as it is parsed; blank lines are skipped.
+pub fn read_jsonl(
+    mut input: impl BufRead,
+    sink: &mut (impl TraceSink + ?Sized),
+) -> Result<(), JsonlError> {
+    let (mut line, mut number) = (String::new(), 0);
+    loop {
+        line.clear();
+        if input.read_line(&mut line).map_err(JsonlError::Io)? == 0 {
+            return Ok(());
+        }
+        number += 1;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let ev: TraceEvent = serde_json::from_str(&line).map_err(|error| JsonlError::Parse {
+            line: number,
+            error,
+        })?;
+        sink.record(&ev);
+    }
+}
+
 /// Parses the JSONL form back; blank lines are ignored.
-pub fn from_jsonl(text: &str) -> Result<Vec<TraceEvent>, serde_json::Error> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(serde_json::from_str)
-        .collect()
+pub fn from_jsonl(text: &str) -> Result<Vec<TraceEvent>, JsonlError> {
+    let mut buffer = BufferSink::new();
+    read_jsonl(text.as_bytes(), &mut buffer)?;
+    Ok(buffer.into_events())
 }
 
 #[cfg(test)]
@@ -320,5 +370,16 @@ mod tests {
         let events = sample();
         let text = format!("\n{}\n\n", to_jsonl(&events));
         assert_eq!(from_jsonl(&text).unwrap(), events);
+    }
+
+    #[test]
+    fn a_bad_line_is_named_by_its_number() {
+        // A blank line, the events, a blank line, then the bad line.
+        let events = sample();
+        let text = format!("\n{}\n{{\"at\":1}}\n", to_jsonl(&events));
+        match from_jsonl(&text) {
+            Err(JsonlError::Parse { line, .. }) => assert_eq!(line, events.len() + 3),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 }

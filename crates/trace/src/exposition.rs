@@ -34,6 +34,14 @@ fn scalars(out: &mut String, name: &str, kind: &str, help: &str, rows: &[(String
     }
 }
 
+/// A label value with `\`, `"` and newlines escaped, ready to sit
+/// between a row's quotes.
+pub fn label_value(v: &str) -> String {
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
+}
+
 /// A counter family.
 pub fn counter(out: &mut String, name: &str, help: &str, rows: &[(String, f64)]) {
     scalars(out, name, "counter", help, rows);

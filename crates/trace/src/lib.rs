@@ -12,10 +12,7 @@
 //! - [`BufferSink`] — full capture, serialized to JSONL for golden
 //!   fixtures and the experiments CLI `--trace out.jsonl`;
 //! - [`JsonlSink`] — streaming JSONL file writer that flushes on drop
-//!   and surfaces write errors instead of losing tail events;
-//! - [`MetricsRegistry`] — per-policy histograms (delay, yield,
-//!   preemption count), per-site utilization and fault-recovery latency,
-//!   rendered by the `metrics` experiments subcommand.
+//!   and surfaces write errors instead of losing tail events.
 //!
 //! Every sink's state (the "tracer cursor") is checkpointable via
 //! [`Tracer::snapshot`] / [`TracerSnapshot`], so the durable-recovery
@@ -24,7 +21,9 @@
 //! Two observability layers sit on top of the raw stream:
 //! - [`analyze`] — post-hoc trace analytics (yield attribution,
 //!   preemption-chain trees, admission regret, utilization timelines),
-//!   the engine behind `mbts analyze`;
+//!   the engine behind `mbts analyze`: [`TraceFold`] is itself a sink,
+//!   and the one fold from events to a [`TraceReport`] — a JSONL file is
+//!   read into it line by line ([`read_jsonl`]), never held whole;
 //! - [`profiler`] — reports over the latency registry in
 //!   `mbts_sim::profiler` (the one log-linear histogram), as text or
 //!   Prometheus exposition.
@@ -34,8 +33,8 @@
 //! same registry, which the serve daemon records into on its hot path and
 //! snapshots for `GET /metrics` — always-on, observation-only,
 //! scrape-anytime. [`exposition`] is the one Prometheus text writer all
-//! three reports ([`MetricsRegistry`], [`ProfileReport`],
-//! [`TelemetrySnapshot`]) render through.
+//! three reports ([`TraceReport`] via [`analyze::render_prometheus`],
+//! [`ProfileReport`], [`TelemetrySnapshot`]) render through.
 //!
 //! Provenance: wrapping any tracer with [`Tracer::with_provenance`] makes
 //! decision points additionally emit [`TraceKind::DecisionRecord`] events
@@ -47,18 +46,16 @@
 pub mod analyze;
 pub mod event;
 pub mod exposition;
-pub mod metrics;
 pub mod profiler;
 pub mod sink;
 pub mod telemetry;
 
-pub use analyze::{AnalyzeOptions, StrandingChain, TraceReport, WorkflowLedger};
+pub use analyze::{AnalyzeOptions, StrandingChain, TraceFold, TraceReport, WorkflowLedger};
 pub use event::{
-    from_jsonl, to_jsonl, DecisionCandidate, DecisionKind, TraceEvent, TraceKind,
-    MAX_DECISION_CANDIDATES,
+    from_jsonl, read_jsonl, to_jsonl, DecisionCandidate, DecisionKind, JsonlError, TraceEvent,
+    TraceKind, MAX_DECISION_CANDIDATES,
 };
 pub use mbts_sim::latency::LatencyHistogram;
-pub use metrics::{MetricsRegistry, PolicyMetrics};
 pub use profiler::{ProfileReport, ServeSummary, PROFILE_MARKER};
 pub use sink::{BufferSink, JsonlSink, RingSink, TraceSink, Tracer, TracerSnapshot};
 pub use telemetry::TelemetrySnapshot;

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 pub const PROFILE_MARKER: &str = "mbts_profile";
 
 /// Request-outcome counters of one `mbts serve` session, folded into
-/// the profile report on shutdown so `mbts metrics --prom` can export
+/// the profile report on shutdown so `mbts analyze --format prom` can export
 /// accept/shed/timeout rates next to the latency histograms.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ServeSummary {

@@ -8,7 +8,6 @@
 //! branch per decision and never constructs an event.
 
 use crate::event::TraceEvent;
-use crate::metrics::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io::Write;
@@ -262,8 +261,6 @@ pub enum Tracer {
     Ring(RingSink),
     /// Keep every event.
     Buffer(BufferSink),
-    /// Fold events straight into per-policy metrics.
-    Metrics(Box<MetricsRegistry>),
     /// Stream every event to a JSONL file as it happens.
     Jsonl(JsonlSink),
     /// Provenance verbosity: the wrapped tracer additionally receives
@@ -284,11 +281,6 @@ impl Tracer {
     /// A tail-capture tracer retaining `capacity` events.
     pub fn ring(capacity: usize) -> Self {
         Tracer::Ring(RingSink::new(capacity))
-    }
-
-    /// A metrics-folding tracer labelled with the policy under test.
-    pub fn metrics(policy: &str, processors: usize) -> Self {
-        Tracer::Metrics(Box::new(MetricsRegistry::new(policy, processors)))
     }
 
     /// A tracer streaming events to a JSONL file as they happen.
@@ -334,27 +326,17 @@ impl Tracer {
             Tracer::Off => {}
             Tracer::Ring(s) => s.record(&ev),
             Tracer::Buffer(s) => s.record(&ev),
-            Tracer::Metrics(r) => r.record(&ev),
             Tracer::Jsonl(s) => s.record(&ev),
             Tracer::Provenance(inner) => inner.emit(ev),
         }
     }
 
     /// The captured stream, if this tracer kept one (`Buffer` only —
-    /// rings forget their head, registries keep aggregates).
+    /// rings forget their head).
     pub fn into_events(self) -> Option<Vec<TraceEvent>> {
         match self {
             Tracer::Buffer(s) => Some(s.into_events()),
             Tracer::Provenance(inner) => inner.into_events(),
-            _ => None,
-        }
-    }
-
-    /// The metrics registry, if this tracer folded into one.
-    pub fn into_registry(self) -> Option<MetricsRegistry> {
-        match self {
-            Tracer::Metrics(r) => Some(*r),
-            Tracer::Provenance(inner) => inner.into_registry(),
             _ => None,
         }
     }
@@ -376,7 +358,6 @@ impl Tracer {
             Tracer::Buffer(s) => TracerSnapshot::Buffer {
                 events: s.events.clone(),
             },
-            Tracer::Metrics(r) => TracerSnapshot::Metrics((**r).clone()),
             Tracer::Provenance(inner) => TracerSnapshot::Provenance(Box::new(inner.snapshot())),
         }
     }
@@ -395,7 +376,6 @@ impl Tracer {
                 seen,
             }),
             TracerSnapshot::Buffer { events } => Tracer::Buffer(BufferSink { events }),
-            TracerSnapshot::Metrics(r) => Tracer::Metrics(Box::new(r)),
             TracerSnapshot::Provenance(inner) => Tracer::from_snapshot(*inner).with_provenance(),
         }
     }
@@ -420,8 +400,6 @@ pub enum TracerSnapshot {
         /// The captured stream in emission order.
         events: Vec<TraceEvent>,
     },
-    /// A metrics registry's aggregates.
-    Metrics(MetricsRegistry),
     /// A provenance-level tracer wrapping the snapshot of its inner sink.
     Provenance(Box<TracerSnapshot>),
 }
@@ -606,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn tracer_snapshot_roundtrips_ring_buffer_and_metrics() {
+    fn tracer_snapshot_roundtrips_ring_and_buffer() {
         // Ring: capacity, eviction count, and tail must all survive.
         let mut ring = Tracer::ring(3);
         for i in 0..7 {
@@ -636,18 +614,5 @@ mod tests {
         buf.emit(ev(5));
         restored.emit(ev(5));
         assert_eq!(buf.into_events(), restored.into_events());
-
-        // Metrics: aggregates resume mid-stream with identical state.
-        let mut m = Tracer::metrics("fcfs", 4);
-        for i in 0..6 {
-            m.emit(ev(i));
-        }
-        let json = serde_json::to_string(&m.snapshot()).unwrap();
-        let mut restored = Tracer::from_snapshot(serde_json::from_str(&json).unwrap());
-        m.emit(ev(6));
-        restored.emit(ev(6));
-        let a = serde_json::to_string(&m.into_registry().unwrap()).unwrap();
-        let b = serde_json::to_string(&restored.into_registry().unwrap()).unwrap();
-        assert_eq!(a, b);
     }
 }

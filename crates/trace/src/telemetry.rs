@@ -3,7 +3,7 @@
 //! registry in `mbts_sim::profiler`.
 //!
 //! The other observability layers are post-mortem:
-//! [`crate::metrics::MetricsRegistry`] renders after a run ends and the
+//! [`crate::analyze::TraceFold`] reports after a run ends and the
 //! self-profiler is opt-in. This module is the *live* half — cheap
 //! enough to stay always-on in the request path and the apply thread of a
 //! flooding daemon, snapshotted at any instant by `GET /metrics` without

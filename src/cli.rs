@@ -20,8 +20,7 @@
 //! mbts flood  --addr HOST:PORT [--requests N] [--connections N]
 //!             [--pipeline N] [--out FILE]
 //! mbts top    [--addr HOST:PORT] [--interval S] [--count N | --once]
-//! mbts analyze FILE... [--format text|json] [--buckets N] [--out FILE]
-//! mbts metrics --trace FILE [--label NAME] [--prom FILE]
+//! mbts analyze FILE... [--format text|json|prom] [--buckets N] [--out FILE]
 //! mbts resume --journal FILE
 //! mbts policies
 //! ```
@@ -34,7 +33,8 @@
 //! to enable the hot-path self-profiler and save its latency histograms.
 //! `mbts analyze` post-processes any of those outputs (plus durable
 //! journals) into yield-attribution, preemption-chain, admission-regret
-//! and utilization reports.
+//! and utilization reports, as text, JSON or Prometheus exposition; a
+//! JSONL trace is folded one line at a time, never held whole.
 //!
 //! `mbts market` has one engine, the serial event loop, and every run
 //! of it is journalable (DESIGN.md §12).
@@ -75,6 +75,18 @@ use mbts_workload::{
     WorkflowSet, WorkflowShape,
 };
 use std::path::PathBuf;
+
+/// What `mbts analyze --format` writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnalyzeFormat {
+    /// One readable block per input.
+    Text,
+    /// A JSON array with one entry per input.
+    Json,
+    /// Prometheus text exposition: the trace reports' series, then each
+    /// profile's histograms.
+    Prom,
+}
 
 /// A parsed `mbts` invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,26 +154,12 @@ pub enum Command {
         /// Input files: trace JSONL, durable journals, or profiler
         /// reports (auto-detected per file).
         inputs: Vec<PathBuf>,
-        /// Emit machine-readable JSON instead of text.
-        json: bool,
+        /// How the reports are written.
+        format: AnalyzeFormat,
         /// Utilization-timeline bucket count.
         buckets: usize,
         /// Write the report here instead of stdout.
         out: Option<PathBuf>,
-    },
-    /// Aggregate a trace into per-policy metrics; optionally export
-    /// Prometheus exposition text.
-    Metrics {
-        /// Input trace (JSON Lines of trace events).
-        trace: PathBuf,
-        /// Policy label the metrics are attributed to.
-        label: String,
-        /// Processor count for utilization accounting.
-        processors: usize,
-        /// Profiler report (JSON) to fold into the Prometheus export.
-        profile: Option<PathBuf>,
-        /// Write Prometheus exposition text to this path.
-        prom: Option<PathBuf>,
     },
     /// Recover an interrupted journaled run and finish it.
     Resume {
@@ -413,7 +411,7 @@ pub fn parse_shape(spec: &str) -> Result<WorkflowShape, String> {
 
 /// Usage text.
 pub fn usage() -> &'static str {
-    "usage: mbts <gen|run|market|serve|flood|top|chaos|analyze|metrics|resume|compare|validate|policies> [options]\n\
+    "usage: mbts <gen|run|market|serve|flood|top|chaos|analyze|resume|compare|validate|policies> [options]\n\
      \n\
      mbts gen    --out FILE [--swf LOG] [--tasks N] [--processors P] [--load L] [--seed S]\n\
      \x20           [--value-skew R] [--decay-skew R] [--mean-decay D]\n\
@@ -438,9 +436,7 @@ pub fn usage() -> &'static str {
      mbts chaos  FILE|DIR... [--seed S] [--format text|json] [--out FILE]\n\
      \x20           [--trace-out FILE]  (runs each scenario twice; any\n\
      \x20            divergence between the runs fails the corpus)\n\
-     mbts analyze FILE... [--format text|json] [--buckets N] [--out FILE]\n\
-     mbts metrics --trace FILE [--label NAME] [--processors P] [--profile FILE]\n\
-     \x20           [--prom FILE]\n\
+     mbts analyze FILE... [--format text|json|prom] [--buckets N] [--out FILE]\n\
      mbts resume --journal FILE\n\
      mbts compare --a SPEC --b SPEC [--tasks N] [--load L] [--seeds N]\n\
      \x20           [--processors P] [--admission SPEC] [--mean-decay D]\n\
@@ -491,8 +487,6 @@ const FLAG_TABLES: &[FlagTable] = &[
         values: &["--seed", "--format", "--out", "--trace-out"] },
     FlagTable { sub: "analyze", positional: true, switches: &[],
         values: &["--format", "--buckets", "--out"] },
-    FlagTable { sub: "metrics", positional: false, switches: &[],
-        values: &["--trace", "--label", "--processors", "--profile", "--prom"] },
     FlagTable { sub: "resume", positional: false, switches: &[], values: &["--journal"] },
     FlagTable { sub: "compare", positional: false, switches: &[], values: &[
         "--a", "--b", "--tasks", "--load", "--seeds", "--processors", "--admission",
@@ -738,10 +732,13 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "analyze" => {
-            let json = match get("--format") {
-                None | Some("text") => false,
-                Some("json") => true,
-                Some(other) => return Err(format!("unknown format '{other}' (try: text, json)")),
+            let format = match get("--format") {
+                None | Some("text") => AnalyzeFormat::Text,
+                Some("json") => AnalyzeFormat::Json,
+                Some("prom") => AnalyzeFormat::Prom,
+                Some(other) => {
+                    return Err(format!("unknown format '{other}' (try: text, json, prom)"))
+                }
             };
             let buckets = int("--buckets", 20)?;
             if buckets == 0 {
@@ -753,19 +750,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Analyze {
                 inputs,
-                json,
+                format,
                 buckets,
                 out: get("--out").map(PathBuf::from),
-            })
-        }
-        "metrics" => {
-            let trace = PathBuf::from(get("--trace").ok_or("metrics requires --trace FILE")?);
-            Ok(Command::Metrics {
-                trace,
-                label: get("--label").unwrap_or("trace").to_string(),
-                processors: int("--processors", 16)?,
-                profile: get("--profile").map(PathBuf::from),
-                prom: get("--prom").map(PathBuf::from),
             })
         }
         "resume" => {
@@ -1099,16 +1086,9 @@ fn write_profile_out(
     writeln!(out, "profile -> {}", path.display()).map_err(|e| e.to_string())
 }
 
-/// One `mbts analyze` input, after auto-detection.
-enum AnalyzeInput {
-    /// A saved self-profiler report.
-    Profile(mbts_trace::ProfileReport),
-    /// A trace-event stream (from JSONL, or replayed out of a journal).
-    Events(Vec<mbts_trace::TraceEvent>),
-}
-
-/// One entry of `mbts analyze --format json` output: exactly one of
-/// `trace` / `profile` is populated, matching `kind`.
+/// One `mbts analyze` input after auto-detection, as its entry in the
+/// `--format json` output: exactly one of `trace` / `profile` is
+/// populated, matching `kind`.
 #[derive(serde::Serialize)]
 struct AnalyzeEntry {
     /// Input file the report was computed from.
@@ -1121,20 +1101,24 @@ struct AnalyzeEntry {
     profile: Option<mbts_trace::ProfileReport>,
 }
 
-/// Reads and validates a saved [`mbts_trace::ProfileReport`].
-fn read_profile_report(path: &std::path::Path) -> Result<mbts_trace::ProfileReport, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let report: mbts_trace::ProfileReport = serde_json::from_str(&text)
-        .map_err(|e| format!("{} is not a profiler report: {e}", path.display()))?;
-    if report.kind != mbts_trace::PROFILE_MARKER {
-        return Err(format!(
-            "{} is not a profiler report (kind '{}')",
-            path.display(),
-            report.kind
-        ));
+impl AnalyzeEntry {
+    fn trace(file: String, report: mbts_trace::TraceReport) -> Self {
+        AnalyzeEntry {
+            file,
+            kind: "trace",
+            trace: Some(report),
+            profile: None,
+        }
     }
-    Ok(report)
+
+    fn profile(file: String, report: mbts_trace::ProfileReport) -> Self {
+        AnalyzeEntry {
+            file,
+            kind: "profile",
+            trace: None,
+            profile: Some(report),
+        }
+    }
 }
 
 /// Writes a flood report for `--out`, replacing whatever is at `path`.
@@ -1146,15 +1130,28 @@ fn write_flood_report(
     std::fs::write(path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
-/// Detects what kind of file an `analyze` input is and loads it:
+/// Detects what kind of file an `analyze` input is and analyzes it:
 /// durable journals are recognized by their magic header (the run is
-/// replayed to completion and its captured tracer events extracted),
-/// profiler reports by their JSON marker, and anything else is parsed
-/// as a trace-event JSONL stream.
-fn load_analyze_input(path: &std::path::Path) -> Result<AnalyzeInput, ExecError> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    if bytes.starts_with(&mbts_durable::framing::MAGIC) {
-        let events = match recover_journal(&bytes, path)? {
+/// replayed to completion and its captured tracer events folded),
+/// profiler reports by their JSON marker, and anything else is folded as
+/// a trace-event JSONL stream, one line at a time. A profile is one
+/// pretty-printed document whose first line is not an event, so a file
+/// whose first non-blank line is an event is a trace.
+fn analyze_input(
+    path: &std::path::Path,
+    opts: &mbts_trace::AnalyzeOptions,
+) -> Result<AnalyzeEntry, ExecError> {
+    use std::io::{BufRead, Read};
+    let label = path.display().to_string();
+    let cannot_read = |e: std::io::Error| format!("cannot read {label}: {e}");
+    let mut input = std::io::BufReader::new(std::fs::File::open(path).map_err(cannot_read)?);
+    if input
+        .fill_buf()
+        .map_err(cannot_read)?
+        .starts_with(&mbts_durable::framing::MAGIC)
+    {
+        let image = mbts_durable::load(path).map_err(cannot_read)?;
+        let events = match recover_journal(&image, path)? {
             RecoveredJournal::Site(mut run, _) => {
                 run.run_to_completion();
                 run.finish().1.into_events()
@@ -1165,18 +1162,26 @@ fn load_analyze_input(path: &std::path::Path) -> Result<AnalyzeInput, ExecError>
             }
             RecoveredJournal::Service(machine, _) => machine.into_trace_events(),
         };
-        return Ok(AnalyzeInput::Events(events.unwrap_or_default()));
+        let report = mbts_trace::analyze::analyze(&label, &events.unwrap_or_default(), opts);
+        return Ok(AnalyzeEntry::trace(label, report));
     }
-    let text =
-        String::from_utf8(bytes).map_err(|e| format!("{} is not UTF-8: {e}", path.display()))?;
-    if let Ok(report) = serde_json::from_str::<mbts_trace::ProfileReport>(&text) {
-        if report.kind == mbts_trace::PROFILE_MARKER {
-            return Ok(AnalyzeInput::Profile(report));
+    let mut head = String::new();
+    while head.trim().is_empty() && input.read_line(&mut head).map_err(cannot_read)? > 0 {}
+    if serde_json::from_str::<mbts_trace::TraceEvent>(&head).is_err() {
+        input.read_to_string(&mut head).map_err(cannot_read)?;
+        if let Ok(report) = serde_json::from_str::<mbts_trace::ProfileReport>(&head) {
+            if report.kind == mbts_trace::PROFILE_MARKER {
+                return Ok(AnalyzeEntry::profile(label, report));
+            }
         }
     }
-    mbts_trace::from_jsonl(&text)
-        .map(AnalyzeInput::Events)
-        .map_err(|e| format!("cannot parse {} as a trace: {e}", path.display()).into())
+    let mut fold = mbts_trace::TraceFold::default();
+    mbts_trace::read_jsonl(head.as_bytes().chain(input), &mut fold).map_err(|e| match e {
+        mbts_trace::JsonlError::Io(e) => ExecError::Failed(cannot_read(e)),
+        e => ExecError::BadInput(format!("cannot parse {label} as a trace: {e}")),
+    })?;
+    let report = fold.finish(&label, opts);
+    Ok(AnalyzeEntry::trace(label, report))
 }
 
 /// Executes a parsed command, writing human-readable output to `out`.
@@ -1444,51 +1449,36 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
         }
         Command::Analyze {
             inputs,
-            json,
+            format,
             buckets,
             out: out_path,
         } => {
             let opts = mbts_trace::AnalyzeOptions {
                 timeline_buckets: buckets,
             };
-            let mut text = String::new();
-            let mut reports: Vec<AnalyzeEntry> = Vec::new();
-            for path in &inputs {
-                let label = path.display().to_string();
-                match load_analyze_input(path)? {
-                    AnalyzeInput::Profile(report) => {
-                        if json {
-                            reports.push(AnalyzeEntry {
-                                file: label,
-                                kind: "profile",
-                                trace: None,
-                                profile: Some(report),
-                            });
-                        } else {
-                            text.push_str(&report.render_text());
-                            text.push('\n');
-                        }
-                    }
-                    AnalyzeInput::Events(events) => {
-                        let report = mbts_trace::analyze::analyze(&label, &events, &opts);
-                        if json {
-                            reports.push(AnalyzeEntry {
-                                file: label,
-                                kind: "trace",
-                                trace: Some(report),
-                                profile: None,
-                            });
-                        } else {
-                            text.push_str(&mbts_trace::analyze::render_text(&report));
-                            text.push('\n');
-                        }
-                    }
+            let entries = inputs
+                .iter()
+                .map(|path| analyze_input(path, &opts))
+                .collect::<Result<Vec<_>, _>>()?;
+            let text = match format {
+                AnalyzeFormat::Text => entries
+                    .iter()
+                    .map(|e| match (&e.trace, &e.profile) {
+                        (Some(report), _) => mbts_trace::analyze::render_text(report) + "\n",
+                        (None, profile) => profile.iter().map(|p| p.render_text() + "\n").collect(),
+                    })
+                    .collect(),
+                AnalyzeFormat::Json => {
+                    serde_json::to_string_pretty(&entries).map_err(|e| e.to_string())? + "\n"
                 }
-            }
-            if json {
-                text = serde_json::to_string_pretty(&reports).map_err(|e| e.to_string())?;
-                text.push('\n');
-            }
+                AnalyzeFormat::Prom => {
+                    // The traces' families, then each profile's histograms.
+                    let traces = entries.iter().filter_map(|e| e.trace.as_ref());
+                    let profiles = entries.iter().filter_map(|e| e.profile.as_ref());
+                    let text = mbts_trace::analyze::render_prometheus(traces);
+                    text + &profiles.map(|p| p.render_prometheus()).collect::<String>()
+                }
+            };
             match out_path {
                 Some(path) => {
                     std::fs::write(&path, &text)
@@ -1497,40 +1487,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
                 }
                 None => write!(out, "{text}").map_err(|e| e.to_string()),
             }
-        }
-        Command::Metrics {
-            trace,
-            label,
-            processors,
-            profile,
-            prom,
-        } => {
-            let text = std::fs::read_to_string(&trace)
-                .map_err(|e| format!("cannot read {}: {e}", trace.display()))?;
-            let events = mbts_trace::from_jsonl(&text)
-                .map_err(|e| format!("cannot parse {}: {e}", trace.display()))?;
-            let mut registry = mbts_trace::MetricsRegistry::new(&label, processors);
-            registry.record_all(&events);
-            registry.finish_run();
-            write!(out, "{}", registry.render()).map_err(|e| e.to_string())?;
-            if let Some(path) = prom {
-                let mut exposition = registry.prometheus();
-                let profile_report = match profile {
-                    Some(p) => Some(read_profile_report(&p)?),
-                    None => {
-                        let live = mbts_trace::ProfileReport::capture();
-                        (!live.is_empty()).then_some(live)
-                    }
-                };
-                if let Some(report) = profile_report {
-                    exposition.push_str(&report.render_prometheus());
-                }
-                std::fs::write(&path, &exposition)
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                writeln!(out, "prometheus exposition -> {}", path.display())
-                    .map_err(|e| e.to_string())?;
-            }
-            Ok(())
         }
         Command::Resume { journal } => {
             let image = mbts_durable::load(&journal)
@@ -2442,7 +2398,7 @@ mod tests {
         {
             Command::Analyze {
                 inputs,
-                json,
+                format,
                 buckets,
                 out,
             } => {
@@ -2450,32 +2406,22 @@ mod tests {
                     inputs,
                     vec![PathBuf::from("a.jsonl"), PathBuf::from("b.bin")]
                 );
-                assert!(json);
+                assert_eq!(format, AnalyzeFormat::Json);
                 assert_eq!(buckets, 8);
                 assert_eq!(out, Some(PathBuf::from("r.json")));
             }
             other => panic!("{other:?}"),
         }
-        match parse(&args(
-            "metrics --trace t.jsonl --label pv --processors 8 --prom m.prom",
-        ))
-        .unwrap()
-        {
-            Command::Metrics {
-                trace,
-                label,
-                processors,
-                profile,
-                prom,
-            } => {
-                assert_eq!(trace, PathBuf::from("t.jsonl"));
-                assert_eq!(label, "pv");
-                assert_eq!(processors, 8);
-                assert_eq!(profile, None);
-                assert_eq!(prom, Some(PathBuf::from("m.prom")));
+        // `metrics` is gone; its exposition is `analyze --format prom`.
+        match parse(&args("analyze t.jsonl p.json --format prom")).unwrap() {
+            Command::Analyze { inputs, format, .. } => {
+                assert_eq!(inputs.len(), 2);
+                assert_eq!(format, AnalyzeFormat::Prom);
             }
             other => panic!("{other:?}"),
         }
+        let err = parse(&args("metrics --trace t.jsonl --prom m.prom")).unwrap_err();
+        assert!(err.contains("metrics"), "{err}");
         match parse(&args(
             "run --trace t.json --trace-out ev.jsonl --provenance --profile p.json",
         ))
@@ -2559,21 +2505,25 @@ mod tests {
         assert!(text.contains("\"kind\": \"trace\""), "{text}");
         assert!(text.contains("\"rejected_positive\""), "{text}");
 
-        // Metrics + Prometheus export, folding in the saved profile.
+        // Prometheus exposition of the trace, then the saved profile.
         let mut buf = Vec::new();
         execute(
             parse(&args(&format!(
-                "metrics --trace {events_s} --label first_reward --processors 4 \
-                 --profile {profile_s} --prom {prom_s}"
+                "analyze {events_s} {profile_s} --format prom --out {prom_s}"
             )))
             .unwrap(),
             &mut buf,
         )
         .unwrap();
         let text = String::from_utf8_lossy(&buf).to_string();
-        assert!(text.contains("policy first_reward"), "{text}");
+        assert!(text.contains("analysis ->"), "{text}");
         let exposition = std::fs::read_to_string(&prom).unwrap();
-        assert!(exposition.contains("mbts_tasks_total"), "{exposition}");
+        let completed = format!("mbts_tasks_total{{trace=\"{events_s}\",outcome=\"completed\"}}");
+        assert!(exposition.contains(&completed), "{exposition}");
+        assert!(
+            exposition.contains("mbts_busy_processors_mean{"),
+            "{exposition}"
+        );
         assert!(
             exposition.contains("mbts_profiler_latency_seconds_bucket"),
             "{exposition}"

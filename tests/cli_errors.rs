@@ -221,3 +221,39 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
         std::fs::remove_file(&path).ok();
     }
 }
+
+/// `mbts analyze` reads a JSONL trace line by line and names the first
+/// line that is not an event, counting blank lines (which it skips), in
+/// every output format.
+#[test]
+fn a_trace_line_that_is_not_an_event_is_named_by_number() {
+    let golden = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fcfs_101.jsonl"),
+    )
+    .expect("golden trace");
+    let mut lines: Vec<&str> = golden.lines().take(4).collect();
+    lines.insert(1, "");
+    lines.insert(3, "   ");
+    let dir = std::env::temp_dir().join(format!("mbts_cli_errors_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let good = dir.join("blank_lines.jsonl");
+    std::fs::write(&good, lines.join("\n")).expect("write trace");
+    let good_s = good.to_str().expect("utf-8 temp path");
+    let out = mbts(&["analyze", good_s]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("4 events over"));
+
+    lines.insert(5, r#"{"at":3.0,"task":1,"site":null,"kind":"Teleported"}"#);
+    let bad = dir.join("bad_line.jsonl");
+    std::fs::write(&bad, lines.join("\n")).expect("write trace");
+    let bad_s = bad.to_str().expect("utf-8 temp path");
+    for format in ["text", "json", "prom"] {
+        assert_rejected(
+            &mbts(&["analyze", good_s, bad_s, "--format", format]),
+            "line 6",
+            format,
+        );
+    }
+    std::fs::remove_file(&good).ok();
+    std::fs::remove_file(&bad).ok();
+}

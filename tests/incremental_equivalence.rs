@@ -155,7 +155,7 @@ fn zero_fault_replay_is_byte_identical_to_plain_replay() {
 #[test]
 fn traced_replay_is_bit_identical_to_untraced_replay() {
     // The structured-event layer must be observational only: with any
-    // sink installed (full buffer, bounded ring, or metrics registry)
+    // sink installed (full buffer or bounded ring)
     // the replay takes the same decisions, produces the same outcome
     // stream, and earns the same floating-point yield bits as with
     // tracing off.
@@ -174,11 +174,7 @@ fn traced_replay_is_bit_identical_to_untraced_replay() {
                 .with_preemption(true)
                 .with_drop_expired(true);
             let plain = Site::new(cfg.clone()).run_trace(&trace);
-            for tracer in [
-                Tracer::buffer(),
-                Tracer::ring(64),
-                Tracer::metrics(label, 4),
-            ] {
+            for tracer in [Tracer::buffer(), Tracer::ring(64)] {
                 let (traced, tracer) = Site::new(cfg.clone()).run_trace_traced(&trace, tracer);
                 assert_eq!(
                     plain.outcomes, traced.outcomes,

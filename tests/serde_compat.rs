@@ -27,7 +27,11 @@
 //! again with no byte changed: `economy_journal.mbtsj` was written by the
 //! build before that change, from a journaled economy whose contracts are
 //! settled, cancelled, breached by an outage and re-placed, and today's
-//! build writes and recovers it byte for byte. The last test is the
+//! build writes and recovers it byte for byte. The metrics-registry
+//! tracer was then removed: the two snapshots that carried one moved to
+//! `tests/golden/serde/pre32/` and must be refused with a typed error,
+//! and two `mbts analyze` reports written by the multi-pass analyzer pin
+//! the one-pass trace fold that replaced it. The last test is the
 //! reader's leniency, one row per rule.
 
 use std::collections::BTreeMap;
@@ -245,12 +249,13 @@ fn site_snapshots() {
     let site: SiteSnapshot = run.snapshot().site;
     check("site_snapshot.json", &site);
 
-    // The same run folding into a metrics registry: the hand-written
-    // `PolicyMetrics` / `OnlineStats` forms, open crashes included.
-    let mut run = SiteRun::with_faults(config, &trace, &plan, Tracer::metrics("first_reward", 4));
+    // The same run as a whole snapshot, its tracer cursor a bounded ring:
+    // the checkpointing lost-work policy, the fault plan's open crashes
+    // and the ring's retained tail ride along.
+    let mut run = SiteRun::with_faults(config, &trace, &plan, Tracer::ring(64));
     step_n(|| run.step(), 40);
     let snap: SiteRunSnapshot = run.snapshot();
-    check("site_run_snapshot_metrics.json", &snap);
+    check("site_run_snapshot_faulted.json", &snap);
 
     // A workflow replay: the overlay rides in the snapshot behind
     // `skip_serializing_if`, and its facets are a `BTreeMap<u64, _>`.
@@ -441,7 +446,6 @@ fn reread<T: Serialize + Deserialize>(name: &str) {
 #[test]
 fn snapshots_with_the_dropped_history_keys_still_restore() {
     reread::<SiteSnapshot>("site_snapshot.json");
-    reread::<SiteRunSnapshot>("site_run_snapshot_metrics.json");
     reread::<SiteRunSnapshot>("site_run_snapshot_workflows.json");
     reread::<EconomySnapshot>("economy_snapshot.json");
     reread::<ServiceSnapshot>("service_snapshot.json");
@@ -533,7 +537,7 @@ fn shared_task_slices_write_what_their_vecs_wrote() {
     same_text_as_a_vec("trace file", &back.tasks, &doc, &["tasks"]);
 
     for name in [
-        "site_run_snapshot_metrics.json",
+        "site_run_snapshot_faulted.json",
         "site_run_snapshot_workflows.json",
     ] {
         let (snap, doc) = round_trip::<SiteRunSnapshot>(name);
@@ -549,6 +553,89 @@ fn shared_task_slices_write_what_their_vecs_wrote() {
     }
     let (snap, doc) = round_trip::<EconomySnapshot>("economy_snapshot.json");
     same_text_as_a_vec("economy_snapshot.json", &snap.trace, &doc, &["trace"]);
+}
+
+/// Snapshots whose tracer cursor was a metrics registry, a sink that no
+/// longer exists (`tests/golden/serde/pre32/`, the newer one and its
+/// older twin). No `mbts` command ever built that tracer, so only tests
+/// wrote them; reading one is a typed error, never a panic.
+#[test]
+fn snapshots_that_carry_a_metrics_tracer_are_refused() {
+    for name in [
+        "pre32/site_run_snapshot_metrics.json",
+        "pre32/pre26/site_run_snapshot_metrics.json",
+    ] {
+        let text = std::fs::read_to_string(fixture_dir().join(name)).expect("fixture");
+        assert!(text.contains("\"tracer\":{\"Metrics\""), "{name}");
+        let err = serde_json::from_str::<SiteRunSnapshot>(&text)
+            .err()
+            .unwrap_or_else(|| panic!("{name} was read"));
+        assert!(err.to_string().contains("Metrics"), "{name}: {err}");
+    }
+}
+
+/// The part of an `mbts analyze --format json` entry a trace fills.
+#[derive(Deserialize)]
+struct AnalyzeEntry {
+    trace: TraceReport,
+}
+
+/// Runs the `mbts` binary in `dir` and returns its stdout.
+fn mbts_in(dir: &std::path::Path, args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mbts"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn mbts");
+    assert!(out.status.success(), "mbts {args:?}: {out:?}");
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+/// `mbts analyze --format json` of a workflow trace (stranding chains,
+/// per-workflow regret) and of a chaos run's trace (fault classes), as
+/// written by the four-pass analyzer the one-pass fold replaced: the
+/// streaming command reproduces both byte for byte, and so does the
+/// in-memory `analyze` over the same events. These fixtures pin the fold
+/// against the build before it, so `UPDATE_GOLDEN` leaves them alone.
+#[test]
+fn the_trace_fold_reproduces_the_multi_pass_reports() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let temp = std::env::temp_dir().join(format!("mbts_serde_compat_{}", std::process::id()));
+    std::fs::create_dir_all(&temp).expect("temp dir");
+    let scenario = root.join("tests/chaos/02-site-fsync-eio.json");
+    mbts_in(
+        &temp,
+        &[
+            "chaos",
+            scenario.to_str().expect("utf-8 path"),
+            "--trace-out",
+            "chaos.jsonl",
+        ],
+    );
+    for (dir, input, fixture) in [
+        (
+            &root,
+            "tests/golden/provenance_wf_forkjoin_first_reward_101.jsonl",
+            "analyze_wf_forkjoin_first_reward_101.json",
+        ),
+        (&temp, "chaos.jsonl", "analyze_chaos_site_fsync_eio.json"),
+    ] {
+        let expected = std::fs::read_to_string(fixture_dir().join(fixture)).expect("fixture");
+        let streamed = mbts_in(dir, &["analyze", input, "--format", "json"]);
+        assert!(
+            streamed == expected,
+            "{fixture}: the streamed report diverged"
+        );
+        let entries: Vec<AnalyzeEntry> = serde_json::from_str(&expected).expect("a report");
+        let text = std::fs::read_to_string(dir.join(input)).expect("trace");
+        let events = mbts::trace::from_jsonl(&text).expect("trace parses");
+        let report = analyze(input, &events, &AnalyzeOptions::default());
+        assert!(
+            report == entries[0].trace,
+            "{fixture}: the in-memory report diverged"
+        );
+    }
+    std::fs::remove_dir_all(&temp).ok();
 }
 
 #[derive(Debug, PartialEq, Serialize, Deserialize)]

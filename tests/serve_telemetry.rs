@@ -363,7 +363,8 @@ fn assert_well_formed(text: &str) {
 fn every_report_round_trips_through_the_exposition_parser() {
     use mbts::sim::latency::LatencyHistogram;
     use mbts::sim::Time;
-    use mbts::trace::{MetricsRegistry, ProfileReport, ServeSummary, TraceEvent, TraceKind};
+    use mbts::trace::analyze::{analyze, render_prometheus};
+    use mbts::trace::{AnalyzeOptions, ProfileReport, ServeSummary, TraceEvent, TraceKind};
     let _guard = TELEMETRY.lock().unwrap();
     telemetry::reset();
 
@@ -387,15 +388,50 @@ fn every_report_round_trips_through_the_exposition_parser() {
     let sections = profile.render_prometheus();
     assert_well_formed(&sections);
 
-    let mut registry = MetricsRegistry::new("fcfs", 2);
-    registry.record(&TraceEvent {
-        at: Time::new(0.0),
-        task: None,
-        site: None,
-        kind: TraceKind::TaskArrived { accepted: true },
-    });
-    registry.finish_run();
-    assert_well_formed(&registry.prometheus());
+    // `mbts analyze --format prom`: two traces (one label needing
+    // escapes), each with a busy site.
+    let events: Vec<TraceEvent> = [
+        TraceKind::TaskArrived { accepted: true },
+        TraceKind::Scheduled {
+            rank: 1,
+            pv: 4.0,
+            cost: 0.0,
+            slack: 1.0,
+            width: 2,
+            backfill: false,
+        },
+        TraceKind::Completed {
+            earned: 3.5,
+            delay: 0.5,
+            width: 2,
+            preemptions: 0,
+        },
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, kind)| TraceEvent {
+        at: Time::new(i as f64),
+        task: Some(mbts::workload::TaskId(1)),
+        site: Some(3),
+        kind,
+    })
+    .collect();
+    let reports = [
+        analyze("a.jsonl", &events, &AnalyzeOptions::default()),
+        analyze("odd \"b\\.jsonl", &events, &AnalyzeOptions::default()),
+    ];
+    let traces = render_prometheus(&reports);
+    assert_well_formed(&traces);
+    let scrape = top::parse_exposition(&traces);
+    let busy: Vec<_> = scrape.series("mbts_busy_processors_mean").collect();
+    assert_eq!(busy.len(), 2);
+    assert_eq!(busy[0].label("site"), Some("3"));
+    // Two processors busy over the second half of the span.
+    assert_eq!(busy[0].value, 1.0);
+    let completed = scrape
+        .series("mbts_tasks_total")
+        .filter(|s| s.label("outcome") == Some("completed"));
+    assert_eq!(completed.map(|s| s.value).collect::<Vec<_>>(), [1.0, 1.0]);
 
     // What `GET /metrics` answers is the first two, concatenated.
     let text = telemetry::scrape_text();
