@@ -3,8 +3,7 @@
 //! The paper's primary contribution (§3–§6), as a library:
 //!
 //! * [`value`] — value functions: the linear-decay form of §3 (Figure 2)
-//!   as a first-class type, plus the piecewise-linear generalization the
-//!   paper mentions as future work.
+//!   as a first-class type.
 //! * [`job`] — mutable per-task scheduling state: remaining processing
 //!   time (RPT), preemption bookkeeping, expected yield.
 //! * [`cost`] — **opportunity cost** (§5.2): the exact Eq. 4 form with
@@ -68,4 +67,4 @@ pub use readyset::{
 pub use schedule::{
     build_candidate, with_candidate_schedule, CandidateSchedule, ScheduleEntry, ScheduleMode,
 };
-pub use value::{LinearDecay, PiecewiseLinear, ValueFunction};
+pub use value::{LinearDecay, ValueFunction};

@@ -3,10 +3,8 @@
 //! A value function maps a task's **completion time** to the value the
 //! user pays for it. The paper's primary form is linear decay —
 //! `yield = value − delay · decay`, optionally floored at a penalty bound
-//! — captured by [`LinearDecay`]. §3 notes the framework "can generalize
-//! to value functions that decay at variable rates"; [`PiecewiseLinear`]
-//! implements that generalization (used by the extension experiments and
-//! by contracts in the market layer).
+//! — captured by [`LinearDecay`], the one form every task carries and
+//! every contract settles on.
 
 use mbts_sim::{Duration, Time};
 use mbts_workload::{PenaltyBound, TaskSpec};
@@ -109,130 +107,6 @@ impl ValueFunction for LinearDecay {
     }
 }
 
-/// A piecewise-linear value function: a start value and a sequence of
-/// `(duration, rate)` decay segments, optionally floored. Generalizes
-/// [`LinearDecay`] to variable decay rates (the paper's §3 extension).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PiecewiseLinear {
-    /// Earliest achievable completion; full value at or before this time.
-    pub earliest: Time,
-    /// Value at `earliest`.
-    pub value: f64,
-    /// Decay segments `(length, rate)` applied in order after `earliest`.
-    /// After the last segment the *final* segment's rate continues forever.
-    pub segments: Vec<(Duration, f64)>,
-    /// Penalty floor.
-    pub bound: PenaltyBound,
-}
-
-impl PiecewiseLinear {
-    /// Builds a piecewise function; panics on negative rates or lengths.
-    pub fn new(
-        earliest: Time,
-        value: f64,
-        segments: Vec<(Duration, f64)>,
-        bound: PenaltyBound,
-    ) -> Self {
-        assert!(!segments.is_empty(), "need at least one decay segment");
-        for (len, rate) in &segments {
-            assert!(len.as_f64() >= 0.0, "segment length must be non-negative");
-            assert!(*rate >= 0.0, "decay rate must be non-negative");
-        }
-        PiecewiseLinear {
-            earliest,
-            value,
-            segments,
-            bound,
-        }
-    }
-
-    /// A single-rate function, equivalent to [`LinearDecay`].
-    pub fn single_rate(earliest: Time, value: f64, decay: f64, bound: PenaltyBound) -> Self {
-        Self::new(earliest, value, vec![(Duration::INFINITY, decay)], bound)
-    }
-
-    /// Total decay accumulated after `delay` beyond the earliest
-    /// completion, before flooring.
-    fn raw_decay(&self, delay: Duration) -> f64 {
-        let mut remaining = delay.max_zero().as_f64();
-        let mut lost = 0.0;
-        let (mut last_rate, mut consumed_all) = (0.0, true);
-        for (len, rate) in &self.segments {
-            last_rate = *rate;
-            let span = len.as_f64().min(remaining);
-            lost += span * rate;
-            remaining -= span;
-            if remaining <= 0.0 {
-                consumed_all = false;
-                break;
-            }
-        }
-        if consumed_all && remaining > 0.0 {
-            lost += remaining * last_rate;
-        }
-        lost
-    }
-}
-
-impl ValueFunction for PiecewiseLinear {
-    fn value_at(&self, completion: Time) -> f64 {
-        let delay = (completion - self.earliest).max_zero();
-        (self.value - self.raw_decay(delay)).max(self.bound.floor())
-    }
-
-    fn max_value(&self) -> f64 {
-        self.value
-    }
-
-    fn decay_at(&self, completion: Time) -> f64 {
-        if self.value_at(completion) <= self.bound.floor() {
-            return 0.0;
-        }
-        let delay = (completion - self.earliest).max_zero().as_f64();
-        let mut offset = 0.0;
-        let mut last_rate = 0.0;
-        for (len, rate) in &self.segments {
-            last_rate = *rate;
-            if delay < offset + len.as_f64() {
-                return *rate;
-            }
-            offset += len.as_f64();
-        }
-        last_rate
-    }
-
-    fn earliest_completion(&self) -> Time {
-        self.earliest
-    }
-
-    fn expire_time(&self) -> Time {
-        let floor = self.bound.floor();
-        if floor == f64::NEG_INFINITY {
-            return Time::INFINITY;
-        }
-        // Walk segments until the accumulated decay reaches value − floor.
-        let budget = self.value - floor;
-        let mut lost = 0.0;
-        let mut offset = 0.0;
-        let mut last_rate = 0.0;
-        for (len, rate) in &self.segments {
-            last_rate = *rate;
-            let seg_loss = len.as_f64() * rate;
-            if lost + seg_loss >= budget {
-                let need = (budget - lost) / rate;
-                return self.earliest + Duration::new(offset + need);
-            }
-            lost += seg_loss;
-            offset += len.as_f64();
-        }
-        if last_rate > 0.0 {
-            self.earliest + Duration::new(offset + (budget - lost) / last_rate)
-        } else {
-            Time::INFINITY
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,155 +153,5 @@ mod tests {
         assert_eq!(vf.value_at(Time::from(40.0)), 10.0);
         assert_eq!(vf.value_at(Time::from(55.0)), 5.0);
         assert_eq!(vf.value_at(Time::from(60.0)), 0.0);
-    }
-
-    #[test]
-    fn piecewise_single_rate_equals_linear() {
-        let lin = LinearDecay::anchored(Time::from(10.0), 100.0, 2.0, PenaltyBound::ZERO);
-        let pw = PiecewiseLinear::single_rate(Time::from(10.0), 100.0, 2.0, PenaltyBound::ZERO);
-        for t in [0.0, 10.0, 30.0, 60.0, 100.0] {
-            assert!((lin.value_at(Time::from(t)) - pw.value_at(Time::from(t))).abs() < 1e-12);
-        }
-        assert_eq!(lin.expire_time(), pw.expire_time());
-    }
-
-    #[test]
-    fn piecewise_multiple_segments() {
-        // Slow decay (rate 1) for 10 t.u., then fast (rate 5) forever.
-        let pw = PiecewiseLinear::new(
-            Time::ZERO,
-            100.0,
-            vec![(Duration::from(10.0), 1.0), (Duration::INFINITY, 5.0)],
-            PenaltyBound::Unbounded,
-        );
-        assert_eq!(pw.value_at(Time::from(5.0)), 95.0);
-        assert_eq!(pw.value_at(Time::from(10.0)), 90.0);
-        assert_eq!(pw.value_at(Time::from(12.0)), 80.0);
-        assert_eq!(pw.decay_at(Time::from(5.0)), 1.0);
-        assert_eq!(pw.decay_at(Time::from(15.0)), 5.0);
-    }
-
-    #[test]
-    fn piecewise_last_rate_continues() {
-        // A finite last segment: its rate continues past its end.
-        let pw = PiecewiseLinear::new(
-            Time::ZERO,
-            20.0,
-            vec![(Duration::from(2.0), 1.0), (Duration::from(3.0), 4.0)],
-            PenaltyBound::Unbounded,
-        );
-        // delay 10 = 2·1 + 3·4 + 5·4 = 2 + 12 + 20 = 34 lost.
-        assert_eq!(pw.value_at(Time::from(10.0)), 20.0 - 34.0);
-    }
-
-    #[test]
-    fn piecewise_expiry_bounded() {
-        let pw = PiecewiseLinear::new(
-            Time::ZERO,
-            10.0,
-            vec![(Duration::from(5.0), 1.0), (Duration::INFINITY, 5.0)],
-            PenaltyBound::ZERO,
-        );
-        // Lose 5 over first 5 t.u., remaining 5 at rate 5 → +1 t.u. → expiry at 6.
-        assert_eq!(pw.expire_time(), Time::from(6.0));
-        assert_eq!(pw.value_at(Time::from(6.0)), 0.0);
-        assert_eq!(pw.value_at(Time::from(100.0)), 0.0);
-        assert_eq!(pw.decay_at(Time::from(7.0)), 0.0);
-    }
-
-    #[test]
-    fn piecewise_zero_rate_tail_never_expires() {
-        let pw = PiecewiseLinear::new(
-            Time::ZERO,
-            10.0,
-            vec![(Duration::from(5.0), 1.0), (Duration::INFINITY, 0.0)],
-            PenaltyBound::ZERO,
-        );
-        assert_eq!(pw.expire_time(), Time::INFINITY);
-        assert_eq!(pw.value_at(Time::from(1e6)), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one decay segment")]
-    fn empty_segments_rejected() {
-        let _ = PiecewiseLinear::new(Time::ZERO, 1.0, vec![], PenaltyBound::ZERO);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn arb_bound() -> impl Strategy<Value = PenaltyBound> {
-        prop_oneof![
-            Just(PenaltyBound::Unbounded),
-            (0.0f64..50.0).prop_map(|max_penalty| PenaltyBound::Bounded { max_penalty }),
-        ]
-    }
-
-    fn arb_piecewise() -> impl Strategy<Value = PiecewiseLinear> {
-        (
-            0.0f64..100.0,
-            0.0f64..500.0,
-            proptest::collection::vec((0.1f64..50.0, 0.0f64..10.0), 1..5),
-            arb_bound(),
-        )
-            .prop_map(|(origin, value, segs, bound)| {
-                PiecewiseLinear::new(
-                    Time::from(origin),
-                    value,
-                    segs.into_iter()
-                        .map(|(len, rate)| (Duration::from(len), rate))
-                        .collect(),
-                    bound,
-                )
-            })
-    }
-
-    proptest! {
-        /// Piecewise value functions are non-increasing in completion time.
-        #[test]
-        fn piecewise_monotone(pw in arb_piecewise(), t in 0.0f64..500.0, dt in 0.0f64..500.0) {
-            let v1 = pw.value_at(Time::from(t));
-            let v2 = pw.value_at(Time::from(t + dt));
-            prop_assert!(v2 <= v1 + 1e-9);
-        }
-
-        /// Value is always within [floor, max_value].
-        #[test]
-        fn piecewise_bounded(pw in arb_piecewise(), t in 0.0f64..2000.0) {
-            let v = pw.value_at(Time::from(t));
-            prop_assert!(v <= pw.max_value() + 1e-9);
-            prop_assert!(v >= pw.bound.floor());
-        }
-
-        /// After the expiry time the value is pinned at the floor.
-        #[test]
-        fn piecewise_pinned_after_expiry(pw in arb_piecewise(), dt in 0.0f64..1000.0) {
-            let expiry = pw.expire_time();
-            if expiry < Time::INFINITY {
-                let v = pw.value_at(expiry + Duration::from(dt));
-                prop_assert!((v - pw.bound.floor()).abs() < 1e-6);
-            }
-        }
-
-        /// decay_at is the (right-sided) derivative of value_at, up to
-        /// flooring effects.
-        #[test]
-        fn decay_is_local_slope(pw in arb_piecewise(), t in 0.0f64..300.0) {
-            let at = Time::from(t);
-            if at > pw.earliest && pw.value_at(at) > pw.bound.floor() + 1e-6 {
-                let h = 1e-7;
-                let slope = (pw.value_at(at) - pw.value_at(at + Duration::from(h))) / h;
-                // Only check in the interior of a segment (skip breakpoints).
-                let rate = pw.decay_at(at);
-                let rate_later = pw.decay_at(at + Duration::from(h));
-                if (rate - rate_later).abs() < 1e-12 {
-                    prop_assert!((slope - rate).abs() < 1e-3,
-                        "slope {slope} vs rate {rate} at {t}");
-                }
-            }
-        }
     }
 }

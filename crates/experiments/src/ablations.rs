@@ -619,6 +619,31 @@ mod tests {
         assert!(slack.points[last].y.mean >= accept_all.points[last].y.mean - 1e-6);
     }
 
+    /// The misestimation claim: cost-aware heuristics degrade more
+    /// gracefully than FirstPrice. At σ = 0.5 FirstReward(0.2) and SWPT
+    /// each lose less yield than FirstPrice (smoke: −1.20 % and −0.98 %
+    /// against −4.35 %; paper scale in `results_ablate.txt`: −2.03 % and
+    /// −1.31 % against −8.46 %).
+    #[test]
+    fn cost_aware_heuristics_degrade_more_gracefully_under_misestimation() {
+        let fig = ablate_misestimation(&ExpParams::smoke());
+        let at_half = |label: &str| {
+            let s = fig.series_by_label(label).unwrap();
+            let last = s.points.last().unwrap();
+            assert_eq!(last.x, 0.5);
+            last.y.mean
+        };
+        let first_price = at_half("FirstPrice");
+        assert!(first_price < 0.0, "FirstPrice {first_price} %");
+        for label in ["FirstReward(0.2)", "SWPT"] {
+            let loss = at_half(label);
+            assert!(
+                loss > first_price,
+                "{label} {loss} % vs FirstPrice {first_price} %"
+            );
+        }
+    }
+
     #[test]
     fn drop_expired_never_hurts_bounded_mixes() {
         let fig = ablate_drop_expired(&smoke());

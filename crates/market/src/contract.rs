@@ -7,32 +7,10 @@
 //! completion collects the decayed value — possibly a penalty the site
 //! pays the client (§3).
 
-use mbts_core::{PiecewiseLinear, ValueFunction};
-use mbts_sim::{Duration, Time};
+use mbts_sim::Time;
 use mbts_workload::TaskSpec;
 use serde::{Deserialize, Error, Reader, Serialize, Writer};
 use std::sync::Arc;
-
-/// How late completions are priced (an extension past the paper's pure
-/// value-function settlement, exercising the §3 "variable rates"
-/// generalization).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub enum ContractTerms {
-    /// The paper's model: settle on the task's own linear value function.
-    #[default]
-    ValueFunction,
-    /// Service-level-agreement style: the negotiated price holds for a
-    /// grace period past the negotiated completion, then decays at
-    /// `rate_multiplier ×` the task's decay rate (still floored at the
-    /// task's penalty bound). Steeper-than-1 multipliers penalize sites
-    /// that blow through the grace window.
-    GracePeriod {
-        /// Length of the full-price window after the negotiated time.
-        grace: f64,
-        /// Post-grace decay rate as a multiple of the task's own decay.
-        rate_multiplier: f64,
-    },
-}
 
 /// Where a contract stands.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -70,8 +48,6 @@ pub struct Contract {
     pub negotiated_completion: Time,
     /// The price the server bid quoted (expected yield at that time).
     pub negotiated_price: f64,
-    /// How late completions are priced.
-    pub terms: ContractTerms,
     /// Current status.
     pub status: ContractStatus,
 }
@@ -93,38 +69,7 @@ impl Contract {
             formed_at,
             negotiated_completion,
             negotiated_price,
-            terms: ContractTerms::ValueFunction,
             status: ContractStatus::Open,
-        }
-    }
-
-    /// Sets the settlement terms.
-    pub fn with_terms(mut self, terms: ContractTerms) -> Self {
-        self.terms = terms;
-        self
-    }
-
-    /// The settlement curve value at `at`, per the contract terms.
-    pub fn price_at(&self, at: Time) -> f64 {
-        match self.terms {
-            ContractTerms::ValueFunction => self.spec.yield_at(at),
-            ContractTerms::GracePeriod {
-                grace,
-                rate_multiplier,
-            } => {
-                // Full negotiated price through the grace window, then a
-                // piecewise-linear decay at the scaled rate.
-                let curve = PiecewiseLinear::new(
-                    self.negotiated_completion,
-                    self.negotiated_price,
-                    vec![
-                        (Duration::new(grace), 0.0),
-                        (Duration::INFINITY, self.spec.decay * rate_multiplier),
-                    ],
-                    self.spec.bound,
-                );
-                curve.value_at(at)
-            }
         }
     }
 
@@ -137,7 +82,7 @@ impl Contract {
             matches!(self.status, ContractStatus::Open),
             "settling a non-open contract"
         );
-        let settled_price = self.price_at(completed_at);
+        let settled_price = self.spec.yield_at(completed_at);
         // Guard against float dust around the negotiated instant.
         let violated = completed_at > self.negotiated_completion
             && !completed_at.approx_eq(self.negotiated_completion);
@@ -158,7 +103,7 @@ impl Contract {
             matches!(self.status, ContractStatus::Open),
             "cancelling a non-open contract"
         );
-        let settled_price = self.price_at(at).min(0.0);
+        let settled_price = self.spec.yield_at(at).min(0.0);
         self.status = ContractStatus::Settled {
             completed_at: at,
             settled_price,
@@ -259,7 +204,7 @@ impl Row {
     }
 }
 
-/// Why a ledger cannot be bound to a run's tasks and terms.
+/// Why a ledger cannot be bound to a run's tasks.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RebindError {
     /// A contract names a task the trace does not hold.
@@ -278,8 +223,6 @@ pub enum RebindError {
         /// The task id it names.
         task: u64,
     },
-    /// The contracts were formed under other terms than the run's.
-    TermsMismatch,
 }
 
 impl std::fmt::Display for RebindError {
@@ -297,7 +240,6 @@ impl std::fmt::Display for RebindError {
                     "contract {contract} holds a task {task} unlike the trace's"
                 )
             }
-            RebindError::TermsMismatch => write!(f, "contracts were formed under other terms"),
         }
     }
 }
@@ -306,7 +248,7 @@ impl std::error::Error for RebindError {}
 
 /// The contract ledger of a market run: every contract formed, in
 /// formation order, as one row of at most 56 B over the run's shared
-/// tasks, with the economy's one [`ContractTerms`] held once.
+/// tasks.
 ///
 /// Reading it ([`get`](Self::get), [`iter`](Self::iter), `&ledger` as an
 /// iterator) builds each [`Contract`] by value. It serializes as exactly
@@ -316,7 +258,6 @@ impl std::error::Error for RebindError {}
 #[derive(Clone)]
 pub struct ContractLedger {
     tasks: Arc<[TaskSpec]>,
-    terms: ContractTerms,
     rows: Vec<Row>,
     /// `(contract, value)` for each contract whose client's budget capped
     /// the task's value below the task's own, ascending by contract.
@@ -324,19 +265,13 @@ pub struct ContractLedger {
 }
 
 impl ContractLedger {
-    /// An empty ledger over `tasks`, forming contracts under `terms`.
-    pub fn new(tasks: Arc<[TaskSpec]>, terms: ContractTerms) -> Self {
+    /// An empty ledger over `tasks`.
+    pub fn new(tasks: Arc<[TaskSpec]>) -> Self {
         ContractLedger {
             tasks,
-            terms,
             rows: Vec::new(),
             capped: Vec::new(),
         }
-    }
-
-    /// The terms every contract is formed under.
-    pub fn terms(&self) -> ContractTerms {
-        self.terms
     }
 
     /// Number of contracts formed.
@@ -350,13 +285,12 @@ impl ContractLedger {
     }
 
     /// Appends `contract` — over one of the ledger's tasks, its value
-    /// possibly capped by a budget, and under the ledger's terms — and
-    /// returns its index.
+    /// possibly capped by a budget — and returns its index.
     pub fn push(&mut self, contract: Contract) -> usize {
         let spec = contract.spec;
         debug_assert!(
-            names_task(&spec, &self.tasks) && contract.terms == self.terms,
-            "{contract:?} is not a contract over the ledger's tasks and terms"
+            names_task(&spec, &self.tasks),
+            "{contract:?} is not a contract over the ledger's tasks"
         );
         let index = self.rows.len();
         let narrow = |n: u64, what: &str| {
@@ -389,7 +323,6 @@ impl ContractLedger {
             formed_at: row.formed_at,
             negotiated_completion: row.negotiated_completion,
             negotiated_price: row.negotiated_price,
-            terms: self.terms,
             status: row.status(),
         })
     }
@@ -422,19 +355,11 @@ impl ContractLedger {
         price
     }
 
-    /// Points the ledger at a run's `tasks` and `terms`, checking that
-    /// every contract's task is the one `tasks` holds under its id and
-    /// (when there are contracts) that they were formed under `terms`.
-    /// A ledger read back is rebound before it forms or settles anything;
-    /// on an error it is left as it was.
-    pub fn rebind(
-        &mut self,
-        tasks: &Arc<[TaskSpec]>,
-        terms: ContractTerms,
-    ) -> Result<(), RebindError> {
-        if !self.rows.is_empty() && self.terms != terms {
-            return Err(RebindError::TermsMismatch);
-        }
+    /// Points the ledger at a run's `tasks`, checking that every
+    /// contract's task is the one `tasks` holds under its id. A ledger
+    /// read back is rebound before it forms or settles anything; on an
+    /// error it is left as it was.
+    pub fn rebind(&mut self, tasks: &Arc<[TaskSpec]>) -> Result<(), RebindError> {
         let mut rows = Vec::with_capacity(self.rows.len());
         let mut capped = Vec::new();
         for (contract, c) in self.iter().enumerate() {
@@ -456,7 +381,6 @@ impl ContractLedger {
         }
         *self = ContractLedger {
             tasks: Arc::clone(tasks),
-            terms,
             rows,
             capped,
         };
@@ -535,22 +459,17 @@ impl Serialize for ContractLedger {
 }
 
 /// Reads the array a ledger writes. Each contract's task is kept as read,
-/// so the ledger owns one task per contract until it is rebound; the
-/// contracts must share their terms.
+/// so the ledger owns one task per contract until it is rebound.
 impl Deserialize for ContractLedger {
     fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
         let mut tasks = Vec::new();
         let mut rows = Vec::new();
-        let mut terms = None;
         input.begin_array("array")?;
         let index = |n: usize, what: &str| {
             u32::try_from(n).map_err(|_| Error::custom(format!("{what} {n} exceeds u32::MAX")))
         };
         while input.next_element()? {
             let c = Contract::deserialize(input)?;
-            if *terms.get_or_insert(c.terms) != c.terms {
-                return Err(Error::custom("contracts disagree on their terms"));
-            }
             rows.push(Row::new(
                 index(rows.len(), "contract count")?,
                 index(c.site, "site")?,
@@ -561,7 +480,6 @@ impl Deserialize for ContractLedger {
         }
         Ok(ContractLedger {
             tasks: tasks.into(),
-            terms: terms.unwrap_or_default(),
             rows,
             capped: Vec::new(),
         })
@@ -641,70 +559,20 @@ mod tests {
     }
 }
 
+/// A contract has one set of terms, the paper's: it settles on its
+/// task's own linear value function.
 #[cfg(test)]
 mod terms_tests {
     use super::*;
     use mbts_workload::PenaltyBound;
 
-    fn sla_contract(bound: PenaltyBound) -> Contract {
-        // Task: arrival 0, runtime 10, value 100, decay 2.
-        // Negotiated completion 20 at price 80; grace 15; 3× post-grace decay.
-        let spec = TaskSpec::new(0, 0.0, 10.0, 100.0, 2.0, bound);
-        Contract::new(spec, 0, 0, Time::ZERO, Time::from(20.0), 80.0).with_terms(
-            ContractTerms::GracePeriod {
-                grace: 15.0,
-                rate_multiplier: 3.0,
-            },
-        )
-    }
-
-    #[test]
-    fn grace_window_holds_the_full_price() {
-        let mut c = sla_contract(PenaltyBound::Unbounded);
-        // Anywhere inside [20, 35]: full negotiated price.
-        assert_eq!(c.price_at(Time::from(20.0)), 80.0);
-        assert_eq!(c.price_at(Time::from(34.9)), 80.0);
-        // Early completion also just collects the negotiated price
-        // (SLA semantics: the quote is the quote).
-        assert_eq!(c.price_at(Time::from(12.0)), 80.0);
-        let p = c.settle(Time::from(30.0));
-        assert_eq!(p, 80.0);
-        // Still marked violated (past the negotiated instant)…
-        assert!(c.was_violated());
-    }
-
-    #[test]
-    fn post_grace_decay_is_steeper() {
-        let c = sla_contract(PenaltyBound::Unbounded);
-        // 10 t.u. past the grace end (t = 45): 80 − 10·(2·3) = 20.
-        assert_eq!(c.price_at(Time::from(45.0)), 20.0);
-        // vs the plain value function at 45: 100 − 35·2 = 30.
-        assert_eq!(c.spec.yield_at(Time::from(45.0)), 30.0);
-    }
-
-    #[test]
-    fn sla_floors_at_the_task_bound() {
-        let c = sla_contract(PenaltyBound::Bounded { max_penalty: 10.0 });
-        assert_eq!(c.price_at(Time::from(1e6)), -10.0);
-    }
-
     #[test]
     fn default_terms_are_the_paper_model() {
         let spec = TaskSpec::new(0, 0.0, 10.0, 100.0, 2.0, PenaltyBound::Unbounded);
         let c = Contract::new(spec, 0, 0, Time::ZERO, Time::from(20.0), 80.0);
-        assert_eq!(c.terms, ContractTerms::ValueFunction);
-        assert_eq!(
-            c.price_at(Time::from(40.0)),
-            spec.yield_at(Time::from(40.0))
-        );
-    }
-
-    #[test]
-    fn sla_cancellation_penalty_uses_the_sla_curve() {
-        let mut c = sla_contract(PenaltyBound::Unbounded);
-        // Inside the grace window a cancellation costs the site nothing
-        // (the curve is still positive → min(0, ·) = 0).
-        assert_eq!(c.cancel(Time::from(30.0)), 0.0);
+        let (mut settled, mut cancelled, at) = (c, c, Time::from(40.0));
+        assert_eq!(settled.settle(at), spec.yield_at(at));
+        assert_eq!(cancelled.cancel(at), spec.yield_at(at).min(0.0));
     }
 }
 
@@ -719,11 +587,6 @@ mod ledger_tests {
             .collect()
     }
 
-    const SLA: ContractTerms = ContractTerms::GracePeriod {
-        grace: 5.0,
-        rate_multiplier: 2.0,
-    };
-
     fn form(
         ledger: &mut ContractLedger,
         spec: TaskSpec,
@@ -734,13 +597,13 @@ mod ledger_tests {
         price: f64,
     ) {
         let c = Contract::new(spec, site, client, formed_at, completion, price);
-        ledger.push(c.with_terms(ledger.terms()));
+        ledger.push(c);
     }
 
     /// Four contracts: one on time, one late, one cancelled and re-placed
     /// with a budget-capped value, one still open.
     fn ledger(tasks: &Arc<[TaskSpec]>) -> ContractLedger {
-        let mut ledger = ContractLedger::new(Arc::clone(tasks), SLA);
+        let mut ledger = ContractLedger::new(Arc::clone(tasks));
         let at = Time::from;
         form(&mut ledger, tasks[2], 1, 0, at(2.0), at(20.0), 80.0);
         form(&mut ledger, tasks[0], 0, 1, at(3.0), at(15.0), 90.0);
@@ -766,8 +629,7 @@ mod ledger_tests {
         let tasks = tasks();
         let ledger = ledger(&tasks);
         assert_eq!(ledger.len(), 4);
-        let mut expected =
-            Contract::new(tasks[0], 0, 1, Time::from(3.0), Time::from(15.0), 90.0).with_terms(SLA);
+        let mut expected = Contract::new(tasks[0], 0, 1, Time::from(3.0), Time::from(15.0), 90.0);
         let price = expected.settle(Time::from(40.0));
         assert_eq!(ledger.get(1), Some(expected));
         assert_eq!(ledger.get(1).unwrap().settled_price(), Some(price));
@@ -793,7 +655,7 @@ mod ledger_tests {
             serde_json::to_string_pretty(&ledger).unwrap(),
             serde_json::to_string_pretty(&contracts).unwrap()
         );
-        let empty = ContractLedger::new(tasks(), SLA);
+        let empty = ContractLedger::new(tasks());
         assert_eq!(serde_json::to_string(&empty).unwrap(), "[]");
     }
 
@@ -804,7 +666,7 @@ mod ledger_tests {
         let json = serde_json::to_string(&ledger).unwrap();
         let mut back: ContractLedger = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ledger);
-        back.rebind(&tasks, SLA).unwrap();
+        back.rebind(&tasks).unwrap();
         assert_eq!(back, ledger);
         assert!(Arc::ptr_eq(&back.tasks, &tasks));
         assert_eq!(back.rows, ledger.rows);
@@ -820,27 +682,23 @@ mod ledger_tests {
     }
 
     #[test]
-    fn rebinding_to_other_tasks_or_terms_is_a_typed_error() {
+    fn rebinding_to_other_tasks_is_a_typed_error() {
         let tasks = tasks();
         let json = serde_json::to_string(&ledger(&tasks)).unwrap();
         let back: ContractLedger = serde_json::from_str(&json).unwrap();
-        let rebind = |tasks: &Arc<[TaskSpec]>, terms| {
+        let rebind = |tasks: &Arc<[TaskSpec]>| {
             let mut l = back.clone();
             let before = serde_json::to_string(&l).unwrap();
-            let result = l.rebind(tasks, terms);
+            let result = l.rebind(tasks);
             if result.is_err() {
                 assert_eq!(serde_json::to_string(&l).unwrap(), before, "left as it was");
             }
             result
         };
-        assert_eq!(
-            rebind(&tasks, ContractTerms::ValueFunction),
-            Err(RebindError::TermsMismatch)
-        );
         let mut other = tasks.to_vec();
         other[0].runtime = mbts_sim::Duration::new(11.0);
         assert_eq!(
-            rebind(&other.into(), SLA),
+            rebind(&other.into()),
             Err(RebindError::SpecMismatch {
                 contract: 1,
                 task: 0
@@ -851,33 +709,21 @@ mod ledger_tests {
         let mut other = tasks.to_vec();
         other[1].value = 55.0;
         assert_eq!(
-            rebind(&other.into(), SLA),
+            rebind(&other.into()),
             Err(RebindError::SpecMismatch {
                 contract: 2,
                 task: 1
             })
         );
         assert_eq!(
-            rebind(&tasks[..2].into(), SLA),
+            rebind(&tasks[..2].into()),
             Err(RebindError::UnknownTask {
                 contract: 0,
                 task: 2
             })
         );
-        assert!(rebind(&tasks, SLA).is_ok());
-        // No contract, no terms to disagree with.
+        assert!(rebind(&tasks).is_ok());
         let mut empty: ContractLedger = serde_json::from_str("[]").unwrap();
-        assert_eq!(empty.rebind(&tasks, SLA), Ok(()));
-        assert_eq!(empty.terms(), SLA);
-    }
-
-    #[test]
-    fn contracts_under_mixed_terms_do_not_read_as_one_ledger() {
-        let tasks = tasks();
-        let mut contracts: Vec<Contract> = ledger(&tasks).iter().collect();
-        contracts[3].terms = ContractTerms::ValueFunction;
-        let json = serde_json::to_string(&contracts).unwrap();
-        let err = serde_json::from_str::<ContractLedger>(&json).unwrap_err();
-        assert!(err.to_string().contains("disagree on their terms"), "{err}");
+        assert_eq!(empty.rebind(&tasks), Ok(()));
     }
 }

@@ -57,9 +57,9 @@ pub use bidding::{
     run_shading_experiment, PopulationReport, RebidBackoff, RebidBackoffState, ShadingReport,
 };
 pub use budget::{Account, BudgetConfig};
-pub use contract::{Contract, ContractLedger, ContractStatus, ContractTerms, RebindError};
+pub use contract::{Contract, ContractLedger, ContractStatus, RebindError};
 pub use economy::{
     EcoEvent, Economy, EconomyConfig, EconomyOutcome, EconomyRun, EconomySnapshot,
-    MarketFaultConfig, MigrationConfig, RetryConfig, SiteId,
+    MarketFaultConfig, SiteId,
 };
 pub use pricing::PricingStrategy;

@@ -18,15 +18,10 @@ pub enum PreemptionMode {
     /// Batch-cluster kill-and-requeue: a preempted task loses all
     /// progress and runs from scratch when redispatched. Models clusters
     /// without checkpointing; makes committing a processor to a long task
-    /// a genuinely risky investment (the `ablate preemption` study).
+    /// a genuinely risky investment. No command or experiment selects it
+    /// (`ablate preemption` toggles preemption under `Resume`); only
+    /// tests do.
     Restart,
-    /// Checkpoint/restore: progress is kept but each preemption adds
-    /// `overhead` time units of restore work — the middle ground between
-    /// the paper's free suspend/resume and kill-and-requeue.
-    CheckpointRestore {
-        /// Extra work (time units) each resume must redo.
-        overhead: f64,
-    },
 }
 
 /// What survives when a **crash** evicts a running gang. Distinct from

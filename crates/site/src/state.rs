@@ -345,9 +345,20 @@ impl SiteState {
 
     /// Evaluates a proposed task against the current mix without mutating
     /// anything — the §6 negotiation step a server bid is built from.
-    /// Tasks wider than the site are rejected outright.
+    /// Tasks wider than the site are rejected outright, and so is every
+    /// task while a crash has left a queued gang wider than the processors
+    /// still up: until a repair the site cannot lay its queue out, so it
+    /// has no completion time to promise.
     pub fn evaluate(&self, now: Time, spec: TaskSpec) -> AdmissionDecision {
-        if spec.width > self.capacity {
+        let stranded_gang = || {
+            self.capacity < self.config.processors
+                && self
+                    .pending
+                    .jobs()
+                    .iter()
+                    .any(|j| j.spec.width > self.capacity)
+        };
+        if spec.width > self.capacity || stranded_gang() {
             return AdmissionDecision {
                 accept: false,
                 expected_completion: Time::INFINITY,
@@ -1056,13 +1067,6 @@ impl SiteState {
                         job.rpt = job.spec.runtime;
                         job.true_rpt = job.spec.true_runtime;
                     }
-                    PreemptionMode::CheckpointRestore { overhead } => {
-                        job.advance(now - started);
-                        // Restoring the checkpoint costs extra work on
-                        // both the estimate and the true runtime.
-                        job.rpt += Duration::new(overhead);
-                        job.true_rpt += Duration::new(overhead);
-                    }
                 }
                 job.preemptions += 1;
                 self.metrics.preemptions += 1;
@@ -1749,6 +1753,25 @@ mod fault_tests {
         assert!(site.violations().is_empty());
     }
 
+    /// A crash can leave a queued gang wider than the processors still
+    /// up. Quoting a bid lays the whole queue out, so until a repair the
+    /// site quotes nothing instead of failing the layout.
+    #[test]
+    fn a_gang_wider_than_the_live_site_stops_quotes_until_a_repair() {
+        let mut site = SiteState::new(SiteConfig::new(4));
+        let (_, t) = site.submit(Time::ZERO, spec(0, 0.0, 10.0, 100.0));
+        let (queued, _) = site.submit(Time::ZERO, spec(1, 0.0, 10.0, 100.0).with_width(4));
+        assert!(queued);
+        assert_eq!(site.crash(1, Time::from(1.0)), 1);
+        assert_eq!(site.capacity(), 3);
+        let bid = spec(2, 1.0, 5.0, 50.0);
+        assert!(!site.evaluate(Time::from(1.0), bid).accept);
+        assert!(site.repair(1, Time::from(2.0)).is_empty());
+        assert!(site.evaluate(Time::from(2.0), bid).accept);
+        drain(&mut site, t);
+        assert!(site.violations().is_empty());
+    }
+
     #[test]
     fn crash_evicts_running_work_and_restart_loses_progress() {
         let mut site = SiteState::new(SiteConfig::new(1));
@@ -1913,26 +1936,11 @@ mod preemption_mode_tests {
     }
 
     #[test]
-    fn checkpoint_restore_pays_overhead_only() {
-        // Keeps the 10 units of progress, pays 3 to restore → 108.
-        assert_eq!(
-            victim_completion(PreemptionMode::CheckpointRestore { overhead: 3.0 }),
-            Time::from(108.0)
-        );
-        // Zero overhead degenerates to resume.
-        assert_eq!(
-            victim_completion(PreemptionMode::CheckpointRestore { overhead: 0.0 }),
-            Time::from(105.0)
-        );
-    }
-
-    #[test]
     fn modes_order_total_yield_sensibly() {
         // More progress lost ⇒ later completion ⇒ lower victim yield.
         let resume = victim_completion(PreemptionMode::Resume);
-        let ckpt = victim_completion(PreemptionMode::CheckpointRestore { overhead: 3.0 });
         let restart = victim_completion(PreemptionMode::Restart);
-        assert!(resume < ckpt && ckpt < restart);
+        assert!(resume < restart);
     }
 }
 

@@ -32,16 +32,6 @@ pub enum ArrivalProcess {
         /// Coefficient of variation of the inter-batch gap.
         cv: f64,
     },
-    /// Diurnal Poisson arrivals: the rate oscillates sinusoidally around
-    /// the load-factor-calibrated mean — `rate(t) = λ·(1 + amplitude·
-    /// sin(2πt/period))` — sampled by thinning. Models day/night load
-    /// cycles.
-    Diurnal {
-        /// Cycle length in time units.
-        period: f64,
-        /// Relative swing, in `[0, 1]` (0 = plain Poisson).
-        amplitude: f64,
-    },
 }
 
 /// How processor widths are assigned to generated tasks.
@@ -280,9 +270,7 @@ impl MixConfig {
     /// Mean gap between arrival *events* (a batch counts as one event).
     pub fn mean_arrival_gap(&self) -> f64 {
         match self.arrival {
-            ArrivalProcess::Exponential | ArrivalProcess::Diurnal { .. } => {
-                1.0 / self.arrival_rate()
-            }
+            ArrivalProcess::Exponential => 1.0 / self.arrival_rate(),
             ArrivalProcess::NormalBatch { batch_size, .. } => {
                 batch_size as f64 / self.arrival_rate()
             }

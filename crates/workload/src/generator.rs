@@ -29,7 +29,7 @@ pub fn generate_trace(config: &MixConfig, seed: u64) -> Trace {
     let error_dist = Dist::normal_min(0.0, config.runtime_error, -0.9);
 
     let batch_size = match config.arrival {
-        ArrivalProcess::Exponential | ArrivalProcess::Diurnal { .. } => 1,
+        ArrivalProcess::Exponential => 1,
         ArrivalProcess::NormalBatch { batch_size, .. } => batch_size,
     };
     assert!(
@@ -45,16 +45,7 @@ pub fn generate_trace(config: &MixConfig, seed: u64) -> Trace {
             // One arrival event releases `batch_size` tasks at `clock`; the
             // next event's gap is drawn when its first task is.
             if i > 0 && i % batch_size == 0 {
-                clock += match config.arrival {
-                    ArrivalProcess::Diurnal { period, amplitude } => diurnal_gap(
-                        clock,
-                        config.arrival_rate(),
-                        period,
-                        amplitude,
-                        &mut arrivals_rng,
-                    ),
-                    _ => Duration::new(gap_dist.sample(&mut arrivals_rng).max(0.0)),
-                };
+                clock += Duration::new(gap_dist.sample(&mut arrivals_rng).max(0.0));
             }
             let runtime = config.runtime.sample(&mut runtime_rng).max(1e-6);
             let unit_value = unit_value_dist.sample(&mut value_rng).max(0.0);
@@ -81,36 +72,6 @@ pub fn generate_trace(config: &MixConfig, seed: u64) -> Trace {
     Trace::new(config.clone(), seed, tasks)
 }
 
-/// Next inter-arrival gap of a sinusoidally modulated Poisson process,
-/// via Lewis–Shedler thinning: propose exponential gaps at the peak rate
-/// `λ·(1 + a)` and accept each proposal with probability
-/// `rate(t)/peak_rate`.
-fn diurnal_gap(
-    mut clock: Time,
-    mean_rate: f64,
-    period: f64,
-    amplitude: f64,
-    rng: &mut mbts_sim::SimRng,
-) -> Duration {
-    use rand::Rng;
-    assert!(
-        (0.0..=1.0).contains(&amplitude),
-        "amplitude must be in [0,1]"
-    );
-    assert!(period > 0.0, "period must be positive");
-    let start = clock;
-    let peak = mean_rate * (1.0 + amplitude);
-    loop {
-        let u: f64 = rng.gen::<f64>();
-        clock += Duration::new(-(1.0 - u).ln() / peak);
-        let phase = 2.0 * std::f64::consts::PI * clock.as_f64() / period;
-        let rate = mean_rate * (1.0 + amplitude * phase.sin());
-        if rng.gen::<f64>() * peak <= rate {
-            return clock - start;
-        }
-    }
-}
-
 /// Samples a processor width, capped at the calibration site size.
 fn sample_width(policy: &WidthPolicy, processors: usize, rng: &mut mbts_sim::SimRng) -> usize {
     use rand::Rng;
@@ -129,10 +90,6 @@ fn arrival_gap_dist(config: &MixConfig) -> Dist {
     match config.arrival {
         ArrivalProcess::Exponential => Dist::exponential(mean_gap),
         ArrivalProcess::NormalBatch { cv, .. } => Dist::normal_min(mean_gap, cv * mean_gap, 0.0),
-        // Diurnal gaps are generated by thinning (see `diurnal_gap`);
-        // this distribution is never sampled for them, but keep the mean
-        // right for callers that inspect it.
-        ArrivalProcess::Diurnal { .. } => Dist::exponential(mean_gap),
     }
 }
 
@@ -338,62 +295,5 @@ mod proptests {
                 prop_assert!(s.decay >= 0.0);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod diurnal_tests {
-    use super::*;
-    use crate::config::{ArrivalProcess, MixConfig};
-
-    fn diurnal_mix(amplitude: f64) -> MixConfig {
-        MixConfig::millennium_default()
-            .with_tasks(4000)
-            .with_processors(8)
-            .with_arrival(ArrivalProcess::Diurnal {
-                period: 2000.0,
-                amplitude,
-            })
-    }
-
-    #[test]
-    fn diurnal_preserves_the_mean_load() {
-        let t = generate_trace(&diurnal_mix(0.8), 5);
-        let load = t.stats().offered_load;
-        assert!((load - 1.0).abs() < 0.15, "offered load {load}");
-    }
-
-    #[test]
-    fn diurnal_zero_amplitude_is_poisson_like() {
-        let t = generate_trace(&diurnal_mix(0.0), 5);
-        let load = t.stats().offered_load;
-        assert!((load - 1.0).abs() < 0.15, "offered load {load}");
-    }
-
-    #[test]
-    fn diurnal_arrivals_actually_oscillate() {
-        // Count arrivals per half-period window: peaks and troughs should
-        // differ markedly at amplitude 0.9.
-        let t = generate_trace(&diurnal_mix(0.9), 6);
-        let period = 2000.0;
-        let mut counts = std::collections::BTreeMap::new();
-        for task in t.tasks.iter() {
-            let phase = (task.arrival.as_f64() % period) / period;
-            // First half (rising sine, high rate) vs second half.
-            *counts.entry(phase < 0.5).or_insert(0usize) += 1;
-        }
-        let high = counts.get(&true).copied().unwrap_or(0) as f64;
-        let low = counts.get(&false).copied().unwrap_or(0) as f64;
-        assert!(
-            high > low * 1.5,
-            "high-phase {high} vs low-phase {low}: no oscillation"
-        );
-    }
-
-    #[test]
-    fn diurnal_is_deterministic() {
-        let a = generate_trace(&diurnal_mix(0.5), 9);
-        let b = generate_trace(&diurnal_mix(0.5), 9);
-        assert_eq!(a, b);
     }
 }

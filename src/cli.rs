@@ -279,22 +279,30 @@ pub fn parse_policy(spec: &str) -> Result<Policy, String> {
         ["swpt"] => Ok(Policy::Swpt),
         ["first-price"] => Ok(Policy::FirstPrice),
         ["edf"] => Ok(Policy::EarliestDeadline),
-        ["pv", rate] => {
-            let rate: f64 = rate.parse().map_err(|_| format!("bad rate in {spec}"))?;
-            Ok(Policy::pv(rate))
-        }
+        ["pv", rate] => Ok(Policy::pv(discount_rate(spec, rate)?)),
         ["first-reward", alpha, rate] => {
             let alpha: f64 = alpha.parse().map_err(|_| format!("bad alpha in {spec}"))?;
-            let rate: f64 = rate.parse().map_err(|_| format!("bad rate in {spec}"))?;
             if !(0.0..=1.0).contains(&alpha) {
                 return Err(format!("alpha must be in [0,1], got {alpha}"));
             }
-            Ok(Policy::first_reward(alpha, rate))
+            Ok(Policy::first_reward(alpha, discount_rate(spec, rate)?))
         }
         _ => Err(format!(
             "unknown policy '{spec}' (try: fcfs, srpt, swpt, first-price, edf, \
              pv:<rate>, first-reward:<alpha>:<rate>)"
         )),
+    }
+}
+
+/// A policy spec's discount rate: a finite number ≥ 0, as `Policy::pv`
+/// and `Policy::first_reward` assert.
+fn discount_rate(spec: &str, rate: &str) -> Result<f64, String> {
+    match rate.parse::<f64>() {
+        Ok(rate) if rate >= 0.0 && rate.is_finite() => Ok(rate),
+        Ok(rate) => Err(format!(
+            "rate must be a finite number ≥ 0, got {rate} in {spec}"
+        )),
+        Err(_) => Err(format!("bad rate in {spec}")),
     }
 }
 
@@ -588,6 +596,17 @@ impl<'a> Flags<'a> {
             None => Ok(default),
         }
     }
+
+    /// An integer flag checked where it is parsed against the least value
+    /// the builder it feeds asserts.
+    fn at_least(&self, flag: &str, default: usize, min: usize) -> Result<usize, String> {
+        let n = self.int(flag, default)?;
+        if n >= min {
+            Ok(n)
+        } else {
+            Err(format!("{flag} must be at least {min}"))
+        }
+    }
 }
 
 /// Parses a full argument vector (without the program name).
@@ -604,14 +623,15 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let has = |flag: &str| flags.has(flag);
     let num = |flag: &str, default: f64| flags.num(flag, default);
     let int = |flag: &str, default: usize| flags.int(flag, default);
+    let at_least = |flag: &str, default: usize, min: usize| flags.at_least(flag, default, min);
     let load = || flags.load();
 
     match sub {
         "gen" => {
             let out = PathBuf::from(get("--out").ok_or("gen requires --out FILE")?);
             let mut mix = MixConfig::millennium_default()
-                .with_tasks(int("--tasks", 5000)?)
-                .with_processors(int("--processors", 16)?)
+                .with_tasks(at_least("--tasks", 5000, 1)?)
+                .with_processors(at_least("--processors", 16, 1)?)
                 .with_load_factor(load()?)
                 .with_value_skew(num("--value-skew", 3.0)?)
                 .with_decay_skew(num("--decay-skew", 5.0)?)
@@ -629,14 +649,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     if swf.is_some() {
                         return Err("--workflow and --swf are mutually exclusive".into());
                     }
-                    let n = int("--workflows", 16)?;
-                    if n == 0 {
-                        return Err("--workflows must be at least 1".into());
-                    }
                     let mut wf = WorkflowConfig::default_set()
-                        .with_workflows(n)
+                        .with_workflows(at_least("--workflows", 16, 1)?)
                         .with_shape(parse_shape(spec)?)
-                        .with_processors(int("--processors", 16)?)
+                        .with_processors(at_least("--processors", 16, 1)?)
                         .with_load_factor(load()?);
                     if let Some(b) = get("--bound") {
                         wf = wf.with_bound(parse_bound(b)?);
@@ -663,7 +679,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
                 _ => {}
             }
-            let mut site = SiteConfig::new(int("--processors", 16)?)
+            let mut site = SiteConfig::new(at_least("--processors", 16, 1)?)
                 .with_preemption(has("--preemption"))
                 .with_drop_expired(has("--drop-expired"));
             if let Some(p) = get("--policy") {
@@ -701,14 +717,14 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
                 _ => {}
             }
-            let mut site = SiteConfig::new(int("--procs-per-site", 8)?);
+            let mut site = SiteConfig::new(at_least("--procs-per-site", 8, 1)?);
             if let Some(p) = get("--policy") {
                 site = site.with_policy(parse_policy(p)?);
             }
             if let Some(a) = get("--admission") {
                 site = site.with_admission(parse_admission(a)?);
             }
-            let mut economy = EconomyConfig::uniform(int("--sites", 3)?, site);
+            let mut economy = EconomyConfig::uniform(at_least("--sites", 3, 1)?, site);
             if let Some(s) = get("--selection") {
                 economy.selection = parse_selection(s)?;
             }
@@ -740,10 +756,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     return Err(format!("unknown format '{other}' (try: text, json, prom)"))
                 }
             };
-            let buckets = int("--buckets", 20)?;
-            if buckets == 0 {
-                return Err("--buckets must be at least 1".into());
-            }
+            let buckets = at_least("--buckets", 20, 1)?;
             let inputs: Vec<PathBuf> = flags.positional.iter().map(PathBuf::from).collect();
             if inputs.is_empty() {
                 return Err("analyze requires at least one input file".into());
@@ -761,17 +774,14 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         "serve" => {
             let addr = get("--addr").unwrap_or("127.0.0.1:7741").to_string();
-            let mut site = SiteConfig::new(int("--processors", 4)?);
+            let mut site = SiteConfig::new(at_least("--processors", 4, 1)?);
             if let Some(p) = get("--policy") {
                 site = site.with_policy(parse_policy(p)?);
             }
             if let Some(a) = get("--admission") {
                 site = site.with_admission(parse_admission(a)?);
             }
-            let queue_capacity = int("--queue-cap", 1024)?;
-            if queue_capacity == 0 {
-                return Err("--queue-cap must be at least 1".into());
-            }
+            let queue_capacity = at_least("--queue-cap", 1024, 1)?;
             let time_scale = num("--time-scale", 1.0)?;
             if time_scale <= 0.0 || !time_scale.is_finite() {
                 return Err("--time-scale must be a positive number".into());
@@ -797,14 +807,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let addr = get("--addr")
                 .ok_or("flood requires --addr HOST:PORT")?
                 .to_string();
-            let connections = int("--connections", 4)?;
-            if connections == 0 {
-                return Err("--connections must be at least 1".into());
-            }
-            let pipeline = int("--pipeline", 32)?;
-            if pipeline == 0 {
-                return Err("--pipeline must be at least 1".into());
-            }
+            let connections = at_least("--connections", 4, 1)?;
+            let pipeline = at_least("--pipeline", 32, 1)?;
             Ok(Command::Flood {
                 addr,
                 requests: int("--requests", 10_000)? as u64,
@@ -867,7 +871,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "compare" => {
             let pa = parse_policy(get("--a").ok_or("compare requires --a SPEC")?)?;
             let pb = parse_policy(get("--b").ok_or("compare requires --b SPEC")?)?;
-            let procs = int("--processors", 16)?;
+            let procs = at_least("--processors", 16, 1)?;
             let mut a = SiteConfig::new(procs).with_policy(pa);
             let mut b = SiteConfig::new(procs).with_policy(pb);
             if let Some(adm) = get("--admission") {
@@ -876,7 +880,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 b = b.with_admission(adm);
             }
             let mix = MixConfig::millennium_default()
-                .with_tasks(int("--tasks", 2000)?)
+                .with_tasks(at_least("--tasks", 2000, 1)?)
                 .with_processors(procs)
                 .with_load_factor(load()?)
                 .with_mean_decay(num("--mean-decay", 0.05)?);
@@ -884,7 +888,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 a,
                 b,
                 mix,
-                seeds: int("--seeds", 5)? as u64,
+                // A paired comparison needs two seeds.
+                seeds: at_least("--seeds", 5, 2)? as u64,
             })
         }
         "validate" => {

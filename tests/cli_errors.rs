@@ -1,6 +1,7 @@
 //! Bad input at the command line is an error message and exit status 2,
 //! never a panic: trace files are validated when `mbts run` and
-//! `mbts market` load them, and `--load` where it is parsed.
+//! `mbts market` load them, and `--load`, counts and discount rates where
+//! they are parsed.
 //!
 //! Each case runs the real binary (`CARGO_BIN_EXE_mbts`): the exit status
 //! and the absence of a panic message are what a shell user sees.
@@ -114,6 +115,116 @@ fn non_positive_load_is_rejected_where_it_is_parsed() {
     }
 }
 
+/// A count or rate the library builders assert on is checked where it is
+/// parsed: zero processors, sites, tasks or seeds too few to pair, and
+/// negative or NaN discount rates exit 2 naming the flag or spec.
+#[test]
+fn zero_and_negative_numbers_are_rejected_where_they_are_parsed() {
+    let out = ["--out", "/dev/null"];
+    let trace = ["--trace", "unused.json"];
+    let compare = ["compare", "--a", "fcfs", "--b", "srpt"];
+    let rows: [(Vec<&str>, &str); 16] = [
+        (
+            [&["run"][..], &trace, &["--processors", "0"]].concat(),
+            "--processors must be at least 1",
+        ),
+        (
+            vec!["serve", "--processors", "0"],
+            "--processors must be at least 1",
+        ),
+        (
+            [&compare[..], &["--processors", "0"]].concat(),
+            "--processors must be at least 1",
+        ),
+        (
+            [&["gen"][..], &out, &["--processors", "0"]].concat(),
+            "--processors must be at least 1",
+        ),
+        (
+            [
+                &["gen"][..],
+                &out,
+                &["--workflow", "layered:3:2:0.5", "--processors", "0"],
+            ]
+            .concat(),
+            "--processors must be at least 1",
+        ),
+        (
+            [&["market"][..], &trace, &["--sites", "0"]].concat(),
+            "--sites must be at least 1",
+        ),
+        (
+            [&["market"][..], &trace, &["--procs-per-site", "0"]].concat(),
+            "--procs-per-site must be at least 1",
+        ),
+        (
+            [&["gen"][..], &out, &["--tasks", "0"]].concat(),
+            "--tasks must be at least 1",
+        ),
+        (
+            [&compare[..], &["--tasks", "0"]].concat(),
+            "--tasks must be at least 1",
+        ),
+        (
+            [&compare[..], &["--seeds", "0"]].concat(),
+            "--seeds must be at least 2",
+        ),
+        (
+            [&compare[..], &["--seeds", "1"]].concat(),
+            "--seeds must be at least 2",
+        ),
+        (
+            [&["run"][..], &trace, &["--policy", "pv:-1"]].concat(),
+            "got -1 in pv:-1",
+        ),
+        (
+            [&["run"][..], &trace, &["--policy", "first-reward:0.5:-1"]].concat(),
+            "got -1 in first-reward:0.5:-1",
+        ),
+        (
+            [&["run"][..], &trace, &["--policy", "pv:NaN"]].concat(),
+            "got NaN in pv:NaN",
+        ),
+        (
+            [
+                &["market"][..],
+                &trace,
+                &["--policy", "first-reward:0.5:NaN"],
+            ]
+            .concat(),
+            "got NaN in first-reward:0.5:NaN",
+        ),
+        (
+            [&["serve"][..], &["--policy", "pv:-0.5"]].concat(),
+            "got -0.5 in pv:-0.5",
+        ),
+    ];
+    for (args, needle) in rows {
+        assert_rejected(&mbts(&args), needle, &format!("{args:?}"));
+    }
+}
+
+/// The economy documents written while the market had deadline checks
+/// and retries (`tests/golden/serde/pre33/`) are refused by the two
+/// commands that read journals: exit 2, never a panic.
+#[test]
+fn economy_documents_with_removed_events_are_refused() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serde/pre33");
+    for (name, needle) in [
+        (
+            "economy_journal.mbtsj",
+            "unknown EcoEvent variant `DeadlineCheck`",
+        ),
+        ("economy_snapshot.json", "economy_snapshot.json"),
+    ] {
+        let path = dir.join(name);
+        let path_s = path.to_str().expect("utf-8 path");
+        for args in [&["resume", "--journal", path_s][..], &["analyze", path_s]] {
+            assert_rejected(&mbts(args), needle, &format!("{args:?}"));
+        }
+    }
+}
+
 /// A service journal with whole records cut out keeps every CRC valid, so
 /// only replay sees the hole: `resume` and `analyze` reject it (exit 2)
 /// instead of aborting on the machine's dense-sequence assert.
@@ -172,9 +283,9 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
     type Spoil = (&'static str, fn(&mut EconomySnapshot), &'static str);
     let spoil: [Spoil; 3] = [
         (
-            "attempts",
-            |s| s.attempts.push((1_000_000, 0)),
-            "attempts names task 1000000",
+            "contract_of task",
+            |s| s.contract_of.push((1_000_000, 0)),
+            "contract_of names task 1000000",
         ),
         (
             "contract_of",
@@ -189,8 +300,7 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
                 // The same edit to the queued re-bids of that task, so the
                 // contract is the first thing that disagrees.
                 s.queue.retain(|(_, _, e)| {
-                    !matches!(e, mbts::market::EcoEvent::Retry { spec, .. }
-                        | mbts::market::EcoEvent::OrphanRebid { spec, .. } if spec.id == id)
+                    !matches!(e, mbts::market::EcoEvent::OrphanRebid { spec, .. } if spec.id == id)
                 });
             },
             "unlike the trace's",
@@ -212,7 +322,7 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
                 framing::append_record(&mut spoiled, *tag, payload);
             }
         }
-        let path = dir.join(format!("spoiled_{name}.mbtsj"));
+        let path = dir.join(format!("spoiled_{}.mbtsj", name.replace(' ', "_")));
         std::fs::write(&path, &spoiled).expect("write spoiled journal");
         let path_s = path.to_str().expect("utf-8 temp path");
         for args in [&["resume", "--journal", path_s][..], &["analyze", path_s]] {

@@ -20,10 +20,7 @@
 
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::durable::{framing, DurableRun, Journal, RecordTag, Recoverable};
-use mbts::market::{
-    BudgetConfig, EconomyConfig, EconomyOutcome, EconomyRun, MarketFaultConfig, MigrationConfig,
-    RetryConfig,
-};
+use mbts::market::{BudgetConfig, EconomyConfig, EconomyOutcome, EconomyRun, MarketFaultConfig};
 use mbts::sim::{FaultConfig, UpDown};
 use mbts::site::{FaultPlan, LostWorkPolicy, SiteConfig, SiteOutcome, SiteRun};
 use mbts::trace::Tracer;
@@ -187,14 +184,6 @@ fn kill_every_event_economy_smoke() {
         replenish_rate: 0.05,
         cap: 600.0,
     });
-    config.migration = Some(MigrationConfig {
-        grace: 100.0,
-        max_attempts: 2,
-    });
-    config.retry = Some(RetryConfig {
-        backoff: 40.0,
-        max_retries: 1,
-    });
     config.faults = Some(
         MarketFaultConfig::new(
             FaultConfig {
@@ -310,10 +299,6 @@ fn kill_every_event_economy_workflow_smoke() {
             .with_workflow_facets(set.facets()),
     );
     config.workflows = Some(set.clone());
-    config.migration = Some(MigrationConfig {
-        grace: 100.0,
-        max_attempts: 2,
-    });
     config.faults = Some(
         MarketFaultConfig::new(
             FaultConfig {

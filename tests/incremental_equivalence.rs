@@ -8,7 +8,7 @@
 use mbts::core::{
     build_candidate, AdmissionPolicy, CostModel, Job, Policy, ScheduleEntry, ScheduleMode, ScoreCtx,
 };
-use mbts::market::{Economy, EconomyConfig, EconomyRun, MarketFaultConfig, MigrationConfig};
+use mbts::market::{Economy, EconomyConfig, EconomyRun, MarketFaultConfig};
 use mbts::sim::{FaultConfig, Time, UpDown};
 use mbts::site::{FaultPlan, Site, SiteConfig};
 use mbts::trace::Tracer;
@@ -413,7 +413,7 @@ fn market_trace(tasks: usize, seed: u64) -> Trace {
 }
 
 /// A hostile economy: faults on both processor and site granularity,
-/// migration with bounded attempts, jittered orphan rebids — every
+/// jittered orphan rebids — every
 /// coordinator RNG stream and money-conservation auditor engaged.
 fn market_cfg(sites: usize, policy: Policy) -> EconomyConfig {
     let mut c = EconomyConfig::uniform(
@@ -422,10 +422,6 @@ fn market_cfg(sites: usize, policy: Policy) -> EconomyConfig {
             .with_policy(policy)
             .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 }),
     );
-    c.migration = Some(MigrationConfig {
-        grace: 50.0,
-        max_attempts: 3,
-    });
     let mut faults = MarketFaultConfig::new(
         FaultConfig {
             processor: Some(UpDown::exponential(2_500.0, 120.0)),
@@ -467,7 +463,7 @@ fn equivalence_wf_set(seed: u64) -> WorkflowSet {
 
 /// A workflow economy, optionally hostile: successor-aware sites, the
 /// release/settle overlay installed, and (when `faulted`) processor and
-/// site crashes with migration and jittered orphan rebids.
+/// site crashes with jittered orphan rebids.
 fn wf_market_cfg(sites: usize, policy: Policy, faulted: bool, set: &WorkflowSet) -> EconomyConfig {
     let mut c = EconomyConfig::uniform(
         sites,
@@ -478,10 +474,6 @@ fn wf_market_cfg(sites: usize, policy: Policy, faulted: bool, set: &WorkflowSet)
     );
     c.workflows = Some(set.clone());
     if faulted {
-        c.migration = Some(MigrationConfig {
-            grace: 50.0,
-            max_attempts: 3,
-        });
         let mut faults = MarketFaultConfig::new(
             FaultConfig {
                 processor: Some(UpDown::exponential(2_500.0, 120.0)),

@@ -130,9 +130,10 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
     // ---- a market run -------------------------------------------------
     let (mut run, after_new, _) =
         measured(|| EconomyRun::new(market_config(), &trace, Tracer::Off));
-    // 16 B of feed and 12 B of ledgers a task and 64 idle sites; the tasks
-    // are the caller's. (A copy of the tasks made this 1.44, and one heap
-    // entry per arrival before that 3.6.)
+    // 16 B of feed and a 4 B task → contract ledger a task, and 64 idle
+    // sites; the tasks are the caller's. (Two more 4 B ledgers, for
+    // migration attempts and retries, made this 0.43; a copy of the tasks
+    // 1.44, and one heap entry per arrival before that 3.6.)
     let ratio = after_new / trace_bytes;
     assert!(
         ratio <= 0.5,
@@ -140,8 +141,8 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
     );
     // A fresh run's snapshot is its queue entries and 64 empty sites; it
     // shares the tasks. An entry is 112 B a pending arrival (an `EcoEvent`
-    // is 96 B: `Retry` and `OrphanRebid` carry a `TaskSpec` inline), which
-    // alone is 1.56x the 72 B tasks. (Cloning the tasks made this 2.58.)
+    // is 96 B: `OrphanRebid` carries a `TaskSpec` inline), which alone is
+    // 1.56x the 72 B tasks. (Cloning the tasks made this 2.58.)
     let (snapshot, held, _) = measured(|| run.snapshot());
     let ratio = held / trace_bytes;
     assert!(

@@ -3,8 +3,9 @@
 
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::market::{
-    BudgetConfig, ClientSelection, Economy, EconomyConfig, MigrationConfig, PricingStrategy,
+    BudgetConfig, ClientSelection, Economy, EconomyConfig, MarketFaultConfig, PricingStrategy,
 };
+use mbts::sim::{FaultConfig, UpDown};
 use mbts::site::SiteConfig;
 use mbts::workload::{generate_trace, MixConfig};
 use proptest::prelude::*;
@@ -30,7 +31,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The market's books close under arbitrary selection, pricing,
-    /// budgets, and migration settings.
+    /// budgets, and processor and site outages.
+    ///
+    /// Every offered task leaves its arrival unfunded, unplaced, or
+    /// placed under a first contract. An outage orphans a placed task,
+    /// which later forms one more contract (re-placed) or is abandoned
+    /// once its re-bids run out. So, once the run drains:
+    /// `placed + unplaced + unfunded = offered + orphans_replaced` and
+    /// `orphans_replaced + orphans_abandoned = orphaned`.
     #[test]
     fn economy_books_close(
         seed in any::<u64>(),
@@ -40,7 +48,7 @@ proptest! {
         sites in 1usize..4,
         threshold in -100.0f64..400.0,
         budgets in any::<bool>(),
-        migration in any::<bool>(),
+        faults in any::<bool>(),
     ) {
         let mix = MixConfig::millennium_default()
             .with_tasks(120)
@@ -65,28 +73,37 @@ proptest! {
                 cap: 2000.0,
             });
         }
-        if migration {
-            cfg.migration = Some(MigrationConfig {
-                grace: 80.0,
-                max_attempts: 2,
-            });
+        if faults {
+            cfg.faults = Some(MarketFaultConfig::new(
+                FaultConfig {
+                    processor: Some(UpDown::exponential(2_000.0, 150.0)),
+                    site: Some(UpDown::exponential(1_500.0, 200.0)),
+                },
+                seed,
+            ));
         }
         let out = Economy::new(cfg).run_trace(&trace);
 
         // Task conservation at the market level.
         prop_assert_eq!(out.offered, 120);
         prop_assert_eq!(out.placed + out.unplaced + out.unfunded,
-            out.offered + out.migrations);
+            out.offered + out.orphans_replaced);
+        prop_assert_eq!(out.orphans_replaced + out.orphans_abandoned, out.orphaned);
         // Every contract is settled once the run drains.
         prop_assert!(out.contracts.iter().all(|c| c.is_settled()));
         prop_assert_eq!(out.contracts.len(), out.placed);
-        // Cancellation accounting.
-        prop_assert_eq!(out.migrations + out.abandoned, out.cancelled);
-        // Per-site conservation including cancellations.
+        // Per-site conservation: an accepted task completes, expires, or
+        // is orphaned by an outage; no market path withdraws one.
         for site in &out.per_site {
             let m = &site.metrics;
-            prop_assert_eq!(m.completed + m.dropped + m.cancelled, m.accepted);
+            prop_assert_eq!(m.cancelled, 0);
+            prop_assert_eq!(m.completed + m.dropped + m.orphaned, m.accepted);
         }
+        // The sites' books and the market's agree.
+        let accepted: usize = out.per_site.iter().map(|s| s.metrics.accepted).sum();
+        let orphaned: usize = out.per_site.iter().map(|s| s.metrics.orphaned).sum();
+        prop_assert_eq!(accepted, out.placed);
+        prop_assert_eq!(orphaned, out.orphaned);
         // Money is finite and consistent.
         prop_assert!(out.total_settled.is_finite());
         prop_assert!(out.total_paid.is_finite());
@@ -96,9 +113,9 @@ proptest! {
             prop_assert!((spent - out.total_paid).abs()
                 < 1e-6 * (1.0 + out.total_paid.abs()));
         }
-        // Settlements equal yields when nothing was cancelled (cancelled
-        // contracts settle penalties the sites never book as yield).
-        if out.cancelled == 0 {
+        // Settlements equal yields when nothing was orphaned (a breached
+        // contract settles a penalty the site never books as yield).
+        if out.orphaned == 0 {
             prop_assert!((out.total_settled - out.total_yield()).abs()
                 < 1e-6 * (1.0 + out.total_yield().abs()));
         }

@@ -31,7 +31,15 @@
 //! tracer was then removed: the two snapshots that carried one moved to
 //! `tests/golden/serde/pre32/` and must be refused with a typed error,
 //! and two `mbts analyze` reports written by the multi-pass analyzer pin
-//! the one-pass trace fold that replaced it. The last test is the
+//! the one-pass trace fold that replaced it. Then the market lost its
+//! deadline enforcement (migration), its client retries and its
+//! grace-period contract terms: the economy snapshot and journal, written
+//! with migration and retries on, moved to `tests/golden/serde/pre33/`
+//! and are refused with a typed error, as is the older
+//! `pre26/economy_snapshot.json`. Both were rebuilt from the same
+//! scenarios without those two settings; `economy_journal.mbtsj` still
+//! holds second pricing, outage breaches and re-placed orphans, and
+//! `economy_snapshot.json` budget-capped values. The last test is the
 //! reader's leniency, one row per rule.
 
 use std::collections::BTreeMap;
@@ -42,8 +50,7 @@ use mbts::core::{AdmissionPolicy, Policy};
 use mbts::durable::framing::{self, RecordTag};
 use mbts::durable::{DurableRun, Journal};
 use mbts::market::{
-    BudgetConfig, EconomyConfig, EconomyRun, EconomySnapshot, MarketFaultConfig, MigrationConfig,
-    PricingStrategy, RetryConfig,
+    BudgetConfig, EconomyConfig, EconomyRun, EconomySnapshot, MarketFaultConfig, PricingStrategy,
 };
 use mbts::serve::{
     Command, CommandKind, MachineConfig, ServiceMachine, ServiceRun, ServiceSnapshot, ShedReason,
@@ -295,14 +302,6 @@ fn economy_snapshot() {
         replenish_rate: 0.05,
         cap: 600.0,
     });
-    config.migration = Some(MigrationConfig {
-        grace: 100.0,
-        max_attempts: 2,
-    });
-    config.retry = Some(RetryConfig {
-        backoff: 40.0,
-        max_retries: 1,
-    });
     config.faults = Some(
         MarketFaultConfig::new(
             FaultConfig {
@@ -320,8 +319,8 @@ fn economy_snapshot() {
     check("economy_snapshot.json", &snap);
 }
 
-/// A whole journaled economy run in which contracts are cancelled past
-/// their grace, breached by a site outage, and re-placed, priced second:
+/// A whole journaled economy run in which contracts are settled on time
+/// and late, breached by a site outage, and re-placed, priced second:
 /// every snapshot record carries contracts in each state.
 fn economy_journal() -> DurableRun<EconomyRun> {
     let trace = generate_trace(&fig67_mix(2.5).with_tasks(40).with_processors(4), 23);
@@ -332,14 +331,6 @@ fn economy_journal() -> DurableRun<EconomyRun> {
             .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 }),
     );
     config.pricing = PricingStrategy::second_price();
-    config.migration = Some(MigrationConfig {
-        grace: 20.0,
-        max_attempts: 3,
-    });
-    config.retry = Some(RetryConfig {
-        backoff: 30.0,
-        max_retries: 2,
-    });
     config.faults = Some(MarketFaultConfig::new(
         FaultConfig {
             processor: None,
@@ -363,12 +354,11 @@ fn economy_journal_bytes() {
     let actual = durable.journal().bytes().to_vec();
     let (run, _) = durable.into_parts();
     let (outcome, _) = run.finish();
-    assert!(outcome.cancelled > 0, "no contract was cancelled");
     assert!(
         outcome.orphaned > 0,
         "no contract was breached by an outage"
     );
-    assert!(outcome.migrations + outcome.orphans_replaced > 0);
+    assert!(outcome.orphans_replaced > 0, "no orphan was re-placed");
     let path = fixture_dir().join("economy_journal.mbtsj");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(fixture_dir()).expect("create fixture dir");
@@ -447,7 +437,6 @@ fn reread<T: Serialize + Deserialize>(name: &str) {
 fn snapshots_with_the_dropped_history_keys_still_restore() {
     reread::<SiteSnapshot>("site_snapshot.json");
     reread::<SiteRunSnapshot>("site_run_snapshot_workflows.json");
-    reread::<EconomySnapshot>("economy_snapshot.json");
     reread::<ServiceSnapshot>("service_snapshot.json");
     reread::<ServiceSnapshot>("service_snapshot_drained.json");
 }
@@ -571,6 +560,38 @@ fn snapshots_that_carry_a_metrics_tracer_are_refused() {
             .err()
             .unwrap_or_else(|| panic!("{name} was read"));
         assert!(err.to_string().contains("Metrics"), "{name}: {err}");
+    }
+}
+
+/// Economy documents written while the market still enforced deadlines
+/// and retried rejected bids (`tests/golden/serde/pre33/`, and the older
+/// `pre26/` snapshot). Their queues hold `DeadlineCheck` and `Retry`
+/// events, which no longer exist; only tests ever configured either
+/// feature. Each is refused with a typed error, never a panic: the
+/// snapshots when read, the journal when recovered, from bytes and
+/// streamed from its file.
+#[test]
+fn economy_documents_with_deadline_checks_or_retries_are_refused() {
+    for name in ["pre33/economy_snapshot.json", "pre26/economy_snapshot.json"] {
+        let text = std::fs::read_to_string(fixture_dir().join(name)).expect("fixture");
+        assert!(text.contains("\"DeadlineCheck\""), "{name}");
+        let err = serde_json::from_str::<EconomySnapshot>(&text)
+            .err()
+            .unwrap_or_else(|| panic!("{name} was read"));
+        assert!(err.to_string().contains("DeadlineCheck"), "{name}: {err}");
+    }
+    let path = fixture_dir().join("pre33/economy_journal.mbtsj");
+    let bytes = std::fs::read(&path).expect("fixture");
+    let image = mbts::durable::load(&path).expect("fixture");
+    for err in [
+        DurableRun::<EconomyRun>::recover(&bytes).err(),
+        DurableRun::<EconomyRun>::recover(&image).err(),
+    ] {
+        let err = err.expect("the journal was recovered").to_string();
+        assert!(
+            err.contains("DeadlineCheck") || err.contains("Retry"),
+            "{err}"
+        );
     }
 }
 
