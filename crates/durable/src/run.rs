@@ -101,11 +101,11 @@ impl Recoverable for EconomyRun {
     type Outcome = ();
 
     fn due(&self) -> Option<(Time, EcoEvent)> {
-        self.next_event().map(|(at, e)| (at, *e))
+        self.next_event().map(|(at, e)| (at, e.clone()))
     }
 
     fn apply(&mut self, (at, event): &(Time, EcoEvent)) -> Result<(), String> {
-        is_due(self.next_event(), *at, event)?;
+        is_due(self.next_event(), *at, &self.name_task(event)?)?;
         self.step();
         Ok(())
     }

@@ -169,7 +169,9 @@ impl EconomyConfig {
 /// Result of running a trace through an economy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EconomyOutcome {
-    /// Per-site outcomes (metrics + per-job records).
+    /// Per-site outcomes: each site's metrics and audit violations. Their
+    /// `outcomes` are empty: a site inside an economy keeps no per-job
+    /// records, because the contracts are the placed tasks' records.
     pub per_site: Vec<SiteOutcome>,
     /// All contracts formed, in formation order: one compact row per
     /// contract over the run's tasks, read as [`Contract`] values (`get`,
@@ -429,6 +431,19 @@ impl EconomyRun {
         self.engine.model().workflow_report()
     }
 
+    /// `event` as this run names it: a re-bid that carries its task
+    /// inline, as text written before re-bids named their task does, must
+    /// carry its task's contract's task and is named by index; any other
+    /// event is itself. Replay compares journaled events in this form.
+    pub fn name_task(&self, event: &EcoEvent) -> Result<EcoEvent, String> {
+        let mut event = event.clone();
+        if let EcoEvent::OrphanRebid { task, spec, .. } = &mut event {
+            let m = self.engine.model();
+            name_rebid_task(task, spec, &m.contract_of, &m.contracts)?;
+        }
+        Ok(event)
+    }
+
     /// Captures the complete replay state at the current event boundary.
     pub fn snapshot(&self) -> EconomySnapshot {
         let m = self.engine.model();
@@ -479,8 +494,10 @@ impl EconomyRun {
     /// Reconstructs a run from a [`snapshot`](Self::snapshot); the resumed
     /// run replays bit-identically to the one that was captured. A
     /// snapshot whose parts do not fit together — an id outside its
-    /// trace, an index past its contracts or sites, a contract whose task
-    /// is not the run's — is refused with the first such fault.
+    /// trace, an index past its contracts, sites or clients, a contract
+    /// whose task is not the run's, a re-bid of a task with no contract —
+    /// is refused with the first such fault. A site inside an economy
+    /// keeps no per-job records, so those of older snapshots are dropped.
     pub fn from_snapshot(mut snap: EconomySnapshot) -> Result<Self, String> {
         check_snapshot(&snap)?;
         snap.contracts
@@ -488,12 +505,23 @@ impl EconomyRun {
             .map_err(|e| e.to_string())?;
         let tasks = snap.trace.len();
         // Checked below the ledger's length, which fits `u32`.
-        let contract_of = snap.contract_of.into_iter().map(|(id, ci)| (id, ci as u32));
+        let contract_of = DenseLedger::from_entries(
+            tasks,
+            snap.contract_of.into_iter().map(|(id, ci)| (id, ci as u32)),
+        );
+        for (_, _, event) in &mut snap.queue {
+            if let EcoEvent::OrphanRebid { task, spec, .. } = event {
+                name_rebid_task(task, spec, &contract_of, &snap.contracts)?;
+            }
+        }
         let model = EcoModel {
             sites: snap
                 .sites
                 .into_iter()
-                .map(SiteState::from_snapshot)
+                .map(|mut site| {
+                    site.outcomes = Vec::new();
+                    SiteState::from_snapshot(site)
+                })
                 .collect(),
             trace: snap.trace,
             selection: snap.selection,
@@ -501,7 +529,7 @@ impl EconomyRun {
             budgets: snap.budgets,
             accounts: snap.accounts,
             contracts: snap.contracts,
-            contract_of: DenseLedger::from_entries(tasks, contract_of),
+            contract_of,
             second_quote: snap.second_quote,
             decisions: Vec::new(),
             bids: Vec::new(),
@@ -625,21 +653,61 @@ fn check_snapshot(snap: &EconomySnapshot) -> Result<(), String> {
         }
     }
     for (_, _, event) in &snap.queue {
-        match *event {
-            EcoEvent::Arrival(i) | EcoEvent::Release(i) => task("queued arrival", i as u64)?,
+        match event {
+            EcoEvent::Arrival(i) | EcoEvent::Release(i) => task("queued arrival", *i as u64)?,
             EcoEvent::Completion { site, .. } => {
-                below("queued completion site", site, sites, "sites")?
+                below("queued completion site", *site, sites, "sites")?
             }
             EcoEvent::OrphanRebid {
-                spec: s, origin, ..
+                task: t,
+                client,
+                origin,
+                spec: old,
+                ..
             } => {
-                spec("a queued re-bid", &s)?;
-                below("queued re-bid origin", origin, sites, "sites")?;
+                match old {
+                    Some(old) => spec("a queued re-bid", old)?,
+                    None => task("a queued re-bid", u64::from(*t))?,
+                }
+                // Without budgets every task is client 0's.
+                below(
+                    "queued re-bid client",
+                    *client as usize,
+                    clients.max(1),
+                    "clients",
+                )?;
+                below("queued re-bid origin", *origin as usize, sites, "sites")?;
             }
             EcoEvent::Crash(unit) | EcoEvent::Repair { unit, .. } => {
                 below("queued fault site", unit.site(), sites, "sites")?
             }
         }
+    }
+    Ok(())
+}
+
+/// Points a checked re-bid at its task by index. The task must have a
+/// contract, whose task the re-bid will bid with; a re-bid read from text
+/// that carries its task must carry exactly that one.
+fn name_rebid_task(
+    task: &mut u32,
+    spec: &mut Option<Box<TaskSpec>>,
+    contract_of: &DenseLedger,
+    contracts: &ContractLedger,
+) -> Result<(), String> {
+    let id = spec.as_ref().map_or(u64::from(*task), |s| s.id.0);
+    let held = contract_of
+        .get(TaskId(id))
+        .and_then(|ci| contracts.get(ci as usize))
+        .ok_or_else(|| format!("a queued re-bid names task {id}, which has no contract"))?;
+    if let Some(old) = spec.take() {
+        if *old != held.spec {
+            return Err(format!(
+                "a queued re-bid holds a task {id} unlike its contract's"
+            ));
+        }
+        // A contract's task index is a `u32`.
+        *task = id as u32;
     }
     Ok(())
 }
@@ -733,7 +801,7 @@ pub struct EconomySnapshot {
 ///
 /// Public (with serde support) so durability layers can journal the
 /// pending event queue verbatim; user code never constructs these.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EcoEvent {
     /// Task `trace[i]` arrives and enters negotiation.
     Arrival(usize),
@@ -758,18 +826,33 @@ pub enum EcoEvent {
         /// Processors restored.
         n: usize,
     },
-    /// An orphaned task re-entering negotiation after its backoff.
+    /// An orphaned task re-entering negotiation after its backoff. The
+    /// task it bids with, a budget's cap included, is its latest
+    /// contract's.
     OrphanRebid {
-        /// The orphaned task.
-        spec: TaskSpec,
+        /// The orphaned task's index in the trace.
+        #[serde(default = "no_task")]
+        task: u32,
         /// The owning client account.
-        client: usize,
+        client: u32,
         /// Failed re-bid rounds so far.
         attempt: u32,
         /// The site whose outage orphaned the task; selects the
         /// per-site jitter stream for subsequent backoff draws.
-        origin: SiteId,
+        origin: u32,
+        /// The task itself, as text written before re-bids named their
+        /// task carries it in place of `task`: checked against the trace
+        /// and the task's contract, then dropped, when a snapshot is
+        /// restored. Always `None` in a run.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        spec: Option<Box<TaskSpec>>,
     },
+}
+
+/// The `task` of a re-bid whose text names none: outside every trace, so
+/// a snapshot holding one is refused unless the re-bid carries its task.
+fn no_task() -> u32 {
+    u32::MAX
 }
 
 /// A per-task `u32` ledger indexed by the task's dense id: one
@@ -791,7 +874,7 @@ impl DenseLedger {
     }
 
     fn get(&self, id: TaskId) -> Option<u32> {
-        self.0[id.index()].checked_sub(1)
+        self.0.get(id.index())?.checked_sub(1)
     }
 
     fn set(&mut self, id: TaskId, n: u32) {
@@ -1114,8 +1197,16 @@ impl EcoModel {
                 for job in self.sites[site].orphan_pending(now) {
                     self.orphaned += 1;
                     self.settle_orphan_breach(now, site, job.id());
-                    let spec = job.spec;
-                    let client = self.client_of(&spec);
+                    // The re-bid will bid with its latest contract's task.
+                    debug_assert_eq!(
+                        self.contract_of
+                            .get(job.id())
+                            .and_then(|ci| self.contracts.get(ci as usize))
+                            .map(|c| c.spec),
+                        Some(job.spec),
+                        "an orphan's task is its latest contract's"
+                    );
+                    let client = self.client_of(&job.spec);
                     self.pending_rebids += 1;
                     // Each orphan draws its own first delay — from the
                     // crashed site's stream — so jittered configs fan
@@ -1124,16 +1215,20 @@ impl EcoModel {
                         Some(b) => b.delay(site, 0),
                         None => 60.0,
                     };
+                    // The task's contract holds its task, site and
+                    // client as `u32` already.
                     queue.schedule(
                         now + mbts_sim::Duration::new(delay),
                         EcoEvent::OrphanRebid {
-                            spec,
-                            client,
+                            task: job.id().0 as u32,
+                            client: client as u32,
                             attempt: 0,
-                            origin: site,
+                            origin: site as u32,
+                            spec: None,
                         },
                     );
                 }
+                self.sites[site].clear_outcomes();
                 self.audit_money(now);
                 killed
             }
@@ -1155,6 +1250,7 @@ impl EcoModel {
         for token in self.sites[site].repair(n, now) {
             queue.schedule(token.at, EcoEvent::Completion { site, token });
         }
+        self.sites[site].clear_outcomes();
         // Schedule the unit's next failure unless the run is winding down
         // or the crash budget is spent.
         if self.crash_budget > 0 && !self.drained() {
@@ -1169,18 +1265,26 @@ impl EcoModel {
     /// An orphaned task re-enters negotiation. Failed rounds back off
     /// exponentially (`orphan_backoff · 2^attempt`, capped and jittered
     /// per [`MarketFaultConfig`]) up to the re-bid budget, after which
-    /// the task is abandoned.
+    /// the task is abandoned. The task bids as its latest contract holds
+    /// it: the contract its orphaning breached, or a later one whose
+    /// negotiation was handed that same task.
     fn handle_orphan_rebid(
         &mut self,
         now: Time,
-        spec: TaskSpec,
-        client: usize,
+        task: u32,
+        client: u32,
         attempt: u32,
-        origin: SiteId,
+        origin: u32,
         queue: &mut EventQueue<EcoEvent>,
     ) {
         self.pending_rebids -= 1;
-        if self.place(now, spec, client, queue) {
+        let spec = self
+            .contract_of
+            .get(TaskId(u64::from(task)))
+            .and_then(|ci| self.contracts.get(ci as usize))
+            .expect("an orphaned task has a contract")
+            .spec;
+        if self.place(now, spec, client as usize, queue) {
             self.orphans_replaced += 1;
             return;
         }
@@ -1194,15 +1298,16 @@ impl EcoModel {
                 .rebid_backoff
                 .as_mut()
                 .expect("rebid without fault config")
-                .delay(origin, attempt + 1);
+                .delay(origin as usize, attempt + 1);
             self.pending_rebids += 1;
             queue.schedule(
                 now + mbts_sim::Duration::new(delay),
                 EcoEvent::OrphanRebid {
-                    spec,
+                    task,
                     client,
                     attempt: attempt + 1,
                     origin,
+                    spec: None,
                 },
             );
         } else {
@@ -1303,6 +1408,7 @@ impl EcoModel {
                 },
             );
         }
+        self.sites[winner.site].clear_outcomes();
         true
     }
 
@@ -1336,6 +1442,7 @@ impl EcoModel {
         queue: &mut EventQueue<EcoEvent>,
     ) {
         let (finished, tokens) = self.sites[site].on_completion_detailed(now, token);
+        self.sites[site].clear_outcomes();
         if let Some(outcome) = finished {
             self.settle_completion(now, site, outcome.id);
             // Scheduling order is settle → releases → spawned tokens.
@@ -1357,12 +1464,16 @@ impl Model for EcoModel {
             EcoEvent::Crash(unit) => self.handle_crash(now, unit, queue),
             EcoEvent::Repair { unit, n } => self.handle_repair(now, unit, n, queue),
             EcoEvent::OrphanRebid {
-                spec,
+                task,
                 client,
                 attempt,
                 origin,
-            } => self.handle_orphan_rebid(now, spec, client, attempt, origin, queue),
+                ..
+            } => self.handle_orphan_rebid(now, task, client, attempt, origin, queue),
         }
+        // The contract ledger is a placed task's one record: a site keeps
+        // none between events.
+        debug_assert!(self.sites.iter().all(|s| s.outcomes().is_empty()));
     }
 }
 
@@ -1592,7 +1703,9 @@ mod tests {
         // must order them as scheduling each in turn did. The hash is the
         // outcome of the engine that pushed every arrival into the heap,
         // as written once the outcome lost its migration counters and its
-        // contracts their terms (the same outcome less those keys).
+        // contracts their terms, and its sites their per-job records (the
+        // same outcome less those keys, and with empty `outcomes` arrays:
+        // 2_572_550_470_487_751_036 with the records).
         let mut trace = small_trace(300, 1.2, 11);
         let mut arrivals: Vec<Time> = trace.tasks.iter().map(|t| t.arrival).collect();
         for i in 10..20 {
@@ -1609,7 +1722,7 @@ mod tests {
         assert_eq!(out.offered, 300);
         assert_eq!(
             outcome_hash(&out),
-            2_572_550_470_487_751_036,
+            17_392_548_782_443_348_599,
             "outcome moved"
         );
     }
@@ -1620,6 +1733,14 @@ mod tests {
         let mut trace = small_trace(10, 1.0, 1);
         Arc::make_mut(&mut trace.tasks)[9].id = TaskId(1_000_000_000_000);
         let _ = EconomyRun::new(EconomyConfig::uniform(1, site(4)), &trace, Tracer::Off);
+    }
+
+    /// Every queue entry is an event: a re-bid names its task, so the
+    /// widest payload is a completion's site and token (24 B), and the
+    /// tag takes one word more.
+    #[test]
+    fn an_event_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<EcoEvent>() <= 32);
     }
 
     #[test]

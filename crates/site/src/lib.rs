@@ -71,7 +71,10 @@ pub struct Site {
 pub struct SiteOutcome {
     /// Aggregate counters and yield statistics.
     pub metrics: SiteMetrics,
-    /// Per-job outcomes, sorted by task id.
+    /// Per-job outcomes, sorted by task id. Empty for a site inside an
+    /// economy, whose contracts are its tasks' records, so there
+    /// [`delay_percentile`](Self::delay_percentile) and
+    /// [`earned_percentile`](Self::earned_percentile) are `NaN`.
     pub outcomes: Vec<JobOutcome>,
     /// Conservation-audit failures recorded by the always-on auditor
     /// (release builds record; debug builds panic at the first failure,

@@ -84,8 +84,9 @@ pub struct AuditViolation {
 
 /// A task-service site: pending queue + processor pool + accounting.
 ///
-/// The site keeps no history of its own beyond the per-job outcomes:
-/// every transition is a [`TraceEvent`] on its tracer.
+/// The site keeps no history of its own beyond the per-job outcomes
+/// (which a site inside an economy empties after every event): every
+/// transition is a [`TraceEvent`] on its tracer.
 #[derive(Debug, Clone)]
 pub struct SiteState {
     config: SiteConfig,
@@ -272,6 +273,14 @@ impl SiteState {
     /// workflow overlay scans these to advance its release/settle state.
     pub fn outcomes(&self) -> &[JobOutcome] {
         &self.outcomes
+    }
+
+    /// Empties the per-job records, keeping their capacity. The metrics
+    /// and the auditor's running sum keep counting, so the audit is
+    /// unchanged; an economy calls this after every call into a site,
+    /// because its contract ledger is a placed task's one record.
+    pub fn clear_outcomes(&mut self) {
+        self.outcomes.clear();
     }
 
     /// Records a workflow member stranded by a predecessor's failure: the

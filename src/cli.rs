@@ -989,11 +989,12 @@ fn resume_banner(
     .map_err(|e| e.to_string())
 }
 
-/// A journal recovered as whichever run wrote it.
+/// A journal recovered as whichever run wrote it (each boxed: they differ
+/// in size by hundreds of bytes).
 enum RecoveredJournal {
-    Site(SiteRun, RecoveryReport),
-    Economy(EconomyRun, RecoveryReport),
-    Service(ServiceMachine, RecoveryReport),
+    Site(Box<SiteRun>, RecoveryReport),
+    Economy(Box<EconomyRun>, RecoveryReport),
+    Service(Box<ServiceMachine>, RecoveryReport),
 }
 
 /// Recovers a journal as a site run, an economy run or a service machine
@@ -1009,15 +1010,15 @@ fn recover_journal(
         e => ExecError::BadInput(format!("cannot recover journal {}: {e}", path.display())),
     })?;
     let site = match DurableRun::<SiteRun>::recover_from(&recovered) {
-        Ok((run, report)) => return Ok(RecoveredJournal::Site(run, report)),
+        Ok((run, report)) => return Ok(RecoveredJournal::Site(Box::new(run), report)),
         Err(e) => e,
     };
     let economy = match DurableRun::<EconomyRun>::recover_from(&recovered) {
-        Ok((run, report)) => return Ok(RecoveredJournal::Economy(run, report)),
+        Ok((run, report)) => return Ok(RecoveredJournal::Economy(Box::new(run), report)),
         Err(e) => e,
     };
     match DurableRun::<ServiceMachine>::recover_from(&recovered) {
-        Ok((machine, report)) => Ok(RecoveredJournal::Service(machine, report)),
+        Ok((machine, report)) => Ok(RecoveredJournal::Service(Box::new(machine), report)),
         Err(service) => Err(ExecError::BadInput(format!(
             "cannot recover journal {}: as site run: {site}; as economy run: {economy}; \
              as service journal: {service}",

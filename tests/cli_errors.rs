@@ -260,13 +260,14 @@ fn a_service_journal_missing_whole_records_is_rejected() {
 }
 
 /// An economy journal whose newest snapshot holds an index that points
-/// outside what it holds keeps every CRC valid, so only the restore sees
-/// it: `resume` and `analyze` reject it (exit 2, naming the fault) instead
-/// of panicking on the out-of-range index.
+/// outside what it holds — a re-bid's task, client or origin among them,
+/// or a re-bid of a task that has no contract — keeps every CRC valid, so
+/// only the restore sees it: `resume` and `analyze` reject it (exit 2,
+/// naming the fault) instead of panicking on the out-of-range index.
 #[test]
 fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
     use mbts::durable::framing::{self, RecordTag};
-    use mbts::market::EconomySnapshot;
+    use mbts::market::{EcoEvent, EconomySnapshot};
     use std::sync::Arc;
     let fixture = std::fs::read(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -279,13 +280,48 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
         .iter()
         .rposition(|(tag, _)| *tag == RecordTag::Snapshot)
         .expect("a snapshot record");
+    // A re-bid queued behind everything else the snapshot holds.
+    fn queue_rebid(s: &mut EconomySnapshot, task: u32, client: u32, origin: u32) {
+        let event = EcoEvent::OrphanRebid {
+            task,
+            client,
+            attempt: 0,
+            origin,
+            spec: None,
+        };
+        s.queue.push((s.now, s.next_seq, event));
+        s.next_seq += 1;
+    }
     // (what is spoiled, how, what the refusal names)
     type Spoil = (&'static str, fn(&mut EconomySnapshot), &'static str);
-    let spoil: [Spoil; 3] = [
+    let spoil: [Spoil; 7] = [
         (
             "contract_of task",
             |s| s.contract_of.push((1_000_000, 0)),
             "contract_of names task 1000000",
+        ),
+        (
+            "re-bid task",
+            |s| queue_rebid(s, 1_000_000, 0, 0),
+            "a queued re-bid names task 1000000",
+        ),
+        (
+            "re-bid client",
+            |s| queue_rebid(s, 0, 7, 0),
+            "queued re-bid client 7",
+        ),
+        (
+            "re-bid origin",
+            |s| queue_rebid(s, 0, 0, 9),
+            "queued re-bid origin 9",
+        ),
+        (
+            "re-bid without contract",
+            |s| {
+                let free = (0u64..).find(|&id| s.contract_of.iter().all(|&(t, _)| t != id));
+                queue_rebid(s, free.expect("a task without a contract") as u32, 0, 0);
+            },
+            "which has no contract",
         ),
         (
             "contract_of",
@@ -297,11 +333,6 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
             |s| {
                 let id = s.contracts.get(0).expect("a contract").spec.id;
                 Arc::make_mut(&mut s.trace)[id.index()].value += 1.0;
-                // The same edit to the queued re-bids of that task, so the
-                // contract is the first thing that disagrees.
-                s.queue.retain(|(_, _, e)| {
-                    !matches!(e, mbts::market::EcoEvent::OrphanRebid { spec, .. } if spec.id == id)
-                });
             },
             "unlike the trace's",
         ),

@@ -6,9 +6,10 @@
 //! tasks, at quiescence a run holds only what it produced, and per bid it
 //! makes a handful of allocations rather than one set of buffers per site
 //! quoted. A contract is a row over the shared tasks: it names its task
-//! by index, and the economy's terms are held once, so what a run
-//! produces per contract is that row, its runner-up quote and the site's
-//! record of the job.
+//! by index, and the economy's terms are held once. It is also a placed
+//! task's one record (a site inside an economy keeps none), so what a run
+//! produces per contract is that row and its runner-up quote, and a
+//! queued event names its task rather than carrying it.
 //!
 //! A test binary of its own because it installs a counting global
 //! allocator, and one test so that nothing else allocates while it counts.
@@ -26,11 +27,19 @@ use mbts::site::{SiteConfig, SiteRun};
 use mbts::trace::Tracer;
 use mbts::workload::{generate_trace, MixConfig, TaskSpec, Trace};
 
-/// Bytes currently allocated, bytes ever requested, and allocator calls
-/// that handed out memory.
+/// Bytes currently allocated, the most ever allocated at once, bytes
+/// ever requested, and allocator calls that handed out memory.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 static REQUESTED: AtomicUsize = AtomicUsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts `added` more bytes live, `freed` fewer, and raises the peak.
+fn moved(added: usize, freed: usize) {
+    let now = LIVE.fetch_add(added, Ordering::Relaxed) + added;
+    PEAK.fetch_max(now, Ordering::Relaxed);
+    LIVE.fetch_sub(freed, Ordering::Relaxed);
+}
 
 struct Counting;
 
@@ -42,7 +51,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller's `layout` is passed through as given.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            moved(layout.size(), 0);
             REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
             CALLS.fetch_add(1, Ordering::Relaxed);
         }
@@ -60,8 +69,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: `p`, `layout` and `new_size` are the caller's, unchanged.
         let q = unsafe { System.realloc(p, layout, new_size) };
         if !q.is_null() {
-            LIVE.fetch_add(new_size, Ordering::Relaxed);
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            moved(new_size, layout.size());
             REQUESTED.fetch_add(new_size, Ordering::Relaxed);
             CALLS.fetch_add(1, Ordering::Relaxed);
         }
@@ -140,22 +148,26 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
         "EconomyRun::new holds {after_new} B, {ratio:.3}x the trace"
     );
     // A fresh run's snapshot is its queue entries and 64 empty sites; it
-    // shares the tasks. An entry is 112 B a pending arrival (an `EcoEvent`
-    // is 96 B: `OrphanRebid` carries a `TaskSpec` inline), which alone is
-    // 1.56x the 72 B tasks. (Cloning the tasks made this 2.58.)
+    // shares the tasks. An entry is 48 B a pending arrival (a 32 B
+    // `EcoEvent`, its time and its sequence number), 0.67x the 72 B tasks;
+    // 0.69 measured. (An `OrphanRebid` that carried its `TaskSpec` inline
+    // made an event 96 B and this 1.58; cloning the tasks made it 2.58.)
     let (snapshot, held, _) = measured(|| run.snapshot());
     let ratio = held / trace_bytes;
     assert!(
-        ratio <= 1.6,
+        ratio <= 0.7,
         "EconomyRun::snapshot holds {held} B, {ratio:.3}x the trace"
     );
     drop(snapshot);
 
     let calls_before = calls();
+    let start = live();
+    PEAK.store(start, Ordering::Relaxed);
     let ((), grown, _) = measured(|| run.run_to_completion());
+    let high_water = (PEAK.load(Ordering::Relaxed) - start) as f64;
     let per_task = (calls() - calls_before) as f64 / TASKS as f64;
-    // A contract, an outcome, a few completion-token vectors and the
-    // occasional doubling. (Copying 64 queues per bid made this 386.)
+    // A few completion-token vectors and the contract rows' occasional
+    // doubling. (Copying 64 queues per bid made this 386.)
     assert!(
         per_task <= 8.0,
         "{per_task:.2} allocations per offered task over the stepped part"
@@ -163,16 +175,27 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
 
     let (outcome, _) = run.finish();
     assert_eq!(outcome.offered, TASKS);
-    let per_contract = grown / outcome.contracts.len() as f64;
+    let contracts = outcome.contracts.len() as f64;
+    let per_contract = grown / contracts;
     // At quiescence nothing is in flight and the feed is gone: what the
     // run added since `new` is its results — per contract a 56 B ledger
-    // row, a 16 B runner-up quote and a 48 B `JobOutcome` at its site — in
-    // vectors grown by doubling, and nothing that scales with the bids
-    // handled. (A contract that copied its task and terms, 160 B, made
-    // this 403.)
+    // row and a 16 B runner-up quote — in vectors grown by doubling, and
+    // nothing that scales with the bids handled; 125.7 measured. (Each
+    // site's 48 B `JobOutcome` a job, in 64 more doubling vectors, made
+    // this 207.7; a contract that copied its task and terms, 160 B, 403.)
     assert!(
-        per_contract <= 240.0,
+        per_contract <= 150.0,
         "heap grew {grown} B over the run, {per_contract:.1} B per contract"
+    );
+    // Nor does the run hold much more on the way: above its start, which
+    // holds the feed, it peaks at its results so far, the events in
+    // flight, and a results vector's old and new buffers while it doubles
+    // (a `realloc` counts both); 181.5 measured. (With the sites' per-job records it was
+    // 241.7.)
+    let high_water = high_water / contracts;
+    assert!(
+        high_water <= 200.0,
+        "heap peaked {high_water:.1} B per contract above its start over the run"
     );
     drop(outcome);
 

@@ -39,8 +39,12 @@
 //! `pre26/economy_snapshot.json`. Both were rebuilt from the same
 //! scenarios without those two settings; `economy_journal.mbtsj` still
 //! holds second pricing, outage breaches and re-placed orphans, and
-//! `economy_snapshot.json` budget-capped values. The last test is the
-//! reader's leniency, one row per rule.
+//! `economy_snapshot.json` budget-capped values. Then a site inside an
+//! economy stopped keeping per-job records and a queued re-bid came to
+//! name its task by index: that pair, rebuilt from the same scenarios,
+//! has empty site `outcomes` and index-form re-bids, and the pair before
+//! it lives under `tests/golden/serde/pre34/` and must restore to the
+//! same runs. The last test is the reader's leniency, one row per rule.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -592,6 +596,64 @@ fn economy_documents_with_deadline_checks_or_retries_are_refused() {
             err.contains("DeadlineCheck") || err.contains("Retry"),
             "{err}"
         );
+    }
+}
+
+/// Economy documents written while a site inside an economy kept a record
+/// per job and a queued re-bid carried its task inline
+/// (`tests/golden/serde/pre34/`). Both restore to the runs today's
+/// fixtures hold: the snapshot, whose per-job records are dropped, writes
+/// today's fixture; the journal recovers from its file and its bytes, and
+/// also with only its first snapshot kept, which replays each re-bid it
+/// journaled with the task inline.
+#[test]
+fn economy_documents_with_site_records_and_inline_rebids_restore() {
+    let old = std::fs::read_to_string(fixture_dir().join("pre34/economy_snapshot.json"))
+        .expect("fixture");
+    assert!(old.contains("\"outcomes\":[{"), "no site kept a record");
+    let snap: EconomySnapshot = serde_json::from_str(&old).expect("the old snapshot reads");
+    let run = EconomyRun::from_snapshot(snap).expect("the old snapshot restores");
+    let new =
+        std::fs::read_to_string(fixture_dir().join("economy_snapshot.json")).expect("fixture");
+    assert!(
+        render(&run.snapshot(), false) == new,
+        "restored is not today's run"
+    );
+
+    let path = fixture_dir().join("pre34/economy_journal.mbtsj");
+    let bytes = std::fs::read(&path).expect("fixture");
+    let scan = framing::scan(&bytes).expect("the fixture is a journal");
+    let mut first_snapshot_only = Vec::new();
+    framing::write_header(&mut first_snapshot_only);
+    let mut snapshots = 0;
+    let mut inline_rebids = 0;
+    for (tag, payload) in &scan.records {
+        if *tag == RecordTag::Snapshot {
+            snapshots += 1;
+            if snapshots > 1 {
+                continue;
+            }
+        } else if std::str::from_utf8(payload)
+            .expect("utf-8 record")
+            .contains("\"OrphanRebid\":{\"spec\"")
+        {
+            inline_rebids += 1;
+        }
+        framing::append_record(&mut first_snapshot_only, *tag, payload);
+    }
+    assert!(
+        snapshots > 1 && inline_rebids > 0,
+        "{snapshots} {inline_rebids}"
+    );
+    let live = serde_json::to_string(&economy_journal().run().snapshot()).expect("serialises");
+    let image = mbts::durable::load(&path).expect("fixture");
+    for (recovered, report) in [
+        DurableRun::<EconomyRun>::recover(&bytes).expect("the old journal recovers"),
+        DurableRun::<EconomyRun>::recover(&image).expect("the old journal streams"),
+        DurableRun::<EconomyRun>::recover(&first_snapshot_only).expect("its events replay"),
+    ] {
+        let text = serde_json::to_string(&recovered.snapshot()).expect("serialises");
+        assert!(text == live, "recovered is not today's run ({report:?})");
     }
 }
 

@@ -8,12 +8,125 @@
 //! overload is reproducible on any machine. The process-level test
 //! spawns the actual `mbts` binary (`CARGO_BIN_EXE_mbts`), parses the
 //! `listening on` banner, and kills it for real.
+//!
+//! Every test runs under a [`Watchdog`]: one that is still running after
+//! a minute prints its name and its server's `/stats`, then aborts the
+//! process, so a hang fails fast with evidence instead of spinning.
 
 use mbts::serve::{self, ServeConfig, Server, ServiceMachine, ServiceRun};
 use mbts::site::SiteConfig;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// How long a test may run before its watchdog aborts the process. Every
+/// test here passes in about a second.
+const WATCHDOG_LIMIT: Duration = Duration::from_secs(60);
+
+/// The server a [`Watchdog`] reports on, once one has started: its
+/// address, and its process id if it is a daemon.
+type Watched = Option<(String, Option<u32>)>;
+
+/// Aborts the process if the test holding it is still running after
+/// [`WATCHDOG_LIMIT`], first printing the test's name and what the server
+/// it [`watch`](Self::watch)es reports at `/stats`, and killing that
+/// server if it is a daemon process. Dropping it, as the test returns or
+/// unwinds, stops it.
+struct Watchdog {
+    done: Option<mpsc::Sender<()>>,
+    server: Arc<Mutex<Watched>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Watchdog {
+    fn start(test: &'static str) -> Self {
+        let (done, finished) = mpsc::channel::<()>();
+        let server = Arc::new(Mutex::new(Watched::None));
+        let watched = Arc::clone(&server);
+        let thread = std::thread::spawn(move || {
+            if finished.recv_timeout(WATCHDOG_LIMIT) != Err(RecvTimeoutError::Timeout) {
+                return;
+            }
+            // Straight to the process's stderr: the test harness captures
+            // `eprintln!` per test and would drop it with the abort.
+            let mut report = format!("watchdog: {test} still running after {WATCHDOG_LIMIT:?}\n");
+            match watched.lock().ok().and_then(|s| s.clone()) {
+                Some((addr, pid)) => {
+                    report += &format!("watchdog: {addr} /stats: {}\n", stats_report(&addr));
+                    if let Some(pid) = pid {
+                        let _ = std::process::Command::new("kill")
+                            .args(["-KILL", &pid.to_string()])
+                            .status();
+                    }
+                }
+                None => report += "watchdog: no server was started yet\n",
+            }
+            let _ = std::io::stderr().write_all(report.as_bytes());
+            std::process::abort();
+        });
+        Watchdog {
+            done: Some(done),
+            server,
+            thread: Some(thread),
+        }
+    }
+
+    /// Names the in-process server whose `/stats` a timeout prints.
+    fn watch(&self, addr: &str) {
+        self.watch_server(addr, None);
+    }
+
+    /// Names the daemon process whose `/stats` a timeout prints and which
+    /// it then kills.
+    fn watch_daemon(&self, addr: &str, child: &std::process::Child) {
+        self.watch_server(addr, Some(child.id()));
+    }
+
+    fn watch_server(&self, addr: &str, pid: Option<u32>) {
+        if let Ok(mut slot) = self.server.lock() {
+            *slot = Some((addr.to_string(), pid));
+        }
+    }
+}
+
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        // Closing the channel wakes the watchdog thread, which returns.
+        drop(self.done.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// `/stats` from the server at `addr`, or why it did not answer, waiting
+/// at most a few seconds for each step: the acceptor of a hung server may
+/// still answer, and the watchdog must not hang in turn.
+fn stats_report(addr: &str) -> String {
+    let limit = Duration::from_secs(3);
+    let fetch = || -> std::io::Result<serve::http::Response> {
+        let at: SocketAddr = addr.parse().map_err(std::io::Error::other)?;
+        let stream = TcpStream::connect_timeout(&at, limit)?;
+        stream.set_read_timeout(Some(limit))?;
+        stream.set_write_timeout(Some(limit))?;
+        let mut writer = BufWriter::new(stream.try_clone()?);
+        serve::http::write_get(&mut writer, "/stats")?;
+        writer.flush()?;
+        serve::http::read_response(&mut BufReader::new(stream))?
+            .ok_or_else(|| std::io::Error::other("the connection closed"))
+    };
+    match fetch() {
+        Ok(response) => format!(
+            "{} {}",
+            response.status,
+            String::from_utf8_lossy(&response.body)
+        ),
+        Err(e) => format!("no answer ({e})"),
+    }
+}
 
 /// One round-trip against a live daemon: POST a JSON body, read the
 /// response. Panics on framing errors — these tests own both ends.
@@ -56,6 +169,7 @@ fn scratch(name: &str) -> std::path::PathBuf {
 /// analyze report that prices the regret of shedding.
 #[test]
 fn overload_stays_responsive_sheds_lowest_pv_and_drains_cleanly() {
+    let dog = Watchdog::start("overload_stays_responsive_sheds_lowest_pv_and_drains_cleanly");
     let journal = scratch("overload.mbtsj");
     let _ = std::fs::remove_file(&journal);
     let server = Server::start(ServeConfig {
@@ -70,6 +184,7 @@ fn overload_stays_responsive_sheds_lowest_pv_and_drains_cleanly() {
     })
     .expect("server start");
     let addr = server.addr.to_string();
+    dog.watch(&addr);
 
     let h = get(&addr, "/healthz");
     assert_eq!(h.status, 200);
@@ -179,12 +294,14 @@ fn overload_stays_responsive_sheds_lowest_pv_and_drains_cleanly() {
 /// programmatic `request_stop` drains exactly like SIGTERM would.
 #[test]
 fn request_stop_drains_like_sigterm() {
+    let dog = Watchdog::start("request_stop_drains_like_sigterm");
     let server = Server::start(ServeConfig {
         site: SiteConfig::new(2),
         ..ServeConfig::default()
     })
     .expect("server start");
     let addr = server.addr.to_string();
+    dog.watch(&addr);
     let resp = post(&addr, "/submit", "{\"runtime\":1.0,\"value\":5.0}");
     assert_eq!(resp.status, 200);
     server.request_stop();
@@ -233,6 +350,7 @@ fn spawn_daemon(journal: &std::path::Path, extra: &[&str]) -> (std::process::Chi
 /// and drain it with a real SIGTERM expecting exit code 0.
 #[test]
 fn sigkill_recovers_acknowledged_prefix_and_sigterm_drains() {
+    let dog = Watchdog::start("sigkill_recovers_acknowledged_prefix_and_sigterm_drains");
     let journal = scratch("chaos.mbtsj");
     let _ = std::fs::remove_file(&journal);
 
@@ -249,6 +367,7 @@ fn sigkill_recovers_acknowledged_prefix_and_sigterm_drains() {
             "2",
         ],
     );
+    dog.watch_daemon(&addr, &child);
     let clients: Vec<_> = (0..2)
         .map(|_| {
             let addr = addr.clone();
@@ -330,6 +449,7 @@ fn sigkill_recovers_acknowledged_prefix_and_sigterm_drains() {
     // acknowledged prefix, keep serving, and SIGTERM must drain it to
     // exit code 0 with a sealed journal.
     let (mut child, addr) = spawn_daemon(&journal, &["--processors", "2"]);
+    dog.watch_daemon(&addr, &child);
     let resp = post(&addr, "/submit", "{\"runtime\":1.0,\"value\":9.0}");
     assert_eq!(resp.status, 200, "restarted daemon must serve");
     let term = std::process::Command::new("kill")
@@ -362,6 +482,7 @@ fn sigkill_recovers_acknowledged_prefix_and_sigterm_drains() {
 /// stack on 20 KB of `[` and took the process down.)
 #[test]
 fn deeply_nested_bodies_draw_400_and_the_daemon_keeps_serving() {
+    let dog = Watchdog::start("deeply_nested_bodies_draw_400_and_the_daemon_keeps_serving");
     let server = Server::start(ServeConfig {
         site: SiteConfig::new(2),
         queue_capacity: 16,
@@ -369,6 +490,7 @@ fn deeply_nested_bodies_draw_400_and_the_daemon_keeps_serving() {
     })
     .expect("server start");
     let addr = server.addr.to_string();
+    dog.watch(&addr);
 
     let deep = 20_000;
     let bodies = [
@@ -416,6 +538,7 @@ fn deeply_nested_bodies_draw_400_and_the_daemon_keeps_serving() {
 /// traffic afterwards.
 #[test]
 fn malformed_requests_draw_4xx_and_daemon_keeps_serving() {
+    let dog = Watchdog::start("malformed_requests_draw_4xx_and_daemon_keeps_serving");
     let server = Server::start(ServeConfig {
         site: SiteConfig::new(2),
         queue_capacity: 16,
@@ -423,6 +546,7 @@ fn malformed_requests_draw_4xx_and_daemon_keeps_serving() {
     })
     .expect("server start");
     let addr = server.addr.to_string();
+    dog.watch(&addr);
 
     let garbage: &[(&str, &[u8])] = &[
         ("truncated request line", b"POST\r\n\r\n"),
