@@ -37,6 +37,7 @@ use mbts_chaos::{ChaosRegistry, FailAction, Firing};
 use mbts_core::Job;
 use mbts_durable::{Journal, RecoveryReport};
 use mbts_sim::latency::elapsed_ns;
+use mbts_sim::pin_malloc_thresholds;
 use mbts_sim::profiler::{self, Section};
 use mbts_sim::Time;
 use mbts_site::SiteConfig;
@@ -82,33 +83,6 @@ pub fn install_signal_handlers() {
     unsafe {
         signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);
         signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
-    }
-}
-
-/// Fixes glibc's mmap threshold at its documented default, 128 KiB,
-/// once per process. Left dynamic, glibc raises the threshold to the size
-/// of the last mapped buffer any thread freed, and the trim threshold with
-/// it, so whether a snapshot-sized buffer is mapped, or carved from a
-/// thread's heap and kept there after it is freed, hangs on the order in
-/// which the core, worker and caller threads happened to free theirs: the
-/// same daemon life could peak tens of MB higher in one run than in the
-/// next. Setting the threshold turns the adjustment off, so every buffer
-/// above it is mapped on allocation and returned on free.
-fn pin_malloc_thresholds() {
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    {
-        extern "C" {
-            fn mallopt(param: i32, value: i32) -> i32;
-        }
-        const M_MMAP_THRESHOLD: i32 = -3;
-        static PINNED: std::sync::Once = std::sync::Once::new();
-        // SAFETY: `mallopt` takes two integers and touches no caller
-        // memory; glibc serialises it with its own arena locks, so it is
-        // sound from any thread at any time. A refusal (return 0) leaves
-        // the threshold dynamic, which is only the old behaviour.
-        PINNED.call_once(|| unsafe {
-            mallopt(M_MMAP_THRESHOLD, 128 * 1024);
-        });
     }
 }
 
@@ -456,9 +430,9 @@ pub struct Server {
 
 impl Server {
     /// Binds, recovers (or creates) the journal, and spawns the acceptor
-    /// and core threads. The first start in a process also fixes the
-    /// allocator's mmap threshold (`pin_malloc_thresholds`), so the
-    /// daemon's resident memory does not depend on thread timing.
+    /// and core threads. It first fixes the allocator's mmap threshold
+    /// ([`pin_malloc_thresholds`]), so the daemon's resident memory does
+    /// not depend on thread timing.
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
         pin_malloc_thresholds();
         let machine_cfg = MachineConfig {

@@ -7,6 +7,7 @@
 //! the workspace are all models driven by this engine.
 
 use crate::event::EventQueue;
+use crate::malloc::pin_malloc_thresholds;
 use crate::time::Time;
 
 /// A simulation model: application state plus an event handler.
@@ -28,8 +29,11 @@ pub struct Engine<M: Model> {
 }
 
 impl<M: Model> Engine<M> {
-    /// Wraps `model` with an empty queue at time zero.
+    /// Wraps `model` with an empty queue at time zero. Like every way
+    /// into a run, it first pins the allocator policy
+    /// ([`pin_malloc_thresholds`]).
     pub fn new(model: M) -> Self {
+        pin_malloc_thresholds();
         Engine {
             model,
             queue: EventQueue::new(),
@@ -72,8 +76,10 @@ impl<M: Model> Engine<M> {
     /// Reassembles an engine from checkpointed parts: a restored model, a
     /// restored queue, and the saved clock and event counter. The inverse
     /// of reading `queue()` / `now()` / `events_handled()` off a live
-    /// engine at an event boundary.
+    /// engine at an event boundary. A restored run pins the allocator
+    /// policy as a fresh one does.
     pub fn from_parts(model: M, queue: EventQueue<M::Event>, now: Time, handled: u64) -> Self {
+        pin_malloc_thresholds();
         if let Some(next) = queue.peek_time() {
             assert!(next >= now, "restored queue holds an event before `now`");
         }

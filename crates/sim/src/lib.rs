@@ -16,7 +16,9 @@
 //!   intervals for multi-seed replication,
 //! * [`latency`] / [`profiler`] — the one wall-clock latency histogram
 //!   and the process-global registry of series every crate above records
-//!   into.
+//!   into,
+//! * [`malloc`] — the allocator policy every run shares
+//!   ([`pin_malloc_thresholds`]).
 //!
 //! Everything is seeded and replayable: two runs with the same seed produce
 //! bit-identical event orderings.
@@ -47,6 +49,7 @@ pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod latency;
+pub mod malloc;
 pub mod profiler;
 pub mod rng;
 pub mod stats;
@@ -56,6 +59,7 @@ pub use dist::Dist;
 pub use engine::{Engine, Model};
 pub use event::EventQueue;
 pub use fault::{FaultConfig, FaultInjector, FaultInjectorState, FaultUnit, UpDown};
+pub use malloc::pin_malloc_thresholds;
 pub use rng::{RngFactory, SimRng};
 pub use stats::{OnlineStats, PairedComparison, Summary};
 pub use time::{Duration, Time};

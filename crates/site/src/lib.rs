@@ -468,30 +468,23 @@ impl SiteRun {
             }
             injector = Some(inj);
         }
-        let arrivals: Vec<(Time, usize)> = match &workflows {
-            Some(runtime) => runtime
-                .roots()
-                .into_iter()
-                .map(|i| (tasks[i].arrival, i))
-                .collect(),
-            None => tasks
-                .iter()
-                .enumerate()
-                .map(|(i, spec)| (spec.arrival, i))
-                .collect(),
-        };
+        let roots = workflows.as_ref().map(WorkflowRuntime::roots);
         let mut state = SiteState::new(config);
         state.set_tracer(tracer);
         let mut engine = Engine::new(TraceModel {
             state,
             arrivals_left: tasks.len(),
-            trace: tasks,
+            trace: Arc::clone(&tasks),
             injector,
             crash_budget,
             workflows,
             outcome_cursor: 0,
         });
-        engine.feed(arrivals, SimEvent::Arrival);
+        let arrival = |i: usize| (tasks[i].arrival, i);
+        match roots {
+            Some(roots) => engine.feed(roots.into_iter().map(arrival), SimEvent::Arrival),
+            None => engine.feed((0..tasks.len()).map(arrival), SimEvent::Arrival),
+        }
         for (at, unit) in crashes {
             engine.schedule(at, SimEvent::Crash(unit));
         }

@@ -10,11 +10,14 @@
 use crate::config::{ArrivalProcess, BoundPolicy, MixConfig, WidthPolicy};
 use crate::task::{PenaltyBound, TaskSpec};
 use crate::trace::Trace;
-use mbts_sim::{Dist, Duration, RngFactory, Time};
+use mbts_sim::{pin_malloc_thresholds, Dist, Duration, RngFactory, Time};
 use std::sync::Arc;
 
-/// Generates a trace from `config`, deterministically in `seed`.
+/// Generates a trace from `config`, deterministically in `seed`. The
+/// allocator policy ([`pin_malloc_thresholds`]) is pinned before the
+/// first buffer a run's inputs allocate.
 pub fn generate_trace(config: &MixConfig, seed: u64) -> Trace {
+    pin_malloc_thresholds();
     let factory = RngFactory::new(seed);
     let mut arrivals_rng = factory.stream("arrivals");
     let mut runtime_rng = factory.stream("runtimes");

@@ -3,7 +3,7 @@
 
 use crate::config::MixConfig;
 use crate::task::{TaskId, TaskSpec};
-use mbts_sim::{OnlineStats, Time};
+use mbts_sim::{pin_malloc_thresholds, OnlineStats, Time};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
@@ -50,8 +50,11 @@ pub struct TraceStats {
 }
 
 impl Trace {
-    /// Wraps generated tasks; validates ordering and id density.
+    /// Wraps generated tasks; validates ordering and id density. Every
+    /// constructed trace (concatenated, read from SWF) pins the allocator
+    /// policy ([`pin_malloc_thresholds`]) first.
     pub fn new(config: MixConfig, seed: u64, tasks: impl Into<Arc<[TaskSpec]>>) -> Self {
+        pin_malloc_thresholds();
         let tasks = tasks.into();
         debug_assert!(tasks.windows(2).all(|w| w[0].arrival <= w[1].arrival));
         debug_assert!(tasks.iter().enumerate().all(|(i, t)| t.id.index() == i));

@@ -1,5 +1,6 @@
 //! Live-service integration tests: the overload contract (backpressure,
-//! deadline-aware shedding, Retry-After), graceful drain, and the chaos
+//! deadline-aware shedding, Retry-After), graceful drain, protocol
+//! garbage (hand-written and the flood client's own), and the chaos
 //! story — `kill -9` a daemon mid-traffic, recover the journal offline,
 //! restart on the same file, and drain it cleanly with SIGTERM.
 //!
@@ -616,4 +617,70 @@ fn malformed_requests_draw_4xx_and_daemon_keeps_serving() {
         "well-formed submit after garbage: {}",
         String::from_utf8_lossy(&resp.body)
     );
+}
+
+/// `mbts flood --malformed-every` end to end, against an in-process
+/// daemon: the flood finishes cleanly, sends garbage at the cadence it
+/// promises, and none of that garbage is journaled or admitted. At this
+/// seed and cadence the sixteen garbage requests draw every entry of the
+/// flood's corpus, the 20,000-deep body among them.
+#[test]
+fn flood_with_malformed_every_journals_and_admits_no_garbage() {
+    let dog = Watchdog::start("flood_with_malformed_every_journals_and_admits_no_garbage");
+    let journal = scratch("flood_malformed.mbtsj");
+    let _ = std::fs::remove_file(&journal);
+    let server = Server::start(ServeConfig {
+        site: SiteConfig::new(4),
+        journal: Some(journal.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("server start");
+    let addr = server.addr.to_string();
+    dog.watch(&addr);
+
+    const REQUESTS: u64 = 512;
+    const CONNECTIONS: usize = 2;
+    const PIPELINE: usize = 8;
+    const MALFORMED_EVERY: u64 = 4;
+    let report = serve::flood(&serve::FloodConfig {
+        addr: addr.clone(),
+        requests: REQUESTS,
+        connections: CONNECTIONS,
+        pipeline: PIPELINE,
+        seed: 42,
+        malformed_every: MALFORMED_EVERY,
+        ..serve::FloodConfig::default()
+    })
+    .expect("flood");
+    assert_eq!(report.errors, 0, "{report:?}");
+    assert_eq!(report.exhausted, 0, "{report:?}");
+    // One garbage request every `MALFORMED_EVERY` batches, per thread; no
+    // batch was retried, so each thread sent its share in whole batches.
+    let (bounced, retried) = (report.backpressured + report.unavailable, report.retries);
+    assert_eq!((bounced, retried), (0, 0), "{report:?}");
+    let share = REQUESTS / CONNECTIONS as u64;
+    let batches = share.div_ceil(PIPELINE as u64);
+    assert_eq!(
+        report.malformed,
+        CONNECTIONS as u64 * (batches / MALFORMED_EVERY)
+    );
+    assert_eq!(report.completed, REQUESTS);
+    assert_eq!(report.accepted + report.rejected, REQUESTS);
+
+    server.request_stop();
+    let served = server.join().expect("drain");
+    assert!(served.clean_drain);
+    assert_eq!(served.violations, 0);
+    assert_eq!(served.summary.accepted, report.accepted);
+    assert_eq!(served.summary.rejected, report.rejected);
+    // The journal holds the flood's submits and the drain marker, and
+    // nothing the garbage could have added.
+    assert_eq!(served.applied, REQUESTS + 1);
+    let bytes = std::fs::read(&journal).expect("journal bytes");
+    let (machine, _) = ServiceRun::recover(&bytes).expect("recover");
+    assert_eq!(machine.applied(), served.applied);
+    let c = *machine.counters();
+    assert_eq!((c.accepted, c.rejected), (report.accepted, report.rejected));
+    assert_eq!((c.shed, c.cancelled, c.cancel_misses), (0, 0, 0));
+    std::fs::remove_file(&journal).ok();
 }
