@@ -18,7 +18,7 @@
 //! means is written once, in `check_record`, and both call it.
 
 use std::convert::Infallible;
-use std::io::{self, Read};
+use std::io::{self, Read, Seek, SeekFrom};
 
 /// Journal file magic: identifies the format before any parsing.
 pub const MAGIC: [u8; 8] = *b"MBTSJRNL";
@@ -208,14 +208,14 @@ fn check_header(header: &[u8]) -> Result<(), FramingError> {
 /// The one rule for whether a record is intact: its tag is known, its
 /// length fits in the `remaining` bytes after its header, and its CRC
 /// over tag, length and payload matches. `payload` is asked for the
-/// record's bytes only once their length is known to fit, so a damaged
-/// length field never reads, or allocates, past the end of the journal.
-/// `Ok(None)` is a record that does not check out; an error is one from
-/// `payload` itself.
+/// record's bytes, given its tag and length, only once that length is
+/// known to fit, so a damaged length field never reads, or allocates,
+/// past the end of the journal. `Ok(None)` is a record that does not
+/// check out; an error is one from `payload` itself.
 fn check_record<'p, E>(
     header: &[u8; RECORD_OVERHEAD],
     remaining: usize,
-    payload: impl FnOnce(usize) -> Result<&'p [u8], E>,
+    payload: impl FnOnce(RecordTag, usize) -> Result<&'p [u8], E>,
 ) -> Result<Option<(RecordTag, &'p [u8])>, E> {
     let Some(tag) = RecordTag::from_byte(header[0]) else {
         return Ok(None);
@@ -226,7 +226,7 @@ fn check_record<'p, E>(
     if len > remaining {
         return Ok(None);
     }
-    let payload = payload(len)?;
+    let payload = payload(tag, len)?;
     Ok((record_crc(header[0], len_bytes, payload) == crc).then_some((tag, payload)))
 }
 
@@ -249,7 +249,9 @@ pub fn scan(bytes: &[u8]) -> Result<ScanOutcome<'_>, FramingError> {
     let mut pos = HEADER_LEN;
     let mut records = Vec::new();
     while let Some((header, rest)) = bytes[pos..].split_first_chunk::<RECORD_OVERHEAD>() {
-        let record = check_record(header, rest.len(), |len| Ok::<_, Infallible>(&rest[..len]));
+        let record = check_record(header, rest.len(), |_, len| {
+            Ok::<_, Infallible>(&rest[..len])
+        });
         let Ok(Some((tag, payload))) = record else {
             break;
         };
@@ -266,7 +268,9 @@ pub fn scan(bytes: &[u8]) -> Result<ScanOutcome<'_>, FramingError> {
 /// Reads a journal one record at a time through any reader, checking each
 /// record by the same rule as [`scan`]. It holds no record itself: each
 /// payload is read into a buffer the caller lends, so what a pass over a
-/// journal keeps is the caller's choice, not the journal's length.
+/// journal keeps is the caller's choice, not the journal's length. The
+/// reader must seek, so that a record read over can be read again where it
+/// starts ([`reread`](Self::reread)).
 pub(crate) struct RecordReader<R> {
     reader: R,
     /// Bytes the journal holds, as the caller stated them.
@@ -275,15 +279,17 @@ pub(crate) struct RecordReader<R> {
     valid_len: usize,
 }
 
-impl<R: Read> RecordReader<R> {
-    /// Reads and checks the header of a journal `len` bytes long. A
-    /// missing or foreign header is an [`io::ErrorKind::InvalidData`]
-    /// error carrying the [`FramingError`] (see [`FramingError::from_io`]).
+impl<R: Read + Seek> RecordReader<R> {
+    /// Reads and checks the header of a journal `len` bytes long, which
+    /// `reader` holds from its start. A missing or foreign header is an
+    /// [`io::ErrorKind::InvalidData`] error carrying the [`FramingError`]
+    /// (see [`FramingError::from_io`]).
     pub(crate) fn new(mut reader: R, len: usize) -> io::Result<Self> {
         let mut header = [0; HEADER_LEN];
         if len < HEADER_LEN {
             return Err(FramingError::NotAJournal.into());
         }
+        reader.seek(SeekFrom::Start(0))?;
         reader.read_exact(&mut header)?;
         check_header(&header)?;
         Ok(RecordReader {
@@ -295,19 +301,61 @@ impl<R: Read> RecordReader<R> {
 
     /// Reads the next record into `buf`, replacing what it held, and
     /// returns its tag; `None` (with `buf` emptied) where the valid prefix
-    /// ends, which ends the pass. The length field is checked against the
-    /// bytes left before `buf` grows, so a damaged length costs no memory.
-    /// An error is the reader's own.
+    /// ends, which ends the pass. An error is the reader's own.
     pub(crate) fn next_into(&mut self, buf: &mut Vec<u8>) -> io::Result<Option<RecordTag>> {
         buf.clear();
-        let remaining = self.len - self.valid_len;
+        self.next_with(|_| buf)
+    }
+
+    /// Reads the next record into the buffer `choose` lends for its tag,
+    /// replacing what that buffer held, and returns the tag; `None` where
+    /// the valid prefix ends, which ends the pass. `choose` is called only
+    /// for a record whose length fits in the journal, before a byte of its
+    /// payload is read, and the buffer it lent is emptied if the record
+    /// then fails its CRC: a damaged length costs no memory, and a
+    /// buffer that was not lent keeps what it held.
+    pub(crate) fn next_with<'b>(
+        &mut self,
+        choose: impl FnOnce(RecordTag) -> &'b mut Vec<u8>,
+    ) -> io::Result<Option<RecordTag>> {
+        let tag = self.read_record(self.valid_len, choose)?;
+        if let Some((_, len)) = tag {
+            self.valid_len += RECORD_OVERHEAD + len;
+        }
+        Ok(tag.map(|(tag, _)| tag))
+    }
+
+    /// Reads the record that starts at byte `at` of the journal into `buf`
+    /// again, checked by the same rule, and returns its tag; `None` (with
+    /// `buf` emptied) if it no longer checks out. The pass itself does not
+    /// move: [`valid_len`](Self::valid_len) and
+    /// [`dropped_bytes`](Self::dropped_bytes) stay what they were, and
+    /// nothing is read after this.
+    pub(crate) fn reread(&mut self, at: usize, buf: &mut Vec<u8>) -> io::Result<Option<RecordTag>> {
+        buf.clear();
+        self.reader.seek(SeekFrom::Start(at as u64))?;
+        Ok(self.read_record(at, |_| buf)?.map(|(tag, _)| tag))
+    }
+
+    /// Reads the record the reader stands at, which starts at byte `at`:
+    /// its header, then its payload into the buffer `choose` lends.
+    /// Returns its tag and payload length if it checks out.
+    fn read_record<'b>(
+        &mut self,
+        at: usize,
+        choose: impl FnOnce(RecordTag) -> &'b mut Vec<u8>,
+    ) -> io::Result<Option<(RecordTag, usize)>> {
+        let remaining = self.len.saturating_sub(at);
         if remaining < RECORD_OVERHEAD {
             return Ok(None);
         }
         let mut header = [0; RECORD_OVERHEAD];
         self.reader.read_exact(&mut header)?;
         let reader = &mut self.reader;
-        let record = check_record(&header, remaining - RECORD_OVERHEAD, |len| {
+        let mut lent = None;
+        let record = check_record(&header, remaining - RECORD_OVERHEAD, |tag, len| {
+            let buf = lent.insert(choose(tag));
+            buf.clear();
             // Exactly: grown by doubling, a snapshot-sized buffer could
             // hold nearly twice its snapshot.
             buf.reserve_exact(len);
@@ -316,12 +364,11 @@ impl<R: Read> RecordReader<R> {
             Ok::<_, io::Error>(&buf[..])
         })?;
         match record {
-            Some((tag, payload)) => {
-                self.valid_len += RECORD_OVERHEAD + payload.len();
-                Ok(Some(tag))
-            }
+            Some((tag, payload)) => Ok(Some((tag, payload.len()))),
             None => {
-                buf.clear();
+                if let Some(buf) = lent {
+                    buf.clear();
+                }
                 Ok(None)
             }
         }
@@ -500,7 +547,7 @@ mod tests {
         assert_eq!(scan.valid_len, HEADER_LEN);
 
         // The reader refuses the length before its buffer grows for it.
-        let mut reader = RecordReader::new(&buf[..], buf.len()).unwrap();
+        let mut reader = RecordReader::new(io::Cursor::new(&buf[..]), buf.len()).unwrap();
         let mut record = Vec::new();
         assert_eq!(reader.next_into(&mut record).unwrap(), None);
         assert_eq!(record.capacity(), 0);
@@ -513,7 +560,7 @@ mod tests {
 
     /// Everything `RecordReader` makes of `bytes`, in `scan`'s terms.
     fn read_all(bytes: &[u8]) -> Result<Outcome, FramingError> {
-        let mut reader = match RecordReader::new(bytes, bytes.len()) {
+        let mut reader = match RecordReader::new(io::Cursor::new(bytes), bytes.len()) {
             Ok(reader) => reader,
             Err(e) => return Err(FramingError::from_io(&e).expect("a framing error").clone()),
         };

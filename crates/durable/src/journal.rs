@@ -13,8 +13,12 @@
 //!
 //! Reading is the same rule: recovery streams a file one record at a time
 //! through a fixed-size buffer and keeps only the newest intact snapshot
-//! and the events after it ([`JournalSource`]), never the file. [`load`]
-//! returns a handle on the file, not its bytes; [`Journal::reopen`] and
+//! and the events after it ([`JournalSource`]), never the file. Each
+//! snapshot is read into the one buffer that holds the newest, so a pass
+//! holds one snapshot's text however many the journal has; a newest one
+//! that fails its check is the torn tail, and the one it was read over is
+//! read again where its record starts. [`load`] returns a handle on the
+//! file, not its bytes; [`Journal::reopen`] and
 //! [`DurableRun::resume`](crate::DurableRun::resume) stream it too.
 //!
 //! Appends are write-ahead: the caller journals an event *before*
@@ -450,36 +454,59 @@ impl Recovered {
     }
 }
 
-/// Reads the `len`-byte journal `reader` yields one record at a time and
-/// keeps the latest intact snapshot plus its event suffix: besides those
-/// it holds the record being read, and nothing of the records before.
+/// Reads the `len`-byte journal `reader` holds one record at a time and
+/// keeps the latest intact snapshot plus its event suffix. A snapshot is
+/// read straight into [`Recovered::snapshot`], so one snapshot's text is
+/// held, never two; if the newest one then fails its check, it was the
+/// journal's torn or corrupt tail, and the one before it is read back
+/// from where its record starts, checked again. Besides those the pass
+/// holds one event record at a time and nothing of the records before.
 /// Corruption in the tail only shrinks the suffix; corruption *before*
 /// the latest snapshot is irrelevant by construction (the pass stops
 /// there, so such a snapshot is never chosen).
-fn recover_stream(reader: impl Read, len: usize) -> Result<Recovered, RecoverError> {
+fn recover_stream(reader: impl Read + Seek, len: usize) -> Result<Recovered, RecoverError> {
     let mut records = RecordReader::new(reader, len)?;
     let mut recovered = Recovered::default();
-    let mut found = false;
-    // The record being read. A snapshot is read here while the last intact
-    // one is still held, since the new one may not check out.
-    let mut record = Vec::new();
-    while let Some(tag) = records.next_into(&mut record)? {
+    // Where the record whose payload `recovered.snapshot` holds starts.
+    let mut snapshot_at = None;
+    // Whether the pass ended in a snapshot record read over that one.
+    let mut overwritten = false;
+    let mut event = Vec::new();
+    loop {
+        let at = records.valid_len();
+        let tag = records.next_with(|tag| match tag {
+            RecordTag::Snapshot => {
+                overwritten = true;
+                &mut recovered.snapshot
+            }
+            RecordTag::Event => &mut event,
+        })?;
         match tag {
-            RecordTag::Event => {
-                recovered.events.extend_from_slice(&record);
+            None => break,
+            Some(RecordTag::Event) => {
+                recovered.events.extend_from_slice(&event);
                 recovered.event_ends.push(recovered.events.len());
             }
-            RecordTag::Snapshot => {
-                std::mem::swap(&mut recovered.snapshot, &mut record);
+            Some(RecordTag::Snapshot) => {
+                overwritten = false;
+                snapshot_at = Some(at);
                 recovered.events_superseded += recovered.event_ends.len();
                 recovered.events.clear();
                 recovered.event_ends.clear();
-                found = true;
             }
         }
     }
-    if !found {
+    let Some(at) = snapshot_at else {
         return Err(RecoverError::NoSnapshot);
+    };
+    if overwritten && records.reread(at, &mut recovered.snapshot)? != Some(RecordTag::Snapshot) {
+        return Err(RecoverError::Io {
+            kind: io::ErrorKind::InvalidData,
+            detail: format!(
+                "the snapshot record at byte {at} no longer checks out: \
+                 the journal changed while it was read"
+            ),
+        });
     }
     // What the suffix before the last snapshot grew to is not kept.
     recovered.events.shrink_to_fit();
@@ -501,15 +528,13 @@ pub trait JournalSource {
 impl<T: AsRef<[u8]> + ?Sized> JournalSource for T {
     fn recovered(&self) -> Result<Recovered, RecoverError> {
         let bytes = self.as_ref();
-        recover_stream(bytes, bytes.len())
+        recover_stream(io::Cursor::new(bytes), bytes.len())
     }
 }
 
 impl JournalSource for JournalImage {
     fn recovered(&self) -> Result<Recovered, RecoverError> {
-        let mut file = &self.file;
-        file.seek(SeekFrom::Start(0))?;
-        recover_stream(BufReader::with_capacity(READ_BUF, file), self.len)
+        recover_stream(BufReader::with_capacity(READ_BUF, &self.file), self.len)
     }
 }
 
@@ -638,6 +663,69 @@ mod tests {
         assert_eq!(r.snapshot, b"s0");
         assert_eq!(r.events().collect::<Vec<_>>(), vec![b"e0".as_slice()]);
         assert_eq!(r.dropped_bytes, cut - keep);
+    }
+
+    /// A journal file that another writer rewrites under the reader: the
+    /// payload of the record a seek lands on is overwritten first.
+    struct RewrittenOnSeek {
+        file: File,
+        path: PathBuf,
+    }
+
+    impl Read for RewrittenOnSeek {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.file.read(buf)
+        }
+    }
+
+    impl Seek for RewrittenOnSeek {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            if let SeekFrom::Start(at @ 1..) = pos {
+                let mut writer = OpenOptions::new().write(true).open(&self.path)?;
+                writer.seek(SeekFrom::Start(at + framing::RECORD_OVERHEAD as u64))?;
+                writer.write_all(b"s9")?;
+            }
+            self.file.seek(pos)
+        }
+    }
+
+    #[test]
+    fn a_file_rewritten_before_the_reread_is_a_typed_error() {
+        let path = test_path("rewritten");
+        let mut j = Journal::create(&path).unwrap();
+        j.append_snapshot(b"s0").unwrap();
+        j.append_event(b"e0").unwrap();
+        j.append_snapshot(b"s1").unwrap();
+        drop(j);
+        // Corrupt the newest snapshot's payload: the pass has read it over
+        // s0 by the time its CRC fails, and reads s0 again where its record
+        // starts. (A cut through a record never gets that far: its length
+        // no longer fits, and nothing is read over s0.)
+        let len = load(&path).unwrap().len();
+        let mut writer = OpenOptions::new().write(true).open(&path).unwrap();
+        writer.seek(SeekFrom::End(-1)).unwrap();
+        writer.write_all(b"x").unwrap();
+        drop(writer);
+        let r = load(&path).unwrap().recovered().unwrap();
+        assert_eq!(r.snapshot, b"s0");
+        assert_eq!(r.events().collect::<Vec<_>>(), vec![b"e0".as_slice()]);
+
+        let rewritten = RewrittenOnSeek {
+            file: File::open(&path).unwrap(),
+            path: path.clone(),
+        };
+        let err = recover_stream(BufReader::new(rewritten), len).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RecoverError::Io {
+                    kind: io::ErrorKind::InvalidData,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -23,15 +23,15 @@ use std::io;
 /// A deterministic fold over journaled inputs whose complete replay state
 /// can be captured and restored between any two inputs.
 ///
-/// The contract [`DurableRun`] relies on: `restore(snapshot())` followed
-/// by the same `apply`s is bit-identical to applying them to the
-/// original, and `apply` refuses — leaving the state untouched — any
-/// input that could not have been the next one.
+/// The contract [`DurableRun`] relies on: `restore` of the text
+/// `snapshot()` writes, followed by the same `apply`s, is bit-identical to
+/// applying them to the original, and `apply` refuses — leaving the state
+/// untouched — any input that could not have been the next one.
 pub trait Recoverable: Sized {
     /// One journaled input: an event record's payload.
     type Input: Serialize + Deserialize;
-    /// Serialized form of the complete replay state.
-    type Snapshot: Serialize + Deserialize;
+    /// The complete replay state, as read back from a snapshot record.
+    type Snapshot: Deserialize;
     /// What applying one input reports to the caller.
     type Outcome;
 
@@ -46,8 +46,10 @@ pub trait Recoverable: Sized {
     /// Folds one input, or says why it cannot follow the current state.
     fn apply(&mut self, input: &Self::Input) -> Result<Self::Outcome, String>;
 
-    /// Captures the state between inputs.
-    fn snapshot(&self) -> Self::Snapshot;
+    /// Captures the state between inputs: the text of a
+    /// [`Snapshot`](Self::Snapshot), written from the live state it
+    /// borrows, so that the state is never held twice.
+    fn snapshot(&self) -> impl Serialize + '_;
 
     /// Rebuilds a run from a captured state, or says why it cannot.
     fn restore(snapshot: Self::Snapshot) -> Result<Self, String>;
@@ -86,7 +88,7 @@ impl Recoverable for SiteRun {
         Ok(())
     }
 
-    fn snapshot(&self) -> SiteRunSnapshot {
+    fn snapshot(&self) -> impl Serialize + '_ {
         SiteRun::snapshot(self)
     }
 
@@ -110,7 +112,7 @@ impl Recoverable for EconomyRun {
         Ok(())
     }
 
-    fn snapshot(&self) -> EconomySnapshot {
+    fn snapshot(&self) -> impl Serialize + '_ {
         EconomyRun::snapshot(self)
     }
 
@@ -184,8 +186,8 @@ impl<M: Recoverable> DurableRun<M> {
 
     /// Serializes the current state into a snapshot record immediately.
     pub fn snapshot_now(&mut self) -> io::Result<()> {
-        // Above the run this holds the typed snapshot and one buffer, the
-        // record itself: the text is written where it is framed.
+        // Above the run this holds one buffer, the record itself: the text
+        // is written from the live state it borrows, where it is framed.
         profiler::time(Section::SnapshotWrite, || {
             let snapshot = self.run.snapshot();
             self.journal.append_snapshot_with(|record| {

@@ -25,14 +25,15 @@ use mbts_sim::{
     Model, RngFactory, Time,
 };
 use mbts_site::{
-    AuditViolation, CompletionToken, SiteConfig, SiteOutcome, SiteSnapshot, SiteState,
+    AuditViolation, CompletionToken, SiteConfig, SiteOutcome, SiteSnapshot, SiteSnapshotRef,
+    SiteState,
 };
 use mbts_trace::{
     DecisionCandidate, DecisionKind, TraceEvent, TraceKind, Tracer, TracerSnapshot,
-    MAX_DECISION_CANDIDATES,
+    TracerSnapshotRef, MAX_DECISION_CANDIDATES,
 };
 use mbts_workload::{TaskId, TaskSpec, Trace, WorkflowFacets, WorkflowSet};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
 use std::sync::Arc;
 
 /// Index of a site within an economy.
@@ -444,23 +445,20 @@ impl EconomyRun {
         Ok(event)
     }
 
-    /// Captures the complete replay state at the current event boundary.
-    pub fn snapshot(&self) -> EconomySnapshot {
+    /// Captures the complete replay state at the current event boundary,
+    /// borrowed from the run: the text of an [`EconomySnapshot`].
+    pub fn snapshot(&self) -> EconomySnapshotRef<'_> {
         let m = self.engine.model();
-        EconomySnapshot {
+        EconomySnapshotRef {
             sites: m.sites.iter().map(|s| s.snapshot()).collect(),
-            trace: Arc::clone(&m.trace),
+            trace: &m.trace,
             selection: m.selection,
             pricing: m.pricing,
             budgets: m.budgets,
-            accounts: m.accounts.clone(),
-            contracts: m.contracts.clone(),
-            contract_of: m
-                .contract_of
-                .entries()
-                .map(|(id, ci)| (id, ci as usize))
-                .collect(),
-            second_quote: m.second_quote.clone(),
+            accounts: &m.accounts,
+            contracts: &m.contracts,
+            contract_of: &m.contract_of,
+            second_quote: &m.second_quote,
             offered: m.offered,
             placed: m.placed,
             unplaced: m.unplaced,
@@ -468,9 +466,9 @@ impl EconomyRun {
             total_settled: m.total_settled,
             total_paid: m.total_paid,
             coin_state: m.coin_state,
-            site_accounts: m.site_accounts.clone(),
+            site_accounts: &m.site_accounts,
             injector: m.injector.as_ref().map(|i| i.state()),
-            fault_cfg: m.fault_cfg.clone(),
+            fault_cfg: m.fault_cfg.as_ref(),
             rebid_backoff: m.rebid_backoff.as_ref().map(|b| b.state()),
             crash_budget: m.crash_budget,
             arrivals_left: m.arrivals_left,
@@ -480,8 +478,8 @@ impl EconomyRun {
             orphaned: m.orphaned,
             orphans_replaced: m.orphans_replaced,
             orphans_abandoned: m.orphans_abandoned,
-            audit_violations: m.audit_violations.clone(),
-            workflows: m.workflows.clone(),
+            audit_violations: &m.audit_violations,
+            workflows: m.workflows.as_ref(),
             stranded: m.stranded,
             tracer: m.tracer.snapshot(),
             queue: self.engine.queue().snapshot_entries(),
@@ -491,7 +489,8 @@ impl EconomyRun {
         }
     }
 
-    /// Reconstructs a run from a [`snapshot`](Self::snapshot); the resumed
+    /// Reconstructs a run from the text of a [`snapshot`](Self::snapshot),
+    /// read back as an [`EconomySnapshot`]; the resumed
     /// run replays bit-identically to the one that was captured. A
     /// snapshot whose parts do not fit together — an id outside its
     /// trace, an index past its contracts, sites or clients, a contract
@@ -712,7 +711,52 @@ fn name_rebid_task(
     Ok(())
 }
 
-/// Complete replay state of an [`EconomyRun`] at an event boundary:
+/// An [`EconomyRun`] at an event boundary as [`EconomyRun::snapshot`]
+/// writes it: the borrowed writer of an [`EconomySnapshot`]'s text, field
+/// for field. It copies the events due and borrows the rest.
+#[derive(Debug, Serialize)]
+pub struct EconomySnapshotRef<'a> {
+    sites: Vec<SiteSnapshotRef<'a>>,
+    trace: &'a [TaskSpec],
+    selection: ClientSelection,
+    pricing: PricingStrategy,
+    budgets: Option<BudgetConfig>,
+    accounts: &'a [Account],
+    contracts: &'a ContractLedger,
+    contract_of: &'a DenseLedger,
+    second_quote: &'a [Option<f64>],
+    offered: usize,
+    placed: usize,
+    unplaced: usize,
+    unfunded: usize,
+    total_settled: f64,
+    total_paid: f64,
+    coin_state: u64,
+    site_accounts: &'a [f64],
+    injector: Option<FaultInjectorState>,
+    fault_cfg: Option<&'a MarketFaultConfig>,
+    rebid_backoff: Option<RebidBackoffState>,
+    crash_budget: u64,
+    arrivals_left: usize,
+    pending_rebids: usize,
+    crashes: u64,
+    repairs: u64,
+    orphaned: usize,
+    orphans_replaced: usize,
+    orphans_abandoned: usize,
+    audit_violations: &'a [AuditViolation],
+    #[serde(skip_serializing_if = "Option::is_none")]
+    workflows: Option<&'a WorkflowRuntime>,
+    stranded: usize,
+    tracer: TracerSnapshotRef<'a>,
+    queue: Vec<(Time, u64, EcoEvent)>,
+    next_seq: u64,
+    now: Time,
+    handled: u64,
+}
+
+/// Complete replay state of an [`EconomyRun`] at an event boundary, read
+/// back from the text [`EconomyRun::snapshot`] writes:
 /// restoring it and running to completion is bit-identical to never
 /// having stopped. The task → contract ledger is written as an `(id, n)`
 /// list sorted by id, holding only the tasks that have a contract.
@@ -858,7 +902,20 @@ fn no_task() -> u32 {
 /// A per-task `u32` ledger indexed by the task's dense id: one
 /// zero-initialised slot per task of the trace, `0` for "no entry" and
 /// `n + 1` for an entry of `n` (an entry of zero is distinct from none).
+/// It writes the `(id, n)` list of its [`entries`](Self::entries).
+#[derive(Debug)]
 struct DenseLedger(Vec<u32>);
+
+impl Serialize for DenseLedger {
+    fn serialize(&self, out: &mut Writer) {
+        out.begin_array();
+        for entry in self.entries() {
+            out.element();
+            entry.serialize(out);
+        }
+        out.end_array();
+    }
+}
 
 impl DenseLedger {
     fn new(tasks: usize) -> Self {

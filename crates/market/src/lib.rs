@@ -60,6 +60,6 @@ pub use budget::{Account, BudgetConfig};
 pub use contract::{Contract, ContractLedger, ContractStatus, RebindError};
 pub use economy::{
     EcoEvent, Economy, EconomyConfig, EconomyOutcome, EconomyRun, EconomySnapshot,
-    MarketFaultConfig, SiteId,
+    EconomySnapshotRef, MarketFaultConfig, SiteId,
 };
 pub use pricing::PricingStrategy;

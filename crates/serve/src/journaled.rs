@@ -25,7 +25,6 @@ use mbts_sim::Time;
 
 use crate::machine::{
     ApplyOutcome, Command, CommandKind, MachineConfig, ServiceMachine, ServiceSnapshot,
-    SERVICE_SNAPSHOT_FORMAT,
 };
 
 /// Replay's check is the one the live path's stamping guarantees: a
@@ -67,18 +66,12 @@ impl Recoverable for ServiceMachine {
         Ok(ServiceMachine::apply(self, cmd))
     }
 
-    fn snapshot(&self) -> ServiceSnapshot {
+    fn snapshot(&self) -> impl serde::Serialize + '_ {
         ServiceMachine::snapshot(self)
     }
 
     fn restore(snapshot: ServiceSnapshot) -> Result<Self, String> {
-        if snapshot.format != SERVICE_SNAPSHOT_FORMAT {
-            return Err(format!(
-                "unsupported service snapshot format {}",
-                snapshot.format
-            ));
-        }
-        Ok(ServiceMachine::from_snapshot(snapshot))
+        ServiceMachine::try_from_snapshot(snapshot)
     }
 }
 
@@ -282,6 +275,49 @@ mod tests {
             ServiceRun::recover(&j.bytes()),
             Err(RecoverError::BadSnapshot(_))
         ));
+    }
+
+    #[test]
+    fn recover_refuses_a_registry_that_is_not_the_newest_task_ids() {
+        let mut run = ServiceRun::new(config(), Journal::in_memory(), 0).unwrap();
+        drive(&mut run);
+        let text = run.machine().snapshot_json();
+        let snap: ServiceSnapshot = serde_json::from_str(&text).unwrap();
+        assert_eq!(snap.next_task_id, 3);
+        assert_eq!(
+            snap.registry.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+        type Edit = fn(&mut ServiceSnapshot);
+        let edits: [(&str, Edit); 5] = [
+            ("a gap", |s| {
+                s.registry.remove(1);
+            }),
+            ("out of order", |s| s.registry.swap(0, 1)),
+            ("short of the newest id", |s| {
+                s.registry.pop();
+            }),
+            ("past the newest id", |s| s.next_task_id = 2),
+            ("over capacity", |s| s.status_capacity = 2),
+        ];
+        for (what, edit) in edits {
+            let mut bad = snap.clone();
+            edit(&mut bad);
+            let mut j = Journal::in_memory();
+            j.append_snapshot(&serde_json::to_vec(&bad).unwrap())
+                .unwrap();
+            match ServiceRun::recover(&j.bytes()) {
+                Err(RecoverError::BadSnapshot(detail)) => {
+                    assert!(detail.contains("status registry"), "{what}: {detail}")
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+        // Unedited, the same text restores.
+        let mut j = Journal::in_memory();
+        j.append_snapshot(text.as_bytes()).unwrap();
+        let (restored, _) = ServiceRun::recover(&j.bytes()).unwrap();
+        assert_eq!(restored.snapshot_json(), text);
     }
 
     #[test]

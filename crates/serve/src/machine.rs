@@ -18,13 +18,15 @@
 //! before the command applies, so the interleaving of completions and
 //! commands is fully determined by the log.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use mbts_sim::{EventQueue, Time};
-use mbts_site::{CompletionToken, SiteConfig, SiteMetrics, SiteSnapshot, SiteState};
-use mbts_trace::{DecisionCandidate, DecisionKind, TraceEvent, TraceKind, Tracer, TracerSnapshot};
+use mbts_site::{
+    CompletionToken, SiteConfig, SiteMetrics, SiteSnapshot, SiteSnapshotRef, SiteState,
+};
+use mbts_trace::{DecisionCandidate, DecisionKind, TraceEvent, TraceKind, Tracer};
 use mbts_workload::{TaskId, TaskSpec};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
 
 /// Why an overload shed chose its victim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -167,9 +169,47 @@ impl Default for MachineConfig {
     }
 }
 
+/// A [`ServiceMachine`] as [`ServiceMachine::snapshot`] writes it: the
+/// borrowed writer of a [`ServiceSnapshot`]'s text, field for field. It
+/// copies the outstanding completions and borrows the rest.
+#[derive(Debug, Serialize)]
+pub struct ServiceSnapshotRef<'a> {
+    format: u32,
+    site: SiteSnapshotRef<'a>,
+    completions: Vec<(Time, u64, CompletionToken)>,
+    completions_next_seq: u64,
+    now: Time,
+    applied: u64,
+    next_task_id: u64,
+    registry: StatusPairs<'a>,
+    status_capacity: usize,
+    counters: ServeCounters,
+    draining: bool,
+}
+
+/// The `/status` registry as a snapshot holds it: `[id, status]` pairs,
+/// ascending by task id, the first of them `first`.
+#[derive(Debug)]
+struct StatusPairs<'a> {
+    first: u64,
+    statuses: &'a VecDeque<TaskStatus>,
+}
+
+impl Serialize for StatusPairs<'_> {
+    fn serialize(&self, out: &mut Writer) {
+        out.begin_array();
+        for pair in (self.first..).zip(self.statuses) {
+            out.element();
+            pair.serialize(out);
+        }
+        out.end_array();
+    }
+}
+
 /// Serializable full state of a [`ServiceMachine`] — the snapshot payload
-/// the durability layer frames into the journal. The `format` field keeps
-/// service snapshots from ever deserializing as site or economy ones.
+/// the durability layer frames into the journal, read back from the text
+/// [`ServiceMachine::snapshot`] writes. The `format` field keeps service
+/// snapshots from ever deserializing as site or economy ones.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServiceSnapshot {
     /// Snapshot format version (`SERVICE_SNAPSHOT_FORMAT`).
@@ -206,7 +246,11 @@ pub struct ServiceMachine {
     now: Time,
     applied: u64,
     next_task_id: u64,
-    registry: BTreeMap<u64, TaskStatus>,
+    /// The `/status` registry: the statuses of the newest `len` task ids,
+    /// `[next_task_id - len, next_task_id)`, oldest first. Every `Submit`
+    /// and `Shed` notes its id as it takes it and eviction drops the
+    /// oldest, so the ids held are always that window.
+    registry: VecDeque<TaskStatus>,
     status_capacity: usize,
     counters: ServeCounters,
     draining: bool,
@@ -238,7 +282,7 @@ impl ServiceMachine {
             now: Time::ZERO,
             applied: 0,
             next_task_id: 0,
-            registry: BTreeMap::new(),
+            registry: VecDeque::new(),
             status_capacity: config.status_capacity.max(1),
             counters: ServeCounters::default(),
             draining: false,
@@ -276,7 +320,17 @@ impl ServiceMachine {
 
     /// `/status` lookup.
     pub fn status(&self, task: u64) -> Option<TaskStatus> {
-        self.registry.get(&task).copied()
+        self.registry.get(self.registry_slot(task)?).copied()
+    }
+
+    /// The oldest task id the registry holds.
+    fn registry_first(&self) -> u64 {
+        self.next_task_id - self.registry.len() as u64
+    }
+
+    /// Where the registry holds `task`, if it still does.
+    fn registry_slot(&self, task: u64) -> Option<usize> {
+        usize::try_from(task.checked_sub(self.registry_first())?).ok()
     }
 
     /// The wrapped site (read-only).
@@ -339,10 +393,10 @@ impl ServiceMachine {
                 self.schedule_all(tokens);
                 if accepted {
                     self.counters.accepted += 1;
-                    self.note_status(id.0, TaskStatus::Admitted);
+                    self.note_new_status(TaskStatus::Admitted);
                 } else {
                     self.counters.rejected += 1;
-                    self.note_status(id.0, TaskStatus::Rejected);
+                    self.note_new_status(TaskStatus::Rejected);
                 }
                 ApplyOutcome::Submitted { task: id, accepted }
             }
@@ -363,7 +417,7 @@ impl ServiceMachine {
             } => {
                 let id = self.take_task_id(spec.id);
                 self.counters.shed += 1;
-                self.note_status(id.0, TaskStatus::Shed);
+                self.note_new_status(TaskStatus::Shed);
                 self.emit_shed_record(*spec, *queue_depth);
                 ApplyOutcome::Shed {
                     task: id,
@@ -436,11 +490,24 @@ impl ServiceMachine {
         id
     }
 
+    /// Notes the status of the task id just taken, the newest the
+    /// registry holds, evicting the oldest first at capacity so that the
+    /// window never outgrows it.
+    fn note_new_status(&mut self, status: TaskStatus) {
+        if self.registry.len() >= self.status_capacity {
+            self.registry.pop_front();
+        }
+        self.registry.push_back(status);
+    }
+
+    /// Updates the status of a task the registry holds; one it has
+    /// evicted stays evicted.
     fn note_status(&mut self, task: u64, status: TaskStatus) {
-        self.registry.insert(task, status);
-        while self.registry.len() > self.status_capacity {
-            let oldest = *self.registry.keys().next().expect("registry non-empty");
-            self.registry.remove(&oldest);
+        if let Some(slot) = self
+            .registry_slot(task)
+            .and_then(|i| self.registry.get_mut(i))
+        {
+            *slot = status;
         }
     }
 
@@ -476,9 +543,10 @@ impl ServiceMachine {
         self.site.set_tracer(tracer);
     }
 
-    /// Full serializable state.
-    pub fn snapshot(&self) -> ServiceSnapshot {
-        ServiceSnapshot {
+    /// Full serializable state, borrowed from the machine: the text of a
+    /// [`ServiceSnapshot`].
+    pub fn snapshot(&self) -> ServiceSnapshotRef<'_> {
+        ServiceSnapshotRef {
             format: SERVICE_SNAPSHOT_FORMAT,
             site: self.site.snapshot(),
             completions: self.completions.snapshot_entries(),
@@ -486,7 +554,10 @@ impl ServiceMachine {
             now: self.now,
             applied: self.applied,
             next_task_id: self.next_task_id,
-            registry: self.registry.iter().map(|(k, v)| (*k, *v)).collect(),
+            registry: StatusPairs {
+                first: self.registry_first(),
+                statuses: &self.registry,
+            },
             status_capacity: self.status_capacity,
             counters: self.counters,
             draining: self.draining,
@@ -499,24 +570,57 @@ impl ServiceMachine {
         serde_json::to_string(&self.snapshot()).expect("service snapshots always serialize")
     }
 
-    /// Rebuilds a machine from [`snapshot`](Self::snapshot) output.
-    pub fn from_snapshot(snap: ServiceSnapshot) -> Self {
-        ServiceMachine {
+    /// Rebuilds a machine from the text of a [`snapshot`](Self::snapshot),
+    /// read back as a [`ServiceSnapshot`], or says why the snapshot is not
+    /// one a machine writes: another format, or a registry that is not the
+    /// window of the newest task ids, at most its capacity long.
+    pub fn try_from_snapshot(snap: ServiceSnapshot) -> Result<Self, String> {
+        if snap.format != SERVICE_SNAPSHOT_FORMAT {
+            return Err(format!(
+                "unsupported service snapshot format {}",
+                snap.format
+            ));
+        }
+        let status_capacity = snap.status_capacity.max(1);
+        let len = snap.registry.len();
+        let first = snap.next_task_id.checked_sub(len as u64);
+        let window = first.is_some_and(|first| {
+            (first..)
+                .zip(&snap.registry)
+                .all(|(id, (key, _))| *key == id)
+        });
+        if !window || len > status_capacity {
+            return Err(format!(
+                "the status registry is not the newest task ids up to {} and at most {} of \
+                 them ({len} entries)",
+                snap.next_task_id, status_capacity
+            ));
+        }
+        Ok(ServiceMachine {
             site: SiteState::from_snapshot(snap.site),
             completions: EventQueue::restore(snap.completions, snap.completions_next_seq),
             now: snap.now,
             applied: snap.applied,
             next_task_id: snap.next_task_id,
-            registry: snap.registry.into_iter().collect(),
-            status_capacity: snap.status_capacity.max(1),
+            registry: snap
+                .registry
+                .into_iter()
+                .map(|(_, status)| status)
+                .collect(),
+            status_capacity,
             counters: snap.counters,
             draining: snap.draining,
-        }
+        })
     }
 
-    /// The tracer's serializable cursor (testing/inspection).
-    pub fn tracer_snapshot(&self) -> TracerSnapshot {
-        self.site.snapshot().tracer
+    /// [`try_from_snapshot`](Self::try_from_snapshot) of a snapshot known
+    /// to be one a machine wrote.
+    ///
+    /// # Panics
+    ///
+    /// On a snapshot `try_from_snapshot` refuses.
+    pub fn from_snapshot(snap: ServiceSnapshot) -> Self {
+        Self::try_from_snapshot(snap).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -747,6 +851,37 @@ mod tests {
         assert_eq!(m.status(1), None);
         assert!(m.status(2).is_some());
         assert!(m.status(3).is_some());
+    }
+
+    #[test]
+    fn an_evicted_task_stays_evicted_when_it_finishes() {
+        let cfg = MachineConfig {
+            status_capacity: 2,
+            ..MachineConfig::default()
+        };
+        let mut m = ServiceMachine::new(cfg);
+        for i in 0..3u64 {
+            m.apply(&submit(i, 0.0, spec(i, 0.0, 1.0, 5.0)));
+        }
+        assert_eq!(m.status(0), None);
+        assert_eq!(m.status(2), Some(TaskStatus::Admitted));
+        // Every task finishes before this command applies: task 0's
+        // completion finds it evicted and leaves it so.
+        m.apply(&Command {
+            seq: 3,
+            at: Time::new(10.0),
+            kind: CommandKind::Cancel { task: TaskId(0) },
+        });
+        assert_eq!(m.counters().finished, 3);
+        assert_eq!(m.status(0), None);
+        assert!(matches!(m.status(1), Some(TaskStatus::Finished { .. })));
+        assert!(matches!(m.status(2), Some(TaskStatus::Finished { .. })));
+        assert_eq!(m.status(3), None);
+        let snap: ServiceSnapshot = serde_json::from_str(&m.snapshot_json()).unwrap();
+        assert_eq!(
+            snap.registry.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+            [1, 2]
+        );
     }
 
     #[test]

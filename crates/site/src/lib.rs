@@ -50,7 +50,7 @@ pub use analysis::{class_breakdown, ClassReport};
 pub use config::{LostWorkPolicy, PreemptionMode, SiteConfig};
 pub use gantt::{render_gantt, segments, Segment};
 pub use metrics::{Disposition, JobOutcome, SiteMetrics};
-pub use state::{AuditViolation, CompletionToken, SiteSnapshot, SiteState};
+pub use state::{AuditViolation, CompletionToken, SiteSnapshot, SiteSnapshotRef, SiteState};
 
 use mbts_core::{WorkflowReport, WorkflowRuntime};
 use mbts_sim::{
@@ -532,16 +532,17 @@ impl SiteRun {
         self.engine.model().workflows.as_ref().map(|w| w.report())
     }
 
-    /// Captures the full replay state at the current event boundary.
-    pub fn snapshot(&self) -> SiteRunSnapshot {
+    /// Captures the full replay state at the current event boundary,
+    /// borrowed from the run: the text of a [`SiteRunSnapshot`].
+    pub fn snapshot(&self) -> SiteRunSnapshotRef<'_> {
         let model = self.engine.model();
-        SiteRunSnapshot {
+        SiteRunSnapshotRef {
             site: model.state.snapshot(),
-            trace: Arc::clone(&model.trace),
+            trace: &model.trace,
             arrivals_left: model.arrivals_left,
             injector: model.injector.as_ref().map(|i| i.state()),
             crash_budget: model.crash_budget,
-            workflows: model.workflows.clone(),
+            workflows: model.workflows.as_ref(),
             outcome_cursor: model.outcome_cursor,
             queue: self.engine.queue().snapshot_entries(),
             next_seq: self.engine.queue().next_seq(),
@@ -550,7 +551,8 @@ impl SiteRun {
         }
     }
 
-    /// Rebuilds a run from a [`snapshot`](Self::snapshot); stepping it
+    /// Rebuilds a run from the text of a [`snapshot`](Self::snapshot), read
+    /// back as a [`SiteRunSnapshot`]; stepping it
     /// replays exactly the uninterrupted run's remaining events.
     pub fn from_snapshot(snap: SiteRunSnapshot) -> Self {
         let model = TraceModel {
@@ -580,7 +582,27 @@ impl SiteRun {
     }
 }
 
-/// Serializable image of a whole [`SiteRun`] at an event boundary:
+/// A [`SiteRun`] at an event boundary as [`SiteRun::snapshot`] writes it:
+/// the borrowed writer of a [`SiteRunSnapshot`]'s text, field for field.
+/// It copies the events due and borrows the rest.
+#[derive(Debug, Serialize)]
+pub struct SiteRunSnapshotRef<'a> {
+    site: SiteSnapshotRef<'a>,
+    trace: &'a [TaskSpec],
+    arrivals_left: usize,
+    injector: Option<FaultInjectorState>,
+    crash_budget: u64,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    workflows: Option<&'a WorkflowRuntime>,
+    outcome_cursor: usize,
+    queue: Vec<(Time, u64, SimEvent)>,
+    next_seq: u64,
+    now: Time,
+    handled: u64,
+}
+
+/// Serializable image of a whole [`SiteRun`] at an event boundary, read
+/// back from the text [`SiteRun::snapshot`] writes:
 /// site state + workload cursor + fault-injector RNG streams + the
 /// pending event queue with its sequence numbers (FIFO tie-breaks
 /// replay verbatim).

@@ -25,7 +25,7 @@ use mbts_core::{
 use mbts_sim::{Duration, Time};
 use mbts_trace::{
     DecisionCandidate, DecisionKind, TraceEvent, TraceKind, Tracer, TracerSnapshot,
-    MAX_DECISION_CANDIDATES,
+    TracerSnapshotRef, MAX_DECISION_CANDIDATES,
 };
 use mbts_workload::{TaskFacet, TaskSpec};
 use serde::{Deserialize, Serialize};
@@ -1208,30 +1208,34 @@ impl SiteState {
     /// backfill picks, preemption victims, yield accounting down to the
     /// last Kahan-compensation bit — is identical to this one's.
     ///
-    /// The tracer is captured as a [`TracerSnapshot`]; file-backed sinks
-    /// serialize as detached (the resuming caller re-attaches a stream).
-    pub fn snapshot(&self) -> SiteSnapshot {
-        SiteSnapshot {
-            config: self.config.clone(),
+    /// The capture borrows the site's records and tracer stream rather
+    /// than copying them: it is a [`SiteSnapshot`]'s text, written from
+    /// the live state. The tracer is captured as a [`TracerSnapshot`];
+    /// file-backed sinks serialize as detached (the resuming caller
+    /// re-attaches a stream).
+    pub fn snapshot(&self) -> SiteSnapshotRef<'_> {
+        SiteSnapshotRef {
+            config: &self.config,
             capacity: self.capacity,
             pending: self.pending.checkpoint(),
             running: self
                 .running
                 .iter()
-                .map(|r| (r.job.clone(), r.started, r.epoch))
+                .map(|r| (&r.job, r.started, r.epoch))
                 .collect(),
             free_procs: self.free_procs,
             epoch_counter: self.epoch_counter,
-            metrics: self.metrics.clone(),
-            outcomes: self.outcomes.clone(),
+            metrics: &self.metrics,
+            outcomes: &self.outcomes,
             earned_recorded: self.earned_recorded,
-            violations: self.violations.clone(),
+            violations: &self.violations,
             tracer: self.tracer.snapshot(),
             trace_site: self.trace_site,
         }
     }
 
-    /// Rebuilds a site from a [`snapshot`](Self::snapshot). The pending
+    /// Rebuilds a site from the text of a [`snapshot`](Self::snapshot),
+    /// read back as a [`SiteSnapshot`]. The pending
     /// pool is reconstructed in slot order (so `swap_remove` indices
     /// replay exactly) and its decay accumulator is overwritten with the
     /// checkpointed Kahan state rather than re-summed.
@@ -1261,8 +1265,29 @@ impl SiteState {
     }
 }
 
+/// A [`SiteState`] at an event boundary as [`SiteState::snapshot`] writes
+/// it: the borrowed writer of a [`SiteSnapshot`]'s text, field for field.
+/// Only live work (the queue and the running gangs) is copied into it;
+/// the records, which grow with the site's history, are borrowed.
+#[derive(Debug, Serialize)]
+pub struct SiteSnapshotRef<'a> {
+    config: &'a SiteConfig,
+    capacity: usize,
+    pending: PoolCheckpoint,
+    running: Vec<(&'a Job, Time, u64)>,
+    free_procs: usize,
+    epoch_counter: u64,
+    metrics: &'a SiteMetrics,
+    outcomes: &'a [JobOutcome],
+    earned_recorded: f64,
+    violations: &'a [AuditViolation],
+    tracer: TracerSnapshotRef<'a>,
+    trace_site: Option<usize>,
+}
+
 /// Serializable image of a [`SiteState`] at an event boundary — the
-/// per-site payload of the durable-recovery layer's snapshot records.
+/// per-site payload of the durable-recovery layer's snapshot records, read
+/// back from the text [`SiteState::snapshot`] writes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SiteSnapshot {
     /// The site configuration (policies, modes, toggles).

@@ -57,5 +57,7 @@ pub use event::{
 };
 pub use mbts_sim::latency::LatencyHistogram;
 pub use profiler::{ProfileReport, ServeSummary, PROFILE_MARKER};
-pub use sink::{BufferSink, JsonlSink, RingSink, TraceSink, Tracer, TracerSnapshot};
+pub use sink::{
+    BufferSink, JsonlSink, RingSink, TraceSink, Tracer, TracerSnapshot, TracerSnapshotRef,
+};
 pub use telemetry::TelemetrySnapshot;

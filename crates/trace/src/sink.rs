@@ -343,26 +343,26 @@ impl Tracer {
 
     /// Serializable state of this tracer — the "tracer cursor" carried in
     /// durable snapshots so a recovered run keeps appending to the same
-    /// logical stream. A [`Tracer::Jsonl`] sink snapshots as `Off`: a
+    /// logical stream — borrowed from the live sink, so that writing it
+    /// copies no event. A [`Tracer::Jsonl`] sink snapshots as `Off`: a
     /// file stream is external to the checkpoint and must be re-attached
     /// by the resuming caller (the journal already holds every event up
     /// to the snapshot).
-    pub fn snapshot(&self) -> TracerSnapshot {
+    pub fn snapshot(&self) -> TracerSnapshotRef<'_> {
         match self {
-            Tracer::Off | Tracer::Jsonl(_) => TracerSnapshot::Off,
-            Tracer::Ring(s) => TracerSnapshot::Ring {
+            Tracer::Off | Tracer::Jsonl(_) => TracerSnapshotRef::Off,
+            Tracer::Ring(s) => TracerSnapshotRef::Ring {
                 capacity: s.capacity,
                 seen: s.seen,
-                events: s.events.iter().cloned().collect(),
+                events: &s.events,
             },
-            Tracer::Buffer(s) => TracerSnapshot::Buffer {
-                events: s.events.clone(),
-            },
-            Tracer::Provenance(inner) => TracerSnapshot::Provenance(Box::new(inner.snapshot())),
+            Tracer::Buffer(s) => TracerSnapshotRef::Buffer { events: &s.events },
+            Tracer::Provenance(inner) => TracerSnapshotRef::Provenance(Box::new(inner.snapshot())),
         }
     }
 
-    /// Rebuilds a tracer from [`snapshot`](Self::snapshot) output.
+    /// Rebuilds a tracer from the text of its [`snapshot`](Self::snapshot),
+    /// read back as a [`TracerSnapshot`].
     pub fn from_snapshot(snap: TracerSnapshot) -> Self {
         match snap {
             TracerSnapshot::Off => Tracer::Off,
@@ -381,7 +381,32 @@ impl Tracer {
     }
 }
 
-/// Serializable state of a [`Tracer`] mid-run — see [`Tracer::snapshot`].
+/// The state of a [`Tracer`] mid-run, as written by [`Tracer::snapshot`]:
+/// the borrowed writer of a [`TracerSnapshot`]'s text.
+#[derive(Debug, Serialize)]
+pub enum TracerSnapshotRef<'a> {
+    /// See [`TracerSnapshot::Off`].
+    Off,
+    /// See [`TracerSnapshot::Ring`].
+    Ring {
+        /// Maximum retained events.
+        capacity: usize,
+        /// Total events ever offered.
+        seen: u64,
+        /// The retained tail, oldest first.
+        events: &'a VecDeque<TraceEvent>,
+    },
+    /// See [`TracerSnapshot::Buffer`].
+    Buffer {
+        /// The captured stream in emission order.
+        events: &'a [TraceEvent],
+    },
+    /// See [`TracerSnapshot::Provenance`].
+    Provenance(Box<TracerSnapshotRef<'a>>),
+}
+
+/// Serializable state of a [`Tracer`] mid-run, read back from the text
+/// [`Tracer::snapshot`] writes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum TracerSnapshot {
     /// Tracing disabled (or an external file stream).
@@ -550,6 +575,8 @@ mod tests {
         }
         let json = serde_json::to_string(&t.snapshot()).unwrap();
         let snap: TracerSnapshot = serde_json::from_str(&json).unwrap();
+        // The borrowed writer writes the owned snapshot's text.
+        assert_eq!(serde_json::to_string(&snap).unwrap(), json);
         let mut restored = Tracer::from_snapshot(snap);
         assert!(restored.is_provenance(), "verbosity survives the snapshot");
         t.emit(ev(9));
@@ -578,7 +605,9 @@ mod tests {
         assert!(t.is_provenance());
         // The file stream is external to a checkpoint, so the snapshot
         // degrades to Off just like a bare Jsonl tracer.
-        let restored = Tracer::from_snapshot(t.snapshot());
+        let json = serde_json::to_string(&t.snapshot()).unwrap();
+        assert_eq!(json, r#"{"Provenance":"Off"}"#);
+        let restored = Tracer::from_snapshot(serde_json::from_str(&json).unwrap());
         assert!(!restored.is_enabled());
         std::fs::remove_file(&path).ok();
     }
@@ -592,6 +621,7 @@ mod tests {
         }
         let json = serde_json::to_string(&ring.snapshot()).unwrap();
         let snap: TracerSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&snap).unwrap(), json);
         let mut restored = Tracer::from_snapshot(snap);
         ring.emit(ev(7));
         restored.emit(ev(7));
@@ -610,7 +640,9 @@ mod tests {
             buf.emit(ev(i));
         }
         let json = serde_json::to_string(&buf.snapshot()).unwrap();
-        let mut restored = Tracer::from_snapshot(serde_json::from_str(&json).unwrap());
+        let snap: TracerSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&snap).unwrap(), json);
+        let mut restored = Tracer::from_snapshot(snap);
         buf.emit(ev(5));
         restored.emit(ev(5));
         assert_eq!(buf.into_events(), restored.into_events());

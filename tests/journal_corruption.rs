@@ -492,3 +492,89 @@ fn an_oversized_length_in_a_small_file_is_a_torn_record() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// What a slice scan makes of a journal: the newest intact snapshot, the
+/// events after it, and the report a recovery from them gives. This is
+/// how recovery read a journal before it streamed one, holding every
+/// record at once, and so the reference for the streamed reader.
+fn scanned(bytes: &[u8]) -> (Vec<u8>, Vec<Vec<u8>>, RecoveryReport) {
+    let scan = framing::scan(bytes).unwrap();
+    let newest = scan
+        .records
+        .iter()
+        .rposition(|(tag, _)| *tag == RecordTag::Snapshot)
+        .expect("an intact snapshot");
+    let events: Vec<Vec<u8>> = scan.records[newest + 1..]
+        .iter()
+        .map(|(_, payload)| payload.to_vec())
+        .collect();
+    let superseded = scan.records[..newest]
+        .iter()
+        .filter(|(tag, _)| *tag == RecordTag::Event)
+        .count();
+    let report = RecoveryReport {
+        replayed: events.len() as u64,
+        events_superseded: superseded,
+        dropped_bytes: scan.dropped_bytes,
+    };
+    (scan.records[newest].1.to_vec(), events, report)
+}
+
+/// A torn or corrupt newest snapshot record falls back to the snapshot
+/// before it: every cut through the newest snapshot record, and a flip of
+/// one of its payload bytes (every 61st and the last), recovers that
+/// snapshot and its suffix with the report of a slice scan, from bytes and
+/// from a file. A cut is found at the record's length field; a flip only
+/// once the streamed reader has read the payload over the snapshot it
+/// held, which it then reads again where that one's record starts.
+#[test]
+fn a_torn_newest_snapshot_recovers_the_one_before_it() {
+    let bytes = small_service_journal();
+    let scan = framing::scan(&bytes).unwrap();
+    let mut at = framing::HEADER_LEN;
+    let mut starts = Vec::new();
+    for (tag, payload) in &scan.records {
+        starts.push((*tag, at, payload.len()));
+        at += framing::RECORD_OVERHEAD + payload.len();
+    }
+    let snapshots: Vec<_> = starts
+        .iter()
+        .filter(|(tag, ..)| *tag == RecordTag::Snapshot)
+        .collect();
+    assert!(snapshots.len() >= 2, "{} snapshots", snapshots.len());
+    let &&(_, start, len) = snapshots.last().unwrap();
+    let end = start + framing::RECORD_OVERHEAD + len;
+    let before = &bytes[..start];
+
+    let dir = std::env::temp_dir().join(format!("mbts-torn-newest-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("journal.mbtsj");
+    let check = |image: &[u8], what: &str| {
+        let (snapshot, events, report) = scanned(image);
+        assert_eq!(scanned(before).0, snapshot, "{what}: the previous snapshot");
+        std::fs::write(&path, image).unwrap();
+        let file = load(&path).unwrap();
+        for (source, recovered) in [("bytes", image.recovered()), ("file", file.recovered())] {
+            let recovered = recovered.unwrap();
+            assert_eq!(recovered.snapshot, snapshot, "{what} from {source}");
+            assert!(recovered.events().eq(events.iter().map(Vec::as_slice)));
+            assert_eq!(recovered.events_superseded, report.events_superseded);
+            assert_eq!(recovered.dropped_bytes, report.dropped_bytes);
+        }
+        let from_bytes = ServiceRun::recover(image).unwrap();
+        let from_file = ServiceRun::recover(&file).unwrap();
+        assert_eq!(from_bytes.1, report, "{what} from bytes");
+        assert_eq!(from_file.1, report, "{what} from the file");
+        assert_eq!(from_bytes.0.snapshot_json(), from_file.0.snapshot_json());
+    };
+    for cut in start..end {
+        check(&bytes[..cut], &format!("cut at {cut}"));
+    }
+    let payload = start + framing::RECORD_OVERHEAD;
+    for at in (payload..end).step_by(61).chain([end - 1]) {
+        let mut flipped = bytes.clone();
+        flipped[at] ^= 0x20;
+        check(&flipped, &format!("byte {at} flipped"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

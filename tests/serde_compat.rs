@@ -90,6 +90,12 @@ fn render<T: Serialize>(value: &T, pretty: bool) -> String {
 /// Checks one document against its fixture; a name ending `.pretty.json`
 /// uses the 2-space pretty writer.
 fn check<T: Serialize + Deserialize>(name: &str, built: &T) {
+    check_written::<T>(name, built);
+}
+
+/// [`check`] of a document a borrowed writer wrote, read back as `T`: a
+/// snapshot is written from the live state and read as the owned type.
+fn check_written<T: Serialize + Deserialize>(name: &str, built: &impl Serialize) {
     let pretty = name.ends_with(".pretty.json");
     let path = fixture_dir().join(name);
     let actual = render(built, pretty);
@@ -184,12 +190,11 @@ fn commands_and_service_snapshot() {
         check(name, &cmd);
         if cmd.kind == CommandKind::Drain {
             // Snapshot with work still queued, then once more drained.
-            let live: ServiceSnapshot = machine.snapshot();
-            check("service_snapshot.json", &live);
+            check_written::<ServiceSnapshot>("service_snapshot.json", &machine.snapshot());
         }
         machine.apply(&cmd);
     }
-    check("service_snapshot_drained.json", &machine.snapshot());
+    check_written::<ServiceSnapshot>("service_snapshot_drained.json", &machine.snapshot());
 }
 
 /// A whole service journal (header, framing, CRCs, genesis and cadence
@@ -257,16 +262,14 @@ fn site_snapshots() {
         Tracer::buffer().with_provenance(),
     );
     step_n(|| run.step(), 40);
-    let site: SiteSnapshot = run.snapshot().site;
-    check("site_snapshot.json", &site);
+    check_written::<SiteSnapshot>("site_snapshot.json", &run.state().snapshot());
 
     // The same run as a whole snapshot, its tracer cursor a bounded ring:
     // the checkpointing lost-work policy, the fault plan's open crashes
     // and the ring's retained tail ride along.
     let mut run = SiteRun::with_faults(config, &trace, &plan, Tracer::ring(64));
     step_n(|| run.step(), 40);
-    let snap: SiteRunSnapshot = run.snapshot();
-    check("site_run_snapshot_faulted.json", &snap);
+    check_written::<SiteRunSnapshot>("site_run_snapshot_faulted.json", &run.snapshot());
 
     // A workflow replay: the overlay rides in the snapshot behind
     // `skip_serializing_if`, and its facets are a `BTreeMap<u64, _>`.
@@ -288,7 +291,7 @@ fn site_snapshots() {
         .with_workflow_facets(set.facets());
     let mut run = SiteRun::with_workflows(config, &set, Tracer::buffer());
     step_n(|| run.step(), 20);
-    check("site_run_snapshot_workflows.json", &run.snapshot());
+    check_written::<SiteRunSnapshot>("site_run_snapshot_workflows.json", &run.snapshot());
 }
 
 #[test]
@@ -319,8 +322,7 @@ fn economy_snapshot() {
     );
     let mut run = EconomyRun::new(config, &trace, Tracer::buffer().with_provenance());
     step_n(|| run.step(), 40);
-    let snap: EconomySnapshot = run.snapshot();
-    check("economy_snapshot.json", &snap);
+    check_written::<EconomySnapshot>("economy_snapshot.json", &run.snapshot());
 }
 
 /// A whole journaled economy run in which contracts are settled on time

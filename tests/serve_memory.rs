@@ -1,7 +1,13 @@
 //! The daemon's heap, measured: resident memory is the typed state plus
 //! one record being written, and tracks neither the bytes journalled so
-//! far nor the size of the JSON read or written; recovery streams the
-//! journal and holds its newest snapshot, not the file.
+//! far nor the size of the JSON read or written. The state is held once:
+//! a snapshot is written from the live state it borrows, so writing one
+//! costs its record and not a copy of the state (1.004× the payload), and
+//! recovery streams the journal into one snapshot buffer, never the file
+//! and never two snapshots, so it peaks at that text and the typed state
+//! parsed from it (1.73× the payload). The build before measured 1.52×
+//! and 2.55×: each cloned the state, or held a second snapshot, beside
+//! the text.
 //!
 //! This is a test binary of its own because it installs a counting global
 //! allocator, and it holds one test so that nothing else allocates while
@@ -120,11 +126,11 @@ fn last_snapshot_len(image: &[u8]) -> usize {
 }
 
 /// A recovery's peak heap is the newest snapshot's text and the typed
-/// state parsed from it — at most three times the snapshot — and well
-/// under the journal it reads.
+/// state parsed from it — at most twice the snapshot (1.73× measured) —
+/// and well under the journal it reads.
 fn assert_recovery_is_bounded(what: &str, peak: usize, payload: usize, file_len: usize) {
     assert!(
-        peak <= payload * 3 && peak * 3 <= file_len * 2,
+        peak <= payload * 2 && peak * 2 <= file_len,
         "{what} peaked {peak} B for a {payload} B snapshot in a {file_len} B journal"
     );
 }
@@ -172,7 +178,7 @@ fn resident_memory_does_not_track_journal_bytes_or_json_size() {
     );
     drop(unjournaled);
 
-    // ---- one snapshot: the typed copy and the record, no tree -----------
+    // ---- one snapshot: the record, and no copy of the state or tree -----
     let journal_before = file_len();
     let ((), peak) = peak_above_entry(|| run.snapshot_now().expect("snapshot"));
     let payload = file_len() - journal_before - framing::RECORD_OVERHEAD;
@@ -180,15 +186,18 @@ fn resident_memory_does_not_track_journal_bytes_or_json_size() {
         payload > 1_000_000,
         "a {payload} B snapshot measures nothing"
     );
+    // The record's buffer doubles up from `SCRATCH_START`, to 4 MiB for
+    // this payload just under it; what else the write holds is the live
+    // work it copies (the queue and the completions due).
     assert!(
-        peak * 2 <= payload * 5,
+        peak * 10 <= payload * 11,
         "snapshot_now peaked {peak} B above entry for a {payload} B payload"
     );
     drop(run);
 
     // ---- recovery streams the file: the newest snapshot, not the log ----
-    // Three periodic snapshots and the final one: a pass holds the newest
-    // intact snapshot, the one it is reading and the commands between.
+    // Three periodic snapshots and the final one: a pass reads each into
+    // the one buffer that holds the newest, and keeps the commands after.
     let (image, loaded) = peak_above_entry(|| mbts::durable::load(&path).expect("journal file"));
     assert!(loaded < 4096, "load allocated {loaded} B");
     assert_eq!(image.len(), file_len());

@@ -9,7 +9,7 @@
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::market::{
     BudgetConfig, ClientSelection, Economy, EconomyConfig, EconomyOutcome, EconomyRun,
-    MarketFaultConfig, PricingStrategy,
+    EconomySnapshot, MarketFaultConfig, PricingStrategy,
 };
 use mbts::sim::{FaultConfig, UpDown};
 use mbts::site::{PreemptionMode, SiteConfig};
@@ -75,15 +75,24 @@ fn everything_economy() -> EconomyConfig {
 /// traces its market layer only, so a buffer tracer is installed on site
 /// 0 through the run's first snapshot and read back from its last.
 fn traced_site_zero(trace: &Trace) -> (EconomyOutcome, Vec<TraceEvent>) {
-    let mut snap = EconomyRun::new(everything_economy(), trace, Tracer::Off).snapshot();
+    let mut snap = typed_snapshot(&EconomyRun::new(everything_economy(), trace, Tracer::Off));
     snap.sites[0].tracer = TracerSnapshot::Buffer { events: Vec::new() };
     snap.sites[0].trace_site = Some(0);
     let mut run = EconomyRun::from_snapshot(snap).expect("snapshot restores");
     run.run_to_completion();
-    let TracerSnapshot::Buffer { events } = run.snapshot().sites[0].tracer.clone() else {
+    let mut snap = typed_snapshot(&run);
+    let TracerSnapshot::Buffer { events } =
+        std::mem::replace(&mut snap.sites[0].tracer, TracerSnapshot::Off)
+    else {
         panic!("site 0 keeps a buffer tracer");
     };
     (run.finish().0, events)
+}
+
+/// A run's snapshot, read back as the typed form it writes.
+fn typed_snapshot(run: &EconomyRun) -> EconomySnapshot {
+    let text = serde_json::to_string(&run.snapshot()).expect("snapshots serialize");
+    serde_json::from_str(&text).expect("a snapshot reads back")
 }
 
 #[test]
