@@ -386,10 +386,11 @@ impl EconomyRun {
             tracer,
         };
         let mut engine = Engine::new(model);
-        let arrival = |i: usize| (trace.tasks[i].arrival, i);
+        let shared = Arc::clone(&trace.tasks);
+        let arrival = move |i: usize| shared[i].arrival;
         match roots {
-            Some(roots) => engine.feed(roots.into_iter().map(arrival), EcoEvent::Arrival),
-            None => engine.feed((0..tasks).map(arrival), EcoEvent::Arrival),
+            Some(roots) => engine.feed(roots, arrival, EcoEvent::Arrival),
+            None => engine.feed(0..tasks, arrival, EcoEvent::Arrival),
         }
         for (at, unit) in crashes {
             engine.schedule(at, EcoEvent::Crash(unit));
@@ -529,7 +530,11 @@ impl EconomyRun {
             accounts: snap.accounts,
             contracts: snap.contracts,
             contract_of,
-            second_quote: snap.second_quote,
+            second_quote: snap
+                .second_quote
+                .into_iter()
+                .map(|q| q.unwrap_or(f64::NAN))
+                .collect(),
             decisions: Vec::new(),
             bids: Vec::new(),
             offered: snap.offered,
@@ -724,7 +729,7 @@ pub struct EconomySnapshotRef<'a> {
     accounts: &'a [Account],
     contracts: &'a ContractLedger,
     contract_of: &'a DenseLedger,
-    second_quote: &'a [Option<f64>],
+    second_quote: &'a [f64],
     offered: usize,
     placed: usize,
     unplaced: usize,
@@ -958,8 +963,10 @@ struct EcoModel {
     contracts: ContractLedger,
     /// task id → index into `contracts` (the latest, if re-placed).
     contract_of: DenseLedger,
-    /// Runner-up quoted price per contract (for second pricing).
-    second_quote: Vec<Option<f64>>,
+    /// Runner-up quoted price per contract (for second pricing), NaN
+    /// where no other site bid: 8 B a contract where an `Option` takes 16.
+    /// Written as the `Option` text, NaN as `null`.
+    second_quote: Vec<f64>,
     /// Every site's verdict on the latest bid, and the willing sites'
     /// server bids: buffers [`place`](Self::place) refills per bid,
     /// never read across bids and so not part of replay state.
@@ -1229,7 +1236,7 @@ impl EcoModel {
         };
         let breach = self.contracts.cancel(ci, now);
         self.total_settled += breach;
-        let paid = self.pricing.settle(breach, self.second_quote[ci]);
+        let paid = self.pricing.settle(breach, self.runner_up(ci));
         self.total_paid += paid;
         self.site_accounts[site] += paid;
         if !self.accounts.is_empty() {
@@ -1373,6 +1380,11 @@ impl EcoModel {
         }
     }
 
+    /// Contract `ci`'s runner-up quote, if another site bid.
+    fn runner_up(&self, ci: usize) -> Option<f64> {
+        Some(self.second_quote[ci]).filter(|q| !q.is_nan())
+    }
+
     fn client_of(&self, spec: &TaskSpec) -> usize {
         match &self.budgets {
             Some(b) => spec.id.index() % b.num_clients,
@@ -1451,7 +1463,7 @@ impl EcoModel {
             winner.expected_completion,
             winner.price,
         ));
-        self.second_quote.push(second);
+        self.second_quote.push(second.unwrap_or(f64::NAN));
         // The ledger numbers its contracts in `u32`.
         self.contract_of.set(spec.id, contract_idx as u32);
 
@@ -1481,7 +1493,7 @@ impl EcoModel {
         };
         let settled = self.contracts.settle(ci, now);
         self.total_settled += settled;
-        let paid = self.pricing.settle(settled, self.second_quote[ci]);
+        let paid = self.pricing.settle(settled, self.runner_up(ci));
         self.total_paid += paid;
         self.site_accounts[site] += paid;
         if !self.accounts.is_empty() {

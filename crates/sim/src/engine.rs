@@ -103,13 +103,16 @@ impl<M: Model> Engine<M> {
 
     /// Installs the run's initial events (a trace's arrivals) as a
     /// [feed](EventQueue::feed): the same order and sequence numbers as
-    /// scheduling each `(at, index)` in turn, without a heap entry each.
+    /// scheduling each `index` in turn at `at(index)`, without a heap
+    /// entry each and, for a whole time-sorted trace, without a copy of
+    /// its arrival times.
     pub fn feed(
         &mut self,
-        run: impl IntoIterator<Item = (Time, usize)>,
+        run: impl IntoIterator<Item = usize>,
+        at: impl Fn(usize) -> Time + Send + Sync + 'static,
         make: fn(usize) -> M::Event,
     ) {
-        self.queue.feed(run, make);
+        self.queue.feed(run, at, make);
         if let Some(first) = self.queue.peek_time() {
             assert!(
                 first >= self.now,

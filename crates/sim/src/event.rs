@@ -48,35 +48,48 @@ impl<E> Entry<E> {
     }
 }
 
-/// One not-yet-materialised item of a [feed](EventQueue::feed).
-#[derive(Clone, Copy)]
-struct FeedItem {
-    at: Time,
-    seq: u32,
-    index: u32,
-}
-
-/// The unpopped remainder of a presorted run of initial events: 16 bytes
-/// per item still to come instead of a heap entry each. The head is kept
-/// materialised because [`EventQueue::peek`] hands out `&E`.
-struct Feed<E> {
-    head: Entry<E>,
-    /// Items after the head, ascending by `(at, seq)`.
-    rest: std::vec::IntoIter<FeedItem>,
+/// The items of a [feed](EventQueue::feed) in delivery order, read from
+/// the caller's data as they are needed. A run that is the identity
+/// `0..len` ascending in time (a valid trace's arrivals) keeps nothing per
+/// item; a subset run (workflow roots) keeps its indices, and a run not
+/// ascending in time keeps its positions in time order, 4 bytes an item.
+struct FeedItems<E> {
+    len: usize,
+    /// Run positions in delivery order; `None` when the run ascends in
+    /// time, so that position `p` delivers item `p`.
+    order: Option<Box<[u32]>>,
+    /// The index each run position names; `None` when item `k` is index `k`.
+    index: Option<Box<[u32]>>,
+    at: Box<dyn Fn(usize) -> Time + Send + Sync>,
     make: fn(usize) -> E,
 }
 
-impl<E> Feed<E> {
-    fn entry(make: fn(usize) -> E, item: FeedItem) -> Entry<E> {
+impl<E> FeedItems<E> {
+    /// The entry delivered at position `p`: the run's item `k` owns
+    /// sequence number `k`.
+    fn entry(&self, p: usize) -> Entry<E> {
+        let k = self.order.as_ref().map_or(p, |order| order[p] as usize);
+        let index = self.index.as_ref().map_or(k, |index| index[k] as usize);
         Entry {
-            at: item.at,
-            seq: u64::from(item.seq),
-            event: make(item.index as usize),
+            at: (self.at)(index),
+            seq: k as u64,
+            event: (self.make)(index),
         }
     }
+}
 
+/// The unpopped remainder of a feed. The head is kept materialised
+/// because [`EventQueue::peek`] hands out `&E`.
+struct Feed<E> {
+    head: Entry<E>,
+    /// Delivery position of the item after the head.
+    next: usize,
+    items: FeedItems<E>,
+}
+
+impl<E> Feed<E> {
     fn len(&self) -> usize {
-        1 + self.rest.len()
+        1 + self.items.len - self.next
     }
 }
 
@@ -111,37 +124,63 @@ impl<E> EventQueue<E> {
     }
 
     /// Installs a run of initial events on an unused queue, exactly as if
-    /// each `(at, index)` had been [`schedule`](Self::schedule)d in turn
-    /// with the event `make(index)`: item `k` owns sequence number `k`
-    /// and later events number on from the run's length. The run costs 16
-    /// bytes per item rather than a heap entry, and events are built only
-    /// as they reach the head. A run already ascending in time (a valid
-    /// trace) is taken as is; any other is stably sorted by time, which
-    /// is the `(time, seq)` order.
-    pub fn feed(&mut self, run: impl IntoIterator<Item = (Time, usize)>, make: fn(usize) -> E) {
+    /// each `index` of `run` had been [`schedule`](Self::schedule)d in
+    /// turn at `at(index)` with the event `make(index)`: item `k` owns
+    /// sequence number `k` and later events number on from the run's
+    /// length. Times and events are read only as items reach the head,
+    /// so `at` reads the caller's data (an `Arc` of a trace's tasks)
+    /// rather than a copy. The run `0..n` already ascending in time (a
+    /// valid trace) costs nothing per item; a subset or a run out of time
+    /// order keeps 4 bytes an item, the latter stably sorted by time,
+    /// which is the `(time, seq)` order.
+    pub fn feed(
+        &mut self,
+        run: impl IntoIterator<Item = usize>,
+        at: impl Fn(usize) -> Time + Send + Sync + 'static,
+        make: fn(usize) -> E,
+    ) {
         assert!(
             self.next_seq == 0 && self.feed.is_none(),
             "a feed goes on an unused queue"
         );
         let narrow = |n: usize| u32::try_from(n).expect("feed run or index exceeds u32::MAX");
-        let mut items: Vec<FeedItem> = run
-            .into_iter()
-            .enumerate()
-            .map(|(k, (at, index))| FeedItem {
-                at,
-                seq: narrow(k),
-                index: narrow(index),
-            })
-            .collect();
-        if !items.windows(2).all(|w| w[0].at <= w[1].at) {
-            items.sort_by_key(|item| item.at);
+        let run = run.into_iter();
+        let hint = run.size_hint().0;
+        // The indices are kept from the first one that is not its position.
+        let mut index: Option<Vec<u32>> = None;
+        let mut len = 0;
+        for (k, i) in run.enumerate() {
+            match index.as_mut() {
+                Some(list) => list.push(narrow(i)),
+                None if i == k => {}
+                None => {
+                    let mut list = Vec::with_capacity(hint);
+                    list.extend(0..narrow(k));
+                    list.push(narrow(i));
+                    index = Some(list);
+                }
+            }
+            len = k + 1;
         }
-        self.next_seq = items.len() as u64;
-        let mut rest = items.into_iter();
-        self.feed = rest.next().map(|first| Feed {
-            head: Feed::entry(make, first),
-            rest,
+        let index = index.map(Vec::into_boxed_slice);
+        let time = |k: usize| at(index.as_ref().map_or(k, |index| index[k] as usize));
+        let order = (!(0..len).map(time).is_sorted()).then(|| {
+            let mut order: Vec<u32> = (0..narrow(len)).collect();
+            order.sort_by_key(|&k| time(k as usize));
+            order.into_boxed_slice()
+        });
+        self.next_seq = len as u64;
+        let items = FeedItems {
+            len,
+            order,
+            index,
+            at: Box::new(at),
             make,
+        };
+        self.feed = (len > 0).then(|| Feed {
+            head: items.entry(0),
+            next: 1,
+            items,
         });
     }
 
@@ -159,10 +198,12 @@ impl<E> EventQueue<E> {
             Some(feed) if self.heap.peek().is_some_and(|top| top.before(&feed.head)) => {
                 self.heap.pop()
             }
-            Some(feed) => Some(match feed.rest.next() {
-                Some(item) => std::mem::replace(&mut feed.head, Feed::entry(feed.make, item)),
-                None => self.feed.take().expect("matched Some above").head,
-            }),
+            Some(feed) if feed.next < feed.items.len => {
+                let entry = feed.items.entry(feed.next);
+                feed.next += 1;
+                Some(std::mem::replace(&mut feed.head, entry))
+            }
+            Some(_) => self.feed.take().map(|feed| feed.head),
         };
         entry.map(|e| (e.at, e.event))
     }
@@ -220,8 +261,8 @@ impl<E> EventQueue<E> {
     {
         let fed = self.feed.iter().flat_map(|feed| {
             let head = (feed.head.at, feed.head.seq, feed.head.event.clone());
-            let rest = feed.rest.as_slice().iter().map(|&item| {
-                let entry = Feed::entry(feed.make, item);
+            let rest = (feed.next..feed.items.len).map(|p| {
+                let entry = feed.items.entry(p);
                 (entry.at, entry.seq, entry.event)
             });
             std::iter::once(head).chain(rest)
@@ -314,7 +355,11 @@ mod tests {
     #[test]
     fn feed_item_wins_a_tie_with_a_later_scheduled_event() {
         let mut q = EventQueue::new();
-        q.feed([(Time::from(1.0), 7), (Time::from(5.0), 8)], |i| i);
+        q.feed(
+            [7, 8],
+            |i| Time::from(if i == 7 { 1.0 } else { 5.0 }),
+            |i| i,
+        );
         assert_eq!(q.next_seq(), 2);
         q.schedule(Time::from(5.0), 100);
         q.schedule(Time::from(1.0), 101);
@@ -328,10 +373,7 @@ mod tests {
     fn unsorted_feed_pops_in_time_then_run_order() {
         let mut q = EventQueue::new();
         let run = [3.0, 1.0, 3.0, 0.5, 1.0];
-        q.feed(
-            run.iter().enumerate().map(|(i, &t)| (Time::from(t), i)),
-            |i| i,
-        );
+        q.feed(0..run.len(), move |i| Time::from(run[i]), |i| i);
         let seqs: Vec<u64> = q.snapshot_entries().iter().map(|e| e.1).collect();
         assert_eq!(seqs, vec![3, 1, 4, 0, 2], "seq is the position in the run");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
@@ -343,7 +385,56 @@ mod tests {
     fn feed_on_a_used_queue_is_rejected() {
         let mut q = EventQueue::new();
         q.schedule(Time::ZERO, 0usize);
-        q.feed([(Time::ZERO, 1)], |i| i);
+        q.feed([1], |_| Time::ZERO, |i| i);
+    }
+
+    /// The shapes of run a feed meets — a whole trace in time order,
+    /// workflow roots (a subset), a trace out of time order, and the roots
+    /// of such a trace — keep a list only where the run is not the
+    /// identity in time order, and each counts, pops, snapshots
+    /// half-consumed and restores exactly as its items scheduled one by
+    /// one do.
+    #[test]
+    fn every_run_shape_matches_scheduling_in_turn() {
+        let sorted = [0.5, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0];
+        let unsorted = [3.0, 1.0, 3.0, 0.5, 1.0, 0.5, 2.0];
+        let roots = vec![0, 1, 3, 6];
+        let whole: Vec<usize> = (0..7).collect();
+        let cases = [
+            (sorted, whole.clone(), (false, false)),
+            (sorted, roots.clone(), (false, true)),
+            (unsorted, whole, (true, false)),
+            (unsorted, roots, (true, true)),
+        ];
+        let drain = |q: &mut EventQueue<usize>| -> Vec<(Time, usize)> {
+            std::iter::from_fn(|| q.pop()).collect()
+        };
+        for (times, run, lists) in cases {
+            let times: Vec<Time> = times.iter().map(|&t| Time::from(t)).collect();
+            let shared = times.clone();
+            let mut fed = EventQueue::new();
+            fed.feed(run.iter().copied(), move |i| shared[i], |i| i);
+            let items = &fed.feed.as_ref().expect("a non-empty run").items;
+            assert_eq!((items.order.is_some(), items.index.is_some()), lists);
+            let mut reference = EventQueue::new();
+            for &i in &run {
+                reference.schedule(times[i], i);
+            }
+            for q in [&mut fed, &mut reference] {
+                q.schedule(Time::from(1.0), 100);
+            }
+            for _ in 0..run.len() / 2 {
+                assert_eq!(fed.len(), reference.len());
+                assert_eq!(fed.pop(), reference.pop());
+            }
+            assert_eq!(fed.len(), reference.len());
+            let entries = fed.snapshot_entries();
+            assert_eq!(entries, reference.snapshot_entries());
+            let mut restored = EventQueue::restore(entries, fed.next_seq());
+            let want = drain(&mut reference);
+            assert_eq!(drain(&mut fed), want);
+            assert_eq!(drain(&mut restored), want);
+        }
     }
 }
 
@@ -377,23 +468,29 @@ mod proptests {
         /// the run item by item: same pops, `len`, `peek`, `next_seq` and
         /// `snapshot_entries` at every step of an arbitrary interleaving
         /// of `schedule` and `pop`, and a queue restored from the fed
-        /// queue's snapshot at any step continues the same way.
+        /// queue's snapshot at any step continues the same way — for the
+        /// whole of a time-sorted or unsorted trace, and for a subset of
+        /// it (workflow roots).
         #[test]
         fn fed_queue_equals_scheduled_queue(
-            mut run in proptest::collection::vec(0u32..30, 0..60),
+            mut times in proptest::collection::vec(0u32..30, 0..60),
             sorted in any::<bool>(),
+            keep in proptest::collection::vec(any::<bool>(), 60),
+            subset in any::<bool>(),
             ops in proptest::collection::vec((any::<bool>(), 0u32..40), 0..120),
             cut in 0usize..120,
         ) {
             if sorted {
-                run.sort_unstable();
+                times.sort_unstable();
             }
             let at = |t: u32| Time::from(t as f64);
+            let run: Vec<usize> = (0..times.len()).filter(|&i| !subset || keep[i]).collect();
+            let shared = times.clone();
             let mut fed: EventQueue<usize> = EventQueue::new();
-            fed.feed(run.iter().enumerate().map(|(i, &t)| (at(t), i)), |i| i);
+            fed.feed(run.iter().copied(), move |i| at(shared[i]), |i| i);
             let mut reference = EventQueue::new();
-            for (i, &t) in run.iter().enumerate() {
-                reference.schedule(at(t), i);
+            for &i in &run {
+                reference.schedule(at(times[i]), i);
             }
             let mut restored: Option<EventQueue<usize>> = None;
             for (step, &(push, t)) in ops.iter().enumerate() {

@@ -480,10 +480,11 @@ impl SiteRun {
             workflows,
             outcome_cursor: 0,
         });
-        let arrival = |i: usize| (tasks[i].arrival, i);
+        let n = tasks.len();
+        let arrival = move |i: usize| tasks[i].arrival;
         match roots {
-            Some(roots) => engine.feed(roots.into_iter().map(arrival), SimEvent::Arrival),
-            None => engine.feed((0..tasks.len()).map(arrival), SimEvent::Arrival),
+            Some(roots) => engine.feed(roots, arrival, SimEvent::Arrival),
+            None => engine.feed(0..n, arrival, SimEvent::Arrival),
         }
         for (at, unit) in crashes {
             engine.schedule(at, SimEvent::Crash(unit));

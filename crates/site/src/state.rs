@@ -574,7 +574,13 @@ impl SiteState {
     /// Consumes the site, producing the final outcome (per-job records
     /// sorted by task id).
     pub fn into_outcome(mut self) -> SiteOutcome {
-        self.outcomes.sort_by_key(|o| o.id);
+        // Unstable, so in place: a site run records each task once (only
+        // an economy orphans jobs, and it keeps no records).
+        self.outcomes.sort_unstable_by_key(|o| o.id);
+        debug_assert!(
+            self.outcomes.windows(2).all(|w| w[0].id < w[1].id),
+            "a site run recorded a task twice"
+        );
         SiteOutcome {
             metrics: self.metrics,
             outcomes: self.outcomes,

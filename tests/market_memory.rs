@@ -1,15 +1,17 @@
 //! What a market run and a site run hold, measured. The trace is generated
 //! in one allocation, and a run and its snapshots share it instead of
 //! copying it, so after construction a run holds only its own bookkeeping
-//! (the arrivals are a 16-byte-per-task feed, the per-task ledgers plain
-//! vectors), a fresh run's snapshot costs its event queue and sites but no
-//! tasks, at quiescence a run holds only what it produced, and per bid it
-//! makes a handful of allocations rather than one set of buffers per site
-//! quoted. A contract is a row over the shared tasks: it names its task
-//! by index, and the economy's terms are held once. It is also a placed
-//! task's one record (a site inside an economy keeps none), so what a run
-//! produces per contract is that row and its runner-up quote, and a
-//! queued event names its task rather than carrying it.
+//! (the arrivals are a feed that reads each time from the shared tasks as
+//! it comes due, the per-task ledgers plain vectors), a fresh run's
+//! snapshot costs its event queue and sites but no tasks, at quiescence a
+//! run holds only what it produced, and per bid it makes a handful of
+//! allocations rather than one set of buffers per site quoted. A contract
+//! is a row over the shared tasks: it names its task by index, and the
+//! economy's terms are held once. It is also a placed task's one record (a
+//! site inside an economy keeps none), so what a run produces per contract
+//! is that row and its 8 B runner-up quote, and a queued event names its
+//! task rather than carrying it. A finished site run sorts its records in
+//! place.
 //!
 //! A test binary of its own because it installs a counting global
 //! allocator, and one test so that nothing else allocates while it counts.
@@ -138,19 +140,20 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
     // ---- a market run -------------------------------------------------
     let (mut run, after_new, _) =
         measured(|| EconomyRun::new(market_config(), &trace, Tracer::Off));
-    // 16 B of feed and a 4 B task → contract ledger a task, and 64 idle
-    // sites; the tasks are the caller's. (Two more 4 B ledgers, for
-    // migration attempts and retries, made this 0.43; a copy of the tasks
-    // 1.44, and one heap entry per arrival before that 3.6.)
+    // A 4 B task → contract ledger a task and 64 idle sites; the tasks are
+    // the caller's, and so are the arrival times; 0.101 measured. (A 16 B
+    // feed item a task made this 0.32; two more 4 B ledgers, for migration
+    // attempts and retries, 0.43; a copy of the tasks 1.44, and one heap
+    // entry per arrival before that 3.6.)
     let ratio = after_new / trace_bytes;
     assert!(
-        ratio <= 0.5,
+        ratio <= 0.12,
         "EconomyRun::new holds {after_new} B, {ratio:.3}x the trace"
     );
     // A fresh run's snapshot is its queue entries and 64 empty sites; it
     // shares the tasks. An entry is 48 B a pending arrival (a 32 B
     // `EcoEvent`, its time and its sequence number), 0.67x the 72 B tasks;
-    // 0.69 measured. (An `OrphanRebid` that carried its `TaskSpec` inline
+    // 0.677 measured. (An `OrphanRebid` that carried its `TaskSpec` inline
     // made an event 96 B and this 1.58; cloning the tasks made it 2.58.)
     let (snapshot, held, _) = measured(|| run.snapshot());
     let ratio = held / trace_bytes;
@@ -177,44 +180,47 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
     assert_eq!(outcome.offered, TASKS);
     let contracts = outcome.contracts.len() as f64;
     let per_contract = grown / contracts;
-    // At quiescence nothing is in flight and the feed is gone: what the
-    // run added since `new` is its results — per contract a 56 B ledger
-    // row and a 16 B runner-up quote — in vectors grown by doubling, and
-    // nothing that scales with the bids handled; 125.7 measured. (Each
-    // site's 48 B `JobOutcome` a job, in 64 more doubling vectors, made
-    // this 207.7; a contract that copied its task and terms, 160 B, 403.)
+    // At quiescence nothing is in flight: what the run added since `new`
+    // is its results — per contract a 56 B ledger row and an 8 B runner-up
+    // quote — in vectors grown by doubling, and nothing that scales with
+    // the bids handled; 129.0 measured. (A 16 B `Option` quote made this
+    // 144, less the 18 B a contract of a copied feed that `new` held and
+    // the run freed, 125.7; each site's 48 B `JobOutcome` a job, in 64
+    // more doubling vectors, 207.7; a contract that copied its task and
+    // terms, 160 B, 403.)
     assert!(
-        per_contract <= 150.0,
+        per_contract <= 135.0,
         "heap grew {grown} B over the run, {per_contract:.1} B per contract"
     );
-    // Nor does the run hold much more on the way: above its start, which
-    // holds the feed, it peaks at its results so far, the events in
-    // flight, and a results vector's old and new buffers while it doubles
-    // (a `realloc` counts both); 181.5 measured. (With the sites' per-job records it was
-    // 241.7.)
+    // Nor does the run hold much more on the way: above its start it
+    // peaks at its results so far, the events in flight, and a results
+    // vector's old and new buffers while it doubles (a `realloc` counts
+    // both); 174.0 measured. (With 16 B quotes it was 181.5, and with the
+    // sites' per-job records 241.7.)
     let high_water = high_water / contracts;
     assert!(
-        high_water <= 200.0,
+        high_water <= 180.0,
         "heap peaked {high_water:.1} B per contract above its start over the run"
     );
     drop(outcome);
 
     // ---- a site run ---------------------------------------------------
-    let (run, after_new, requested_new) =
+    let (mut run, after_new, requested_new) =
         measured(|| SiteRun::new(SiteConfig::new(SITES * PROCS_PER_SITE), &trace, Tracer::Off));
-    // The 16 B feed a task and an idle site. (A copy of the tasks made
-    // this 1.22.)
+    // An idle site and a feed that reads the shared tasks: nothing a
+    // task, 32 B in all measured. (A 16 B feed item a task made this
+    // 0.222, and a copy of the tasks 1.22.)
     let ratio = after_new / trace_bytes;
     assert!(
-        ratio <= 0.3,
+        ratio <= 0.01,
         "SiteRun::new holds {after_new} B, {ratio:.3}x the trace"
     );
-    // And it asks for no more than it holds: the arrivals go from the
-    // tasks into the feed once, 0.222 measured. (A second list of them
-    // that the feed does not reuse in place makes this 0.444.)
+    // Nor does it ask for more on the way, 32 B measured. (Copying the
+    // arrivals into a feed made this 0.222, and a second list of them
+    // 0.444.)
     let ratio = requested_new / trace_bytes;
     assert!(
-        ratio <= 0.25,
+        ratio <= 0.01,
         "SiteRun::new requested {requested_new} B, {ratio:.3}x the trace"
     );
     // 48 B of queue entry a pending arrival and an idle site. (Cloning the
@@ -226,5 +232,16 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
         "SiteRun::snapshot holds {held} B, {ratio:.3}x the trace"
     );
     drop(snapshot);
-    drop(run);
+
+    // Finishing sorts the per-job records by id in place: 0 B requested
+    // measured. (A stable sort's scratch, one 48 B record a task, made
+    // this 0.667.)
+    run.run_to_completion();
+    let ((outcome, _), _, requested_finish) = measured(|| run.finish());
+    assert_eq!(outcome.outcomes.len(), TASKS);
+    let ratio = requested_finish / trace_bytes;
+    assert!(
+        ratio <= 0.01,
+        "SiteRun::finish requested {requested_finish} B, {ratio:.3}x the trace"
+    );
 }

@@ -44,7 +44,11 @@
 //! name its task by index: that pair, rebuilt from the same scenarios,
 //! has empty site `outcomes` and index-form re-bids, and the pair before
 //! it lives under `tests/golden/serde/pre34/` and must restore to the
-//! same runs. The last test is the reader's leniency, one row per rule.
+//! same runs. A runner-up quote then came to be held as a float, NaN for
+//! none, and is still written as the `null` of an absent one, with no
+//! byte changed; one test restores a snapshot whose quotes are `null` and
+//! settles them at the reserve. The last test is the reader's leniency,
+//! one row per rule.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -401,6 +405,58 @@ fn a_restored_economy_writes_its_snapshot_back() {
     assert!(capped > 0, "no contract's value was capped by a budget");
     let run = EconomyRun::from_snapshot(snap).expect("the fixture restores");
     assert!(render(&run.snapshot(), false) == fixture);
+}
+
+/// A contract that no other site bid on has no runner-up quote: the
+/// snapshot writes it as `null`, and the run restored from that text
+/// settles it at the reserve fraction, bit for bit as the run that never
+/// stopped.
+#[test]
+fn a_null_runner_up_quote_restores_and_settles_at_the_reserve() {
+    let trace = generate_trace(&fig67_mix(1.5).with_tasks(40).with_processors(4), 5);
+    let site = SiteConfig::new(4)
+        .with_policy(Policy::FirstPrice)
+        .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 });
+    // One site: no contract has a runner-up.
+    let mut config = EconomyConfig::uniform(1, site);
+    config.pricing = PricingStrategy::SecondPrice {
+        reserve_fraction: 0.5,
+    };
+    let finished = |mut run: EconomyRun| {
+        run.run_to_completion();
+        let text = render(&run.snapshot(), false);
+        (run.finish().0, text)
+    };
+    let (whole, whole_text) = finished(EconomyRun::new(config.clone(), &trace, Tracer::Off));
+
+    let mut run = EconomyRun::new(config, &trace, Tracer::Off);
+    step_n(|| run.step(), 40);
+    let snap: EconomySnapshot =
+        serde_json::from_str(&render(&run.snapshot(), false)).expect("the snapshot reads");
+    assert!(
+        snap.second_quote
+            .iter()
+            .zip(snap.contracts.iter())
+            .any(|(q, c)| q.is_none() && !c.is_settled()),
+        "no open contract without a runner-up at the cut"
+    );
+    let (resumed, resumed_text) =
+        finished(EconomyRun::from_snapshot(snap).expect("the snapshot restores"));
+    assert!(resumed_text == whole_text, "the resumed run diverged");
+    assert_eq!(resumed.total_paid.to_bits(), whole.total_paid.to_bits());
+
+    let at_reserve: f64 = whole
+        .contracts
+        .iter()
+        .filter_map(|c| c.settled_price())
+        .map(|s| if s > 0.0 { s * 0.5 } else { s })
+        .sum();
+    assert!(whole.total_paid > 0.0 && whole.total_paid < whole.total_settled);
+    assert!(
+        (whole.total_paid - at_reserve).abs() <= 1e-9 * whole.total_settled.abs(),
+        "paid {} where the reserve gives {at_reserve}",
+        whole.total_paid
+    );
 }
 
 #[test]
