@@ -409,20 +409,6 @@ impl PendingPool {
         job
     }
 
-    /// Removes every queued job at once, returning them in slot order —
-    /// the crash-orphan path: a dead site's queue is handed back to the
-    /// market for re-bidding. Equivalent to `swap_remove`ing every slot;
-    /// all of the pool's indexes end empty.
-    pub fn drain_all(&mut self) -> Vec<Job> {
-        let mut out = Vec::with_capacity(self.jobs.len());
-        while !self.jobs.is_empty() {
-            let last = self.jobs.len() - 1;
-            out.push(self.swap_remove(last));
-        }
-        out.reverse();
-        out
-    }
-
     /// Slot of the best job at `now`: maximum score, ties to the lowest
     /// task id — exactly what [`Policy::select`] over [`jobs`](Self::jobs)
     /// returns, at incremental cost. `None` when the pool is empty.
@@ -843,28 +829,6 @@ mod tests {
         pool.swap_remove(best);
         let best = pool.select_best(Time::ZERO).unwrap();
         assert_eq!(pool.jobs()[best].id().0, 2);
-    }
-
-    #[test]
-    fn drain_all_empties_every_index() {
-        let policy = Policy::first_reward(0.3, 0.01);
-        let mut pool = PendingPool::new(policy);
-        for i in 0..5 {
-            pool.push(job(i, 0.0, 2.0 + i as f64, 50.0, 0.3));
-        }
-        let drained = pool.drain_all();
-        assert_eq!(drained.len(), 5);
-        // Slot order is preserved (push order here: no removals).
-        let ids: Vec<u64> = drained.iter().map(|j| j.id().0).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-        assert!(pool.is_empty());
-        assert_eq!(pool.select_best(Time::ZERO), None);
-        // The pool is fully reusable: ids may return (orphan re-bid).
-        for j in drained {
-            pool.push(j);
-        }
-        assert_eq!(pool.len(), 5);
-        assert!(pool.select_best(Time::from(1.0)).is_some());
     }
 
     #[test]

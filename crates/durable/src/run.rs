@@ -103,11 +103,11 @@ impl Recoverable for EconomyRun {
     type Outcome = ();
 
     fn due(&self) -> Option<(Time, EcoEvent)> {
-        self.next_event().map(|(at, e)| (at, e.clone()))
+        self.next_event().map(|(at, e)| (at, *e))
     }
 
     fn apply(&mut self, (at, event): &(Time, EcoEvent)) -> Result<(), String> {
-        is_due(self.next_event(), *at, &self.name_task(event)?)?;
+        is_due(self.next_event(), *at, event)?;
         self.step();
         Ok(())
     }

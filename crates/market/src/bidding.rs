@@ -17,132 +17,10 @@
 //! rules quantifies the incentive the paper gestures at.
 
 use crate::economy::{Economy, EconomyConfig};
-use mbts_sim::{OnlineStats, RngFactory, SimRng};
+use mbts_sim::OnlineStats;
 use mbts_workload::Trace;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Capped exponential backoff with seeded jitter for tasks re-entering
-/// negotiation (orphan re-bids after a site outage).
-///
-/// The raw curve is `base · 2^attempt`, saturating at `cap`; each delay
-/// is then scaled by `1 − jitter · U` with `U ~ Uniform[0, 1)`. Jitter
-/// draws are split **per orphaning site**: site `s` consumes the
-/// `stream_indexed("orphan-backoff", s)` family, so one site's outage
-/// history never perturbs another site's jitter sequence — the common
-/// random-number property the sharded market runner relies on, and the
-/// reason two runs that only differ in *when* an unrelated site crashes
-/// still draw identical delays here. With `jitter == 0` no stream is
-/// ever created and the delay is exactly the capped exponential —
-/// byte-identical to the un-jittered schedule.
-///
-/// The per-site streams are part of the replay state:
-/// [`state`](Self::state) / [`from_state`](Self::from_state) carry every
-/// materialized stream across a durable-recovery checkpoint so resumed
-/// runs draw the same jitter sequences.
-#[derive(Debug, Clone)]
-pub struct RebidBackoff {
-    base: f64,
-    cap: f64,
-    jitter: f64,
-    factory: RngFactory,
-    /// Lazily materialized per-site jitter streams, keyed by site id.
-    /// BTreeMap so checkpoints list them in a canonical order.
-    streams: BTreeMap<usize, SimRng>,
-}
-
-/// Serializable image of a [`RebidBackoff`] (raw xoshiro state words of
-/// every per-site stream touched so far).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RebidBackoffState {
-    /// First-attempt delay.
-    pub base: f64,
-    /// Delay ceiling (`None` = uncapped; infinities don't survive JSON).
-    pub cap: Option<f64>,
-    /// Jitter fraction in `[0, 1]`.
-    pub jitter: f64,
-    /// Root seed the per-site stream family derives from.
-    pub seed: u64,
-    /// `(site, xoshiro words)` of each materialized stream, site order.
-    pub streams: Vec<(usize, (u64, u64, u64, u64))>,
-}
-
-impl RebidBackoff {
-    /// A backoff schedule starting at `base`, capped at `cap`, with the
-    /// given `jitter` fraction; per-site jitter streams derive from
-    /// `factory`.
-    pub fn new(base: f64, cap: f64, jitter: f64, factory: RngFactory) -> Self {
-        assert!(base >= 0.0, "backoff base must be non-negative");
-        assert!(cap >= 0.0, "backoff cap must be non-negative");
-        assert!(
-            (0.0..=1.0).contains(&jitter),
-            "jitter must be a fraction in [0, 1]"
-        );
-        RebidBackoff {
-            base,
-            cap,
-            jitter,
-            factory,
-            streams: BTreeMap::new(),
-        }
-    }
-
-    /// The delay before re-bid number `attempt` (0-based) of a task
-    /// orphaned by `site`. Never exceeds the cap: jitter only shrinks
-    /// the capped exponential.
-    pub fn delay(&mut self, site: usize, attempt: u32) -> f64 {
-        // powi on a clamped exponent: past ~2^1024 the raw curve is
-        // infinite anyway and the min() saturates at the cap.
-        let raw = self.base * f64::powi(2.0, attempt.min(1024) as i32);
-        let capped = raw.min(self.cap);
-        if self.jitter > 0.0 {
-            let factory = &self.factory;
-            let rng = self
-                .streams
-                .entry(site)
-                .or_insert_with(|| factory.stream_indexed("orphan-backoff", site as u64));
-            let u: f64 = rng.gen();
-            capped * (1.0 - self.jitter * u)
-        } else {
-            capped
-        }
-    }
-
-    /// Captures the schedule parameters and every touched jitter stream.
-    pub fn state(&self) -> RebidBackoffState {
-        RebidBackoffState {
-            base: self.base,
-            cap: self.cap.is_finite().then_some(self.cap),
-            jitter: self.jitter,
-            seed: self.factory.seed(),
-            streams: self
-                .streams
-                .iter()
-                .map(|(&site, rng)| {
-                    let s = rng.state();
-                    (site, (s[0], s[1], s[2], s[3]))
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuilds a backoff whose next draws continue `state`'s streams.
-    pub fn from_state(state: RebidBackoffState) -> Self {
-        RebidBackoff {
-            base: state.base,
-            cap: state.cap.unwrap_or(f64::INFINITY),
-            jitter: state.jitter,
-            factory: RngFactory::new(state.seed),
-            streams: state
-                .streams
-                .into_iter()
-                .map(|(site, (a, b, c, d))| (site, SimRng::from_state([a, b, c, d])))
-                .collect(),
-        }
-    }
-}
 
 /// Aggregate outcomes for one bidding population.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -275,104 +153,6 @@ impl Accounts {
             true_value_realized: self.true_value,
             mean_utility: self.utilities.mean(),
         }
-    }
-}
-
-#[cfg(test)]
-mod backoff_tests {
-    use super::*;
-
-    fn factory(seed: u64) -> RngFactory {
-        RngFactory::new(seed)
-    }
-
-    #[test]
-    fn unjittered_delay_is_the_exact_capped_exponential() {
-        let mut b = RebidBackoff::new(60.0, 500.0, 0.0, factory(1));
-        assert_eq!(b.delay(0, 0), 60.0);
-        assert_eq!(b.delay(0, 1), 120.0);
-        assert_eq!(b.delay(0, 2), 240.0);
-        assert_eq!(b.delay(0, 3), 480.0);
-        // 960 would exceed the cap.
-        assert_eq!(b.delay(0, 4), 500.0);
-        assert_eq!(b.delay(0, 30), 500.0);
-        // No jitter, no streams: state stays empty.
-        assert!(b.state().streams.is_empty());
-    }
-
-    #[test]
-    fn backoff_cap_is_respected_under_jitter() {
-        let mut b = RebidBackoff::new(60.0, 900.0, 0.5, factory(2));
-        for attempt in 0..64 {
-            for site in 0..50 {
-                let d = b.delay(site, attempt);
-                assert!(d <= 900.0, "attempt {attempt}: delay {d} exceeds cap");
-                assert!(d >= 0.0);
-                // Jitter shrinks by at most the jitter fraction.
-                let capped = (60.0 * f64::powi(2.0, attempt as i32)).min(900.0);
-                assert!(d >= capped * 0.5 - 1e-9, "attempt {attempt}: {d}");
-            }
-        }
-    }
-
-    #[test]
-    fn jitter_draws_are_seeded_and_spread() {
-        let mut a = RebidBackoff::new(60.0, 1e6, 0.3, factory(3));
-        let mut b = RebidBackoff::new(60.0, 1e6, 0.3, factory(3));
-        let da: Vec<f64> = (0..16).map(|_| a.delay(1, 2)).collect();
-        let db: Vec<f64> = (0..16).map(|_| b.delay(1, 2)).collect();
-        assert_eq!(da, db, "same seed, same jitter sequence");
-        let distinct: std::collections::BTreeSet<u64> = da.iter().map(|d| d.to_bits()).collect();
-        assert!(distinct.len() > 8, "jitter actually varies the delays");
-    }
-
-    #[test]
-    fn sites_draw_from_independent_streams() {
-        // Site 1's sequence is unchanged by interleaved site-0 draws:
-        // the common-random-numbers property per-site splitting buys.
-        let mut lone = RebidBackoff::new(60.0, 1e6, 0.3, factory(9));
-        let expected: Vec<u64> = (0..8).map(|_| lone.delay(1, 1).to_bits()).collect();
-        let mut mixed = RebidBackoff::new(60.0, 1e6, 0.3, factory(9));
-        let got: Vec<u64> = (0..8)
-            .map(|_| {
-                mixed.delay(0, 1); // interleaved draws on another site
-                mixed.delay(1, 1).to_bits()
-            })
-            .collect();
-        assert_eq!(expected, got, "site 0 draws perturbed site 1's stream");
-    }
-
-    #[test]
-    fn huge_attempt_counts_saturate_at_the_cap() {
-        let mut b = RebidBackoff::new(1.0, 3600.0, 0.0, factory(4));
-        assert_eq!(b.delay(0, u32::MAX), 3600.0);
-    }
-
-    #[test]
-    fn state_roundtrip_resumes_every_site_stream() {
-        let mut b = RebidBackoff::new(60.0, 2000.0, 0.4, factory(5));
-        for k in 0..7 {
-            b.delay(k as usize % 3, k);
-        }
-        let json = serde_json::to_string(&b.state()).unwrap();
-        let restored: RebidBackoffState = serde_json::from_str(&json).unwrap();
-        let mut c = RebidBackoff::from_state(restored);
-        for k in 0..32u32 {
-            let site = k as usize % 5; // sites 3, 4 are fresh post-restore
-            assert_eq!(
-                b.delay(site, k % 6).to_bits(),
-                c.delay(site, k % 6).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn uncapped_state_roundtrips_through_json() {
-        let b = RebidBackoff::new(60.0, f64::INFINITY, 0.0, factory(6));
-        let json = serde_json::to_string(&b.state()).unwrap();
-        let restored: RebidBackoffState = serde_json::from_str(&json).unwrap();
-        let mut c = RebidBackoff::from_state(restored);
-        assert_eq!(c.delay(0, 4), 60.0 * 16.0, "cap restored as infinite");
     }
 }
 

@@ -33,7 +33,7 @@ pub enum ContractStatus {
 /// A market run does not keep these: its [`ContractLedger`] keeps one
 /// compact row per contract over the run's shared tasks and builds a
 /// `Contract` by value whenever one is read. Settlement is priced here,
-/// in [`settle`](Self::settle) and [`cancel`](Self::cancel), for both.
+/// in [`settle`](Self::settle), for both.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Contract {
     /// The contracted task (carries the value function).
@@ -90,24 +90,6 @@ impl Contract {
             completed_at,
             settled_price,
             violated,
-        };
-        settled_price
-    }
-
-    /// Cancels the contract before completion (§3: a site discarding an
-    /// accepted task). The site collects nothing; if the value function
-    /// has already decayed negative, the site pays that accrued penalty.
-    /// Returns the (≤ 0) breach settlement.
-    pub fn cancel(&mut self, at: Time) -> f64 {
-        debug_assert!(
-            matches!(self.status, ContractStatus::Open),
-            "cancelling a non-open contract"
-        );
-        let settled_price = self.spec.yield_at(at).min(0.0);
-        self.status = ContractStatus::Settled {
-            completed_at: at,
-            settled_price,
-            violated: true,
         };
         settled_price
     }
@@ -339,18 +321,8 @@ impl ContractLedger {
     /// [`Contract::settle`]; returns the settled price. Panics, as an
     /// index would, if there is no contract `i`.
     pub fn settle(&mut self, i: usize, completed_at: Time) -> f64 {
-        self.update(i, |c| c.settle(completed_at))
-    }
-
-    /// Cancels open contract `i` through [`Contract::cancel`]; returns the
-    /// (≤ 0) breach settlement. Panics if there is no contract `i`.
-    pub fn cancel(&mut self, i: usize, at: Time) -> f64 {
-        self.update(i, |c| c.cancel(at))
-    }
-
-    fn update(&mut self, i: usize, f: impl FnOnce(&mut Contract) -> f64) -> f64 {
         let mut contract = self.get(i).expect("no such contract");
-        let price = f(&mut contract);
+        let price = contract.settle(completed_at);
         self.rows[i].set_status(contract.status);
         price
     }
@@ -570,9 +542,8 @@ mod terms_tests {
     fn default_terms_are_the_paper_model() {
         let spec = TaskSpec::new(0, 0.0, 10.0, 100.0, 2.0, PenaltyBound::Unbounded);
         let c = Contract::new(spec, 0, 0, Time::ZERO, Time::from(20.0), 80.0);
-        let (mut settled, mut cancelled, at) = (c, c, Time::from(40.0));
+        let (mut settled, at) = (c, Time::from(40.0));
         assert_eq!(settled.settle(at), spec.yield_at(at));
-        assert_eq!(cancelled.cancel(at), spec.yield_at(at).min(0.0));
     }
 }
 
@@ -600,8 +571,9 @@ mod ledger_tests {
         ledger.push(c);
     }
 
-    /// Four contracts: one on time, one late, one cancelled and re-placed
-    /// with a budget-capped value, one still open.
+    /// Four contracts: one on time, one late, one late with a
+    /// budget-capped value, and one formed again for that capped task,
+    /// still open.
     fn ledger(tasks: &Arc<[TaskSpec]>) -> ContractLedger {
         let mut ledger = ContractLedger::new(Arc::clone(tasks));
         let at = Time::from;
@@ -614,7 +586,7 @@ mod ledger_tests {
         form(&mut ledger, capped, 0, 2, at(4.0), at(30.0), 50.0);
         ledger.settle(0, at(18.0));
         ledger.settle(1, at(40.0));
-        ledger.cancel(2, at(50.0));
+        ledger.settle(2, at(50.0));
         form(&mut ledger, capped, 1, 2, at(50.0), at(70.0), 20.0);
         ledger
     }
@@ -633,9 +605,9 @@ mod ledger_tests {
         let price = expected.settle(Time::from(40.0));
         assert_eq!(ledger.get(1), Some(expected));
         assert_eq!(ledger.get(1).unwrap().settled_price(), Some(price));
-        let cancelled = ledger.get(2).unwrap();
-        assert_eq!(cancelled.spec.value, 60.0);
-        assert!(cancelled.was_violated());
+        let late = ledger.get(2).unwrap();
+        assert_eq!(late.spec.value, 60.0);
+        assert!(late.was_violated());
         assert!(!ledger.get(3).unwrap().is_settled());
         assert_eq!(ledger.get(3).unwrap().spec.value, 60.0);
         assert_eq!(ledger.get(4), None);

@@ -53,13 +53,11 @@ pub mod economy;
 pub mod pricing;
 
 pub use bid::{ClientSelection, ServerBid, TaskBid};
-pub use bidding::{
-    run_shading_experiment, PopulationReport, RebidBackoff, RebidBackoffState, ShadingReport,
-};
+pub use bidding::{run_shading_experiment, PopulationReport, ShadingReport};
 pub use budget::{Account, BudgetConfig};
 pub use contract::{Contract, ContractLedger, ContractStatus, RebindError};
 pub use economy::{
     EcoEvent, Economy, EconomyConfig, EconomyOutcome, EconomyRun, EconomySnapshot,
-    EconomySnapshotRef, MarketFaultConfig, SiteId,
+    EconomySnapshotRef, SiteId,
 };
 pub use pricing::PricingStrategy;

@@ -15,13 +15,6 @@ pub enum PreemptionMode {
     /// with its progress intact (negligible context-switch cost).
     #[default]
     Resume,
-    /// Batch-cluster kill-and-requeue: a preempted task loses all
-    /// progress and runs from scratch when redispatched. Models clusters
-    /// without checkpointing; makes committing a processor to a long task
-    /// a genuinely risky investment. No command or experiment selects it
-    /// (`ablate preemption` toggles preemption under `Resume`); only
-    /// tests do.
-    Restart,
 }
 
 /// What survives when a **crash** evicts a running gang. Distinct from

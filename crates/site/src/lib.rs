@@ -128,8 +128,7 @@ fn percentile(values: impl Iterator<Item = f64>, q: f64) -> f64 {
 /// Fault-injection parameters for a single-site trace replay.
 ///
 /// The site treats a site-level fault as a full-capacity crash (the queue
-/// survives locally — only the multi-site market layer re-bids a dead
-/// site's queue elsewhere). `max_crashes` bounds the total number of
+/// survives locally). `max_crashes` bounds the total number of
 /// crash events scheduled, so a pathological MTTF distribution cannot
 /// livelock the run.
 #[derive(Debug, Clone, PartialEq)]

@@ -488,10 +488,10 @@ impl SiteState {
         self.metrics.rejected += 1;
     }
 
-    /// Withdraws a *queued* task (contract cancellation, §3). Running or
+    /// Withdraws a *queued* task (the daemon's `/cancel`). Running or
     /// already-finished tasks are not cancellable — returns `false` and
     /// leaves them untouched. The site earns nothing for a cancelled
-    /// task; any breach penalty is settled at the market layer.
+    /// task.
     pub fn cancel_pending(&mut self, now: Time, id: mbts_workload::TaskId) -> bool {
         let Some(idx) = self.pending.jobs().iter().position(|j| j.id() == id) else {
             return false;
@@ -574,8 +574,7 @@ impl SiteState {
     /// Consumes the site, producing the final outcome (per-job records
     /// sorted by task id).
     pub fn into_outcome(mut self) -> SiteOutcome {
-        // Unstable, so in place: a site run records each task once (only
-        // an economy orphans jobs, and it keeps no records).
+        // Unstable, so in place: a site run records each task once.
         self.outcomes.sort_unstable_by_key(|o| o.id);
         debug_assert!(
             self.outcomes.windows(2).all(|w| w[0].id < w[1].id),
@@ -1077,11 +1076,6 @@ impl SiteState {
                 self.free_procs += job.spec.width;
                 match self.config.preemption_mode {
                     PreemptionMode::Resume => job.advance(now - started),
-                    PreemptionMode::Restart => {
-                        // Kill-and-requeue: all progress is lost.
-                        job.rpt = job.spec.runtime;
-                        job.true_rpt = job.spec.true_runtime;
-                    }
                 }
                 job.preemptions += 1;
                 self.metrics.preemptions += 1;
@@ -1181,31 +1175,6 @@ impl SiteState {
         let tokens = self.dispatch(now);
         self.audit_check(now);
         tokens
-    }
-
-    /// Empties the pending queue, returning the jobs to the caller — the
-    /// market layer orphans a dead site's queue this way and re-bids
-    /// each task (whose decay clock keeps running from its original
-    /// arrival). Each orphan is recorded as a
-    /// [`Disposition::Orphaned`] outcome earning nothing here.
-    pub fn orphan_pending(&mut self, now: Time) -> Vec<Job> {
-        let jobs = self.pending.drain_all();
-        for job in &jobs {
-            self.metrics.orphaned += 1;
-            self.trace(now, Some(job.id()), TraceKind::Orphaned);
-            self.outcomes.push(JobOutcome {
-                id: job.id(),
-                disposition: Disposition::Orphaned,
-                finished_at: Some(now),
-                earned: 0.0,
-                delay: (now - (job.spec.arrival + job.spec.runtime))
-                    .max_zero()
-                    .as_f64(),
-                preemptions: job.preemptions,
-            });
-        }
-        self.audit_check(now);
-        jobs
     }
 
     /// Captures the complete replayable state of the site at an event
@@ -1889,29 +1858,6 @@ mod fault_tests {
     }
 
     #[test]
-    fn orphan_pending_returns_the_queue_and_records_outcomes() {
-        let mut site = SiteState::new(SiteConfig::new(1).with_policy(Policy::Fcfs));
-        let (_, t) = site.submit(Time::ZERO, spec(0, 0.0, 50.0, 100.0));
-        site.submit(Time::ZERO, spec(1, 0.0, 5.0, 10.0));
-        site.submit(Time::ZERO, spec(2, 0.0, 5.0, 10.0));
-        assert_eq!(site.pending_len(), 2);
-        let orphans = site.orphan_pending(Time::from(3.0));
-        assert_eq!(orphans.len(), 2);
-        assert_eq!(site.pending_len(), 0);
-        assert_eq!(site.metrics().orphaned, 2);
-        drain(&mut site, t);
-        let out = site.clone().into_outcome();
-        assert_eq!(
-            out.outcomes
-                .iter()
-                .filter(|o| o.disposition == Disposition::Orphaned)
-                .count(),
-            2
-        );
-        assert!(out.violations.is_empty());
-    }
-
-    #[test]
     fn audit_trail_counts_crash_events() {
         let mut site = SiteState::new(SiteConfig::new(2));
         site.set_tracer(Tracer::buffer());
@@ -1964,23 +1910,6 @@ mod preemption_mode_tests {
     fn resume_keeps_progress() {
         // Ran 10, suspended 5, remaining 90 → completes at 105.
         assert_eq!(victim_completion(PreemptionMode::Resume), Time::from(105.0));
-    }
-
-    #[test]
-    fn restart_loses_progress() {
-        // Restarts from scratch at t = 15 → completes at 115.
-        assert_eq!(
-            victim_completion(PreemptionMode::Restart),
-            Time::from(115.0)
-        );
-    }
-
-    #[test]
-    fn modes_order_total_yield_sensibly() {
-        // More progress lost ⇒ later completion ⇒ lower victim yield.
-        let resume = victim_completion(PreemptionMode::Resume);
-        let restart = victim_completion(PreemptionMode::Restart);
-        assert!(resume < restart);
     }
 }
 

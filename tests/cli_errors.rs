@@ -205,17 +205,28 @@ fn zero_and_negative_numbers_are_rejected_where_they_are_parsed() {
 }
 
 /// The economy documents written while the market had deadline checks
-/// and retries (`tests/golden/serde/pre33/`) are refused by the two
-/// commands that read journals: exit 2, never a panic.
+/// and retries (`tests/golden/serde/pre33/`), or site outages (`pre34/`
+/// and `pre38/`, whose journals' newest snapshots queue a `Repair`), are
+/// refused by the two commands that read journals: exit 2, never a panic.
 #[test]
 fn economy_documents_with_removed_events_are_refused() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serde/pre33");
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serde");
     for (name, needle) in [
         (
-            "economy_journal.mbtsj",
+            "pre33/economy_journal.mbtsj",
             "unknown EcoEvent variant `DeadlineCheck`",
         ),
-        ("economy_snapshot.json", "economy_snapshot.json"),
+        ("pre33/economy_snapshot.json", "economy_snapshot.json"),
+        (
+            "pre34/economy_journal.mbtsj",
+            "unknown EcoEvent variant `Repair`",
+        ),
+        ("pre34/economy_snapshot.json", "economy_snapshot.json"),
+        (
+            "pre38/economy_journal.mbtsj",
+            "unknown EcoEvent variant `Repair`",
+        ),
+        ("pre38/economy_snapshot.json", "economy_snapshot.json"),
     ] {
         let path = dir.join(name);
         let path_s = path.to_str().expect("utf-8 path");
@@ -260,10 +271,10 @@ fn a_service_journal_missing_whole_records_is_rejected() {
 }
 
 /// An economy journal whose newest snapshot holds an index that points
-/// outside what it holds — a re-bid's task, client or origin among them,
-/// or a re-bid of a task that has no contract — keeps every CRC valid, so
-/// only the restore sees it: `resume` and `analyze` reject it (exit 2,
-/// naming the fault) instead of panicking on the out-of-range index.
+/// outside what it holds — a queued arrival's task among them — or a
+/// task unlike its trace's keeps every CRC valid, so only the restore
+/// sees it: `resume` and `analyze` reject it (exit 2, naming the fault)
+/// instead of panicking on the out-of-range index.
 #[test]
 fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
     use mbts::durable::framing::{self, RecordTag};
@@ -280,48 +291,23 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
         .iter()
         .rposition(|(tag, _)| *tag == RecordTag::Snapshot)
         .expect("a snapshot record");
-    // A re-bid queued behind everything else the snapshot holds.
-    fn queue_rebid(s: &mut EconomySnapshot, task: u32, client: u32, origin: u32) {
-        let event = EcoEvent::OrphanRebid {
-            task,
-            client,
-            attempt: 0,
-            origin,
-            spec: None,
-        };
-        s.queue.push((s.now, s.next_seq, event));
-        s.next_seq += 1;
-    }
     // (what is spoiled, how, what the refusal names)
     type Spoil = (&'static str, fn(&mut EconomySnapshot), &'static str);
-    let spoil: [Spoil; 7] = [
+    let spoil: [Spoil; 4] = [
         (
             "contract_of task",
             |s| s.contract_of.push((1_000_000, 0)),
             "contract_of names task 1000000",
         ),
         (
-            "re-bid task",
-            |s| queue_rebid(s, 1_000_000, 0, 0),
-            "a queued re-bid names task 1000000",
-        ),
-        (
-            "re-bid client",
-            |s| queue_rebid(s, 0, 7, 0),
-            "queued re-bid client 7",
-        ),
-        (
-            "re-bid origin",
-            |s| queue_rebid(s, 0, 0, 9),
-            "queued re-bid origin 9",
-        ),
-        (
-            "re-bid without contract",
+            "arrival task",
             |s| {
-                let free = (0u64..).find(|&id| s.contract_of.iter().all(|&(t, _)| t != id));
-                queue_rebid(s, free.expect("a task without a contract") as u32, 0, 0);
+                // An arrival queued behind everything else the snapshot holds.
+                s.queue
+                    .push((s.now, s.next_seq, EcoEvent::Arrival(1_000_000)));
+                s.next_seq += 1;
             },
-            "which has no contract",
+            "queued arrival names task 1000000",
         ),
         (
             "contract_of",

@@ -8,8 +8,8 @@
 use mbts::core::{
     build_candidate, AdmissionPolicy, CostModel, Job, Policy, ScheduleEntry, ScheduleMode, ScoreCtx,
 };
-use mbts::market::{Economy, EconomyConfig, EconomyRun, MarketFaultConfig};
-use mbts::sim::{FaultConfig, Time, UpDown};
+use mbts::market::{Economy, EconomyConfig, EconomyRun};
+use mbts::sim::{FaultConfig, Time};
 use mbts::site::{FaultPlan, Site, SiteConfig};
 use mbts::trace::Tracer;
 use mbts::workload::{
@@ -412,27 +412,15 @@ fn market_trace(tasks: usize, seed: u64) -> Trace {
     )
 }
 
-/// A hostile economy: faults on both processor and site granularity,
-/// jittered orphan rebids — every
-/// coordinator RNG stream and money-conservation auditor engaged.
+/// A many-site economy of small sites, slack admission and the
+/// money-conservation auditor engaged.
 fn market_cfg(sites: usize, policy: Policy) -> EconomyConfig {
-    let mut c = EconomyConfig::uniform(
+    EconomyConfig::uniform(
         sites,
         SiteConfig::new(2)
             .with_policy(policy)
             .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 }),
-    );
-    let mut faults = MarketFaultConfig::new(
-        FaultConfig {
-            processor: Some(UpDown::exponential(2_500.0, 120.0)),
-            site: Some(UpDown::exponential(15_000.0, 500.0)),
-        },
-        5,
-    );
-    faults.orphan_backoff = 30.0;
-    faults.orphan_jitter = 0.25;
-    c.faults = Some(faults);
-    c
+    )
 }
 
 fn snapshot_json(run: &EconomyRun) -> String {
@@ -441,9 +429,9 @@ fn snapshot_json(run: &EconomyRun) -> String {
 
 // ---------------------------------------------------------------------------
 // Workflow equivalence: DAG workloads run through the market must be an
-// overlay, not a fork of the engine. Whatever the fault plan, the
-// provenance level, or where the run pauses, the final state — workflow
-// ledger included — must not change.
+// overlay, not a fork of the engine. Whatever the provenance level or
+// where the run pauses, the final state — workflow ledger included — must
+// not change.
 // ---------------------------------------------------------------------------
 
 fn equivalence_wf_set(seed: u64) -> WorkflowSet {
@@ -461,10 +449,9 @@ fn equivalence_wf_set(seed: u64) -> WorkflowSet {
     )
 }
 
-/// A workflow economy, optionally hostile: successor-aware sites, the
-/// release/settle overlay installed, and (when `faulted`) processor and
-/// site crashes with jittered orphan rebids.
-fn wf_market_cfg(sites: usize, policy: Policy, faulted: bool, set: &WorkflowSet) -> EconomyConfig {
+/// A workflow economy: successor-aware sites and the release/settle
+/// overlay installed.
+fn wf_market_cfg(sites: usize, policy: Policy, set: &WorkflowSet) -> EconomyConfig {
     let mut c = EconomyConfig::uniform(
         sites,
         SiteConfig::new(2)
@@ -473,18 +460,6 @@ fn wf_market_cfg(sites: usize, policy: Policy, faulted: bool, set: &WorkflowSet)
             .with_workflow_facets(set.facets()),
     );
     c.workflows = Some(set.clone());
-    if faulted {
-        let mut faults = MarketFaultConfig::new(
-            FaultConfig {
-                processor: Some(UpDown::exponential(2_500.0, 120.0)),
-                site: Some(UpDown::exponential(15_000.0, 500.0)),
-            },
-            5,
-        );
-        faults.orphan_backoff = 30.0;
-        faults.orphan_jitter = 0.25;
-        c.faults = Some(faults);
-    }
     c
 }
 
@@ -497,7 +472,7 @@ fn workflow_provenance_off_streams_are_byte_identical_to_default_streams() {
     for (label, policy) in all_policies() {
         let set = equivalence_wf_set(82);
         let trace = set.trace();
-        let cfg = wf_market_cfg(4, policy, false, &set);
+        let cfg = wf_market_cfg(4, policy, &set);
         let eco = Economy::new(cfg);
         let (plain_outcome, plain) = eco.run_trace_traced(&trace, Tracer::buffer());
         let (prov_outcome, prov) = eco.run_trace_traced(&trace, Tracer::buffer().with_provenance());
@@ -529,22 +504,21 @@ proptest! {
 
     /// Pause an economy run at an arbitrary event boundary, carry its
     /// snapshot through JSON into a fresh run, and finish both: each must
-    /// end byte-identical to a run that never paused. Covers the hostile
-    /// flat economy and the workflow overlay, unfaulted and faulted.
+    /// end byte-identical to a run that never paused. Covers the flat
+    /// economy and the workflow overlay.
     #[test]
     fn paused_market_resumes_to_the_uninterrupted_snapshot(
         seed in 1u64..500,
         policy_idx in 0usize..7,
-        overlay in 0usize..3,
+        workflows in any::<bool>(),
         pause_permille in 0u64..1000,
     ) {
         let (_, policy) = all_policies()[policy_idx];
-        let (cfg, trace) = match overlay {
-            0 => (market_cfg(6, policy), market_trace(120, seed)),
-            _ => {
-                let set = equivalence_wf_set(seed);
-                (wf_market_cfg(6, policy, overlay == 2, &set), set.trace())
-            }
+        let (cfg, trace) = if workflows {
+            let set = equivalence_wf_set(seed);
+            (wf_market_cfg(6, policy, &set), set.trace())
+        } else {
+            (market_cfg(6, policy), market_trace(120, seed))
         };
         let mut uninterrupted = EconomyRun::new(cfg.clone(), &trace, Tracer::Off);
         uninterrupted.run_to_completion();

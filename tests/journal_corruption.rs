@@ -9,7 +9,7 @@ use mbts::durable::{
     framing, load, DurableRun, Journal, JournalSource, RecordTag, RecoverError, Recoverable,
     RecoveryReport,
 };
-use mbts::market::{EconomyConfig, EconomyRun, MarketFaultConfig};
+use mbts::market::{EconomyConfig, EconomyRun};
 use mbts::serve::{CommandKind, MachineConfig, ServiceMachine, ServiceRun, ShedReason};
 use mbts::sim::Time;
 use mbts::sim::{FaultConfig, UpDown};
@@ -257,14 +257,7 @@ proptest! {
 #[test]
 fn economy_journal_suffix_corruption_keeps_the_books_closed() {
     let trace = generate_trace(&fig67_mix(1.5).with_tasks(20).with_processors(8), 9);
-    let mut config = EconomyConfig::uniform(2, SiteConfig::new(4).with_policy(Policy::FirstPrice));
-    config.faults = Some(MarketFaultConfig::new(
-        FaultConfig {
-            processor: Some(UpDown::exponential(900.0, 90.0)),
-            site: Some(UpDown::exponential(2_500.0, 300.0)),
-        },
-        5,
-    ));
+    let config = EconomyConfig::uniform(2, SiteConfig::new(4).with_policy(Policy::FirstPrice));
     let run = EconomyRun::new(config, &trace, Tracer::Off);
     let mut durable = DurableRun::new(run, Journal::in_memory(), 8).unwrap();
     durable.run_to_completion().unwrap();

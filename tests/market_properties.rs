@@ -2,10 +2,7 @@
 //! the economy's books under arbitrary configurations.
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::market::{
-    BudgetConfig, ClientSelection, Economy, EconomyConfig, MarketFaultConfig, PricingStrategy,
-};
-use mbts::sim::{FaultConfig, UpDown};
+use mbts::market::{BudgetConfig, ClientSelection, Economy, EconomyConfig, PricingStrategy};
 use mbts::site::SiteConfig;
 use mbts::workload::{generate_trace, MixConfig};
 use proptest::prelude::*;
@@ -30,15 +27,13 @@ fn arb_pricing() -> impl Strategy<Value = PricingStrategy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The market's books close under arbitrary selection, pricing,
-    /// budgets, and processor and site outages.
+    /// The market's books close under arbitrary selection, pricing and
+    /// budgets.
     ///
     /// Every offered task leaves its arrival unfunded, unplaced, or
-    /// placed under a first contract. An outage orphans a placed task,
-    /// which later forms one more contract (re-placed) or is abandoned
-    /// once its re-bids run out. So, once the run drains:
-    /// `placed + unplaced + unfunded = offered + orphans_replaced` and
-    /// `orphans_replaced + orphans_abandoned = orphaned`.
+    /// placed under its one contract, so once the run drains
+    /// `placed + unplaced + unfunded = offered`, and every contract has
+    /// settled the yield its site booked.
     #[test]
     fn economy_books_close(
         seed in any::<u64>(),
@@ -48,7 +43,6 @@ proptest! {
         sites in 1usize..4,
         threshold in -100.0f64..400.0,
         budgets in any::<bool>(),
-        faults in any::<bool>(),
     ) {
         let mix = MixConfig::millennium_default()
             .with_tasks(120)
@@ -73,37 +67,24 @@ proptest! {
                 cap: 2000.0,
             });
         }
-        if faults {
-            cfg.faults = Some(MarketFaultConfig::new(
-                FaultConfig {
-                    processor: Some(UpDown::exponential(2_000.0, 150.0)),
-                    site: Some(UpDown::exponential(1_500.0, 200.0)),
-                },
-                seed,
-            ));
-        }
         let out = Economy::new(cfg).run_trace(&trace);
 
         // Task conservation at the market level.
         prop_assert_eq!(out.offered, 120);
-        prop_assert_eq!(out.placed + out.unplaced + out.unfunded,
-            out.offered + out.orphans_replaced);
-        prop_assert_eq!(out.orphans_replaced + out.orphans_abandoned, out.orphaned);
+        prop_assert_eq!(out.placed + out.unplaced + out.unfunded, out.offered);
         // Every contract is settled once the run drains.
         prop_assert!(out.contracts.iter().all(|c| c.is_settled()));
         prop_assert_eq!(out.contracts.len(), out.placed);
-        // Per-site conservation: an accepted task completes, expires, or
-        // is orphaned by an outage; no market path withdraws one.
+        // Per-site conservation: an accepted task completes or expires;
+        // no market path withdraws one.
         for site in &out.per_site {
             let m = &site.metrics;
             prop_assert_eq!(m.cancelled, 0);
-            prop_assert_eq!(m.completed + m.dropped + m.orphaned, m.accepted);
+            prop_assert_eq!(m.completed + m.dropped, m.accepted);
         }
         // The sites' books and the market's agree.
         let accepted: usize = out.per_site.iter().map(|s| s.metrics.accepted).sum();
-        let orphaned: usize = out.per_site.iter().map(|s| s.metrics.orphaned).sum();
         prop_assert_eq!(accepted, out.placed);
-        prop_assert_eq!(orphaned, out.orphaned);
         // Money is finite and consistent.
         prop_assert!(out.total_settled.is_finite());
         prop_assert!(out.total_paid.is_finite());
@@ -113,12 +94,9 @@ proptest! {
             prop_assert!((spent - out.total_paid).abs()
                 < 1e-6 * (1.0 + out.total_paid.abs()));
         }
-        // Settlements equal yields when nothing was orphaned (a breached
-        // contract settles a penalty the site never books as yield).
-        if out.orphaned == 0 {
-            prop_assert!((out.total_settled - out.total_yield()).abs()
-                < 1e-6 * (1.0 + out.total_yield().abs()));
-        }
+        // Every contract settles the yield its site booked.
+        prop_assert!((out.total_settled - out.total_yield()).abs()
+            < 1e-6 * (1.0 + out.total_yield().abs()));
     }
 
     /// Pricing never charges more than pay-bid, point by point.

@@ -3,7 +3,7 @@
 //! value-based scheduler hold.
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::site::{PreemptionMode, Site, SiteConfig};
+use mbts::site::{Site, SiteConfig};
 use mbts::trace::{TraceKind, Tracer};
 use mbts::workload::{generate_trace, BoundPolicy, MixConfig, WidthPolicy};
 use proptest::prelude::*;
@@ -56,7 +56,6 @@ proptest! {
         bound in arb_bound(),
         admission in arb_admission(),
         preemption in any::<bool>(),
-        restart in any::<bool>(),
         drop_expired in any::<bool>(),
         backfilling in any::<bool>(),
         width in arb_width(),
@@ -73,7 +72,6 @@ proptest! {
             .with_policy(policy)
             .with_admission(admission)
             .with_preemption(preemption)
-            .with_preemption_mode(if restart { PreemptionMode::Restart } else { PreemptionMode::Resume })
             .with_backfilling(backfilling)
             .with_drop_expired(drop_expired);
         let out = Site::new(cfg).run_trace(&trace);

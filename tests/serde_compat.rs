@@ -21,34 +21,28 @@
 //! rewrote the seven snapshot and journal fixtures that carry a site. The
 //! value-tree bytes of those seven are kept under
 //! `tests/golden/serde/pre26/`, and two tests read them back. Tasks then
-//! became one shared slice instead of a `Vec` per holder, with no byte
-//! changed; one test checks that against a trace file and the snapshot
-//! fixtures. Contracts then became compact rows over a run's shared tasks,
-//! again with no byte changed: `economy_journal.mbtsj` was written by the
-//! build before that change, from a journaled economy whose contracts are
-//! settled, cancelled, breached by an outage and re-placed, and today's
-//! build writes and recovers it byte for byte. The metrics-registry
-//! tracer was then removed: the two snapshots that carried one moved to
-//! `tests/golden/serde/pre32/` and must be refused with a typed error,
-//! and two `mbts analyze` reports written by the multi-pass analyzer pin
-//! the one-pass trace fold that replaced it. Then the market lost its
-//! deadline enforcement (migration), its client retries and its
-//! grace-period contract terms: the economy snapshot and journal, written
-//! with migration and retries on, moved to `tests/golden/serde/pre33/`
-//! and are refused with a typed error, as is the older
-//! `pre26/economy_snapshot.json`. Both were rebuilt from the same
-//! scenarios without those two settings; `economy_journal.mbtsj` still
-//! holds second pricing, outage breaches and re-placed orphans, and
-//! `economy_snapshot.json` budget-capped values. Then a site inside an
-//! economy stopped keeping per-job records and a queued re-bid came to
-//! name its task by index: that pair, rebuilt from the same scenarios,
-//! has empty site `outcomes` and index-form re-bids, and the pair before
-//! it lives under `tests/golden/serde/pre34/` and must restore to the
-//! same runs. A runner-up quote then came to be held as a float, NaN for
-//! none, and is still written as the `null` of an absent one, with no
-//! byte changed; one test restores a snapshot whose quotes are `null` and
-//! settles them at the reserve. The last test is the reader's leniency,
-//! one row per rule.
+//! became one shared slice instead of a `Vec` per holder, and contracts
+//! compact rows over a run's shared tasks, with no byte changed. The
+//! metrics-registry tracer was then removed: the two snapshots that
+//! carried one moved to `tests/golden/serde/pre32/` and must be refused
+//! with a typed error, and two `mbts analyze` reports written by the
+//! multi-pass analyzer pin the one-pass trace fold that replaced it.
+//!
+//! The economy fixtures were rebuilt each time the market lost a feature
+//! whose events its queue held, and the bytes before each rebuild are
+//! kept and refused with a typed error naming such an event:
+//! `tests/golden/serde/pre33/` (and the older `pre26/economy_snapshot.json`)
+//! hold deadline checks and retries; `pre34/` (sites that kept per-job
+//! records, re-bids that carried their task inline) and `pre38/` hold
+//! the site outages, repairs and orphan re-bids the market no longer
+//! injects. Today's pair comes from the same scenarios without any of
+//! those: `economy_journal.mbtsj` is a whole second-priced run whose
+//! contracts settle on time and late, and `economy_snapshot.json` a run
+//! cut mid-way with budget-capped values, settled contracts and the
+//! provenance stream in its tracer. A runner-up quote is held as a float,
+//! NaN for none, and written as the `null` of an absent one; one test
+//! restores a snapshot whose quotes are `null` and settles them at the
+//! reserve. The last test is the reader's leniency, one row per rule.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -57,9 +51,7 @@ use std::sync::Arc;
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::durable::framing::{self, RecordTag};
 use mbts::durable::{DurableRun, Journal};
-use mbts::market::{
-    BudgetConfig, EconomyConfig, EconomyRun, EconomySnapshot, MarketFaultConfig, PricingStrategy,
-};
+use mbts::market::{BudgetConfig, EconomyConfig, EconomyRun, EconomySnapshot, PricingStrategy};
 use mbts::serve::{
     Command, CommandKind, MachineConfig, ServiceMachine, ServiceRun, ServiceSnapshot, ShedReason,
 };
@@ -313,25 +305,13 @@ fn economy_snapshot() {
         replenish_rate: 0.05,
         cap: 600.0,
     });
-    config.faults = Some(
-        MarketFaultConfig::new(
-            FaultConfig {
-                processor: Some(UpDown::exponential(900.0, 90.0)),
-                site: Some(UpDown::exponential(2_500.0, 300.0)),
-            },
-            13,
-        )
-        .with_backoff_cap(240.0)
-        .with_jitter(0.5),
-    );
     let mut run = EconomyRun::new(config, &trace, Tracer::buffer().with_provenance());
     step_n(|| run.step(), 40);
     check_written::<EconomySnapshot>("economy_snapshot.json", &run.snapshot());
 }
 
 /// A whole journaled economy run in which contracts are settled on time
-/// and late, breached by a site outage, and re-placed, priced second:
-/// every snapshot record carries contracts in each state.
+/// and late, priced second.
 fn economy_journal() -> DurableRun<EconomyRun> {
     let trace = generate_trace(&fig67_mix(2.5).with_tasks(40).with_processors(4), 23);
     let mut config = EconomyConfig::uniform(
@@ -341,13 +321,6 @@ fn economy_journal() -> DurableRun<EconomyRun> {
             .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 }),
     );
     config.pricing = PricingStrategy::second_price();
-    config.faults = Some(MarketFaultConfig::new(
-        FaultConfig {
-            processor: None,
-            site: Some(UpDown::exponential(1_500.0, 200.0)),
-        },
-        7,
-    ));
     let run = EconomyRun::new(config, &trace, Tracer::Off);
     let mut durable = DurableRun::new(run, Journal::in_memory(), 60).expect("in-memory journal");
     durable.run_to_completion().expect("in-memory append");
@@ -365,10 +338,13 @@ fn economy_journal_bytes() {
     let (run, _) = durable.into_parts();
     let (outcome, _) = run.finish();
     assert!(
-        outcome.orphaned > 0,
-        "no contract was breached by an outage"
+        outcome.violations() > 0 && outcome.violations() < outcome.contracts.len(),
+        "no contract settled on time, or none late"
     );
-    assert!(outcome.orphans_replaced > 0, "no orphan was re-placed");
+    assert!(
+        outcome.total_paid < outcome.total_settled,
+        "no contract was priced below its settlement"
+    );
     let path = fixture_dir().join("economy_journal.mbtsj");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(fixture_dir()).expect("create fixture dir");
@@ -657,62 +633,88 @@ fn economy_documents_with_deadline_checks_or_retries_are_refused() {
     }
 }
 
-/// Economy documents written while a site inside an economy kept a record
-/// per job and a queued re-bid carried its task inline
-/// (`tests/golden/serde/pre34/`). Both restore to the runs today's
-/// fixtures hold: the snapshot, whose per-job records are dropped, writes
-/// today's fixture; the journal recovers from its file and its bytes, and
-/// also with only its first snapshot kept, which replays each re-bid it
-/// journaled with the task inline.
+/// The economy events the market no longer has, as a reader names them.
+const REMOVED_FAULT_EVENTS: [&str; 3] = [
+    "unknown EcoEvent variant `Crash`",
+    "unknown EcoEvent variant `Repair`",
+    "unknown EcoEvent variant `OrphanRebid`",
+];
+
+fn names_a_removed_fault_event(err: &str) -> bool {
+    REMOVED_FAULT_EVENTS.iter().any(|name| err.contains(name))
+}
+
+/// Economy documents written while the market injected site outages
+/// (`tests/golden/serde/pre34/`, whose sites also kept per-job records
+/// and whose re-bids carried their task inline, and `pre38/`). Until such
+/// a run drained, its queue held each unit's next `Crash` (or a `Repair`
+/// or `OrphanRebid`), which no longer exist; only tests ever configured
+/// outages. Each is refused with a typed error naming such an event,
+/// never a panic: the snapshot when read, every snapshot record of the
+/// journal, and the journal when recovered, from bytes and streamed from
+/// its file.
 #[test]
-fn economy_documents_with_site_records_and_inline_rebids_restore() {
-    let old = std::fs::read_to_string(fixture_dir().join("pre34/economy_snapshot.json"))
-        .expect("fixture");
-    assert!(old.contains("\"outcomes\":[{"), "no site kept a record");
-    let snap: EconomySnapshot = serde_json::from_str(&old).expect("the old snapshot reads");
-    let run = EconomyRun::from_snapshot(snap).expect("the old snapshot restores");
-    let new =
+fn economy_documents_with_outage_events_are_refused() {
+    for dir in ["pre34", "pre38"] {
+        let name = format!("{dir}/economy_snapshot.json");
+        let text = std::fs::read_to_string(fixture_dir().join(&name)).expect("fixture");
+        assert!(text.contains("\"fault_cfg\":{"), "{name}");
+        let err = serde_json::from_str::<EconomySnapshot>(&text)
+            .err()
+            .unwrap_or_else(|| panic!("{name} was read"))
+            .to_string();
+        assert!(names_a_removed_fault_event(&err), "{name}: {err}");
+
+        let path = fixture_dir().join(format!("{dir}/economy_journal.mbtsj"));
+        let bytes = std::fs::read(&path).expect("fixture");
+        let scan = framing::scan(&bytes).expect("the fixture is a journal");
+        let mut snapshots = 0;
+        for (tag, payload) in &scan.records {
+            if *tag == RecordTag::Snapshot {
+                snapshots += 1;
+                let err = serde_json::from_slice::<EconomySnapshot>(payload)
+                    .err()
+                    .unwrap_or_else(|| panic!("{dir}: snapshot record {snapshots} was read"))
+                    .to_string();
+                assert!(names_a_removed_fault_event(&err), "{dir}: {err}");
+            }
+        }
+        assert!(snapshots > 1, "{dir}: {snapshots} snapshot records");
+        let image = mbts::durable::load(&path).expect("fixture");
+        for err in [
+            DurableRun::<EconomyRun>::recover(&bytes).err(),
+            DurableRun::<EconomyRun>::recover(&image).err(),
+        ] {
+            let err = err.expect("the journal was recovered").to_string();
+            assert!(names_a_removed_fault_event(&err), "{dir}: {err}");
+        }
+    }
+}
+
+/// A site inside an economy keeps no per-job records, and a snapshot
+/// written while it did restores without them: today's snapshot with a
+/// record spliced into a site's `outcomes` restores to today's run.
+#[test]
+fn economy_snapshots_with_site_records_restore_without_them() {
+    let fixture =
         std::fs::read_to_string(fixture_dir().join("economy_snapshot.json")).expect("fixture");
+    let row = r#""outcomes":[{"id":0,"disposition":"Completed","finished_at":9.5,"earned":22.25,"delay":0.0,"preemptions":0}"#;
     assert!(
-        render(&run.snapshot(), false) == new,
+        fixture.contains("\"outcomes\":[]"),
+        "no site without records"
+    );
+    let old = fixture.replacen("\"outcomes\":[", row, 1);
+    let snap: EconomySnapshot = serde_json::from_str(&old).expect("the old snapshot reads");
+    assert_eq!(
+        snap.sites[0].outcomes.len(),
+        1,
+        "the record was not spliced in"
+    );
+    let run = EconomyRun::from_snapshot(snap).expect("the old snapshot restores");
+    assert!(
+        render(&run.snapshot(), false) == fixture,
         "restored is not today's run"
     );
-
-    let path = fixture_dir().join("pre34/economy_journal.mbtsj");
-    let bytes = std::fs::read(&path).expect("fixture");
-    let scan = framing::scan(&bytes).expect("the fixture is a journal");
-    let mut first_snapshot_only = Vec::new();
-    framing::write_header(&mut first_snapshot_only);
-    let mut snapshots = 0;
-    let mut inline_rebids = 0;
-    for (tag, payload) in &scan.records {
-        if *tag == RecordTag::Snapshot {
-            snapshots += 1;
-            if snapshots > 1 {
-                continue;
-            }
-        } else if std::str::from_utf8(payload)
-            .expect("utf-8 record")
-            .contains("\"OrphanRebid\":{\"spec\"")
-        {
-            inline_rebids += 1;
-        }
-        framing::append_record(&mut first_snapshot_only, *tag, payload);
-    }
-    assert!(
-        snapshots > 1 && inline_rebids > 0,
-        "{snapshots} {inline_rebids}"
-    );
-    let live = serde_json::to_string(&economy_journal().run().snapshot()).expect("serialises");
-    let image = mbts::durable::load(&path).expect("fixture");
-    for (recovered, report) in [
-        DurableRun::<EconomyRun>::recover(&bytes).expect("the old journal recovers"),
-        DurableRun::<EconomyRun>::recover(&image).expect("the old journal streams"),
-        DurableRun::<EconomyRun>::recover(&first_snapshot_only).expect("its events replay"),
-    ] {
-        let text = serde_json::to_string(&recovered.snapshot()).expect("serialises");
-        assert!(text == live, "recovered is not today's run ({report:?})");
-    }
 }
 
 /// The part of an `mbts analyze --format json` entry a trace fills.
@@ -1038,6 +1040,18 @@ fn reader_leniency_rule_by_rule() {
         let got = serde_json::from_str::<Probe>(input).map_err(|e| e.to_string());
         assert_eq!(got, want.map_err(str::to_string), "{rule}: {input}");
     }
+    // A variant the type no longer has: a site that restarted preempted
+    // tasks from scratch.
+    let site = render(&SiteConfig::new(2), false);
+    let restart = site.replace(
+        "\"preemption_mode\":\"Resume\"",
+        "\"preemption_mode\":\"Restart\"",
+    );
+    assert_ne!(site, restart, "no preemption_mode in {site}");
+    assert_eq!(
+        serde_json::from_str::<SiteConfig>(&restart).map_err(|e| e.to_string()),
+        Err("unknown PreemptionMode variant `Restart`".to_string())
+    );
     // Unit and newtype structs.
     assert_eq!(
         serde_json::from_str::<Marker>("{\"any\":[1]}").unwrap(),
