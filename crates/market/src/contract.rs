@@ -8,7 +8,7 @@
 //! pays the client (§3).
 
 use mbts_sim::Time;
-use mbts_workload::TaskSpec;
+use mbts_workload::{TaskId, TaskSpec};
 use serde::{Deserialize, Error, Reader, Serialize, Writer};
 use std::sync::Arc;
 
@@ -113,77 +113,61 @@ impl Contract {
     }
 }
 
-/// Where a ledger row stands; the settlement itself sits in the row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum RowStatus {
-    Open,
-    OnTime,
-    Violated,
-}
-
-/// One contract as the ledger keeps it: what the negotiation produced,
-/// with the task named by its index into the ledger's tasks.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One contract as the ledger keeps it: what negotiation and completion
+/// produced, with the task named by its index into the ledger's tasks.
+/// The rest of the contract is derived when it is read.
+#[derive(Debug, Clone, Copy)]
 struct Row {
-    formed_at: Time,
     negotiated_completion: Time,
     negotiated_price: f64,
-    /// Meaningful once the status is not `Open`.
-    completed_at: Time,
-    settled_price: f64,
+    /// The actual completion; NaN while the contract is open.
+    completed_at: f64,
     task: u32,
     site: u32,
-    client: u32,
-    status: RowStatus,
 }
 
-impl Row {
-    /// The row of contract `c`, its task at `task`.
-    fn new(task: u32, site: u32, client: u32, c: &Contract) -> Self {
-        let mut row = Row {
-            formed_at: c.formed_at,
-            negotiated_completion: c.negotiated_completion,
-            negotiated_price: c.negotiated_price,
-            completed_at: Time::ZERO,
-            settled_price: 0.0,
-            task,
-            site,
-            client,
-            status: RowStatus::Open,
-        };
-        row.set_status(c.status);
-        row
-    }
+/// The terms of a contract its row's rules do not give, kept whole: a
+/// value a client's budget capped below its task's, a formation time other
+/// than its task's arrival (a workflow task released after it), or a
+/// client other than the one its task id is dealt to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Terms {
+    contract: u32,
+    client: u32,
+    value: f64,
+    formed_at: Time,
+}
 
-    fn status(&self) -> ContractStatus {
-        match self.status {
-            RowStatus::Open => ContractStatus::Open,
-            RowStatus::OnTime | RowStatus::Violated => ContractStatus::Settled {
-                completed_at: self.completed_at,
-                settled_price: self.settled_price,
-                violated: self.status == RowStatus::Violated,
-            },
-        }
+/// The client a run places task `id` for: tasks are dealt in turn to the
+/// `clients` its budgets fund, and all go to client 0 without budgets.
+pub(crate) fn client_of(id: TaskId, clients: usize) -> usize {
+    if clients == 0 {
+        0
+    } else {
+        id.index() % clients
     }
+}
 
-    fn set_status(&mut self, status: ContractStatus) {
-        let ContractStatus::Settled {
+/// `true` when two floats are the same bits, so a value read back and
+/// written again is the value read; `same_status` compares the same way.
+fn same(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits()
+}
+
+fn same_status(a: ContractStatus, b: ContractStatus) -> bool {
+    let bits = |s: ContractStatus| match s {
+        ContractStatus::Open => None,
+        ContractStatus::Settled {
             completed_at,
             settled_price,
             violated,
-        } = status
-        else {
-            self.status = RowStatus::Open;
-            return;
-        };
-        self.completed_at = completed_at;
-        self.settled_price = settled_price;
-        self.status = if violated {
-            RowStatus::Violated
-        } else {
-            RowStatus::OnTime
-        };
-    }
+        } => Some((
+            completed_at.as_f64().to_bits(),
+            settled_price.to_bits(),
+            violated,
+        )),
+    };
+    bits(a) == bits(b)
 }
 
 /// Why a ledger cannot be bound to a run's tasks.
@@ -200,6 +184,15 @@ pub enum RebindError {
     /// budget-capped value, lower than the trace's, is the one allowed
     /// difference).
     SpecMismatch {
+        /// The contract's index in the ledger.
+        contract: usize,
+        /// The task id it names.
+        task: u64,
+    },
+    /// A settled contract's price or violation is not what
+    /// [`Contract::settle`] gives at its completion, so no market run
+    /// settled it.
+    Settlement {
         /// The contract's index in the ledger.
         contract: usize,
         /// The task id it names.
@@ -222,6 +215,12 @@ impl std::fmt::Display for RebindError {
                     "contract {contract} holds a task {task} unlike the trace's"
                 )
             }
+            RebindError::Settlement { contract, task } => {
+                write!(
+                    f,
+                    "contract {contract} settles task {task} other than its value function does"
+                )
+            }
         }
     }
 }
@@ -229,8 +228,15 @@ impl std::fmt::Display for RebindError {
 impl std::error::Error for RebindError {}
 
 /// The contract ledger of a market run: every contract formed, in
-/// formation order, as one row of at most 56 B over the run's shared
-/// tasks.
+/// formation order, as one 32 B row over the run's shared tasks.
+///
+/// A row keeps the negotiated completion and price, the actual completion
+/// (NaN while open), the task's index and the site. The rest is derived
+/// as the run derives it: the task is the ledger's, the client the one
+/// the task's id is dealt to among the budgets' clients, the formation
+/// time the task's arrival, and the settlement [`Contract::settle`] at
+/// the completion. A contract whose value, formation time or client is
+/// not so derived keeps those terms in a side table.
 ///
 /// Reading it ([`get`](Self::get), [`iter`](Self::iter), `&ledger` as an
 /// iterator) builds each [`Contract`] by value. It serializes as exactly
@@ -240,19 +246,27 @@ impl std::error::Error for RebindError {}
 #[derive(Clone)]
 pub struct ContractLedger {
     tasks: Arc<[TaskSpec]>,
+    /// The clients the run's budgets fund; 0 without budgets.
+    clients: usize,
     rows: Vec<Row>,
-    /// `(contract, value)` for each contract whose client's budget capped
-    /// the task's value below the task's own, ascending by contract.
-    capped: Vec<(u32, f64)>,
+    /// The contracts not fully derived from their rows, ascending.
+    terms: Vec<Terms>,
+    /// `(contract, status)` for each settlement read back that is not
+    /// what [`Contract::settle`] gives, ascending. Empty in any ledger a
+    /// run holds: [`rebind`](Self::rebind) refuses such a contract.
+    foreign: Vec<(u32, ContractStatus)>,
 }
 
 impl ContractLedger {
-    /// An empty ledger over `tasks`.
-    pub fn new(tasks: Arc<[TaskSpec]>) -> Self {
+    /// An empty ledger over `tasks`, for a run whose budgets fund
+    /// `clients` clients (0 without budgets).
+    pub fn new(tasks: Arc<[TaskSpec]>, clients: usize) -> Self {
         ContractLedger {
             tasks,
+            clients,
             rows: Vec::new(),
-            capped: Vec::new(),
+            terms: Vec::new(),
+            foreign: Vec::new(),
         }
     }
 
@@ -275,38 +289,84 @@ impl ContractLedger {
             "{contract:?} is not a contract over the ledger's tasks"
         );
         let index = self.rows.len();
-        let narrow = |n: u64, what: &str| {
-            u32::try_from(n).unwrap_or_else(|_| panic!("{what} {n} exceeds u32::MAX"))
-        };
-        if spec.value != self.tasks[spec.id.index()].value {
-            self.capped
-                .push((narrow(index as u64, "contract"), spec.value));
+        let task = self.tasks[spec.id.index()];
+        if let Err(e) = self.append(&contract, spec.id.index(), &task) {
+            panic!("{e}");
         }
-        self.rows.push(Row::new(
-            narrow(spec.id.0, "task id"),
-            narrow(contract.site as u64, "site"),
-            narrow(contract.client as u64, "client"),
-            &contract,
-        ));
         index
+    }
+
+    /// Appends `c` as a row over `task`, the ledger's task at `at`,
+    /// keeping beside it whatever the row does not derive.
+    fn append(&mut self, c: &Contract, at: usize, task: &TaskSpec) -> Result<(), String> {
+        let narrow = |n: usize, what: &str| {
+            u32::try_from(n).map_err(|_| format!("{what} {n} exceeds u32::MAX"))
+        };
+        let contract = narrow(self.rows.len(), "contract count")?;
+        let (task_index, site) = (narrow(at, "task index")?, narrow(c.site, "site")?);
+        let client = narrow(c.client, "client")?;
+        let completed_at = match c.status {
+            ContractStatus::Settled { completed_at, .. } => completed_at.as_f64(),
+            ContractStatus::Open => f64::NAN,
+        };
+        self.rows.push(Row {
+            negotiated_completion: c.negotiated_completion,
+            negotiated_price: c.negotiated_price,
+            completed_at,
+            task: task_index,
+            site,
+        });
+        if !same(c.spec.value, task.value)
+            || !same(c.formed_at.as_f64(), task.arrival.as_f64())
+            || c.client != client_of(task.id, self.clients)
+        {
+            self.terms.push(Terms {
+                contract,
+                client,
+                value: c.spec.value,
+                formed_at: c.formed_at,
+            });
+        }
+        if !same_status(self.read(contract as usize, task).status, c.status) {
+            self.foreign.push((contract, c.status));
+        }
+        Ok(())
     }
 
     /// Contract `i`, if formed.
     pub fn get(&self, i: usize) -> Option<Contract> {
         let row = self.rows.get(i)?;
-        let mut spec = self.tasks[row.task as usize];
-        if let Ok(at) = self.capped.binary_search_by_key(&(i as u32), |&(c, _)| c) {
-            spec.value = self.capped[at].1;
-        }
-        Some(Contract {
+        Some(self.read(i, &self.tasks[row.task as usize]))
+    }
+
+    /// Contract `i`, its row's task being `task`.
+    fn read(&self, i: usize, task: &TaskSpec) -> Contract {
+        let row = self.rows[i];
+        let key = i as u32;
+        let mut spec = *task;
+        let (client, formed_at) = match self.terms.binary_search_by_key(&key, |t| t.contract) {
+            Ok(at) => {
+                let terms = self.terms[at];
+                spec.value = terms.value;
+                (terms.client as usize, terms.formed_at)
+            }
+            Err(_) => (client_of(spec.id, self.clients), spec.arrival),
+        };
+        let mut contract = Contract::new(
             spec,
-            site: row.site as usize,
-            client: row.client as usize,
-            formed_at: row.formed_at,
-            negotiated_completion: row.negotiated_completion,
-            negotiated_price: row.negotiated_price,
-            status: row.status(),
-        })
+            row.site as usize,
+            client,
+            formed_at,
+            row.negotiated_completion,
+            row.negotiated_price,
+        );
+        if !row.completed_at.is_nan() {
+            contract.settle(Time::new(row.completed_at));
+        }
+        if let Ok(at) = self.foreign.binary_search_by_key(&key, |&(c, _)| c) {
+            contract.status = self.foreign[at].1;
+        }
+        contract
     }
 
     /// Every contract, in formation order.
@@ -323,39 +383,35 @@ impl ContractLedger {
     pub fn settle(&mut self, i: usize, completed_at: Time) -> f64 {
         let mut contract = self.get(i).expect("no such contract");
         let price = contract.settle(completed_at);
-        self.rows[i].set_status(contract.status);
+        self.rows[i].completed_at = completed_at.as_f64();
         price
     }
 
-    /// Points the ledger at a run's `tasks`, checking that every
-    /// contract's task is the one `tasks` holds under its id. A ledger
-    /// read back is rebound before it forms or settles anything; on an
-    /// error it is left as it was.
-    pub fn rebind(&mut self, tasks: &Arc<[TaskSpec]>) -> Result<(), RebindError> {
-        let mut rows = Vec::with_capacity(self.rows.len());
-        let mut capped = Vec::new();
+    /// Points the ledger at a run's `tasks`, for a run whose budgets fund
+    /// `clients` clients, checking that every contract's task is the one
+    /// `tasks` holds under its id and that every settlement is its
+    /// task's. A ledger read back is rebound before it forms or settles
+    /// anything; on an error it is left as it was.
+    pub fn rebind(&mut self, tasks: &Arc<[TaskSpec]>, clients: usize) -> Result<(), RebindError> {
+        let mut ledger = ContractLedger::new(Arc::clone(tasks), clients);
+        ledger.rows.reserve_exact(self.rows.len());
         for (contract, c) in self.iter().enumerate() {
             let task = c.spec.id.0;
-            let (Some(known), Ok(index)) = (tasks.get(c.spec.id.index()), u32::try_from(task))
-            else {
+            let (Some(known), Ok(_)) = (tasks.get(c.spec.id.index()), u32::try_from(task)) else {
                 return Err(RebindError::UnknownTask { contract, task });
             };
             if !names_task(&c.spec, tasks) {
                 return Err(RebindError::SpecMismatch { contract, task });
             }
-            if c.spec.value != known.value {
-                capped.push((contract as u32, c.spec.value));
+            // Every count, site and client this ledger holds fits a row.
+            if let Err(e) = ledger.append(&c, c.spec.id.index(), known) {
+                unreachable!("{e}");
             }
-            rows.push(Row {
-                task: index,
-                ..self.rows[contract]
-            });
+            if !ledger.foreign.is_empty() {
+                return Err(RebindError::Settlement { contract, task });
+            }
         }
-        *self = ContractLedger {
-            tasks: Arc::clone(tasks),
-            rows,
-            capped,
-        };
+        *self = ledger;
         Ok(())
     }
 }
@@ -431,30 +487,23 @@ impl Serialize for ContractLedger {
 }
 
 /// Reads the array a ledger writes. Each contract's task is kept as read,
-/// so the ledger owns one task per contract until it is rebound.
+/// so the ledger owns one task per contract until it is rebound; a
+/// settlement its task's value function does not give is kept as read
+/// too, and refused when the ledger is rebound.
 impl Deserialize for ContractLedger {
     fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
         let mut tasks = Vec::new();
-        let mut rows = Vec::new();
+        let mut ledger = ContractLedger::new(Arc::from([]), 0);
         input.begin_array("array")?;
-        let index = |n: usize, what: &str| {
-            u32::try_from(n).map_err(|_| Error::custom(format!("{what} {n} exceeds u32::MAX")))
-        };
         while input.next_element()? {
             let c = Contract::deserialize(input)?;
-            rows.push(Row::new(
-                index(rows.len(), "contract count")?,
-                index(c.site, "site")?,
-                index(c.client, "client")?,
-                &c,
-            ));
+            ledger
+                .append(&c, tasks.len(), &c.spec)
+                .map_err(Error::custom)?;
             tasks.push(c.spec);
         }
-        Ok(ContractLedger {
-            tasks: tasks.into(),
-            rows,
-            capped: Vec::new(),
-        })
+        ledger.tasks = tasks.into();
+        Ok(ledger)
     }
 }
 
@@ -550,7 +599,9 @@ mod terms_tests {
 #[cfg(test)]
 mod ledger_tests {
     use super::*;
+    use mbts_sim::Duration;
     use mbts_workload::PenaltyBound;
+    use proptest::prelude::*;
 
     fn tasks() -> Arc<[TaskSpec]> {
         (0..4)
@@ -571,29 +622,53 @@ mod ledger_tests {
         ledger.push(c);
     }
 
-    /// Four contracts: one on time, one late, one late with a
-    /// budget-capped value, and one formed again for that capped task,
-    /// still open.
+    /// The rows as bits, so an open row's NaN compares equal to itself.
+    fn row_bits(ledger: &ContractLedger) -> Vec<[u64; 5]> {
+        let bits = |r: &Row| {
+            [
+                r.negotiated_completion.as_f64().to_bits(),
+                r.negotiated_price.to_bits(),
+                r.completed_at.to_bits(),
+                r.task.into(),
+                r.site.into(),
+            ]
+        };
+        ledger.rows.iter().map(bits).collect()
+    }
+
+    /// Four contracts among three clients: one formed at its task's
+    /// arrival for the client its id is dealt to and settled on time, one
+    /// formed later for another client and settled late, one late with a
+    /// budget-capped value, and one formed again later for that capped
+    /// task, still open.
     fn ledger(tasks: &Arc<[TaskSpec]>) -> ContractLedger {
-        let mut ledger = ContractLedger::new(Arc::clone(tasks));
+        let mut ledger = ContractLedger::new(Arc::clone(tasks), 3);
         let at = Time::from;
-        form(&mut ledger, tasks[2], 1, 0, at(2.0), at(20.0), 80.0);
+        form(&mut ledger, tasks[2], 1, 2, at(2.0), at(20.0), 80.0);
         form(&mut ledger, tasks[0], 0, 1, at(3.0), at(15.0), 90.0);
         let capped = TaskSpec {
             value: 60.0,
             ..tasks[1]
         };
-        form(&mut ledger, capped, 0, 2, at(4.0), at(30.0), 50.0);
+        form(&mut ledger, capped, 0, 1, at(1.0), at(30.0), 50.0);
         ledger.settle(0, at(18.0));
         ledger.settle(1, at(40.0));
         ledger.settle(2, at(50.0));
-        form(&mut ledger, capped, 1, 2, at(50.0), at(70.0), 20.0);
+        form(&mut ledger, capped, 1, 1, at(50.0), at(70.0), 20.0);
         ledger
     }
 
     #[test]
-    fn a_row_is_at_most_56_bytes() {
-        assert!(std::mem::size_of::<Row>() <= 56);
+    fn a_row_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<Row>() <= 32);
+    }
+
+    #[test]
+    fn only_contracts_their_rows_do_not_derive_keep_terms() {
+        let ledger = ledger(&tasks());
+        let kept: Vec<u32> = ledger.terms.iter().map(|t| t.contract).collect();
+        assert_eq!(kept, [1, 2, 3]);
+        assert!(ledger.foreign.is_empty());
     }
 
     #[test]
@@ -605,6 +680,9 @@ mod ledger_tests {
         let price = expected.settle(Time::from(40.0));
         assert_eq!(ledger.get(1), Some(expected));
         assert_eq!(ledger.get(1).unwrap().settled_price(), Some(price));
+        let mut on_time = Contract::new(tasks[2], 1, 2, Time::from(2.0), Time::from(20.0), 80.0);
+        on_time.settle(Time::from(18.0));
+        assert_eq!(ledger.get(0), Some(on_time));
         let late = ledger.get(2).unwrap();
         assert_eq!(late.spec.value, 60.0);
         assert!(late.was_violated());
@@ -627,7 +705,7 @@ mod ledger_tests {
             serde_json::to_string_pretty(&ledger).unwrap(),
             serde_json::to_string_pretty(&contracts).unwrap()
         );
-        let empty = ContractLedger::new(tasks());
+        let empty = ContractLedger::new(tasks(), 0);
         assert_eq!(serde_json::to_string(&empty).unwrap(), "[]");
     }
 
@@ -638,11 +716,11 @@ mod ledger_tests {
         let json = serde_json::to_string(&ledger).unwrap();
         let mut back: ContractLedger = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ledger);
-        back.rebind(&tasks).unwrap();
+        back.rebind(&tasks, 3).unwrap();
         assert_eq!(back, ledger);
         assert!(Arc::ptr_eq(&back.tasks, &tasks));
-        assert_eq!(back.rows, ledger.rows);
-        assert_eq!(back.capped, ledger.capped);
+        assert_eq!(row_bits(&back), row_bits(&ledger));
+        assert_eq!(back.terms, ledger.terms);
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
         // A rebound ledger forms and settles like the original.
         let (mut a, mut b) = (ledger, back);
@@ -661,14 +739,14 @@ mod ledger_tests {
         let rebind = |tasks: &Arc<[TaskSpec]>| {
             let mut l = back.clone();
             let before = serde_json::to_string(&l).unwrap();
-            let result = l.rebind(tasks);
+            let result = l.rebind(tasks, 3);
             if result.is_err() {
                 assert_eq!(serde_json::to_string(&l).unwrap(), before, "left as it was");
             }
             result
         };
         let mut other = tasks.to_vec();
-        other[0].runtime = mbts_sim::Duration::new(11.0);
+        other[0].runtime = Duration::new(11.0);
         assert_eq!(
             rebind(&other.into()),
             Err(RebindError::SpecMismatch {
@@ -696,6 +774,143 @@ mod ledger_tests {
         );
         assert!(rebind(&tasks).is_ok());
         let mut empty: ContractLedger = serde_json::from_str("[]").unwrap();
-        assert_eq!(empty.rebind(&tasks), Ok(()));
+        assert_eq!(empty.rebind(&tasks, 3), Ok(()));
+    }
+
+    /// A settled contract whose price or violation is not its value
+    /// function's at its completion reads back as written, and writes
+    /// back the same text, but no run is given it: rebinding refuses it.
+    #[test]
+    fn a_settlement_its_task_does_not_give_is_kept_as_read_and_refused() {
+        let tasks = tasks();
+        let ledger = ledger(&tasks);
+        let spoil: [fn(&mut ContractStatus); 2] = [
+            |s| {
+                if let ContractStatus::Settled { settled_price, .. } = s {
+                    *settled_price += 1.0;
+                }
+            },
+            |s| {
+                if let ContractStatus::Settled { violated, .. } = s {
+                    *violated = !*violated;
+                }
+            },
+        ];
+        for edit in spoil {
+            let mut contracts: Vec<Contract> = ledger.iter().collect();
+            edit(&mut contracts[2].status);
+            let json = serde_json::to_string(&contracts).unwrap();
+            let mut back: ContractLedger = serde_json::from_str(&json).unwrap();
+            assert_eq!(back.get(2), Some(contracts[2]));
+            assert_eq!(serde_json::to_string(&back).unwrap(), json);
+            assert_eq!(
+                back.rebind(&tasks, 3),
+                Err(RebindError::Settlement {
+                    contract: 2,
+                    task: 1
+                })
+            );
+            assert_eq!(
+                serde_json::to_string(&back).unwrap(),
+                json,
+                "left as it was"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// A ledger driven through the same formations and settlements as
+        /// a plain `Vec<Contract>` reads, iterates and writes as that
+        /// vector bit for bit, and so does the ledger read back from its
+        /// text and rebound. Formations vary what a row derives (formation
+        /// at or after arrival, a capped value, the dealt client or
+        /// another); settlements are on time, early, late, late by no
+        /// more than float dust, and far past a bounded task's floor; some
+        /// rows stay open.
+        #[test]
+        fn a_ledger_is_a_vec_of_contracts(
+            bounds in proptest::collection::vec(0u8..3, 1..6),
+            clients in 0usize..4,
+            // (kind, pick, variant, x, y): kinds 0 and 1 form a contract,
+            // 2 settles one.
+            ops in proptest::collection::vec(
+                (0u8..3, any::<usize>(), 0u8..8, 0.0f64..40.0, 0.0f64..40.0),
+                0..32,
+            ),
+        ) {
+            let bound = |b: u8| match b {
+                0 => PenaltyBound::Unbounded,
+                1 => PenaltyBound::ZERO,
+                _ => PenaltyBound::Bounded { max_penalty: 25.0 },
+            };
+            let tasks: Arc<[TaskSpec]> = bounds
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| {
+                    TaskSpec::new(i as u64, i as f64 * 1.5, 10.0, 100.0, 2.0, bound(b))
+                })
+                .collect();
+            let mut ledger = ContractLedger::new(Arc::clone(&tasks), clients);
+            let mut model: Vec<Contract> = Vec::new();
+            for (kind, pick, variant, x, y) in ops {
+                if kind < 2 {
+                    let mut spec = tasks[pick % tasks.len()];
+                    if variant & 1 != 0 {
+                        spec.value *= x / 40.0;
+                    }
+                    let later = if variant & 2 != 0 { y } else { 0.0 };
+                    let formed_at = spec.arrival + Duration::new(later);
+                    let mut client = client_of(spec.id, clients);
+                    if variant & 4 != 0 {
+                        client += 1 + pick % 3;
+                    }
+                    let completion = formed_at + spec.runtime + Duration::new(x);
+                    let price = spec.yield_at(completion);
+                    let c = Contract::new(spec, pick % 5, client, formed_at, completion, price);
+                    prop_assert_eq!(ledger.push(c), model.len());
+                    model.push(c);
+                } else if !model.is_empty() {
+                    let i = pick % model.len();
+                    if model[i].is_settled() {
+                        continue;
+                    }
+                    let negotiated = model[i].negotiated_completion;
+                    let at = match variant {
+                        0 => negotiated,
+                        1 => Time::from((negotiated.as_f64() - x).max(0.0)),
+                        2 => Time::from(negotiated.as_f64() + 1.0 + x),
+                        3 => Time::from(negotiated.as_f64() + 5e-10),
+                        4 => Time::from(negotiated.as_f64() + 1e6),
+                        _ => Time::from(model[i].spec.arrival.as_f64() + y),
+                    };
+                    let want = model[i].settle(at);
+                    let got = ledger.settle(i, at);
+                    prop_assert_eq!(got.to_bits(), want.to_bits());
+                }
+            }
+            let text = |c: &Contract| serde_json::to_string(c).unwrap();
+            prop_assert_eq!(ledger.len(), model.len());
+            for (i, c) in model.iter().enumerate() {
+                let got = ledger.get(i).unwrap();
+                prop_assert_eq!(text(&got), text(c));
+                prop_assert_eq!(got, *c);
+            }
+            prop_assert_eq!(ledger.get(model.len()), None);
+            prop_assert!(ledger.iter().eq(model.iter().copied()));
+            let json = serde_json::to_string(&model).unwrap();
+            prop_assert_eq!(serde_json::to_string(&ledger).unwrap(), json.clone());
+            prop_assert_eq!(
+                serde_json::to_string_pretty(&ledger).unwrap(),
+                serde_json::to_string_pretty(&model).unwrap()
+            );
+            let mut back: ContractLedger = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(serde_json::to_string(&back).unwrap(), json.clone());
+            prop_assert_eq!(back.rebind(&tasks, clients), Ok(()));
+            prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
+            prop_assert_eq!(row_bits(&back), row_bits(&ledger));
+            prop_assert_eq!(&back.terms, &ledger.terms);
+            prop_assert!(back.foreign.is_empty());
+        }
     }
 }

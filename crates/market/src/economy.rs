@@ -235,7 +235,10 @@ impl EconomyRun {
             pricing: config.pricing,
             budgets: config.budgets,
             accounts,
-            contracts: ContractLedger::new(Arc::clone(&trace.tasks)),
+            contracts: ContractLedger::new(
+                Arc::clone(&trace.tasks),
+                config.budgets.map_or(0, |b| b.num_clients),
+            ),
             contract_of: DenseLedger::new(tasks),
             second_quote: Vec::new(),
             decisions: Vec::new(),
@@ -337,7 +340,8 @@ impl EconomyRun {
     /// run replays bit-identically to the one that was captured. A
     /// snapshot whose parts do not fit together — an id outside its
     /// trace, an index past its contracts, sites or clients, a contract
-    /// whose task is not the run's — is refused with the first such
+    /// whose task is not the run's or whose settlement is not its value
+    /// function's at its completion — is refused with the first such
     /// fault. A site inside an economy keeps no per-job records, so those
     /// of older snapshots are dropped.
     ///
@@ -351,7 +355,7 @@ impl EconomyRun {
     pub fn from_snapshot(mut snap: EconomySnapshot) -> Result<Self, String> {
         check_snapshot(&snap)?;
         snap.contracts
-            .rebind(&snap.trace)
+            .rebind(&snap.trace, snap.budgets.map_or(0, |b| b.num_clients))
             .map_err(|e| e.to_string())?;
         let tasks = snap.trace.len();
         // Checked below the ledger's length, which fits `u32`.
@@ -915,10 +919,7 @@ impl EcoModel {
     }
 
     fn client_of(&self, spec: &TaskSpec) -> usize {
-        match &self.budgets {
-            Some(b) => spec.id.index() % b.num_clients,
-            None => 0,
-        }
+        crate::contract::client_of(spec.id, self.budgets.map_or(0, |b| b.num_clients))
     }
 
     fn handle_arrival(&mut self, now: Time, idx: usize, queue: &mut EventQueue<EcoEvent>) {

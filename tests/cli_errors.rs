@@ -271,14 +271,15 @@ fn a_service_journal_missing_whole_records_is_rejected() {
 }
 
 /// An economy journal whose newest snapshot holds an index that points
-/// outside what it holds — a queued arrival's task among them — or a
-/// task unlike its trace's keeps every CRC valid, so only the restore
-/// sees it: `resume` and `analyze` reject it (exit 2, naming the fault)
-/// instead of panicking on the out-of-range index.
+/// outside what it holds — a queued arrival's task among them — a task
+/// unlike its trace's, or a settlement its task's value function does
+/// not give keeps every CRC valid, so only the restore sees it: `resume`
+/// and `analyze` reject it (exit 2, naming the fault) instead of
+/// panicking on the out-of-range index or settling it anew.
 #[test]
 fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
     use mbts::durable::framing::{self, RecordTag};
-    use mbts::market::{EcoEvent, EconomySnapshot};
+    use mbts::market::{Contract, ContractStatus, EcoEvent, EconomySnapshot};
     use std::sync::Arc;
     let fixture = std::fs::read(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -293,7 +294,7 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
         .expect("a snapshot record");
     // (what is spoiled, how, what the refusal names)
     type Spoil = (&'static str, fn(&mut EconomySnapshot), &'static str);
-    let spoil: [Spoil; 4] = [
+    let spoil: [Spoil; 5] = [
         (
             "contract_of task",
             |s| s.contract_of.push((1_000_000, 0)),
@@ -321,6 +322,23 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
                 Arc::make_mut(&mut s.trace)[id.index()].value += 1.0;
             },
             "unlike the trace's",
+        ),
+        (
+            "settlement",
+            |s| {
+                // A settled price its task's value function does not give.
+                let mut contracts: Vec<Contract> = s.contracts.iter().collect();
+                let settled = contracts
+                    .iter_mut()
+                    .find(|c| c.is_settled())
+                    .expect("a settled contract");
+                if let ContractStatus::Settled { settled_price, .. } = &mut settled.status {
+                    *settled_price += 1.0;
+                }
+                let text = serde_json::to_string(&contracts).expect("serialises");
+                s.contracts = serde_json::from_str(&text).expect("the ledger reads");
+            },
+            "other than its value function does",
         ),
     ];
     let dir = std::env::temp_dir().join(format!("mbts_cli_errors_{}", std::process::id()));

@@ -6,8 +6,9 @@
 //! snapshot costs its event queue and sites but no tasks, at quiescence a
 //! run holds only what it produced, and per bid it makes a handful of
 //! allocations rather than one set of buffers per site quoted. A contract
-//! is a row over the shared tasks: it names its task by index, and the
-//! economy's terms are held once. It is also a placed task's one record (a
+//! is a 32 B row over the shared tasks: it names its task by index, and
+//! what its task gives (the settlement, the client, the formation time)
+//! is derived when read. It is also a placed task's one record (a
 //! site inside an economy keeps none), so what a run produces per contract
 //! is that row and its 8 B runner-up quote, and a queued event names its
 //! task rather than carrying it. A finished site run sorts its records in
@@ -181,25 +182,27 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
     let contracts = outcome.contracts.len() as f64;
     let per_contract = grown / contracts;
     // At quiescence nothing is in flight: what the run added since `new`
-    // is its results — per contract a 56 B ledger row and an 8 B runner-up
-    // quote — in vectors grown by doubling, and nothing that scales with
-    // the bids handled; 129.0 measured. (A 16 B `Option` quote made this
-    // 144, less the 18 B a contract of a copied feed that `new` held and
-    // the run freed, 125.7; each site's 48 B `JobOutcome` a job, in 64
-    // more doubling vectors, 207.7; a contract that copied its task and
-    // terms, 160 B, 403.)
+    // is its results — per contract a 32 B ledger row (the settlement,
+    // client and formation time are derived when read) and an 8 B
+    // runner-up quote — in vectors grown by doubling, and nothing that
+    // scales with the bids handled; 84.0 measured. (A 56 B row that kept
+    // them made this 129.0; a 16 B `Option` quote beside it 144, less the
+    // 18 B a contract of a copied feed that `new` held and the run freed,
+    // 125.7; each site's 48 B `JobOutcome` a job, in 64 more doubling
+    // vectors, 207.7; a contract that copied its task and terms, 160 B,
+    // 403.)
     assert!(
-        per_contract <= 135.0,
+        per_contract <= 90.0,
         "heap grew {grown} B over the run, {per_contract:.1} B per contract"
     );
     // Nor does the run hold much more on the way: above its start it
     // peaks at its results so far, the events in flight, and a results
     // vector's old and new buffers while it doubles (a `realloc` counts
-    // both); 174.0 measured. (With 16 B quotes it was 181.5, and with the
-    // sites' per-job records 241.7.)
+    // both); 106.5 measured. (With 56 B rows it was 174.0, with 16 B
+    // quotes as well 181.5, and with the sites' per-job records 241.7.)
     let high_water = high_water / contracts;
     assert!(
-        high_water <= 180.0,
+        high_water <= 112.0,
         "heap peaked {high_water:.1} B per contract above its start over the run"
     );
     drop(outcome);

@@ -22,7 +22,10 @@
 //! value-tree bytes of those seven are kept under
 //! `tests/golden/serde/pre26/`, and two tests read them back. Tasks then
 //! became one shared slice instead of a `Vec` per holder, and contracts
-//! compact rows over a run's shared tasks, with no byte changed. The
+//! compact rows over a run's shared tasks, with no byte changed; a row
+//! later stopped storing what its task gives (settlement, client,
+//! formation time), again with no byte changed, and a settlement read
+//! back that its task's value function does not give is refused. The
 //! metrics-registry tracer was then removed: the two snapshots that
 //! carried one moved to `tests/golden/serde/pre32/` and must be refused
 //! with a typed error, and two `mbts analyze` reports written by the
@@ -50,8 +53,11 @@ use std::sync::Arc;
 
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::durable::framing::{self, RecordTag};
-use mbts::durable::{DurableRun, Journal};
-use mbts::market::{BudgetConfig, EconomyConfig, EconomyRun, EconomySnapshot, PricingStrategy};
+use mbts::durable::{DurableRun, Journal, RecoverError};
+use mbts::market::{
+    BudgetConfig, Contract, ContractStatus, EconomyConfig, EconomyRun, EconomySnapshot,
+    PricingStrategy, RebindError,
+};
 use mbts::serve::{
     Command, CommandKind, MachineConfig, ServiceMachine, ServiceRun, ServiceSnapshot, ShedReason,
 };
@@ -381,6 +387,58 @@ fn a_restored_economy_writes_its_snapshot_back() {
     assert!(capped > 0, "no contract's value was capped by a budget");
     let run = EconomyRun::from_snapshot(snap).expect("the fixture restores");
     assert!(render(&run.snapshot(), false) == fixture);
+}
+
+/// A settled contract is stored as its completion and re-priced by its
+/// task's value function when read, so a snapshot whose settled price or
+/// violation is not that function's at its completion was not written by
+/// a market run: restoring it is a typed refusal naming the contract, and
+/// so is recovering a journal whose newest snapshot holds it.
+#[test]
+fn a_settlement_its_task_does_not_give_is_refused() {
+    let fixture =
+        std::fs::read_to_string(fixture_dir().join("economy_snapshot.json")).expect("fixture");
+    let spoil: [fn(&mut ContractStatus); 2] = [
+        |s| {
+            if let ContractStatus::Settled { settled_price, .. } = s {
+                *settled_price += 1.0;
+            }
+        },
+        |s| {
+            if let ContractStatus::Settled { violated, .. } = s {
+                *violated = !*violated;
+            }
+        },
+    ];
+    for edit in spoil {
+        let mut snap: EconomySnapshot = serde_json::from_str(&fixture).expect("the fixture reads");
+        let mut contracts: Vec<Contract> = snap.contracts.iter().collect();
+        let i = contracts
+            .iter()
+            .position(Contract::is_settled)
+            .expect("a settled contract");
+        edit(&mut contracts[i].status);
+        let text = serde_json::to_string(&contracts).expect("serialises");
+        snap.contracts = serde_json::from_str(&text).expect("a spoiled ledger still reads");
+        let snap_text = render(&snap, false);
+        let refusal = RebindError::Settlement {
+            contract: i,
+            task: contracts[i].spec.id.0,
+        }
+        .to_string();
+        match EconomyRun::from_snapshot(snap) {
+            Err(e) => assert_eq!(e, refusal),
+            Ok(_) => panic!("a settlement no run gave was restored"),
+        }
+        let mut journal = Vec::new();
+        framing::write_header(&mut journal);
+        framing::append_record(&mut journal, RecordTag::Snapshot, snap_text.as_bytes());
+        match DurableRun::<EconomyRun>::recover(&journal) {
+            Err(RecoverError::BadSnapshot(e)) => assert_eq!(e, refusal),
+            Err(e) => panic!("refused as {e}, not as a bad snapshot"),
+            Ok(_) => panic!("a settlement no run gave was recovered"),
+        }
+    }
 }
 
 /// A contract that no other site bid on has no runner-up quote: the
