@@ -163,7 +163,7 @@ impl CostModel {
     }
 
     /// Refills the model in place from `(window, decay)` entries, reusing
-    /// the existing allocations — the incremental pool's snapshot path.
+    /// the existing allocations — the pending pool's snapshot path.
     /// Entries need not be sorted, but the caller (a deadline-ordered
     /// traversal) supplies them nearly sorted, so the adaptive sort runs
     /// in `O(n)`. The comparator and prefix-sum arithmetic are identical

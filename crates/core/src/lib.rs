@@ -14,7 +14,7 @@
 //!   SWPT, Millennium's **FirstPrice** (unit gain `yield/RPT`), **PV**
 //!   (§5.1, discounted unit gain), and **FirstReward** (§5.3,
 //!   `(α·PV − (1−α)·cost)/RPT`).
-//! * [`pool`] — the **incremental scheduling core**: a persistent
+//! * [`pool`] — the **scheduling core**: a persistent
 //!   pending pool maintaining policy scores and the cost model across
 //!   submit/complete/cancel/expire in `O(log n)` per event instead of
 //!   rebuilding from scratch at every dispatch point.

@@ -411,7 +411,7 @@ impl PendingPool {
 
     /// Slot of the best job at `now`: maximum score, ties to the lowest
     /// task id — exactly what [`Policy::select`] over [`jobs`](Self::jobs)
-    /// returns, at incremental cost. `None` when the pool is empty.
+    /// returns, from the persistent structures. `None` when the pool is empty.
     /// Instrumented as the profiler's `cost_model_update` section.
     pub fn select_best(&mut self, now: Time) -> Option<usize> {
         if self.jobs.is_empty() {
@@ -862,14 +862,11 @@ mod tests {
             }
         }
         let now = Time::from(2.5);
-        let incremental = pool.scores(now);
+        let kept = pool.scores(now);
         let model = CostModel::build(now, pool.jobs());
         let ctx = ScoreCtx::with_cost(now, &model);
         for (i, j) in pool.jobs().iter().enumerate() {
-            assert!(
-                (incremental[i] - policy.score(j, &ctx)).abs() < 1e-9,
-                "slot {i}"
-            );
+            assert!((kept[i] - policy.score(j, &ctx)).abs() < 1e-9, "slot {i}");
         }
     }
 
@@ -1081,13 +1078,13 @@ mod proptests {
                     let b = scratch.cost_of(&jobs[i], t);
                     prop_assert!(
                         (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
-                        "job {}: incremental {} vs scratch {}", i, a, b
+                        "job {}: maintained {} vs scratch {}", i, a, b
                     );
                 }
             }
         }
 
-        /// The pool's incremental selection equals the flat
+        /// The pool's maintained selection equals the flat
         /// `(score, lowest id)` argmax over a from-scratch model, for
         /// every policy, through randomized push/dispatch/advance
         /// sequences.

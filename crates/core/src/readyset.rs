@@ -113,7 +113,7 @@ pub struct WorkflowSettlement {
     /// summing exactly to `earned`. Empty for failed workflows.
     pub attribution: Vec<(u64, f64)>,
     /// `true` when any member task failed (stranded, dropped,
-    /// cancelled, orphaned or rejected) — the workflow earns nothing.
+    /// cancelled or rejected) — the workflow earns nothing.
     pub failed: bool,
 }
 
@@ -211,7 +211,7 @@ impl WorkflowRuntime {
     }
 
     /// Records the failure of `task` at `at` (dropped, cancelled,
-    /// orphaned, rejected or abandoned): strands its waiting
+    /// rejected or abandoned): strands its waiting
     /// descendants, marks the workflow failed, and settles it once no
     /// member remains outstanding. The stranded tasks are accounted
     /// done here — callers record their outcomes but must not call

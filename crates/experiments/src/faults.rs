@@ -95,7 +95,6 @@ pub fn fault_sweep(params: &ExpParams) -> FigureResult {
         } else {
             let faults = FaultConfig {
                 processor: Some(UpDown::exponential(BASE_MTTF / rate, MTTR)),
-                site: None,
             };
             // Derive the injector seed from the workload seed so each
             // replication sees an independent failure timeline.

@@ -1292,10 +1292,12 @@ mod tests {
         // must order them as scheduling each in turn did. The hash is the
         // outcome of the engine that pushed every arrival into the heap,
         // as written once the outcome lost its migration counters and its
-        // contracts their terms, its sites their per-job records, and the
-        // outcome its five fault counters (the same outcome less those
-        // keys: 17_392_548_782_443_348_599 with the five counters, all
-        // zero; 2_572_550_470_487_751_036 with the records too).
+        // contracts their terms, its sites their per-job records, the
+        // outcome its five fault counters, and its sites' metrics their
+        // `orphaned` count (the same outcome less those keys:
+        // 6_978_841_760_120_419_641 with the two `orphaned` counts, both
+        // zero; 17_392_548_782_443_348_599 with the five counters too;
+        // 2_572_550_470_487_751_036 with the records too).
         let mut trace = small_trace(300, 1.2, 11);
         let mut arrivals: Vec<Time> = trace.tasks.iter().map(|t| t.arrival).collect();
         for i in 10..20 {
@@ -1312,7 +1314,7 @@ mod tests {
         assert_eq!(out.offered, 300);
         assert_eq!(
             outcome_hash(&out),
-            6_978_841_760_120_419_641,
+            16_358_527_777_702_562_041,
             "outcome moved"
         );
     }

@@ -1,21 +1,19 @@
 //! Deterministic fault injection: seeded crash/repair schedules.
 //!
 //! A [`FaultInjector`] turns a pair of MTTF/MTTR distributions into a
-//! reproducible alternating up/down timeline for every *fault unit* — a
-//! single processor of a site, or a whole site. The injector owns one
-//! private RNG stream per unit (derived from the experiment seed via
-//! [`RngFactory`] names), so the fault process for unit A is unchanged by
-//! how often unit B's samples are drawn and by the interleaving of the
-//! surrounding event loop: the same `(seed, config)` always produces the
-//! same timeline.
+//! reproducible alternating up/down timeline for every *fault unit*, a
+//! single processor of a site. The injector owns one private RNG stream
+//! per unit (derived from the experiment seed via [`RngFactory`] names),
+//! so the fault process for unit A is unchanged by how often unit B's
+//! samples are drawn and by the interleaving of the surrounding event
+//! loop: the same `(seed, config)` always produces the same timeline.
 //!
 //! The injector is deliberately passive — it only *samples*. The driving
-//! model (a site trace replay or the multi-site economy) schedules the
-//! events: on a crash it asks for [`downtime`](FaultInjector::downtime)
-//! and schedules the repair; on a repair it asks for
-//! [`uptime`](FaultInjector::uptime) and schedules the next crash. That
-//! keeps the crash/repair *event kinds* in the caller's event enum, where
-//! the rest of its events live.
+//! model (a site trace replay) schedules the events: on a crash it asks
+//! for [`downtime`](FaultInjector::downtime) and schedules the repair; on
+//! a repair it asks for [`uptime`](FaultInjector::uptime) and schedules
+//! the next crash. That keeps the crash/repair *event kinds* in the
+//! caller's event enum, where the rest of its events live.
 
 use crate::dist::Dist;
 use crate::rng::{RngFactory, SimRng};
@@ -44,15 +42,12 @@ impl UpDown {
     }
 }
 
-/// Which failure processes are active.
+/// Which failure process is active.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct FaultConfig {
     /// Per-processor failures: each processor of each site fails and
     /// repairs independently. `None` disables processor faults.
     pub processor: Option<UpDown>,
-    /// Whole-site outages: all of a site's processors go down together.
-    /// `None` disables site faults.
-    pub site: Option<UpDown>,
 }
 
 impl FaultConfig {
@@ -62,9 +57,9 @@ impl FaultConfig {
         FaultConfig::default()
     }
 
-    /// `true` when neither failure process is active.
+    /// `true` when no failure process is active.
     pub fn is_none(&self) -> bool {
-        self.processor.is_none() && self.site.is_none()
+        self.processor.is_none()
     }
 }
 
@@ -78,20 +73,6 @@ pub enum FaultUnit {
         /// Processor slot within the site (0-based).
         slot: usize,
     },
-    /// A whole site.
-    Site {
-        /// Site index.
-        site: usize,
-    },
-}
-
-impl FaultUnit {
-    /// The site this unit belongs to.
-    pub fn site(&self) -> usize {
-        match *self {
-            FaultUnit::Processor { site, .. } | FaultUnit::Site { site } => site,
-        }
-    }
 }
 
 /// Samples reproducible crash/repair timelines for a set of sites.
@@ -100,8 +81,6 @@ pub struct FaultInjector {
     config: FaultConfig,
     /// One stream per processor slot, `proc_rngs[site][slot]`.
     proc_rngs: Vec<Vec<SimRng>>,
-    /// One stream per site-level outage process.
-    site_rngs: Vec<SimRng>,
 }
 
 impl FaultInjector {
@@ -120,14 +99,7 @@ impl FaultInjector {
                     .collect()
             })
             .collect();
-        let site_rngs = (0..procs_per_site.len())
-            .map(|s| factory.stream_indexed("site", s as u64))
-            .collect();
-        FaultInjector {
-            config,
-            proc_rngs,
-            site_rngs,
-        }
+        FaultInjector { config, proc_rngs }
     }
 
     /// The configuration.
@@ -135,8 +107,8 @@ impl FaultInjector {
         &self.config
     }
 
-    /// Every configured fault unit, in deterministic order (all processor
-    /// slots site-major, then the site units).
+    /// Every configured fault unit, in deterministic order (processor
+    /// slots site-major).
     pub fn units(&self) -> Vec<FaultUnit> {
         let mut units = Vec::new();
         if self.config.processor.is_some() {
@@ -144,11 +116,6 @@ impl FaultInjector {
                 for slot in 0..rngs.len() {
                     units.push(FaultUnit::Processor { site, slot });
                 }
-            }
-        }
-        if self.config.site.is_some() {
-            for site in 0..self.site_rngs.len() {
-                units.push(FaultUnit::Site { site });
             }
         }
         units
@@ -196,7 +163,6 @@ impl FaultInjector {
                 .iter()
                 .map(|site| site.iter().map(pack).collect())
                 .collect(),
-            site_rngs: self.site_rngs.iter().map(pack).collect(),
         }
     }
 
@@ -211,34 +177,19 @@ impl FaultInjector {
                 .iter()
                 .map(|site| site.iter().map(unpack).collect())
                 .collect(),
-            site_rngs: state.site_rngs.iter().map(unpack).collect(),
         }
     }
 
     fn process(&mut self, unit: FaultUnit) -> Option<(Dist, &mut SimRng)> {
-        match unit {
-            FaultUnit::Processor { site, slot } => {
-                let dist = self.config.processor.as_ref()?.mttf.clone();
-                Some((dist, &mut self.proc_rngs[site][slot]))
-            }
-            FaultUnit::Site { site } => {
-                let dist = self.config.site.as_ref()?.mttf.clone();
-                Some((dist, &mut self.site_rngs[site]))
-            }
-        }
+        let FaultUnit::Processor { site, slot } = unit;
+        let dist = self.config.processor.as_ref()?.mttf.clone();
+        Some((dist, &mut self.proc_rngs[site][slot]))
     }
 
     fn repair_process(&mut self, unit: FaultUnit) -> Option<(Dist, &mut SimRng)> {
-        match unit {
-            FaultUnit::Processor { site, slot } => {
-                let dist = self.config.processor.as_ref()?.mttr.clone();
-                Some((dist, &mut self.proc_rngs[site][slot]))
-            }
-            FaultUnit::Site { site } => {
-                let dist = self.config.site.as_ref()?.mttr.clone();
-                Some((dist, &mut self.site_rngs[site]))
-            }
-        }
+        let FaultUnit::Processor { site, slot } = unit;
+        let dist = self.config.processor.as_ref()?.mttr.clone();
+        Some((dist, &mut self.proc_rngs[site][slot]))
     }
 }
 
@@ -250,8 +201,6 @@ pub struct FaultInjectorState {
     pub config: FaultConfig,
     /// Raw xoshiro state words per processor slot, `proc_rngs[site][slot]`.
     pub proc_rngs: Vec<Vec<(u64, u64, u64, u64)>>,
-    /// Raw xoshiro state words per site-outage stream.
-    pub site_rngs: Vec<(u64, u64, u64, u64)>,
 }
 
 #[cfg(test)]
@@ -261,7 +210,6 @@ mod tests {
     fn config() -> FaultConfig {
         FaultConfig {
             processor: Some(UpDown::exponential(1000.0, 50.0)),
-            site: Some(UpDown::exponential(5000.0, 200.0)),
         }
     }
 
@@ -270,7 +218,7 @@ mod tests {
         let mut inj = FaultInjector::new(FaultConfig::none(), 1, &[4, 4]);
         assert!(inj.units().is_empty());
         assert!(inj.initial_crashes().is_empty());
-        assert_eq!(inj.uptime(FaultUnit::Site { site: 0 }), None);
+        assert_eq!(inj.uptime(FaultUnit::Processor { site: 1, slot: 3 }), None);
         assert_eq!(
             inj.downtime(FaultUnit::Processor { site: 0, slot: 0 }),
             None
@@ -278,13 +226,13 @@ mod tests {
     }
 
     #[test]
-    fn units_enumerate_processors_and_sites() {
+    fn units_enumerate_processors_site_major() {
         let inj = FaultInjector::new(config(), 1, &[2, 3]);
         let units = inj.units();
-        assert_eq!(units.len(), 2 + 3 + 2);
+        assert_eq!(units.len(), 2 + 3);
         assert_eq!(units[0], FaultUnit::Processor { site: 0, slot: 0 });
+        assert_eq!(units[2], FaultUnit::Processor { site: 1, slot: 0 });
         assert_eq!(units[4], FaultUnit::Processor { site: 1, slot: 2 });
-        assert_eq!(units[6], FaultUnit::Site { site: 1 });
     }
 
     #[test]
@@ -312,9 +260,6 @@ mod tests {
         for _ in 0..8 {
             assert_eq!(a.uptime(victim), b.uptime(victim));
         }
-        // Site streams are independent of processor streams too.
-        let site = FaultUnit::Site { site: 0 };
-        assert_eq!(a.uptime(site), b.uptime(site));
     }
 
     #[test]
@@ -353,7 +298,7 @@ mod tests {
         let mut live = FaultInjector::new(config(), 11, &[3, 2]);
         // Advance some streams unevenly, then checkpoint mid-stream.
         let u0 = FaultUnit::Processor { site: 0, slot: 1 };
-        let u1 = FaultUnit::Site { site: 1 };
+        let u1 = FaultUnit::Processor { site: 1, slot: 1 };
         for _ in 0..5 {
             let _ = live.uptime(u0);
         }

@@ -34,7 +34,7 @@ pub const TELEMETRY: u8 = 2;
 pub enum Section {
     /// `PendingPool::push` — admission into the persistent pending pool.
     PoolInsert = 0,
-    /// `PendingPool::select_best` — incremental cost-model maintenance
+    /// `PendingPool::select_best` — persistent cost-model maintenance
     /// and best-candidate selection at dispatch.
     CostModelUpdate = 1,
     /// `PendingPool::scores` — full score materialization (the backfill

@@ -67,10 +67,8 @@ pub fn class_breakdown(trace: &Trace, outcome: &SiteOutcome) -> (ClassReport, Cl
                 acc.dropped += 1;
                 acc.total_earned += out.earned;
             }
-            // Cancelled, orphaned, and stranded tasks earn nothing at the
-            // site; breach penalties settle at the market layer and are
-            // not class-attributable here.
-            Disposition::Cancelled | Disposition::Orphaned | Disposition::Stranded => {}
+            // Cancelled and stranded tasks earn nothing.
+            Disposition::Cancelled | Disposition::Stranded => {}
         }
     }
     (high.finish(), low.finish())

@@ -71,15 +71,6 @@ pub struct SiteConfig {
     /// (Millennium §3: "the system incurs no cost even if it discards an
     /// expired task").
     pub drop_expired: bool,
-    /// If `true` (default), dispatch selection runs on the incremental
-    /// pending pool (persistent score heap + incrementally maintained
-    /// cost model, `O(log n)` per queue event). If `false`, every
-    /// dispatch decision rescoring the whole queue from scratch — the
-    /// baseline the equivalence tests compare against. Both paths pick
-    /// the same task; see
-    /// `mbts_core::pool`.
-    #[serde(default = "default_true")]
-    pub incremental: bool,
     /// Per-task workflow facets (owning workflow, critical-path flag,
     /// successor context for Eq. 7′/8′ successor-aware admission).
     /// Absent for plain task workloads — and absent from serialized
@@ -104,7 +95,6 @@ impl SiteConfig {
             admission_discount_rate: 0.01,
             backfilling: true,
             drop_expired: false,
-            incremental: true,
             workflow_facets: None,
         }
     }
@@ -164,13 +154,6 @@ impl SiteConfig {
         self
     }
 
-    /// Enables or disables the incremental dispatch core (`true` by
-    /// default; `false` reverts to rebuild-per-event selection).
-    pub fn with_incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
-    }
-
     /// Installs per-task workflow facets: admission becomes
     /// successor-aware (Eq. 7′/8′) and decision provenance is stamped
     /// with workflow/critical-path membership.
@@ -208,22 +191,6 @@ mod tests {
         assert_eq!(c.admission, AdmissionPolicy::AcceptAll);
         assert!(!c.preemption);
         assert!(!c.drop_expired);
-        assert!(c.incremental);
-    }
-
-    #[test]
-    fn incremental_defaults_on_when_missing_from_serde() {
-        // Configs recorded before the incremental core existed must keep
-        // deserializing — and get the new default.
-        let mut c = SiteConfig::new(4).with_incremental(false);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: SiteConfig = serde_json::from_str(&json).unwrap();
-        assert!(!back.incremental);
-        c.incremental = true;
-        assert_eq!(
-            serde_json::from_str::<SiteConfig>(&serde_json::to_string(&c).unwrap()).unwrap(),
-            c
-        );
     }
 
     #[test]

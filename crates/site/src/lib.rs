@@ -127,10 +127,9 @@ fn percentile(values: impl Iterator<Item = f64>, q: f64) -> f64 {
 
 /// Fault-injection parameters for a single-site trace replay.
 ///
-/// The site treats a site-level fault as a full-capacity crash (the queue
-/// survives locally). `max_crashes` bounds the total number of
-/// crash events scheduled, so a pathological MTTF distribution cannot
-/// livelock the run.
+/// Each of the site's processors fails and repairs on its own timeline.
+/// `max_crashes` bounds the total number of crash events scheduled, so a
+/// pathological MTTF distribution cannot livelock the run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// What fails and how often.
@@ -352,11 +351,8 @@ impl Model for TraceModel {
                 if self.drained() {
                     return; // nothing left to disturb; let the run end
                 }
-                let want = match unit {
-                    FaultUnit::Site { .. } => self.state.capacity(),
-                    FaultUnit::Processor { .. } => 1,
-                };
-                let killed = self.state.crash(want, now);
+                // A unit is one processor.
+                let killed = self.state.crash(1, now);
                 let injector = self.injector.as_mut().expect("crash without injector");
                 let down = injector.downtime(unit).expect("unit must be configured");
                 queue.schedule(now + down, SimEvent::Repair { unit, n: killed });
@@ -801,7 +797,6 @@ mod tests {
         let site = Site::new(SiteConfig::new(8).with_policy(Policy::FirstPrice));
         let faults = mbts_sim::FaultConfig {
             processor: Some(mbts_sim::UpDown::exponential(5_000.0, 200.0)),
-            site: None,
         };
         let outcome = site.run_trace_with_faults(&trace, &FaultPlan::new(faults, 99));
         // Every accepted task still finishes (restart semantics requeue
@@ -839,7 +834,6 @@ mod tests {
         let plan = FaultPlan::new(
             mbts_sim::FaultConfig {
                 processor: Some(mbts_sim::UpDown::exponential(2_000.0, 100.0)),
-                site: None,
             },
             5,
         );
@@ -1018,7 +1012,6 @@ mod tests {
         let site = Site::new(SiteConfig::new(4).with_policy(Policy::pv(0.01)));
         let faults = mbts_sim::FaultConfig {
             processor: Some(mbts_sim::UpDown::exponential(2_000.0, 100.0)),
-            site: Some(mbts_sim::UpDown::exponential(50_000.0, 500.0)),
         };
         let a = site.run_trace_with_faults(&trace, &FaultPlan::new(faults.clone(), 5));
         let b = site.run_trace_with_faults(&trace, &FaultPlan::new(faults, 5));

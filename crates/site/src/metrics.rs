@@ -13,12 +13,9 @@ pub enum Disposition {
     Completed,
     /// Accepted but discarded after expiring (only with `drop_expired`).
     Dropped,
-    /// Accepted but withdrawn by the client/market before running
-    /// (contract cancellation, §3).
+    /// Accepted but withdrawn from the queue before running (the
+    /// daemon's `/cancel`).
     Cancelled,
-    /// Accepted but returned to the market un-run because the site died
-    /// under it (fault injection); the client re-bids it elsewhere.
-    Orphaned,
     /// A workflow member whose predecessor failed: the task was never
     /// released into any queue, so it neither counts as submitted nor
     /// accepted — the workflow overlay settles its workflow at zero.
@@ -56,10 +53,9 @@ pub struct SiteMetrics {
     pub completed: usize,
     /// Accepted tasks discarded after expiry.
     pub dropped: usize,
-    /// Accepted tasks withdrawn before completion (market cancellations).
+    /// Accepted tasks withdrawn from the queue before running (the
+    /// daemon's `/cancel`).
     pub cancelled: usize,
-    /// Accepted tasks returned to the market un-run by a site outage.
-    pub orphaned: usize,
     /// Workflow members stranded by a predecessor's failure before ever
     /// being released (never submitted, so outside the
     /// submitted/accepted conservation identity).

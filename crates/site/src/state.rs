@@ -66,7 +66,7 @@ impl Running {
 ///
 /// The auditor re-verifies the site's books after every state
 /// transition: task conservation (accepted = queued + running +
-/// completed + dropped + cancelled + orphaned), submission accounting
+/// completed + dropped + cancelled), submission accounting
 /// (submitted = accepted + rejected), processor conservation
 /// (Σ running widths + free = capacity), and yield consistency (the
 /// per-job outcome records sum to the metrics' total yield). A failure
@@ -93,11 +93,10 @@ pub struct SiteState {
     /// Current capacity (starts at `config.processors`; crashes and
     /// repairs change it).
     capacity: usize,
-    /// The queue, as an incrementally maintained pool. Its slot order
+    /// The queue. The pool keeps its scores and Eq. 4 cost inputs across
+    /// events, and every dispatch decision reads them; its slot order
     /// follows `Vec::swap_remove` semantics, so indices behave exactly
-    /// like the plain `Vec<Job>` it replaced; with
-    /// `config.incremental == false` it is used purely as storage and
-    /// every decision rescans it.
+    /// like a plain `Vec<Job>`.
     pending: PendingPool,
     running: Vec<Running>,
     free_procs: usize,
@@ -207,18 +206,16 @@ impl SiteState {
         let running = self.running.len();
         let m = &self.metrics;
         let (submitted, accepted, rejected) = (m.submitted, m.accepted, m.rejected);
-        let (completed, dropped, cancelled, orphaned) =
-            (m.completed, m.dropped, m.cancelled, m.orphaned);
+        let (completed, dropped, cancelled) = (m.completed, m.dropped, m.cancelled);
         let total_yield = m.total_yield;
-        let accounted = queued + running + completed + dropped + cancelled + orphaned;
+        let accounted = queued + running + completed + dropped + cancelled;
         if accepted != accounted {
             self.violation(
                 now,
                 "task-conservation",
                 format!(
                     "accepted {accepted} != queued {queued} + running {running} + \
-                     completed {completed} + dropped {dropped} + cancelled {cancelled} + \
-                     orphaned {orphaned}"
+                     completed {completed} + dropped {dropped} + cancelled {cancelled}"
                 ),
             );
         }
@@ -587,49 +584,12 @@ impl SiteState {
         }
     }
 
-    /// Rebuild-from-scratch scoring of every pending job at `now`;
-    /// returns `(scores, best index)`. This is the pre-incremental
-    /// baseline path, kept behind `config.incremental == false` for the
-    /// equivalence tests.
-    fn score_pending(&self, now: Time) -> Option<(Vec<f64>, usize)> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        let model = self
-            .config
-            .policy
-            .needs_cost_model()
-            .then(|| CostModel::build(now, self.pending.jobs()));
-        let ctx = match &model {
-            Some(m) => ScoreCtx::with_cost(now, m),
-            None => ScoreCtx::simple(now),
-        };
-        let scores: Vec<f64> = self
-            .pending
-            .jobs()
-            .iter()
-            .map(|j| self.config.policy.score(j, &ctx))
-            .collect();
-        let mut best = 0;
-        for i in 1..scores.len() {
-            let better = scores[i] > scores[best]
-                || (scores[i] == scores[best]
-                    && self.pending.jobs()[i].id() < self.pending.jobs()[best].id());
-            if better {
-                best = i;
-            }
-        }
-        Some((scores, best))
-    }
-
     /// Fills idle processors from the pending queue, best score first,
     /// with EASY backfilling when the best task's gang does not fit.
     ///
-    /// With `config.incremental` (the default) the head of line comes
-    /// from the pool's persistent structures and the full per-job score
-    /// vector is materialized only if the backfill scan actually needs
-    /// it; otherwise every iteration rescans the queue. Both paths pick
-    /// the same `(score, lowest id)` argmax.
+    /// The head of line is the pool's `(score, lowest id)` argmax, and
+    /// the full per-job score vector is materialized only if the
+    /// backfill scan needs it.
     fn dispatch(&mut self, now: Time) -> Vec<CompletionToken> {
         let mut tokens = Vec::new();
         loop {
@@ -639,16 +599,8 @@ impl SiteState {
             if self.free_procs == 0 {
                 break;
             }
-            let (scores, best) = if self.config.incremental {
-                match self.pending.select_best(now) {
-                    Some(best) => (None, best),
-                    None => break,
-                }
-            } else {
-                match self.score_pending(now) {
-                    Some((scores, best)) => (Some(scores), best),
-                    None => break,
-                }
+            let Some(best) = self.pending.select_best(now) else {
+                break;
             };
             let width = self.pending.jobs()[best].spec.width;
             if width <= self.free_procs {
@@ -662,10 +614,7 @@ impl SiteState {
             // The head-of-line gang does not fit: reserve its start and
             // backfill around it.
             let reserve_at = self.reservation_time(width, now);
-            let scores = match scores {
-                Some(scores) => scores,
-                None => self.pending.scores(now),
-            };
+            let scores = self.pending.scores(now);
             let mut fill: Option<usize> = None;
             for (i, job) in self.pending.jobs().iter().enumerate() {
                 if i == best || job.spec.width > self.free_procs {

@@ -123,7 +123,9 @@ pub enum TraceKind {
     Crashed { procs: usize },
     /// `procs` processors came back.
     Repaired { procs: usize },
-    /// A contract paid out (positive) or charged a breach (negative).
+    /// A contract settled at its task's completion and the client paid
+    /// `amount` under the market's pricing rule (negative when a late
+    /// task's penalty outweighs its value).
     ContractSettled { amount: f64 },
     /// A workflow task's predecessors all completed and the task entered
     /// the schedulable pool. `workflow` is the owning workflow id.

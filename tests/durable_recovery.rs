@@ -165,7 +165,6 @@ fn economy_kill_sweep(name: &str, run: EconomyRun, snapshot_every: u64, kinds: &
 fn smoke_faults() -> FaultConfig {
     FaultConfig {
         processor: Some(UpDown::exponential(600.0, 80.0)),
-        site: None,
     }
 }
 
@@ -483,7 +482,6 @@ fn kill_every_event_all_policies_heavy() {
                 let config = base.clone().with_lost_work(lost_work).with_preemption(true);
                 let faults = FaultConfig {
                     processor: Some(UpDown::exponential(4_000.0, 120.0)),
-                    site: None,
                 };
                 let plan = FaultPlan::new(faults, seed.wrapping_mul(0x9E37_79B9) ^ 0x50A4);
                 total += kill_sweep(

@@ -67,7 +67,6 @@ fn soak(mix: &MixConfig, seeds: &[u64], processors: usize) -> u64 {
                 let trace = generate_trace(mix, seed);
                 let faults = FaultConfig {
                     processor: Some(UpDown::exponential(4_000.0, 120.0)),
-                    site: None,
                 };
                 let plan = FaultPlan::new(faults, seed.wrapping_mul(0x9E37_79B9) ^ 0x50A4);
                 let outcome =
@@ -80,7 +79,7 @@ fn soak(mix: &MixConfig, seeds: &[u64], processors: usize) -> u64 {
                 );
                 let m = &outcome.metrics;
                 assert_eq!(
-                    m.completed + m.dropped + m.cancelled + m.orphaned,
+                    m.completed + m.dropped + m.cancelled,
                     m.accepted,
                     "task conservation after drain: {label}/{wlabel} seed {seed}"
                 );

@@ -36,7 +36,6 @@ fn reference() -> &'static (Vec<u8>, SiteOutcome, u64) {
         let plan = FaultPlan::new(
             FaultConfig {
                 processor: Some(UpDown::exponential(600.0, 80.0)),
-                site: None,
             },
             3,
         );

@@ -45,7 +45,18 @@
 //! provenance stream in its tracer. A runner-up quote is held as a float,
 //! NaN for none, and written as the `null` of an absent one; one test
 //! restores a snapshot whose quotes are `null` and settles them at the
-//! reserve. The last test is the reader's leniency, one row per rule.
+//! reserve.
+//!
+//! The site's format then dropped keys once more: its config's
+//! `incremental` switch (dispatch has one path), its metrics' `orphaned`
+//! count (always 0), and a fault injector's `site` process and
+//! `site_rngs` streams (a standalone site fails processor by processor).
+//! That rewrote the same eight site-carrying fixtures; their old bytes are
+//! under `tests/golden/serde/pre40/`, and each restores to today's
+//! fixture byte for byte. The pre-33 and pre-34 economy documents, whose
+//! sites kept per-job records, hold `Orphaned` records, which a reader
+//! now names when it refuses them. The last test is the reader's
+//! leniency, one row per rule.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -63,7 +74,7 @@ use mbts::serve::{
 };
 use mbts::sim::{FaultConfig, Time, UpDown};
 use mbts::site::{
-    FaultPlan, LostWorkPolicy, Site, SiteConfig, SiteRun, SiteRunSnapshot, SiteSnapshot,
+    FaultPlan, LostWorkPolicy, Site, SiteConfig, SiteRun, SiteRunSnapshot, SiteSnapshot, SiteState,
 };
 use mbts::trace::analyze::analyze;
 use mbts::trace::{AnalyzeOptions, TraceReport, Tracer};
@@ -232,7 +243,6 @@ fn service_journal_bytes() {
 fn smoke_faults() -> FaultConfig {
     FaultConfig {
         processor: Some(UpDown::exponential(600.0, 80.0)),
-        site: None,
     }
 }
 
@@ -508,19 +518,22 @@ fn pretty_printed_report() {
     check("trace_report.pretty.json", &report);
 }
 
-/// Fixtures written before the site dropped its second history (the
-/// audit log and recorded segments) and its elastic-capacity fields. They
-/// differ from today's only by those keys, plus the two site-config
-/// switches that turned the recorders on.
-fn pre_history_fixture(name: &str) -> Vec<u8> {
-    let path = fixture_dir().join("pre26").join(name);
+/// The old bytes of fixture `name` kept under `dir`: `pre26/` from before
+/// the site dropped its second history (the audit log and recorded
+/// segments), its elastic-capacity fields and the two site-config
+/// switches that turned the recorders on; `pre40/` from before it
+/// dropped its `incremental` switch, its `orphaned` count and its
+/// injector's site-outage streams. Each differs from today's only by
+/// those keys.
+fn old_fixture(dir: &str, name: &str) -> Vec<u8> {
+    let path = fixture_dir().join(dir).join(name);
     std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()))
 }
 
 /// An old snapshot restores (the reader skips the dropped keys) and
 /// re-serialises to exactly today's fixture.
 fn reread<T: Serialize + Deserialize>(name: &str) {
-    let old = String::from_utf8(pre_history_fixture(name)).expect("utf-8 fixture");
+    let old = String::from_utf8(old_fixture("pre26", name)).expect("utf-8 fixture");
     let typed: T = serde_json::from_str(&old).unwrap_or_else(|e| panic!("{name}: {e}"));
     let new = std::fs::read_to_string(fixture_dir().join(name)).expect("current fixture");
     assert!(
@@ -542,7 +555,7 @@ fn snapshots_with_the_dropped_history_keys_still_restore() {
 /// of which re-serialises to today's.
 #[test]
 fn a_journal_with_the_dropped_history_keys_still_recovers() {
-    let old = pre_history_fixture("service_journal.mbtsj");
+    let old = old_fixture("pre26", "service_journal.mbtsj");
     let new = std::fs::read(fixture_dir().join("service_journal.mbtsj")).expect("fixture");
     let (old_machine, old_report) = ServiceRun::recover(&old).expect("old journal recovers");
     let (new_machine, new_report) = ServiceRun::recover(&new).expect("new journal recovers");
@@ -566,18 +579,109 @@ fn a_journal_with_the_dropped_history_keys_still_recovers() {
         assert_eq!(streamed_report, report, "{}", file.display());
         assert_eq!(streamed.snapshot_json(), machine.snapshot_json());
     }
-    let (old, new) = (framing::scan(&old).unwrap(), framing::scan(&new).unwrap());
+    same_records_but_snapshot_keys::<ServiceSnapshot>(&old, &new);
+}
+
+/// `old` and `new` are journals of the same run that differ record for
+/// record only in their snapshot payloads, each old one re-serialising to
+/// the new one as `T`.
+fn same_records_but_snapshot_keys<T: Serialize + Deserialize>(old: &[u8], new: &[u8]) {
+    let (old, new) = (framing::scan(old).unwrap(), framing::scan(new).unwrap());
     assert_eq!(old.records.len(), new.records.len());
+    let mut snapshots = 0;
     for ((old_tag, old_payload), (new_tag, new_payload)) in old.records.iter().zip(&new.records) {
         assert_eq!(old_tag, new_tag);
         if *old_tag == RecordTag::Snapshot {
+            snapshots += 1;
             let text = std::str::from_utf8(old_payload).expect("utf-8 snapshot");
-            let snap: ServiceSnapshot = serde_json::from_str(text).expect("old snapshot parses");
+            let snap: T = serde_json::from_str(text).expect("old snapshot parses");
             assert!(render(&snap, false).as_bytes() == *new_payload);
         } else {
             assert!(old_payload == new_payload, "event records are unchanged");
         }
     }
+    assert!(snapshots > 0, "no snapshot record");
+}
+
+/// Reads the pre-40 text of `name` as `T`, restores it, and checks that
+/// `restored`, the text the restored state writes, is today's fixture.
+fn restores_to_today<T: Deserialize>(name: &str, restored: impl FnOnce(T) -> String) {
+    let old = String::from_utf8(old_fixture("pre40", name)).expect("utf-8 fixture");
+    let new = std::fs::read_to_string(fixture_dir().join(name)).expect("current fixture");
+    assert!(old != new, "{name}: the old bytes are today's");
+    let typed: T = serde_json::from_str(&old).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(
+        restored(typed) == new,
+        "{name}: old text → restored → text is not today's fixture"
+    );
+}
+
+/// Every snapshot written before the site's last dropped keys restores,
+/// and the restored state writes today's fixture byte for byte.
+#[test]
+fn snapshots_with_the_removed_site_keys_restore_to_todays_bytes() {
+    let text = String::from_utf8(old_fixture("pre40", "site_run_snapshot_faulted.json")).unwrap();
+    for key in ["\"incremental\":true", "\"orphaned\":0", "\"site_rngs\":"] {
+        assert!(text.contains(key), "the old faulted snapshot has no {key}");
+    }
+    restores_to_today("site_snapshot.json", |s: SiteSnapshot| {
+        render(&SiteState::from_snapshot(s).snapshot(), false)
+    });
+    for name in [
+        "site_run_snapshot_faulted.json",
+        "site_run_snapshot_workflows.json",
+    ] {
+        restores_to_today(name, |s: SiteRunSnapshot| {
+            render(&SiteRun::from_snapshot(s).snapshot(), false)
+        });
+    }
+    for name in ["service_snapshot.json", "service_snapshot_drained.json"] {
+        restores_to_today(name, |s: ServiceSnapshot| {
+            render(&ServiceMachine::from_snapshot(s).snapshot(), false)
+        });
+    }
+    restores_to_today("economy_snapshot.json", |s: EconomySnapshot| {
+        let run = EconomyRun::from_snapshot(s).expect("the old snapshot restores");
+        render(&run.snapshot(), false)
+    });
+
+    // A config that had switched dispatch to the rebuild-per-event fork
+    // reads too, into the one path there is.
+    let today = std::fs::read_to_string(fixture_dir().join("site_snapshot.json")).unwrap();
+    let off = today.replacen(
+        "\"drop_expired\":false",
+        "\"drop_expired\":false,\"incremental\":false",
+        1,
+    );
+    assert!(off != today);
+    let snap: SiteSnapshot = serde_json::from_str(&off).expect("the old config reads");
+    assert!(render(&SiteState::from_snapshot(snap).snapshot(), false) == today);
+}
+
+/// The service and economy journals written before the site's last
+/// dropped keys recover to the runs today's fixtures recover to, and
+/// differ from them only in their snapshot payloads.
+#[test]
+fn journals_with_the_removed_site_keys_recover_to_todays_runs() {
+    let (old, new) = (
+        old_fixture("pre40", "service_journal.mbtsj"),
+        std::fs::read(fixture_dir().join("service_journal.mbtsj")).expect("fixture"),
+    );
+    let (old_machine, old_report) = ServiceRun::recover(&old).expect("old journal recovers");
+    let (new_machine, new_report) = ServiceRun::recover(&new).expect("new journal recovers");
+    assert_eq!(old_report, new_report);
+    assert_eq!(old_machine.snapshot_json(), new_machine.snapshot_json());
+    same_records_but_snapshot_keys::<ServiceSnapshot>(&old, &new);
+
+    let (old, new) = (
+        old_fixture("pre40", "economy_journal.mbtsj"),
+        std::fs::read(fixture_dir().join("economy_journal.mbtsj")).expect("fixture"),
+    );
+    let (old_run, old_report) = DurableRun::<EconomyRun>::recover(&old).expect("old recovers");
+    let (new_run, new_report) = DurableRun::<EconomyRun>::recover(&new).expect("new recovers");
+    assert_eq!(old_report, new_report);
+    assert!(render(&old_run.snapshot(), false) == render(&new_run.snapshot(), false));
+    same_records_but_snapshot_keys::<EconomySnapshot>(&old, &new);
 }
 
 /// Reads the task array at `path` in `doc` as the `Vec<TaskSpec>` it was
@@ -685,17 +789,23 @@ fn economy_documents_with_deadline_checks_or_retries_are_refused() {
     ] {
         let err = err.expect("the journal was recovered").to_string();
         assert!(
-            err.contains("DeadlineCheck") || err.contains("Retry"),
+            err.contains("DeadlineCheck") || err.contains("Retry") || err.contains(ORPHANED_RECORD),
             "{err}"
         );
     }
 }
 
-/// The economy events the market no longer has, as a reader names them.
-const REMOVED_FAULT_EVENTS: [&str; 3] = [
+/// A task a market outage took off a site, as a site that kept per-job
+/// records recorded it; a reader names it when it refuses the document.
+const ORPHANED_RECORD: &str = "unknown Disposition variant `Orphaned`";
+
+/// The economy events the market no longer has, and the records of the
+/// tasks its outages orphaned, as a reader names them.
+const REMOVED_FAULT_EVENTS: [&str; 4] = [
     "unknown EcoEvent variant `Crash`",
     "unknown EcoEvent variant `Repair`",
     "unknown EcoEvent variant `OrphanRebid`",
+    ORPHANED_RECORD,
 ];
 
 fn names_a_removed_fault_event(err: &str) -> bool {
