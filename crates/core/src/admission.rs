@@ -22,7 +22,7 @@
 //! threshold; Figure 7 shows the threshold's risk/reward trade-off.
 
 use crate::heuristics::Policy;
-use crate::job::Job;
+use crate::job::{discount, Job};
 use crate::schedule::{with_candidate_schedule, CandidateSchedule, ScheduleMode};
 use mbts_sim::Time;
 use mbts_workload::workflow::SuccessorContext;
@@ -164,12 +164,15 @@ pub fn decision_from_schedule_with_successors(
     let expected_yield = entry.expected_yield;
     let succ = successors.filter(|s| !s.is_empty());
     let present_value = match succ {
-        None => expected_yield / (1.0 + discount_rate * candidate.rpt.as_f64()),
+        None => discount(expected_yield, discount_rate, candidate.rpt.as_f64()),
         Some(s) => {
             let downstream_done = entry.completion + mbts_sim::Duration::new(s.downstream_runtime);
             let downstream_value = s.downstream_value_at(downstream_done);
-            (expected_yield + downstream_value)
-                / (1.0 + discount_rate * (candidate.rpt.as_f64() + s.downstream_runtime))
+            discount(
+                expected_yield + downstream_value,
+                discount_rate,
+                candidate.rpt.as_f64() + s.downstream_runtime,
+            )
         }
     };
 
@@ -180,13 +183,7 @@ pub fn decision_from_schedule_with_successors(
     let cost = behind_decay * runtime_i;
 
     let effective_decay = candidate.spec.decay + succ.map(|s| s.sum_decay).unwrap_or(0.0);
-    let slack = if effective_decay > 0.0 {
-        (present_value - cost) / effective_decay
-    } else if present_value - cost >= 0.0 {
-        f64::INFINITY
-    } else {
-        f64::NEG_INFINITY
-    };
+    let slack = slack(present_value, cost, effective_decay);
 
     let accept = match admission {
         AdmissionPolicy::AcceptAll => true,
@@ -201,6 +198,21 @@ pub fn decision_from_schedule_with_successors(
         present_value,
         cost,
         slack,
+    }
+}
+
+/// Eq. 7 slack: `(pv − cost) / decay`, the delay a task can absorb
+/// before its reward net of `cost` falls to zero. A task that does not
+/// decay has `+∞` slack when `pv ≥ cost` and `−∞` otherwise.
+#[inline]
+pub fn slack(pv: f64, cost: f64, decay: f64) -> f64 {
+    let margin = pv - cost;
+    if decay > 0.0 {
+        margin / decay
+    } else if margin >= 0.0 {
+        f64::INFINITY
+    } else {
+        f64::NEG_INFINITY
     }
 }
 
@@ -236,6 +248,15 @@ mod tests {
             queue,
             candidate,
         )
+    }
+
+    #[test]
+    fn slack_is_the_margin_over_decay_or_a_signed_infinity() {
+        assert_eq!(slack(100.0, 40.0, 2.0), 30.0);
+        assert_eq!(slack(40.0, 100.0, 2.0), -30.0);
+        assert_eq!(slack(100.0, 40.0, 0.0), f64::INFINITY);
+        assert_eq!(slack(40.0, 40.0, 0.0), f64::INFINITY);
+        assert_eq!(slack(40.0, 100.0, 0.0), f64::NEG_INFINITY);
     }
 
     #[test]

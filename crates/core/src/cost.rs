@@ -197,24 +197,13 @@ impl CostModel {
     fn total_cost(&self, rpt: f64) -> f64 {
         // First index whose window ≥ rpt.
         let split = self.finite.partition_point(|&(w, _)| w < rpt);
-        self.total_cost_at(rpt, split)
-    }
-
-    /// [`total_cost`](Self::total_cost) with the split point already
-    /// known; `split` must equal `partition_point(|(w, _)| w < rpt)`.
-    ///
-    /// The pending pool's FirstReward merge sweep
-    /// ([`crate::pool::PendingPool`]) replicates this expression — and
-    /// the prefix sums it reads — operation for operation from running
-    /// accumulators; keep the two in lockstep or the pool's
-    /// bit-equivalence with the rebuild path breaks.
-    fn total_cost_at(&self, rpt: f64, split: usize) -> f64 {
-        let mut cost = self.infinite_decay * rpt;
-        // Windows shorter than rpt contribute d·w …
-        cost += self.prefix_dw[split];
-        // … longer ones contribute d·rpt.
-        let d_tail = self.prefix_d[self.finite.len()] - self.prefix_d[split];
-        cost + d_tail * rpt
+        summed_cost(
+            self.infinite_decay,
+            rpt,
+            self.prefix_dw[split],
+            self.prefix_d[split],
+            self.prefix_d[self.finite.len()],
+        )
     }
 
     /// Opportunity cost (Eq. 4) of running `candidate` for its RPT at the
@@ -223,12 +212,7 @@ impl CostModel {
     /// the model was built with.
     pub fn cost(&self, candidate_rpt: Duration, own_decay: f64, own_window: Duration) -> f64 {
         let rpt = candidate_rpt.as_f64();
-        let own = if own_decay == 0.0 || own_window == Duration::ZERO {
-            0.0
-        } else {
-            own_decay * rpt.min(own_window.as_f64())
-        };
-        (self.total_cost(rpt) - own).max(0.0)
+        opportunity_cost(self.total_cost(rpt), own_decay, own_window, rpt)
     }
 
     /// Convenience: opportunity cost of `job` at time `now` (must match
@@ -243,9 +227,45 @@ impl CostModel {
     }
 }
 
+/// One task's Eq. 4 term, `decay · min(rpt, window)`: what `rpt` more
+/// time units of waiting cost a task whose value keeps decaying for
+/// `window`. Zero for a task that does not decay or has expired.
+#[inline]
+pub fn cost_term(decay: f64, window: Duration, rpt: f64) -> f64 {
+    if decay == 0.0 || window == Duration::ZERO {
+        0.0
+    } else {
+        decay * rpt.min(window.as_f64())
+    }
+}
+
+/// Eq. 4 summed over a whole queue from its window-sorted prefix sums:
+/// the never-expiring decay times `rpt`, plus `d·w` of every window
+/// shorter than `rpt` (`dw_short`), plus `rpt` times the decay of the
+/// longer finite windows (`d_finite − d_short`).
+#[inline]
+pub fn summed_cost(
+    infinite_decay: f64,
+    rpt: f64,
+    dw_short: f64,
+    d_short: f64,
+    d_finite: f64,
+) -> f64 {
+    let cost = infinite_decay * rpt + dw_short;
+    cost + (d_finite - d_short) * rpt
+}
+
+/// Eq. 4 for one candidate: the queue's `total` less the candidate's own
+/// [`cost_term`], floored at zero.
+#[inline]
+pub fn opportunity_cost(total: f64, own_decay: f64, own_window: Duration, rpt: f64) -> f64 {
+    (total - cost_term(own_decay, own_window, rpt)).max(0.0)
+}
+
 /// Reference `O(n)` implementation of Eq. 4, used by tests to validate
 /// [`CostModel`].
-pub fn cost_naive(now: Time, candidate: &Job, competitors: &[Job]) -> f64 {
+#[cfg(test)]
+fn cost_naive(now: Time, candidate: &Job, competitors: &[Job]) -> f64 {
     let rpt = candidate.rpt.as_f64();
     competitors
         .iter()
@@ -387,6 +407,20 @@ mod tests {
             assert!((built.cost_of(j, Time::ZERO) - direct.cost_of(j, Time::ZERO)).abs() < 1e-9);
         }
         assert!((built.active_decay() - total).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_candidate_is_charged_the_total_less_its_own_term() {
+        // Own term d·min(rpt, window): the window binds below rpt.
+        assert_eq!(cost_term(2.0, Duration::from(3.0), 10.0), 6.0);
+        assert_eq!(cost_term(2.0, Duration::INFINITY, 10.0), 20.0);
+        assert_eq!(cost_term(2.0, Duration::ZERO, 10.0), 0.0);
+        assert_eq!(cost_term(0.0, Duration::INFINITY, 10.0), 0.0);
+        // 1·10 never-expiring + 4 (short windows) + 10·(3 − 1) long.
+        assert_eq!(summed_cost(1.0, 10.0, 4.0, 1.0, 3.0), 34.0);
+        assert_eq!(opportunity_cost(34.0, 2.0, Duration::from(3.0), 10.0), 28.0);
+        // Rounding can leave the own term above the total: never negative.
+        assert_eq!(opportunity_cost(5.0, 2.0, Duration::from(3.0), 10.0), 0.0);
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //!
 //! Everything here is `&`-only over [`Job`]s and builds throwaway
 //! [`CostModel`]s — never a pool's lazily-maintained one — so explaining
-//! a decision can never perturb the decision itself. The conventions
-//! match the site's `Scheduled` diagnostics exactly: cost sums the
-//! *other* candidates' effective decay in slice order times the
-//! candidate's runtime, and zero-decay slack goes to ±∞ (callers clamp
-//! finite before serializing).
+//! a decision can never perturb the decision itself. The site's
+//! `Scheduled` diagnostics are [`decompose`] too: cost sums the *other*
+//! candidates' effective decay in order times the candidate's runtime,
+//! and zero-decay slack goes to ±∞ (callers clamp finite before
+//! serializing).
 
+use crate::admission::slack;
 use crate::cost::CostModel;
 use crate::heuristics::{Policy, ScoreCtx};
 use crate::job::Job;
@@ -83,32 +84,20 @@ pub fn explain_decision(policy: &Policy, now: Time, competing: &[Job]) -> Decisi
     DecisionExplanation { scores, ranked }
 }
 
-/// Decomposes candidate `idx`'s standing against the rest of
-/// `competing`. `discount_rate` is the admission discount rate used for
-/// the PV term.
-pub fn decompose(
+/// Decomposes `job`'s standing against `others`, the rest of its
+/// competing set. `discount_rate` is the admission discount rate used
+/// for the PV term; the cost sums `others`' effective decay in the order
+/// given.
+pub fn decompose<'a>(
     discount_rate: f64,
     now: Time,
-    competing: &[Job],
-    idx: usize,
+    job: &Job,
+    others: impl IntoIterator<Item = &'a Job>,
 ) -> ScoreDecomposition {
-    let job = &competing[idx];
     let pv = job.present_value(now, discount_rate);
-    let behind_decay: f64 = competing
-        .iter()
-        .enumerate()
-        .filter(|(k, _)| *k != idx)
-        .map(|(_, j)| j.effective_decay(now))
-        .sum();
+    let behind_decay: f64 = others.into_iter().map(|j| j.effective_decay(now)).sum();
     let cost = behind_decay * job.spec.runtime.as_f64();
-    let decay = job.effective_decay(now);
-    let slack = if decay > 0.0 {
-        (pv - cost) / decay
-    } else if pv - cost >= 0.0 {
-        f64::INFINITY
-    } else {
-        f64::NEG_INFINITY
-    };
+    let slack = slack(pv, cost, job.effective_decay(now));
     ScoreDecomposition { pv, cost, slack }
 }
 
@@ -153,9 +142,8 @@ mod tests {
 
     #[test]
     fn decomposition_sums_the_other_candidates_in_order() {
-        let competing = vec![job(0, 10.0, 100.0, 2.0), job(1, 4.0, 40.0, 1.0)];
-        let now = Time::ZERO;
-        let d = decompose(0.0, now, &competing, 0);
+        let (job0, others) = (job(0, 10.0, 100.0, 2.0), [job(1, 4.0, 40.0, 1.0)]);
+        let d = decompose(0.0, Time::ZERO, &job0, &others);
         // Candidate 0 is charged candidate 1's decay over its runtime.
         assert_eq!(d.cost, 1.0 * 10.0);
         assert_eq!(d.pv, 100.0);
@@ -164,8 +152,7 @@ mod tests {
 
     #[test]
     fn zero_decay_slack_is_signed_infinite() {
-        let competing = vec![job(0, 10.0, 100.0, 0.0)];
-        let d = decompose(0.0, Time::ZERO, &competing, 0);
+        let d = decompose(0.0, Time::ZERO, &job(0, 10.0, 100.0, 0.0), &[]);
         assert_eq!(d.slack, f64::INFINITY);
     }
 }

@@ -139,7 +139,7 @@ impl Policy {
                     .cost
                     .expect("FirstReward requires a CostModel in ScoreCtx")
                     .cost_of(job, ctx.now);
-                (alpha * pv - (1.0 - alpha) * cost) / rpt
+                reward(*alpha, pv, cost, rpt)
             }
         }
     }
@@ -199,6 +199,15 @@ impl<'a> ScoreCtx<'a> {
     }
 }
 
+/// §5.3 FirstReward score: `(α·PV − (1−α)·cost) / RPT`, the discounted
+/// gain weighed against the Eq. 4 opportunity cost per unit of
+/// processor time. `rpt` is floored at `f64::MIN_POSITIVE`, as in every
+/// policy's score.
+#[inline]
+pub fn reward(alpha: f64, pv: f64, cost: f64, rpt: f64) -> f64 {
+    (alpha * pv - (1.0 - alpha) * cost) / rpt.max(f64::MIN_POSITIVE)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,6 +246,8 @@ mod tests {
         let calm_long = job(1, 0.0, 10.0, 1000.0, 1.0); // d/rpt = 0.1
         let ctx = ScoreCtx::simple(Time::ZERO);
         assert!(Policy::Swpt.score(&urgent_short, &ctx) > Policy::Swpt.score(&calm_long, &ctx));
+        assert_eq!(Policy::Swpt.score(&urgent_short, &ctx), 2.0);
+        assert_eq!(Policy::Swpt.score(&calm_long, &ctx), 0.1);
     }
 
     #[test]
@@ -245,6 +256,15 @@ mod tests {
         // Started at t=5: completes 15, delay 5 → yield 95 → score 9.5.
         let ctx = ScoreCtx::simple(Time::from(5.0));
         assert!((Policy::FirstPrice.score(&j, &ctx) - 9.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn reward_weighs_present_value_against_cost_per_unit_time() {
+        assert_eq!(reward(1.0, 50.0, 20.0, 10.0), 5.0);
+        assert_eq!(reward(0.0, 50.0, 20.0, 10.0), -2.0);
+        assert_eq!(reward(0.5, 50.0, 20.0, 10.0), 1.5);
+        // A zero RPT divides by the smallest positive f64, not by zero.
+        assert_eq!(reward(1.0, 1.0, 0.0, 0.0), 1.0 / f64::MIN_POSITIVE);
     }
 
     #[test]

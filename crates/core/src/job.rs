@@ -77,7 +77,7 @@ impl Job {
     /// `PV = yield / (1 + discount_rate · RPT)`.
     #[inline]
     pub fn present_value(&self, now: Time, discount_rate: f64) -> f64 {
-        self.yield_if_started(now) / (1.0 + discount_rate * self.rpt.as_f64())
+        discount(self.yield_if_started(now), discount_rate, self.rpt.as_f64())
     }
 
     /// How much longer this job's yield keeps decaying if it *stays
@@ -88,12 +88,7 @@ impl Job {
     /// This is the `expire_j` window in the opportunity-cost formula
     /// (Eq. 4).
     pub fn decay_window(&self, now: Time) -> Duration {
-        let expire = self.spec.expire_time();
-        if expire == Time::INFINITY {
-            Duration::INFINITY
-        } else {
-            (expire - self.completion_if_started(now)).max_zero()
-        }
+        decay_window(self.spec.expire_time(), self.completion_if_started(now))
     }
 
     /// The effective decay rate for opportunity-cost purposes at `now`:
@@ -105,6 +100,25 @@ impl Job {
         } else {
             self.spec.decay
         }
+    }
+}
+
+/// Eq. 3 discount: `amount / (1 + discount_rate · horizon)`, the present
+/// value of `amount` earned `horizon` time units from now.
+#[inline]
+pub fn discount(amount: f64, discount_rate: f64, horizon: f64) -> f64 {
+    amount / (1.0 + discount_rate * horizon)
+}
+
+/// Eq. 4 decay window of a task that expires at `expire` and would
+/// complete at `completion`: how much longer its value keeps decaying
+/// while it waits. Zero once expired, infinite when it never expires.
+#[inline]
+pub fn decay_window(expire: Time, completion: Time) -> Duration {
+    if expire == Time::INFINITY {
+        Duration::INFINITY
+    } else {
+        (expire - completion).max_zero()
     }
 }
 
@@ -175,6 +189,19 @@ mod tests {
         assert_eq!(j.decay_window(Time::from(40.0)), Duration::from(20.0));
         assert_eq!(j.decay_window(Time::from(60.0)), Duration::ZERO);
         assert_eq!(j.decay_window(Time::from(100.0)), Duration::ZERO);
+    }
+
+    #[test]
+    fn a_completion_before_the_earliest_possible_one_earns_the_value() {
+        // Arrival 10, runtime 5: evaluated at t = 0 it would finish at 5,
+        // ten units before it could; that is no delay, not a bonus.
+        let j = job(100.0, 2.0, PenaltyBound::Unbounded);
+        assert_eq!(j.yield_if_started(Time::ZERO), 100.0);
+        assert_eq!(
+            j.present_value(Time::ZERO, 0.01),
+            discount(100.0, 0.01, 5.0)
+        );
+        assert_eq!(discount(100.0, 0.01, 5.0), 100.0 / 1.05);
     }
 
     #[test]

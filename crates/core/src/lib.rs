@@ -2,8 +2,6 @@
 //!
 //! The paper's primary contribution (§3–§6), as a library:
 //!
-//! * [`value`] — value functions: the linear-decay form of §3 (Figure 2)
-//!   as a first-class type.
 //! * [`job`] — mutable per-task scheduling state: remaining processing
 //!   time (RPT), preemption bookkeeping, expected yield.
 //! * [`cost`] — **opportunity cost** (§5.2): the exact Eq. 4 form with
@@ -22,6 +20,14 @@
 //!   for negotiation (expected completion times) and admission control.
 //! * [`admission`] — the slack computation of Eq. 7/8 and the
 //!   slack-threshold acceptance heuristic of §6.
+//!
+//! Each equation term is one `#[inline]` function over plain numbers,
+//! and every caller, the pool's merge sweep included, calls it:
+//! `mbts_workload::task::{delay, decayed_yield}` (Eq. 1/2),
+//! [`job::discount`] (Eq. 3), [`job::decay_window`],
+//! [`cost::cost_term`], [`cost::summed_cost`] and
+//! [`cost::opportunity_cost`] (Eq. 4), [`heuristics::reward`] (§5.3) and
+//! [`admission::slack`] (Eq. 7).
 //!
 //! ```
 //! use mbts_core::{CostModel, Job, Policy, ScoreCtx};
@@ -50,7 +56,6 @@ pub mod mergemap;
 pub mod pool;
 pub mod readyset;
 pub mod schedule;
-pub mod value;
 
 pub use admission::{
     decision_from_schedule_with_successors, evaluate_admission, evaluate_admission_with_successors,
@@ -67,4 +72,3 @@ pub use readyset::{
 pub use schedule::{
     build_candidate, with_candidate_schedule, CandidateSchedule, ScheduleEntry, ScheduleMode,
 };
-pub use value::{LinearDecay, ValueFunction};

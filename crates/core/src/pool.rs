@@ -48,9 +48,9 @@
 //!    in one merge sweep: visiting candidates by ascending RPT makes the
 //!    window split point monotone, so every Eq. 4 query is answered in
 //!    `O(1)` amortized from two running sums — accumulated in exactly
-//!    the order [`CostModel`]'s prefix arrays are, keeping scores
-//!    bit-identical to the rebuild path's without materializing the
-//!    model at all.
+//!    the order [`CostModel`]'s prefix arrays are and passed to the same
+//!    term functions, keeping scores bit-identical to the rebuild path's
+//!    without materializing the model at all.
 //!
 //! Equivalence with the rebuild-from-scratch path is part of the
 //! contract: the same `(score, lowest task id)` argmax, the same
@@ -58,12 +58,13 @@
 //! summation order). Property tests below drive both implementations
 //! through randomized event sequences and compare after every event.
 
-use crate::cost::{CostModel, DecaySum};
-use crate::heuristics::{Policy, ScoreCtx};
-use crate::job::Job;
+use crate::cost::{opportunity_cost, summed_cost, CostModel, DecaySum};
+use crate::heuristics::{reward, Policy, ScoreCtx};
+use crate::job::{decay_window, discount, Job};
 use crate::mergemap::MergeMap;
 use mbts_sim::profiler::{self, Section};
 use mbts_sim::{Duration, Time};
+use mbts_workload::task::{decayed_yield, delay};
 use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap};
 
@@ -159,8 +160,7 @@ impl IncrementalCostModel {
         if self.model_now != Some(now) {
             let mut entries = Vec::with_capacity(self.finite.len());
             self.finite.for_each(|_, e| {
-                // Bit-identical to Job::decay_window at this `now`.
-                let w = (e.expire - (now + e.rpt)).max_zero();
+                let w = decay_window(e.expire, now + e.rpt);
                 if w > Duration::ZERO {
                     entries.push((w.as_f64(), e.decay));
                 }
@@ -582,11 +582,11 @@ impl PendingPool {
     /// Scores every job under `FirstReward` in one RPT-ordered merge
     /// sweep. The split point into the window-ordered entries is
     /// monotone in RPT, so each Eq. 4 query is `O(1)` amortized from two
-    /// running sums accumulated in exactly the left-to-right order
-    /// [`CostModel`]'s `prefix_dw`/`prefix_d` arrays are built in —
-    /// `visit` receives `(slot, id, score)` with scores bit-identical to
-    /// [`Policy::score`] against [`Self::cost_model`], without
-    /// materializing the model.
+    /// running sums accumulated in the left-to-right order [`CostModel`]'s
+    /// `prefix_dw`/`prefix_d` arrays are built in. `visit` receives
+    /// `(slot, id, score)` with scores bit-identical to [`Policy::score`]
+    /// against [`Self::cost_model`], without materializing the model:
+    /// both feed the same operands to the same term functions.
     fn for_each_first_reward(&mut self, now: Time, mut visit: impl FnMut(usize, u64, f64)) {
         let Policy::FirstReward {
             alpha,
@@ -603,8 +603,7 @@ impl PendingPool {
         scratch.clear();
         let mut total_d = 0.0f64;
         self.cost.finite.for_each(|_, e| {
-            // Bit-identical to Job::decay_window at this `now`.
-            let w = (e.expire - (now + e.rpt)).max_zero();
+            let w = decay_window(e.expire, now + e.rpt);
             if w > Duration::ZERO {
                 scratch.push((w.as_f64(), e.decay));
                 total_d += e.decay;
@@ -622,29 +621,14 @@ impl PendingPool {
                 running_d += d;
                 split += 1;
             }
-            // Total Eq. 4 cost, op-for-op `CostModel::total_cost_at`.
-            let mut total = infinite * rpt_f;
-            total += running_dw;
-            let d_tail = total_d - running_d;
-            let total = total + d_tail * rpt_f;
-            // Own contribution, op-for-op `CostModel::cost`.
-            let own_window = if sj.expire == Time::INFINITY {
-                Duration::INFINITY
-            } else {
-                (sj.expire - (now + rpt)).max_zero()
-            };
-            let own = if sj.decay == 0.0 || own_window == Duration::ZERO {
-                0.0
-            } else {
-                sj.decay * rpt_f.min(own_window.as_f64())
-            };
-            let cost = (total - own).max(0.0);
-            // PV, op-for-op `Job::present_value`.
-            let delay = ((now + rpt) - sj.earliest).max_zero();
-            let yield_if_started = (sj.value - delay.as_f64() * sj.decay).max(sj.floor);
-            let pv = yield_if_started / (1.0 + discount_rate * rpt_f);
-            let score = (alpha * pv - (1.0 - alpha) * cost) / rpt_f.max(f64::MIN_POSITIVE);
-            visit(sj.slot, id, score);
+            let completion = now + rpt;
+            let total = summed_cost(infinite, rpt_f, running_dw, running_d, total_d);
+            let own_window = decay_window(sj.expire, completion);
+            let cost = opportunity_cost(total, sj.decay, own_window, rpt_f);
+            let expected_yield =
+                decayed_yield(sj.value, sj.decay, sj.floor, delay(sj.earliest, completion));
+            let pv = discount(expected_yield, discount_rate, rpt_f);
+            visit(sj.slot, id, reward(alpha, pv, cost, rpt_f));
         });
         self.scratch = scratch;
     }
@@ -1019,6 +1003,17 @@ mod proptests {
     use mbts_workload::{PenaltyBound, TaskSpec};
     use proptest::prelude::*;
 
+    /// `(runtime, value, decay, bound kind)`. One decay in five is an
+    /// exact zero, which a uniform `0.0..10.0` draw almost never gives.
+    fn arb_spec() -> impl Strategy<Value = (f64, f64, f64, u8)> {
+        (
+            0.1f64..50.0,
+            0.0f64..300.0,
+            (0u8..5u8, 0.0f64..10.0).prop_map(|(k, d)| if k == 0 { 0.0 } else { d }),
+            0u8..3u8,
+        )
+    }
+
     fn build_jobs(specs: &[(f64, f64, f64, u8)]) -> Vec<Job> {
         specs
             .iter()
@@ -1043,8 +1038,7 @@ mod proptests {
         /// `CostModel::build` over the same live set (within 1e-9).
         #[test]
         fn incremental_model_matches_scratch_build(
-            specs in proptest::collection::vec(
-                (0.1f64..50.0, 0.0f64..300.0, 0.0f64..10.0, 0u8..3u8), 1..30),
+            specs in proptest::collection::vec(arb_spec(), 1..30),
             ops in proptest::collection::vec((0u8..9u8, 0.0f64..15.0), 1..50),
         ) {
             let jobs = build_jobs(&specs);
@@ -1090,8 +1084,7 @@ mod proptests {
         /// sequences.
         #[test]
         fn pool_selection_matches_flat_rescan(
-            specs in proptest::collection::vec(
-                (0.1f64..50.0, 0.0f64..300.0, 0.0f64..10.0, 0u8..3u8), 1..25),
+            specs in proptest::collection::vec(arb_spec(), 1..25),
             ops in proptest::collection::vec((0u8..9u8, 0.0f64..10.0), 1..40),
         ) {
             let jobs = build_jobs(&specs);
@@ -1136,6 +1129,20 @@ mod proptests {
                         "{}: pool chose {:?}, flat rescan chose {:?}",
                         policy.name(), got_id, want_id
                     );
+                    if policy.needs_cost_model() {
+                        // The argmax forgives a sweep term that is off
+                        // for a job that does not win; the scores do not.
+                        let swept = pool.scores(t);
+                        let model = pool.cost_model(t).clone();
+                        let ctx = ScoreCtx::with_cost(t, &model);
+                        for (slot, job) in pool.jobs().iter().enumerate() {
+                            prop_assert_eq!(
+                                swept[slot].to_bits(),
+                                policy.score(job, &ctx).to_bits(),
+                                "{} score of {:?} at t={}", policy.name(), job.id(), now
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -21,6 +21,7 @@ use crate::SiteOutcome;
 use mbts_core::{
     decision_from_schedule_with_successors, decompose, explain_decision, with_candidate_schedule,
     AdmissionDecision, AdmissionPolicy, CostModel, Job, PendingPool, PoolCheckpoint, ScoreCtx,
+    ScoreDecomposition,
 };
 use mbts_sim::{Duration, Time};
 use mbts_trace::{
@@ -501,9 +502,7 @@ impl SiteState {
             disposition: Disposition::Cancelled,
             finished_at: Some(now),
             earned: 0.0,
-            delay: (now - (job.spec.arrival + job.spec.runtime))
-                .max_zero()
-                .as_f64(),
+            delay: job.spec.delay_at(now).as_f64(),
             preemptions: job.preemptions,
         });
         self.audit_check(now);
@@ -539,7 +538,7 @@ impl SiteState {
             job.true_rpt
         );
         let earned = job.spec.yield_at(now);
-        let delay = (now - (job.spec.arrival + job.spec.runtime)).max_zero();
+        let delay = job.spec.delay_at(now);
         self.metrics.completed += 1;
         self.metrics.note_finish(now, earned);
         self.metrics.delay.push(delay.as_f64());
@@ -680,22 +679,12 @@ impl SiteState {
     /// scores are computed against a throwaway cost model (never the
     /// pool's lazily maintained one), so tracing cannot perturb replay.
     fn schedule_event(&self, job: &Job, now: Time, backfill: bool) -> TraceEvent {
-        let pv = job.present_value(now, self.config.admission_discount_rate);
-        let behind_decay: f64 = self
-            .pending
-            .jobs()
-            .iter()
-            .map(|j| j.effective_decay(now))
-            .sum();
-        let cost = behind_decay * job.spec.runtime.as_f64();
-        let decay = job.effective_decay(now);
-        let slack = if decay > 0.0 {
-            (pv - cost) / decay
-        } else if pv - cost >= 0.0 {
-            f64::INFINITY
-        } else {
-            f64::NEG_INFINITY
-        };
+        let ScoreDecomposition { pv, cost, slack } = decompose(
+            self.config.admission_discount_rate,
+            now,
+            job,
+            self.pending.jobs(),
+        );
         let competing = self.pending.jobs().iter().chain(Some(job));
         let model = self
             .config
@@ -733,14 +722,16 @@ impl SiteState {
 
     /// Builds the provenance candidate list for one decision: maps the
     /// retained competing-set indexes through the pure explainers of
-    /// `mbts-core`, keeping the top-[`MAX_DECISION_CANDIDATES`] plus
-    /// every chosen candidate, in rank order. Read-only, like
+    /// `mbts-core`, keeping every chosen candidate plus the best-ranked
+    /// others at index `first_eligible` or later, up to
+    /// [`MAX_DECISION_CANDIDATES`], in rank order. Read-only, like
     /// [`schedule_event`](Self::schedule_event).
     fn provenance_candidates(
         &self,
         now: Time,
         competing: &[Job],
         chosen: &[usize],
+        first_eligible: usize,
     ) -> Vec<DecisionCandidate> {
         let ex = explain_decision(&self.config.policy, now, competing);
         let mut keep: Vec<usize> = chosen.to_vec();
@@ -748,14 +739,20 @@ impl SiteState {
             if keep.len() >= MAX_DECISION_CANDIDATES.max(chosen.len()) {
                 break;
             }
-            if !chosen.contains(&idx) {
+            if idx >= first_eligible && !chosen.contains(&idx) {
                 keep.push(idx);
             }
         }
         keep.sort_by_key(|&idx| ex.rank_of(idx));
         keep.into_iter()
             .map(|idx| {
-                let d = decompose(self.config.admission_discount_rate, now, competing, idx);
+                let others = competing[..idx].iter().chain(&competing[idx + 1..]);
+                let d = decompose(
+                    self.config.admission_discount_rate,
+                    now,
+                    &competing[idx],
+                    others,
+                );
                 let facet = self.facet_of(competing[idx].id().0);
                 DecisionCandidate {
                     rank: ex.rank_of(idx),
@@ -779,7 +776,7 @@ impl SiteState {
         let mut competing: Vec<Job> = self.pending.jobs().to_vec();
         competing.push(job.clone());
         let chosen = competing.len() - 1;
-        let candidates = self.provenance_candidates(now, &competing, &[chosen]);
+        let candidates = self.provenance_candidates(now, &competing, &[chosen], 0);
         TraceEvent {
             at: now,
             task: Some(job.id()),
@@ -849,37 +846,8 @@ impl SiteState {
         let base = self.pending.len();
         let mut competing: Vec<Job> = self.pending.jobs().to_vec();
         competing.extend(running_views.iter().cloned());
-        let ex = explain_decision(&self.config.policy, now, &competing);
         let chosen: Vec<usize> = chosen_running.iter().map(|&ri| base + ri).collect();
-        let mut keep: Vec<usize> = chosen.clone();
-        for &idx in ex.ranked() {
-            if keep.len() >= MAX_DECISION_CANDIDATES.max(chosen.len()) {
-                break;
-            }
-            if idx >= base && !chosen.contains(&idx) {
-                keep.push(idx);
-            }
-        }
-        keep.sort_by_key(|&idx| ex.rank_of(idx));
-        let candidates = keep
-            .into_iter()
-            .map(|idx| {
-                let d = decompose(self.config.admission_discount_rate, now, &competing, idx);
-                let facet = self.facet_of(competing[idx].id().0);
-                DecisionCandidate {
-                    rank: ex.rank_of(idx),
-                    task: Some(competing[idx].id()),
-                    site: None,
-                    score: TraceEvent::finite(ex.score(idx)),
-                    pv: TraceEvent::finite(d.pv),
-                    cost: TraceEvent::finite(d.cost),
-                    slack: TraceEvent::finite(d.slack),
-                    workflow: facet.map(|f| f.workflow),
-                    critical: facet.map(|f| f.critical),
-                    chosen: chosen.contains(&idx),
-                }
-            })
-            .collect();
+        let candidates = self.provenance_candidates(now, &competing, &chosen, base);
         TraceEvent {
             at: now,
             task: Some(winner),
@@ -940,9 +908,7 @@ impl SiteState {
                     disposition: Disposition::Dropped,
                     finished_at: Some(now),
                     earned: floor,
-                    delay: (now - (job.spec.arrival + job.spec.runtime))
-                        .max_zero()
-                        .as_f64(),
+                    delay: job.spec.delay_at(now).as_f64(),
                     preemptions: job.preemptions,
                 });
             } else {

@@ -174,15 +174,41 @@ impl TaskSpec {
         }
     }
 
+    /// The Eq. 1 delay of a completion at absolute time `completion`:
+    /// how far it lies past the earliest possible completion
+    /// (`arrival + runtime`), zero when on time.
+    #[inline]
+    pub fn delay_at(&self, completion: Time) -> Duration {
+        delay(self.arrival + self.runtime, completion)
+    }
+
     /// Evaluates the value function (Eq. 1) for a completion at absolute
     /// time `completion`: `value − delay·decay`, clamped at the penalty
     /// floor. Completions at or before the earliest possible instant earn
     /// the full value.
+    #[inline]
     pub fn yield_at(&self, completion: Time) -> f64 {
-        let delay = (completion - (self.arrival + self.runtime)).max_zero();
-        let raw = self.value - delay.as_f64() * self.decay;
-        raw.max(self.bound.floor())
+        decayed_yield(
+            self.value,
+            self.decay,
+            self.bound.floor(),
+            self.delay_at(completion),
+        )
     }
+}
+
+/// Eq. 1 delay: how far `completion` lies past `earliest`, the earliest
+/// possible completion; zero for a completion at or before it.
+#[inline]
+pub fn delay(earliest: Time, completion: Time) -> Duration {
+    (completion - earliest).max_zero()
+}
+
+/// Eq. 1/2 yield after `delay`: `value − delay·decay`, floored at the
+/// penalty bound's `floor` (`−∞` when unbounded).
+#[inline]
+pub fn decayed_yield(value: f64, decay: f64, floor: f64, delay: Duration) -> f64 {
+    (value - delay.as_f64() * decay).max(floor)
 }
 
 #[cfg(test)]
@@ -243,6 +269,24 @@ mod tests {
         assert_eq!(t.expire_time(), Time::INFINITY);
         assert_eq!(t.bound.floor(), f64::NEG_INFINITY);
         assert!(t.bound.is_unbounded());
+    }
+
+    #[test]
+    fn delay_is_zero_until_the_earliest_completion() {
+        let t = spec(100.0, 2.0, PenaltyBound::Unbounded);
+        assert_eq!(t.delay_at(Time::from(12.0)), Duration::ZERO);
+        assert_eq!(t.delay_at(Time::from(15.0)), Duration::ZERO);
+        assert_eq!(t.delay_at(Time::from(21.5)), Duration::from(6.5));
+        assert_eq!(
+            delay(Time::from(15.0), Time::from(21.5)),
+            t.delay_at(Time::from(21.5))
+        );
+        // The floor binds only once the decayed value falls below it.
+        assert_eq!(decayed_yield(100.0, 2.0, -30.0, Duration::from(10.0)), 80.0);
+        assert_eq!(
+            decayed_yield(100.0, 2.0, -30.0, Duration::from(90.0)),
+            -30.0
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Quickstart: value functions, one site, one scheduling run.
+//! Quickstart: a value function, one site, one scheduling run.
 //!
 //! Renders the shape of a linear-decay value function (the paper's
 //! Figure 2), then runs a small bimodal task mix through a FirstReward
@@ -8,11 +8,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use mbts::core::value::{LinearDecay, ValueFunction};
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::sim::Time;
 use mbts::site::{Site, SiteConfig};
-use mbts::workload::{generate_trace, MixConfig, PenaltyBound};
+use mbts::workload::{generate_trace, MixConfig, PenaltyBound, TaskSpec};
 
 fn main() {
     figure2();
@@ -25,8 +24,11 @@ fn main() {
 fn figure2() {
     println!("A linear-decay value function (paper Figure 2):");
     println!("  value 100, decay 2/t.u., earliest completion t=20, penalty floor −30\n");
-    let vf = LinearDecay::anchored(
-        Time::from(20.0),
+    // Arrival 0 and runtime 20: the earliest completion is t=20.
+    let task = TaskSpec::new(
+        0,
+        0.0,
+        20.0,
         100.0,
         2.0,
         PenaltyBound::Bounded { max_penalty: 30.0 },
@@ -37,7 +39,7 @@ fn figure2() {
         let mut line = String::new();
         for col in 0..60 {
             let t = col as f64 * 2.0;
-            let v = vf.value_at(Time::from(t));
+            let v = task.yield_at(Time::from(t));
             let step = (hi - lo) / 11.0;
             line.push(if (v - level).abs() < step / 2.0 {
                 '*'
@@ -50,7 +52,7 @@ fn figure2() {
     println!("         +{}", "-".repeat(60));
     println!(
         "          t=0 … t=120 (expires at t={})\n",
-        vf.expire_time()
+        task.expire_time()
     );
 }
 

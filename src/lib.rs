@@ -34,7 +34,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use mbts::core::{heuristics::Policy, value::ValueFunction};
+//! use mbts::core::heuristics::Policy;
 //! use mbts::site::{Site, SiteConfig};
 //! use mbts::workload::{MixConfig, generate_trace};
 //!
