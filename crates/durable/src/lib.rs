@@ -50,15 +50,13 @@
 //! }
 //! let (_, journal) = durable.into_parts();
 //!
-//! // Recover and run to completion: same outcome as never crashing.
-//! let (mut recovered, report) = DurableRun::<SiteRun>::recover(&journal.bytes()).unwrap();
+//! // Recover and finish the run: same outcome as never crashing.
+//! let (recovered, report) = DurableRun::<SiteRun>::recover(&journal.bytes()).unwrap();
 //! assert_eq!(recovered.events_handled(), 30);
 //! assert_eq!(report.replayed, 30 - 16);
 //! assert_eq!(report.dropped_bytes, 0);
-//! recovered.run_to_completion();
 //!
-//! let mut uninterrupted = SiteRun::new(config, &trace, Tracer::Off);
-//! uninterrupted.run_to_completion();
+//! let uninterrupted = SiteRun::new(config, &trace, Tracer::Off);
 //! assert_eq!(recovered.finish().0, uninterrupted.finish().0);
 //!
 //! // Bytes that are not a journal are a typed error, never a panic.

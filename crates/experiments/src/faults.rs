@@ -3,7 +3,7 @@
 //! Not a figure from the paper — a robustness study the fault-injection
 //! subsystem enables: how gracefully does each dispatch policy's yield
 //! degrade as hardware gets less reliable? Each point replays the same
-//! seeded trace through [`Site::run_trace_with_faults`] with processor
+//! seeded trace through [`SiteRun::with_faults`] with processor
 //! MTTF scaled by the x-axis failure-rate multiplier (rate 0 is the
 //! fault-free baseline, byte-identical to a plain replay). Evicted work
 //! restarts from scratch (the conservative [`LostWorkPolicy`] default),
@@ -15,7 +15,8 @@ use crate::harness::{parallel_map, ExpParams};
 use crate::report::{FigureResult, Point, Series};
 use mbts_core::{AdmissionPolicy, Policy};
 use mbts_sim::{FaultConfig, OnlineStats, UpDown};
-use mbts_site::{FaultPlan, LostWorkPolicy, Site, SiteConfig};
+use mbts_site::{FaultPlan, LostWorkPolicy, SiteConfig, SiteRun};
+use mbts_trace::Tracer;
 use mbts_workload::{fig67_mix, generate_trace};
 
 /// Failure-rate multipliers swept (0 = reliable hardware).
@@ -88,18 +89,19 @@ pub fn fault_sweep(params: &ExpParams) -> FigureResult {
             .1
             .clone()
             .with_lost_work(LostWorkPolicy::Restart);
-        let site = Site::new(cfg);
         let rate = RATES[ri];
-        let outcome = if rate == 0.0 {
-            site.run_trace(&trace)
+        let run = if rate == 0.0 {
+            SiteRun::new(cfg, &trace, Tracer::Off)
         } else {
             let faults = FaultConfig {
                 processor: Some(UpDown::exponential(BASE_MTTF / rate, MTTR)),
             };
             // Derive the injector seed from the workload seed so each
             // replication sees an independent failure timeline.
-            site.run_trace_with_faults(&trace, &FaultPlan::new(faults, seed ^ 0xFA17))
+            let plan = FaultPlan::new(faults, seed ^ 0xFA17);
+            SiteRun::with_faults(cfg, &trace, &plan, Tracer::Off)
         };
+        let (outcome, _) = run.finish();
         assert!(
             outcome.violations.is_empty(),
             "conservation audit failed: {:?}",

@@ -13,13 +13,14 @@ pub use fig6::fig6;
 pub use fig7::fig7;
 
 use crate::harness::ExpParams;
-use mbts_site::{Site, SiteConfig, SiteOutcome};
+use mbts_site::{SiteConfig, SiteOutcome, SiteRun};
+use mbts_trace::Tracer;
 use mbts_workload::{generate_trace, MixConfig};
 
 /// Runs one (mix, seed, site) simulation to completion.
 pub(crate) fn run_site(mix: &MixConfig, seed: u64, cfg: SiteConfig) -> SiteOutcome {
     let trace = generate_trace(mix, seed);
-    Site::new(cfg).run_trace(&trace)
+    SiteRun::new(cfg, &trace, Tracer::Off).finish().0
 }
 
 /// Percentage improvement of `treatment` over `baseline`, guarding the

@@ -9,7 +9,7 @@
 
 use crate::harness::{parallel_map, ExpParams};
 use mbts_core::Policy;
-use mbts_site::{Site, SiteConfig};
+use mbts_site::{SiteConfig, SiteRun};
 use mbts_trace::analyze::{analyze, render_text};
 use mbts_trace::{to_jsonl, AnalyzeOptions, TraceEvent, TraceReport, Tracer};
 use mbts_workload::{generate_trace, MixConfig};
@@ -69,12 +69,10 @@ pub fn run_metrics(params: &ExpParams) -> MetricsReport {
         .collect();
     let (reports, runs) = parallel_map(&jobs, |(label, policy, seed)| {
         let trace = generate_trace(&mix, *seed);
-        let site = Site::new(
-            SiteConfig::new(params.processors)
-                .with_policy(*policy)
-                .with_preemption(true),
-        );
-        let (_, tracer) = site.run_trace_traced(&trace, Tracer::buffer());
+        let config = SiteConfig::new(params.processors)
+            .with_policy(*policy)
+            .with_preemption(true);
+        let (_, tracer) = SiteRun::new(config, &trace, Tracer::buffer()).finish();
         let events = tracer.into_events().expect("buffer tracer keeps events");
         let label = format!("{label} seed {seed}");
         (analyze(&label, &events, &AnalyzeOptions::default()), events)

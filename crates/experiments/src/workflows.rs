@@ -23,7 +23,8 @@ use crate::harness::{parallel_map, ExpParams};
 use crate::report::{FigureResult, Point, Series};
 use mbts_core::{AdmissionPolicy, Policy};
 use mbts_sim::OnlineStats;
-use mbts_site::{Site, SiteConfig};
+use mbts_site::{SiteConfig, SiteRun};
+use mbts_trace::Tracer;
 use mbts_workload::{generate_workflows, WorkflowConfig, WorkflowShape};
 
 /// Slack floor applied in both modes (accept iff slack ≥ 0: the bid
@@ -94,8 +95,8 @@ fn run_cell(
     if aware {
         cfg = cfg.with_workflow_facets(set.facets());
     }
-    let (_, report) = Site::new(cfg).run_workflows(&set);
-    report.total_earned
+    let (outcome, _) = SiteRun::with_workflows(cfg, &set, Tracer::Off).finish();
+    outcome.workflows.expect("workflow replay").total_earned
 }
 
 /// Regenerates the workflow admission grid: policies × DAG shapes ×

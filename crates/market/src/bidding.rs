@@ -16,8 +16,9 @@
 //! priority. Comparing the shaders' advantage across the two pricing
 //! rules quantifies the incentive the paper gestures at.
 
-use crate::economy::{Economy, EconomyConfig};
+use crate::economy::{EconomyConfig, EconomyRun};
 use mbts_sim::OnlineStats;
+use mbts_trace::Tracer;
 use mbts_workload::Trace;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -84,7 +85,7 @@ pub fn run_shading_experiment(
         }
     }
 
-    let outcome = Economy::new(economy).run_trace(&declared);
+    let (outcome, _) = EconomyRun::new(economy, &declared, Tracer::Off).finish();
 
     let mut truthful = Accounts::default();
     let mut shaders = Accounts::default();

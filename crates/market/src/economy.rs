@@ -142,51 +142,20 @@ impl EconomyOutcome {
     }
 }
 
-/// A runnable economy.
-pub struct Economy {
-    config: EconomyConfig,
-}
-
-impl Economy {
-    /// An economy with the given configuration.
-    pub fn new(config: EconomyConfig) -> Self {
-        assert!(!config.sites.is_empty(), "economy needs at least one site");
-        Economy { config }
-    }
-
-    /// The economy's configuration.
-    pub fn config(&self) -> &EconomyConfig {
-        &self.config
-    }
-
-    /// Replays `trace` as the market's submission stream and runs until
-    /// all accepted work completes.
-    pub fn run_trace(&self, trace: &Trace) -> EconomyOutcome {
-        self.run_trace_traced(trace, Tracer::Off).0
-    }
-
-    /// Like [`run_trace`](Self::run_trace) but with a structured-event
-    /// [`Tracer`] installed on the market layer for the whole run: every
-    /// contract settlement emits a [`TraceKind::ContractSettled`] event
-    /// stamped with the site it ran on. Observational only — the outcome
-    /// is bit-identical to an untraced run.
-    pub fn run_trace_traced(&self, trace: &Trace, tracer: Tracer) -> (EconomyOutcome, Tracer) {
-        let mut run = EconomyRun::new(self.config.clone(), trace, tracer);
-        run.run_to_completion();
-        run.finish()
-    }
-}
-
-/// A stepwise economy simulation: the same replay [`Economy::run_trace`]
-/// performs, exposed one event at a time so callers (journals, debuggers,
+/// A stepwise economy simulation: the market's replay of a trace,
+/// exposed one event at a time so callers (journals, debuggers,
 /// kill-point harnesses) can observe, checkpoint and resume it at any
-/// event boundary.
+/// event boundary. [`finish`](Self::finish) runs what is left and
+/// returns the outcome.
 pub struct EconomyRun {
     engine: Engine<EcoModel>,
 }
 
 impl EconomyRun {
     /// Sets up the economy over `trace` with all arrivals scheduled.
+    /// `tracer` is installed on the market layer: every contract
+    /// settlement emits a [`TraceKind::ContractSettled`] event stamped
+    /// with the site it ran on. Tracing is observational only.
     pub fn new(config: EconomyConfig, trace: &Trace, tracer: Tracer) -> Self {
         assert!(!config.sites.is_empty(), "economy needs at least one site");
         assert!(
@@ -272,11 +241,6 @@ impl EconomyRun {
         self.engine.step()
     }
 
-    /// Runs every remaining event.
-    pub fn run_to_completion(&mut self) {
-        self.engine.run_to_completion();
-    }
-
     /// `true` once no events remain.
     pub fn is_done(&self) -> bool {
         self.engine.queue().is_empty()
@@ -295,11 +259,6 @@ impl EconomyRun {
     /// The next event due, if any (FIFO among ties, as the engine pops).
     pub fn next_event(&self) -> Option<(Time, &EcoEvent)> {
         self.engine.queue().peek()
-    }
-
-    /// The workflow ledger's current report (workflow mode only).
-    pub fn workflow_report(&self) -> Option<WorkflowReport> {
-        self.engine.model().workflow_report()
     }
 
     /// Captures the complete replay state at the current event boundary,
@@ -406,12 +365,10 @@ impl EconomyRun {
         })
     }
 
-    /// Consumes the (finished) run, yielding the outcome and the tracer.
-    pub fn finish(self) -> (EconomyOutcome, Tracer) {
-        debug_assert!(
-            self.engine.queue().is_empty(),
-            "finish() on a run with pending events"
-        );
+    /// Applies every event still due, then consumes the run, yielding
+    /// the outcome and the tracer.
+    pub fn finish(mut self) -> (EconomyOutcome, Tracer) {
+        self.engine.run_to_completion();
         let mut model = self.engine.into_model();
         let tracer = std::mem::take(&mut model.tracer);
         let outcome = EconomyOutcome {
@@ -827,11 +784,6 @@ impl EcoModel {
         }
     }
 
-    /// The workflow ledger's current report (workflow mode only).
-    fn workflow_report(&self) -> Option<WorkflowReport> {
-        self.workflows.as_ref().map(|w| w.report())
-    }
-
     /// Paper-level workflow id owning global task `t`.
     fn owner_workflow(&self, t: u64) -> u64 {
         let set = self.workflows.as_ref().expect("workflow mode").set();
@@ -1082,6 +1034,10 @@ mod tests {
         )
     }
 
+    fn run(config: EconomyConfig, trace: &Trace) -> EconomyOutcome {
+        EconomyRun::new(config, trace, Tracer::Off).finish().0
+    }
+
     fn site(procs: usize) -> SiteConfig {
         SiteConfig::new(procs)
             .with_policy(Policy::FirstPrice)
@@ -1091,9 +1047,9 @@ mod tests {
     #[test]
     fn traced_settlements_account_for_every_unit_paid() {
         let trace = small_trace(300, 0.8, 1);
-        let eco = Economy::new(EconomyConfig::uniform(2, site(4)));
-        let plain = eco.run_trace(&trace);
-        let (traced, tracer) = eco.run_trace_traced(&trace, Tracer::buffer());
+        let cfg = EconomyConfig::uniform(2, site(4));
+        let plain = run(cfg.clone(), &trace);
+        let (traced, tracer) = EconomyRun::new(cfg, &trace, Tracer::buffer()).finish();
         // Tracing is observational: same economy outcome, bit for bit.
         assert_eq!(
             plain.total_paid.to_bits(),
@@ -1127,8 +1083,7 @@ mod tests {
     #[test]
     fn two_site_economy_places_and_settles() {
         let trace = small_trace(300, 0.8, 1);
-        let eco = Economy::new(EconomyConfig::uniform(2, site(4)));
-        let out = eco.run_trace(&trace);
+        let out = run(EconomyConfig::uniform(2, site(4)), &trace);
         assert_eq!(out.offered, 300);
         assert_eq!(out.placed + out.unplaced, 300);
         assert!(
@@ -1147,8 +1102,7 @@ mod tests {
     #[test]
     fn overload_gets_rejected_everywhere() {
         let trace = small_trace(300, 6.0, 2);
-        let eco = Economy::new(EconomyConfig::uniform(2, site(4)));
-        let out = eco.run_trace(&trace);
+        let out = run(EconomyConfig::uniform(2, site(4)), &trace);
         assert!(out.unplaced > 0, "heavy overload must reject somewhere");
         assert!(out.placement_ratio() < 1.0);
     }
@@ -1156,8 +1110,8 @@ mod tests {
     #[test]
     fn more_sites_place_more_work() {
         let trace = small_trace(400, 2.0, 3);
-        let two = Economy::new(EconomyConfig::uniform(2, site(4))).run_trace(&trace);
-        let four = Economy::new(EconomyConfig::uniform(4, site(4))).run_trace(&trace);
+        let two = run(EconomyConfig::uniform(2, site(4)), &trace);
+        let four = run(EconomyConfig::uniform(4, site(4)), &trace);
         assert!(four.placed >= two.placed);
         assert!(four.total_yield() > two.total_yield());
     }
@@ -1173,9 +1127,9 @@ mod tests {
             let trace = small_trace(400, 1.5, seed);
             let mut cfg = EconomyConfig::uniform(3, site(4));
             cfg.selection = ClientSelection::EarliestCompletion;
-            smart_total += Economy::new(cfg.clone()).run_trace(&trace).total_yield();
+            smart_total += run(cfg.clone(), &trace).total_yield();
             cfg.selection = ClientSelection::Random;
-            random_total += Economy::new(cfg).run_trace(&trace).total_yield();
+            random_total += run(cfg, &trace).total_yield();
         }
         assert!(
             smart_total >= random_total,
@@ -1188,7 +1142,7 @@ mod tests {
         // AcceptAll + overload → completions drift past negotiated times.
         let trace = small_trace(300, 3.0, 5);
         let cfg = EconomyConfig::uniform(1, SiteConfig::new(4).with_policy(Policy::FirstPrice));
-        let out = Economy::new(cfg).run_trace(&trace);
+        let out = run(cfg, &trace);
         assert!(
             out.violations() > 0,
             "overloaded AcceptAll site must miss contracts"
@@ -1198,18 +1152,19 @@ mod tests {
     #[test]
     fn admission_control_reduces_violation_rate() {
         let trace = small_trace(400, 3.0, 6);
-        let no_ac = Economy::new(EconomyConfig::uniform(
-            2,
-            SiteConfig::new(4).with_policy(Policy::FirstPrice),
-        ))
-        .run_trace(&trace);
-        let ac = Economy::new(EconomyConfig::uniform(
-            2,
-            SiteConfig::new(4)
-                .with_policy(Policy::FirstPrice)
-                .with_admission(AdmissionPolicy::SlackThreshold { threshold: 50.0 }),
-        ))
-        .run_trace(&trace);
+        let no_ac = run(
+            EconomyConfig::uniform(2, SiteConfig::new(4).with_policy(Policy::FirstPrice)),
+            &trace,
+        );
+        let ac = run(
+            EconomyConfig::uniform(
+                2,
+                SiteConfig::new(4)
+                    .with_policy(Policy::FirstPrice)
+                    .with_admission(AdmissionPolicy::SlackThreshold { threshold: 50.0 }),
+            ),
+            &trace,
+        );
         let rate = |o: &EconomyOutcome| {
             if o.contracts.is_empty() {
                 0.0
@@ -1230,9 +1185,9 @@ mod tests {
         let trace = small_trace(300, 1.0, 7);
         let mut cfg = EconomyConfig::uniform(3, site(4));
         cfg.pricing = PricingStrategy::PayBid;
-        let pay = Economy::new(cfg.clone()).run_trace(&trace);
+        let pay = run(cfg.clone(), &trace);
         cfg.pricing = PricingStrategy::second_price();
-        let vickrey = Economy::new(cfg).run_trace(&trace);
+        let vickrey = run(cfg, &trace);
         assert!(vickrey.total_paid <= pay.total_paid + 1e-9);
         // The value-function settlements are identical — pricing only
         // changes what is charged.
@@ -1249,7 +1204,7 @@ mod tests {
             replenish_rate: 0.02,
             cap: 200.0,
         });
-        let out = Economy::new(cfg).run_trace(&trace);
+        let out = run(cfg, &trace);
         assert_eq!(out.client_spend.len(), 4);
         // Tight budgets leave some tasks unfunded or force capped bids.
         assert!(out.unfunded > 0 || out.total_paid < out.total_settled + 1e-9);
@@ -1267,8 +1222,8 @@ mod tests {
         let mut cfg = EconomyConfig::uniform(3, site(2));
         cfg.selection = ClientSelection::Random;
         cfg.seed = 77;
-        let a = Economy::new(cfg.clone()).run_trace(&trace);
-        let b = Economy::new(cfg).run_trace(&trace);
+        let a = run(cfg.clone(), &trace);
+        let b = run(cfg, &trace);
         assert_eq!(a.placed, b.placed);
         assert_eq!(a.total_yield(), b.total_yield());
         let sites_a: Vec<usize> = a.contracts.iter().map(|c| c.site).collect();
@@ -1310,7 +1265,7 @@ mod tests {
         for (task, at) in Arc::make_mut(&mut trace.tasks).iter_mut().zip(arrivals) {
             task.arrival = at;
         }
-        let out = Economy::new(EconomyConfig::uniform(2, site(4))).run_trace(&trace);
+        let out = run(EconomyConfig::uniform(2, site(4)), &trace);
         assert_eq!(out.offered, 300);
         assert_eq!(
             outcome_hash(&out),
@@ -1358,7 +1313,7 @@ mod tests {
             replenish_rate: 0.05,
             cap: 400.0,
         });
-        let out = Economy::new(cfg).run_trace(&trace);
+        let out = run(cfg, &trace);
         assert!(out.audit_violations.is_empty());
         let spent: f64 = out.client_spend.iter().sum();
         assert!((spent - out.total_paid).abs() < 1e-6 * (1.0 + out.total_paid.abs()));
@@ -1382,7 +1337,7 @@ mod tests {
     fn snapshot_midway_resumes_bit_identically() {
         let trace = small_trace(300, 1.5, 26);
         let mut base = EconomyRun::new(kitchen_sink_cfg(), &trace, Tracer::buffer());
-        base.run_to_completion();
+        while base.step() {}
         let total = base.events_handled();
         let (want, want_tracer) = base.finish();
         assert!(want.unfunded > 0, "budgets must bind");
@@ -1398,7 +1353,7 @@ mod tests {
             let snap: EconomySnapshot = serde_json::from_str(&json).unwrap();
             let mut resumed = EconomyRun::from_snapshot(snap).expect("snapshot restores");
             assert_eq!(resumed.events_handled(), k);
-            resumed.run_to_completion();
+            while resumed.step() {}
             assert_eq!(resumed.events_handled(), total);
             let (got, got_tracer) = resumed.finish();
             assert_eq!(got, want, "outcome diverged after kill at event {k}");
@@ -1413,14 +1368,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one site")]
     fn empty_economy_rejected() {
-        let _ = Economy::new(EconomyConfig {
+        let config = EconomyConfig {
             sites: vec![],
             selection: ClientSelection::default(),
             pricing: PricingStrategy::default(),
             budgets: None,
             workflows: None,
             seed: 0,
-        });
+        };
+        let _ = EconomyRun::new(config, &small_trace(10, 1.0, 1), Tracer::Off);
     }
 }
 
@@ -1442,7 +1398,7 @@ mod workflow_market_tests {
         let set = generate_workflows(&WorkflowConfig::default_set().with_workflows(6), 42);
         let trace = set.trace();
         let cfg = EconomyConfig::uniform(2, wf_site(8)).with_workflows(set.clone());
-        let out = Economy::new(cfg).run_trace(&trace);
+        let (out, _) = EconomyRun::new(cfg, &trace, Tracer::Off).finish();
         let report = out.workflows.as_ref().expect("workflow mode report");
         assert_eq!(report.workflows, 6);
         assert_eq!(report.settled + report.failed, 6);
@@ -1478,7 +1434,7 @@ mod workflow_market_tests {
             }),
         )
         .with_workflows(set.clone());
-        let out = Economy::new(cfg).run_trace(&trace);
+        let (out, _) = EconomyRun::new(cfg, &trace, Tracer::Off).finish();
         let report = out.workflows.as_ref().expect("workflow mode report");
         assert_eq!(report.failed, 3);
         assert_eq!(report.settled, 3); // failed workflows settle at zero
@@ -1500,7 +1456,7 @@ mod workflow_market_tests {
         );
         let trace = set.trace();
         let cfg = EconomyConfig::uniform(2, wf_site(8)).with_workflows(set.clone());
-        let (_, tracer) = Economy::new(cfg).run_trace_traced(&trace, Tracer::buffer());
+        let (_, tracer) = EconomyRun::new(cfg, &trace, Tracer::buffer()).finish();
         let events = tracer.into_events().unwrap();
         // Per edge: the successor's WorkflowReleased event must come
         // after the predecessor's contract settlement.
@@ -1549,7 +1505,7 @@ mod workflow_market_tests {
         let trace = set.trace();
         let cfg = EconomyConfig::uniform(2, wf_site(8)).with_workflows(set);
         let mut reference = EconomyRun::new(cfg.clone(), &trace, Tracer::Off);
-        reference.run_to_completion();
+        while reference.step() {}
         let total = reference.events_handled();
         let (ref_out, _) = reference.finish();
         for kill in [0, 1, total / 3, total / 2, total - 1] {
@@ -1559,8 +1515,7 @@ mod workflow_market_tests {
             }
             let json = serde_json::to_string(&run.snapshot()).unwrap();
             let snap: EconomySnapshot = serde_json::from_str(&json).unwrap();
-            let mut resumed = EconomyRun::from_snapshot(snap).expect("snapshot restores");
-            resumed.run_to_completion();
+            let resumed = EconomyRun::from_snapshot(snap).expect("snapshot restores");
             let (out, _) = resumed.finish();
             assert_eq!(ref_out, out, "divergence after kill at {kill}");
         }
@@ -1572,6 +1527,6 @@ mod workflow_market_tests {
         let set = generate_workflows(&WorkflowConfig::default_set(), 1);
         let trace = set.trace();
         let cfg = EconomyConfig::uniform(1, wf_site(4).with_drop_expired(true)).with_workflows(set);
-        Economy::new(cfg).run_trace(&trace);
+        let _ = EconomyRun::new(cfg, &trace, Tracer::Off);
     }
 }

@@ -25,8 +25,9 @@
 //!
 //! ```
 //! use mbts_core::{AdmissionPolicy, Policy};
-//! use mbts_market::{Economy, EconomyConfig};
+//! use mbts_market::{EconomyConfig, EconomyRun};
 //! use mbts_site::SiteConfig;
+//! use mbts_trace::Tracer;
 //! use mbts_workload::{generate_trace, MixConfig};
 //!
 //! let trace = generate_trace(
@@ -40,7 +41,7 @@
 //!         .with_policy(Policy::first_reward(0.2, 0.01))
 //!         .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 }),
 //! );
-//! let outcome = Economy::new(economy).run_trace(&trace);
+//! let (outcome, _) = EconomyRun::new(economy, &trace, Tracer::Off).finish();
 //! assert_eq!(outcome.placed + outcome.unplaced, 100);
 //! assert!(outcome.contracts.iter().all(|c| c.is_settled()));
 //! ```
@@ -57,7 +58,7 @@ pub use bidding::{run_shading_experiment, PopulationReport, ShadingReport};
 pub use budget::{Account, BudgetConfig};
 pub use contract::{Contract, ContractLedger, ContractStatus, RebindError};
 pub use economy::{
-    EcoEvent, Economy, EconomyConfig, EconomyOutcome, EconomyRun, EconomySnapshot,
-    EconomySnapshotRef, SiteId,
+    EcoEvent, EconomyConfig, EconomyOutcome, EconomyRun, EconomySnapshot, EconomySnapshotRef,
+    SiteId,
 };
 pub use pricing::PricingStrategy;

@@ -134,9 +134,10 @@ impl Accumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Site, SiteConfig};
+    use crate::{SiteConfig, SiteOutcome, SiteRun};
     use mbts_core::Policy;
-    use mbts_workload::{generate_trace, BoundPolicy, MixConfig};
+    use mbts_trace::Tracer;
+    use mbts_workload::{generate_trace, BoundPolicy, MixConfig, Trace};
 
     fn mix() -> MixConfig {
         MixConfig::millennium_default()
@@ -147,11 +148,15 @@ mod tests {
             .with_bound(BoundPolicy::ZeroFloor)
     }
 
+    fn run(trace: &Trace, policy: Policy) -> SiteOutcome {
+        let config = SiteConfig::new(4).with_policy(policy);
+        SiteRun::new(config, trace, Tracer::Off).finish().0
+    }
+
     #[test]
     fn classes_partition_the_trace() {
         let trace = generate_trace(&mix(), 5);
-        let outcome =
-            Site::new(SiteConfig::new(4).with_policy(Policy::FirstPrice)).run_trace(&trace);
+        let outcome = run(&trace, Policy::FirstPrice);
         let (high, low) = class_breakdown(&trace, &outcome);
         assert_eq!(high.count + low.count, 600);
         // 20/80 split within sampling noise.
@@ -165,8 +170,8 @@ mod tests {
     #[test]
     fn value_aware_scheduling_favours_the_high_class() {
         let trace = generate_trace(&mix(), 6);
-        let fp = Site::new(SiteConfig::new(4).with_policy(Policy::FirstPrice)).run_trace(&trace);
-        let fcfs = Site::new(SiteConfig::new(4).with_policy(Policy::Fcfs)).run_trace(&trace);
+        let fp = run(&trace, Policy::FirstPrice);
+        let fcfs = run(&trace, Policy::Fcfs);
         let (h_fp, _) = class_breakdown(&trace, &fp);
         let (h_fcfs, _) = class_breakdown(&trace, &fcfs);
         // FirstPrice prioritizes high-unit-value work: the high class
@@ -183,8 +188,7 @@ mod tests {
     #[test]
     fn high_class_gets_better_service_under_first_price() {
         let trace = generate_trace(&mix(), 7);
-        let outcome =
-            Site::new(SiteConfig::new(4).with_policy(Policy::FirstPrice)).run_trace(&trace);
+        let outcome = run(&trace, Policy::FirstPrice);
         let (high, low) = class_breakdown(&trace, &outcome);
         assert!(high.mean_delay < low.mean_delay);
         assert!(high.capture_ratio > low.capture_ratio);

@@ -17,25 +17,25 @@
 //! * [`SiteState`] — an imperative core with explicit `submit` /
 //!   `on_completion` transitions returning completion tokens. The market
 //!   layer drives many of these inside one economy-wide event loop.
-//! * [`Site`] — a self-contained wrapper that replays a whole
-//!   [`mbts_workload::Trace`] through a discrete-event engine and
-//!   returns [`SiteOutcome`] metrics.
+//! * [`SiteRun`] — one site's discrete-event replay of a whole
+//!   [`mbts_workload::Trace`] (or workflow set), steppable one event at a
+//!   time; [`SiteRun::finish`] runs what is left and returns the
+//!   [`SiteOutcome`] metrics.
 //!
 //! ```
 //! use mbts_core::Policy;
-//! use mbts_site::{Site, SiteConfig};
+//! use mbts_site::{SiteConfig, SiteRun};
+//! use mbts_trace::Tracer;
 //! use mbts_workload::{generate_trace, MixConfig};
 //!
 //! let trace = generate_trace(
 //!     &MixConfig::millennium_default().with_tasks(100).with_processors(4),
 //!     1,
 //! );
-//! let outcome = Site::new(
-//!     SiteConfig::new(4)
-//!         .with_policy(Policy::FirstPrice)
-//!         .with_preemption(true),
-//! )
-//! .run_trace(&trace);
+//! let config = SiteConfig::new(4)
+//!     .with_policy(Policy::FirstPrice)
+//!     .with_preemption(true);
+//! let (outcome, _) = SiteRun::new(config, &trace, Tracer::Off).finish();
 //! assert_eq!(outcome.metrics.completed, 100);
 //! assert!(outcome.delay_percentile(0.95) >= outcome.delay_percentile(0.5));
 //! ```
@@ -61,12 +61,7 @@ use mbts_workload::{TaskId, TaskSpec, Trace, WorkflowSet};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// A single-site simulator: replays a trace and reports metrics.
-pub struct Site {
-    config: SiteConfig,
-}
-
-/// Result of replaying a trace through a [`Site`].
+/// Result of replaying a trace through a [`SiteRun`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SiteOutcome {
     /// Aggregate counters and yield statistics.
@@ -80,6 +75,9 @@ pub struct SiteOutcome {
     /// (release builds record; debug builds panic at the first failure,
     /// so this is always empty there). An honest run has none.
     pub violations: Vec<AuditViolation>,
+    /// End-to-end workflow settlement report (workflow replays only).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub workflows: Option<WorkflowReport>,
 }
 
 impl SiteOutcome {
@@ -148,77 +146,6 @@ impl FaultPlan {
             seed,
             max_crashes: 10_000,
         }
-    }
-}
-
-impl Site {
-    /// A site with the given configuration.
-    pub fn new(config: SiteConfig) -> Self {
-        Site { config }
-    }
-
-    /// Runs `trace` to completion (all accepted tasks finished) and
-    /// returns the outcome.
-    pub fn run_trace(&self, trace: &Trace) -> SiteOutcome {
-        self.run_trace_traced(trace, Tracer::Off).0
-    }
-
-    /// Like [`run_trace`](Self::run_trace) but with a structured-event
-    /// [`Tracer`] installed for the whole replay; returns the outcome
-    /// together with the tracer (holding whatever its sink captured).
-    /// Tracing is observational only: the outcome is bit-identical to an
-    /// untraced replay.
-    pub fn run_trace_traced(&self, trace: &Trace, tracer: Tracer) -> (SiteOutcome, Tracer) {
-        let mut run = SiteRun::new(self.config.clone(), trace, tracer);
-        run.run_to_completion();
-        run.finish()
-    }
-
-    /// Like [`run_trace`](Self::run_trace) but with crash/repair events
-    /// injected per `plan`. With `plan.faults` empty this is
-    /// byte-for-byte identical to `run_trace` (the equivalence tests
-    /// hold this invariant): no injector RNG is drawn and no fault
-    /// events enter the queue.
-    pub fn run_trace_with_faults(&self, trace: &Trace, plan: &FaultPlan) -> SiteOutcome {
-        self.run_trace_with_faults_traced(trace, plan, Tracer::Off)
-            .0
-    }
-
-    /// Replays a seeded workflow set to completion: roots arrive at
-    /// their workflow's arrival instant, successors release as
-    /// predecessors complete. Returns the ordinary per-task outcome plus
-    /// the workflow-level settlement report.
-    pub fn run_workflows(&self, set: &WorkflowSet) -> (SiteOutcome, WorkflowReport) {
-        let (outcome, report, _) = self.run_workflows_traced(set, Tracer::Off);
-        (outcome, report)
-    }
-
-    /// Like [`run_workflows`](Self::run_workflows) with a tracer
-    /// installed; workflow release/settle/strand events appear in the
-    /// stream alongside the per-task lifecycle.
-    pub fn run_workflows_traced(
-        &self,
-        set: &WorkflowSet,
-        tracer: Tracer,
-    ) -> (SiteOutcome, WorkflowReport, Tracer) {
-        let mut run = SiteRun::with_workflows(self.config.clone(), set, tracer);
-        run.run_to_completion();
-        let report = run.workflow_report().expect("workflow run has a report");
-        let (outcome, tracer) = run.finish();
-        (outcome, report, tracer)
-    }
-
-    /// Fault-injected replay with a structured-event [`Tracer`]
-    /// installed (see [`run_trace_traced`](Self::run_trace_traced)).
-    pub fn run_trace_with_faults_traced(
-        &self,
-        trace: &Trace,
-        plan: &FaultPlan,
-        tracer: Tracer,
-    ) -> (SiteOutcome, Tracer) {
-        let mut run = SiteRun::with_faults(self.config.clone(), trace, plan, tracer);
-        run.run_to_completion();
-        run.finish()
     }
 }
 
@@ -382,8 +309,12 @@ impl Model for TraceModel {
     }
 }
 
-/// A single-site trace replay as an explicit, steppable object: the
-/// engine loop of [`Site::run_trace`] with the crank exposed.
+/// A single-site trace replay as an explicit, steppable object. Build
+/// it with [`new`](Self::new), [`with_faults`](Self::with_faults) or
+/// [`with_workflows`](Self::with_workflows); [`finish`](Self::finish)
+/// runs what is left and returns the outcome with the run's [`Tracer`].
+/// Tracing is observational only: the outcome is bit-identical to an
+/// untraced replay.
 ///
 /// The durable-recovery layer drives one event at a time via
 /// [`step`](Self::step), journaling each applied event, and checkpoints
@@ -405,28 +336,16 @@ impl SiteRun {
     /// other member enters the admission path via a
     /// [`SimEvent::Release`] once its last predecessor completes. The
     /// workflow-level settlement overlay (release/settle/strand trace
-    /// events, [`WorkflowReport`]) rides on top of the ordinary per-task
-    /// accounting.
+    /// events, and the [`WorkflowReport`] in [`SiteOutcome::workflows`])
+    /// rides on top of the ordinary per-task accounting.
     pub fn with_workflows(config: SiteConfig, set: &WorkflowSet, tracer: Tracer) -> Self {
-        Self::with_workflows_and_faults(config, set, None, tracer)
-    }
-
-    /// A fault-injected workflow replay (crash evictions requeue work —
-    /// they do not fail workflows; only terminal task failures strand
-    /// successors). With `plan = None` this is [`with_workflows`](Self::with_workflows).
-    pub fn with_workflows_and_faults(
-        config: SiteConfig,
-        set: &WorkflowSet,
-        plan: Option<&FaultPlan>,
-        tracer: Tracer,
-    ) -> Self {
         let runtime = WorkflowRuntime::new(set.clone());
-        Self::start(config, Arc::clone(&set.tasks), Some(runtime), plan, tracer)
+        Self::start(config, Arc::clone(&set.tasks), Some(runtime), None, tracer)
     }
 
-    /// A fault-injected replay (see [`Site::run_trace_with_faults`]).
-    /// With `plan.faults` empty this degenerates to [`new`](Self::new):
-    /// no injector RNG is drawn and no fault events enter the queue.
+    /// A replay with crash/repair events injected per `plan`. With
+    /// `plan.faults` empty this is byte-for-byte [`new`](Self::new): no
+    /// injector RNG is drawn and no fault events enter the queue.
     pub fn with_faults(
         config: SiteConfig,
         trace: &Trace,
@@ -492,11 +411,6 @@ impl SiteRun {
         self.engine.step()
     }
 
-    /// Runs until no events remain.
-    pub fn run_to_completion(&mut self) {
-        self.engine.run_to_completion();
-    }
-
     /// `true` once the event queue has drained.
     pub fn is_done(&self) -> bool {
         self.engine.queue().is_empty()
@@ -520,12 +434,6 @@ impl SiteRun {
     /// Read access to the underlying site (auditors, metrics).
     pub fn state(&self) -> &SiteState {
         &self.engine.model().state
-    }
-
-    /// The workflow overlay's aggregate report (settlements so far);
-    /// `None` for plain task replays.
-    pub fn workflow_report(&self) -> Option<WorkflowReport> {
-        self.engine.model().workflows.as_ref().map(|w| w.report())
     }
 
     /// Captures the full replay state at the current event boundary,
@@ -566,15 +474,22 @@ impl SiteRun {
         }
     }
 
-    /// Consumes the (finished) run, producing the outcome and the tracer.
-    pub fn finish(self) -> (SiteOutcome, Tracer) {
-        let mut state = self.engine.into_model().state;
+    /// Handles every event still due, then consumes the run, producing
+    /// the outcome and the tracer.
+    pub fn finish(mut self) -> (SiteOutcome, Tracer) {
+        self.engine.run_to_completion();
+        let model = self.engine.into_model();
+        let mut state = model.state;
         debug_assert!(
             state.is_quiescent(),
             "site still busy after event queue drained"
         );
         let tracer = state.take_tracer();
-        (state.into_outcome(), tracer)
+        let outcome = SiteOutcome {
+            workflows: model.workflows.map(|w| w.report()),
+            ..state.into_outcome()
+        };
+        (outcome, tracer)
     }
 }
 
@@ -645,8 +560,8 @@ mod tests {
             .with_tasks(400)
             .with_processors(4);
         let trace = generate_trace(&mix, 3);
-        let outcome =
-            Site::new(SiteConfig::new(4).with_policy(Policy::FirstPrice)).run_trace(&trace);
+        let config = SiteConfig::new(4).with_policy(Policy::FirstPrice);
+        let (outcome, _) = SiteRun::new(config, &trace, Tracer::Off).finish();
         assert_eq!(outcome.metrics.submitted, 400);
         assert_eq!(outcome.metrics.accepted, 400);
         assert_eq!(outcome.metrics.completed, 400);
@@ -661,8 +576,8 @@ mod tests {
             .with_processors(4)
             .with_load_factor(2.0);
         let trace = generate_trace(&mix, 8);
-        let outcome =
-            Site::new(SiteConfig::new(4).with_policy(Policy::FirstPrice)).run_trace(&trace);
+        let config = SiteConfig::new(4).with_policy(Policy::FirstPrice);
+        let (outcome, _) = SiteRun::new(config, &trace, Tracer::Off).finish();
         let p50 = outcome.delay_percentile(0.5);
         let p95 = outcome.delay_percentile(0.95);
         let p99 = outcome.delay_percentile(0.99);
@@ -681,6 +596,7 @@ mod tests {
             metrics: SiteMetrics::default(),
             outcomes: vec![],
             violations: vec![],
+            workflows: None,
         };
         assert!(outcome.delay_percentile(0.5).is_nan());
         assert!(outcome.earned_percentile(0.5).is_nan());
@@ -688,18 +604,16 @@ mod tests {
 
     #[test]
     fn traced_replay_captures_the_full_lifecycle() {
-        use mbts_trace::{TraceKind, Tracer};
+        use mbts_trace::TraceKind;
         let mix = MixConfig::millennium_default()
             .with_tasks(120)
             .with_processors(4)
             .with_load_factor(1.5);
         let trace = generate_trace(&mix, 21);
-        let site = Site::new(
-            SiteConfig::new(4)
-                .with_policy(Policy::first_reward(0.3, 0.01))
-                .with_preemption(true),
-        );
-        let (outcome, tracer) = site.run_trace_traced(&trace, Tracer::buffer());
+        let config = SiteConfig::new(4)
+            .with_policy(Policy::first_reward(0.3, 0.01))
+            .with_preemption(true);
+        let (outcome, tracer) = SiteRun::new(config, &trace, Tracer::buffer()).finish();
         let events = tracer.into_events().unwrap();
         let arrived = events
             .iter()
@@ -734,12 +648,10 @@ mod tests {
             .with_processors(4)
             .with_load_factor(2.0);
         let trace = generate_trace(&mix, 31);
-        let site = Site::new(
-            SiteConfig::new(4)
-                .with_policy(Policy::FirstPrice)
-                .with_preemption(true),
-        );
-        let (outcome, tracer) = site.run_trace_traced(&trace, Tracer::buffer());
+        let config = SiteConfig::new(4)
+            .with_policy(Policy::FirstPrice)
+            .with_preemption(true);
+        let (outcome, tracer) = SiteRun::new(config, &trace, Tracer::buffer()).finish();
         let trail = tracer.into_events().unwrap();
         assert!(trail.windows(2).all(|w| w[0].at <= w[1].at));
         let count =
@@ -779,12 +691,13 @@ mod tests {
             .with_processors(4)
             .with_load_factor(1.5);
         let trace = generate_trace(&mix, 11);
-        let site = Site::new(SiteConfig::new(4).with_policy(Policy::FirstPrice));
-        let plain = site.run_trace(&trace);
-        let faulted =
-            site.run_trace_with_faults(&trace, &FaultPlan::new(mbts_sim::FaultConfig::none(), 7));
-        assert_eq!(plain.outcomes, faulted.outcomes);
-        assert_eq!(plain.metrics.total_yield, faulted.metrics.total_yield);
+        let config = SiteConfig::new(4).with_policy(Policy::FirstPrice);
+        let plan = FaultPlan::new(mbts_sim::FaultConfig::none(), 7);
+        let (plain, plain_events) = SiteRun::new(config.clone(), &trace, Tracer::buffer()).finish();
+        let (faulted, faulted_events) =
+            SiteRun::with_faults(config, &trace, &plan, Tracer::buffer()).finish();
+        assert_eq!(plain, faulted);
+        assert_eq!(plain_events.into_events(), faulted_events.into_events());
     }
 
     #[test]
@@ -794,11 +707,12 @@ mod tests {
             .with_processors(8)
             .with_load_factor(1.5);
         let trace = generate_trace(&mix, 12);
-        let site = Site::new(SiteConfig::new(8).with_policy(Policy::FirstPrice));
+        let config = SiteConfig::new(8).with_policy(Policy::FirstPrice);
         let faults = mbts_sim::FaultConfig {
             processor: Some(mbts_sim::UpDown::exponential(5_000.0, 200.0)),
         };
-        let outcome = site.run_trace_with_faults(&trace, &FaultPlan::new(faults, 99));
+        let plan = FaultPlan::new(faults, 99);
+        let (outcome, _) = SiteRun::with_faults(config, &trace, &plan, Tracer::Off).finish();
         // Every accepted task still finishes (restart semantics requeue
         // evicted work until it completes).
         assert_eq!(
@@ -838,7 +752,7 @@ mod tests {
             5,
         );
         let mut base = SiteRun::with_faults(config.clone(), &trace, &plan, Tracer::buffer());
-        base.run_to_completion();
+        while base.step() {}
         let total = base.events_handled();
         let (expect_outcome, expect_tracer) = base.finish();
         let expect_events = expect_tracer.into_events().unwrap();
@@ -851,7 +765,7 @@ mod tests {
             let snap: SiteRunSnapshot = serde_json::from_str(&json).unwrap();
             let mut resumed = SiteRun::from_snapshot(snap);
             assert_eq!(resumed.events_handled(), k);
-            resumed.run_to_completion();
+            while resumed.step() {}
             assert_eq!(resumed.events_handled(), total);
             let (outcome, tracer) = resumed.finish();
             assert_eq!(outcome, expect_outcome, "kill point {k}");
@@ -875,7 +789,8 @@ mod tests {
         let config = SiteConfig::new(4)
             .with_policy(Policy::FirstPrice)
             .with_workflow_facets(set.facets());
-        let (outcome, report) = Site::new(config).run_workflows(&set);
+        let (outcome, _) = SiteRun::with_workflows(config, &set, Tracer::Off).finish();
+        let report = outcome.workflows.as_ref().expect("workflow replay");
         assert_eq!(outcome.metrics.completed, set.tasks.len());
         assert_eq!(report.workflows, 6);
         assert_eq!(report.settled, 6);
@@ -898,8 +813,8 @@ mod tests {
             9,
         );
         let config = SiteConfig::new(2).with_policy(Policy::first_reward(0.3, 0.01));
-        let (_, report, tracer) = Site::new(config).run_workflows_traced(&set, Tracer::buffer());
-        assert_eq!(report.settled, 4);
+        let (outcome, tracer) = SiteRun::with_workflows(config, &set, Tracer::buffer()).finish();
+        assert_eq!(outcome.workflows.expect("workflow replay").settled, 4);
         let events = tracer.into_events().unwrap();
         // Every non-root task's arrival is preceded by its release,
         // which is preceded by each predecessor's completion.
@@ -944,9 +859,8 @@ mod tests {
             .with_policy(Policy::first_reward(0.3, 0.01))
             .with_workflow_facets(set.facets());
         let mut base = SiteRun::with_workflows(config.clone(), &set, Tracer::buffer());
-        base.run_to_completion();
+        while base.step() {}
         let total = base.events_handled();
-        let expect_report = base.workflow_report().unwrap();
         let (expect_outcome, expect_tracer) = base.finish();
         let expect_events = expect_tracer.into_events().unwrap();
         for k in [0, 1, total / 3, total / 2, total - 1, total] {
@@ -956,13 +870,7 @@ mod tests {
             }
             let json = serde_json::to_string(&run.snapshot()).unwrap();
             let snap: SiteRunSnapshot = serde_json::from_str(&json).unwrap();
-            let mut resumed = SiteRun::from_snapshot(snap);
-            resumed.run_to_completion();
-            assert_eq!(
-                resumed.workflow_report().unwrap(),
-                expect_report,
-                "kill {k}"
-            );
+            let resumed = SiteRun::from_snapshot(snap);
             let (outcome, tracer) = resumed.finish();
             assert_eq!(outcome, expect_outcome, "kill point {k}");
             assert_eq!(
@@ -991,7 +899,8 @@ mod tests {
                 threshold: f64::INFINITY,
             })
             .with_workflow_facets(set.facets());
-        let (outcome, report) = Site::new(config).run_workflows(&set);
+        let (outcome, _) = SiteRun::with_workflows(config, &set, Tracer::Off).finish();
+        let report = outcome.workflows.as_ref().expect("workflow replay");
         assert_eq!(report.settled, 3);
         assert_eq!(report.failed, 3);
         assert_eq!(report.total_earned, 0.0);
@@ -1009,12 +918,17 @@ mod tests {
             .with_tasks(150)
             .with_processors(4);
         let trace = generate_trace(&mix, 13);
-        let site = Site::new(SiteConfig::new(4).with_policy(Policy::pv(0.01)));
+        let config = SiteConfig::new(4).with_policy(Policy::pv(0.01));
         let faults = mbts_sim::FaultConfig {
             processor: Some(mbts_sim::UpDown::exponential(2_000.0, 100.0)),
         };
-        let a = site.run_trace_with_faults(&trace, &FaultPlan::new(faults.clone(), 5));
-        let b = site.run_trace_with_faults(&trace, &FaultPlan::new(faults, 5));
+        let plan = FaultPlan::new(faults, 5);
+        let run = || {
+            SiteRun::with_faults(config.clone(), &trace, &plan, Tracer::Off)
+                .finish()
+                .0
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.outcomes, b.outcomes);
         assert_eq!(a.metrics.crashed_procs, b.metrics.crashed_procs);
     }

@@ -3,7 +3,7 @@
 //!
 //! [`SiteState`] is deliberately engine-agnostic: every transition returns
 //! the [`CompletionToken`]s for newly started run segments, and the caller
-//! (single-site [`Site`](crate::Site) wrapper or the multi-site market
+//! (single-site [`SiteRun`](crate::SiteRun) or the multi-site market
 //! economy) turns them into events. Preempted segments are invalidated by
 //! an epoch counter — a stale token is simply ignored.
 //!
@@ -580,6 +580,7 @@ impl SiteState {
             metrics: self.metrics,
             outcomes: self.outcomes,
             violations: self.violations,
+            workflows: None,
         }
     }
 

@@ -10,7 +10,8 @@
 //! ```
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::site::{Site, SiteConfig};
+use mbts::site::{SiteConfig, SiteRun};
+use mbts::trace::Tracer;
 use mbts::workload::{fig67_mix, generate_trace};
 
 const PROCESSORS: usize = 8;
@@ -22,12 +23,10 @@ fn run(load: f64, admission: AdmissionPolicy) -> (f64, f64, f64) {
         .with_tasks(TASKS)
         .with_processors(PROCESSORS);
     let trace = generate_trace(&mix, SEED);
-    let outcome = Site::new(
-        SiteConfig::new(PROCESSORS)
-            .with_policy(Policy::first_reward(0.2, 0.01))
-            .with_admission(admission),
-    )
-    .run_trace(&trace);
+    let config = SiteConfig::new(PROCESSORS)
+        .with_policy(Policy::first_reward(0.2, 0.01))
+        .with_admission(admission);
+    let (outcome, _) = SiteRun::new(config, &trace, Tracer::Off).finish();
     let m = &outcome.metrics;
     (m.yield_rate(), m.acceptance_ratio(), m.total_penalty)
 }

@@ -11,7 +11,7 @@
 //! ```
 
 use mbts::core::Policy;
-use mbts::site::{render_gantt, segments, Site, SiteConfig};
+use mbts::site::{render_gantt, segments, SiteConfig, SiteRun};
 use mbts::trace::Tracer;
 use mbts::workload::{generate_trace, MixConfig, WidthPolicy};
 
@@ -38,7 +38,7 @@ fn main() {
                 .with_preemption(true),
         ),
     ] {
-        let (outcome, tracer) = Site::new(config).run_trace_traced(&trace, Tracer::buffer());
+        let (outcome, tracer) = SiteRun::new(config, &trace, Tracer::buffer()).finish();
         let events = tracer
             .into_events()
             .expect("a buffer tracer keeps its events");

@@ -11,8 +11,9 @@
 //! ```
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::market::{BudgetConfig, ClientSelection, Economy, EconomyConfig, PricingStrategy};
+use mbts::market::{BudgetConfig, ClientSelection, EconomyConfig, EconomyRun, PricingStrategy};
 use mbts::site::SiteConfig;
+use mbts::trace::Tracer;
 use mbts::workload::{generate_trace, MixConfig};
 
 fn sites() -> Vec<SiteConfig> {
@@ -44,7 +45,7 @@ fn main() {
     let mut config = EconomyConfig::uniform(1, SiteConfig::new(1));
     config.sites = sites();
     config.selection = ClientSelection::EarliestCompletion;
-    let outcome = Economy::new(config.clone()).run_trace(&trace);
+    let (outcome, _) = EconomyRun::new(config.clone(), &trace, Tracer::Off).finish();
     println!(
         "offered {}  placed {}  unplaced {}  violations {}  total yield {:.0}",
         outcome.offered,
@@ -74,7 +75,7 @@ fn main() {
         let mut cfg = config.clone();
         cfg.selection = selection;
         cfg.seed = 99;
-        let out = Economy::new(cfg).run_trace(&trace);
+        let (out, _) = EconomyRun::new(cfg, &trace, Tracer::Off).finish();
         println!(
             "  {selection:<22?} placed {:>4}  yield {:>9.0}  violations {:>4}",
             out.placed,
@@ -90,7 +91,7 @@ fn main() {
     ] {
         let mut cfg = config.clone();
         cfg.pricing = pricing;
-        let out = Economy::new(cfg).run_trace(&trace);
+        let (out, _) = EconomyRun::new(cfg, &trace, Tracer::Off).finish();
         println!(
             "  {label:<14} settled {:>10.0}  charged {:>10.0}",
             out.total_settled, out.total_paid
@@ -105,7 +106,7 @@ fn main() {
         replenish_rate: 0.5,
         cap: 5000.0,
     });
-    let out = Economy::new(cfg).run_trace(&trace);
+    let (out, _) = EconomyRun::new(cfg, &trace, Tracer::Off).finish();
     println!(
         "  placed {}  unfunded {}  total charged {:.0}",
         out.placed, out.unfunded, out.total_paid

@@ -10,7 +10,8 @@
 
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::sim::Time;
-use mbts::site::{Site, SiteConfig};
+use mbts::site::{SiteConfig, SiteRun};
+use mbts::trace::Tracer;
 use mbts::workload::{generate_trace, MixConfig, PenaltyBound, TaskSpec};
 
 fn main() {
@@ -89,7 +90,7 @@ fn run_site() {
                 .with_admission(AdmissionPolicy::SlackThreshold { threshold: 100.0 }),
         ),
     ] {
-        let outcome = Site::new(config).run_trace(&trace);
+        let (outcome, _) = SiteRun::new(config, &trace, Tracer::Off).finish();
         let m = &outcome.metrics;
         println!(
             "  {label:<40} yield {:>10.1}  rate {:>7.3}  completed {:>4}  rejected {:>4}  mean delay {:>7.1}",

@@ -414,7 +414,7 @@ fn run_site_scenario(
         .with_preemption(true);
 
     let mut reference = SiteRun::new(config.clone(), &trace, Tracer::Off);
-    reference.run_to_completion();
+    while reference.step() {}
     let reference_state = state_json(&reference);
 
     let mut harness = Harness::new(name, registry, events, snapshot_every);
@@ -480,7 +480,7 @@ fn run_market_scenario(
     let config = EconomyConfig::uniform(sites, site);
 
     let mut reference = EconomyRun::new(config.clone(), &trace, Tracer::Off);
-    reference.run_to_completion();
+    while reference.step() {}
     let reference_state = state_json(&reference);
 
     let mut harness = Harness::new(name, registry, events, snapshot_every);

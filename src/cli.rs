@@ -67,9 +67,9 @@
 
 use mbts_core::{AdmissionPolicy, Policy};
 use mbts_durable::{DurableRun, JournalSource, RecoverError, Recoverable, RecoveryReport};
-use mbts_market::{ClientSelection, Economy, EconomyConfig, EconomyRun, PricingStrategy};
+use mbts_market::{ClientSelection, EconomyConfig, EconomyRun, PricingStrategy};
 use mbts_serve::ServiceMachine;
-use mbts_site::{class_breakdown, render_gantt, segments, Site, SiteConfig, SiteRun};
+use mbts_site::{class_breakdown, render_gantt, segments, SiteConfig, SiteRun};
 use mbts_workload::{
     generate_trace, generate_workflows, BoundPolicy, MixConfig, Trace, WidthPolicy, WorkflowConfig,
     WorkflowSet, WorkflowShape,
@@ -86,6 +86,31 @@ pub enum AnalyzeFormat {
     /// Prometheus text exposition: the trace reports' series, then each
     /// profile's histograms.
     Prom,
+}
+
+/// Where `run` and `market` read their tasks: exactly one of `--trace
+/// FILE` and `--workflow FILE`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunInput {
+    /// A stored trace.
+    Trace(PathBuf),
+    /// A stored workflow set: successors release as predecessors
+    /// complete, and admission sees DAG structure.
+    Workflow(PathBuf),
+}
+
+impl RunInput {
+    /// Loads the input as a trace, plus the workflow set it came from.
+    fn load(&self) -> Result<(Trace, Option<WorkflowSet>), ExecError> {
+        match self {
+            RunInput::Trace(path) => Ok((load_trace(path)?, None)),
+            RunInput::Workflow(path) => {
+                let set = WorkflowSet::load(path)
+                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+                Ok((set.trace(), Some(set)))
+            }
+        }
+    }
 }
 
 /// A parsed `mbts` invocation.
@@ -108,11 +133,8 @@ pub enum Command {
     },
     /// Run one site over a stored trace or workflow set.
     Run {
-        /// Input trace path (`--trace`; absent for workflow replays).
-        trace: Option<PathBuf>,
-        /// Input workflow-set path (`--workflow`; successors release as
-        /// predecessors complete and admission sees DAG structure).
-        workflow: Option<PathBuf>,
+        /// The trace or workflow set to replay.
+        input: RunInput,
         /// Site configuration.
         site: SiteConfig,
         /// Render an ASCII Gantt chart of the schedule (drawn from the
@@ -130,13 +152,11 @@ pub enum Command {
         /// (JSON) to this path.
         profile: Option<PathBuf>,
     },
-    /// Run a multi-site economy over a stored trace or workflow set.
+    /// Run a multi-site economy over a stored trace or workflow set
+    /// (only a workflow's roots arrive at the market).
     Market {
-        /// Input trace path (`--trace`; absent for workflow replays).
-        trace: Option<PathBuf>,
-        /// Input workflow-set path (`--workflow`; only roots arrive at
-        /// the market, successors release on predecessor completion).
-        workflow: Option<PathBuf>,
+        /// The trace or workflow set to replay.
+        input: RunInput,
         /// Economy configuration.
         economy: EconomyConfig,
         /// Journal snapshots + events to this path (crash-recoverable).
@@ -572,6 +592,16 @@ impl<'a> Flags<'a> {
         self.switches.contains(&flag)
     }
 
+    /// `--trace FILE | --workflow FILE` of `run` and `market`.
+    fn input(&self, sub: &str) -> Result<RunInput, String> {
+        match (self.get("--trace"), self.get("--workflow")) {
+            (Some(trace), None) => Ok(RunInput::Trace(PathBuf::from(trace))),
+            (None, Some(workflow)) => Ok(RunInput::Workflow(PathBuf::from(workflow))),
+            (None, None) => Err(format!("{sub} requires --trace FILE or --workflow FILE")),
+            (Some(_), Some(_)) => Err("--trace and --workflow are mutually exclusive".into()),
+        }
+    }
+
     fn num(&self, flag: &str, default: f64) -> Result<f64, String> {
         match self.get(flag) {
             Some(v) => v.parse().map_err(|_| format!("{flag} needs a number")),
@@ -670,15 +700,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "run" => {
-            let trace = get("--trace").map(PathBuf::from);
-            let workflow = get("--workflow").map(PathBuf::from);
-            match (&trace, &workflow) {
-                (None, None) => return Err("run requires --trace FILE or --workflow FILE".into()),
-                (Some(_), Some(_)) => {
-                    return Err("--trace and --workflow are mutually exclusive".into())
-                }
-                _ => {}
-            }
+            let input = flags.input(sub)?;
             let mut site = SiteConfig::new(at_least("--processors", 16, 1)?)
                 .with_preemption(has("--preemption"))
                 .with_drop_expired(has("--drop-expired"));
@@ -694,8 +716,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 return Err("--provenance requires --trace-out FILE".into());
             }
             Ok(Command::Run {
-                trace,
-                workflow,
+                input,
                 site,
                 gantt: has("--gantt"),
                 classes: has("--classes"),
@@ -706,17 +727,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "market" => {
-            let trace = get("--trace").map(PathBuf::from);
-            let workflow = get("--workflow").map(PathBuf::from);
-            match (&trace, &workflow) {
-                (None, None) => {
-                    return Err("market requires --trace FILE or --workflow FILE".into())
-                }
-                (Some(_), Some(_)) => {
-                    return Err("--trace and --workflow are mutually exclusive".into())
-                }
-                _ => {}
-            }
+            let input = flags.input(sub)?;
             let mut site = SiteConfig::new(at_least("--procs-per-site", 8, 1)?);
             if let Some(p) = get("--policy") {
                 site = site.with_policy(parse_policy(p)?);
@@ -738,8 +749,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 return Err("--provenance requires --trace-out FILE".into());
             }
             Ok(Command::Market {
-                trace,
-                workflow,
+                input,
                 economy,
                 journal: get("--journal").map(PathBuf::from),
                 trace_out,
@@ -1027,16 +1037,6 @@ fn recover_journal(
     }
 }
 
-/// Loads and validates a workflow set when `--workflow` was given.
-fn load_workflow_set(path: Option<&std::path::Path>) -> Result<Option<WorkflowSet>, String> {
-    match path {
-        Some(p) => WorkflowSet::load(p)
-            .map(Some)
-            .map_err(|e| format!("cannot read {}: {e}", p.display())),
-        None => Ok(None),
-    }
-}
-
 /// Builds the tracer for a `run`/`market` invocation: a buffering sink
 /// when the event stream is wanted, optionally provenance-wrapped.
 fn make_tracer(capture: bool, provenance: bool) -> mbts_trace::Tracer {
@@ -1158,14 +1158,8 @@ fn analyze_input(
     {
         let image = mbts_durable::load(path).map_err(cannot_read)?;
         let events = match recover_journal(&image, path)? {
-            RecoveredJournal::Site(mut run, _) => {
-                run.run_to_completion();
-                run.finish().1.into_events()
-            }
-            RecoveredJournal::Economy(mut run, _) => {
-                run.run_to_completion();
-                run.finish().1.into_events()
-            }
+            RecoveredJournal::Site(run, _) => run.finish().1.into_events(),
+            RecoveredJournal::Economy(run, _) => run.finish().1.into_events(),
             RecoveredJournal::Service(machine, _) => machine.into_trace_events(),
         };
         let report = mbts_trace::analyze::analyze(&label, &events.unwrap_or_default(), opts);
@@ -1295,8 +1289,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             .map_err(|e| e.to_string())
         }
         Command::Run {
-            trace,
-            workflow,
+            input,
             site,
             gantt,
             classes,
@@ -1305,12 +1298,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             provenance,
             profile,
         } => {
-            let wfset = load_workflow_set(workflow.as_deref())?;
-            let trace = match (&wfset, trace) {
-                (Some(set), _) => set.trace(),
-                (None, Some(path)) => load_trace(&path)?,
-                (None, None) => unreachable!("parse requires --trace or --workflow"),
-            };
+            let (trace, wfset) = input.load()?;
             // Workflow replays see DAG structure at admission time:
             // successor-aware slack plus workflow-stamped provenance.
             let site = match &wfset {
@@ -1320,28 +1308,15 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             // The Gantt chart is drawn from the trace, so it captures one.
             let tracer = make_tracer(trace_out.is_some() || gantt, provenance);
             let profiling = start_profiling(profile.is_some());
-            let (outcome, wf_report, tracer) = match (journal, &wfset) {
-                (Some(path), _) => {
-                    let run = match &wfset {
-                        Some(set) => SiteRun::with_workflows(site.clone(), set, tracer),
-                        None => SiteRun::new(site.clone(), &trace, tracer),
-                    };
-                    let run = run_journaled(run, &path, out)?;
-                    let report = run.workflow_report();
-                    let (outcome, tracer) = run.finish();
-                    (outcome, report, tracer)
-                }
-                (None, Some(set)) => {
-                    let (outcome, report, tracer) =
-                        Site::new(site.clone()).run_workflows_traced(set, tracer);
-                    (outcome, Some(report), tracer)
-                }
-                (None, None) => {
-                    let (outcome, tracer) =
-                        Site::new(site.clone()).run_trace_traced(&trace, tracer);
-                    (outcome, None, tracer)
-                }
+            let run = match &wfset {
+                Some(set) => SiteRun::with_workflows(site.clone(), set, tracer),
+                None => SiteRun::new(site.clone(), &trace, tracer),
             };
+            let run = match journal {
+                Some(path) => run_journaled(run, &path, out)?,
+                None => run,
+            };
+            let (outcome, tracer) = run.finish();
             let events = tracer.into_events().unwrap_or_default();
             write_trace_out(trace_out.as_deref(), &events, out)?;
             write_profile_out(profiling, profile.as_deref(), None, out)?;
@@ -1381,7 +1356,7 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
                 outcome.delay_percentile(0.99)
             )
             .map_err(|e| e.to_string())?;
-            if let Some(r) = &wf_report {
+            if let Some(r) = &outcome.workflows {
                 writeln!(
                     out,
                     "workflows {}  settled {}  failed {}  stranded tasks {}  \
@@ -1414,20 +1389,14 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             Ok(())
         }
         Command::Market {
-            trace,
-            workflow,
+            input,
             mut economy,
             journal,
             trace_out,
             provenance,
             profile,
         } => {
-            let wfset = load_workflow_set(workflow.as_deref())?;
-            let trace = match (&wfset, trace) {
-                (Some(set), _) => set.trace(),
-                (None, Some(path)) => load_trace(&path)?,
-                (None, None) => unreachable!("parse requires --trace or --workflow"),
-            };
+            let (trace, wfset) = input.load()?;
             if let Some(set) = wfset {
                 // Every site prices bids successor-aware, and the
                 // economy runs the release/settle overlay: only roots
@@ -1441,13 +1410,12 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             }
             let tracer = make_tracer(trace_out.is_some(), provenance);
             let profiling = start_profiling(profile.is_some());
-            let (outcome, tracer) = match journal {
-                Some(path) => {
-                    let run = EconomyRun::new(economy, &trace, tracer);
-                    run_journaled(run, &path, out)?.finish()
-                }
-                None => Economy::new(economy).run_trace_traced(&trace, tracer),
+            let run = EconomyRun::new(economy, &trace, tracer);
+            let run = match journal {
+                Some(path) => run_journaled(run, &path, out)?,
+                None => run,
             };
+            let (outcome, tracer) = run.finish();
             let events = tracer.into_events().unwrap_or_default();
             write_trace_out(trace_out.as_deref(), &events, out)?;
             write_profile_out(profiling, profile.as_deref(), None, out)?;
@@ -1498,9 +1466,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             let image = mbts_durable::load(&journal)
                 .map_err(|e| format!("cannot read {}: {e}", journal.display()))?;
             match recover_journal(&image, &journal)? {
-                RecoveredJournal::Site(mut run, report) => {
+                RecoveredJournal::Site(run, report) => {
                     resume_banner("site", run.events_handled(), &report, out)?;
-                    run.run_to_completion();
                     let (outcome, _) = run.finish();
                     let m = &outcome.metrics;
                     writeln!(
@@ -1510,9 +1477,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
                     )
                     .map_err(|e| e.to_string())
                 }
-                RecoveredJournal::Economy(mut run, report) => {
+                RecoveredJournal::Economy(run, report) => {
                     resume_banner("economy", run.events_handled(), &report, out)?;
-                    run.run_to_completion();
                     let (outcome, _) = run.finish();
                     market_summary(&outcome, out)
                 }
@@ -2063,29 +2029,31 @@ mod tests {
 
     #[test]
     fn parse_run_and_market_workflow_flags() {
+        let workflow = RunInput::Workflow(PathBuf::from("w.json"));
         match parse(&args("run --workflow w.json --policy first-price")).unwrap() {
-            Command::Run {
-                trace, workflow, ..
-            } => {
-                assert!(trace.is_none());
-                assert_eq!(workflow, Some(PathBuf::from("w.json")));
-            }
+            Command::Run { input, .. } => assert_eq!(input, workflow),
             other => panic!("wrong command: {other:?}"),
         }
         match parse(&args("market --workflow w.json --sites 2")).unwrap() {
-            Command::Market {
-                trace, workflow, ..
-            } => {
-                assert!(trace.is_none());
-                assert_eq!(workflow, Some(PathBuf::from("w.json")));
+            Command::Market { input, .. } => assert_eq!(input, workflow),
+            other => panic!("wrong command: {other:?}"),
+        }
+        match parse(&args("run --trace t.json")).unwrap() {
+            Command::Run { input, .. } => {
+                assert_eq!(input, RunInput::Trace(PathBuf::from("t.json")))
             }
             other => panic!("wrong command: {other:?}"),
         }
         // Exactly one input source.
-        assert!(parse(&args("run")).is_err());
-        assert!(parse(&args("run --trace t.json --workflow w.json")).is_err());
-        assert!(parse(&args("market")).is_err());
-        assert!(parse(&args("market --trace t.json --workflow w.json")).is_err());
+        for sub in ["run", "market"] {
+            let err = parse(&args(sub)).unwrap_err();
+            assert_eq!(
+                err,
+                format!("{sub} requires --trace FILE or --workflow FILE")
+            );
+            let err = parse(&args(&format!("{sub} --trace t.json --workflow w.json"))).unwrap_err();
+            assert_eq!(err, "--trace and --workflow are mutually exclusive");
+        }
         // Workflow market runs journal like plain ones.
         assert!(parse(&args("market --workflow w.json --journal j.bin")).is_ok());
     }

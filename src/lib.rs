@@ -35,7 +35,8 @@
 //!
 //! ```
 //! use mbts::core::heuristics::Policy;
-//! use mbts::site::{Site, SiteConfig};
+//! use mbts::site::{SiteConfig, SiteRun};
+//! use mbts::trace::Tracer;
 //! use mbts::workload::{MixConfig, generate_trace};
 //!
 //! // Generate a 200-task bimodal mix at load factor 1 on 4 processors.
@@ -49,7 +50,7 @@
 //! let config = SiteConfig::new(4)
 //!     .with_policy(Policy::first_reward(0.3, 0.01))
 //!     .with_preemption(true);
-//! let outcome = Site::new(config).run_trace(&trace);
+//! let (outcome, _) = SiteRun::new(config, &trace, Tracer::Off).finish();
 //! assert_eq!(outcome.metrics.completed, 200);
 //! assert!(outcome.metrics.total_yield.is_finite());
 //! ```

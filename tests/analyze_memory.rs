@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::site::{Site, SiteConfig};
+use mbts::site::{SiteConfig, SiteRun};
 use mbts::trace::analyze::analyze;
 use mbts::trace::{
     from_jsonl, read_jsonl, AnalyzeOptions, JsonlSink, TraceFold, TraceReport, Tracer,
@@ -85,15 +85,13 @@ fn write_trace(tasks: usize, path: &Path) -> usize {
             .with_load_factor(1.2),
         41,
     );
-    let site = Site::new(
-        SiteConfig::new(8)
-            .with_policy(Policy::first_reward(0.3, 0.01))
-            .with_preemption(true)
-            .with_admission(AdmissionPolicy::SlackThreshold { threshold: 180.0 }),
-    );
+    let config = SiteConfig::new(8)
+        .with_policy(Policy::first_reward(0.3, 0.01))
+        .with_preemption(true)
+        .with_admission(AdmissionPolicy::SlackThreshold { threshold: 180.0 });
     let sink = JsonlSink::create(path).expect("create trace");
     let tracer = Tracer::Jsonl(sink.clone()).with_provenance();
-    site.run_trace_traced(&trace, tracer);
+    SiteRun::new(config, &trace, tracer).finish();
     sink.finish().expect("write trace") as usize
 }
 

@@ -115,6 +115,19 @@ fn non_positive_load_is_rejected_where_it_is_parsed() {
     }
 }
 
+/// `run` and `market` read a trace or a workflow set: with neither flag
+/// they exit 2 naming both.
+#[test]
+fn run_and_market_without_an_input_are_rejected() {
+    for sub in ["run", "market"] {
+        assert_rejected(
+            &mbts(&[sub, "--policy", "fcfs"]),
+            &format!("{sub} requires --trace FILE or --workflow FILE"),
+            sub,
+        );
+    }
+}
+
 /// A count or rate the library builders assert on is checked where it is
 /// parsed: zero processors, sites, tasks or seeds too few to pair, and
 /// negative or NaN discount rates exit 2 naming the flag or spec.

@@ -410,7 +410,7 @@ fn crash_during_repair_kill_points_recover_under_checkpoint() {
         let (mut rec, _) = DurableRun::<SiteRun>::recover(&bytes[..offsets[k]])
             .unwrap_or_else(|e| panic!("recovery failed mid-repair at event {k}: {e}"));
         assert_eq!(rec.events_handled(), k as u64);
-        rec.run_to_completion();
+        while rec.step() {}
         assert_eq!(rec.events_handled(), total);
         let (got, got_tracer) = rec.finish();
         assert_identical!(want, got, "crash-during-repair", "outcome", k);

@@ -3,7 +3,8 @@
 //! must satisfy.
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::site::{Site, SiteConfig, SiteOutcome};
+use mbts::site::{SiteConfig, SiteOutcome, SiteRun};
+use mbts::trace::Tracer;
 use mbts::workload::{generate_trace, MixConfig, Trace};
 
 fn mix(load: f64) -> MixConfig {
@@ -48,7 +49,8 @@ fn check_conservation(trace: &Trace, outcome: &SiteOutcome) {
 fn every_policy_conserves_tasks_accept_all() {
     let trace = generate_trace(&mix(1.0), 21);
     for policy in policies() {
-        let outcome = Site::new(SiteConfig::new(8).with_policy(policy)).run_trace(&trace);
+        let (outcome, _) =
+            SiteRun::new(SiteConfig::new(8).with_policy(policy), &trace, Tracer::Off).finish();
         check_conservation(&trace, &outcome);
         assert_eq!(outcome.metrics.rejected, 0);
         assert_eq!(outcome.metrics.completed, trace.len());
@@ -59,13 +61,15 @@ fn every_policy_conserves_tasks_accept_all() {
 fn every_policy_conserves_tasks_with_admission_and_preemption() {
     let trace = generate_trace(&mix(2.0), 22);
     for policy in policies() {
-        let outcome = Site::new(
+        let (outcome, _) = SiteRun::new(
             SiteConfig::new(8)
                 .with_policy(policy)
                 .with_admission(AdmissionPolicy::SlackThreshold { threshold: 50.0 })
                 .with_preemption(true),
+            &trace,
+            Tracer::Off,
         )
-        .run_trace(&trace);
+        .finish();
         check_conservation(&trace, &outcome);
     }
 }
@@ -77,8 +81,8 @@ fn runs_are_deterministic() {
         .with_policy(Policy::first_reward(0.3, 0.01))
         .with_admission(AdmissionPolicy::SlackThreshold { threshold: 100.0 })
         .with_preemption(true);
-    let a = Site::new(cfg.clone()).run_trace(&trace);
-    let b = Site::new(cfg).run_trace(&trace);
+    let (a, _) = SiteRun::new(cfg.clone(), &trace, Tracer::Off).finish();
+    let (b, _) = SiteRun::new(cfg, &trace, Tracer::Off).finish();
     assert_eq!(a.metrics.total_yield, b.metrics.total_yield);
     assert_eq!(a.metrics.completed, b.metrics.completed);
     assert_eq!(a.metrics.preemptions, b.metrics.preemptions);
@@ -90,8 +94,18 @@ fn runs_are_deterministic() {
 #[test]
 fn pv_at_zero_rate_is_exactly_first_price() {
     let trace = generate_trace(&mix(1.3), 24);
-    let fp = Site::new(SiteConfig::new(8).with_policy(Policy::FirstPrice)).run_trace(&trace);
-    let pv = Site::new(SiteConfig::new(8).with_policy(Policy::pv(0.0))).run_trace(&trace);
+    let (fp, _) = SiteRun::new(
+        SiteConfig::new(8).with_policy(Policy::FirstPrice),
+        &trace,
+        Tracer::Off,
+    )
+    .finish();
+    let (pv, _) = SiteRun::new(
+        SiteConfig::new(8).with_policy(Policy::pv(0.0)),
+        &trace,
+        Tracer::Off,
+    )
+    .finish();
     assert_eq!(fp.metrics.total_yield, pv.metrics.total_yield);
     for (x, y) in fp.outcomes.iter().zip(&pv.outcomes) {
         assert_eq!(x.finished_at, y.finished_at);
@@ -102,9 +116,18 @@ fn pv_at_zero_rate_is_exactly_first_price() {
 fn first_reward_alpha_one_zero_discount_is_first_price() {
     // §5.3: with α = 1 and discount 0, FirstReward reduces to FirstPrice.
     let trace = generate_trace(&mix(1.3), 25);
-    let fp = Site::new(SiteConfig::new(8).with_policy(Policy::FirstPrice)).run_trace(&trace);
-    let fr =
-        Site::new(SiteConfig::new(8).with_policy(Policy::first_reward(1.0, 0.0))).run_trace(&trace);
+    let (fp, _) = SiteRun::new(
+        SiteConfig::new(8).with_policy(Policy::FirstPrice),
+        &trace,
+        Tracer::Off,
+    )
+    .finish();
+    let (fr, _) = SiteRun::new(
+        SiteConfig::new(8).with_policy(Policy::first_reward(1.0, 0.0)),
+        &trace,
+        Tracer::Off,
+    )
+    .finish();
     assert_eq!(fp.metrics.total_yield, fr.metrics.total_yield);
 }
 
@@ -114,7 +137,7 @@ fn single_processor_single_task() {
         .with_tasks(1)
         .with_processors(1);
     let trace = generate_trace(&mix, 1);
-    let outcome = Site::new(SiteConfig::new(1)).run_trace(&trace);
+    let (outcome, _) = SiteRun::new(SiteConfig::new(1), &trace, Tracer::Off).finish();
     assert_eq!(outcome.metrics.completed, 1);
     // A lone task starts immediately: earns full value.
     assert!((outcome.metrics.total_yield - trace.tasks[0].value).abs() < 1e-9);
@@ -127,8 +150,18 @@ fn value_skew_does_not_change_what_completes_only_what_it_earns() {
     // the same times regardless of the value labels.
     let a = generate_trace(&mix(1.0).with_value_skew(1.0), 30);
     let b = generate_trace(&mix(1.0).with_value_skew(9.0), 30);
-    let oa = Site::new(SiteConfig::new(8).with_policy(Policy::Srpt)).run_trace(&a);
-    let ob = Site::new(SiteConfig::new(8).with_policy(Policy::Srpt)).run_trace(&b);
+    let (oa, _) = SiteRun::new(
+        SiteConfig::new(8).with_policy(Policy::Srpt),
+        &a,
+        Tracer::Off,
+    )
+    .finish();
+    let (ob, _) = SiteRun::new(
+        SiteConfig::new(8).with_policy(Policy::Srpt),
+        &b,
+        Tracer::Off,
+    )
+    .finish();
     for (x, y) in oa.outcomes.iter().zip(&ob.outcomes) {
         assert_eq!(x.finished_at, y.finished_at);
     }
@@ -142,8 +175,8 @@ fn overload_without_admission_hurts_more_with_unbounded_penalties() {
         31,
     );
     let cfg = SiteConfig::new(8).with_policy(Policy::FirstPrice);
-    let u = Site::new(cfg.clone()).run_trace(&unbounded);
-    let b = Site::new(cfg).run_trace(&bounded);
+    let (u, _) = SiteRun::new(cfg.clone(), &unbounded, Tracer::Off).finish();
+    let (b, _) = SiteRun::new(cfg, &bounded, Tracer::Off).finish();
     assert!(u.metrics.total_yield < b.metrics.total_yield);
     assert!(b.metrics.total_penalty == 0.0);
     assert!(u.metrics.total_penalty < 0.0);
@@ -154,13 +187,20 @@ fn preemption_strictly_helps_or_matches_under_first_price() {
     // Preemption gives the scheduler more freedom; on skewed mixes it
     // should not hurt FirstPrice (it may reorder but never blocks).
     let trace = generate_trace(&mix(1.5).with_value_skew(9.0), 32);
-    let off = Site::new(SiteConfig::new(8).with_policy(Policy::FirstPrice)).run_trace(&trace);
-    let on = Site::new(
+    let (off, _) = SiteRun::new(
+        SiteConfig::new(8).with_policy(Policy::FirstPrice),
+        &trace,
+        Tracer::Off,
+    )
+    .finish();
+    let (on, _) = SiteRun::new(
         SiteConfig::new(8)
             .with_policy(Policy::FirstPrice)
             .with_preemption(true),
+        &trace,
+        Tracer::Off,
     )
-    .run_trace(&trace);
+    .finish();
     assert!(
         on.metrics.total_yield >= off.metrics.total_yield - off.metrics.total_yield.abs() * 0.05,
         "preemption on {} vs off {}",

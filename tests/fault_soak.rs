@@ -11,7 +11,8 @@
 
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::sim::{FaultConfig, UpDown};
-use mbts::site::{FaultPlan, LostWorkPolicy, Site, SiteConfig};
+use mbts::site::{FaultPlan, LostWorkPolicy, SiteConfig, SiteRun};
+use mbts::trace::Tracer;
 use mbts::workload::{fig67_mix, generate_trace, MixConfig};
 
 /// The six policy configurations the fault sweep compares.
@@ -69,9 +70,13 @@ fn soak(mix: &MixConfig, seeds: &[u64], processors: usize) -> u64 {
                     processor: Some(UpDown::exponential(4_000.0, 120.0)),
                 };
                 let plan = FaultPlan::new(faults, seed.wrapping_mul(0x9E37_79B9) ^ 0x50A4);
-                let outcome =
-                    Site::new(base.clone().with_lost_work(lost_work).with_preemption(true))
-                        .run_trace_with_faults(&trace, &plan);
+                let (outcome, _) = SiteRun::with_faults(
+                    base.clone().with_lost_work(lost_work).with_preemption(true),
+                    &trace,
+                    &plan,
+                    Tracer::Off,
+                )
+                .finish();
                 assert!(
                     outcome.violations.is_empty(),
                     "audit violations under {label}/{wlabel} seed {seed}: {:?}",

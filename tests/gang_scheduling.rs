@@ -2,7 +2,8 @@
 //! full stack (generator → site → metrics), plus SWF-imported traces.
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::site::{Site, SiteConfig};
+use mbts::site::{SiteConfig, SiteRun};
+use mbts::trace::Tracer;
 use mbts::workload::{generate_trace, parse_swf, MixConfig, SwfOptions, WidthPolicy};
 
 fn gang_mix(load: f64) -> MixConfig {
@@ -23,7 +24,8 @@ fn gang_workloads_complete_under_every_policy() {
         Policy::EarliestDeadline,
         Policy::first_reward(0.3, 0.01),
     ] {
-        let out = Site::new(SiteConfig::new(8).with_policy(policy)).run_trace(&trace);
+        let (out, _) =
+            SiteRun::new(SiteConfig::new(8).with_policy(policy), &trace, Tracer::Off).finish();
         assert_eq!(out.metrics.completed, 400, "{}", policy.name());
         assert!(out.metrics.total_yield.is_finite());
     }
@@ -32,13 +34,15 @@ fn gang_workloads_complete_under_every_policy() {
 #[test]
 fn gang_workloads_with_preemption_and_admission() {
     let trace = generate_trace(&gang_mix(2.0), 92);
-    let out = Site::new(
+    let (out, _) = SiteRun::new(
         SiteConfig::new(8)
             .with_policy(Policy::first_reward(0.2, 0.01))
             .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 })
             .with_preemption(true),
+        &trace,
+        Tracer::Off,
     )
-    .run_trace(&trace);
+    .finish();
     let m = &out.metrics;
     assert_eq!(m.completed + m.dropped, m.accepted);
     assert_eq!(m.accepted + m.rejected, 400);
@@ -71,12 +75,15 @@ fn load_calibration_accounts_for_width() {
 fn backfilling_improves_utilization_on_gang_mixes() {
     let trace = generate_trace(&gang_mix(1.5), 94);
     let run = |backfill: bool| {
-        Site::new(
+        SiteRun::new(
             SiteConfig::new(8)
                 .with_policy(Policy::FirstPrice)
                 .with_backfilling(backfill),
+            &trace,
+            Tracer::Off,
         )
-        .run_trace(&trace)
+        .finish()
+        .0
     };
     let easy = run(true);
     let strict = run(false);
@@ -116,8 +123,12 @@ fn swf_imported_trace_runs_end_to_end() {
     let opts = SwfOptions::new(MixConfig::millennium_default().with_processors(8), 5);
     let trace = parse_swf(&swf, &opts).unwrap();
     assert_eq!(trace.len(), 60);
-    let out = Site::new(SiteConfig::new(8).with_policy(Policy::first_reward(0.3, 0.01)))
-        .run_trace(&trace);
+    let (out, _) = SiteRun::new(
+        SiteConfig::new(8).with_policy(Policy::first_reward(0.3, 0.01)),
+        &trace,
+        Tracer::Off,
+    )
+    .finish();
     assert_eq!(out.metrics.completed, 60);
     // Misestimation is live: estimates (req_time) exceed true runtimes.
     assert!(trace

@@ -18,7 +18,7 @@
 //! ```
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::site::{Site, SiteConfig};
+use mbts::site::{SiteConfig, SiteRun};
 use mbts::trace::{from_jsonl, to_jsonl, DecisionKind, TraceKind, Tracer};
 use mbts::workload::{
     generate_trace, generate_workflows, BoundPolicy, MixConfig, WidthPolicy, WorkflowConfig,
@@ -50,13 +50,11 @@ fn mini_mix() -> MixConfig {
         .with_bound(BoundPolicy::ProportionalPenalty { fraction: 0.5 })
 }
 
-fn site(policy: Policy) -> Site {
-    Site::new(
-        SiteConfig::new(2)
-            .with_policy(policy)
-            .with_preemption(true)
-            .with_drop_expired(true),
-    )
+fn site(policy: Policy) -> SiteConfig {
+    SiteConfig::new(2)
+        .with_policy(policy)
+        .with_preemption(true)
+        .with_drop_expired(true)
 }
 
 fn golden_dir() -> PathBuf {
@@ -73,7 +71,8 @@ fn diff_dir() -> PathBuf {
 
 fn provenance_stream(policy: Policy, seed: u64) -> String {
     let trace = generate_trace(&mini_mix(), seed);
-    let (_, tracer) = site(policy).run_trace_traced(&trace, Tracer::buffer().with_provenance());
+    let (_, tracer) =
+        SiteRun::new(site(policy), &trace, Tracer::buffer().with_provenance()).finish();
     to_jsonl(&tracer.into_events().expect("buffer tracer keeps events"))
 }
 
@@ -191,19 +190,21 @@ fn wf_set(shape: WorkflowShape, seed: u64) -> WorkflowSet {
     )
 }
 
-fn wf_site(policy: Policy, set: &WorkflowSet) -> Site {
-    Site::new(
-        SiteConfig::new(2)
-            .with_policy(policy)
-            .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 })
-            .with_workflow_facets(set.facets()),
-    )
+fn wf_site(policy: Policy, set: &WorkflowSet) -> SiteConfig {
+    SiteConfig::new(2)
+        .with_policy(policy)
+        .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 })
+        .with_workflow_facets(set.facets())
 }
 
 fn wf_provenance_stream(policy: Policy, shape: WorkflowShape, seed: u64) -> String {
     let set = wf_set(shape, seed);
-    let (_, _, tracer) =
-        wf_site(policy, &set).run_workflows_traced(&set, Tracer::buffer().with_provenance());
+    let (_, tracer) = SiteRun::with_workflows(
+        wf_site(policy, &set),
+        &set,
+        Tracer::buffer().with_provenance(),
+    )
+    .finish();
     to_jsonl(&tracer.into_events().expect("buffer tracer keeps events"))
 }
 
@@ -299,12 +300,16 @@ fn filtering_workflow_decision_records_recovers_the_default_stream() {
     // (earned totals, attribution) agree bitwise.
     for (shape_label, shape, label, policy) in wf_grid() {
         let set = wf_set(shape, 101);
-        let (_, plain_report, plain) =
-            wf_site(policy, &set).run_workflows_traced(&set, Tracer::buffer());
-        let (_, prov_report, prov) =
-            wf_site(policy, &set).run_workflows_traced(&set, Tracer::buffer().with_provenance());
+        let (plain_outcome, plain) =
+            SiteRun::with_workflows(wf_site(policy, &set), &set, Tracer::buffer()).finish();
+        let (prov_outcome, prov) = SiteRun::with_workflows(
+            wf_site(policy, &set),
+            &set,
+            Tracer::buffer().with_provenance(),
+        )
+        .finish();
         assert_eq!(
-            plain_report, prov_report,
+            plain_outcome.workflows, prov_outcome.workflows,
             "{shape_label}/{label}: provenance changed workflow settlement"
         );
         let plain_events = plain.into_events().expect("buffer keeps events");
@@ -328,9 +333,10 @@ fn filtering_decision_records_recovers_the_default_stream() {
     for (label, policy) in roster() {
         for seed in SEEDS {
             let trace = generate_trace(&mini_mix(), seed);
-            let (plain_outcome, plain) = site(policy).run_trace_traced(&trace, Tracer::buffer());
+            let (plain_outcome, plain) =
+                SiteRun::new(site(policy), &trace, Tracer::buffer()).finish();
             let (prov_outcome, prov) =
-                site(policy).run_trace_traced(&trace, Tracer::buffer().with_provenance());
+                SiteRun::new(site(policy), &trace, Tracer::buffer().with_provenance()).finish();
             assert_eq!(
                 plain_outcome.metrics.total_yield.to_bits(),
                 prov_outcome.metrics.total_yield.to_bits(),

@@ -16,7 +16,7 @@
 //! artifact.
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::site::{Site, SiteConfig};
+use mbts::site::{SiteConfig, SiteRun};
 use mbts::trace::{from_jsonl, to_jsonl, Tracer};
 use mbts::workload::{
     generate_trace, generate_workflows, BoundPolicy, MixConfig, WidthPolicy, WorkflowConfig,
@@ -51,13 +51,11 @@ fn mini_mix() -> MixConfig {
         .with_bound(BoundPolicy::ProportionalPenalty { fraction: 0.5 })
 }
 
-fn site(policy: Policy) -> Site {
-    Site::new(
-        SiteConfig::new(2)
-            .with_policy(policy)
-            .with_preemption(true)
-            .with_drop_expired(true),
-    )
+fn site(policy: Policy) -> SiteConfig {
+    SiteConfig::new(2)
+        .with_policy(policy)
+        .with_preemption(true)
+        .with_drop_expired(true)
 }
 
 fn golden_dir() -> PathBuf {
@@ -74,7 +72,7 @@ fn diff_dir() -> PathBuf {
 
 fn actual_stream(policy: Policy, seed: u64) -> String {
     let trace = generate_trace(&mini_mix(), seed);
-    let (_, tracer) = site(policy).run_trace_traced(&trace, Tracer::buffer());
+    let (_, tracer) = SiteRun::new(site(policy), &trace, Tracer::buffer()).finish();
     to_jsonl(&tracer.into_events().expect("buffer tracer keeps events"))
 }
 
@@ -150,13 +148,11 @@ fn wf_set(shape: WorkflowShape, seed: u64) -> WorkflowSet {
 
 fn wf_stream(policy: Policy, shape: WorkflowShape, seed: u64) -> String {
     let set = wf_set(shape, seed);
-    let site = Site::new(
-        SiteConfig::new(2)
-            .with_policy(policy)
-            .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 })
-            .with_workflow_facets(set.facets()),
-    );
-    let (_, _, tracer) = site.run_workflows_traced(&set, Tracer::buffer());
+    let config = SiteConfig::new(2)
+        .with_policy(policy)
+        .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 })
+        .with_workflow_facets(set.facets());
+    let (_, tracer) = SiteRun::with_workflows(config, &set, Tracer::buffer()).finish();
     to_jsonl(&tracer.into_events().expect("buffer tracer keeps events"))
 }
 

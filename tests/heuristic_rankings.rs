@@ -2,7 +2,8 @@
 //! hold on full simulations, not just unit-level scores.
 
 use mbts::core::Policy;
-use mbts::site::{Site, SiteConfig};
+use mbts::site::{SiteConfig, SiteRun};
+use mbts::trace::Tracer;
 use mbts::workload::{fig45_mix, generate_trace, BoundPolicy, MixConfig};
 
 fn yield_of(policy: Policy, mix: &MixConfig, seeds: std::ops::Range<u64>) -> f64 {
@@ -10,10 +11,9 @@ fn yield_of(policy: Policy, mix: &MixConfig, seeds: std::ops::Range<u64>) -> f64
     let n = (seeds.end - seeds.start) as f64;
     for seed in seeds {
         let trace = generate_trace(mix, seed);
-        total += Site::new(SiteConfig::new(mix.processors).with_policy(policy))
-            .run_trace(&trace)
-            .metrics
-            .total_yield;
+        let config = SiteConfig::new(mix.processors).with_policy(policy);
+        let (outcome, _) = SiteRun::new(config, &trace, Tracer::Off).finish();
+        total += outcome.metrics.total_yield;
     }
     total / n
 }
@@ -93,8 +93,9 @@ fn srpt_minimizes_mean_delay() {
         .with_load_factor(1.5);
     let trace = generate_trace(&mix, 55);
     let delay = |p: Policy| {
-        Site::new(SiteConfig::new(8).with_policy(p))
-            .run_trace(&trace)
+        SiteRun::new(SiteConfig::new(8).with_policy(p), &trace, Tracer::Off)
+            .finish()
+            .0
             .metrics
             .delay
             .mean()

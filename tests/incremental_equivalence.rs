@@ -4,7 +4,9 @@
 //! an independent rebuild-per-event reference model written from the
 //! paper (`tests/reference/`), and assert the same quote for every bid,
 //! the same dispatch order, the same per-task outcomes and the same
-//! total yield, bit for bit. The pool-driven dynamic candidate builder
+//! total yield, bit for bit. One more case feeds the trace to the
+//! daemon's `ServiceMachine` as submissions and holds its outcomes and
+//! yield to the same model. The pool-driven dynamic candidate builder
 //! must emit the exact schedule a from-scratch rescore emits — same
 //! picks, same tie-breaks, same floating-point bits.
 
@@ -13,9 +15,10 @@ mod reference;
 use mbts::core::{
     build_candidate, AdmissionPolicy, CostModel, Job, Policy, ScheduleEntry, ScheduleMode, ScoreCtx,
 };
-use mbts::market::{Economy, EconomyConfig, EconomyRun};
+use mbts::market::{EconomyConfig, EconomyRun};
+use mbts::serve::{CommandKind, MachineConfig, ServiceMachine};
 use mbts::sim::{FaultConfig, Time};
-use mbts::site::{Disposition, FaultPlan, Site, SiteConfig};
+use mbts::site::{Disposition, FaultPlan, JobOutcome, SiteConfig, SiteRun};
 use mbts::trace::{DecisionKind, TraceKind, Tracer};
 use mbts::workload::{
     generate_trace, generate_workflows, BoundPolicy, MixConfig, Trace, WidthPolicy, WorkflowConfig,
@@ -82,7 +85,7 @@ fn reference_config(cfg: &SiteConfig) -> reference::Config {
 /// records the admission decision for every bid.
 fn assert_site_matches_reference(cfg: SiteConfig, trace: &Trace, label: &str) -> reference::Run {
     let (site, tracer) =
-        Site::new(cfg.clone()).run_trace_traced(trace, Tracer::buffer().with_provenance());
+        SiteRun::new(cfg.clone(), trace, Tracer::buffer().with_provenance()).finish();
     let model = reference::run(&reference_config(&cfg), &trace.tasks);
     let events = tracer.into_events().expect("a buffer keeps its events");
 
@@ -154,12 +157,24 @@ fn assert_site_matches_reference(cfg: SiteConfig, trace: &Trace, label: &str) ->
         "{label}: start count diverged"
     );
 
+    assert_outcomes_match(&site.outcomes, site.metrics.total_yield, &model, label);
+    model
+}
+
+/// Asserts per-task outcomes (sorted by id) and a total yield equal the
+/// reference run's, bit for bit.
+fn assert_outcomes_match(
+    outcomes: &[JobOutcome],
+    total_yield: f64,
+    model: &reference::Run,
+    label: &str,
+) {
     assert_eq!(
-        site.outcomes.len(),
+        outcomes.len(),
         model.outcomes.len(),
         "{label}: outcome count"
     );
-    for (got, want) in site.outcomes.iter().zip(&model.outcomes) {
+    for (got, want) in outcomes.iter().zip(&model.outcomes) {
         let fate = match got.disposition {
             Disposition::Rejected => reference::Fate::Rejected,
             Disposition::Completed => reference::Fate::Completed,
@@ -194,13 +209,12 @@ fn assert_site_matches_reference(cfg: SiteConfig, trace: &Trace, label: &str) ->
         );
     }
     assert_eq!(
-        site.metrics.total_yield.to_bits(),
+        total_yield.to_bits(),
         model.total_yield.to_bits(),
         "{label}: total yield diverged: site {}, reference {}",
-        site.metrics.total_yield,
+        total_yield,
         model.total_yield
     );
-    model
 }
 
 fn assert_sites_equivalent(
@@ -211,6 +225,33 @@ fn assert_sites_equivalent(
 ) -> reference::Run {
     let trace = generate_trace(mix, seed);
     assert_site_matches_reference(cfg, &trace, &format!("{label} seed {seed}"))
+}
+
+/// Runs `trace` through the daemon's command-sourced machine — each
+/// task a `Submit` stamped at its arrival, then one `Drain` — and
+/// asserts the reference model's per-task outcomes and total yield, bit
+/// for bit. The machine settles every completion due at or before a
+/// command's stamp before applying it, so a completion at an arrival's
+/// instant goes first, where the model and `SiteRun` take the arrival
+/// first: when one processor frees at an arrival's instant, the machine
+/// starts a task already waiting and the model may start the arrival.
+/// The generated traces here draw continuous arrival times, which no
+/// completion meets.
+fn assert_service_matches_reference(cfg: SiteConfig, trace: &Trace, label: &str) {
+    let model = reference::run(&reference_config(&cfg), &trace.tasks);
+    let mut machine = ServiceMachine::new(MachineConfig {
+        site: cfg,
+        ..MachineConfig::default()
+    });
+    for spec in trace.tasks.iter() {
+        let submit = machine.command(spec.arrival, CommandKind::Submit { spec: *spec });
+        machine.apply(&submit);
+    }
+    let drain = machine.command(machine.now(), CommandKind::Drain);
+    machine.apply(&drain);
+    let mut outcomes = machine.site().outcomes().to_vec();
+    outcomes.sort_by_key(|o| o.id);
+    assert_outcomes_match(&outcomes, machine.metrics().total_yield, &model, label);
 }
 
 /// How often a run took each decision a case exists to exercise.
@@ -307,6 +348,26 @@ fn incremental_site_matches_rebuild_with_bounded_penalties_and_expiry() {
     assert!(engaged.dropped > 0, "{engaged:?}");
 }
 
+#[test]
+fn service_machine_matches_reference_for_every_policy() {
+    let mix = MixConfig::millennium_default()
+        .with_tasks(250)
+        .with_processors(4)
+        .with_load_factor(1.8);
+    for seed in [51, 52] {
+        let trace = generate_trace(&mix, seed);
+        for (label, policy) in all_policies() {
+            for preemption in [false, true] {
+                let cfg = SiteConfig::new(4)
+                    .with_policy(policy)
+                    .with_preemption(preemption);
+                let label = format!("service {label} seed {seed} preemption {preemption}");
+                assert_service_matches_reference(cfg, &trace, &label);
+            }
+        }
+    }
+}
+
 /// The wide tier: more seeds, and every policy under every combination
 /// of preemption, `drop_expired`, bounded or unbounded penalties and
 /// slack admission, on width-1 and gang mixes. Run it in release:
@@ -379,9 +440,14 @@ fn zero_fault_replay_is_byte_identical_to_plain_replay() {
         for seed in [11, 12] {
             let trace = generate_trace(&mix, seed);
             let cfg = SiteConfig::new(4).with_policy(policy).with_preemption(true);
-            let plain = Site::new(cfg.clone()).run_trace(&trace);
-            let faulted = Site::new(cfg)
-                .run_trace_with_faults(&trace, &FaultPlan::new(FaultConfig::none(), 99));
+            let (plain, _) = SiteRun::new(cfg.clone(), &trace, Tracer::Off).finish();
+            let (faulted, _) = SiteRun::with_faults(
+                cfg,
+                &trace,
+                &FaultPlan::new(FaultConfig::none(), 99),
+                Tracer::Off,
+            )
+            .finish();
             assert_eq!(
                 plain.outcomes, faulted.outcomes,
                 "outcome stream diverged: {label} seed {seed}"
@@ -422,9 +488,9 @@ fn traced_replay_is_bit_identical_to_untraced_replay() {
                 .with_policy(policy)
                 .with_preemption(true)
                 .with_drop_expired(true);
-            let plain = Site::new(cfg.clone()).run_trace(&trace);
+            let (plain, _) = SiteRun::new(cfg.clone(), &trace, Tracer::Off).finish();
             for tracer in [Tracer::buffer(), Tracer::ring(64)] {
-                let (traced, tracer) = Site::new(cfg.clone()).run_trace_traced(&trace, tracer);
+                let (traced, tracer) = SiteRun::new(cfg.clone(), &trace, tracer).finish();
                 assert_eq!(
                     plain.outcomes, traced.outcomes,
                     "outcome stream diverged under tracing: {label} seed {seed}"
@@ -481,9 +547,9 @@ fn provenance_off_streams_are_byte_identical_to_default_streams() {
                 .with_drop_expired(true)
                 .with_admission(AdmissionPolicy::SlackThreshold { threshold: 150.0 });
             let (plain_outcome, plain) =
-                Site::new(cfg.clone()).run_trace_traced(&trace, Tracer::buffer());
+                SiteRun::new(cfg.clone(), &trace, Tracer::buffer()).finish();
             let (prov_outcome, prov) =
-                Site::new(cfg).run_trace_traced(&trace, Tracer::buffer().with_provenance());
+                SiteRun::new(cfg, &trace, Tracer::buffer().with_provenance()).finish();
             assert_eq!(
                 plain_outcome.outcomes, prov_outcome.outcomes,
                 "outcome stream diverged under provenance: {label} seed {seed}"
@@ -529,9 +595,8 @@ fn traced_faulty_replay_is_bit_identical_to_untraced_faulty_replay() {
         let trace = generate_trace(&mix, 17);
         let cfg = SiteConfig::new(4).with_policy(policy);
         let plan = FaultPlan::new(faults.clone(), 5);
-        let plain = Site::new(cfg.clone()).run_trace_with_faults(&trace, &plan);
-        let (traced, _) =
-            Site::new(cfg).run_trace_with_faults_traced(&trace, &plan, Tracer::buffer());
+        let (plain, _) = SiteRun::with_faults(cfg.clone(), &trace, &plan, Tracer::Off).finish();
+        let (traced, _) = SiteRun::with_faults(cfg, &trace, &plan, Tracer::buffer()).finish();
         assert_eq!(plain.outcomes, traced.outcomes, "{label}");
         assert_eq!(
             plain.metrics.total_yield.to_bits(),
@@ -721,9 +786,10 @@ fn workflow_provenance_off_streams_are_byte_identical_to_default_streams() {
         let set = equivalence_wf_set(82);
         let trace = set.trace();
         let cfg = wf_market_cfg(4, policy, &set);
-        let eco = Economy::new(cfg);
-        let (plain_outcome, plain) = eco.run_trace_traced(&trace, Tracer::buffer());
-        let (prov_outcome, prov) = eco.run_trace_traced(&trace, Tracer::buffer().with_provenance());
+        let (plain_outcome, plain) =
+            EconomyRun::new(cfg.clone(), &trace, Tracer::buffer()).finish();
+        let (prov_outcome, prov) =
+            EconomyRun::new(cfg, &trace, Tracer::buffer().with_provenance()).finish();
         assert_eq!(
             plain_outcome, prov_outcome,
             "outcome diverged under provenance: {label}"
@@ -769,7 +835,7 @@ proptest! {
             (market_cfg(6, policy), market_trace(120, seed))
         };
         let mut uninterrupted = EconomyRun::new(cfg.clone(), &trace, Tracer::Off);
-        uninterrupted.run_to_completion();
+        while uninterrupted.step() {}
         let expected = snapshot_json(&uninterrupted);
         let pause_after = uninterrupted.events_handled() * pause_permille / 1000;
 
@@ -782,8 +848,8 @@ proptest! {
             serde_json::from_str(&mid).expect("mid-run snapshot round-trips"),
         )
         .expect("mid-run snapshot restores");
-        paused.run_to_completion();
-        resumed.run_to_completion();
+        while paused.step() {}
+        while resumed.step() {}
         prop_assert_eq!(&snapshot_json(&paused), &expected, "in-place continuation diverged");
         prop_assert_eq!(&snapshot_json(&resumed), &expected, "resumed continuation diverged");
     }

@@ -59,7 +59,7 @@ fn check_damaged(bytes: &[u8]) -> Result<(), String> {
         Ok((mut run, report)) => {
             let (_, want, total) = reference();
             prop_assert!(run.events_handled() <= *total);
-            run.run_to_completion();
+            while run.step() {}
             prop_assert_eq!(run.events_handled(), *total);
             let (got, _) = run.finish();
             prop_assert!(
@@ -270,8 +270,7 @@ fn economy_journal_suffix_corruption_keeps_the_books_closed() {
             *b ^= 0xA5;
         }
         match DurableRun::<EconomyRun>::recover(&damaged) {
-            Ok((mut rec, _)) => {
-                rec.run_to_completion();
+            Ok((rec, _)) => {
                 let (got, _) = rec.finish();
                 assert!(got.audit_violations.is_empty());
                 assert_eq!(got, want, "books diverged after corruption at {start}");

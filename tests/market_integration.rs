@@ -2,8 +2,9 @@
 //! across the whole stack.
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::market::{BudgetConfig, ClientSelection, Economy, EconomyConfig, PricingStrategy};
+use mbts::market::{BudgetConfig, ClientSelection, EconomyConfig, EconomyRun, PricingStrategy};
 use mbts::site::SiteConfig;
+use mbts::trace::Tracer;
 use mbts::workload::{generate_trace, MixConfig, Trace};
 
 fn trace(tasks: usize, load: f64, seed: u64) -> Trace {
@@ -31,7 +32,12 @@ fn economy(selection: ClientSelection) -> EconomyConfig {
 #[test]
 fn settlements_match_site_yields() {
     let t = trace(500, 1.0, 60);
-    let out = Economy::new(economy(ClientSelection::EarliestCompletion)).run_trace(&t);
+    let (out, _) = EconomyRun::new(
+        economy(ClientSelection::EarliestCompletion),
+        &t,
+        Tracer::Off,
+    )
+    .finish();
     // Every contract settled; the sum of settlements equals the sum of
     // value-function yields recorded by the sites.
     assert!(out.contracts.iter().all(|c| c.is_settled()));
@@ -45,7 +51,12 @@ fn settlements_match_site_yields() {
 #[test]
 fn contracts_record_accurate_completion_promises() {
     let t = trace(400, 0.6, 61);
-    let out = Economy::new(economy(ClientSelection::EarliestCompletion)).run_trace(&t);
+    let (out, _) = EconomyRun::new(
+        economy(ClientSelection::EarliestCompletion),
+        &t,
+        Tracer::Off,
+    )
+    .finish();
     // At light load most negotiated completion times should be honoured.
     let violations = out.violations();
     let rate = violations as f64 / out.contracts.len().max(1) as f64;
@@ -77,7 +88,7 @@ fn unplaced_tasks_do_not_create_contracts_or_yield() {
             .with_admission(AdmissionPolicy::SlackThreshold { threshold: 500.0 }),
     );
     cfg.selection = ClientSelection::EarliestCompletion;
-    let out = Economy::new(cfg).run_trace(&t);
+    let (out, _) = EconomyRun::new(cfg, &t, Tracer::Off).finish();
     assert!(out.unplaced > 0);
     assert_eq!(out.contracts.len(), out.placed);
     assert_eq!(
@@ -93,8 +104,8 @@ fn second_price_charges_at_most_pay_bid_per_contract() {
     pay.pricing = PricingStrategy::PayBid;
     let mut sp = economy(ClientSelection::EarliestCompletion);
     sp.pricing = PricingStrategy::second_price();
-    let a = Economy::new(pay).run_trace(&t);
-    let b = Economy::new(sp).run_trace(&t);
+    let (a, _) = EconomyRun::new(pay, &t, Tracer::Off).finish();
+    let (b, _) = EconomyRun::new(sp, &t, Tracer::Off).finish();
     // Identical placements (pricing doesn't affect scheduling)…
     assert_eq!(a.placed, b.placed);
     assert_eq!(a.total_settled, b.total_settled);
@@ -112,7 +123,7 @@ fn budgets_conserve_money() {
         replenish_rate: 0.0,
         cap: 10_000.0,
     });
-    let out = Economy::new(cfg).run_trace(&t);
+    let (out, _) = EconomyRun::new(cfg, &t, Tracer::Off).finish();
     let spent: f64 = out.client_spend.iter().sum();
     assert!(
         (spent - out.total_paid).abs() < 1e-6 * (1.0 + out.total_paid.abs()),
@@ -124,7 +135,12 @@ fn budgets_conserve_money() {
 #[test]
 fn tight_budgets_reduce_market_activity() {
     let t = trace(500, 1.0, 65);
-    let rich = Economy::new(economy(ClientSelection::EarliestCompletion)).run_trace(&t);
+    let (rich, _) = EconomyRun::new(
+        economy(ClientSelection::EarliestCompletion),
+        &t,
+        Tracer::Off,
+    )
+    .finish();
     let mut poor_cfg = economy(ClientSelection::EarliestCompletion);
     poor_cfg.budgets = Some(BudgetConfig {
         num_clients: 5,
@@ -132,7 +148,7 @@ fn tight_budgets_reduce_market_activity() {
         replenish_rate: 0.005,
         cap: 100.0,
     });
-    let poor = Economy::new(poor_cfg).run_trace(&t);
+    let (poor, _) = EconomyRun::new(poor_cfg, &t, Tracer::Off).finish();
     assert!(
         poor.total_paid < rich.total_paid,
         "poor clients {} should transact less than rich {}",
@@ -150,7 +166,7 @@ fn heterogeneous_sites_split_the_market() {
         SiteConfig::new(8).with_policy(Policy::first_reward(0.2, 0.01)),
         SiteConfig::new(2).with_policy(Policy::first_reward(0.2, 0.01)),
     ];
-    let out = Economy::new(cfg).run_trace(&t);
+    let (out, _) = EconomyRun::new(cfg, &t, Tracer::Off).finish();
     let big = out.per_site[0].metrics.accepted;
     let small = out.per_site[1].metrics.accepted;
     assert!(
@@ -169,7 +185,7 @@ fn all_selection_rules_produce_valid_economies() {
         ClientSelection::Random,
         ClientSelection::FirstResponder,
     ] {
-        let out = Economy::new(economy(selection)).run_trace(&t);
+        let (out, _) = EconomyRun::new(economy(selection), &t, Tracer::Off).finish();
         assert_eq!(out.placed + out.unplaced, out.offered);
         assert!(out.contracts.iter().all(|c| c.is_settled()));
         assert!(out.total_yield().is_finite());

@@ -167,7 +167,7 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
     let calls_before = calls();
     let start = live();
     PEAK.store(start, Ordering::Relaxed);
-    let ((), grown, _) = measured(|| run.run_to_completion());
+    let ((), grown, _) = measured(|| while run.step() {});
     let high_water = (PEAK.load(Ordering::Relaxed) - start) as f64;
     let per_task = (calls() - calls_before) as f64 / TASKS as f64;
     // A few completion-token vectors and the contract rows' occasional
@@ -239,7 +239,7 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
     // Finishing sorts the per-job records by id in place: 0 B requested
     // measured. (A stable sort's scratch, one 48 B record a task, made
     // this 0.667.)
-    run.run_to_completion();
+    while run.step() {}
     let ((outcome, _), _, requested_finish) = measured(|| run.finish());
     assert_eq!(outcome.outcomes.len(), TASKS);
     let ratio = requested_finish / trace_bytes;

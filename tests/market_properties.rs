@@ -2,8 +2,9 @@
 //! the economy's books under arbitrary configurations.
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::market::{BudgetConfig, ClientSelection, Economy, EconomyConfig, PricingStrategy};
+use mbts::market::{BudgetConfig, ClientSelection, EconomyConfig, EconomyRun, PricingStrategy};
 use mbts::site::SiteConfig;
+use mbts::trace::Tracer;
 use mbts::workload::{generate_trace, MixConfig};
 use proptest::prelude::*;
 
@@ -67,7 +68,7 @@ proptest! {
                 cap: 2000.0,
             });
         }
-        let out = Economy::new(cfg).run_trace(&trace);
+        let (out, _) = EconomyRun::new(cfg, &trace, Tracer::Off).finish();
 
         // Task conservation at the market level.
         prop_assert_eq!(out.offered, 120);
@@ -118,8 +119,8 @@ proptest! {
         pay.pricing = PricingStrategy::PayBid;
         let mut sp = base;
         sp.pricing = PricingStrategy::second_price();
-        let a = Economy::new(pay).run_trace(&trace);
-        let b = Economy::new(sp).run_trace(&trace);
+        let (a, _) = EconomyRun::new(pay, &trace, Tracer::Off).finish();
+        let (b, _) = EconomyRun::new(sp, &trace, Tracer::Off).finish();
         prop_assert_eq!(a.placed, b.placed);
         prop_assert!(b.total_paid <= a.total_paid + 1e-9);
     }

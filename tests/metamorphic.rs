@@ -15,13 +15,18 @@
 //!   integer Δ shifts every start and completion by Δ and changes no
 //!   yield.
 //!
+//! - On one processor with every bid accepted and nothing dropped, every
+//!   policy is work conserving: it idles only when no work waits, so its
+//!   busy periods are FCFS's whatever order it runs the work in, with or
+//!   without preemption (which costs nothing, §4).
+//!
 //! The α = 0 relation (Eq. 5 ranks by decay alone) is a proptest in
 //! `mbts-core`'s heuristics.
 
 use std::sync::Arc;
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::site::{JobOutcome, Site, SiteConfig};
+use mbts::site::{segments, JobOutcome, SiteConfig, SiteRun};
 use mbts::trace::{TraceKind, Tracer};
 use mbts::workload::{
     generate_trace, BoundPolicy, MixConfig, PenaltyBound, TaskSpec, Trace, WidthPolicy,
@@ -75,7 +80,7 @@ struct Run {
 }
 
 fn run(config: &SiteConfig, trace: &Trace) -> Run {
-    let (outcome, tracer) = Site::new(config.clone()).run_trace_traced(trace, Tracer::buffer());
+    let (outcome, tracer) = SiteRun::new(config.clone(), trace, Tracer::buffer()).finish();
     let starts = tracer
         .into_events()
         .expect("a buffer keeps its events")
@@ -180,6 +185,25 @@ fn arb_integer_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
+/// A run's busy periods `(start, end)` as bits: its execution segments
+/// merged wherever one starts before or as the last one ends.
+fn busy_periods(config: SiteConfig, trace: &Trace) -> Vec<(u64, u64)> {
+    let (_, tracer) = SiteRun::new(config, trace, Tracer::buffer()).finish();
+    let events = tracer.into_events().expect("a buffer keeps its events");
+    let mut periods: Vec<(f64, f64)> = Vec::new();
+    for s in segments(&events) {
+        let (start, end) = (s.start.as_f64(), s.end.as_f64());
+        match periods.last_mut() {
+            Some(last) if start <= last.1 => last.1 = last.1.max(end),
+            _ => periods.push((start, end)),
+        }
+    }
+    periods
+        .into_iter()
+        .map(|(start, end)| (start.to_bits(), end.to_bits()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -235,5 +259,43 @@ proptest! {
         let shifted = edited(&trace, |t| t.arrival += mbts::sim::Duration::new(shift));
         let config = site_config(processors, policy, switches);
         assert_related(&run(&config, &trace), &run(&config, &shifted), shift, 1.0)?;
+    }
+
+    /// One processor, every bid accepted, nothing dropped, no faults:
+    /// each of the seven policies, with preemption off and on, keeps the
+    /// processor busy over exactly FCFS's busy periods.
+    #[test]
+    fn every_policy_is_work_conserving_on_one_processor(
+        trace in arb_integer_trace(),
+        rate in 0.0f64..0.1,
+        alpha in 0.0f64..=1.0,
+    ) {
+        let trace = edited(&trace, |t| t.width = 1);
+        let config = |policy, preemption| {
+            SiteConfig::new(1)
+                .with_policy(policy)
+                .with_admission(AdmissionPolicy::AcceptAll)
+                .with_drop_expired(false)
+                .with_preemption(preemption)
+        };
+        let fcfs = busy_periods(config(Policy::Fcfs, false), &trace);
+        for policy in [
+            Policy::Fcfs,
+            Policy::Srpt,
+            Policy::Swpt,
+            Policy::FirstPrice,
+            Policy::EarliestDeadline,
+            Policy::pv(rate),
+            Policy::first_reward(alpha, rate),
+        ] {
+            for preemption in [false, true] {
+                let busy = busy_periods(config(policy, preemption), &trace);
+                prop_assert!(
+                    busy == fcfs,
+                    "{} (preemption {preemption}) was busy over {busy:?}, FCFS over {fcfs:?}",
+                    policy.name()
+                );
+            }
+        }
     }
 }

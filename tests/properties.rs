@@ -3,7 +3,7 @@
 //! value-based scheduler hold.
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::site::{Site, SiteConfig};
+use mbts::site::{SiteConfig, SiteRun};
 use mbts::trace::{TraceKind, Tracer};
 use mbts::workload::{generate_trace, BoundPolicy, MixConfig, WidthPolicy};
 use proptest::prelude::*;
@@ -74,7 +74,7 @@ proptest! {
             .with_preemption(preemption)
             .with_backfilling(backfilling)
             .with_drop_expired(drop_expired);
-        let out = Site::new(cfg).run_trace(&trace);
+        let (out, _) = SiteRun::new(cfg, &trace, Tracer::Off).finish();
         let m = &out.metrics;
         prop_assert_eq!(m.submitted, 120);
         prop_assert_eq!(m.accepted + m.rejected, m.submitted);
@@ -103,7 +103,7 @@ proptest! {
             .with_processors(3)
             .with_load_factor(2.0);
         let trace = generate_trace(&mix, seed);
-        let out = Site::new(SiteConfig::new(3).with_policy(policy)).run_trace(&trace);
+        let (out, _) = SiteRun::new(SiteConfig::new(3).with_policy(policy), &trace, Tracer::Off).finish();
         prop_assert_eq!(out.metrics.preemptions, 0);
         prop_assert_eq!(out.metrics.rejected, 0);
         prop_assert!(out.outcomes.iter().all(|o| o.preemptions == 0));
@@ -124,12 +124,9 @@ proptest! {
             .with_load_factor(2.0);
         let trace = generate_trace(&mix, seed);
         let run = |threshold: f64| {
-            Site::new(
-                SiteConfig::new(3)
+            SiteRun::new(SiteConfig::new(3)
                     .with_policy(Policy::FirstPrice)
-                    .with_admission(AdmissionPolicy::SlackThreshold { threshold }),
-            )
-            .run_trace(&trace)
+                    .with_admission(AdmissionPolicy::SlackThreshold { threshold }), &trace, Tracer::Off).finish().0
             .metrics
             .accepted
         };
@@ -171,7 +168,7 @@ proptest! {
             .with_policy(policy)
             .with_preemption(preemption)
             .with_drop_expired(drop_expired);
-        let (out, tracer) = Site::new(cfg).run_trace_traced(&trace, Tracer::buffer());
+        let (out, tracer) = SiteRun::new(cfg, &trace, Tracer::buffer()).finish();
         let events = tracer.into_events().expect("buffer tracer keeps events");
         let mut traced_yield = 0.0f64;
         let mut completed = 0usize;

@@ -3,7 +3,8 @@
 //! EXPERIMENTS.md depends on.
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::site::{Site, SiteConfig};
+use mbts::site::{SiteConfig, SiteRun};
+use mbts::trace::Tracer;
 use mbts::workload::{generate_trace, MixConfig, Trace};
 
 fn mix() -> MixConfig {
@@ -23,8 +24,8 @@ fn trace_json_roundtrip_preserves_simulation_results() {
         .with_policy(Policy::first_reward(0.25, 0.01))
         .with_admission(AdmissionPolicy::SlackThreshold { threshold: 120.0 })
         .with_preemption(true);
-    let a = Site::new(cfg.clone()).run_trace(&original);
-    let b = Site::new(cfg).run_trace(&replayed);
+    let (a, _) = SiteRun::new(cfg.clone(), &original, Tracer::Off).finish();
+    let (b, _) = SiteRun::new(cfg, &replayed, Tracer::Off).finish();
     assert_eq!(
         a.metrics.total_yield.to_bits(),
         b.metrics.total_yield.to_bits()

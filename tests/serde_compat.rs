@@ -74,7 +74,7 @@ use mbts::serve::{
 };
 use mbts::sim::{FaultConfig, Time, UpDown};
 use mbts::site::{
-    FaultPlan, LostWorkPolicy, Site, SiteConfig, SiteRun, SiteRunSnapshot, SiteSnapshot, SiteState,
+    FaultPlan, LostWorkPolicy, SiteConfig, SiteRun, SiteRunSnapshot, SiteSnapshot, SiteState,
 };
 use mbts::trace::analyze::analyze;
 use mbts::trace::{AnalyzeOptions, TraceReport, Tracer};
@@ -467,7 +467,7 @@ fn a_null_runner_up_quote_restores_and_settles_at_the_reserve() {
         reserve_fraction: 0.5,
     };
     let finished = |mut run: EconomyRun| {
-        run.run_to_completion();
+        while run.step() {}
         let text = render(&run.snapshot(), false);
         (run.finish().0, text)
     };
@@ -506,13 +506,11 @@ fn a_null_runner_up_quote_restores_and_settles_at_the_reserve() {
 #[test]
 fn pretty_printed_report() {
     let trace = generate_trace(&fig67_mix(1.6).with_tasks(24).with_processors(4), 17);
-    let site = Site::new(
-        SiteConfig::new(4)
-            .with_policy(Policy::first_reward(0.3, 0.01))
-            .with_preemption(true)
-            .with_admission(AdmissionPolicy::SlackThreshold { threshold: 180.0 }),
-    );
-    let (_, tracer) = site.run_trace_traced(&trace, Tracer::buffer().with_provenance());
+    let config = SiteConfig::new(4)
+        .with_policy(Policy::first_reward(0.3, 0.01))
+        .with_preemption(true)
+        .with_admission(AdmissionPolicy::SlackThreshold { threshold: 180.0 });
+    let (_, tracer) = SiteRun::new(config, &trace, Tracer::buffer().with_provenance()).finish();
     let events = tracer.into_events().expect("buffer tracer keeps events");
     let report: TraceReport = analyze("golden", &events, &AnalyzeOptions::default());
     check("trace_report.pretty.json", &report);

@@ -8,8 +8,8 @@
 
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::market::{
-    BudgetConfig, ClientSelection, Economy, EconomyConfig, EconomyOutcome, EconomyRun,
-    EconomySnapshot, PricingStrategy,
+    BudgetConfig, ClientSelection, EconomyConfig, EconomyOutcome, EconomyRun, EconomySnapshot,
+    PricingStrategy,
 };
 use mbts::site::{PreemptionMode, SiteConfig};
 use mbts::trace::{TraceEvent, TraceKind, Tracer, TracerSnapshot};
@@ -67,7 +67,7 @@ fn traced_site_zero(trace: &Trace) -> (EconomyOutcome, Vec<TraceEvent>) {
     snap.sites[0].tracer = TracerSnapshot::Buffer { events: Vec::new() };
     snap.sites[0].trace_site = Some(0);
     let mut run = EconomyRun::from_snapshot(snap).expect("snapshot restores");
-    run.run_to_completion();
+    while run.step() {}
     let mut snap = typed_snapshot(&run);
     let TracerSnapshot::Buffer { events } =
         std::mem::replace(&mut snap.sites[0].tracer, TracerSnapshot::Off)
@@ -86,7 +86,7 @@ fn typed_snapshot(run: &EconomyRun) -> EconomySnapshot {
 #[test]
 fn kitchen_sink_economy_stays_consistent() {
     let trace = everything_trace();
-    let out = Economy::new(everything_economy()).run_trace(&trace);
+    let (out, _) = EconomyRun::new(everything_economy(), &trace, Tracer::Off).finish();
 
     // Market-level conservation: every offered task is placed once,
     // unplaced or unfunded (`market_properties::economy_books_close`).
@@ -135,7 +135,7 @@ fn kitchen_sink_economy_stays_consistent() {
     assert_eq!(out.total_paid.to_bits(), traced.total_paid.to_bits());
 
     // Determinism: the whole kitchen sink replays identically.
-    let again = Economy::new(everything_economy()).run_trace(&trace);
+    let (again, _) = EconomyRun::new(everything_economy(), &trace, Tracer::Off).finish();
     assert_eq!(out.placed, again.placed);
     assert_eq!(out.unfunded, again.unfunded);
     assert_eq!(out.total_paid.to_bits(), again.total_paid.to_bits());
@@ -149,7 +149,7 @@ fn kitchen_sink_under_every_preemption_mode() {
         for site in &mut cfg.sites {
             site.preemption_mode = mode;
         }
-        let out = Economy::new(cfg).run_trace(&trace);
+        let (out, _) = EconomyRun::new(cfg, &trace, Tracer::Off).finish();
         assert!(out.contracts.iter().all(|c| c.is_settled()), "{mode:?}");
         assert!(out.total_yield().is_finite(), "{mode:?}");
         assert!(
