@@ -11,14 +11,15 @@
 //! applied sim event); `crc` is CRC-32 (IEEE) over `tag`, `len` and the
 //! payload, so corruption anywhere in a record — including a bit flip in
 //! the length field itself — fails the check. [`scan`] walks a byte slice
-//! and `RecordReader` a reader, one record at a time; both stop at the
-//! first record that does not check out, which turns any torn or
+//! and `RecordReader` a buffered reader, one record at a time; both stop
+//! at the first record that does not check out, which turns any torn or
 //! corrupted tail into a clean *valid prefix* instead of a panic: exactly
-//! the property recovery needs after a crash mid-write. What "checks out"
-//! means is written once, in `check_record`, and both call it.
+//! the property recovery needs after a crash mid-write. `PayloadReader`
+//! reads one record found that way again, checking it as it goes, for a
+//! parser to read from. What "checks out" means is written once, in
+//! `RecordHead`, and all three apply it.
 
-use std::convert::Infallible;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io::{self, BufRead, Read, Seek, SeekFrom};
 
 /// Journal file magic: identifies the format before any parsing.
 pub const MAGIC: [u8; 8] = *b"MBTSJRNL";
@@ -205,29 +206,64 @@ fn check_header(header: &[u8]) -> Result<(), FramingError> {
     Ok(())
 }
 
-/// The one rule for whether a record is intact: its tag is known, its
-/// length fits in the `remaining` bytes after its header, and its CRC
-/// over tag, length and payload matches. `payload` is asked for the
-/// record's bytes, given its tag and length, only once that length is
-/// known to fit, so a damaged length field never reads, or allocates,
-/// past the end of the journal. `Ok(None)` is a record that does not
-/// check out; an error is one from `payload` itself.
-fn check_record<'p, E>(
-    header: &[u8; RECORD_OVERHEAD],
-    remaining: usize,
-    payload: impl FnOnce(RecordTag, usize) -> Result<&'p [u8], E>,
-) -> Result<Option<(RecordTag, &'p [u8])>, E> {
-    let Some(tag) = RecordTag::from_byte(header[0]) else {
-        return Ok(None);
-    };
-    let len_bytes = [header[1], header[2], header[3], header[4]];
-    let crc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > remaining {
-        return Ok(None);
+/// A record's header, once it has passed the checks that need no payload:
+/// its tag is known and its length fits in the bytes after it. Whether
+/// the record is intact is then [`checks`](Self::checks) of the CRC state
+/// after its payload. This is the one rule for what "checks out" means:
+/// [`scan`], [`RecordReader`] and [`PayloadReader`] all apply it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RecordHead {
+    header: [u8; RECORD_OVERHEAD],
+    /// What the record holds.
+    pub(crate) tag: RecordTag,
+    /// Its payload's length.
+    pub(crate) len: usize,
+}
+
+impl RecordHead {
+    /// The head `header` describes, if its tag is known and its length fits
+    /// in the `remaining` bytes after it. A damaged length field is caught
+    /// here, before anything reads, or allocates, past the journal's end.
+    fn parse(header: &[u8; RECORD_OVERHEAD], remaining: usize) -> Option<Self> {
+        let tag = RecordTag::from_byte(header[0])?;
+        let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]) as usize;
+        (len <= remaining).then_some(RecordHead {
+            header: *header,
+            tag,
+            len,
+        })
     }
-    let payload = payload(tag, len)?;
-    Ok((record_crc(header[0], len_bytes, payload) == crc).then_some((tag, payload)))
+
+    /// The CRC state after the tag and the length, which the payload is
+    /// fed into with `crc_update`.
+    fn crc_start(&self) -> u32 {
+        crc_update(0xFFFF_FFFF, &self.header[..5])
+    }
+
+    /// Whether `state`, the CRC state after the whole payload, is the CRC
+    /// the header carries.
+    fn checks(&self, state: u32) -> bool {
+        !state
+            == u32::from_le_bytes([
+                self.header[5],
+                self.header[6],
+                self.header[7],
+                self.header[8],
+            ])
+    }
+
+    /// Whether `payload` is this record's payload: its length, and its CRC.
+    pub(crate) fn is_payload(&self, payload: &[u8]) -> bool {
+        payload.len() == self.len && self.checks(crc_update(self.crc_start(), payload))
+    }
+
+    /// The payload of the record at byte `at` of `bytes`, if that record is
+    /// still this one: the same header, and a payload that checks out.
+    pub(crate) fn payload_in<'b>(&self, bytes: &'b [u8], at: usize) -> Option<&'b [u8]> {
+        let (header, rest) = bytes.get(at..)?.split_first_chunk::<RECORD_OVERHEAD>()?;
+        let payload = rest.get(..self.len)?;
+        (*header == self.header && self.is_payload(payload)).then_some(payload)
+    }
 }
 
 /// The valid prefix of a journal byte stream.
@@ -249,13 +285,14 @@ pub fn scan(bytes: &[u8]) -> Result<ScanOutcome<'_>, FramingError> {
     let mut pos = HEADER_LEN;
     let mut records = Vec::new();
     while let Some((header, rest)) = bytes[pos..].split_first_chunk::<RECORD_OVERHEAD>() {
-        let record = check_record(header, rest.len(), |_, len| {
-            Ok::<_, Infallible>(&rest[..len])
-        });
-        let Ok(Some((tag, payload))) = record else {
+        let Some(head) = RecordHead::parse(header, rest.len()) else {
             break;
         };
-        records.push((tag, payload));
+        let payload = &rest[..head.len];
+        if !head.is_payload(payload) {
+            break;
+        }
+        records.push((head.tag, payload));
         pos += RECORD_OVERHEAD + payload.len();
     }
     Ok(ScanOutcome {
@@ -265,12 +302,12 @@ pub fn scan(bytes: &[u8]) -> Result<ScanOutcome<'_>, FramingError> {
     })
 }
 
-/// Reads a journal one record at a time through any reader, checking each
-/// record by the same rule as [`scan`]. It holds no record itself: each
-/// payload is read into a buffer the caller lends, so what a pass over a
-/// journal keeps is the caller's choice, not the journal's length. The
-/// reader must seek, so that a record read over can be read again where it
-/// starts ([`reread`](Self::reread)).
+/// Reads a journal one record at a time through a buffered reader,
+/// checking each record by the same rule as [`scan`]. It holds no record
+/// itself: a payload streams through the reader's own buffer into its CRC,
+/// and is copied out only into a buffer the caller lends for its tag, so
+/// what a pass over a journal keeps is the caller's choice, not the
+/// journal's length.
 pub(crate) struct RecordReader<R> {
     reader: R,
     /// Bytes the journal holds, as the caller stated them.
@@ -279,7 +316,7 @@ pub(crate) struct RecordReader<R> {
     valid_len: usize,
 }
 
-impl<R: Read + Seek> RecordReader<R> {
+impl<R: BufRead + Seek> RecordReader<R> {
     /// Reads and checks the header of a journal `len` bytes long, which
     /// `reader` holds from its start. A missing or foreign header is an
     /// [`io::ErrorKind::InvalidData`] error carrying the [`FramingError`]
@@ -299,79 +336,50 @@ impl<R: Read + Seek> RecordReader<R> {
         })
     }
 
-    /// Reads the next record into `buf`, replacing what it held, and
-    /// returns its tag; `None` (with `buf` emptied) where the valid prefix
-    /// ends, which ends the pass. An error is the reader's own.
-    pub(crate) fn next_into(&mut self, buf: &mut Vec<u8>) -> io::Result<Option<RecordTag>> {
-        buf.clear();
-        self.next_with(|_| buf)
-    }
-
-    /// Reads the next record into the buffer `choose` lends for its tag,
-    /// replacing what that buffer held, and returns the tag; `None` where
-    /// the valid prefix ends, which ends the pass. `choose` is called only
-    /// for a record whose length fits in the journal, before a byte of its
-    /// payload is read, and the buffer it lent is emptied if the record
-    /// then fails its CRC: a damaged length costs no memory, and a
-    /// buffer that was not lent keeps what it held.
-    pub(crate) fn next_with<'b>(
+    /// Reads the next record and returns its head; `None` where the valid
+    /// prefix ends, which ends the pass. `keep` is asked, once the record's
+    /// length is known to fit in the journal, for a buffer to append its
+    /// payload to; the payload is appended as it is checked, and taken off
+    /// again if the record then fails its CRC. An error is the reader's
+    /// own.
+    pub(crate) fn next_record<'b>(
         &mut self,
-        choose: impl FnOnce(RecordTag) -> &'b mut Vec<u8>,
-    ) -> io::Result<Option<RecordTag>> {
-        let tag = self.read_record(self.valid_len, choose)?;
-        if let Some((_, len)) = tag {
-            self.valid_len += RECORD_OVERHEAD + len;
-        }
-        Ok(tag.map(|(tag, _)| tag))
-    }
-
-    /// Reads the record that starts at byte `at` of the journal into `buf`
-    /// again, checked by the same rule, and returns its tag; `None` (with
-    /// `buf` emptied) if it no longer checks out. The pass itself does not
-    /// move: [`valid_len`](Self::valid_len) and
-    /// [`dropped_bytes`](Self::dropped_bytes) stay what they were, and
-    /// nothing is read after this.
-    pub(crate) fn reread(&mut self, at: usize, buf: &mut Vec<u8>) -> io::Result<Option<RecordTag>> {
-        buf.clear();
-        self.reader.seek(SeekFrom::Start(at as u64))?;
-        Ok(self.read_record(at, |_| buf)?.map(|(tag, _)| tag))
-    }
-
-    /// Reads the record the reader stands at, which starts at byte `at`:
-    /// its header, then its payload into the buffer `choose` lends.
-    /// Returns its tag and payload length if it checks out.
-    fn read_record<'b>(
-        &mut self,
-        at: usize,
-        choose: impl FnOnce(RecordTag) -> &'b mut Vec<u8>,
-    ) -> io::Result<Option<(RecordTag, usize)>> {
-        let remaining = self.len.saturating_sub(at);
-        if remaining < RECORD_OVERHEAD {
+        keep: impl FnOnce(RecordTag) -> Option<&'b mut Vec<u8>>,
+    ) -> io::Result<Option<RecordHead>> {
+        let remaining = self.len.saturating_sub(self.valid_len);
+        let Some(remaining) = remaining.checked_sub(RECORD_OVERHEAD) else {
             return Ok(None);
-        }
+        };
         let mut header = [0; RECORD_OVERHEAD];
         self.reader.read_exact(&mut header)?;
-        let reader = &mut self.reader;
-        let mut lent = None;
-        let record = check_record(&header, remaining - RECORD_OVERHEAD, |tag, len| {
-            let buf = lent.insert(choose(tag));
-            buf.clear();
-            // Exactly: grown by doubling, a snapshot-sized buffer could
-            // hold nearly twice its snapshot.
-            buf.reserve_exact(len);
-            buf.resize(len, 0);
-            reader.read_exact(buf)?;
-            Ok::<_, io::Error>(&buf[..])
-        })?;
-        match record {
-            Some((tag, payload)) => Ok(Some((tag, payload.len()))),
-            None => {
-                if let Some(buf) = lent {
-                    buf.clear();
-                }
-                Ok(None)
+        let Some(head) = RecordHead::parse(&header, remaining) else {
+            return Ok(None);
+        };
+        let mut kept = keep(head.tag).map(|buf| (buf.len(), buf));
+        let mut state = head.crc_start();
+        let mut left = head.len;
+        while left > 0 {
+            let chunk = self.reader.fill_buf()?;
+            if chunk.is_empty() {
+                return Err(io::ErrorKind::UnexpectedEof.into());
             }
+            let chunk = &chunk[..chunk.len().min(left)];
+            state = crc_update(state, chunk);
+            if let Some((_, buf)) = kept.as_mut() {
+                buf.extend_from_slice(chunk);
+            }
+            let n = chunk.len();
+            self.reader.consume(n);
+            left -= n;
         }
+        if !head.checks(state) {
+            if let Some((from, buf)) = kept {
+                buf.truncate(from);
+            }
+            return Ok(None);
+        }
+        self.valid_len += RECORD_OVERHEAD + head.len;
+        Ok(Some(head))
     }
 
     /// Byte length of the valid prefix read so far (header + intact
@@ -381,9 +389,96 @@ impl<R: Read + Seek> RecordReader<R> {
     }
 
     /// Bytes after the valid prefix: the torn or corrupt tail, once
-    /// [`next_into`](Self::next_into) has returned `None`.
+    /// [`next_record`](Self::next_record) has returned `None`.
     pub(crate) fn dropped_bytes(&self) -> usize {
         self.len - self.valid_len
+    }
+}
+
+/// One record's payload read again from a reader, checked as it is read:
+/// its bytes feed the record's CRC on their way to the caller, and
+/// [`finish`](Self::finish) says whether they were the bytes a scan
+/// checked. The caller parses what it reads, and keeps what it parsed only
+/// if the record still checks out.
+pub(crate) struct PayloadReader<R> {
+    reader: R,
+    head: RecordHead,
+    /// Payload bytes not yet read.
+    left: usize,
+    state: u32,
+    /// The first error the reader gave, kept for `finish`: the caller sees
+    /// it too, as whatever its parser makes of it.
+    error: Option<io::Error>,
+}
+
+impl<R: Read + Seek> PayloadReader<R> {
+    /// Positions `reader` at the payload of the record that starts at byte
+    /// `at`, whose head a scan found to be `head`; `None` if the header
+    /// there is no longer that one.
+    pub(crate) fn open(mut reader: R, at: usize, head: &RecordHead) -> io::Result<Option<Self>> {
+        reader.seek(SeekFrom::Start(at as u64))?;
+        let mut header = [0; RECORD_OVERHEAD];
+        match reader.read_exact(&mut header) {
+            Ok(()) if header == head.header => {}
+            Ok(()) => return Ok(None),
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+            Err(e) => return Err(e),
+        }
+        Ok(Some(PayloadReader {
+            reader,
+            head: *head,
+            left: head.len,
+            state: head.crc_start(),
+            error: None,
+        }))
+    }
+}
+
+impl<R: Read> PayloadReader<R> {
+    /// Reads whatever of the payload the caller left unread into the CRC,
+    /// and says whether the payload was the record's: its full length, and
+    /// the CRC its header carries. An error the reader gave, to the caller
+    /// or now, is returned instead.
+    pub(crate) fn finish(mut self) -> io::Result<bool> {
+        let mut rest = [0; 8 * 1024];
+        loop {
+            match self.read(&mut rest) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // Kept in `error`.
+                Err(_) => break,
+            }
+        }
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.left == 0 && self.head.checks(self.state)),
+        }
+    }
+}
+
+impl<R: Read> Read for PayloadReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.left == 0 || self.error.is_some() {
+            return Ok(0);
+        }
+        let want = buf.len().min(self.left);
+        match self.reader.read(&mut buf[..want]) {
+            Ok(n) => {
+                // A read of 0 before the payload's end leaves `left` above
+                // 0: the record no longer checks out.
+                self.state = crc_update(self.state, &buf[..n]);
+                self.left -= n;
+                Ok(n)
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => Err(e),
+            Err(e) => {
+                let kind = e.kind();
+                let detail = e.to_string();
+                self.error = Some(e);
+                Err(io::Error::new(kind, detail))
+            }
+        }
     }
 }
 
@@ -546,10 +641,10 @@ mod tests {
         assert!(scan.records.is_empty());
         assert_eq!(scan.valid_len, HEADER_LEN);
 
-        // The reader refuses the length before its buffer grows for it.
+        // The reader refuses the length before a buffer is lent for it.
         let mut reader = RecordReader::new(io::Cursor::new(&buf[..]), buf.len()).unwrap();
         let mut record = Vec::new();
-        assert_eq!(reader.next_into(&mut record).unwrap(), None);
+        assert_eq!(reader.next_record(|_| Some(&mut record)).unwrap(), None);
         assert_eq!(record.capacity(), 0);
         assert_eq!(reader.valid_len(), HEADER_LEN);
         assert_eq!(reader.dropped_bytes(), buf.len() - HEADER_LEN);
@@ -566,9 +661,14 @@ mod tests {
         };
         let mut records = Vec::new();
         let mut record = Vec::new();
-        while let Some(tag) = reader.next_into(&mut record).unwrap() {
-            records.push((tag, record.clone()));
+        while let Some(head) = reader.next_record(|_| Some(&mut record)).unwrap() {
+            assert!(head.is_payload(&record));
+            records.push((head.tag, std::mem::take(&mut record)));
         }
+        assert!(
+            record.is_empty(),
+            "a record that fails its CRC is taken off"
+        );
         Ok((records, reader.valid_len(), reader.dropped_bytes()))
     }
 

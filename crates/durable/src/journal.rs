@@ -12,14 +12,16 @@
 //! frames and counts each record like the others and keeps none of them.
 //!
 //! Reading is the same rule: recovery streams a file one record at a time
-//! through a fixed-size buffer and keeps only the newest intact snapshot
-//! and the events after it ([`JournalSource`]), never the file. Each
-//! snapshot is read into the one buffer that holds the newest, so a pass
-//! holds one snapshot's text however many the journal has; a newest one
-//! that fails its check is the torn tail, and the one it was read over is
-//! read again where its record starts. [`load`] returns a handle on the
-//! file, not its bytes; [`Journal::reopen`] and
-//! [`DurableRun::resume`](crate::DurableRun::resume) stream it too.
+//! through a fixed-size buffer and keeps only where the newest intact
+//! snapshot starts and the events after it ([`JournalSource`]), never the
+//! file and never a snapshot's text. Each record's CRC is checked as it
+//! streams past. The snapshot is then parsed straight from its record,
+//! read again and checked again as it is parsed: from a file through a
+//! fixed window, from bytes in memory in place. A newest snapshot that
+//! fails its check is the torn tail, and the pass simply keeps the one
+//! before it. [`load`] returns a handle on the file, not its bytes;
+//! [`Journal::reopen`] is that same pass, so a restarted daemon truncates
+//! its torn tail and finds what to recover in one read of the file.
 //!
 //! Appends are write-ahead: the caller journals an event *before*
 //! applying it, and file-backed journals flush every record, so after a
@@ -32,11 +34,12 @@
 //! every `n` appends and surfaces the error if the device refuses —
 //! a failed sync is a lost-durability signal, never swallowed.
 
-use crate::framing::{self, FramingError, RecordReader, RecordTag};
+use crate::framing::{self, FramingError, PayloadReader, RecordHead, RecordReader, RecordTag};
+use serde::Deserialize;
 use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 
@@ -223,26 +226,26 @@ impl Journal {
 
     /// Reopens an existing journal file for appending: streams it to find
     /// where the intact records end, truncates any torn tail off the file,
-    /// and positions the write cursor there. Returns the journal plus the
-    /// number of torn bytes discarded. The pass holds one record at a
-    /// time, never the file.
+    /// and positions the write cursor there, so [`len`](Self::len) is the
+    /// valid prefix. The same pass is recovery's
+    /// ([`JournalSource::recovered`]), and what it found is returned beside
+    /// the journal: the newest intact snapshot and the events after it, or
+    /// `None` when the valid prefix holds no snapshot. The pass holds one
+    /// event record at a time and the events after the newest snapshot,
+    /// never the file and never a snapshot.
     ///
     /// This is how a restarted service picks its write-ahead log back
     /// up after `kill -9`: [`DurableRun::resume`](crate::DurableRun::resume)
-    /// recovers the state, then keeps appending to the same file.
-    pub fn reopen(path: impl AsRef<Path>) -> io::Result<(Self, usize)> {
+    /// recovers the state from what this pass found, then keeps appending
+    /// to the same file.
+    pub fn reopen(path: impl AsRef<Path>) -> io::Result<(Self, Option<Recovered>)> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let (valid_len, dropped_bytes) = {
-            let len = file_len(&file)?;
-            let mut records = RecordReader::new(BufReader::with_capacity(READ_BUF, &file), len)?;
-            let mut record = Vec::new();
-            while records.next_into(&mut record)?.is_some() {}
-            (records.valid_len(), records.dropped_bytes())
-        };
-        file.set_len(valid_len as u64)?;
+        let len = file_len(&file)?;
+        let pass = scan(BufReader::with_capacity(READ_BUF, &file), len)?;
+        file.set_len(pass.valid_len as u64)?;
         file.seek(SeekFrom::End(0))?;
-        Ok((Journal::on_file(file, path, valid_len), dropped_bytes))
+        Ok((Journal::on_file(file, path, pass.valid_len), pass.recovered))
     }
 
     /// A journal writing through an arbitrary sink (tests: failing
@@ -428,12 +431,53 @@ impl From<io::Error> for RecoverError {
     }
 }
 
-/// The recoverable content of a journal: the latest intact snapshot and
-/// every intact event journaled after it, copied out of the stream.
-#[derive(Debug, Default)]
+/// Where a scan found the newest intact snapshot record: where the record
+/// starts and what its header says, which is enough to read it again and
+/// check that it is still the record the scan checked. Its payload is not
+/// kept.
+#[derive(Debug, Clone, Copy)]
+pub struct SnapshotRecord {
+    at: usize,
+    head: RecordHead,
+}
+
+impl SnapshotRecord {
+    /// Where the record starts in the journal.
+    pub fn at(&self) -> usize {
+        self.at
+    }
+
+    /// The error for a record that no longer checks out when it is read
+    /// again: the journal changed after the scan.
+    fn changed(&self) -> RecoverError {
+        RecoverError::Io {
+            kind: io::ErrorKind::InvalidData,
+            detail: format!(
+                "the snapshot record at byte {} no longer checks out: \
+                 the journal changed while it was read",
+                self.at
+            ),
+        }
+    }
+}
+
+/// A record a scan found equals the payload it checked: the length and
+/// the CRC its header carries. The scan keeps no payload, so this is how
+/// the bytes a snapshot was expected to hold are held up against it.
+impl<T: AsRef<[u8]> + ?Sized> PartialEq<T> for SnapshotRecord {
+    fn eq(&self, payload: &T) -> bool {
+        self.head.is_payload(payload.as_ref())
+    }
+}
+
+/// The recoverable content of a journal: where its latest intact snapshot
+/// is, and every intact event journaled after it, copied out of the
+/// stream.
+#[derive(Debug)]
 pub struct Recovered {
-    /// Payload of the latest intact snapshot record.
-    pub snapshot: Vec<u8>,
+    /// The latest intact snapshot record, which recovery parses from the
+    /// journal ([`JournalSource::parse_snapshot`]).
+    pub snapshot: SnapshotRecord,
     /// The event payloads after it, end to end.
     events: Vec<u8>,
     /// Where each event payload ends in `events`.
@@ -454,93 +498,135 @@ impl Recovered {
     }
 }
 
+/// What one pass over a journal found.
+struct Pass {
+    /// Header plus the intact records.
+    valid_len: usize,
+    /// `None` when the valid prefix holds no snapshot.
+    recovered: Option<Recovered>,
+}
+
 /// Reads the `len`-byte journal `reader` holds one record at a time and
-/// keeps the latest intact snapshot plus its event suffix. A snapshot is
-/// read straight into [`Recovered::snapshot`], so one snapshot's text is
-/// held, never two; if the newest one then fails its check, it was the
-/// journal's torn or corrupt tail, and the one before it is read back
-/// from where its record starts, checked again. Besides those the pass
-/// holds one event record at a time and nothing of the records before.
-/// Corruption in the tail only shrinks the suffix; corruption *before*
-/// the latest snapshot is irrelevant by construction (the pass stops
-/// there, so such a snapshot is never chosen).
-fn recover_stream(reader: impl Read + Seek, len: usize) -> Result<Recovered, RecoverError> {
+/// finds the latest intact snapshot plus its event suffix. Every record's
+/// CRC is checked as its bytes stream through the reader's buffer; the
+/// pass keeps where the newest intact snapshot starts and the events after
+/// it, and nothing of the records before. A snapshot record that fails its
+/// check ends the valid prefix like any other, so a torn newest snapshot
+/// leaves the one before it as the newest. Corruption in the tail only
+/// shrinks the suffix; corruption *before* the latest snapshot is
+/// irrelevant by construction (the pass stops there, so such a snapshot is
+/// never chosen).
+fn scan(reader: impl BufRead + Seek, len: usize) -> io::Result<Pass> {
     let mut records = RecordReader::new(reader, len)?;
-    let mut recovered = Recovered::default();
-    // Where the record whose payload `recovered.snapshot` holds starts.
-    let mut snapshot_at = None;
-    // Whether the pass ended in a snapshot record read over that one.
-    let mut overwritten = false;
-    let mut event = Vec::new();
+    let mut snapshot = None;
+    let mut events = Vec::new();
+    let mut event_ends = Vec::new();
+    let mut events_superseded = 0;
     loop {
         let at = records.valid_len();
-        let tag = records.next_with(|tag| match tag {
-            RecordTag::Snapshot => {
-                overwritten = true;
-                &mut recovered.snapshot
-            }
-            RecordTag::Event => &mut event,
-        })?;
-        match tag {
+        let head = records.next_record(|tag| (tag == RecordTag::Event).then_some(&mut events))?;
+        match head {
             None => break,
-            Some(RecordTag::Event) => {
-                recovered.events.extend_from_slice(&event);
-                recovered.event_ends.push(recovered.events.len());
-            }
-            Some(RecordTag::Snapshot) => {
-                overwritten = false;
-                snapshot_at = Some(at);
-                recovered.events_superseded += recovered.event_ends.len();
-                recovered.events.clear();
-                recovered.event_ends.clear();
+            Some(head) if head.tag == RecordTag::Event => event_ends.push(events.len()),
+            Some(head) => {
+                snapshot = Some(SnapshotRecord { at, head });
+                events_superseded += event_ends.len();
+                events.clear();
+                event_ends.clear();
             }
         }
     }
-    let Some(at) = snapshot_at else {
-        return Err(RecoverError::NoSnapshot);
-    };
-    if overwritten && records.reread(at, &mut recovered.snapshot)? != Some(RecordTag::Snapshot) {
-        return Err(RecoverError::Io {
-            kind: io::ErrorKind::InvalidData,
-            detail: format!(
-                "the snapshot record at byte {at} no longer checks out: \
-                 the journal changed while it was read"
-            ),
-        });
-    }
     // What the suffix before the last snapshot grew to is not kept.
-    recovered.events.shrink_to_fit();
-    recovered.event_ends.shrink_to_fit();
-    recovered.dropped_bytes = records.dropped_bytes();
-    Ok(recovered)
+    events.shrink_to_fit();
+    event_ends.shrink_to_fit();
+    Ok(Pass {
+        valid_len: records.valid_len(),
+        recovered: snapshot.map(|snapshot| Recovered {
+            snapshot,
+            events,
+            event_ends,
+            events_superseded,
+            dropped_bytes: records.dropped_bytes(),
+        }),
+    })
+}
+
+/// The pass over a journal recovery makes: its newest intact snapshot and
+/// suffix, or [`RecoverError::NoSnapshot`].
+fn recover_stream(reader: impl BufRead + Seek, len: usize) -> Result<Recovered, RecoverError> {
+    scan(reader, len)?.recovered.ok_or(RecoverError::NoSnapshot)
+}
+
+/// Parses the snapshot record `snapshot` locates from `reader`, through a
+/// reader that recomputes the record's CRC as the parser reads it. Nothing
+/// parsed is returned unless the bytes it was parsed from were the record
+/// the scan checked: a record that no longer checks out is the "no longer
+/// checks out" [`RecoverError::Io`], whether or not its text parsed.
+fn parse_record<S: Deserialize>(
+    reader: impl Read + Seek,
+    snapshot: &SnapshotRecord,
+) -> Result<S, RecoverError> {
+    let Some(mut payload) = PayloadReader::open(reader, snapshot.at, &snapshot.head)? else {
+        return Err(snapshot.changed());
+    };
+    let parsed = serde_json::from_reader(&mut payload);
+    if !payload.finish()? {
+        return Err(snapshot.changed());
+    }
+    parsed.map_err(|e| RecoverError::BadSnapshot(e.to_string()))
 }
 
 /// A journal recovery can read: bytes in memory — anything
 /// `AsRef<[u8]>`, such as a `Vec`, a slice of one or [`Journal::bytes`] —
 /// or a file opened with [`load`], which is streamed and never read into
-/// memory whole.
+/// memory whole. Recovery makes one pass over it
+/// ([`recovered`](Self::recovered)) and then parses the snapshot that pass
+/// found straight from it ([`parse_snapshot`](Self::parse_snapshot)).
 pub trait JournalSource {
-    /// Reads the journal one record at a time and keeps the latest intact
-    /// snapshot and the events after it.
+    /// Reads the journal one record at a time, checking each, and keeps
+    /// where the latest intact snapshot is and the events after it.
     fn recovered(&self) -> Result<Recovered, RecoverError>;
+
+    /// Parses the snapshot record a pass over this journal found, checking
+    /// it again as it is read: a record that no longer checks out is
+    /// [`RecoverError::Io`] (`InvalidData`), and one that checks out but
+    /// does not parse as an `S` is [`RecoverError::BadSnapshot`].
+    fn parse_snapshot<S: Deserialize>(&self, snapshot: &SnapshotRecord) -> Result<S, RecoverError>;
 }
 
+/// Bytes in memory are scanned through a cursor, and the snapshot is
+/// parsed where it lies, with no copy, once its bytes check out.
 impl<T: AsRef<[u8]> + ?Sized> JournalSource for T {
     fn recovered(&self) -> Result<Recovered, RecoverError> {
         let bytes = self.as_ref();
         recover_stream(io::Cursor::new(bytes), bytes.len())
     }
+
+    fn parse_snapshot<S: Deserialize>(&self, snapshot: &SnapshotRecord) -> Result<S, RecoverError> {
+        let Some(payload) = snapshot.head.payload_in(self.as_ref(), snapshot.at) else {
+            return Err(snapshot.changed());
+        };
+        serde_json::from_slice(payload).map_err(|e| RecoverError::BadSnapshot(e.to_string()))
+    }
 }
 
+/// A file is scanned through a fixed-size buffer, and the snapshot is
+/// parsed from the file through the parser's fixed window.
 impl JournalSource for JournalImage {
     fn recovered(&self) -> Result<Recovered, RecoverError> {
         recover_stream(BufReader::with_capacity(READ_BUF, &self.file), self.len)
+    }
+
+    fn parse_snapshot<S: Deserialize>(&self, snapshot: &SnapshotRecord) -> Result<S, RecoverError> {
+        parse_record(&self.file, snapshot)
     }
 }
 
 /// A journal file opened for reading by [`load`], which takes its length
 /// and reads nothing. Recovering from it ([`JournalSource`]) streams the
-/// file through a fixed-size buffer. Dereferencing it as `[u8]` reads the
+/// file through a fixed-size buffer, then reads the newest snapshot's
+/// record again through the parser's fixed window: no snapshot text is
+/// held. Dereferencing it as `[u8]` reads the
 /// file's first [`len`](Self::len) bytes into memory on first use and
 /// keeps them: that view is for harnesses that slice the image, and costs
 /// the journal's length in memory for as long as the handle lives.
@@ -697,24 +783,28 @@ mod tests {
         j.append_event(b"e0").unwrap();
         j.append_snapshot(b"s1").unwrap();
         drop(j);
-        // Corrupt the newest snapshot's payload: the pass has read it over
-        // s0 by the time its CRC fails, and reads s0 again where its record
-        // starts. (A cut through a record never gets that far: its length
-        // no longer fits, and nothing is read over s0.)
-        let len = load(&path).unwrap().len();
+        // Corrupt the newest snapshot's payload: its CRC fails, so the pass
+        // ends before it, and s0 is the newest intact snapshot.
         let mut writer = OpenOptions::new().write(true).open(&path).unwrap();
         writer.seek(SeekFrom::End(-1)).unwrap();
         writer.write_all(b"x").unwrap();
         drop(writer);
         let r = load(&path).unwrap().recovered().unwrap();
         assert_eq!(r.snapshot, b"s0");
+        assert_ne!(r.snapshot, b"s9");
         assert_eq!(r.events().collect::<Vec<_>>(), vec![b"e0".as_slice()]);
 
+        // Read again as it was scanned, a record that is not JSON is a bad
+        // snapshot...
+        let err = parse_record::<serde::Value>(File::open(&path).unwrap(), &r.snapshot);
+        assert!(matches!(err, Err(RecoverError::BadSnapshot(_))), "{err:?}");
+        // ...and rewritten between the scan and the parse, it no longer
+        // checks out, though its new text fails to parse all the same.
         let rewritten = RewrittenOnSeek {
             file: File::open(&path).unwrap(),
             path: path.clone(),
         };
-        let err = recover_stream(BufReader::new(rewritten), len).unwrap_err();
+        let err = parse_record::<serde::Value>(rewritten, &r.snapshot).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -725,6 +815,15 @@ mod tests {
             ),
             "{err:?}"
         );
+        assert!(err.to_string().contains("no longer checks out"), "{err}");
+        // The same holds for bytes in memory that are not the ones scanned.
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert!(bytes.parse_snapshot::<serde::Value>(&r.snapshot).is_err());
+        bytes[r.snapshot.at() + framing::RECORD_OVERHEAD + 1] = b'0';
+        assert!(matches!(
+            bytes.parse_snapshot::<serde::Value>(&r.snapshot),
+            Err(RecoverError::BadSnapshot(_))
+        ));
         std::fs::remove_file(&path).ok();
     }
 
@@ -829,8 +928,9 @@ mod tests {
         let mut torn = load(&path).unwrap().to_vec();
         torn.extend_from_slice(&[2, 9, 0, 0]);
         std::fs::write(&path, &torn).unwrap();
-        let (mut j, dropped) = Journal::reopen(&path).unwrap();
-        assert_eq!(dropped, 4);
+        let (mut j, recovered) = Journal::reopen(&path).unwrap();
+        assert!(recovered.is_none(), "events alone hold no snapshot");
+        assert_eq!(torn.len() - j.len(), 4);
         assert_eq!(j.len(), intact);
         assert_eq!(j.len(), file_len());
         j.append_event(b"e3").unwrap();
@@ -854,8 +954,15 @@ mod tests {
         let bytes = load(&path).unwrap();
         std::fs::write(&path, &bytes[..intact + 5]).unwrap();
 
-        let (mut j, dropped) = Journal::reopen(&path).unwrap();
-        assert_eq!(dropped, 5);
+        let (mut j, recovered) = Journal::reopen(&path).unwrap();
+        // The pass that truncated the tail found what recovery needs.
+        let recovered = recovered.expect("a snapshot");
+        assert_eq!(recovered.dropped_bytes, 5);
+        assert_eq!(recovered.snapshot, b"s0");
+        assert_eq!(
+            recovered.events().collect::<Vec<_>>(),
+            vec![b"e0".as_slice()]
+        );
         assert_eq!(j.len(), intact);
         j.append_event(b"e1").unwrap();
         let r = load(&path).unwrap().recovered().unwrap();

@@ -15,8 +15,9 @@
 //!   damaged record, so any torn tail degrades to a clean valid prefix.
 //! * [`journal`] — the append-only record stream (a flushed file, or
 //!   in memory for harnesses) and the recovery pass, which streams a
-//!   file one record at a time and keeps only the latest snapshot and
-//!   the events after it.
+//!   file one record at a time and keeps only where the latest snapshot
+//!   is and the events after it; the snapshot is then parsed straight
+//!   from its record, checked again as it is read.
 //! * [`run`] — the [`Recoverable`] fold (`due`, `apply`, `snapshot`,
 //!   `restore`; implemented here by [`SiteRun`](mbts_site::SiteRun) and
 //!   [`EconomyRun`](mbts_market::EconomyRun), and by `ServiceMachine` in
@@ -75,5 +76,6 @@ pub use chaos::{corrupt_image, ChaosSink, SharedImage};
 pub use framing::{FramingError, RecordTag, ScanOutcome};
 pub use journal::{
     load, Journal, JournalImage, JournalSink, JournalSource, RecoverError, Recovered, ShortWrite,
+    SnapshotRecord,
 };
 pub use run::{DurableRun, Recoverable, RecoveryReport};

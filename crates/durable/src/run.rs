@@ -164,16 +164,21 @@ impl<M: Recoverable> DurableRun<M> {
 
     /// Recovers the run `journal` holds and keeps appending to it: no
     /// genesis snapshot, and the cadence counts on from the replayed
-    /// suffix, as if the process had never stopped. A file-backed journal
-    /// whose file can no longer be read is [`RecoverError::Io`].
+    /// suffix, as if the process had never stopped. `recovered` is what a
+    /// pass over the journal found — for a file, the pass
+    /// [`Journal::reopen`] made as it truncated the torn tail, so that a
+    /// restart reads the file once and then only the snapshot's record. A
+    /// file-backed journal whose file can no longer be read is
+    /// [`RecoverError::Io`].
     pub fn resume(
         journal: Journal,
+        recovered: &Recovered,
         snapshot_every: u64,
     ) -> Result<(Self, RecoveryReport), RecoverError> {
         // A file-backed journal's file is its only copy.
         let (run, report) = match journal.path() {
-            Some(path) => Self::recover(&journal::load(path)?)?,
-            None => Self::recover(&journal.bytes())?,
+            Some(path) => Self::recover_from(&journal::load(path)?, recovered)?,
+            None => Self::recover_from(&journal.bytes(), recovered)?,
         };
         let durable = DurableRun {
             run,
@@ -273,15 +278,21 @@ impl<M: Recoverable> DurableRun<M> {
     pub fn recover(
         source: &(impl JournalSource + ?Sized),
     ) -> Result<(M, RecoveryReport), RecoverError> {
-        Self::recover_from(&source.recovered()?)
+        Self::recover_from(source, &source.recovered()?)
     }
 
-    /// Restores the run from what one pass over its journal kept: the
-    /// snapshot, then checked replay of the suffix. A caller that does not
-    /// know which kind of run wrote a journal reads it once and tries each.
-    pub fn recover_from(recovered: &Recovered) -> Result<(M, RecoveryReport), RecoverError> {
-        let snapshot: M::Snapshot = serde_json::from_slice(&recovered.snapshot)
-            .map_err(|e| RecoverError::BadSnapshot(e.to_string()))?;
+    /// Restores the run from what one pass over `source` found: the
+    /// snapshot, parsed straight from its record in `source` and checked
+    /// again as it is read, then checked replay of the suffix. A record
+    /// that no longer checks out is [`RecoverError::Io`] and no state is
+    /// returned. A caller that does not know which kind of run wrote a
+    /// journal scans it once and tries each; each try reads the snapshot's
+    /// record again.
+    pub fn recover_from(
+        source: &(impl JournalSource + ?Sized),
+        recovered: &Recovered,
+    ) -> Result<(M, RecoveryReport), RecoverError> {
+        let snapshot: M::Snapshot = source.parse_snapshot(&recovered.snapshot)?;
         let mut run = M::restore(snapshot).map_err(RecoverError::BadSnapshot)?;
         for (index, payload) in recovered.events().enumerate() {
             let input: M::Input =

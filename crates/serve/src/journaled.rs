@@ -103,8 +103,10 @@ impl ServiceRun {
     /// Resumes (or starts) a run on a journal file: truncates any torn
     /// tail, replays the surviving prefix, and keeps appending to the same
     /// file. An empty or missing file starts a fresh run. The file is
-    /// streamed, never read whole: what recovery holds is the latest
-    /// snapshot and the commands after it.
+    /// streamed once, never read whole, by the pass that truncates it
+    /// ([`Journal::reopen`]); then the newest snapshot is parsed straight
+    /// from its record. What recovery holds is the typed state and the
+    /// commands after the snapshot, never the snapshot's text.
     pub fn resume_file(
         path: impl AsRef<Path>,
         config: MachineConfig,
@@ -112,21 +114,35 @@ impl ServiceRun {
         fsync_every_n: u64,
     ) -> io::Result<(Self, RecoveryReport)> {
         let path = path.as_ref();
-        let (journal, truncated) = if path.exists() && std::fs::metadata(path)?.len() > 0 {
+        let found = match std::fs::metadata(path) {
+            Ok(meta) => meta.len() as usize,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
+            Err(e) => return Err(e),
+        };
+        let (journal, recovered) = if found > 0 {
             Journal::reopen(path)?
         } else {
-            (Journal::create(path)?, 0)
+            (Journal::create(path)?, None)
         };
         let journal = journal.with_fsync_every_n(fsync_every_n);
-        let (durable, mut report) = if journal.is_empty() {
-            // A new file, or every record was torn: nothing to recover.
-            let durable = DurableRun::new(ServiceMachine::new(config), journal, snapshot_every)?;
-            (durable, RecoveryReport::default())
-        } else {
-            DurableRun::resume(journal, snapshot_every)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
+        let refused = |e: RecoverError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+        let (durable, report) = match recovered {
+            Some(recovered) => {
+                DurableRun::resume(journal, &recovered, snapshot_every).map_err(refused)?
+            }
+            None if journal.is_empty() => {
+                // A new file, or every record was torn: nothing to recover.
+                let dropped_bytes = found.saturating_sub(journal.len());
+                let durable =
+                    DurableRun::new(ServiceMachine::new(config), journal, snapshot_every)?;
+                let report = RecoveryReport {
+                    dropped_bytes,
+                    ..RecoveryReport::default()
+                };
+                (durable, report)
+            }
+            None => return Err(refused(RecoverError::NoSnapshot)),
         };
-        report.dropped_bytes += truncated;
         Ok((ServiceRun { durable }, report))
     }
 
@@ -380,10 +396,11 @@ mod tests {
         drive(&mut run);
         drop(run);
 
-        let (journal, dropped) = Journal::reopen(&path).unwrap();
-        assert_eq!(dropped, 0);
+        let (journal, recovered) = Journal::reopen(&path).unwrap();
+        let recovered = recovered.expect("a snapshot");
+        assert_eq!(recovered.dropped_bytes, 0);
         std::fs::remove_file(&path).unwrap();
-        let err = DurableRun::<ServiceMachine>::resume(journal, 0).unwrap_err();
+        let err = DurableRun::<ServiceMachine>::resume(journal, &recovered, 0).unwrap_err();
         assert!(
             matches!(
                 err,

@@ -1008,27 +1008,33 @@ enum RecoveredJournal {
 }
 
 /// Recovers a journal as a site run, an economy run or a service machine
-/// — the snapshot schema tells them apart. The journal is read once, and
-/// each schema is tried on the one snapshot and suffix that pass kept. A
-/// journal none of the three recovers is a rejected input file.
+/// — the snapshot schema tells them apart. The journal is scanned once,
+/// and each schema is tried on the snapshot and suffix that pass found,
+/// each try reading the snapshot's record again. A journal none of the
+/// three recovers is a rejected input file; one that cannot be read, or
+/// changes while it is read, is a failure.
 fn recover_journal(
     source: &(impl JournalSource + ?Sized),
     path: &std::path::Path,
 ) -> Result<RecoveredJournal, ExecError> {
-    let recovered = source.recovered().map_err(|e| match e {
+    let refused = |e: RecoverError| match e {
         RecoverError::Io { .. } => ExecError::Failed(format!("{}: {e}", path.display())),
         e => ExecError::BadInput(format!("cannot recover journal {}: {e}", path.display())),
-    })?;
-    let site = match DurableRun::<SiteRun>::recover_from(&recovered) {
+    };
+    let recovered = source.recovered().map_err(refused)?;
+    let site = match DurableRun::<SiteRun>::recover_from(source, &recovered) {
         Ok((run, report)) => return Ok(RecoveredJournal::Site(Box::new(run), report)),
+        Err(e @ RecoverError::Io { .. }) => return Err(refused(e)),
         Err(e) => e,
     };
-    let economy = match DurableRun::<EconomyRun>::recover_from(&recovered) {
+    let economy = match DurableRun::<EconomyRun>::recover_from(source, &recovered) {
         Ok((run, report)) => return Ok(RecoveredJournal::Economy(Box::new(run), report)),
+        Err(e @ RecoverError::Io { .. }) => return Err(refused(e)),
         Err(e) => e,
     };
-    match DurableRun::<ServiceMachine>::recover_from(&recovered) {
+    match DurableRun::<ServiceMachine>::recover_from(source, &recovered) {
         Ok((machine, report)) => Ok(RecoveredJournal::Service(Box::new(machine), report)),
+        Err(e @ RecoverError::Io { .. }) => Err(refused(e)),
         Err(service) => Err(ExecError::BadInput(format!(
             "cannot recover journal {}: as site run: {site}; as economy run: {economy}; \
              as service journal: {service}",

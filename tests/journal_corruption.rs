@@ -569,3 +569,190 @@ fn a_torn_newest_snapshot_recovers_the_one_before_it() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// What recovering as an `M` came to, in full: the restored state's
+/// snapshot JSON and the report, or the error itself, text and all.
+type FullVerdict = Result<(String, RecoveryReport), RecoverError>;
+
+fn full_verdict<M: Recoverable>(
+    recovery: Result<(M, RecoveryReport), RecoverError>,
+) -> FullVerdict {
+    recovery.map(|(run, report)| (serde_json::to_string(&run.snapshot()).unwrap(), report))
+}
+
+/// Recovering `bytes` in memory and from a file that holds them comes to
+/// the same restored state, or the same error, as each kind of run.
+fn bytes_and_file_agree(what: &str, path: &std::path::Path, bytes: &[u8]) {
+    std::fs::write(path, bytes).unwrap();
+    let file = load(path).unwrap();
+    assert_eq!(
+        full_verdict(DurableRun::<SiteRun>::recover(&file)),
+        full_verdict(DurableRun::<SiteRun>::recover(bytes)),
+        "{what}: as a site run"
+    );
+    assert_eq!(
+        full_verdict(DurableRun::<EconomyRun>::recover(&file)),
+        full_verdict(DurableRun::<EconomyRun>::recover(bytes)),
+        "{what}: as an economy run"
+    );
+    assert_eq!(
+        full_verdict(ServiceRun::recover(&file)),
+        full_verdict(ServiceRun::recover(bytes)),
+        "{what}: as a service journal"
+    );
+}
+
+/// Where each record of `bytes` starts, with its tag and payload length.
+fn record_starts(bytes: &[u8]) -> Vec<(RecordTag, usize, usize)> {
+    let mut at = framing::HEADER_LEN;
+    let mut starts = Vec::new();
+    for (tag, payload) in framing::scan(bytes).unwrap().records {
+        starts.push((tag, at, payload.len()));
+        at += framing::RECORD_OVERHEAD + payload.len();
+    }
+    starts
+}
+
+/// Every journal fixture under `tests/golden/serde/` — those that recover
+/// and those refused with a typed error — recovers alike from its bytes
+/// and from its file, whole, cut through its newest snapshot record, and
+/// with a byte of that snapshot's payload flipped.
+#[test]
+fn every_fixture_journal_recovers_alike_from_bytes_and_from_a_file() {
+    fn journals(dir: &std::path::Path, found: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                journals(&path, found);
+            } else if path.extension().is_some_and(|e| e == "mbtsj") {
+                found.push(path);
+            }
+        }
+    }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serde");
+    let mut fixtures = Vec::new();
+    journals(&root, &mut fixtures);
+    fixtures.sort();
+    assert!(fixtures.len() >= 8, "{fixtures:?}");
+    let dir = std::env::temp_dir().join(format!("mbts-fixtures-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("journal.mbtsj");
+    for fixture in &fixtures {
+        let name = fixture.strip_prefix(&root).unwrap().display().to_string();
+        let bytes = std::fs::read(fixture).unwrap();
+        bytes_and_file_agree(&name, &path, &bytes);
+        let &(_, start, len) = record_starts(&bytes)
+            .iter()
+            .rfind(|(tag, ..)| *tag == RecordTag::Snapshot)
+            .expect("a snapshot");
+        let payload = start + framing::RECORD_OVERHEAD;
+        bytes_and_file_agree(
+            &format!("{name} cut mid-snapshot"),
+            &path,
+            &bytes[..payload + len / 2],
+        );
+        let mut flipped = bytes.clone();
+        flipped[payload + len / 2] ^= 0x08;
+        bytes_and_file_agree(
+            &format!("{name} with a snapshot byte flipped"),
+            &path,
+            &flipped,
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A journal whose newest snapshot record changes after the scan found it
+/// and before the parse reads it again is refused as one that changed
+/// while it was read: never a state built from the changed bytes, and
+/// never a bad snapshot, whichever byte of the record changed and whether
+/// or not its new text parses. From a file that is rewritten under an
+/// open handle, and from bytes in memory that are not the ones scanned.
+#[test]
+fn a_snapshot_changed_between_the_scan_and_the_parse_is_refused() {
+    let bytes = small_service_journal();
+    let &(_, start, len) = record_starts(&bytes)
+        .iter()
+        .rfind(|(tag, ..)| *tag == RecordTag::Snapshot)
+        .expect("a snapshot");
+    let dir = std::env::temp_dir().join(format!("mbts-changed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("journal.mbtsj");
+    std::fs::write(&path, &bytes).unwrap();
+    let file = load(&path).unwrap();
+    let recovered = file.recovered().unwrap();
+    assert_eq!(recovered.snapshot.at(), start);
+    assert!(ServiceRun::recover(&file).is_ok());
+
+    let changed = |err: &RecoverError| {
+        matches!(
+            err,
+            RecoverError::Io {
+                kind: std::io::ErrorKind::InvalidData,
+                ..
+            }
+        ) && err.to_string().contains("no longer checks out")
+    };
+    let mut writer = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    let mut put = |at: usize, byte: u8| {
+        use std::io::{Seek, SeekFrom, Write};
+        writer.seek(SeekFrom::Start(at as u64)).unwrap();
+        writer.write_all(&[byte]).unwrap();
+    };
+    for at in start..start + framing::RECORD_OVERHEAD + len {
+        for flip in [0x01, 0x20] {
+            let what = format!("byte {at} ^ {flip:#x}");
+            put(at, bytes[at] ^ flip);
+            match DurableRun::<ServiceMachine>::recover_from(&file, &recovered) {
+                Err(err) => assert!(changed(&err), "{what} from the file: {err:?}"),
+                Ok(_) => panic!("{what} from the file: recovered from changed bytes"),
+            }
+            put(at, bytes[at]);
+            let mut in_memory = bytes.clone();
+            in_memory[at] ^= flip;
+            match DurableRun::<ServiceMachine>::recover_from(&in_memory, &recovered) {
+                Err(err) => assert!(changed(&err), "{what} in memory: {err:?}"),
+                Ok(_) => panic!("{what} in memory: recovered from changed bytes"),
+            }
+        }
+    }
+    // A file cut short of the record is refused the same way.
+    drop(file);
+    let file = load(&path).unwrap();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len((start + len / 2) as u64)
+        .unwrap();
+    let err = DurableRun::<ServiceMachine>::recover_from(&file, &recovered).unwrap_err();
+    assert!(changed(&err), "{err:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A newest snapshot whose record checks out but whose text does not
+/// parse is a bad snapshot with the parser's words, the same from bytes
+/// and from a file: the check that the record is unchanged does not hide
+/// or reword what the parser found.
+#[test]
+fn a_snapshot_that_checks_out_but_does_not_parse_is_a_bad_snapshot() {
+    let dir = std::env::temp_dir().join(format!("mbts-unparsed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("journal.mbtsj");
+    for (text, words) in [
+        (&b"{\"format\":1,"[..], "unexpected end of input"),
+        (b"[1,2]", "expected object for ServiceSnapshot, found array"),
+        (b"{\"format\":1,}", "unexpected character `}` at byte 12"),
+        (b"{\"\xff\":1}", "invalid utf-8 at byte 2"),
+    ] {
+        let mut bytes = Vec::new();
+        framing::write_header(&mut bytes);
+        framing::append_record(&mut bytes, RecordTag::Snapshot, text);
+        std::fs::write(&path, &bytes).unwrap();
+        let file = load(&path).unwrap();
+        let want = RecoverError::BadSnapshot(words.to_string());
+        assert_eq!(ServiceRun::recover(&bytes).unwrap_err(), want);
+        assert_eq!(ServiceRun::recover(&file).unwrap_err(), want);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
