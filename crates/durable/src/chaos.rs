@@ -163,8 +163,16 @@ pub fn corrupt_image(image: &mut [u8], registry: &ChaosRegistry) -> Option<usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::Kind;
     use crate::journal::{Journal, JournalSource, ShortWrite};
     use mbts_chaos::FailpointSpec;
+
+    /// A journal of a site run through a chaos sink over `image`.
+    fn chaos_journal(image: &SharedImage, reg: Arc<ChaosRegistry>) -> Journal {
+        let mut j = Journal::with_sink(Box::new(ChaosSink::new(image.clone(), reg)));
+        j.begin(Kind::Site).expect("a new journal");
+        j
+    }
 
     fn registry(specs: Vec<FailpointSpec>) -> Arc<ChaosRegistry> {
         Arc::new(ChaosRegistry::new(7, specs))
@@ -174,10 +182,10 @@ mod tests {
     fn clean_registry_is_a_transparent_passthrough() {
         let image = SharedImage::new();
         let reg = registry(Vec::new());
-        let mut j = Journal::with_sink(Box::new(ChaosSink::new(image.clone(), reg)));
+        let mut j = chaos_journal(&image, reg);
         j.append_snapshot(b"s0").expect("clean append");
         j.append_event(b"e0").expect("clean append");
-        assert_eq!(image.snapshot(), j.bytes()[crate::framing::HEADER_LEN..]);
+        assert_eq!(image.snapshot(), *j.bytes());
     }
 
     #[test]
@@ -191,16 +199,13 @@ mod tests {
             every: 0,
             max_fires: 1,
         }]);
-        let mut j = Journal::with_sink(Box::new(ChaosSink::new(image.clone(), reg)));
+        let mut j = chaos_journal(&image, reg);
         j.append_snapshot(b"s0").expect("armed after 2 hits");
         j.append_event(b"e0").expect("second append clean");
         let err = j.append_event(b"e1").expect_err("third write hits ENOSPC");
         assert!(err.to_string().contains("ENOSPC"), "{err}");
         // What the disk holds is the intact prefix — recovery is clean.
-        let mut bytes = vec![];
-        crate::framing::write_header(&mut bytes);
-        bytes.extend_from_slice(&image.snapshot());
-        let r = bytes.recovered().expect("disk prefix recovers");
+        let r = image.snapshot().recovered().expect("disk prefix recovers");
         assert_eq!(r.snapshot, b"s0");
         assert_eq!(r.events().collect::<Vec<_>>(), vec![b"e0".as_slice()]);
     }
@@ -228,7 +233,7 @@ mod tests {
                 max_fires: 1,
             },
         ]);
-        let mut j = Journal::with_sink(Box::new(ChaosSink::new(image.clone(), reg)));
+        let mut j = chaos_journal(&image, reg);
         j.append_snapshot(b"s0").expect("clean");
         j.append_event(b"e0").expect("clean");
         let before = image.len();
@@ -238,10 +243,7 @@ mod tests {
         assert!(err.to_string().contains("ENOSPC"), "{err}");
         let torn = image.len() - before;
         assert!((1..=3).contains(&torn), "1..=3 bytes leaked: {torn}");
-        let mut bytes = vec![];
-        crate::framing::write_header(&mut bytes);
-        bytes.extend_from_slice(&image.snapshot());
-        let r = bytes.recovered().expect("torn tail truncates");
+        let r = image.snapshot().recovered().expect("torn tail truncates");
         assert_eq!(r.events().collect::<Vec<_>>(), vec![b"e0".as_slice()]);
         assert_eq!(r.dropped_bytes, torn);
     }
@@ -260,7 +262,7 @@ mod tests {
 
     #[test]
     fn corrupt_image_flips_one_bit_past_the_header() {
-        let mut j = Journal::in_memory();
+        let mut j = chaos_journal(&SharedImage::new(), registry(Vec::new()));
         j.append_snapshot(b"s0").expect("in-memory append");
         j.append_event(b"e0").expect("in-memory append");
         j.append_event(b"e1").expect("in-memory append");

@@ -1,11 +1,16 @@
 //! Byte-level journal framing.
 //!
-//! A journal is a 12-byte header followed by a flat sequence of records:
+//! A journal is a 16-byte header followed by a flat sequence of records:
 //!
 //! ```text
-//! header  := magic[8] version:u32le
+//! header  := magic[8] version:u32le kind:u32le
 //! record  := tag:u8 len:u32le crc:u32le payload[len]
 //! ```
+//!
+//! The header names the format [`VERSION`] and the [`Kind`] of run that
+//! wrote the records; a reader checks the magic, then the version, then
+//! the kind, so a file of another version is refused before its kind is
+//! read.
 //!
 //! `tag` distinguishes snapshots (full replay state) from events (one
 //! applied sim event); `crc` is CRC-32 (IEEE) over `tag`, `len` and the
@@ -24,12 +29,40 @@ use std::io::{self, BufRead, Read, Seek, SeekFrom};
 /// Journal file magic: identifies the format before any parsing.
 pub const MAGIC: [u8; 8] = *b"MBTSJRNL";
 
-/// Current framing version. Bumped on any incompatible layout change;
-/// [`scan`] refuses other versions rather than misparsing them.
-pub const VERSION: u32 = 1;
+/// The format version of every kind of journal (each kind's snapshot holds
+/// a site's). Bumped by any change to what a record holds or to the order
+/// a run folds its inputs in; [`scan`] refuses every other version.
+pub const VERSION: u32 = 2;
 
-/// Header length in bytes (magic + version).
-pub const HEADER_LEN: usize = 12;
+/// Header length in bytes (magic + version + kind).
+pub const HEADER_LEN: usize = 16;
+
+/// The kind of run a journal holds, which its header names by code. The
+/// codes differ pairwise in two bits, so no single flipped bit turns one
+/// kind into another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A standalone site run.
+    Site = 1,
+    /// A market economy run.
+    Economy = 2,
+    /// The daemon's service machine.
+    Service = 4,
+}
+
+impl Kind {
+    fn from_code(code: u32) -> Option<Self> {
+        [Kind::Site, Kind::Economy, Kind::Service]
+            .into_iter()
+            .find(|k| *k as u32 == code)
+    }
+}
+
+impl std::fmt::Display for Kind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} run", format!("{self:?}").to_lowercase())
+    }
+}
 
 /// Per-record overhead in bytes (tag + len + crc).
 pub const RECORD_OVERHEAD: usize = 9;
@@ -130,10 +163,11 @@ fn record_crc(tag: u8, len: [u8; 4], payload: &[u8]) -> u32 {
     !crc_update(state, payload)
 }
 
-/// Appends the journal header to an empty buffer.
-pub fn write_header(buf: &mut Vec<u8>) {
+/// Appends the header of a journal of `kind` to an empty buffer.
+pub fn write_header(buf: &mut Vec<u8>, kind: Kind) {
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(kind as u32).to_le_bytes());
 }
 
 /// Frames `payload` as one record and appends it to `buf`.
@@ -163,16 +197,37 @@ pub fn append_record_with(buf: &mut Vec<u8>, tag: RecordTag, fill: impl FnOnce(&
 pub enum FramingError {
     /// The stream does not start with the journal magic.
     NotAJournal,
-    /// The stream is a journal of an unsupported framing version.
-    UnsupportedVersion(u32),
+    /// The header names another [`VERSION`], or a kind the reader does
+    /// not read.
+    Unsupported {
+        /// The version the header names.
+        version: u32,
+        /// The kind's code; `None` when the version was refused first.
+        kind: Option<u32>,
+        /// The kind the reader reads; `None` for one that reads any.
+        expected: Option<Kind>,
+    },
 }
 
 impl std::fmt::Display for FramingError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FramingError::NotAJournal => write!(f, "not a journal (bad magic)"),
-            FramingError::UnsupportedVersion(v) => {
-                write!(f, "unsupported journal version {v} (expected {VERSION})")
+            FramingError::Unsupported {
+                version,
+                kind,
+                expected,
+            } => {
+                let found = match kind.map(|code| (code, Kind::from_code(code))) {
+                    None => "kind not read".to_string(),
+                    Some((_, Some(kind))) => kind.to_string(),
+                    Some((code, None)) => format!("unknown kind {code}"),
+                };
+                write!(f, "journal holds format version {version} ({found}); ")?;
+                match expected {
+                    Some(k) => write!(f, "this reader reads version {VERSION} ({k})"),
+                    None => write!(f, "this reader reads version {VERSION}"),
+                }
             }
         }
     }
@@ -194,16 +249,29 @@ impl FramingError {
     }
 }
 
-/// Checks the journal header: the magic, then the version.
-fn check_header(header: &[u8]) -> Result<(), FramingError> {
+/// Checks the header's magic, version and kind, in that order.
+fn check_header(header: &[u8]) -> Result<Kind, FramingError> {
     if header.len() < HEADER_LEN || header[..8] != MAGIC {
         return Err(FramingError::NotAJournal);
     }
-    let version = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
+    let word = |at: usize| {
+        u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
+    };
+    let version = word(8);
     if version != VERSION {
-        return Err(FramingError::UnsupportedVersion(version));
+        // Refused before the kind is read: its bytes may mean anything.
+        return Err(FramingError::Unsupported {
+            version,
+            kind: None,
+            expected: None,
+        });
     }
-    Ok(())
+    let code = word(12);
+    Kind::from_code(code).ok_or(FramingError::Unsupported {
+        version,
+        kind: Some(code),
+        expected: None,
+    })
 }
 
 /// A record's header, once it has passed the checks that need no payload:
@@ -269,6 +337,8 @@ impl RecordHead {
 /// The valid prefix of a journal byte stream.
 #[derive(Debug)]
 pub struct ScanOutcome<'a> {
+    /// The kind of run the header names.
+    pub kind: Kind,
     /// Every record that checked out, in order.
     pub records: Vec<(RecordTag, &'a [u8])>,
     /// Byte length of the valid prefix (header + intact records).
@@ -281,7 +351,7 @@ pub struct ScanOutcome<'a> {
 /// truncated, has an unknown tag, or fails its CRC. Never panics on any
 /// input; the only hard errors are a missing/foreign header.
 pub fn scan(bytes: &[u8]) -> Result<ScanOutcome<'_>, FramingError> {
-    check_header(bytes)?;
+    let kind = check_header(bytes)?;
     let mut pos = HEADER_LEN;
     let mut records = Vec::new();
     while let Some((header, rest)) = bytes[pos..].split_first_chunk::<RECORD_OVERHEAD>() {
@@ -296,6 +366,7 @@ pub fn scan(bytes: &[u8]) -> Result<ScanOutcome<'_>, FramingError> {
         pos += RECORD_OVERHEAD + payload.len();
     }
     Ok(ScanOutcome {
+        kind,
         records,
         valid_len: pos,
         dropped_bytes: bytes.len() - pos,
@@ -310,6 +381,8 @@ pub fn scan(bytes: &[u8]) -> Result<ScanOutcome<'_>, FramingError> {
 /// journal's length.
 pub(crate) struct RecordReader<R> {
     reader: R,
+    /// The kind of run the header names.
+    pub(crate) kind: Kind,
     /// Bytes the journal holds, as the caller stated them.
     len: usize,
     /// Header plus the records that checked out so far.
@@ -328,9 +401,10 @@ impl<R: BufRead + Seek> RecordReader<R> {
         }
         reader.seek(SeekFrom::Start(0))?;
         reader.read_exact(&mut header)?;
-        check_header(&header)?;
+        let kind = check_header(&header)?;
         Ok(RecordReader {
             reader,
+            kind,
             len,
             valid_len: HEADER_LEN,
         })
@@ -488,7 +562,7 @@ mod tests {
 
     fn journal_of(payloads: &[(RecordTag, &[u8])]) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_header(&mut buf);
+        write_header(&mut buf, Kind::Economy);
         for (tag, p) in payloads {
             append_record(&mut buf, *tag, p);
         }
@@ -582,6 +656,29 @@ mod tests {
     #[test]
     fn truncation_drops_only_the_torn_record() {
         let buf = journal_of(&[(RecordTag::Snapshot, b"snap"), (RecordTag::Event, b"event")]);
+        // A cut inside the header leaves no journal to scan.
+        for cut in 0..HEADER_LEN {
+            assert_eq!(scan(&buf[..cut]).unwrap_err(), FramingError::NotAJournal);
+        }
+        // Every flipped bit of the version or the kind is refused by name:
+        // the version before the kind is read, and no single bit turns one
+        // kind into another.
+        for bit in 8 * 8..HEADER_LEN * 8 {
+            let mut bad = buf.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let word = |at: usize| u32::from_le_bytes(bad[at..at + 4].try_into().unwrap());
+            let kind = (bit >= 12 * 8).then(|| word(12));
+            assert_eq!(
+                scan(&bad).unwrap_err(),
+                FramingError::Unsupported {
+                    version: word(8),
+                    kind,
+                    expected: None
+                },
+                "bit {bit}"
+            );
+            assert!(kind.is_none_or(|code| Kind::from_code(code).is_none()));
+        }
         for cut in HEADER_LEN..buf.len() {
             let scan = scan(&buf[..cut]).unwrap();
             assert_eq!(scan.valid_len + scan.dropped_bytes, cut);
@@ -620,19 +717,35 @@ mod tests {
         let mut bad = buf.clone();
         bad[0] ^= 0xFF;
         assert_eq!(scan(&bad).unwrap_err(), FramingError::NotAJournal);
-        let mut wrong_version = buf;
+        let mut wrong_version = buf.clone();
         wrong_version[8] = 99;
+        let err = scan(&wrong_version).unwrap_err();
         assert_eq!(
-            scan(&wrong_version).unwrap_err(),
-            FramingError::UnsupportedVersion(99)
+            err,
+            FramingError::Unsupported {
+                version: 99,
+                kind: None,
+                expected: None
+            }
         );
+        assert_eq!(
+            err.to_string(),
+            "journal holds format version 99 (kind not read); \
+             this reader reads version 2"
+        );
+        let mut unknown_kind = buf;
+        unknown_kind[12] = 7;
+        assert!(scan(&unknown_kind)
+            .unwrap_err()
+            .to_string()
+            .contains("(unknown kind 7)"));
         assert_eq!(scan(b"short").unwrap_err(), FramingError::NotAJournal);
     }
 
     #[test]
     fn oversized_length_fields_cannot_overflow() {
         let mut buf = Vec::new();
-        write_header(&mut buf);
+        write_header(&mut buf, Kind::Site);
         buf.push(2); // Event tag
         buf.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd length
         buf.extend_from_slice(&[0; 4]); // crc
@@ -650,8 +763,8 @@ mod tests {
         assert_eq!(reader.dropped_bytes(), buf.len() - HEADER_LEN);
     }
 
-    /// Records, valid length and dropped bytes.
-    type Outcome = (Vec<(RecordTag, Vec<u8>)>, usize, usize);
+    /// Kind, records, valid length and dropped bytes.
+    type Outcome = (Kind, Vec<(RecordTag, Vec<u8>)>, usize, usize);
 
     /// Everything `RecordReader` makes of `bytes`, in `scan`'s terms.
     fn read_all(bytes: &[u8]) -> Result<Outcome, FramingError> {
@@ -669,7 +782,12 @@ mod tests {
             record.is_empty(),
             "a record that fails its CRC is taken off"
         );
-        Ok((records, reader.valid_len(), reader.dropped_bytes()))
+        Ok((
+            reader.kind,
+            records,
+            reader.valid_len(),
+            reader.dropped_bytes(),
+        ))
     }
 
     #[test]
@@ -683,7 +801,7 @@ mod tests {
         let agree = |bytes: &[u8]| {
             let by_scan = scan(bytes).map(|s| {
                 let records = s.records.iter().map(|(t, p)| (*t, p.to_vec())).collect();
-                (records, s.valid_len, s.dropped_bytes)
+                (s.kind, records, s.valid_len, s.dropped_bytes)
             });
             assert_eq!(read_all(bytes), by_scan);
         };

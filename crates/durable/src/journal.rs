@@ -2,6 +2,9 @@
 //! plus the recovery pass that turns it back into "latest snapshot +
 //! event suffix".
 //!
+//! A journal is created empty; its run's header goes out with the first
+//! record ([`DurableRun::new`](crate::DurableRun::new)).
+//!
 //! A journal's bytes live in one place. One with a path
 //! ([`Journal::create`], [`Journal::reopen`]) *is* its file: each record is
 //! framed in a scratch buffer, written through, and forgotten, so the
@@ -34,7 +37,9 @@
 //! every `n` appends and surfaces the error if the device refuses —
 //! a failed sync is a lost-durability signal, never swallowed.
 
-use crate::framing::{self, FramingError, PayloadReader, RecordHead, RecordReader, RecordTag};
+use crate::framing::{
+    self, FramingError, Kind, PayloadReader, RecordHead, RecordReader, RecordTag,
+};
 use serde::Deserialize;
 use std::borrow::Cow;
 use std::cell::OnceCell;
@@ -147,6 +152,8 @@ pub struct Journal {
     keep: bool,
     /// Bytes appended so far, header included.
     len: usize,
+    /// The header [`begin`](Self::begin) named, until a record carries it.
+    header: Option<Kind>,
     sink: Option<Box<dyn JournalSink>>,
     path: Option<PathBuf>,
     /// Sync the sink every this many appends (0 = never, the default:
@@ -169,11 +176,10 @@ impl std::fmt::Debug for Journal {
 impl Journal {
     /// A journal that lives only in memory.
     pub fn in_memory() -> Self {
-        let mut buf = Vec::new();
-        framing::write_header(&mut buf);
         Journal {
-            len: buf.len(),
-            buf,
+            len: 0,
+            header: None,
+            buf: Vec::new(),
             keep: true,
             sink: None,
             path: None,
@@ -191,11 +197,7 @@ impl Journal {
         Journal {
             buf: Vec::with_capacity(SCRATCH_START),
             keep: false,
-            len: framing::HEADER_LEN,
-            sink: None,
-            path: None,
-            fsync_every_n: 0,
-            appends_since_sync: 0,
+            ..Journal::in_memory()
         }
     }
 
@@ -203,36 +205,31 @@ impl Journal {
     /// the write cursor at its end.
     fn on_file(file: File, path: PathBuf, len: usize) -> Self {
         Journal {
-            buf: Vec::with_capacity(SCRATCH_START),
-            keep: false,
             len,
             sink: Some(Box::new(file)),
             path: Some(path),
-            fsync_every_n: 0,
-            appends_since_sync: 0,
+            ..Journal::discarding()
         }
     }
 
-    /// Creates (truncating) a file-backed journal at `path`.
+    /// Creates (truncating) a file-backed journal at `path`, empty until
+    /// a run writes its header.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let mut file = File::create(&path)?;
-        let mut header = Vec::new();
-        framing::write_header(&mut header);
-        file.write_all(&header)?;
-        file.flush()?;
-        Ok(Journal::on_file(file, path, header.len()))
+        let file = File::create(&path)?;
+        Ok(Journal::on_file(file, path, 0))
     }
 
     /// Reopens an existing journal file for appending: streams it to find
     /// where the intact records end, truncates any torn tail off the file,
     /// and positions the write cursor there, so [`len`](Self::len) is the
-    /// valid prefix. The same pass is recovery's
-    /// ([`JournalSource::recovered`]), and what it found is returned beside
-    /// the journal: the newest intact snapshot and the events after it, or
-    /// `None` when the valid prefix holds no snapshot. The pass holds one
-    /// event record at a time and the events after the newest snapshot,
-    /// never the file and never a snapshot.
+    /// valid prefix; a header with no record after it (a torn first write)
+    /// is cut too, so a run can begin the journal again. The same pass is
+    /// recovery's ([`JournalSource::recovered`]), and what it found is
+    /// returned beside the journal: the newest intact snapshot and the
+    /// events after it, or `None` when the valid prefix holds no snapshot.
+    /// The pass holds one event record at a time and the events after the
+    /// newest snapshot, never the file and never a snapshot.
     ///
     /// This is how a restarted service picks its write-ahead log back
     /// up after `kill -9`: [`DurableRun::resume`](crate::DurableRun::resume)
@@ -243,14 +240,16 @@ impl Journal {
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         let len = file_len(&file)?;
         let pass = scan(BufReader::with_capacity(READ_BUF, &file), len)?;
-        file.set_len(pass.valid_len as u64)?;
+        let torn_first_write = pass.valid_len == framing::HEADER_LEN;
+        let valid_len = if torn_first_write { 0 } else { pass.valid_len };
+        file.set_len(valid_len as u64)?;
         file.seek(SeekFrom::End(0))?;
-        Ok((Journal::on_file(file, path, pass.valid_len), pass.recovered))
+        Ok((Journal::on_file(file, path, valid_len), pass.recovered))
     }
 
-    /// A journal writing through an arbitrary sink (tests: failing
-    /// writers; the header is written to the in-memory stream only, so
-    /// a sink that fails immediately still constructs).
+    /// A journal writing through an arbitrary sink, which receives the
+    /// whole stream, header included; the in-memory stream keeps a copy
+    /// (tests: failing writers, the chaos harness's disk image).
     pub fn with_sink(sink: Box<dyn JournalSink>) -> Self {
         let mut j = Journal::in_memory();
         j.sink = Some(sink);
@@ -266,11 +265,28 @@ impl Journal {
         self
     }
 
+    /// Names the kind of run this empty journal holds: its header goes out
+    /// in the same write as the next record.
+    pub(crate) fn begin(&mut self, kind: Kind) -> io::Result<()> {
+        if self.len > 0 {
+            let msg = format!(
+                "a run begins an empty journal, not one of {} bytes",
+                self.len
+            );
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        }
+        self.header = Some(kind);
+        Ok(())
+    }
+
     fn append(&mut self, tag: RecordTag, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
         if !self.keep {
             self.buf.clear();
         }
         let start = self.buf.len();
+        if let Some(kind) = self.header.take() {
+            framing::write_header(&mut self.buf, kind);
+        }
         framing::append_record_with(&mut self.buf, tag, fill);
         self.len += self.buf.len() - start;
         if let Some(sink) = self.sink.as_mut() {
@@ -341,9 +357,9 @@ impl Journal {
         self.len
     }
 
-    /// `true` when only the header has been written.
+    /// `true` when nothing has been written: no header, no record.
     pub fn is_empty(&self) -> bool {
-        self.len == framing::HEADER_LEN
+        self.len == 0
     }
 
     /// The backing file's path, if file-backed.
@@ -355,7 +371,7 @@ impl Journal {
 /// Why recovery could not produce a runnable state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoverError {
-    /// The bytes are not a journal of a version we can read.
+    /// The bytes are not a journal of the version and kind the reader reads.
     Framing(FramingError),
     /// The valid prefix contains no intact snapshot record.
     NoSnapshot,
@@ -470,11 +486,13 @@ impl<T: AsRef<[u8]> + ?Sized> PartialEq<T> for SnapshotRecord {
     }
 }
 
-/// The recoverable content of a journal: where its latest intact snapshot
-/// is, and every intact event journaled after it, copied out of the
-/// stream.
+/// The recoverable content of a journal: its kind, where its latest intact
+/// snapshot is, and every intact event journaled after it, copied out of
+/// the stream.
 #[derive(Debug)]
 pub struct Recovered {
+    /// The kind of run the journal holds.
+    pub kind: Kind,
     /// The latest intact snapshot record, which recovery parses from the
     /// journal ([`JournalSource::parse_snapshot`]).
     pub snapshot: SnapshotRecord,
@@ -542,6 +560,7 @@ fn scan(reader: impl BufRead + Seek, len: usize) -> io::Result<Pass> {
     Ok(Pass {
         valid_len: records.valid_len(),
         recovered: snapshot.map(|snapshot| Recovered {
+            kind: records.kind,
             snapshot,
             events,
             event_ends,
@@ -719,9 +738,15 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
+    /// `journal`, begun as a site run's.
+    fn begun(mut journal: Journal) -> Journal {
+        journal.begin(Kind::Site).unwrap();
+        journal
+    }
+
     #[test]
     fn recovers_the_latest_snapshot_and_its_suffix() {
-        let mut j = Journal::in_memory();
+        let mut j = begun(Journal::in_memory());
         j.append_snapshot(b"s0").unwrap();
         j.append_event(b"e0").unwrap();
         j.append_event(b"e1").unwrap();
@@ -729,6 +754,7 @@ mod tests {
         j.append_event(b"e2").unwrap();
         let bytes = j.bytes();
         let r = bytes.recovered().unwrap();
+        assert_eq!(r.kind, Kind::Site);
         assert_eq!(r.snapshot, b"s1");
         assert_eq!(r.events().collect::<Vec<_>>(), vec![b"e2".as_slice()]);
         assert_eq!(r.events_superseded, 2);
@@ -737,7 +763,7 @@ mod tests {
 
     #[test]
     fn a_torn_tail_falls_back_to_the_previous_snapshot() {
-        let mut j = Journal::in_memory();
+        let mut j = begun(Journal::in_memory());
         j.append_snapshot(b"s0").unwrap();
         j.append_event(b"e0").unwrap();
         let keep = j.len();
@@ -778,7 +804,7 @@ mod tests {
     #[test]
     fn a_file_rewritten_before_the_reread_is_a_typed_error() {
         let path = test_path("rewritten");
-        let mut j = Journal::create(&path).unwrap();
+        let mut j = begun(Journal::create(&path).unwrap());
         j.append_snapshot(b"s0").unwrap();
         j.append_event(b"e0").unwrap();
         j.append_snapshot(b"s1").unwrap();
@@ -829,8 +855,12 @@ mod tests {
 
     #[test]
     fn no_snapshot_is_an_error_not_a_panic() {
-        let mut j = Journal::in_memory();
-        assert_eq!(j.bytes().recovered().unwrap_err(), RecoverError::NoSnapshot);
+        let mut j = begun(Journal::in_memory());
+        assert_eq!(
+            j.bytes().recovered().unwrap_err(),
+            RecoverError::Framing(FramingError::NotAJournal),
+            "the header waits for the first record"
+        );
         j.append_event(b"orphan event").unwrap();
         assert_eq!(j.bytes().recovered().unwrap_err(), RecoverError::NoSnapshot);
     }
@@ -846,8 +876,8 @@ mod tests {
         // The file of a path-backed journal is byte for byte the stream an
         // in-memory journal holds after the same appends.
         let path = test_path("mirror");
-        let mut on_file = Journal::create(&path).unwrap();
-        let mut in_memory = Journal::in_memory();
+        let mut on_file = begun(Journal::create(&path).unwrap());
+        let mut in_memory = begun(Journal::in_memory());
         let big = vec![b'x'; 2 * SCRATCH_KEEP];
         for j in [&mut on_file, &mut in_memory] {
             j.append_snapshot(b"state").unwrap();
@@ -862,8 +892,8 @@ mod tests {
 
     #[test]
     fn a_discarding_journal_counts_its_records_and_keeps_none() {
-        let mut kept = Journal::in_memory();
-        let mut gone = Journal::discarding();
+        let mut kept = begun(Journal::in_memory());
+        let mut gone = begun(Journal::discarding());
         assert!(gone.is_empty());
         let big = vec![b'x'; 2 * SCRATCH_KEEP];
         for j in [&mut kept, &mut gone] {
@@ -912,8 +942,11 @@ mod tests {
     fn a_file_backed_journal_counts_its_bytes_and_reads_them_back() {
         let path = test_path("counted");
         let file_len = || std::fs::metadata(&path).unwrap().len() as usize;
-        let mut j = Journal::create(&path).unwrap();
-        assert!(j.is_empty(), "a header-only journal is empty");
+        let mut j = begun(Journal::create(&path).unwrap());
+        assert!(
+            j.is_empty(),
+            "a begun journal is empty until its first record"
+        );
         assert_eq!(j.len(), file_len());
         for payload in [&b"s0"[..], b"", &vec![7u8; SCRATCH_KEEP + 1], b"e2"] {
             j.append_event(payload).unwrap();
@@ -944,7 +977,7 @@ mod tests {
         let dir = std::env::temp_dir().join("mbts-journal-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("reopen-{}.mbtsj", std::process::id()));
-        let mut j = Journal::create(&path).unwrap();
+        let mut j = begun(Journal::create(&path).unwrap());
         j.append_snapshot(b"s0").unwrap();
         j.append_event(b"e0").unwrap();
         let intact = j.len();
@@ -971,6 +1004,30 @@ mod tests {
             r.events().collect::<Vec<_>>(),
             vec![b"e0".as_slice(), b"e1".as_slice()]
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_journal_holds_one_run_and_a_torn_first_write_holds_none() {
+        // The header goes out with the first record, and only an empty
+        // journal can be begun.
+        let path = test_path("first-write");
+        let mut j = begun(Journal::create(&path).unwrap());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        j.append_snapshot(b"s0").unwrap();
+        let err = j.begin(Kind::Economy).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        drop(j);
+        // Torn after the header: the file holds no record, and reopens
+        // as an empty journal a run can begin again.
+        let bytes = load(&path).unwrap().to_vec();
+        std::fs::write(&path, &bytes[..framing::HEADER_LEN + 3]).unwrap();
+        let (j, recovered) = Journal::reopen(&path).unwrap();
+        assert!(recovered.is_none());
+        assert!(j.is_empty());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        begun(j).append_snapshot(b"s0").unwrap();
+        assert_eq!(*load(&path).unwrap(), *bytes);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1119,7 +1176,7 @@ mod tests {
         ) {
             // Unlimited budget: every record must complete despite the
             // sink never accepting a full record in one call.
-            let mut j = Journal::with_sink(Box::new(TrickleSink::new(chunks.clone(), None)));
+            let mut j = begun(Journal::with_sink(Box::new(TrickleSink::new(chunks.clone(), None))));
             j.append_snapshot(b"genesis").expect("unbounded trickle completes");
             for (i, len) in payload_lens.iter().enumerate() {
                 let payload = vec![b'a' + (i % 26) as u8; *len];
@@ -1128,17 +1185,16 @@ mod tests {
             let memory_stream = j.bytes().to_vec();
             // Rebuild against an identical sink to inspect what it got.
             let mut probe = TrickleSink::new(chunks.clone(), None);
-            write_full(&mut probe, &memory_stream[framing::HEADER_LEN..])
-                .expect("unbounded trickle completes");
-            proptest::prop_assert_eq!(&probe.accepted, &memory_stream[framing::HEADER_LEN..]);
+            write_full(&mut probe, &memory_stream).expect("unbounded trickle completes");
+            proptest::prop_assert_eq!(&probe.accepted, &memory_stream);
 
             // Bounded budget: the run dies mid-stream; whatever prefix
             // the disk holds must recover without panic, and if the
             // failure was the disk refusing bytes, it is the typed
             // ShortWrite — not an opaque write_all error.
-            let body = memory_stream.len() - framing::HEADER_LEN;
+            let body = memory_stream.len();
             let budget = ((body as f64 * budget_frac) as usize).min(body);
-            let mut j = Journal::with_sink(Box::new(TrickleSink::new(chunks.clone(), Some(budget))));
+            let mut j = begun(Journal::with_sink(Box::new(TrickleSink::new(chunks.clone(), Some(budget)))));
             let mut failed: Option<io::Error> = None;
             if let Err(e) = j.append_snapshot(b"genesis") {
                 failed = Some(e);
@@ -1158,11 +1214,9 @@ mod tests {
                 proptest::prop_assert!(diag.written < diag.len);
             }
             // Recover from exactly what the disk accepted.
-            let mut disk = Vec::new();
-            framing::write_header(&mut disk);
             let mut replay = TrickleSink::new(chunks, Some(budget));
-            let _ = write_full(&mut replay, &memory_stream[framing::HEADER_LEN..]);
-            disk.extend_from_slice(&replay.accepted);
+            let _ = write_full(&mut replay, &memory_stream);
+            let disk = replay.accepted;
             match disk.recovered() {
                 Ok(r) => {
                     // The valid prefix is a true prefix of the memory
@@ -1170,9 +1224,10 @@ mod tests {
                     let valid = disk.len() - r.dropped_bytes;
                     proptest::prop_assert_eq!(&disk[..valid], &memory_stream[..valid]);
                 }
-                Err(RecoverError::NoSnapshot) => {
-                    // Died inside the genesis record — nothing durable
-                    // yet, which recovery reports rather than panics.
+                Err(RecoverError::NoSnapshot | RecoverError::Framing(FramingError::NotAJournal)) => {
+                    // Died inside the header or the genesis record that
+                    // shares its write — nothing durable yet, which
+                    // recovery reports rather than panics.
                 }
                 Err(other) => proptest::prop_assert!(false, "unexpected: {other}"),
             }
@@ -1181,11 +1236,11 @@ mod tests {
 
     #[test]
     fn write_errors_surface_and_memory_stream_stays_scannable() {
-        let mut j = Journal::with_sink(Box::new(FlakySink {
+        let mut j = begun(Journal::with_sink(Box::new(FlakySink {
             syncs: Arc::new(AtomicU64::new(0)),
             fail_writes: true,
             fail_syncs: false,
-        }));
+        })));
         assert!(j.append_snapshot(b"s").is_err());
         // The in-memory stream got the record before the sink refused;
         // a scan of it still recovers cleanly (write-ahead order means

@@ -10,9 +10,10 @@
 //!
 //! Three layers:
 //!
-//! * [`framing`] — CRC-framed records (magic + version header; each
-//!   record is `tag | len | crc32 | payload`). A scan stops at the first
-//!   damaged record, so any torn tail degrades to a clean valid prefix.
+//! * [`framing`] — CRC-framed records (a magic + version + [`Kind`]
+//!   header; each record is `tag | len | crc32 | payload`). A scan stops
+//!   at the first damaged record, so any torn tail degrades to a clean
+//!   valid prefix.
 //! * [`journal`] — the append-only record stream (a flushed file, or
 //!   in memory for harnesses) and the recovery pass, which streams a
 //!   file one record at a time and keeps only where the latest snapshot
@@ -21,9 +22,10 @@
 //! * [`run`] — the [`Recoverable`] fold (`due`, `apply`, `snapshot`,
 //!   `restore`; implemented here by [`SiteRun`](mbts_site::SiteRun) and
 //!   [`EconomyRun`](mbts_market::EconomyRun), and by `ServiceMachine` in
-//!   `mbts-serve`) and [`DurableRun`], the one driver that journals every
-//!   input ahead of applying it, snapshots on a cadence, and recovers by
-//!   snapshot-restore + checked input replay.
+//!   `mbts-serve`) and [`DurableRun`], the one writer: it names the run's
+//!   kind in the header, journals every input ahead of applying it,
+//!   snapshots on a cadence, and recovers a journal of its own kind and
+//!   version by snapshot-restore + checked input replay.
 //!
 //! Determinism does the heavy lifting: because the simulations derive
 //! every draw from owned RNG streams and the event queue breaks ties by
@@ -32,7 +34,8 @@
 //!
 //! ```
 //! use mbts_core::Policy;
-//! use mbts_durable::{DurableRun, Journal, RecoverError};
+//! use mbts_durable::{DurableRun, FramingError, Journal, Kind, RecoverError};
+//! use mbts_market::EconomyRun;
 //! use mbts_site::{SiteConfig, SiteRun};
 //! use mbts_trace::Tracer;
 //! use mbts_workload::{generate_trace, MixConfig};
@@ -60,10 +63,18 @@
 //! let uninterrupted = SiteRun::new(config, &trace, Tracer::Off);
 //! assert_eq!(recovered.finish().0, uninterrupted.finish().0);
 //!
-//! // Bytes that are not a journal are a typed error, never a panic.
+//! // Bytes that are not a journal are a typed error, never a panic, and
+//! // so is a journal of another kind of run.
 //! assert!(matches!(
 //!     DurableRun::<SiteRun>::recover(b"not a journal"),
-//!     Err(RecoverError::Framing(_))
+//!     Err(RecoverError::Framing(FramingError::NotAJournal))
+//! ));
+//! assert!(matches!(
+//!     DurableRun::<EconomyRun>::recover(&journal.bytes()),
+//!     Err(RecoverError::Framing(FramingError::Unsupported {
+//!         expected: Some(Kind::Economy),
+//!         ..
+//!     }))
 //! ));
 //! ```
 
@@ -73,7 +84,7 @@ pub mod journal;
 pub mod run;
 
 pub use chaos::{corrupt_image, ChaosSink, SharedImage};
-pub use framing::{FramingError, RecordTag, ScanOutcome};
+pub use framing::{FramingError, Kind, RecordTag, ScanOutcome};
 pub use journal::{
     load, Journal, JournalImage, JournalSink, JournalSource, RecoverError, Recovered, ShortWrite,
     SnapshotRecord,

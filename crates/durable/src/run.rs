@@ -3,6 +3,9 @@
 //! machine — so every input is journaled ahead of being applied and the
 //! full replay state is snapshotted at a configurable cadence.
 //!
+//! A run recovers only a journal of its own [`Recoverable::KIND`] and the
+//! current version; any other is [`FramingError::Unsupported`], unparsed.
+//!
 //! Recovery loads the latest intact snapshot, then replays the journaled
 //! input suffix through the same [`Recoverable::apply`] the live run used.
 //! That call refuses an input that cannot follow the restored state (a
@@ -11,6 +14,7 @@
 //! run, or one with whole records cut out, is a typed
 //! [`RecoverError::Divergence`] before any state drifts.
 
+use crate::framing::{FramingError, Kind, VERSION};
 use crate::journal::{self, Journal, JournalSource, RecoverError, Recovered};
 use mbts_market::{EcoEvent, EconomyRun, EconomySnapshot};
 use mbts_sim::profiler::{self, Section};
@@ -34,6 +38,9 @@ pub trait Recoverable: Sized {
     type Snapshot: Deserialize;
     /// What applying one input reports to the caller.
     type Outcome;
+
+    /// The kind of run this is, which the header of its journal names.
+    const KIND: Kind;
 
     /// Profiler sections the live path times its journal append and its
     /// fold in; `None` leaves them untimed.
@@ -77,6 +84,7 @@ impl Recoverable for SiteRun {
     type Input = (Time, SimEvent);
     type Snapshot = SiteRunSnapshot;
     type Outcome = ();
+    const KIND: Kind = Kind::Site;
 
     fn due(&self) -> Option<(Time, SimEvent)> {
         self.next_event().map(|(at, e)| (at, *e))
@@ -101,6 +109,7 @@ impl Recoverable for EconomyRun {
     type Input = (Time, EcoEvent);
     type Snapshot = EconomySnapshot;
     type Outcome = ();
+    const KIND: Kind = Kind::Economy;
 
     fn due(&self) -> Option<(Time, EcoEvent)> {
         self.next_event().map(|(at, e)| (at, *e))
@@ -134,9 +143,10 @@ pub struct RecoveryReport {
 
 /// A [`Recoverable`] run coupled to a write-ahead [`Journal`].
 ///
-/// Construction writes a genesis snapshot; each [`apply`](Self::apply)
-/// journals the input before folding it; every `snapshot_every` inputs a
-/// fresh snapshot record bounds how much suffix recovery must replay.
+/// Construction writes the journal's header and a genesis snapshot; each
+/// [`apply`](Self::apply) journals the input before folding it; every
+/// `snapshot_every` inputs a fresh snapshot record bounds how much suffix
+/// recovery must replay.
 /// Killing the process at *any* byte boundary leaves a journal
 /// [`recover`](Self::recover) restores bit-identically.
 #[derive(Debug)]
@@ -148,10 +158,11 @@ pub struct DurableRun<M: Recoverable> {
 }
 
 impl<M: Recoverable> DurableRun<M> {
-    /// Wraps `run`, writing its genesis snapshot into `journal`.
-    /// `snapshot_every` = 0 means genesis-only (journal grows as pure
-    /// input log).
-    pub fn new(run: M, journal: Journal, snapshot_every: u64) -> io::Result<Self> {
+    /// Wraps `run`, writing its header and genesis snapshot into `journal`,
+    /// which must be empty (`InvalidInput` otherwise). `snapshot_every` = 0
+    /// means genesis-only (journal grows as pure input log).
+    pub fn new(run: M, mut journal: Journal, snapshot_every: u64) -> io::Result<Self> {
+        journal.begin(M::KIND)?;
         let mut durable = DurableRun {
             run,
             journal,
@@ -278,20 +289,36 @@ impl<M: Recoverable> DurableRun<M> {
     pub fn recover(
         source: &(impl JournalSource + ?Sized),
     ) -> Result<(M, RecoveryReport), RecoverError> {
-        Self::recover_from(source, &source.recovered()?)
+        let recovered = source.recovered().map_err(|e| match e {
+            // A refused header names the kind this reader reads.
+            RecoverError::Framing(FramingError::Unsupported { version, kind, .. }) => {
+                RecoverError::Framing(FramingError::Unsupported {
+                    version,
+                    kind,
+                    expected: Some(M::KIND),
+                })
+            }
+            e => e,
+        })?;
+        Self::recover_from(source, &recovered)
     }
 
     /// Restores the run from what one pass over `source` found: the
     /// snapshot, parsed straight from its record in `source` and checked
     /// again as it is read, then checked replay of the suffix. A record
     /// that no longer checks out is [`RecoverError::Io`] and no state is
-    /// returned. A caller that does not know which kind of run wrote a
-    /// journal scans it once and tries each; each try reads the snapshot's
-    /// record again.
+    /// returned; one of another kind is [`FramingError::Unsupported`].
     pub fn recover_from(
         source: &(impl JournalSource + ?Sized),
         recovered: &Recovered,
     ) -> Result<(M, RecoveryReport), RecoverError> {
+        if recovered.kind != M::KIND {
+            return Err(RecoverError::Framing(FramingError::Unsupported {
+                version: VERSION,
+                kind: Some(recovered.kind as u32),
+                expected: Some(M::KIND),
+            }));
+        }
         let snapshot: M::Snapshot = source.parse_snapshot(&recovered.snapshot)?;
         let mut run = M::restore(snapshot).map_err(RecoverError::BadSnapshot)?;
         for (index, payload) in recovered.events().enumerate() {

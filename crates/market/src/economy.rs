@@ -300,17 +300,9 @@ impl EconomyRun {
     /// snapshot whose parts do not fit together — an id outside its
     /// trace, an index past its contracts, sites or clients, a contract
     /// whose task is not the run's or whose settlement is not its value
-    /// function's at its completion — is refused with the first such
-    /// fault. A site inside an economy keeps no per-job records, so those
-    /// of older snapshots are dropped.
-    ///
-    /// Text written while the market still injected outages carries fault
-    /// keys (`fault_cfg`, `injector`, …), which are skipped as every
-    /// removed key is; until that run drained and its last crash event
-    /// popped, its queue holds a `Crash`, `Repair` or `OrphanRebid` event,
-    /// and such text is refused when read. A snapshot taken after that
-    /// may hold a fault config with no fault event queued: it restores as
-    /// its fault-free remainder, which is the same run.
+    /// function's at its completion, a site holding per-job records,
+    /// which a site inside an economy never keeps — is refused with the
+    /// first such fault.
     pub fn from_snapshot(mut snap: EconomySnapshot) -> Result<Self, String> {
         check_snapshot(&snap)?;
         snap.contracts
@@ -326,10 +318,7 @@ impl EconomyRun {
             sites: snap
                 .sites
                 .into_iter()
-                .map(|mut site| {
-                    site.outcomes = Vec::new();
-                    SiteState::from_snapshot(site)
-                })
+                .map(SiteState::from_snapshot)
                 .collect(),
             trace: snap.trace,
             selection: snap.selection,
@@ -392,7 +381,7 @@ impl EconomyRun {
 
 /// The checks [`EconomyRun::from_snapshot`] makes before it builds
 /// anything: every index the snapshot holds points inside what it holds,
-/// and every task it holds is its trace's.
+/// every task it holds is its trace's, and no site holds per-job records.
 fn check_snapshot(snap: &EconomySnapshot) -> Result<(), String> {
     let (tasks, contracts, sites) = (snap.trace.len(), snap.contracts.len(), snap.sites.len());
     let clients = snap.budgets.map_or(0, |b| b.num_clients);
@@ -438,6 +427,17 @@ fn check_snapshot(snap: &EconomySnapshot) -> Result<(), String> {
     }
     if snap.site_accounts.len() != sites || snap.accounts.len() != clients {
         return Err("revenue or client accounts do not match the sites and budgets".to_string());
+    }
+    if let Some((i, site)) = snap
+        .sites
+        .iter()
+        .enumerate()
+        .find(|(_, s)| !s.outcomes.is_empty())
+    {
+        return Err(format!(
+            "site {i} holds {} per-job records, which a site inside an economy never keeps",
+            site.outcomes.len()
+        ));
     }
     for (i, c) in snap.contracts.iter().enumerate() {
         spec(&format!("contract {i}"), &c.spec)?;

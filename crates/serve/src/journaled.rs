@@ -19,7 +19,9 @@
 use std::io;
 use std::path::Path;
 
-use mbts_durable::{DurableRun, Journal, JournalSource, RecoverError, Recoverable, RecoveryReport};
+use mbts_durable::{
+    DurableRun, Journal, JournalSource, Kind, RecoverError, Recoverable, RecoveryReport,
+};
 use mbts_sim::profiler::Section;
 use mbts_sim::Time;
 
@@ -35,6 +37,7 @@ impl Recoverable for ServiceMachine {
     type Input = Command;
     type Snapshot = ServiceSnapshot;
     type Outcome = ApplyOutcome;
+    const KIND: Kind = Kind::Service;
 
     // The durability half and the compute half of the apply path are
     // timed separately (fsync stalls vs fold cost), each into one series
@@ -102,7 +105,9 @@ impl ServiceRun {
 
     /// Resumes (or starts) a run on a journal file: truncates any torn
     /// tail, replays the surviving prefix, and keeps appending to the same
-    /// file. An empty or missing file starts a fresh run. The file is
+    /// file. An empty or missing file starts a fresh run, and so does one
+    /// whose first write tore; a journal of another kind of run, or of
+    /// another format version, is refused (`InvalidData`). The file is
     /// streamed once, never read whole, by the pass that truncates it
     /// ([`Journal::reopen`]); then the newest snapshot is parsed straight
     /// from its record. What recovery holds is the typed state and the
@@ -125,7 +130,10 @@ impl ServiceRun {
             (Journal::create(path)?, None)
         };
         let journal = journal.with_fsync_every_n(fsync_every_n);
-        let refused = |e: RecoverError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+        let refused = |e: RecoverError| match e {
+            RecoverError::Io { kind, .. } => io::Error::new(kind, e.to_string()),
+            e => io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
+        };
         let (durable, report) = match recovered {
             Some(recovered) => {
                 DurableRun::resume(journal, &recovered, snapshot_every).map_err(refused)?
@@ -282,13 +290,18 @@ mod tests {
         assert_eq!(full.applied(), 4);
     }
 
+    /// A service journal whose one record is the snapshot `text`.
+    fn journal_of(text: &[u8]) -> Vec<u8> {
+        let mut j = Vec::new();
+        framing::write_header(&mut j, Kind::Service);
+        framing::append_record(&mut j, framing::RecordTag::Snapshot, text);
+        j
+    }
+
     #[test]
     fn recover_rejects_foreign_snapshot() {
-        let mut j = Journal::in_memory();
-        j.append_snapshot(b"{\"not\":\"a service snapshot\"}")
-            .unwrap();
         assert!(matches!(
-            ServiceRun::recover(&j.bytes()),
+            ServiceRun::recover(&journal_of(b"{\"not\":\"a service snapshot\"}")),
             Err(RecoverError::BadSnapshot(_))
         ));
     }
@@ -319,10 +332,7 @@ mod tests {
         for (what, edit) in edits {
             let mut bad = snap.clone();
             edit(&mut bad);
-            let mut j = Journal::in_memory();
-            j.append_snapshot(&serde_json::to_vec(&bad).unwrap())
-                .unwrap();
-            match ServiceRun::recover(&j.bytes()) {
+            match ServiceRun::recover(&journal_of(&serde_json::to_vec(&bad).unwrap())) {
                 Err(RecoverError::BadSnapshot(detail)) => {
                     assert!(detail.contains("status registry"), "{what}: {detail}")
                 }
@@ -330,9 +340,7 @@ mod tests {
             }
         }
         // Unedited, the same text restores.
-        let mut j = Journal::in_memory();
-        j.append_snapshot(text.as_bytes()).unwrap();
-        let (restored, _) = ServiceRun::recover(&j.bytes()).unwrap();
+        let (restored, _) = ServiceRun::recover(&journal_of(text.as_bytes())).unwrap();
         assert_eq!(restored.snapshot_json(), text);
     }
 
@@ -343,8 +351,8 @@ mod tests {
         drive(&mut run);
         let bytes = run.journal().bytes().to_vec();
         let mut spliced = Vec::new();
-        framing::write_header(&mut spliced);
         let scan = framing::scan(&bytes).unwrap();
+        framing::write_header(&mut spliced, scan.kind);
         for (i, (tag, payload)) in scan.records.iter().enumerate() {
             // Record 2 is cmd 1, a Submit: both its seq and its id go missing.
             if i != 2 {

@@ -32,7 +32,7 @@ pub use flood::{flood, FloodConfig, FloodReport};
 pub use journaled::ServiceRun;
 pub use machine::{
     ApplyOutcome, Command, CommandKind, MachineConfig, ServeCounters, ServiceMachine,
-    ServiceSnapshot, ServiceSnapshotRef, ShedReason, TaskStatus, SERVICE_SNAPSHOT_FORMAT,
+    ServiceSnapshot, ServiceSnapshotRef, ShedReason, TaskStatus,
 };
 pub use server::{
     install_signal_handlers, ServeConfig, ServeReport, Server, POINT_ACCEPT, POINT_CONN_READ,

@@ -14,9 +14,11 @@
 //! Time inside the machine is *logical*: the front-end stamps each command
 //! with a sim-time instant derived from the wall clock, and the machine
 //! only requires stamps to be monotone (it clamps regressions). Completion
-//! events scheduled by the site are drained up to each command's stamp
-//! before the command applies, so the interleaving of completions and
-//! commands is fully determined by the log.
+//! events scheduled by the site that fall strictly before a command's stamp
+//! are drained before the command applies, and those at the stamp after
+//! it: a command takes an instant before a completion does, as an arrival
+//! does in a site run, so the interleaving of completions and commands is
+//! fully determined by the log and is the simulator's.
 
 use std::collections::VecDeque;
 
@@ -174,7 +176,6 @@ impl Default for MachineConfig {
 /// copies the outstanding completions and borrows the rest.
 #[derive(Debug, Serialize)]
 pub struct ServiceSnapshotRef<'a> {
-    format: u32,
     site: SiteSnapshotRef<'a>,
     completions: Vec<(Time, u64, CompletionToken)>,
     completions_next_seq: u64,
@@ -208,12 +209,9 @@ impl Serialize for StatusPairs<'_> {
 
 /// Serializable full state of a [`ServiceMachine`] — the snapshot payload
 /// the durability layer frames into the journal, read back from the text
-/// [`ServiceMachine::snapshot`] writes. The `format` field keeps service
-/// snapshots from ever deserializing as site or economy ones.
+/// [`ServiceMachine::snapshot`] writes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServiceSnapshot {
-    /// Snapshot format version (`SERVICE_SNAPSHOT_FORMAT`).
-    pub format: u32,
     /// The wrapped site, tracer cursor included.
     pub site: SiteSnapshot,
     /// Outstanding completion events `(at, seq, token)`.
@@ -235,9 +233,6 @@ pub struct ServiceSnapshot {
     /// Whether a drain marker has applied.
     pub draining: bool,
 }
-
-/// Current service-snapshot format version.
-pub const SERVICE_SNAPSHOT_FORMAT: u32 = 1;
 
 /// The deterministic service core — see the module docs.
 pub struct ServiceMachine {
@@ -435,11 +430,14 @@ impl ServiceMachine {
         outcome
     }
 
-    /// Pops every completion due at or before `to`, then advances the
-    /// clock to `to`.
+    /// Pops every completion due strictly before `to`, then advances the
+    /// clock to `to`. A completion due at `to` waits until the command
+    /// stamped `to` has applied: a site run takes every arrival at an
+    /// instant before any completion at it, and the machine keeps that
+    /// order.
     fn advance(&mut self, to: Time) {
         while let Some(t) = self.completions.peek_time() {
-            if t > to {
+            if t >= to {
                 break;
             }
             let (t, token) = self.completions.pop().expect("peeked entry exists");
@@ -547,7 +545,6 @@ impl ServiceMachine {
     /// [`ServiceSnapshot`].
     pub fn snapshot(&self) -> ServiceSnapshotRef<'_> {
         ServiceSnapshotRef {
-            format: SERVICE_SNAPSHOT_FORMAT,
             site: self.site.snapshot(),
             completions: self.completions.snapshot_entries(),
             completions_next_seq: self.completions.next_seq(),
@@ -572,15 +569,9 @@ impl ServiceMachine {
 
     /// Rebuilds a machine from the text of a [`snapshot`](Self::snapshot),
     /// read back as a [`ServiceSnapshot`], or says why the snapshot is not
-    /// one a machine writes: another format, or a registry that is not the
-    /// window of the newest task ids, at most its capacity long.
+    /// one a machine writes: a registry that is not the window of the
+    /// newest task ids, at most its capacity long.
     pub fn try_from_snapshot(snap: ServiceSnapshot) -> Result<Self, String> {
-        if snap.format != SERVICE_SNAPSHOT_FORMAT {
-            return Err(format!(
-                "unsupported service snapshot format {}",
-                snap.format
-            ));
-        }
         let status_capacity = snap.status_capacity.max(1);
         let len = snap.registry.len();
         let first = snap.next_task_id.checked_sub(len as u64);
@@ -659,6 +650,47 @@ mod tests {
         assert!(matches!(m.status(0), Some(TaskStatus::Finished { .. })));
         assert_eq!(m.counters().finished, 1);
         assert_eq!(m.counters().accepted, 2);
+    }
+
+    /// A submission stamped at the instant a job completes is taken before
+    /// the completion, as a site run takes an arrival: the completion's
+    /// dispatch then sees it. One processor, FirstPrice: task 0 runs
+    /// [0, 10), task 1 (value 10) waits from 1, and task 2 (value 1000)
+    /// arrives at 10 and wins the processor.
+    #[test]
+    fn a_command_at_a_completion_instant_applies_before_the_completion() {
+        let tasks = [
+            spec(0, 0.0, 10.0, 10.0),
+            spec(1, 1.0, 10.0, 10.0),
+            spec(2, 10.0, 10.0, 1000.0),
+        ];
+        let site = SiteConfig::new(1).with_policy(mbts_core::Policy::FirstPrice);
+        let mut m = ServiceMachine::new(MachineConfig {
+            site: site.clone(),
+            ..MachineConfig::default()
+        });
+        for (seq, t) in tasks.iter().enumerate() {
+            m.apply(&submit(seq as u64, t.arrival.as_f64(), *t));
+        }
+        let drain = m.command(m.now(), CommandKind::Drain);
+        m.apply(&drain);
+        let finished = |outcomes: &[mbts_site::JobOutcome]| {
+            let mut by_id: Vec<_> = outcomes.iter().map(|o| (o.id.0, o.finished_at)).collect();
+            by_id.sort_by_key(|(id, _)| *id);
+            by_id
+                .into_iter()
+                .map(|(_, at)| at.map(Time::as_f64))
+                .collect::<Vec<_>>()
+        };
+        let expected = vec![Some(10.0), Some(30.0), Some(20.0)];
+        assert_eq!(finished(m.site().outcomes()), expected);
+        let trace = mbts_workload::Trace::new(
+            mbts_workload::MixConfig::millennium_default(),
+            0,
+            tasks.to_vec(),
+        );
+        let (run, _) = mbts_site::SiteRun::new(site, &trace, Tracer::Off).finish();
+        assert_eq!(finished(&run.outcomes), expected);
     }
 
     #[test]

@@ -53,8 +53,6 @@ pub struct YieldAttribution {
     pub earned_dropped: f64,
     /// Tasks cancelled by submitters.
     pub cancelled: u64,
-    /// Tasks orphaned by outages.
-    pub orphaned: u64,
     /// Preemption and crash-requeue events.
     pub preemptions: u64,
     /// Crash-driven requeues.
@@ -216,8 +214,8 @@ pub struct WorkflowLedger {
     pub released: u64,
     /// Mapped members that ran to completion.
     pub completed_members: u64,
-    /// Mapped members that failed (dropped, cancelled, orphaned, or
-    /// rejected at admission).
+    /// Mapped members that failed (dropped, cancelled, or rejected at
+    /// admission).
     pub failed_members: u64,
     /// Members stranded by an upstream failure (never released).
     pub stranded_members: u64,
@@ -250,8 +248,8 @@ pub struct StrandingChain {
     /// The member whose failure stranded the cone, when the trace shows
     /// one (the nearest preceding terminal failure in stream order).
     pub root_failure: Option<u64>,
-    /// How the root failed: `dropped`, `cancelled`, `orphaned`,
-    /// `rejected`, or `unknown` when no failure event precedes the cone.
+    /// How the root failed: `dropped`, `cancelled`, `rejected`, or
+    /// `unknown` when no failure event precedes the cone.
     pub failure: String,
     /// The stranded descendants, in stranding order.
     pub stranded: Vec<u64>,
@@ -331,8 +329,7 @@ struct TaskLedger {
     /// PV of the task's latest `Scheduled` event so far.
     last_pv: f64,
     final_earned: Option<f64>,
-    /// Whether the task ended badly (rejected, dropped, cancelled,
-    /// orphaned).
+    /// Whether the task ended badly (rejected, dropped, cancelled).
     failed: bool,
 }
 
@@ -443,7 +440,6 @@ impl TraceFold {
         let failure = match ev.kind {
             TraceKind::Dropped { .. } => Some("dropped"),
             TraceKind::Cancelled => Some("cancelled"),
-            TraceKind::Orphaned => Some("orphaned"),
             TraceKind::TaskArrived { accepted: false } => Some("rejected"),
             TraceKind::TaskArrived { .. }
             | TraceKind::Scheduled { .. }
@@ -496,7 +492,6 @@ impl TraceFold {
                 }
             }
             TraceKind::Cancelled => y.cancelled += 1,
-            TraceKind::Orphaned => y.orphaned += 1,
             &TraceKind::ContractSettled { amount } => {
                 y.settlements += 1;
                 y.settled_total += amount;
@@ -944,8 +939,8 @@ pub fn render_text(r: &TraceReport) -> String {
         y.completed, y.earned_completed, y.dropped, y.earned_dropped, y.total_earned
     ));
     out.push_str(&format!(
-        "  cancelled {}  orphaned {}  preemptions {}  requeues {}  mean delay {:.3}\n",
-        y.cancelled, y.orphaned, y.preemptions, y.requeues, y.mean_delay
+        "  cancelled {}  preemptions {}  requeues {}  mean delay {:.3}\n",
+        y.cancelled, y.preemptions, y.requeues, y.mean_delay
     ));
     if y.settlements > 0 {
         out.push_str(&format!(
@@ -1166,7 +1161,6 @@ pub fn render_prometheus<'a>(reports: impl IntoIterator<Item = &'a TraceReport>)
             ("completed", y.completed),
             ("dropped", y.dropped),
             ("cancelled", y.cancelled),
-            ("orphaned", y.orphaned),
         ] {
             tasks.push((format!("{trace},outcome=\"{outcome}\""), v as f64));
         }

@@ -117,8 +117,6 @@ pub enum TraceKind {
     Dropped { earned: f64 },
     /// A pending task was withdrawn by the submitter.
     Cancelled,
-    /// A pending task was stranded by a site outage.
-    Orphaned,
     /// `procs` processors crashed.
     Crashed { procs: usize },
     /// `procs` processors came back.
@@ -140,8 +138,8 @@ pub enum TraceKind {
         earned: f64,
         attribution: Vec<(u64, f64)>,
     },
-    /// A workflow member failed (dropped, cancelled, orphaned, rejected
-    /// or abandoned), stranding this still-waiting descendant; the
+    /// A workflow member failed (dropped, cancelled, rejected or
+    /// abandoned), stranding this still-waiting descendant; the
     /// workflow settles with zero earned.
     WorkflowStranded { workflow: u64 },
     /// Chaos: a scheduled fault fired at a named failpoint (disk or

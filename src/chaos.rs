@@ -31,7 +31,6 @@
 //! restart.
 
 use mbts_chaos::{ChaosRegistry, Scenario, ScenarioTarget, Xorshift64Star};
-use mbts_durable::framing::{write_header, HEADER_LEN};
 use mbts_durable::{
     corrupt_image, ChaosSink, DurableRun, Journal, Recoverable, RecoveryReport, SharedImage,
 };
@@ -140,13 +139,11 @@ fn chaos_journal(registry: &Arc<ChaosRegistry>) -> (SharedImage, Journal) {
     (image, journal)
 }
 
-/// What recovery would read off the disk right now: header + the exact
-/// bytes the sink accepted, with one read-time corruption pass applied
-/// (a no-op unless the schedule arms `durable.read`).
+/// What recovery would read off the disk right now: the exact bytes the
+/// sink accepted, header included, with one read-time corruption pass
+/// applied (a no-op unless the schedule arms `durable.read`).
 fn disk_image_bytes(image: &SharedImage, registry: &ChaosRegistry) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(HEADER_LEN + image.len());
-    write_header(&mut bytes);
-    bytes.extend_from_slice(&image.snapshot());
+    let mut bytes = image.snapshot();
     let _flipped = corrupt_image(&mut bytes, registry);
     bytes
 }

@@ -66,7 +66,7 @@
 //! `slack:<threshold>`.
 
 use mbts_core::{AdmissionPolicy, Policy};
-use mbts_durable::{DurableRun, JournalSource, RecoverError, Recoverable, RecoveryReport};
+use mbts_durable::{DurableRun, JournalSource, Kind, RecoverError, Recoverable, RecoveryReport};
 use mbts_market::{ClientSelection, EconomyConfig, EconomyRun, PricingStrategy};
 use mbts_serve::ServiceMachine;
 use mbts_site::{class_breakdown, render_gantt, segments, SiteConfig, SiteRun};
@@ -1007,40 +1007,32 @@ enum RecoveredJournal {
     Service(Box<ServiceMachine>, RecoveryReport),
 }
 
-/// Recovers a journal as a site run, an economy run or a service machine
-/// — the snapshot schema tells them apart. The journal is scanned once,
-/// and each schema is tried on the snapshot and suffix that pass found,
-/// each try reading the snapshot's record again. A journal none of the
-/// three recovers is a rejected input file; one that cannot be read, or
-/// changes while it is read, is a failure.
+/// Recovers a journal as the run its header names: a site run, an economy
+/// run or a service machine, each parsed once. A journal that does not
+/// recover is a rejected input file; one that cannot be read, or changes
+/// while it is read, is a failure.
 fn recover_journal(
     source: &(impl JournalSource + ?Sized),
     path: &std::path::Path,
 ) -> Result<RecoveredJournal, ExecError> {
-    let refused = |e: RecoverError| match e {
+    let refused = |e: RecoverError, what: String| match e {
         RecoverError::Io { .. } => ExecError::Failed(format!("{}: {e}", path.display())),
-        e => ExecError::BadInput(format!("cannot recover journal {}: {e}", path.display())),
-    };
-    let recovered = source.recovered().map_err(refused)?;
-    let site = match DurableRun::<SiteRun>::recover_from(source, &recovered) {
-        Ok((run, report)) => return Ok(RecoveredJournal::Site(Box::new(run), report)),
-        Err(e @ RecoverError::Io { .. }) => return Err(refused(e)),
-        Err(e) => e,
-    };
-    let economy = match DurableRun::<EconomyRun>::recover_from(source, &recovered) {
-        Ok((run, report)) => return Ok(RecoveredJournal::Economy(Box::new(run), report)),
-        Err(e @ RecoverError::Io { .. }) => return Err(refused(e)),
-        Err(e) => e,
-    };
-    match DurableRun::<ServiceMachine>::recover_from(source, &recovered) {
-        Ok((machine, report)) => Ok(RecoveredJournal::Service(Box::new(machine), report)),
-        Err(e @ RecoverError::Io { .. }) => Err(refused(e)),
-        Err(service) => Err(ExecError::BadInput(format!(
-            "cannot recover journal {}: as site run: {site}; as economy run: {economy}; \
-             as service journal: {service}",
+        e => ExecError::BadInput(format!(
+            "cannot recover journal {}{what}: {e}",
             path.display()
-        ))),
+        )),
+    };
+    let recovered = source.recovered().map_err(|e| refused(e, String::new()))?;
+    let kind = recovered.kind;
+    match kind {
+        Kind::Site => DurableRun::<SiteRun>::recover_from(source, &recovered)
+            .map(|(run, report)| RecoveredJournal::Site(Box::new(run), report)),
+        Kind::Economy => DurableRun::<EconomyRun>::recover_from(source, &recovered)
+            .map(|(run, report)| RecoveredJournal::Economy(Box::new(run), report)),
+        Kind::Service => DurableRun::<ServiceMachine>::recover_from(source, &recovered)
+            .map(|(machine, report)| RecoveredJournal::Service(Box::new(machine), report)),
     }
+    .map_err(|e| refused(e, format!(" as a {kind}")))
 }
 
 /// Builds the tracer for a `run`/`market` invocation: a buffering sink
@@ -1562,8 +1554,15 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
                 chaos: registry.clone(),
                 ..mbts_serve::ServeConfig::default()
             };
-            let server =
-                mbts_serve::Server::start(cfg).map_err(|e| format!("cannot start daemon: {e}"))?;
+            // A journal this build does not read is a rejected input file,
+            // as it is for `resume`.
+            let server = mbts_serve::Server::start(cfg).map_err(|e| {
+                let msg = format!("cannot start daemon: {e}");
+                match e.kind() {
+                    std::io::ErrorKind::InvalidData => ExecError::BadInput(msg),
+                    _ => ExecError::Failed(msg),
+                }
+            })?;
             // This banner is a protocol: harnesses (and the chaos tests)
             // parse the bound address off this exact line before
             // flooding, so it must be flushed before the daemon blocks.

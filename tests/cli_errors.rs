@@ -217,38 +217,128 @@ fn zero_and_negative_numbers_are_rejected_where_they_are_parsed() {
     }
 }
 
-/// The economy documents written while the market had deadline checks
-/// and retries (`tests/golden/serde/pre33/`), or site outages (`pre34/`
-/// and `pre38/`, whose journals' newest snapshots queue a `Repair`), are
-/// refused by the two commands that read journals: exit 2, never a panic.
+/// Every journal under `tests/golden/serde/pre*/` was written in format
+/// version 1, before the header named its kind. Each is refused with the
+/// typed version error, before its kind is read: through the library, and
+/// by the two commands that read journals (exit 2, never a panic), naming
+/// version 1 and version 2.
 #[test]
-fn economy_documents_with_removed_events_are_refused() {
+fn journals_of_an_older_format_are_refused() {
+    use mbts::durable::{framing, load, DurableRun, FramingError, Kind, RecoverError};
+    use mbts::market::EconomyRun;
+    use mbts::serve::ServiceRun;
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serde");
-    for (name, needle) in [
-        // The pre-33 and pre-34 journals' newest snapshots hold records
-        // of tasks a market outage orphaned, which the reader meets first.
-        (
-            "pre33/economy_journal.mbtsj",
-            "unknown Disposition variant `Orphaned`",
-        ),
-        ("pre33/economy_snapshot.json", "economy_snapshot.json"),
-        (
-            "pre34/economy_journal.mbtsj",
-            "unknown Disposition variant `Orphaned`",
-        ),
-        ("pre34/economy_snapshot.json", "economy_snapshot.json"),
-        (
-            "pre38/economy_journal.mbtsj",
-            "unknown EcoEvent variant `Repair`",
-        ),
-        ("pre38/economy_snapshot.json", "economy_snapshot.json"),
-    ] {
+    let rows = [
+        ("pre26/service_journal.mbtsj", Kind::Service),
+        ("pre33/economy_journal.mbtsj", Kind::Economy),
+        ("pre34/economy_journal.mbtsj", Kind::Economy),
+        ("pre38/economy_journal.mbtsj", Kind::Economy),
+        ("pre40/economy_journal.mbtsj", Kind::Economy),
+        ("pre40/service_journal.mbtsj", Kind::Service),
+    ];
+    let mut on_disk: Vec<_> = std::fs::read_dir(&dir)
+        .expect("fixture dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.is_dir())
+        .flat_map(|d| std::fs::read_dir(d).expect("fixture dir"))
+        .map(|e| e.expect("entry").path())
+        .map(|p| {
+            p.strip_prefix(&dir)
+                .expect("under dir")
+                .display()
+                .to_string()
+        })
+        .collect();
+    on_disk.sort();
+    assert_eq!(
+        on_disk,
+        rows.map(|(name, _)| name),
+        "every old fixture has a row"
+    );
+    let refusal = Err(RecoverError::Framing(FramingError::Unsupported {
+        version: 1,
+        kind: None,
+        expected: None,
+    }));
+    for (name, kind) in rows {
         let path = dir.join(name);
+        let bytes = std::fs::read(&path).expect("fixture");
+        assert_eq!(
+            framing::scan(&bytes)
+                .map(drop)
+                .map_err(RecoverError::Framing),
+            refusal,
+            "{name}"
+        );
+        let image = load(&path).expect("fixture");
+        let library = match kind {
+            Kind::Economy => [
+                DurableRun::<EconomyRun>::recover(&bytes).map(drop),
+                DurableRun::<EconomyRun>::recover(&image).map(drop),
+            ],
+            _ => [
+                ServiceRun::recover(&bytes).map(drop),
+                ServiceRun::recover(&image).map(drop),
+            ],
+        };
+        for result in library {
+            let Err(RecoverError::Framing(FramingError::Unsupported { expected, .. })) = result
+            else {
+                panic!("{name}: {result:?}");
+            };
+            assert_eq!(expected, Some(kind), "{name}");
+            let text = result.unwrap_err().to_string();
+            assert!(
+                text.contains(&format!(
+                    "version 1 (kind not read); this reader reads version 2 ({kind})"
+                )),
+                "{name}: {text}"
+            );
+        }
         let path_s = path.to_str().expect("utf-8 path");
         for args in [&["resume", "--journal", path_s][..], &["analyze", path_s]] {
-            assert_rejected(&mbts(args), needle, &format!("{args:?}"));
+            assert_rejected(
+                &mbts(args),
+                "journal holds format version 1 (kind not read); this reader reads version 2",
+                &format!("{args:?}"),
+            );
         }
     }
+}
+
+/// A journal is read only as the kind of run its header names: `mbts
+/// serve` pointed at a site run's journal refuses it (exit 2), naming
+/// both kinds, and leaves the file as it was.
+#[test]
+fn the_daemon_refuses_a_site_journal() {
+    let dir = std::env::temp_dir().join(format!("mbts_cli_errors_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("site_for_serve.json");
+    let mix = MixConfig::millennium_default()
+        .with_tasks(6)
+        .with_processors(4);
+    std::fs::write(&trace, generate_trace(&mix, 3).to_json()).expect("write trace");
+    let journal = dir.join("site_for_serve.mbtsj");
+    let (trace_s, journal_s) = (trace.to_str().unwrap(), journal.to_str().unwrap());
+    let out = mbts(&[
+        "run",
+        "--trace",
+        trace_s,
+        "--policy",
+        "fcfs",
+        "--journal",
+        journal_s,
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let written = std::fs::read(&journal).expect("site journal");
+    assert_rejected(
+        &mbts(&["serve", "--addr", "127.0.0.1:0", "--journal", journal_s]),
+        "(site run); this reader reads version 2 (service run)",
+        "serve",
+    );
+    assert_eq!(std::fs::read(&journal).expect("site journal"), written);
+    std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&journal).ok();
 }
 
 /// A service journal with whole records cut out keeps every CRC valid, so
@@ -259,7 +349,7 @@ fn a_service_journal_missing_whole_records_is_rejected() {
     use mbts::durable::framing;
     let fixture = std::fs::read(concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/serde/pre26/service_journal.mbtsj"
+        "/tests/golden/serde/service_journal.mbtsj"
     ))
     .expect("service journal fixture");
     // Records are [snap, ev, ev, snap, ev, ev, snap, ev]: drop the first
@@ -268,7 +358,7 @@ fn a_service_journal_missing_whole_records_is_rejected() {
     let scan = framing::scan(&fixture).expect("the fixture is a journal");
     assert_eq!(scan.records.len(), 8);
     let mut spliced = Vec::new();
-    framing::write_header(&mut spliced);
+    framing::write_header(&mut spliced, scan.kind);
     for (i, (tag, payload)) in scan.records.iter().enumerate() {
         if i != 4 && i != 6 {
             framing::append_record(&mut spliced, *tag, payload);
@@ -281,6 +371,36 @@ fn a_service_journal_missing_whole_records_is_rejected() {
     let path_s = path.to_str().expect("utf-8 temp path");
     for args in [&["resume", "--journal", path_s][..], &["analyze", path_s]] {
         assert_rejected(&mbts(args), "expected seq 2, got 3", &format!("{args:?}"));
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A CRC-valid service journal whose snapshot does not parse is parsed
+/// once, as the kind its header names: one refusal (exit 2) that names the
+/// service kind and no other.
+#[test]
+fn a_service_snapshot_that_does_not_parse_is_refused_as_a_service_run() {
+    use mbts::durable::{framing, Kind, RecordTag};
+    let mut journal = Vec::new();
+    framing::write_header(&mut journal, Kind::Service);
+    framing::append_record(&mut journal, RecordTag::Snapshot, b"{\"applied\":1} x");
+    let dir = std::env::temp_dir().join(format!("mbts_cli_errors_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("unparsed_service.mbtsj");
+    std::fs::write(&path, &journal).expect("write journal");
+    let path_s = path.to_str().expect("utf-8 temp path");
+    for args in [&["resume", "--journal", path_s][..], &["analyze", path_s]] {
+        let out = mbts(args);
+        assert_rejected(
+            &out,
+            "as a service run: latest snapshot cannot be restored",
+            &format!("{args:?}"),
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !stderr.contains("site run") && !stderr.contains("economy"),
+            "{stderr}"
+        );
     }
     std::fs::remove_file(&path).ok();
 }
@@ -360,7 +480,7 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     for (name, edit, needle) in spoil {
         let mut spoiled = Vec::new();
-        framing::write_header(&mut spoiled);
+        framing::write_header(&mut spoiled, scan.kind);
         for (i, (tag, payload)) in scan.records.iter().enumerate() {
             if i == last {
                 let mut snap: EconomySnapshot =

@@ -21,8 +21,8 @@ use mbts::sim::{FaultConfig, Time};
 use mbts::site::{Disposition, FaultPlan, JobOutcome, SiteConfig, SiteRun};
 use mbts::trace::{DecisionKind, TraceKind, Tracer};
 use mbts::workload::{
-    generate_trace, generate_workflows, BoundPolicy, MixConfig, Trace, WidthPolicy, WorkflowConfig,
-    WorkflowSet, WorkflowShape,
+    generate_trace, generate_workflows, BoundPolicy, MixConfig, PenaltyBound, TaskSpec, Trace,
+    WidthPolicy, WorkflowConfig, WorkflowSet, WorkflowShape,
 };
 use proptest::prelude::*;
 
@@ -348,21 +348,56 @@ fn incremental_site_matches_rebuild_with_bounded_penalties_and_expiry() {
     assert!(engaged.dropped > 0, "{engaged:?}");
 }
 
+/// A trace on integer times: two arrivals at every integer instant and
+/// integer runtimes, so every start and completion is an integer too and
+/// arrivals keep landing on completion instants.
+fn integer_time_trace(seed: u64) -> Trace {
+    let mut x = seed;
+    let mut draw = move |n: u64| {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((x >> 33) % n) as f64
+    };
+    let tasks: Vec<TaskSpec> = (0..120u64)
+        .map(|i| {
+            let (runtime, value, decay) = (1.0 + draw(6), 5.0 + draw(40), 0.05 + draw(4) / 20.0);
+            TaskSpec::new(i, (i / 2) as f64, runtime, value, decay, PenaltyBound::ZERO)
+        })
+        .collect();
+    let mix = MixConfig::millennium_default()
+        .with_tasks(tasks.len())
+        .with_processors(4);
+    Trace::new(mix, seed, tasks)
+}
+
 #[test]
 fn service_machine_matches_reference_for_every_policy() {
     let mix = MixConfig::millennium_default()
         .with_tasks(250)
         .with_processors(4)
         .with_load_factor(1.8);
-    for seed in [51, 52] {
-        let trace = generate_trace(&mix, seed);
+    let generated = [51, 52].map(|seed| (seed, generate_trace(&mix, seed)));
+    let integer = [1, 2].map(|seed| (seed, integer_time_trace(seed)));
+    for (seed, trace) in &integer {
+        // Arrivals do land on completion instants.
+        let cfg = SiteConfig::new(4).with_policy(Policy::FirstPrice);
+        let arrivals: Vec<f64> = trace.tasks.iter().map(|t| t.arrival.as_f64()).collect();
+        let ties = reference::run(&reference_config(&cfg), &trace.tasks)
+            .outcomes
+            .iter()
+            .filter(|o| o.finished_at.is_some_and(|at| arrivals.contains(&at)))
+            .count();
+        assert!(ties > 10, "seed {seed}: {ties} completions at an arrival");
+    }
+    for (seed, trace) in generated.iter().chain(&integer) {
         for (label, policy) in all_policies() {
             for preemption in [false, true] {
                 let cfg = SiteConfig::new(4)
                     .with_policy(policy)
                     .with_preemption(preemption);
                 let label = format!("service {label} seed {seed} preemption {preemption}");
-                assert_service_matches_reference(cfg, &trace, &label);
+                assert_service_matches_reference(cfg, trace, &label);
             }
         }
     }

@@ -6,8 +6,8 @@
 
 use mbts::core::Policy;
 use mbts::durable::{
-    framing, load, DurableRun, Journal, JournalSource, RecordTag, RecoverError, Recoverable,
-    RecoveryReport,
+    framing, load, DurableRun, FramingError, Journal, JournalSource, Kind, RecordTag, RecoverError,
+    Recoverable, RecoveryReport,
 };
 use mbts::market::{EconomyConfig, EconomyRun};
 use mbts::serve::{CommandKind, MachineConfig, ServiceMachine, ServiceRun, ShedReason};
@@ -135,7 +135,7 @@ fn service_reference() -> &'static [u8] {
 fn without_records(bytes: &[u8], cut: &[usize]) -> Vec<u8> {
     let scan = framing::scan(bytes).unwrap();
     let mut out = Vec::new();
-    framing::write_header(&mut out);
+    framing::write_header(&mut out, scan.kind);
     for (i, (tag, payload)) in scan.records.iter().enumerate() {
         if !cut.contains(&i) {
             framing::append_record(&mut out, *tag, payload);
@@ -466,7 +466,7 @@ fn a_streamed_service_journal_recovers_as_its_bytes_do() {
 #[test]
 fn an_oversized_length_in_a_small_file_is_a_torn_record() {
     let mut bytes = Vec::new();
-    framing::write_header(&mut bytes);
+    framing::write_header(&mut bytes, Kind::Site);
     bytes.push(1); // Snapshot tag
     bytes.extend_from_slice(&u32::MAX.to_le_bytes());
     bytes.resize(100, 0);
@@ -614,9 +614,10 @@ fn record_starts(bytes: &[u8]) -> Vec<(RecordTag, usize, usize)> {
 }
 
 /// Every journal fixture under `tests/golden/serde/` — those that recover
-/// and those refused with a typed error — recovers alike from its bytes
-/// and from its file, whole, cut through its newest snapshot record, and
-/// with a byte of that snapshot's payload flipped.
+/// and those of an older format version, refused with a typed error —
+/// recovers alike from its bytes and from its file, as each kind of run;
+/// and those that recover do so too cut through their newest snapshot
+/// record, and with a byte of that snapshot's payload flipped.
 #[test]
 fn every_fixture_journal_recovers_alike_from_bytes_and_from_a_file() {
     fn journals(dir: &std::path::Path, found: &mut Vec<std::path::PathBuf>) {
@@ -641,6 +642,9 @@ fn every_fixture_journal_recovers_alike_from_bytes_and_from_a_file() {
         let name = fixture.strip_prefix(&root).unwrap().display().to_string();
         let bytes = std::fs::read(fixture).unwrap();
         bytes_and_file_agree(&name, &path, &bytes);
+        if framing::scan(&bytes).is_err() {
+            continue;
+        }
         let &(_, start, len) = record_starts(&bytes)
             .iter()
             .rfind(|(tag, ..)| *tag == RecordTag::Snapshot)
@@ -740,13 +744,13 @@ fn a_snapshot_that_checks_out_but_does_not_parse_is_a_bad_snapshot() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("journal.mbtsj");
     for (text, words) in [
-        (&b"{\"format\":1,"[..], "unexpected end of input"),
+        (&b"{\"applied\":1,"[..], "unexpected end of input"),
         (b"[1,2]", "expected object for ServiceSnapshot, found array"),
-        (b"{\"format\":1,}", "unexpected character `}` at byte 12"),
+        (b"{\"applied\":1,}", "unexpected character `}` at byte 13"),
         (b"{\"\xff\":1}", "invalid utf-8 at byte 2"),
     ] {
         let mut bytes = Vec::new();
-        framing::write_header(&mut bytes);
+        framing::write_header(&mut bytes, Kind::Service);
         framing::append_record(&mut bytes, RecordTag::Snapshot, text);
         std::fs::write(&path, &bytes).unwrap();
         let file = load(&path).unwrap();
@@ -754,5 +758,92 @@ fn a_snapshot_that_checks_out_but_does_not_parse_is_a_bad_snapshot() {
         assert_eq!(ServiceRun::recover(&bytes).unwrap_err(), want);
         assert_eq!(ServiceRun::recover(&file).unwrap_err(), want);
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Recovers `source` as the kind of run `kind` names.
+fn recover_as(kind: Kind, source: &(impl JournalSource + ?Sized)) -> Result<(), RecoverError> {
+    match kind {
+        Kind::Site => DurableRun::<SiteRun>::recover(source).map(drop),
+        Kind::Economy => DurableRun::<EconomyRun>::recover(source).map(drop),
+        Kind::Service => DurableRun::<ServiceMachine>::recover(source).map(drop),
+    }
+}
+
+/// A journal is read as the one kind of run its header names, in the one
+/// format version. Each kind's journal read as each other kind is the
+/// typed `Unsupported` error naming both kinds, never a bad snapshot; a
+/// header of another version is refused before its kind is read; both
+/// from bytes and from a file. The daemon refuses a site journal the same
+/// way, and leaves it as it was.
+#[test]
+fn a_journal_is_read_only_as_its_own_kind_and_version() {
+    const KINDS: [Kind; 3] = [Kind::Site, Kind::Economy, Kind::Service];
+    let journals = [
+        small_site_journal(),
+        economy_reference().to_vec(),
+        small_service_journal(),
+    ];
+    let dir = std::env::temp_dir().join(format!("mbts-kinds-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("journal.mbtsj");
+    for (written, bytes) in KINDS.into_iter().zip(&journals) {
+        assert_eq!(framing::scan(bytes).unwrap().kind, written);
+        std::fs::write(&path, bytes).unwrap();
+        let file = load(&path).unwrap();
+        for reader in KINDS {
+            for result in [recover_as(reader, bytes), recover_as(reader, &file)] {
+                let what = format!("a {written} read as a {reader}");
+                if reader == written {
+                    assert_eq!(result, Ok(()), "{what}");
+                    continue;
+                }
+                let err = result.unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        RecoverError::Framing(FramingError::Unsupported {
+                            version: framing::VERSION,
+                            kind: Some(_),
+                            expected: Some(k),
+                        }) if k == reader
+                    ),
+                    "{what}: {err:?}"
+                );
+                let text = err.to_string();
+                assert!(
+                    text.contains(&format!("({written})")) && text.contains(&format!("({reader})")),
+                    "{what}: {text}"
+                );
+            }
+        }
+        for version in [framing::VERSION - 1, framing::VERSION + 1] {
+            let mut old = bytes.clone();
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &old).unwrap();
+            let file = load(&path).unwrap();
+            for result in [recover_as(written, &old), recover_as(written, &file)] {
+                assert_eq!(
+                    result,
+                    Err(RecoverError::Framing(FramingError::Unsupported {
+                        version,
+                        kind: None,
+                        expected: Some(written),
+                    })),
+                    "a {written} of version {version}"
+                );
+            }
+        }
+    }
+    // `mbts serve --journal` resumes through `resume_file`.
+    std::fs::write(&path, &journals[0]).unwrap();
+    let err = ServiceRun::resume_file(&path, MachineConfig::default(), 0, 0).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(
+        err.to_string()
+            .contains("(site run); this reader reads version 2 (service run)"),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), journals[0]);
     std::fs::remove_dir_all(&dir).ok();
 }
