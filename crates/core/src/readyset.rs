@@ -51,11 +51,6 @@ impl ReadySet {
         self.pred_count.len()
     }
 
-    /// `true` when `task` has not been released yet.
-    pub fn is_waiting(&self, task: u64) -> bool {
-        self.pred_count.contains_key(&task)
-    }
-
     /// Records `task`'s completion; returns the successors this makes
     /// ready, sorted ascending.
     pub fn on_complete(&mut self, task: u64) -> Vec<u64> {

@@ -32,7 +32,7 @@ pub const MAGIC: [u8; 8] = *b"MBTSJRNL";
 /// The format version of every kind of journal (each kind's snapshot holds
 /// a site's). Bumped by any change to what a record holds or to the order
 /// a run folds its inputs in; [`scan`] refuses every other version.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Header length in bytes (magic + version + kind).
 pub const HEADER_LEN: usize = 16;
@@ -730,8 +730,10 @@ mod tests {
         );
         assert_eq!(
             err.to_string(),
-            "journal holds format version 99 (kind not read); \
-             this reader reads version 2"
+            format!(
+                "journal holds format version 99 (kind not read); \
+                 this reader reads version {VERSION}"
+            )
         );
         let mut unknown_kind = buf;
         unknown_kind[12] = 7;

@@ -241,11 +241,6 @@ impl EconomyRun {
         self.engine.step()
     }
 
-    /// `true` once no events remain.
-    pub fn is_done(&self) -> bool {
-        self.engine.queue().is_empty()
-    }
-
     /// Events applied so far.
     pub fn events_handled(&self) -> u64 {
         self.engine.events_handled()

@@ -32,8 +32,6 @@ pub enum Dist {
     /// distribution stays smooth; used for durations/values that must stay
     /// positive).
     Normal { mean: f64, std_dev: f64, min: f64 },
-    /// Uniform over `[lo, hi)`.
-    Uniform { lo: f64, hi: f64 },
     /// With probability `p_high` sample from `high`, else from `low`.
     /// This is the paper's bimodal value/decay construction.
     Bimodal {
@@ -148,13 +146,6 @@ impl Dist {
                     }
                 }
             }
-            Dist::Uniform { lo, hi } => {
-                if lo == hi {
-                    *lo
-                } else {
-                    rng.gen_range(*lo..*hi)
-                }
-            }
             Dist::Bimodal { p_high, high, low } => {
                 if rng.gen::<f64>() < *p_high {
                     high.sample(rng)
@@ -194,54 +185,12 @@ impl Dist {
             Dist::Constant { value } => *value,
             Dist::Exponential { mean } => *mean,
             Dist::Normal { mean, .. } => *mean,
-            Dist::Uniform { lo, hi } => 0.5 * (lo + hi),
             Dist::Bimodal { p_high, high, low } => {
                 p_high * high.mean() + (1.0 - p_high) * low.mean()
             }
             Dist::LogNormal { mean, .. } => *mean,
             Dist::Weibull { mean, .. } => *mean,
             Dist::HyperExp { p, mean_a, mean_b } => p * mean_a + (1.0 - p) * mean_b,
-        }
-    }
-
-    /// Returns a copy with the mean scaled by `factor` (shape preserved).
-    /// Load-factor sweeps compress inter-arrival times this way.
-    pub fn scaled(&self, factor: f64) -> Dist {
-        assert!(factor > 0.0, "scale factor must be positive");
-        match self {
-            Dist::Constant { value } => Dist::Constant {
-                value: value * factor,
-            },
-            Dist::Exponential { mean } => Dist::Exponential {
-                mean: mean * factor,
-            },
-            Dist::Normal { mean, std_dev, min } => Dist::Normal {
-                mean: mean * factor,
-                std_dev: std_dev * factor,
-                min: min * factor,
-            },
-            Dist::Uniform { lo, hi } => Dist::Uniform {
-                lo: lo * factor,
-                hi: hi * factor,
-            },
-            Dist::Bimodal { p_high, high, low } => Dist::Bimodal {
-                p_high: *p_high,
-                high: Box::new(high.scaled(factor)),
-                low: Box::new(low.scaled(factor)),
-            },
-            Dist::LogNormal { mean, sigma } => Dist::LogNormal {
-                mean: mean * factor,
-                sigma: *sigma,
-            },
-            Dist::Weibull { mean, shape } => Dist::Weibull {
-                mean: mean * factor,
-                shape: *shape,
-            },
-            Dist::HyperExp { p, mean_a, mean_b } => Dist::HyperExp {
-                p: *p,
-                mean_a: mean_a * factor,
-                mean_b: mean_b * factor,
-            },
         }
     }
 }
@@ -359,17 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_bounds() {
-        let d = Dist::Uniform { lo: 2.0, hi: 4.0 };
-        let mut rng = RngFactory::new(9).stream("u");
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((2.0..4.0).contains(&x));
-        }
-        assert_eq!(d.mean(), 3.0);
-    }
-
-    #[test]
     fn bimodal_class_mixture_mean() {
         // 20% high with mean 90, 80% low with mean 10 → mean 26.
         let d = Dist::Bimodal {
@@ -393,16 +331,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(flat.sample(&mut rng), 5.0);
         }
-    }
-
-    #[test]
-    fn scaled_scales_mean_and_samples() {
-        let d = Dist::exponential(4.0).scaled(0.5);
-        assert_eq!(d.mean(), 2.0);
-        let m = sample_mean(&d, 100_000);
-        assert!((m - 2.0).abs() < 0.05, "mean {m}");
-        let bi = Dist::bimodal_classes(0.5, 10.0, 2.0, 0.1).scaled(3.0);
-        assert!((bi.mean() - 3.0 * 7.5).abs() < 1e-9);
     }
 
     #[test]
@@ -446,13 +374,6 @@ mod proptests {
             for _ in 0..64 {
                 prop_assert!(d.sample(&mut rng) >= min);
             }
-        }
-
-        /// scaled() multiplies every sample path's mean consistently.
-        #[test]
-        fn scaling_mean(mean in 0.1f64..50.0, k in 0.1f64..10.0) {
-            let d = Dist::exponential(mean);
-            prop_assert!((d.scaled(k).mean() - d.mean() * k).abs() < 1e-9);
         }
     }
 }
@@ -541,17 +462,6 @@ mod heavy_tail_tests {
             for _ in 0..20_000 {
                 assert!(d.sample(&mut rng) >= 0.0);
             }
-        }
-    }
-
-    #[test]
-    fn scaling_heavy_tails() {
-        for d in [
-            Dist::lognormal(10.0, 1.0),
-            Dist::weibull(10.0, 0.8),
-            Dist::hyperexp(10.0, 3.0),
-        ] {
-            assert!((d.scaled(3.0).mean() - 30.0).abs() < 1e-9);
         }
     }
 

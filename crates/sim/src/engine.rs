@@ -57,12 +57,6 @@ impl<M: Model> Engine<M> {
         &self.model
     }
 
-    /// Mutable access to the model (for pre-run setup and post-run
-    /// extraction).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Consumes the engine and returns the model.
     pub fn into_model(self) -> M {
         self.model
@@ -140,27 +134,6 @@ impl<M: Model> Engine<M> {
     pub fn run_to_completion(&mut self) {
         while self.step() {}
     }
-
-    /// Runs until the queue is empty or the next event is strictly after
-    /// `until`. Events at exactly `until` are handled.
-    pub fn run_until(&mut self, until: Time) {
-        while let Some(next) = self.queue.peek_time() {
-            if next > until {
-                break;
-            }
-            self.step();
-        }
-    }
-
-    /// Runs at most `limit` more events; returns how many were handled.
-    /// A guard for tests that must terminate even if a model misbehaves.
-    pub fn run_bounded(&mut self, limit: u64) -> u64 {
-        let mut n = 0;
-        while n < limit && self.step() {
-            n += 1;
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -224,24 +197,6 @@ mod tests {
         assert_eq!(e.now(), Time::from(9.0));
         // 3 arrivals + 3 completions.
         assert_eq!(e.events_handled(), 6);
-    }
-
-    #[test]
-    fn run_until_stops_at_horizon() {
-        let mut e = toy(3);
-        e.run_until(Time::from(6.0));
-        // Completions at 3 and 6 handled; 9 still pending.
-        assert_eq!(e.model().completions.len(), 2);
-        e.run_to_completion();
-        assert_eq!(e.model().completions.len(), 3);
-    }
-
-    #[test]
-    fn run_bounded_limits_events() {
-        let mut e = toy(3);
-        assert_eq!(e.run_bounded(2), 2);
-        assert_eq!(e.run_bounded(100), 4);
-        assert_eq!(e.run_bounded(100), 0);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod time;
 pub use dist::Dist;
 pub use engine::{Engine, Model};
 pub use event::EventQueue;
-pub use fault::{FaultConfig, FaultInjector, FaultInjectorState, FaultUnit, UpDown};
+pub use fault::{FaultInjector, FaultInjectorState, UpDown};
 pub use malloc::pin_malloc_thresholds;
 pub use rng::{RngFactory, SimRng};
 pub use stats::{OnlineStats, PairedComparison, Summary};

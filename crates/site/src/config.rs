@@ -8,37 +8,6 @@ fn default_true() -> bool {
     true
 }
 
-/// What happens to a task's progress when it is preempted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub enum PreemptionMode {
-    /// The paper's §4 model: a suspended task resumes on any processor
-    /// with its progress intact (negligible context-switch cost).
-    #[default]
-    Resume,
-}
-
-/// What survives when a **crash** evicts a running gang. Distinct from
-/// [`PreemptionMode`], which governs voluntary scheduler preemption: a
-/// preempted task is suspended cooperatively, a crashed one loses its
-/// processors mid-flight.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub enum LostWorkPolicy {
-    /// All progress is lost; the task runs from scratch when
-    /// redispatched.
-    #[default]
-    Restart,
-    /// The task checkpoints every `interval` time units: on eviction it
-    /// keeps progress up to its last checkpoint and pays
-    /// `restart_penalty` extra work (added to both the estimated and
-    /// true remaining processing time) when redispatched.
-    Checkpoint {
-        /// Seconds (time units) between checkpoints.
-        interval: f64,
-        /// Extra work each restore must redo.
-        restart_penalty: f64,
-    },
-}
-
 /// Configuration of a task-service site.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SiteConfig {
@@ -49,12 +18,8 @@ pub struct SiteConfig {
     /// Acceptance heuristic applied to each submission.
     pub admission: AdmissionPolicy,
     /// Whether a new arrival may preempt a lower-priority running task.
+    /// A preempted task resumes later with its progress intact (§4).
     pub preemption: bool,
-    /// Progress semantics when preempted.
-    pub preemption_mode: PreemptionMode,
-    /// Progress semantics when a crash evicts a running gang.
-    #[serde(default)]
-    pub lost_work: LostWorkPolicy,
     /// How candidate schedules are built on the admission path.
     pub schedule_mode: ScheduleMode,
     /// Discount rate used for the PV term in the slack computation
@@ -89,8 +54,6 @@ impl SiteConfig {
             policy: Policy::FirstPrice,
             admission: AdmissionPolicy::AcceptAll,
             preemption: false,
-            preemption_mode: PreemptionMode::Resume,
-            lost_work: LostWorkPolicy::Restart,
             schedule_mode: ScheduleMode::Static,
             admission_discount_rate: 0.01,
             backfilling: true,
@@ -114,18 +77,6 @@ impl SiteConfig {
     /// Enables or disables preemption.
     pub fn with_preemption(mut self, on: bool) -> Self {
         self.preemption = on;
-        self
-    }
-
-    /// Sets the preemption progress semantics.
-    pub fn with_preemption_mode(mut self, mode: PreemptionMode) -> Self {
-        self.preemption_mode = mode;
-        self
-    }
-
-    /// Sets the crash lost-work semantics.
-    pub fn with_lost_work(mut self, policy: LostWorkPolicy) -> Self {
-        self.lost_work = policy;
         self
     }
 
@@ -191,28 +142,6 @@ mod tests {
         assert_eq!(c.admission, AdmissionPolicy::AcceptAll);
         assert!(!c.preemption);
         assert!(!c.drop_expired);
-    }
-
-    #[test]
-    fn lost_work_defaults_to_restart_and_roundtrips() {
-        // Configs recorded before the fault layer existed must keep
-        // deserializing — and get the conservative default.
-        assert_eq!(
-            serde_json::from_str::<SiteConfig>(
-                &serde_json::to_string(&SiteConfig::new(4)).unwrap()
-            )
-            .unwrap()
-            .lost_work,
-            LostWorkPolicy::Restart
-        );
-        let c = SiteConfig::new(4).with_lost_work(LostWorkPolicy::Checkpoint {
-            interval: 30.0,
-            restart_penalty: 5.0,
-        });
-        assert_eq!(
-            serde_json::from_str::<SiteConfig>(&serde_json::to_string(&c).unwrap()).unwrap(),
-            c
-        );
     }
 
     #[test]

@@ -47,15 +47,13 @@ pub mod metrics;
 pub mod state;
 
 pub use analysis::{class_breakdown, ClassReport};
-pub use config::{LostWorkPolicy, PreemptionMode, SiteConfig};
+pub use config::SiteConfig;
 pub use gantt::{render_gantt, segments, Segment};
 pub use metrics::{Disposition, JobOutcome, SiteMetrics};
 pub use state::{AuditViolation, CompletionToken, SiteSnapshot, SiteSnapshotRef, SiteState};
 
 use mbts_core::{WorkflowReport, WorkflowRuntime};
-use mbts_sim::{
-    Engine, EventQueue, FaultConfig, FaultInjector, FaultInjectorState, FaultUnit, Model, Time,
-};
+use mbts_sim::{Engine, EventQueue, FaultInjector, FaultInjectorState, Model, Time, UpDown};
 use mbts_trace::{TraceKind, Tracer};
 use mbts_workload::{TaskId, TaskSpec, Trace, WorkflowSet};
 use serde::{Deserialize, Serialize};
@@ -123,31 +121,26 @@ fn percentile(values: impl Iterator<Item = f64>, q: f64) -> f64 {
     v[rank - 1]
 }
 
-/// Fault-injection parameters for a single-site trace replay.
-///
-/// Each of the site's processors fails and repairs on its own timeline.
-/// `max_crashes` bounds the total number of crash events scheduled, so a
-/// pathological MTTF distribution cannot livelock the run.
+/// Fault-injection parameters for a single-site trace replay: each of
+/// the site's processors fails and repairs on its own timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    /// What fails and how often.
-    pub faults: FaultConfig,
-    /// Seed for the injector's independent per-unit streams.
+    /// How often a processor fails and how long its repair takes.
+    pub faults: UpDown,
+    /// Seed for the injector's independent per-slot streams.
     pub seed: u64,
-    /// Upper bound on crash events across the whole run.
-    pub max_crashes: u64,
 }
 
 impl FaultPlan {
-    /// A plan with the default crash budget (10 000 events).
-    pub fn new(faults: FaultConfig, seed: u64) -> Self {
-        FaultPlan {
-            faults,
-            seed,
-            max_crashes: 10_000,
-        }
+    /// A plan drawing every slot's timeline from `faults`.
+    pub fn new(faults: UpDown, seed: u64) -> Self {
+        FaultPlan { faults, seed }
     }
 }
+
+/// Upper bound on crash events across a whole faulted run, so a
+/// pathological MTTF distribution cannot livelock it.
+const MAX_CRASHES: u64 = 10_000;
 
 /// The event alphabet of a single-site trace replay. Public (and
 /// serializable) so the durable-recovery layer can journal every applied
@@ -163,12 +156,12 @@ pub enum SimEvent {
     Release(usize),
     /// A running segment finishes (stale tokens are ignored).
     Completion(CompletionToken),
-    /// A fault unit goes down.
-    Crash(FaultUnit),
-    /// The unit comes back, restoring the `n` processors its crash took.
+    /// Processor slot `j` goes down.
+    Crash(usize),
+    /// The slot comes back, restoring the `n` processors its crash took.
     Repair {
-        /// Which unit recovered.
-        unit: FaultUnit,
+        /// Which slot recovered.
+        slot: usize,
         /// Processors the crash actually took (what the repair restores).
         n: usize,
     },
@@ -274,27 +267,24 @@ impl Model for TraceModel {
                 self.state.submit(now, self.trace[i]).1
             }
             SimEvent::Completion(tok) => self.state.on_completion(now, tok),
-            SimEvent::Crash(unit) => {
+            SimEvent::Crash(slot) => {
                 if self.drained() {
                     return; // nothing left to disturb; let the run end
                 }
-                // A unit is one processor.
                 let killed = self.state.crash(1, now);
                 let injector = self.injector.as_mut().expect("crash without injector");
-                let down = injector.downtime(unit).expect("unit must be configured");
-                queue.schedule(now + down, SimEvent::Repair { unit, n: killed });
+                let down = injector.downtime(slot);
+                queue.schedule(now + down, SimEvent::Repair { slot, n: killed });
                 Vec::new()
             }
-            SimEvent::Repair { unit, n } => {
+            SimEvent::Repair { slot, n } => {
                 let tokens = self.state.repair(n, now);
-                // Schedule the unit's next failure unless the workload is
+                // Schedule the slot's next failure unless the workload is
                 // over or the crash budget is spent.
                 if self.crash_budget > 0 && !self.drained() {
                     let injector = self.injector.as_mut().expect("repair without injector");
-                    if let Some(up) = injector.uptime(unit) {
-                        self.crash_budget -= 1;
-                        queue.schedule(now + up, SimEvent::Crash(unit));
-                    }
+                    self.crash_budget -= 1;
+                    queue.schedule(now + injector.uptime(slot), SimEvent::Crash(slot));
                 }
                 tokens
             }
@@ -343,9 +333,8 @@ impl SiteRun {
         Self::start(config, Arc::clone(&set.tasks), Some(runtime), None, tracer)
     }
 
-    /// A replay with crash/repair events injected per `plan`. With
-    /// `plan.faults` empty this is byte-for-byte [`new`](Self::new): no
-    /// injector RNG is drawn and no fault events enter the queue.
+    /// A replay with crash/repair events injected per `plan`: every
+    /// processor slot crashes and repairs on its own timeline.
     pub fn with_faults(
         config: SiteConfig,
         trace: &Trace,
@@ -356,8 +345,8 @@ impl SiteRun {
     }
 
     /// The one constructor: arrivals go in as a feed (roots only in
-    /// workflow mode), then each fault unit's first crash, drawn up front
-    /// so a unit's timeline is independent of event interleaving.
+    /// workflow mode), then each slot's first crash, drawn up front so a
+    /// slot's timeline is independent of event interleaving.
     fn start(
         config: SiteConfig,
         tasks: Arc<[TaskSpec]>,
@@ -368,18 +357,13 @@ impl SiteRun {
         let mut injector = None;
         let mut crash_budget = 0;
         let mut crashes = Vec::new();
-        if let Some(plan) = plan.filter(|p| !p.faults.is_none()) {
-            let mut inj = FaultInjector::new(plan.faults.clone(), plan.seed, &[config.processors]);
-            crash_budget = plan.max_crashes;
-            for unit in inj.units() {
-                if crash_budget == 0 {
-                    break;
-                }
-                if let Some(up) = inj.uptime(unit) {
-                    crash_budget -= 1;
-                    crashes.push((Time::ZERO + up, unit));
-                }
-            }
+        if let Some(plan) = plan {
+            let mut inj = FaultInjector::new(plan.faults.clone(), plan.seed, config.processors);
+            let first = config.processors.min(MAX_CRASHES as usize);
+            crashes = (0..first)
+                .map(|j| (Time::ZERO + inj.uptime(j), j))
+                .collect();
+            crash_budget = MAX_CRASHES - first as u64;
             injector = Some(inj);
         }
         let roots = workflows.as_ref().map(WorkflowRuntime::roots);
@@ -400,8 +384,8 @@ impl SiteRun {
             Some(roots) => engine.feed(roots, arrival, SimEvent::Arrival),
             None => engine.feed(0..n, arrival, SimEvent::Arrival),
         }
-        for (at, unit) in crashes {
-            engine.schedule(at, SimEvent::Crash(unit));
+        for (at, slot) in crashes {
+            engine.schedule(at, SimEvent::Crash(slot));
         }
         SiteRun { engine }
     }
@@ -409,11 +393,6 @@ impl SiteRun {
     /// Handles one event; `false` when the queue has drained.
     pub fn step(&mut self) -> bool {
         self.engine.step()
-    }
-
-    /// `true` once the event queue has drained.
-    pub fn is_done(&self) -> bool {
-        self.engine.queue().is_empty()
     }
 
     /// Events handled so far (the journal's event index).
@@ -686,13 +665,15 @@ mod tests {
 
     #[test]
     fn zero_fault_plan_is_identical_to_plain_replay() {
+        // No processor fails before the workload ends: the injector's
+        // draws and its pending crashes leave no mark on the run.
         let mix = MixConfig::millennium_default()
             .with_tasks(200)
             .with_processors(4)
             .with_load_factor(1.5);
         let trace = generate_trace(&mix, 11);
         let config = SiteConfig::new(4).with_policy(Policy::FirstPrice);
-        let plan = FaultPlan::new(mbts_sim::FaultConfig::none(), 7);
+        let plan = FaultPlan::new(UpDown::exponential(1e15, 1.0), 7);
         let (plain, plain_events) = SiteRun::new(config.clone(), &trace, Tracer::buffer()).finish();
         let (faulted, faulted_events) =
             SiteRun::with_faults(config, &trace, &plan, Tracer::buffer()).finish();
@@ -708,10 +689,7 @@ mod tests {
             .with_load_factor(1.5);
         let trace = generate_trace(&mix, 12);
         let config = SiteConfig::new(8).with_policy(Policy::FirstPrice);
-        let faults = mbts_sim::FaultConfig {
-            processor: Some(mbts_sim::UpDown::exponential(5_000.0, 200.0)),
-        };
-        let plan = FaultPlan::new(faults, 99);
+        let plan = FaultPlan::new(UpDown::exponential(5_000.0, 200.0), 99);
         let (outcome, _) = SiteRun::with_faults(config, &trace, &plan, Tracer::Off).finish();
         // Every accepted task still finishes (restart semantics requeue
         // evicted work until it completes).
@@ -740,17 +718,8 @@ mod tests {
         let trace = generate_trace(&mix, 17);
         let config = SiteConfig::new(4)
             .with_policy(Policy::first_reward(0.3, 0.01))
-            .with_preemption(true)
-            .with_lost_work(LostWorkPolicy::Checkpoint {
-                interval: 25.0,
-                restart_penalty: 2.0,
-            });
-        let plan = FaultPlan::new(
-            mbts_sim::FaultConfig {
-                processor: Some(mbts_sim::UpDown::exponential(2_000.0, 100.0)),
-            },
-            5,
-        );
+            .with_preemption(true);
+        let plan = FaultPlan::new(UpDown::exponential(2_000.0, 100.0), 5);
         let mut base = SiteRun::with_faults(config.clone(), &trace, &plan, Tracer::buffer());
         while base.step() {}
         let total = base.events_handled();
@@ -919,10 +888,7 @@ mod tests {
             .with_processors(4);
         let trace = generate_trace(&mix, 13);
         let config = SiteConfig::new(4).with_policy(Policy::pv(0.01));
-        let faults = mbts_sim::FaultConfig {
-            processor: Some(mbts_sim::UpDown::exponential(2_000.0, 100.0)),
-        };
-        let plan = FaultPlan::new(faults, 5);
+        let plan = FaultPlan::new(UpDown::exponential(2_000.0, 100.0), 5);
         let run = || {
             SiteRun::with_faults(config.clone(), &trace, &plan, Tracer::Off)
                 .finish()

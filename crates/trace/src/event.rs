@@ -102,8 +102,8 @@ pub enum TraceKind {
     /// A running gang was preempted by a better-scoring arrival and moved
     /// back into the queue.
     Preempted { width: usize },
-    /// A running gang lost its processors to a crash and was requeued
-    /// under the site's lost-work policy.
+    /// A running gang lost its processors to a crash and was requeued,
+    /// its progress lost.
     Requeued { width: usize },
     /// A task ran to completion. `earned` is the realized (decayed)
     /// yield; `delay` is time past the no-wait finish.

@@ -7,14 +7,11 @@
 //! branch — replays are bit-identical with tracing on or off because the
 //! emitters only *read* scheduler state, never mutate it.
 //!
-//! Sinks:
-//! - [`RingSink`] — bounded tail capture for tests and soaks;
-//! - [`BufferSink`] — full capture, serialized to JSONL for golden
-//!   fixtures and the experiments CLI `--trace out.jsonl`;
-//! - [`JsonlSink`] — streaming JSONL file writer that flushes on drop
-//!   and surfaces write errors instead of losing tail events.
+//! The one sink is [`BufferSink`], full capture, serialized to JSONL for
+//! golden fixtures and `--trace-out`; [`Tracer::Off`] records nothing,
+//! and [`Tracer::Provenance`] raises the verbosity of the tracer it wraps.
 //!
-//! Every sink's state (the "tracer cursor") is checkpointable via
+//! A tracer's state (the "tracer cursor") is checkpointable via
 //! [`Tracer::snapshot`] / [`TracerSnapshot`], so the durable-recovery
 //! layer can resume a traced run without losing or duplicating events.
 //!
@@ -57,7 +54,5 @@ pub use event::{
 };
 pub use mbts_sim::latency::LatencyHistogram;
 pub use profiler::{ProfileReport, ServeSummary, PROFILE_MARKER};
-pub use sink::{
-    BufferSink, JsonlSink, RingSink, TraceSink, Tracer, TracerSnapshot, TracerSnapshotRef,
-};
+pub use sink::{BufferSink, TraceSink, Tracer, TracerSnapshot, TracerSnapshotRef};
 pub use telemetry::TelemetrySnapshot;

@@ -47,7 +47,7 @@ pub mod workflow;
 pub use config::{ArrivalProcess, BoundPolicy, MixConfig, WidthPolicy};
 pub use generator::generate_trace;
 pub use millennium::{fig3_mix, fig45_mix, fig67_mix};
-pub use swf::{load_swf, parse_swf, parse_swf_counting, ParseError, SwfError, SwfOptions};
+pub use swf::{load_swf, parse_swf, ParseError, SwfError, SwfOptions};
 pub use task::{PenaltyBound, TaskId, TaskSpec};
 pub use trace::{Trace, TraceStats};
 pub use validate::{validate_trace, ValidationReport};

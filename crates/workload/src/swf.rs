@@ -31,46 +31,23 @@ use crate::trace::Trace;
 use mbts_sim::{Duration, RngFactory};
 use std::sync::Arc;
 
-/// Options controlling the import.
+/// Options controlling the import. Import is strict (a malformed data
+/// line is an error), keeps SWF times as they are, clamps widths to the
+/// mix's processor count (wider jobs are clamped rather than dropped) and
+/// has no job cap.
 #[derive(Debug, Clone)]
 pub struct SwfOptions {
-    /// Mix supplying the value/decay distributions (and the bound policy).
+    /// Mix supplying the value/decay distributions, the bound policy and
+    /// the processor count widths clamp to.
     pub mix: MixConfig,
     /// Seed for the value/decay draws.
     pub seed: u64,
-    /// Multiply all SWF times by this factor (e.g. to convert seconds
-    /// into the mix's time units). Default 1.
-    pub time_scale: f64,
-    /// Cap imported widths at the mix's processor count (wider jobs are
-    /// clamped rather than dropped). Default true.
-    pub clamp_widths: bool,
-    /// Import at most this many jobs (0 = no limit).
-    pub max_jobs: usize,
-    /// If `true`, malformed data lines are skipped (and counted — see
-    /// [`parse_swf_counting`]) instead of aborting the import. Real
-    /// archive logs occasionally carry truncated or corrupt records;
-    /// strict mode (the default) surfaces them, lenient mode works
-    /// around them.
-    pub lenient: bool,
 }
 
 impl SwfOptions {
-    /// Defaults around a mix.
+    /// Options around a mix.
     pub fn new(mix: MixConfig, seed: u64) -> Self {
-        SwfOptions {
-            mix,
-            seed,
-            time_scale: 1.0,
-            clamp_widths: true,
-            max_jobs: 0,
-            lenient: false,
-        }
-    }
-
-    /// Enables or disables lenient (skip-and-count) parsing.
-    pub fn with_lenient(mut self, on: bool) -> Self {
-        self.lenient = on;
-        self
+        SwfOptions { mix, seed }
     }
 }
 
@@ -95,21 +72,11 @@ impl std::error::Error for SwfError {}
 pub type ParseError = SwfError;
 
 /// Parses SWF text into a trace, assigning values/decay from the options'
-/// mix. Malformed data lines are an error unless [`SwfOptions::lenient`]
-/// is set; comment (`;`) and blank lines are skipped; unusable jobs (zero
-/// runtime/processors) are silently dropped like the archive's own
+/// mix. A malformed data line (too few fields, or a non-numeric field) is
+/// an error; comment (`;`) and blank lines are skipped; unusable jobs
+/// (zero runtime/processors) are silently dropped like the archive's own
 /// tooling does.
 pub fn parse_swf(text: &str, options: &SwfOptions) -> Result<Trace, SwfError> {
-    parse_swf_counting(text, options).map(|(trace, _)| trace)
-}
-
-/// Like [`parse_swf`], but also reports how many malformed data lines
-/// were skipped. In strict mode (the default) the count is always 0 —
-/// the first malformed line is an error. In lenient mode each bad record
-/// (too few fields, or a non-numeric field) is counted and skipped;
-/// unusable-but-well-formed jobs (non-positive runtime/processors) are
-/// not counted, matching [`parse_swf`]'s silent archive-practice drop.
-pub fn parse_swf_counting(text: &str, options: &SwfOptions) -> Result<(Trace, usize), SwfError> {
     let factory = RngFactory::new(options.seed);
     let mut value_rng = factory.stream("swf-unit-values");
     let mut decay_rng = factory.stream("swf-decays");
@@ -117,7 +84,6 @@ pub fn parse_swf_counting(text: &str, options: &SwfOptions) -> Result<(Trace, us
     let decay_dist = options.mix.decay_dist();
 
     let mut rows: Vec<(f64, f64, f64, usize)> = Vec::new(); // submit, est, run, width
-    let mut skipped = 0usize;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with(';') {
@@ -125,10 +91,6 @@ pub fn parse_swf_counting(text: &str, options: &SwfOptions) -> Result<(Trace, us
         }
         let fields: Vec<&str> = line.split_whitespace().collect();
         if fields.len() < 8 {
-            if options.lenient {
-                skipped += 1;
-                continue;
-            }
             return Err(SwfError {
                 line: lineno + 1,
                 message: format!("expected ≥ 8 fields, found {}", fields.len()),
@@ -140,23 +102,12 @@ pub fn parse_swf_counting(text: &str, options: &SwfOptions) -> Result<(Trace, us
                 message: format!("field {} ('{}') is not a number", i + 1, fields[i]),
             })
         };
-        let numerics = (|| -> Result<_, SwfError> {
-            let submit = parse(1)?;
-            let run_time = parse(3)?;
-            let allocated = parse(4)?;
-            let requested_procs = parse(7)?;
-            // Field 9 (requested time) is optional in practice; −1 = missing.
-            let requested_time = if fields.len() > 8 { parse(8)? } else { -1.0 };
-            Ok((submit, run_time, allocated, requested_procs, requested_time))
-        })();
-        let (submit, run_time, allocated, requested_procs, requested_time) = match numerics {
-            Ok(v) => v,
-            Err(_) if options.lenient => {
-                skipped += 1;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
+        let submit = parse(1)?;
+        let run_time = parse(3)?;
+        let allocated = parse(4)?;
+        let requested_procs = parse(7)?;
+        // Field 9 (requested time) is optional in practice; −1 = missing.
+        let requested_time = if fields.len() > 8 { parse(8)? } else { -1.0 };
 
         let width = if requested_procs > 0.0 {
             requested_procs as usize
@@ -173,15 +124,7 @@ pub fn parse_swf_counting(text: &str, options: &SwfOptions) -> Result<(Trace, us
         } else {
             run_time
         };
-        rows.push((
-            submit * options.time_scale,
-            estimate * options.time_scale,
-            run_time * options.time_scale,
-            width,
-        ));
-        if options.max_jobs > 0 && rows.len() == options.max_jobs {
-            break;
-        }
+        rows.push((submit, estimate, run_time, width));
     }
 
     // SWF logs are submit-ordered in principle; enforce it for safety.
@@ -191,11 +134,7 @@ pub fn parse_swf_counting(text: &str, options: &SwfOptions) -> Result<(Trace, us
         .into_iter()
         .enumerate()
         .map(|(i, (submit, estimate, run_time, width))| {
-            let width = if options.clamp_widths {
-                width.clamp(1, options.mix.processors)
-            } else {
-                width
-            };
+            let width = width.clamp(1, options.mix.processors);
             let unit_value = unit_value_dist.sample(&mut value_rng).max(0.0);
             let value = unit_value * estimate;
             let decay = decay_dist.sample(&mut decay_rng).max(0.0);
@@ -214,10 +153,7 @@ pub fn parse_swf_counting(text: &str, options: &SwfOptions) -> Result<(Trace, us
             spec
         })
         .collect();
-    Ok((
-        Trace::new(options.mix.clone(), options.seed, tasks),
-        skipped,
-    ))
+    Ok(Trace::new(options.mix.clone(), options.seed, tasks))
 }
 
 /// Reads and parses an SWF file.
@@ -294,29 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn time_scale_applies_to_all_times() {
-        let mut opts = options();
-        opts.time_scale = 0.5;
-        let trace = parse_swf(SAMPLE, &opts).unwrap();
-        assert_eq!(trace.tasks[0].runtime.as_f64(), 60.0);
-        assert_eq!(trace.tasks[0].true_runtime.as_f64(), 50.0);
-        assert_eq!(trace.tasks[1].arrival.as_f64(), 25.0);
-    }
-
-    #[test]
     fn widths_clamp_to_mix_processors() {
         let mut opts = options();
         opts.mix = opts.mix.with_processors(4);
         let trace = parse_swf(SAMPLE, &opts).unwrap();
         assert!(trace.tasks.iter().all(|t| t.width <= 4));
-    }
-
-    #[test]
-    fn max_jobs_limits_import() {
-        let mut opts = options();
-        opts.max_jobs = 1;
-        let trace = parse_swf(SAMPLE, &opts).unwrap();
-        assert_eq!(trace.len(), 1);
     }
 
     #[test]
@@ -330,66 +248,16 @@ mod tests {
     }
 
     #[test]
-    fn lenient_mode_skips_and_counts_bad_records() {
-        // SAMPLE plus one truncated line and one with a non-numeric field.
-        let dirty = format!("{SAMPLE}1 2 3\n6 90 0 10 1 -1 -1 oops 20 -1 1 1 1 1 1 -1 -1 -1\n");
-        let strict = parse_swf(&dirty, &options());
-        assert!(strict.is_err(), "strict mode must reject corrupt records");
-
-        let opts = options().with_lenient(true);
-        let (trace, skipped) = parse_swf_counting(&dirty, &opts).unwrap();
-        assert_eq!(skipped, 2, "both corrupt lines counted");
-        // The good records are unaffected by the corrupt neighbours.
-        assert_eq!(trace, parse_swf(SAMPLE, &options()).unwrap());
-    }
-
-    #[test]
-    fn strict_mode_reports_zero_skips_on_clean_input() {
-        let (trace, skipped) = parse_swf_counting(SAMPLE, &options()).unwrap();
-        assert_eq!(skipped, 0);
-        // Unusable-but-well-formed jobs are dropped without being counted.
-        assert_eq!(trace.len(), 3);
-    }
-
-    #[test]
-    fn lenient_does_not_count_unusable_but_well_formed_jobs() {
-        let opts = options().with_lenient(true);
-        let (trace, skipped) = parse_swf_counting(SAMPLE, &opts).unwrap();
-        assert_eq!(skipped, 0, "archive-practice drops are not parse skips");
-        assert_eq!(trace.len(), 3);
-    }
-
-    #[test]
     fn empty_input_yields_an_empty_trace() {
         for text in ["", "\n", "\n\n\n"] {
-            let (trace, skipped) = parse_swf_counting(text, &options()).unwrap();
-            assert_eq!(trace.len(), 0, "{text:?}");
-            assert_eq!(skipped, 0, "{text:?}");
+            assert_eq!(parse_swf(text, &options()).unwrap().len(), 0, "{text:?}");
         }
     }
 
     #[test]
     fn comment_only_input_yields_an_empty_trace() {
         let text = "; UnixStartTime: 0\n; MaxJobs: 1000\n;\n   ; indented comment\n";
-        for lenient in [false, true] {
-            let opts = options().with_lenient(lenient);
-            let (trace, skipped) = parse_swf_counting(text, &opts).unwrap();
-            assert_eq!(trace.len(), 0);
-            assert_eq!(skipped, 0, "comments are not parse skips");
-        }
-    }
-
-    #[test]
-    fn all_bad_records_strict_vs_lenient() {
-        let text = "1 2 3\n4 5 6 7\nx y z w v u t s\n";
-        // Strict: the first malformed line is the error, with its location.
-        let err = parse_swf_counting(text, &options()).unwrap_err();
-        assert_eq!(err.line, 1);
-        // Lenient: every line is counted, nothing imported.
-        let opts = options().with_lenient(true);
-        let (trace, skipped) = parse_swf_counting(text, &opts).unwrap();
-        assert_eq!(trace.len(), 0);
-        assert_eq!(skipped, 3);
+        assert_eq!(parse_swf(text, &options()).unwrap().len(), 0);
     }
 
     #[test]
@@ -397,12 +265,12 @@ mod tests {
         let with = SAMPLE.to_string();
         let without = SAMPLE.trim_end().to_string();
         assert!(with.ends_with('\n') && !without.ends_with('\n'));
-        let a = parse_swf_counting(&with, &options()).unwrap();
-        let b = parse_swf_counting(&without, &options()).unwrap();
+        let a = parse_swf(&with, &options()).unwrap();
+        let b = parse_swf(&without, &options()).unwrap();
         assert_eq!(a, b);
         // Nor is a run of trailing blank lines.
         let padded = format!("{SAMPLE}\n\n");
-        assert_eq!(parse_swf_counting(&padded, &options()).unwrap(), a);
+        assert_eq!(parse_swf(&padded, &options()).unwrap(), a);
     }
 
     #[test]

@@ -11,16 +11,14 @@
 //! on any host.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::BufReader;
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::site::{SiteConfig, SiteRun};
 use mbts::trace::analyze::analyze;
-use mbts::trace::{
-    from_jsonl, read_jsonl, AnalyzeOptions, JsonlSink, TraceFold, TraceReport, Tracer,
-};
+use mbts::trace::{from_jsonl, read_jsonl, AnalyzeOptions, TraceFold, TraceReport, Tracer};
 use mbts::workload::{generate_trace, MixConfig};
 
 /// Bytes currently allocated, and the most ever live since the last
@@ -89,10 +87,15 @@ fn write_trace(tasks: usize, path: &Path) -> usize {
         .with_policy(Policy::first_reward(0.3, 0.01))
         .with_preemption(true)
         .with_admission(AdmissionPolicy::SlackThreshold { threshold: 180.0 });
-    let sink = JsonlSink::create(path).expect("create trace");
-    let tracer = Tracer::Jsonl(sink.clone()).with_provenance();
-    SiteRun::new(config, &trace, tracer).finish();
-    sink.finish().expect("write trace") as usize
+    let (_, tracer) = SiteRun::new(config, &trace, Tracer::buffer().with_provenance()).finish();
+    let events = tracer.into_events().expect("a buffer keeps its events");
+    let mut out = BufWriter::new(std::fs::File::create(path).expect("create trace"));
+    for ev in &events {
+        let line = serde_json::to_string(ev).expect("events serialize");
+        writeln!(out, "{line}").expect("write trace");
+    }
+    out.flush().expect("write trace");
+    events.len()
 }
 
 /// Analyzes `path` both ways: the whole file read, parsed into a slice

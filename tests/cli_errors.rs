@@ -217,24 +217,28 @@ fn zero_and_negative_numbers_are_rejected_where_they_are_parsed() {
     }
 }
 
-/// Every journal under `tests/golden/serde/pre*/` was written in format
-/// version 1, before the header named its kind. Each is refused with the
-/// typed version error, before its kind is read: through the library, and
-/// by the two commands that read journals (exit 2, never a panic), naming
-/// version 1 and version 2.
+/// Every journal under `tests/golden/serde/pre*/` was written in an older
+/// format version: 1 (before the header named its kind) or 2. Each is
+/// refused with the typed version error, before its kind is read: through
+/// the library, and by the two commands that read journals (exit 2, never
+/// a panic), naming its own version and the reader's.
 #[test]
 fn journals_of_an_older_format_are_refused() {
     use mbts::durable::{framing, load, DurableRun, FramingError, Kind, RecoverError};
     use mbts::market::EconomyRun;
     use mbts::serve::ServiceRun;
+    use mbts::site::SiteRun;
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serde");
     let rows = [
-        ("pre26/service_journal.mbtsj", Kind::Service),
-        ("pre33/economy_journal.mbtsj", Kind::Economy),
-        ("pre34/economy_journal.mbtsj", Kind::Economy),
-        ("pre38/economy_journal.mbtsj", Kind::Economy),
-        ("pre40/economy_journal.mbtsj", Kind::Economy),
-        ("pre40/service_journal.mbtsj", Kind::Service),
+        ("pre26/service_journal.mbtsj", Kind::Service, 1),
+        ("pre33/economy_journal.mbtsj", Kind::Economy, 1),
+        ("pre34/economy_journal.mbtsj", Kind::Economy, 1),
+        ("pre38/economy_journal.mbtsj", Kind::Economy, 1),
+        ("pre40/economy_journal.mbtsj", Kind::Economy, 1),
+        ("pre40/service_journal.mbtsj", Kind::Service, 1),
+        ("pre45/economy_journal.mbtsj", Kind::Economy, 2),
+        ("pre45/service_journal.mbtsj", Kind::Service, 2),
+        ("pre45/site_journal.mbtsj", Kind::Site, 2),
     ];
     let mut on_disk: Vec<_> = std::fs::read_dir(&dir)
         .expect("fixture dir")
@@ -252,17 +256,18 @@ fn journals_of_an_older_format_are_refused() {
     on_disk.sort();
     assert_eq!(
         on_disk,
-        rows.map(|(name, _)| name),
+        rows.map(|(name, ..)| name),
         "every old fixture has a row"
     );
-    let refusal = Err(RecoverError::Framing(FramingError::Unsupported {
-        version: 1,
-        kind: None,
-        expected: None,
-    }));
-    for (name, kind) in rows {
+    let reader = framing::VERSION;
+    for (name, kind, version) in rows {
         let path = dir.join(name);
         let bytes = std::fs::read(&path).expect("fixture");
+        let refusal = Err(RecoverError::Framing(FramingError::Unsupported {
+            version,
+            kind: None,
+            expected: None,
+        }));
         assert_eq!(
             framing::scan(&bytes)
                 .map(drop)
@@ -272,11 +277,15 @@ fn journals_of_an_older_format_are_refused() {
         );
         let image = load(&path).expect("fixture");
         let library = match kind {
+            Kind::Site => [
+                DurableRun::<SiteRun>::recover(&bytes).map(drop),
+                DurableRun::<SiteRun>::recover(&image).map(drop),
+            ],
             Kind::Economy => [
                 DurableRun::<EconomyRun>::recover(&bytes).map(drop),
                 DurableRun::<EconomyRun>::recover(&image).map(drop),
             ],
-            _ => [
+            Kind::Service => [
                 ServiceRun::recover(&bytes).map(drop),
                 ServiceRun::recover(&image).map(drop),
             ],
@@ -290,18 +299,18 @@ fn journals_of_an_older_format_are_refused() {
             let text = result.unwrap_err().to_string();
             assert!(
                 text.contains(&format!(
-                    "version 1 (kind not read); this reader reads version 2 ({kind})"
+                    "version {version} (kind not read); this reader reads version {reader} ({kind})"
                 )),
                 "{name}: {text}"
             );
         }
         let path_s = path.to_str().expect("utf-8 path");
+        let message = format!(
+            "journal holds format version {version} (kind not read); \
+             this reader reads version {reader}"
+        );
         for args in [&["resume", "--journal", path_s][..], &["analyze", path_s]] {
-            assert_rejected(
-                &mbts(args),
-                "journal holds format version 1 (kind not read); this reader reads version 2",
-                &format!("{args:?}"),
-            );
+            assert_rejected(&mbts(args), &message, &format!("{args:?}"));
         }
     }
 }
@@ -333,7 +342,10 @@ fn the_daemon_refuses_a_site_journal() {
     let written = std::fs::read(&journal).expect("site journal");
     assert_rejected(
         &mbts(&["serve", "--addr", "127.0.0.1:0", "--journal", journal_s]),
-        "(site run); this reader reads version 2 (service run)",
+        &format!(
+            "(site run); this reader reads version {} (service run)",
+            mbts::durable::framing::VERSION
+        ),
         "serve",
     );
     assert_eq!(std::fs::read(&journal).expect("site journal"), written);

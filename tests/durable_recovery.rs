@@ -21,8 +21,8 @@
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::durable::{framing, DurableRun, Journal, RecordTag, Recoverable};
 use mbts::market::{BudgetConfig, EcoEvent, EconomyConfig, EconomyOutcome, EconomyRun};
-use mbts::sim::{FaultConfig, Time, UpDown};
-use mbts::site::{FaultPlan, LostWorkPolicy, SiteConfig, SiteOutcome, SiteRun};
+use mbts::sim::{Time, UpDown};
+use mbts::site::{FaultPlan, SiteConfig, SiteOutcome, SiteRun};
 use mbts::trace::Tracer;
 use mbts::workload::{
     fig67_mix, generate_trace, generate_workflows, WorkflowConfig, WorkflowSet, WorkflowShape,
@@ -162,10 +162,8 @@ fn economy_kill_sweep(name: &str, run: EconomyRun, snapshot_every: u64, kinds: &
 
 /// Processor faults aggressive enough that even a ~25-task smoke trace
 /// sees crashes and repairs.
-fn smoke_faults() -> FaultConfig {
-    FaultConfig {
-        processor: Some(UpDown::exponential(600.0, 80.0)),
-    }
+fn smoke_faults() -> UpDown {
+    UpDown::exponential(600.0, 80.0)
 }
 
 #[test]
@@ -173,11 +171,7 @@ fn kill_every_event_site_smoke() {
     let trace = generate_trace(&fig67_mix(1.6).with_tasks(24).with_processors(4), 17);
     let config = SiteConfig::new(4)
         .with_policy(Policy::first_reward(0.3, 0.01))
-        .with_preemption(true)
-        .with_lost_work(LostWorkPolicy::Checkpoint {
-            interval: 25.0,
-            restart_penalty: 2.0,
-        });
+        .with_preemption(true);
     let plan = FaultPlan::new(smoke_faults(), 5);
     let total = kill_sweep(
         "site-smoke",
@@ -236,11 +230,7 @@ fn kill_every_event_site_smoke_with_provenance() {
     let config = SiteConfig::new(4)
         .with_policy(Policy::first_reward(0.3, 0.01))
         .with_preemption(true)
-        .with_admission(AdmissionPolicy::SlackThreshold { threshold: 180.0 })
-        .with_lost_work(LostWorkPolicy::Checkpoint {
-            interval: 25.0,
-            restart_penalty: 2.0,
-        });
+        .with_admission(AdmissionPolicy::SlackThreshold { threshold: 180.0 });
     let plan = FaultPlan::new(smoke_faults(), 5);
     let total = kill_sweep(
         "site-smoke-provenance",
@@ -356,20 +346,16 @@ fn kill_every_event_economy_workflow_smoke_with_provenance() {
     );
 }
 
-/// Satellite: the kill point *between* a site's `Crash` event and its
-/// matching `Repair` must recover correctly under checkpointed lost
-/// work — the recovered run must re-derive the same repair schedule,
-/// checkpoint credit and restart penalties from snapshot state alone.
+/// The kill point *between* a site's `Crash` event and its matching
+/// `Repair` must recover correctly — the recovered run must re-derive the
+/// same repair schedule and the evicted work's restarts from snapshot
+/// state alone.
 #[test]
-fn crash_during_repair_kill_points_recover_under_checkpoint() {
+fn crash_during_repair_kill_points_recover() {
     let trace = generate_trace(&fig67_mix(1.6).with_tasks(24).with_processors(4), 41);
     let config = SiteConfig::new(4)
         .with_policy(Policy::first_reward(0.3, 0.01))
-        .with_preemption(true)
-        .with_lost_work(LostWorkPolicy::Checkpoint {
-            interval: 25.0,
-            restart_penalty: 2.0,
-        });
+        .with_preemption(true);
     let plan = FaultPlan::new(smoke_faults(), 7);
 
     // Journal with genesis-only snapshots so record i+1 is event i.
@@ -457,7 +443,7 @@ fn soak_policies(processors: usize) -> Vec<(&'static str, SiteConfig)> {
     ignore = "exhaustive sweep: run in release (CI crash-restart soak job)"
 )]
 fn kill_every_event_all_policies_heavy() {
-    let mix = fig67_mix(1.6).with_tasks(120).with_processors(8);
+    let mix = fig67_mix(1.6).with_tasks(150).with_processors(8);
     let mut total = 0u64;
     for &seed in &[101, 202, 303] {
         let trace = generate_trace(&mix, seed);
@@ -468,31 +454,18 @@ fn kill_every_event_all_policies_heavy() {
                 SiteRun::new(base.clone(), &trace, Tracer::buffer()),
                 64,
             );
-            // Faulted, under both lost-work policies.
-            for (wlabel, lost_work) in [
-                ("restart", LostWorkPolicy::Restart),
-                (
-                    "checkpoint",
-                    LostWorkPolicy::Checkpoint {
-                        interval: 25.0,
-                        restart_penalty: 2.0,
-                    },
-                ),
-            ] {
-                let config = base.clone().with_lost_work(lost_work).with_preemption(true);
-                let faults = FaultConfig {
-                    processor: Some(UpDown::exponential(4_000.0, 120.0)),
-                };
-                let plan = FaultPlan::new(faults, seed.wrapping_mul(0x9E37_79B9) ^ 0x50A4);
-                total += kill_sweep(
-                    &format!("{label}-s{seed}-{wlabel}"),
-                    SiteRun::with_faults(config, &trace, &plan, Tracer::buffer()),
-                    64,
-                );
-            }
+            // Faulted; evicted work restarts from scratch.
+            let config = base.clone().with_preemption(true);
+            let faults = UpDown::exponential(4_000.0, 120.0);
+            let plan = FaultPlan::new(faults, seed.wrapping_mul(0x9E37_79B9) ^ 0x50A4);
+            total += kill_sweep(
+                &format!("{label}-s{seed}-restart"),
+                SiteRun::with_faults(config, &trace, &plan, Tracer::buffer()),
+                64,
+            );
         }
     }
-    // 54 sweeps × ~250 events each (rejections mean not every task
+    // 36 sweeps × ~330 events each (rejections mean not every task
     // yields a completion event).
     assert!(total > 10_000, "heavy sweep saw only {total} events");
 }

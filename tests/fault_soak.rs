@@ -1,5 +1,5 @@
-//! Seeded fault-injection soak: long replays under processor *and* site
-//! outages with the always-on conservation auditor engaged. Any
+//! Seeded fault-injection soak: long replays under processor outages,
+//! with the always-on conservation auditor engaged. Any
 //! [`AuditViolation`](mbts::site::AuditViolation) — task, processor, or
 //! yield conservation — fails the run.
 //!
@@ -10,8 +10,8 @@
 //!   debug builds (run in release, as CI's soak job does).
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::sim::{FaultConfig, UpDown};
-use mbts::site::{FaultPlan, LostWorkPolicy, SiteConfig, SiteRun};
+use mbts::sim::UpDown;
+use mbts::site::{FaultPlan, SiteConfig, SiteRun};
 use mbts::trace::Tracer;
 use mbts::workload::{fig67_mix, generate_trace, MixConfig};
 
@@ -47,54 +47,40 @@ fn soak_policies(processors: usize) -> Vec<(&'static str, SiteConfig)> {
     ]
 }
 
-/// Replays `mix` through every policy × `seeds`, with both processor and
-/// site faults active and both lost-work policies exercised. Returns the
-/// total number of events witnessed (arrivals + completions + crashes +
-/// repairs), so callers can assert the soak was actually long.
+/// Replays `mix` through every policy × `seeds` with processor faults
+/// active; evicted work restarts from scratch. Returns the total number
+/// of events witnessed (arrivals + completions + crashes + repairs), so
+/// callers can assert the soak was actually long.
 fn soak(mix: &MixConfig, seeds: &[u64], processors: usize) -> u64 {
     let mut events = 0u64;
     for (label, base) in soak_policies(processors) {
         for &seed in seeds {
-            for (wlabel, lost_work) in [
-                ("restart", LostWorkPolicy::Restart),
-                (
-                    "checkpoint",
-                    LostWorkPolicy::Checkpoint {
-                        interval: 25.0,
-                        restart_penalty: 2.0,
-                    },
-                ),
-            ] {
-                let trace = generate_trace(mix, seed);
-                let faults = FaultConfig {
-                    processor: Some(UpDown::exponential(4_000.0, 120.0)),
-                };
-                let plan = FaultPlan::new(faults, seed.wrapping_mul(0x9E37_79B9) ^ 0x50A4);
-                let (outcome, _) = SiteRun::with_faults(
-                    base.clone().with_lost_work(lost_work).with_preemption(true),
-                    &trace,
-                    &plan,
-                    Tracer::Off,
-                )
-                .finish();
-                assert!(
-                    outcome.violations.is_empty(),
-                    "audit violations under {label}/{wlabel} seed {seed}: {:?}",
-                    outcome.violations
-                );
-                let m = &outcome.metrics;
-                assert_eq!(
-                    m.completed + m.dropped + m.cancelled,
-                    m.accepted,
-                    "task conservation after drain: {label}/{wlabel} seed {seed}"
-                );
-                assert_eq!(
-                    m.crashed_procs, m.repaired_procs,
-                    "all crashed processors must be repaired by drain: \
-                     {label}/{wlabel} seed {seed}"
-                );
-                events += m.accepted as u64 + m.completed as u64 + m.crashed_procs;
-            }
+            let trace = generate_trace(mix, seed);
+            let faults = UpDown::exponential(4_000.0, 120.0);
+            let plan = FaultPlan::new(faults, seed.wrapping_mul(0x9E37_79B9) ^ 0x50A4);
+            let (outcome, _) = SiteRun::with_faults(
+                base.clone().with_preemption(true),
+                &trace,
+                &plan,
+                Tracer::Off,
+            )
+            .finish();
+            assert!(
+                outcome.violations.is_empty(),
+                "audit violations under {label} seed {seed}: {:?}",
+                outcome.violations
+            );
+            let m = &outcome.metrics;
+            assert_eq!(
+                m.completed + m.dropped + m.cancelled,
+                m.accepted,
+                "task conservation after drain: {label} seed {seed}"
+            );
+            assert_eq!(
+                m.crashed_procs, m.repaired_procs,
+                "all crashed processors must be repaired by drain: {label} seed {seed}"
+            );
+            events += m.accepted as u64 + m.completed as u64 + m.crashed_procs;
         }
     }
     events

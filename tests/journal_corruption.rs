@@ -12,15 +12,15 @@ use mbts::durable::{
 use mbts::market::{EconomyConfig, EconomyRun};
 use mbts::serve::{CommandKind, MachineConfig, ServiceMachine, ServiceRun, ShedReason};
 use mbts::sim::Time;
-use mbts::sim::{FaultConfig, UpDown};
-use mbts::site::{FaultPlan, LostWorkPolicy, SiteConfig, SiteOutcome, SiteRun};
+use mbts::sim::UpDown;
+use mbts::site::{FaultPlan, SiteConfig, SiteOutcome, SiteRun};
 use mbts::trace::Tracer;
 use mbts::workload::{fig67_mix, generate_trace, PenaltyBound, TaskId, TaskSpec};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 /// Reference journal and uninterrupted outcome, built once: a faulted,
-/// checkpointed site run journaled with frequent snapshots so damage at
+/// preempting site run journaled with frequent snapshots so damage at
 /// different depths lands before, between, and after snapshot records.
 fn reference() -> &'static (Vec<u8>, SiteOutcome, u64) {
     static REF: OnceLock<(Vec<u8>, SiteOutcome, u64)> = OnceLock::new();
@@ -28,17 +28,8 @@ fn reference() -> &'static (Vec<u8>, SiteOutcome, u64) {
         let trace = generate_trace(&fig67_mix(1.6).with_tasks(20).with_processors(4), 11);
         let config = SiteConfig::new(4)
             .with_policy(Policy::first_reward(0.3, 0.01))
-            .with_preemption(true)
-            .with_lost_work(LostWorkPolicy::Checkpoint {
-                interval: 25.0,
-                restart_penalty: 2.0,
-            });
-        let plan = FaultPlan::new(
-            FaultConfig {
-                processor: Some(UpDown::exponential(600.0, 80.0)),
-            },
-            3,
-        );
+            .with_preemption(true);
+        let plan = FaultPlan::new(UpDown::exponential(600.0, 80.0), 3);
         let run = SiteRun::with_faults(config, &trace, &plan, Tracer::Off);
         let mut durable = DurableRun::new(run, Journal::in_memory(), 8).unwrap();
         durable.run_to_completion().unwrap();
@@ -840,8 +831,10 @@ fn a_journal_is_read_only_as_its_own_kind_and_version() {
     let err = ServiceRun::resume_file(&path, MachineConfig::default(), 0, 0).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(
-        err.to_string()
-            .contains("(site run); this reader reads version 2 (service run)"),
+        err.to_string().contains(&format!(
+            "(site run); this reader reads version {} (service run)",
+            framing::VERSION
+        )),
         "{err}"
     );
     assert_eq!(std::fs::read(&path).unwrap(), journals[0]);

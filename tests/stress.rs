@@ -11,7 +11,7 @@ use mbts::market::{
     BudgetConfig, ClientSelection, EconomyConfig, EconomyOutcome, EconomyRun, EconomySnapshot,
     PricingStrategy,
 };
-use mbts::site::{PreemptionMode, SiteConfig};
+use mbts::site::SiteConfig;
 use mbts::trace::{TraceEvent, TraceKind, Tracer, TracerSnapshot};
 use mbts::workload::{generate_trace, MixConfig, Trace, WidthPolicy};
 
@@ -141,26 +141,28 @@ fn kitchen_sink_economy_stays_consistent() {
     assert_eq!(out.total_paid.to_bits(), again.total_paid.to_bits());
 }
 
+/// The kitchen sink with every site preemptive, and with none: either
+/// way every contract settles and no auditor finds a violation.
 #[test]
 fn kitchen_sink_under_every_preemption_mode() {
     let trace = everything_trace();
-    for mode in [PreemptionMode::Resume] {
+    for preemption in [false, true] {
         let mut cfg = everything_economy();
         for site in &mut cfg.sites {
-            site.preemption_mode = mode;
+            site.preemption = preemption;
         }
         let (out, _) = EconomyRun::new(cfg, &trace, Tracer::Off).finish();
-        assert!(out.contracts.iter().all(|c| c.is_settled()), "{mode:?}");
-        assert!(out.total_yield().is_finite(), "{mode:?}");
+        assert!(out.contracts.iter().all(|c| c.is_settled()), "{preemption}");
+        assert!(out.total_yield().is_finite(), "{preemption}");
         assert!(
             out.audit_violations.is_empty(),
-            "{mode:?}: {:?}",
+            "preemption {preemption}: {:?}",
             out.audit_violations
         );
         for site in &out.per_site {
             assert!(
                 site.violations.is_empty(),
-                "{mode:?}: {:?}",
+                "preemption {preemption}: {:?}",
                 site.violations
             );
         }
