@@ -25,7 +25,6 @@ use crate::heuristics::Policy;
 use crate::job::{discount, Job};
 use crate::schedule::{with_candidate_schedule, CandidateSchedule, ScheduleMode};
 use mbts_sim::Time;
-use mbts_workload::workflow::SuccessorContext;
 use serde::{Deserialize, Serialize};
 
 /// The site's acceptance heuristic.
@@ -78,37 +77,6 @@ pub fn evaluate_admission(
     queue_with_candidate: &[Job],
     candidate: &Job,
 ) -> AdmissionDecision {
-    evaluate_admission_with_successors(
-        admission,
-        policy,
-        mode,
-        discount_rate,
-        now,
-        processor_free,
-        queue_with_candidate,
-        candidate,
-        None,
-    )
-}
-
-/// Successor-aware variant of [`evaluate_admission`] (Eq. 7′/8′, see
-/// `DESIGN.md` §14): when `successors` carries a non-empty
-/// [`SuccessorContext`], the bid accounts for the candidate's downstream
-/// critical-path runtime and the decayed value of everything behind it
-/// in its workflow. With no context (or an empty one) this is exactly
-/// [`evaluate_admission`].
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_admission_with_successors(
-    admission: &AdmissionPolicy,
-    policy: &Policy,
-    mode: ScheduleMode,
-    discount_rate: f64,
-    now: Time,
-    processor_free: &[Time],
-    queue_with_candidate: &[Job],
-    candidate: &Job,
-    successors: Option<&SuccessorContext>,
-) -> AdmissionDecision {
     let free = |buf: &mut Vec<Time>| buf.extend_from_slice(processor_free);
     with_candidate_schedule(
         policy,
@@ -117,42 +85,17 @@ pub fn evaluate_admission_with_successors(
         free,
         queue_with_candidate,
         None,
-        |schedule| {
-            decision_from_schedule_with_successors(
-                admission,
-                discount_rate,
-                schedule,
-                candidate,
-                successors,
-            )
-        },
+        |schedule| decision_from_schedule(admission, discount_rate, schedule, candidate),
     )
 }
 
-/// The decision read off an already-built candidate schedule containing
-/// the candidate, successor-aware (Eq. 7′/8′). The candidate's expected yield
-/// — the server bid's *price* — stays task-level, but its present value
-/// gains the estimated decayed value of its workflow descendants at
-/// their earliest possible completion (`C_i + D_i`, the candidate's
-/// completion plus the downstream critical path), discounted over that
-/// longer horizon:
-///
-/// ```text
-/// PV′_i   = (y_i(C_i) + V̂(C_i + D_i)) / (1 + r·(RPT_i + D_i))
-/// slack′_i = (PV′_i − cost_i) / (decay_i + Σ_d decay_d)
-/// ```
-///
-/// Eq. 8's cost is unchanged — delaying the queue behind the candidate
-/// costs the same regardless of what the candidate unlocks. The slack
-/// denominator grows by the summed descendant decay because delaying
-/// this task delays its whole downstream cone. An empty context reduces
-/// both expressions exactly to Eq. 7/8.
-pub fn decision_from_schedule_with_successors(
+/// The Eq. 7/8 decision read off an already-built candidate schedule
+/// containing the candidate.
+pub fn decision_from_schedule(
     admission: &AdmissionPolicy,
     discount_rate: f64,
     schedule: &CandidateSchedule,
     candidate: &Job,
-    successors: Option<&SuccessorContext>,
 ) -> AdmissionDecision {
     let position = schedule
         .position(candidate.id())
@@ -162,19 +105,7 @@ pub fn decision_from_schedule_with_successors(
         &schedule.entries[position + 1..],
     );
     let expected_yield = entry.expected_yield;
-    let succ = successors.filter(|s| !s.is_empty());
-    let present_value = match succ {
-        None => discount(expected_yield, discount_rate, candidate.rpt.as_f64()),
-        Some(s) => {
-            let downstream_done = entry.completion + mbts_sim::Duration::new(s.downstream_runtime);
-            let downstream_value = s.downstream_value_at(downstream_done);
-            discount(
-                expected_yield + downstream_value,
-                discount_rate,
-                candidate.rpt.as_f64() + s.downstream_runtime,
-            )
-        }
-    };
+    let present_value = discount(expected_yield, discount_rate, candidate.rpt.as_f64());
 
     // Eq. 8: each task behind the candidate is pushed back by the
     // candidate's runtime.
@@ -182,8 +113,7 @@ pub fn decision_from_schedule_with_successors(
     let behind_decay: f64 = behind.iter().map(|e| e.decay).sum();
     let cost = behind_decay * runtime_i;
 
-    let effective_decay = candidate.spec.decay + succ.map(|s| s.sum_decay).unwrap_or(0.0);
-    let slack = slack(present_value, cost, effective_decay);
+    let slack = slack(present_value, cost, candidate.spec.decay);
 
     let accept = match admission {
         AdmissionPolicy::AcceptAll => true,
@@ -400,83 +330,6 @@ mod tests {
         let c = job(0, 0.0, 10.0, 100.0, 0.5);
         let other = job(1, 0.0, 10.0, 100.0, 0.5);
         let _ = eval(AdmissionPolicy::AcceptAll, &[other], &c, 1);
-    }
-
-    fn eval_succ(
-        queue: &[Job],
-        candidate: &Job,
-        succ: Option<&mbts_workload::workflow::SuccessorContext>,
-    ) -> AdmissionDecision {
-        evaluate_admission_with_successors(
-            &AdmissionPolicy::AcceptAll,
-            &Policy::FirstPrice,
-            ScheduleMode::Static,
-            0.01,
-            Time::ZERO,
-            &[Time::ZERO],
-            queue,
-            candidate,
-            succ,
-        )
-    }
-
-    #[test]
-    fn empty_successor_context_reduces_exactly_to_eq7() {
-        let c = job(0, 0.0, 10.0, 100.0, 0.5);
-        let queue = [c.clone()];
-        let plain = eval_succ(&queue, &c, None);
-        let empty = mbts_workload::workflow::SuccessorContext::default();
-        let with_empty = eval_succ(&queue, &c, Some(&empty));
-        assert_eq!(plain, with_empty);
-    }
-
-    #[test]
-    fn successor_context_adds_downstream_value_and_decay() {
-        // Candidate unlocks a descendant worth 200 with decay 1, one
-        // 20-unit-runtime hop downstream.
-        let c = job(0, 0.0, 10.0, 100.0, 0.5);
-        let queue = [c.clone()];
-        let succ = mbts_workload::workflow::SuccessorContext {
-            downstream_runtime: 20.0,
-            sum_value: 200.0,
-            sum_decay: 1.0,
-            sum_decay_runtime: 1.0 * 20.0,
-            sum_floor: f64::NEG_INFINITY,
-            workflow_arrival: 0.0,
-        };
-        let d = eval_succ(&queue, &c, Some(&succ));
-        let plain = eval_succ(&queue, &c, None);
-        // Completion at 10; descendants done earliest at 30; downstream
-        // value = 200 − 1·(30 − 0) + 20 = 190, capped at sum_value.
-        // PV′ = (100 + 190)/(1 + 0.01·(10 + 20)).
-        let expect_pv = (100.0 + 190.0) / (1.0 + 0.01 * 30.0);
-        assert!((d.present_value - expect_pv).abs() < 1e-9);
-        assert!(d.present_value > plain.present_value);
-        // Denominator: candidate decay + descendant decay.
-        let expect_slack = (expect_pv - 0.0) / (0.5 + 1.0);
-        assert!((d.slack - expect_slack).abs() < 1e-9);
-        // The server bid price itself is unchanged: task-level.
-        assert_eq!(d.expected_yield, plain.expected_yield);
-    }
-
-    #[test]
-    fn downstream_value_clamps_at_descendant_floors() {
-        // Descendants already fully decayed: a zero floor stops the
-        // downstream estimate from going negative.
-        let c = job(0, 0.0, 10.0, 100.0, 0.5);
-        let queue = [c.clone()];
-        let succ = mbts_workload::workflow::SuccessorContext {
-            downstream_runtime: 20.0,
-            sum_value: 5.0,
-            sum_decay: 10.0,
-            sum_decay_runtime: 10.0 * 20.0,
-            sum_floor: 0.0,
-            workflow_arrival: 0.0,
-        };
-        let d = eval_succ(&queue, &c, Some(&succ));
-        // Raw estimate 5 − 10·30 + 200 = −95 → clamped to the floor 0.
-        let expect_pv = (100.0 + 0.0) / (1.0 + 0.01 * 30.0);
-        assert!((d.present_value - expect_pv).abs() < 1e-9);
     }
 }
 

@@ -58,8 +58,7 @@ pub mod readyset;
 pub mod schedule;
 
 pub use admission::{
-    decision_from_schedule_with_successors, evaluate_admission, evaluate_admission_with_successors,
-    AdmissionDecision, AdmissionPolicy,
+    decision_from_schedule, evaluate_admission, AdmissionDecision, AdmissionPolicy,
 };
 pub use cost::{CostModel, DecaySum};
 pub use explain::{decompose, explain_decision, DecisionExplanation, ScoreDecomposition};

@@ -20,7 +20,7 @@
 //! | Slack-threshold sweep per load | Fig. 7 | [`figures::fig7()`](figures::fig7()) |
 //! | Preemption / admission / schedule-mode / misestimation ablations | §5–6 design choices | [`ablations`] |
 //! | Per-policy yield vs processor failure rate (fault injection) | robustness study | [`faults::fault_sweep()`](faults::fault_sweep()) |
-//! | Successor-aware vs per-task admission over DAG workflows | workflow extension | [`workflows::workflow_grid()`](workflows::workflow_grid()) |
+//! | Per-policy settled yield over DAG workflows | workflow extension | [`workflows::workflow_grid()`](workflows::workflow_grid()) |
 
 pub mod ablations;
 pub mod compare;

@@ -7,6 +7,8 @@
 //!   --tasks N        trace length (default 5000, as in the paper)
 //!   --seeds N        replications per point (default 5)
 //!   --processors N   site size (default 16)
+//!                    (a count is at least 1 and overrides a preset given
+//!                    anywhere on the line)
 //!   --out DIR        also write <fig>.csv and <fig>.json under DIR
 //!   --plot           render ASCII plots in addition to tables
 //!   --trace FILE     (metrics) also write the full event streams as JSONL
@@ -15,6 +17,8 @@
 use mbts_experiments::harness::ExpParams;
 use mbts_experiments::report::FigureResult;
 use mbts_experiments::{ablations, faults, figures, metrics, workflows};
+use std::fs::File;
+use std::io::Write;
 use std::path::PathBuf;
 
 struct Cli {
@@ -23,7 +27,20 @@ struct Cli {
     params: ExpParams,
     out: Option<PathBuf>,
     plot: bool,
-    trace: Option<PathBuf>,
+    /// `--trace FILE`, created while the flags are read so that a path
+    /// that cannot be written is refused before anything runs.
+    trace: Option<(PathBuf, File)>,
+}
+
+/// The value of a count flag: a whole number of at least 1.
+fn count<T: std::str::FromStr + PartialOrd + From<u8>>(
+    flag: &str,
+    value: Option<String>,
+) -> Result<T, String> {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|n| *n >= T::from(1))
+        .ok_or_else(|| format!("{flag} needs a whole number of at least 1"))
 }
 
 fn parse_args() -> Result<Cli, String> {
@@ -37,38 +54,43 @@ fn parse_args() -> Result<Cli, String> {
             }
         }
     }
-    let mut params = ExpParams::paper();
+    // A preset sets every scale at once and an explicit flag overrides
+    // it, whichever comes first on the command line.
+    let mut preset = None;
+    let (mut tasks, mut seeds, mut processors) = (None, None, None);
     let mut out = None;
     let mut plot = false;
     let mut trace = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => params = ExpParams::quick(),
-            "--smoke" => params = ExpParams::smoke(),
-            "--tasks" => {
-                params.tasks = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--tasks needs a number")?
+            "--quick" => preset = Some(ExpParams::quick()),
+            "--smoke" => preset = Some(ExpParams::smoke()),
+            "--tasks" => tasks = Some(count("--tasks", args.next())?),
+            "--seeds" => seeds = Some(count("--seeds", args.next())?),
+            "--processors" => processors = Some(count("--processors", args.next())?),
+            "--out" => {
+                let dir = PathBuf::from(args.next().ok_or("--out needs a path")?);
+                std::fs::create_dir_all(&dir)
+                    .map_err(|e| format!("--out: cannot create {}: {e}", dir.display()))?;
+                out = Some(dir);
             }
-            "--seeds" => {
-                params.seeds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seeds needs a number")?
-            }
-            "--processors" => {
-                params.processors = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--processors needs a number")?
-            }
-            "--out" => out = Some(PathBuf::from(args.next().ok_or("--out needs a path")?)),
             "--plot" => plot = true,
-            "--trace" => trace = Some(PathBuf::from(args.next().ok_or("--trace needs a path")?)),
+            "--trace" if target != "metrics" => {
+                return Err(format!("--trace applies only to metrics, not {target}"))
+            }
+            "--trace" => {
+                let path = PathBuf::from(args.next().ok_or("--trace needs a path")?);
+                let file = File::create(&path)
+                    .map_err(|e| format!("--trace: cannot write {}: {e}", path.display()))?;
+                trace = Some((path, file));
+            }
             other => return Err(format!("unknown option {other}\n{}", usage())),
         }
     }
+    let mut params = preset.unwrap_or_else(ExpParams::paper);
+    params.tasks = tasks.unwrap_or(params.tasks);
+    params.seeds = seeds.unwrap_or(params.seeds);
+    params.processors = processors.unwrap_or(params.processors);
     Ok(Cli {
         target,
         ablation,
@@ -86,18 +108,26 @@ fn usage() -> String {
         .to_string()
 }
 
-fn emit(fig: &FigureResult, cli: &Cli) {
+/// Prints `fig` and writes it under `--out`; a failed write is the
+/// message returned.
+fn emit(fig: &FigureResult, cli: &Cli) -> Result<(), String> {
     println!("{}", fig.render_table());
     if cli.plot {
         println!("{}", fig.render_plot(72, 20));
     }
     if let Some(dir) = &cli.out {
-        std::fs::create_dir_all(dir).expect("create output dir");
-        std::fs::write(dir.join(format!("{}.csv", fig.id)), fig.to_csv()).expect("write csv");
-        std::fs::write(dir.join(format!("{}.json", fig.id)), fig.to_json()).expect("write json");
-        std::fs::write(dir.join(format!("{}.md", fig.id)), fig.to_markdown()).expect("write md");
+        for (ext, text) in [
+            ("csv", fig.to_csv()),
+            ("json", fig.to_json()),
+            ("md", fig.to_markdown()),
+        ] {
+            let path = dir.join(format!("{}.{ext}", fig.id));
+            std::fs::write(&path, text)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        }
         eprintln!("wrote {}/{}.{{csv,json,md}}", dir.display(), fig.id);
     }
+    Ok(())
 }
 
 fn main() {
@@ -116,8 +146,11 @@ fn main() {
     if cli.target == "metrics" {
         let report = metrics::run_metrics(&cli.params);
         println!("{}", report.render());
-        if let Some(path) = &cli.trace {
-            std::fs::write(path, report.trace_jsonl()).expect("write trace JSONL");
+        if let Some((path, mut file)) = cli.trace {
+            if let Err(e) = file.write_all(report.trace_jsonl().as_bytes()) {
+                eprintln!("cannot write {}: {e}", path.display());
+                std::process::exit(1);
+            }
             eprintln!("wrote {}", path.display());
         }
         eprintln!("done in {:.1?}", started.elapsed());
@@ -165,7 +198,10 @@ fn main() {
         }
     };
     for fig in &figs {
-        emit(fig, &cli);
+        if let Err(e) = emit(fig, &cli) {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
     }
     eprintln!("done in {:.1?}", started.elapsed());
 }

@@ -1,23 +1,19 @@
 //! The `workflows` experiment family: DAG workloads with decaying
 //! end-to-end value.
 //!
-//! The paper prices independent tasks; this study asks what its
-//! admission machinery is worth once tasks carry successors. Each grid
-//! cell replays the same seeded workflow set twice under slack-threshold
-//! admission:
+//! The paper prices independent tasks; this study replays seeded DAG
+//! workflow sets under every scheduling policy with per-task Eq. 7
+//! slack-threshold admission. The metric is total settled *workflow*
+//! yield: a workflow earns its end-to-end decayed value only if every
+//! member completes, so admitting a root whose descendants will later be
+//! refused strands work that pays nothing. The grid sweeps every
+//! scheduling policy × three DAG shapes × the harness seed list, one
+//! series per policy.
 //!
-//! * **successor-aware** — per-task workflow facets are installed, so
-//!   Eq. 7 slack is evaluated with the downstream decay and value folded
-//!   in (a root whose subtree cannot pay is refused at the door);
-//! * **per-task greedy** — the same policy and threshold, but each task
-//!   is priced in isolation, exactly as the paper's single-task model
-//!   would.
-//!
-//! The metric is total settled *workflow* yield: a workflow earns its
-//! end-to-end decayed value only if every member completes, so admitting
-//! a root whose descendants will later be refused strands work that
-//! pays nothing. The grid sweeps every scheduling policy × three DAG
-//! shapes × the harness seed list.
+//! A successor-aware admission rule (Eq. 7′/8′) once priced a task's
+//! downstream cone into its bid. Measured against this per-task rule on
+//! the same seeds it lost under every policy, and was removed
+//! (`DESIGN.md` §14, `EXPERIMENTS.md` "Workflows").
 
 use crate::harness::{parallel_map, ExpParams};
 use crate::report::{FigureResult, Point, Series};
@@ -27,8 +23,8 @@ use mbts_site::{SiteConfig, SiteRun};
 use mbts_trace::Tracer;
 use mbts_workload::{generate_workflows, WorkflowConfig, WorkflowShape};
 
-/// Slack floor applied in both modes (accept iff slack ≥ 0: the bid
-/// must at least break even at its candidate completion).
+/// Slack floor (accept iff slack ≥ 0: the bid must at least break even
+/// at its candidate completion).
 pub const SLACK_THRESHOLD: f64 = 0.0;
 
 /// Discount rate for the PV-based policies (1 %, as in Figure 6).
@@ -54,7 +50,7 @@ pub fn shapes() -> Vec<(&'static str, WorkflowShape)> {
     ]
 }
 
-/// The scheduling policies swept (one pair of series each).
+/// The scheduling policies swept (one series each).
 pub fn policies() -> Vec<(&'static str, Policy)> {
     vec![
         ("FCFS", Policy::Fcfs),
@@ -72,82 +68,66 @@ fn workflow_count(params: &ExpParams) -> usize {
     (params.tasks / 5).clamp(8, 400)
 }
 
-/// One grid cell: total settled workflow yield for (shape, policy,
-/// successor-aware?, seed).
-fn run_cell(
-    params: &ExpParams,
-    shape: WorkflowShape,
-    policy: Policy,
-    aware: bool,
-    seed: u64,
-) -> f64 {
+/// One grid cell: total settled workflow yield for (shape, policy, seed).
+fn run_cell(params: &ExpParams, shape: WorkflowShape, policy: Policy, seed: u64) -> f64 {
     let wf = WorkflowConfig::default_set()
         .with_workflows(workflow_count(params))
         .with_shape(shape)
         .with_processors(params.processors)
         .with_load_factor(LOAD_FACTOR);
     let set = generate_workflows(&wf, seed);
-    let mut cfg = SiteConfig::new(params.processors)
+    let cfg = SiteConfig::new(params.processors)
         .with_policy(policy)
         .with_admission(AdmissionPolicy::SlackThreshold {
             threshold: SLACK_THRESHOLD,
         });
-    if aware {
-        cfg = cfg.with_workflow_facets(set.facets());
-    }
     let (outcome, _) = SiteRun::with_workflows(cfg, &set, Tracer::Off).finish();
     outcome.workflows.expect("workflow replay").total_earned
 }
 
-/// Regenerates the workflow admission grid: policies × DAG shapes ×
-/// seeds, successor-aware vs per-task greedy admission.
+/// Regenerates the workflow grid: policies × DAG shapes × seeds.
 pub fn workflow_grid(params: &ExpParams) -> FigureResult {
     let seeds = params.seed_list();
     let shapes = shapes();
     let pols = policies();
-    // Work items: (policy index, aware?, shape index, seed).
-    let mut work: Vec<(usize, bool, usize, u64)> = Vec::new();
+    // Work items: (policy index, shape index, seed).
+    let mut work: Vec<(usize, usize, u64)> = Vec::new();
     for pi in 0..pols.len() {
-        for &aware in &[true, false] {
-            for si in 0..shapes.len() {
-                for &seed in &seeds {
-                    work.push((pi, aware, si, seed));
-                }
+        for si in 0..shapes.len() {
+            for &seed in &seeds {
+                work.push((pi, si, seed));
             }
         }
     }
-    let earned: Vec<f64> = parallel_map(&work, |&(pi, aware, si, seed)| {
-        run_cell(params, shapes[si].1, pols[pi].1, aware, seed)
+    let earned: Vec<f64> = parallel_map(&work, |&(pi, si, seed)| {
+        run_cell(params, shapes[si].1, pols[pi].1, seed)
     });
 
-    let mut series = Vec::new();
-    let mut idx = 0;
-    for (pname, _) in &pols {
-        for &aware in &[true, false] {
-            let label = if aware {
-                format!("{pname} (successor-aware)")
-            } else {
-                format!("{pname} (per-task)")
-            };
-            let mut points = Vec::new();
-            for (si, _) in shapes.iter().enumerate() {
-                let mut stats = OnlineStats::new();
-                for _ in &seeds {
-                    stats.push(earned[idx]);
-                    idx += 1;
-                }
-                points.push(Point {
-                    x: si as f64,
-                    y: stats.summary(),
-                });
-            }
-            series.push(Series::new(label, points));
-        }
-    }
+    let series = pols
+        .iter()
+        .zip(earned.chunks(shapes.len() * seeds.len()))
+        .map(|((pname, _), cells)| {
+            let points = cells
+                .chunks(seeds.len())
+                .enumerate()
+                .map(|(si, per_seed)| {
+                    let mut stats = OnlineStats::new();
+                    for &y in per_seed {
+                        stats.push(y);
+                    }
+                    Point {
+                        x: si as f64,
+                        y: stats.summary(),
+                    }
+                })
+                .collect();
+            Series::new(pname.to_string(), points)
+        })
+        .collect();
     FigureResult {
         id: "workflows".into(),
         title: format!(
-            "Workflow admission: settled DAG yield (x: {})",
+            "Workflows: settled DAG yield (x: {})",
             shapes
                 .iter()
                 .map(|(n, _)| *n)
@@ -165,10 +145,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn grid_covers_policies_by_modes_by_shapes() {
+    fn grid_covers_policies_by_shapes() {
         let params = ExpParams::smoke();
         let fig = workflow_grid(&params);
-        assert_eq!(fig.series.len(), policies().len() * 2);
+        assert_eq!(fig.series.len(), policies().len());
         for s in &fig.series {
             assert_eq!(s.points.len(), shapes().len());
             for p in &s.points {
@@ -183,36 +163,5 @@ mod tests {
         let a = workflow_grid(&params);
         let b = workflow_grid(&params);
         assert_eq!(a.to_csv(), b.to_csv());
-    }
-
-    #[test]
-    fn successor_awareness_pays_under_value_policies() {
-        // Aggregated across shapes and seeds, pricing the subtree at the
-        // root should not lose to greedy per-task admission for the
-        // value-aware policies (FirstPrice, PV, FirstReward). At smoke
-        // scale (2 seeds) the paired difference sits inside sampling
-        // noise for some policies, so allow a few percent of slop — the
-        // claim under test is "does not systematically lose", not "wins
-        // every cell".
-        let params = ExpParams::smoke();
-        let fig = workflow_grid(&params);
-        for pname in ["FirstPrice", "PV", "FirstReward a=0.6"] {
-            let aware: f64 = fig
-                .series_by_label(&format!("{pname} (successor-aware)"))
-                .unwrap()
-                .means()
-                .iter()
-                .sum();
-            let greedy: f64 = fig
-                .series_by_label(&format!("{pname} (per-task)"))
-                .unwrap()
-                .means()
-                .iter()
-                .sum();
-            assert!(
-                aware >= greedy * 0.95,
-                "{pname}: successor-aware {aware} vs per-task {greedy}"
-            );
-        }
     }
 }

@@ -36,8 +36,8 @@ pub struct SiteConfig {
     /// (Millennium §3: "the system incurs no cost even if it discards an
     /// expired task").
     pub drop_expired: bool,
-    /// Per-task workflow facets (owning workflow, critical-path flag,
-    /// successor context for Eq. 7′/8′ successor-aware admission).
+    /// Per-task workflow facets (owning workflow, critical-path flag),
+    /// stamped on decision provenance; admission never reads them.
     /// Absent for plain task workloads — and absent from serialized
     /// configs, so pre-workflow configs round-trip byte-identically.
     #[serde(default, skip_serializing_if = "Option::is_none")]
@@ -105,9 +105,9 @@ impl SiteConfig {
         self
     }
 
-    /// Installs per-task workflow facets: admission becomes
-    /// successor-aware (Eq. 7′/8′) and decision provenance is stamped
-    /// with workflow/critical-path membership.
+    /// Installs per-task workflow facets: decision provenance is
+    /// stamped with workflow/critical-path membership. Admission stays
+    /// per-task Eq. 7/8 (DESIGN §14).
     pub fn with_workflow_facets(mut self, facets: WorkflowFacets) -> Self {
         self.workflow_facets = Some(facets);
         self

@@ -19,7 +19,7 @@ use crate::config::SiteConfig;
 use crate::metrics::{Disposition, JobOutcome, SiteMetrics};
 use crate::SiteOutcome;
 use mbts_core::{
-    decision_from_schedule_with_successors, decompose, explain_decision, with_candidate_schedule,
+    decision_from_schedule, decompose, explain_decision, with_candidate_schedule,
     AdmissionDecision, AdmissionPolicy, CostModel, Job, PendingPool, PoolCheckpoint, ScoreCtx,
     ScoreDecomposition,
 };
@@ -113,8 +113,6 @@ pub struct SiteState {
     /// Structured-event sink ([`Tracer::Off`] by default: every emission
     /// site reduces to one never-taken branch).
     tracer: Tracer,
-    /// Site index stamped on emitted events (multi-site economy runs).
-    trace_site: Option<usize>,
 }
 
 impl SiteState {
@@ -134,7 +132,6 @@ impl SiteState {
             earned_recorded: 0.0,
             violations: Vec::new(),
             tracer: Tracer::Off,
-            trace_site: None,
         }
     }
 
@@ -154,7 +151,7 @@ impl SiteState {
     /// Emits a workflow-overlay event (release/settle/strand) through
     /// this site's tracer. The overlay drives the run from outside the
     /// site core, so it needs an emission path that shares the site's
-    /// sink and site-index stamp.
+    /// sink.
     pub fn trace_workflow(
         &mut self,
         at: Time,
@@ -167,11 +164,10 @@ impl SiteState {
     #[inline]
     fn trace(&mut self, at: Time, task: Option<mbts_workload::TaskId>, kind: TraceKind) {
         if self.tracer.is_enabled() {
-            let site = self.trace_site;
             self.tracer.emit(TraceEvent {
                 at,
                 task,
-                site,
+                site: None,
                 kind,
             });
         }
@@ -380,12 +376,11 @@ impl SiteState {
             self.pending.jobs(),
             Some(&candidate),
             |schedule| {
-                decision_from_schedule_with_successors(
+                decision_from_schedule(
                     &self.config.admission,
                     self.config.admission_discount_rate,
                     schedule,
                     &candidate,
-                    self.facet_of(spec.id.0).map(|f| &f.succ),
                 )
             },
         )
@@ -698,7 +693,7 @@ impl SiteState {
         TraceEvent {
             at: now,
             task: Some(job.id()),
-            site: self.trace_site,
+            site: None,
             kind: TraceKind::Scheduled {
                 rank,
                 pv,
@@ -770,7 +765,7 @@ impl SiteState {
         TraceEvent {
             at: now,
             task: Some(job.id()),
-            site: self.trace_site,
+            site: None,
             kind: TraceKind::DecisionRecord {
                 decision: if backfill {
                     DecisionKind::Backfill
@@ -802,7 +797,7 @@ impl SiteState {
         TraceEvent {
             at: now,
             task: Some(spec.id),
-            site: self.trace_site,
+            site: None,
             kind: TraceKind::DecisionRecord {
                 decision: DecisionKind::Admission,
                 considered: 1,
@@ -841,7 +836,7 @@ impl SiteState {
         TraceEvent {
             at: now,
             task: Some(winner),
-            site: self.trace_site,
+            site: None,
             kind: TraceKind::DecisionRecord {
                 decision: DecisionKind::Preempt,
                 considered: running_views.len(),
@@ -1086,7 +1081,6 @@ impl SiteState {
             earned_recorded: self.earned_recorded,
             violations: &self.violations,
             tracer: self.tracer.snapshot(),
-            trace_site: self.trace_site,
         }
     }
 
@@ -1116,7 +1110,6 @@ impl SiteState {
             earned_recorded: snap.earned_recorded,
             violations: snap.violations,
             tracer: Tracer::from_snapshot(snap.tracer),
-            trace_site: snap.trace_site,
         }
     }
 }
@@ -1138,7 +1131,6 @@ pub struct SiteSnapshotRef<'a> {
     earned_recorded: f64,
     violations: &'a [AuditViolation],
     tracer: TracerSnapshotRef<'a>,
-    trace_site: Option<usize>,
 }
 
 /// Serializable image of a [`SiteState`] at an event boundary — the
@@ -1168,8 +1160,6 @@ pub struct SiteSnapshot {
     pub violations: Vec<AuditViolation>,
     /// The tracer cursor.
     pub tracer: TracerSnapshot,
-    /// Site index stamped on emitted trace events.
-    pub trace_site: Option<usize>,
 }
 
 #[cfg(test)]
@@ -1778,7 +1768,7 @@ mod preemption_mode_tests {
 mod quote_equivalence_tests {
     use super::*;
     use mbts_core::{build_candidate, Policy, ScheduleMode};
-    use mbts_workload::{PenaltyBound, SuccessorContext, WorkflowFacets};
+    use mbts_workload::PenaltyBound;
     use proptest::prelude::*;
 
     /// What `evaluate` did before it borrowed the queue: copy it, push
@@ -1797,12 +1787,11 @@ mod quote_equivalence_tests {
             &site.free_times(now),
             &queue,
         );
-        Some(decision_from_schedule_with_successors(
+        Some(decision_from_schedule(
             &site.config.admission,
             site.config.admission_discount_rate,
             &schedule,
             &candidate,
-            site.facet_of(spec.id.0).map(|f| &f.succ),
         ))
     }
 
@@ -1881,7 +1870,6 @@ mod quote_equivalence_tests {
             procs in 1usize..=4,
             policy in 0usize..7,
             dynamic in any::<bool>(),
-            successors in any::<bool>(),
             first in job_seed(),
             second in job_seed(),
             now in 0.0f64..50.0,
@@ -1896,22 +1884,10 @@ mod quote_equivalence_tests {
                 Policy::first_reward(0.3, 0.01),
             ][policy];
             let mode = if dynamic { ScheduleMode::Dynamic } else { ScheduleMode::Static };
-            let mut config = SiteConfig::new(procs)
+            let config = SiteConfig::new(procs)
                 .with_policy(policy)
                 .with_schedule_mode(mode)
                 .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 });
-            if successors {
-                let succ = SuccessorContext {
-                    downstream_runtime: 20.0,
-                    sum_value: 200.0,
-                    sum_decay: 1.0,
-                    sum_decay_runtime: 20.0,
-                    sum_floor: f64::NEG_INFINITY,
-                    workflow_arrival: 0.0,
-                };
-                let facet = TaskFacet { workflow: 0, critical: true, succ };
-                config = config.with_workflow_facets(WorkflowFacets::from([(500, facet), (501, facet)]));
-            }
             let mut site = busy_site(config, &pool);
             let other = busy_site(SiteConfig::new(procs + 2).with_policy(Policy::FirstPrice), &pool);
             let now = Time::from(now);

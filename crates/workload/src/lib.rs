@@ -52,6 +52,6 @@ pub use task::{PenaltyBound, TaskId, TaskSpec};
 pub use trace::{Trace, TraceStats};
 pub use validate::{validate_trace, ValidationReport};
 pub use workflow::{
-    attribute_critical_path, generate_workflows, SuccessorContext, TaskFacet, WorkflowConfig,
-    WorkflowError, WorkflowFacets, WorkflowSet, WorkflowShape, WorkflowSpec,
+    attribute_critical_path, generate_workflows, TaskFacet, WorkflowConfig, WorkflowError,
+    WorkflowFacets, WorkflowSet, WorkflowShape, WorkflowSpec,
 };

@@ -9,13 +9,10 @@
 //! dimension, so common-random-number comparisons survive knob changes
 //! exactly as they do for [`MixConfig`](crate::MixConfig) traces.
 //!
-//! Beyond generation, the module precomputes everything the scheduler's
-//! successor-aware admission extension (Eq. 7′/8′, see `DESIGN.md` §14)
-//! needs per task — downstream critical-path runtime and the descendant
-//! value/decay sums of a [`SuccessorContext`] — plus the static critical
-//! path along which settled workflow yield is attributed, with an
-//! exact-remainder split so the attribution sums to the settled yield
-//! *bitwise*.
+//! Beyond generation, the module computes the static critical path along
+//! which settled workflow yield is attributed, with an exact-remainder
+//! split so the attribution sums to the settled yield *bitwise*, and the
+//! per-task [`TaskFacet`]s that stamp decision provenance.
 //!
 //! Structural validation returns typed [`WorkflowError`]s (cycles,
 //! dangling edges, self-loops, cross-workflow edges) instead of
@@ -274,61 +271,17 @@ impl std::fmt::Display for WorkflowError {
 
 impl std::error::Error for WorkflowError {}
 
-/// Everything the successor-aware admission extension (Eq. 7′/8′) needs
-/// about a task's strict descendants, precomputed at generation time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct SuccessorContext {
-    /// Longest-runtime path through the strict descendants (the
-    /// downstream critical path `D_i`), in time units.
-    pub downstream_runtime: f64,
-    /// Σ value over strict descendants.
-    pub sum_value: f64,
-    /// Σ decay over strict descendants (`Δ_i`: delaying this task delays
-    /// every descendant).
-    pub sum_decay: f64,
-    /// Σ decay·runtime over strict descendants (the linear correction
-    /// term of the closed-form downstream value estimate).
-    pub sum_decay_runtime: f64,
-    /// Σ penalty floors over strict descendants (clamps the estimate;
-    /// −∞ when any descendant is unbounded).
-    pub sum_floor: f64,
-    /// The workflow's arrival instant (the shared value-clock origin).
-    pub workflow_arrival: f64,
-}
-
-impl SuccessorContext {
-    /// `true` when the task has no descendants (the context reduces
-    /// Eq. 7′/8′ exactly to Eq. 7/8).
-    pub fn is_empty(&self) -> bool {
-        self.downstream_runtime == 0.0 && self.sum_value == 0.0 && self.sum_decay == 0.0
-    }
-
-    /// Closed-form estimate of the total descendant yield if every
-    /// descendant completed at `t`: each contributes
-    /// `v_d − δ_d·(t − a_w − rt_d)`, summed and clamped at the summed
-    /// penalty floors. Exact for unbounded/zero-floor descendants that
-    /// really do finish at `t`; optimistic otherwise (no downstream
-    /// queueing).
-    pub fn downstream_value_at(&self, t: Time) -> f64 {
-        let raw = self.sum_value - self.sum_decay * (t.as_f64() - self.workflow_arrival)
-            + self.sum_decay_runtime;
-        raw.min(self.sum_value).max(self.sum_floor)
-    }
-}
-
-/// Per-task workflow facts a scheduler needs at decision time.
+/// Per-task workflow facts stamped on decision provenance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TaskFacet {
     /// Owning workflow id.
     pub workflow: u64,
     /// `true` when the task lies on its workflow's static critical path.
     pub critical: bool,
-    /// Successor-aware admission context.
-    pub succ: SuccessorContext,
 }
 
-/// Task-id-keyed facet table, installed into site configs so admission
-/// and provenance can see workflow structure.
+/// Task-id-keyed facet table, installed into site configs so decision
+/// provenance names each task's workflow.
 pub type WorkflowFacets = BTreeMap<u64, TaskFacet>;
 
 impl WorkflowSet {
@@ -536,63 +489,9 @@ impl WorkflowSet {
         path
     }
 
-    /// Precomputes the [`SuccessorContext`] of every task: descendant
-    /// sums by reverse-topological DP over descendant *sets* (workflows
-    /// are small; exactness beats cleverness here).
-    pub fn successor_contexts(&self) -> BTreeMap<u64, SuccessorContext> {
-        let mut out = BTreeMap::new();
-        for w in &self.workflows {
-            let Ok(order) = self.topological_order(w) else {
-                continue;
-            };
-            let mut succs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for &(p, s) in &w.edges {
-                succs.entry(p).or_default().push(s);
-            }
-            // Downstream critical path (exclusive of self).
-            let mut down_incl: BTreeMap<usize, f64> = BTreeMap::new();
-            let mut desc: BTreeMap<usize, std::collections::BTreeSet<usize>> = BTreeMap::new();
-            for &t in order.iter().rev() {
-                let mut d: std::collections::BTreeSet<usize> = Default::default();
-                let mut best = 0.0f64;
-                for &s in succs.get(&t).map(|v| v.as_slice()).unwrap_or(&[]) {
-                    best = best.max(down_incl[&s]);
-                    d.insert(s);
-                    d.extend(desc[&s].iter().copied());
-                }
-                down_incl.insert(t, self.tasks[t].runtime.as_f64() + best);
-                let ctx = {
-                    let mut sum_value = 0.0;
-                    let mut sum_decay = 0.0;
-                    let mut sum_decay_runtime = 0.0;
-                    let mut sum_floor = 0.0;
-                    for &i in &d {
-                        let s = &self.tasks[i];
-                        sum_value += s.value;
-                        sum_decay += s.decay;
-                        sum_decay_runtime += s.decay * s.runtime.as_f64();
-                        sum_floor += s.bound.floor();
-                    }
-                    SuccessorContext {
-                        downstream_runtime: down_incl[&t] - self.tasks[t].runtime.as_f64(),
-                        sum_value,
-                        sum_decay,
-                        sum_decay_runtime,
-                        sum_floor,
-                        workflow_arrival: w.arrival.as_f64(),
-                    }
-                };
-                out.insert(self.tasks[t].id.0, ctx);
-                desc.insert(t, d);
-            }
-        }
-        out
-    }
-
-    /// Builds the full facet table: successor contexts plus workflow
-    /// membership and critical-path flags.
+    /// Builds the full facet table: workflow membership and
+    /// critical-path flags.
     pub fn facets(&self) -> WorkflowFacets {
-        let contexts = self.successor_contexts();
         let mut facets = WorkflowFacets::new();
         for w in &self.workflows {
             let critical: std::collections::BTreeSet<usize> =
@@ -604,7 +503,6 @@ impl WorkflowSet {
                     TaskFacet {
                         workflow: w.id,
                         critical: critical.contains(&t),
-                        succ: contexts.get(&id).copied().unwrap_or_default(),
                     },
                 );
             }
@@ -882,28 +780,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(path[1], widest);
-    }
-
-    #[test]
-    fn pipeline_successor_context_counts_everything_downstream() {
-        let cfg = WorkflowConfig::default_set()
-            .with_shape(WorkflowShape::Pipeline { depth: 4 })
-            .with_workflows(1);
-        let set = generate_workflows(&cfg, 5);
-        let ctxs = set.successor_contexts();
-        let w = &set.workflows[0];
-        // Head: all three downstream tasks.
-        let head = ctxs[&(w.tasks[0] as u64)];
-        let tail_rt: f64 = w.tasks[1..]
-            .iter()
-            .map(|&t| set.tasks[t].runtime.as_f64())
-            .sum();
-        assert!((head.downstream_runtime - tail_rt).abs() < 1e-9);
-        let tail_value: f64 = w.tasks[1..].iter().map(|&t| set.tasks[t].value).sum();
-        assert!((head.sum_value - tail_value).abs() < 1e-9);
-        // Sink: empty context.
-        let sink = ctxs[&(*w.tasks.last().unwrap() as u64)];
-        assert!(sink.is_empty());
     }
 
     #[test]

@@ -1297,8 +1297,8 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             profile,
         } => {
             let (trace, wfset) = input.load()?;
-            // Workflow replays see DAG structure at admission time:
-            // successor-aware slack plus workflow-stamped provenance.
+            // Workflow replays stamp provenance with each task's
+            // workflow and critical-path membership.
             let site = match &wfset {
                 Some(set) => site.with_workflow_facets(set.facets()),
                 None => site,
@@ -1395,17 +1395,9 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             profile,
         } => {
             let (trace, wfset) = input.load()?;
-            if let Some(set) = wfset {
-                // Every site prices bids successor-aware, and the
-                // economy runs the release/settle overlay: only roots
-                // arrive, successors release as predecessors complete.
-                economy.sites = economy
-                    .sites
-                    .into_iter()
-                    .map(|s| s.with_workflow_facets(set.facets()))
-                    .collect();
-                economy.workflows = Some(set);
-            }
+            // The economy runs the release/settle overlay: only roots
+            // arrive, successors release as predecessors complete.
+            economy.workflows = wfset;
             let tracer = make_tracer(trace_out.is_some(), provenance);
             let profiling = start_profiling(profile.is_some());
             let run = EconomyRun::new(economy, &trace, tracer);

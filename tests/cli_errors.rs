@@ -239,6 +239,9 @@ fn journals_of_an_older_format_are_refused() {
         ("pre45/economy_journal.mbtsj", Kind::Economy, 2),
         ("pre45/service_journal.mbtsj", Kind::Service, 2),
         ("pre45/site_journal.mbtsj", Kind::Site, 2),
+        ("pre46/economy_journal.mbtsj", Kind::Economy, 3),
+        ("pre46/service_journal.mbtsj", Kind::Service, 3),
+        ("pre46/site_journal.mbtsj", Kind::Site, 3),
     ];
     let mut on_disk: Vec<_> = std::fs::read_dir(&dir)
         .expect("fixture dir")

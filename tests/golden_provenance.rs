@@ -178,7 +178,7 @@ fn provenance_fixtures_cover_every_site_decision_kind() {
 }
 
 /// A small DAG workload with facets installed, so decision records are
-/// workflow-stamped and admission sees successor structure.
+/// workflow-stamped.
 fn wf_set(shape: WorkflowShape, seed: u64) -> WorkflowSet {
     generate_workflows(
         &WorkflowConfig::default_set()

@@ -793,8 +793,8 @@ fn equivalence_wf_set(seed: u64) -> WorkflowSet {
     )
 }
 
-/// A workflow economy: successor-aware sites and the release/settle
-/// overlay installed.
+/// A workflow economy: slack-admitting sites that carry the facet table,
+/// and the release/settle overlay installed.
 fn wf_market_cfg(sites: usize, policy: Policy, set: &WorkflowSet) -> EconomyConfig {
     let mut c = EconomyConfig::uniform(
         sites,

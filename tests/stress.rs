@@ -65,7 +65,6 @@ fn everything_economy() -> EconomyConfig {
 fn traced_site_zero(trace: &Trace) -> (EconomyOutcome, Vec<TraceEvent>) {
     let mut snap = typed_snapshot(&EconomyRun::new(everything_economy(), trace, Tracer::Off));
     snap.sites[0].tracer = TracerSnapshot::Buffer { events: Vec::new() };
-    snap.sites[0].trace_site = Some(0);
     let mut run = EconomyRun::from_snapshot(snap).expect("snapshot restores");
     while run.step() {}
     let mut snap = typed_snapshot(&run);
@@ -120,12 +119,11 @@ fn kitchen_sink_economy_stays_consistent() {
     let spent: f64 = out.client_spend.iter().sum();
     assert!((spent - out.total_paid).abs() < 1e-6 * (1.0 + out.total_paid.abs()));
 
-    // Site 0's trail is its trace stream: time-ordered, stamped with its
-    // index, one completion per completed task, and observational only.
+    // Site 0's trail is its trace stream: time-ordered, one completion
+    // per completed task, and observational only.
     let (traced, trail) = traced_site_zero(&trace);
     assert!(!trail.is_empty());
     assert!(trail.windows(2).all(|w| w[0].at <= w[1].at));
-    assert!(trail.iter().all(|e| e.site == Some(0)));
     let completions = trail
         .iter()
         .filter(|e| matches!(e.kind, TraceKind::Completed { .. }))
