@@ -10,9 +10,8 @@
 //! scheduling policy × three DAG shapes × the harness seed list, one
 //! series per policy.
 //!
-//! A successor-aware admission rule (Eq. 7′/8′) once priced a task's
-//! downstream cone into its bid. Measured against this per-task rule on
-//! the same seeds it lost under every policy, and was removed
+//! Admission is per-task because pricing a task's downstream cone into
+//! its bid (Eq. 7′/8′) lost to it under every policy on the same seeds
 //! (`DESIGN.md` §14, `EXPERIMENTS.md` "Workflows").
 
 use crate::harness::{parallel_map, ExpParams};
