@@ -32,7 +32,7 @@ pub const MAGIC: [u8; 8] = *b"MBTSJRNL";
 /// The format version of every kind of journal (each kind's snapshot holds
 /// a site's). Bumped by any change to what a record holds or to the order
 /// a run folds its inputs in; [`scan`] refuses every other version.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 /// Header length in bytes (magic + version + kind).
 pub const HEADER_LEN: usize = 16;

@@ -113,13 +113,13 @@ impl Contract {
     }
 }
 
-/// One contract as the ledger keeps it: what negotiation and completion
-/// produced, with the task named by its index into the ledger's tasks.
-/// The rest of the contract is derived when it is read.
+/// One contract as the ledger keeps it: the completion negotiation
+/// promised and the one that came, with the task named by its index into
+/// the ledger's tasks. The rest of the contract, its price among it, is
+/// derived when it is read.
 #[derive(Debug, Clone, Copy)]
 struct Row {
     negotiated_completion: Time,
-    negotiated_price: f64,
     /// The actual completion; NaN while the contract is open.
     completed_at: f64,
     task: u32,
@@ -128,14 +128,16 @@ struct Row {
 
 /// The terms of a contract its row's rules do not give, kept whole: a
 /// value a client's budget capped below its task's, a formation time other
-/// than its task's arrival (a workflow task released after it), or a
-/// client other than the one its task id is dealt to.
+/// than its task's arrival (a workflow task released after it), a client
+/// other than the one its task id is dealt to, or a price other than its
+/// task's yield at the negotiated completion.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Terms {
     contract: u32,
     client: u32,
     value: f64,
     formed_at: Time,
+    price: f64,
 }
 
 /// The client a run places task `id` for: tasks are dealt in turn to the
@@ -228,15 +230,17 @@ impl std::fmt::Display for RebindError {
 impl std::error::Error for RebindError {}
 
 /// The contract ledger of a market run: every contract formed, in
-/// formation order, as one 32 B row over the run's shared tasks.
+/// formation order, as one 24 B row over the run's shared tasks.
 ///
-/// A row keeps the negotiated completion and price, the actual completion
-/// (NaN while open), the task's index and the site. The rest is derived
-/// as the run derives it: the task is the ledger's, the client the one
-/// the task's id is dealt to among the budgets' clients, the formation
-/// time the task's arrival, and the settlement [`Contract::settle`] at
-/// the completion. A contract whose value, formation time or client is
-/// not so derived keeps those terms in a side table.
+/// A row keeps the negotiated completion, the actual completion (NaN
+/// while open), the task's index and the site. The rest is derived as the
+/// run derives it: the task is the ledger's, the client the one the
+/// task's id is dealt to among the budgets' clients, the formation time
+/// the task's arrival, the price the task's yield at the negotiated
+/// completion (Eq. 1, what a site quotes), and the settlement
+/// [`Contract::settle`] at the completion. A contract whose value,
+/// formation time, client or price is not so derived keeps those terms in
+/// a side table.
 ///
 /// Reading it ([`get`](Self::get), [`iter`](Self::iter), `&ledger` as an
 /// iterator) builds each [`Contract`] by value. It serializes as exactly
@@ -297,7 +301,7 @@ impl ContractLedger {
     }
 
     /// Appends `c` as a row over `task`, the ledger's task at `at`,
-    /// keeping beside it whatever the row does not derive.
+    /// keeping beside it whatever reading the row does not derive.
     fn append(&mut self, c: &Contract, at: usize, task: &TaskSpec) -> Result<(), String> {
         let narrow = |n: usize, what: &str| {
             u32::try_from(n).map_err(|_| format!("{what} {n} exceeds u32::MAX"))
@@ -311,20 +315,22 @@ impl ContractLedger {
         };
         self.rows.push(Row {
             negotiated_completion: c.negotiated_completion,
-            negotiated_price: c.negotiated_price,
             completed_at,
             task: task_index,
             site,
         });
-        if !same(c.spec.value, task.value)
-            || !same(c.formed_at.as_f64(), task.arrival.as_f64())
-            || c.client != client_of(task.id, self.clients)
+        let derived = self.read(contract as usize, task);
+        if !same(c.spec.value, derived.spec.value)
+            || !same(c.formed_at.as_f64(), derived.formed_at.as_f64())
+            || c.client != derived.client
+            || !same(c.negotiated_price, derived.negotiated_price)
         {
             self.terms.push(Terms {
                 contract,
                 client,
                 value: c.spec.value,
                 formed_at: c.formed_at,
+                price: c.negotiated_price,
             });
         }
         if !same_status(self.read(contract as usize, task).status, c.status) {
@@ -344,13 +350,18 @@ impl ContractLedger {
         let row = self.rows[i];
         let key = i as u32;
         let mut spec = *task;
-        let (client, formed_at) = match self.terms.binary_search_by_key(&key, |t| t.contract) {
+        let (client, formed_at, price) = match self.terms.binary_search_by_key(&key, |t| t.contract)
+        {
             Ok(at) => {
                 let terms = self.terms[at];
                 spec.value = terms.value;
-                (terms.client as usize, terms.formed_at)
+                (terms.client as usize, terms.formed_at, terms.price)
             }
-            Err(_) => (client_of(spec.id, self.clients), spec.arrival),
+            Err(_) => (
+                client_of(spec.id, self.clients),
+                spec.arrival,
+                spec.yield_at(row.negotiated_completion),
+            ),
         };
         let mut contract = Contract::new(
             spec,
@@ -358,7 +369,7 @@ impl ContractLedger {
             client,
             formed_at,
             row.negotiated_completion,
-            row.negotiated_price,
+            price,
         );
         if !row.completed_at.is_nan() {
             contract.settle(Time::new(row.completed_at));
@@ -623,11 +634,10 @@ mod ledger_tests {
     }
 
     /// The rows as bits, so an open row's NaN compares equal to itself.
-    fn row_bits(ledger: &ContractLedger) -> Vec<[u64; 5]> {
+    fn row_bits(ledger: &ContractLedger) -> Vec<[u64; 4]> {
         let bits = |r: &Row| {
             [
                 r.negotiated_completion.as_f64().to_bits(),
-                r.negotiated_price.to_bits(),
                 r.completed_at.to_bits(),
                 r.task.into(),
                 r.site.into(),
@@ -637,14 +647,15 @@ mod ledger_tests {
     }
 
     /// Four contracts among three clients: one formed at its task's
-    /// arrival for the client its id is dealt to and settled on time, one
-    /// formed later for another client and settled late, one late with a
-    /// budget-capped value, and one formed again later for that capped
-    /// task, still open.
+    /// arrival for the client its id is dealt to, priced at its yield at
+    /// the negotiated completion and settled on time, one formed later for
+    /// another client and settled late, one late with a budget-capped
+    /// value, and one formed again later for that capped task, still open.
     fn ledger(tasks: &Arc<[TaskSpec]>) -> ContractLedger {
         let mut ledger = ContractLedger::new(Arc::clone(tasks), 3);
         let at = Time::from;
-        form(&mut ledger, tasks[2], 1, 2, at(2.0), at(20.0), 80.0);
+        // Earliest completion 12, promised 20: 100 − 8·2.
+        form(&mut ledger, tasks[2], 1, 2, at(2.0), at(20.0), 84.0);
         form(&mut ledger, tasks[0], 0, 1, at(3.0), at(15.0), 90.0);
         let capped = TaskSpec {
             value: 60.0,
@@ -659,8 +670,34 @@ mod ledger_tests {
     }
 
     #[test]
-    fn a_row_is_at_most_32_bytes() {
-        assert!(std::mem::size_of::<Row>() <= 32);
+    fn a_row_is_at_most_24_bytes() {
+        assert!(std::mem::size_of::<Row>() <= 24);
+    }
+
+    /// A contract priced at its task's yield at the negotiated completion,
+    /// as every site quotes, keeps nothing beside its row; one priced
+    /// otherwise keeps its price in the side table and reads back with it.
+    #[test]
+    fn only_a_price_other_than_the_quote_keeps_terms() {
+        let tasks = tasks();
+        let mut ledger = ContractLedger::new(Arc::clone(&tasks), 0);
+        let (formed, completion) = (tasks[3].arrival, Time::from(25.0));
+        // Earliest completion 13, promised 25: 100 − 12·2.
+        let quoted = 76.0;
+        form(&mut ledger, tasks[3], 0, 0, formed, completion, quoted);
+        form(
+            &mut ledger,
+            tasks[3],
+            1,
+            0,
+            formed,
+            completion,
+            quoted + 1.0,
+        );
+        let kept: Vec<u32> = ledger.terms.iter().map(|t| t.contract).collect();
+        assert_eq!(kept, [1]);
+        assert_eq!(ledger.get(0).unwrap().negotiated_price, quoted);
+        assert_eq!(ledger.get(1).unwrap().negotiated_price, quoted + 1.0);
     }
 
     #[test]
@@ -680,7 +717,7 @@ mod ledger_tests {
         let price = expected.settle(Time::from(40.0));
         assert_eq!(ledger.get(1), Some(expected));
         assert_eq!(ledger.get(1).unwrap().settled_price(), Some(price));
-        let mut on_time = Contract::new(tasks[2], 1, 2, Time::from(2.0), Time::from(20.0), 80.0);
+        let mut on_time = Contract::new(tasks[2], 1, 2, Time::from(2.0), Time::from(20.0), 84.0);
         on_time.settle(Time::from(18.0));
         assert_eq!(ledger.get(0), Some(on_time));
         let late = ledger.get(2).unwrap();
@@ -825,17 +862,17 @@ mod ledger_tests {
         /// vector bit for bit, and so does the ledger read back from its
         /// text and rebound. Formations vary what a row derives (formation
         /// at or after arrival, a capped value, the dealt client or
-        /// another); settlements are on time, early, late, late by no
-        /// more than float dust, and far past a bounded task's floor; some
-        /// rows stay open.
+        /// another, the quoted price or another); settlements are on time,
+        /// early, late, late by no more than float dust, and far past a
+        /// bounded task's floor; some rows stay open.
         #[test]
         fn a_ledger_is_a_vec_of_contracts(
             bounds in proptest::collection::vec(0u8..3, 1..6),
             clients in 0usize..4,
-            // (kind, pick, variant, x, y): kinds 0 and 1 form a contract,
-            // 2 settles one.
+            // (kind, pick, variant, x, y, quoted): kinds 0 and 1 form a
+            // contract, priced as quoted unless `quoted` is 0; 2 settles one.
             ops in proptest::collection::vec(
-                (0u8..3, any::<usize>(), 0u8..8, 0.0f64..40.0, 0.0f64..40.0),
+                (0u8..3, any::<usize>(), 0u8..8, 0.0f64..40.0, 0.0f64..40.0, 0u8..3),
                 0..32,
             ),
         ) {
@@ -853,7 +890,7 @@ mod ledger_tests {
                 .collect();
             let mut ledger = ContractLedger::new(Arc::clone(&tasks), clients);
             let mut model: Vec<Contract> = Vec::new();
-            for (kind, pick, variant, x, y) in ops {
+            for (kind, pick, variant, x, y, quoted) in ops {
                 if kind < 2 {
                     let mut spec = tasks[pick % tasks.len()];
                     if variant & 1 != 0 {
@@ -866,7 +903,7 @@ mod ledger_tests {
                         client += 1 + pick % 3;
                     }
                     let completion = formed_at + spec.runtime + Duration::new(x);
-                    let price = spec.yield_at(completion);
+                    let price = if quoted == 0 { y - x } else { spec.yield_at(completion) };
                     let c = Contract::new(spec, pick % 5, client, formed_at, completion, price);
                     prop_assert_eq!(ledger.push(c), model.len());
                     model.push(c);

@@ -29,7 +29,8 @@ use mbts_trace::{
     TracerSnapshotRef, MAX_DECISION_CANDIDATES,
 };
 use mbts_workload::{TaskId, TaskSpec, Trace, WorkflowFacets, WorkflowSet};
-use serde::{Deserialize, Serialize, Writer};
+use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Index of a site within an economy.
@@ -108,9 +109,10 @@ pub struct EconomyOutcome {
     pub client_spend: Vec<f64>,
     /// Per-site revenue after pricing (Σ payments).
     pub site_revenue: Vec<f64>,
-    /// Market-level conservation failures (money accounting; release
-    /// builds record, debug builds panic). Per-site task/processor/yield
-    /// violations live in each [`SiteOutcome::violations`].
+    /// Market-level audit failures (money accounting, and a completion
+    /// with no open contract to settle; release builds record, debug
+    /// builds panic). Per-site task/processor/yield violations live in
+    /// each [`SiteOutcome::violations`].
     pub audit_violations: Vec<AuditViolation>,
     /// Workflow members never offered to the market because an upstream
     /// member failed (workflow mode only).
@@ -192,7 +194,6 @@ impl EconomyRun {
         // own; successors enter via EcoEvent::Release when their last
         // predecessor completes.
         let roots = workflows.as_ref().map(|rt| rt.roots());
-        let tasks = trace.tasks.len();
         let model = EcoModel {
             sites: config
                 .sites
@@ -208,8 +209,7 @@ impl EconomyRun {
                 Arc::clone(&trace.tasks),
                 config.budgets.map_or(0, |b| b.num_clients),
             ),
-            contract_of: DenseLedger::new(tasks),
-            second_quote: Vec::new(),
+            open: BTreeMap::new(),
             decisions: Vec::new(),
             bids: Vec::new(),
             offered: 0,
@@ -231,7 +231,7 @@ impl EconomyRun {
         let arrival = move |i: usize| shared[i].arrival;
         match roots {
             Some(roots) => engine.feed(roots, arrival, EcoEvent::Arrival),
-            None => engine.feed(0..tasks, arrival, EcoEvent::Arrival),
+            None => engine.feed(0..trace.tasks.len(), arrival, EcoEvent::Arrival),
         }
         EconomyRun { engine }
     }
@@ -268,8 +268,11 @@ impl EconomyRun {
             budgets: m.budgets,
             accounts: &m.accounts,
             contracts: &m.contracts,
-            contract_of: &m.contract_of,
-            second_quote: &m.second_quote,
+            open: m
+                .open
+                .iter()
+                .map(|(&task, o)| (task, o.contract as usize, o.runner_up))
+                .collect(),
             offered: m.offered,
             placed: m.placed,
             unplaced: m.unplaced,
@@ -295,7 +298,8 @@ impl EconomyRun {
     /// snapshot whose parts do not fit together — an id outside its
     /// trace, an index past its contracts, sites or clients, a contract
     /// whose task is not the run's or whose settlement is not its value
-    /// function's at its completion, a site holding per-job records,
+    /// function's at its completion, an open-contract table that is not
+    /// exactly the unsettled contracts, a site holding per-job records,
     /// which a site inside an economy never keeps — is refused with the
     /// first such fault.
     pub fn from_snapshot(mut snap: EconomySnapshot) -> Result<Self, String> {
@@ -303,12 +307,6 @@ impl EconomyRun {
         snap.contracts
             .rebind(&snap.trace, snap.budgets.map_or(0, |b| b.num_clients))
             .map_err(|e| e.to_string())?;
-        let tasks = snap.trace.len();
-        // Checked below the ledger's length, which fits `u32`.
-        let contract_of = DenseLedger::from_entries(
-            tasks,
-            snap.contract_of.into_iter().map(|(id, ci)| (id, ci as u32)),
-        );
         let model = EcoModel {
             sites: snap
                 .sites
@@ -321,11 +319,21 @@ impl EconomyRun {
             budgets: snap.budgets,
             accounts: snap.accounts,
             contracts: snap.contracts,
-            contract_of,
-            second_quote: snap
-                .second_quote
+            // Each index was checked below the ledger's length, which
+            // fits `u32`.
+            open: snap
+                .open
                 .into_iter()
-                .map(|q| q.unwrap_or(f64::NAN))
+                .map(|(task, ci, runner_up)| {
+                    let contract = ci as u32;
+                    (
+                        task,
+                        Open {
+                            contract,
+                            runner_up,
+                        },
+                    )
+                })
                 .collect(),
             decisions: Vec::new(),
             bids: Vec::new(),
@@ -376,7 +384,9 @@ impl EconomyRun {
 
 /// The checks [`EconomyRun::from_snapshot`] makes before it builds
 /// anything: every index the snapshot holds points inside what it holds,
-/// every task it holds is its trace's, and no site holds per-job records.
+/// every task it holds is its trace's, the open-contract table lists
+/// exactly the unsettled contracts, each once under its own task, and no
+/// site holds per-job records.
 fn check_snapshot(snap: &EconomySnapshot) -> Result<(), String> {
     let (tasks, contracts, sites) = (snap.trace.len(), snap.contracts.len(), snap.sites.len());
     let clients = snap.budgets.map_or(0, |b| b.num_clients);
@@ -410,15 +420,28 @@ fn check_snapshot(snap: &EconomySnapshot) -> Result<(), String> {
             ))
         }
     };
-    for &(id, ci) in &snap.contract_of {
-        task("contract_of", id)?;
-        below("contract_of index", ci, contracts, "contracts")?;
-    }
-    if snap.second_quote.len() != contracts {
-        return Err(format!(
-            "{} runner-up quotes for {contracts} contracts",
-            snap.second_quote.len()
-        ));
+    let mut previous = None;
+    for &(id, ci, _) in &snap.open {
+        task("open contract", id)?;
+        below("open contract index", ci, contracts, "contracts")?;
+        if previous.is_some_and(|p| p >= id) {
+            return Err(format!(
+                "open contracts are not ascending by task at task {id}"
+            ));
+        }
+        previous = Some(id);
+        let c = snap.contracts.get(ci).expect("checked below the length");
+        if c.is_settled() {
+            return Err(format!(
+                "open contract of task {id} names settled contract {ci}"
+            ));
+        }
+        if c.spec.id.0 != id {
+            return Err(format!(
+                "open contract of task {id} names contract {ci}, of task {}",
+                c.spec.id.0
+            ));
+        }
     }
     if snap.site_accounts.len() != sites || snap.accounts.len() != clients {
         return Err("revenue or client accounts do not match the sites and budgets".to_string());
@@ -440,6 +463,16 @@ fn check_snapshot(snap: &EconomySnapshot) -> Result<(), String> {
         if clients > 0 {
             below("contract client", c.client, clients, "clients")?;
         }
+        // The open list was checked ascending above.
+        let listed = snap
+            .open
+            .binary_search_by_key(&c.spec.id.0, |&(id, _, _)| id)
+            .is_ok_and(|at| snap.open[at].1 == i);
+        if !c.is_settled() && !listed {
+            return Err(format!(
+                "contract {i} is unsettled but not an open contract"
+            ));
+        }
     }
     for (_, _, event) in &snap.queue {
         match event {
@@ -454,7 +487,8 @@ fn check_snapshot(snap: &EconomySnapshot) -> Result<(), String> {
 
 /// An [`EconomyRun`] at an event boundary as [`EconomyRun::snapshot`]
 /// writes it: the borrowed writer of an [`EconomySnapshot`]'s text, field
-/// for field. It copies the events due and borrows the rest.
+/// for field. It copies the events due and the open contracts and
+/// borrows the rest.
 #[derive(Debug, Serialize)]
 pub struct EconomySnapshotRef<'a> {
     sites: Vec<SiteSnapshotRef<'a>>,
@@ -464,8 +498,7 @@ pub struct EconomySnapshotRef<'a> {
     budgets: Option<BudgetConfig>,
     accounts: &'a [Account],
     contracts: &'a ContractLedger,
-    contract_of: &'a DenseLedger,
-    second_quote: &'a [f64],
+    open: Vec<(u64, usize, Option<f64>)>,
     offered: usize,
     placed: usize,
     unplaced: usize,
@@ -488,8 +521,7 @@ pub struct EconomySnapshotRef<'a> {
 /// Complete replay state of an [`EconomyRun`] at an event boundary, read
 /// back from the text [`EconomyRun::snapshot`] writes:
 /// restoring it and running to completion is bit-identical to never
-/// having stopped. The task → contract ledger is written as an `(id, n)`
-/// list sorted by id, holding only the tasks that have a contract.
+/// having stopped.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EconomySnapshot {
     /// Per-site replay state.
@@ -508,10 +540,10 @@ pub struct EconomySnapshot {
     /// The contract ledger: written as the array of its contracts, read
     /// back owning their tasks until the run is restored over `trace`.
     pub contracts: ContractLedger,
-    /// task id → contract index, sorted by task id.
-    pub contract_of: Vec<(u64, usize)>,
-    /// Runner-up quote per contract (second pricing).
-    pub second_quote: Vec<Option<f64>>,
+    /// The contracts formed and not yet settled, ascending by task id:
+    /// `(task id, contract index, runner-up quote)`, the quote `null`
+    /// where no other site bid.
+    pub open: Vec<(u64, usize, Option<f64>)>,
     /// Tasks offered so far.
     pub offered: usize,
     /// Contracts formed so far.
@@ -571,52 +603,14 @@ pub enum EcoEvent {
     },
 }
 
-/// A per-task `u32` ledger indexed by the task's dense id: one
-/// zero-initialised slot per task of the trace, `0` for "no entry" and
-/// `n + 1` for an entry of `n` (an entry of zero is distinct from none).
-/// It writes the `(id, n)` list of its [`entries`](Self::entries).
-#[derive(Debug)]
-struct DenseLedger(Vec<u32>);
-
-impl Serialize for DenseLedger {
-    fn serialize(&self, out: &mut Writer) {
-        out.begin_array();
-        for entry in self.entries() {
-            out.element();
-            entry.serialize(out);
-        }
-        out.end_array();
-    }
-}
-
-impl DenseLedger {
-    fn new(tasks: usize) -> Self {
-        DenseLedger(vec![0; tasks])
-    }
-
-    fn from_entries(tasks: usize, entries: impl IntoIterator<Item = (u64, u32)>) -> Self {
-        let mut ledger = Self::new(tasks);
-        for (id, n) in entries {
-            ledger.set(TaskId(id), n);
-        }
-        ledger
-    }
-
-    fn get(&self, id: TaskId) -> Option<u32> {
-        self.0.get(id.index())?.checked_sub(1)
-    }
-
-    fn set(&mut self, id: TaskId, n: u32) {
-        self.0[id.index()] = n.checked_add(1).expect("ledger entry exceeds u32::MAX - 1");
-    }
-
-    /// `(id, n)` for every task with an entry, ascending by id.
-    fn entries(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.0
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| Some((i as u64, slot.checked_sub(1)?)))
-    }
+/// A contract formed and not yet settled, as the run keeps it under its
+/// task's id until the completion settles it: the contract's index in the
+/// ledger and the runner-up quote second pricing charges, if another site
+/// bid.
+#[derive(Debug, Clone, Copy)]
+struct Open {
+    contract: u32,
+    runner_up: Option<f64>,
 }
 
 struct EcoModel {
@@ -628,12 +622,11 @@ struct EcoModel {
     budgets: Option<BudgetConfig>,
     accounts: Vec<Account>,
     contracts: ContractLedger,
-    /// task id → index into `contracts`.
-    contract_of: DenseLedger,
-    /// Runner-up quoted price per contract (for second pricing), NaN
-    /// where no other site bid: 8 B a contract where an `Option` takes 16.
-    /// Written as the `Option` text, NaN as `null`.
-    second_quote: Vec<f64>,
+    /// The open contracts by task id: what only settlement reads of a
+    /// negotiation. [`place`](Self::place) inserts a task's entry and
+    /// [`settle_completion`](Self::settle_completion) removes it, so the
+    /// table holds the contracts in flight, not every one formed.
+    open: BTreeMap<u64, Open>,
     /// Every site's verdict on the latest bid, and the willing sites'
     /// server bids: buffers [`place`](Self::place) refills per bid,
     /// never read across bids and so not part of replay state.
@@ -664,10 +657,10 @@ struct EcoModel {
 }
 
 impl EcoModel {
-    /// Records a market-level conservation failure: panic in debug
-    /// builds, report in release.
+    /// Records a market-level audit failure: panic in debug builds,
+    /// report in release.
     #[cold]
-    fn money_violation(&mut self, at: Time, rule: &'static str, detail: String) {
+    fn market_violation(&mut self, at: Time, rule: &'static str, detail: String) {
         debug_assert!(false, "market audit [{rule}] failed at {at}: {detail}");
         self.audit_violations.push(AuditViolation {
             at,
@@ -685,7 +678,7 @@ impl EcoModel {
         let site_total: f64 = self.site_accounts.iter().sum();
         if (site_total - self.total_paid).abs() > tol {
             let total_paid = self.total_paid;
-            self.money_violation(
+            self.market_violation(
                 now,
                 "money-conservation",
                 format!("site revenues sum to {site_total} but clients paid {total_paid}"),
@@ -695,7 +688,7 @@ impl EcoModel {
             let spent: f64 = self.accounts.iter().map(|a| a.spent).sum();
             if (spent - self.total_paid).abs() > tol {
                 let total_paid = self.total_paid;
-                self.money_violation(
+                self.market_violation(
                     now,
                     "client-ledger",
                     format!("client ledgers record {spent} spent but the market paid {total_paid}"),
@@ -860,11 +853,6 @@ impl EcoModel {
         }
     }
 
-    /// Contract `ci`'s runner-up quote, if another site bid.
-    fn runner_up(&self, ci: usize) -> Option<f64> {
-        Some(self.second_quote[ci]).filter(|q| !q.is_nan())
-    }
-
     fn client_of(&self, spec: &TaskSpec) -> usize {
         crate::contract::client_of(spec.id, self.budgets.map_or(0, |b| b.num_clients))
     }
@@ -924,14 +912,16 @@ impl EcoModel {
         self.placed += 1;
 
         // Runner-up quote for second pricing.
-        let second = self
+        let runner_up = self
             .bids
             .iter()
             .filter(|b| b.site != winner.site)
             .map(|b| b.price)
             .max_by(|a, b| a.total_cmp(b));
 
-        let contract_idx = self.contracts.push(Contract::new(
+        // The ledger derives the price from the negotiated completion, as
+        // the winning site quoted it.
+        let contract = self.contracts.push(Contract::new(
             spec,
             winner.site,
             client,
@@ -939,9 +929,15 @@ impl EcoModel {
             winner.expected_completion,
             winner.price,
         ));
-        self.second_quote.push(second.unwrap_or(f64::NAN));
         // The ledger numbers its contracts in `u32`.
-        self.contract_of.set(spec.id, contract_idx as u32);
+        let contract = contract as u32;
+        self.open.insert(
+            spec.id.0,
+            Open {
+                contract,
+                runner_up,
+            },
+        );
 
         self.sites[winner.site].note_offer(now);
         for token in self.sites[winner.site].accept(now, spec) {
@@ -957,23 +953,29 @@ impl EcoModel {
         true
     }
 
-    /// Settles the contract of a finished task: value-function settlement,
-    /// pricing filter, ledger postings, trace event, conservation audit.
+    /// Settles the open contract of a finished task and closes it:
+    /// value-function settlement, pricing filter, ledger postings, trace
+    /// event, conservation audit. A task with no open contract — never
+    /// placed, or settled already — is an audit failure, not a payment.
     fn settle_completion(&mut self, now: Time, site: SiteId, task: TaskId) {
-        let Some(ci) = self.contract_of.get(task) else {
+        let Some(open) = self.open.remove(&task.0) else {
+            let id = task.0;
+            self.market_violation(
+                now,
+                "contract-settlement",
+                format!("task {id} completed at site {site} with no open contract"),
+            );
             return;
         };
-        let ci = ci as usize;
-        let Some(contract) = self.contracts.get(ci) else {
-            return;
-        };
+        let ci = open.contract as usize;
+        let client = self.contracts.get(ci).expect("an open contract").client;
         let settled = self.contracts.settle(ci, now);
         self.total_settled += settled;
-        let paid = self.pricing.settle(settled, self.runner_up(ci));
+        let paid = self.pricing.settle(settled, open.runner_up);
         self.total_paid += paid;
         self.site_accounts[site] += paid;
         if !self.accounts.is_empty() {
-            self.accounts[contract.client].debit(paid);
+            self.accounts[client].debit(paid);
         }
         self.trace_settlement(now, site, task, paid);
         self.audit_money(now);
@@ -1285,17 +1287,109 @@ mod tests {
         assert!(std::mem::size_of::<EcoEvent>() <= 32);
     }
 
+    /// The open table holds a task's entry from its contract's formation
+    /// to its settlement, and nothing else: at every event boundary it
+    /// lists exactly the unsettled contracts, each under its own task, and
+    /// a drained run holds none.
     #[test]
-    fn ledger_lists_a_zero_entry_but_not_an_absent_one() {
-        let mut ledger = DenseLedger::new(4);
-        ledger.set(TaskId(2), 0);
-        ledger.set(TaskId(1), 7);
-        assert_eq!(ledger.get(TaskId(0)), None);
-        assert_eq!(ledger.get(TaskId(2)), Some(0));
-        let entries: Vec<(u64, u32)> = ledger.entries().collect();
-        assert_eq!(entries, vec![(1, 7), (2, 0)]);
-        let back = DenseLedger::from_entries(4, entries.clone());
-        assert_eq!(back.entries().collect::<Vec<_>>(), entries);
+    fn the_open_table_holds_exactly_the_unsettled_contracts() {
+        let trace = small_trace(300, 1.5, 26);
+        let mut run = EconomyRun::new(kitchen_sink_cfg(), &trace, Tracer::Off);
+        let mut most = 0;
+        loop {
+            let m = run.engine.model();
+            let unsettled: Vec<(u64, u32)> = (&m.contracts)
+                .into_iter()
+                .enumerate()
+                .filter(|(_, c)| !c.is_settled())
+                .map(|(i, c)| (c.spec.id.0, i as u32))
+                .collect();
+            let mut open: Vec<(u64, u32)> = m.open.iter().map(|(&t, o)| (t, o.contract)).collect();
+            open.sort_unstable_by_key(|&(_, ci)| ci);
+            assert_eq!(open, unsettled, "at event {}", run.events_handled());
+            most = most.max(open.len());
+            if !run.step() {
+                break;
+            }
+        }
+        assert!(most > 1, "never more than {most} contracts open at once");
+        assert!(run.engine.model().open.is_empty());
+    }
+
+    /// Second pricing charges the best losing quote: the entry a contract
+    /// opens with holds the highest price any site other than the winner
+    /// bid, and none where no other site bid, and its settlement charges
+    /// that quote, bit for bit.
+    #[test]
+    fn second_pricing_charges_the_best_losing_quote() {
+        let trace = small_trace(300, 1.5, 12);
+        let mut cfg = EconomyConfig::uniform(4, site(2));
+        cfg.pricing = PricingStrategy::second_price();
+        let mut run = EconomyRun::new(cfg.clone(), &trace, Tracer::buffer());
+        let mut runner_up = vec![None; trace.tasks.len()];
+        let (mut formed, mut contested, mut alone) = (0, 0, 0);
+        while run.step() {
+            let m = run.engine.model();
+            if m.contracts.len() == formed {
+                continue;
+            }
+            formed = m.contracts.len();
+            let c = m.contracts.get(formed - 1).unwrap();
+            let losing: Vec<f64> = m
+                .bids
+                .iter()
+                .filter(|b| b.site != c.site)
+                .map(|b| b.price)
+                .collect();
+            let best = losing.iter().copied().reduce(f64::max);
+            let open = m.open[&c.spec.id.0];
+            assert_eq!(open.runner_up.map(f64::to_bits), best.map(f64::to_bits));
+            runner_up[c.spec.id.index()] = best;
+            if losing.iter().any(|&p| Some(p) != best) {
+                contested += 1;
+            }
+            if best.is_none() {
+                alone += 1;
+            }
+        }
+        assert!(contested > 0, "no contract had two unequal losing quotes");
+        assert!(alone > 0, "every contract had a runner-up");
+        let (out, tracer) = run.finish();
+        let mut settled = vec![0.0; trace.tasks.len()];
+        for c in &out.contracts {
+            settled[c.spec.id.index()] = c.settled_price().unwrap();
+        }
+        for e in tracer.into_events().unwrap() {
+            let TraceKind::ContractSettled { amount } = e.kind else {
+                continue;
+            };
+            let task = e.task.unwrap().index();
+            let charged = cfg.pricing.settle(settled[task], runner_up[task]);
+            assert_eq!(amount.to_bits(), charged.to_bits(), "task {task}");
+        }
+    }
+
+    /// A completion whose task has no open contract — one never placed, or
+    /// one settled already — pays nothing and is a named audit failure
+    /// (a panic in debug builds, like every market audit).
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "contract-settlement"))]
+    fn a_completion_with_no_open_contract_is_an_audit_failure() {
+        let trace = small_trace(50, 0.8, 3);
+        let cfg = EconomyConfig::uniform(2, site(4));
+        let mut run = EconomyRun::new(cfg, &trace, Tracer::Off);
+        while run.engine.model().total_settled == 0.0 {
+            assert!(run.step(), "no contract settled");
+        }
+        let now = run.now();
+        let mut m = run.engine.into_model();
+        let settled = (&m.contracts).into_iter().find(|c| c.is_settled()).unwrap();
+        let paid = m.total_paid;
+        m.settle_completion(now, settled.site, settled.spec.id);
+        m.settle_completion(now, 0, TaskId(49));
+        assert_eq!(m.total_paid.to_bits(), paid.to_bits());
+        let rules: Vec<&str> = m.audit_violations.iter().map(|v| v.rule.as_str()).collect();
+        assert_eq!(rules, ["contract-settlement"; 2]);
     }
 
     #[test]

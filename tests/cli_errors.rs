@@ -218,7 +218,7 @@ fn zero_and_negative_numbers_are_rejected_where_they_are_parsed() {
 }
 
 /// Every journal under `tests/golden/serde/pre*/` was written in an older
-/// format version: 1 (before the header named its kind) or 2. Each is
+/// format version: 1 (before the header named its kind) up to 4. Each is
 /// refused with the typed version error, before its kind is read: through
 /// the library, and by the two commands that read journals (exit 2, never
 /// a panic), naming its own version and the reader's.
@@ -242,6 +242,9 @@ fn journals_of_an_older_format_are_refused() {
         ("pre46/economy_journal.mbtsj", Kind::Economy, 3),
         ("pre46/service_journal.mbtsj", Kind::Service, 3),
         ("pre46/site_journal.mbtsj", Kind::Site, 3),
+        ("pre47/economy_journal.mbtsj", Kind::Economy, 4),
+        ("pre47/service_journal.mbtsj", Kind::Service, 4),
+        ("pre47/site_journal.mbtsj", Kind::Site, 4),
     ];
     let mut on_disk: Vec<_> = std::fs::read_dir(&dir)
         .expect("fixture dir")
@@ -422,10 +425,12 @@ fn a_service_snapshot_that_does_not_parse_is_refused_as_a_service_run() {
 
 /// An economy journal whose newest snapshot holds an index that points
 /// outside what it holds — a queued arrival's task among them — a task
-/// unlike its trace's, or a settlement its task's value function does
-/// not give keeps every CRC valid, so only the restore sees it: `resume`
-/// and `analyze` reject it (exit 2, naming the fault) instead of
-/// panicking on the out-of-range index or settling it anew.
+/// unlike its trace's, a settlement its task's value function does not
+/// give, or an open-contract table other than the unsettled contracts,
+/// each once in task order, keeps every CRC valid, so only the restore
+/// sees it: `resume` and `analyze` reject it (exit 2, naming the fault)
+/// instead of panicking on the out-of-range index, settling a contract
+/// twice or leaving one open for ever.
 #[test]
 fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
     use mbts::durable::framing::{self, RecordTag};
@@ -444,11 +449,11 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
         .expect("a snapshot record");
     // (what is spoiled, how, what the refusal names)
     type Spoil = (&'static str, fn(&mut EconomySnapshot), &'static str);
-    let spoil: [Spoil; 5] = [
+    let spoil: [Spoil; 9] = [
         (
-            "contract_of task",
-            |s| s.contract_of.push((1_000_000, 0)),
-            "contract_of names task 1000000",
+            "open task",
+            |s| s.open.push((1_000_000, 0, None)),
+            "open contract names task 1000000",
         ),
         (
             "arrival task",
@@ -461,9 +466,40 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
             "queued arrival names task 1000000",
         ),
         (
-            "contract_of",
-            |s| s.contract_of[0].1 = s.contracts.len(),
-            "contract_of index",
+            "open index",
+            |s| s.open[0].1 = s.contracts.len(),
+            "open contract index",
+        ),
+        (
+            "open settled",
+            |s| {
+                s.open[0].1 = s
+                    .contracts
+                    .iter()
+                    .position(|c| c.is_settled())
+                    .expect("a settled contract")
+            },
+            "names settled contract",
+        ),
+        (
+            "open other task",
+            |s| {
+                let (a, b) = (s.open[0].1, s.open[1].1);
+                (s.open[0].1, s.open[1].1) = (b, a);
+            },
+            "names contract",
+        ),
+        (
+            "open order",
+            |s| s.open.swap(0, 1),
+            "open contracts are not ascending",
+        ),
+        (
+            "open missing",
+            |s| {
+                s.open.remove(0);
+            },
+            "is unsettled but not an open contract",
         ),
         (
             "trace",

@@ -20,7 +20,10 @@
 
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::durable::{framing, DurableRun, Journal, RecordTag, Recoverable};
-use mbts::market::{BudgetConfig, EcoEvent, EconomyConfig, EconomyOutcome, EconomyRun};
+use mbts::market::{
+    BudgetConfig, EcoEvent, EconomyConfig, EconomyOutcome, EconomyRun, EconomySnapshot,
+    PricingStrategy,
+};
 use mbts::sim::{Time, UpDown};
 use mbts::site::{FaultPlan, SiteConfig, SiteOutcome, SiteRun};
 use mbts::trace::Tracer;
@@ -217,6 +220,53 @@ fn kill_every_event_economy_smoke() {
         &["Arrival", "Completion"],
     );
     assert!(total > 40, "economy sweep saw only {total} events");
+}
+
+/// Second pricing with budgets: a contract's runner-up quote lives only
+/// while the contract is open, so recovery must bring back every open
+/// contract's quote, or its absence, from the snapshot. At every kill
+/// point the contracts, `total_paid`, the site revenues, the client
+/// spend and the settlement stream must be bit-identical to the run that
+/// never stopped, and the swept journal must hold snapshots with open
+/// contracts both with and without a runner-up.
+#[test]
+fn kill_every_event_economy_second_price_smoke() {
+    let trace = generate_trace(&fig67_mix(2.5).with_tasks(40).with_processors(4), 23);
+    let mut config = EconomyConfig::uniform(
+        2,
+        SiteConfig::new(2)
+            .with_policy(Policy::FirstPrice)
+            .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 }),
+    );
+    config.pricing = PricingStrategy::second_price();
+    config.budgets = Some(BudgetConfig {
+        num_clients: 3,
+        initial: 200.0,
+        replenish_rate: 0.05,
+        cap: 600.0,
+    });
+    let (total, journal) = kill_sweep_journal(
+        "economy-second-price",
+        EconomyRun::new(config, &trace, Tracer::buffer()),
+        8,
+    );
+    assert!(total > 40, "second-price sweep saw only {total} events");
+    let (mut quoted, mut unquoted) = (false, false);
+    for (tag, payload) in framing::scan(&journal)
+        .expect("the swept journal scans")
+        .records
+    {
+        if tag == RecordTag::Snapshot {
+            let snap: EconomySnapshot = serde_json::from_slice(payload).expect("a snapshot");
+            quoted |= snap.open.iter().any(|&(_, _, q)| q.is_some());
+            unquoted |= snap.open.iter().any(|&(_, _, q)| q.is_none());
+        }
+    }
+    assert!(
+        quoted,
+        "no snapshot holds an open contract with a runner-up"
+    );
+    assert!(unquoted, "no snapshot holds an open contract without one");
 }
 
 /// Kill sweeps with the provenance verbosity level *on*: every snapshot

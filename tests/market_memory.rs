@@ -2,17 +2,18 @@
 //! in one allocation, and a run and its snapshots share it instead of
 //! copying it, so after construction a run holds only its own bookkeeping
 //! (the arrivals are a feed that reads each time from the shared tasks as
-//! it comes due, the per-task ledgers plain vectors), a fresh run's
+//! it comes due, and a market run keeps nothing per task), a fresh run's
 //! snapshot costs its event queue and sites but no tasks, at quiescence a
 //! run holds only what it produced, and per bid it makes a handful of
 //! allocations rather than one set of buffers per site quoted. A contract
-//! is a 32 B row over the shared tasks: it names its task by index, and
-//! what its task gives (the settlement, the client, the formation time)
-//! is derived when read. It is also a placed task's one record (a
-//! site inside an economy keeps none), so what a run produces per contract
-//! is that row and its 8 B runner-up quote, and a queued event names its
-//! task rather than carrying it. A finished site run sorts its records in
-//! place.
+//! is a 24 B row over the shared tasks: it names its task by index, and
+//! what its task gives (the price at the negotiated completion, the
+//! settlement, the client, the formation time) is derived when read. It
+//! is also a placed task's one record (a site inside an economy keeps
+//! none), so what a run produces per contract is that row. Its runner-up
+//! quote and its task → contract entry live only while it is open, and a
+//! queued event names its task rather than carrying it. A finished site
+//! run sorts its records in place.
 //!
 //! A test binary of its own because it installs a counting global
 //! allocator, and one test so that nothing else allocates while it counts.
@@ -141,14 +142,14 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
     // ---- a market run -------------------------------------------------
     let (mut run, after_new, _) =
         measured(|| EconomyRun::new(market_config(), &trace, Tracer::Off));
-    // A 4 B task → contract ledger a task and 64 idle sites; the tasks are
-    // the caller's, and so are the arrival times; 0.101 measured. (A 16 B
-    // feed item a task made this 0.32; two more 4 B ledgers, for migration
-    // attempts and retries, 0.43; a copy of the tasks 1.44, and one heap
-    // entry per arrival before that 3.6.)
+    // 64 idle sites and nothing a task: the tasks are the caller's, and so
+    // are the arrival times; 0.042 measured. (A 4 B task → contract ledger
+    // a task made this 0.098; a 16 B feed item a task as well 0.32; two
+    // more 4 B ledgers, for migration attempts and retries, 0.43; a copy of
+    // the tasks 1.44, and one heap entry per arrival before that 3.6.)
     let ratio = after_new / trace_bytes;
     assert!(
-        ratio <= 0.12,
+        ratio <= 0.05,
         "EconomyRun::new holds {after_new} B, {ratio:.3}x the trace"
     );
     // A fresh run's snapshot is its queue entries and 64 empty sites; it
@@ -170,8 +171,9 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
     let ((), grown, _) = measured(|| while run.step() {});
     let high_water = (PEAK.load(Ordering::Relaxed) - start) as f64;
     let per_task = (calls() - calls_before) as f64 / TASKS as f64;
-    // A few completion-token vectors and the contract rows' occasional
-    // doubling. (Copying 64 queues per bid made this 386.)
+    // A few completion-token vectors, the contract rows' occasional
+    // doubling and the open table's nodes; 1.05 measured. (Copying 64
+    // queues per bid made this 386.)
     assert!(
         per_task <= 8.0,
         "{per_task:.2} allocations per offered task over the stepped part"
@@ -182,27 +184,29 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
     let contracts = outcome.contracts.len() as f64;
     let per_contract = grown / contracts;
     // At quiescence nothing is in flight: what the run added since `new`
-    // is its results — per contract a 32 B ledger row (the settlement,
-    // client and formation time are derived when read) and an 8 B
-    // runner-up quote — in vectors grown by doubling, and nothing that
-    // scales with the bids handled; 84.0 measured. (A 56 B row that kept
-    // them made this 129.0; a 16 B `Option` quote beside it 144, less the
-    // 18 B a contract of a copied feed that `new` held and the run freed,
-    // 125.7; each site's 48 B `JobOutcome` a job, in 64 more doubling
-    // vectors, 207.7; a contract that copied its task and terms, 160 B,
-    // 403.)
+    // is its results — per contract a 24 B ledger row (the price,
+    // settlement, client and formation time are derived when read) in a
+    // vector grown by doubling — and nothing that scales with the bids
+    // handled; 54.0 measured. (A 32 B row that kept the price, with an 8 B
+    // runner-up quote a contract kept to the end, made this 84.0; a 56 B
+    // row that kept the rest too 129.0; a 16 B `Option` quote beside it
+    // 144, less the 18 B a contract of a copied feed that `new` held and
+    // the run freed, 125.7; each site's 48 B `JobOutcome` a job, in 64
+    // more doubling vectors, 207.7; a contract that copied its task and
+    // terms, 160 B, 403.)
     assert!(
-        per_contract <= 90.0,
+        per_contract <= 58.0,
         "heap grew {grown} B over the run, {per_contract:.1} B per contract"
     );
     // Nor does the run hold much more on the way: above its start it
     // peaks at its results so far, the events in flight, and a results
     // vector's old and new buffers while it doubles (a `realloc` counts
-    // both); 106.5 measured. (With 56 B rows it was 174.0, with 16 B
-    // quotes as well 181.5, and with the sites' per-job records 241.7.)
+    // both); 77.3 measured. (With 32 B rows and 8 B quotes it was 106.5,
+    // with 56 B rows 174.0, with 16 B quotes as well 181.5, and with the
+    // sites' per-job records 241.7.)
     let high_water = high_water / contracts;
     assert!(
-        high_water <= 112.0,
+        high_water <= 82.0,
         "heap peaked {high_water:.1} B per contract above its start over the run"
     );
     drop(outcome);

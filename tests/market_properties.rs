@@ -1,12 +1,20 @@
 //! Property tests over the market layer: conservation and consistency of
-//! the economy's books under arbitrary configurations.
+//! the economy's books under arbitrary configurations, and contract prices
+//! that are the quotes that won them.
 
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::market::{BudgetConfig, ClientSelection, EconomyConfig, EconomyRun, PricingStrategy};
 use mbts::site::SiteConfig;
-use mbts::trace::Tracer;
-use mbts::workload::{generate_trace, MixConfig};
+use mbts::trace::{DecisionKind, TraceKind, Tracer};
+use mbts::workload::{generate_trace, generate_workflows, MixConfig, TaskId, WorkflowConfig};
 use proptest::prelude::*;
+
+const SELECTIONS: [ClientSelection; 4] = [
+    ClientSelection::EarliestCompletion,
+    ClientSelection::MaxSlack,
+    ClientSelection::Random,
+    ClientSelection::FirstResponder,
+];
 
 fn arb_selection() -> impl Strategy<Value = ClientSelection> {
     prop_oneof![
@@ -98,6 +106,92 @@ proptest! {
         // Every contract settles the yield its site booked.
         prop_assert!((out.total_settled - out.total_yield()).abs()
             < 1e-6 * (1.0 + out.total_yield().abs()));
+    }
+
+    /// A contract keeps no price: the ledger derives it as its task's
+    /// yield at the negotiated completion. For every contract formed under
+    /// each client selection rule, either pricing, with and without
+    /// budgets and workflows, that derivation is bit for bit the quote
+    /// that won the bid (the chosen candidate of its bid-selection
+    /// record), and so is the price the ledger reads back.
+    #[test]
+    fn the_derived_price_is_the_winning_quote(
+        seed in any::<u64>(),
+        load in 0.8f64..3.0,
+        sites in 2usize..5,
+    ) {
+        let flat = generate_trace(
+            &MixConfig::millennium_default()
+                .with_tasks(40)
+                .with_processors(2 * sites)
+                .with_load_factor(load)
+                .with_mean_decay(0.05),
+            seed,
+        );
+        let set = generate_workflows(
+            &WorkflowConfig::default_set()
+                .with_workflows(6)
+                .with_processors(2 * sites)
+                .with_load_factor(load),
+            seed,
+        );
+        let site = SiteConfig::new(2)
+            .with_policy(Policy::FirstPrice)
+            .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 });
+        let mut formed = 0;
+        for selection in SELECTIONS {
+            for pricing in [PricingStrategy::PayBid, PricingStrategy::second_price()] {
+                for budgets in [false, true] {
+                    for workflows in [false, true] {
+                        let mut cfg = EconomyConfig::uniform(sites, site.clone());
+                        cfg.selection = selection;
+                        cfg.pricing = pricing;
+                        cfg.seed = seed;
+                        if budgets {
+                            cfg.budgets = Some(BudgetConfig {
+                                num_clients: 3,
+                                initial: 150.0,
+                                replenish_rate: 0.05,
+                                cap: 500.0,
+                            });
+                        }
+                        let trace = if workflows {
+                            cfg = cfg.with_workflows(set.clone());
+                            set.trace()
+                        } else {
+                            flat.clone()
+                        };
+                        let tracer = Tracer::buffer().with_provenance();
+                        let (out, tracer) = EconomyRun::new(cfg, &trace, tracer).finish();
+                        let won: Vec<(TaskId, f64)> = tracer
+                            .into_events()
+                            .expect("a buffer keeps its events")
+                            .into_iter()
+                            .filter_map(|e| match e.kind {
+                                TraceKind::DecisionRecord {
+                                    decision: DecisionKind::BidSelection,
+                                    candidates,
+                                    ..
+                                } => candidates
+                                    .iter()
+                                    .find(|c| c.chosen)
+                                    .map(|c| (e.task.expect("a bid's task"), c.score)),
+                                _ => None,
+                            })
+                            .collect();
+                        prop_assert_eq!(won.len(), out.contracts.len());
+                        for (c, (task, quote)) in out.contracts.iter().zip(won) {
+                            prop_assert_eq!(c.spec.id, task);
+                            let derived = c.spec.yield_at(c.negotiated_completion);
+                            prop_assert_eq!(derived.to_bits(), quote.to_bits());
+                            prop_assert_eq!(c.negotiated_price.to_bits(), quote.to_bits());
+                        }
+                        formed += out.contracts.len();
+                    }
+                }
+            }
+        }
+        prop_assert!(formed > 0, "no contract formed");
     }
 
     /// Pricing never charges more than pay-bid, point by point.

@@ -29,20 +29,24 @@
 //! `cli_errors::journals_of_an_older_format_are_refused` holds them to
 //! the typed refusal. No reader keeps a path for an older payload.
 //!
+//! Fixtures are written and read under one lock, and a test that reads
+//! back a fixture another test writes runs that writer first under
+//! `UPDATE_GOLDEN`, so one run at any thread count regenerates them all.
+//!
 //! Within a version the reader is lenient in the ways
 //! `reader_leniency_rule_by_rule` lists (unknown keys skipped, among
 //! them), and a document whose parts do not fit together is refused by
 //! its restore: a settlement its task does not give, an economy site
-//! holding per-job records. A runner-up quote is held as a float, NaN for
-//! none, and written as the `null` of an absent one; one test restores a
-//! snapshot whose quotes are `null` and settles them at the reserve. Two
+//! holding per-job records. An open contract's runner-up quote is written
+//! as `null` where no other site bid; one test restores a snapshot whose
+//! open contracts have such quotes and settles them at the reserve. Two
 //! `mbts analyze` reports written by the multi-pass analyzer pin the
 //! one-pass trace fold that replaced it; they change only when a report
 //! loses or gains a row.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::durable::framing::{self, RecordTag};
@@ -71,6 +75,50 @@ fn fixture_dir() -> PathBuf {
         .join("serde")
 }
 
+/// `true` when the run regenerates the fixtures instead of checking them.
+fn updating() -> bool {
+    std::env::var_os("UPDATE_GOLDEN").is_some()
+}
+
+/// Held by every fixture write and read, so no test thread reads a file
+/// another is rewriting.
+static FIXTURES: Mutex<()> = Mutex::new(());
+
+fn fixtures_locked() -> MutexGuard<'static, ()> {
+    FIXTURES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write_fixture(name: &str, bytes: &[u8]) {
+    let _guard = fixtures_locked();
+    std::fs::create_dir_all(fixture_dir()).expect("create fixture dir");
+    std::fs::write(fixture_dir().join(name), bytes).expect("write fixture");
+}
+
+/// The fixtures that tests other than their writer read, each with the
+/// test that writes it.
+const READ_BACK: [(&str, fn()); 3] = [
+    ("economy_snapshot.json", economy_snapshot),
+    ("site_run_snapshot_faulted.json", site_snapshots),
+    ("site_run_snapshot_workflows.json", site_snapshots),
+];
+
+/// Fixture `name`. Under `UPDATE_GOLDEN` its writer runs first, so the
+/// reader sees the regenerated file whichever test reaches it first.
+fn read_fixture(name: &str) -> Vec<u8> {
+    if updating() {
+        if let Some((_, write)) = READ_BACK.iter().find(|(file, _)| *file == name) {
+            write();
+        }
+    }
+    let _guard = fixtures_locked();
+    let path = fixture_dir().join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()))
+}
+
+fn fixture_text(name: &str) -> String {
+    String::from_utf8(read_fixture(name)).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
 fn render<T: Serialize>(value: &T, pretty: bool) -> String {
     if pretty {
         serde_json::to_string_pretty(value)
@@ -90,15 +138,12 @@ fn check<T: Serialize + Deserialize>(name: &str, built: &T) {
 /// snapshot is written from the live state and read as the owned type.
 fn check_written<T: Serialize + Deserialize>(name: &str, built: &impl Serialize) {
     let pretty = name.ends_with(".pretty.json");
-    let path = fixture_dir().join(name);
     let actual = render(built, pretty);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(fixture_dir()).expect("create fixture dir");
-        std::fs::write(&path, &actual).expect("write fixture");
+    if updating() {
+        write_fixture(name, actual.as_bytes());
         return;
     }
-    let fixture = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+    let fixture = fixture_text(name);
     assert!(actual == fixture, "{name}: typed value → text diverged");
     let typed: T = serde_json::from_str(&fixture).unwrap_or_else(|e| panic!("{name}: {e}"));
     assert!(
@@ -206,14 +251,11 @@ fn service_journal_bytes() {
     }
     let live = run.machine().snapshot_json();
     let actual = run.journal().bytes().to_vec();
-    let path = fixture_dir().join("service_journal.mbtsj");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(fixture_dir()).expect("create fixture dir");
-        std::fs::write(&path, &actual).expect("write fixture");
+    if updating() {
+        write_fixture("service_journal.mbtsj", &actual);
         return;
     }
-    let fixture =
-        std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+    let fixture = read_fixture("service_journal.mbtsj");
     assert!(actual == fixture, "journal bytes diverged");
     let (recovered, recovery) = ServiceRun::recover(&fixture).expect("fixture recovers");
     assert_eq!(recovery.replayed, 1);
@@ -306,16 +348,13 @@ fn site_journal_bytes() {
             "no {record} record in the journal"
         );
     }
-    let path = fixture_dir().join("site_journal.mbtsj");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(fixture_dir()).expect("create fixture dir");
-        std::fs::write(&path, &actual).expect("write fixture");
+    if updating() {
+        write_fixture("site_journal.mbtsj", &actual);
         return;
     }
-    let fixture =
-        std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+    let fixture = read_fixture("site_journal.mbtsj");
     assert!(actual == fixture, "journal bytes diverged");
-    let image = mbts::durable::load(&path).expect("fixture");
+    let image = mbts::durable::load(fixture_dir().join("site_journal.mbtsj")).expect("fixture");
     for (recovered, _) in [
         DurableRun::<SiteRun>::recover(&fixture).expect("fixture recovers"),
         DurableRun::<SiteRun>::recover(&image).expect("fixture streams"),
@@ -380,16 +419,13 @@ fn economy_journal_bytes() {
         outcome.total_paid < outcome.total_settled,
         "no contract was priced below its settlement"
     );
-    let path = fixture_dir().join("economy_journal.mbtsj");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(fixture_dir()).expect("create fixture dir");
-        std::fs::write(&path, &actual).expect("write fixture");
+    if updating() {
+        write_fixture("economy_journal.mbtsj", &actual);
         return;
     }
-    let fixture =
-        std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+    let fixture = read_fixture("economy_journal.mbtsj");
     assert!(actual == fixture, "journal bytes diverged");
-    let image = mbts::durable::load(&path).expect("fixture");
+    let image = mbts::durable::load(fixture_dir().join("economy_journal.mbtsj")).expect("fixture");
     for (recovered, _) in [
         DurableRun::<EconomyRun>::recover(&fixture).expect("fixture recovers"),
         DurableRun::<EconomyRun>::recover(&image).expect("fixture streams"),
@@ -405,8 +441,7 @@ fn economy_journal_bytes() {
 /// fixture back byte for byte.
 #[test]
 fn a_restored_economy_writes_its_snapshot_back() {
-    let fixture =
-        std::fs::read_to_string(fixture_dir().join("economy_snapshot.json")).expect("fixture");
+    let fixture = fixture_text("economy_snapshot.json");
     let snap: EconomySnapshot = serde_json::from_str(&fixture).expect("the fixture reads");
     let capped = snap
         .contracts
@@ -425,8 +460,7 @@ fn a_restored_economy_writes_its_snapshot_back() {
 /// so is recovering a journal whose newest snapshot holds it.
 #[test]
 fn a_settlement_its_task_does_not_give_is_refused() {
-    let fixture =
-        std::fs::read_to_string(fixture_dir().join("economy_snapshot.json")).expect("fixture");
+    let fixture = fixture_text("economy_snapshot.json");
     let spoil: [fn(&mut ContractStatus); 2] = [
         |s| {
             if let ContractStatus::Settled { settled_price, .. } = s {
@@ -497,10 +531,7 @@ fn a_null_runner_up_quote_restores_and_settles_at_the_reserve() {
     let snap: EconomySnapshot =
         serde_json::from_str(&render(&run.snapshot(), false)).expect("the snapshot reads");
     assert!(
-        snap.second_quote
-            .iter()
-            .zip(snap.contracts.iter())
-            .any(|(q, c)| q.is_none() && !c.is_settled()),
+        snap.open.iter().any(|&(_, _, quote)| quote.is_none()),
         "no open contract without a runner-up at the cut"
     );
     let (resumed, resumed_text) =
@@ -554,7 +585,7 @@ fn same_text_as_a_vec(name: &str, shared: &Arc<[TaskSpec]>, doc: &Value, path: &
 
 /// Reads a fixture as `T` and checks that it writes the fixture back.
 fn round_trip<T: Serialize + Deserialize>(name: &str) -> (T, Value) {
-    let fixture = std::fs::read_to_string(fixture_dir().join(name)).expect("fixture");
+    let fixture = fixture_text(name);
     let typed: T = serde_json::from_str(&fixture).unwrap_or_else(|e| panic!("{name}: {e}"));
     assert!(
         render(&typed, false) == fixture,
@@ -600,8 +631,7 @@ fn shared_task_slices_write_what_their_vecs_wrote() {
 /// record spliced into a site's `outcomes` is refused, naming the site.
 #[test]
 fn economy_snapshots_with_site_records_are_refused() {
-    let fixture =
-        std::fs::read_to_string(fixture_dir().join("economy_snapshot.json")).expect("fixture");
+    let fixture = fixture_text("economy_snapshot.json");
     let row = r#""outcomes":[{"id":0,"disposition":"Completed","finished_at":9.5,"earned":22.25,"delay":0.0,"preemptions":0}"#;
     assert!(
         fixture.contains("\"outcomes\":[]"),
@@ -669,7 +699,7 @@ fn the_trace_fold_reproduces_the_multi_pass_reports() {
         ),
         (&temp, "chaos.jsonl", "analyze_chaos_site_fsync_eio.json"),
     ] {
-        let expected = std::fs::read_to_string(fixture_dir().join(fixture)).expect("fixture");
+        let expected = fixture_text(fixture);
         let streamed = mbts_in(dir, &["analyze", input, "--format", "json"]);
         assert!(
             streamed == expected,
