@@ -968,13 +968,13 @@ impl EcoModel {
             return;
         };
         let ci = open.contract as usize;
-        let client = self.contracts.get(ci).expect("an open contract").client;
         let settled = self.contracts.settle(ci, now);
         self.total_settled += settled;
         let paid = self.pricing.settle(settled, open.runner_up);
         self.total_paid += paid;
         self.site_accounts[site] += paid;
         if !self.accounts.is_empty() {
+            let client = self.contracts.get(ci).expect("an open contract").client;
             self.accounts[client].debit(paid);
         }
         self.trace_settlement(now, site, task, paid);
