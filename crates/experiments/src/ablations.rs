@@ -4,253 +4,157 @@
 //! implicit (preemption, admission heuristic family, candidate-schedule
 //! fidelity, runtime misestimation, expired-task shedding).
 
-use crate::figures::{improvement_pct, run_site, sized};
-use crate::harness::{parallel_map, ExpParams};
-use crate::report::{FigureResult, Point, Series};
+use crate::figures::{run_site, sized};
+use crate::harness::{sweep, ExpParams};
+use crate::report::FigureResult;
 use mbts_core::{AdmissionPolicy, Policy, ScheduleMode};
-use mbts_sim::OnlineStats;
 use mbts_site::SiteConfig;
 use mbts_workload::{fig3_mix, fig45_mix, fig67_mix, MixConfig};
 
-fn aggregate(values: &[f64]) -> mbts_sim::Summary {
-    values.iter().copied().collect::<OnlineStats>().summary()
-}
-
 /// Preemption on/off for the gain-based heuristics on the Figure-3 mix.
 pub fn ablate_preemption(params: &ExpParams) -> FigureResult {
-    let seeds = params.seed_list();
     let mix = sized(fig3_mix(4.0), params);
-    let policies = [Policy::FirstPrice, Policy::pv(0.01), Policy::Srpt];
-    let mut series = Vec::new();
-    for (on, label) in [(false, "preemption off"), (true, "preemption on")] {
-        let work: Vec<(usize, u64)> = policies
-            .iter()
-            .enumerate()
-            .flat_map(|(pi, _)| seeds.iter().map(move |&s| (pi, s)))
-            .collect();
-        let yields: Vec<f64> = parallel_map(&work, |&(pi, seed)| {
-            run_site(
-                &mix,
-                seed,
-                SiteConfig::new(params.processors)
-                    .with_policy(policies[pi])
-                    .with_preemption(on),
-            )
-            .metrics
-            .total_yield
-        });
-        let points = policies
-            .iter()
-            .enumerate()
-            .map(|(pi, _)| Point {
-                x: pi as f64,
-                y: aggregate(&yields[pi * seeds.len()..(pi + 1) * seeds.len()]),
-            })
-            .collect();
-        series.push(Series::new(label, points));
-    }
+    let policies = [
+        (0.0, Policy::FirstPrice),
+        (1.0, Policy::pv(0.01)),
+        (2.0, Policy::Srpt),
+    ];
     FigureResult {
         id: "ablate-preemption".into(),
         title: "Preemption ablation (x: 0=FirstPrice, 1=PV, 2=SRPT)".into(),
         x_label: "policy index".into(),
         y_label: "total yield".into(),
-        series,
+        series: sweep(
+            params,
+            &[("preemption off", false), ("preemption on", true)],
+            &policies,
+            |&on, &policy, seed| {
+                let site = SiteConfig::new(params.processors)
+                    .with_policy(policy)
+                    .with_preemption(on);
+                run_site(&mix, seed, site).metrics.total_yield
+            },
+            None,
+        ),
     }
 }
 
 /// Admission heuristic families across load (AcceptAll vs positive-yield
 /// vs slack threshold), FirstReward scheduler.
 pub fn ablate_admission(params: &ExpParams) -> FigureResult {
-    let seeds = params.seed_list();
-    let loads = [0.5, 1.0, 2.0, 3.0];
-    let policies: Vec<(String, AdmissionPolicy)> = vec![
-        ("AcceptAll".into(), AdmissionPolicy::AcceptAll),
+    let admissions = [
+        ("AcceptAll", AdmissionPolicy::AcceptAll),
         (
-            "PositiveExpectedYield".into(),
+            "PositiveExpectedYield",
             AdmissionPolicy::PositiveExpectedYield,
         ),
         (
-            "SlackThreshold(180)".into(),
+            "SlackThreshold(180)",
             AdmissionPolicy::SlackThreshold { threshold: 180.0 },
         ),
     ];
-    let mut series = Vec::new();
-    for (label, admission) in &policies {
-        let work: Vec<(usize, u64)> = loads
-            .iter()
-            .enumerate()
-            .flat_map(|(li, _)| seeds.iter().map(move |&s| (li, s)))
-            .collect();
-        let rates: Vec<f64> = parallel_map(&work, |&(li, seed)| {
-            let mix = sized(fig67_mix(loads[li]), params);
-            run_site(
-                &mix,
-                seed,
-                SiteConfig::new(params.processors)
-                    .with_policy(Policy::first_reward(0.2, 0.01))
-                    .with_admission(*admission),
-            )
-            .metrics
-            .yield_rate()
-        });
-        let points = loads
-            .iter()
-            .enumerate()
-            .map(|(li, &load)| Point {
-                x: load,
-                y: aggregate(&rates[li * seeds.len()..(li + 1) * seeds.len()]),
-            })
-            .collect();
-        series.push(Series::new(label.clone(), points));
-    }
     FigureResult {
         id: "ablate-admission".into(),
         title: "Admission heuristic families across load".into(),
         x_label: "load factor".into(),
         y_label: "average yield rate".into(),
-        series,
+        series: sweep(
+            params,
+            &admissions,
+            &[0.5, 1.0, 2.0, 3.0].map(|load| (load, load)),
+            |&admission, &load, seed| {
+                let mix = sized(fig67_mix(load), params);
+                let site = SiteConfig::new(params.processors)
+                    .with_policy(Policy::first_reward(0.2, 0.01))
+                    .with_admission(admission);
+                run_site(&mix, seed, site).metrics.yield_rate()
+            },
+            None,
+        ),
     }
 }
 
 /// Static vs dynamic candidate schedules on the admission path.
 pub fn ablate_schedule_mode(params: &ExpParams) -> FigureResult {
-    let seeds = params.seed_list();
-    let loads = [1.0, 2.0, 3.0];
-    let mut series = Vec::new();
-    for (mode, label) in [
-        (ScheduleMode::Static, "static candidate schedule"),
-        (ScheduleMode::Dynamic, "dynamic candidate schedule"),
-    ] {
-        let work: Vec<(usize, u64)> = loads
-            .iter()
-            .enumerate()
-            .flat_map(|(li, _)| seeds.iter().map(move |&s| (li, s)))
-            .collect();
-        let rates: Vec<f64> = parallel_map(&work, |&(li, seed)| {
-            let mix = sized(fig67_mix(loads[li]), params);
-            run_site(
-                &mix,
-                seed,
-                SiteConfig::new(params.processors)
-                    .with_policy(Policy::first_reward(0.2, 0.01))
-                    .with_admission(AdmissionPolicy::SlackThreshold { threshold: 180.0 })
-                    .with_schedule_mode(mode),
-            )
-            .metrics
-            .yield_rate()
-        });
-        let points = loads
-            .iter()
-            .enumerate()
-            .map(|(li, &load)| Point {
-                x: load,
-                y: aggregate(&rates[li * seeds.len()..(li + 1) * seeds.len()]),
-            })
-            .collect();
-        series.push(Series::new(label, points));
-    }
+    let modes = [
+        ("static candidate schedule", ScheduleMode::Static),
+        ("dynamic candidate schedule", ScheduleMode::Dynamic),
+    ];
     FigureResult {
         id: "ablate-schedule-mode".into(),
         title: "Candidate-schedule fidelity on the admission path".into(),
         x_label: "load factor".into(),
         y_label: "average yield rate".into(),
-        series,
+        series: sweep(
+            params,
+            &modes,
+            &[1.0, 2.0, 3.0].map(|load| (load, load)),
+            |&mode, &load, seed| {
+                let mix = sized(fig67_mix(load), params);
+                let site = SiteConfig::new(params.processors)
+                    .with_policy(Policy::first_reward(0.2, 0.01))
+                    .with_admission(AdmissionPolicy::SlackThreshold { threshold: 180.0 })
+                    .with_schedule_mode(mode);
+                run_site(&mix, seed, site).metrics.yield_rate()
+            },
+            None,
+        ),
     }
 }
 
 /// Robustness to runtime misestimation (the paper assumes accurate
-/// estimates; §4 flags exceedance handling as future work).
+/// estimates; §4 flags exceedance handling as future work): each policy
+/// at each error level against the same policy with accurate estimates,
+/// on the same seed.
 pub fn ablate_misestimation(params: &ExpParams) -> FigureResult {
-    let seeds = params.seed_list();
-    let errors = [0.0, 0.1, 0.25, 0.5];
+    let accurate = sized(fig45_mix(5.0, false), params);
     let policies = [
         ("FirstPrice", Policy::FirstPrice),
         ("FirstReward(0.2)", Policy::first_reward(0.2, 0.01)),
         ("SWPT", Policy::Swpt),
     ];
-    // One flat (policy × error × seed) grid: the per-policy loops would
-    // otherwise serialize, leaving threads idle between policies.
-    let mut work = Vec::with_capacity(policies.len() * errors.len() * seeds.len());
-    for pi in 0..policies.len() {
-        for ei in 0..errors.len() {
-            for &seed in &seeds {
-                work.push((pi, ei, seed));
-            }
-        }
-    }
-    let rel: Vec<f64> = parallel_map(&work, |&(pi, ei, seed)| {
-        let accurate = sized(fig45_mix(5.0, false), params);
-        let noisy = accurate.clone().with_runtime_error(errors[ei]);
-        let cfg = SiteConfig::new(params.processors).with_policy(policies[pi].1);
-        let base = run_site(&accurate, seed, cfg.clone()).metrics.total_yield;
-        let pert = run_site(&noisy, seed, cfg).metrics.total_yield;
-        improvement_pct(pert, base)
-    });
-    let per_policy = errors.len() * seeds.len();
-    let series = policies
-        .iter()
-        .enumerate()
-        .map(|(pi, (label, _))| {
-            let chunk = &rel[pi * per_policy..(pi + 1) * per_policy];
-            let points = errors
-                .iter()
-                .enumerate()
-                .map(|(ei, &e)| Point {
-                    x: e,
-                    y: aggregate(&chunk[ei * seeds.len()..(ei + 1) * seeds.len()]),
-                })
-                .collect();
-            Series::new(*label, points)
-        })
-        .collect();
+    let total_yield = |mix: &MixConfig, policy: Policy, seed| {
+        let site = SiteConfig::new(params.processors).with_policy(policy);
+        run_site(mix, seed, site).metrics.total_yield
+    };
     FigureResult {
         id: "ablate-misestimation".into(),
         title: "Yield change under runtime misestimation".into(),
         x_label: "relative runtime error (sigma)".into(),
         y_label: "yield change vs accurate estimates (%)".into(),
-        series,
+        series: sweep(
+            params,
+            &policies,
+            &[0.0, 0.1, 0.25, 0.5].map(|error| (error, error)),
+            |&policy, &error, seed| {
+                let noisy = accurate.clone().with_runtime_error(error);
+                total_yield(&noisy, policy, seed)
+            },
+            Some(&|&policy, seed| total_yield(&accurate, policy, seed)),
+        ),
     }
 }
 
 /// Shedding expired tasks vs running them out, bounded-penalty mix.
 pub fn ablate_drop_expired(params: &ExpParams) -> FigureResult {
-    let seeds = params.seed_list();
-    let loads = [1.0, 2.0, 3.0];
-    let mut series = Vec::new();
-    for (drop, label) in [(false, "run expired tasks"), (true, "drop expired tasks")] {
-        let work: Vec<(usize, u64)> = loads
-            .iter()
-            .enumerate()
-            .flat_map(|(li, _)| seeds.iter().map(move |&s| (li, s)))
-            .collect();
-        let rates: Vec<f64> = parallel_map(&work, |&(li, seed)| {
-            let mix: MixConfig = sized(fig45_mix(5.0, true), params).with_load_factor(loads[li]);
-            run_site(
-                &mix,
-                seed,
-                SiteConfig::new(params.processors)
-                    .with_policy(Policy::FirstPrice)
-                    .with_drop_expired(drop),
-            )
-            .metrics
-            .yield_rate()
-        });
-        let points = loads
-            .iter()
-            .enumerate()
-            .map(|(li, &load)| Point {
-                x: load,
-                y: aggregate(&rates[li * seeds.len()..(li + 1) * seeds.len()]),
-            })
-            .collect();
-        series.push(Series::new(label, points));
-    }
     FigureResult {
         id: "ablate-drop-expired".into(),
         title: "Shedding expired bounded-penalty tasks".into(),
         x_label: "load factor".into(),
         y_label: "average yield rate".into(),
-        series,
+        series: sweep(
+            params,
+            &[("run expired tasks", false), ("drop expired tasks", true)],
+            &[1.0, 2.0, 3.0].map(|load| (load, load)),
+            |&drop, &load, seed| {
+                let mix = sized(fig45_mix(5.0, true), params).with_load_factor(load);
+                let site = SiteConfig::new(params.processors)
+                    .with_policy(Policy::FirstPrice)
+                    .with_drop_expired(drop);
+                run_site(&mix, seed, site).metrics.yield_rate()
+            },
+            None,
+        ),
     }
 }
 
@@ -260,10 +164,7 @@ pub fn ablate_drop_expired(params: &ExpParams) -> FigureResult {
 /// rate should differ between smooth and bursty streams.
 pub fn ablate_burstiness(params: &ExpParams) -> FigureResult {
     use mbts_workload::ArrivalProcess;
-    let seeds = params.seed_list();
-    let rates = [0.0, 1e-4, 1e-3, 1e-2, 1e-1];
-    let mut series = Vec::new();
-    for (label, arrival) in [
+    let arrivals = [
         ("stationary (Poisson)", ArrivalProcess::Exponential),
         (
             "bursty (batches of 16)",
@@ -272,56 +173,26 @@ pub fn ablate_burstiness(params: &ExpParams) -> FigureResult {
                 cv: 0.5,
             },
         ),
-    ] {
-        let mix = sized(fig3_mix(4.0), params).with_arrival(arrival);
-        let baselines: Vec<f64> = parallel_map(&seeds, |&seed| {
-            run_site(
-                &mix,
-                seed,
-                SiteConfig::new(params.processors)
-                    .with_policy(Policy::FirstPrice)
-                    .with_preemption(true),
-            )
-            .metrics
-            .total_yield
-        });
-        let work: Vec<(usize, u64)> = rates
-            .iter()
-            .enumerate()
-            .flat_map(|(ri, _)| seeds.iter().map(move |&s| (ri, s)))
-            .collect();
-        let yields: Vec<f64> = parallel_map(&work, |&(ri, seed)| {
-            run_site(
-                &mix,
-                seed,
-                SiteConfig::new(params.processors)
-                    .with_policy(Policy::pv(rates[ri]))
-                    .with_preemption(true),
-            )
-            .metrics
-            .total_yield
-        });
-        let points = rates
-            .iter()
-            .enumerate()
-            .map(|(ri, &rate)| {
-                let imp: Vec<f64> = (0..seeds.len())
-                    .map(|si| improvement_pct(yields[ri * seeds.len() + si], baselines[si]))
-                    .collect();
-                Point {
-                    x: rate * 100.0,
-                    y: aggregate(&imp),
-                }
-            })
-            .collect();
-        series.push(Series::new(label, points));
-    }
+    ]
+    .map(|(label, arrival)| (label, sized(fig3_mix(4.0), params).with_arrival(arrival)));
+    let total_yield = |mix: &MixConfig, policy: Policy, seed| {
+        let site = SiteConfig::new(params.processors)
+            .with_policy(policy)
+            .with_preemption(true);
+        run_site(mix, seed, site).metrics.total_yield
+    };
     FigureResult {
         id: "ablate-burstiness".into(),
         title: "PV discount-rate sensitivity: stationary vs bursty arrivals".into(),
         x_label: "discount rate (%)".into(),
         y_label: "improvement over FirstPrice (%)".into(),
-        series,
+        series: sweep(
+            params,
+            &arrivals,
+            &[0.0, 1e-4, 1e-3, 1e-2, 1e-1].map(|rate| (rate * 100.0, Policy::pv(rate))),
+            |mix, &pv, seed| total_yield(mix, pv, seed),
+            Some(&|mix, seed| total_yield(mix, Policy::FirstPrice, seed)),
+        ),
     }
 }
 
@@ -332,54 +203,36 @@ pub fn ablate_burstiness(params: &ExpParams) -> FigureResult {
 /// mean and load and reports yield per policy per distribution.
 pub fn ablate_duration_dist(params: &ExpParams) -> FigureResult {
     use mbts_sim::Dist;
-    let seeds = params.seed_list();
     let policies = [
-        ("FCFS", Policy::Fcfs),
-        ("SRPT", Policy::Srpt),
-        ("FirstPrice", Policy::FirstPrice),
-        ("FirstReward(0.2)", Policy::first_reward(0.2, 0.01)),
+        (0.0, Policy::Fcfs),
+        (1.0, Policy::Srpt),
+        (2.0, Policy::FirstPrice),
+        (3.0, Policy::first_reward(0.2, 0.01)),
     ];
-    let dists: Vec<(&str, Dist)> = vec![
+    let dists = [
         ("exponential", Dist::exponential(100.0)),
         ("normal(cv=0.2)", Dist::normal_min(100.0, 20.0, 1.0)),
         ("lognormal(σ=1)", Dist::lognormal(100.0, 1.0)),
         ("weibull(k=0.7)", Dist::weibull(100.0, 0.7)),
         ("hyperexp(scv=4)", Dist::hyperexp(100.0, 4.0)),
-    ];
-    let mut series = Vec::new();
-    for (dlabel, dist) in &dists {
-        let mix = sized(fig67_mix(1.5), params).with_runtime(dist.clone());
-        let work: Vec<(usize, u64)> = policies
-            .iter()
-            .enumerate()
-            .flat_map(|(pi, _)| seeds.iter().map(move |&s| (pi, s)))
-            .collect();
-        let yields: Vec<f64> = parallel_map(&work, |&(pi, seed)| {
-            run_site(
-                &mix,
-                seed,
-                SiteConfig::new(params.processors).with_policy(policies[pi].1),
-            )
-            .metrics
-            .total_yield
-        });
-        let points = policies
-            .iter()
-            .enumerate()
-            .map(|(pi, _)| Point {
-                x: pi as f64,
-                y: aggregate(&yields[pi * seeds.len()..(pi + 1) * seeds.len()]),
-            })
-            .collect();
-        series.push(Series::new(*dlabel, points));
-    }
+    ]
+    .map(|(label, dist)| (label, sized(fig67_mix(1.5), params).with_runtime(dist)));
     FigureResult {
         id: "ablate-duration-dist".into(),
         title: "Policy ranking across duration distributions                 (x: 0=FCFS, 1=SRPT, 2=FirstPrice, 3=FirstReward)"
             .into(),
         x_label: "policy index".into(),
         y_label: "total yield".into(),
-        series,
+        series: sweep(
+            params,
+            &dists,
+            &policies,
+            |mix, &policy, seed| {
+                let site = SiteConfig::new(params.processors).with_policy(policy);
+                run_site(mix, seed, site).metrics.total_yield
+            },
+            None,
+        ),
     }
 }
 
@@ -389,49 +242,31 @@ pub fn ablate_duration_dist(params: &ExpParams) -> FigureResult {
 /// deployed norm).
 pub fn ablate_widths(params: &ExpParams) -> FigureResult {
     use mbts_workload::WidthPolicy;
-    let seeds = params.seed_list();
-    let widths: Vec<(f64, WidthPolicy)> = vec![
+    let widths = [
         (1.0, WidthPolicy::One),
         (2.0, WidthPolicy::Uniform { lo: 1, hi: 4 }),
         (3.0, WidthPolicy::PowersOfTwo { max_exp: 2 }),
         (4.0, WidthPolicy::PowersOfTwo { max_exp: 3 }),
     ];
-    let mut series = Vec::new();
-    for (backfill, label) in [(true, "EASY backfilling"), (false, "strict score order")] {
-        let work: Vec<(usize, u64)> = widths
-            .iter()
-            .enumerate()
-            .flat_map(|(wi, _)| seeds.iter().map(move |&s| (wi, s)))
-            .collect();
-        let rates: Vec<f64> = parallel_map(&work, |&(wi, seed)| {
-            let mix = sized(fig67_mix(1.5), params).with_width(widths[wi].1);
-            run_site(
-                &mix,
-                seed,
-                SiteConfig::new(params.processors)
-                    .with_policy(Policy::first_reward(0.2, 0.01))
-                    .with_backfilling(backfill),
-            )
-            .metrics
-            .yield_rate()
-        });
-        let points = widths
-            .iter()
-            .enumerate()
-            .map(|(wi, (x, _))| Point {
-                x: *x,
-                y: aggregate(&rates[wi * seeds.len()..(wi + 1) * seeds.len()]),
-            })
-            .collect();
-        series.push(Series::new(label, points));
-    }
     FigureResult {
         id: "ablate-widths".into(),
         title: "Gang widths × backfilling (x: 1=width-1, 2=uniform 1-4,                 3=pow2≤4, 4=pow2≤8)"
             .into(),
         x_label: "width policy index".into(),
         y_label: "average yield rate".into(),
-        series,
+        series: sweep(
+            params,
+            &[("EASY backfilling", true), ("strict score order", false)],
+            &widths,
+            |&backfill, &width, seed| {
+                let mix = sized(fig67_mix(1.5), params).with_width(width);
+                let site = SiteConfig::new(params.processors)
+                    .with_policy(Policy::first_reward(0.2, 0.01))
+                    .with_backfilling(backfill);
+                run_site(&mix, seed, site).metrics.yield_rate()
+            },
+            None,
+        ),
     }
 }
 
@@ -441,76 +276,33 @@ pub fn ablate_widths(params: &ExpParams) -> FigureResult {
 /// policies degrade gracefully by sacrificing the least valuable work.
 /// Sweeps load on a bounded-penalty mix.
 pub fn ablate_deadline_vs_value(params: &ExpParams) -> FigureResult {
-    let seeds = params.seed_list();
-    let loads = [0.5, 1.0, 1.5, 2.0, 3.0];
     let policies = [
         ("EDF", Policy::EarliestDeadline),
         ("FirstPrice", Policy::FirstPrice),
         ("FirstReward(0.3)", Policy::first_reward(0.3, 0.01)),
     ];
-    // Flat (policy × load × seed) grid — see ablate_misestimation.
-    let mut work = Vec::with_capacity(policies.len() * loads.len() * seeds.len());
-    for pi in 0..policies.len() {
-        for li in 0..loads.len() {
-            for &seed in &seeds {
-                work.push((pi, li, seed));
-            }
-        }
-    }
-    let rates: Vec<f64> = parallel_map(&work, |&(pi, li, seed)| {
-        // Tight deadlines (fast decay: the mean task expires after
-        // ~2 mean runtimes of delay) — the regime where infeasible
-        // schedules appear and §3's argument bites.
-        let mix = sized(fig45_mix(5.0, true), params)
-            .with_mean_decay(0.5)
-            .with_load_factor(loads[li]);
-        run_site(
-            &mix,
-            seed,
-            SiteConfig::new(params.processors).with_policy(policies[pi].1),
-        )
-        .metrics
-        .yield_rate()
-    });
-    let per_policy = loads.len() * seeds.len();
-    let series = policies
-        .iter()
-        .enumerate()
-        .map(|(pi, (label, _))| {
-            let chunk = &rates[pi * per_policy..(pi + 1) * per_policy];
-            let points = loads
-                .iter()
-                .enumerate()
-                .map(|(li, &load)| Point {
-                    x: load,
-                    y: aggregate(&chunk[li * seeds.len()..(li + 1) * seeds.len()]),
-                })
-                .collect();
-            Series::new(*label, points)
-        })
-        .collect();
     FigureResult {
         id: "ablate-deadline-vs-value".into(),
         title: "Deadline (EDF) vs value-based scheduling across load".into(),
         x_label: "load factor".into(),
         y_label: "average yield rate".into(),
-        series,
+        series: sweep(
+            params,
+            &policies,
+            &[0.5, 1.0, 1.5, 2.0, 3.0].map(|load| (load, load)),
+            |&policy, &load, seed| {
+                // Tight deadlines (fast decay: the mean task expires
+                // after ~2 mean runtimes of delay) — the regime where
+                // infeasible schedules appear and §3's argument bites.
+                let mix = sized(fig45_mix(5.0, true), params)
+                    .with_mean_decay(0.5)
+                    .with_load_factor(load);
+                let site = SiteConfig::new(params.processors).with_policy(policy);
+                run_site(&mix, seed, site).metrics.yield_rate()
+            },
+            None,
+        ),
     }
-}
-
-/// Runs every ablation.
-pub fn all(params: &ExpParams) -> Vec<FigureResult> {
-    vec![
-        ablate_preemption(params),
-        ablate_admission(params),
-        ablate_schedule_mode(params),
-        ablate_misestimation(params),
-        ablate_drop_expired(params),
-        ablate_burstiness(params),
-        ablate_duration_dist(params),
-        ablate_widths(params),
-        ablate_deadline_vs_value(params),
-    ]
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //! difference. This is what an operator would run before flipping a
 //! policy knob in production.
 
-use crate::figures::run_site;
-use crate::harness::{parallel_map, ExpParams};
+use crate::figures::{run_site, sized};
+use crate::harness::{seed_grid, ExpParams};
 use mbts_sim::{OnlineStats, PairedComparison, Summary};
 use mbts_site::SiteConfig;
 use mbts_workload::MixConfig;
@@ -75,21 +75,16 @@ pub fn compare_sites(
     params: &ExpParams,
 ) -> ComparisonResult {
     assert!(params.seeds >= 2, "paired comparison needs ≥ 2 seeds");
-    let seeds = params.seed_list();
-    let mix = mix
-        .clone()
-        .with_tasks(params.tasks)
-        .with_processors(params.processors);
-    let work: Vec<(bool, u64)> = seeds
-        .iter()
-        .flat_map(|&s| [(false, s), (true, s)])
-        .collect();
-    let results: Vec<f64> = parallel_map(&work, |&(is_b, seed)| {
-        let cfg = if is_b { b.clone() } else { a.clone() };
-        run_site(&mix, seed, cfg).metrics.total_yield
-    });
-    let yields_a: Vec<f64> = results.iter().step_by(2).copied().collect();
-    let yields_b: Vec<f64> = results.iter().skip(1).step_by(2).copied().collect();
+    let mix = sized(mix.clone(), params);
+    // Two series, one x: the per-seed yields of A and of B.
+    let grid = seed_grid(
+        params,
+        &[a, b],
+        &[()],
+        |cfg, _, seed| run_site(&mix, seed, (*cfg).clone()).metrics.total_yield,
+        None,
+    );
+    let (yields_a, yields_b) = (grid[0][0].clone(), grid[1][0].clone());
     let summary_a = yields_a.iter().copied().collect::<OnlineStats>().summary();
     let summary_b = yields_b.iter().copied().collect::<OnlineStats>().summary();
     let paired = PairedComparison::new(&yields_b, &yields_a);

@@ -10,10 +10,10 @@
 //! conservation auditor runs throughout — any violation fails the sweep.
 
 use crate::figures::sized;
-use crate::harness::{parallel_map, ExpParams};
-use crate::report::{FigureResult, Point, Series};
+use crate::harness::{sweep, ExpParams};
+use crate::report::FigureResult;
 use mbts_core::{AdmissionPolicy, Policy};
-use mbts_sim::{OnlineStats, UpDown};
+use mbts_sim::UpDown;
 use mbts_site::{FaultPlan, SiteConfig, SiteRun};
 use mbts_trace::Tracer;
 use mbts_workload::{fig67_mix, generate_trace};
@@ -34,35 +34,20 @@ pub const SLACK_THRESHOLD: f64 = 180.0;
 pub const DISCOUNT: f64 = 0.01;
 
 /// The policies compared.
-fn series_configs(processors: usize) -> Vec<(String, SiteConfig)> {
+fn series_configs(processors: usize) -> Vec<(&'static str, SiteConfig)> {
+    let site = |policy| SiteConfig::new(processors).with_policy(policy);
+    let first_reward = Policy::first_reward(0.3, DISCOUNT);
     vec![
+        ("FCFS", site(Policy::Fcfs)),
+        ("SRPT", site(Policy::Srpt)),
+        ("FirstPrice", site(Policy::FirstPrice)),
+        ("PV", site(Policy::pv(DISCOUNT))),
+        ("FirstReward", site(first_reward)),
         (
-            "FCFS".into(),
-            SiteConfig::new(processors).with_policy(Policy::Fcfs),
-        ),
-        (
-            "SRPT".into(),
-            SiteConfig::new(processors).with_policy(Policy::Srpt),
-        ),
-        (
-            "FirstPrice".into(),
-            SiteConfig::new(processors).with_policy(Policy::FirstPrice),
-        ),
-        (
-            "PV".into(),
-            SiteConfig::new(processors).with_policy(Policy::pv(DISCOUNT)),
-        ),
-        (
-            "FirstReward".into(),
-            SiteConfig::new(processors).with_policy(Policy::first_reward(0.3, DISCOUNT)),
-        ),
-        (
-            "FirstReward + AC".into(),
-            SiteConfig::new(processors)
-                .with_policy(Policy::first_reward(0.3, DISCOUNT))
-                .with_admission(AdmissionPolicy::SlackThreshold {
-                    threshold: SLACK_THRESHOLD,
-                }),
+            "FirstReward + AC",
+            site(first_reward).with_admission(AdmissionPolicy::SlackThreshold {
+                threshold: SLACK_THRESHOLD,
+            }),
         ),
     ]
 }
@@ -70,62 +55,38 @@ fn series_configs(processors: usize) -> Vec<(String, SiteConfig)> {
 /// Runs the sweep. Panics (debug) or fails the assert (release) if the
 /// conservation auditor records any violation.
 pub fn fault_sweep(params: &ExpParams) -> FigureResult {
-    let seeds = params.seed_list();
-    let configs = series_configs(params.processors);
-    let mut work: Vec<(usize, usize, u64)> = Vec::new();
-    for si in 0..configs.len() {
-        for ri in 0..RATES.len() {
-            for &s in &seeds {
-                work.push((si, ri, s));
-            }
-        }
-    }
-    let labels: Vec<String> = configs.iter().map(|(l, _)| l.clone()).collect();
-    let rates: Vec<f64> = parallel_map(&work, |&(si, ri, seed)| {
-        let mix = sized(fig67_mix(1.5), params);
-        let trace = generate_trace(&mix, seed);
-        let cfg = configs[si].1.clone();
-        let rate = RATES[ri];
-        let run = if rate == 0.0 {
-            SiteRun::new(cfg, &trace, Tracer::Off)
-        } else {
-            let faults = UpDown::exponential(BASE_MTTF / rate, MTTR);
-            // Derive the injector seed from the workload seed so each
-            // replication sees an independent failure timeline.
-            let plan = FaultPlan::new(faults, seed ^ 0xFA17);
-            SiteRun::with_faults(cfg, &trace, &plan, Tracer::Off)
-        };
-        let (outcome, _) = run.finish();
-        assert!(
-            outcome.violations.is_empty(),
-            "conservation audit failed: {:?}",
-            outcome.violations
-        );
-        outcome.metrics.yield_rate()
-    });
-
-    let mut series = Vec::new();
-    for (si, label) in labels.into_iter().enumerate() {
-        let mut points = Vec::new();
-        for (ri, &rate) in RATES.iter().enumerate() {
-            let mut stats = OnlineStats::new();
-            for (sj, _) in seeds.iter().enumerate() {
-                let idx = si * RATES.len() * seeds.len() + ri * seeds.len() + sj;
-                stats.push(rates[idx]);
-            }
-            points.push(Point {
-                x: rate,
-                y: stats.summary(),
-            });
-        }
-        series.push(Series::new(label, points));
-    }
+    let mix = sized(fig67_mix(1.5), params);
     FigureResult {
         id: "faults".into(),
         title: "Fault injection: yield rate vs processor failure rate".into(),
         x_label: "failure-rate multiplier (MTTF = 10000 / x)".into(),
         y_label: "average yield rate".into(),
-        series,
+        series: sweep(
+            params,
+            &series_configs(params.processors),
+            &RATES.map(|rate| (rate, rate)),
+            |cfg, &rate, seed| {
+                let trace = generate_trace(&mix, seed);
+                let run = if rate == 0.0 {
+                    SiteRun::new(cfg.clone(), &trace, Tracer::Off)
+                } else {
+                    let faults = UpDown::exponential(BASE_MTTF / rate, MTTR);
+                    // Derive the injector seed from the workload seed so
+                    // each replication sees an independent failure
+                    // timeline.
+                    let plan = FaultPlan::new(faults, seed ^ 0xFA17);
+                    SiteRun::with_faults(cfg.clone(), &trace, &plan, Tracer::Off)
+                };
+                let (outcome, _) = run.finish();
+                assert!(
+                    outcome.violations.is_empty(),
+                    "conservation audit failed: {:?}",
+                    outcome.violations
+                );
+                outcome.metrics.yield_rate()
+            },
+            None,
+        ),
     }
 }
 

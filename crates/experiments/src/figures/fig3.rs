@@ -7,11 +7,10 @@
 //! At discount rate 0, PV ≡ FirstPrice; the paper reports modest (up to
 //! ~8 %) gains at intermediate rates, larger for higher value skews.
 
-use crate::figures::{improvement_pct, run_site, sized};
-use crate::harness::{parallel_map, ExpParams};
-use crate::report::{FigureResult, Point, Series};
+use crate::figures::{run_site, sized};
+use crate::harness::{sweep, ExpParams};
+use crate::report::FigureResult;
 use mbts_core::Policy;
-use mbts_sim::OnlineStats;
 use mbts_site::SiteConfig;
 use mbts_workload::fig3_mix;
 
@@ -22,59 +21,35 @@ pub const VALUE_SKEWS: [f64; 5] = [1.0, 1.5, 2.15, 4.0, 9.0];
 /// log-scaled 0.001 %–10 %).
 pub const DISCOUNT_RATES: [f64; 6] = [1e-5, 1e-4, 1e-3, 1e-2, 5e-2, 1e-1];
 
-fn site(policy: Policy, processors: usize) -> SiteConfig {
-    SiteConfig::new(processors)
-        .with_policy(policy)
-        .with_preemption(true)
-}
-
-/// Regenerates Figure 3.
+/// Regenerates Figure 3: PV at each discount rate against FirstPrice on
+/// the same seed (common random numbers).
 pub fn fig3(params: &ExpParams) -> FigureResult {
-    let seeds = params.seed_list();
-    let mut series = Vec::new();
-    for &skew in &VALUE_SKEWS {
-        let mix = sized(fig3_mix(skew), params);
-        // Per-seed FirstPrice baselines (common random numbers).
-        let baselines: Vec<f64> = parallel_map(&seeds, |&seed| {
-            run_site(&mix, seed, site(Policy::FirstPrice, params.processors))
-                .metrics
-                .total_yield
-        });
-        // All (rate, seed) PV runs in one parallel batch.
-        let work: Vec<(usize, u64)> = DISCOUNT_RATES
-            .iter()
-            .enumerate()
-            .flat_map(|(ri, _)| seeds.iter().map(move |&s| (ri, s)))
-            .collect();
-        let yields: Vec<f64> = parallel_map(&work, |&(ri, seed)| {
-            run_site(
-                &mix,
-                seed,
-                site(Policy::pv(DISCOUNT_RATES[ri]), params.processors),
-            )
-            .metrics
-            .total_yield
-        });
-        let mut points = Vec::new();
-        for (ri, &rate) in DISCOUNT_RATES.iter().enumerate() {
-            let mut stats = OnlineStats::new();
-            for (si, _) in seeds.iter().enumerate() {
-                let y = yields[ri * seeds.len() + si];
-                stats.push(improvement_pct(y, baselines[si]));
-            }
-            points.push(Point {
-                x: rate * 100.0, // report in %, like the paper's axis
-                y: stats.summary(),
-            });
-        }
-        series.push(Series::new(format!("Value Skew Ratio={skew}"), points));
-    }
+    let skews = VALUE_SKEWS.map(|skew| {
+        (
+            format!("Value Skew Ratio={skew}"),
+            sized(fig3_mix(skew), params),
+        )
+    });
+    // Reported in %, like the paper's axis.
+    let rates = DISCOUNT_RATES.map(|rate| (rate * 100.0, Policy::pv(rate)));
+    let total_yield = |mix: &_, policy: Policy, seed| {
+        let site = SiteConfig::new(params.processors)
+            .with_policy(policy)
+            .with_preemption(true);
+        run_site(mix, seed, site).metrics.total_yield
+    };
     FigureResult {
         id: "fig3".into(),
         title: "PV vs FirstPrice across discount rates (Millennium mix)".into(),
         x_label: "discount rate (%)".into(),
         y_label: "improvement over FirstPrice (%)".into(),
-        series,
+        series: sweep(
+            params,
+            &skews,
+            &rates,
+            |mix, &pv, seed| total_yield(mix, pv, seed),
+            Some(&|mix, seed| total_yield(mix, Policy::FirstPrice, seed)),
+        ),
     }
 }
 

@@ -6,11 +6,10 @@
 //! gains, a hybrid optimum around α ≈ 0.3, and stronger effects at higher
 //! decay skews.
 
-use crate::figures::{improvement_pct, run_site, sized};
-use crate::harness::{parallel_map, ExpParams};
-use crate::report::{FigureResult, Point, Series};
+use crate::figures::{run_site, sized};
+use crate::harness::{sweep, ExpParams};
+use crate::report::FigureResult;
 use mbts_core::Policy;
-use mbts_sim::OnlineStats;
 use mbts_site::SiteConfig;
 use mbts_workload::fig45_mix;
 
@@ -24,63 +23,37 @@ pub const ALPHAS: [f64; 10] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 pub const DISCOUNT: f64 = 0.01;
 
 /// Shared α-sweep engine for Figures 4 and 5 (they differ only in the
-/// penalty bound).
+/// penalty bound): FirstReward at each α against FirstPrice on the same
+/// seed.
 pub(crate) fn alpha_sweep(
     params: &ExpParams,
     bounded: bool,
     id: &str,
     title: &str,
 ) -> FigureResult {
-    let seeds = params.seed_list();
-    let mut series = Vec::new();
-    for &skew in &DECAY_SKEWS {
-        let mix = sized(fig45_mix(skew, bounded), params);
-        let baselines: Vec<f64> = parallel_map(&seeds, |&seed| {
-            run_site(
-                &mix,
-                seed,
-                SiteConfig::new(params.processors).with_policy(Policy::FirstPrice),
-            )
-            .metrics
-            .total_yield
-        });
-        let work: Vec<(usize, u64)> = ALPHAS
-            .iter()
-            .enumerate()
-            .flat_map(|(ai, _)| seeds.iter().map(move |&s| (ai, s)))
-            .collect();
-        let yields: Vec<f64> = parallel_map(&work, |&(ai, seed)| {
-            run_site(
-                &mix,
-                seed,
-                SiteConfig::new(params.processors)
-                    .with_policy(Policy::first_reward(ALPHAS[ai], DISCOUNT)),
-            )
-            .metrics
-            .total_yield
-        });
-        let mut points = Vec::new();
-        for (ai, &alpha) in ALPHAS.iter().enumerate() {
-            let mut stats = OnlineStats::new();
-            for (si, _) in seeds.iter().enumerate() {
-                stats.push(improvement_pct(
-                    yields[ai * seeds.len() + si],
-                    baselines[si],
-                ));
-            }
-            points.push(Point {
-                x: alpha,
-                y: stats.summary(),
-            });
-        }
-        series.push(Series::new(format!("Decay Skew Ratio={skew}"), points));
-    }
+    let skews = DECAY_SKEWS.map(|skew| {
+        (
+            format!("Decay Skew Ratio={skew}"),
+            sized(fig45_mix(skew, bounded), params),
+        )
+    });
+    let alphas = ALPHAS.map(|alpha| (alpha, Policy::first_reward(alpha, DISCOUNT)));
+    let total_yield = |mix: &_, policy: Policy, seed| {
+        let site = SiteConfig::new(params.processors).with_policy(policy);
+        run_site(mix, seed, site).metrics.total_yield
+    };
     FigureResult {
         id: id.into(),
         title: title.into(),
         x_label: "risk vs reward weight (alpha)".into(),
         y_label: "improvement over FirstPrice (%)".into(),
-        series,
+        series: sweep(
+            params,
+            &skews,
+            &alphas,
+            |mix, &first_reward, seed| total_yield(mix, first_reward, seed),
+            Some(&|mix, seed| total_yield(mix, Policy::FirstPrice, seed)),
+        ),
     }
 }
 

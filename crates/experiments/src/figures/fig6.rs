@@ -8,10 +8,9 @@
 //! rate collapses as load passes saturation.
 
 use crate::figures::{run_site, sized};
-use crate::harness::{parallel_map, ExpParams};
-use crate::report::{FigureResult, Point, Series};
+use crate::harness::{sweep, ExpParams};
+use crate::report::FigureResult;
 use mbts_core::{AdmissionPolicy, Policy};
-use mbts_sim::OnlineStats;
 use mbts_site::SiteConfig;
 use mbts_workload::fig67_mix;
 
@@ -29,59 +28,39 @@ pub const DISCOUNT: f64 = 0.01;
 
 /// Regenerates Figure 6.
 pub fn fig6(params: &ExpParams) -> FigureResult {
-    let seeds = params.seed_list();
-    // Work items: (series index, load index, seed). Series 0..ALPHAS.len()
-    // are FirstReward+AC; the last series is FirstPrice without AC.
-    let num_series = ALPHAS.len() + 1;
-    let mut work: Vec<(usize, usize, u64)> = Vec::new();
-    for si in 0..num_series {
-        for li in 0..LOADS.len() {
-            for &s in &seeds {
-                work.push((si, li, s));
-            }
-        }
-    }
-    let processors = params.processors;
-    let rates: Vec<f64> = parallel_map(&work, |&(si, li, seed)| {
-        let mix = sized(fig67_mix(LOADS[li]), params);
-        let cfg = if si < ALPHAS.len() {
-            SiteConfig::new(processors)
-                .with_policy(Policy::first_reward(ALPHAS[si], DISCOUNT))
+    // FirstReward with admission control at each α, then FirstPrice
+    // without it.
+    let mut sites: Vec<(String, SiteConfig)> = ALPHAS
+        .iter()
+        .map(|&alpha| {
+            let site = SiteConfig::new(params.processors)
+                .with_policy(Policy::first_reward(alpha, DISCOUNT))
                 .with_admission(AdmissionPolicy::SlackThreshold {
                     threshold: SLACK_THRESHOLD,
-                })
-        } else {
-            SiteConfig::new(processors).with_policy(Policy::FirstPrice)
-        };
-        run_site(&mix, seed, cfg).metrics.yield_rate()
-    });
-
-    let mut series = Vec::new();
-    for si in 0..num_series {
-        let label = match ALPHAS.get(si) {
-            Some(alpha) => format!("FirstReward, Alpha={alpha}"),
-            None => "FirstPrice w/o Admission Control".to_string(),
-        };
-        let mut points = Vec::new();
-        for (li, &load) in LOADS.iter().enumerate() {
-            let mut stats = OnlineStats::new();
-            for (sj, _) in seeds.iter().enumerate() {
-                let idx = si * LOADS.len() * seeds.len() + li * seeds.len() + sj;
-                stats.push(rates[idx]);
-            }
-            points.push(Point {
-                x: load,
-                y: stats.summary(),
-            });
-        }
-        series.push(Series::new(label, points));
-    }
+                });
+            (format!("FirstReward, Alpha={alpha}"), site)
+        })
+        .collect();
+    sites.push((
+        "FirstPrice w/o Admission Control".into(),
+        SiteConfig::new(params.processors).with_policy(Policy::FirstPrice),
+    ));
+    let loads = LOADS.map(|load| (load, load));
     FigureResult {
         id: "fig6".into(),
         title: "Admission control: yield rate vs load factor".into(),
         x_label: "load factor".into(),
         y_label: "average yield rate".into(),
-        series,
+        series: sweep(
+            params,
+            &sites,
+            &loads,
+            |site, &load, seed| {
+                let mix = sized(fig67_mix(load), params);
+                run_site(&mix, seed, site.clone()).metrics.yield_rate()
+            },
+            None,
+        ),
     }
 }
 

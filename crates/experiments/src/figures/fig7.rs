@@ -6,11 +6,10 @@
 //! choosing it well grow with load: overloaded sites need risk-averse
 //! (high) thresholds; lightly loaded sites should accept almost anything.
 
-use crate::figures::{improvement_pct, run_site, sized};
-use crate::harness::{parallel_map, ExpParams};
-use crate::report::{FigureResult, Point, Series};
+use crate::figures::{run_site, sized};
+use crate::harness::{sweep, ExpParams};
+use crate::report::FigureResult;
 use mbts_core::{AdmissionPolicy, Policy};
-use mbts_sim::OnlineStats;
 use mbts_site::SiteConfig;
 use mbts_workload::fig67_mix;
 
@@ -29,64 +28,30 @@ pub const ALPHA: f64 = 0.2;
 /// Discount rate (1 %).
 pub const DISCOUNT: f64 = 0.01;
 
-fn policy() -> Policy {
-    Policy::first_reward(ALPHA, DISCOUNT)
-}
-
-/// Regenerates Figure 7.
+/// Regenerates Figure 7: each threshold against the same scheduler with
+/// no admission control, on the same seed.
 pub fn fig7(params: &ExpParams) -> FigureResult {
-    let seeds = params.seed_list();
-    let processors = params.processors;
-    let mut series = Vec::new();
-    for &load in &LOADS {
-        let mix = sized(fig67_mix(load), params);
-        // Baseline per seed: same scheduler, no admission control.
-        let baselines: Vec<f64> = parallel_map(&seeds, |&seed| {
-            run_site(
-                &mix,
-                seed,
-                SiteConfig::new(processors).with_policy(policy()),
-            )
-            .metrics
-            .yield_rate()
-        });
-        let work: Vec<(usize, u64)> = THRESHOLDS
-            .iter()
-            .enumerate()
-            .flat_map(|(ti, _)| seeds.iter().map(move |&s| (ti, s)))
-            .collect();
-        let rates: Vec<f64> = parallel_map(&work, |&(ti, seed)| {
-            run_site(
-                &mix,
-                seed,
-                SiteConfig::new(processors)
-                    .with_policy(policy())
-                    .with_admission(AdmissionPolicy::SlackThreshold {
-                        threshold: THRESHOLDS[ti],
-                    }),
-            )
-            .metrics
-            .yield_rate()
-        });
-        let mut points = Vec::new();
-        for (ti, &threshold) in THRESHOLDS.iter().enumerate() {
-            let mut stats = OnlineStats::new();
-            for (si, _) in seeds.iter().enumerate() {
-                stats.push(improvement_pct(rates[ti * seeds.len() + si], baselines[si]));
-            }
-            points.push(Point {
-                x: threshold,
-                y: stats.summary(),
-            });
-        }
-        series.push(Series::new(format!("Load={load}"), points));
-    }
+    let loads = LOADS.map(|load| (format!("Load={load}"), sized(fig67_mix(load), params)));
+    let thresholds =
+        THRESHOLDS.map(|threshold| (threshold, AdmissionPolicy::SlackThreshold { threshold }));
+    let yield_rate = |mix: &_, admission, seed| {
+        let site = SiteConfig::new(params.processors)
+            .with_policy(Policy::first_reward(ALPHA, DISCOUNT))
+            .with_admission(admission);
+        run_site(mix, seed, site).metrics.yield_rate()
+    };
     FigureResult {
         id: "fig7".into(),
         title: "Slack-threshold sweep: improvement over no admission control".into(),
         x_label: "admission control threshold".into(),
         y_label: "improvement over no admission control (%)".into(),
-        series,
+        series: sweep(
+            params,
+            &loads,
+            &thresholds,
+            |mix, &admission, seed| yield_rate(mix, admission, seed),
+            Some(&|mix, seed| yield_rate(mix, AdmissionPolicy::AcceptAll, seed)),
+        ),
     }
 }
 

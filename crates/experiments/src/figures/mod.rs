@@ -23,18 +23,6 @@ pub(crate) fn run_site(mix: &MixConfig, seed: u64, cfg: SiteConfig) -> SiteOutco
     SiteRun::new(cfg, &trace, Tracer::Off).finish().0
 }
 
-/// Percentage improvement of `treatment` over `baseline`, guarding the
-/// near-zero-baseline case. Matches the paper's "Improvement over
-/// FirstPrice (%)" axes (a negative baseline still reports gains as
-/// positive improvements thanks to the |·|).
-pub(crate) fn improvement_pct(treatment: f64, baseline: f64) -> f64 {
-    if baseline.abs() < 1e-9 {
-        0.0
-    } else {
-        (treatment - baseline) / baseline.abs() * 100.0
-    }
-}
-
 /// Applies the harness params to a mix (trace length + calibration size).
 pub(crate) fn sized(mix: MixConfig, params: &ExpParams) -> MixConfig {
     mix.with_tasks(params.tasks)
@@ -44,15 +32,6 @@ pub(crate) fn sized(mix: MixConfig, params: &ExpParams) -> MixConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn improvement_pct_math() {
-        assert_eq!(improvement_pct(110.0, 100.0), 10.0);
-        assert_eq!(improvement_pct(90.0, 100.0), -10.0);
-        // Negative baseline: getting less negative is an improvement.
-        assert_eq!(improvement_pct(-50.0, -100.0), 50.0);
-        assert_eq!(improvement_pct(5.0, 0.0), 0.0);
-    }
 
     #[test]
     fn sized_overrides_scale_knobs() {

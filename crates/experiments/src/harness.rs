@@ -6,7 +6,14 @@
 //! simplest structure that saturates the cores without unsafe code or
 //! shared mutable state: an atomic cursor hands out indices, results flow
 //! back over an mpsc channel and are reassembled in order.
+//!
+//! Every experiment family is one (series × x × seed) grid over
+//! [`sweep`]: the work list, the per-seed baseline pairing, the relative
+//! statistic ([`improvement_pct`]) and the aggregation are written here
+//! once.
 
+use crate::report::{Point, Series};
+use mbts_sim::OnlineStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Common knobs shared by every experiment run.
@@ -106,6 +113,114 @@ where
         .collect()
 }
 
+/// A series' reference run on one seed: the denominator of the relative
+/// statistic for every cell of that series on that seed.
+pub type Baseline<'a, S> = dyn Fn(&S, u64) -> f64 + Sync + 'a;
+
+/// Percentage improvement of `treatment` over `baseline`, guarding the
+/// near-zero-baseline case. Matches the paper's "Improvement over
+/// FirstPrice (%)" axes (a negative baseline still reports gains as
+/// positive improvements thanks to the |·|). [`seed_grid`] is its only
+/// caller.
+pub fn improvement_pct(treatment: f64, baseline: f64) -> f64 {
+    if baseline.abs() < 1e-9 {
+        0.0
+    } else {
+        (treatment - baseline) / baseline.abs() * 100.0
+    }
+}
+
+/// Runs `cell(s, x, seed)` for every series `s`, every `x` and every seed
+/// of `params`, and returns the per-seed values as `[series][x][seed]`,
+/// seeds in [`ExpParams::seed_list`] order.
+///
+/// With a `baseline`, each value is instead [`improvement_pct`] of the
+/// cell over `baseline(s, seed)`: the same series on the same seed
+/// (common random numbers). Each baseline runs once per (series, seed).
+/// Every cell and every baseline run in one [`parallel_map`] batch.
+pub fn seed_grid<S: Sync, X: Sync>(
+    params: &ExpParams,
+    series: &[S],
+    xs: &[X],
+    cell: impl Fn(&S, &X, u64) -> f64 + Sync,
+    baseline: Option<&Baseline<'_, S>>,
+) -> Vec<Vec<Vec<f64>>> {
+    let seeds = params.seed_list();
+    // Per series: its baselines (when there are any), then its cells in
+    // x order, each block in seed order. `x: None` is a baseline run.
+    let mut runs: Vec<(usize, Option<usize>, u64)> = Vec::new();
+    for si in 0..series.len() {
+        if baseline.is_some() {
+            runs.extend(seeds.iter().map(|&seed| (si, None, seed)));
+        }
+        for xi in 0..xs.len() {
+            runs.extend(seeds.iter().map(|&seed| (si, Some(xi), seed)));
+        }
+    }
+    let values = parallel_map(&runs, |&(si, xi, seed)| match (xi, baseline) {
+        (Some(xi), _) => cell(&series[si], &xs[xi], seed),
+        (None, Some(baseline)) => baseline(&series[si], seed),
+        (None, None) => unreachable!("a baseline run is queued only with a baseline"),
+    });
+    let mut values = values.into_iter();
+    let n = seeds.len();
+    let mut grid = Vec::with_capacity(series.len());
+    for _ in series {
+        let base: Option<Vec<f64>> = baseline.map(|_| values.by_ref().take(n).collect());
+        let row = xs
+            .iter()
+            .map(|_| {
+                let per_seed = values.by_ref().take(n);
+                match &base {
+                    Some(base) => per_seed
+                        .zip(base)
+                        .map(|(treated, &reference)| improvement_pct(treated, reference))
+                        .collect(),
+                    None => per_seed.collect(),
+                }
+            })
+            .collect();
+        grid.push(row);
+    }
+    grid
+}
+
+/// The [`seed_grid`] of labelled series over plotted x values, each
+/// cell's per-seed values aggregated (mean ± 95 % CI) into one
+/// [`Point`]: one [`Series`] per `(label, s)`, one point per `(x, x_arg)`
+/// at `x`.
+pub fn sweep<L: AsRef<str> + Sync, S: Sync, X: Sync>(
+    params: &ExpParams,
+    series: &[(L, S)],
+    xs: &[(f64, X)],
+    cell: impl Fn(&S, &X, u64) -> f64 + Sync,
+    baseline: Option<&Baseline<'_, S>>,
+) -> Vec<Series> {
+    let labelled = baseline.map(|baseline| move |(_, s): &(L, S), seed| baseline(s, seed));
+    let grid = seed_grid(
+        params,
+        series,
+        xs,
+        |(_, s), (_, x), seed| cell(s, x, seed),
+        labelled.as_ref().map(|b| b as &Baseline<'_, (L, S)>),
+    );
+    series
+        .iter()
+        .zip(grid)
+        .map(|((label, _), row)| {
+            let points = xs
+                .iter()
+                .zip(row)
+                .map(|(&(x, _), per_seed)| Point {
+                    x,
+                    y: per_seed.into_iter().collect::<OnlineStats>().summary(),
+                })
+                .collect();
+            Series::new(label.as_ref(), points)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,6 +251,100 @@ mod tests {
             (x, acc).0
         });
         assert_eq!(out, items);
+    }
+
+    #[test]
+    fn improvement_pct_math() {
+        assert_eq!(improvement_pct(110.0, 100.0), 10.0);
+        assert_eq!(improvement_pct(90.0, 100.0), -10.0);
+        // Negative baseline: getting less negative is an improvement.
+        assert_eq!(improvement_pct(-50.0, -100.0), 50.0);
+        assert_eq!(improvement_pct(5.0, 0.0), 0.0);
+    }
+
+    fn grid_params() -> ExpParams {
+        ExpParams {
+            tasks: 1,
+            seeds: 3,
+            base_seed: 40,
+            processors: 1,
+        }
+    }
+
+    /// A cell that runs nothing and spells its coordinates in its value.
+    fn encode(series: &u64, x: &u64, seed: u64) -> f64 {
+        (series * 10_000 + x * 100 + seed) as f64
+    }
+
+    #[test]
+    fn seed_grid_is_series_then_x_then_seed() {
+        let params = grid_params();
+        let grid = seed_grid(&params, &[1, 2], &[3, 4, 5], encode, None);
+        assert_eq!(grid.len(), 2);
+        for (s, row) in [1, 2].iter().zip(&grid) {
+            assert_eq!(row.len(), 3);
+            for (x, per_seed) in [3, 4, 5].iter().zip(row) {
+                let want: Vec<f64> = params
+                    .seed_list()
+                    .into_iter()
+                    .map(|seed| encode(s, x, seed))
+                    .collect();
+                assert_eq!(per_seed, &want);
+            }
+        }
+    }
+
+    #[test]
+    fn each_baseline_runs_once_and_pairs_with_its_own_seed() {
+        let params = grid_params();
+        let cells = AtomicUsize::new(0);
+        let baselines = AtomicUsize::new(0);
+        let reference = |series: &u64, seed: u64| (series * 1_000 + seed * seed) as f64;
+        let counted = |series: &u64, seed: u64| {
+            baselines.fetch_add(1, Ordering::Relaxed);
+            reference(series, seed)
+        };
+        let grid = seed_grid(
+            &params,
+            &[1, 2],
+            &[3, 4, 5],
+            |s, x, seed| {
+                cells.fetch_add(1, Ordering::Relaxed);
+                encode(s, x, seed)
+            },
+            Some(&counted),
+        );
+        assert_eq!(cells.into_inner(), 2 * 3 * 3);
+        assert_eq!(baselines.into_inner(), 2 * 3, "once per (series, seed)");
+        for (s, row) in [1, 2].iter().zip(&grid) {
+            for (x, per_seed) in [3, 4, 5].iter().zip(row) {
+                let want: Vec<f64> = params
+                    .seed_list()
+                    .into_iter()
+                    .map(|seed| improvement_pct(encode(s, x, seed), reference(s, seed)))
+                    .collect();
+                assert_eq!(per_seed, &want);
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_labels_each_series_and_places_each_point_at_its_x() {
+        let params = grid_params();
+        let series = sweep(
+            &params,
+            &[("a", 1), ("b", 2)],
+            &[(0.5, 3), (7.0, 4)],
+            encode,
+            None,
+        );
+        let labels: Vec<&str> = series.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, ["a", "b"]);
+        let xs: Vec<f64> = series[1].points.iter().map(|p| p.x).collect();
+        assert_eq!(xs, [0.5, 7.0]);
+        let y = series[1].points[1].y;
+        assert_eq!((y.count, y.min, y.max), (3, 20_440.0, 20_442.0));
+        assert_eq!(y.mean, 20_441.0);
     }
 
     #[test]

@@ -9,21 +9,25 @@
 //!   --processors N   site size (default 16)
 //!                    (a count is at least 1 and overrides a preset given
 //!                    anywhere on the line)
-//!   --out DIR        also write <fig>.csv and <fig>.json under DIR
+//!   --out DIR        (figures) also write <fig>.{csv,json,md} under DIR
 //!   --plot           render ASCII plots in addition to tables
 //!   --trace FILE     (metrics) also write the full event streams as JSONL
 //! ```
+//!
+//! Every target but `metrics` is resolved against
+//! [`mbts_experiments::FAMILIES`] while the command line is read.
 
 use mbts_experiments::harness::ExpParams;
 use mbts_experiments::report::FigureResult;
-use mbts_experiments::{ablations, faults, figures, metrics, workflows};
+use mbts_experiments::{ablation_names, metrics, select, targets, Family};
 use std::fs::File;
 use std::io::Write;
 use std::path::PathBuf;
 
 struct Cli {
     target: String,
-    ablation: Option<String>,
+    /// The families to run; empty for `metrics`.
+    families: Vec<(&'static str, Family)>,
     params: ExpParams,
     out: Option<PathBuf>,
     plot: bool,
@@ -54,6 +58,14 @@ fn parse_args() -> Result<Cli, String> {
             }
         }
     }
+    let families = if target == "metrics" {
+        Vec::new()
+    } else {
+        select(&target, ablation.as_deref()).map_err(|e| match ablation {
+            Some(_) => e,
+            None => format!("{e}\n{}", usage()),
+        })?
+    };
     // A preset sets every scale at once and an explicit flag overrides
     // it, whichever comes first on the command line.
     let mut preset = None;
@@ -68,6 +80,9 @@ fn parse_args() -> Result<Cli, String> {
             "--tasks" => tasks = Some(count("--tasks", args.next())?),
             "--seeds" => seeds = Some(count("--seeds", args.next())?),
             "--processors" => processors = Some(count("--processors", args.next())?),
+            "--out" if target == "metrics" => {
+                return Err("--out applies only to figure targets, not metrics".into())
+            }
             "--out" => {
                 let dir = PathBuf::from(args.next().ok_or("--out needs a path")?);
                 std::fs::create_dir_all(&dir)
@@ -93,7 +108,7 @@ fn parse_args() -> Result<Cli, String> {
     params.processors = processors.unwrap_or(params.processors);
     Ok(Cli {
         target,
-        ablation,
+        families,
         params,
         out,
         plot,
@@ -102,10 +117,13 @@ fn parse_args() -> Result<Cli, String> {
 }
 
 fn usage() -> String {
-    "usage: mbts-experiments <fig3|fig4|fig5|fig6|fig7|faults|workflows|metrics|all|ablate> \
-     [--quick|--smoke] [--tasks N] [--seeds N] [--processors N] [--out DIR] [--plot] \
-     [--trace FILE]"
-        .to_string()
+    let targets: Vec<&str> = targets().chain(["metrics", "all", "ablate"]).collect();
+    format!(
+        "usage: mbts-experiments <{}> [--quick|--smoke] [--tasks N] [--seeds N] \
+         [--processors N] [--out DIR] [--plot] [--trace FILE]\n  ablate NAME: {}",
+        targets.join("|"),
+        ablation_names().collect::<Vec<_>>().join(", ")
+    )
 }
 
 /// Prints `fig` and writes it under `--out`; a failed write is the
@@ -156,49 +174,8 @@ fn main() {
         eprintln!("done in {:.1?}", started.elapsed());
         return;
     }
-    let figs: Vec<FigureResult> = match cli.target.as_str() {
-        "fig3" => vec![figures::fig3(&cli.params)],
-        "fig4" => vec![figures::fig4(&cli.params)],
-        "fig5" => vec![figures::fig5(&cli.params)],
-        "fig6" => vec![figures::fig6(&cli.params)],
-        "fig7" => vec![figures::fig7(&cli.params)],
-        "faults" => vec![faults::fault_sweep(&cli.params)],
-        "workflows" => vec![workflows::workflow_grid(&cli.params)],
-        "all" => vec![
-            figures::fig3(&cli.params),
-            figures::fig4(&cli.params),
-            figures::fig5(&cli.params),
-            figures::fig6(&cli.params),
-            figures::fig7(&cli.params),
-            workflows::workflow_grid(&cli.params),
-        ],
-        "ablate" => match cli.ablation.as_deref() {
-            None => ablations::all(&cli.params),
-            Some("preemption") => vec![ablations::ablate_preemption(&cli.params)],
-            Some("admission") => vec![ablations::ablate_admission(&cli.params)],
-            Some("schedule-mode") => vec![ablations::ablate_schedule_mode(&cli.params)],
-            Some("misestimation") => vec![ablations::ablate_misestimation(&cli.params)],
-            Some("drop-expired") => vec![ablations::ablate_drop_expired(&cli.params)],
-            Some("burstiness") => vec![ablations::ablate_burstiness(&cli.params)],
-            Some("duration-dist") => vec![ablations::ablate_duration_dist(&cli.params)],
-            Some("widths") => vec![ablations::ablate_widths(&cli.params)],
-            Some("deadline-vs-value") => vec![ablations::ablate_deadline_vs_value(&cli.params)],
-            Some(other) => {
-                eprintln!(
-                    "unknown ablation '{other}' (try: preemption, admission, schedule-mode, \
-                     misestimation, drop-expired, burstiness, duration-dist, widths, \
-                     deadline-vs-value)"
-                );
-                std::process::exit(2);
-            }
-        },
-        other => {
-            eprintln!("unknown target {other}\n{}", usage());
-            std::process::exit(2);
-        }
-    };
-    for fig in &figs {
-        if let Err(e) = emit(fig, &cli) {
+    for (_, family) in &cli.families {
+        if let Err(e) = emit(&family(&cli.params), &cli) {
             eprintln!("{e}");
             std::process::exit(1);
         }

@@ -14,10 +14,9 @@
 //! its bid (Eq. 7′/8′) lost to it under every policy on the same seeds
 //! (`DESIGN.md` §14, `EXPERIMENTS.md` "Workflows").
 
-use crate::harness::{parallel_map, ExpParams};
-use crate::report::{FigureResult, Point, Series};
+use crate::harness::{sweep, ExpParams};
+use crate::report::FigureResult;
 use mbts_core::{AdmissionPolicy, Policy};
-use mbts_sim::OnlineStats;
 use mbts_site::{SiteConfig, SiteRun};
 use mbts_trace::Tracer;
 use mbts_workload::{generate_workflows, WorkflowConfig, WorkflowShape};
@@ -86,56 +85,25 @@ fn run_cell(params: &ExpParams, shape: WorkflowShape, policy: Policy, seed: u64)
 
 /// Regenerates the workflow grid: policies × DAG shapes × seeds.
 pub fn workflow_grid(params: &ExpParams) -> FigureResult {
-    let seeds = params.seed_list();
     let shapes = shapes();
-    let pols = policies();
-    // Work items: (policy index, shape index, seed).
-    let mut work: Vec<(usize, usize, u64)> = Vec::new();
-    for pi in 0..pols.len() {
-        for si in 0..shapes.len() {
-            for &seed in &seeds {
-                work.push((pi, si, seed));
-            }
-        }
-    }
-    let earned: Vec<f64> = parallel_map(&work, |&(pi, si, seed)| {
-        run_cell(params, shapes[si].1, pols[pi].1, seed)
-    });
-
-    let series = pols
+    let names: Vec<&str> = shapes.iter().map(|(name, _)| *name).collect();
+    let indexed: Vec<(f64, WorkflowShape)> = shapes
         .iter()
-        .zip(earned.chunks(shapes.len() * seeds.len()))
-        .map(|((pname, _), cells)| {
-            let points = cells
-                .chunks(seeds.len())
-                .enumerate()
-                .map(|(si, per_seed)| {
-                    let mut stats = OnlineStats::new();
-                    for &y in per_seed {
-                        stats.push(y);
-                    }
-                    Point {
-                        x: si as f64,
-                        y: stats.summary(),
-                    }
-                })
-                .collect();
-            Series::new(pname.to_string(), points)
-        })
+        .enumerate()
+        .map(|(i, &(_, shape))| (i as f64, shape))
         .collect();
     FigureResult {
         id: "workflows".into(),
-        title: format!(
-            "Workflows: settled DAG yield (x: {})",
-            shapes
-                .iter()
-                .map(|(n, _)| *n)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
+        title: format!("Workflows: settled DAG yield (x: {})", names.join(", ")),
         x_label: "dag shape index".into(),
         y_label: "total settled workflow yield".into(),
-        series,
+        series: sweep(
+            params,
+            &policies(),
+            &indexed,
+            |&policy, &shape, seed| run_cell(params, shape, policy, seed),
+            None,
+        ),
     }
 }
 

@@ -34,6 +34,15 @@ fn bad_flags_exit_2_with_a_message() {
         ),
         ("fig4 --smoke --trace t.jsonl", "applies only to metrics"),
         ("fig4 --smoke --bogus", "unknown option --bogus"),
+        ("figz --smoke", "unknown target figz"),
+        (
+            "ablate bogus --smoke",
+            "unknown ablation 'bogus' (try: preemption,",
+        ),
+        (
+            "metrics --smoke --out /dev/null/x",
+            "--out applies only to figure targets",
+        ),
     ];
     for (line, message) in rows {
         let args: Vec<&str> = line.split(' ').collect();
@@ -42,6 +51,26 @@ fn bad_flags_exit_2_with_a_message() {
         assert!(stderr.contains(message), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(!stderr.contains("running"), "{args:?} ran: {stderr}");
+    }
+}
+
+/// A refused target or flag creates neither `--out` nor `--trace`.
+#[test]
+fn a_refused_line_creates_no_file() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-refused");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = dir.join("out");
+    let trace = dir.join("t.jsonl");
+    std::fs::create_dir_all(&dir).unwrap();
+    for line in [
+        ["figz", "--smoke", "--out", out.to_str().unwrap()],
+        ["ablate", "bogus", "--out", out.to_str().unwrap()],
+        ["figz", "--smoke", "--trace", trace.to_str().unwrap()],
+        ["metrics", "--smoke", "--out", out.to_str().unwrap()],
+    ] {
+        let (code, stderr) = run(&line);
+        assert_eq!(code, Some(2), "{line:?}: {stderr}");
+        assert!(!out.exists() && !trace.exists(), "{line:?} created a file");
     }
 }
 
