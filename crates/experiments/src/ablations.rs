@@ -219,7 +219,8 @@ pub fn ablate_duration_dist(params: &ExpParams) -> FigureResult {
     .map(|(label, dist)| (label, sized(fig67_mix(1.5), params).with_runtime(dist)));
     FigureResult {
         id: "ablate-duration-dist".into(),
-        title: "Policy ranking across duration distributions                 (x: 0=FCFS, 1=SRPT, 2=FirstPrice, 3=FirstReward)"
+        title: "Policy ranking across duration distributions \
+                (x: 0=FCFS, 1=SRPT, 2=FirstPrice, 3=FirstReward)"
             .into(),
         x_label: "policy index".into(),
         y_label: "total yield".into(),
@@ -250,7 +251,8 @@ pub fn ablate_widths(params: &ExpParams) -> FigureResult {
     ];
     FigureResult {
         id: "ablate-widths".into(),
-        title: "Gang widths × backfilling (x: 1=width-1, 2=uniform 1-4,                 3=pow2≤4, 4=pow2≤8)"
+        title: "Gang widths × backfilling (x: 1=width-1, 2=uniform 1-4, \
+                3=pow2≤4, 4=pow2≤8)"
             .into(),
         x_label: "width policy index".into(),
         y_label: "average yield rate".into(),
@@ -371,12 +373,14 @@ mod tests {
             let top_pair_floor = srpt.min(first_reward);
             assert!(
                 top_pair_floor >= fcfs.max(first_price),
-                "{}: ranking broke — SRPT {srpt}, FR {first_reward},                  FCFS {fcfs}, FP {first_price}",
+                "{}: ranking broke — SRPT {srpt}, FR {first_reward}, \
+                 FCFS {fcfs}, FP {first_price}",
                 s.label
             );
             assert!(
                 first_price <= fcfs,
-                "{}: FirstPrice {first_price} should trail FCFS {fcfs}                  under unbounded penalties",
+                "{}: FirstPrice {first_price} should trail FCFS {fcfs} \
+                 under unbounded penalties",
                 s.label
             );
         }
