@@ -9,7 +9,7 @@
 //!
 //! Every experiment family is one (series × x × seed) grid over
 //! [`sweep`]: the work list, the per-seed baseline pairing, the relative
-//! statistic ([`improvement_pct`]) and the aggregation are written here
+//! statistic (`improvement_pct`) and the aggregation are written here
 //! once.
 
 use crate::report::{Point, Series};
@@ -122,7 +122,7 @@ pub type Baseline<'a, S> = dyn Fn(&S, u64) -> f64 + Sync + 'a;
 /// FirstPrice (%)" axes (a negative baseline still reports gains as
 /// positive improvements thanks to the |·|). [`seed_grid`] is its only
 /// caller.
-pub fn improvement_pct(treatment: f64, baseline: f64) -> f64 {
+pub(crate) fn improvement_pct(treatment: f64, baseline: f64) -> f64 {
     if baseline.abs() < 1e-9 {
         0.0
     } else {
@@ -134,7 +134,7 @@ pub fn improvement_pct(treatment: f64, baseline: f64) -> f64 {
 /// of `params`, and returns the per-seed values as `[series][x][seed]`,
 /// seeds in [`ExpParams::seed_list`] order.
 ///
-/// With a `baseline`, each value is instead [`improvement_pct`] of the
+/// With a `baseline`, each value is instead `improvement_pct` of the
 /// cell over `baseline(s, seed)`: the same series on the same seed
 /// (common random numbers). Each baseline runs once per (series, seed).
 /// Every cell and every baseline run in one [`parallel_map`] batch.

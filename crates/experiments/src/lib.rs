@@ -78,7 +78,7 @@ pub fn targets() -> impl Iterator<Item = &'static str> {
 }
 
 /// The ablation names `ablate NAME` takes.
-pub fn ablation_names() -> impl Iterator<Item = &'static str> {
+fn ablation_names() -> impl Iterator<Item = &'static str> {
     FAMILIES
         .iter()
         .filter_map(|&(id, _)| id.strip_prefix(ABLATION))

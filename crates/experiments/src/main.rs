@@ -19,7 +19,7 @@
 
 use mbts_experiments::harness::ExpParams;
 use mbts_experiments::report::FigureResult;
-use mbts_experiments::{ablation_names, metrics, select, targets, Family};
+use mbts_experiments::{metrics, select, targets, Family};
 use std::fs::File;
 use std::io::Write;
 use std::path::PathBuf;
@@ -120,9 +120,8 @@ fn usage() -> String {
     let targets: Vec<&str> = targets().chain(["metrics", "all", "ablate"]).collect();
     format!(
         "usage: mbts-experiments <{}> [--quick|--smoke] [--tasks N] [--seeds N] \
-         [--processors N] [--out DIR] [--plot] [--trace FILE]\n  ablate NAME: {}",
-        targets.join("|"),
-        ablation_names().collect::<Vec<_>>().join(", ")
+         [--processors N] [--out DIR] [--plot] [--trace FILE]",
+        targets.join("|")
     )
 }
 
