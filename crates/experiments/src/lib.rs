@@ -22,7 +22,7 @@
 //! | Per-policy yield vs processor failure rate (fault injection) | robustness study | [`faults::fault_sweep()`](faults::fault_sweep()) |
 //! | Per-policy settled yield over DAG workflows | workflow extension | [`workflows::workflow_grid()`](workflows::workflow_grid()) |
 //!
-//! [`FAMILIES`] lists them all by figure id; the CLI resolves a target
+//! [`FAMILIES`] lists them all by figure id; `mbts experiment` resolves a target
 //! against it with [`select`].
 
 pub mod ablations;

@@ -4,7 +4,7 @@
 //!
 //! Each run captures its full event stream through a
 //! [`BufferSink`](mbts_trace::BufferSink) and hands it to the one trace
-//! fold behind `mbts analyze`. With `--trace out.jsonl` the concatenated
+//! fold behind `mbts analyze`. With `--trace-out out.jsonl` the concatenated
 //! streams are also written as JSONL, one event per line.
 
 use crate::harness::{parallel_map, ExpParams};
@@ -30,7 +30,7 @@ pub fn policy_roster() -> Vec<(&'static str, Policy)> {
 }
 
 /// Everything the subcommand produces: one report per (policy, seed) run
-/// plus the raw event streams for `--trace`, both in roster then seed
+/// plus the raw event streams for `--trace-out`, both in roster then seed
 /// order.
 pub struct MetricsReport {
     /// Per-run reports, labelled `<policy> seed <seed>`.

@@ -111,13 +111,12 @@ pub fn run_shading_experiment(
                     crate::contract::ContractStatus::Settled { completed_at, .. } => completed_at,
                     _ => unreachable!("checked settled"),
                 };
-                // What was actually charged: re-derive from the settled
-                // price; pricing-rule effects are inside settled_price?
-                // No: contracts store the value-function settlement; the
-                // pricing filter applies at the economy level. For this
-                // experiment we charge the value-function settlement under
-                // PayBid semantics; under SecondPrice the economy's
-                // total_paid/total_settled ratio scales each payment.
+                // The charge is the contract's value-function settlement
+                // under either pricing rule. A contract holds no
+                // second-price discount: the economy applies it only to
+                // its `total_paid` and to each `ContractSettled` event's
+                // `paid`, so under second pricing this overstates what a
+                // client paid.
                 let paid = c.settled_price().unwrap();
                 let true_value = spec.yield_at(completed_at);
                 acc.paid += paid;

@@ -392,55 +392,48 @@ fn site_workload(tasks: u64, processors: usize, load: f64, seed: u64) -> Trace {
     generate_trace(&mix, seed)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_site_scenario(
-    name: &str,
-    seed: u64,
-    tasks: u64,
-    processors: usize,
-    load: f64,
-    policy: &str,
-    snapshot_every: u64,
-    registry: &Arc<ChaosRegistry>,
-    events: &mut Vec<TraceEvent>,
-) -> Result<(u64, u64, Vec<String>), String> {
-    let policy = crate::cli::parse_policy(policy)?;
-    let trace = site_workload(tasks, processors, load, seed);
-    let config = SiteConfig::new(processors)
-        .with_policy(policy)
-        .with_preemption(true);
+/// The site every scenario runs: `processors` under `policy`, preemptive.
+fn scenario_site(processors: usize, policy: &str) -> Result<SiteConfig, String> {
+    Ok(SiteConfig::new(processors)
+        .with_policy(crate::cli::parse_policy(policy)?)
+        .with_preemption(true))
+}
 
-    let mut reference = SiteRun::new(config.clone(), &trace, Tracer::Off);
-    while reference.step() {}
-    let reference_state = state_json(&reference);
+/// The final state of `run` fed to its end without a journal: the
+/// uninjected reference a faulted run must match.
+fn reference_state<M: ChaosTarget>(mut run: M, feed: &mut impl Feed<M>) -> Result<String, String> {
+    while let Some(input) = feed.next(&run) {
+        run.apply(&input)?;
+        feed.acked(&input);
+    }
+    Ok(state_json(&run))
+}
 
-    let mut harness = Harness::new(name, registry, events, snapshot_every);
-    let run = harness.drive(
-        &|| SiteRun::new(config.clone(), &trace, Tracer::Off),
-        &mut Due,
-    )?;
-
-    bit_identity_check(
-        name,
-        "final-site-state",
-        &reference_state,
-        &state_json(&run),
-    )?;
-    let violations = run.state().violations().len();
+/// Runs a simulation scenario: the run `mk` builds, once uninjected and
+/// once through `harness`'s faults, which must end bit-identical to the
+/// reference. `audit` counts the faulted run's invariant violations,
+/// which must be none.
+fn run_sim_scenario<M: ChaosTarget>(
+    harness: &mut Harness,
+    state: &str,
+    mk: &dyn Fn() -> M,
+    audit: impl FnOnce(M) -> usize,
+) -> Result<Vec<String>, String> {
+    let reference = reference_state(mk(), &mut Due)?;
+    let run = harness.drive(mk, &mut Due)?;
+    let name = harness.name;
+    bit_identity_check(name, state, &reference, &state_json(&run))?;
+    let violations = audit(run);
     if violations > 0 {
         return Err(format!(
             "scenario '{name}': {violations} auditor violations in the faulted run"
         ));
     }
-    Ok((
-        harness.crashes,
-        harness.replayed,
-        vec![
-            "bit-identical-to-reference".to_string(),
-            "auditors-clean".to_string(),
-            "recovery-replay-verified".to_string(),
-        ],
-    ))
+    Ok(vec![
+        "bit-identical-to-reference".to_string(),
+        "auditors-clean".to_string(),
+        "recovery-replay-verified".to_string(),
+    ])
 }
 
 /// Invariant-auditor violations across the economy: market-level money
@@ -454,59 +447,6 @@ fn economy_audit_violations(outcome: &EconomyOutcome) -> usize {
             .iter()
             .map(|s| s.violations.len())
             .sum::<usize>()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_market_scenario(
-    name: &str,
-    seed: u64,
-    tasks: u64,
-    sites: usize,
-    processors: usize,
-    load: f64,
-    policy: &str,
-    snapshot_every: u64,
-    registry: &Arc<ChaosRegistry>,
-    events: &mut Vec<TraceEvent>,
-) -> Result<(u64, u64, Vec<String>), String> {
-    let policy = crate::cli::parse_policy(policy)?;
-    let trace = site_workload(tasks, processors * sites.max(1), load, seed);
-    let site = SiteConfig::new(processors)
-        .with_policy(policy)
-        .with_preemption(true);
-    let config = EconomyConfig::uniform(sites, site);
-
-    let mut reference = EconomyRun::new(config.clone(), &trace, Tracer::Off);
-    while reference.step() {}
-    let reference_state = state_json(&reference);
-
-    let mut harness = Harness::new(name, registry, events, snapshot_every);
-    let run = harness.drive(
-        &|| EconomyRun::new(config.clone(), &trace, Tracer::Off),
-        &mut Due,
-    )?;
-    bit_identity_check(
-        name,
-        "final-economy-state",
-        &reference_state,
-        &state_json(&run),
-    )?;
-    let (outcome, _) = run.finish();
-    let audit = economy_audit_violations(&outcome);
-    if audit > 0 {
-        return Err(format!(
-            "scenario '{name}': {audit} conservation-auditor violations in the faulted run"
-        ));
-    }
-    Ok((
-        harness.crashes,
-        harness.replayed,
-        vec![
-            "bit-identical-to-reference".to_string(),
-            "auditors-clean".to_string(),
-            "recovery-replay-verified".to_string(),
-        ],
-    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -720,50 +660,30 @@ impl Feed<ServiceMachine> for Script<'_> {
     }
 }
 
-/// The uninjected reference fold: same script, no journal.
-fn drive_reference_serve(mc: &MachineConfig, script: &[ScriptStep]) -> String {
-    let mut machine = ServiceMachine::new(mc.clone());
-    let mut feed = Script::new(script);
-    while let Some(cmd) = feed.next(&machine) {
-        machine.apply(&cmd);
-        feed.acked(&cmd);
-    }
-    state_json(&machine)
-}
-
-#[allow(clippy::too_many_arguments)]
 fn run_serve_scenario(
-    name: &str,
+    harness: &mut Harness,
     seed: u64,
     commands: u64,
-    processors: usize,
-    policy: &str,
+    site: SiteConfig,
     queue_capacity: usize,
-    snapshot_every: u64,
-    registry: &Arc<ChaosRegistry>,
-    events: &mut Vec<TraceEvent>,
-) -> Result<(u64, u64, Vec<String>), String> {
-    let policy = crate::cli::parse_policy(policy)?;
+) -> Result<Vec<String>, String> {
     let mc = MachineConfig {
-        site: SiteConfig::new(processors)
-            .with_policy(policy)
-            .with_preemption(true),
+        site,
         provenance: false,
         status_capacity: 65_536,
     };
     let script = build_script(seed, commands, queue_capacity);
-    let reference_state = drive_reference_serve(&mc, &script);
-
-    let mut harness = Harness::new(name, registry, events, snapshot_every);
+    let reference = reference_state(ServiceMachine::new(mc.clone()), &mut Script::new(&script))?;
     let machine = harness.drive(
         &|| ServiceMachine::new(mc.clone()),
         &mut Script::new(&script),
     )?;
 
+    let name = harness.name;
     bit_identity_check(
         name,
         "final-service-state",
-        &reference_state,
+        &reference,
         &state_json(&machine),
     )?;
     if machine.violations() > 0 {
@@ -777,16 +697,12 @@ fn run_serve_scenario(
             "scenario '{name}': the drain command never survived to the machine"
         ));
     }
-    Ok((
-        harness.crashes,
-        harness.replayed,
-        vec![
-            "bit-identical-to-reference".to_string(),
-            "acked-prefix-durable".to_string(),
-            "auditors-clean".to_string(),
-            "drained-cleanly".to_string(),
-        ],
-    ))
+    Ok(vec![
+        "bit-identical-to-reference".to_string(),
+        "acked-prefix-durable".to_string(),
+        "auditors-clean".to_string(),
+        "drained-cleanly".to_string(),
+    ])
 }
 
 /// Runs one scenario once. The trace events returned are the chaos
@@ -800,61 +716,59 @@ pub fn run_scenario(
     let registry = Arc::new(ChaosRegistry::new(seed, scenario.failpoints.clone()));
     let mut events = Vec::new();
     let name = scenario.name.as_str();
-    let (crashes, replayed, checks) = match &scenario.target {
+    let (ScenarioTarget::Site { snapshot_every, .. }
+    | ScenarioTarget::Market { snapshot_every, .. }
+    | ScenarioTarget::Serve { snapshot_every, .. }) = scenario.target;
+    let mut harness = Harness::new(name, &registry, &mut events, snapshot_every);
+    let checks = match scenario.target {
         ScenarioTarget::Site {
             tasks,
             processors,
             load,
-            policy,
-            snapshot_every,
-        } => run_site_scenario(
-            name,
-            seed,
-            *tasks,
-            *processors,
-            *load,
-            policy,
-            *snapshot_every,
-            &registry,
-            &mut events,
-        )?,
+            ref policy,
+            ..
+        } => {
+            let config = scenario_site(processors, policy)?;
+            let trace = site_workload(tasks, processors, load, seed);
+            run_sim_scenario(
+                &mut harness,
+                "final-site-state",
+                &|| SiteRun::new(config.clone(), &trace, Tracer::Off),
+                |run| run.state().violations().len(),
+            )?
+        }
         ScenarioTarget::Market {
             tasks,
             sites,
             processors,
             load,
-            policy,
-            snapshot_every,
-        } => run_market_scenario(
-            name,
-            seed,
-            *tasks,
-            *sites,
-            *processors,
-            *load,
-            policy,
-            *snapshot_every,
-            &registry,
-            &mut events,
-        )?,
+            ref policy,
+            ..
+        } => {
+            let config = EconomyConfig::uniform(sites, scenario_site(processors, policy)?);
+            let trace = site_workload(tasks, processors * sites.max(1), load, seed);
+            run_sim_scenario(
+                &mut harness,
+                "final-economy-state",
+                &|| EconomyRun::new(config.clone(), &trace, Tracer::Off),
+                |run| economy_audit_violations(&run.finish().0),
+            )?
+        }
         ScenarioTarget::Serve {
             commands,
             processors,
-            policy,
+            ref policy,
             queue_capacity,
-            snapshot_every,
+            ..
         } => run_serve_scenario(
-            name,
+            &mut harness,
             seed,
-            *commands,
-            *processors,
-            policy,
-            *queue_capacity,
-            *snapshot_every,
-            &registry,
-            &mut events,
+            commands,
+            scenario_site(processors, policy)?,
+            queue_capacity,
         )?,
     };
+    let (crashes, replayed) = (harness.crashes, harness.replayed);
     if !scenario.failpoints.is_empty() && registry.fired_total() == 0 {
         return Err(format!(
             "scenario '{name}': schedule armed but no failpoint ever fired — \

@@ -2,73 +2,15 @@
 //!
 //! The binary (`src/bin/mbts.rs`) is a thin wrapper; everything here is a
 //! plain function so parsing and command execution are unit-testable.
-//!
-//! ```text
-//! mbts gen    --out trace.json [--tasks N] [--processors P] [--load L]
-//!             [--seed S] [--value-skew R] [--decay-skew R] [--mean-decay D]
-//!             [--bound zero|unbounded|prop:F] [--widths one|uniform:LO:HI|pow2:E]
-//! mbts run    --trace trace.json [--policy SPEC] [--admission SPEC]
-//!             [--processors P] [--preemption] [--drop-expired] [--gantt]
-//!             [--classes] [--journal FILE]
-//! mbts market --trace trace.json [--sites N] [--procs-per-site P]
-//!             [--policy SPEC] [--admission SPEC]
-//!             [--selection earliest|slack|random|first] [--second-price]
-//!             [--journal FILE]
-//! mbts serve  [--addr HOST:PORT] [--journal FILE] [--processors P]
-//!             [--policy SPEC] [--admission SPEC] [--queue-cap N]
-//!             [--shed-threshold N] [--time-scale X] [--provenance]
-//! mbts flood  --addr HOST:PORT [--requests N] [--connections N]
-//!             [--pipeline N] [--out FILE]
-//! mbts top    [--addr HOST:PORT] [--interval S] [--count N | --once]
-//! mbts analyze FILE... [--format text|json|prom] [--buckets N] [--out FILE]
-//! mbts resume --journal FILE
-//! mbts policies
-//! ```
-//!
-//! `run`/`market` accept `--trace-out FILE` to capture the structured
-//! event stream as JSON Lines (a site's only history: `run --gantt`
-//! draws its chart from the same stream), `--provenance` to additionally
-//! record a ranked, score-decomposed candidate set at every dispatch,
-//! preemption, admission and bid-selection decision, and `--profile FILE`
-//! to enable the hot-path self-profiler and save its latency histograms.
-//! `mbts analyze` post-processes any of those outputs (plus durable
-//! journals) into yield-attribution, preemption-chain, admission-regret
-//! and utilization reports, as text, JSON or Prometheus exposition; a
-//! JSONL trace is folded one line at a time, never held whole.
-//!
-//! `mbts market` has one engine, the serial event loop, and every run
-//! of it is journalable (DESIGN.md §12).
-//!
-//! `mbts serve` fronts the same deterministic core as a live HTTP+JSON
-//! daemon: every accepted command is journal-appended *before* it is
-//! applied, so a `kill -9` at any instant recovers — via `mbts serve
-//! --journal FILE` again, or offline via `mbts resume` / `mbts analyze`
-//! — to exactly the state the acknowledged prefix implies. Overload is
-//! first-class: a bounded admission queue answers 429 + `Retry-After`
-//! when full, and a deadline-aware shed pass drops expired-then-lowest-
-//! present-value work (provenance-traced, so `mbts analyze` can report
-//! the regret of shedding). `mbts flood` is the matching load/chaos
-//! client; `--out FILE` saves its report as JSON. The
-//! daemon exposes a live telemetry plane — `GET /metrics` (Prometheus
-//! text), `GET /healthz`, `GET /readyz` — and `mbts top` is the
-//! matching terminal dashboard: it polls `/metrics` and renders request
-//! rates, latency quantiles, and a queue-depth sparkline.
-//!
-//! `--journal FILE` makes `run`/`market` crash-recoverable: the full
-//! replay state is snapshotted and every applied event journaled to
-//! `FILE` (CRC-framed, flushed per record). If the process dies — even
-//! mid-write — `mbts resume --journal FILE` restores the latest intact
-//! state, replays the event suffix, and finishes the run with the exact
-//! outcome the uninterrupted run would have produced.
-//!
-//! Policy specs: `fcfs`, `srpt`, `swpt`, `first-price`, `pv:<rate>`,
-//! `first-reward:<alpha>:<rate>`. Admission specs: `all`, `positive`,
-//! `slack:<threshold>`.
+//! [`usage`] is the grammar: every subcommand with its flags, and the
+//! policy, admission and shape specs they take. Each subcommand's flags
+//! are checked against its row of one table before any is read.
 
 use mbts_core::{AdmissionPolicy, Policy};
 use mbts_durable::{DurableRun, JournalSource, Kind, RecoverError, Recoverable, RecoveryReport};
+use mbts_experiments::{select, ExpParams, Family, FigureResult};
 use mbts_market::{ClientSelection, EconomyConfig, EconomyRun, PricingStrategy};
-use mbts_serve::ServiceMachine;
+use mbts_serve::{FloodConfig, ServeConfig, ServiceMachine, TopConfig};
 use mbts_site::{class_breakdown, render_gantt, segments, SiteConfig, SiteRun};
 use mbts_workload::{
     generate_trace, generate_workflows, BoundPolicy, MixConfig, Trace, WidthPolicy, WorkflowConfig,
@@ -114,7 +56,7 @@ impl RunInput {
 }
 
 /// A parsed `mbts` invocation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Command {
     /// Generate a trace and write it to disk (synthetic, or imported
     /// from an SWF log with synthetic valuation).
@@ -190,30 +132,9 @@ pub enum Command {
     /// Run the live task-service daemon: HTTP + JSON over the journaled
     /// deterministic sim core.
     Serve {
-        /// Bind address (`127.0.0.1:0` picks an ephemeral port).
-        addr: String,
-        /// The fronted site.
-        site: SiteConfig,
-        /// Journal file — the source of truth for recovery. `None`
-        /// journals nothing (no durability).
-        journal: Option<PathBuf>,
-        /// Bounded admission-queue capacity; a full queue answers 429.
-        queue_capacity: usize,
-        /// Queue depth that trips the shed pass (0 = capacity / 2).
-        shed_threshold: usize,
-        /// Sim-time units that elapse per wall-clock second.
-        time_scale: f64,
-        /// Snapshot cadence in applied commands.
-        snapshot_every: u64,
-        /// Fsync cadence in journal appends (0 = OS-buffered).
-        fsync_every_n: u64,
-        /// Emit provenance decision records (admissions + sheds).
-        provenance: bool,
-        /// `/status` registry retention.
-        status_capacity: usize,
-        /// Artificial per-command apply delay in microseconds — a chaos
-        /// knob that makes overload reproducible on fast machines.
-        throttle_us: u64,
+        /// The daemon; its failpoint registry is armed from `chaos` when
+        /// the command runs.
+        config: ServeConfig,
         /// Enable the self-profiler; write its report here at drain.
         profile: Option<PathBuf>,
         /// Failpoint schedule (JSON array of specs) arming the socket
@@ -224,38 +145,13 @@ pub enum Command {
     },
     /// Load-test (and chaos-test) a live `mbts serve` daemon.
     Flood {
-        /// Daemon address.
-        addr: String,
-        /// Total submissions to deliver.
-        requests: u64,
-        /// Concurrent connections (threads).
-        connections: usize,
-        /// Pipelining depth per batch.
-        pipeline: usize,
-        /// RNG seed for bid values and retry jitter.
-        seed: u64,
-        /// Retry budget per request on 429 / connection drop.
-        retries: u32,
-        /// Cancel an earlier accepted task every N submissions (0 =
-        /// never).
-        cancel_every: u64,
-        /// Interleave a malformed protocol-garbage request every N
-        /// submissions (0 = never); each must earn a 400/413 while the
-        /// daemon keeps serving.
-        malformed_every: u64,
+        /// The load to offer.
+        config: FloodConfig,
         /// Write the flood report (a `FloodReport` as JSON) here.
         out: Option<PathBuf>,
     },
     /// Live text dashboard over a daemon's `GET /metrics` endpoint.
-    Top {
-        /// Daemon address.
-        addr: String,
-        /// Seconds between scrapes.
-        interval: f64,
-        /// Stop after N frames (`--once` = 1); `None` polls until the
-        /// daemon goes away.
-        count: Option<u64>,
-    },
+    Top(TopConfig),
     /// Paired A/B comparison of two policies on fresh seeded workloads.
     Compare {
         /// Site A.
@@ -279,6 +175,23 @@ pub enum Command {
         out: Option<PathBuf>,
         /// Write the ChaosInjected/ChaosRecovered event stream (JSON
         /// Lines) to this path.
+        trace_out: Option<PathBuf>,
+    },
+    /// Regenerate experiment families (the paper's Figures 3-7, the fault
+    /// sweep, the workflow grid, the ablations) or the metrics report.
+    Experiment {
+        /// The target as given.
+        target: String,
+        /// The families to run, in table order; empty for `metrics`.
+        families: Vec<(&'static str, Family)>,
+        /// The scale every family runs at.
+        params: ExpParams,
+        /// Also write each figure as `<id>.{csv,json,md}` under this
+        /// directory.
+        out: Option<PathBuf>,
+        /// Render ASCII plots in addition to tables.
+        plot: bool,
+        /// (`metrics`) Write the full event streams as JSON Lines here.
         trace_out: Option<PathBuf>,
     },
     /// Validate a stored trace.
@@ -439,7 +352,7 @@ pub fn parse_shape(spec: &str) -> Result<WorkflowShape, String> {
 
 /// Usage text.
 pub fn usage() -> &'static str {
-    "usage: mbts <gen|run|market|serve|flood|top|chaos|analyze|resume|compare|validate|policies> [options]\n\
+    "usage: mbts <gen|run|market|serve|flood|top|chaos|analyze|resume|compare|experiment|validate|policies> [options]\n\
      \n\
      mbts gen    --out FILE [--swf LOG] [--tasks N] [--processors P] [--load L] [--seed S]\n\
      \x20           [--value-skew R] [--decay-skew R] [--mean-decay D]\n\
@@ -468,6 +381,10 @@ pub fn usage() -> &'static str {
      mbts resume --journal FILE\n\
      mbts compare --a SPEC --b SPEC [--tasks N] [--load L] [--seeds N]\n\
      \x20           [--processors P] [--admission SPEC] [--mean-decay D]\n\
+     mbts experiment <fig3|fig4|fig5|fig6|fig7|faults|workflows|metrics|all|ablate [NAME]>\n\
+     \x20           [--quick|--smoke] [--tasks N] [--seeds N] [--processors N] [--out DIR]\n\
+     \x20           [--plot] [--trace-out FILE]  (a count overrides the preset; --out\n\
+     \x20            is for figures, --trace-out for metrics)\n\
      mbts validate --trace FILE\n\
      mbts policies\n\
      \n\
@@ -519,6 +436,8 @@ const FLAG_TABLES: &[FlagTable] = &[
     FlagTable { sub: "compare", positional: false, switches: &[], values: &[
         "--a", "--b", "--tasks", "--load", "--seeds", "--processors", "--admission",
         "--mean-decay"] },
+    FlagTable { sub: "experiment", positional: true, switches: &["--quick", "--smoke", "--plot"],
+        values: &["--tasks", "--seeds", "--processors", "--out", "--trace-out"] },
     FlagTable { sub: "validate", positional: false, switches: &[], values: &["--trace"] },
     FlagTable { sub: "policies", positional: false, switches: &[], values: &[] },
 ];
@@ -783,7 +702,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Resume { journal })
         }
         "serve" => {
-            let addr = get("--addr").unwrap_or("127.0.0.1:7741").to_string();
             let mut site = SiteConfig::new(at_least("--processors", 4, 1)?);
             if let Some(p) = get("--policy") {
                 site = site.with_policy(parse_policy(p)?);
@@ -796,8 +714,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             if time_scale <= 0.0 || !time_scale.is_finite() {
                 return Err("--time-scale must be a positive number".into());
             }
-            Ok(Command::Serve {
-                addr,
+            let config = ServeConfig {
+                addr: get("--addr").unwrap_or("127.0.0.1:7741").to_string(),
                 site,
                 journal: get("--journal").map(PathBuf::from),
                 queue_capacity,
@@ -807,27 +725,31 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 fsync_every_n: int("--fsync-every", 0)? as u64,
                 provenance: has("--provenance"),
                 status_capacity: int("--status-cap", 65_536)?,
-                throttle_us: int("--throttle-us", 0)? as u64,
+                throttle: std::time::Duration::from_micros(int("--throttle-us", 0)? as u64),
+                ..ServeConfig::default()
+            };
+            Ok(Command::Serve {
+                config,
                 profile: get("--profile").map(PathBuf::from),
                 chaos: get("--chaos").map(PathBuf::from),
                 chaos_seed: int("--chaos-seed", 42)? as u64,
             })
         }
         "flood" => {
-            let addr = get("--addr")
-                .ok_or("flood requires --addr HOST:PORT")?
-                .to_string();
-            let connections = at_least("--connections", 4, 1)?;
-            let pipeline = at_least("--pipeline", 32, 1)?;
-            Ok(Command::Flood {
-                addr,
+            let addr = get("--addr").ok_or("flood requires --addr HOST:PORT")?;
+            let config = FloodConfig {
+                addr: addr.to_string(),
+                connections: at_least("--connections", 4, 1)?,
+                pipeline: at_least("--pipeline", 32, 1)?,
                 requests: int("--requests", 10_000)? as u64,
-                connections,
-                pipeline,
                 seed: int("--seed", 42)? as u64,
                 retries: int("--retries", 3)? as u32,
                 cancel_every: int("--cancel-every", 0)? as u64,
                 malformed_every: int("--malformed-every", 0)? as u64,
+                ..FloodConfig::default()
+            };
+            Ok(Command::Flood {
+                config,
                 out: get("--out").map(PathBuf::from),
             })
         }
@@ -847,11 +769,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     None => None,
                 }
             };
-            Ok(Command::Top {
+            Ok(Command::Top(TopConfig {
                 addr: get("--addr").unwrap_or("127.0.0.1:7741").to_string(),
                 interval,
                 count,
-            })
+            }))
         }
         "chaos" => {
             let json = match get("--format") {
@@ -900,6 +822,58 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 mix,
                 // A paired comparison needs two seeds.
                 seeds: at_least("--seeds", 5, 2)? as u64,
+            })
+        }
+        "experiment" => {
+            let (target, ablation) = match flags.positional[..] {
+                [target] => (target, None),
+                ["ablate", name] => ("ablate", Some(name)),
+                [] => return Err(format!("experiment requires a target\n{}", usage())),
+                [.., extra] => {
+                    return Err(format!(
+                        "unexpected argument '{extra}' for 'mbts experiment'"
+                    ))
+                }
+            };
+            let metrics = target == "metrics";
+            let families = if metrics {
+                Vec::new()
+            } else {
+                select(target, ablation).map_err(|e| match ablation {
+                    Some(_) => e,
+                    None => format!("{e}\n{}", usage()),
+                })?
+            };
+            let out = get("--out").map(PathBuf::from);
+            if metrics && out.is_some() {
+                return Err("--out applies only to figure targets, not metrics".into());
+            }
+            let trace_out = get("--trace-out").map(PathBuf::from);
+            if !metrics && trace_out.is_some() {
+                return Err(format!("--trace-out applies only to metrics, not {target}"));
+            }
+            // A preset sets every scale at once; a count given anywhere on
+            // the line overrides it.
+            let mut params = match (has("--quick"), has("--smoke")) {
+                (true, true) => return Err("--quick and --smoke are mutually exclusive".into()),
+                (true, false) => ExpParams::quick(),
+                (false, true) => ExpParams::smoke(),
+                (false, false) => ExpParams::paper(),
+            };
+            let count = |flag: &str, preset: usize| {
+                at_least(flag, preset, 1)
+                    .map_err(|_| format!("{flag} needs a whole number of at least 1"))
+            };
+            params.tasks = count("--tasks", params.tasks)?;
+            params.seeds = count("--seeds", params.seeds as usize)? as u64;
+            params.processors = count("--processors", params.processors)?;
+            Ok(Command::Experiment {
+                target: target.to_string(),
+                families,
+                params,
+                out,
+                plot: has("--plot"),
+                trace_out,
             })
         }
         "validate" => {
@@ -1132,6 +1106,31 @@ fn write_flood_report(
 ) -> Result<(), String> {
     let json = serde_json::to_string_pretty(report).map_err(|e| e.to_string())?;
     std::fs::write(path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// Prints a figure's table (and, with `plot`, its plot) to `out`, and
+/// writes it as `<id>.{csv,json,md}` under `dir`.
+fn emit_figure(
+    fig: &FigureResult,
+    plot: bool,
+    dir: Option<&std::path::Path>,
+    out: &mut dyn std::io::Write,
+) -> Result<(), String> {
+    writeln!(out, "{}", fig.render_table()).map_err(|e| e.to_string())?;
+    if plot {
+        writeln!(out, "{}", fig.render_plot(72, 20)).map_err(|e| e.to_string())?;
+    }
+    let Some(dir) = dir else { return Ok(()) };
+    for (ext, text) in [
+        ("csv", fig.to_csv()),
+        ("json", fig.to_json()),
+        ("md", fig.to_markdown()),
+    ] {
+        let path = dir.join(format!("{}.{ext}", fig.id));
+        std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    }
+    eprintln!("wrote {}/{}.{{csv,json,md}}", dir.display(), fig.id);
+    Ok(())
 }
 
 /// Detects what kind of file an `analyze` input is and analyzes it:
@@ -1502,53 +1501,26 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             }
         }
         Command::Serve {
-            addr,
-            site,
-            journal,
-            queue_capacity,
-            shed_threshold,
-            time_scale,
-            snapshot_every,
-            fsync_every_n,
-            provenance,
-            status_capacity,
-            throttle_us,
+            mut config,
             profile,
             chaos,
             chaos_seed,
         } => {
             let profiling = start_profiling(profile.is_some());
             mbts_serve::install_signal_handlers();
-            let registry = match &chaos {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                    let specs: Vec<mbts_chaos::FailpointSpec> = serde_json::from_str(&text)
-                        .map_err(|e| format!("bad failpoint schedule {}: {e}", path.display()))?;
-                    Some(std::sync::Arc::new(mbts_chaos::ChaosRegistry::new(
-                        chaos_seed, specs,
-                    )))
-                }
-                None => None,
-            };
-            let cfg = mbts_serve::ServeConfig {
-                addr,
-                site,
-                journal,
-                queue_capacity,
-                shed_threshold,
-                time_scale,
-                snapshot_every,
-                fsync_every_n,
-                provenance,
-                status_capacity,
-                throttle: std::time::Duration::from_micros(throttle_us),
-                chaos: registry.clone(),
-                ..mbts_serve::ServeConfig::default()
-            };
+            if let Some(path) = &chaos {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+                let specs: Vec<mbts_chaos::FailpointSpec> = serde_json::from_str(&text)
+                    .map_err(|e| format!("bad failpoint schedule {}: {e}", path.display()))?;
+                config.chaos = Some(std::sync::Arc::new(mbts_chaos::ChaosRegistry::new(
+                    chaos_seed, specs,
+                )));
+            }
+            let registry = config.chaos.clone();
             // A journal this build does not read is a rejected input file,
             // as it is for `resume`.
-            let server = mbts_serve::Server::start(cfg).map_err(|e| {
+            let server = mbts_serve::Server::start(config).map_err(|e| {
                 let msg = format!("cannot start daemon: {e}");
                 match e.kind() {
                     std::io::ErrorKind::InvalidData => ExecError::BadInput(msg),
@@ -1629,28 +1601,10 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             Ok(())
         }
         Command::Flood {
-            addr,
-            requests,
-            connections,
-            pipeline,
-            seed,
-            retries,
-            cancel_every,
-            malformed_every,
+            config,
             out: out_path,
         } => {
-            let cfg = mbts_serve::FloodConfig {
-                addr,
-                requests,
-                connections,
-                pipeline,
-                seed,
-                retries,
-                cancel_every,
-                malformed_every,
-                ..mbts_serve::FloodConfig::default()
-            };
-            let report = mbts_serve::flood(&cfg).map_err(|e| format!("flood failed: {e}"))?;
+            let report = mbts_serve::flood(&config).map_err(|e| format!("flood failed: {e}"))?;
             writeln!(
                 out,
                 "flood: {} completed in {:.2}s -> {:.0} req/s \
@@ -1695,18 +1649,9 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             }
             Ok(())
         }
-        Command::Top {
-            addr,
-            interval,
-            count,
-        } => {
-            let cfg = mbts_serve::TopConfig {
-                addr,
-                interval,
-                count,
-            };
+        Command::Top(config) => {
             let frames =
-                mbts_serve::run_top(&cfg, &mut *out).map_err(|e| format!("top failed: {e}"))?;
+                mbts_serve::run_top(&config, &mut *out).map_err(|e| format!("top failed: {e}"))?;
             writeln!(out, "top: {frames} frame(s) rendered").map_err(|e| e.to_string())?;
             Ok(())
         }
@@ -1790,6 +1735,49 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
                 )
                 .map_err(|e| e.to_string())?;
             }
+            Ok(())
+        }
+        Command::Experiment {
+            target,
+            families,
+            params,
+            out: out_dir,
+            plot,
+            trace_out,
+        } => {
+            // Each output path is made before anything runs, so one that
+            // cannot be is refused as a bad flag is.
+            if let Some(dir) = &out_dir {
+                std::fs::create_dir_all(dir).map_err(|e| {
+                    ExecError::BadInput(format!("--out: cannot create {}: {e}", dir.display()))
+                })?;
+            }
+            if let Some(path) = &trace_out {
+                std::fs::File::create(path).map_err(|e| {
+                    ExecError::BadInput(format!(
+                        "--trace-out: cannot write {}: {e}",
+                        path.display()
+                    ))
+                })?;
+            }
+            eprintln!(
+                "running {target} at {} tasks × {} seeds on {} processors",
+                params.tasks, params.seeds, params.processors
+            );
+            let started = std::time::Instant::now();
+            if families.is_empty() {
+                let report = mbts_experiments::metrics::run_metrics(&params);
+                writeln!(out, "{}", report.render()).map_err(|e| e.to_string())?;
+                if let Some(path) = &trace_out {
+                    std::fs::write(path, report.trace_jsonl())
+                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                    eprintln!("wrote {}", path.display());
+                }
+            }
+            for (_, family) in &families {
+                emit_figure(&family(&params), plot, out_dir.as_deref(), out)?;
+            }
+            eprintln!("done in {:.1?}", started.elapsed());
             Ok(())
         }
         Command::Validate { trace } => {
@@ -2058,21 +2046,13 @@ mod tests {
     #[test]
     fn parse_serve_command() {
         match parse(&args("serve")).unwrap() {
-            Command::Serve {
-                addr,
-                journal,
-                queue_capacity,
-                shed_threshold,
-                time_scale,
-                provenance,
-                ..
-            } => {
-                assert_eq!(addr, "127.0.0.1:7741");
-                assert_eq!(journal, None);
-                assert_eq!(queue_capacity, 1024);
-                assert_eq!(shed_threshold, 0);
-                assert_eq!(time_scale, 1.0);
-                assert!(!provenance);
+            Command::Serve { config, .. } => {
+                assert_eq!(config.addr, "127.0.0.1:7741");
+                assert_eq!(config.journal, None);
+                assert_eq!(config.queue_capacity, 1024);
+                assert_eq!(config.shed_threshold, 0);
+                assert_eq!(config.time_scale, 1.0);
+                assert!(!config.provenance);
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -2085,32 +2065,23 @@ mod tests {
         .unwrap()
         {
             Command::Serve {
-                addr,
-                site,
-                journal,
-                queue_capacity,
-                shed_threshold,
-                time_scale,
-                snapshot_every,
-                fsync_every_n,
-                provenance,
-                status_capacity,
-                throttle_us,
+                config,
                 profile,
                 chaos,
                 chaos_seed,
             } => {
-                assert_eq!(addr, "0.0.0.0:9000");
-                assert_eq!(site.processors, 8);
-                assert_eq!(journal, Some(PathBuf::from("svc.mbtsj")));
-                assert_eq!(queue_capacity, 64);
-                assert_eq!(shed_threshold, 8);
-                assert_eq!(time_scale, 60.0);
-                assert_eq!(snapshot_every, 100);
-                assert_eq!(fsync_every_n, 1);
-                assert!(provenance);
-                assert_eq!(status_capacity, 512);
-                assert_eq!(throttle_us, 250);
+                assert_eq!(config.addr, "0.0.0.0:9000");
+                assert_eq!(config.site.processors, 8);
+                assert_eq!(config.journal, Some(PathBuf::from("svc.mbtsj")));
+                assert_eq!(config.queue_capacity, 64);
+                assert_eq!(config.shed_threshold, 8);
+                assert_eq!(config.time_scale, 60.0);
+                assert_eq!(config.snapshot_every, 100);
+                assert_eq!(config.fsync_every_n, 1);
+                assert!(config.provenance);
+                assert_eq!(config.status_capacity, 512);
+                assert_eq!(config.throttle, std::time::Duration::from_micros(250));
+                assert!(config.chaos.is_none(), "armed when the command runs");
                 assert_eq!(profile, Some(PathBuf::from("p.json")));
                 assert_eq!(chaos, Some(PathBuf::from("sched.json")));
                 assert_eq!(chaos_seed, 7);
@@ -2131,25 +2102,15 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Flood {
-                addr,
-                requests,
-                connections,
-                pipeline,
-                seed,
-                retries,
-                cancel_every,
-                malformed_every,
-                out,
-            } => {
-                assert_eq!(addr, "127.0.0.1:7741");
-                assert_eq!(requests, 500);
-                assert_eq!(connections, 2);
-                assert_eq!(pipeline, 8);
-                assert_eq!(seed, 7);
-                assert_eq!(retries, 1);
-                assert_eq!(cancel_every, 10);
-                assert_eq!(malformed_every, 25);
+            Command::Flood { config, out } => {
+                assert_eq!(config.addr, "127.0.0.1:7741");
+                assert_eq!(config.requests, 500);
+                assert_eq!(config.connections, 2);
+                assert_eq!(config.pipeline, 8);
+                assert_eq!(config.seed, 7);
+                assert_eq!(config.retries, 1);
+                assert_eq!(config.cancel_every, 10);
+                assert_eq!(config.malformed_every, 25);
                 assert_eq!(out, Some(PathBuf::from("report.json")));
             }
             other => panic!("wrong command: {other:?}"),
@@ -2204,36 +2165,97 @@ mod tests {
     #[test]
     fn parse_top_command() {
         match parse(&args("top")).unwrap() {
-            Command::Top {
-                addr,
-                interval,
-                count,
-            } => {
-                assert_eq!(addr, "127.0.0.1:7741");
-                assert_eq!(interval, 1.0);
-                assert_eq!(count, None);
+            Command::Top(config) => {
+                assert_eq!(config.addr, "127.0.0.1:7741");
+                assert_eq!(config.interval, 1.0);
+                assert_eq!(config.count, None);
             }
             other => panic!("wrong command: {other:?}"),
         }
         match parse(&args("top --addr 10.0.0.2:9000 --interval 0.25 --count 5")).unwrap() {
-            Command::Top {
-                addr,
-                interval,
-                count,
-            } => {
-                assert_eq!(addr, "10.0.0.2:9000");
-                assert_eq!(interval, 0.25);
-                assert_eq!(count, Some(5));
+            Command::Top(config) => {
+                assert_eq!(config.addr, "10.0.0.2:9000");
+                assert_eq!(config.interval, 0.25);
+                assert_eq!(config.count, Some(5));
             }
             other => panic!("wrong command: {other:?}"),
         }
         match parse(&args("top --once")).unwrap() {
-            Command::Top { count, .. } => assert_eq!(count, Some(1)),
+            Command::Top(config) => assert_eq!(config.count, Some(1)),
             other => panic!("wrong command: {other:?}"),
         }
         assert!(parse(&args("top --interval 0")).is_err());
         assert!(parse(&args("top --interval -1")).is_err());
         assert!(parse(&args("top --count soon")).is_err());
+    }
+
+    #[test]
+    fn parse_experiment_command() {
+        let ids = |line: &str| match parse(&args(line)).unwrap() {
+            Command::Experiment { families, .. } => {
+                families.into_iter().map(|(id, _)| id).collect::<Vec<_>>()
+            }
+            other => panic!("wrong command: {other:?}"),
+        };
+        assert_eq!(
+            ids("experiment all"),
+            ["fig3", "fig4", "fig5", "fig6", "fig7", "workflows"]
+        );
+        assert_eq!(ids("experiment ablate --smoke").len(), 9);
+        assert_eq!(ids("experiment ablate widths"), ["ablate-widths"]);
+        assert!(ids("experiment metrics").is_empty());
+        match parse(&args(
+            "experiment fig4 --tasks 300 --smoke --seeds 3 --out figs --plot",
+        ))
+        .unwrap()
+        {
+            Command::Experiment {
+                target,
+                params,
+                out,
+                plot,
+                trace_out,
+                ..
+            } => {
+                assert_eq!(target, "fig4");
+                assert_eq!((params.tasks, params.seeds, params.processors), (300, 3, 8));
+                assert_eq!(params.base_seed, ExpParams::smoke().base_seed);
+                assert_eq!(out, Some(PathBuf::from("figs")));
+                assert!(plot);
+                assert_eq!(trace_out, None);
+            }
+            other => panic!("wrong command: {other:?}"),
+        }
+        match parse(&args("experiment metrics --quick --trace-out t.jsonl")).unwrap() {
+            Command::Experiment {
+                params, trace_out, ..
+            } => {
+                assert_eq!(params, ExpParams::quick());
+                assert_eq!(trace_out, Some(PathBuf::from("t.jsonl")));
+            }
+            other => panic!("wrong command: {other:?}"),
+        }
+        match parse(&args("experiment fig3")).unwrap() {
+            Command::Experiment { params, .. } => assert_eq!(params, ExpParams::paper()),
+            other => panic!("wrong command: {other:?}"),
+        }
+        // The refusals `tests/cli_errors.rs` does not run.
+        for (line, needle) in [
+            ("experiment", "experiment requires a target"),
+            ("experiment fig4 fig5", "unexpected argument 'fig5'"),
+            (
+                "experiment ablate widths extra",
+                "unexpected argument 'extra'",
+            ),
+            ("experiment fig4 --seeds x", "--seeds needs a whole number"),
+            ("experiment metrics --trace t", "unknown flag '--trace'"),
+        ] {
+            let err = parse(&args(line)).unwrap_err();
+            assert!(err.contains(needle), "`{line}`: {err}");
+        }
+        for target in mbts_experiments::targets() {
+            assert!(usage().contains(target), "{target} missing from usage");
+        }
     }
 
     #[test]

@@ -217,43 +217,131 @@ fn zero_and_negative_numbers_are_rejected_where_they_are_parsed() {
     }
 }
 
-/// Every journal under `tests/golden/serde/pre*/` was written in an older
-/// format version: 1 (before the header named its kind) up to 4. Each is
-/// refused with the typed version error, before its kind is read: through
-/// the library, and by the two commands that read journals (exit 2, never
-/// a panic), naming its own version and the reader's.
+/// `mbts experiment` refuses a bad target or flag with exit 2 and a
+/// message before it runs anything: no `running` banner.
+#[test]
+fn bad_experiment_lines_exit_2_with_a_message() {
+    let rows = [
+        ("fig4 --smoke --tasks 0", "--tasks needs"),
+        ("fig3 --smoke --processors 0", "--processors needs"),
+        ("workflows --smoke --processors 0", "--processors needs"),
+        ("fig4 --smoke --seeds 0", "--seeds needs"),
+        ("fig4 --smoke --tasks abc", "--tasks needs"),
+        (
+            "workflows --smoke --out /dev/null/x",
+            "--out: cannot create",
+        ),
+        (
+            "metrics --smoke --trace-out /dev/null/x",
+            "--trace-out: cannot write",
+        ),
+        (
+            "fig4 --smoke --trace-out t.jsonl",
+            "applies only to metrics",
+        ),
+        (
+            "fig4 --smoke --bogus",
+            "unknown flag '--bogus' for 'mbts experiment'",
+        ),
+        ("figz --smoke", "unknown target figz"),
+        (
+            "ablate bogus --smoke",
+            "unknown ablation 'bogus' (try: preemption,",
+        ),
+        (
+            "metrics --smoke --out /dev/null/x",
+            "--out applies only to figure targets",
+        ),
+        (
+            "fig4 --smoke --tasks 300 --tasks 400",
+            "flag '--tasks' given more than once for 'mbts experiment'",
+        ),
+        (
+            "fig4 --quick --smoke",
+            "--quick and --smoke are mutually exclusive",
+        ),
+    ];
+    for (line, message) in rows {
+        let args: Vec<&str> = ["experiment"].into_iter().chain(line.split(' ')).collect();
+        let out = mbts(&args);
+        assert_rejected(&out, message, line);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("running"), "{line} ran: {stderr}");
+    }
+}
+
+/// A refused `mbts experiment` line creates neither `--out` nor
+/// `--trace-out`.
+#[test]
+fn a_refused_experiment_line_creates_no_file() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("experiment-refused");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = dir.join("out");
+    let trace = dir.join("t.jsonl");
+    let (out_s, trace_s) = (out.to_str().unwrap(), trace.to_str().unwrap());
+    for line in [
+        &["figz", "--smoke", "--out", out_s][..],
+        &["ablate", "bogus", "--out", out_s],
+        &["figz", "--smoke", "--trace-out", trace_s],
+        &["metrics", "--smoke", "--out", out_s],
+        &["fig4", "--quick", "--smoke", "--out", out_s],
+        &["fig4", "--smoke", "--out", out_s, "--out", out_s],
+        &["metrics", "--smoke", "--trace-out", trace_s, "--tasks", "0"],
+    ] {
+        let args = [&["experiment"][..], line].concat();
+        let output = mbts(&args);
+        assert_eq!(output.status.code(), Some(2), "{line:?}: {output:?}");
+        assert!(!out.exists() && !trace.exists(), "{line:?} created a file");
+    }
+}
+
+/// A count given before a preset outlives it.
+#[test]
+fn an_explicit_count_outlives_a_later_preset() {
+    let out = mbts(&["experiment", "fig4", "--tasks", "300", "--smoke"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains("running fig4 at 300 tasks × 2 seeds on 8 processors"),
+        "{stderr}"
+    );
+}
+
+/// A journal of another format version, or of a kind no reader knows, is
+/// refused from its header, before anything after the version (or, at
+/// this version, the kind) is read. The journals under
+/// `tests/golden/serde/pre*/` are version 1, whose 12-byte header names no
+/// kind. Every version from 2 to `VERSION - 1`, and an unknown kind code at
+/// `VERSION`, is forged into the header of a copy of each current fixture.
+/// Each is refused with the typed error: through the library, and by the
+/// two commands that read journals (exit 2, never a panic), naming its
+/// own version and the reader's.
 #[test]
 fn journals_of_an_older_format_are_refused() {
     use mbts::durable::{framing, load, DurableRun, FramingError, Kind, RecoverError};
     use mbts::market::EconomyRun;
     use mbts::serve::ServiceRun;
     use mbts::site::SiteRun;
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serde");
-    let rows = [
-        ("pre26/service_journal.mbtsj", Kind::Service, 1),
-        ("pre33/economy_journal.mbtsj", Kind::Economy, 1),
-        ("pre34/economy_journal.mbtsj", Kind::Economy, 1),
-        ("pre38/economy_journal.mbtsj", Kind::Economy, 1),
-        ("pre40/economy_journal.mbtsj", Kind::Economy, 1),
-        ("pre40/service_journal.mbtsj", Kind::Service, 1),
-        ("pre45/economy_journal.mbtsj", Kind::Economy, 2),
-        ("pre45/service_journal.mbtsj", Kind::Service, 2),
-        ("pre45/site_journal.mbtsj", Kind::Site, 2),
-        ("pre46/economy_journal.mbtsj", Kind::Economy, 3),
-        ("pre46/service_journal.mbtsj", Kind::Service, 3),
-        ("pre46/site_journal.mbtsj", Kind::Site, 3),
-        ("pre47/economy_journal.mbtsj", Kind::Economy, 4),
-        ("pre47/service_journal.mbtsj", Kind::Service, 4),
-        ("pre47/site_journal.mbtsj", Kind::Site, 4),
+    /// No `Kind` has this code.
+    const UNKNOWN_KIND: u32 = 3;
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serde");
+    let version_1 = [
+        ("pre26/service_journal.mbtsj", Kind::Service),
+        ("pre33/economy_journal.mbtsj", Kind::Economy),
+        ("pre34/economy_journal.mbtsj", Kind::Economy),
+        ("pre38/economy_journal.mbtsj", Kind::Economy),
+        ("pre40/economy_journal.mbtsj", Kind::Economy),
+        ("pre40/service_journal.mbtsj", Kind::Service),
     ];
-    let mut on_disk: Vec<_> = std::fs::read_dir(&dir)
+    let mut on_disk: Vec<_> = std::fs::read_dir(&golden)
         .expect("fixture dir")
         .map(|e| e.expect("entry").path())
         .filter(|p| p.is_dir())
         .flat_map(|d| std::fs::read_dir(d).expect("fixture dir"))
         .map(|e| e.expect("entry").path())
         .map(|p| {
-            p.strip_prefix(&dir)
+            p.strip_prefix(&golden)
                 .expect("under dir")
                 .display()
                 .to_string()
@@ -262,16 +350,45 @@ fn journals_of_an_older_format_are_refused() {
     on_disk.sort();
     assert_eq!(
         on_disk,
-        rows.map(|(name, ..)| name),
+        version_1.map(|(name, _)| name),
         "every old fixture has a row"
     );
     let reader = framing::VERSION;
-    for (name, kind, version) in rows {
-        let path = dir.join(name);
-        let bytes = std::fs::read(&path).expect("fixture");
+    // (journal, the kind it holds, its version, the kind code a refusal
+    // reads: none when the version is refused first)
+    let mut rows: Vec<(PathBuf, Kind, u32, Option<u32>)> = version_1
+        .iter()
+        .map(|&(name, kind)| (golden.join(name), kind, 1, None))
+        .collect();
+    let dir = std::env::temp_dir().join(format!("mbts_cli_errors_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (kind, fixture) in [
+        (Kind::Site, "site_journal.mbtsj"),
+        (Kind::Economy, "economy_journal.mbtsj"),
+        (Kind::Service, "service_journal.mbtsj"),
+    ] {
+        let current = std::fs::read(golden.join(fixture)).expect("fixture");
+        let forgeries = (2..reader)
+            .map(|version| (version, None))
+            .chain([(reader, Some(UNKNOWN_KIND))]);
+        for (version, code) in forgeries {
+            let mut forged = current.clone();
+            forged[8..12].copy_from_slice(&version.to_le_bytes());
+            if let Some(code) = code {
+                forged[12..16].copy_from_slice(&code.to_le_bytes());
+            }
+            let path = dir.join(format!("v{version}_k{}_{fixture}", code.unwrap_or(0)));
+            std::fs::write(&path, forged).expect("write forged journal");
+            rows.push((path, kind, version, code));
+        }
+    }
+    assert_eq!(rows.len(), 6 + 3 * (reader as usize - 1));
+    for (path, kind, version, code) in rows {
+        let name = path.display();
+        let bytes = std::fs::read(&path).expect("journal");
         let refusal = Err(RecoverError::Framing(FramingError::Unsupported {
             version,
-            kind: None,
+            kind: code,
             expected: None,
         }));
         assert_eq!(
@@ -281,7 +398,11 @@ fn journals_of_an_older_format_are_refused() {
             refusal,
             "{name}"
         );
-        let image = load(&path).expect("fixture");
+        let found = match code {
+            None => "kind not read".to_string(),
+            Some(code) => format!("unknown kind {code}"),
+        };
+        let image = load(&path).expect("journal");
         let library = match kind {
             Kind::Site => [
                 DurableRun::<SiteRun>::recover(&bytes).map(drop),
@@ -305,18 +426,21 @@ fn journals_of_an_older_format_are_refused() {
             let text = result.unwrap_err().to_string();
             assert!(
                 text.contains(&format!(
-                    "version {version} (kind not read); this reader reads version {reader} ({kind})"
+                    "version {version} ({found}); this reader reads version {reader} ({kind})"
                 )),
                 "{name}: {text}"
             );
         }
         let path_s = path.to_str().expect("utf-8 path");
         let message = format!(
-            "journal holds format version {version} (kind not read); \
+            "journal holds format version {version} ({found}); \
              this reader reads version {reader}"
         );
         for args in [&["resume", "--journal", path_s][..], &["analyze", path_s]] {
             assert_rejected(&mbts(args), &message, &format!("{args:?}"));
+        }
+        if path.starts_with(&dir) {
+            std::fs::remove_file(&path).ok();
         }
     }
 }
