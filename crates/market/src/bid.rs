@@ -1,58 +1,11 @@
-//! Task bids and server bids (§6, Figure 1).
+//! Server bids and the client's choice among them (§6, Figure 1). A
+//! task bid is the task's own [`TaskSpec`](mbts_workload::TaskSpec): the
+//! §6 tuple `(runtime_i, value_i, decay_i, bound_i)`, offered to every
+//! site as the trace holds it.
 
 use mbts_core::AdmissionDecision;
 use mbts_sim::Time;
-use mbts_workload::{PenaltyBound, TaskSpec};
 use serde::{Deserialize, Serialize};
-
-/// A client's bid for task service: exactly the §6 tuple
-/// `(runtime_i, value_i, decay_i, bound_i)`, i.e. a [`TaskSpec`] minus its
-/// site-assigned arrival bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TaskBid {
-    /// Client-side task identifier.
-    pub task: u64,
-    /// Requested service demand (runtime estimate).
-    pub runtime: f64,
-    /// Maximum value / price offered.
-    pub value: f64,
-    /// Decay rate of the offer with completion delay.
-    pub decay: f64,
-    /// Penalty bound.
-    pub bound: PenaltyBound,
-}
-
-impl TaskBid {
-    /// Extracts the bid carried by a task spec.
-    pub fn from_spec(spec: &TaskSpec) -> Self {
-        TaskBid {
-            task: spec.id.0,
-            runtime: spec.runtime.as_f64(),
-            value: spec.value,
-            decay: spec.decay,
-            bound: spec.bound,
-        }
-    }
-
-    /// Materializes the bid as a spec submitted at `now`.
-    pub fn into_spec(self, now: Time) -> TaskSpec {
-        TaskSpec::new(
-            self.task,
-            now.as_f64(),
-            self.runtime,
-            self.value,
-            self.decay,
-            self.bound,
-        )
-    }
-
-    /// Returns a copy with the offered value capped (used when a client's
-    /// budget cannot cover the full bid).
-    pub fn capped(mut self, max_value: f64) -> Self {
-        self.value = self.value.min(max_value);
-        self
-    }
-}
 
 /// A site's answer to a task bid it is willing to accept: the expected
 /// completion time in its candidate schedule and the expected price
@@ -139,32 +92,6 @@ mod tests {
             price,
             slack,
         }
-    }
-
-    #[test]
-    fn task_bid_roundtrips_through_spec() {
-        let spec = TaskSpec::new(7, 3.0, 10.0, 100.0, 2.0, PenaltyBound::ZERO);
-        let b = TaskBid::from_spec(&spec);
-        assert_eq!(b.task, 7);
-        assert_eq!(b.runtime, 10.0);
-        let spec2 = b.into_spec(Time::from(50.0));
-        assert_eq!(spec2.arrival, Time::from(50.0));
-        assert_eq!(spec2.value, 100.0);
-        assert_eq!(spec2.decay, 2.0);
-        assert_eq!(spec2.bound, PenaltyBound::ZERO);
-    }
-
-    #[test]
-    fn capping_lowers_value_only_downward() {
-        let b = TaskBid {
-            task: 0,
-            runtime: 1.0,
-            value: 100.0,
-            decay: 1.0,
-            bound: PenaltyBound::Unbounded,
-        };
-        assert_eq!(b.capped(40.0).value, 40.0);
-        assert_eq!(b.capped(400.0).value, 100.0);
     }
 
     #[test]

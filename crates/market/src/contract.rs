@@ -8,7 +8,7 @@
 //! pays the client (§3).
 
 use mbts_sim::Time;
-use mbts_workload::{TaskId, TaskSpec};
+use mbts_workload::TaskSpec;
 use serde::{Deserialize, Error, Reader, Serialize, Writer};
 use std::sync::Arc;
 
@@ -40,8 +40,6 @@ pub struct Contract {
     pub spec: TaskSpec,
     /// The site that won the bid.
     pub site: usize,
-    /// The client on whose behalf the task was placed.
-    pub client: usize,
     /// When the contract was formed.
     pub formed_at: Time,
     /// The completion time the server bid promised.
@@ -57,7 +55,6 @@ impl Contract {
     pub fn new(
         spec: TaskSpec,
         site: usize,
-        client: usize,
         formed_at: Time,
         negotiated_completion: Time,
         negotiated_price: f64,
@@ -65,7 +62,6 @@ impl Contract {
         Contract {
             spec,
             site,
-            client,
             formed_at,
             negotiated_completion,
             negotiated_price,
@@ -127,27 +123,14 @@ struct Row {
 }
 
 /// The terms of a contract its row's rules do not give, kept whole: a
-/// value a client's budget capped below its task's, a formation time other
-/// than its task's arrival (a workflow task released after it), a client
-/// other than the one its task id is dealt to, or a price other than its
-/// task's yield at the negotiated completion.
+/// formation time other than its task's arrival (a workflow task released
+/// after it), or a price other than its task's yield at the negotiated
+/// completion.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Terms {
     contract: u32,
-    client: u32,
-    value: f64,
     formed_at: Time,
     price: f64,
-}
-
-/// The client a run places task `id` for: tasks are dealt in turn to the
-/// `clients` its budgets fund, and all go to client 0 without budgets.
-pub(crate) fn client_of(id: TaskId, clients: usize) -> usize {
-    if clients == 0 {
-        0
-    } else {
-        id.index() % clients
-    }
 }
 
 /// `true` when two floats are the same bits, so a value read back and
@@ -182,9 +165,7 @@ pub enum RebindError {
         /// The task id it names.
         task: u64,
     },
-    /// A contract's task is not the trace's task of that id (a
-    /// budget-capped value, lower than the trace's, is the one allowed
-    /// difference).
+    /// A contract's task is not the trace's task of that id.
     SpecMismatch {
         /// The contract's index in the ledger.
         contract: usize,
@@ -234,13 +215,11 @@ impl std::error::Error for RebindError {}
 ///
 /// A row keeps the negotiated completion, the actual completion (NaN
 /// while open), the task's index and the site. The rest is derived as the
-/// run derives it: the task is the ledger's, the client the one the
-/// task's id is dealt to among the budgets' clients, the formation time
-/// the task's arrival, the price the task's yield at the negotiated
+/// run derives it: the task is the ledger's, the formation time the
+/// task's arrival, the price the task's yield at the negotiated
 /// completion (Eq. 1, what a site quotes), and the settlement
-/// [`Contract::settle`] at the completion. A contract whose value,
-/// formation time, client or price is not so derived keeps those terms in
-/// a side table.
+/// [`Contract::settle`] at the completion. A contract whose formation
+/// time or price is not so derived keeps those terms in a side table.
 ///
 /// Reading it ([`get`](Self::get), [`iter`](Self::iter), `&ledger` as an
 /// iterator) builds each [`Contract`] by value. It serializes as exactly
@@ -250,8 +229,6 @@ impl std::error::Error for RebindError {}
 #[derive(Clone)]
 pub struct ContractLedger {
     tasks: Arc<[TaskSpec]>,
-    /// The clients the run's budgets fund; 0 without budgets.
-    clients: usize,
     rows: Vec<Row>,
     /// The contracts not fully derived from their rows, ascending.
     terms: Vec<Terms>,
@@ -262,12 +239,10 @@ pub struct ContractLedger {
 }
 
 impl ContractLedger {
-    /// An empty ledger over `tasks`, for a run whose budgets fund
-    /// `clients` clients (0 without budgets).
-    pub fn new(tasks: Arc<[TaskSpec]>, clients: usize) -> Self {
+    /// An empty ledger over `tasks`.
+    pub fn new(tasks: Arc<[TaskSpec]>) -> Self {
         ContractLedger {
             tasks,
-            clients,
             rows: Vec::new(),
             terms: Vec::new(),
             foreign: Vec::new(),
@@ -284,8 +259,8 @@ impl ContractLedger {
         self.rows.is_empty()
     }
 
-    /// Appends `contract` — over one of the ledger's tasks, its value
-    /// possibly capped by a budget — and returns its index.
+    /// Appends `contract`, over one of the ledger's tasks, and returns its
+    /// index.
     pub fn push(&mut self, contract: Contract) -> usize {
         let spec = contract.spec;
         debug_assert!(
@@ -308,7 +283,6 @@ impl ContractLedger {
         };
         let contract = narrow(self.rows.len(), "contract count")?;
         let (task_index, site) = (narrow(at, "task index")?, narrow(c.site, "site")?);
-        let client = narrow(c.client, "client")?;
         let completed_at = match c.status {
             ContractStatus::Settled { completed_at, .. } => completed_at.as_f64(),
             ContractStatus::Open => f64::NAN,
@@ -320,15 +294,11 @@ impl ContractLedger {
             site,
         });
         let derived = self.read(contract as usize, task);
-        if !same(c.spec.value, derived.spec.value)
-            || !same(c.formed_at.as_f64(), derived.formed_at.as_f64())
-            || c.client != derived.client
+        if !same(c.formed_at.as_f64(), derived.formed_at.as_f64())
             || !same(c.negotiated_price, derived.negotiated_price)
         {
             self.terms.push(Terms {
                 contract,
-                client,
-                value: c.spec.value,
                 formed_at: c.formed_at,
                 price: c.negotiated_price,
             });
@@ -349,27 +319,21 @@ impl ContractLedger {
     fn read(&self, i: usize, task: &TaskSpec) -> Contract {
         let row = self.rows[i];
         let key = i as u32;
-        let mut spec = *task;
-        let (client, formed_at, price) = match self.terms.binary_search_by_key(&key, |t| t.contract)
-        {
-            Ok(at) => {
-                let terms = self.terms[at];
-                spec.value = terms.value;
-                (terms.client as usize, terms.formed_at, terms.price)
-            }
-            Err(_) => (
-                client_of(spec.id, self.clients),
-                spec.arrival,
-                spec.yield_at(row.negotiated_completion),
-            ),
+        let spec = *task;
+        let terms = match self.terms.binary_search_by_key(&key, |t| t.contract) {
+            Ok(at) => self.terms[at],
+            Err(_) => Terms {
+                contract: key,
+                formed_at: spec.arrival,
+                price: spec.yield_at(row.negotiated_completion),
+            },
         };
         let mut contract = Contract::new(
             spec,
             row.site as usize,
-            client,
-            formed_at,
+            terms.formed_at,
             row.negotiated_completion,
-            price,
+            terms.price,
         );
         if !row.completed_at.is_nan() {
             contract.settle(Time::new(row.completed_at));
@@ -398,13 +362,13 @@ impl ContractLedger {
         price
     }
 
-    /// Points the ledger at a run's `tasks`, for a run whose budgets fund
-    /// `clients` clients, checking that every contract's task is the one
-    /// `tasks` holds under its id and that every settlement is its
-    /// task's. A ledger read back is rebound before it forms or settles
-    /// anything; on an error it is left as it was.
-    pub fn rebind(&mut self, tasks: &Arc<[TaskSpec]>, clients: usize) -> Result<(), RebindError> {
-        let mut ledger = ContractLedger::new(Arc::clone(tasks), clients);
+    /// Points the ledger at a run's `tasks`, checking that every
+    /// contract's task is the one `tasks` holds under its id and that
+    /// every settlement is its task's. A ledger read back is rebound
+    /// before it forms or settles anything; on an error it is left as it
+    /// was.
+    pub fn rebind(&mut self, tasks: &Arc<[TaskSpec]>) -> Result<(), RebindError> {
+        let mut ledger = ContractLedger::new(Arc::clone(tasks));
         ledger.rows.reserve_exact(self.rows.len());
         for (contract, c) in self.iter().enumerate() {
             let task = c.spec.id.0;
@@ -414,7 +378,7 @@ impl ContractLedger {
             if !names_task(&c.spec, tasks) {
                 return Err(RebindError::SpecMismatch { contract, task });
             }
-            // Every count, site and client this ledger holds fits a row.
+            // Every count and site this ledger holds fits a row.
             if let Err(e) = ledger.append(&c, c.spec.id.index(), known) {
                 unreachable!("{e}");
             }
@@ -427,19 +391,10 @@ impl ContractLedger {
     }
 }
 
-/// `true` when `spec` is the task `tasks` holds under its id, or that
-/// task with its value capped lower by a client's budget — the only two
-/// forms a market run hands to negotiation.
+/// `true` when `spec` is the task `tasks` holds under its id: a market
+/// run hands every task to negotiation as its trace holds it.
 pub(crate) fn names_task(spec: &TaskSpec, tasks: &[TaskSpec]) -> bool {
-    let Some(known) = tasks.get(spec.id.index()) else {
-        return false;
-    };
-    let at_most_its_value = spec.value <= known.value;
-    at_most_its_value
-        && TaskSpec {
-            value: known.value,
-            ..*spec
-        } == *known
+    tasks.get(spec.id.index()) == Some(spec)
 }
 
 /// The contracts of a [`ContractLedger`], built by value in formation
@@ -504,7 +459,7 @@ impl Serialize for ContractLedger {
 impl Deserialize for ContractLedger {
     fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
         let mut tasks = Vec::new();
-        let mut ledger = ContractLedger::new(Arc::from([]), 0);
+        let mut ledger = ContractLedger::new(Arc::from([]));
         input.begin_array("array")?;
         while input.next_element()? {
             let c = Contract::deserialize(input)?;
@@ -527,7 +482,7 @@ mod tests {
         // Task: arrival 0, runtime 10, value 100, decay 2.
         let spec = TaskSpec::new(0, 0.0, 10.0, 100.0, 2.0, bound);
         // Negotiated to complete at t = 20 (queueing delay 10 → price 80).
-        Contract::new(spec, 0, 0, Time::ZERO, Time::from(20.0), 80.0)
+        Contract::new(spec, 0, Time::ZERO, Time::from(20.0), 80.0)
     }
 
     #[test]
@@ -601,7 +556,7 @@ mod terms_tests {
     #[test]
     fn default_terms_are_the_paper_model() {
         let spec = TaskSpec::new(0, 0.0, 10.0, 100.0, 2.0, PenaltyBound::Unbounded);
-        let c = Contract::new(spec, 0, 0, Time::ZERO, Time::from(20.0), 80.0);
+        let c = Contract::new(spec, 0, Time::ZERO, Time::from(20.0), 80.0);
         let (mut settled, at) = (c, Time::from(40.0));
         assert_eq!(settled.settle(at), spec.yield_at(at));
     }
@@ -624,12 +579,11 @@ mod ledger_tests {
         ledger: &mut ContractLedger,
         spec: TaskSpec,
         site: usize,
-        client: usize,
         formed_at: Time,
         completion: Time,
         price: f64,
     ) {
-        let c = Contract::new(spec, site, client, formed_at, completion, price);
+        let c = Contract::new(spec, site, formed_at, completion, price);
         ledger.push(c);
     }
 
@@ -646,26 +600,21 @@ mod ledger_tests {
         ledger.rows.iter().map(bits).collect()
     }
 
-    /// Four contracts among three clients: one formed at its task's
-    /// arrival for the client its id is dealt to, priced at its yield at
-    /// the negotiated completion and settled on time, one formed later for
-    /// another client and settled late, one late with a budget-capped
-    /// value, and one formed again later for that capped task, still open.
+    /// Four contracts: one formed at its task's arrival, priced at its
+    /// yield at the negotiated completion and settled on time, one formed
+    /// later and settled late, one priced other than its quote and settled
+    /// late, and one formed again later for that task, still open.
     fn ledger(tasks: &Arc<[TaskSpec]>) -> ContractLedger {
-        let mut ledger = ContractLedger::new(Arc::clone(tasks), 3);
+        let mut ledger = ContractLedger::new(Arc::clone(tasks));
         let at = Time::from;
         // Earliest completion 12, promised 20: 100 − 8·2.
-        form(&mut ledger, tasks[2], 1, 2, at(2.0), at(20.0), 84.0);
-        form(&mut ledger, tasks[0], 0, 1, at(3.0), at(15.0), 90.0);
-        let capped = TaskSpec {
-            value: 60.0,
-            ..tasks[1]
-        };
-        form(&mut ledger, capped, 0, 1, at(1.0), at(30.0), 50.0);
+        form(&mut ledger, tasks[2], 1, at(2.0), at(20.0), 84.0);
+        form(&mut ledger, tasks[0], 0, at(3.0), at(15.0), 90.0);
+        form(&mut ledger, tasks[1], 0, at(1.0), at(30.0), 50.0);
         ledger.settle(0, at(18.0));
         ledger.settle(1, at(40.0));
         ledger.settle(2, at(50.0));
-        form(&mut ledger, capped, 1, 1, at(50.0), at(70.0), 20.0);
+        form(&mut ledger, tasks[1], 1, at(50.0), at(70.0), 20.0);
         ledger
     }
 
@@ -680,20 +629,12 @@ mod ledger_tests {
     #[test]
     fn only_a_price_other_than_the_quote_keeps_terms() {
         let tasks = tasks();
-        let mut ledger = ContractLedger::new(Arc::clone(&tasks), 0);
+        let mut ledger = ContractLedger::new(Arc::clone(&tasks));
         let (formed, completion) = (tasks[3].arrival, Time::from(25.0));
         // Earliest completion 13, promised 25: 100 − 12·2.
         let quoted = 76.0;
-        form(&mut ledger, tasks[3], 0, 0, formed, completion, quoted);
-        form(
-            &mut ledger,
-            tasks[3],
-            1,
-            0,
-            formed,
-            completion,
-            quoted + 1.0,
-        );
+        form(&mut ledger, tasks[3], 0, formed, completion, quoted);
+        form(&mut ledger, tasks[3], 1, formed, completion, quoted + 1.0);
         let kept: Vec<u32> = ledger.terms.iter().map(|t| t.contract).collect();
         assert_eq!(kept, [1]);
         assert_eq!(ledger.get(0).unwrap().negotiated_price, quoted);
@@ -713,18 +654,18 @@ mod ledger_tests {
         let tasks = tasks();
         let ledger = ledger(&tasks);
         assert_eq!(ledger.len(), 4);
-        let mut expected = Contract::new(tasks[0], 0, 1, Time::from(3.0), Time::from(15.0), 90.0);
+        let mut expected = Contract::new(tasks[0], 0, Time::from(3.0), Time::from(15.0), 90.0);
         let price = expected.settle(Time::from(40.0));
         assert_eq!(ledger.get(1), Some(expected));
         assert_eq!(ledger.get(1).unwrap().settled_price(), Some(price));
-        let mut on_time = Contract::new(tasks[2], 1, 2, Time::from(2.0), Time::from(20.0), 84.0);
+        let mut on_time = Contract::new(tasks[2], 1, Time::from(2.0), Time::from(20.0), 84.0);
         on_time.settle(Time::from(18.0));
         assert_eq!(ledger.get(0), Some(on_time));
         let late = ledger.get(2).unwrap();
-        assert_eq!(late.spec.value, 60.0);
+        assert_eq!(late.negotiated_price, 50.0);
         assert!(late.was_violated());
         assert!(!ledger.get(3).unwrap().is_settled());
-        assert_eq!(ledger.get(3).unwrap().spec.value, 60.0);
+        assert_eq!(ledger.get(3).unwrap().formed_at, Time::from(50.0));
         assert_eq!(ledger.get(4), None);
         let sites: Vec<usize> = (&ledger).into_iter().map(|c| c.site).collect();
         assert_eq!(sites, [1, 0, 0, 1]);
@@ -742,7 +683,7 @@ mod ledger_tests {
             serde_json::to_string_pretty(&ledger).unwrap(),
             serde_json::to_string_pretty(&contracts).unwrap()
         );
-        let empty = ContractLedger::new(tasks(), 0);
+        let empty = ContractLedger::new(tasks());
         assert_eq!(serde_json::to_string(&empty).unwrap(), "[]");
     }
 
@@ -753,7 +694,7 @@ mod ledger_tests {
         let json = serde_json::to_string(&ledger).unwrap();
         let mut back: ContractLedger = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ledger);
-        back.rebind(&tasks, 3).unwrap();
+        back.rebind(&tasks).unwrap();
         assert_eq!(back, ledger);
         assert!(Arc::ptr_eq(&back.tasks, &tasks));
         assert_eq!(row_bits(&back), row_bits(&ledger));
@@ -763,7 +704,7 @@ mod ledger_tests {
         let (mut a, mut b) = (ledger, back);
         for l in [&mut a, &mut b] {
             l.settle(3, Time::from(75.0));
-            form(l, tasks[3], 0, 0, Time::from(80.0), Time::from(95.0), 70.0);
+            form(l, tasks[3], 0, Time::from(80.0), Time::from(95.0), 70.0);
         }
         assert_eq!(a, b);
     }
@@ -776,7 +717,7 @@ mod ledger_tests {
         let rebind = |tasks: &Arc<[TaskSpec]>| {
             let mut l = back.clone();
             let before = serde_json::to_string(&l).unwrap();
-            let result = l.rebind(tasks, 3);
+            let result = l.rebind(tasks);
             if result.is_err() {
                 assert_eq!(serde_json::to_string(&l).unwrap(), before, "left as it was");
             }
@@ -791,17 +732,19 @@ mod ledger_tests {
                 task: 0
             })
         );
-        // A budget only lowers a value: a contract worth more than its
-        // task is not that task.
-        let mut other = tasks.to_vec();
-        other[1].value = 55.0;
-        assert_eq!(
-            rebind(&other.into()),
-            Err(RebindError::SpecMismatch {
-                contract: 2,
-                task: 1
-            })
-        );
+        // A contract's value is its task's: one worth more than its task,
+        // or less, is not that task.
+        for value in [55.0, 150.0] {
+            let mut other = tasks.to_vec();
+            other[1].value = value;
+            assert_eq!(
+                rebind(&other.into()),
+                Err(RebindError::SpecMismatch {
+                    contract: 2,
+                    task: 1
+                })
+            );
+        }
         assert_eq!(
             rebind(&tasks[..2].into()),
             Err(RebindError::UnknownTask {
@@ -811,7 +754,7 @@ mod ledger_tests {
         );
         assert!(rebind(&tasks).is_ok());
         let mut empty: ContractLedger = serde_json::from_str("[]").unwrap();
-        assert_eq!(empty.rebind(&tasks, 3), Ok(()));
+        assert_eq!(empty.rebind(&tasks), Ok(()));
     }
 
     /// A settled contract whose price or violation is not its value
@@ -841,7 +784,7 @@ mod ledger_tests {
             assert_eq!(back.get(2), Some(contracts[2]));
             assert_eq!(serde_json::to_string(&back).unwrap(), json);
             assert_eq!(
-                back.rebind(&tasks, 3),
+                back.rebind(&tasks),
                 Err(RebindError::Settlement {
                     contract: 2,
                     task: 1
@@ -861,14 +804,12 @@ mod ledger_tests {
         /// a plain `Vec<Contract>` reads, iterates and writes as that
         /// vector bit for bit, and so does the ledger read back from its
         /// text and rebound. Formations vary what a row derives (formation
-        /// at or after arrival, a capped value, the dealt client or
-        /// another, the quoted price or another); settlements are on time,
-        /// early, late, late by no more than float dust, and far past a
-        /// bounded task's floor; some rows stay open.
+        /// at or after arrival, the quoted price or another); settlements
+        /// are on time, early, late, late by no more than float dust, and
+        /// far past a bounded task's floor; some rows stay open.
         #[test]
         fn a_ledger_is_a_vec_of_contracts(
             bounds in proptest::collection::vec(0u8..3, 1..6),
-            clients in 0usize..4,
             // (kind, pick, variant, x, y, quoted): kinds 0 and 1 form a
             // contract, priced as quoted unless `quoted` is 0; 2 settles one.
             ops in proptest::collection::vec(
@@ -888,23 +829,16 @@ mod ledger_tests {
                     TaskSpec::new(i as u64, i as f64 * 1.5, 10.0, 100.0, 2.0, bound(b))
                 })
                 .collect();
-            let mut ledger = ContractLedger::new(Arc::clone(&tasks), clients);
+            let mut ledger = ContractLedger::new(Arc::clone(&tasks));
             let mut model: Vec<Contract> = Vec::new();
             for (kind, pick, variant, x, y, quoted) in ops {
                 if kind < 2 {
-                    let mut spec = tasks[pick % tasks.len()];
-                    if variant & 1 != 0 {
-                        spec.value *= x / 40.0;
-                    }
-                    let later = if variant & 2 != 0 { y } else { 0.0 };
+                    let spec = tasks[pick % tasks.len()];
+                    let later = if variant & 1 != 0 { y } else { 0.0 };
                     let formed_at = spec.arrival + Duration::new(later);
-                    let mut client = client_of(spec.id, clients);
-                    if variant & 4 != 0 {
-                        client += 1 + pick % 3;
-                    }
                     let completion = formed_at + spec.runtime + Duration::new(x);
                     let price = if quoted == 0 { y - x } else { spec.yield_at(completion) };
-                    let c = Contract::new(spec, pick % 5, client, formed_at, completion, price);
+                    let c = Contract::new(spec, pick % 5, formed_at, completion, price);
                     prop_assert_eq!(ledger.push(c), model.len());
                     model.push(c);
                 } else if !model.is_empty() {
@@ -943,7 +877,7 @@ mod ledger_tests {
             );
             let mut back: ContractLedger = serde_json::from_str(&json).unwrap();
             prop_assert_eq!(serde_json::to_string(&back).unwrap(), json.clone());
-            prop_assert_eq!(back.rebind(&tasks, clients), Ok(()));
+            prop_assert_eq!(back.rebind(&tasks), Ok(()));
             prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
             prop_assert_eq!(row_bits(&back), row_bits(&ledger));
             prop_assert_eq!(&back.terms, &ledger.terms);

@@ -2,9 +2,9 @@
 //!
 //! Implements the negotiation setting of §2 and §6 and Figure 1 of the
 //! paper: clients (or a broker acting for them) submit **task bids** —
-//! value-function tuples `(runtime, value, decay, bound)` — to a set of
-//! task-service sites; each site either rejects the bid or answers with a
-//! **server bid** (expected completion time and price) derived from its
+//! value-function tuples `(runtime, value, decay, bound)`, the tasks as
+//! the trace holds them — to a set of task-service sites; each site
+//! either rejects the bid or answers with a **server bid** (expected completion time and price) derived from its
 //! candidate schedule; the client picks a site; a **contract** is formed.
 //! If the site later completes the task past the negotiated time, the
 //! value function determines the reduced price or penalty it actually
@@ -12,14 +12,10 @@
 //!
 //! Modules:
 //!
-//! * [`bid`] — task bids and server bids.
-//! * [`bidding`] — client bidding strategies: the truthful-vs-shaded
-//!   experiment behind §2's second-pricing motivation.
+//! * [`bid`] — server bids and the client's selection rule.
 //! * [`contract`] — contracts and their settlement at completion time.
 //! * [`pricing`] — settlement strategies (§2 notes pricing is orthogonal:
 //!   pay-bid by default, with a second-price hook).
-//! * [`budget`] — per-client replenishing budgets (§2's premise that
-//!   buyers hold budgeted currency).
 //! * [`economy`] — a multi-site discrete-event economy tying it together:
 //!   one serial event loop, the only engine (DESIGN.md §12).
 //!
@@ -47,15 +43,11 @@
 //! ```
 
 pub mod bid;
-pub mod bidding;
-pub mod budget;
 pub mod contract;
 pub mod economy;
 pub mod pricing;
 
-pub use bid::{ClientSelection, ServerBid, TaskBid};
-pub use bidding::{run_shading_experiment, PopulationReport, ShadingReport};
-pub use budget::{Account, BudgetConfig};
+pub use bid::{ClientSelection, ServerBid};
 pub use contract::{Contract, ContractLedger, ContractStatus, RebindError};
 pub use economy::{
     EcoEvent, EconomyConfig, EconomyOutcome, EconomyRun, EconomySnapshot, EconomySnapshotRef,

@@ -10,53 +10,36 @@
 //!   is the value function at the actual completion.
 //! * [`PricingStrategy::SecondPrice`] — the winner pays the settlement
 //!   capped by the *second-best* server bid's quoted price (single-item
-//!   Vickrey analogue over the per-task auction among sites). With a
-//!   single responding site the cap falls back to a configurable reserve
-//!   fraction of the bid.
+//!   Vickrey analogue over the per-task auction among sites). A lone
+//!   bidder pays its settlement.
 
 use serde::{Deserialize, Serialize};
 
 /// How the settled price is derived from the value-function settlement
 /// and the auction context.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum PricingStrategy {
     /// Pay exactly the value-function settlement (the paper's model).
     #[default]
     PayBid,
     /// Pay `min(settlement, second-best quoted price)`; penalties pass
-    /// through unchanged. `reserve_fraction` of the settlement applies
-    /// when no second bid exists.
-    SecondPrice {
-        /// Fraction of the settlement charged when only one site bid.
-        reserve_fraction: f64,
-    },
+    /// through unchanged, and so does the settlement when no second bid
+    /// exists.
+    SecondPrice,
 }
 
 impl PricingStrategy {
-    /// The classic Vickrey variant with a 1.0 reserve (single bidder pays
-    /// its own settlement).
-    pub fn second_price() -> Self {
-        PricingStrategy::SecondPrice {
-            reserve_fraction: 1.0,
-        }
-    }
-
     /// Applies the strategy. `settlement` is the value-function price at
     /// actual completion; `second_best_quote` is the runner-up server
     /// bid's quoted price at contract time, if any.
     pub fn settle(&self, settlement: f64, second_best_quote: Option<f64>) -> f64 {
         match self {
             PricingStrategy::PayBid => settlement,
-            PricingStrategy::SecondPrice { reserve_fraction } => {
-                if settlement <= 0.0 {
-                    // Penalties are contractual: pricing does not soften them.
-                    return settlement;
-                }
-                match second_best_quote {
-                    Some(q) => settlement.min(q.max(0.0)),
-                    None => settlement * reserve_fraction,
-                }
-            }
+            PricingStrategy::SecondPrice => match second_best_quote {
+                // Penalties are contractual: pricing does not soften them.
+                Some(q) if settlement > 0.0 => settlement.min(q.max(0.0)),
+                _ => settlement,
+            },
         }
     }
 }
@@ -73,29 +56,27 @@ mod tests {
 
     #[test]
     fn second_price_caps_at_runner_up() {
-        let s = PricingStrategy::second_price();
+        let s = PricingStrategy::SecondPrice;
         assert_eq!(s.settle(80.0, Some(60.0)), 60.0);
         assert_eq!(s.settle(50.0, Some(60.0)), 50.0);
     }
 
     #[test]
-    fn second_price_single_bidder_uses_reserve() {
-        let s = PricingStrategy::SecondPrice {
-            reserve_fraction: 0.5,
-        };
-        assert_eq!(s.settle(80.0, None), 40.0);
-        assert_eq!(PricingStrategy::second_price().settle(80.0, None), 80.0);
+    fn second_price_single_bidder_pays_its_settlement() {
+        let s = PricingStrategy::SecondPrice;
+        assert_eq!(s.settle(80.0, None), 80.0);
+        assert_eq!(s.settle(-30.0, None), -30.0);
     }
 
     #[test]
     fn penalties_pass_through_second_price() {
-        let s = PricingStrategy::second_price();
+        let s = PricingStrategy::SecondPrice;
         assert_eq!(s.settle(-30.0, Some(60.0)), -30.0);
     }
 
     #[test]
     fn negative_runner_up_never_pays_the_winner() {
-        let s = PricingStrategy::second_price();
+        let s = PricingStrategy::SecondPrice;
         // Runner-up quoted a penalty: cap at 0, not negative.
         assert_eq!(s.settle(40.0, Some(-5.0)), 0.0);
     }

@@ -11,7 +11,7 @@
 //! ```
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::market::{BudgetConfig, ClientSelection, EconomyConfig, EconomyRun, PricingStrategy};
+use mbts::market::{ClientSelection, EconomyConfig, EconomyRun, PricingStrategy};
 use mbts::site::SiteConfig;
 use mbts::trace::Tracer;
 use mbts::workload::{generate_trace, MixConfig};
@@ -87,7 +87,7 @@ fn main() {
     println!("\n=== Pricing strategies (same placements, different charges) ===");
     for (label, pricing) in [
         ("pay-bid", PricingStrategy::PayBid),
-        ("second-price", PricingStrategy::second_price()),
+        ("second-price", PricingStrategy::SecondPrice),
     ] {
         let mut cfg = config.clone();
         cfg.pricing = pricing;
@@ -96,22 +96,5 @@ fn main() {
             "  {label:<14} settled {:>10.0}  charged {:>10.0}",
             out.total_settled, out.total_paid
         );
-    }
-
-    println!("\n=== Budgeted clients (4 accounts, tight budgets) ===");
-    let mut cfg = config;
-    cfg.budgets = Some(BudgetConfig {
-        num_clients: 4,
-        initial: 2000.0,
-        replenish_rate: 0.5,
-        cap: 5000.0,
-    });
-    let (out, _) = EconomyRun::new(cfg, &trace, Tracer::Off).finish();
-    println!(
-        "  placed {}  unfunded {}  total charged {:.0}",
-        out.placed, out.unfunded, out.total_paid
-    );
-    for (c, spend) in out.client_spend.iter().enumerate() {
-        println!("  client {c}: spent {spend:.0}");
     }
 }

@@ -659,7 +659,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 economy.selection = parse_selection(s)?;
             }
             if has("--second-price") {
-                economy.pricing = PricingStrategy::second_price();
+                economy.pricing = PricingStrategy::SecondPrice;
             }
             economy.seed = int("--seed", 0)? as u64;
             let trace_out = get("--trace-out").map(PathBuf::from);
@@ -1934,7 +1934,7 @@ mod tests {
                 assert_eq!(economy.sites.len(), 2);
                 assert_eq!(economy.sites[0].processors, 6);
                 assert_eq!(economy.selection, ClientSelection::Random);
-                assert_eq!(economy.pricing, PricingStrategy::second_price());
+                assert_eq!(economy.pricing, PricingStrategy::SecondPrice);
             }
             other => panic!("wrong command: {other:?}"),
         }

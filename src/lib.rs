@@ -15,8 +15,8 @@
 //!   scheduling heuristics plus slack-based admission control.
 //! * [`site`] — an event-driven task-service site executing a trace on a
 //!   pool of processors with optional preemption and admission control.
-//! * [`market`] — bids, contracts, negotiation, brokers, budgets, pricing,
-//!   and a multi-site economy (the paper's Figure 1 setting).
+//! * [`market`] — bids, contracts, negotiation, pricing, and a
+//!   multi-site economy (the paper's Figure 1 setting).
 //! * [`durable`] — crash consistency: CRC-framed snapshot + write-ahead
 //!   event journals that make site and economy runs recoverable at any
 //!   event boundary, bit-identical to an uninterrupted run.

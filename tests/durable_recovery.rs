@@ -21,8 +21,7 @@
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::durable::{framing, DurableRun, Journal, RecordTag, Recoverable};
 use mbts::market::{
-    BudgetConfig, EcoEvent, EconomyConfig, EconomyOutcome, EconomyRun, EconomySnapshot,
-    PricingStrategy,
+    EcoEvent, EconomyConfig, EconomyOutcome, EconomyRun, EconomySnapshot, PricingStrategy,
 };
 use mbts::sim::{Time, UpDown};
 use mbts::site::{FaultPlan, SiteConfig, SiteOutcome, SiteRun};
@@ -201,18 +200,12 @@ fn kill_every_event_site_smoke_unfaulted() {
 #[test]
 fn kill_every_event_economy_smoke() {
     let trace = generate_trace(&fig67_mix(1.5).with_tasks(24).with_processors(8), 31);
-    let mut config = EconomyConfig::uniform(
+    let config = EconomyConfig::uniform(
         2,
         SiteConfig::new(4)
             .with_policy(Policy::FirstPrice)
             .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 }),
     );
-    config.budgets = Some(BudgetConfig {
-        num_clients: 3,
-        initial: 200.0,
-        replenish_rate: 0.05,
-        cap: 600.0,
-    });
     let total = economy_kill_sweep(
         "economy-smoke",
         EconomyRun::new(config, &trace, Tracer::buffer()),
@@ -222,11 +215,10 @@ fn kill_every_event_economy_smoke() {
     assert!(total > 40, "economy sweep saw only {total} events");
 }
 
-/// Second pricing with budgets: a contract's runner-up quote lives only
-/// while the contract is open, so recovery must bring back every open
-/// contract's quote, or its absence, from the snapshot. At every kill
-/// point the contracts, `total_paid`, the site revenues, the client
-/// spend and the settlement stream must be bit-identical to the run that
+/// Second pricing: a contract's runner-up quote lives only while the
+/// contract is open, so recovery must bring back every open contract's
+/// quote, or its absence, from the snapshot. At every kill point the
+/// contracts, `total_paid`, the site revenues and the settlement stream must be bit-identical to the run that
 /// never stopped, and the swept journal must hold snapshots with open
 /// contracts both with and without a runner-up.
 #[test]
@@ -238,13 +230,7 @@ fn kill_every_event_economy_second_price_smoke() {
             .with_policy(Policy::FirstPrice)
             .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 }),
     );
-    config.pricing = PricingStrategy::second_price();
-    config.budgets = Some(BudgetConfig {
-        num_clients: 3,
-        initial: 200.0,
-        replenish_rate: 0.05,
-        cap: 600.0,
-    });
+    config.pricing = PricingStrategy::SecondPrice;
     let (total, journal) = kill_sweep_journal(
         "economy-second-price",
         EconomyRun::new(config, &trace, Tracer::buffer()),
@@ -530,18 +516,12 @@ fn kill_every_event_economy_heavy() {
     let mut total = 0u64;
     for &seed in &[7, 19] {
         let trace = generate_trace(&mix, seed);
-        let mut config = EconomyConfig::uniform(
+        let config = EconomyConfig::uniform(
             2,
             SiteConfig::new(4)
                 .with_policy(Policy::first_reward(0.3, 0.01))
                 .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 }),
         );
-        config.budgets = Some(BudgetConfig {
-            num_clients: 4,
-            initial: 150.0,
-            replenish_rate: 0.05,
-            cap: 500.0,
-        });
         total += economy_kill_sweep(
             &format!("economy-s{seed}"),
             EconomyRun::new(config, &trace, Tracer::buffer()),
@@ -549,8 +529,8 @@ fn kill_every_event_economy_heavy() {
             &["Arrival", "Completion"],
         );
     }
-    // Tight budgets leave many tasks unfunded (arrival-only), so the
-    // floor is well below 2 events/task.
+    // A task every site rejects is arrival-only, so the floor is below
+    // 2 events/task.
     assert!(total > 250, "economy heavy sweep saw only {total} events");
 }
 

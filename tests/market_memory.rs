@@ -8,7 +8,7 @@
 //! allocations rather than one set of buffers per site quoted. A contract
 //! is a 24 B row over the shared tasks: it names its task by index, and
 //! what its task gives (the price at the negotiated completion, the
-//! settlement, the client, the formation time) is derived when read. It
+//! settlement, the formation time) is derived when read. It
 //! is also a placed task's one record (a site inside an economy keeps
 //! none), so what a run produces per contract is that row. Its runner-up
 //! quote and its task → contract entry live only while it is open, and a
@@ -185,7 +185,7 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
     let per_contract = grown / contracts;
     // At quiescence nothing is in flight: what the run added since `new`
     // is its results — per contract a 24 B ledger row (the price,
-    // settlement, client and formation time are derived when read) in a
+    // settlement and formation time are derived when read) in a
     // vector grown by doubling — and nothing that scales with the bids
     // handled; 54.0 measured. (A 32 B row that kept the price, with an 8 B
     // runner-up quote a contract kept to the end, made this 84.0; a 56 B
