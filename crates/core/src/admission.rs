@@ -158,7 +158,7 @@ mod tests {
             runtime,
             value,
             decay,
-            PenaltyBound::Unbounded,
+            PenaltyBound::UNBOUNDED,
         ))
     }
 
@@ -352,7 +352,7 @@ mod proptests {
                             rt,
                             v,
                             d,
-                            PenaltyBound::Unbounded,
+                            PenaltyBound::UNBOUNDED,
                         ))
                     })
                     .collect()

@@ -320,7 +320,7 @@ mod tests {
     fn unbounded_cost_is_aggregate_decay_times_rpt() {
         // Eq. 5: cost_i = (D − d_i) · RPT_i.
         let jobs: Vec<Job> = (0..5)
-            .map(|i| job(i, 10.0, 100.0, (i + 1) as f64, PenaltyBound::Unbounded))
+            .map(|i| job(i, 10.0, 100.0, (i + 1) as f64, PenaltyBound::UNBOUNDED))
             .collect();
         let now = Time::ZERO;
         let model = CostModel::build(now, &jobs);
@@ -335,7 +335,7 @@ mod tests {
     fn bounded_windows_cap_contributions() {
         // Candidate rpt 10. Competitor A decays for only 4 more t.u.
         // (window 4): contributes d·4, not d·10.
-        let candidate = job(0, 10.0, 100.0, 1.0, PenaltyBound::Unbounded);
+        let candidate = job(0, 10.0, 100.0, 1.0, PenaltyBound::UNBOUNDED);
         // B: value 8, decay 2, bounded at 0, runtime 0.1 → expire_time =
         // 0.1 + 4 = 4.1; window at now=0 is 4.1 − 0.1 = 4.
         let b = job(1, 0.1, 8.0, 2.0, PenaltyBound::ZERO);
@@ -348,7 +348,7 @@ mod tests {
 
     #[test]
     fn expired_tasks_cost_nothing() {
-        let candidate = job(0, 10.0, 100.0, 1.0, PenaltyBound::Unbounded);
+        let candidate = job(0, 10.0, 100.0, 1.0, PenaltyBound::UNBOUNDED);
         let expired = job(1, 1.0, 5.0, 10.0, PenaltyBound::ZERO);
         // expire_time = 1 + 0.5 = 1.5; at now = 10 it's long expired.
         let now = Time::from(10.0);
@@ -360,8 +360,8 @@ mod tests {
 
     #[test]
     fn zero_decay_tasks_cost_nothing() {
-        let candidate = job(0, 10.0, 100.0, 1.0, PenaltyBound::Unbounded);
-        let inert = job(1, 5.0, 50.0, 0.0, PenaltyBound::Unbounded);
+        let candidate = job(0, 10.0, 100.0, 1.0, PenaltyBound::UNBOUNDED);
+        let inert = job(1, 5.0, 50.0, 0.0, PenaltyBound::UNBOUNDED);
         let jobs = vec![candidate.clone(), inert];
         let model = CostModel::build(Time::ZERO, &jobs);
         assert_eq!(model.cost_of(&candidate, Time::ZERO), 0.0);
@@ -371,15 +371,9 @@ mod tests {
     fn model_matches_naive_on_mixed_queue() {
         let now = Time::from(3.0);
         let jobs: Vec<Job> = vec![
-            job(0, 7.0, 100.0, 1.0, PenaltyBound::Unbounded),
+            job(0, 7.0, 100.0, 1.0, PenaltyBound::UNBOUNDED),
             job(1, 2.0, 30.0, 4.0, PenaltyBound::ZERO),
-            job(
-                2,
-                15.0,
-                200.0,
-                0.5,
-                PenaltyBound::Bounded { max_penalty: 20.0 },
-            ),
+            job(2, 15.0, 200.0, 0.5, PenaltyBound::bounded(20.0)),
             job(3, 1.0, 5.0, 9.0, PenaltyBound::ZERO),
             job(4, 4.0, 0.0, 2.0, PenaltyBound::ZERO), // value 0: window 0
         ];
@@ -398,7 +392,7 @@ mod tests {
     #[test]
     fn unbounded_constructor_matches_build() {
         let jobs: Vec<Job> = (0..4)
-            .map(|i| job(i, 5.0, 50.0, 0.5 + i as f64, PenaltyBound::Unbounded))
+            .map(|i| job(i, 5.0, 50.0, 0.5 + i as f64, PenaltyBound::UNBOUNDED))
             .collect();
         let built = CostModel::build(Time::ZERO, &jobs);
         let total: f64 = jobs.iter().map(|j| j.spec.decay).sum();
@@ -427,7 +421,7 @@ mod tests {
     fn queue_of_only_the_candidate_costs_nothing() {
         // The model must include the candidate (cost() subtracts its own
         // term); a singleton queue therefore has zero opportunity cost.
-        let candidate = job(0, 10.0, 100.0, 1.0, PenaltyBound::Unbounded);
+        let candidate = job(0, 10.0, 100.0, 1.0, PenaltyBound::UNBOUNDED);
         let model = CostModel::build(Time::ZERO, std::iter::once(&candidate));
         assert_eq!(model.cost_of(&candidate, Time::ZERO), 0.0);
         assert!((model.active_decay() - 1.0).abs() < 1e-12);
@@ -450,9 +444,9 @@ mod proptests {
             0.0f64..300.0, // value
             0.0f64..10.0,  // decay
             prop_oneof![
-                Just(PenaltyBound::Unbounded),
+                Just(PenaltyBound::UNBOUNDED),
                 Just(PenaltyBound::ZERO),
-                (0.0f64..50.0).prop_map(|p| PenaltyBound::Bounded { max_penalty: p }),
+                (0.0f64..50.0).prop_map(PenaltyBound::bounded),
             ],
         )
             .prop_map(move |(rt, v, d, b)| Job::new(TaskSpec::new(id, 0.0, rt, v, d, b)))

@@ -113,7 +113,7 @@ mod tests {
             runtime,
             value,
             decay,
-            PenaltyBound::Unbounded,
+            PenaltyBound::UNBOUNDED,
         ))
     }
 

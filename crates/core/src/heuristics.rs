@@ -220,7 +220,7 @@ mod tests {
             runtime,
             value,
             decay,
-            PenaltyBound::Unbounded,
+            PenaltyBound::UNBOUNDED,
         ))
     }
 
@@ -441,7 +441,7 @@ mod proptests {
 
     fn arb_job(id: u64) -> impl Strategy<Value = Job> {
         (0.1f64..50.0, 0.0f64..300.0, 0.0f64..10.0).prop_map(move |(rt, v, d)| {
-            Job::new(TaskSpec::new(id, 0.0, rt, v, d, PenaltyBound::Unbounded))
+            Job::new(TaskSpec::new(id, 0.0, rt, v, d, PenaltyBound::UNBOUNDED))
         })
     }
 
@@ -454,7 +454,7 @@ mod proptests {
             now in 0.0f64..100.0,
         ) {
             let jobs: Vec<Job> = rts.iter().enumerate().map(|(i, (rt, v, d))| {
-                Job::new(TaskSpec::new(i as u64, 0.0, *rt, *v, *d, PenaltyBound::Unbounded))
+                Job::new(TaskSpec::new(i as u64, 0.0, *rt, *v, *d, PenaltyBound::UNBOUNDED))
             }).collect();
             let now = Time::from(now);
             let model = CostModel::build(now, &jobs);
@@ -530,7 +530,7 @@ mod edf_tests {
             1.0,
             10.0,
             1.0,
-            PenaltyBound::Unbounded,
+            PenaltyBound::UNBOUNDED,
         ));
         let ctx = ScoreCtx::simple(Time::ZERO);
         assert!(

@@ -1,15 +1,17 @@
 //! Mutable per-task scheduling state.
 //!
-//! A [`Job`] wraps an immutable [`TaskSpec`] with the state a scheduler
-//! mutates: remaining processing time (the paper's `RPT_i`, tracked both
-//! against the user's estimate and against the true runtime for the
-//! misestimation extension) and preemption bookkeeping.
+//! A [`Job`] wraps an immutable [`TaskSpec`] — the bid — with the state a
+//! scheduler mutates: remaining processing time (the paper's `RPT_i`,
+//! tracked both against the user's estimate and against the true runtime
+//! for the misestimation extension), the true runtime itself (which the
+//! bid does not carry: a restarted job runs it again from the start) and
+//! preemption bookkeeping.
 
 use mbts_sim::{Duration, Time};
 use mbts_workload::{TaskId, TaskSpec};
 use serde::{Deserialize, Serialize};
 
-/// A task in flight: spec + remaining processing time.
+/// A task in flight: spec + remaining processing time. 104 B.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Job {
     /// The immutable submitted description.
@@ -20,6 +22,9 @@ pub struct Job {
     /// Remaining processing time per the *true* runtime — what the
     /// simulator uses to fire the completion event.
     pub true_rpt: Duration,
+    /// What the task really runs for from the start: `spec.runtime`
+    /// unless its trace was misestimated or imported.
+    pub true_runtime: Duration,
     /// Number of times the job has been preempted.
     pub preemptions: u32,
     /// When the job first started executing, if ever.
@@ -27,11 +32,17 @@ pub struct Job {
 }
 
 impl Job {
-    /// A fresh, never-run job.
+    /// A fresh, never-run job that runs for exactly its estimate.
     pub fn new(spec: TaskSpec) -> Self {
+        Job::with_true_runtime(spec, spec.runtime)
+    }
+
+    /// A fresh, never-run job that really runs for `true_runtime`.
+    pub fn with_true_runtime(spec: TaskSpec, true_runtime: Duration) -> Self {
         Job {
             rpt: spec.runtime,
-            true_rpt: spec.true_runtime,
+            true_rpt: true_runtime,
+            true_runtime,
             spec,
             preemptions: 0,
             first_start: None,
@@ -100,6 +111,13 @@ impl Job {
         } else {
             self.spec.decay
         }
+    }
+}
+
+/// A bid becomes a job that runs for its estimate.
+impl From<TaskSpec> for Job {
+    fn from(spec: TaskSpec) -> Self {
+        Job::new(spec)
     }
 }
 
@@ -195,7 +213,7 @@ mod tests {
     fn a_completion_before_the_earliest_possible_one_earns_the_value() {
         // Arrival 10, runtime 5: evaluated at t = 0 it would finish at 5,
         // ten units before it could; that is no delay, not a bonus.
-        let j = job(100.0, 2.0, PenaltyBound::Unbounded);
+        let j = job(100.0, 2.0, PenaltyBound::UNBOUNDED);
         assert_eq!(j.yield_if_started(Time::ZERO), 100.0);
         assert_eq!(
             j.present_value(Time::ZERO, 0.01),
@@ -213,16 +231,15 @@ mod tests {
 
     #[test]
     fn unbounded_window_is_infinite() {
-        let j = job(100.0, 2.0, PenaltyBound::Unbounded);
+        let j = job(100.0, 2.0, PenaltyBound::UNBOUNDED);
         assert_eq!(j.decay_window(Time::from(1e6)), Duration::INFINITY);
         assert_eq!(j.effective_decay(Time::from(1e6)), 2.0);
     }
 
     #[test]
     fn misestimated_job_tracks_two_rpts() {
-        let mut spec = TaskSpec::new(0, 0.0, 10.0, 50.0, 1.0, PenaltyBound::ZERO);
-        spec.true_runtime = Duration::from(14.0);
-        let mut j = Job::new(spec);
+        let spec = TaskSpec::new(0, 0.0, 10.0, 50.0, 1.0, PenaltyBound::ZERO);
+        let mut j = Job::with_true_runtime(spec, Duration::from(14.0));
         j.advance(Duration::from(10.0));
         assert_eq!(j.rpt, Duration::ZERO);
         assert!(!j.is_complete());

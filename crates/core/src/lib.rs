@@ -35,8 +35,8 @@
 //! use mbts_workload::{PenaltyBound, TaskSpec};
 //!
 //! // Two queued tasks: a long valuable one and a short urgent one.
-//! let calm = Job::new(TaskSpec::new(0, 0.0, 50.0, 500.0, 0.1, PenaltyBound::Unbounded));
-//! let urgent = Job::new(TaskSpec::new(1, 0.0, 5.0, 20.0, 5.0, PenaltyBound::Unbounded));
+//! let calm = Job::new(TaskSpec::new(0, 0.0, 50.0, 500.0, 0.1, PenaltyBound::UNBOUNDED));
+//! let urgent = Job::new(TaskSpec::new(1, 0.0, 5.0, 20.0, 5.0, PenaltyBound::UNBOUNDED));
 //! let queue = vec![calm, urgent];
 //!
 //! // FirstPrice chases unit gain; FirstReward(α=0) weighs opportunity cost.

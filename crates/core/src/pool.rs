@@ -720,7 +720,7 @@ mod tests {
             runtime,
             value,
             decay,
-            PenaltyBound::Unbounded,
+            PenaltyBound::UNBOUNDED,
         ))
     }
 
@@ -1020,11 +1020,9 @@ mod proptests {
             .enumerate()
             .map(|(i, &(rt, v, d, b))| {
                 let bound = match b {
-                    0 => PenaltyBound::Unbounded,
+                    0 => PenaltyBound::UNBOUNDED,
                     1 => PenaltyBound::ZERO,
-                    _ => PenaltyBound::Bounded {
-                        max_penalty: v * 0.4,
-                    },
+                    _ => PenaltyBound::bounded(v * 0.4),
                 };
                 Job::new(TaskSpec::new(i as u64, 0.0, rt, v, d, bound))
             })

@@ -324,7 +324,7 @@ mod tests {
             runtime,
             value,
             decay,
-            PenaltyBound::Unbounded,
+            PenaltyBound::UNBOUNDED,
         ))
     }
 
@@ -586,7 +586,7 @@ mod proptests {
                 .enumerate()
                 .map(|(i, (rt, v, d, w))| {
                     Job::new(
-                        TaskSpec::new(i as u64, 0.0, rt, v, d, PenaltyBound::Unbounded)
+                        TaskSpec::new(i as u64, 0.0, rt, v, d, PenaltyBound::UNBOUNDED)
                             .with_width(w.min(procs)),
                     )
                 })

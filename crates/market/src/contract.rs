@@ -487,7 +487,7 @@ mod tests {
 
     #[test]
     fn on_time_settlement_collects_negotiated_price() {
-        let mut c = contract(PenaltyBound::Unbounded);
+        let mut c = contract(PenaltyBound::UNBOUNDED);
         let p = c.settle(Time::from(20.0));
         assert_eq!(p, 80.0);
         assert!(c.is_settled());
@@ -497,7 +497,7 @@ mod tests {
 
     #[test]
     fn early_settlement_collects_more() {
-        let mut c = contract(PenaltyBound::Unbounded);
+        let mut c = contract(PenaltyBound::UNBOUNDED);
         let p = c.settle(Time::from(12.0));
         assert_eq!(p, 96.0);
         assert!(!c.was_violated());
@@ -505,7 +505,7 @@ mod tests {
 
     #[test]
     fn late_settlement_decays_the_price() {
-        let mut c = contract(PenaltyBound::Unbounded);
+        let mut c = contract(PenaltyBound::UNBOUNDED);
         let p = c.settle(Time::from(40.0));
         // delay 30 → 100 − 60 = 40.
         assert_eq!(p, 40.0);
@@ -514,7 +514,7 @@ mod tests {
 
     #[test]
     fn very_late_settlement_is_a_penalty() {
-        let mut c = contract(PenaltyBound::Unbounded);
+        let mut c = contract(PenaltyBound::UNBOUNDED);
         let p = c.settle(Time::from(100.0));
         // delay 90 → 100 − 180 = −80: the site pays the client.
         assert_eq!(p, -80.0);
@@ -523,14 +523,14 @@ mod tests {
 
     #[test]
     fn bounded_penalty_floors_settlement() {
-        let mut c = contract(PenaltyBound::Bounded { max_penalty: 25.0 });
+        let mut c = contract(PenaltyBound::bounded(25.0));
         let p = c.settle(Time::from(1000.0));
         assert_eq!(p, -25.0);
     }
 
     #[test]
     fn open_contract_has_no_settled_price() {
-        let c = contract(PenaltyBound::Unbounded);
+        let c = contract(PenaltyBound::UNBOUNDED);
         assert!(!c.is_settled());
         assert!(!c.was_violated());
         assert_eq!(c.settled_price(), None);
@@ -555,7 +555,7 @@ mod terms_tests {
 
     #[test]
     fn default_terms_are_the_paper_model() {
-        let spec = TaskSpec::new(0, 0.0, 10.0, 100.0, 2.0, PenaltyBound::Unbounded);
+        let spec = TaskSpec::new(0, 0.0, 10.0, 100.0, 2.0, PenaltyBound::UNBOUNDED);
         let c = Contract::new(spec, 0, Time::ZERO, Time::from(20.0), 80.0);
         let (mut settled, at) = (c, Time::from(40.0));
         assert_eq!(settled.settle(at), spec.yield_at(at));
@@ -571,7 +571,7 @@ mod ledger_tests {
 
     fn tasks() -> Arc<[TaskSpec]> {
         (0..4)
-            .map(|i| TaskSpec::new(i, i as f64, 10.0, 100.0, 2.0, PenaltyBound::Unbounded))
+            .map(|i| TaskSpec::new(i, i as f64, 10.0, 100.0, 2.0, PenaltyBound::UNBOUNDED))
             .collect()
     }
 
@@ -818,9 +818,9 @@ mod ledger_tests {
             ),
         ) {
             let bound = |b: u8| match b {
-                0 => PenaltyBound::Unbounded,
+                0 => PenaltyBound::UNBOUNDED,
                 1 => PenaltyBound::ZERO,
-                _ => PenaltyBound::Bounded { max_penalty: 25.0 },
+                _ => PenaltyBound::bounded(25.0),
             };
             let tasks: Arc<[TaskSpec]> = bounds
                 .iter()

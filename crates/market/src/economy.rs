@@ -17,7 +17,7 @@
 use crate::bid::{ClientSelection, ServerBid};
 use crate::contract::{Contract, ContractLedger};
 use crate::pricing::PricingStrategy;
-use mbts_core::{AdmissionDecision, WorkflowProgress, WorkflowReport, WorkflowRuntime};
+use mbts_core::{AdmissionDecision, Job, WorkflowProgress, WorkflowReport, WorkflowRuntime};
 use mbts_sim::{rng::splitmix64, Engine, EventQueue, Model, Time};
 use mbts_site::{
     AuditViolation, CompletionToken, SiteConfig, SiteOutcome, SiteSnapshot, SiteSnapshotRef,
@@ -27,7 +27,7 @@ use mbts_trace::{
     DecisionCandidate, DecisionKind, TraceEvent, TraceKind, Tracer, TracerSnapshot,
     TracerSnapshotRef, MAX_DECISION_CANDIDATES,
 };
-use mbts_workload::{TaskId, TaskSpec, Trace, WorkflowFacets, WorkflowSet};
+use mbts_workload::{TaskId, TaskList, TaskSpec, Trace, WorkflowFacets, WorkflowSet};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -187,10 +187,10 @@ impl EconomyRun {
                 .iter()
                 .map(|c| SiteState::new(c.clone()))
                 .collect(),
-            trace: Arc::clone(&trace.tasks),
+            trace: trace.tasks.clone(),
             selection: config.selection,
             pricing: config.pricing,
-            contracts: ContractLedger::new(Arc::clone(&trace.tasks)),
+            contracts: ContractLedger::new(Arc::clone(&trace.tasks.bids)),
             open: BTreeMap::new(),
             decisions: Vec::new(),
             bids: Vec::new(),
@@ -208,7 +208,7 @@ impl EconomyRun {
             tracer,
         };
         let mut engine = Engine::new(model);
-        let shared = Arc::clone(&trace.tasks);
+        let shared = Arc::clone(&trace.tasks.bids);
         let arrival = move |i: usize| shared[i].arrival;
         match roots {
             Some(roots) => engine.feed(roots, arrival, EcoEvent::Arrival),
@@ -283,7 +283,7 @@ impl EconomyRun {
     pub fn from_snapshot(mut snap: EconomySnapshot) -> Result<Self, String> {
         check_snapshot(&snap)?;
         snap.contracts
-            .rebind(&snap.trace)
+            .rebind(&snap.trace.bids)
             .map_err(|e| e.to_string())?;
         let model = EcoModel {
             sites: snap
@@ -449,7 +449,7 @@ fn check_snapshot(snap: &EconomySnapshot) -> Result<(), String> {
 #[derive(Debug, Serialize)]
 pub struct EconomySnapshotRef<'a> {
     sites: Vec<SiteSnapshotRef<'a>>,
-    trace: &'a [TaskSpec],
+    trace: &'a TaskList,
     selection: ClientSelection,
     pricing: PricingStrategy,
     contracts: &'a ContractLedger,
@@ -481,8 +481,8 @@ pub struct EconomySnapshot {
     /// Per-site replay state.
     pub sites: Vec<SiteSnapshot>,
     /// The full submission stream (arrivals index into it): the run's
-    /// shared tasks, not a copy.
-    pub trace: Arc<[TaskSpec]>,
+    /// shared tasks and their true runtimes, not a copy.
+    pub trace: TaskList,
     /// Client selection rule.
     pub selection: ClientSelection,
     /// Settlement pricing strategy.
@@ -563,8 +563,8 @@ struct Open {
 
 struct EcoModel {
     sites: Vec<SiteState>,
-    /// The caller's tasks, shared, not copied.
-    trace: Arc<[TaskSpec]>,
+    /// The caller's tasks and their true runtimes, shared, not copied.
+    trace: TaskList,
     selection: ClientSelection,
     pricing: PricingStrategy,
     contracts: ContractLedger,
@@ -789,15 +789,20 @@ impl EcoModel {
     fn handle_arrival(&mut self, now: Time, idx: usize, queue: &mut EventQueue<EcoEvent>) {
         let spec = self.trace[idx];
         self.offered += 1;
-        if !self.place(now, spec, queue) {
+        if !self.place(
+            now,
+            Job::with_true_runtime(spec, self.trace.true_runtime(idx)),
+            queue,
+        ) {
             self.unplaced += 1;
             self.workflow_fail(now, spec.id, queue);
         }
     }
 
-    /// Runs one round of the §6 negotiation for `spec`; returns whether a
-    /// contract was formed (and wires up its events).
-    fn place(&mut self, now: Time, spec: TaskSpec, queue: &mut EventQueue<EcoEvent>) -> bool {
+    /// Runs one round of the §6 negotiation for `job`'s bid; returns
+    /// whether a contract was formed (and wires up its events).
+    fn place(&mut self, now: Time, job: Job, queue: &mut EventQueue<EcoEvent>) -> bool {
+        let spec = job.spec;
         // Broadcast the bid; every site's verdict is collected (evaluate
         // is read-only) and willing sites become server bids.
         self.decisions.clear();
@@ -849,7 +854,7 @@ impl EcoModel {
         );
 
         self.sites[winner.site].note_offer(now);
-        for token in self.sites[winner.site].accept(now, spec) {
+        for token in self.sites[winner.site].accept(now, job) {
             queue.schedule(
                 token.at,
                 EcoEvent::Completion {
@@ -1129,14 +1134,16 @@ mod tests {
         // as written once the outcome lost its migration counters and its
         // contracts their terms, its sites their per-job records, the
         // outcome its five fault counters, its sites' metrics their
-        // `orphaned` count, and the outcome its budget keys (a count of
+        // `orphaned` count, the outcome its budget keys (a count of
         // tasks no client could fund and a per-client spend list) and its
-        // contracts their client (the same outcome less those keys:
-        // 16_358_527_777_702_562_041 with the count 0, the list empty and
-        // every client 0; 6_978_841_760_120_419_641 with the two
-        // `orphaned` counts too, both zero; 17_392_548_782_443_348_599
-        // with the five counters too; 2_572_550_470_487_751_036 with the
-        // records too).
+        // contracts their client, and each contract's task its true
+        // runtime (the same outcome less those keys:
+        // 12_140_116_056_354_289_765 with each task's `true_runtime`
+        // after its `runtime`; 16_358_527_777_702_562_041 with the count
+        // 0, the list empty and every client 0 too;
+        // 6_978_841_760_120_419_641 with the two `orphaned` counts too,
+        // both zero; 17_392_548_782_443_348_599 with the five counters
+        // too; 2_572_550_470_487_751_036 with the records too).
         let mut trace = small_trace(300, 1.2, 11);
         let mut arrivals: Vec<Time> = trace.tasks.iter().map(|t| t.arrival).collect();
         for i in 10..20 {
@@ -1146,14 +1153,17 @@ mod tests {
         for i in (1..arrivals.len()).rev() {
             arrivals.swap(i, (splitmix64(&mut state) % (i as u64 + 1)) as usize);
         }
-        for (task, at) in Arc::make_mut(&mut trace.tasks).iter_mut().zip(arrivals) {
+        for (task, at) in Arc::make_mut(&mut trace.tasks.bids)
+            .iter_mut()
+            .zip(arrivals)
+        {
             task.arrival = at;
         }
         let out = run(EconomyConfig::uniform(2, site(4)), &trace);
         assert_eq!(out.offered, 300);
         assert_eq!(
             outcome_hash(&out),
-            12_140_116_056_354_289_765,
+            3_995_330_435_483_962_845,
             "outcome moved"
         );
     }
@@ -1162,7 +1172,7 @@ mod tests {
     #[should_panic(expected = "task ids must equal trace positions")]
     fn sparse_task_ids_are_rejected_before_any_ledger_is_sized() {
         let mut trace = small_trace(10, 1.0, 1);
-        Arc::make_mut(&mut trace.tasks)[9].id = TaskId(1_000_000_000_000);
+        Arc::make_mut(&mut trace.tasks.bids)[9].id = TaskId(1_000_000_000_000);
         let _ = EconomyRun::new(EconomyConfig::uniform(1, site(4)), &trace, Tracer::Off);
     }
 
@@ -1172,6 +1182,20 @@ mod tests {
     #[test]
     fn an_event_is_at_most_32_bytes() {
         assert!(std::mem::size_of::<EcoEvent>() <= 32);
+    }
+
+    /// A trace is its bids: a task is six 8 B fields and its penalty
+    /// bound, one `f64` (72 B while the bound was a two-case enum and the
+    /// bid carried its true runtime). A job adds its two remaining times,
+    /// its true runtime, a preemption count and its first start. These
+    /// are exact so that a wider record is a decision; they may only go
+    /// down.
+    #[test]
+    fn a_task_is_56_bytes_and_a_job_104() {
+        use mbts_workload::PenaltyBound;
+        assert_eq!(std::mem::size_of::<PenaltyBound>(), 8);
+        assert_eq!(std::mem::size_of::<TaskSpec>(), 56);
+        assert_eq!(std::mem::size_of::<Job>(), 104);
     }
 
     /// The open table holds a task's entry from its contract's formation

@@ -215,10 +215,10 @@ impl SubmitBody {
     /// The bid tuple at `arrival`; `id` is assigned later by the journal.
     fn to_spec(&self, arrival: Time) -> TaskSpec {
         let bound = if self.unbounded {
-            PenaltyBound::Unbounded
+            PenaltyBound::UNBOUNDED
         } else {
             match self.max_penalty {
-                Some(p) => PenaltyBound::Bounded { max_penalty: p },
+                Some(p) => PenaltyBound::bounded(p),
                 None => PenaltyBound::ZERO,
             }
         };

@@ -52,10 +52,10 @@ pub use gantt::{render_gantt, segments, Segment};
 pub use metrics::{Disposition, JobOutcome, SiteMetrics};
 pub use state::{AuditViolation, CompletionToken, SiteSnapshot, SiteSnapshotRef, SiteState};
 
-use mbts_core::{WorkflowReport, WorkflowRuntime};
+use mbts_core::{Job, WorkflowReport, WorkflowRuntime};
 use mbts_sim::{Engine, EventQueue, FaultInjector, FaultInjectorState, Model, Time, UpDown};
 use mbts_trace::{TraceKind, Tracer};
-use mbts_workload::{TaskId, TaskSpec, Trace, WorkflowSet};
+use mbts_workload::{TaskId, TaskList, Trace, WorkflowSet};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -169,8 +169,8 @@ pub enum SimEvent {
 
 struct TraceModel {
     state: SiteState,
-    /// The caller's tasks, shared, not copied.
-    trace: Arc<[TaskSpec]>,
+    /// The caller's tasks and their true runtimes, shared, not copied.
+    trace: TaskList,
     /// Arrivals not yet delivered — lets fault handling detect the end
     /// of the workload and stop scheduling crashes once the site is
     /// quiescent (otherwise an injector would tick forever). In workflow
@@ -264,7 +264,8 @@ impl Model for TraceModel {
         let tokens = match event {
             SimEvent::Arrival(i) | SimEvent::Release(i) => {
                 self.arrivals_left -= 1;
-                self.state.submit(now, self.trace[i]).1
+                let job = Job::with_true_runtime(self.trace[i], self.trace.true_runtime(i));
+                self.state.submit(now, job).1
             }
             SimEvent::Completion(tok) => self.state.on_completion(now, tok),
             SimEvent::Crash(slot) => {
@@ -319,7 +320,7 @@ impl SiteRun {
     /// A fault-free replay of `trace`, ready to step. All arrivals are
     /// queued; the first [`step`](Self::step) handles the earliest one.
     pub fn new(config: SiteConfig, trace: &Trace, tracer: Tracer) -> Self {
-        Self::start(config, Arc::clone(&trace.tasks), None, None, tracer)
+        Self::start(config, trace.tasks.clone(), None, None, tracer)
     }
 
     /// A workflow replay: only root tasks are queued as arrivals; every
@@ -330,7 +331,7 @@ impl SiteRun {
     /// rides on top of the ordinary per-task accounting.
     pub fn with_workflows(config: SiteConfig, set: &WorkflowSet, tracer: Tracer) -> Self {
         let runtime = WorkflowRuntime::new(set.clone());
-        Self::start(config, Arc::clone(&set.tasks), Some(runtime), None, tracer)
+        Self::start(config, set.tasks.clone(), Some(runtime), None, tracer)
     }
 
     /// A replay with crash/repair events injected per `plan`: every
@@ -341,7 +342,7 @@ impl SiteRun {
         plan: &FaultPlan,
         tracer: Tracer,
     ) -> Self {
-        Self::start(config, Arc::clone(&trace.tasks), None, Some(plan), tracer)
+        Self::start(config, trace.tasks.clone(), None, Some(plan), tracer)
     }
 
     /// The one constructor: arrivals go in as a feed (roots only in
@@ -349,7 +350,7 @@ impl SiteRun {
     /// slot's timeline is independent of event interleaving.
     fn start(
         config: SiteConfig,
-        tasks: Arc<[TaskSpec]>,
+        tasks: TaskList,
         workflows: Option<WorkflowRuntime>,
         plan: Option<&FaultPlan>,
         tracer: Tracer,
@@ -369,17 +370,18 @@ impl SiteRun {
         let roots = workflows.as_ref().map(WorkflowRuntime::roots);
         let mut state = SiteState::new(config);
         state.set_tracer(tracer);
+        let n = tasks.len();
+        let shared = Arc::clone(&tasks.bids);
         let mut engine = Engine::new(TraceModel {
             state,
-            arrivals_left: tasks.len(),
-            trace: Arc::clone(&tasks),
+            arrivals_left: n,
+            trace: tasks,
             injector,
             crash_budget,
             workflows,
             outcome_cursor: 0,
         });
-        let n = tasks.len();
-        let arrival = move |i: usize| tasks[i].arrival;
+        let arrival = move |i: usize| shared[i].arrival;
         match roots {
             Some(roots) => engine.feed(roots, arrival, SimEvent::Arrival),
             None => engine.feed(0..n, arrival, SimEvent::Arrival),
@@ -478,7 +480,7 @@ impl SiteRun {
 #[derive(Debug, Serialize)]
 pub struct SiteRunSnapshotRef<'a> {
     site: SiteSnapshotRef<'a>,
-    trace: &'a [TaskSpec],
+    trace: &'a TaskList,
     arrivals_left: usize,
     injector: Option<FaultInjectorState>,
     crash_budget: u64,
@@ -501,8 +503,8 @@ pub struct SiteRunSnapshot {
     /// The site.
     pub site: SiteSnapshot,
     /// The workload (arrival events index into it): the run's shared
-    /// tasks, not a copy.
-    pub trace: Arc<[TaskSpec]>,
+    /// tasks and their true runtimes, not a copy.
+    pub trace: TaskList,
     /// Arrivals not yet delivered.
     pub arrivals_left: usize,
     /// Fault-injector RNG streams, if faults are active.

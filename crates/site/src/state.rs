@@ -397,7 +397,12 @@ impl SiteState {
     /// Full submission path: admission (unless `AcceptAll`), then enqueue,
     /// dispatch, and (if enabled) preemption. Returns whether the task was
     /// accepted plus the completion tokens of newly started segments.
-    pub fn submit(&mut self, now: Time, spec: TaskSpec) -> (bool, Vec<CompletionToken>) {
+    ///
+    /// `job` is a bid (a [`TaskSpec`], which runs for its estimate) or a
+    /// [`Job`] that carries its true runtime; admission sees only the bid.
+    pub fn submit(&mut self, now: Time, job: impl Into<Job>) -> (bool, Vec<CompletionToken>) {
+        let job = job.into();
+        let spec = job.spec;
         self.metrics.note_submission(now);
         let infeasible = spec.width > self.capacity;
         // The admission decision is evaluated when the policy needs it —
@@ -440,22 +445,24 @@ impl SiteState {
             self.audit_check(now);
             return (false, Vec::new());
         }
-        let tokens = self.accept(now, spec);
+        let tokens = self.accept(now, job);
         (true, tokens)
     }
 
     /// Commits an already-negotiated task (the market layer calls this
     /// after the client picks this site's bid), bypassing re-evaluation.
-    pub fn accept(&mut self, now: Time, spec: TaskSpec) -> Vec<CompletionToken> {
+    /// `job` is taken as [`submit`](Self::submit) takes it.
+    pub fn accept(&mut self, now: Time, job: impl Into<Job>) -> Vec<CompletionToken> {
+        let job = job.into();
         assert!(
-            spec.width <= self.capacity,
+            job.spec.width <= self.capacity,
             "{} requests {} processors but the site has {}",
-            spec.id,
-            spec.width,
+            job.spec.id,
+            job.spec.width,
             self.capacity
         );
         self.metrics.accepted += 1;
-        self.pending.push(Job::new(spec));
+        self.pending.push(job);
         let mut tokens = self.dispatch(now);
         if self.config.preemption {
             tokens.extend(self.try_preempt(now));
@@ -1020,7 +1027,7 @@ impl SiteState {
             let Running { mut job, .. } = self.running.swap_remove(victim);
             let width = job.spec.width;
             job.rpt = job.spec.runtime;
-            job.true_rpt = job.spec.true_runtime;
+            job.true_rpt = job.true_runtime;
             job.preemptions += 1;
             self.metrics.preemptions += 1;
             self.metrics.evictions += 1;
@@ -1169,7 +1176,7 @@ mod tests {
     use mbts_workload::PenaltyBound;
 
     fn spec(id: u64, arrival: f64, runtime: f64, value: f64, decay: f64) -> TaskSpec {
-        TaskSpec::new(id, arrival, runtime, value, decay, PenaltyBound::Unbounded)
+        TaskSpec::new(id, arrival, runtime, value, decay, PenaltyBound::UNBOUNDED)
     }
 
     fn drain(site: &mut SiteState, mut tokens: Vec<CompletionToken>) -> Time {
@@ -1407,16 +1414,28 @@ mod tests {
 
     #[test]
     fn misestimated_runtime_completes_at_true_time() {
-        let mut s = spec(0, 0.0, 10.0, 100.0, 1.0);
-        s.true_runtime = Duration::from(15.0);
+        let s = spec(0, 0.0, 10.0, 100.0, 1.0);
         let mut site = SiteState::new(SiteConfig::new(1));
-        let (_, t) = site.submit(Time::ZERO, s);
+        let (_, t) = site.submit(Time::ZERO, Job::with_true_runtime(s, Duration::from(15.0)));
         assert_eq!(t[0].at, Time::from(15.0));
         drain(&mut site, t);
         let out = site.clone().into_outcome();
         // Yield per the *negotiated* (estimate-anchored) value function:
         // earliest = 10, completion 15, delay 5 → 95.
         assert!((out.outcomes[0].earned - 95.0).abs() < 1e-9);
+    }
+
+    /// A crash evicts a running job and requeues it from the start: its
+    /// true runtime, which its bid does not carry, runs again in full.
+    #[test]
+    fn a_crash_evicted_job_runs_its_whole_true_runtime_again() {
+        let s = spec(0, 0.0, 10.0, 100.0, 1.0);
+        let mut site = SiteState::new(SiteConfig::new(1));
+        let (_, t) = site.submit(Time::ZERO, Job::with_true_runtime(s, Duration::from(15.0)));
+        assert_eq!(t[0].at, Time::from(15.0));
+        assert_eq!(site.crash(1, Time::from(5.0)), 1);
+        let t = site.repair(1, Time::from(7.0));
+        assert_eq!(t[0].at, Time::from(22.0));
     }
 
     #[test]
@@ -1579,7 +1598,7 @@ mod backfill_toggle_tests {
     use mbts_workload::PenaltyBound;
 
     fn wide(id: u64, runtime: f64, width: usize) -> TaskSpec {
-        TaskSpec::new(id, 0.0, runtime, 100.0, 0.1, PenaltyBound::Unbounded).with_width(width)
+        TaskSpec::new(id, 0.0, runtime, 100.0, 0.1, PenaltyBound::UNBOUNDED).with_width(width)
     }
 
     #[test]
@@ -1606,7 +1625,7 @@ mod fault_tests {
     use mbts_workload::PenaltyBound;
 
     fn spec(id: u64, arrival: f64, runtime: f64, value: f64) -> TaskSpec {
-        TaskSpec::new(id, arrival, runtime, value, 0.1, PenaltyBound::Unbounded)
+        TaskSpec::new(id, arrival, runtime, value, 0.1, PenaltyBound::UNBOUNDED)
     }
 
     fn drain(site: &mut SiteState, mut tokens: Vec<CompletionToken>) {
@@ -1732,7 +1751,7 @@ mod preemption_mode_tests {
     use mbts_workload::PenaltyBound;
 
     fn spec(id: u64, arrival: f64, runtime: f64, value: f64) -> TaskSpec {
-        TaskSpec::new(id, arrival, runtime, value, 0.1, PenaltyBound::Unbounded)
+        TaskSpec::new(id, arrival, runtime, value, 0.1, PenaltyBound::UNBOUNDED)
     }
 
     fn drain(site: &mut SiteState, mut tokens: Vec<CompletionToken>) {
@@ -1822,11 +1841,9 @@ mod quote_equivalence_tests {
         (runtime, value, decay, width, bounded): JobSeed,
     ) -> TaskSpec {
         let bound = if bounded {
-            PenaltyBound::Bounded {
-                max_penalty: value / 2.0,
-            }
+            PenaltyBound::bounded(value / 2.0)
         } else {
-            PenaltyBound::Unbounded
+            PenaltyBound::UNBOUNDED
         };
         TaskSpec::new(id, arrival, runtime, value, decay, bound).with_width(width)
     }

@@ -14,6 +14,7 @@
 //!   inter-arrival mean, so runtimes and values are identical across a load
 //!   sweep (common random numbers).
 
+use crate::task::PenaltyBound;
 use mbts_sim::Dist;
 use serde::{Deserialize, Serialize};
 
@@ -86,6 +87,20 @@ pub enum BoundPolicy {
         /// Penalty cap as a fraction of the task's maximum value.
         fraction: f64,
     },
+}
+
+impl BoundPolicy {
+    /// The penalty bound this policy gives a task (or workflow) of
+    /// maximum value `value`.
+    pub fn penalty_bound(&self, value: f64) -> PenaltyBound {
+        match *self {
+            BoundPolicy::Unbounded => PenaltyBound::UNBOUNDED,
+            BoundPolicy::ZeroFloor => PenaltyBound::ZERO,
+            BoundPolicy::ProportionalPenalty { fraction } => {
+                PenaltyBound::bounded(fraction * value)
+            }
+        }
+    }
 }
 
 /// Full description of a synthetic task mix.

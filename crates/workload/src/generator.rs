@@ -7,8 +7,9 @@
 //! draws untouched, giving the *common random numbers* structure the
 //! paper's paired heuristic comparisons rely on.
 
-use crate::config::{ArrivalProcess, BoundPolicy, MixConfig, WidthPolicy};
-use crate::task::{PenaltyBound, TaskSpec};
+use crate::config::{ArrivalProcess, MixConfig, WidthPolicy};
+use crate::task::TaskSpec;
+use crate::tasklist::TaskList;
 use crate::trace::Trace;
 use mbts_sim::{pin_malloc_thresholds, Dist, Duration, RngFactory, Time};
 use std::sync::Arc;
@@ -41,8 +42,10 @@ pub fn generate_trace(config: &MixConfig, seed: u64) -> Trace {
     );
 
     // Collecting an exact-size range writes the shared slice in place, with
-    // no `Vec` to copy from.
+    // no `Vec` to copy from. True runtimes are drawn, in the same loop, only
+    // when the estimates are misestimated.
     let mut clock = Time::ZERO;
+    let mut true_runtimes = Vec::new();
     let tasks = (0..config.num_tasks)
         .map(|i| {
             // One arrival event releases `batch_size` tasks at `clock`; the
@@ -54,24 +57,21 @@ pub fn generate_trace(config: &MixConfig, seed: u64) -> Trace {
             let unit_value = unit_value_dist.sample(&mut value_rng).max(0.0);
             let value = unit_value * runtime;
             let decay = decay_dist.sample(&mut decay_rng).max(0.0);
-            let bound = match config.bound {
-                BoundPolicy::Unbounded => PenaltyBound::Unbounded,
-                BoundPolicy::ZeroFloor => PenaltyBound::ZERO,
-                BoundPolicy::ProportionalPenalty { fraction } => PenaltyBound::Bounded {
-                    max_penalty: fraction * value,
-                },
-            };
+            let bound = config.bound.penalty_bound(value);
             let width = sample_width(&config.width, config.processors, &mut width_rng);
-            let mut spec = TaskSpec::new(i as u64, clock.as_f64(), runtime, value, decay, bound)
-                .with_width(width);
             if config.runtime_error > 0.0 {
                 let eps = error_dist.sample(&mut error_rng);
-                spec.true_runtime = Duration::new((runtime * (1.0 + eps)).max(1e-6));
+                true_runtimes.push(Duration::new((runtime * (1.0 + eps)).max(1e-6)));
             }
-            spec
+            TaskSpec::new(i as u64, clock.as_f64(), runtime, value, decay, bound).with_width(width)
         })
         .collect::<Arc<[TaskSpec]>>();
 
+    let tasks = if config.runtime_error > 0.0 {
+        TaskList::new(tasks, true_runtimes)
+    } else {
+        TaskList::accurate(tasks)
+    };
     Trace::new(config.clone(), seed, tasks)
 }
 
@@ -99,7 +99,8 @@ fn arrival_gap_dist(config: &MixConfig) -> Dist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MixConfig;
+    use crate::config::BoundPolicy;
+    use crate::task::PenaltyBound;
 
     fn small() -> MixConfig {
         MixConfig::millennium_default()
@@ -231,31 +232,26 @@ mod tests {
             1,
         );
         for s in prop.tasks.iter() {
-            match s.bound {
-                PenaltyBound::Bounded { max_penalty } => {
-                    assert!((max_penalty - 0.5 * s.value).abs() < 1e-9)
-                }
-                _ => panic!("expected bounded"),
-            }
+            let max_penalty = s.bound.max_penalty().expect("expected bounded");
+            assert!((max_penalty - 0.5 * s.value).abs() < 1e-9)
         }
     }
 
     #[test]
     fn accurate_runtimes_by_default() {
         let t = generate_trace(&small(), 1);
-        assert!(t.tasks.iter().all(|s| s.runtime == s.true_runtime));
+        assert!(t.tasks.is_accurate());
+        assert!((0..t.len()).all(|i| t.tasks.true_runtime(i) == t.tasks[i].runtime));
     }
 
     #[test]
     fn runtime_error_perturbs_true_runtime_only() {
         let t = generate_trace(&small().with_runtime_error(0.3), 1);
-        let perturbed = t
-            .tasks
-            .iter()
-            .filter(|s| s.runtime != s.true_runtime)
+        let perturbed = (0..t.len())
+            .filter(|&i| t.tasks[i].runtime != t.tasks.true_runtime(i))
             .count();
         assert!(perturbed > t.tasks.len() / 2);
-        assert!(t.tasks.iter().all(|s| s.true_runtime.as_f64() > 0.0));
+        assert!((0..t.len()).all(|i| t.tasks.true_runtime(i).as_f64() > 0.0));
         // Estimates are unchanged relative to the accurate trace.
         let base = generate_trace(&small(), 1);
         for (a, b) in base.tasks.iter().zip(t.tasks.iter()) {

@@ -16,7 +16,8 @@
 //!
 //! The crate also defines [`TaskSpec`] — the immutable description of a
 //! submitted task, i.e. the bid tuple `(runtime, value, decay, bound)` of
-//! §6 plus its arrival time — and serializable [`Trace`]s for replay.
+//! §6 plus its arrival time — and serializable [`Trace`]s for replay,
+//! which keep each task's true runtime beside the bids ([`TaskList`]).
 //!
 //! ```
 //! use mbts_workload::{generate_trace, MixConfig};
@@ -40,6 +41,7 @@ pub mod generator;
 pub mod millennium;
 pub mod swf;
 pub mod task;
+pub mod tasklist;
 pub mod trace;
 pub mod validate;
 pub mod workflow;
@@ -49,6 +51,7 @@ pub use generator::generate_trace;
 pub use millennium::{fig3_mix, fig45_mix, fig67_mix};
 pub use swf::{load_swf, parse_swf, ParseError, SwfError, SwfOptions};
 pub use task::{PenaltyBound, TaskId, TaskSpec};
+pub use tasklist::TaskList;
 pub use trace::{Trace, TraceStats};
 pub use validate::{validate_trace, ValidationReport};
 pub use workflow::{

@@ -26,7 +26,8 @@
 //! submissions) are skipped, as is archive practice.
 
 use crate::config::MixConfig;
-use crate::task::{PenaltyBound, TaskSpec};
+use crate::task::TaskSpec;
+use crate::tasklist::TaskList;
 use crate::trace::Trace;
 use mbts_sim::{Duration, RngFactory};
 use std::sync::Arc;
@@ -130,30 +131,27 @@ pub fn parse_swf(text: &str, options: &SwfOptions) -> Result<Trace, SwfError> {
     // SWF logs are submit-ordered in principle; enforce it for safety.
     rows.sort_by(|a, b| a.0.total_cmp(&b.0));
 
+    let true_runtimes = rows
+        .iter()
+        .map(|&(_, _, run_time, _)| Duration::new(run_time.max(1e-6)))
+        .collect();
     let tasks: Arc<[TaskSpec]> = rows
         .into_iter()
         .enumerate()
-        .map(|(i, (submit, estimate, run_time, width))| {
+        .map(|(i, (submit, estimate, _, width))| {
             let width = width.clamp(1, options.mix.processors);
             let unit_value = unit_value_dist.sample(&mut value_rng).max(0.0);
             let value = unit_value * estimate;
             let decay = decay_dist.sample(&mut decay_rng).max(0.0);
-            let bound = match options.mix.bound {
-                crate::config::BoundPolicy::Unbounded => PenaltyBound::Unbounded,
-                crate::config::BoundPolicy::ZeroFloor => PenaltyBound::ZERO,
-                crate::config::BoundPolicy::ProportionalPenalty { fraction } => {
-                    PenaltyBound::Bounded {
-                        max_penalty: fraction * value,
-                    }
-                }
-            };
-            let mut spec =
-                TaskSpec::new(i as u64, submit, estimate, value, decay, bound).with_width(width);
-            spec.true_runtime = Duration::new(run_time.max(1e-6));
-            spec
+            let bound = options.mix.bound.penalty_bound(value);
+            TaskSpec::new(i as u64, submit, estimate, value, decay, bound).with_width(width)
         })
         .collect();
-    Ok(Trace::new(options.mix.clone(), options.seed, tasks))
+    Ok(Trace::new(
+        options.mix.clone(),
+        options.seed,
+        TaskList::new(tasks, true_runtimes),
+    ))
 }
 
 /// Reads and parses an SWF file.
@@ -190,7 +188,11 @@ mod tests {
         let t0 = &trace.tasks[0];
         assert_eq!(t0.arrival.as_f64(), 0.0);
         assert_eq!(t0.runtime.as_f64(), 120.0, "estimate from field 9");
-        assert_eq!(t0.true_runtime.as_f64(), 100.0, "actual from field 4");
+        assert_eq!(
+            trace.tasks.true_runtime(0).as_f64(),
+            100.0,
+            "actual from field 4"
+        );
         assert_eq!(t0.width, 4);
         let t1 = &trace.tasks[1];
         assert_eq!(t1.arrival.as_f64(), 50.0);

@@ -1,12 +1,14 @@
 //! Task specifications: the immutable description of a submitted task.
 //!
 //! A [`TaskSpec`] is exactly the bid tuple of §6 of the paper —
-//! `(runtime_i, value_i, decay_i, bound_i)` — plus the arrival (release)
-//! time and, for misestimation experiments, the task's *true* runtime as
-//! distinct from the user's estimate.
+//! `(runtime_i, value_i, decay_i, bound_i)` — plus the task's id, width
+//! and arrival (release) time. It holds no true runtime: what a task
+//! really takes is the simulator's ground truth, not part of any bid, so
+//! a trace keeps it beside the bids ([`TaskList`](crate::TaskList)) and a
+//! running job carries it (`mbts_core::Job`).
 
 use mbts_sim::{Duration, Time};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Reader, Serialize, Writer};
 use std::fmt;
 
 /// Dense task identifier, unique within a trace (and used as an arena
@@ -31,50 +33,111 @@ impl fmt::Display for TaskId {
     }
 }
 
-/// How far a task's value function may decay below zero (§3).
+/// How far a task's value function may decay below zero (§3): the
+/// maximum penalty, `+∞` when the penalty is unbounded.
 ///
-/// A bounded penalty stops decaying at `-bound`; the time at which that
-/// floor is reached is the task's *expiration time*. Millennium bounds
-/// penalties at zero; contracts in the market setting may leave them
-/// unbounded as a disincentive to over-commit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum PenaltyBound {
-    /// Value decays without bound; the site can always lose more by
-    /// delaying this task further.
-    Unbounded,
-    /// Value floors at `-max_penalty` (`max_penalty = 0` is the Millennium
-    /// bounded-at-zero case: an expired task can be discarded at no cost).
-    Bounded {
-        /// Maximum penalty the site can incur on this task (≥ 0).
-        max_penalty: f64,
-    },
-}
+/// A bounded penalty stops decaying at `-max_penalty`; the time at which
+/// that floor is reached is the task's *expiration time*. Millennium
+/// bounds penalties at zero; contracts in the market setting may leave
+/// them unbounded as a disincentive to over-commit.
+///
+/// One `f64`, where an enum of the two cases took 16 B. It is written as
+/// the enum was: `"Unbounded"`, or `{"Bounded":{"max_penalty":x}}`, and a
+/// `Bounded` text whose `max_penalty` is not finite is refused, so that
+/// only `"Unbounded"` reads as unbounded.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PenaltyBound(f64);
 
 impl PenaltyBound {
-    /// The Millennium case: value floors at zero.
-    pub const ZERO: PenaltyBound = PenaltyBound::Bounded { max_penalty: 0.0 };
+    /// The Millennium case: value floors at zero (an expired task can be
+    /// discarded at no cost).
+    pub const ZERO: PenaltyBound = PenaltyBound(0.0);
+
+    /// Value decays without bound; the site can always lose more by
+    /// delaying the task further.
+    pub const UNBOUNDED: PenaltyBound = PenaltyBound(f64::INFINITY);
+
+    /// Value floors at `-max_penalty`, the most the site can lose on the
+    /// task (≥ 0; [`validate_trace`](crate::validate_trace) refuses a
+    /// negative one).
+    #[inline]
+    pub const fn bounded(max_penalty: f64) -> Self {
+        PenaltyBound(max_penalty)
+    }
 
     /// `true` when the value function never stops decaying.
     #[inline]
     pub fn is_unbounded(self) -> bool {
-        matches!(self, PenaltyBound::Unbounded)
+        self.0 == f64::INFINITY
+    }
+
+    /// The maximum penalty of a bounded value function, `None` when it is
+    /// unbounded.
+    #[inline]
+    pub fn max_penalty(self) -> Option<f64> {
+        (!self.is_unbounded()).then_some(self.0)
     }
 
     /// The floor of the value function (−∞ if unbounded).
     #[inline]
     pub fn floor(self) -> f64 {
-        match self {
-            PenaltyBound::Unbounded => f64::NEG_INFINITY,
-            PenaltyBound::Bounded { max_penalty } => -max_penalty,
+        if self.is_unbounded() {
+            f64::NEG_INFINITY
+        } else {
+            -self.0
+        }
+    }
+
+    /// `false` for a bounded penalty whose maximum is negative or `NaN`:
+    /// its floor would sit above the value it bounds.
+    #[inline]
+    pub fn is_valid(self) -> bool {
+        self.0 >= 0.0
+    }
+}
+
+/// The text of a [`PenaltyBound`]: the enum it was before it became one
+/// `f64`, so it writes and reads exactly that enum's JSON.
+mod bound_text {
+    use serde::{Deserialize, Serialize};
+
+    #[derive(Serialize, Deserialize)]
+    pub(super) enum PenaltyBound {
+        Unbounded,
+        Bounded { max_penalty: f64 },
+    }
+}
+
+impl Serialize for PenaltyBound {
+    fn serialize(&self, out: &mut Writer) {
+        match self.max_penalty() {
+            None => bound_text::PenaltyBound::Unbounded,
+            Some(max_penalty) => bound_text::PenaltyBound::Bounded { max_penalty },
+        }
+        .serialize(out)
+    }
+}
+
+impl Deserialize for PenaltyBound {
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        match bound_text::PenaltyBound::deserialize(input)? {
+            bound_text::PenaltyBound::Unbounded => Ok(PenaltyBound::UNBOUNDED),
+            bound_text::PenaltyBound::Bounded { max_penalty } if max_penalty.is_finite() => {
+                Ok(PenaltyBound::bounded(max_penalty))
+            }
+            bound_text::PenaltyBound::Bounded { max_penalty } => Err(Error::custom(format!(
+                "a bounded penalty's max_penalty must be finite, found {max_penalty}"
+            ))),
         }
     }
 }
 
-fn default_width() -> usize {
+pub(crate) fn default_width() -> usize {
     1
 }
 
 /// An immutable submitted-task description: arrival + the bid tuple.
+/// 56 B: six 8 B fields and the 8 B penalty bound.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TaskSpec {
     /// Unique id within the trace; ids are dense and ordered by arrival.
@@ -90,9 +153,6 @@ pub struct TaskSpec {
     /// The user's runtime estimate, used by all scheduling heuristics
     /// (the paper's `runtime_i`; assumed accurate in §4).
     pub runtime: Duration,
-    /// The actual execution time. Equal to `runtime` unless the trace was
-    /// generated with runtime misestimation (an extension experiment).
-    pub true_runtime: Duration,
     /// Maximum value earned if the task completes within `runtime` of
     /// arrival (the paper's `value_i`).
     pub value: f64,
@@ -119,7 +179,6 @@ impl TaskSpec {
             width: 1,
             arrival: Time::new(arrival),
             runtime: Duration::new(runtime),
-            true_runtime: Duration::new(runtime),
             value,
             decay,
             bound,
@@ -151,9 +210,9 @@ impl TaskSpec {
     /// unbounded penalties or zero decay.
     #[inline]
     pub fn expire_delay(&self) -> Duration {
-        match self.bound {
-            PenaltyBound::Unbounded => Duration::INFINITY,
-            PenaltyBound::Bounded { max_penalty } => {
+        match self.bound.max_penalty() {
+            None => Duration::INFINITY,
+            Some(max_penalty) => {
                 if self.decay == 0.0 {
                     Duration::INFINITY
                 } else {
@@ -221,7 +280,7 @@ mod tests {
 
     #[test]
     fn full_value_when_on_time() {
-        let t = spec(100.0, 2.0, PenaltyBound::Unbounded);
+        let t = spec(100.0, 2.0, PenaltyBound::UNBOUNDED);
         // Earliest completion is arrival + runtime = 15.
         assert_eq!(t.yield_at(Time::from(15.0)), 100.0);
         // Early completion (can't happen, but mathematically) also full value.
@@ -230,7 +289,7 @@ mod tests {
 
     #[test]
     fn linear_decay_with_delay() {
-        let t = spec(100.0, 2.0, PenaltyBound::Unbounded);
+        let t = spec(100.0, 2.0, PenaltyBound::UNBOUNDED);
         assert_eq!(t.yield_at(Time::from(20.0)), 100.0 - 5.0 * 2.0);
         assert_eq!(t.yield_at(Time::from(65.0)), 0.0);
         // Unbounded: goes arbitrarily negative.
@@ -248,7 +307,7 @@ mod tests {
 
     #[test]
     fn bounded_penalty_floors_at_minus_bound() {
-        let t = spec(100.0, 2.0, PenaltyBound::Bounded { max_penalty: 30.0 });
+        let t = spec(100.0, 2.0, PenaltyBound::bounded(30.0));
         assert_eq!(t.yield_at(Time::from(80.0)), -30.0);
         assert_eq!(t.expire_delay(), Duration::from(65.0));
         // Just before expiry still decaying.
@@ -265,7 +324,7 @@ mod tests {
 
     #[test]
     fn unbounded_never_expires() {
-        let t = spec(50.0, 1.0, PenaltyBound::Unbounded);
+        let t = spec(50.0, 1.0, PenaltyBound::UNBOUNDED);
         assert_eq!(t.expire_time(), Time::INFINITY);
         assert_eq!(t.bound.floor(), f64::NEG_INFINITY);
         assert!(t.bound.is_unbounded());
@@ -273,7 +332,7 @@ mod tests {
 
     #[test]
     fn delay_is_zero_until_the_earliest_completion() {
-        let t = spec(100.0, 2.0, PenaltyBound::Unbounded);
+        let t = spec(100.0, 2.0, PenaltyBound::UNBOUNDED);
         assert_eq!(t.delay_at(Time::from(12.0)), Duration::ZERO);
         assert_eq!(t.delay_at(Time::from(15.0)), Duration::ZERO);
         assert_eq!(t.delay_at(Time::from(21.5)), Duration::from(6.5));
@@ -297,10 +356,35 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        let t = spec(100.0, 2.0, PenaltyBound::Bounded { max_penalty: 7.0 });
+        let t = spec(100.0, 2.0, PenaltyBound::bounded(7.0));
         let json = serde_json::to_string(&t).unwrap();
         let back: TaskSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t);
+    }
+
+    /// The bound is one `f64` but writes the two-case enum it was, and
+    /// only `"Unbounded"` reads back as unbounded.
+    #[test]
+    fn a_bound_writes_and_reads_the_enum_text() {
+        let cases = [
+            (PenaltyBound::UNBOUNDED, r#""Unbounded""#),
+            (PenaltyBound::ZERO, r#"{"Bounded":{"max_penalty":0.0}}"#),
+            (
+                PenaltyBound::bounded(2.5),
+                r#"{"Bounded":{"max_penalty":2.5}}"#,
+            ),
+        ];
+        for (bound, text) in cases {
+            assert_eq!(serde_json::to_string(&bound).unwrap(), text);
+            let back: PenaltyBound = serde_json::from_str(text).unwrap();
+            assert_eq!(back, bound);
+        }
+        let e = serde_json::from_str::<PenaltyBound>(r#"{"Bounded":{"max_penalty":1e999}}"#)
+            .unwrap_err();
+        assert!(e.to_string().contains("must be finite"), "{e}");
+        assert!(serde_json::from_str::<PenaltyBound>(r#""Bounded""#).is_err());
+        assert_eq!(PenaltyBound::UNBOUNDED.max_penalty(), None);
+        assert_eq!(PenaltyBound::bounded(3.0).max_penalty(), Some(3.0));
     }
 
     #[test]
@@ -323,8 +407,8 @@ mod proptests {
 
     fn arb_bound() -> impl Strategy<Value = PenaltyBound> {
         prop_oneof![
-            Just(PenaltyBound::Unbounded),
-            (0.0f64..100.0).prop_map(|max_penalty| PenaltyBound::Bounded { max_penalty }),
+            Just(PenaltyBound::UNBOUNDED),
+            (0.0f64..100.0).prop_map(PenaltyBound::bounded),
         ]
     }
 
@@ -370,7 +454,7 @@ mod proptests {
             runtime in 0.1f64..100.0,
         ) {
             let t = TaskSpec::new(0, 0.0, runtime, value, decay,
-                PenaltyBound::Bounded { max_penalty });
+                PenaltyBound::bounded(max_penalty));
             let at_expiry = t.yield_at(t.expire_time());
             prop_assert!((at_expiry - (-max_penalty)).abs() < 1e-6);
             let later = t.yield_at(t.expire_time() + mbts_sim::Duration::from(123.0));

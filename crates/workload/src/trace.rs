@@ -3,6 +3,7 @@
 
 use crate::config::MixConfig;
 use crate::task::{TaskId, TaskSpec};
+use crate::tasklist::TaskList;
 use mbts_sim::{pin_malloc_thresholds, OnlineStats, Time};
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -13,11 +14,12 @@ use std::sync::Arc;
 /// A concrete workload: tasks sorted by arrival, plus the config and seed
 /// that produced them.
 ///
-/// The tasks are one immutable shared slice: cloning a trace, starting a
+/// The tasks are one immutable shared list: cloning a trace, starting a
 /// site or market run over it, and snapshotting that run all share the
-/// same allocation. To edit tasks, clone the trace and call
-/// [`Arc::make_mut`] on its `tasks`, which copies them once if anyone
-/// else still holds them.
+/// same allocation. They are bids; what each really runs for is
+/// [`TaskList::true_runtime`], kept in a column only when a task's differs
+/// from its estimate (runtime misestimation, SWF imports), and a trace
+/// file writes it with each task.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     /// The mix this trace was drawn from.
@@ -25,7 +27,7 @@ pub struct Trace {
     /// Root seed of the generator's RNG streams.
     pub seed: u64,
     /// Tasks in arrival order with dense ids.
-    pub tasks: Arc<[TaskSpec]>,
+    pub tasks: TaskList,
 }
 
 /// Aggregate descriptive statistics of a trace.
@@ -50,10 +52,11 @@ pub struct TraceStats {
 }
 
 impl Trace {
-    /// Wraps generated tasks; validates ordering and id density. Every
+    /// Wraps generated tasks (a bare `Vec` or `Arc` of bids runs each for
+    /// its estimate); validates ordering and id density. Every
     /// constructed trace (concatenated, read from SWF) pins the allocator
     /// policy ([`pin_malloc_thresholds`]) first.
-    pub fn new(config: MixConfig, seed: u64, tasks: impl Into<Arc<[TaskSpec]>>) -> Self {
+    pub fn new(config: MixConfig, seed: u64, tasks: impl Into<TaskList>) -> Self {
         pin_malloc_thresholds();
         let tasks = tasks.into();
         debug_assert!(tasks.windows(2).all(|w| w[0].arrival <= w[1].arrival));
@@ -151,6 +154,15 @@ impl Trace {
                 t
             })
             .collect();
+        let tasks = if phases.iter().all(|p| p.tasks.is_accurate()) {
+            TaskList::accurate(tasks)
+        } else {
+            let column = phases
+                .iter()
+                .flat_map(|p| (0..p.len()).map(|i| p.tasks.true_runtime(i)))
+                .collect();
+            TaskList::new(tasks, column)
+        };
         Trace::new(phases[0].config.clone(), phases[0].seed, tasks)
     }
 
@@ -250,6 +262,29 @@ mod tests {
         assert_eq!(s.arrival_span, 0.0);
         assert!(s.offered_load.is_infinite());
         assert_eq!(s.mean_unit_value, 5.0);
+    }
+
+    #[test]
+    fn a_misestimated_trace_keeps_its_true_runtimes_through_a_file_and_a_join() {
+        let mix = MixConfig::millennium_default()
+            .with_tasks(40)
+            .with_processors(4);
+        let accurate = generate_trace(&mix, 5);
+        let misestimated = generate_trace(&mix.clone().with_runtime_error(0.5), 5);
+        assert!(accurate.tasks.is_accurate());
+        assert!(!misestimated.tasks.is_accurate());
+        let back = Trace::from_json(&misestimated.to_json()).unwrap();
+        assert_eq!(back, misestimated);
+        let joined = Trace::concatenate(&[accurate.clone(), misestimated.clone()], 1.0);
+        for i in 0..40 {
+            assert_eq!(joined.tasks.true_runtime(i), accurate.tasks[i].runtime);
+            assert_eq!(
+                joined.tasks.true_runtime(40 + i),
+                misestimated.tasks.true_runtime(i)
+            );
+        }
+        let twice = Trace::concatenate(&[accurate.clone(), accurate], 1.0);
+        assert!(twice.tasks.is_accurate());
     }
 
     #[test]

@@ -62,17 +62,18 @@ pub fn validate_trace(trace: &Trace) -> ValidationReport {
         if t.runtime.as_f64() <= 0.0 || t.runtime.as_f64().is_nan() {
             errors.push(format!("{id}: non-positive runtime {}", t.runtime));
         }
-        if t.true_runtime.as_f64() <= 0.0 || t.true_runtime.as_f64().is_nan() {
-            errors.push(format!(
-                "{id}: non-positive true runtime {}",
-                t.true_runtime
-            ));
+        let true_runtime = trace.tasks.true_runtime(i);
+        if true_runtime.as_f64() <= 0.0 || true_runtime.as_f64().is_nan() {
+            errors.push(format!("{id}: non-positive true runtime {true_runtime}"));
         }
         if !t.value.is_finite() || t.value < 0.0 {
             errors.push(format!("{id}: bad value {}", t.value));
         }
         if !t.decay.is_finite() || t.decay < 0.0 {
             errors.push(format!("{id}: bad decay {}", t.decay));
+        }
+        if let Some(p) = t.bound.max_penalty().filter(|_| !t.bound.is_valid()) {
+            errors.push(format!("{id}: bad penalty bound (max_penalty {p})"));
         }
         if t.width == 0 {
             errors.push(format!("{id}: zero width"));
@@ -88,7 +89,7 @@ pub fn validate_trace(trace: &Trace) -> ValidationReport {
         if t.value == 0.0 && t.decay == 0.0 {
             warnings.push(format!("{id}: zero value and zero decay (inert task)"));
         }
-        let ratio = t.true_runtime.as_f64() / t.runtime.as_f64();
+        let ratio = true_runtime.as_f64() / t.runtime.as_f64();
         if !(0.01..=100.0).contains(&ratio) {
             warnings.push(format!(
                 "{id}: true runtime is {ratio:.1}× the estimate — extreme misestimation"
@@ -123,6 +124,7 @@ mod tests {
     use crate::config::MixConfig;
     use crate::generator::generate_trace;
     use crate::task::{PenaltyBound, TaskSpec};
+    use crate::tasklist::TaskList;
     use mbts_sim::Duration;
 
     #[test]
@@ -186,13 +188,8 @@ mod tests {
     #[test]
     fn warns_on_extreme_misestimation() {
         let cfg = MixConfig::millennium_default().with_tasks(1);
-        let mut t = TaskSpec::new(0, 0.0, 1.0, 10.0, 0.1, PenaltyBound::ZERO);
-        t.true_runtime = Duration::from(500.0);
-        let trace = Trace {
-            config: cfg,
-            seed: 0,
-            tasks: vec![t].into(),
-        };
+        let t = TaskSpec::new(0, 0.0, 1.0, 10.0, 0.1, PenaltyBound::ZERO);
+        let trace = Trace::new(cfg, 0, TaskList::new(vec![t], vec![Duration::from(500.0)]));
         let report = validate_trace(&trace);
         assert!(report.is_valid());
         assert!(report
@@ -203,11 +200,28 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid() {
-        let trace = Trace {
-            config: MixConfig::millennium_default(),
-            seed: 0,
-            tasks: vec![].into(),
-        };
+        let trace = Trace::new(MixConfig::millennium_default(), 0, vec![]);
         assert!(validate_trace(&trace).is_valid());
+    }
+
+    /// A floor above zero would pay a late task more than its value, and
+    /// a `NaN` one would compare false everywhere: both are refused.
+    #[test]
+    fn a_negative_or_nan_penalty_bound_is_an_error() {
+        let cfg = MixConfig::millennium_default().with_tasks(3);
+        let tasks: Vec<TaskSpec> = [-50.0, f64::NAN, 7.0]
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| TaskSpec::new(i as u64, 0.0, 1.0, 10.0, 0.1, PenaltyBound::bounded(p)))
+            .collect();
+        let report = validate_trace(&Trace::new(cfg, 0, tasks));
+        assert_eq!(
+            report.errors,
+            [
+                "task#0: bad penalty bound (max_penalty -50)",
+                "task#1: bad penalty bound (max_penalty NaN)"
+            ]
+        );
+        assert!(PenaltyBound::UNBOUNDED.is_valid() && PenaltyBound::ZERO.is_valid());
     }
 }

@@ -20,11 +20,11 @@
 
 use crate::config::BoundPolicy;
 use crate::task::{PenaltyBound, TaskSpec};
+use crate::tasklist::TaskList;
 use crate::trace::Trace;
 use mbts_sim::{Dist, RngFactory, Time};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// DAG shape of every workflow in a set.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -202,9 +202,11 @@ pub struct WorkflowSet {
     /// Root seed of the generator's RNG streams.
     pub seed: u64,
     /// All tasks, dense ids in arrival order (per-task value/decay are
-    /// work-share slices of their workflow's). Shared, like
-    /// [`Trace::tasks`], with the trace [`trace`](Self::trace) returns.
-    pub tasks: Arc<[TaskSpec]>,
+    /// work-share slices of their workflow's), with their true runtimes
+    /// (accurate in a generated set; a file may say otherwise). Shared,
+    /// like [`Trace::tasks`], with the trace [`trace`](Self::trace)
+    /// returns.
+    pub tasks: TaskList,
     /// Per-workflow structure, arrival order.
     pub workflows: Vec<WorkflowSpec>,
 }
@@ -243,6 +245,16 @@ pub enum WorkflowError {
         /// The unowned or doubly-owned task index.
         task: usize,
     },
+    /// A penalty bound whose maximum is negative or not a number, so
+    /// its floor would sit above the value it bounds.
+    BadPenaltyBound {
+        /// Offending workflow id.
+        workflow: u64,
+        /// The member task whose bound it is (`None`: the workflow's own).
+        task: Option<usize>,
+        /// The refused maximum penalty.
+        max_penalty: f64,
+    },
 }
 
 impl std::fmt::Display for WorkflowError {
@@ -265,6 +277,17 @@ impl std::fmt::Display for WorkflowError {
             WorkflowError::TaskNotOwned { task } => {
                 write!(f, "task {task} is not owned by exactly one workflow")
             }
+            WorkflowError::BadPenaltyBound {
+                workflow,
+                task,
+                max_penalty,
+            } => {
+                write!(f, "workflow {workflow}: ")?;
+                if let Some(task) = task {
+                    write!(f, "task {task}: ")?;
+                }
+                write!(f, "bad penalty bound (max_penalty {max_penalty})")
+            }
         }
     }
 }
@@ -286,17 +309,30 @@ pub type WorkflowFacets = BTreeMap<u64, TaskFacet>;
 
 impl WorkflowSet {
     /// Validates structure: every task owned by exactly one workflow,
-    /// edges internal and irreflexive, and every workflow acyclic. The
-    /// per-workflow topological orders double as acyclicity witnesses.
+    /// edges internal and irreflexive, every workflow acyclic, and every
+    /// penalty bound, the workflow's and its tasks', valid
+    /// ([`PenaltyBound::is_valid`]). The per-workflow topological orders
+    /// double as acyclicity witnesses.
     pub fn validate(&self) -> Result<(), WorkflowError> {
         let mut owner = vec![0usize; self.tasks.len()];
         for w in &self.workflows {
             if w.tasks.is_empty() {
                 return Err(WorkflowError::EmptyWorkflow { workflow: w.id });
             }
+            let bad = |task: Option<usize>, bound: PenaltyBound| WorkflowError::BadPenaltyBound {
+                workflow: w.id,
+                task,
+                max_penalty: bound.max_penalty().unwrap_or(f64::INFINITY),
+            };
+            if !w.bound.is_valid() {
+                return Err(bad(None, w.bound));
+            }
             for &t in &w.tasks {
                 if t >= self.tasks.len() {
                     return Err(WorkflowError::TaskNotOwned { task: t });
+                }
+                if !self.tasks[t].bound.is_valid() {
+                    return Err(bad(Some(t), self.tasks[t].bound));
                 }
                 owner[t] += 1;
             }
@@ -366,7 +402,7 @@ impl WorkflowSet {
     /// instead of panicking mid-replay.
     pub fn from_json(json: &str) -> Result<Self, String> {
         let set: WorkflowSet = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        set.validate().map_err(|e| format!("{e:?}"))?;
+        set.validate().map_err(|e| e.to_string())?;
         Ok(set)
     }
 
@@ -389,7 +425,7 @@ impl WorkflowSet {
             .with_tasks(self.tasks.len().max(1))
             .with_processors(self.config.processors)
             .with_load_factor(self.config.load_factor);
-        Trace::new(mix, self.seed, Arc::clone(&self.tasks))
+        Trace::new(mix, self.seed, self.tasks.clone())
     }
 
     /// Global indices of tasks with no predecessors (released at their
@@ -614,13 +650,7 @@ pub fn generate_workflows(config: &WorkflowConfig, seed: u64) -> WorkflowSet {
         } else {
             0.0
         };
-        let wf_bound = match config.bound {
-            BoundPolicy::Unbounded => PenaltyBound::Unbounded,
-            BoundPolicy::ZeroFloor => PenaltyBound::ZERO,
-            BoundPolicy::ProportionalPenalty { fraction } => PenaltyBound::Bounded {
-                max_penalty: fraction * wf_value,
-            },
-        };
+        let wf_bound = config.bound.penalty_bound(wf_value);
         // Edges per shape, in global indices.
         let edges: Vec<(usize, usize)> = match config.shape {
             WorkflowShape::ForkJoin { width } => {
@@ -668,11 +698,9 @@ pub fn generate_workflows(config: &WorkflowConfig, seed: u64) -> WorkflowSet {
             let share = if total_rt > 0.0 { rt / total_rt } else { 0.0 };
             let value = wf_value * share;
             let decay = wf_decay * share;
-            let bound = match wf_bound {
-                PenaltyBound::Unbounded => PenaltyBound::Unbounded,
-                PenaltyBound::Bounded { max_penalty } => PenaltyBound::Bounded {
-                    max_penalty: max_penalty * share,
-                },
+            let bound = match wf_bound.max_penalty() {
+                None => PenaltyBound::UNBOUNDED,
+                Some(max_penalty) => PenaltyBound::bounded(max_penalty * share),
             };
             tasks.push(TaskSpec::new(
                 (base + k) as u64,
@@ -697,7 +725,7 @@ pub fn generate_workflows(config: &WorkflowConfig, seed: u64) -> WorkflowSet {
     let set = WorkflowSet {
         config: config.clone(),
         seed,
-        tasks: tasks.into(),
+        tasks: TaskList::accurate(tasks),
         workflows,
     };
     debug_assert!(set.validate().is_ok());

@@ -26,14 +26,7 @@ fn figure2() {
     println!("A linear-decay value function (paper Figure 2):");
     println!("  value 100, decay 2/t.u., earliest completion t=20, penalty floor −30\n");
     // Arrival 0 and runtime 20: the earliest completion is t=20.
-    let task = TaskSpec::new(
-        0,
-        0.0,
-        20.0,
-        100.0,
-        2.0,
-        PenaltyBound::Bounded { max_penalty: 30.0 },
-    );
+    let task = TaskSpec::new(0, 0.0, 20.0, 100.0, 2.0, PenaltyBound::bounded(30.0));
     let (lo, hi) = (-40.0, 110.0);
     for row in 0..12 {
         let level = hi - (hi - lo) * row as f64 / 11.0;

@@ -518,14 +518,7 @@ fn materialize(
     clock: &mut f64,
 ) -> Option<(Time, CommandKind)> {
     let bid = |clock: f64, runtime: f64, value: f64, decay: f64| {
-        TaskSpec::new(
-            0,
-            clock,
-            runtime,
-            value,
-            decay,
-            PenaltyBound::Bounded { max_penalty: 0.0 },
-        )
+        TaskSpec::new(0, clock, runtime, value, decay, PenaltyBound::bounded(0.0))
     };
     match step {
         ScriptStep::Submit {

@@ -47,8 +47,7 @@ impl RunInput {
         match self {
             RunInput::Trace(path) => Ok((load_trace(path)?, None)),
             RunInput::Workflow(path) => {
-                let set = WorkflowSet::load(path)
-                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+                let set = WorkflowSet::load(path).map_err(|e| unreadable(path, e))?;
                 Ok((set.trace(), Some(set)))
             }
         }
@@ -1214,17 +1213,36 @@ impl From<String> for ExecError {
     }
 }
 
+/// Why a trace or workflow file did not load: one that cannot be read
+/// is a failure (exit 1); one that reads but is not a valid trace or
+/// workflow set (bad JSON, a refused value, a failed structural check)
+/// is bad input (exit 2).
+fn unreadable(path: &std::path::Path, e: std::io::Error) -> ExecError {
+    let msg = format!("cannot read {}: {e}", path.display());
+    if e.kind() == std::io::ErrorKind::InvalidData {
+        ExecError::BadInput(msg)
+    } else {
+        ExecError::Failed(msg)
+    }
+}
+
 /// Loads a trace file and validates it at the edge: the engines assume
 /// what `validate_trace` checks (ids equal to positions, positive
-/// runtimes and widths, sorted arrivals) and panic or misaccount
-/// otherwise. Warnings do not block.
+/// runtimes and widths, sorted arrivals, valid penalty bounds) and panic
+/// or misaccount otherwise. Warnings do not block.
 fn load_trace(path: &std::path::Path) -> Result<Trace, ExecError> {
-    const SHOWN: usize = 5;
-    let trace = Trace::load(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let trace = Trace::load(path).map_err(|e| unreadable(path, e))?;
     let errors = mbts_workload::validate_trace(&trace).errors;
     if errors.is_empty() {
         return Ok(trace);
     }
+    Err(invalid_trace(path, &errors))
+}
+
+/// A trace file that `validate_trace` fails: bad input, naming its first
+/// errors.
+fn invalid_trace(path: &std::path::Path, errors: &[String]) -> ExecError {
+    const SHOWN: usize = 5;
     let mut msg = format!(
         "{} is not a valid trace ({} error(s); `mbts validate` lists all):",
         path.display(),
@@ -1234,7 +1252,7 @@ fn load_trace(path: &std::path::Path) -> Result<Trace, ExecError> {
         msg.push_str("\n  ");
         msg.push_str(e);
     }
-    Err(ExecError::BadInput(msg))
+    ExecError::BadInput(msg)
 }
 
 pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecError> {
@@ -1780,16 +1798,14 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), ExecErr
             eprintln!("done in {:.1?}", started.elapsed());
             Ok(())
         }
-        Command::Validate { trace } => {
-            let trace =
-                Trace::load(&trace).map_err(|e| format!("cannot read {}: {e}", trace.display()))?;
+        Command::Validate { trace: path } => {
+            let trace = Trace::load(&path).map_err(|e| unreadable(&path, e))?;
             let report = mbts_workload::validate_trace(&trace);
             write!(out, "{}", report.render()).map_err(|e| e.to_string())?;
-            if report.is_valid() {
-                Ok(())
-            } else {
-                Err(format!("{} error(s) found", report.errors.len()))
+            if !report.is_valid() {
+                return Err(invalid_trace(&path, &report.errors));
             }
+            Ok(())
         }
         Command::Policies => writeln!(
             out,

@@ -103,6 +103,48 @@ fn unsorted_arrivals_are_rejected() {
     run_and_market_reject(&path, "arrivals not sorted");
 }
 
+/// A bounded penalty must have a finite, non-negative maximum. A
+/// negative one puts the value function's floor above its value, so a
+/// late task would earn more than an on-time one; a non-finite one would
+/// read as unbounded. `run`, `market` and `validate` refuse either in a
+/// trace file, and `run` and `market` in a workflow file, with exit 2.
+#[test]
+fn a_negative_or_infinite_penalty_bound_is_rejected() {
+    use mbts::workload::{generate_workflows, BoundPolicy, WorkflowConfig};
+    let dir = std::env::temp_dir().join(format!("mbts_cli_errors_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let bounded = |json: String, max_penalty: &str| {
+        let zero = "\"max_penalty\":0.0";
+        assert!(json.contains(zero), "no bounded task");
+        json.replacen(zero, &format!("\"max_penalty\":{max_penalty}"), 1)
+    };
+    let mix = MixConfig::millennium_default()
+        .with_tasks(6)
+        .with_processors(4)
+        .with_bound(BoundPolicy::ZeroFloor);
+    let trace = generate_trace(&mix, 3).to_json();
+    let set = generate_workflows(&WorkflowConfig::default_set().with_workflows(2), 3).to_json();
+    for (max_penalty, needle) in [
+        ("-50.0", "bad penalty bound (max_penalty -50)"),
+        ("1e999", "max_penalty must be finite"),
+    ] {
+        let path = dir.join(format!("bound_{max_penalty}.json"));
+        std::fs::write(&path, bounded(trace.clone(), max_penalty)).expect("write trace");
+        let path_s = path.to_str().expect("utf-8 temp path");
+        assert_rejected(&mbts(&["validate", "--trace", path_s]), needle, "validate");
+        run_and_market_reject(&path, needle);
+
+        let path = dir.join(format!("bound_{max_penalty}_wf.json"));
+        std::fs::write(&path, bounded(set.clone(), max_penalty)).expect("write workflow set");
+        let path_s = path.to_str().expect("utf-8 temp path");
+        let needle = needle.replace("bad penalty bound", "task 0: bad penalty bound");
+        for sub in ["run", "market"] {
+            assert_rejected(&mbts(&[sub, "--workflow", path_s]), &needle, sub);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 #[test]
 fn non_positive_load_is_rejected_where_it_is_parsed() {
     let workflow = ["gen", "--out", "/dev/null", "--workflow", "layered:3:2:0.5"];
@@ -629,7 +671,7 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
             "trace",
             |s| {
                 let id = s.contracts.get(0).expect("a contract").spec.id;
-                Arc::make_mut(&mut s.trace)[id.index()].value += 1.0;
+                Arc::make_mut(&mut s.trace.bids)[id.index()].value += 1.0;
             },
             "unlike the trace's",
         ),

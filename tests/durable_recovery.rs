@@ -197,6 +197,43 @@ fn kill_every_event_site_smoke_unfaulted() {
     assert!(total >= 25);
 }
 
+/// A misestimated trace: the true runtimes sit beside the bids, in the
+/// snapshot's task list, and each queued or running job carries its own,
+/// which a crash-evicted job runs again from the start. Recovered from
+/// every kill point, a faulted site and an economy over it finish
+/// bit-identically to the runs that never stopped.
+#[test]
+fn kill_every_event_misestimated_site_and_economy() {
+    let mix = fig67_mix(1.6)
+        .with_tasks(24)
+        .with_processors(4)
+        .with_runtime_error(0.5);
+    let trace = generate_trace(&mix, 17);
+    assert!(!trace.tasks.is_accurate(), "nothing misestimated");
+    let config = SiteConfig::new(4)
+        .with_policy(Policy::first_reward(0.3, 0.01))
+        .with_preemption(true);
+    let plan = FaultPlan::new(smoke_faults(), 5);
+    let total = kill_sweep(
+        "site-misestimated",
+        SiteRun::with_faults(config, &trace, &plan, Tracer::buffer()),
+        16,
+    );
+    assert!(total > 48, "site sweep saw only {total} events");
+    let config = EconomyConfig::uniform(
+        2,
+        SiteConfig::new(2)
+            .with_policy(Policy::FirstPrice)
+            .with_admission(AdmissionPolicy::SlackThreshold { threshold: 0.0 }),
+    );
+    economy_kill_sweep(
+        "economy-misestimated",
+        EconomyRun::new(config, &trace, Tracer::buffer()),
+        16,
+        &["Arrival", "Completion"],
+    );
+}
+
 #[test]
 fn kill_every_event_economy_smoke() {
     let trace = generate_trace(&fig67_mix(1.5).with_tasks(24).with_processors(8), 31);

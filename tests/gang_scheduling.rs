@@ -134,5 +134,6 @@ fn swf_imported_trace_runs_end_to_end() {
     assert!(trace
         .tasks
         .iter()
-        .all(|t| t.true_runtime.as_f64() < t.runtime.as_f64()));
+        .enumerate()
+        .all(|(i, t)| trace.tasks.true_runtime(i) < t.runtime));
 }

@@ -86,7 +86,7 @@ fn reference_config(cfg: &SiteConfig) -> reference::Config {
 fn assert_site_matches_reference(cfg: SiteConfig, trace: &Trace, label: &str) -> reference::Run {
     let (site, tracer) =
         SiteRun::new(cfg.clone(), trace, Tracer::buffer().with_provenance()).finish();
-    let model = reference::run(&reference_config(&cfg), &trace.tasks);
+    let model = reference::run(&reference_config(&cfg), trace);
     let events = tracer.into_events().expect("a buffer keeps its events");
 
     // A trace event clamps an infinite slack to the finite range.
@@ -238,7 +238,7 @@ fn assert_sites_equivalent(
 /// The generated traces here draw continuous arrival times, which no
 /// completion meets.
 fn assert_service_matches_reference(cfg: SiteConfig, trace: &Trace, label: &str) {
-    let model = reference::run(&reference_config(&cfg), &trace.tasks);
+    let model = reference::run(&reference_config(&cfg), trace);
     let mut machine = ServiceMachine::new(MachineConfig {
         site: cfg,
         ..MachineConfig::default()
@@ -383,7 +383,7 @@ fn service_machine_matches_reference_for_every_policy() {
         // Arrivals do land on completion instants.
         let cfg = SiteConfig::new(4).with_policy(Policy::FirstPrice);
         let arrivals: Vec<f64> = trace.tasks.iter().map(|t| t.arrival.as_f64()).collect();
-        let ties = reference::run(&reference_config(&cfg), &trace.tasks)
+        let ties = reference::run(&reference_config(&cfg), trace)
             .outcomes
             .iter()
             .filter(|o| o.finished_at.is_some_and(|at| arrivals.contains(&at)))

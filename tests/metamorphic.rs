@@ -100,7 +100,7 @@ fn run(config: &SiteConfig, trace: &Trace) -> Run {
 /// `trace` with every task passed through `edit`.
 fn edited(trace: &Trace, edit: impl Fn(&mut TaskSpec)) -> Trace {
     let mut out = trace.clone();
-    Arc::make_mut(&mut out.tasks).iter_mut().for_each(edit);
+    Arc::make_mut(&mut out.tasks.bids).iter_mut().for_each(edit);
     out
 }
 
@@ -164,11 +164,9 @@ fn arb_integer_trace() -> impl Strategy<Value = Trace> {
                 at += f64::from(gap);
                 let decay = [0.0, 0.25, 0.5, 1.0, 2.0][decay];
                 let bound = match bound {
-                    0 => PenaltyBound::Unbounded,
+                    0 => PenaltyBound::UNBOUNDED,
                     1 => PenaltyBound::ZERO,
-                    _ => PenaltyBound::Bounded {
-                        max_penalty: f64::from(value / 2),
-                    },
+                    _ => PenaltyBound::bounded(f64::from(value / 2)),
                 };
                 TaskSpec::new(
                     i as u64,
@@ -222,8 +220,8 @@ proptest! {
         let scaled = edited(&trace, |t| {
             t.value *= c;
             t.decay *= c;
-            if let PenaltyBound::Bounded { max_penalty } = &mut t.bound {
-                *max_penalty *= c;
+            if let Some(max_penalty) = t.bound.max_penalty() {
+                t.bound = PenaltyBound::bounded(max_penalty * c);
             }
         });
         let config = site_config(4, policy, switches);

@@ -2,8 +2,8 @@
 //! (PAPER.md) and DESIGN §1, to check the production site against.
 //!
 //! It shares no code with the scheduler it checks: it reads the
-//! workload's input types (`TaskSpec`, `PenaltyBound`, `TaskId`) and
-//! nothing else, does all arithmetic on plain `f64`, and keeps no index
+//! workload's input types (`Trace`, `TaskSpec`, `PenaltyBound`, `TaskId`)
+//! and nothing else, does all arithmetic on plain `f64`, and keeps no index
 //! and no cache. Every event it rescans the whole queue: every score is
 //! recomputed from its equation, and Eq. 4 is the literal double loop.
 //!
@@ -50,7 +50,7 @@
 //! same operations in the same order, so its bits match; decisions match
 //! exactly unless two FirstReward scores lie within that tolerance.
 
-use mbts_workload::{PenaltyBound, TaskId, TaskSpec};
+use mbts_workload::{PenaltyBound, TaskId, TaskSpec, Trace};
 
 /// The dispatch policies of §4 and §5.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,8 +140,8 @@ fn earliest(spec: &TaskSpec) -> f64 {
 /// When the value function stops decaying: never for an unbounded
 /// penalty or a task that does not decay.
 fn expire(spec: &TaskSpec) -> f64 {
-    match spec.bound {
-        PenaltyBound::Bounded { max_penalty } if spec.decay != 0.0 => {
+    match spec.bound.max_penalty() {
+        Some(max_penalty) if spec.decay != 0.0 => {
             earliest(spec) + (spec.value + max_penalty) / spec.decay
         }
         _ => f64::INFINITY,
@@ -149,9 +149,9 @@ fn expire(spec: &TaskSpec) -> f64 {
 }
 
 fn floor(spec: &TaskSpec) -> f64 {
-    match spec.bound {
-        PenaltyBound::Unbounded => f64::NEG_INFINITY,
-        PenaltyBound::Bounded { max_penalty } => -max_penalty,
+    match spec.bound.max_penalty() {
+        None => f64::NEG_INFINITY,
+        Some(max_penalty) => -max_penalty,
     }
 }
 
@@ -181,11 +181,11 @@ struct Task {
 }
 
 impl Task {
-    fn new(spec: TaskSpec) -> Self {
+    fn new(spec: TaskSpec, true_runtime: f64) -> Self {
         Task {
             spec,
             rpt: spec.runtime.as_f64(),
-            true_rpt: spec.true_runtime.as_f64(),
+            true_rpt: true_runtime,
             preemptions: 0,
         }
     }
@@ -360,8 +360,8 @@ impl Site {
         }
     }
 
-    fn arrive(&mut self, now: f64, spec: TaskSpec) {
-        let task = Task::new(spec);
+    fn arrive(&mut self, now: f64, spec: TaskSpec, true_runtime: f64) {
+        let task = Task::new(spec, true_runtime);
         let mut accept = spec.width <= self.config.processors;
         if accept {
             let quote = quote(&self.config, now, self.free_at(now), &self.queue, &task);
@@ -545,10 +545,17 @@ impl Site {
     }
 }
 
-/// Runs `tasks` through a site until every accepted task has finished.
-pub fn run(config: &Config, tasks: &[TaskSpec]) -> Run {
-    let mut arrivals: Vec<&TaskSpec> = tasks.iter().collect();
-    arrivals.sort_by(|a, b| a.arrival.as_f64().total_cmp(&b.arrival.as_f64()));
+/// Runs `trace`'s tasks through a site until every accepted task has
+/// finished, each for its true runtime.
+pub fn run(config: &Config, trace: &Trace) -> Run {
+    let tasks = &trace.tasks;
+    let mut arrivals: Vec<usize> = (0..tasks.len()).collect();
+    arrivals.sort_by(|&a, &b| {
+        tasks[a]
+            .arrival
+            .as_f64()
+            .total_cmp(&tasks[b].arrival.as_f64())
+    });
     let mut arrivals = arrivals.into_iter().peekable();
     let mut site = Site {
         config: *config,
@@ -567,10 +574,14 @@ pub fn run(config: &Config, tasks: &[TaskSpec]) -> Run {
         });
         let end_at = next_end.map_or(f64::INFINITY, |i| site.running[i].ends);
         match arrivals.peek() {
-            Some(spec) if spec.arrival.as_f64() <= end_at => {
-                let spec = **spec;
+            Some(&i) if tasks[i].arrival.as_f64() <= end_at => {
+                let spec = tasks[i];
                 arrivals.next();
-                site.arrive(spec.arrival.as_f64(), spec);
+                site.arrive(
+                    spec.arrival.as_f64(),
+                    spec,
+                    trace.tasks.true_runtime(i).as_f64(),
+                );
             }
             _ => match next_end {
                 Some(i) => site.complete(end_at, i),
@@ -596,7 +607,10 @@ mod tests {
     use super::*;
 
     fn task(id: u64, runtime: f64, value: f64, decay: f64, bound: PenaltyBound) -> Task {
-        Task::new(TaskSpec::new(id, 0.0, runtime, value, decay, bound))
+        Task::new(
+            TaskSpec::new(id, 0.0, runtime, value, decay, bound),
+            runtime,
+        )
     }
 
     #[test]
@@ -608,7 +622,7 @@ mod tests {
                     1.0 + i as f64,
                     40.0,
                     0.25 * i as f64,
-                    PenaltyBound::Unbounded,
+                    PenaltyBound::UNBOUNDED,
                 )
             })
             .collect();
@@ -626,7 +640,7 @@ mod tests {
         // Expires at 10 + 20/2 = 20: started at 0 it would finish at 10,
         // so waiting costs decay only for the 10 units left.
         let short = task(0, 10.0, 20.0, 2.0, PenaltyBound::ZERO);
-        let long = task(1, 50.0, 100.0, 1.0, PenaltyBound::Unbounded);
+        let long = task(1, 50.0, 100.0, 1.0, PenaltyBound::UNBOUNDED);
         let queue = [short.clone(), long.clone()];
         assert_eq!(eq4_cost(&long, &queue, 0.0), 2.0 * 10.0);
         assert_eq!(eq4_cost(&short, &queue, 0.0), 1.0 * 10.0);

@@ -49,7 +49,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mbts::core::{AdmissionPolicy, Policy};
 use mbts::durable::framing::{self, RecordTag};
@@ -66,7 +66,7 @@ use mbts::site::{FaultPlan, SiteConfig, SiteRun, SiteRunSnapshot, SiteSnapshot};
 use mbts::trace::analyze::analyze;
 use mbts::trace::{AnalyzeOptions, TraceReport, Tracer};
 use mbts::workload::{
-    fig67_mix, generate_trace, generate_workflows, PenaltyBound, TaskId, TaskSpec, Trace,
+    fig67_mix, generate_trace, generate_workflows, PenaltyBound, TaskId, TaskList, TaskSpec, Trace,
     WorkflowConfig, WorkflowShape,
 };
 use serde::{Deserialize, Serialize, Value};
@@ -178,14 +178,7 @@ fn commands() -> Vec<(&'static str, Command)> {
             "command_submit_queued.json",
             0.5,
             CommandKind::Submit {
-                spec: TaskSpec::new(
-                    1,
-                    0.5,
-                    3.0,
-                    5.5,
-                    0.125,
-                    PenaltyBound::Bounded { max_penalty: 2.5 },
-                ),
+                spec: TaskSpec::new(1, 0.5, 3.0, 5.5, 0.125, PenaltyBound::bounded(2.5)),
             },
         ),
         (
@@ -668,10 +661,10 @@ fn pretty_printed_report() {
     check("trace_report.pretty.json", &report);
 }
 
-/// Reads the task array at `path` in `doc` as the `Vec<TaskSpec>` it was
-/// before tasks became a shared slice, and checks that `shared` writes the
-/// same text.
-fn same_text_as_a_vec(name: &str, shared: &Arc<[TaskSpec]>, doc: &Value, path: &[&str]) {
+/// Reads the task array at `path` in `doc` as the `Vec<TaskSpec>` of bids
+/// it holds, and checks that `list` is those bids, that each task object
+/// carries its true runtime, and that `list` writes the same text.
+fn same_text_as_a_vec(name: &str, list: &TaskList, doc: &Value, path: &[&str]) {
     let array = path.iter().fold(doc, |v, key| {
         v.get(key)
             .unwrap_or_else(|| panic!("{name}: no `{key}` in {path:?}"))
@@ -679,9 +672,20 @@ fn same_text_as_a_vec(name: &str, shared: &Arc<[TaskSpec]>, doc: &Value, path: &
     let tasks: Vec<TaskSpec> =
         serde_json::from_str(&render(array, false)).unwrap_or_else(|e| panic!("{name}: {e}"));
     assert!(!tasks.is_empty(), "{name}: {path:?} holds no tasks");
+    assert!(**list == *tasks, "{name}: {path:?} holds other bids");
+    let Value::Array(items) = array else {
+        panic!("{name}: {path:?} is not an array")
+    };
+    for (i, item) in items.iter().enumerate() {
+        let written: f64 = item
+            .get("true_runtime")
+            .and_then(|v| serde_json::from_str(&render(v, false)).ok())
+            .unwrap_or_else(|| panic!("{name}: task {i} has no true runtime"));
+        assert_eq!(written, list.true_runtime(i).as_f64());
+    }
     assert!(
-        render(shared, false) == render(&tasks, false),
-        "{name}: {path:?} as a shared slice is not the text of its `Vec`"
+        render(list, false) == render(array, false),
+        "{name}: {path:?} as a shared list is not the text it was read from"
     );
 }
 
@@ -697,9 +701,10 @@ fn round_trip<T: Serialize + Deserialize>(name: &str) -> (T, Value) {
 }
 
 /// A trace's tasks, and the tasks a run snapshot or a workflow set
-/// carries, are one shared slice, no longer a `Vec` each: a trace file and
-/// every snapshot fixture that carries tasks still round-trip byte for
-/// byte, and each task array is exactly the text its `Vec` wrote.
+/// carries, are one shared slice of bids beside their true runtimes: a
+/// trace file and every snapshot fixture that carries tasks still
+/// round-trip byte for byte, and each task array is the bids' text with
+/// every task's true runtime in it.
 #[test]
 fn shared_task_slices_write_what_their_vecs_wrote() {
     let trace = generate_trace(&fig67_mix(1.6).with_tasks(24).with_processors(4), 17);
@@ -726,6 +731,41 @@ fn shared_task_slices_write_what_their_vecs_wrote() {
     }
     let (snap, doc) = round_trip::<EconomySnapshot>("economy_snapshot.json");
     same_text_as_a_vec("economy_snapshot.json", &snap.trace, &doc, &["trace"]);
+}
+
+/// `misestimated_trace.json` was written by `mbts gen --swf` at format 6,
+/// when each task carried its true runtime: the SWF log's run times,
+/// against estimates from its requested times. It loads to the same true
+/// runtimes and writes back byte for byte. The reader skips keys it does
+/// not know, so a task list that lost the key would run this trace as
+/// accurate without a word; this pins that it does not.
+#[test]
+fn a_misestimated_trace_file_keeps_its_true_runtimes() {
+    let file = fixture_text("misestimated_trace.json");
+    let trace = Trace::from_json(&file).expect("the trace file reads");
+    let runtimes: Vec<(f64, f64)> = (0..trace.len())
+        .map(|i| {
+            (
+                trace.tasks[i].runtime.as_f64(),
+                trace.tasks.true_runtime(i).as_f64(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        runtimes,
+        [
+            (120.0, 100.0),
+            (200.0, 200.0),
+            (90.0, 30.0),
+            (90.0, 60.0),
+            (20.0, 45.0),
+            (10.0, 10.0)
+        ]
+    );
+    assert!(
+        trace.to_json() == file,
+        "trace file → Trace → text diverged"
+    );
 }
 
 /// A site inside an economy keeps no per-job records, so a snapshot whose

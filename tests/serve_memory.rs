@@ -169,8 +169,10 @@ fn resident_memory_does_not_track_journal_bytes_or_json_size() {
         submit(&mut unjournaled, i);
     }
     let held_unjournaled = live() - before;
+    // A submit record frames 183 B (203 B while a command's spec carried
+    // its true runtime): the run frames megabytes and keeps none of them.
     assert!(
-        unjournaled.journal().len() > SUBMITS as usize * 200,
+        unjournaled.journal().len() > SUBMITS as usize * 150,
         "{} B framed measures nothing",
         unjournaled.journal().len()
     );
