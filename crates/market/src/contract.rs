@@ -1,113 +1,60 @@
 //! Contracts and settlement (§2, §3).
 //!
 //! Once a client accepts a server bid, a contract records the negotiated
-//! expected completion time and price. The *settled* price at actual
-//! completion is determined by the task's value function: completing on
-//! (or before) the negotiated time collects the negotiated price; a late
-//! completion collects the decayed value — possibly a penalty the site
-//! pays the client (§3).
+//! expected completion time; its price is the task's value function there.
+//! The *settled* price at actual completion is determined by the same
+//! function: completing on (or before) the negotiated time collects the
+//! negotiated price; a late completion collects the decayed value —
+//! possibly a penalty the site pays the client (§3).
 
 use mbts_sim::Time;
-use mbts_workload::TaskSpec;
-use serde::{Deserialize, Error, Reader, Serialize, Writer};
+use mbts_workload::{TaskId, TaskSpec};
+use serde::{Serialize, Writer};
 use std::sync::Arc;
 
-/// Where a contract stands.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ContractStatus {
-    /// Accepted; work not yet finished.
-    Open,
-    /// Finished; records the settlement.
-    Settled {
-        /// Actual completion time.
-        completed_at: Time,
-        /// Price actually collected (≤ negotiated price; may be negative).
-        settled_price: f64,
-        /// Whether the completion violated the negotiated time.
-        violated: bool,
-    },
-}
-
-/// A formed contract between a client and a site.
-///
-/// A market run does not keep these: its [`ContractLedger`] keeps one
-/// compact row per contract over the run's shared tasks and builds a
-/// `Contract` by value whenever one is read. Settlement is priced here,
-/// in [`settle`](Self::settle), for both.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// A formed contract between a client and a site, as its
+/// [`ContractLedger`] reads it: what negotiation and completion decided,
+/// and the price the task's value function (Eq. 1) gives for it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Contract {
     /// The contracted task (carries the value function).
     pub spec: TaskSpec,
     /// The site that won the bid.
     pub site: usize,
-    /// When the contract was formed.
-    pub formed_at: Time,
     /// The completion time the server bid promised.
     pub negotiated_completion: Time,
-    /// The price the server bid quoted (expected yield at that time).
+    /// The price the server bid quoted: the task's yield at the
+    /// negotiated completion.
     pub negotiated_price: f64,
-    /// Current status.
-    pub status: ContractStatus,
+    /// The actual completion; `None` while the contract is open.
+    pub completed_at: Option<Time>,
 }
 
 impl Contract {
-    /// Forms a contract from an accepted bid.
-    pub fn new(
-        spec: TaskSpec,
-        site: usize,
-        formed_at: Time,
-        negotiated_completion: Time,
-        negotiated_price: f64,
-    ) -> Self {
-        Contract {
-            spec,
-            site,
-            formed_at,
-            negotiated_completion,
-            negotiated_price,
-            status: ContractStatus::Open,
-        }
-    }
-
-    /// Settles the contract at the actual completion time. The collected
-    /// price is the value function at the actual completion — equal to
-    /// the negotiated price when on time, decayed (possibly into penalty)
-    /// when late. Returns the settled price.
-    pub fn settle(&mut self, completed_at: Time) -> f64 {
-        debug_assert!(
-            matches!(self.status, ContractStatus::Open),
-            "settling a non-open contract"
-        );
-        let settled_price = self.spec.yield_at(completed_at);
-        // Guard against float dust around the negotiated instant.
-        let violated = completed_at > self.negotiated_completion
-            && !completed_at.approx_eq(self.negotiated_completion);
-        self.status = ContractStatus::Settled {
-            completed_at,
-            settled_price,
-            violated,
-        };
-        settled_price
-    }
-
     /// `true` once settled.
     pub fn is_settled(&self) -> bool {
-        matches!(self.status, ContractStatus::Settled { .. })
+        self.completed_at.is_some()
     }
 
-    /// `true` if settled late.
+    /// `true` if settled late: past the negotiated completion by more
+    /// than float dust.
     pub fn was_violated(&self) -> bool {
-        matches!(self.status, ContractStatus::Settled { violated: true, .. })
+        let promised = self.negotiated_completion;
+        self.completed_at
+            .is_some_and(|at| at > promised && !at.approx_eq(promised))
     }
 
-    /// The settled price, if settled.
+    /// The settled price, if settled: the value function at the actual
+    /// completion — the negotiated price when on time, decayed (possibly
+    /// into penalty) when late.
     pub fn settled_price(&self) -> Option<f64> {
-        match self.status {
-            ContractStatus::Settled { settled_price, .. } => Some(settled_price),
-            ContractStatus::Open => None,
-        }
+        self.completed_at.map(|at| self.spec.yield_at(at))
     }
 }
+
+/// A contract as a snapshot writes it: `(task id, site, negotiated
+/// completion, actual completion)`, the last `null` while it is open.
+pub type ContractRow = (u64, usize, Time, Option<Time>);
 
 /// One contract as the ledger keeps it: the completion negotiation
 /// promised and the one that came, with the task named by its index into
@@ -122,120 +69,26 @@ struct Row {
     site: u32,
 }
 
-/// The terms of a contract its row's rules do not give, kept whole: a
-/// formation time other than its task's arrival (a workflow task released
-/// after it), or a price other than its task's yield at the negotiated
-/// completion.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Terms {
-    contract: u32,
-    formed_at: Time,
-    price: f64,
-}
-
-/// `true` when two floats are the same bits, so a value read back and
-/// written again is the value read; `same_status` compares the same way.
-fn same(a: f64, b: f64) -> bool {
-    a.to_bits() == b.to_bits()
-}
-
-fn same_status(a: ContractStatus, b: ContractStatus) -> bool {
-    let bits = |s: ContractStatus| match s {
-        ContractStatus::Open => None,
-        ContractStatus::Settled {
-            completed_at,
-            settled_price,
-            violated,
-        } => Some((
-            completed_at.as_f64().to_bits(),
-            settled_price.to_bits(),
-            violated,
-        )),
-    };
-    bits(a) == bits(b)
-}
-
-/// Why a ledger cannot be bound to a run's tasks.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RebindError {
-    /// A contract names a task the trace does not hold.
-    UnknownTask {
-        /// The contract's index in the ledger.
-        contract: usize,
-        /// The task id it names.
-        task: u64,
-    },
-    /// A contract's task is not the trace's task of that id.
-    SpecMismatch {
-        /// The contract's index in the ledger.
-        contract: usize,
-        /// The task id it names.
-        task: u64,
-    },
-    /// A settled contract's price or violation is not what
-    /// [`Contract::settle`] gives at its completion, so no market run
-    /// settled it.
-    Settlement {
-        /// The contract's index in the ledger.
-        contract: usize,
-        /// The task id it names.
-        task: u64,
-    },
-}
-
-impl std::fmt::Display for RebindError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RebindError::UnknownTask { contract, task } => {
-                write!(
-                    f,
-                    "contract {contract} names task {task}, which the trace lacks"
-                )
-            }
-            RebindError::SpecMismatch { contract, task } => {
-                write!(
-                    f,
-                    "contract {contract} holds a task {task} unlike the trace's"
-                )
-            }
-            RebindError::Settlement { contract, task } => {
-                write!(
-                    f,
-                    "contract {contract} settles task {task} other than its value function does"
-                )
-            }
-        }
+impl Row {
+    fn completed_at(&self) -> Option<Time> {
+        (!self.completed_at.is_nan()).then(|| Time::new(self.completed_at))
     }
 }
-
-impl std::error::Error for RebindError {}
 
 /// The contract ledger of a market run: every contract formed, in
 /// formation order, as one 24 B row over the run's shared tasks.
 ///
 /// A row keeps the negotiated completion, the actual completion (NaN
-/// while open), the task's index and the site. The rest is derived as the
-/// run derives it: the task is the ledger's, the formation time the
-/// task's arrival, the price the task's yield at the negotiated
-/// completion (Eq. 1, what a site quotes), and the settlement
-/// [`Contract::settle`] at the completion. A contract whose formation
-/// time or price is not so derived keeps those terms in a side table.
-///
-/// Reading it ([`get`](Self::get), [`iter`](Self::iter), `&ledger` as an
-/// iterator) builds each [`Contract`] by value. It serializes as exactly
-/// the JSON array of those contracts. A ledger read back owns the tasks it
-/// read, one per contract, until [`rebind`](Self::rebind) points it at
-/// the run's tasks again.
+/// while open), the task's index and the site. Reading it
+/// ([`get`](Self::get), [`iter`](Self::iter), `&ledger` as an iterator)
+/// builds each [`Contract`] by value, its price the task's yield at the
+/// negotiated completion (what a site quotes). It serializes as the array
+/// of its [`ContractRow`]s, and [`restore`](Self::restore) reads them
+/// back over the run's tasks.
 #[derive(Clone)]
 pub struct ContractLedger {
     tasks: Arc<[TaskSpec]>,
     rows: Vec<Row>,
-    /// The contracts not fully derived from their rows, ascending.
-    terms: Vec<Terms>,
-    /// `(contract, status)` for each settlement read back that is not
-    /// what [`Contract::settle`] gives, ascending. Empty in any ledger a
-    /// run holds: [`rebind`](Self::rebind) refuses such a contract.
-    foreign: Vec<(u32, ContractStatus)>,
 }
 
 impl ContractLedger {
@@ -244,9 +97,22 @@ impl ContractLedger {
         ContractLedger {
             tasks,
             rows: Vec::new(),
-            terms: Vec::new(),
-            foreign: Vec::new(),
         }
+    }
+
+    /// The ledger of `rows` over `tasks`, each row's task among them and
+    /// each site and count within `u32` (panics otherwise, as
+    /// [`form`](Self::form) does).
+    pub fn restore(tasks: Arc<[TaskSpec]>, rows: &[ContractRow]) -> Self {
+        let mut ledger = ContractLedger::new(tasks);
+        ledger.rows.reserve_exact(rows.len());
+        for &(task, site, negotiated_completion, completed_at) in rows {
+            let i = ledger.form(TaskId(task), site, negotiated_completion);
+            if let Some(at) = completed_at {
+                ledger.settle(i, at);
+            }
+        }
+        ledger
     }
 
     /// Number of contracts formed.
@@ -259,89 +125,41 @@ impl ContractLedger {
         self.rows.is_empty()
     }
 
-    /// Appends `contract`, over one of the ledger's tasks, and returns its
-    /// index.
-    pub fn push(&mut self, contract: Contract) -> usize {
-        let spec = contract.spec;
-        debug_assert!(
-            names_task(&spec, &self.tasks),
-            "{contract:?} is not a contract over the ledger's tasks"
-        );
-        let index = self.rows.len();
-        let task = self.tasks[spec.id.index()];
-        if let Err(e) = self.append(&contract, spec.id.index(), &task) {
-            panic!("{e}");
-        }
-        index
-    }
-
-    /// Appends `c` as a row over `task`, the ledger's task at `at`,
-    /// keeping beside it whatever reading the row does not derive.
-    fn append(&mut self, c: &Contract, at: usize, task: &TaskSpec) -> Result<(), String> {
+    /// Forms a contract from what negotiation decided: `task`, one of the
+    /// ledger's, goes to `site`, promised to complete at
+    /// `negotiated_completion`. Returns the contract's index.
+    pub fn form(&mut self, task: TaskId, site: usize, negotiated_completion: Time) -> usize {
         let narrow = |n: usize, what: &str| {
-            u32::try_from(n).map_err(|_| format!("{what} {n} exceeds u32::MAX"))
+            u32::try_from(n).unwrap_or_else(|_| panic!("{what} {n} exceeds u32::MAX"))
         };
-        let contract = narrow(self.rows.len(), "contract count")?;
-        let (task_index, site) = (narrow(at, "task index")?, narrow(c.site, "site")?);
-        let completed_at = match c.status {
-            ContractStatus::Settled { completed_at, .. } => completed_at.as_f64(),
-            ContractStatus::Open => f64::NAN,
-        };
+        let index = self.rows.len();
+        narrow(index, "contract count");
+        assert!(
+            task.index() < self.tasks.len(),
+            "task {} is not one of the ledger's {} tasks",
+            task.0,
+            self.tasks.len()
+        );
         self.rows.push(Row {
-            negotiated_completion: c.negotiated_completion,
-            completed_at,
-            task: task_index,
-            site,
+            negotiated_completion,
+            completed_at: f64::NAN,
+            task: narrow(task.index(), "task index"),
+            site: narrow(site, "site"),
         });
-        let derived = self.read(contract as usize, task);
-        if !same(c.formed_at.as_f64(), derived.formed_at.as_f64())
-            || !same(c.negotiated_price, derived.negotiated_price)
-        {
-            self.terms.push(Terms {
-                contract,
-                formed_at: c.formed_at,
-                price: c.negotiated_price,
-            });
-        }
-        if !same_status(self.read(contract as usize, task).status, c.status) {
-            self.foreign.push((contract, c.status));
-        }
-        Ok(())
+        index
     }
 
     /// Contract `i`, if formed.
     pub fn get(&self, i: usize) -> Option<Contract> {
         let row = self.rows.get(i)?;
-        Some(self.read(i, &self.tasks[row.task as usize]))
-    }
-
-    /// Contract `i`, its row's task being `task`.
-    fn read(&self, i: usize, task: &TaskSpec) -> Contract {
-        let row = self.rows[i];
-        let key = i as u32;
-        let spec = *task;
-        let terms = match self.terms.binary_search_by_key(&key, |t| t.contract) {
-            Ok(at) => self.terms[at],
-            Err(_) => Terms {
-                contract: key,
-                formed_at: spec.arrival,
-                price: spec.yield_at(row.negotiated_completion),
-            },
-        };
-        let mut contract = Contract::new(
+        let spec = self.tasks[row.task as usize];
+        Some(Contract {
             spec,
-            row.site as usize,
-            terms.formed_at,
-            row.negotiated_completion,
-            terms.price,
-        );
-        if !row.completed_at.is_nan() {
-            contract.settle(Time::new(row.completed_at));
-        }
-        if let Ok(at) = self.foreign.binary_search_by_key(&key, |&(c, _)| c) {
-            contract.status = self.foreign[at].1;
-        }
-        contract
+            site: row.site as usize,
+            negotiated_completion: row.negotiated_completion,
+            negotiated_price: spec.yield_at(row.negotiated_completion),
+            completed_at: row.completed_at(),
+        })
     }
 
     /// Every contract, in formation order.
@@ -352,49 +170,15 @@ impl ContractLedger {
         }
     }
 
-    /// Settles open contract `i` at the actual completion time through
-    /// [`Contract::settle`]; returns the settled price. Panics, as an
-    /// index would, if there is no contract `i`.
+    /// Settles open contract `i` at the actual completion time; returns
+    /// the settled price, its task's yield there. Panics, as an index
+    /// would, if there is no contract `i`.
     pub fn settle(&mut self, i: usize, completed_at: Time) -> f64 {
-        let mut contract = self.get(i).expect("no such contract");
-        let price = contract.settle(completed_at);
-        self.rows[i].completed_at = completed_at.as_f64();
-        price
+        let row = &mut self.rows[i];
+        debug_assert!(row.completed_at.is_nan(), "settling a non-open contract");
+        row.completed_at = completed_at.as_f64();
+        self.tasks[row.task as usize].yield_at(completed_at)
     }
-
-    /// Points the ledger at a run's `tasks`, checking that every
-    /// contract's task is the one `tasks` holds under its id and that
-    /// every settlement is its task's. A ledger read back is rebound
-    /// before it forms or settles anything; on an error it is left as it
-    /// was.
-    pub fn rebind(&mut self, tasks: &Arc<[TaskSpec]>) -> Result<(), RebindError> {
-        let mut ledger = ContractLedger::new(Arc::clone(tasks));
-        ledger.rows.reserve_exact(self.rows.len());
-        for (contract, c) in self.iter().enumerate() {
-            let task = c.spec.id.0;
-            let (Some(known), Ok(_)) = (tasks.get(c.spec.id.index()), u32::try_from(task)) else {
-                return Err(RebindError::UnknownTask { contract, task });
-            };
-            if !names_task(&c.spec, tasks) {
-                return Err(RebindError::SpecMismatch { contract, task });
-            }
-            // Every count and site this ledger holds fits a row.
-            if let Err(e) = ledger.append(&c, c.spec.id.index(), known) {
-                unreachable!("{e}");
-            }
-            if !ledger.foreign.is_empty() {
-                return Err(RebindError::Settlement { contract, task });
-            }
-        }
-        *self = ledger;
-        Ok(())
-    }
-}
-
-/// `true` when `spec` is the task `tasks` holds under its id: a market
-/// run hands every task to negotiation as its trace holds it.
-pub(crate) fn names_task(spec: &TaskSpec, tasks: &[TaskSpec]) -> bool {
-    tasks.get(spec.id.index()) == Some(spec)
 }
 
 /// The contracts of a [`ContractLedger`], built by value in formation
@@ -427,8 +211,7 @@ impl<'a> IntoIterator for &'a ContractLedger {
     }
 }
 
-/// Two ledgers are equal when they hold equal contracts, whichever tasks
-/// they are bound to.
+/// Two ledgers are equal when they hold equal contracts.
 impl PartialEq for ContractLedger {
     fn eq(&self, other: &Self) -> bool {
         self.iter().eq(other.iter())
@@ -441,35 +224,21 @@ impl std::fmt::Debug for ContractLedger {
     }
 }
 
+/// Writes the ledger as the array of its [`ContractRow`]s.
 impl Serialize for ContractLedger {
     fn serialize(&self, out: &mut Writer) {
         out.begin_array();
-        for contract in self {
+        for row in &self.rows {
             out.element();
-            contract.serialize(out);
+            let written: ContractRow = (
+                row.task.into(),
+                row.site as usize,
+                row.negotiated_completion,
+                row.completed_at(),
+            );
+            written.serialize(out);
         }
         out.end_array();
-    }
-}
-
-/// Reads the array a ledger writes. Each contract's task is kept as read,
-/// so the ledger owns one task per contract until it is rebound; a
-/// settlement its task's value function does not give is kept as read
-/// too, and refused when the ledger is rebound.
-impl Deserialize for ContractLedger {
-    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
-        let mut tasks = Vec::new();
-        let mut ledger = ContractLedger::new(Arc::from([]));
-        input.begin_array("array")?;
-        while input.next_element()? {
-            let c = Contract::deserialize(input)?;
-            ledger
-                .append(&c, tasks.len(), &c.spec)
-                .map_err(Error::custom)?;
-            tasks.push(c.spec);
-        }
-        ledger.tasks = tasks.into();
-        Ok(ledger)
     }
 }
 
@@ -478,44 +247,62 @@ mod tests {
     use super::*;
     use mbts_workload::PenaltyBound;
 
-    fn contract(bound: PenaltyBound) -> Contract {
-        // Task: arrival 0, runtime 10, value 100, decay 2.
+    /// A ledger of one contract: arrival 0, runtime 10, value 100, decay
+    /// 2, negotiated to complete at t = 20 (queueing delay 10 → price 80).
+    fn contract(bound: PenaltyBound) -> ContractLedger {
         let spec = TaskSpec::new(0, 0.0, 10.0, 100.0, 2.0, bound);
-        // Negotiated to complete at t = 20 (queueing delay 10 → price 80).
-        Contract::new(spec, 0, Time::ZERO, Time::from(20.0), 80.0)
+        let mut ledger = ContractLedger::new(Arc::from([spec]));
+        assert_eq!(ledger.form(spec.id, 0, Time::from(20.0)), 0);
+        assert_eq!(ledger.get(0).unwrap().negotiated_price, 80.0);
+        ledger
+    }
+
+    /// Settles the one contract at `at`; returns it and the price.
+    fn settle(bound: PenaltyBound, at: f64) -> (Contract, f64) {
+        let mut ledger = contract(bound);
+        let price = ledger.settle(0, Time::from(at));
+        let c = ledger.get(0).unwrap();
+        assert_eq!(c.settled_price(), Some(price));
+        (c, price)
     }
 
     #[test]
     fn on_time_settlement_collects_negotiated_price() {
-        let mut c = contract(PenaltyBound::UNBOUNDED);
-        let p = c.settle(Time::from(20.0));
+        let (c, p) = settle(PenaltyBound::UNBOUNDED, 20.0);
         assert_eq!(p, 80.0);
         assert!(c.is_settled());
         assert!(!c.was_violated());
-        assert_eq!(c.settled_price(), Some(80.0));
     }
 
     #[test]
     fn early_settlement_collects_more() {
-        let mut c = contract(PenaltyBound::UNBOUNDED);
-        let p = c.settle(Time::from(12.0));
+        let (c, p) = settle(PenaltyBound::UNBOUNDED, 12.0);
         assert_eq!(p, 96.0);
         assert!(!c.was_violated());
     }
 
     #[test]
     fn late_settlement_decays_the_price() {
-        let mut c = contract(PenaltyBound::UNBOUNDED);
-        let p = c.settle(Time::from(40.0));
+        let (c, p) = settle(PenaltyBound::UNBOUNDED, 40.0);
         // delay 30 → 100 − 60 = 40.
         assert_eq!(p, 40.0);
         assert!(c.was_violated());
     }
 
+    /// A completion later than the promise by no more than float dust is
+    /// on time; one later by more is not.
+    #[test]
+    fn a_settlement_late_by_float_dust_is_on_time() {
+        let (c, _) = settle(PenaltyBound::UNBOUNDED, 20.0 + 5e-10);
+        assert!(c.completed_at.unwrap() > c.negotiated_completion);
+        assert!(!c.was_violated());
+        let (late, _) = settle(PenaltyBound::UNBOUNDED, 20.0 + 1e-6);
+        assert!(late.was_violated());
+    }
+
     #[test]
     fn very_late_settlement_is_a_penalty() {
-        let mut c = contract(PenaltyBound::UNBOUNDED);
-        let p = c.settle(Time::from(100.0));
+        let (c, p) = settle(PenaltyBound::UNBOUNDED, 100.0);
         // delay 90 → 100 − 180 = −80: the site pays the client.
         assert_eq!(p, -80.0);
         assert!(c.was_violated());
@@ -523,26 +310,34 @@ mod tests {
 
     #[test]
     fn bounded_penalty_floors_settlement() {
-        let mut c = contract(PenaltyBound::bounded(25.0));
-        let p = c.settle(Time::from(1000.0));
-        assert_eq!(p, -25.0);
+        assert_eq!(settle(PenaltyBound::bounded(25.0), 1000.0).1, -25.0);
     }
 
     #[test]
     fn open_contract_has_no_settled_price() {
-        let c = contract(PenaltyBound::UNBOUNDED);
+        let c = contract(PenaltyBound::UNBOUNDED).get(0).unwrap();
         assert!(!c.is_settled());
         assert!(!c.was_violated());
         assert_eq!(c.settled_price(), None);
     }
 
+    /// A settled contract writes its row and reads back from it as the
+    /// same contract.
     #[test]
     fn serde_roundtrip() {
-        let mut c = contract(PenaltyBound::ZERO);
-        c.settle(Time::from(30.0));
-        let json = serde_json::to_string(&c).unwrap();
-        let back: Contract = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
+        let mut ledger = contract(PenaltyBound::ZERO);
+        ledger.settle(0, Time::from(30.0));
+        let json = serde_json::to_string(&ledger).unwrap();
+        assert_eq!(json, "[[0,0,20.0,30.0]]");
+        let rows: Vec<ContractRow> = serde_json::from_str(&json).unwrap();
+        let back = ContractLedger::restore(Arc::clone(&ledger.tasks), &rows);
+        assert_eq!(back.get(0), ledger.get(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "not one of the ledger's 1 tasks")]
+    fn a_contract_over_a_task_the_ledger_lacks_is_refused() {
+        contract(PenaltyBound::ZERO).form(TaskId(1), 0, Time::from(20.0));
     }
 }
 
@@ -556,15 +351,21 @@ mod terms_tests {
     #[test]
     fn default_terms_are_the_paper_model() {
         let spec = TaskSpec::new(0, 0.0, 10.0, 100.0, 2.0, PenaltyBound::UNBOUNDED);
-        let c = Contract::new(spec, 0, Time::ZERO, Time::from(20.0), 80.0);
-        let (mut settled, at) = (c, Time::from(40.0));
-        assert_eq!(settled.settle(at), spec.yield_at(at));
+        let mut ledger = ContractLedger::new(Arc::from([spec]));
+        let (promised, at) = (Time::from(20.0), Time::from(40.0));
+        ledger.form(spec.id, 0, promised);
+        assert_eq!(
+            ledger.get(0).unwrap().negotiated_price,
+            spec.yield_at(promised)
+        );
+        assert_eq!(ledger.settle(0, at), spec.yield_at(at));
     }
 }
 
 #[cfg(test)]
 mod ledger_tests {
     use super::*;
+    use mbts_sim::time::TIME_EPSILON;
     use mbts_sim::Duration;
     use mbts_workload::PenaltyBound;
     use proptest::prelude::*;
@@ -575,46 +376,18 @@ mod ledger_tests {
             .collect()
     }
 
-    fn form(
-        ledger: &mut ContractLedger,
-        spec: TaskSpec,
-        site: usize,
-        formed_at: Time,
-        completion: Time,
-        price: f64,
-    ) {
-        let c = Contract::new(spec, site, formed_at, completion, price);
-        ledger.push(c);
-    }
-
-    /// The rows as bits, so an open row's NaN compares equal to itself.
-    fn row_bits(ledger: &ContractLedger) -> Vec<[u64; 4]> {
-        let bits = |r: &Row| {
-            [
-                r.negotiated_completion.as_f64().to_bits(),
-                r.completed_at.to_bits(),
-                r.task.into(),
-                r.site.into(),
-            ]
-        };
-        ledger.rows.iter().map(bits).collect()
-    }
-
-    /// Four contracts: one formed at its task's arrival, priced at its
-    /// yield at the negotiated completion and settled on time, one formed
-    /// later and settled late, one priced other than its quote and settled
-    /// late, and one formed again later for that task, still open.
+    /// Four contracts: one settled on time, two settled late, and one
+    /// formed again later for a task, still open.
     fn ledger(tasks: &Arc<[TaskSpec]>) -> ContractLedger {
         let mut ledger = ContractLedger::new(Arc::clone(tasks));
         let at = Time::from;
-        // Earliest completion 12, promised 20: 100 − 8·2.
-        form(&mut ledger, tasks[2], 1, at(2.0), at(20.0), 84.0);
-        form(&mut ledger, tasks[0], 0, at(3.0), at(15.0), 90.0);
-        form(&mut ledger, tasks[1], 0, at(1.0), at(30.0), 50.0);
+        ledger.form(tasks[2].id, 1, at(20.0));
+        ledger.form(tasks[0].id, 0, at(15.0));
+        ledger.form(tasks[1].id, 0, at(30.0));
         ledger.settle(0, at(18.0));
         ledger.settle(1, at(40.0));
         ledger.settle(2, at(50.0));
-        form(&mut ledger, tasks[1], 1, at(50.0), at(70.0), 20.0);
+        ledger.form(tasks[1].id, 1, at(70.0));
         ledger
     }
 
@@ -623,197 +396,96 @@ mod ledger_tests {
         assert!(std::mem::size_of::<Row>() <= 24);
     }
 
-    /// A contract priced at its task's yield at the negotiated completion,
-    /// as every site quotes, keeps nothing beside its row; one priced
-    /// otherwise keeps its price in the side table and reads back with it.
-    #[test]
-    fn only_a_price_other_than_the_quote_keeps_terms() {
-        let tasks = tasks();
-        let mut ledger = ContractLedger::new(Arc::clone(&tasks));
-        let (formed, completion) = (tasks[3].arrival, Time::from(25.0));
-        // Earliest completion 13, promised 25: 100 − 12·2.
-        let quoted = 76.0;
-        form(&mut ledger, tasks[3], 0, formed, completion, quoted);
-        form(&mut ledger, tasks[3], 1, formed, completion, quoted + 1.0);
-        let kept: Vec<u32> = ledger.terms.iter().map(|t| t.contract).collect();
-        assert_eq!(kept, [1]);
-        assert_eq!(ledger.get(0).unwrap().negotiated_price, quoted);
-        assert_eq!(ledger.get(1).unwrap().negotiated_price, quoted + 1.0);
-    }
-
-    #[test]
-    fn only_contracts_their_rows_do_not_derive_keep_terms() {
-        let ledger = ledger(&tasks());
-        let kept: Vec<u32> = ledger.terms.iter().map(|t| t.contract).collect();
-        assert_eq!(kept, [1, 2, 3]);
-        assert!(ledger.foreign.is_empty());
-    }
-
     #[test]
     fn contracts_read_back_as_formed_and_settled_through_contract() {
         let tasks = tasks();
         let ledger = ledger(&tasks);
         assert_eq!(ledger.len(), 4);
-        let mut expected = Contract::new(tasks[0], 0, Time::from(3.0), Time::from(15.0), 90.0);
-        let price = expected.settle(Time::from(40.0));
-        assert_eq!(ledger.get(1), Some(expected));
-        assert_eq!(ledger.get(1).unwrap().settled_price(), Some(price));
-        let mut on_time = Contract::new(tasks[2], 1, Time::from(2.0), Time::from(20.0), 84.0);
-        on_time.settle(Time::from(18.0));
-        assert_eq!(ledger.get(0), Some(on_time));
-        let late = ledger.get(2).unwrap();
-        assert_eq!(late.negotiated_price, 50.0);
+        let late = Contract {
+            spec: tasks[0],
+            site: 0,
+            negotiated_completion: Time::from(15.0),
+            // Earliest completion 10, promised 15: 100 − 5·2.
+            negotiated_price: 90.0,
+            completed_at: Some(Time::from(40.0)),
+        };
+        assert_eq!(ledger.get(1), Some(late));
+        // Delay 30: 100 − 30·2.
+        assert_eq!(late.settled_price(), Some(40.0));
         assert!(late.was_violated());
+        let on_time = ledger.get(0).unwrap();
+        // Earliest completion 12, promised 20: 100 − 8·2.
+        assert_eq!(on_time.negotiated_price, 84.0);
+        assert_eq!(on_time.settled_price(), Some(88.0));
+        assert!(!on_time.was_violated());
+        assert!(ledger.get(2).unwrap().was_violated());
         assert!(!ledger.get(3).unwrap().is_settled());
-        assert_eq!(ledger.get(3).unwrap().formed_at, Time::from(50.0));
         assert_eq!(ledger.get(4), None);
         let sites: Vec<usize> = (&ledger).into_iter().map(|c| c.site).collect();
         assert_eq!(sites, [1, 0, 0, 1]);
     }
 
     #[test]
-    fn serializes_as_the_vec_of_its_contracts() {
+    fn serializes_as_the_vec_of_its_rows() {
         let ledger = ledger(&tasks());
-        let contracts: Vec<Contract> = ledger.iter().collect();
+        let rows: Vec<ContractRow> = ledger
+            .iter()
+            .map(|c| (c.spec.id.0, c.site, c.negotiated_completion, c.completed_at))
+            .collect();
         assert_eq!(
             serde_json::to_string(&ledger).unwrap(),
-            serde_json::to_string(&contracts).unwrap()
+            "[[2,1,20.0,18.0],[0,0,15.0,40.0],[1,0,30.0,50.0],[1,1,70.0,null]]"
+        );
+        assert_eq!(
+            serde_json::to_string(&ledger).unwrap(),
+            serde_json::to_string(&rows).unwrap()
         );
         assert_eq!(
             serde_json::to_string_pretty(&ledger).unwrap(),
-            serde_json::to_string_pretty(&contracts).unwrap()
+            serde_json::to_string_pretty(&rows).unwrap()
         );
         let empty = ContractLedger::new(tasks());
         assert_eq!(serde_json::to_string(&empty).unwrap(), "[]");
     }
 
     #[test]
-    fn read_back_then_rebound_is_the_same_ledger_over_the_same_tasks() {
+    fn restored_from_its_rows_is_the_same_ledger_over_the_same_tasks() {
         let tasks = tasks();
         let ledger = ledger(&tasks);
         let json = serde_json::to_string(&ledger).unwrap();
-        let mut back: ContractLedger = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, ledger);
-        back.rebind(&tasks).unwrap();
+        let rows: Vec<ContractRow> = serde_json::from_str(&json).unwrap();
+        let back = ContractLedger::restore(Arc::clone(&tasks), &rows);
         assert_eq!(back, ledger);
         assert!(Arc::ptr_eq(&back.tasks, &tasks));
-        assert_eq!(row_bits(&back), row_bits(&ledger));
-        assert_eq!(back.terms, ledger.terms);
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
-        // A rebound ledger forms and settles like the original.
+        // A restored ledger forms and settles like the original.
         let (mut a, mut b) = (ledger, back);
         for l in [&mut a, &mut b] {
             l.settle(3, Time::from(75.0));
-            form(l, tasks[3], 0, Time::from(80.0), Time::from(95.0), 70.0);
+            l.form(tasks[3].id, 0, Time::from(95.0));
         }
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn rebinding_to_other_tasks_is_a_typed_error() {
-        let tasks = tasks();
-        let json = serde_json::to_string(&ledger(&tasks)).unwrap();
-        let back: ContractLedger = serde_json::from_str(&json).unwrap();
-        let rebind = |tasks: &Arc<[TaskSpec]>| {
-            let mut l = back.clone();
-            let before = serde_json::to_string(&l).unwrap();
-            let result = l.rebind(tasks);
-            if result.is_err() {
-                assert_eq!(serde_json::to_string(&l).unwrap(), before, "left as it was");
-            }
-            result
-        };
-        let mut other = tasks.to_vec();
-        other[0].runtime = Duration::new(11.0);
-        assert_eq!(
-            rebind(&other.into()),
-            Err(RebindError::SpecMismatch {
-                contract: 1,
-                task: 0
-            })
-        );
-        // A contract's value is its task's: one worth more than its task,
-        // or less, is not that task.
-        for value in [55.0, 150.0] {
-            let mut other = tasks.to_vec();
-            other[1].value = value;
-            assert_eq!(
-                rebind(&other.into()),
-                Err(RebindError::SpecMismatch {
-                    contract: 2,
-                    task: 1
-                })
-            );
-        }
-        assert_eq!(
-            rebind(&tasks[..2].into()),
-            Err(RebindError::UnknownTask {
-                contract: 0,
-                task: 2
-            })
-        );
-        assert!(rebind(&tasks).is_ok());
-        let mut empty: ContractLedger = serde_json::from_str("[]").unwrap();
-        assert_eq!(empty.rebind(&tasks), Ok(()));
-    }
-
-    /// A settled contract whose price or violation is not its value
-    /// function's at its completion reads back as written, and writes
-    /// back the same text, but no run is given it: rebinding refuses it.
-    #[test]
-    fn a_settlement_its_task_does_not_give_is_kept_as_read_and_refused() {
-        let tasks = tasks();
-        let ledger = ledger(&tasks);
-        let spoil: [fn(&mut ContractStatus); 2] = [
-            |s| {
-                if let ContractStatus::Settled { settled_price, .. } = s {
-                    *settled_price += 1.0;
-                }
-            },
-            |s| {
-                if let ContractStatus::Settled { violated, .. } = s {
-                    *violated = !*violated;
-                }
-            },
-        ];
-        for edit in spoil {
-            let mut contracts: Vec<Contract> = ledger.iter().collect();
-            edit(&mut contracts[2].status);
-            let json = serde_json::to_string(&contracts).unwrap();
-            let mut back: ContractLedger = serde_json::from_str(&json).unwrap();
-            assert_eq!(back.get(2), Some(contracts[2]));
-            assert_eq!(serde_json::to_string(&back).unwrap(), json);
-            assert_eq!(
-                back.rebind(&tasks),
-                Err(RebindError::Settlement {
-                    contract: 2,
-                    task: 1
-                })
-            );
-            assert_eq!(
-                serde_json::to_string(&back).unwrap(),
-                json,
-                "left as it was"
-            );
-        }
-    }
+    /// What a test expects of one contract: the task, the site, the
+    /// promise and the completion, every derived term computed here from
+    /// the paper's rules.
+    type Model = (TaskSpec, usize, Time, Option<Time>);
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
-        /// A ledger driven through the same formations and settlements as
-        /// a plain `Vec<Contract>` reads, iterates and writes as that
-        /// vector bit for bit, and so does the ledger read back from its
-        /// text and rebound. Formations vary what a row derives (formation
-        /// at or after arrival, the quoted price or another); settlements
-        /// are on time, early, late, late by no more than float dust, and
-        /// far past a bounded task's floor; some rows stay open.
+        /// A ledger driven through formations and settlements reads back
+        /// every contract as formed and settled, prices it by its task's
+        /// value function, writes exactly its rows and restores from them
+        /// to the same ledger. Settlements are on time, early, late, late
+        /// by no more than float dust, and far past a bounded task's
+        /// floor; some rows stay open.
         #[test]
         fn a_ledger_is_a_vec_of_contracts(
             bounds in proptest::collection::vec(0u8..3, 1..6),
-            // (kind, pick, variant, x, y, quoted): kinds 0 and 1 form a
-            // contract, priced as quoted unless `quoted` is 0; 2 settles one.
+            // (form, pick, variant, x): forms a contract, or settles one.
             ops in proptest::collection::vec(
-                (0u8..3, any::<usize>(), 0u8..8, 0.0f64..40.0, 0.0f64..40.0, 0u8..3),
+                (any::<bool>(), any::<usize>(), 0u8..6, 0.0f64..40.0),
                 0..32,
             ),
         ) {
@@ -830,58 +502,61 @@ mod ledger_tests {
                 })
                 .collect();
             let mut ledger = ContractLedger::new(Arc::clone(&tasks));
-            let mut model: Vec<Contract> = Vec::new();
-            for (kind, pick, variant, x, y, quoted) in ops {
-                if kind < 2 {
+            let mut model: Vec<Model> = Vec::new();
+            for (form, pick, variant, x) in ops {
+                if form {
                     let spec = tasks[pick % tasks.len()];
-                    let later = if variant & 1 != 0 { y } else { 0.0 };
-                    let formed_at = spec.arrival + Duration::new(later);
-                    let completion = formed_at + spec.runtime + Duration::new(x);
-                    let price = if quoted == 0 { y - x } else { spec.yield_at(completion) };
-                    let c = Contract::new(spec, pick % 5, formed_at, completion, price);
-                    prop_assert_eq!(ledger.push(c), model.len());
-                    model.push(c);
+                    let completion = spec.arrival + spec.runtime + Duration::new(x);
+                    prop_assert_eq!(ledger.form(spec.id, pick % 5, completion), model.len());
+                    model.push((spec, pick % 5, completion, None));
                 } else if !model.is_empty() {
                     let i = pick % model.len();
-                    if model[i].is_settled() {
+                    let (spec, _, negotiated, settled) = &mut model[i];
+                    if settled.is_some() {
                         continue;
                     }
-                    let negotiated = model[i].negotiated_completion;
                     let at = match variant {
-                        0 => negotiated,
+                        0 => *negotiated,
                         1 => Time::from((negotiated.as_f64() - x).max(0.0)),
                         2 => Time::from(negotiated.as_f64() + 1.0 + x),
                         3 => Time::from(negotiated.as_f64() + 5e-10),
                         4 => Time::from(negotiated.as_f64() + 1e6),
-                        _ => Time::from(model[i].spec.arrival.as_f64() + y),
+                        _ => Time::from(spec.arrival.as_f64() + x),
                     };
-                    let want = model[i].settle(at);
+                    *settled = Some(at);
                     let got = ledger.settle(i, at);
-                    prop_assert_eq!(got.to_bits(), want.to_bits());
+                    prop_assert_eq!(got.to_bits(), spec.yield_at(at).to_bits());
                 }
             }
-            let text = |c: &Contract| serde_json::to_string(c).unwrap();
             prop_assert_eq!(ledger.len(), model.len());
-            for (i, c) in model.iter().enumerate() {
-                let got = ledger.get(i).unwrap();
-                prop_assert_eq!(text(&got), text(c));
-                prop_assert_eq!(got, *c);
+            for (i, &(spec, site, negotiated, settled)) in model.iter().enumerate() {
+                let c = ledger.get(i).unwrap();
+                prop_assert_eq!(c.spec, spec);
+                prop_assert_eq!(c.site, site);
+                prop_assert_eq!(c.negotiated_completion, negotiated);
+                prop_assert_eq!(c.completed_at, settled);
+                let price = spec.yield_at(negotiated);
+                prop_assert_eq!(c.negotiated_price.to_bits(), price.to_bits());
+                let settled_price = settled.map(|at| spec.yield_at(at).to_bits());
+                prop_assert_eq!(c.settled_price().map(f64::to_bits), settled_price);
+                let late = settled.is_some_and(|at| at.as_f64() - negotiated.as_f64() > TIME_EPSILON);
+                prop_assert_eq!(c.was_violated(), late);
             }
             prop_assert_eq!(ledger.get(model.len()), None);
-            prop_assert!(ledger.iter().eq(model.iter().copied()));
-            let json = serde_json::to_string(&model).unwrap();
+            let rows: Vec<ContractRow> = model
+                .iter()
+                .map(|&(spec, site, negotiated, settled)| (spec.id.0, site, negotiated, settled))
+                .collect();
+            let json = serde_json::to_string(&rows).unwrap();
             prop_assert_eq!(serde_json::to_string(&ledger).unwrap(), json.clone());
             prop_assert_eq!(
                 serde_json::to_string_pretty(&ledger).unwrap(),
-                serde_json::to_string_pretty(&model).unwrap()
+                serde_json::to_string_pretty(&rows).unwrap()
             );
-            let mut back: ContractLedger = serde_json::from_str(&json).unwrap();
-            prop_assert_eq!(serde_json::to_string(&back).unwrap(), json.clone());
-            prop_assert_eq!(back.rebind(&tasks), Ok(()));
+            let read: Vec<ContractRow> = serde_json::from_str(&json).unwrap();
+            let back = ContractLedger::restore(Arc::clone(&tasks), &read);
+            prop_assert_eq!(&back, &ledger);
             prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
-            prop_assert_eq!(row_bits(&back), row_bits(&ledger));
-            prop_assert_eq!(&back.terms, &ledger.terms);
-            prop_assert!(back.foreign.is_empty());
         }
     }
 }

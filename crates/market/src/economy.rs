@@ -9,13 +9,14 @@
 //!    either rejects it or answers with a [`ServerBid`];
 //! 3. the client's [`ClientSelection`] rule picks a winner (or the task
 //!    goes unplaced if every site rejected);
-//! 4. a [`Contract`] is formed at the winner's quoted completion/price;
+//! 4. a [`Contract`](crate::Contract) is formed at the winner's quoted
+//!    completion, priced by the task's value function there;
 //! 5. at actual completion the contract settles: on-time completions
 //!    collect the negotiated price; late ones collect the decayed value
 //!    or pay a penalty, filtered through the [`PricingStrategy`].
 
 use crate::bid::{ClientSelection, ServerBid};
-use crate::contract::{Contract, ContractLedger};
+use crate::contract::{ContractLedger, ContractRow};
 use crate::pricing::PricingStrategy;
 use mbts_core::{AdmissionDecision, Job, WorkflowProgress, WorkflowReport, WorkflowRuntime};
 use mbts_sim::{rng::splitmix64, Engine, EventQueue, Model, Time};
@@ -79,15 +80,15 @@ impl EconomyConfig {
 }
 
 /// Result of running a trace through an economy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EconomyOutcome {
     /// Per-site outcomes: each site's metrics and audit violations. Their
     /// `outcomes` are empty: a site inside an economy keeps no per-job
     /// records, because the contracts are the placed tasks' records.
     pub per_site: Vec<SiteOutcome>,
     /// All contracts formed, in formation order: one compact row per
-    /// contract over the run's tasks, read as [`Contract`] values (`get`,
-    /// `iter`, `for c in &outcome.contracts`).
+    /// contract over the run's tasks, read as [`Contract`](crate::Contract)
+    /// values (`get`, `iter`, `for c in &outcome.contracts`).
     pub contracts: ContractLedger,
     /// Tasks offered to the market.
     pub offered: usize,
@@ -108,10 +109,8 @@ pub struct EconomyOutcome {
     pub audit_violations: Vec<AuditViolation>,
     /// Workflow members never offered to the market because an upstream
     /// member failed (workflow mode only).
-    #[serde(default)]
     pub stranded: usize,
     /// End-to-end workflow settlement report (workflow mode only).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub workflows: Option<WorkflowReport>,
 }
 
@@ -247,11 +246,7 @@ impl EconomyRun {
             selection: m.selection,
             pricing: m.pricing,
             contracts: &m.contracts,
-            open: m
-                .open
-                .iter()
-                .map(|(&task, o)| (task, o.contract as usize, o.runner_up))
-                .collect(),
+            open: m.open_quotes(),
             offered: m.offered,
             placed: m.placed,
             unplaced: m.unplaced,
@@ -274,17 +269,14 @@ impl EconomyRun {
     /// read back as an [`EconomySnapshot`]; the resumed
     /// run replays bit-identically to the one that was captured. A
     /// snapshot whose parts do not fit together — an id outside its
-    /// trace, an index past its contracts or sites, a contract
-    /// whose task is not the run's or whose settlement is not its value
-    /// function's at its completion, an open-contract table that is not
-    /// exactly the unsettled contracts, a site holding per-job records,
-    /// which a site inside an economy never keeps — is refused with the
-    /// first such fault.
-    pub fn from_snapshot(mut snap: EconomySnapshot) -> Result<Self, String> {
+    /// trace, an index past its sites, runner-up quotes other than one
+    /// for each unsettled contract, a task open twice, a site holding
+    /// per-job records, which a site inside an economy never keeps — is
+    /// refused with the first such fault.
+    pub fn from_snapshot(snap: EconomySnapshot) -> Result<Self, String> {
         check_snapshot(&snap)?;
-        snap.contracts
-            .rebind(&snap.trace.bids)
-            .map_err(|e| e.to_string())?;
+        let open = open_table(&snap.contracts, &snap.open)?;
+        let contracts = ContractLedger::restore(Arc::clone(&snap.trace.bids), &snap.contracts);
         let model = EcoModel {
             sites: snap
                 .sites
@@ -294,23 +286,8 @@ impl EconomyRun {
             trace: snap.trace,
             selection: snap.selection,
             pricing: snap.pricing,
-            contracts: snap.contracts,
-            // Each index was checked below the ledger's length, which
-            // fits `u32`.
-            open: snap
-                .open
-                .into_iter()
-                .map(|(task, ci, runner_up)| {
-                    let contract = ci as u32;
-                    (
-                        task,
-                        Open {
-                            contract,
-                            runner_up,
-                        },
-                    )
-                })
-                .collect(),
+            contracts,
+            open,
             decisions: Vec::new(),
             bids: Vec::new(),
             offered: snap.offered,
@@ -357,11 +334,9 @@ impl EconomyRun {
 
 /// The checks [`EconomyRun::from_snapshot`] makes before it builds
 /// anything: every index the snapshot holds points inside what it holds,
-/// every task it holds is its trace's, the open-contract table lists
-/// exactly the unsettled contracts, each once under its own task, and no
-/// site holds per-job records.
+/// and no site holds per-job records.
 fn check_snapshot(snap: &EconomySnapshot) -> Result<(), String> {
-    let (tasks, contracts, sites) = (snap.trace.len(), snap.contracts.len(), snap.sites.len());
+    let (tasks, sites) = (snap.trace.len(), snap.sites.len());
     let task = |what: &str, id: u64| match usize::try_from(id) {
         Ok(i) if i < tasks => Ok(()),
         _ => Err(format!(
@@ -375,29 +350,6 @@ fn check_snapshot(snap: &EconomySnapshot) -> Result<(), String> {
             Err(format!("{what} {i} is past the snapshot's {n} {of}"))
         }
     };
-    let mut previous = None;
-    for &(id, ci, _) in &snap.open {
-        task("open contract", id)?;
-        below("open contract index", ci, contracts, "contracts")?;
-        if previous.is_some_and(|p| p >= id) {
-            return Err(format!(
-                "open contracts are not ascending by task at task {id}"
-            ));
-        }
-        previous = Some(id);
-        let c = snap.contracts.get(ci).expect("checked below the length");
-        if c.is_settled() {
-            return Err(format!(
-                "open contract of task {id} names settled contract {ci}"
-            ));
-        }
-        if c.spec.id.0 != id {
-            return Err(format!(
-                "open contract of task {id} names contract {ci}, of task {}",
-                c.spec.id.0
-            ));
-        }
-    }
     if snap.site_accounts.len() != sites {
         return Err("revenue accounts do not match the sites".to_string());
     }
@@ -412,24 +364,9 @@ fn check_snapshot(snap: &EconomySnapshot) -> Result<(), String> {
             site.outcomes.len()
         ));
     }
-    for (i, c) in snap.contracts.iter().enumerate() {
-        if !crate::contract::names_task(&c.spec, &snap.trace) {
-            return Err(format!(
-                "contract {i} holds a task {} unlike the trace's",
-                c.spec.id.0
-            ));
-        }
-        below("contract site", c.site, sites, "sites")?;
-        // The open list was checked ascending above.
-        let listed = snap
-            .open
-            .binary_search_by_key(&c.spec.id.0, |&(id, _, _)| id)
-            .is_ok_and(|at| snap.open[at].1 == i);
-        if !c.is_settled() && !listed {
-            return Err(format!(
-                "contract {i} is unsettled but not an open contract"
-            ));
-        }
+    for (i, &(id, site, _, _)) in snap.contracts.iter().enumerate() {
+        task(&format!("contract {i}"), id)?;
+        below(&format!("contract {i}'s site"), site, sites, "sites")?;
     }
     for (_, _, event) in &snap.queue {
         match event {
@@ -440,6 +377,36 @@ fn check_snapshot(snap: &EconomySnapshot) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The open-contract table of the ledger of `rows`: each unsettled row
+/// under its task, with the runner-up quote `quotes` lists for it in
+/// ledger order. Refused unless there is one quote for each unsettled row
+/// and no task is open twice.
+fn open_table(rows: &[ContractRow], quotes: &[Option<f64>]) -> Result<BTreeMap<u64, Open>, String> {
+    let unsettled = rows.iter().filter(|row| row.3.is_none()).count();
+    if unsettled != quotes.len() {
+        return Err(format!(
+            "the snapshot lists {} runner-up quotes for {unsettled} unsettled contracts",
+            quotes.len()
+        ));
+    }
+    let mut open = BTreeMap::new();
+    let unsettled = rows.iter().enumerate().filter(|(_, row)| row.3.is_none());
+    for ((i, &(task, ..)), &runner_up) in unsettled.zip(quotes) {
+        // The ledger numbers its contracts in `u32`.
+        let entry = Open {
+            contract: i as u32,
+            runner_up,
+        };
+        if let Some(first) = open.insert(task, entry) {
+            return Err(format!(
+                "task {task} is open twice, in contracts {} and {i}",
+                first.contract
+            ));
+        }
+    }
+    Ok(open)
 }
 
 /// An [`EconomyRun`] at an event boundary as [`EconomyRun::snapshot`]
@@ -453,7 +420,7 @@ pub struct EconomySnapshotRef<'a> {
     selection: ClientSelection,
     pricing: PricingStrategy,
     contracts: &'a ContractLedger,
-    open: Vec<(u64, usize, Option<f64>)>,
+    open: Vec<Option<f64>>,
     offered: usize,
     placed: usize,
     unplaced: usize,
@@ -487,13 +454,11 @@ pub struct EconomySnapshot {
     pub selection: ClientSelection,
     /// Settlement pricing strategy.
     pub pricing: PricingStrategy,
-    /// The contract ledger: written as the array of its contracts, read
-    /// back owning their tasks until the run is restored over `trace`.
-    pub contracts: ContractLedger,
-    /// The contracts formed and not yet settled, ascending by task id:
-    /// `(task id, contract index, runner-up quote)`, the quote `null`
-    /// where no other site bid.
-    pub open: Vec<(u64, usize, Option<f64>)>,
+    /// Every contract formed, in formation order, as its ledger row.
+    pub contracts: Vec<ContractRow>,
+    /// The runner-up quote of each unsettled contract, in ledger order:
+    /// `null` where no other site bid.
+    pub open: Vec<Option<f64>>,
     /// Tasks offered so far.
     pub offered: usize,
     /// Contracts formed so far.
@@ -612,6 +577,14 @@ impl EcoModel {
             rule: rule.to_string(),
             detail,
         });
+    }
+
+    /// The runner-up quote of each open contract, in ledger order: the
+    /// snapshot's `open` list.
+    fn open_quotes(&self) -> Vec<Option<f64>> {
+        let mut open: Vec<&Open> = self.open.values().collect();
+        open.sort_unstable_by_key(|o| o.contract);
+        open.into_iter().map(|o| o.runner_up).collect()
     }
 
     /// Money-conservation audit, run after every settlement: every unit
@@ -836,13 +809,9 @@ impl EcoModel {
 
         // The ledger derives the price from the negotiated completion, as
         // the winning site quoted it.
-        let contract = self.contracts.push(Contract::new(
-            spec,
-            winner.site,
-            now,
-            winner.expected_completion,
-            winner.price,
-        ));
+        let contract = self
+            .contracts
+            .form(spec.id, winner.site, winner.expected_completion);
         // The ledger numbers its contracts in `u32`.
         let contract = contract as u32;
         self.open.insert(
@@ -1116,10 +1085,10 @@ mod tests {
         assert_eq!(sites_a, sites_b);
     }
 
-    /// FNV-1a over the outcome's JSON: equal hashes, equal outcomes.
+    /// FNV-1a over the outcome's `Debug` text: equal hashes, equal
+    /// outcomes.
     fn outcome_hash(out: &EconomyOutcome) -> u64 {
-        serde_json::to_string(out)
-            .unwrap()
+        format!("{out:?}")
             .bytes()
             .fold(0xcbf2_9ce4_8422_2325, |h, b| {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -1131,7 +1100,10 @@ mod tests {
         // Valid ids, arrival times shuffled (and a run of ties): the feed
         // must order them as scheduling each in turn did. The hash is the
         // outcome of the engine that pushed every arrival into the heap,
-        // as written once the outcome lost its migration counters and its
+        // read as `Debug` text since a contract is its row. The same
+        // outcome hashed as JSON, each contract written whole with its
+        // formation time and status, to 3_995_330_435_483_962_845 once
+        // the outcome lost its migration counters and its
         // contracts their terms, its sites their per-job records, the
         // outcome its five fault counters, its sites' metrics their
         // `orphaned` count, the outcome its budget keys (a count of
@@ -1163,7 +1135,7 @@ mod tests {
         assert_eq!(out.offered, 300);
         assert_eq!(
             outcome_hash(&out),
-            3_995_330_435_483_962_845,
+            9_553_209_249_024_882_271,
             "outcome moved"
         );
     }

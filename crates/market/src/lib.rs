@@ -48,7 +48,7 @@ pub mod economy;
 pub mod pricing;
 
 pub use bid::{ClientSelection, ServerBid};
-pub use contract::{Contract, ContractLedger, ContractStatus, RebindError};
+pub use contract::{Contract, ContractLedger, ContractRow};
 pub use economy::{
     EcoEvent, EconomyConfig, EconomyOutcome, EconomyRun, EconomySnapshot, EconomySnapshotRef,
     SiteId,

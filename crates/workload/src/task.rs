@@ -58,8 +58,8 @@ impl PenaltyBound {
     pub const UNBOUNDED: PenaltyBound = PenaltyBound(f64::INFINITY);
 
     /// Value floors at `-max_penalty`, the most the site can lose on the
-    /// task (≥ 0; [`validate_trace`](crate::validate_trace) refuses a
-    /// negative one).
+    /// task (≥ 0: [`TaskSpec::new`] refuses a negative or `NaN` one, and
+    /// [`validate_trace`](crate::validate_trace) a trace read with one).
     #[inline]
     pub const fn bounded(max_penalty: f64) -> Self {
         PenaltyBound(max_penalty)
@@ -174,6 +174,7 @@ impl TaskSpec {
     ) -> Self {
         assert!(runtime > 0.0, "runtime must be positive");
         assert!(decay >= 0.0, "decay must be non-negative");
+        assert!(bound.is_valid(), "penalty bound must be non-negative");
         TaskSpec {
             id: TaskId(id),
             width: 1,
@@ -397,6 +398,13 @@ mod tests {
     #[should_panic(expected = "decay must be non-negative")]
     fn negative_decay_rejected() {
         let _ = TaskSpec::new(0, 0.0, 1.0, 1.0, -1.0, PenaltyBound::ZERO);
+    }
+
+    /// A negative bound would floor a late task above its value.
+    #[test]
+    #[should_panic(expected = "penalty bound must be non-negative")]
+    fn negative_penalty_bound_rejected() {
+        let _ = TaskSpec::new(0, 0.0, 1.0, 1.0, 1.0, PenaltyBound::bounded(-50.0));
     }
 }
 

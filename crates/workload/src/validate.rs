@@ -212,7 +212,11 @@ mod tests {
         let tasks: Vec<TaskSpec> = [-50.0, f64::NAN, 7.0]
             .into_iter()
             .enumerate()
-            .map(|(i, p)| TaskSpec::new(i as u64, 0.0, 1.0, 10.0, 0.1, PenaltyBound::bounded(p)))
+            .map(|(i, p)| TaskSpec {
+                // What a trace file can hold: `TaskSpec::new` refuses it.
+                bound: PenaltyBound::bounded(p),
+                ..TaskSpec::new(i as u64, 0.0, 1.0, 10.0, 0.1, PenaltyBound::ZERO)
+            })
             .collect();
         let report = validate_trace(&Trace::new(cfg, 0, tasks));
         assert_eq!(

@@ -261,7 +261,12 @@ pub fn parse_bound(spec: &str) -> Result<BoundPolicy, String> {
         ["zero"] => Ok(BoundPolicy::ZeroFloor),
         ["unbounded"] => Ok(BoundPolicy::Unbounded),
         ["prop", f] => {
-            let fraction: f64 = f.parse().map_err(|_| format!("bad fraction in {spec}"))?;
+            // A negative (or NaN) fraction gives a bound `TaskSpec::new` refuses.
+            let fraction = f
+                .parse::<f64>()
+                .ok()
+                .filter(|f| *f >= 0.0)
+                .ok_or_else(|| format!("bad fraction in {spec}: must be a number >= 0"))?;
             Ok(BoundPolicy::ProportionalPenalty { fraction })
         }
         _ => Err(format!(
@@ -1869,6 +1874,9 @@ mod tests {
             parse_bound("prop:0.25").unwrap(),
             BoundPolicy::ProportionalPenalty { fraction: 0.25 }
         );
+        for bad in ["prop:-0.5", "prop:NaN", "prop:x"] {
+            assert!(parse_bound(bad).is_err(), "{bad}");
+        }
         assert_eq!(parse_widths("one").unwrap(), WidthPolicy::One);
         assert_eq!(
             parse_widths("uniform:1:4").unwrap(),

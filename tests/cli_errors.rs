@@ -172,13 +172,14 @@ fn run_and_market_without_an_input_are_rejected() {
 
 /// A count or rate the library builders assert on is checked where it is
 /// parsed: zero processors, sites, tasks or seeds too few to pair, and
-/// negative or NaN discount rates exit 2 naming the flag or spec.
+/// negative or NaN discount rates or penalty-bound fractions exit 2
+/// naming the flag or spec.
 #[test]
 fn zero_and_negative_numbers_are_rejected_where_they_are_parsed() {
     let out = ["--out", "/dev/null"];
     let trace = ["--trace", "unused.json"];
     let compare = ["compare", "--a", "fcfs", "--b", "srpt"];
-    let rows: [(Vec<&str>, &str); 16] = [
+    let rows: [(Vec<&str>, &str); 18] = [
         (
             [&["run"][..], &trace, &["--processors", "0"]].concat(),
             "--processors must be at least 1",
@@ -252,6 +253,19 @@ fn zero_and_negative_numbers_are_rejected_where_they_are_parsed() {
         (
             [&["serve"][..], &["--policy", "pv:-0.5"]].concat(),
             "got -0.5 in pv:-0.5",
+        ),
+        (
+            [&["gen"][..], &out, &["--bound", "prop:-0.5"]].concat(),
+            "bad fraction in prop:-0.5",
+        ),
+        (
+            [
+                &["gen"][..],
+                &out,
+                &["--workflow", "layered:3:2:0.5", "--bound", "prop:NaN"],
+            ]
+            .concat(),
+            "bad fraction in prop:NaN",
         ),
     ];
     for (args, needle) in rows {
@@ -590,18 +604,16 @@ fn a_service_snapshot_that_does_not_parse_is_refused_as_a_service_run() {
 }
 
 /// An economy journal whose newest snapshot holds an index that points
-/// outside what it holds — a queued arrival's task among them — a task
-/// unlike its trace's, a settlement its task's value function does not
-/// give, or an open-contract table other than the unsettled contracts,
-/// each once in task order, keeps every CRC valid, so only the restore
-/// sees it: `resume` and `analyze` reject it (exit 2, naming the fault)
+/// outside what it holds — a contract's task or site, a queued arrival's
+/// task — runner-up quotes other than one for each unsettled contract, or
+/// one task open twice, keeps every CRC valid, so only the restore sees
+/// it: `resume` and `analyze` reject it (exit 2, naming the fault)
 /// instead of panicking on the out-of-range index, settling a contract
 /// twice or leaving one open for ever.
 #[test]
 fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
     use mbts::durable::framing::{self, RecordTag};
-    use mbts::market::{Contract, ContractStatus, EcoEvent, EconomySnapshot};
-    use std::sync::Arc;
+    use mbts::market::{EcoEvent, EconomySnapshot};
     let fixture = std::fs::read(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/serde/economy_journal.mbtsj"
@@ -615,11 +627,11 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
         .expect("a snapshot record");
     // (what is spoiled, how, what the refusal names)
     type Spoil = (&'static str, fn(&mut EconomySnapshot), &'static str);
-    let spoil: [Spoil; 9] = [
+    let spoil: [Spoil; 5] = [
         (
-            "open task",
-            |s| s.open.push((1_000_000, 0, None)),
-            "open contract names task 1000000",
+            "contract task",
+            |s| s.contracts[0].0 = 1_000_000,
+            "contract 0 names task 1000000",
         ),
         (
             "arrival task",
@@ -632,65 +644,19 @@ fn an_economy_snapshot_with_an_index_outside_it_is_rejected() {
             "queued arrival names task 1000000",
         ),
         (
-            "open index",
-            |s| s.open[0].1 = s.contracts.len(),
-            "open contract index",
+            "contract site",
+            |s| s.contracts[0].1 = s.sites.len(),
+            "contract 0's site 2 is past the snapshot's 2 sites",
         ),
+        ("open count", |s| s.open.push(None), "runner-up quotes for"),
         (
-            "open settled",
+            "open twice",
             |s| {
-                s.open[0].1 = s
-                    .contracts
-                    .iter()
-                    .position(|c| c.is_settled())
-                    .expect("a settled contract")
+                let mut open = s.contracts.iter_mut().filter(|row| row.3.is_none());
+                let first = open.next().expect("an open contract").0;
+                open.next().expect("a second open contract").0 = first;
             },
-            "names settled contract",
-        ),
-        (
-            "open other task",
-            |s| {
-                let (a, b) = (s.open[0].1, s.open[1].1);
-                (s.open[0].1, s.open[1].1) = (b, a);
-            },
-            "names contract",
-        ),
-        (
-            "open order",
-            |s| s.open.swap(0, 1),
-            "open contracts are not ascending",
-        ),
-        (
-            "open missing",
-            |s| {
-                s.open.remove(0);
-            },
-            "is unsettled but not an open contract",
-        ),
-        (
-            "trace",
-            |s| {
-                let id = s.contracts.get(0).expect("a contract").spec.id;
-                Arc::make_mut(&mut s.trace.bids)[id.index()].value += 1.0;
-            },
-            "unlike the trace's",
-        ),
-        (
-            "settlement",
-            |s| {
-                // A settled price its task's value function does not give.
-                let mut contracts: Vec<Contract> = s.contracts.iter().collect();
-                let settled = contracts
-                    .iter_mut()
-                    .find(|c| c.is_settled())
-                    .expect("a settled contract");
-                if let ContractStatus::Settled { settled_price, .. } = &mut settled.status {
-                    *settled_price += 1.0;
-                }
-                let text = serde_json::to_string(&contracts).expect("serialises");
-                s.contracts = serde_json::from_str(&text).expect("the ledger reads");
-            },
-            "other than its value function does",
+            "is open twice",
         ),
     ];
     let dir = std::env::temp_dir().join(format!("mbts_cli_errors_{}", std::process::id()));

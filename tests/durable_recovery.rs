@@ -281,8 +281,8 @@ fn kill_every_event_economy_second_price_smoke() {
     {
         if tag == RecordTag::Snapshot {
             let snap: EconomySnapshot = serde_json::from_slice(payload).expect("a snapshot");
-            quoted |= snap.open.iter().any(|&(_, _, q)| q.is_some());
-            unquoted |= snap.open.iter().any(|&(_, _, q)| q.is_none());
+            quoted |= snap.open.iter().any(Option::is_some);
+            unquoted |= snap.open.iter().any(Option::is_none);
         }
     }
     assert!(

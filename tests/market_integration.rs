@@ -2,7 +2,7 @@
 //! across the whole stack.
 
 use mbts::core::{AdmissionPolicy, Policy};
-use mbts::market::{ClientSelection, ContractStatus, EconomyConfig, EconomyRun, PricingStrategy};
+use mbts::market::{ClientSelection, EconomyConfig, EconomyRun, PricingStrategy};
 use mbts::site::{Disposition, SiteConfig, SiteRun};
 use mbts::trace::Tracer;
 use mbts::workload::{generate_trace, MixConfig, Trace};
@@ -196,11 +196,9 @@ fn a_one_site_market_schedules_as_the_site_alone() {
                 let mut contracted: Vec<(u64, u64)> = market
                     .contracts
                     .iter()
-                    .map(|c| match c.status {
-                        ContractStatus::Settled { completed_at, .. } => {
-                            (c.spec.id.0, completed_at.as_f64().to_bits())
-                        }
-                        ContractStatus::Open => panic!("{cell}: an open contract"),
+                    .map(|c| match c.completed_at {
+                        Some(completed_at) => (c.spec.id.0, completed_at.as_f64().to_bits()),
+                        None => panic!("{cell}: an open contract"),
                     })
                     .collect();
                 ran.sort_unstable();

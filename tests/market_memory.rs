@@ -7,8 +7,8 @@
 //! run holds only what it produced, and per bid it makes a handful of
 //! allocations rather than one set of buffers per site quoted. A contract
 //! is a 24 B row over the shared tasks: it names its task by index, and
-//! what its task gives (the price at the negotiated completion, the
-//! settlement, the formation time) is derived when read. It
+//! what its task gives (the price at the negotiated completion and the
+//! settlement) is derived when read. It
 //! is also a placed task's one record (a site inside an economy keeps
 //! none), so what a run produces per contract is that row. Its runner-up
 //! quote and its task → contract entry live only while it is open, and a
@@ -186,8 +186,8 @@ fn runs_hold_what_is_live_and_quote_without_allocating() {
     let contracts = outcome.contracts.len() as f64;
     let per_contract = grown / contracts;
     // At quiescence nothing is in flight: what the run added since `new`
-    // is its results — per contract a 24 B ledger row (the price,
-    // settlement and formation time are derived when read) in a
+    // is its results — per contract a 24 B ledger row (the price and
+    // settlement are derived when read) in a
     // vector grown by doubling — and nothing that scales with the bids
     // handled; 53.7 measured, 54.0 while the sites' emptied queues held
     // 112 B jobs. (A 32 B row that kept the price, with an 8 B
